@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet test race race-par race-exec race-vec race-order race-adapt spill-smoke faults smoke obs serve-smoke bench bench-all check clean
+.PHONY: all build vet test race race-par race-exec race-vec race-order race-adapt spill-smoke faults smoke obs serve-smoke bench-smoke bench bench-all check clean
 
 all: vet build test
 
 # The full pre-merge gauntlet: static checks, build, the tier-1 test
 # suite, the fault-injection suite under the race detector, the
 # observability smoke, the low-budget spill smoke, the query-service
-# smoke, the order-property suite, the adaptive/feedback suite, and
+# smoke, the order-property suite, the adaptive/feedback suite, the
+# columnar serving-engine suite, the bench module's smoke run, and
 # the benchmark regression gates.
-check: vet build test faults obs spill-smoke serve-smoke race-order race-adapt bench
+check: vet build test faults obs spill-smoke serve-smoke race-order race-adapt race-vec bench-smoke bench
 
 build:
 	$(GO) build ./...
@@ -40,13 +41,19 @@ race-exec:
 	$(GO) test -race -run 'TestPartitioned|TestJoinExecParallel|TestRunParallel|TestColliding|TestHashJoinCollision|TestGroupByCollisions|TestDistinctAggCollisions|TestGenSelMGOJCollisions' \
 		./internal/executor/
 
-# Focused race run for the vectorized engine and the spill path: the
-# Run ≡ RunParallel ≡ RunVectorized property suite across batch sizes,
-# the columnar batch kernels, and the grace spill equivalence /
-# determinism / recursion tests.
+# Focused race run for the columnar engine — the one the service
+# executes on — and the spill path: the Run ≡ RunParallel ≡
+# RunVectorized ≡ RunGuarded ≡ RunInstrumentedAdaptive property suites
+# across batch sizes, the shared per-relation image (built once,
+# dropped on Append, never written through), native build/probe swap,
+# delivered-order and every-node-annotated pins, the columnar batch
+# kernels, the grace spill equivalence / determinism / recursion tests,
+# and the same properties observed through Service.Query.
 race-vec:
-	$(GO) test -race -run 'TestVectorized|TestExecutorSpill|TestBatch|TestVec' \
+	$(GO) test -race -run 'TestVectorized|TestExecutorSpill|TestBatch|TestVec|TestRunMatchesReference|TestOrderOperatorsAcrossEngines|TestAdapt' \
 		./internal/executor/ ./internal/batch/
+	$(GO) test -race -run 'TestImage' ./internal/relation/
+	$(GO) test -race -run 'TestServiceColumnar' .
 
 # Focused race run for the order-aware layer: the merge-join and
 # streaming-aggregation equivalence suites (vs their hash twins,
@@ -126,6 +133,15 @@ serve-smoke:
 	$(GO) test -race -count=1 ./internal/plancache/ ./cmd/reorderd/
 	$(GO) test -race -count=1 -run 'TestService|TestHandler' .
 	$(GO) run -race ./cmd/benchserve -short -out BENCH_serve_smoke.json
+
+# The bench module (bench/, its own go.mod) is outside ./..., so a
+# signature change that breaks it passes go build ./... and go test
+# ./...: build, vet, test and smoke-run it here. The smoke run plays
+# every workload through both passes for a fraction of a second and
+# exits non-zero on a wrong answer.
+bench-smoke:
+	$(GO) run -C bench . -smoke
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The full go test benchmark sweep (root experiment benches included).
 bench-all:

@@ -177,11 +177,14 @@ func explainAnalyzeFeedback(q Node, db Database, workers int, b *guard.Budget, r
 	var out *relation.Relation
 	var ann plan.Annotations
 	switch {
-	case vec:
-		out, ann, err = executor.RunVectorizedInstrumented(res.Best.Plan, db, reg, b)
 	case fb != nil:
 		out, ann, err = executor.RunInstrumentedAdaptive(res.Best.Plan, db, reg, b,
 			&executor.Adapt{SwapFactor: 4, Spill: true})
+	case vec:
+		// The plan runs as planned (no swap), but -max-bytes pressure
+		// spills a join instead of tripping, as -vec documents.
+		out, ann, err = executor.RunInstrumentedAdaptive(res.Best.Plan, db, reg, b,
+			&executor.Adapt{Spill: true})
 	default:
 		out, ann, err = executor.RunInstrumentedGuarded(res.Best.Plan, db, reg, b)
 	}
@@ -254,7 +257,7 @@ func explainAnalyzeFeedback(q Node, db Database, workers int, b *guard.Budget, r
 		OriginalCost: res.Original.Cost,
 		BestCost:     res.Best.Cost,
 		RowsOut:      out.Len(),
-		Engine:       engineName(vec),
+		Engine:       engineName(vec || fb != nil),
 		Degraded:     res.Degraded,
 		RuleFirings:  res.RuleFirings,
 		Metrics:      reg.Snapshot(),

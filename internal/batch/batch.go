@@ -27,6 +27,7 @@ package batch
 import (
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -307,10 +308,42 @@ func (v *Vec) Gather(sel []int32) Vec {
 
 // Rel is a columnar relation: a schema and one equal-length Vec per
 // attribute.
+//
+// A Rel is read-only once built. Kernels derive new Rels (sharing
+// column vectors where nothing changes, as a projection does) and
+// never write through Cols: a base table's image is shared by every
+// concurrent query that scans it.
 type Rel struct {
 	Schema *schema.Schema
 	Cols   []Vec
 	N      int
+
+	// src is the row-major relation these exact rows were shaped from,
+	// in this order, possibly under another schema of the same width;
+	// ToRelation hands it back instead of boxing the columns again. Only
+	// FromRelation and As set it — a Rel a kernel derives has none.
+	src *relation.Relation
+}
+
+// Of returns r's shared columnar image: shaped by FromRelation on the
+// first call, cached on the relation itself, and dropped when the
+// relation is appended to. This is how the vectorized engine scans a
+// base table without re-shaping it per query; exec.image.builds counts
+// the shapings, so a table that keeps being re-shaped shows.
+func Of(r *relation.Relation) *Rel {
+	return r.Image(func(r *relation.Relation) any {
+		obs.Default().Counter("exec.image.builds").Inc()
+		return FromRelation(r)
+	}).(*Rel)
+}
+
+// As returns the same rows under schema s, which must have r's width —
+// an aliased scan. The column vectors are shared, not copied.
+func (r *Rel) As(s *schema.Schema) *Rel {
+	if s.Len() != len(r.Cols) {
+		panic(fmt.Sprintf("batch: schema %s does not fit %d columns", s, len(r.Cols)))
+	}
+	return &Rel{Schema: s, Cols: r.Cols, N: r.N, src: r.src}
 }
 
 // FromRelation re-shapes a row-major relation into columns. Each
@@ -320,7 +353,7 @@ type Rel struct {
 // original values round-trip) degrades to PhysAny.
 func FromRelation(r *relation.Relation) *Rel {
 	n, w := r.Len(), r.Schema().Len()
-	out := &Rel{Schema: r.Schema(), Cols: make([]Vec, w), N: n}
+	out := &Rel{Schema: r.Schema(), Cols: make([]Vec, w), N: n, src: r}
 	phys := make([]Phys, w)
 	sniffed := make([]bool, w)
 	for _, t := range r.Tuples() {
@@ -384,10 +417,22 @@ func FromRelation(r *relation.Relation) *Rel {
 	return out
 }
 
-// ToRelation boxes the columns back into a row-major relation. Tuples
-// are carved from one flat arena allocation (n×width values) rather
-// than allocated per row.
+// ToRelation returns the rows as a row-major relation. A Rel that still
+// is what FromRelation shaped — a scanned base table, the output of a
+// tuple-engine fallback — returns its source (re-labelled when the
+// schema is an alias) without touching a value. Anything else is boxed:
+// tuples are carved from one flat arena allocation (n×width values)
+// rather than allocated per row. Callers must treat the result as
+// read-only, as they must any operator input.
 func (r *Rel) ToRelation() *relation.Relation {
+	if r.src != nil {
+		if r.src.Schema() == r.Schema {
+			return r.src
+		}
+		out := relation.New(r.Schema)
+		out.AppendAll(r.src.Tuples())
+		return out
+	}
 	out := relation.New(r.Schema)
 	w := r.Schema.Len()
 	if r.N == 0 || w == 0 {

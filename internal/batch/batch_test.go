@@ -2,9 +2,12 @@ package batch
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -55,7 +58,18 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Errorf("col %d phys = %s, want %s", c, col.Cols[c].Phys, p)
 		}
 	}
-	out := col.ToRelation()
+	if col.ToRelation() != in {
+		t.Fatal("an unmodified shaped relation must hand back its source")
+	}
+	// A derived Rel has no source to hand back: this is the boxing path.
+	all := make([]int32, col.N)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	out := col.Select(all).ToRelation()
+	if out == in {
+		t.Fatal("a derived Rel returned the source relation")
+	}
 	if !in.EqualAsMultisets(out) {
 		t.Fatal("round trip is not multiset-identical")
 	}
@@ -165,5 +179,95 @@ func TestBatchGather2PadsSides(t *testing.T) {
 	}
 	if rel.Tuple(0)[0].Int() != 1 || rel.Tuple(0)[2].Str() != "a" {
 		t.Fatalf("inner row wrong: %v", rel.Tuple(0))
+	}
+}
+
+// sameRel reports whether two columnar relations hold the same schema,
+// physical column kinds and values, row by row.
+func sameRel(a, b *Rel) bool {
+	if a.N != b.N || len(a.Cols) != len(b.Cols) || a.Schema.String() != b.Schema.String() {
+		return false
+	}
+	for c := range a.Cols {
+		if a.Cols[c].Phys != b.Cols[c].Phys {
+			return false
+		}
+		for i := 0; i < a.N; i++ {
+			if !value.Equal(a.Cols[c].At(i), b.Cols[c].At(i)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestBatchImageSharedAndInvalidated: Of shapes a relation once, hands
+// every caller the same read-only image, and re-shapes after Append.
+func TestBatchImageSharedAndInvalidated(t *testing.T) {
+	in := randRel(t, 120, 4)
+	builds := obs.Default().Counter("exec.image.builds")
+	before := builds.Value()
+	img := Of(in)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if Of(in) != img {
+				t.Error("concurrent Of returned a different image")
+			}
+		}()
+	}
+	wg.Wait()
+	if got := builds.Value() - before; got != 1 {
+		t.Fatalf("image built %d times, want 1", got)
+	}
+	if !sameRel(img, FromRelation(in)) {
+		t.Fatal("cached image differs from a fresh FromRelation")
+	}
+	if img.ToRelation() != in {
+		t.Fatal("base image must hand back its relation")
+	}
+
+	in.Append(in.Tuple(0).Clone())
+	again := Of(in)
+	if again == img || again.N != in.Len() {
+		t.Fatalf("Append did not invalidate the image (N=%d, rows=%d)", again.N, in.Len())
+	}
+	if !sameRel(again, FromRelation(in)) {
+		t.Fatal("re-shaped image differs from a fresh FromRelation")
+	}
+}
+
+// TestBatchImageAlias: an aliased view shares the image's column
+// vectors and boxes back to the same tuples under the renamed schema.
+func TestBatchImageAlias(t *testing.T) {
+	in := randRel(t, 40, 5)
+	img := Of(in)
+	attrs := in.Schema().Attrs()
+	for i := range attrs {
+		attrs[i].Rel = "u"
+	}
+	renamed := schema.New(attrs...)
+	view := img.As(renamed)
+	if view.Schema != renamed || view.N != img.N {
+		t.Fatal("alias view has the wrong schema or length")
+	}
+	for c := range view.Cols {
+		if view.Cols[c].Phys == PhysInt && &view.Cols[c].Ints[0] != &img.Cols[c].Ints[0] {
+			t.Fatalf("col %d was copied, not shared", c)
+		}
+	}
+	out := view.ToRelation()
+	if out.Schema() != renamed || out.Len() != in.Len() {
+		t.Fatal("alias view boxed to the wrong relation")
+	}
+	for i, tup := range in.Tuples() {
+		if &out.Tuple(i)[0] != &tup[0] {
+			t.Fatalf("row %d was re-boxed, not shared", i)
+		}
+	}
+	if Of(in) != img {
+		t.Fatal("aliasing disturbed the cached image")
 	}
 }

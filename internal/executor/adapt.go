@@ -60,43 +60,42 @@ func RunParallelAdaptive(n plan.Node, db plan.Database, workers int, b *guard.Bu
 }
 
 // RunVectorizedAdaptive is RunVectorizedGuarded with mid-query
-// adaptivity: a vectorized join that trips an adapt threshold
-// delegates to the adaptive row join (counted on
-// exec.vector.fallback.join-adapt).
+// adaptivity: a join past the swap threshold builds on its left input
+// inside the columnar kernel.
 func RunVectorizedAdaptive(n plan.Node, db plan.Database, b *guard.Budget, a *Adapt) (out *relation.Relation, err error) {
 	phase := "execute"
 	defer guard.RecoverAs(&err, &phase, plan.Key(n), nil)
-	e := &vecEngine{db: db, b: b, batch: execBatchRows, reg: obs.Default(), adapt: a}
+	e := &vecEngine{db: db, b: b, batch: execBatchRows, reg: b.Registry(), adapt: a, autoSpill: true}
 	obs.WithPhase(b.Context(), "executor", "execute", func() {
-		col, execErr := e.exec(n)
-		if execErr != nil {
-			err = execErr
-			return
-		}
-		out = col.ToRelation()
+		out, err = e.run(n)
 	})
 	return out, err
 }
 
-// RunInstrumentedAdaptive is RunInstrumentedGuarded with mid-query
-// adaptivity — the query service's execution entry point when
-// feedback is enabled. Adaptive transitions land in the annotations
-// (build_swapped, spill_escalated extras) and the exec.adapt.*
-// counters.
+// RunInstrumentedAdaptive is the instrumented, adaptive execution on
+// the columnar engine — the query service's entry point when feedback
+// is enabled, and EXPLAIN ANALYZE's for -vec and -feedback. Every node
+// of the plan gets an annotation with its output rows and inclusive
+// time; joins add their probe figures, and adaptive transitions land
+// in the annotations (build_swapped, spill_escalated extras) and the
+// exec.adapt.* counters. reg receives the per-operator and
+// exec.vector.* counters (nil means the budget's registry). a may be
+// nil: a static plan, where a byte-budget overrun is a typed
+// guard.ErrBudget as in RunGuarded.
 func RunInstrumentedAdaptive(n plan.Node, db plan.Database, reg *obs.Registry, b *guard.Budget, a *Adapt) (out *relation.Relation, ann plan.Annotations, err error) {
 	if reg == nil {
-		reg = obs.Default()
+		reg = b.Registry()
 	}
 	phase := "execute"
 	defer guard.RecoverAs(&err, &phase, plan.Key(n), reg)
-	ann = plan.Annotations{}
+	e := &vecEngine{db: db, b: b, batch: execBatchRows, reg: reg, ann: plan.Annotations{}, adapt: a}
 	obs.WithPhase(b.Context(), "executor", "execute", func() {
-		out, err = runInstrumented(n, db, reg, ann, b, a)
+		out, err = e.run(n)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, ann, nil
+	return out, e.ann, nil
 }
 
 // swapWanted is the deterministic pre-probe swap decision: the
@@ -106,6 +105,10 @@ func (a *Adapt) swapWanted(probeRows, buildRows int) bool {
 	return a != nil && a.SwapFactor > 0 &&
 		float64(buildRows) > a.SwapFactor*float64(probeRows)
 }
+
+// spillWanted reports whether a join may escalate to the grace/spill
+// join; nil-safe like swapWanted.
+func (a *Adapt) spillWanted() bool { return a != nil && a.Spill }
 
 // adaptJoin runs the adapt decision cascade for one hash join whose
 // inputs are fully materialized and whose equi keys are already
@@ -129,7 +132,7 @@ func adaptJoin(a *Adapt, kind plan.JoinKind, pred expr.Pred, residual expr.Pred,
 				if err := guard.Hit(guard.PointExecBuildSwap); err != nil {
 					return nil, true, err
 				}
-				obs.Default().Counter("exec.adapt.spill_escalations").Inc()
+				b.Registry().Counter("exec.adapt.spill_escalations").Inc()
 				if st != nil {
 					st.SpillEscalated = true
 				}
@@ -142,7 +145,7 @@ func adaptJoin(a *Adapt, kind plan.JoinKind, pred expr.Pred, residual expr.Pred,
 		if err := guard.Hit(guard.PointExecBuildSwap); err != nil {
 			return nil, true, err
 		}
-		obs.Default().Counter("exec.adapt.swaps").Inc()
+		b.Registry().Counter("exec.adapt.swaps").Inc()
 		if st != nil {
 			st.BuildSwapped = true
 		}
@@ -257,9 +260,9 @@ func joinExecSwapped(kind plan.JoinKind, residual expr.Pred, li, ri []int, l, r 
 		st.Collisions += collisions
 	}
 	if collisions > 0 {
-		obs.Default().Counter("exec.hash.collisions").Add(int64(collisions))
+		b.Registry().Counter("exec.hash.collisions").Add(int64(collisions))
 	}
-	st.flushArenas(arena)
+	st.flushArenas(b.Registry(), arena)
 	if err := chargeSince(b, out, &charged, nl+nr); err != nil {
 		return nil, err
 	}

@@ -27,24 +27,33 @@ import (
 // response latency to a trip is bounded by one batch.
 const execBatchRows = 1024
 
-// Run executes the plan against db.
+// Run executes the plan against db on the row-at-a-time engine. It is
+// the reference the columnar engine is checked against (the property
+// suites, the benchmark's oracle), so it deliberately shares no walker
+// with the production entry points below.
 func Run(n plan.Node, db plan.Database) (*relation.Relation, error) {
 	return run(n, db, nil, nil)
 }
 
-// RunGuarded is Run under resource governance: the budget's
-// cancellation and row/byte limits are checked at per-operator and
-// per-batch boundaries (surfacing guard.ErrCancelled / ErrBudget),
-// and a panic anywhere in the execution converts to a
-// *guard.PanicError carrying the plan fingerprint instead of
-// unwinding into the caller.
+// RunGuarded is the production execution entry point: the plan runs on
+// the columnar engine (vector.go) under resource governance. The
+// budget's cancellation and row/byte limits are checked at
+// per-operator and per-batch boundaries (surfacing guard.ErrCancelled
+// / ErrBudget — a MaxBytes overrun is the typed error, never a silent
+// spill), executor counters land in the budget's registry, and a panic
+// anywhere in the execution converts to a *guard.PanicError carrying
+// the plan fingerprint instead of unwinding into the caller. The
+// result is multiset-equal to Run's, in the plan's delivered order
+// where it delivers one.
 func RunGuarded(n plan.Node, db plan.Database, b *guard.Budget) (out *relation.Relation, err error) {
 	phase := "execute"
 	defer guard.RecoverAs(&err, &phase, plan.Key(n), nil)
-	return run(n, db, b, nil)
+	e := &vecEngine{db: db, b: b, batch: execBatchRows, reg: b.Registry()}
+	return e.run(n)
 }
 
-// run is the guarded recursion shared by Run and RunGuarded. Each
+// run is the guarded recursion of the row engine (Run, RunAdaptive and
+// the vectorized engine's per-operator fallbacks). Each
 // operator checks the budget on entry (one pointer comparison when
 // unbudgeted); joins charge their output incrementally inside the
 // probe loops, every other materializing operator charges its full
@@ -201,9 +210,14 @@ func fastKey(t relation.Tuple, idx []int) (uint64, bool) {
 	return t.HashOn(idx)
 }
 
-// arenaChunkTuples is how many output tuples one arena slab holds;
-// per-worker arenas amortize row allocation to one make per slab.
-const arenaChunkTuples = 512
+// Arena slabs start at arenaMinTuples output tuples and double up to
+// arenaChunkTuples: a join that emits a handful of rows (a point query)
+// allocates a handful, one that emits thousands amortizes row
+// allocation to one make per 512.
+const (
+	arenaMinTuples   = 16
+	arenaChunkTuples = 512
+)
 
 // tupleArena hands out fixed-width tuples carved from chunked slabs.
 // Rows from one arena stay reachable as long as the output relation
@@ -211,6 +225,7 @@ const arenaChunkTuples = 512
 type tupleArena struct {
 	width  int
 	slab   []value.Value
+	grow   int // tuples in the most recent slab
 	chunks int
 	tuples int
 }
@@ -221,7 +236,8 @@ func newTupleArena(width int) *tupleArena { return &tupleArena{width: width} }
 // capacity clipped so appends never bleed into neighbouring rows.
 func (a *tupleArena) next() relation.Tuple {
 	if len(a.slab) < a.width {
-		a.slab = make([]value.Value, arenaChunkTuples*a.width)
+		a.grow = min(max(2*a.grow, arenaMinTuples), arenaChunkTuples)
+		a.slab = make([]value.Value, a.grow*a.width)
 		a.chunks++
 	}
 	t := relation.Tuple(a.slab[:a.width:a.width])
@@ -250,9 +266,9 @@ type joinProbe struct {
 	SpillEscalated bool // adaptive escalation to the grace/spill join
 }
 
-// flushArenas folds arena totals into the probe and the process-wide
+// flushArenas folds arena totals into the probe and the run's
 // registry.
-func (st *joinProbe) flushArenas(arenas ...*tupleArena) {
+func (st *joinProbe) flushArenas(reg *obs.Registry, arenas ...*tupleArena) {
 	chunks, tuples := 0, 0
 	for _, a := range arenas {
 		chunks += a.chunks
@@ -261,7 +277,6 @@ func (st *joinProbe) flushArenas(arenas ...*tupleArena) {
 	if st != nil {
 		st.ArenaChunks += chunks
 	}
-	reg := obs.Default()
 	reg.Counter("exec.arena.chunks").Add(int64(chunks))
 	reg.Counter("exec.arena.tuples").Add(int64(tuples))
 }
@@ -412,9 +427,9 @@ func joinExecProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, 
 		st.Collisions += collisions
 	}
 	if collisions > 0 {
-		obs.Default().Counter("exec.hash.collisions").Add(int64(collisions))
+		b.Registry().Counter("exec.hash.collisions").Add(int64(collisions))
 	}
-	st.flushArenas(arena)
+	st.flushArenas(b.Registry(), arena)
 	if err := chargeSince(b, out, &charged, nl+nr); err != nil {
 		return nil, err
 	}

@@ -40,7 +40,8 @@ func eqY(a, b string) expr.Pred { return expr.EqCols(a, "y", b, "y") }
 // TestRunMatchesReference cross-checks the physical executor against
 // the reference semantics on randomized plans and databases: every
 // join kind, equi and non-equi predicates, generalized selections,
-// MGOJ and aggregation.
+// MGOJ and aggregation. The columnar serving entry points are held to
+// Run's multiset on the same plans and databases.
 func TestRunMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	lt := func(a, b string) expr.Pred {
@@ -83,6 +84,16 @@ func TestRunMatchesReference(t *testing.T) {
 			if !got.EqualAsSets(want) {
 				t.Fatalf("plan %d trial %d: executor differs from reference\nplan: %s\ngot:\n%s\nwant:\n%s",
 					pi, trial, p, got.Format(true), want.Format(true))
+			}
+			for _, e := range servingEngines() {
+				col, err := e.run(p, db)
+				if err != nil {
+					t.Fatalf("plan %d: %s: %v", pi, e.name, err)
+				}
+				if !col.EqualAsMultisets(got) {
+					t.Fatalf("plan %d trial %d: %s differs from Run\nplan: %s\ngot:\n%s\nwant:\n%s",
+						pi, trial, e.name, p, col.Format(true), got.Format(true))
+				}
 			}
 		}
 	}

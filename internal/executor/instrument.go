@@ -35,7 +35,7 @@ func RunInstrumentedGuarded(n plan.Node, db plan.Database, reg *obs.Registry, b 
 	defer guard.RecoverAs(&err, &phase, plan.Key(n), reg)
 	ann = plan.Annotations{}
 	obs.WithPhase(b.Context(), "executor", "execute", func() {
-		out, err = runInstrumented(n, db, reg, ann, b, nil)
+		out, err = runInstrumented(n, db, reg, ann, b)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -43,7 +43,7 @@ func RunInstrumentedGuarded(n plan.Node, db plan.Database, reg *obs.Registry, b 
 	return out, ann, nil
 }
 
-func runInstrumented(n plan.Node, db plan.Database, reg *obs.Registry, ann plan.Annotations, b *guard.Budget, ad *Adapt) (*relation.Relation, error) {
+func runInstrumented(n plan.Node, db plan.Database, reg *obs.Registry, ann plan.Annotations, b *guard.Budget) (*relation.Relation, error) {
 	if err := b.Err(); err != nil {
 		return nil, err
 	}
@@ -58,27 +58,27 @@ func runInstrumented(n plan.Node, db plan.Database, reg *obs.Registry, ann plan.
 		out = m.rel
 	case *plan.Select:
 		var in *relation.Relation
-		if in, err = runInstrumented(m.Input, db, reg, ann, b, ad); err == nil {
+		if in, err = runInstrumented(m.Input, db, reg, ann, b); err == nil {
 			out = algebra.Select(m.Pred, in)
 		}
 	case *plan.Project:
 		var in *relation.Relation
-		if in, err = runInstrumented(m.Input, db, reg, ann, b, ad); err == nil {
+		if in, err = runInstrumented(m.Input, db, reg, ann, b); err == nil {
 			out = in.Project(m.Attrs, m.Distinct)
 		}
 	case *plan.GroupBy:
 		var in *relation.Relation
-		if in, err = runInstrumented(m.Input, db, reg, ann, b, ad); err == nil {
+		if in, err = runInstrumented(m.Input, db, reg, ann, b); err == nil {
 			out = algebra.GroupProject(m.Keys, m.Aggs, in)
 		}
 	case *plan.Sort:
 		var in *relation.Relation
-		if in, err = runInstrumented(m.Input, db, reg, ann, b, ad); err == nil {
+		if in, err = runInstrumented(m.Input, db, reg, ann, b); err == nil {
 			out, err = plan.SortRows(in, m.Keys, m.Limit)
 		}
 	case *plan.GenSel:
 		var in *relation.Relation
-		if in, err = runInstrumented(m.Input, db, reg, ann, b, ad); err == nil {
+		if in, err = runInstrumented(m.Input, db, reg, ann, b); err == nil {
 			specs := make([]map[string]bool, len(m.Preserved))
 			for i, s := range m.Preserved {
 				specs[i] = s.Set()
@@ -87,21 +87,21 @@ func runInstrumented(n plan.Node, db plan.Database, reg *obs.Registry, ann plan.
 		}
 	case *plan.Join:
 		var l, r *relation.Relation
-		if l, err = runInstrumented(m.L, db, reg, ann, b, ad); err != nil {
+		if l, err = runInstrumented(m.L, db, reg, ann, b); err != nil {
 			break
 		}
-		if r, err = runInstrumented(m.R, db, reg, ann, b, ad); err != nil {
+		if r, err = runInstrumented(m.R, db, reg, ann, b); err != nil {
 			break
 		}
 		st := &joinProbe{}
-		out, err = joinExecProbe(m.Kind, m.Pred, l, r, st, b, ad)
+		out, err = joinExecProbe(m.Kind, m.Pred, l, r, st, b, nil)
 		recordJoinProbe(a, st, reg)
 	case *plan.MGOJNode:
 		var l, r *relation.Relation
-		if l, err = runInstrumented(m.L, db, reg, ann, b, ad); err != nil {
+		if l, err = runInstrumented(m.L, db, reg, ann, b); err != nil {
 			break
 		}
-		if r, err = runInstrumented(m.R, db, reg, ann, b, ad); err != nil {
+		if r, err = runInstrumented(m.R, db, reg, ann, b); err != nil {
 			break
 		}
 		st := &joinProbe{}
@@ -109,10 +109,10 @@ func runInstrumented(n plan.Node, db plan.Database, reg *obs.Registry, ann plan.
 		recordJoinProbe(a, st, reg)
 	case *plan.MergeJoin:
 		var l, r *relation.Relation
-		if l, err = runInstrumented(m.L, db, reg, ann, b, ad); err != nil {
+		if l, err = runInstrumented(m.L, db, reg, ann, b); err != nil {
 			break
 		}
-		if r, err = runInstrumented(m.R, db, reg, ann, b, ad); err != nil {
+		if r, err = runInstrumented(m.R, db, reg, ann, b); err != nil {
 			break
 		}
 		st := &joinProbe{}
@@ -120,7 +120,7 @@ func runInstrumented(n plan.Node, db plan.Database, reg *obs.Registry, ann plan.
 		recordJoinProbe(a, st, reg)
 	case *plan.StreamAgg:
 		var in *relation.Relation
-		if in, err = runInstrumented(m.Input, db, reg, ann, b, ad); err == nil {
+		if in, err = runInstrumented(m.Input, db, reg, ann, b); err == nil {
 			out, err = streamAggProbe(m, in, b)
 		}
 	default:

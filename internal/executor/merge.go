@@ -14,7 +14,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/guard"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -49,7 +48,7 @@ func mergeJoinProbe(m *plan.MergeJoin, l, r *relation.Relation, st *joinProbe, b
 		}
 	}
 	residual := mergeResidual(m.Pred, ls, rs, li, ri)
-	reg := obs.Default()
+	reg := b.Registry()
 	reg.Counter("exec.merge.runs").Inc()
 
 	nl, nr := ls.Len(), rs.Len()
@@ -251,7 +250,7 @@ func mergeJoinProbe(m *plan.MergeJoin, l, r *relation.Relation, st *joinProbe, b
 		}
 		padRight(rts[j])
 	}
-	st.flushArenas(arena)
+	st.flushArenas(b.Registry(), arena)
 	if rescans > 0 {
 		reg.Counter("exec.merge.rescans").Add(int64(rescans))
 	}
@@ -364,7 +363,7 @@ func streamAggProbe(g *plan.StreamAgg, in *relation.Relation, b *guard.Budget) (
 	}
 	outSchema := schema.New(outAttrs...)
 	out := relation.New(outSchema)
-	reg := obs.Default()
+	reg := b.Registry()
 	reg.Counter("exec.streamagg.runs").Inc()
 
 	// SQL: aggregation with no GROUP BY keys over any input yields one

@@ -189,8 +189,9 @@ func TestStreamAggMatchesHashGroupBy(t *testing.T) {
 
 // TestOrderOperatorsAcrossEngines runs full plans containing
 // MergeJoin and StreamAgg (with enforcer sorts establishing their
-// input orders, so Validate passes) through Run, RunInstrumented and
-// RunParallel at several worker counts: all engines must agree with
+// input orders, so Validate passes) through Run, RunInstrumented,
+// RunParallel at several worker counts and the columnar serving entry
+// points (servingEngines): all engines must agree with
 // the reference evaluation as multisets, and the per-operator
 // counters must move.
 func TestOrderOperatorsAcrossEngines(t *testing.T) {
@@ -242,6 +243,15 @@ func TestOrderOperatorsAcrossEngines(t *testing.T) {
 				}
 				if !par.EqualAsMultisets(want) {
 					t.Fatalf("plan %d trial %d workers %d: RunParallel differs", pi, trial, workers)
+				}
+			}
+			for _, e := range servingEngines() {
+				got, err := e.run(p, db)
+				if err != nil {
+					t.Fatalf("plan %d: %s: %v", pi, e.name, err)
+				}
+				if !got.EqualAsMultisets(want) {
+					t.Fatalf("plan %d trial %d: %s differs", pi, trial, e.name)
 				}
 			}
 		}

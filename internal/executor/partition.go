@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/guard"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -52,7 +51,7 @@ func JoinExecParallelGuarded(kind plan.JoinKind, pred expr.Pred, l, r *relation.
 func partitionedJoinProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, workers int, st *joinProbe, b *guard.Budget, a *Adapt) (*relation.Relation, error) {
 	ls, rs := l.Schema(), r.Schema()
 	keys, residual := splitEqui(pred, ls, rs)
-	reg := obs.Default()
+	reg := b.Registry()
 	if len(keys) == 0 {
 		reg.Counter("exec.partition.fallback.nonequi").Inc()
 		return joinExecProbe(kind, pred, l, r, st, b, a)
@@ -269,7 +268,7 @@ func partitionedJoinProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Rel
 			live = append(live, a)
 		}
 	}
-	st.flushArenas(live...)
+	st.flushArenas(reg, live...)
 	return out, nil
 }
 

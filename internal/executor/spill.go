@@ -97,14 +97,14 @@ func JoinExecSpill(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, 
 	return spillJoinProbe(kind, pred, l, r, nil, b, nil, opts)
 }
 
-// spillJoinProbe meters against reg (obs.Default() when nil) so the
-// instrumented engines can land exec.spill.* in their run's private
-// registry.
+// spillJoinProbe meters against reg (the budget's registry when nil)
+// so the instrumented engines can land exec.spill.* in their run's
+// private registry.
 func spillJoinProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, st *joinProbe, b *guard.Budget, reg *obs.Registry, opts SpillOptions) (*relation.Relation, error) {
 	ls, rs := l.Schema(), r.Schema()
 	keys, _ := splitEqui(pred, ls, rs)
 	if reg == nil {
-		reg = obs.Default()
+		reg = b.Registry()
 	}
 	if len(keys) == 0 {
 		reg.Counter("exec.spill.fallback.nonequi").Inc()

@@ -13,21 +13,32 @@ import (
 	"repro/internal/schema"
 )
 
-// This file is the vectorized engine's plan walker. Data flows
-// between operators as columnar batch.Rel relations; the hot
-// operators — scan, selection, equi-join build/probe, GROUP BY and
-// (distinct) projection — run as batch-at-a-time kernels (vecjoin.go,
-// vecagg.go), and every operator the columnar engine has not ported
-// falls back per operator to the tuple engine: children are
-// materialized row-major, the tuple operator runs through run()'s
-// charging protocol, and the result is re-shaped columnar. Fallbacks
-// are counted on exec.vector.fallback.<op>, so a plan that silently
-// executes mostly row-at-a-time is visible in -stats output.
+// This file is the vectorized engine's plan walker — the engine every
+// production entry point runs on (RunGuarded, RunInstrumentedAdaptive
+// and the RunVectorized* family; Run stays on the row walker as the
+// independent reference). Data flows between operators as columnar
+// batch.Rel relations; the hot operators — scan, selection, equi-join
+// build/probe, GROUP BY and (distinct) projection — run as
+// batch-at-a-time kernels (vecjoin.go, vecagg.go), and every operator
+// the columnar engine has not ported falls back per operator to the
+// tuple engine: children are materialized row-major, the tuple
+// operator runs through run()'s charging protocol, and the result is
+// re-shaped columnar. Fallbacks are counted on
+// exec.vector.fallback.<op>, so a plan that silently executes mostly
+// row-at-a-time is visible in -stats output.
 //
-// The contract is RunVectorized ≡ Run as multisets on every plan the
+// A scan does not shape anything: it takes the base relation's shared
+// columnar image (batch.Of), built on the relation's first scan and
+// kept on the relation until it is appended to. Kernels therefore
+// treat every input batch.Rel as read-only.
+//
+// The contract is vecEngine ≡ Run as multisets on every plan the
 // tuple engine accepts, including NULL-padded outer joins, and
 // bit-identical aggregate values (float sums accumulate in input
-// order through the same algebra.AggState arithmetic).
+// order through the same algebra.AggState arithmetic). Row order is
+// kept wherever the plan delivers one: selection and non-distinct
+// projection preserve input order, and sorts and merge joins run on
+// the tuple engine's order-aware operators.
 
 // VecOptions tune RunVectorizedOpts.
 type VecOptions struct {
@@ -45,10 +56,9 @@ func RunVectorized(n plan.Node, db plan.Database) (*relation.Relation, error) {
 	return RunVectorizedOpts(n, db, nil, VecOptions{})
 }
 
-// RunVectorizedGuarded is RunVectorized under resource governance,
-// with RunGuarded's budget and panic-containment contract. Joins
-// whose build side cannot fit the byte budget's headroom
-// automatically route through the spilling grace join.
+// RunVectorizedGuarded is RunGuarded with one difference: joins whose
+// build side cannot fit the byte budget's headroom automatically route
+// through the spilling grace join instead of tripping the budget.
 func RunVectorizedGuarded(n plan.Node, db plan.Database, b *guard.Budget) (*relation.Relation, error) {
 	return RunVectorizedOpts(n, db, b, VecOptions{})
 }
@@ -57,42 +67,14 @@ func RunVectorizedGuarded(n plan.Node, db plan.Database, b *guard.Budget) (*rela
 func RunVectorizedOpts(n plan.Node, db plan.Database, b *guard.Budget, o VecOptions) (out *relation.Relation, err error) {
 	phase := "execute"
 	defer guard.RecoverAs(&err, &phase, plan.Key(n), nil)
-	e := &vecEngine{db: db, b: b, batch: o.BatchSize, reg: obs.Default()}
+	e := &vecEngine{db: db, b: b, batch: o.BatchSize, reg: b.Registry(), autoSpill: true}
 	if e.batch <= 0 {
 		e.batch = execBatchRows
 	}
 	obs.WithPhase(b.Context(), "executor", "execute", func() {
-		var col *batch.Rel
-		col, err = e.exec(n)
-		if err == nil {
-			out = col.ToRelation()
-		}
+		out, err = e.run(n)
 	})
 	return out, err
-}
-
-// RunVectorizedInstrumented executes on the columnar engine while
-// collecting the same per-operator annotations RunInstrumented does,
-// plus the vectorized extras (vector batches, fallbacks, spill
-// figures) — EXPLAIN ANALYZE's -vec path.
-func RunVectorizedInstrumented(n plan.Node, db plan.Database, reg *obs.Registry, b *guard.Budget) (out *relation.Relation, ann plan.Annotations, err error) {
-	if reg == nil {
-		reg = obs.Default()
-	}
-	phase := "execute"
-	defer guard.RecoverAs(&err, &phase, plan.Key(n), reg)
-	e := &vecEngine{db: db, b: b, batch: execBatchRows, reg: reg, ann: plan.Annotations{}}
-	obs.WithPhase(b.Context(), "executor", "execute", func() {
-		var col *batch.Rel
-		col, err = e.exec(n)
-		if err == nil {
-			out = col.ToRelation()
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, e.ann, nil
 }
 
 // vecEngine carries one vectorized execution's configuration.
@@ -103,6 +85,19 @@ type vecEngine struct {
 	reg   *obs.Registry
 	ann   plan.Annotations // nil outside instrumented runs
 	adapt *Adapt           // nil = static plan, no mid-query adaptivity
+	// autoSpill sends a join whose build side outgrows the byte
+	// budget's headroom to the grace/spill join even without
+	// Adapt.Spill — the RunVectorized* contract, not RunGuarded's.
+	autoSpill bool
+}
+
+// run executes the plan and boxes the root's output row-major.
+func (e *vecEngine) run(n plan.Node) (*relation.Relation, error) {
+	col, err := e.exec(n)
+	if err != nil {
+		return nil, err
+	}
+	return col.ToRelation(), nil
 }
 
 // exec is the columnar analogue of run: budget check on entry, an
@@ -157,11 +152,15 @@ func (e *vecEngine) exec(n plan.Node) (*batch.Rel, error) {
 func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, error) {
 	switch m := n.(type) {
 	case *plan.Scan:
-		rel, err := m.Eval(e.db)
+		s, err := m.Schema(e.db)
 		if err != nil {
 			return nil, false, err
 		}
-		return batch.FromRelation(rel), true, nil
+		img := batch.Of(e.db[m.Rel])
+		if s != img.Schema {
+			img = img.As(s) // aliased: same columns, renamed schema
+		}
+		return img, true, nil
 	case *materialized:
 		return batch.FromRelation(m.rel), true, nil
 	case *plan.Select:
@@ -278,7 +277,7 @@ func (e *vecEngine) fallback(n plan.Node) (*batch.Rel, bool, error) {
 func JoinExecVec(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, b *guard.Budget, o VecOptions) (out *batch.Rel, err error) {
 	phase := "execute"
 	defer guard.RecoverAs(&err, &phase, "joinvec", nil)
-	e := &vecEngine{b: b, batch: o.BatchSize, reg: obs.Default()}
+	e := &vecEngine{b: b, batch: o.BatchSize, reg: b.Registry(), autoSpill: true}
 	if e.batch <= 0 {
 		e.batch = execBatchRows
 	}
@@ -291,6 +290,6 @@ func JoinExecVec(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, b *guard.B
 func GroupByExecVec(keys []schema.Attribute, aggs []algebra.Aggregate, in *batch.Rel, b *guard.Budget) (out *batch.Rel, err error) {
 	phase := "execute"
 	defer guard.RecoverAs(&err, &phase, "groupbyvec", nil)
-	e := &vecEngine{b: b, batch: execBatchRows, reg: obs.Default()}
+	e := &vecEngine{b: b, batch: execBatchRows, reg: b.Registry()}
 	return e.vecGroupBy(keys, aggs, in)
 }

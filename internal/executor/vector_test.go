@@ -1,17 +1,24 @@
-// Equivalence suite for the vectorized engine: RunVectorized must be
-// multiset-identical to Run (and RunParallel) on every plan shape the
-// tuple engine accepts — all join kinds with NULL keys, MGOJ, GenSel,
-// grouping with every aggregate form — across batch sizes {1, 3,
-// 1024}, and must agree bit-for-bit on aggregate float arithmetic.
-// make race-vec runs this file under the race detector.
+// Equivalence suite for the vectorized engine: RunVectorized and the
+// two production entry points that run on it (RunGuarded,
+// RunInstrumentedAdaptive) must be multiset-identical to Run (and
+// RunParallel) on every plan shape the tuple engine accepts — all join
+// kinds with NULL keys, MGOJ, GenSel, grouping with every aggregate
+// form — across batch sizes {1, 3, 1024}, and must agree bit-for-bit
+// on aggregate float arithmetic. It also pins what the serving path
+// relies on beyond multiset equality: one shared image per base
+// relation, native build/probe swap, delivered row order, and an
+// annotation on every node. make race-vec runs this file under the
+// race detector.
 package executor
 
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/batch"
 	"repro/internal/expr"
 	"repro/internal/guard"
 	"repro/internal/obs"
@@ -24,6 +31,29 @@ import (
 // vecBatchSizes are swept by every equivalence test: 1 and 3 pin
 // batch-boundary handling, 1024 is the production granularity.
 var vecBatchSizes = []int{1, 3, 1024}
+
+// servingEngine is one production execution entry point.
+type servingEngine struct {
+	name string
+	run  func(plan.Node, plan.Database) (*relation.Relation, error)
+}
+
+// servingEngines are the entry points the query service executes
+// through, configured as it configures them: RunGuarded for plain
+// requests, RunInstrumentedAdaptive with build/probe swapping when
+// feedback is on. Both run on the columnar engine; the equivalence
+// suites hold them to Run.
+func servingEngines() []servingEngine {
+	return []servingEngine{
+		{"RunGuarded", func(p plan.Node, db plan.Database) (*relation.Relation, error) {
+			return RunGuarded(p, db, nil)
+		}},
+		{"RunInstrumentedAdaptive", func(p plan.Node, db plan.Database) (*relation.Relation, error) {
+			out, _, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, &Adapt{SwapFactor: 4})
+			return out, err
+		}},
+	}
+}
 
 // mixedDB builds relations with an int key x, an int y, a float f and
 // a string s (all ~10% NULL) so the typed selection and aggregation
@@ -123,7 +153,7 @@ func vecPlans() []plan.Node {
 			plan.NewSelect(expr.Cmp{Op: value.LT, L: expr.Column("r1", "x"), R: expr.Int(2)},
 				plan.NewScan("r1"))),
 		// Sort: not ported, exercises the per-operator fallback.
-		plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, 0,
+		plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, -1,
 			plan.NewSelect(expr.Cmp{Op: value.GE, L: expr.Column("r1", "y"), R: expr.Int(3)},
 				plan.NewScan("r1"))),
 	}
@@ -156,6 +186,15 @@ func TestVectorizedMatchesRun(t *testing.T) {
 				}
 				if !got.EqualAsMultisets(want) {
 					t.Fatalf("plan %d batch %d trial %d: RunVectorized differs from Run", pi, bs, trial)
+				}
+			}
+			for _, e := range servingEngines() {
+				got, err := e.run(p, db)
+				if err != nil {
+					t.Fatalf("plan %d: %s: %v", pi, e.name, err)
+				}
+				if !got.EqualAsMultisets(want) {
+					t.Fatalf("plan %d trial %d: %s differs from Run", pi, trial, e.name)
 				}
 			}
 		}
@@ -270,7 +309,7 @@ func TestVectorizedBudgetTrips(t *testing.T) {
 func TestVectorizedFallbackCounted(t *testing.T) {
 	rng := rand.New(rand.NewSource(215))
 	db := mixedDB(rng, 200, 11, "r1")
-	p := plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, 0, plan.NewScan("r1"))
+	p := plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, -1, plan.NewScan("r1"))
 	before := obs.Default().Counter("exec.vector.fallback.sort").Value()
 	want, err := Run(p, db)
 	if err != nil {
@@ -299,7 +338,7 @@ func TestVectorizedInstrumented(t *testing.T) {
 		[]algebra.Aggregate{{Func: algebra.CountStar, Out: schema.Attr("q", "n")}},
 		join)
 	reg := obs.NewRegistry()
-	out, ann, err := RunVectorizedInstrumented(p, db, reg, nil)
+	out, ann, err := RunInstrumentedAdaptive(p, db, reg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,5 +359,229 @@ func TestVectorizedInstrumented(t *testing.T) {
 	}
 	if reg.Counter("executor.op.join.LOJ").Value() == 0 {
 		t.Error("per-operator counter not recorded")
+	}
+}
+
+// sameColumns reports whether two columnar relations hold the same
+// physical column kinds and values, row by row.
+func sameColumns(a, b *batch.Rel) bool {
+	if a.N != b.N || len(a.Cols) != len(b.Cols) {
+		return false
+	}
+	for c := range a.Cols {
+		if a.Cols[c].Phys != b.Cols[c].Phys {
+			return false
+		}
+		for i := 0; i < a.N; i++ {
+			if !value.Equal(a.Cols[c].At(i), b.Cols[c].At(i)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestVectorizedSharedImage: every engine scanning one database shares
+// one image per relation — built by the first scan, never re-shaped,
+// never written through by a kernel. After the whole plan zoo has run
+// on every columnar entry point, each relation's cached image still
+// equals a fresh FromRelation, and exactly one was built per relation.
+func TestVectorizedSharedImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(217))
+	db := mixedDB(rng, 300, 19, "r1", "r2", "r3")
+	builds := obs.Default().Counter("exec.image.builds")
+	before := builds.Value()
+	for pi, p := range vecPlans() {
+		want, err := Run(p, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := append(servingEngines(), servingEngine{"RunVectorized", RunVectorized})
+		for _, e := range engines {
+			got, err := e.run(p, db)
+			if err != nil {
+				t.Fatalf("plan %d: %s: %v", pi, e.name, err)
+			}
+			if !got.EqualAsMultisets(want) {
+				t.Fatalf("plan %d: %s differs from Run", pi, e.name)
+			}
+		}
+	}
+	if got := builds.Value() - before; got != int64(len(db)) {
+		t.Errorf("%d image builds over %d relations, want one each", got, len(db))
+	}
+	for name, rel := range db {
+		if !sameColumns(batch.Of(rel), batch.FromRelation(rel)) {
+			t.Errorf("%s: cached image no longer equals a fresh FromRelation", name)
+		}
+	}
+	if got := builds.Value() - before; got != int64(len(db)) {
+		t.Errorf("reading the images back built %d more", got-int64(len(db)))
+	}
+}
+
+// TestVectorizedAliasedScan: an aliased scan shares the base image's
+// columns under the renamed schema, so a self-join costs one image.
+func TestVectorizedAliasedScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(218))
+	db := mixedDB(rng, 200, 11, "r1")
+	p := plan.NewJoin(plan.LeftJoin, eqX("r1", "a"),
+		plan.NewScan("r1"), &plan.Scan{Rel: "r1", As: "a"})
+	want, err := Run(p, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := obs.Default().Counter("exec.image.builds")
+	before := builds.Value()
+	for _, e := range servingEngines() {
+		got, err := e.run(p, db)
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		if !got.EqualAsMultisets(want) {
+			t.Fatalf("%s differs from Run on an aliased self-join", e.name)
+		}
+	}
+	if got := builds.Value() - before; got != 1 {
+		t.Errorf("aliased self-join built %d images, want 1", got)
+	}
+}
+
+// TestVecNativeSwapMatchesStatic: the columnar build/probe swap is
+// multiset-identical to the static plan for all four join kinds, with
+// NULL keys, duplicate keys and a residual conjunct, at every batch
+// size — and it stays inside the kernel: one exec.adapt.swaps per
+// join, no fallback to the row join.
+func TestVecNativeSwapMatchesStatic(t *testing.T) {
+	rng := rand.New(rand.NewSource(219))
+	db := skewDB(rng, 60, 3000, 40) // ~5% NULL keys, ~75 duplicates per key on the build side
+	lt := expr.Cmp{Op: value.LT, L: expr.Column("r1", "y"), R: expr.Column("r2", "y")}
+	kinds := []plan.JoinKind{plan.InnerJoin, plan.LeftJoin, plan.RightJoin, plan.FullJoin}
+	for _, kind := range kinds {
+		for _, pred := range []expr.Pred{eqX("r1", "r2"), expr.And(eqX("r1", "r2"), lt)} {
+			p := plan.NewJoin(kind, pred, plan.NewScan("r1"), plan.NewScan("r2"))
+			want, err := Run(p, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bs := range vecBatchSizes {
+				reg := obs.NewRegistry()
+				e := &vecEngine{db: db, batch: bs, reg: reg, adapt: &Adapt{SwapFactor: 4}}
+				got, err := e.run(p)
+				if err != nil {
+					t.Fatalf("%v %s batch %d: %v", kind, pred, bs, err)
+				}
+				if !got.EqualAsMultisets(want) {
+					t.Fatalf("%v %s batch %d: swapped join differs from static", kind, pred, bs)
+				}
+				if !got.Schema().Equal(want.Schema()) {
+					t.Fatalf("%v: swapped join changed the column order: %s vs %s", kind, got.Schema(), want.Schema())
+				}
+				snap := reg.Snapshot().Counters
+				if snap["exec.adapt.swaps"] != 1 {
+					t.Fatalf("%v batch %d: exec.adapt.swaps = %d, want 1", kind, bs, snap["exec.adapt.swaps"])
+				}
+				for name := range snap {
+					if strings.HasPrefix(name, "exec.vector.fallback.") {
+						t.Fatalf("%v batch %d: swap fell back to the row engine (%s)", kind, bs, name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVectorizedKeepsDeliveredOrder: where a plan delivers an order the
+// columnar entry points return it row for row — a merge join's output
+// survives the selection and the non-distinct projection above it, and
+// a root sort comes back sorted.
+func TestVectorizedKeepsDeliveredOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(220))
+	raw := mixedDB(rng, 300, 23, "r1", "r2")
+	db := plan.Database{
+		"r1": sortedOn(t, raw["r1"], ascKey("r1", "x")),
+		"r2": sortedOn(t, raw["r2"], ascKey("r2", "x")),
+	}
+	mj := plan.NewMergeJoin(plan.LeftJoin, eqX("r1", "r2"),
+		[]schema.Attribute{schema.Attr("r1", "x")},
+		[]schema.Attribute{schema.Attr("r2", "x")},
+		[]bool{false}, plan.NewScan("r1"), plan.NewScan("r2"))
+	merged := plan.NewProject(
+		[]schema.Attribute{schema.Attr("r1", "x"), schema.Attr("r2", "y"), schema.Attr("r1", "s")}, false,
+		plan.NewSelect(expr.Cmp{Op: value.GE, L: expr.Column("r1", "y"), R: expr.Int(4)}, mj))
+	sorted := plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "f"), Desc: true}}, -1,
+		plan.NewProject([]schema.Attribute{schema.Attr("r1", "f"), schema.Attr("r2", "x")}, false,
+			plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))))
+	for pi, p := range []plan.Node{merged, sorted} {
+		want, err := Run(p, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 {
+			t.Fatalf("plan %d: test premise: empty result", pi)
+		}
+		for _, e := range servingEngines() {
+			got, err := e.run(p, db)
+			if err != nil {
+				t.Fatalf("plan %d: %s: %v", pi, e.name, err)
+			}
+			if got.Len() != want.Len() {
+				t.Fatalf("plan %d: %s returned %d rows, want %d", pi, e.name, got.Len(), want.Len())
+			}
+			// The sort key may tie, so the sorted plan is compared on its
+			// key column; the merge plan row for row.
+			for i := 0; i < got.Len(); i++ {
+				if pi == 1 {
+					if plan.CompareForSort(got.Tuple(i)[0], want.Tuple(i)[0]) != 0 {
+						t.Fatalf("plan %d: %s row %d out of order", pi, e.name, i)
+					}
+				} else if !got.Tuple(i).EqualTuple(want.Tuple(i)) {
+					t.Fatalf("plan %d: %s row %d differs: delivered order lost", pi, e.name, i)
+				}
+			}
+		}
+	}
+}
+
+// TestVectorizedAnnotatesEveryNode: RunInstrumentedAdaptive annotates
+// every node of the plan it was given — kernels, fallbacks and the
+// seams under MGOJ and generalized selection alike — with that
+// subtree's true cardinality. The service's feedback loop reads
+// ann[node].Rows for each composite node of the bound plan.
+func TestVectorizedAnnotatesEveryNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(221))
+	raw := mixedDB(rng, 200, 13, "r1", "r2", "r3")
+	db := plan.Database{
+		"r1": sortedOn(t, raw["r1"], ascKey("r1", "x")),
+		"r2": sortedOn(t, raw["r2"], ascKey("r2", "x")),
+		"r3": raw["r3"],
+	}
+	mj := plan.NewMergeJoin(plan.InnerJoin, eqX("r1", "r2"),
+		[]schema.Attribute{schema.Attr("r1", "x")},
+		[]schema.Attribute{schema.Attr("r2", "x")},
+		[]bool{false}, plan.NewScan("r1"), plan.NewScan("r2"))
+	plans := append(vecPlans(),
+		plan.NewStreamAgg(
+			[]schema.Attribute{schema.Attr("r1", "x")},
+			[]algebra.Aggregate{{Func: algebra.CountStar, Out: schema.Attr("q", "n")}},
+			plan.OrderBy(schema.Attr("r1", "x")), mj))
+	for pi, p := range plans {
+		_, ann, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, &Adapt{SwapFactor: 4})
+		if err != nil {
+			t.Fatalf("plan %d: %v", pi, err)
+		}
+		plan.Walk(p, func(n plan.Node) {
+			a, ok := ann[n]
+			if !ok {
+				t.Fatalf("plan %d: no annotation for %s", pi, n)
+			}
+			want, err := Run(n, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Rows != want.Len() {
+				t.Fatalf("plan %d: %s annotated %d rows, Run gives %d", pi, n, a.Rows, want.Len())
+			}
+		})
 	}
 }

@@ -178,6 +178,18 @@ func (b *Budget) Context() context.Context {
 	return b.ctx
 }
 
+// Registry returns the registry this run's counters belong in: the one
+// the budget was built with, or obs.Default() for a nil budget or a
+// budget built without one. The executor counts through it, so a
+// serving layer that gives each request a registry sees what its own
+// request did.
+func (b *Budget) Registry() *obs.Registry {
+	if b == nil || b.reg == nil {
+		return obs.Default()
+	}
+	return b.reg
+}
+
 // Cancelled returns a typed cancellation error when the budget's
 // context is done, nil otherwise. This is the check long loops place
 // at deterministic boundaries; budget trips are reported separately

@@ -127,9 +127,7 @@ func (s *Scan) Eval(db Database) (*relation.Relation, error) {
 		return r, nil
 	}
 	renamed := relation.New(renameSchema(r.Schema(), s.Rel, s.As))
-	for _, t := range r.Tuples() {
-		renamed.Append(t)
-	}
+	renamed.AppendAll(r.Tuples())
 	return renamed, nil
 }
 

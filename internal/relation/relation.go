@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -175,6 +177,38 @@ func (c *tupleCounter) Dec(t Tuple) bool {
 type Relation struct {
 	schema *schema.Schema
 	tuples []Tuple
+	image  atomic.Pointer[imageSlot]
+}
+
+// imageSlot holds one derived image of a relation's current tuples.
+type imageSlot struct {
+	once sync.Once
+	v    any
+}
+
+// Image returns the relation's cached derived image — in practice the
+// columnar batch.Rel the vectorized engine scans — building it with
+// build on first use. Concurrent callers share one build and one
+// read-only result; Append and AppendAll drop it, so an image never
+// outlives the tuples it was shaped from. The slot is opaque because
+// this package sits below the ones that know how to shape an image.
+func (r *Relation) Image(build func(*Relation) any) any {
+	s := r.image.Load()
+	for s == nil {
+		r.image.CompareAndSwap(nil, &imageSlot{})
+		s = r.image.Load()
+	}
+	s.once.Do(func() { s.v = build(r) })
+	return s.v
+}
+
+// dropImage invalidates the cached image after a mutation. The load
+// keeps the per-row cost of building an intermediate result, which
+// never has an image, to one plain read.
+func (r *Relation) dropImage() {
+	if r.image.Load() != nil {
+		r.image.Store(nil)
+	}
 }
 
 // New returns an empty relation over the given schema.
@@ -202,6 +236,7 @@ func (r *Relation) Append(t Tuple) {
 		panic(fmt.Sprintf("relation: tuple arity %d does not match schema %s", len(t), r.schema))
 	}
 	r.tuples = append(r.tuples, t)
+	r.dropImage()
 }
 
 // AppendAll adds a batch of tuples; it panics if any arity does not
@@ -215,6 +250,7 @@ func (r *Relation) AppendAll(ts []Tuple) {
 		}
 	}
 	r.tuples = append(r.tuples, ts...)
+	r.dropImage()
 }
 
 // Value returns the value of attribute a in tuple t of this
@@ -452,6 +488,7 @@ func (r *Relation) EqualAsMultisets(other *Relation) bool {
 // SortForDisplay orders tuples lexicographically by their rendered
 // values, producing deterministic output for tables and tests.
 func (r *Relation) SortForDisplay() {
+	r.dropImage()
 	sort.SliceStable(r.tuples, func(i, j int) bool {
 		a, b := r.tuples[i], r.tuples[j]
 		for k := range a {

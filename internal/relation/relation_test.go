@@ -3,6 +3,8 @@ package relation
 import (
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -280,5 +282,38 @@ func TestSetOpsUnderForcedCollisions(t *testing.T) {
 	two.Append(Tuple{b})
 	if one.EqualAsSets(two) || one.EqualAsMultisets(two) {
 		t.Error("colliding but unequal tuples must not compare equal")
+	}
+}
+
+// TestImageBuiltOnceAndDropped: the derived-image slot runs its build
+// once however many goroutines ask, and Append/AppendAll empty it.
+func TestImageBuiltOnceAndDropped(t *testing.T) {
+	r := NewBuilder("r", "x").Row(value.NewInt(1)).Row(value.NewInt(2)).Relation()
+	var builds atomic.Int64
+	build := func(r *Relation) any {
+		builds.Add(1)
+		return r.Len()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := r.Image(build).(int); got != 2 {
+				t.Errorf("image = %d, want 2", got)
+			}
+		}()
+	}
+	wg.Wait()
+	if builds.Load() != 1 {
+		t.Fatalf("build ran %d times, want 1", builds.Load())
+	}
+	r.Append(Tuple{value.NewInt(3), value.NewInt(2)})
+	if got := r.Image(build).(int); got != 3 || builds.Load() != 2 {
+		t.Fatalf("after Append: image %d after %d builds, want 3 after 2", got, builds.Load())
+	}
+	r.AppendAll([]Tuple{{value.NewInt(4), value.NewInt(3)}})
+	if got := r.Image(build).(int); got != 4 || builds.Load() != 3 {
+		t.Fatalf("after AppendAll: image %d after %d builds, want 4 after 3", got, builds.Load())
 	}
 }

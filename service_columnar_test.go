@@ -1,0 +1,203 @@
+package reorder
+
+import (
+	"context"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/relation"
+	"repro/internal/sql"
+	"repro/internal/value"
+)
+
+// The service executes on the columnar engine. These tests pin what
+// that switch must not lose at the serving boundary: executor counters
+// land in the service's own registry, base tables are shaped once
+// however many requests scan them, ORDER BY answers come back ordered,
+// and the feedback loop still sees every node's cardinality.
+
+// supplierSQL is Example 1.1 of the paper; its optimized plan carries a
+// generalized selection.
+const supplierSQL = "select v2.supkey as supkey, v2.partkey as partkey, v2.qty as qty, v3.aggqty95 as aggqty95 " +
+	"from (select agg94.supkey as supkey, agg94.partkey as partkey, agg94.qty as qty " +
+	"from agg94, sup_detail where agg94.supkey = sup_detail.supkey and sup_detail.suprating = 'BANKRUPT') as v2 " +
+	"left outer join (select supkey, partkey, count(*) as aggqty95 from detail95 group by supkey, partkey) as v3 " +
+	"on v2.supkey = v3.supkey and v2.partkey = v3.partkey and v2.qty < 2 * v3.aggqty95"
+
+// execCounters returns the registry's counters under prefix.
+func execCounters(reg *obs.Registry, prefix string) map[string]int64 {
+	out := map[string]int64{}
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, prefix) {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// TestServiceColumnarCountersReachObserver: what the executor counts
+// during a request is readable from Service.Observer() afterwards — a
+// build/probe swap under feedback, and the row-engine seam a
+// generalized selection's padding runs on. Before, both were written
+// to obs.Default() and the service reported zero whatever happened.
+func TestServiceColumnarCountersReachObserver(t *testing.T) {
+	ctx := context.Background()
+
+	svc := feedbackService(t, true, 2)
+	if _, err := svc.Query(ctx, Request{SQL: skewQuery}); err != nil {
+		t.Fatal(err)
+	}
+	reg := svc.Observer().Registry
+	if n := reg.Snapshot().Counters["exec.adapt.swaps"]; n == 0 {
+		t.Error("exec.adapt.swaps = 0 in the service registry after a swapping query")
+	}
+	// A swap stays inside the columnar kernel; nothing in this plan
+	// needs the row engine.
+	if fb := execCounters(reg, "exec.vector.fallback."); len(fb) != 0 {
+		t.Errorf("swapping query fell back to the row engine: %v", fb)
+	}
+
+	gs := newTestService(t, ServiceConfig{DB: datagen.Supplier(datagen.DefaultSupplierConfig)})
+	resp, err := gs.Query(ctx, Request{SQL: supplierSQL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(resp.PlanKey, "GS[") {
+		t.Fatalf("test premise: plan carries no generalized selection: %s", resp.PlanKey)
+	}
+	fb := execCounters(gs.Observer().Registry, "exec.vector.fallback.")
+	if fb["exec.vector.fallback.gensel-pad"] != 1 || len(fb) != 1 {
+		t.Errorf("fallbacks after one GS-compensated query = %v, want exactly one gensel-pad", fb)
+	}
+}
+
+// TestServiceColumnarSharedImage: concurrent requests over the same
+// tables build each table's columnar image once, and later requests
+// build none; a table no query scans gets no image at all.
+func TestServiceColumnarSharedImage(t *testing.T) {
+	db := serveDB()
+	db["ballast"] = relation.NewBuilder("ballast", "x").Row(value.NewInt(1)).Relation()
+	builds := obs.Default().Counter("exec.image.builds")
+	before := builds.Value()
+	svc := newTestService(t, ServiceConfig{DB: db, MaxConcurrent: 8, MaxQueue: 64})
+	if got := builds.Value() - before; got != 0 {
+		t.Fatalf("NewService built %d images; they are built on first scan", got)
+	}
+	ctx := context.Background()
+	query := func() {
+		if _, err := svc.Query(ctx, Request{SQL: "select t.a, s.c from t, s where t.a = s.a and t.b >= 3"}); err != nil {
+			t.Error(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			query()
+		}()
+	}
+	wg.Wait()
+	if got := builds.Value() - before; got != 2 {
+		t.Fatalf("16 concurrent requests over t and s built %d images, want 2", got)
+	}
+	query()
+	if got := builds.Value() - before; got != 2 {
+		t.Fatalf("a later request re-shaped a base table (%d builds)", got)
+	}
+}
+
+// orderedKV builds a relation (k, v) physically ascending on k.
+func orderedKV(name string, keys, fanout int) *relation.Relation {
+	b := relation.NewBuilder(name, "k", "v")
+	for i := 0; i < keys; i++ {
+		for j := 0; j < fanout; j++ {
+			b.Row(value.NewInt(int64(i)), value.NewInt(int64(i*fanout+j)))
+		}
+	}
+	return b.Relation()
+}
+
+// TestServiceColumnarOrderBy: ORDER BY answers are ordered — both when
+// a sort operator produces the order and when the optimizer dropped
+// the root sort because a merge join over sorted tables delivers it,
+// in which case the order has to survive the columnar selection and
+// projection around the join.
+func TestServiceColumnarOrderBy(t *testing.T) {
+	svc := newTestService(t, ServiceConfig{DB: Database{"l": orderedKV("l", 40, 2), "r": orderedKV("r", 40, 3)}})
+	ctx := context.Background()
+	cases := []struct {
+		name, sql string
+		col       int
+		desc      bool
+		wantOp    string // operator the plan must contain
+		banOp     string // operator it must not
+	}{
+		{"merge join delivers it", "select l.k, l.v, r.v as rv from l, r where l.k = r.k and l.v >= 3 order by l.k",
+			0, false, "MERGEJOIN[", "SORT["},
+		{"sort produces it", "select l.k, l.v, r.v as rv from l, r where l.k = r.k and l.v >= 3 order by rv desc",
+			2, true, "SORT[", "MERGEJOIN["},
+	}
+	for _, c := range cases {
+		resp, err := svc.Query(ctx, Request{SQL: c.sql})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !strings.Contains(resp.PlanKey, c.wantOp) || strings.Contains(resp.PlanKey, c.banOp) {
+			t.Fatalf("%s: test premise: plan is %s", c.name, resp.PlanKey)
+		}
+		if len(resp.Rows) != 231 {
+			t.Fatalf("%s: %d rows, want 231", c.name, len(resp.Rows))
+		}
+		for i := 1; i < len(resp.Rows); i++ {
+			prev, cur := resp.Rows[i-1][c.col].(int64), resp.Rows[i][c.col].(int64)
+			if (!c.desc && prev > cur) || (c.desc && prev < cur) {
+				t.Fatalf("%s: row %d out of order (%d then %d)", c.name, i, prev, cur)
+			}
+		}
+	}
+}
+
+// TestServiceColumnarFeedbackCorrections: the annotations the columnar
+// RunInstrumentedAdaptive returns cover every node of the bound plan,
+// so one request records one correction per composite subtree of its
+// plan — what the row engine's annotations gave the loop before.
+func TestServiceColumnarFeedbackCorrections(t *testing.T) {
+	svc := feedbackService(t, true, 100) // never re-plan: one plan throughout
+	stmt, err := sql.Parse(skewQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, _ := sql.Parameterize(stmt)
+	node, err := sql.Lower(tmpl, svc.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := svc.optimizeTemplate(node, nil, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	composite := 0
+	plan.Walk(cp.plan, func(n plan.Node) {
+		if len(n.Children()) > 0 {
+			composite++
+		}
+	})
+	if composite < 4 {
+		t.Fatalf("test premise: plan has only %d composite nodes", composite)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := svc.Query(context.Background(), Request{SQL: skewQuery}); err != nil {
+			t.Fatal(err)
+		}
+		got := svc.Observer().Registry.Snapshot().Counters["feedback.corrections"]
+		if got != int64(i*composite) {
+			t.Fatalf("after %d requests feedback.corrections = %d, want %d (%d composite nodes each)",
+				i, got, i*composite, composite)
+		}
+	}
+}
