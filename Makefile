@@ -29,11 +29,13 @@ race:
 
 # Focused race run for the parallel optimizer paths: saturation
 # worker-pool equivalence, the fingerprint cache, the shared cost
-# session, and the memo engine's saturation-equality and
-# worker-determinism property suite.
+# session, the memo engine's saturation-equality and
+# worker-determinism property suite, and the memo package's own tests
+# (identical memo at any worker count, capped or not; closure
+# membership).
 race-par:
-	$(GO) test -race -run 'TestParallelSaturation|TestSaturateWorkers|TestFingerprintConcurrent|TestSessionConcurrent|TestOptimizeWorkers|TestMemo|TestHandlerConcurrentScrape|TestRecorderConcurrent|TestObserverScrapeWhileExecuting' \
-		./internal/core/ ./internal/plan/ ./internal/stats/ ./internal/optimizer/ ./internal/obs/ ./internal/obs/flight/ .
+	$(GO) test -race -run 'TestParallelSaturation|TestSaturateWorkers|TestFingerprintConcurrent|TestSessionConcurrent|TestOptimizeWorkers|TestMemo|TestWorkersIdenticalMemo|TestShapeIdentity|TestSplitTable|TestRulePanicLabelled|TestHandlerConcurrentScrape|TestRecorderConcurrent|TestObserverScrapeWhileExecuting' \
+		./internal/core/ ./internal/plan/ ./internal/stats/ ./internal/optimizer/ ./internal/memo/ ./internal/obs/ ./internal/obs/flight/ .
 
 # Focused race run for the partitioned executor: the grace-partitioned
 # join equivalence/determinism suite and the forced-collision tests.

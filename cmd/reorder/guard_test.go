@@ -34,9 +34,14 @@ func TestRunMaxRowsExitsThree(t *testing.T) {
 }
 
 // TestRunMaxExprsDegradesExitZero: an exprs cap does not fail the
-// run — the optimizer degrades to a best-effort plan and says so.
+// run — the optimizer degrades to a best-effort plan and says so. The
+// query joins three relations: the two-relation guardTestQuery admits
+// a single expression past its seeds (the commuted join), which a
+// budget of one covers in full.
 func TestRunMaxExprsDegradesExitZero(t *testing.T) {
-	code, stdout, stderr := runCapture(t, "-query", guardTestQuery, "-max-exprs", "1")
+	const q = "select * from agg94, detail95, sup_detail " +
+		"where agg94.supkey = detail95.supkey and agg94.supkey = sup_detail.supkey"
+	code, stdout, stderr := runCapture(t, "-query", q, "-max-exprs", "1")
 	if code != exitOK {
 		t.Fatalf("exit code = %d, want %d (stderr: %s)", code, exitOK, stderr)
 	}

@@ -338,12 +338,8 @@ func combine(pred expr.Pred, l, r plan.Node, lRels, rRels, lSpec, rSpec map[stri
 // checkSeparation is the dependent-predicate precondition for a
 // deferred conjunct's edge (see DeferConjuncts).
 func (a *assigner) checkSeparation(e *hypergraph.Hyperedge) error {
-	pside := a.h.Region(e.From, e)
-	nside := a.h.Region(e.To, e)
-	for rel := range pside {
-		if nside[rel] {
-			return fmt.Errorf("core: edge %s does not separate the query (relation %s reachable from both sides); this association tree requires breaking a dependent predicate", e, rel)
-		}
+	if !separates(a.h, e) {
+		return fmt.Errorf("core: edge %s does not separate the query (a relation is reachable from both sides); this association tree requires breaking a dependent predicate", e)
 	}
 	return nil
 }

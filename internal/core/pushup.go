@@ -179,6 +179,13 @@ func PushUpRule(db plan.Database) Rule {
 			if !ok {
 				return nil
 			}
+			// Nearly every binding has no aggregation to pull; say so
+			// before PushUpGroupBy formats an error about it.
+			_, gpL := j.L.(*plan.GroupBy)
+			_, gpR := j.R.(*plan.GroupBy)
+			if !gpL && !gpR {
+				return nil
+			}
 			alt, err := PushUpGroupBy(j, db)
 			if err != nil {
 				return nil

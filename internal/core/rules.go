@@ -24,10 +24,9 @@ type Rule struct {
 }
 
 // RuleScope classifies the structural depth a rule's Apply matches
-// on. Predicate-scoping checks (plan.BaseRelSet via refsOnly and
-// friends) do not count toward the depth: every member of an
-// equivalence group spans the same base relations, so any member
-// stands in for the group.
+// on. Predicate-scoping checks (plan.RefsOnly and friends) do not
+// count toward the depth: every member of an equivalence group spans
+// the same base relations, so any member stands in for the group.
 type RuleScope uint8
 
 const (
@@ -45,26 +44,25 @@ const (
 	// introduction, aggregation pull-up). The memo binds them once
 	// per (expression, child slot, child expression).
 	ScopeChild
-	// ScopeJoinTree rules inspect the entire subtree but only match
-	// pure join-over-scan trees (predicate break-up). The memo binds
-	// them to every distinct pure-join materialization of the group,
-	// which is exactly the set saturation would have presented.
-	ScopeJoinTree
+	// ScopeGroup rules read the whole subtree but only match pure
+	// join-over-scan trees, and what they derive from one depends only
+	// on how the conjuncts are placed on the operators — predicate
+	// break-up reads the hypergraph, and two join trees with the same
+	// placement have the same one: their alternatives are the same
+	// alternatives with the subtree below reordered, and the remaining
+	// rules derive those. One equivalence group can hold several
+	// placements, hence several hypergraphs (select push-down folds a
+	// deferred conjunct into a different inner join), and one
+	// placement's alternatives do NOT stand for another's. The memo
+	// therefore binds such a rule once per distinct placement of the
+	// conjuncts on operators within a group, to the first pure join
+	// tree it finds with that placement — not once per group.
+	ScopeGroup
 )
-
-// refsOnly reports whether p references only relations under n.
-func refsOnly(p expr.Pred, n plan.Node) bool {
-	return expr.ReferencesOnly(p, plan.BaseRelSet(n))
-}
-
-// refsSome reports whether p references at least one relation under n.
-func refsSome(p expr.Pred, n plan.Node) bool {
-	return expr.References(p, plan.BaseRelSet(n))
-}
 
 // refsBoth reports whether p references relations on both sides.
 func refsBoth(p expr.Pred, a, b plan.Node) bool {
-	return refsSome(p, a) && refsSome(p, b)
+	return plan.RefsSome(p, a) && plan.RefsSome(p, b)
 }
 
 // asJoin matches a join of one of the given kinds.
@@ -115,32 +113,23 @@ var RuleAssocInner = Rule{
 		if top, ok := asJoin(n, plan.InnerJoin); ok {
 			if l, ok := asJoin(top.L, plan.InnerJoin); ok {
 				// (A ⋈p B) ⋈q C → A ⋈p (B ⋈q C)
-				if refsOnly(top.Pred, plan.NewJoin(plan.InnerJoin, expr.True{}, l.R, top.R)) &&
-					refsBoth(top.Pred, l.R, top.R) {
-					inner := plan.NewJoin(plan.InnerJoin, top.Pred, l.R, top.R)
-					if refsBoth(l.Pred, l.L, inner) {
-						out = append(out, plan.NewJoin(plan.InnerJoin, l.Pred, l.L, inner))
-					}
+				if plan.RefsOnly(top.Pred, l.R, top.R) && refsBoth(top.Pred, l.R, top.R) &&
+					plan.RefsSome(l.Pred, l.L) && plan.RefsSome(l.Pred, l.R, top.R) {
+					out = append(out, plan.NewJoin(plan.InnerJoin, l.Pred, l.L,
+						plan.NewJoin(plan.InnerJoin, top.Pred, l.R, top.R)))
 				}
 			}
 			if r, ok := asJoin(top.R, plan.InnerJoin); ok {
 				// A ⋈p (B ⋈q C) → (A ⋈p B) ⋈q C when p ⊆ A∪B.
-				if refsOnly(top.Pred, join2(top.L, r.L)) && refsBoth(top.Pred, top.L, r.L) {
-					left := plan.NewJoin(plan.InnerJoin, top.Pred, top.L, r.L)
-					if refsBoth(r.Pred, left, r.R) {
-						out = append(out, plan.NewJoin(plan.InnerJoin, r.Pred, left, r.R))
-					}
+				if plan.RefsOnly(top.Pred, top.L, r.L) && refsBoth(top.Pred, top.L, r.L) &&
+					plan.RefsSome(r.Pred, top.L, r.L) && plan.RefsSome(r.Pred, r.R) {
+					out = append(out, plan.NewJoin(plan.InnerJoin, r.Pred,
+						plan.NewJoin(plan.InnerJoin, top.Pred, top.L, r.L), r.R))
 				}
 			}
 		}
 		return out
 	},
-}
-
-// join2 builds a throwaway node whose base-relation set is the union
-// of a and b, for predicate scoping checks.
-func join2(a, b plan.Node) plan.Node {
-	return plan.NewJoin(plan.InnerJoin, expr.True{}, a, b)
 }
 
 // RuleAssocLeft is one-sided outer join associativity
@@ -160,19 +149,19 @@ var RuleAssocLeft = Rule{
 		if top, ok := asJoin(n, plan.LeftJoin); ok {
 			if l, ok := asJoin(top.L, plan.LeftJoin); ok {
 				// (A →p B) →q C with q ⊆ B∪C, q refs B → A →p (B →q C)
-				if refsOnly(top.Pred, join2(l.R, top.R)) && refsBoth(top.Pred, l.R, top.R) {
+				if plan.RefsOnly(top.Pred, l.R, top.R) && refsBoth(top.Pred, l.R, top.R) {
 					out = append(out, plan.NewJoin(plan.LeftJoin, l.Pred, l.L,
 						plan.NewJoin(plan.LeftJoin, top.Pred, l.R, top.R)))
 				}
 				// (A →p B) →q C with q ⊆ A∪C → (A →q C) →p B
-				if refsOnly(top.Pred, join2(l.L, top.R)) && refsBoth(top.Pred, l.L, top.R) {
+				if plan.RefsOnly(top.Pred, l.L, top.R) && refsBoth(top.Pred, l.L, top.R) {
 					out = append(out, plan.NewJoin(plan.LeftJoin, l.Pred,
 						plan.NewJoin(plan.LeftJoin, top.Pred, l.L, top.R), l.R))
 				}
 			}
 			if r, ok := asJoin(top.R, plan.LeftJoin); ok {
 				// A →p (B →q C) with p ⊆ A∪B → (A →p B) →q C
-				if refsOnly(top.Pred, join2(top.L, r.L)) && refsBoth(top.Pred, top.L, r.L) {
+				if plan.RefsOnly(top.Pred, top.L, r.L) && refsBoth(top.Pred, top.L, r.L) {
 					out = append(out, plan.NewJoin(plan.LeftJoin, r.Pred,
 						plan.NewJoin(plan.LeftJoin, top.Pred, top.L, r.L), r.R))
 				}
@@ -196,7 +185,7 @@ var RuleJoinLOJ = Rule{
 		var out []plan.Node
 		if top, ok := asJoin(n, plan.InnerJoin); ok {
 			if l, ok := asJoin(top.L, plan.LeftJoin); ok {
-				if refsOnly(top.Pred, join2(l.L, top.R)) && refsBoth(top.Pred, l.L, top.R) {
+				if plan.RefsOnly(top.Pred, l.L, top.R) && refsBoth(top.Pred, l.L, top.R) {
 					out = append(out, plan.NewJoin(plan.LeftJoin, l.Pred,
 						plan.NewJoin(plan.InnerJoin, top.Pred, l.L, top.R), l.R))
 				}
@@ -205,12 +194,12 @@ var RuleJoinLOJ = Rule{
 		if top, ok := asJoin(n, plan.LeftJoin); ok {
 			if l, ok := asJoin(top.L, plan.InnerJoin); ok {
 				// (A ⋈q C) →p B → (A →p B) ⋈q C when p ⊆ A∪B.
-				if refsOnly(top.Pred, join2(l.L, top.R)) && refsBoth(top.Pred, l.L, top.R) {
+				if plan.RefsOnly(top.Pred, l.L, top.R) && refsBoth(top.Pred, l.L, top.R) {
 					out = append(out, plan.NewJoin(plan.InnerJoin, l.Pred,
 						plan.NewJoin(plan.LeftJoin, top.Pred, l.L, top.R), l.R))
 				}
 				// (A ⋈q C) →p B with p ⊆ C∪B → A ⋈q (C →p B).
-				if refsOnly(top.Pred, join2(l.R, top.R)) && refsBoth(top.Pred, l.R, top.R) {
+				if plan.RefsOnly(top.Pred, l.R, top.R) && refsBoth(top.Pred, l.R, top.R) {
 					out = append(out, plan.NewJoin(plan.InnerJoin, l.Pred, l.L,
 						plan.NewJoin(plan.LeftJoin, top.Pred, l.R, top.R)))
 				}
@@ -219,7 +208,7 @@ var RuleJoinLOJ = Rule{
 		if top, ok := asJoin(n, plan.InnerJoin); ok {
 			if r, ok := asJoin(top.R, plan.LeftJoin); ok {
 				// A ⋈q (C →p B) = (A ⋈q C) →p B when q ⊆ A∪C.
-				if refsOnly(top.Pred, join2(top.L, r.L)) && refsBoth(top.Pred, top.L, r.L) {
+				if plan.RefsOnly(top.Pred, top.L, r.L) && refsBoth(top.Pred, top.L, r.L) {
 					out = append(out, plan.NewJoin(plan.LeftJoin, r.Pred,
 						plan.NewJoin(plan.InnerJoin, top.Pred, top.L, r.L), r.R))
 				}
@@ -243,15 +232,15 @@ var RuleAssocFull = Rule{
 		var out []plan.Node
 		if top, ok := asJoin(n, plan.FullJoin); ok {
 			if l, ok := asJoin(top.L, plan.FullJoin); ok {
-				if refsOnly(top.Pred, join2(l.R, top.R)) && refsBoth(top.Pred, l.R, top.R) &&
-					refsOnly(l.Pred, join2(l.L, l.R)) {
+				if plan.RefsOnly(top.Pred, l.R, top.R) && refsBoth(top.Pred, l.R, top.R) &&
+					plan.RefsOnly(l.Pred, l.L, l.R) {
 					out = append(out, plan.NewJoin(plan.FullJoin, l.Pred, l.L,
 						plan.NewJoin(plan.FullJoin, top.Pred, l.R, top.R)))
 				}
 			}
 			if r, ok := asJoin(top.R, plan.FullJoin); ok {
-				if refsOnly(top.Pred, join2(top.L, r.L)) && refsBoth(top.Pred, top.L, r.L) &&
-					refsOnly(r.Pred, join2(r.L, r.R)) {
+				if plan.RefsOnly(top.Pred, top.L, r.L) && refsBoth(top.Pred, top.L, r.L) &&
+					plan.RefsOnly(r.Pred, r.L, r.R) {
 					out = append(out, plan.NewJoin(plan.FullJoin, r.Pred,
 						plan.NewJoin(plan.FullJoin, top.Pred, top.L, r.L), r.R))
 				}
@@ -283,9 +272,9 @@ var RuleSelectPushdown = Rule{
 		var toLeft, toRight, toJoin, stay []expr.Pred
 		for _, c := range expr.Conjuncts(sel.Pred) {
 			switch {
-			case refsOnly(c, j.L) && (j.Kind == plan.InnerJoin || j.Kind == plan.LeftJoin):
+			case plan.RefsOnly(c, j.L) && (j.Kind == plan.InnerJoin || j.Kind == plan.LeftJoin):
 				toLeft = append(toLeft, c)
-			case refsOnly(c, j.R) && (j.Kind == plan.InnerJoin || j.Kind == plan.RightJoin):
+			case plan.RefsOnly(c, j.R) && (j.Kind == plan.InnerJoin || j.Kind == plan.RightJoin):
 				toRight = append(toRight, c)
 			case j.Kind == plan.InnerJoin && refsBoth(c, j.L, j.R):
 				toJoin = append(toJoin, c)
@@ -357,11 +346,11 @@ var RuleMGOJIntro = Rule{
 		}
 		specA := []plan.PreservedSpec{plan.NewPreserved(plan.BaseRels(top.L)...)}
 		var out []plan.Node
-		if refsOnly(top.Pred, join2(top.L, inner.L)) && refsBoth(top.Pred, top.L, inner.L) {
+		if plan.RefsOnly(top.Pred, top.L, inner.L) && refsBoth(top.Pred, top.L, inner.L) {
 			out = append(out, plan.NewMGOJ(inner.Pred, specA,
 				plan.NewJoin(plan.LeftJoin, top.Pred, top.L, inner.L), inner.R))
 		}
-		if refsOnly(top.Pred, join2(top.L, inner.R)) && refsBoth(top.Pred, top.L, inner.R) {
+		if plan.RefsOnly(top.Pred, top.L, inner.R) && refsBoth(top.Pred, top.L, inner.R) {
 			out = append(out, plan.NewMGOJ(inner.Pred, specA,
 				plan.NewJoin(plan.LeftJoin, top.Pred, top.L, inner.R), inner.L))
 		}
@@ -369,41 +358,19 @@ var RuleMGOJIntro = Rule{
 	},
 }
 
-// RuleSplit implements the paper's predicate break-up: for every
-// split option of a pure join subtree, defer one conjunct to a
+// RuleSplit implements the paper's predicate break-up: every entry of
+// a pure join subtree's split table defers one conjunct to a
 // compensating generalized selection per Theorem 1.
 var RuleSplit = Rule{
 	Name:  "split",
-	Scope: ScopeJoinTree,
+	Scope: ScopeGroup,
 	Apply: func(n plan.Node) []plan.Node {
-		if _, ok := n.(*plan.Join); !ok {
-			return nil
-		}
-		if !pureJoinTree(n) {
-			return nil
-		}
 		var out []plan.Node
-		for _, opt := range SplitOptionsOf(n) {
-			alt, err := DeferConjuncts(n, opt.Target, []int{opt.Conjunct})
-			if err == nil {
-				out = append(out, alt)
-			}
+		for _, e := range SplitTable(n) {
+			out = append(out, e.Apply(n))
 		}
 		return out
 	},
-}
-
-// pureJoinTree reports whether n consists solely of joins over scans.
-func pureJoinTree(n plan.Node) bool {
-	ok := true
-	plan.Walk(n, func(m plan.Node) {
-		switch m.(type) {
-		case *plan.Join, *plan.Scan:
-		default:
-			ok = false
-		}
-	})
-	return ok
 }
 
 // DefaultRules is the rule set the saturation engine uses: the

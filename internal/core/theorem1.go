@@ -77,7 +77,7 @@ func DeferConjuncts(q plan.Node, target *plan.Join, deferIdx []int) (plan.Node, 
 	// rows a null-intolerant ancestor predicate rejects is redundant,
 	// and compensating around it would resurrect rows the original
 	// query discards. Require the input to be its own simplification.
-	if s := simplify.Simplify(q); s.String() != q.String() {
+	if !simplify.IsSimple(q) {
 		return nil, fmt.Errorf("core: query is not simple (outer joins are removable); run simplify.Simplify first")
 	}
 	h, err := hypergraph.FromPlan(q)
@@ -102,12 +102,8 @@ func DeferConjuncts(q plan.Node, target *plan.Join, deferIdx []int) (plan.Node, 
 	// spanning predicate is dependent and must be broken first;
 	// deferring the inner conjunct directly would preserve
 	// combinations that exist only because the conjunct was dropped.
-	pside := h.Region(edge.From, edge)
-	nside := h.Region(edge.To, edge)
-	for r := range pside {
-		if nside[r] {
-			return nil, fmt.Errorf("core: edge %s does not separate the query (relation %s reachable from both sides); break the spanning (dependent) predicate first", edge, r)
-		}
+	if !separates(h, edge) {
+		return nil, fmt.Errorf("core: edge %s does not separate the query (a relation is reachable from both sides); break the spanning (dependent) predicate first", edge)
 	}
 	conj := expr.Conjuncts(target.Pred)
 	if len(deferIdx) == 0 || len(deferIdx) >= len(conj) {
@@ -130,23 +126,108 @@ func DeferConjuncts(q plan.Node, target *plan.Join, deferIdx []int) (plan.Node, 
 	}
 	remPred := expr.And(remaining...)
 	// The remaining predicate must still reference both operands.
-	lRels, rRels := plan.BaseRelSet(target.L), plan.BaseRelSet(target.R)
-	if !expr.References(remPred, lRels) || !expr.References(remPred, rRels) {
+	if !refsBoth(remPred, target.L, target.R) {
 		return nil, fmt.Errorf("core: remaining predicate %s no longer references both operands", remPred)
 	}
-	specs := CompensationSpecs(h, edge)
-	defPred := expr.And(deferred...)
+	e := SplitEntry{Target: target, Deferred: expr.And(deferred...), Remaining: remPred, Specs: CompensationSpecs(h, edge)}
+	return e.Apply(q), nil
+}
 
+// separates reports whether removing e disconnects its two sides: no
+// relation is reachable from both hypernodes once e is gone.
+func separates(h *hypergraph.Hypergraph, e *hypergraph.Hyperedge) bool {
+	nside := h.Region(e.To, e)
+	for r := range h.Region(e.From, e) {
+		if nside[r] {
+			return false
+		}
+	}
+	return true
+}
+
+// SplitEntry is one deferral Theorem 1 admits on a pure join tree:
+// Target keeps Remaining as its predicate and Deferred is re-applied
+// above the tree by a generalized selection preserving Specs — a plain
+// selection when Specs is empty.
+type SplitEntry struct {
+	Target              *plan.Join
+	Conjunct            int // index of Deferred among Target's conjuncts
+	Deferred, Remaining expr.Pred
+	Specs               []plan.PreservedSpec
+}
+
+// Apply rebuilds q — the tree Target sits in — with the entry applied.
+func (e SplitEntry) Apply(q plan.Node) plan.Node {
+	reduced := plan.NewJoin(e.Target.Kind, e.Remaining, e.Target.L, e.Target.R)
 	newQ := plan.Rewrite(q, func(n plan.Node) plan.Node {
-		if n == target {
-			return plan.NewJoin(target.Kind, remPred, target.L, target.R)
+		if n == e.Target {
+			return reduced
 		}
 		return nil
 	})
-	if len(specs) == 0 {
-		return plan.NewSelect(defPred, newQ), nil
+	if len(e.Specs) == 0 {
+		return plan.NewSelect(e.Deferred, newQ)
 	}
-	return plan.NewGenSel(defPred, specs, newQ), nil
+	return plan.NewGenSel(e.Deferred, e.Specs, newQ)
+}
+
+// SplitTable lists every single-conjunct deferral of the pure join
+// tree q, operators in pre-order: the simplicity check, the hypergraph
+// and, per hyperedge, the separation test and the compensation specs
+// are computed once for the tree, not once per conjunct. It is empty
+// when q is not a join-over-scan tree, has no multi-conjunct
+// predicate, or is not simple. Everything in an entry but Target is a
+// property of the hypergraph, so the table of one join tree stands for
+// every tree that places the same conjuncts on the same operators —
+// not for its whole equivalence group, which can hold trees with
+// different hypergraphs (see ScopeGroup).
+func SplitTable(q plan.Node) []SplitEntry {
+	if !pureJoinTree(q) {
+		return nil
+	}
+	opts := SplitOptionsOf(q)
+	if len(opts) == 0 || !simplify.IsSimple(q) {
+		return nil
+	}
+	h, err := hypergraph.FromPlan(q)
+	if err != nil {
+		return nil
+	}
+	var out []SplitEntry
+	var base *SplitEntry // the current operator's entry; nil when its edge does not separate
+	for _, opt := range opts {
+		if base == nil || base.Target != opt.Target {
+			base = nil
+			for _, e := range h.Edges {
+				if e.Origin == opt.Target && separates(h, e) {
+					base = &SplitEntry{Target: opt.Target, Specs: CompensationSpecs(h, e)}
+				}
+			}
+		}
+		if base != nil {
+			out = append(out, base.with(opt.Conjunct))
+		}
+	}
+	return out
+}
+
+// with returns the entry of the same operator deferring conjunct i.
+func (e SplitEntry) with(i int) SplitEntry {
+	conj := expr.Conjuncts(e.Target.Pred)
+	e.Conjunct, e.Deferred = i, conj[i]
+	e.Remaining = expr.And(append(append([]expr.Pred(nil), conj[:i]...), conj[i+1:]...)...)
+	return e
+}
+
+// pureJoinTree reports whether n consists solely of joins over scans.
+func pureJoinTree(n plan.Node) bool {
+	switch m := n.(type) {
+	case *plan.Scan:
+		return true
+	case *plan.Join:
+		return pureJoinTree(m.L) && pureJoinTree(m.R)
+	}
+	return false
 }
 
 // SplitOptions lists every valid single-conjunct deferral of a pure
@@ -159,31 +240,22 @@ type SplitOption struct {
 	Conjunct int
 }
 
-// SplitOptionsOf enumerates the split options of q.
+// SplitOptionsOf enumerates the split options of the join tree q,
+// operators in pre-order.
 func SplitOptionsOf(q plan.Node) []SplitOption {
+	j, ok := q.(*plan.Join)
+	if !ok {
+		return nil
+	}
 	var opts []SplitOption
-	plan.Walk(q, func(n plan.Node) {
-		j, ok := n.(*plan.Join)
-		if !ok {
-			return
-		}
+	if _, multi := j.Pred.(expr.Conj); multi {
 		conj := expr.Conjuncts(j.Pred)
-		if len(conj) < 2 {
-			return
-		}
-		lRels, rRels := plan.BaseRelSet(j.L), plan.BaseRelSet(j.R)
 		for i := range conj {
-			var rest []expr.Pred
-			for k, c := range conj {
-				if k != i {
-					rest = append(rest, c)
-				}
-			}
-			rem := expr.And(rest...)
-			if expr.References(rem, lRels) && expr.References(rem, rRels) {
+			rest := append(append([]expr.Pred(nil), conj[:i]...), conj[i+1:]...)
+			if refsBoth(expr.And(rest...), j.L, j.R) {
 				opts = append(opts, SplitOption{Target: j, Conjunct: i})
 			}
 		}
-	})
-	return opts
+	}
+	return append(append(opts, SplitOptionsOf(j.L)...), SplitOptionsOf(j.R)...)
 }

@@ -281,3 +281,27 @@ func TestErrIgnoresExprsTrip(t *testing.T) {
 		t.Fatalf("Err after rows trip = %v, want budget error", err)
 	}
 }
+
+// lazyLabel counts how often its rendering is asked for.
+type lazyLabel struct{ calls *int }
+
+func (l lazyLabel) String() string { *l.calls++; return "k42" }
+
+// TestRecoverItem: the per-item container labels a panic with the
+// item's rendering, and renders it only then.
+func TestRecoverItem(t *testing.T) {
+	calls := 0
+	item := func(f func()) (err error) {
+		defer RecoverItem(&err, "explore", lazyLabel{&calls}, nil)
+		f()
+		return nil
+	}
+	if err := item(func() {}); err != nil || calls != 0 {
+		t.Fatalf("clean item: err %v, label rendered %d times", err, calls)
+	}
+	err := item(func() { panic("rule boom") })
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Phase != "explore" || pe.PlanKey != "k42" || calls != 1 {
+		t.Fatalf("bad PanicError %+v (label rendered %d times)", pe, calls)
+	}
+}

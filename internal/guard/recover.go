@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"fmt"
 	"runtime/debug"
 
 	"repro/internal/obs"
@@ -41,4 +42,18 @@ func Safely(phase, planKey string, reg *obs.Registry, f func() error) (err error
 		}
 	}()
 	return f()
+}
+
+// RecoverItem is the per-item form of RecoverAs for worker pools whose
+// items are cheap and many: deferred directly by the function that
+// processes one item, it reports a panic as a *PanicError labelled
+// with item's rendering — which is built only then, so an item that
+// does not panic never pays for its label.
+func RecoverItem(errp *error, phase string, item fmt.Stringer, reg *obs.Registry) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	reg.Counter("guard.recovered_panics").Inc()
+	*errp = &PanicError{Phase: phase, PlanKey: item.String(), Value: r, Stack: debug.Stack()}
 }

@@ -2,38 +2,33 @@ package memo
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
-// taskKind selects which rule subset a binding is fed to.
-type taskKind uint8
-
-const (
-	nodeKind  taskKind = iota // ScopeNode rules on the canonical expression
-	childKind                 // ScopeChild rules on a one-slot binding
-	treeKind                  // ScopeJoinTree rules on a pure join tree
-)
-
-// task is one binding to apply rules to. Tasks are generated in a
+// task is one binding to apply the rules of one scope to: the
+// canonical expression (ScopeNode), a one-slot binding (ScopeChild) or
+// a pure join tree of the group (ScopeGroup). Tasks are generated in a
 // deterministic order against the pre-wave memo state, so the merge —
 // which ingests results in task order — produces the same memo for
 // any worker count.
 type task struct {
 	group   GroupID
 	from    exprID
-	kind    taskKind
+	scope   core.RuleScope
 	binding plan.Node
 }
 
 // altResult is one rule firing's output.
 type altResult struct {
 	node plan.Node
-	rule string
+	rule *boundRule
 }
 
 // workers resolves Options.Workers to a goroutine count.
@@ -72,9 +67,8 @@ func (m *Memo) Explore() (err error) {
 func (m *Memo) explore() error {
 	reg := m.obs()
 	b := m.opts.Budget
-	if !m.chargeInit {
-		m.chargeInit = true
-		m.charged = len(m.exprs) + m.jtCount
+	if m.charged < 0 {
+		m.charged = len(m.exprs)
 	}
 	for !m.capped {
 		if err := b.Cancelled(); err != nil {
@@ -84,10 +78,6 @@ func (m *Memo) explore() error {
 			return err
 		}
 		tasks := m.collectTasks()
-		if m.chargeDelta() != nil {
-			m.markCapped(CappedBudget)
-			return nil
-		}
 		if len(tasks) == 0 {
 			break
 		}
@@ -102,11 +92,17 @@ func (m *Memo) explore() error {
 			g := m.groups[t.group]
 			for _, alt := range results[i] {
 				m.addResult(g, alt.node, alt.rule, t.from)
-				if m.chargeDelta() != nil {
-					m.markCapped(CappedBudget)
-					return nil
+				// One result can admit several expressions (the
+				// operators it newly built get groups of their own),
+				// so the charge is the growth, not one per call.
+				if d := len(m.exprs) - m.charged; d > 0 {
+					m.charged = len(m.exprs)
+					if b.ChargeExprs(int64(d)) != nil {
+						m.markCapped(CappedBudget)
+						return nil
+					}
 				}
-				if len(m.exprs)+m.jtCount >= m.opts.MaxExprs {
+				if len(m.exprs) >= m.opts.MaxExprs {
 					m.markCapped(CappedMaxExprs)
 					return nil
 				}
@@ -116,41 +112,26 @@ func (m *Memo) explore() error {
 	return nil
 }
 
-// chargeDelta charges the memo's growth since the last check against
-// the expression budget. addResult admissions pull whole subtrees in
-// through Add, so the charge is the observed total delta rather than
-// one per call.
-func (m *Memo) chargeDelta() error {
-	total := len(m.exprs) + m.jtCount
-	d := total - m.charged
-	if d <= 0 {
-		return nil
-	}
-	m.charged = total
-	return m.opts.Budget.ChargeExprs(int64(d))
-}
-
 // collectTasks advances every expression's binding cursors and
 // returns the new wave's bindings: expressions created since the last
 // wave contribute their canonical ScopeNode binding, every expression
 // contributes one ScopeChild binding per (slot, newly admitted child
-// expression), and groups with grown pure-join-tree lists contribute
-// the new trees to the ScopeJoinTree rules.
+// expression), and every new pure join tree of a group is bound to the
+// ScopeGroup rules.
 func (m *Memo) collectTasks() []task {
 	var tasks []task
 	for _, e := range m.exprs {
 		if !e.nodeDone {
 			e.nodeDone = true
-			if len(m.nodeRules) > 0 {
-				tasks = append(tasks, task{group: e.group, from: e.id, kind: nodeKind, binding: e.node})
+			if len(m.rules[core.ScopeNode]) > 0 {
+				tasks = append(tasks, task{group: e.group, from: e.id, scope: core.ScopeNode, binding: e.node})
 			}
 		}
-		if len(m.chldRules) == 0 {
+		if len(m.rules[core.ScopeChild]) == 0 {
 			continue
 		}
-		ch := e.node.Children()
-		for s := range e.children {
-			cg := m.groups[e.children[s]]
+		for s, cgid := range e.children {
+			cg := m.groups[cgid]
 			start := e.consumed[s]
 			// Slot 0's first binding is e.node itself (the child's
 			// first expression IS the representative); the same tree
@@ -159,100 +140,112 @@ func (m *Memo) collectTasks() []task {
 			if s > 0 && start == 0 {
 				start = 1
 			}
+			var in [2]plan.Node
+			for i, c := range e.children {
+				in[i] = m.groups[c].repr
+			}
 			for j := start; j < len(cg.exprs); j++ {
-				f := m.exprs[cg.exprs[j]]
-				binding := e.node
-				if f.node != ch[s] {
-					nch := make([]plan.Node, len(ch))
-					copy(nch, ch)
-					nch[s] = f.node
-					binding = e.node.WithChildren(nch)
-				}
-				tasks = append(tasks, task{group: e.group, from: e.id, kind: childKind, binding: binding})
+				in[s] = m.exprs[cg.exprs[j]].node
+				tasks = append(tasks, task{group: e.group, from: e.id, scope: core.ScopeChild, binding: rebuild(e.node, in[0], in[1])})
 			}
 			e.consumed[s] = len(cg.exprs)
 		}
 	}
-	if len(m.treeRules) > 0 {
-		m.growJoinTrees()
-		for _, g := range m.groups {
-			for i := g.jtProcessed; i < len(g.joinTrees); i++ {
-				jt := g.joinTrees[i]
-				if _, isJoin := jt.tree.(*plan.Join); isJoin {
-					tasks = append(tasks, task{group: g.id, from: jt.from, kind: treeKind, binding: jt.tree})
+	if len(m.rules[core.ScopeGroup]) > 0 {
+		tasks = m.growPures(tasks)
+	}
+	return tasks
+}
+
+// growPures extends every group's list of pure join-over-scan trees
+// and appends a ScopeGroup binding for each new one. A Scan is its own
+// pure tree; a Join expression contributes one tree per pair of its
+// inputs' pure trees (combined incrementally through pureDone) — but
+// only when the pair places the query's conjuncts on operators in a
+// way no tree of the group does yet. Trees that differ in join order
+// alone share a placement, and with it everything a ScopeGroup rule
+// reads; what adds placements is selection push-down folding a
+// deferred conjunct into another join's predicate, so a group has one
+// or two where it has hundreds of join orders. One call carries the
+// growth to a fixpoint.
+func (m *Memo) growPures(tasks []task) []task {
+	for changed := true; changed; {
+		changed = false
+		for _, e := range m.exprs {
+			g := m.groups[e.group]
+			switch x := e.node.(type) {
+			case *plan.Scan:
+				if len(g.pures) == 0 {
+					g.pures, changed = []pureTree{{tree: x}}, true
+				}
+			case *plan.Join:
+				l, r := m.groups[e.kids[0]].pures, m.groups[e.kids[1]].pures
+				nl, nr := e.pureDone[0], e.pureDone[1]
+				if nl == len(l) && nr == len(r) {
+					continue
+				}
+				e.pureDone = [2]int{len(l), len(r)}
+				edge := m.edgeID(x)
+				// Delta rectangle: already-combined left × new right,
+				// then new left × all right.
+				for i := range l {
+					j := 0
+					if i < nl {
+						j = nr
+					}
+					for ; j < len(r); j++ {
+						pl := m.place(edge, l[i].placement, r[j].placement)
+						if slices.ContainsFunc(g.pures, func(p pureTree) bool { return p.placement == string(pl) }) {
+							continue
+						}
+						t := rebuild(x, l[i].tree, r[j].tree)
+						g.pures = append(g.pures, pureTree{tree: t, placement: string(pl)})
+						if _, ok := m.byNode[t]; !ok {
+							m.byNode[t] = g.id
+						}
+						tasks = append(tasks, task{group: g.id, from: e.id, scope: core.ScopeGroup, binding: t})
+						changed = true
+					}
 				}
 			}
-			g.jtProcessed = len(g.joinTrees)
 		}
 	}
 	return tasks
 }
 
-// growJoinTrees extends every group's list of pure join-over-scan
-// materializations: a Scan expression contributes itself, and a Join
-// expression contributes the cross product of its child groups' lists
-// (combined incrementally via per-expression consumed counts). One
-// call propagates growth one level up; the wave loop carries it to a
-// fixpoint.
-func (m *Memo) growJoinTrees() {
-	for _, e := range m.exprs {
-		if m.capped {
-			return
-		}
-		g := m.groups[e.group]
-		switch e.node.(type) {
-		case *plan.Scan:
-			if e.jtConsumed == nil {
-				e.jtConsumed = []int{0}
-				m.jtAdd(g, e.node, e.id)
-			}
-		case *plan.Join:
-			if e.jtConsumed == nil {
-				e.jtConsumed = []int{0, 0}
-			}
-			lg, rg := m.groups[e.children[0]], m.groups[e.children[1]]
-			n1, n2 := e.jtConsumed[0], e.jtConsumed[1]
-			l1, l2 := len(lg.joinTrees), len(rg.joinTrees)
-			// Delta rectangle: already-seen left × new right, then new
-			// left × all right — deterministic and exhaustive.
-			for i := 0; i < n1 && !m.capped; i++ {
-				for j := n2; j < l2 && !m.capped; j++ {
-					m.jtCombine(g, e, lg.joinTrees[i].tree, rg.joinTrees[j].tree)
-				}
-			}
-			for i := n1; i < l1 && !m.capped; i++ {
-				for j := 0; j < l2 && !m.capped; j++ {
-					m.jtCombine(g, e, lg.joinTrees[i].tree, rg.joinTrees[j].tree)
-				}
-			}
-			e.jtConsumed[0], e.jtConsumed[1] = l1, l2
+// place spells the placement of a pure join tree: one more operator,
+// edge, over the placements a and b of its inputs. A placement is the
+// multiset of the tree's edge ids as sorted big-endian byte pairs (a
+// Scan's is empty); the result lives in a buffer the next call reuses.
+func (m *Memo) place(edge uint16, a, b string) []byte {
+	ids := append(m.scratch[:0], edge)
+	for _, p := range [2]string{a, b} {
+		for i := 0; i < len(p); i += 2 {
+			ids = append(ids, uint16(p[i])<<8|uint16(p[i+1]))
 		}
 	}
+	slices.Sort(ids)
+	key := m.keybuf[:0]
+	for _, id := range ids {
+		key = append(key, byte(id>>8), byte(id))
+	}
+	m.scratch, m.keybuf = ids, key
+	return key
 }
 
-func (m *Memo) jtCombine(g *group, e *expr, l, r plan.Node) {
-	m.jtAdd(g, e.node.WithChildren([]plan.Node{l, r}), e.id)
-}
-
-// jtAdd records a pure-join-tree materialization. Each one counts
-// against the MaxExprs budget: capped saturation stops at a bounded
-// number of materialized plans, and the join-tree lists are the memo
-// path's only full-tree materializations, so charging them to the
-// same budget keeps a capped memo run's work comparable.
-func (m *Memo) jtAdd(g *group, t plan.Node, from exprID) {
-	if g.jtSet == nil {
-		g.jtSet = make(map[string]bool)
+// edgeID numbers a join operator by kind and predicate alone, a right
+// outer join as the left outer join it mirrors.
+func (m *Memo) edgeID(j *plan.Join) uint16 {
+	k, _ := m.operator(j)
+	if j.Kind == plan.RightJoin && k.op != 0 {
+		k.op = opJoin + uint8(plan.LeftJoin)
 	}
-	k := plan.Key(t)
-	if g.jtSet[k] {
-		return
+	id, ok := m.edges[k]
+	if !ok {
+		id = uint16(len(m.edges))
+		m.edges[k] = id
 	}
-	g.jtSet[k] = true
-	g.joinTrees = append(g.joinTrees, jtEntry{tree: t, from: from})
-	m.jtCount++
-	if len(m.exprs)+m.jtCount >= m.opts.MaxExprs {
-		m.markCapped(CappedMaxExprs)
-	}
+	return id
 }
 
 // markCapped flags the early stop once, recording why and bumping
@@ -271,11 +264,9 @@ func (m *Memo) markCapped(reason string) {
 // apply runs the wave's rule applications, fanning out across workers
 // when configured. Each task is independent and reads only pre-wave
 // memo state, so results land in per-task slots and the caller's
-// in-order merge is deterministic. Fingerprints of result trees are
-// forced inside the workers so the serial merge finds them cached.
-// Each task runs under guard.Safely (a boundary defer cannot see a
-// worker goroutine's panic); the lowest-index failure wins, so the
-// surfaced error is the same for any scheduling.
+// in-order merge is deterministic. Each task contains its own panics
+// (a boundary defer cannot see a worker goroutine's); the lowest-index
+// failure wins, so the surfaced error is the same for any scheduling.
 func (m *Memo) apply(tasks []task) ([][]altResult, error) {
 	results := make([][]altResult, len(tasks))
 	errs := make([]error, len(tasks))
@@ -313,30 +304,21 @@ func (m *Memo) apply(tasks []task) ([][]altResult, error) {
 	return results, nil
 }
 
-func (m *Memo) applyOne(t task) ([]altResult, error) {
-	var rules = m.chldRules
-	switch t.kind {
-	case nodeKind:
-		rules = m.nodeRules
-	case treeKind:
-		rules = m.treeRules
+func (m *Memo) applyOne(t task) (out []altResult, err error) {
+	// The binding's fingerprint labels a panic; it is rendered only
+	// when one is being reported.
+	defer guard.RecoverItem(&err, "explore", t.binding, m.obs())
+	if err := guard.Hit(guard.PointRuleApply); err != nil {
+		return nil, err
 	}
-	reg := m.obs()
-	var out []altResult
-	err := guard.Safely("explore", plan.Key(t.binding), reg, func() error {
-		if e := guard.Hit(guard.PointRuleApply); e != nil {
-			return e
-		}
-		for _, r := range rules {
-			for _, alt := range r.Apply(t.binding) {
-				plan.Key(alt) // warm the fingerprint cache while parallel
-				if reg != nil {
-					reg.Counter("optimizer.rule_applied." + r.Name).Inc()
-				}
-				out = append(out, altResult{node: alt, rule: r.Name})
+	for i := range m.rules[t.scope] {
+		r := &m.rules[t.scope][i]
+		for _, alt := range r.Apply(t.binding) {
+			if r.applied != nil {
+				r.applied.Inc()
 			}
+			out = append(out, altResult{node: alt, rule: r})
 		}
-		return nil
-	})
-	return out, err
+	}
+	return out, nil
 }

@@ -7,33 +7,39 @@
 // stored and costed once regardless of how many enclosing plans use
 // them.
 //
-// A group is keyed by subtree fingerprint (plan.Key of any member
-// tree). An expression is one operator whose children are group
-// references; it is represented concretely as a real plan.Node whose
-// child subtrees are the *representatives* of the child groups, which
-// keeps every expression a genuine member tree — rules apply to it
-// directly, plan.Key canonicalizes it, and stats cost it — while
-// child sharing makes it one shallow node.
+// An expression is one operator whose children are group references.
+// Its identity is a comparable *shape* — operator, predicate as a set
+// of the query's conjunct atoms, preserved-relation list, child group
+// ids — so admitting, deduplicating and looking one up never renders a
+// tree. It is also kept concretely, as a real plan.Node whose child
+// subtrees are the *representatives* of the child groups, which keeps
+// every expression a genuine member tree: rules apply to it directly
+// and stats cost it. A rule result's children are nodes the memo
+// already knows — representatives or admitted expression nodes — so
+// they resolve to their groups by pointer; only the operators a rule
+// newly built are shaped.
 //
 // Exploration saturates the groups under a core.Rule set using the
 // rules' declared RuleScope to build group-local *bindings*: a
 // ScopeNode rule sees each expression once, a ScopeChild rule sees
 // each (expression, child slot, child-group expression) combination,
-// and a ScopeJoinTree rule sees each pure join-over-scan
-// materialization of the group. Because every binding is itself a
-// member tree, every rule result is equivalent to the group by
-// construction; results are ingested back as new expressions (of the
-// same group) with per-group dedup. Groups are never merged: when a
-// result's expression shape already lives in another group, the shape
-// is simply added to both — sound, and it keeps the reachable set
-// exactly the positional-rewrite closure that Saturate computes
-// rather than a congruence-closure superset of it.
+// and a ScopeGroup rule (predicate break-up) sees one pure
+// join-over-scan tree per group that has one. Because every binding is
+// itself a member tree, every rule result is equivalent to the group
+// by construction; results are ingested back as new expressions (of
+// the same group) with per-group dedup. Groups are never merged: when a
+// result's shape already lives in another group, the shape is simply
+// added to both — sound, and it keeps the reachable set exactly the
+// positional-rewrite closure that Saturate computes rather than a
+// congruence-closure superset of it.
 package memo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
+	xpr "repro/internal/expr"
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -47,16 +53,44 @@ type GroupID int
 // is what makes serial and parallel runs produce identical memos.
 type exprID int
 
+// shape is an expression's identity.
+type shape struct {
+	// op is opSelect, opGenSel, opMGOJ, opJoin plus the join kind, or
+	// 0 for any other operator.
+	op uint8
+	// pred is the operator's predicate as the multiset of its conjunct
+	// atoms, one bit per atom; the memo numbers atoms as it meets them
+	// (rules move, merge and split conjuncts but never invent one, so
+	// a query has a handful).
+	pred uint64
+	// aux interns the preserved-relation list of a GS or MGOJ. For an
+	// operator without a predicate (grouping, projection, a scan), and
+	// for one whose atoms outnumber a word's bits, op and pred are zero
+	// and aux interns its rendering over placeholder inputs (which,
+	// unlike the bitset, tells conjunct orders apart: more shapes for a
+	// 65-atom query, never a wrong identification).
+	aux  int32
+	l, r GroupID // -1 for an absent input
+}
+
+const (
+	opSelect = iota + 1
+	opGenSel
+	opMGOJ
+	opJoin
+)
+
 // expr is one operator-over-groups shape.
 type expr struct {
 	id    exprID
 	group GroupID
 	// node is the expression materialized over the child groups'
-	// representative trees — a real member tree of the group whose
-	// fingerprint canonicalizes the (operator, child groups) shape.
+	// representative trees — a real member tree of the group.
 	node plan.Node
-	// children are the groups the node's child subtrees belong to.
+	// children are the groups the node's child subtrees belong to
+	// (a slice of kids).
 	children []GroupID
+	kids     [2]GroupID
 	// rule and from record provenance: the identity that produced
 	// this expression and the expression its binding was rooted at.
 	// Seed expressions (ingested query subtrees) have rule "" and
@@ -65,38 +99,25 @@ type expr struct {
 	from exprID
 
 	// Exploration bookkeeping (owned by the single-threaded merge):
-	// nodeDone marks the one ScopeNode binding as generated, consumed
-	// counts per child slot how many of the child group's expressions
-	// have been bound, and jtConsumed counts per child slot how many
-	// of the child group's pure join trees have been combined.
-	nodeDone   bool
-	consumed   []int
-	jtConsumed []int
-}
-
-// jtEntry is one pure join-over-scan materialization of a group,
-// with the root expression it was combined under (for provenance).
-type jtEntry struct {
-	tree plan.Node
-	from exprID
+	// nodeDone marks the one ScopeNode binding as generated,
+	// consumed counts per child slot how many of the child group's
+	// expressions have been bound, and pureDone how many of its pure
+	// trees have been combined.
+	nodeDone bool
+	consumed [2]int
+	pureDone [2]int
 }
 
 // group is one equivalence class.
 type group struct {
 	id    GroupID
-	key   string // fingerprint of the first ingested member tree
 	repr  plan.Node
 	exprs []exprID
-	// exprSet dedups expression shapes within the group.
-	exprSet map[string]bool
 
-	// joinTrees lists the group's pure join-over-scan
-	// materializations in deterministic discovery order; jtSet dedups
-	// them and jtProcessed counts how many have been fed to
-	// ScopeJoinTree rules.
-	joinTrees   []jtEntry
-	jtSet       map[string]bool
-	jtProcessed int
+	// pures are the pure join-over-scan materializations ScopeGroup
+	// rules are bound to, one per placement of the conjuncts on
+	// operators (see growPures).
+	pures []pureTree
 
 	// winner is set by Extract: the cheapest materialization of the
 	// group, or nil when every expression was pruned or cyclic.
@@ -106,15 +127,19 @@ type group struct {
 	extracted  bool
 }
 
+type pureTree struct {
+	tree      plan.Node
+	placement string
+}
+
 // Options configure a memo.
 type Options struct {
 	// Rules is the identity rule set; every rule must declare a
 	// RuleScope other than ScopeUnknown (see Supports).
 	Rules []core.Rule
-	// MaxExprs caps the total materialization work — admitted
-	// expressions plus pure-join-tree materializations built for
-	// ScopeJoinTree rules (0 means 100000) — the memo analog of
-	// SaturateOptions.MaxPlans, which bounds materialized plans.
+	// MaxExprs caps the admitted expressions (0 means 100000) — the
+	// memo analog of SaturateOptions.MaxPlans. Expressions are all the
+	// memo materializes, so they are all that counts.
 	MaxExprs int
 	// Workers sets the number of goroutines applying rules per
 	// exploration wave; 0 and 1 run serially, < 0 means
@@ -130,35 +155,64 @@ type Options struct {
 	Obs *obs.Registry
 	// Budget, when non-nil, governs exploration and extraction:
 	// cancellation is checked at wave boundaries and per extracted
-	// group (surfacing guard.ErrCancelled), and expression/join-tree
-	// admissions past the seeds are charged against the expression
-	// budget — tripping it caps the memo (CappedReason reports
-	// CappedBudget) exactly like MaxExprs, so extraction still runs
-	// over everything admitted.
+	// group (surfacing guard.ErrCancelled), and expressions admitted
+	// past the seeds are charged against the expression budget —
+	// tripping it caps the memo (CappedReason reports CappedBudget)
+	// exactly like MaxExprs, so extraction still runs over everything
+	// admitted.
 	Budget *guard.Budget
+}
+
+// boundRule is a rule with its counters resolved once.
+type boundRule struct {
+	core.Rule
+	applied, admitted *obs.Counter
 }
 
 // Memo is the group table.
 type Memo struct {
-	opts      Options
-	nodeRules []core.Rule
-	chldRules []core.Rule
-	treeRules []core.Rule
+	opts Options
+	// rules are indexed by scope.
+	rules [core.ScopeGroup + 1][]boundRule
 
-	groups    []*group
-	exprs     []*expr
-	byKey     map[string]GroupID // member-tree fingerprint -> group
-	byExprKey map[string]GroupID // expression fingerprint -> first owner
-	jtCount   int                // join-tree materializations, for the MaxExprs budget
-	capped    bool
-	cappedBy  string
+	groups []*group
+	exprs  []*expr
+	// byNode resolves a node the memo has seen — a representative, an
+	// admitted expression node, a pure join tree — to its group.
+	byNode map[plan.Node]GroupID
+	// owner is the first group each shape was admitted to; also holds
+	// the further (group, shape) memberships of shapes that live in
+	// several groups.
+	owner map[shape]GroupID
+	also  map[membership]struct{}
+	// atoms numbers comparison atoms by value and others any other
+	// conjunct by rendering; repeats maps an atom to the number standing
+	// for its next repetition within one predicate. One numbering.
+	atoms   map[xpr.Cmp]int
+	others  map[string]int
+	repeats map[int]int
+	aux     map[string]int32
 
-	// Budget charging state: seeds ingested before the first Explore
-	// wave are free (extraction must always have a materializable
-	// plan), so the baseline is snapshotted when exploration starts
-	// and only growth past it is charged.
-	chargeInit bool
-	charged    int
+	// edges numbers the join operators of pure trees; scratch and
+	// keybuf are the buffers placements are spelled in (see place).
+	edges   map[shape]uint16
+	scratch []uint16
+	keybuf  []byte
+
+	capped   bool
+	cappedBy string
+	// charged is the expression count already charged to the budget,
+	// -1 before exploration starts: seeds are free (extraction must
+	// always have a materializable plan), so only growth past them is
+	// charged.
+	charged int
+
+	cExprs, cDedup *obs.Counter
+}
+
+type membership struct {
+	g GroupID
+	s shape
 }
 
 // Supports reports whether every rule declares a group-local scope,
@@ -183,21 +237,31 @@ func New(opts Options) (*Memo, error) {
 		opts.MaxExprs = 100000
 	}
 	m := &Memo{
-		opts:      opts,
-		byKey:     make(map[string]GroupID),
-		byExprKey: make(map[string]GroupID),
+		opts:    opts,
+		byNode:  make(map[plan.Node]GroupID),
+		owner:   make(map[shape]GroupID),
+		also:    make(map[membership]struct{}),
+		atoms:   make(map[xpr.Cmp]int),
+		others:  make(map[string]int),
+		repeats: make(map[int]int),
+		aux:     make(map[string]int32),
+		edges:   make(map[shape]uint16),
+		charged: -1,
+	}
+	reg := opts.Obs
+	if reg != nil {
+		m.cExprs, m.cDedup = reg.Counter("memo.exprs"), reg.Counter("memo.dedup_hits")
 	}
 	for _, r := range opts.Rules {
-		switch r.Scope {
-		case core.ScopeNode:
-			m.nodeRules = append(m.nodeRules, r)
-		case core.ScopeChild:
-			m.chldRules = append(m.chldRules, r)
-		case core.ScopeJoinTree:
-			m.treeRules = append(m.treeRules, r)
-		default:
+		br := boundRule{Rule: r}
+		if reg != nil {
+			br.applied = reg.Counter("optimizer.rule_applied." + r.Name)
+			br.admitted = reg.Counter("optimizer.rule_admitted." + r.Name)
+		}
+		if r.Scope == core.ScopeUnknown || int(r.Scope) >= len(m.rules) {
 			return nil, fmt.Errorf("memo: rule %q has no group-local scope", r.Name)
 		}
+		m.rules[r.Scope] = append(m.rules[r.Scope], br)
 	}
 	return m, nil
 }
@@ -216,8 +280,8 @@ const (
 	CappedBudget = "budget:exprs"
 )
 
-// Capped reports whether exploration stopped early (MaxExprs or a
-// tripped expression budget).
+// Capped reports whether exploration stopped early: MaxExprs
+// expressions were admitted, or the expression budget tripped.
 func (m *Memo) Capped() bool { return m.capped }
 
 // CappedReason reports why exploration stopped early ("" when it ran
@@ -236,90 +300,198 @@ func (m *Memo) RuleFirings() map[string]int {
 }
 
 // Add ingests a (sub)tree and returns its group, creating groups for
-// it and every novel descendant subtree. Identical trees — and trees
-// whose expression shape is already known — land in their existing
+// it and every novel descendant subtree. A node seen before — and a
+// tree whose expression shape is already known — lands in its existing
 // group.
 func (m *Memo) Add(n plan.Node) GroupID {
-	k := plan.Key(n)
-	if gid, ok := m.byKey[k]; ok {
+	if gid, ok := m.byNode[n]; ok {
 		return gid
 	}
-	ch := n.Children()
-	cgids := make([]GroupID, len(ch))
-	for i, c := range ch {
-		cgids[i] = m.Add(c)
-	}
-	en := m.canonical(n, ch, cgids)
-	ek := plan.Key(en)
-	if gid, ok := m.byExprKey[ek]; ok {
-		// A different spelling of a known expression (some subtree was
-		// a non-representative member): remember it so future ingests
-		// of this exact tree short-circuit.
-		m.byKey[k] = gid
+	s := m.shapeOf(n)
+	if gid, ok := m.owner[s]; ok {
 		return gid
 	}
-	gid := GroupID(len(m.groups))
-	g := &group{
-		id:      gid,
-		key:     ek,
-		repr:    en,
-		exprSet: make(map[string]bool),
-	}
+	g := &group{id: GroupID(len(m.groups)), winnerExpr: -1}
 	m.groups = append(m.groups, g)
-	m.byKey[k] = gid
-	m.byKey[ek] = gid
-	if m.obs() != nil {
-		m.obs().Counter("memo.groups").Inc()
+	if reg := m.obs(); reg != nil {
+		reg.Counter("memo.groups").Inc()
 	}
-	m.admit(g, en, ek, cgids, "", -1)
-	return gid
+	g.repr = m.admit(g, n, s, nil, -1).node
+	return g.id
 }
 
-// canonical rebuilds n with each child replaced by its group's
-// representative, yielding the expression's canonical member tree.
-func (m *Memo) canonical(n plan.Node, ch []plan.Node, cgids []GroupID) plan.Node {
-	if len(ch) == 0 {
-		return n
+// shapeOf computes n's identity, ingesting its inputs.
+func (m *Memo) shapeOf(n plan.Node) shape {
+	s, in := m.operator(n)
+	if in[0] != nil {
+		s.l = m.Add(in[0])
 	}
-	changed := false
-	rch := make([]plan.Node, len(ch))
-	for i, gid := range cgids {
-		rch[i] = m.groups[gid].repr
-		if rch[i] != ch[i] {
-			changed = true
+	if in[1] != nil {
+		s.r = m.Add(in[1])
+	}
+	return s
+}
+
+// operator returns the part of n's shape that is n's own — everything
+// but the input groups — and n's inputs.
+func (m *Memo) operator(n plan.Node) (s shape, in [2]plan.Node) {
+	s.l, s.r = -1, -1
+	var ok bool
+	switch x := n.(type) {
+	case *plan.Join:
+		s.op, in = opJoin+uint8(x.Kind), [2]plan.Node{x.L, x.R}
+		s.pred, ok = m.addAtoms(0, x.Pred)
+	case *plan.Select:
+		s.op, in[0] = opSelect, x.Input
+		s.pred, ok = m.addAtoms(0, x.Pred)
+	case *plan.GenSel:
+		s.op, s.aux, in[0] = opGenSel, m.internSpecs(x.Preserved), x.Input
+		s.pred, ok = m.addAtoms(0, x.Pred)
+	case *plan.MGOJNode:
+		s.op, s.aux, in = opMGOJ, m.internSpecs(x.Preserved), [2]plan.Node{x.L, x.R}
+		s.pred, ok = m.addAtoms(0, x.Pred)
+	default:
+		if ch := n.Children(); copy(in[:], ch) < len(ch) {
+			panic(fmt.Sprintf("memo: operator %T has more than two inputs", n))
 		}
 	}
-	if !changed {
-		return n
+	if !ok {
+		ninputs := 0
+		for ninputs < 2 && in[ninputs] != nil {
+			ninputs++
+		}
+		s.op, s.pred = 0, 0
+		s.aux = m.intern(n.WithChildren(holes[:ninputs]).String())
 	}
-	return n.WithChildren(rch)
+	return s, in
 }
 
-// admit appends a deduplicated expression to g. Callers have already
-// checked g.exprSet (or know the group is fresh).
-func (m *Memo) admit(g *group, en plan.Node, ek string, cgids []GroupID, rule string, from exprID) *expr {
-	e := &expr{
-		id:       exprID(len(m.exprs)),
-		group:    g.id,
-		node:     en,
-		children: cgids,
-		rule:     rule,
-		from:     from,
-		consumed: make([]int, len(cgids)),
+// holes stand in for an operator's inputs when only the operator
+// itself is rendered.
+var holes = []plan.Node{plan.NewScan("\x00l"), plan.NewScan("\x00r")}
+
+func (m *Memo) intern(s string) int32 {
+	id, ok := m.aux[s]
+	if !ok {
+		id = int32(len(m.aux)) + 1
+		m.aux[s] = id
 	}
+	return id
+}
+
+// internSpecs interns a preserved-relation list, spelled
+// unambiguously.
+func (m *Memo) internSpecs(specs []plan.PreservedSpec) int32 {
+	if len(specs) == 1 && len(specs[0]) == 1 {
+		return m.intern(specs[0][0])
+	}
+	var b []byte
+	for _, spec := range specs {
+		for _, rel := range spec {
+			b = append(append(b, rel...), 0)
+		}
+		b = append(b, 1)
+	}
+	return m.intern(string(b))
+}
+
+// addAtoms adds p's conjunct atoms to set, numbering unseen ones; ok
+// is false when one falls outside the word.
+func (m *Memo) addAtoms(set uint64, p xpr.Pred) (_ uint64, ok bool) {
+	var id int
+	var seen bool
+	switch q := p.(type) {
+	case nil, xpr.True:
+		return set, true
+	case xpr.Conj:
+		for _, sub := range q.Preds {
+			if set, ok = m.addAtoms(set, sub); !ok {
+				return 0, false
+			}
+		}
+		return set, true
+	case xpr.Cmp:
+		if id, seen = m.atoms[q]; !seen {
+			id = m.natoms()
+			m.atoms[q] = id
+		}
+	default:
+		k := p.String()
+		if id, seen = m.others[k]; !seen {
+			id = m.natoms()
+			m.others[k] = id
+		}
+	}
+	// A conjunct repeated within one predicate counts each time — the
+	// cost model does — so its k-th repeat is an atom of its own.
+	for id < 64 && set&(1<<uint(id)) != 0 {
+		next, seen := m.repeats[id]
+		if !seen {
+			next = m.natoms()
+			m.repeats[id] = next
+		}
+		id = next
+	}
+	return set | 1<<uint(id), id < 64
+}
+
+func (m *Memo) natoms() int { return len(m.atoms) + len(m.others) + len(m.repeats) }
+
+// rebuild returns n over the inputs l and r (nil for an absent one),
+// and n itself when those are its inputs already. The operators
+// exploration builds by the thousand are copied without the input
+// slices of Children/WithChildren.
+func rebuild(n, l, r plan.Node) plan.Node {
+	switch x := n.(type) {
+	case *plan.Join:
+		if x.L == l && x.R == r {
+			return x
+		}
+		return plan.NewJoin(x.Kind, x.Pred, l, r)
+	case *plan.Select:
+		if x.Input == l {
+			return x
+		}
+		return plan.NewSelect(x.Pred, l)
+	}
+	ch := n.Children()
+	in := []plan.Node{l, r}[:len(ch)]
+	if slices.Equal(ch, in) {
+		return n
+	}
+	return n.WithChildren(in)
+}
+
+// admit appends an expression of shape s to g, materialized from n
+// over the representatives of its input groups. Callers have checked
+// that g does not hold the shape.
+func (m *Memo) admit(g *group, n plan.Node, s shape, rule *boundRule, from exprID) *expr {
+	e := &expr{id: exprID(len(m.exprs)), group: g.id, kids: [2]GroupID{s.l, s.r}, from: from}
+	var in [2]plan.Node
+	for i, gid := range e.kids {
+		if gid >= 0 {
+			in[i] = m.groups[gid].repr
+			e.children = e.kids[:i+1]
+		}
+	}
+	e.node = rebuild(n, in[0], in[1])
 	m.exprs = append(m.exprs, e)
 	g.exprs = append(g.exprs, e.id)
-	g.exprSet[ek] = true
-	if _, ok := m.byExprKey[ek]; !ok {
-		m.byExprKey[ek] = g.id
+	if _, ok := m.owner[s]; !ok {
+		m.owner[s] = g.id
+	} else {
+		m.also[membership{g.id, s}] = struct{}{}
 	}
-	if _, ok := m.byKey[ek]; !ok {
-		m.byKey[ek] = g.id
+	if _, ok := m.byNode[e.node]; !ok {
+		m.byNode[e.node] = g.id
 	}
-	if reg := m.obs(); reg != nil {
-		reg.Counter("memo.exprs").Inc()
-		if rule != "" {
-			reg.Counter("optimizer.rule_admitted." + rule).Inc()
+	if m.cExprs != nil {
+		m.cExprs.Inc()
+	}
+	if rule != nil {
+		e.rule = rule.Name
+		if rule.admitted != nil {
+			rule.admitted.Inc()
 		}
 	}
 	return e
@@ -328,26 +500,19 @@ func (m *Memo) admit(g *group, en plan.Node, ek string, cgids []GroupID, rule st
 // addResult ingests one rule result tree as an expression of group g
 // (the result is equivalent to g because the rule fired on one of g's
 // member trees). Reports whether the expression was new.
-func (m *Memo) addResult(g *group, n plan.Node, rule string, from exprID) bool {
-	ch := n.Children()
-	cgids := make([]GroupID, len(ch))
-	for i, c := range ch {
-		cgids[i] = m.Add(c)
+func (m *Memo) addResult(g *group, n plan.Node, rule *boundRule, from exprID) bool {
+	s := m.shapeOf(n)
+	first, held := m.owner[s]
+	if held && first != g.id {
+		_, held = m.also[membership{g.id, s}]
 	}
-	en := m.canonical(n, ch, cgids)
-	ek := plan.Key(en)
-	if g.exprSet[ek] {
-		if reg := m.obs(); reg != nil {
-			reg.Counter("memo.dedup_hits").Inc()
+	if held {
+		if m.cDedup != nil {
+			m.cDedup.Inc()
 		}
 		return false
 	}
-	m.admit(g, en, ek, cgids, rule, from)
-	if k := plan.Key(n); k != ek {
-		if _, ok := m.byKey[k]; !ok {
-			m.byKey[k] = g.id
-		}
-	}
+	m.admit(g, n, s, rule, from)
 	return true
 }
 

@@ -1,0 +1,166 @@
+package optimizer_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/expr"
+	"repro/internal/guard"
+	"repro/internal/obs"
+	"repro/internal/optimizer"
+	"repro/internal/plan"
+	"repro/internal/relation"
+	"repro/internal/stats"
+	"repro/internal/value"
+)
+
+// TestRandomMemoVsSaturation extends the seven hand-written memoSeeds
+// with generated queries (datagen.RandomJoinQuery: three to five
+// relations, inner/left/full outer joins, one to three conjuncts per
+// predicate, complex and one-sided conjuncts included). For each, on a
+// database with NULLs and duplicates:
+//
+//   - the memo's winner passes plan.Validate and returns the query's
+//     rows, compared as a multiset over all attributes, row
+//     identifiers included — bag equivalence, not just set
+//     equivalence;
+//   - the memo's best cost equals saturation's (to 1e-9 relative) on
+//     every seed but the four of knownExtractionGaps, which are pinned
+//     by number and bounded in size. On those, two equivalent members
+//     of a group are estimated at different cardinalities (a
+//     generalized selection and the join it compensates, say):
+//     branch-and-bound extraction keeps a group's cheapest member, and
+//     the costlier one with the smaller estimate can make the enclosing
+//     plan cheaper. That gap is extraction's, not exploration's:
+//     internal/memo's TestMemoHoldsSaturationClosure checks, for these
+//     same seeds, that every plan of saturation's closure — its winner
+//     included — is a materialization of the memo root; and it predates
+//     the structural expression identity (the parent commit's
+//     whole-tree keyed memo shows the same four at the same costs,
+//     plus seed 60). A memo winner *cheaper* than
+//     saturation's is no failure: the two seeds of a run (the query
+//     and its simplification) share groups in the memo and not in
+//     saturation, so the memo can reach a little further, and the row
+//     check above vouches for what it reaches.
+//
+// A failure names its seed; rerun it alone with
+// -run 'TestRandomMemoVsSaturation/seed=N'.
+func TestRandomMemoVsSaturation(t *testing.T) {
+	const (
+		seeds    = 380
+		maxPlans = 2500 // closures past this are skipped, cheaply
+		maxGap   = 0.2  // relative; the largest pinned gap is 0.145 (seed 18)
+	)
+	run := func(t *testing.T, q plan.Node, db plan.Database, mode optimizer.MemoMode) *optimizer.Result {
+		t.Helper()
+		o := optimizer.New(stats.NewEstimator(stats.FromDatabase(db)))
+		o.Opts.UseMemo, o.Opts.MaxPlans, o.Opts.Obs = mode, maxPlans, obs.NewRegistry()
+		res, err := o.Optimize(q, db)
+		if err != nil {
+			t.Fatalf("optimize (mode=%d): %v", mode, err)
+		}
+		return res
+	}
+	compared := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			q, n := datagen.RandomJoinQuery(rng)
+			db := datagen.RandomJoinDB(rng, n)
+			sat := run(t, q, db, optimizer.MemoOff)
+			if sat.Considered >= maxPlans {
+				t.Skipf("saturation hit its plan cap on %s", q)
+			}
+			mem := run(t, q, db, optimizer.MemoAuto)
+			if mem.Degraded != "" {
+				t.Skipf("memo hit its expression cap on %s", q)
+			}
+			if err := plan.Validate(mem.Best.Plan, db); err != nil {
+				t.Fatalf("query %s\nwinner %s fails validation: %v", q, mem.Best.Plan, err)
+			}
+			want, err := q.Eval(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := mem.Best.Plan.Eval(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.EqualAsMultisets(got) {
+				t.Fatalf("query %s\nwinner %s returns different rows", q, mem.Best.Plan)
+			}
+			compared++
+			// 1e-9 relative, not ==: the memo keeps one spelling of a
+			// predicate whose conjuncts two derivations merged in
+			// different orders, and the selectivity product of the
+			// other order may differ in the last bit.
+			gap := mem.Best.Cost/sat.Best.Cost - 1
+			switch known := datagen.KnownExtractionGaps[seed]; {
+			case !known && gap > 1e-9:
+				t.Errorf("memo best cost %.9g, saturation %.9g on %s\nmemo winner       %s\nsaturation winner %s",
+					mem.Best.Cost, sat.Best.Cost, q, mem.Best.Plan, sat.Best.Plan)
+			case known && gap <= 1e-9:
+				t.Errorf("seed is pinned as an extraction gap but the memo now matches saturation (%.9g): drop it from datagen.KnownExtractionGaps", mem.Best.Cost)
+			case known && gap > maxGap:
+				t.Errorf("pinned extraction gap grew to %.1f%% (memo %.9g, saturation %.9g)", 100*gap, mem.Best.Cost, sat.Best.Cost)
+			case known:
+				t.Logf("pinned extraction gap %.1f%%: memo %.9g, saturation %.9g on %s", 100*gap, mem.Best.Cost, sat.Best.Cost, q)
+			}
+		})
+	}
+	if compared < 200 {
+		t.Errorf("only %d of %d generated queries were compared; want at least 200", compared, seeds)
+	}
+	t.Logf("%d queries compared, %d pinned extraction gaps", compared, len(datagen.KnownExtractionGaps))
+}
+
+// TestWideQueryDegradesCleanly: seventy relations do not fit the one
+// word a relation set or a predicate's atom set usually is. Under a
+// small expression budget the optimizer must still return a validated,
+// equivalent, degraded plan — through the multi-word relation sets and
+// the rendered-operator identities — rather than panic or let bit 70
+// alias bit 6.
+func TestWideQueryDegradesCleanly(t *testing.T) {
+	const n = 70
+	db := plan.Database{}
+	var q plan.Node
+	for i := 1; i <= n; i++ {
+		name := fmt.Sprintf("r%d", i)
+		b := relation.NewBuilder(name, "x", "y")
+		b.Row(value.NewInt(0), value.NewInt(int64(i%3))).Row(value.NewInt(1), value.NewInt(int64(i%2)))
+		db[name] = b.Relation()
+		if i == 1 {
+			q = plan.NewScan(name)
+			continue
+		}
+		prev := fmt.Sprintf("r%d", i-1)
+		pred := expr.Pred(expr.EqCols(prev, "x", name, "x"))
+		if i == n {
+			// A complex two-conjunct predicate reaching back to r7:
+			// bits 6 and 69 must stay apart.
+			pred = expr.And(pred, expr.Cmp{Op: value.GE, L: expr.Column("r7", "y"), R: expr.Column(name, "y")})
+		}
+		q = plan.NewJoin(plan.InnerJoin, pred, q, plan.NewScan(name))
+	}
+	reg := obs.NewRegistry()
+	o := optimizer.New(stats.NewEstimator(stats.FromDatabase(db)))
+	o.Opts.Obs = reg
+	o.Opts.Budget = guard.New(context.Background(), guard.Limits{MaxExprs: 600}, reg)
+	res, err := o.Optimize(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded == "" {
+		t.Errorf("a %d-relation chain finished within 600 expressions (considered %d)", n, res.Considered)
+	}
+	if err := plan.Validate(res.Best.Plan, db); err != nil {
+		t.Fatalf("degraded plan fails validation: %v", err)
+	}
+	if ok, err := plan.Equivalent(q, res.Best.Plan, db); err != nil || !ok {
+		t.Fatalf("degraded plan is not the query (err %v):\n%s", err, plan.Indent(res.Best.Plan))
+	}
+}

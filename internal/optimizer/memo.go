@@ -44,7 +44,7 @@ func (o *Optimizer) optimizeMemo(q plan.Node, rules []core.Rule, maxPlans int, r
 	}
 	seeds := []seed{{node: inner}}
 	endSimplify := phase("simplify")
-	if s := simplify.Simplify(inner); s.String() != inner.String() {
+	if s := simplify.Simplify(inner); plan.Key(s) != plan.Key(inner) {
 		seeds = append(seeds, seed{node: s, prefix: []string{"simplify-outer-joins"}})
 		reg.Counter("optimizer.simplified_seeds").Inc()
 	}

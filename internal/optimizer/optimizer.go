@@ -214,6 +214,9 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 		// to the aggregation before the pull-up applies).
 		rules = append(append([]core.Rule(nil), rules...), core.PushUpRule(db))
 	}
+	// Number the query's base relations once; every predicate scoping
+	// check of either engine is then a bit test.
+	plan.IndexRelations(q)
 	b := o.Opts.Budget
 	if err := b.Cancelled(); err != nil {
 		return nil, err
@@ -235,7 +238,7 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	// Outer join simplification first ([BHAR95c]); the paper assumes
 	// simple queries, and downgraded operators reorder more freely.
 	endSimplify := phase("simplify")
-	if s := simplify.Simplify(q); s.String() != q.String() {
+	if s := simplify.Simplify(q); plan.Key(s) != plan.Key(q) {
 		seeds = append(seeds, seed{node: s, prefix: []string{"simplify-outer-joins"}})
 		reg.Counter("optimizer.simplified_seeds").Inc()
 	}

@@ -29,8 +29,12 @@ type fpVal struct {
 // to use; concurrent computation is benign because the key is a pure
 // function of the (immutable) node, so whichever goroutine wins the
 // CompareAndSwap stores the same value the losers computed.
+//
+// The same slot carries the node's relation set (see relset.go), the
+// other per-node fact the enumerator asks for over and over.
 type fpCache struct {
-	v atomic.Pointer[fpVal]
+	v    atomic.Pointer[fpVal]
+	rels atomic.Pointer[relsVal]
 }
 
 // val returns the cached fingerprint, building it with build on first

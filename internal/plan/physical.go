@@ -30,7 +30,7 @@ type MergeJoin struct {
 	Desc  []bool
 	L, R  Node
 
-	fp fpCache
+	fpCache
 }
 
 // NewMergeJoin builds a merge join node; lkeys, rkeys and desc must
@@ -91,7 +91,7 @@ func (m *MergeJoin) Eval(db Database) (*relation.Relation, error) {
 }
 
 func (m *MergeJoin) fingerprint() *fpVal {
-	return m.fp.val(func() string {
+	return m.fpCache.val(func() string {
 		keys := make([]string, len(m.LKeys))
 		for i := range m.LKeys {
 			d := ""
@@ -119,7 +119,7 @@ type StreamAgg struct {
 	InOrder Order
 	Input   Node
 
-	fp fpCache
+	fpCache
 }
 
 // NewStreamAgg builds a streaming aggregation node; inOrder must
@@ -150,7 +150,7 @@ func (g *StreamAgg) Eval(db Database) (*relation.Relation, error) {
 }
 
 func (g *StreamAgg) fingerprint() *fpVal {
-	return g.fp.val(func() string {
+	return g.fpCache.val(func() string {
 		keys := make([]string, len(g.Keys))
 		for i, k := range g.Keys {
 			keys[i] = k.String()

@@ -77,7 +77,7 @@ type Scan struct {
 	// relation (including its virtual row identifier) to this name.
 	As string
 
-	fp fpCache
+	fpCache
 }
 
 // NewScan returns a scan of rel.
@@ -142,7 +142,7 @@ func renameSchema(s *schema.Schema, old, new string) *schema.Schema {
 }
 
 func (s *Scan) fingerprint() *fpVal {
-	return s.fp.val(func() string {
+	return s.fpCache.val(func() string {
 		if s.As == "" || s.As == s.Rel {
 			return s.Rel
 		}
@@ -159,7 +159,7 @@ type Join struct {
 	Pred expr.Pred
 	L, R Node
 
-	fp fpCache
+	fpCache
 }
 
 // NewJoin builds a join node.
@@ -215,7 +215,7 @@ func (j *Join) Eval(db Database) (*relation.Relation, error) {
 }
 
 func (j *Join) fingerprint() *fpVal {
-	return j.fp.val(func() string {
+	return j.fpCache.val(func() string {
 		// Built by concatenation, not fmt: this runs once per candidate
 		// plan the enumerator generates and fmt's reflection dominated
 		// its profile.
@@ -231,7 +231,7 @@ type Select struct {
 	Pred  expr.Pred
 	Input Node
 
-	fp fpCache
+	fpCache
 }
 
 // NewSelect builds a selection node.
@@ -261,7 +261,7 @@ func (s *Select) Eval(db Database) (*relation.Relation, error) {
 }
 
 func (s *Select) fingerprint() *fpVal {
-	return s.fp.val(func() string {
+	return s.fpCache.val(func() string {
 		return "SEL[" + predKey(s.Pred) + "](" + Key(s.Input) + ")"
 	})
 }
@@ -299,7 +299,7 @@ type GenSel struct {
 	Preserved []PreservedSpec
 	Input     Node
 
-	fp fpCache
+	fpCache
 }
 
 // NewGenSel builds a generalized selection node with canonically
@@ -338,7 +338,7 @@ func (g *GenSel) Eval(db Database) (*relation.Relation, error) {
 }
 
 func (g *GenSel) fingerprint() *fpVal {
-	return g.fp.val(func() string {
+	return g.fpCache.val(func() string {
 		return "GS[" + predKey(g.Pred) + "; " + specsKey(g.Preserved) + "](" + Key(g.Input) + ")"
 	})
 }
@@ -353,7 +353,7 @@ type MGOJNode struct {
 	Preserved []PreservedSpec
 	L, R      Node
 
-	fp fpCache
+	fpCache
 }
 
 // NewMGOJ builds an MGOJ node.
@@ -405,7 +405,7 @@ func (m *MGOJNode) Eval(db Database) (*relation.Relation, error) {
 }
 
 func (m *MGOJNode) fingerprint() *fpVal {
-	return m.fp.val(func() string {
+	return m.fpCache.val(func() string {
 		return "(" + Key(m.L) + " MGOJ[" + predKey(m.Pred) + "; " + specsKey(m.Preserved) + "] " + Key(m.R) + ")"
 	})
 }
@@ -419,7 +419,7 @@ type GroupBy struct {
 	Aggs  []algebra.Aggregate
 	Input Node
 
-	fp fpCache
+	fpCache
 }
 
 // NewGroupBy builds a generalized projection node.
@@ -460,7 +460,7 @@ func (g *GroupBy) Eval(db Database) (*relation.Relation, error) {
 }
 
 func (g *GroupBy) fingerprint() *fpVal {
-	return g.fp.val(func() string {
+	return g.fpCache.val(func() string {
 		keys := make([]string, len(g.Keys))
 		for i, k := range g.Keys {
 			keys[i] = k.String()
@@ -482,7 +482,7 @@ type Project struct {
 	Distinct bool
 	Input    Node
 
-	fp fpCache
+	fpCache
 }
 
 // NewProject builds a projection node.
@@ -519,7 +519,7 @@ func (p *Project) Eval(db Database) (*relation.Relation, error) {
 }
 
 func (p *Project) fingerprint() *fpVal {
-	return p.fp.val(func() string {
+	return p.fpCache.val(func() string {
 		attrs := make([]string, len(p.Attrs))
 		for i, a := range p.Attrs {
 			attrs[i] = a.String()

@@ -51,7 +51,7 @@ type Sort struct {
 	Origin string
 	Input  Node
 
-	fp fpCache
+	fpCache
 }
 
 // NewSort builds a sort node; limit < 0 disables the limit.
@@ -233,7 +233,7 @@ func compareForSort(a, b value.Value) int {
 }
 
 func (s *Sort) fingerprint() *fpVal {
-	return s.fp.val(func() string {
+	return s.fpCache.val(func() string {
 		keys := make([]string, len(s.Keys))
 		for i, k := range s.Keys {
 			keys[i] = k.String()

@@ -25,6 +25,15 @@ func Simplify(n plan.Node) plan.Node {
 	return walk(n, nil)
 }
 
+// IsSimple reports whether n is its own simplification — the paper's
+// standing assumption for Theorem 1. Simplify returns its input
+// untouched when nothing changes, so the common answer costs no
+// rendering; otherwise the cached fingerprints decide.
+func IsSimple(n plan.Node) bool {
+	s := Simplify(n)
+	return s == n || plan.Key(s) == plan.Key(n)
+}
+
 // attrSet is an attribute-level null-rejection set: a row carrying
 // NULL in any member attribute cannot reach the query result.
 type attrSet map[schema.Attribute]bool
