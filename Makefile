@@ -47,15 +47,19 @@ race-exec:
 # executes on — and the spill path: the Run ≡ RunParallel ≡
 # RunVectorized ≡ RunGuarded ≡ RunInstrumentedAdaptive property suites
 # across batch sizes, the shared per-relation image (built once,
-# dropped on Append, never written through), native build/probe swap,
-# delivered-order and every-node-annotated pins, the columnar batch
-# kernels, the grace spill equivalence / determinism / recursion tests,
-# and the same properties observed through Service.Query.
+# dropped on Append, never written through) and its join indexes (built
+# once per key set under concurrency, shared by aliases, dropped with
+# the image), late materialization against plan.Eval (stacked outer
+# joins, swapped and spilled variants), the order-independence of the
+# serving shapes, native build/probe swap, delivered-order and
+# every-node-annotated pins, the columnar batch kernels, the grace spill
+# equivalence / determinism / recursion tests, and the same properties
+# observed through Service.Query.
 race-vec:
-	$(GO) test -race -run 'TestVectorized|TestExecutorSpill|TestBatch|TestVec|TestRunMatchesReference|TestOrderOperatorsAcrossEngines|TestAdapt' \
+	$(GO) test -race -run 'TestVectorized|TestExecutorSpill|TestBatch|TestVec|TestRunMatchesReference|TestOrderOperatorsAcrossEngines|TestAdapt|TestLateMaterialization|TestExecServingOrderIndependent' \
 		./internal/executor/ ./internal/batch/
 	$(GO) test -race -run 'TestImage' ./internal/relation/
-	$(GO) test -race -run 'TestServiceColumnar' .
+	$(GO) test -race -run 'TestServiceColumnar|TestJoinIndex' .
 
 # Focused race run for the order-aware layer: the merge-join and
 # streaming-aggregation equivalence suites (vs their hash twins,

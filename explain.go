@@ -357,11 +357,16 @@ func (r *AnalyzeReport) String() string {
 		fmt.Fprintf(&b, "optimizer phases: %s\n", strings.Join(parts, ", "))
 	}
 	b.WriteString("\n")
-	b.WriteString(plan.IndentAnnotated(r.node, r.ann))
+	b.WriteString(buildField.Replace(plan.IndentAnnotated(r.node, r.ann)))
 	b.WriteString("\ncounters:\n")
 	b.WriteString(r.Metrics.String())
 	return b.String()
 }
+
+// buildField spells a columnar hash join's build_index annotation the
+// way it reads: build=index when the table was the build side's shared
+// join index, build=hash when it was hashed for this request.
+var buildField = strings.NewReplacer(" build_index=1", " build=index", " build_index=0", " build=hash")
 
 // Trace renders the span tree of the run (optimizer phases plus
 // execution), the -trace output.

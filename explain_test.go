@@ -79,6 +79,42 @@ func TestExplainAnalyzeSupplier(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeVectorizedBuildField: on the columnar engine every
+// hash join line says where its table came from — the supplier plan
+// builds on detail95's shared index and hashes the four BANKRUPT
+// suppliers per request — and a decoded report renders the same.
+func TestExplainAnalyzeVectorizedBuildField(t *testing.T) {
+	rep, err := ExplainAnalyzeVectorized(datagen.SupplierQuery(), datagen.Supplier(datagen.DefaultSupplierConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeAnalyzeReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{rep.String(), decoded.String()} {
+		for _, line := range strings.Split(text, "\n") {
+			switch {
+			case strings.Contains(line, "LOJ on "):
+				if !strings.Contains(line, " build=index hash_build_rows=20000") {
+					t.Errorf("outer join over detail95 does not report its shared index: %s", line)
+				}
+			case strings.Contains(line, "JOIN on "):
+				if !strings.Contains(line, " build=hash hash_build_rows=4") {
+					t.Errorf("join over the filtered suppliers does not report a per-request build: %s", line)
+				}
+			}
+		}
+		if strings.Contains(text, "build_index") {
+			t.Error("raw build_index annotation leaked into the rendering")
+		}
+	}
+}
+
 // TestExplainAnalyzeJSONRoundTrip: the machine-readable dump must
 // reconstruct the same annotated plan — same operators, same actual
 // and estimated rows, same counters — and render identically.

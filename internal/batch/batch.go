@@ -26,6 +26,10 @@ package batch
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
+	"slices"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -100,9 +104,9 @@ func (v *Vec) IsNull(i int) bool {
 	return v.Nulls != nil && v.Nulls[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// setNull marks row i NULL, growing the bitmap to cover n rows on
-// first use.
-func (v *Vec) setNull(i, n int) {
+// SetNull marks row i NULL, growing the bitmap to cover n rows on
+// first use. It is for kernels filling a column they are building.
+func (v *Vec) SetNull(i, n int) {
 	if v.Nulls == nil {
 		v.Nulls = make([]uint64, (n+63)>>6)
 	}
@@ -257,93 +261,136 @@ func (v *Vec) EqualRows(i int, o *Vec, j int) bool {
 // Gather returns a new column holding rows sel[0], sel[1], … of v.
 // Index -1 emits a NULL row — the outer-join padding convention.
 func (v *Vec) Gather(sel []int32) Vec {
-	n := len(sel)
 	out := Vec{Phys: v.Phys}
-	fill := func(i int, s int32) bool {
-		if s < 0 || v.IsNull(int(s)) {
-			out.setNull(i, n)
-			return false
-		}
-		return true
-	}
 	switch v.Phys {
 	case PhysInt:
-		out.Ints = make([]int64, n)
-		for i, s := range sel {
-			if fill(i, s) {
-				out.Ints[i] = v.Ints[s]
-			}
-		}
+		out.Ints = gather(v, &out, v.Ints, sel)
 	case PhysFloat:
-		out.Floats = make([]float64, n)
-		for i, s := range sel {
-			if fill(i, s) {
-				out.Floats[i] = v.Floats[s]
-			}
-		}
+		out.Floats = gather(v, &out, v.Floats, sel)
 	case PhysStr:
-		out.Strs = make([]string, n)
-		for i, s := range sel {
-			if fill(i, s) {
-				out.Strs[i] = v.Strs[s]
-			}
-		}
+		out.Strs = gather(v, &out, v.Strs, sel)
 	case PhysBool:
-		out.Bools = make([]bool, n)
-		for i, s := range sel {
-			if fill(i, s) {
-				out.Bools[i] = v.Bools[s]
-			}
-		}
+		out.Bools = gather(v, &out, v.Bools, sel)
 	default:
-		out.Any = make([]value.Value, n)
-		for i, s := range sel {
-			if fill(i, s) {
-				out.Any[i] = v.Any[s]
-			}
-		}
+		out.Any = gather(v, &out, v.Any, sel)
 	}
 	return out
 }
 
-// Rel is a columnar relation: a schema and one equal-length Vec per
+// gather copies v's payload slots at sel into a new payload slice,
+// marking padded (-1) and NULL source rows in out's bitmap.
+func gather[T any](v, out *Vec, src []T, sel []int32) []T {
+	dst := make([]T, len(sel))
+	for i, s := range sel {
+		if s < 0 || v.IsNull(int(s)) {
+			out.SetNull(i, len(sel))
+		} else {
+			dst[i] = src[s]
+		}
+	}
+	return dst
+}
+
+// Rel is a columnar relation: a schema and one equal-length column per
 // attribute.
 //
-// A Rel is read-only once built. Kernels derive new Rels (sharing
-// column vectors where nothing changes, as a projection does) and
-// never write through Cols: a base table's image is shared by every
-// concurrent query that scans it.
+// A column of a derived Rel is either gathered or pending: a view
+// (source Vec, selection vector) that Col gathers the first time a
+// kernel reads it, so a column nothing reads is never copied. Views
+// always name a gathered source — Select and Gather2 compose selection
+// vectors instead of stacking views. Gathering writes into the Rel, so
+// a Rel with pending columns belongs to one goroutine; a shared base
+// image (Of) is fully gathered and read-only: kernels derive new Rels
+// from it and never write through its columns.
 type Rel struct {
 	Schema *schema.Schema
-	Cols   []Vec
 	N      int
+
+	cols []Vec
+	pend []view // nil when every column is gathered
 
 	// src is the row-major relation these exact rows were shaped from,
 	// in this order, possibly under another schema of the same width;
 	// ToRelation hands it back instead of boxing the columns again. Only
 	// FromRelation and As set it — a Rel a kernel derives has none.
 	src *relation.Relation
+	// idx holds the join indexes of a shared image (set by Of, shared by
+	// As aliases, nil on every other Rel).
+	idx *indexes
+}
+
+// view is a column not gathered yet: rows sel (-1 = NULL pad) of src.
+// The zero view marks a gathered column.
+type view struct {
+	src *Vec
+	sel []int32
+}
+
+// NewRel wraps n-row gathered columns as a relation.
+func NewRel(s *schema.Schema, cols []Vec, n int) *Rel {
+	if s.Len() != len(cols) {
+		panic(fmt.Sprintf("batch: schema %s does not fit %d columns", s, len(cols)))
+	}
+	return &Rel{Schema: s, cols: cols, N: n}
+}
+
+// Width returns the number of columns.
+func (r *Rel) Width() int { return len(r.cols) }
+
+// Col returns column c, gathering it first if it is still pending —
+// the one accessor kernels read column payloads through.
+func (r *Rel) Col(c int) *Vec {
+	if r.pend != nil {
+		if p := &r.pend[c]; p.src != nil {
+			r.cols[c] = p.src.Gather(p.sel)
+			*p = view{}
+		}
+	}
+	return &r.cols[c]
 }
 
 // Of returns r's shared columnar image: shaped by FromRelation on the
-// first call, cached on the relation itself, and dropped when the
-// relation is appended to. This is how the vectorized engine scans a
-// base table without re-shaping it per query; exec.image.builds counts
-// the shapings, so a table that keeps being re-shaped shows.
+// first call, cached on the relation itself, and dropped — join indexes
+// included — when the relation is appended to. This is how the
+// vectorized engine scans a base table without re-shaping it per query;
+// exec.image.builds counts the shapings, so a table that keeps being
+// re-shaped shows.
 func Of(r *relation.Relation) *Rel {
 	return r.Image(func(r *relation.Relation) any {
 		obs.Default().Counter("exec.image.builds").Inc()
-		return FromRelation(r)
+		img := FromRelation(r)
+		img.idx = &indexes{}
+		runtime.SetFinalizer(img.idx, func(ix *indexes) {
+			obs.Default().Gauge("exec.index.bytes").Add(-ix.bytes)
+		})
+		return img
 	}).(*Rel)
 }
 
 // As returns the same rows under schema s, which must have r's width —
-// an aliased scan. The column vectors are shared, not copied.
+// an aliased scan. The column vectors (and an image's join indexes) are
+// shared, not copied.
 func (r *Rel) As(s *schema.Schema) *Rel {
-	if s.Len() != len(r.Cols) {
-		panic(fmt.Sprintf("batch: schema %s does not fit %d columns", s, len(r.Cols)))
+	if s.Len() != len(r.cols) {
+		panic(fmt.Sprintf("batch: schema %s does not fit %d columns", s, len(r.cols)))
 	}
-	return &Rel{Schema: s, Cols: r.Cols, N: r.N, src: r.src}
+	return &Rel{Schema: s, cols: r.cols, pend: r.pend, N: r.N, src: r.src, idx: r.idx}
+}
+
+// Project returns the columns at idx under schema s. Nothing is copied
+// or gathered: the output shares gathered vectors and pending views.
+func (r *Rel) Project(s *schema.Schema, idx []int) *Rel {
+	out := &Rel{Schema: s, cols: make([]Vec, len(idx)), N: r.N}
+	if r.pend != nil {
+		out.pend = make([]view, len(idx))
+	}
+	for i, c := range idx {
+		out.cols[i] = r.cols[c]
+		if r.pend != nil {
+			out.pend[i] = r.pend[c]
+		}
+	}
+	return out
 }
 
 // FromRelation re-shapes a row-major relation into columns. Each
@@ -353,7 +400,7 @@ func (r *Rel) As(s *schema.Schema) *Rel {
 // original values round-trip) degrades to PhysAny.
 func FromRelation(r *relation.Relation) *Rel {
 	n, w := r.Len(), r.Schema().Len()
-	out := &Rel{Schema: r.Schema(), Cols: make([]Vec, w), N: n, src: r}
+	out := &Rel{Schema: r.Schema(), cols: make([]Vec, w), N: n, src: r}
 	phys := make([]Phys, w)
 	sniffed := make([]bool, w)
 	for _, t := range r.Tuples() {
@@ -380,7 +427,7 @@ func FromRelation(r *relation.Relation) *Rel {
 		}
 	}
 	for c := 0; c < w; c++ {
-		col := &out.Cols[c]
+		col := &out.cols[c]
 		col.Phys = phys[c]
 		switch phys[c] {
 		case PhysInt:
@@ -397,7 +444,7 @@ func FromRelation(r *relation.Relation) *Rel {
 		for i, t := range r.Tuples() {
 			v := t[c]
 			if v.IsNull() {
-				col.setNull(i, n)
+				col.SetNull(i, n)
 				continue
 			}
 			switch phys[c] {
@@ -417,13 +464,25 @@ func FromRelation(r *relation.Relation) *Rel {
 	return out
 }
 
+// FromValues shapes one column from boxed values, sniffing its physical
+// kind the way FromRelation does.
+func FromValues(vals []value.Value) Vec {
+	rows := make([]relation.Tuple, len(vals))
+	for i := range vals {
+		rows[i] = vals[i : i+1 : i+1]
+	}
+	r := relation.New(schema.New(schema.Attribute{}))
+	r.AppendAll(rows)
+	return FromRelation(r).cols[0]
+}
+
 // ToRelation returns the rows as a row-major relation. A Rel that still
 // is what FromRelation shaped — a scanned base table, the output of a
 // tuple-engine fallback — returns its source (re-labelled when the
-// schema is an alias) without touching a value. Anything else is boxed:
-// tuples are carved from one flat arena allocation (n×width values)
-// rather than allocated per row. Callers must treat the result as
-// read-only, as they must any operator input.
+// schema is an alias) without touching a value. Anything else is
+// gathered and boxed: tuples are carved from one flat arena allocation
+// (n×width values) rather than allocated per row. Callers must treat
+// the result as read-only, as they must any operator input.
 func (r *Rel) ToRelation() *relation.Relation {
 	if r.src != nil {
 		if r.src.Schema() == r.Schema {
@@ -442,8 +501,8 @@ func (r *Rel) ToRelation() *relation.Relation {
 		return out
 	}
 	arena := make([]value.Value, r.N*w)
-	for c := range r.Cols {
-		col := &r.Cols[c]
+	for c := range r.cols {
+		col := r.Col(c)
 		for i := 0; i < r.N; i++ {
 			arena[i*w+c] = col.At(i)
 		}
@@ -458,77 +517,208 @@ func (r *Rel) ToRelation() *relation.Relation {
 
 // Tuple boxes row i into a freshly allocated tuple.
 func (r *Rel) Tuple(i int) relation.Tuple {
-	t := make(relation.Tuple, len(r.Cols))
-	for c := range r.Cols {
-		t[c] = r.Cols[c].At(i)
-	}
+	t := make(relation.Tuple, len(r.cols))
+	r.ReadTuple(i, t)
 	return t
 }
 
-// ReadTuple fills dst (of schema width) with row i without allocating.
+// ReadTuple fills dst (of schema width) with row i without allocating
+// (beyond gathering columns that were still pending).
 func (r *Rel) ReadTuple(i int, dst relation.Tuple) {
-	for c := range r.Cols {
-		dst[c] = r.Cols[c].At(i)
+	for c := range r.cols {
+		dst[c] = r.Col(c).At(i)
 	}
 }
 
-// Select materializes the rows named by a selection vector into a new
-// columnar relation (sel must not contain -1; use Gather2 for padded
-// join output).
+// Select returns the rows named by a selection vector as a new
+// relation of pending columns (sel must not contain -1; use Gather2 for
+// padded join output).
 func (r *Rel) Select(sel []int32) *Rel {
-	out := &Rel{Schema: r.Schema, Cols: make([]Vec, len(r.Cols)), N: len(sel)}
-	for c := range r.Cols {
-		out.Cols[c] = r.Cols[c].Gather(sel)
-	}
+	out := &Rel{Schema: r.Schema, cols: make([]Vec, len(r.cols)), pend: make([]view, len(r.cols)), N: len(sel)}
+	r.viewInto(out.pend, sel)
 	return out
+}
+
+// viewInto fills dst with views of r's columns at rows sel. A gathered
+// column is viewed directly; a pending one through its own selection
+// composed with sel (-1 stays -1), composed once per distinct upstream
+// selection vector.
+func (r *Rel) viewInto(dst []view, sel []int32) {
+	var memo [][2][]int32 // upstream selection → its composition with sel
+	for c := range r.cols {
+		if r.pend == nil || r.pend[c].src == nil {
+			dst[c] = view{&r.cols[c], sel}
+			continue
+		}
+		up := r.pend[c].sel
+		var comp []int32
+		for _, m := range memo {
+			if len(up) > 0 && &m[0][0] == &up[0] {
+				comp = m[1]
+				break
+			}
+		}
+		if comp == nil {
+			comp = make([]int32, len(sel))
+			for k, s := range sel {
+				if comp[k] = -1; s >= 0 {
+					comp[k] = up[s]
+				}
+			}
+			if len(up) > 0 {
+				memo = append(memo, [2][]int32{up, comp})
+			}
+		}
+		dst[c] = view{r.pend[c].src, comp}
+	}
 }
 
 // KeyHashes computes per-row key hashes over the columns at idx,
 // matching Tuple.HashOn bit-for-bit. With nullMatches=false (join
 // keys) a row with any NULL key column gets ok[i]=false and must not
 // be probed or inserted; with nullMatches=true (grouping keys) NULL
-// participates via value.HashNull and every row is ok.
+// participates via value.HashNull, every row qualifies and ok is nil.
 func (r *Rel) KeyHashes(idx []int, nullMatches bool) (hs []uint64, ok []bool) {
 	hs = make([]uint64, r.N)
 	for i := range hs {
 		hs[i] = value.HashSeed
 	}
-	ok = make([]bool, r.N)
-	for i := range ok {
-		ok[i] = true
+	if !nullMatches {
+		ok = make([]bool, r.N)
+		for i := range ok {
+			ok[i] = true
+		}
 	}
 	for _, c := range idx {
-		r.Cols[c].HashInto(hs, ok, nullMatches)
+		r.Col(c).HashInto(hs, ok, nullMatches)
 	}
 	return hs, ok
 }
 
-// EqualOn reports pointwise value.Equal between this relation's row i
-// at columns idx and o's row j at columns oidx — the columnar
-// Tuple.EqualOn, used to verify key-hash bucket hits.
-func (r *Rel) EqualOn(i int, o *Rel, j int, idx, oidx []int) bool {
+// Keys are key columns picked out of a relation (gathered), so a
+// row-at-a-time kernel loop reads them without going through Col.
+type Keys []*Vec
+
+// Keys returns the columns at idx.
+func (r *Rel) Keys(idx []int) Keys {
+	ks := make(Keys, len(idx))
 	for k, c := range idx {
-		if !r.Cols[c].EqualRows(i, &o.Cols[oidx[k]], j) {
+		ks[k] = r.Col(c)
+	}
+	return ks
+}
+
+// Equal reports pointwise value.Equal between row i of these key
+// columns and row j of o's — the columnar Tuple.EqualOn, used to verify
+// key-hash bucket hits.
+func (ks Keys) Equal(i int, o Keys, j int) bool {
+	for k, v := range ks {
+		if !v.EqualRows(i, o[k], j) {
 			return false
 		}
 	}
 	return true
 }
 
-// Gather2 builds a joined columnar relation over schema s (left's
-// columns then right's): row k is left row lsel[k] concatenated with
-// right row rsel[k], with -1 NULL-padding either side — inner matches
-// and outer-join padding come out of the same kernel.
+// Gather2 returns the joined relation over schema s (left's columns
+// then right's): row k is left row lsel[k] concatenated with right row
+// rsel[k], with -1 NULL-padding either side — inner matches and
+// outer-join padding come out of the same selection vectors. Every
+// output column is pending.
 func Gather2(s *schema.Schema, l *Rel, lsel []int32, rt *Rel, rsel []int32) *Rel {
 	if len(lsel) != len(rsel) {
 		panic("batch: Gather2 selection vectors disagree")
 	}
-	out := &Rel{Schema: s, Cols: make([]Vec, 0, len(l.Cols)+len(rt.Cols)), N: len(lsel)}
-	for c := range l.Cols {
-		out.Cols = append(out.Cols, l.Cols[c].Gather(lsel))
-	}
-	for c := range rt.Cols {
-		out.Cols = append(out.Cols, rt.Cols[c].Gather(rsel))
-	}
+	w := len(l.cols) + len(rt.cols)
+	out := &Rel{Schema: s, cols: make([]Vec, w), pend: make([]view, w), N: len(lsel)}
+	l.viewInto(out.pend[:len(l.cols)], lsel)
+	rt.viewInto(out.pend[len(l.cols):], rsel)
 	return out
+}
+
+// JoinIndex is a hash-join build side over one key-column set: per-row
+// key hashes (OK[i] false where a key is NULL and the row can never
+// match) and, once chained, an array-chained hash table — Head per
+// slot, Next per row, rows with equal slots linked in ascending row
+// order so matches emerge in build-row order.
+type JoinIndex struct {
+	keys   []int
+	Hashes []uint64
+	OK     []bool
+
+	Head, Next []int32
+	Mask       uint64
+	Rows       int // rows chained (those with no NULL key)
+}
+
+// indexes are the join indexes a shared image owns, one per key-column
+// set, built on first use under mu and dropped with the image.
+type indexes struct {
+	mu    sync.Mutex
+	list  []*JoinIndex
+	bytes int64
+}
+
+// JoinIndex returns r's key hashes over the columns at keys and, when
+// chained is set, the hash table over them. A shared image builds each
+// once — hashes on the first join that probes or builds with those
+// keys, chains on the first that builds (counted on exec.index.builds;
+// exec.index.bytes gauges the memory, which belongs to the image, not
+// to a request) — and reports shared=true; any other Rel computes them
+// for this call.
+func (r *Rel) JoinIndex(keys []int, chained bool) (ix *JoinIndex, shared bool) {
+	if r.idx == nil {
+		ix = &JoinIndex{}
+		ix.Hashes, ix.OK = r.KeyHashes(keys, false)
+		if chained {
+			ix.chain()
+		}
+		return ix, false
+	}
+	r.idx.mu.Lock()
+	defer r.idx.mu.Unlock()
+	for _, have := range r.idx.list {
+		if slices.Equal(have.keys, keys) {
+			ix = have
+			break
+		}
+	}
+	grown := 0
+	if ix == nil {
+		ix = &JoinIndex{keys: slices.Clone(keys)}
+		ix.Hashes, ix.OK = r.KeyHashes(keys, false)
+		r.idx.list = append(r.idx.list, ix)
+		grown = 9 * r.N
+	}
+	if chained && ix.Head == nil {
+		ix.chain()
+		obs.Default().Counter("exec.index.builds").Inc()
+		grown += 4 * (len(ix.Head) + len(ix.Next))
+	}
+	if grown > 0 {
+		r.idx.bytes += int64(grown)
+		obs.Default().Gauge("exec.index.bytes").Add(int64(grown))
+	}
+	return ix, true
+}
+
+// chain builds the table. Insertion prepends, so rows are inserted in
+// reverse and each chain iterates in ascending row order.
+func (ix *JoinIndex) chain() {
+	n := len(ix.Hashes)
+	ix.Head = make([]int32, 1<<bits.Len(uint(2*n+1))) // ≥ 2n+2 slots
+	ix.Mask = uint64(len(ix.Head) - 1)
+	for i := range ix.Head {
+		ix.Head[i] = -1
+	}
+	ix.Next = make([]int32, n)
+	for j := n - 1; j >= 0; j-- {
+		if !ix.OK[j] {
+			continue
+		}
+		s := ix.Hashes[j] & ix.Mask
+		ix.Next[j] = ix.Head[s]
+		ix.Head[s] = int32(j)
+		ix.Rows++
+	}
 }

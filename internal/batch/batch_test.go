@@ -54,8 +54,8 @@ func TestBatchRoundTrip(t *testing.T) {
 	// degrades to PhysAny. Column order: i f s b mix #rid.
 	want := []Phys{PhysInt, PhysFloat, PhysStr, PhysBool, PhysAny, PhysInt}
 	for c, p := range want {
-		if col.Cols[c].Phys != p {
-			t.Errorf("col %d phys = %s, want %s", c, col.Cols[c].Phys, p)
+		if col.Col(c).Phys != p {
+			t.Errorf("col %d phys = %s, want %s", c, col.Col(c).Phys, p)
 		}
 	}
 	if col.ToRelation() != in {
@@ -101,10 +101,10 @@ func TestBatchKeyHashesMatchTupleHashOn(t *testing.T) {
 	// Grouping form: NULL participates; hash must match the boxed
 	// HashCombine chain with HashNull for NULL slots.
 	ghs, gok := col.KeyHashes(idx, true)
+	if gok != nil {
+		t.Fatal("grouping keys qualify every row: ok must be nil")
+	}
 	for i, tup := range in.Tuples() {
-		if !gok[i] {
-			t.Fatalf("row %d: grouping hash not ok", i)
-		}
 		h := value.HashSeed
 		for _, c := range idx {
 			h = value.HashCombine(h, tup[c].Hash64())
@@ -119,12 +119,12 @@ func TestBatchGatherPadsNulls(t *testing.T) {
 	in := randRel(t, 50, 3)
 	col := FromRelation(in)
 	sel := []int32{4, -1, 0, 49, -1}
-	for c := range col.Cols {
-		g := col.Cols[c].Gather(sel)
+	for c := 0; c < col.Width(); c++ {
+		g := col.Col(c).Gather(sel)
 		for i, s := range sel {
 			var want value.Value
 			if s >= 0 {
-				want = col.Cols[c].At(int(s))
+				want = col.Col(c).At(int(s))
 			} else {
 				want = value.Null
 			}
@@ -147,7 +147,7 @@ func TestBatchEqualRows(t *testing.T) {
 		t.Fatal("7 == 8?")
 	}
 	nv := Vec{Phys: PhysInt, Ints: []int64{0, 5}}
-	nv.setNull(0, 2)
+	nv.SetNull(0, 2)
 	if !nv.IsNull(0) || nv.IsNull(1) {
 		t.Fatal("null bitmap wrong")
 	}
@@ -155,7 +155,7 @@ func TestBatchEqualRows(t *testing.T) {
 		t.Fatal("NULL == 3?")
 	}
 	nv2 := Vec{Phys: PhysStr, Strs: []string{""}}
-	nv2.setNull(0, 1)
+	nv2.SetNull(0, 1)
 	if !nv.EqualRows(0, &nv2, 0) {
 		t.Fatal("NULL must be identical to NULL for grouping equality")
 	}
@@ -185,15 +185,15 @@ func TestBatchGather2PadsSides(t *testing.T) {
 // sameRel reports whether two columnar relations hold the same schema,
 // physical column kinds and values, row by row.
 func sameRel(a, b *Rel) bool {
-	if a.N != b.N || len(a.Cols) != len(b.Cols) || a.Schema.String() != b.Schema.String() {
+	if a.N != b.N || a.Width() != b.Width() || a.Schema.String() != b.Schema.String() {
 		return false
 	}
-	for c := range a.Cols {
-		if a.Cols[c].Phys != b.Cols[c].Phys {
+	for c := 0; c < a.Width(); c++ {
+		if a.Col(c).Phys != b.Col(c).Phys {
 			return false
 		}
 		for i := 0; i < a.N; i++ {
-			if !value.Equal(a.Cols[c].At(i), b.Cols[c].At(i)) {
+			if !value.Equal(a.Col(c).At(i), b.Col(c).At(i)) {
 				return false
 			}
 		}
@@ -253,8 +253,8 @@ func TestBatchImageAlias(t *testing.T) {
 	if view.Schema != renamed || view.N != img.N {
 		t.Fatal("alias view has the wrong schema or length")
 	}
-	for c := range view.Cols {
-		if view.Cols[c].Phys == PhysInt && &view.Cols[c].Ints[0] != &img.Cols[c].Ints[0] {
+	for c := 0; c < view.Width(); c++ {
+		if view.Col(c).Phys == PhysInt && &view.Col(c).Ints[0] != &img.Col(c).Ints[0] {
 			t.Fatalf("col %d was copied, not shared", c)
 		}
 	}
@@ -269,5 +269,110 @@ func TestBatchImageAlias(t *testing.T) {
 	}
 	if Of(in) != img {
 		t.Fatal("aliasing disturbed the cached image")
+	}
+}
+
+// TestBatchPendingColumnsCompose: Select and Gather2 over derived
+// relations compose selection vectors instead of gathering — stacked
+// three deep, -1 padding carried through — and reading one column
+// gathers that column only.
+func TestBatchPendingColumnsCompose(t *testing.T) {
+	in := randRel(t, 60, 6)
+	img := FromRelation(in)
+	attrs := in.Schema().Attrs()
+	for i := range attrs {
+		attrs[i].Rel = "u"
+	}
+	right := img.As(schema.New(attrs...))
+	a := img.Select([]int32{5, 7, 9, 11, 13})
+	b := Gather2(a.Schema.Concat(right.Schema), a, []int32{4, -1, 0, 2}, right, []int32{1, 3, -1, 3})
+	c := b.Select([]int32{3, 1, 2})
+	want := [][2]int{{9, 3}, {-1, 3}, {5, -1}} // (row of in on the left, on the right)
+	w := img.Width()
+	for k, rows := range want {
+		got := c.Tuple(k)
+		for side, row := range rows {
+			for col := 0; col < w; col++ {
+				v := got[side*w+col]
+				if row < 0 {
+					if !v.IsNull() {
+						t.Fatalf("row %d side %d col %d: padding lost: %v", k, side, col, v)
+					}
+				} else if !value.Equal(v, in.Tuple(row)[col]) {
+					t.Fatalf("row %d side %d col %d: %v, want %v", k, side, col, v, in.Tuple(row)[col])
+				}
+			}
+		}
+	}
+
+	d := b.Select([]int32{0, 2})
+	if d.Col(1).Len() != 2 {
+		t.Fatal("gathered column has the wrong length")
+	}
+	for col := 0; col < d.Width(); col++ {
+		if pending := d.pend[col].src != nil; pending != (col != 1) {
+			t.Fatalf("col %d pending=%v after reading column 1 only", col, pending)
+		}
+	}
+	if img.pend != nil || a.pend[0].src != &img.cols[0] {
+		t.Fatal("views must name the gathered source column, never another view")
+	}
+}
+
+// TestBatchJoinIndex: a shared image builds the index for a key set
+// once however many joins race for it, aliases share it, each chain
+// lists its rows in ascending order, and a Rel that is not an image
+// computes a private one.
+func TestBatchJoinIndex(t *testing.T) {
+	in := randRel(t, 200, 7)
+	img := Of(in)
+	builds := obs.Default().Counter("exec.index.builds")
+	before := builds.Value()
+	keys := []int{0, 2}
+	first, shared := img.JoinIndex(keys, false) // a probe: hashes only
+	if !shared || first.Head != nil || builds.Value() != before {
+		t.Fatal("probing an image must cache its key hashes without building the table")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if ix, shared := img.As(img.Schema).JoinIndex(keys, true); ix != first || !shared {
+				t.Error("concurrent JoinIndex returned a different index")
+			}
+		}()
+	}
+	wg.Wait()
+	if got := builds.Value() - before; got != 1 {
+		t.Fatalf("index built %d times, want 1", got)
+	}
+	if other, _ := img.JoinIndex([]int{1}, true); other == first || builds.Value()-before != 2 {
+		t.Fatal("another key set must get an index of its own")
+	}
+
+	hs, ok := img.KeyHashes(keys, false)
+	rows := 0
+	for s := range first.Head {
+		last := int32(-1)
+		for j := first.Head[s]; j >= 0; j = first.Next[j] {
+			if j <= last || !ok[j] || hs[j]&first.Mask != uint64(s) {
+				t.Fatalf("slot %d: row %d after %d (ok=%v)", s, j, last, ok[j])
+			}
+			last = j
+			rows++
+		}
+	}
+	if rows != first.Rows || rows == 0 || rows == img.N {
+		t.Fatalf("chained %d rows, index says %d of %d (NULL keys stay out)", rows, first.Rows, img.N)
+	}
+
+	own, shared := FromRelation(in).JoinIndex(keys, true)
+	if shared || own == first || own.Rows != first.Rows {
+		t.Fatal("a non-image Rel must build a private, equal index")
+	}
+	in.Append(in.Tuple(0).Clone())
+	if again, _ := Of(in).JoinIndex(keys, true); again == first || len(again.Hashes) != in.Len() {
+		t.Fatal("Append must drop the index with the image")
 	}
 }

@@ -109,19 +109,25 @@ func Deltas(fn func()) map[string]int64 {
 	return d.Counters
 }
 
-// Gate is one regression check: Candidate must not exceed Baseline by
-// more than Tolerance (a time ratio, e.g. 1.10 for +10%).
+// Gate is one regression check: Candidate must not exceed
+// Baseline×Tolerance + Floor.
 type Gate struct {
 	// Label names the check in the failure message, e.g.
 	// "parallel SaturateQ5 vs serial".
 	Label     string
 	Candidate Result
 	Baseline  Result
+	// Tolerance is the allowed time ratio, e.g. 1.10 for +10%.
 	Tolerance float64
+	// Floor is an absolute slack in milliseconds per operation on top of
+	// the ratio. An overhead gate needs one when the overhead is a fixed
+	// cost per operation: once the operation itself gets fast, that cost
+	// reads as a large ratio although nothing got slower.
+	Floor float64
 }
 
 // Check evaluates the gates in order and returns an error describing
-// the first failure, or nil when every candidate is within tolerance.
+// the first failure, or nil when every candidate is within its bound.
 // Gates whose candidate or baseline has zero iterations are skipped:
 // a zero-iteration Result means the workload was filtered out with
 // -workload and there is nothing to compare.
@@ -130,10 +136,11 @@ func Check(gates ...Gate) error {
 		if g.Candidate.Iterations == 0 || g.Baseline.Iterations == 0 {
 			continue
 		}
-		if ratio := g.Candidate.MsPerOp / g.Baseline.MsPerOp; ratio > g.Tolerance {
-			return fmt.Errorf("FAIL %s is %.2fx the baseline time (tolerance %.2fx)",
-				g.Label, ratio, g.Tolerance)
+		if g.Candidate.MsPerOp <= g.Baseline.MsPerOp*g.Tolerance+g.Floor {
+			continue
 		}
+		return fmt.Errorf("FAIL %s is %.2fx the baseline time (tolerance %.2fx + %.3f ms)",
+			g.Label, g.Candidate.MsPerOp/g.Baseline.MsPerOp, g.Tolerance, g.Floor)
 	}
 	return nil
 }

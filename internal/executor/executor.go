@@ -264,6 +264,11 @@ type joinProbe struct {
 
 	BuildSwapped   bool // adaptive build/probe swap fired pre-probe
 	SpillEscalated bool // adaptive escalation to the grace/spill join
+
+	// Build says where a columnar hash join's table came from: "index"
+	// (the build image's shared join index) or "hash" (built for this
+	// request); empty for every other join.
+	Build string
 }
 
 // flushArenas folds arena totals into the probe and the run's

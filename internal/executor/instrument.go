@@ -183,6 +183,12 @@ func recordJoinProbe(a *plan.Annotation, st *joinProbe, reg *obs.Registry) {
 	if st.SpillEscalated {
 		a.AddExtra("spill_escalated", 1)
 	}
+	switch st.Build { // EXPLAIN ANALYZE renders it build=index|hash
+	case "index":
+		a.AddExtra("build_index", 1)
+	case "hash":
+		a.AddExtra("build_index", 0)
+	}
 	reg.Counter("executor.hash_build_rows").Add(int64(st.BuildRows))
 	reg.Counter("executor.residual_evals").Add(int64(st.ResidualEvals))
 	reg.Counter("executor.null_padded").Add(int64(st.NullPadded))

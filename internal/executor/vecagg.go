@@ -127,16 +127,15 @@ func (e *vecEngine) compileCmp(c expr.Cmp, in *batch.Rel) func([]int32) []int32 
 		if ci < 0 {
 			return nil
 		}
-		v := &in.Cols[ci]
 		switch rc := r.(type) {
 		case expr.Const:
-			return e.colConstKernel(op, v, rc.Val)
+			return e.colConstKernel(op, in.Col(ci), rc.Val)
 		case expr.Col:
 			cj := in.Schema.IndexOf(rc.Attr)
 			if cj < 0 {
 				return nil
 			}
-			return e.colColKernel(op, v, &in.Cols[cj])
+			return e.colColKernel(op, in.Col(ci), in.Col(cj))
 		}
 	}
 	return nil
@@ -247,10 +246,10 @@ func (e *vecEngine) colColKernel(op value.CmpOp, a, b *batch.Vec) func([]int32) 
 }
 
 // vecProject projects to attrs. The non-distinct case is zero-copy:
-// the output relation shares the input's column vectors. DISTINCT
-// dedupes on the projected columns' key hashes (NULL identical to
-// NULL, like relation.Project's tuple set) keeping first occurrences
-// in input order.
+// the output relation shares the input's column vectors and pending
+// views. DISTINCT dedupes on the projected columns' key hashes (NULL
+// identical to NULL, like relation.Project's tuple set) keeping first
+// occurrences in input order.
 func (e *vecEngine) vecProject(attrs []schema.Attribute, distinct bool, in *batch.Rel) (*batch.Rel, error) {
 	idx := make([]int, len(attrs))
 	for i, a := range attrs {
@@ -259,10 +258,7 @@ func (e *vecEngine) vecProject(attrs []schema.Attribute, distinct bool, in *batc
 			panic(fmt.Sprintf("executor: project on missing attribute %s", a))
 		}
 	}
-	proj := &batch.Rel{Schema: schema.New(attrs...), Cols: make([]batch.Vec, len(idx)), N: in.N}
-	for i, j := range idx {
-		proj.Cols[i] = in.Cols[j]
-	}
+	proj := in.Project(schema.New(attrs...), idx)
 	if !distinct {
 		return proj, nil
 	}
@@ -271,6 +267,7 @@ func (e *vecEngine) vecProject(attrs []schema.Attribute, distinct bool, in *batc
 		all[i] = i
 	}
 	hs, _ := proj.KeyHashes(all, true)
+	ks := proj.Keys(all)
 	seen := make(map[uint64][]int32)
 	sel := make([]int32, 0, in.N)
 	for i := 0; i < in.N; i++ {
@@ -280,7 +277,7 @@ func (e *vecEngine) vecProject(attrs []schema.Attribute, distinct bool, in *batc
 		h := hs[i]
 		dup := false
 		for _, j := range seen[h] {
-			if proj.EqualOn(i, proj, int(j), all, all) {
+			if ks.Equal(i, ks, int(j)) {
 				dup = true
 				break
 			}
@@ -315,7 +312,9 @@ func (e *vecEngine) checkBatch(i int) error {
 // column, never box a value. Distinct aggregates, non-column
 // arguments and mixed-kind columns accumulate through the shared
 // algebra.AggState, so results are bit-identical to the tuple engine
-// (float sums fold in input order in both passes).
+// (float sums fold in input order in both passes). The output is
+// columnar from the start: each key column is one gather of the
+// groups' first rows, each aggregate a column of its own.
 func (e *vecEngine) vecGroupBy(keys []schema.Attribute, aggs []algebra.Aggregate, in *batch.Rel) (*batch.Rel, error) {
 	keyIdx := make([]int, len(keys))
 	for i, a := range keys {
@@ -332,15 +331,16 @@ func (e *vecEngine) vecGroupBy(keys []schema.Attribute, aggs []algebra.Aggregate
 
 	// Pass 1: dense group ids, first-seen order. The group table is
 	// open-addressed over the key hashes (cached per group, so probes
-	// compare a uint64 before EqualOn verifies) — no per-row map
-	// traffic.
+	// compare a uint64 before Keys.Equal verifies) — no per-row map
+	// traffic — and doubles as groups fill it, so it is sized by the
+	// number of groups, not of input rows.
 	hs, _ := in.KeyHashes(keyIdx, true)
+	ks := in.Keys(keyIdx)
 	groupOf := make([]int32, in.N)
 	var firstRow []int32
 	var ghash []uint64
-	P := nextPow2(2*in.N + 2)
-	mask := uint64(P - 1)
-	slots := make([]int32, P)
+	slots := make([]int32, 64)
+	mask := uint64(len(slots) - 1)
 	for i := range slots {
 		slots[i] = -1
 	}
@@ -360,12 +360,26 @@ func (e *vecEngine) vecGroupBy(keys []schema.Attribute, aggs []algebra.Aggregate
 				slots[s] = g
 				break
 			}
-			if ghash[g] == h && in.EqualOn(i, in, int(firstRow[g]), keyIdx, keyIdx) {
+			if ghash[g] == h && ks.Equal(i, ks, int(firstRow[g])) {
 				break
 			}
 			s = (s + 1) & mask
 		}
 		groupOf[i] = g
+		if 2*len(firstRow) > len(slots) {
+			slots = make([]int32, 2*len(slots))
+			mask = uint64(len(slots) - 1)
+			for s := range slots {
+				slots[s] = -1
+			}
+			for g, h := range ghash {
+				s := h & mask
+				for slots[s] >= 0 {
+					s = (s + 1) & mask
+				}
+				slots[s] = int32(g)
+			}
+		}
 	}
 	ngroups := len(firstRow)
 
@@ -384,158 +398,110 @@ func (e *vecEngine) vecGroupBy(keys []schema.Attribute, aggs []algebra.Aggregate
 	}
 
 	// Pass 2: one accumulation loop per aggregate.
-	results := make([][]value.Value, len(aggs))
-	for ai, a := range aggs {
-		res, typed := e.vecAggTyped(a, in, groupOf, ngroups)
+	cols := make([]batch.Vec, 0, len(keys)+len(aggs))
+	for _, k := range ks {
+		cols = append(cols, k.Gather(firstRow))
+	}
+	for _, a := range aggs {
+		res, typed := vecAggTyped(a, in, groupOf, ngroups)
 		if !typed {
 			e.reg.Counter("exec.vector.agg.generic").Inc()
 			res = vecAggGeneric(a, in, groupOf, ngroups)
 		}
-		results[ai] = res
+		cols = append(cols, res)
 	}
-
-	out := relation.New(outSchema)
-	w := len(keys) + len(aggs)
-	arena := make([]value.Value, ngroups*w)
-	rows := make([]relation.Tuple, ngroups)
-	for g := 0; g < ngroups; g++ {
-		row := relation.Tuple(arena[g*w : (g+1)*w : (g+1)*w])
-		for i, c := range keyIdx {
-			row[i] = in.Cols[c].At(int(firstRow[g]))
-		}
-		for ai := range aggs {
-			row[len(keys)+ai] = results[ai][g]
-		}
-		rows[g] = row
-	}
-	out.AppendAll(rows)
-	return batch.FromRelation(out), nil
+	return batch.NewRel(outSchema, cols, ngroups), nil
 }
 
 // vecAggTyped accumulates one aggregate with unboxed loops when the
 // aggregate is COUNT(*) or a plain COUNT/SUM/AVG/MIN/MAX over a
 // monomorphic int or float column. Reports typed=false otherwise.
-func (e *vecEngine) vecAggTyped(a algebra.Aggregate, in *batch.Rel, groupOf []int32, ngroups int) ([]value.Value, bool) {
+func vecAggTyped(a algebra.Aggregate, in *batch.Rel, groupOf []int32, ngroups int) (batch.Vec, bool) {
+	n := make([]int64, ngroups) // rows (COUNT(*)) or non-NULL arguments per group
 	if a.Func == algebra.CountStar {
-		n := make([]int64, ngroups)
 		for _, g := range groupOf {
 			n[g]++
 		}
-		return finishCounts(n, a.NullIfEmpty), true
+		return countVec(n, a.NullIfEmpty), true
 	}
 	col, ok := a.Arg.(expr.Col)
 	if !ok {
-		return nil, false
+		return batch.Vec{}, false
 	}
 	ci := in.Schema.IndexOf(col.Attr)
 	if ci < 0 {
-		return nil, false
+		return batch.Vec{}, false
 	}
-	v := &in.Cols[ci]
 	switch a.Func {
 	case algebra.Count, algebra.Sum, algebra.Avg, algebra.Min, algebra.Max:
 	default:
-		return nil, false // distinct forms track a value set; use AggState
+		return batch.Vec{}, false // distinct forms track a value set; use AggState
 	}
-	switch v.Phys {
-	case batch.PhysInt:
-		n := make([]int64, ngroups)
-		sumI := make([]int64, ngroups)
-		sumF := make([]float64, ngroups)
-		mn := make([]int64, ngroups)
-		mx := make([]int64, ngroups)
-		for i := 0; i < in.N; i++ {
-			if v.IsNull(i) {
-				continue
-			}
-			g := groupOf[i]
-			x := v.Ints[i]
-			if n[g] == 0 || x < mn[g] {
-				mn[g] = x
-			}
-			if n[g] == 0 || x > mx[g] {
-				mx[g] = x
-			}
-			n[g]++
-			sumI[g] += x
-			sumF[g] += float64(x)
-		}
-		out := make([]value.Value, ngroups)
-		for g := range out {
-			switch {
-			case n[g] == 0:
-				if a.Func == algebra.Count && !a.NullIfEmpty {
-					out[g] = value.NewInt(0)
-				} else {
-					out[g] = value.Null
-				}
-			case a.Func == algebra.Count:
-				out[g] = value.NewInt(n[g])
-			case a.Func == algebra.Sum:
-				out[g] = value.NewInt(sumI[g])
-			case a.Func == algebra.Avg:
-				out[g] = value.NewFloat(sumF[g] / float64(n[g]))
-			case a.Func == algebra.Min:
-				out[g] = value.NewInt(mn[g])
-			default:
-				out[g] = value.NewInt(mx[g])
-			}
-		}
-		return out, true
-	case batch.PhysFloat:
-		n := make([]int64, ngroups)
-		sumF := make([]float64, ngroups)
-		mn := make([]float64, ngroups)
-		mx := make([]float64, ngroups)
-		for i := 0; i < in.N; i++ {
-			if v.IsNull(i) {
-				continue
-			}
-			g := groupOf[i]
-			x := v.Floats[i]
-			if n[g] == 0 || x < mn[g] {
-				mn[g] = x
-			}
-			if n[g] == 0 || x > mx[g] {
-				mx[g] = x
-			}
-			n[g]++
-			sumF[g] += x
-		}
-		out := make([]value.Value, ngroups)
-		for g := range out {
-			switch {
-			case n[g] == 0:
-				if a.Func == algebra.Count && !a.NullIfEmpty {
-					out[g] = value.NewInt(0)
-				} else {
-					out[g] = value.Null
-				}
-			case a.Func == algebra.Count:
-				out[g] = value.NewInt(n[g])
-			case a.Func == algebra.Sum:
-				out[g] = value.NewFloat(sumF[g])
-			case a.Func == algebra.Avg:
-				out[g] = value.NewFloat(sumF[g] / float64(n[g]))
-			case a.Func == algebra.Min:
-				out[g] = value.NewFloat(mn[g])
-			default:
-				out[g] = value.NewFloat(mx[g])
-			}
-		}
-		return out, true
+	v := in.Col(ci)
+	if v.Phys != batch.PhysInt && v.Phys != batch.PhysFloat {
+		return batch.Vec{}, false
 	}
-	return nil, false
+	if a.Func == algebra.Count {
+		for i, g := range groupOf {
+			if !v.IsNull(i) {
+				n[g]++
+			}
+		}
+		return countVec(n, a.NullIfEmpty), true
+	}
+	var out batch.Vec
+	switch {
+	case v.Phys == batch.PhysInt && a.Func == algebra.Avg:
+		// AggState averages ints through a float64 sum; so does this.
+		out = batch.Vec{Phys: batch.PhysFloat, Floats: make([]float64, ngroups)}
+		for i, x := range v.Ints {
+			if !v.IsNull(i) {
+				n[groupOf[i]]++
+				out.Floats[groupOf[i]] += float64(x)
+			}
+		}
+	case v.Phys == batch.PhysInt:
+		out = batch.Vec{Phys: batch.PhysInt, Ints: make([]int64, ngroups)}
+		accumulate(a.Func, v, v.Ints, groupOf, n, out.Ints)
+	default:
+		out = batch.Vec{Phys: batch.PhysFloat, Floats: make([]float64, ngroups)}
+		accumulate(a.Func, v, v.Floats, groupOf, n, out.Floats)
+	}
+	for g, c := range n {
+		if c == 0 {
+			out.SetNull(g, ngroups)
+		} else if a.Func == algebra.Avg {
+			out.Floats[g] /= float64(c)
+		}
+	}
+	return out, true
 }
 
-// finishCounts finalizes COUNT(*) tallies with the NullIfEmpty rule.
-func finishCounts(n []int64, nullIfEmpty bool) []value.Value {
-	out := make([]value.Value, len(n))
+// accumulate folds the non-NULL rows of xs (v's payload) into their
+// groups' accumulators, in input order: a running sum for SUM and AVG,
+// the extreme so far for MIN and MAX.
+func accumulate[T int64 | float64](f algebra.AggFunc, v *batch.Vec, xs []T, groupOf []int32, n []int64, acc []T) {
+	for i, x := range xs {
+		if v.IsNull(i) {
+			continue
+		}
+		g := groupOf[i]
+		switch {
+		case f == algebra.Sum || f == algebra.Avg:
+			acc[g] += x
+		case f == algebra.Min && (n[g] == 0 || x < acc[g]), f == algebra.Max && (n[g] == 0 || x > acc[g]):
+			acc[g] = x
+		}
+		n[g]++
+	}
+}
+
+// countVec finalizes COUNT tallies with the NullIfEmpty rule.
+func countVec(n []int64, nullIfEmpty bool) batch.Vec {
+	out := batch.Vec{Phys: batch.PhysInt, Ints: n}
 	for g, c := range n {
 		if c == 0 && nullIfEmpty {
-			out[g] = value.Null
-		} else {
-			out[g] = value.NewInt(c)
+			out.SetNull(g, len(n))
 		}
 	}
 	return out
@@ -544,7 +510,7 @@ func finishCounts(n []int64, nullIfEmpty bool) []value.Value {
 // vecAggGeneric accumulates one aggregate through algebra.AggState —
 // the exact tuple-engine accumulator — for distinct forms, computed
 // arguments and mixed-kind columns.
-func vecAggGeneric(a algebra.Aggregate, in *batch.Rel, groupOf []int32, ngroups int) []value.Value {
+func vecAggGeneric(a algebra.Aggregate, in *batch.Rel, groupOf []int32, ngroups int) batch.Vec {
 	states := make([]*algebra.AggState, ngroups)
 	for g := range states {
 		states[g] = algebra.NewAggState(a.Func)
@@ -564,5 +530,5 @@ func vecAggGeneric(a algebra.Aggregate, in *batch.Rel, groupOf []int32, ngroups 
 	for g := range out {
 		out[g] = states[g].Result(a.Func, a.NullIfEmpty)
 	}
-	return out
+	return batch.FromValues(out)
 }

@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"slices"
+
 	"repro/internal/batch"
 	"repro/internal/expr"
 	"repro/internal/guard"
@@ -9,11 +11,11 @@ import (
 	"repro/internal/schema"
 )
 
-// vecJoin is the columnar hash join: build an array-chained hash
-// table over the build side's precomputed key hashes, probe the other
-// side batch-at-a-time accumulating (left,right) row-index pairs, and
-// gather the output columns in one pass — NULL padding for outer
-// kinds is index -1 in the same gather. The build side is the right
+// vecJoin is the columnar hash join: take or build an array-chained
+// hash table over the build side's key hashes, probe the other side
+// batch-at-a-time accumulating (left,right) row-index pairs, and hand
+// the pairs on as the output's pending columns — NULL padding for outer
+// kinds is index -1 in the same selection vectors. The build side is the right
 // input unless Adapt's swap threshold says the left one is the cheaper
 // to hash; either way the output columns come out in (l, r) order.
 // Non-equi predicates cannot be hashed and fall back to the tuple
@@ -78,6 +80,11 @@ func (e *vecEngine) vecJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel,
 	return batch.Gather2(outSchema, l, lsel, r, rsel), nil
 }
 
+// selSlack is both the free room below which hashJoin re-sizes its
+// match lists and the number of probe rows it wants behind it before it
+// extrapolates their fan-out.
+const selSlack = 64
+
 // mirrorKind is the join kind with its inputs exchanged.
 func mirrorKind(k plan.JoinKind) plan.JoinKind {
 	switch k {
@@ -130,35 +137,26 @@ func (e *vecEngine) spillJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Re
 // buildFirst, a mirrored call — the other way round, so it always sees
 // the plan's (l, r) layout.
 func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *schema.Schema, probe, build *batch.Rel, pi, bi []int, buildFirst bool, st *joinProbe) (psel, bsel []int32, err error) {
-	// Build: chain build rows with equal hash slots through two flat
+	// The table chains build rows with equal hash slots through two flat
 	// int32 arrays — head per slot, next per row — instead of a
-	// map[uint64][]int. Insertion prepends, so rows are inserted in
-	// reverse and each chain iterates in ascending row order: per probe
+	// map[uint64][]int, each chain in ascending row order: per probe
 	// row, matches emerge in the same order the tuple engine's
 	// insertion-ordered buckets produce them, which keeps float
 	// aggregates over join output accumulating in the same order
-	// (bit-identical sums) on both engines.
-	bh, bok := build.KeyHashes(bi, false)
-	ph, pok := probe.KeyHashes(pi, false)
-	P := nextPow2(2*build.N + 2)
-	mask := uint64(P - 1)
-	head := make([]int32, P)
-	for i := range head {
-		head[i] = -1
-	}
-	next := make([]int32, build.N)
-	buildRows := 0
-	for j := build.N - 1; j >= 0; j-- {
-		if !bok[j] {
-			continue
-		}
-		s := bh[j] & mask
-		next[j] = head[s]
-		head[s] = int32(j)
-		buildRows++
-	}
+	// (bit-identical sums) on both engines. A build side that is a base
+	// table's shared image brings its table with it (batch.JoinIndex);
+	// anything else is hashed and chained here, for this request.
+	bx, indexed := build.JoinIndex(bi, true)
+	px, _ := probe.JoinIndex(pi, false)
+	bh, head, next, mask := bx.Hashes, bx.Head, bx.Next, bx.Mask
+	ph, pok := px.Hashes, px.OK
+	pk, bk := probe.Keys(pi), build.Keys(bi)
 	if st != nil {
-		st.BuildRows += buildRows
+		st.BuildRows += bx.Rows
+		st.Build = "hash"
+		if indexed {
+			st.Build = "index"
+		}
 	}
 
 	np, nb := probe.Schema.Len(), build.Schema.Len()
@@ -182,9 +180,10 @@ func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *
 
 	// Probe batch-at-a-time: guard checks, fault points and
 	// incremental output charges once per batch, like the tuple
-	// engine's per-batch protocol.
-	psel = make([]int32, 0, probe.N)
-	bsel = make([]int32, 0, probe.N)
+	// engine's per-batch protocol. The match lists start at one batch
+	// and grow by the fan-out seen so far.
+	psel = make([]int32, 0, min(probe.N, e.batch))
+	bsel = make([]int32, 0, min(probe.N, e.batch))
 	collisions, residualEvals, padded := 0, 0, 0
 	charged := 0
 	for lo := 0; lo < probe.N; lo += e.batch {
@@ -200,6 +199,16 @@ func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *
 		charged = len(psel)
 		hi := min(lo+e.batch, probe.N)
 		for i := lo; i < hi; i++ {
+			if cap(psel)-len(psel) < selSlack {
+				// Nearly full: once enough probe rows are behind to trust
+				// their fan-out, size for the rest of the probe side at that
+				// fan-out plus a tenth; before that, double.
+				rest := cap(psel)
+				if i >= selSlack {
+					rest = int(1.1 * float64(len(psel)) / float64(i) * float64(probe.N-i))
+				}
+				psel, bsel = slices.Grow(psel, rest+selSlack), slices.Grow(bsel, rest+selSlack)
+			}
 			matched := false
 			if pok[i] {
 				h := ph[i]
@@ -207,7 +216,7 @@ func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *
 					if bh[j] != h {
 						continue // slot shared by a different hash
 					}
-					if !probe.EqualOn(i, build, int(j), pi, bi) {
+					if !pk.Equal(i, bk, int(j)) {
 						collisions++
 						continue
 					}

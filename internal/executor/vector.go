@@ -29,8 +29,12 @@ import (
 //
 // A scan does not shape anything: it takes the base relation's shared
 // columnar image (batch.Of), built on the relation's first scan and
-// kept on the relation until it is appended to. Kernels therefore
-// treat every input batch.Rel as read-only.
+// kept on the relation until it is appended to, and a join that builds
+// on a bare scan takes the image's join index the same way. Kernels
+// therefore treat a shared image as read-only. What they derive from it
+// is materialized late: selections, joins and projections hand on
+// (source column, selection vector) views, and a column is gathered by
+// the first kernel that reads it through Rel.Col — or never.
 //
 // The contract is vecEngine ≡ Run as multisets on every plan the
 // tuple engine accepts, including NULL-padded outer joins, and
@@ -272,8 +276,8 @@ func (e *vecEngine) fallback(n plan.Node) (*batch.Rel, bool, error) {
 // JoinExecVec is the columnar hash join over pre-shaped columnar
 // inputs — the kernel-level entry the benchmark harness measures
 // (batch.FromRelation once, join many times, as a columnar engine
-// holds data between operators). Guarded and panic-contained like
-// JoinExec.
+// holds data between operators). The output's columns are pending
+// until read. Guarded and panic-contained like JoinExec.
 func JoinExecVec(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, b *guard.Budget, o VecOptions) (out *batch.Rel, err error) {
 	phase := "execute"
 	defer guard.RecoverAs(&err, &phase, "joinvec", nil)

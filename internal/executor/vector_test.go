@@ -365,15 +365,15 @@ func TestVectorizedInstrumented(t *testing.T) {
 // sameColumns reports whether two columnar relations hold the same
 // physical column kinds and values, row by row.
 func sameColumns(a, b *batch.Rel) bool {
-	if a.N != b.N || len(a.Cols) != len(b.Cols) {
+	if a.N != b.N || a.Width() != b.Width() {
 		return false
 	}
-	for c := range a.Cols {
-		if a.Cols[c].Phys != b.Cols[c].Phys {
+	for c := 0; c < a.Width(); c++ {
+		if a.Col(c).Phys != b.Col(c).Phys {
 			return false
 		}
 		for i := 0; i < a.N; i++ {
-			if !value.Equal(a.Cols[c].At(i), b.Cols[c].At(i)) {
+			if !value.Equal(a.Col(c).At(i), b.Col(c).At(i)) {
 				return false
 			}
 		}

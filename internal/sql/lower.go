@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
@@ -358,7 +359,14 @@ func (l *lowerer) finishBlock(stmt *SelectStmt, sc *scope, node plan.Node, top b
 		for _, it := range stmt.Items {
 			if it.Star {
 				for _, alias := range sc.order {
-					for col, a := range sc.byQual[alias] {
+					cols := sc.byQual[alias]
+					names := make([]string, 0, len(cols))
+					for col := range cols {
+						names = append(names, col)
+					}
+					sort.Strings(names) // map order would make SELECT * differ from run to run
+					for _, col := range names {
+						a := cols[col]
 						name := col
 						if _, dup := out.cols[name]; dup {
 							name = alias + "_" + col

@@ -517,9 +517,13 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 	for i, a := range attrs {
 		resp.Columns[i] = a.String()
 	}
+	// Rows are carved from one flat arena (rows×width values), like
+	// batch.Rel.ToRelation carves tuples, not allocated one by one.
+	w := len(attrs)
+	arena := make([]any, rel.Len()*w)
 	resp.Rows = make([][]any, rel.Len())
 	for i, t := range rel.Tuples() {
-		row := make([]any, len(t))
+		row := arena[i*w : (i+1)*w : (i+1)*w]
 		for j, v := range t {
 			row[j] = jsonValue(v)
 		}
