@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-par race-exec race-vec race-order race-adapt spill-smoke faults smoke obs serve-smoke bench-smoke bench bench-all check clean
+.PHONY: all build vet test race race-par race-vec race-order race-adapt spill-smoke faults smoke obs serve-smoke bench-smoke bench bench-all check clean
 
 all: vet build test
 
@@ -21,9 +21,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# Full suite under the race detector (the executor has a parallel
-# probe, obs is updated concurrently, and saturation/costing run
-# worker pools).
+# Full suite under the race detector (requests share base-table images
+# and join indexes, obs is updated concurrently, and saturation/costing
+# run worker pools).
 race:
 	$(GO) test -race ./...
 
@@ -37,36 +37,30 @@ race-par:
 	$(GO) test -race -run 'TestParallelSaturation|TestSaturateWorkers|TestFingerprintConcurrent|TestSessionConcurrent|TestOptimizeWorkers|TestMemo|TestWorkersIdenticalMemo|TestShapeIdentity|TestSplitTable|TestRulePanicLabelled|TestHandlerConcurrentScrape|TestRecorderConcurrent|TestObserverScrapeWhileExecuting' \
 		./internal/core/ ./internal/plan/ ./internal/stats/ ./internal/optimizer/ ./internal/memo/ ./internal/obs/ ./internal/obs/flight/ .
 
-# Focused race run for the partitioned executor: the grace-partitioned
-# join equivalence/determinism suite and the forced-collision tests.
-race-exec:
-	$(GO) test -race -run 'TestPartitioned|TestJoinExecParallel|TestRunParallel|TestColliding|TestHashJoinCollision|TestGroupByCollisions|TestDistinctAggCollisions|TestGenSelMGOJCollisions' \
-		./internal/executor/
-
 # Focused race run for the columnar engine — the one the service
-# executes on — and the spill path: the Run ≡ RunParallel ≡
-# RunVectorized ≡ RunGuarded ≡ RunInstrumentedAdaptive property suites
-# across batch sizes, the shared per-relation image (built once,
-# dropped on Append, never written through) and its join indexes (built
-# once per key set under concurrency, shared by aliases, dropped with
-# the image), late materialization against plan.Eval (stacked outer
+# executes on — and the spill path: the Run ≡ RunGuarded ≡
+# RunInstrumentedAdaptive ≡ bare-walker property suites across batch
+# sizes, the forced-collision suite, the shared per-relation image
+# (built once, dropped on Append, never written through) and its join
+# indexes (built once per key set under concurrency, shared by aliases,
+# dropped with the image), late materialization against plan.Eval (stacked outer
 # joins, swapped and spilled variants), the order-independence of the
 # serving shapes, native build/probe swap, delivered-order and
 # every-node-annotated pins, the columnar batch kernels, the grace spill
 # equivalence / determinism / recursion tests, and the same properties
 # observed through Service.Query.
 race-vec:
-	$(GO) test -race -run 'TestVectorized|TestExecutorSpill|TestBatch|TestVec|TestRunMatchesReference|TestOrderOperatorsAcrossEngines|TestAdapt|TestLateMaterialization|TestExecServingOrderIndependent' \
+	$(GO) test -race -run 'TestVectorized|TestExecutorSpill|TestBatch|TestVec|TestRunMatchesReference|TestOrderOperatorsAcrossEngines|TestAdapt|TestLateMaterialization|TestExecServingOrderIndependent|TestColliding|TestHashJoinCollision|TestGroupByCollisions|TestDistinctAggCollisions|TestGenSelMGOJCollisions' \
 		./internal/executor/ ./internal/batch/
 	$(GO) test -race -run 'TestImage' ./internal/relation/
 	$(GO) test -race -run 'TestServiceColumnar|TestJoinIndex' .
 
 # Focused race run for the order-aware layer: the merge-join and
 # streaming-aggregation equivalence suites (vs their hash twins,
-# across Run/RunInstrumented/RunParallel at several worker counts),
-# the order-detection/propagation pins, the top-K sort, and the
-# optimizer's order property suite — including the order-free
-# memo-vs-saturation identical-best-cost pin at any worker count.
+# across Run and the serving entry points), the order-detection/
+# propagation pins, the top-K sort, and the optimizer's order property
+# suite — including the order-free memo-vs-saturation
+# identical-best-cost pin at any worker count.
 race-order:
 	$(GO) test -race -run 'TestMergeJoin|TestStreamAgg|TestOrder|TestSortRowsTopK|TestDeliveredOrder|TestDetectOrder|TestRequalifyOrder' \
 		./internal/executor/ ./internal/plan/ ./internal/optimizer/
@@ -74,17 +68,18 @@ race-order:
 # Focused race run for the feedback/adaptive layer: the feedback
 # store's decay/clamp/bounds properties and concurrent hammering, the
 # plan cache's singleflight refresh, the mid-query adaptive join pins
-# (build/probe swap ≡ static across engines and worker counts, spill
-# escalation), and the service-level drift → replan convergence loop.
+# (build/probe swap ≡ static, spill escalation), and the service-level
+# drift → replan convergence loop.
 race-adapt:
 	$(GO) test -race -count=1 ./internal/stats/feedback/
 	$(GO) test -race -run 'TestRefresh|TestEntriesSnapshot' ./internal/plancache/
 	$(GO) test -race -run 'TestAdapt' ./internal/executor/
 	$(GO) test -race -run 'TestServiceFeedback|TestServiceCacheDebug' .
 
-# Low-MaxBytes spill smoke: the vectorized join must escape to the
-# disk-backed grace join and complete — with spill counters moving —
-# under a byte budget the in-memory build cannot fit.
+# Low-MaxBytes spill smoke: with Adapt.Spill the columnar join must
+# escape to the disk-backed grace join and complete — with spill
+# counters moving — under a byte budget the in-memory build cannot fit,
+# and trip typed without it.
 spill-smoke:
 	$(GO) test -run 'TestVectorizedSpills|TestExecutorSpillCompletesWhereInMemoryTrips' \
 		./internal/executor/
@@ -92,9 +87,8 @@ spill-smoke:
 # Resource-governance and fault-injection suite under the race
 # detector: every registered guard point armed to error and to panic
 # across optimizer engines, executor entry points and datagen;
-# cancellation, budget-trip and worker-drain properties; the
-# untripped-budget determinism gates; and the cmd/reorder exit-code
-# contract.
+# cancellation and budget-trip properties; the untripped-budget
+# determinism gates; and the cmd/reorder exit-code contract.
 faults:
 	$(GO) test -race -run 'TestOptimizerFault|TestOptimizerCancelled|TestOptimizerBudget|TestExecutor|TestGuarded|TestGuard|TestBudget|TestSafely|TestRecover|TestFault|TestValidate|TestRun|TestAdaptFault' \
 		./internal/guard/ ./internal/optimizer/ ./internal/executor/ ./internal/datagen/ ./internal/plan/ ./cmd/reorder/
@@ -119,10 +113,10 @@ obs:
 # the memo engine vs saturation end-to-end, and the cost memo, writes
 # BENCH_optimizer.json, and fails if the parallel engine is slower
 # than the serial one — or the memo engine slower than saturation —
-# on the canned workloads; benchexec measures the physical operators (equi-join
-# serial vs grace-partitioned, hash aggregation, distinct projection),
-# writes BENCH_executor.json, and fails if the partitioned join loses
-# to the serial hash join on the large equi-join workload.
+# on the canned workloads; benchexec measures the physical operators
+# (equi-join, hash aggregation, distinct projection, their columnar
+# kernels, the spilling grace join), writes BENCH_executor.json, and
+# fails if a columnar kernel is not >=3x faster than its tuple seed.
 bench:
 	$(GO) run ./cmd/benchopt -out BENCH_optimizer.json
 	$(GO) run ./cmd/benchexec -out BENCH_executor.json

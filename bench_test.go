@@ -5,6 +5,7 @@
 package reorder
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -270,9 +271,9 @@ func e12DB() Database {
 
 // --- executor-strategy benchmarks ------------------------------------
 
-// BenchmarkExecutorStrategies compares the three execution modes on
-// the same three-way outer-join query: the materializing executor,
-// the Volcano iterator tree, and the goroutine-parallel probe.
+// BenchmarkExecutorStrategies compares the two engines on the same
+// three-way outer-join query: the row reference and the columnar
+// production walker.
 func BenchmarkExecutorStrategies(b *testing.B) {
 	db := Database{}
 	for i, name := range []string{"r1", "r2", "r3"} {
@@ -280,23 +281,16 @@ func BenchmarkExecutorStrategies(b *testing.B) {
 			datagen.UniformConfig{Rows: 20000, Domain: 2000})
 	}
 	q := experiments.Query2()
-	b.Run("materializing", func(b *testing.B) {
+	b.Run("Run", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := executor.Run(q, db); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("streaming", func(b *testing.B) {
+	b.Run("RunGuarded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := executor.RunStreaming(q, db); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := executor.RunParallel(q, db, 0); err != nil {
+			if _, err := executor.RunGuarded(q, db, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -306,13 +300,14 @@ func BenchmarkExecutorStrategies(b *testing.B) {
 // --- observability benchmarks ----------------------------------------
 
 // BenchmarkInstrumentationOverhead prices the per-operator probes: the
-// same supplier plan through the plain and the instrumented executor.
+// same supplier plan through the two entry points the service chooses
+// between, RunGuarded and RunInstrumentedAdaptive.
 func BenchmarkInstrumentationOverhead(b *testing.B) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := executor.Run(q, db); err != nil {
+			if _, err := executor.RunGuarded(q, db, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -320,7 +315,7 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 	b.Run("instrumented", func(b *testing.B) {
 		reg := obs.NewRegistry()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := executor.RunInstrumented(q, db, reg); err != nil {
+			if _, _, err := executor.RunInstrumentedAdaptive(q, db, reg, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -337,7 +332,7 @@ func BenchmarkExplainAnalyzeReport(b *testing.B) {
 	q := datagen.SupplierQuery()
 	var data []byte
 	for i := 0; i < b.N; i++ {
-		rep, err := ExplainAnalyze(q, db)
+		rep, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

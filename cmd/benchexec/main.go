@@ -1,16 +1,16 @@
 // Command benchexec is the executor's benchmark harness, the
 // execution-side sibling of cmd/benchopt: it measures the physical
-// operators on canned workloads — the large equi-join (serial and
-// grace-partitioned), hash aggregation and distinct projection —
-// through testing.Benchmark, writes the numbers to
-// BENCH_executor.json next to the embedded pre-change seed baselines,
-// and exits non-zero if the partitioned join loses to the serial hash
-// join on the large equi-join workload — the regression gate make
+// operators on canned workloads — the large equi-join, hash
+// aggregation, distinct projection, their columnar kernels and the
+// spilling grace join — through testing.Benchmark, writes the numbers
+// to BENCH_executor.json next to the embedded pre-change seed
+// baselines, and exits non-zero if a columnar kernel is not at least
+// 3x faster than its tuple-engine seed — the regression gate make
 // bench enforces.
 //
 // Usage:
 //
-//	benchexec [-out BENCH_executor.json] [-tolerance 1.1] [-workload <regex>]
+//	benchexec [-out BENCH_executor.json] [-vec-tolerance 0.33] [-workload <regex>]
 package main
 
 import (
@@ -40,9 +40,6 @@ type report struct {
 	benchgate.Header
 	// SpeedupEquiJoin is seed EquiJoinLarge ms / current serial ms.
 	SpeedupEquiJoin float64 `json:"speedupEquiJoin"`
-	// SpeedupEquiJoinPartitioned is seed EquiJoinLarge ms / current
-	// partitioned ms (workers = GOMAXPROCS).
-	SpeedupEquiJoinPartitioned float64 `json:"speedupEquiJoinPartitioned"`
 	// SpeedupHashAgg is seed HashAgg ms / current ms.
 	SpeedupHashAgg float64 `json:"speedupHashAgg"`
 	// SpeedupDistinct is seed DistinctProject ms / current ms.
@@ -115,7 +112,6 @@ func readAll(out *batch.Rel) int {
 
 func main() {
 	out := flag.String("out", "BENCH_executor.json", "where to write the JSON report")
-	tolerance := flag.Float64("tolerance", 1.10, "max allowed partitioned/serial time ratio on the equi-join before failing")
 	vecTolerance := flag.Float64("vec-tolerance", 1.0/3.0, "max allowed vectorized/tuple time ratio (default: vectorized must be >=3x faster)")
 	workload := flag.String("workload", "", "only measure workloads whose name matches this regexp; gates on skipped workloads are skipped")
 	flag.Parse()
@@ -164,19 +160,6 @@ func main() {
 			}
 		}
 	})
-	partJoin := measure("EquiJoinLarge/partitioned", "tuple", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, err := executor.JoinExecParallel(plan.InnerJoin, joinPred, l, r, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if out.Len() != 40000 {
-				b.Fatal("bad join")
-			}
-		}
-	})
-
 	aggRel := aggInput()
 	aggKeys := []schema.Attribute{schema.Attr("t", "x")}
 	aggs := []algebra.Aggregate{
@@ -216,7 +199,7 @@ func main() {
 	vecJoin := measure("VecEquiJoinLarge", "vector", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := executor.JoinExecVec(plan.InnerJoin, joinPred, lCol, rCol, nil, executor.VecOptions{})
+			out, err := executor.JoinExecVec(plan.InnerJoin, joinPred, lCol, rCol, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -270,40 +253,34 @@ func main() {
 	})
 
 	rep := report{
-		Header:                     benchgate.NewHeader(seeds, results),
-		SpeedupEquiJoin:            speedup(seeds[0].MsPerOp, serialJoin),
-		SpeedupEquiJoinPartitioned: speedup(seeds[0].MsPerOp, partJoin),
-		SpeedupHashAgg:             speedup(seeds[1].MsPerOp, hashAgg),
-		SpeedupDistinct:            speedup(seeds[2].MsPerOp, distinct),
-		SpeedupVecEquiJoin:         speedup(seeds[3].MsPerOp, vecJoin),
-		SpeedupVecHashAgg:          speedup(seeds[4].MsPerOp, vecAgg),
-		CounterDeltas:              deltas,
+		Header:             benchgate.NewHeader(seeds, results),
+		SpeedupEquiJoin:    speedup(seeds[0].MsPerOp, serialJoin),
+		SpeedupHashAgg:     speedup(seeds[1].MsPerOp, hashAgg),
+		SpeedupDistinct:    speedup(seeds[2].MsPerOp, distinct),
+		SpeedupVecEquiJoin: speedup(seeds[3].MsPerOp, vecJoin),
+		SpeedupVecHashAgg:  speedup(seeds[4].MsPerOp, vecAgg),
+		CounterDeltas:      deltas,
 	}
 	if err := benchgate.WriteJSON(*out, rep); err != nil {
 		fmt.Fprintln(os.Stderr, "benchexec:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("speedups vs seed: equi-join %.2fx serial, %.2fx partitioned; hash-agg %.2fx; distinct %.2fx\n",
-		rep.SpeedupEquiJoin, rep.SpeedupEquiJoinPartitioned, rep.SpeedupHashAgg, rep.SpeedupDistinct)
+	fmt.Printf("speedups vs seed: equi-join %.2fx; hash-agg %.2fx; distinct %.2fx\n",
+		rep.SpeedupEquiJoin, rep.SpeedupHashAgg, rep.SpeedupDistinct)
 	if rep.SpeedupVecEquiJoin > 0 || rep.SpeedupVecHashAgg > 0 {
 		fmt.Printf("vectorized vs tuple seed: equi-join %.2fx, hash-agg %.2fx\n",
 			rep.SpeedupVecEquiJoin, rep.SpeedupVecHashAgg)
 	}
 	fmt.Println("wrote", *out)
 
-	// Regression gate: the partitioned join must not lose to the serial
-	// hash join on the large equi-join (ratio 1.0 ± tolerance; on a
-	// 1-CPU host the partitioned path resolves to the serial join, so
-	// the gate is exact there and meaningful on multi-core).
-	// The vectorized gates compare against the committed tuple-engine
-	// seeds (same workload, pre-change commit), not against this run's
-	// tuple numbers, so a uniformly slow host cannot mask a kernel
-	// regression. Baseline iterations are pinned to 1 so -workload
+	// Regression gates: the vectorized kernels are compared against the
+	// committed tuple-engine seeds (same workload, pre-change commit),
+	// not against this run's tuple numbers, so a uniformly slow host
+	// cannot mask a kernel regression. Baseline iterations are pinned to 1 so -workload
 	// filtering of the candidate (not the seed) drives gate skipping.
 	vecJoinSeed := benchgate.Result{Name: seeds[3].Name, Engine: seeds[3].Engine, MsPerOp: seeds[3].MsPerOp, Iterations: 1}
 	vecAggSeed := benchgate.Result{Name: seeds[4].Name, Engine: seeds[4].Engine, MsPerOp: seeds[4].MsPerOp, Iterations: 1}
 	err = benchgate.Check(
-		benchgate.Gate{Label: "partitioned EquiJoinLarge vs serial", Candidate: partJoin, Baseline: serialJoin, Tolerance: *tolerance},
 		benchgate.Gate{Label: "VecEquiJoinLarge vs tuple seed (>=3x)", Candidate: vecJoin, Baseline: vecJoinSeed, Tolerance: *vecTolerance},
 		benchgate.Gate{Label: "VecHashAgg vs tuple seed (>=3x)", Candidate: vecAgg, Baseline: vecAggSeed, Tolerance: *vecTolerance},
 	)

@@ -33,6 +33,30 @@ func TestRunMaxRowsExitsThree(t *testing.T) {
 	}
 }
 
+// TestRunMaxBytesSpillsOrTrips: byte pressure has one meaning per mode.
+// EXPLAIN ANALYZE runs the service's adaptive entry point, so a join
+// whose build side cannot fit -max-bytes spills to disk and the run
+// completes; -rows runs the plain one, where the same overrun is the
+// typed budget abort (exit 3), never a spill.
+func TestRunMaxBytesSpillsOrTrips(t *testing.T) {
+	code, stdout, stderr := runCapture(t, "-demo", "supplier", "-stats", "-max-bytes", "200000")
+	if code != exitOK {
+		t.Fatalf("-stats: exit code = %d, want %d (stderr: %s)", code, exitOK, stderr)
+	}
+	for _, want := range []string{"engine:           vector", "exec.spill.partitions", "spill_escalated=1"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("-stats stdout missing %q", want)
+		}
+	}
+	code, _, stderr = runCapture(t, "-query", guardTestQuery, "-rows", "-max-bytes", "200000")
+	if code != exitGuard {
+		t.Fatalf("-rows: exit code = %d, want %d (stderr: %s)", code, exitGuard, stderr)
+	}
+	if !strings.Contains(stderr, "bytes budget") {
+		t.Errorf("-rows stderr should name the bytes trip: %s", stderr)
+	}
+}
+
 // TestRunMaxExprsDegradesExitZero: an exprs cap does not fail the
 // run — the optimizer degrades to a best-effort plan and says so. The
 // query joins three relations: the two-relation guardTestQuery admits

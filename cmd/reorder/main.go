@@ -9,11 +9,12 @@
 //	reorder -demo supplier -stats                 # EXPLAIN ANALYZE the demo query
 //	reorder -demo q4                              # show Figure 1's hypergraph & trees
 //
-// -stats executes the chosen plan through the instrumented executor
-// and prints an EXPLAIN ANALYZE report: per-operator actual vs
-// estimated rows and timings, optimizer phase wall times and rule
-// firing counters. -trace prints the span tree of the run, and
-// -statsjson dumps the whole report as machine-readable JSON.
+// -stats executes the chosen plan instrumented on the columnar engine
+// (the one -rows and the query service run on) and prints an EXPLAIN
+// ANALYZE report: per-operator actual vs estimated rows and timings,
+// optimizer phase wall times and rule firing counters. -trace prints
+// the span tree of the run, and -statsjson dumps the whole report as
+// machine-readable JSON.
 // -workers spreads plan enumeration and costing over N goroutines
 // (default GOMAXPROCS); the chosen plan is identical for any value.
 //
@@ -61,7 +62,6 @@ type options struct {
 	stats         bool
 	trace         bool
 	statsJSON     bool
-	vec           bool
 	feedback      bool
 	replanQ       float64
 	workers       int
@@ -127,14 +127,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.stats, "stats", false, "execute instrumented and print an EXPLAIN ANALYZE report")
 	fs.BoolVar(&o.trace, "trace", false, "print the optimizer/executor span trace")
 	fs.BoolVar(&o.statsJSON, "statsjson", false, "dump the EXPLAIN ANALYZE report as JSON")
-	fs.BoolVar(&o.vec, "vec", false, "execute on the columnar vectorized engine (joins spill to disk under -max-bytes pressure)")
 	fs.BoolVar(&o.feedback, "feedback", false, "one-shot cardinality feedback: EXPLAIN ANALYZE, record actuals, and re-plan + re-execute when the worst subtree q-error reaches -replan-qerror")
 	fs.Float64Var(&o.replanQ, "replan-qerror", 10, "q-error threshold for the -feedback re-plan")
 	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "goroutines for plan enumeration and costing (1 = serial; the result is identical for any value)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock budget for the whole run (0 = unlimited); exceeding it exits 3")
 	fs.Int64Var(&o.maxExprs, "max-exprs", 0, "cap on enumerated plan expressions (0 = unlimited); tripping it degrades to a best-effort plan, exit 0")
 	fs.Int64Var(&o.maxRows, "max-rows", 0, "cap on intermediate rows during execution (0 = unlimited); tripping it exits 3")
-	fs.Int64Var(&o.maxBytes, "max-bytes", 0, "cap on modeled intermediate bytes during execution (0 = unlimited); with -vec, oversized joins spill to disk instead of tripping")
+	fs.Int64Var(&o.maxBytes, "max-bytes", 0, "cap on modeled intermediate bytes during execution (0 = unlimited); under -stats/-feedback an oversized join spills to disk, under -rows tripping it exits 3")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics (Prometheus text) and /debug/queries (flight JSON) on this address during the run; implies an instrumented run")
 	fs.DurationVar(&o.metricsLinger, "metrics-linger", 0, "keep the metrics server up this long after the run finishes (0 = close immediately)")
 	fs.DurationVar(&o.slowQuery, "slow-query", 100*time.Millisecond, "flight-recorder slow-query threshold (0 disables slow stamping)")
@@ -315,13 +314,10 @@ func query2DB() reorder.Database {
 // analyze optimizes node, executes it instrumented under the run's
 // budget and prints the requested views of the report.
 func analyze(ctx context.Context, node reorder.Node, db reorder.Database, o options, stdout, stderr io.Writer) int {
-	var rep *reorder.AnalyzeReport
-	var err error
-	if o.feedback {
-		rep, err = reorder.ExplainAnalyzeFeedback(ctx, node, db, o.workers, o.limits(), o.obs, o.replanQ)
-	} else {
-		rep, err = reorder.ExplainAnalyzeObservedEngine(ctx, node, db, o.workers, o.limits(), o.obs, o.vec)
-	}
+	rep, err := reorder.ExplainAnalyze(ctx, node, db, reorder.AnalyzeOptions{
+		Workers: o.workers, Limits: o.limits(), Observer: o.obs,
+		Feedback: o.feedback, ReplanQError: o.replanQ,
+	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitFor(err)

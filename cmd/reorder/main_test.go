@@ -43,10 +43,16 @@ func TestRunUnknownDemo(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: an unknown flag is a usage error — including -vec,
+// the engine selector that went when every mode moved to one engine.
 func TestRunBadFlag(t *testing.T) {
-	code, _, _ := runCapture(t, "-definitely-not-a-flag")
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
+	for _, args := range [][]string{
+		{"-definitely-not-a-flag"},
+		{"-demo", "supplier", "-stats", "-vec"},
+	} {
+		if code, _, _ := runCapture(t, args...); code != 2 {
+			t.Fatalf("%v: exit code = %d, want 2", args, code)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs/flight"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
-	"repro/internal/relation"
 	"repro/internal/stats"
 	"repro/internal/stats/feedback"
 )
@@ -40,7 +39,7 @@ type AnalyzeReport struct {
 	OriginalCost float64 `json:"originalCost"`
 	BestCost     float64 `json:"bestCost"`
 	RowsOut      int     `json:"rowsOut"`
-	Engine       string  `json:"engine,omitempty"`   // execution engine: "tuple" (default) or "vector"
+	Engine       string  `json:"engine,omitempty"`   // execution engine: always "vector" (kept so stored reports decode)
 	Degraded     string  `json:"degraded,omitempty"` // non-empty when a budget trip truncated enumeration
 	// Feedback provenance: how many estimates the optimizer took from
 	// the cardinality-feedback store, this run's worst subtree
@@ -65,105 +64,86 @@ type AnalyzeReport struct {
 	ann  plan.Annotations
 }
 
-// ExplainAnalyze optimizes q, executes the chosen plan with the
-// instrumented executor, and attaches estimated row counts from the
-// same statistics the optimizer ranked with — making
-// estimated-vs-actual cardinality errors visible per operator. The
-// run uses a private registry and tracer, so concurrent callers do
-// not mix metrics.
-func ExplainAnalyze(q Node, db Database) (*AnalyzeReport, error) {
-	return ExplainAnalyzeWorkers(q, db, 0)
+// AnalyzeOptions configure ExplainAnalyze. The zero value is a serial,
+// unbudgeted, unobserved, single-pass run.
+type AnalyzeOptions struct {
+	// Workers spreads the optimizer's saturate and cost phases over
+	// this many goroutines (0 or 1 serial, < 0 GOMAXPROCS). The report
+	// is identical for any worker count; only phase wall times change.
+	Workers int
+	// Limits bound the run together with ctx: the optimization degrades
+	// gracefully on an exprs trip (see AnalyzeReport.Degraded), the
+	// execution aborts with a guard error on a rows trip, and a join
+	// whose build side cannot fit MaxBytes spills to disk instead of
+	// tripping. Guard counters land in the report's private registry.
+	Limits Limits
+	// Observer, when non-nil, receives the run: its private registry
+	// merges into Observer.Registry and one flight record — phase
+	// timings, memo/guard counters, degradation and budget-trip flags,
+	// per-operator estimated-vs-actual rows with q-errors — is
+	// deposited in Observer.Flight. Failed runs are recorded too, with
+	// the terminal error.
+	Observer *Observer
+	// Feedback is the one-shot feedback loop behind cmd/reorder's
+	// -feedback flag: per-subtree actual cardinalities are recorded
+	// into a fresh feedback store, joins may swap build and probe sides
+	// mid-query, and — when the worst subtree q-error reaches
+	// ReplanQError — the query is re-optimized with the corrected
+	// estimates and re-executed, returning the re-planned report
+	// (Replanned set, FeedbackCorrections counting the estimates the
+	// second optimization took from the store). A query whose estimates
+	// hold up returns the first report unchanged.
+	Feedback bool
+	// ReplanQError is Feedback's re-plan threshold (≤0 means 10).
+	ReplanQError float64
 }
 
-// ExplainAnalyzeWorkers is ExplainAnalyze with the optimizer's
-// saturate and cost phases spread over the given number of goroutines
-// (0 or 1 serial, < 0 GOMAXPROCS). The report is identical for any
-// worker count; only the phase wall times change.
-func ExplainAnalyzeWorkers(q Node, db Database, workers int) (*AnalyzeReport, error) {
-	return explainAnalyze(q, db, workers, nil, obs.NewRegistry(), nil, false)
-}
-
-// ExplainAnalyzeVectorized is ExplainAnalyze with the chosen plan
-// executed on the columnar vectorized engine instead of the tuple
-// engine. The report's per-operator annotations carry the vectorized
-// extras — spill partitions/bytes/recursions and the
-// exec.vector.fallback.* counters land in the metrics snapshot — and
-// Engine is "vector".
-func ExplainAnalyzeVectorized(q Node, db Database) (*AnalyzeReport, error) {
-	return explainAnalyze(q, db, 0, nil, obs.NewRegistry(), nil, true)
-}
-
-// ExplainAnalyzeVectorizedBudget is ExplainAnalyzeBudget on the
-// vectorized engine; joins whose build side exceeds the byte budget's
-// headroom spill to disk instead of aborting.
-func ExplainAnalyzeVectorizedBudget(ctx context.Context, q Node, db Database, workers int, l Limits) (*AnalyzeReport, error) {
-	reg := obs.NewRegistry()
-	return explainAnalyze(q, db, workers, guard.New(ctx, l, reg), reg, nil, true)
-}
-
-// ExplainAnalyzeFeedback is the one-shot feedback loop behind
-// cmd/reorder's -feedback flag: run EXPLAIN ANALYZE once recording
-// per-subtree actual cardinalities into a fresh feedback store, and —
-// when the worst subtree q-error reaches replanQ (≤0 means 10) —
-// re-optimize with the corrected estimates and re-execute, returning
-// the re-planned report (Replanned set, FeedbackCorrections counting
-// the estimates the second optimization took from the store). A query
-// whose estimates hold up returns the first report unchanged.
-func ExplainAnalyzeFeedback(ctx context.Context, q Node, db Database, workers int, l Limits, ob *Observer, replanQ float64) (*AnalyzeReport, error) {
+// ExplainAnalyze optimizes q, executes the chosen plan instrumented on
+// the columnar engine — the one the query service runs — and attaches
+// estimated row counts from the same statistics the optimizer ranked
+// with, making estimated-vs-actual cardinality errors visible per
+// operator. Each run meters against a private registry and tracer (the
+// report's Metrics snapshot is this run only), so concurrent callers
+// do not mix metrics.
+func ExplainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions) (*AnalyzeReport, error) {
+	var fb *feedback.Store
+	if o.Feedback {
+		fb = feedback.New(feedback.Options{})
+	}
+	r, err := explainAnalyze(ctx, q, db, o, fb)
+	if err != nil || !o.Feedback {
+		return r, err
+	}
+	replanQ := o.ReplanQError
 	if replanQ <= 0 {
 		replanQ = 10
 	}
-	fb := feedback.New(feedback.Options{})
-	reg := obs.NewRegistry()
-	first, err := explainAnalyzeFeedback(q, db, workers, guard.New(ctx, l, reg), reg, ob, false, fb)
-	if err != nil {
+	if r.MaxQError < replanQ {
+		return r, nil
+	}
+	if r, err = explainAnalyze(ctx, q, db, o, fb); err != nil {
 		return nil, err
 	}
-	if first.MaxQError < replanQ {
-		return first, nil
-	}
-	reg = obs.NewRegistry()
-	second, err := explainAnalyzeFeedback(q, db, workers, guard.New(ctx, l, reg), reg, ob, false, fb)
-	if err != nil {
-		return nil, err
-	}
-	second.Replanned = true
-	return second, nil
+	r.Replanned = true
+	return r, nil
 }
 
-// ExplainAnalyzeBudget is ExplainAnalyze under resource governance:
-// ctx cancellation/deadline and l's limits bound both the
-// optimization (degrading gracefully on an exprs trip — see
-// AnalyzeReport.Degraded) and the instrumented execution (aborting
-// with a guard error on a rows/bytes trip). Guard counters land in
-// the report's private registry.
-func ExplainAnalyzeBudget(ctx context.Context, q Node, db Database, workers int, l Limits) (*AnalyzeReport, error) {
+// explainAnalyze is one optimize→execute pass. With a feedback store
+// the optimizer consults it for corrected estimates, joins may swap
+// sides, per-operator estimates come from a feedback-aware session, and
+// each composite subtree's actual cardinality is recorded back into the
+// store.
+func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, fb *feedback.Store) (*AnalyzeReport, error) {
 	reg := obs.NewRegistry()
-	return explainAnalyze(q, db, workers, guard.New(ctx, l, reg), reg, nil, false)
-}
-
-// explainAnalyze runs the optimize→execute pipeline against a private
-// registry (so concurrent callers do not mix metrics) and, when an
-// Observer is attached, folds the run into the process-wide aggregate:
-// the private registry merges into ob.Registry and one flight.Record —
-// including the per-operator q-error rows — lands in ob.Flight.
-func explainAnalyze(q Node, db Database, workers int, b *guard.Budget, reg *obs.Registry, ob *Observer, vec bool) (*AnalyzeReport, error) {
-	return explainAnalyzeFeedback(q, db, workers, b, reg, ob, vec, nil)
-}
-
-// explainAnalyzeFeedback is explainAnalyze with an optional
-// cardinality-feedback store: the optimizer consults it for corrected
-// estimates, execution runs adaptively, per-operator estimates come
-// from a feedback-aware session, and each composite subtree's actual
-// cardinality is recorded back into the store.
-func explainAnalyzeFeedback(q Node, db Database, workers int, b *guard.Budget, reg *obs.Registry, ob *Observer, vec bool, fb *feedback.Store) (*AnalyzeReport, error) {
+	b := guard.New(ctx, o.Limits, reg)
+	ob := o.Observer
 	start := time.Now()
 	tracer := obs.NewTracer()
 	est := stats.NewEstimator(stats.FromDatabase(db))
 	opt := optimizer.New(est)
 	opt.Opts.Obs = reg
 	opt.Opts.Tracer = tracer
-	opt.Opts.Workers = workers
+	opt.Opts.Workers = o.Workers
 	opt.Opts.Budget = b
 	opt.Opts.Feedback = fb
 	res, err := opt.Optimize(q, db)
@@ -174,20 +154,13 @@ func explainAnalyzeFeedback(q Node, db Database, workers int, b *guard.Budget, r
 
 	execSpan := tracer.Start("execute")
 	execStart := time.Now()
-	var out *relation.Relation
-	var ann plan.Annotations
-	switch {
-	case fb != nil:
-		out, ann, err = executor.RunInstrumentedAdaptive(res.Best.Plan, db, reg, b,
-			&executor.Adapt{SwapFactor: 4, Spill: true})
-	case vec:
-		// The plan runs as planned (no swap), but -max-bytes pressure
-		// spills a join instead of tripping, as -vec documents.
-		out, ann, err = executor.RunInstrumentedAdaptive(res.Best.Plan, db, reg, b,
-			&executor.Adapt{Spill: true})
-	default:
-		out, ann, err = executor.RunInstrumentedGuarded(res.Best.Plan, db, reg, b)
+	// The plan runs as planned, but MaxBytes pressure spills a join
+	// instead of tripping; under feedback a join may also swap sides.
+	adapt := &executor.Adapt{Spill: true}
+	if fb != nil {
+		adapt.SwapFactor = 4
 	}
+	out, ann, err := executor.RunInstrumentedAdaptive(res.Best.Plan, db, reg, b, adapt)
 	execNs := time.Since(execStart).Nanoseconds()
 	execSpan.End()
 	if err != nil {
@@ -257,7 +230,7 @@ func explainAnalyzeFeedback(q Node, db Database, workers int, b *guard.Budget, r
 		OriginalCost: res.Original.Cost,
 		BestCost:     res.Best.Cost,
 		RowsOut:      out.Len(),
-		Engine:       engineName(vec || fb != nil),
+		Engine:       "vector",
 		Degraded:     res.Degraded,
 		RuleFirings:  res.RuleFirings,
 		Metrics:      reg.Snapshot(),
@@ -288,15 +261,6 @@ func explainAnalyzeFeedback(q Node, db Database, workers int, b *guard.Budget, r
 	}
 	ob.record(q, res.Best.Plan, res, reg, b, start, execNs, nil, out.Len(), ops)
 	return r, nil
-}
-
-// engineName is the stable engine label benchmark baselines and
-// reports key by.
-func engineName(vec bool) string {
-	if vec {
-		return "vector"
-	}
-	return "tuple"
 }
 
 // JSON serializes the report; DecodeAnalyzeReport inverts it.

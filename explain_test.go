@@ -16,7 +16,7 @@ import (
 func TestExplainAnalyzeSupplier(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
-	rep, err := ExplainAnalyze(q, db)
+	rep, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestExplainAnalyzeSupplier(t *testing.T) {
 // builds on detail95's shared index and hashes the four BANKRUPT
 // suppliers per request — and a decoded report renders the same.
 func TestExplainAnalyzeVectorizedBuildField(t *testing.T) {
-	rep, err := ExplainAnalyzeVectorized(datagen.SupplierQuery(), datagen.Supplier(datagen.DefaultSupplierConfig))
+	rep, err := ExplainAnalyze(context.Background(), datagen.SupplierQuery(), datagen.Supplier(datagen.DefaultSupplierConfig), AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestExplainAnalyzeVectorizedBuildField(t *testing.T) {
 // and estimated rows, same counters — and render identically.
 func TestExplainAnalyzeJSONRoundTrip(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
-	rep, err := ExplainAnalyze(datagen.SupplierQuery(), db)
+	rep, err := ExplainAnalyze(context.Background(), datagen.SupplierQuery(), db, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestExplainAnalyzeIsolation(t *testing.T) {
 	done := make(chan *AnalyzeReport, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			rep, err := ExplainAnalyze(q, db)
+			rep, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{})
 			if err != nil {
 				t.Error(err)
 				done <- nil
@@ -210,7 +210,7 @@ func TestExplainAnalyzeIsolation(t *testing.T) {
 func TestExplainAnalyzeBudgetDegradedStillExecutes(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
-	rep, err := ExplainAnalyzeBudget(context.Background(), q, db, 1, Limits{MaxExprs: 5})
+	rep, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Workers: 1, Limits: Limits{MaxExprs: 5}})
 	if err != nil {
 		t.Fatalf("degraded run must execute, not fail: %v", err)
 	}

@@ -44,9 +44,10 @@ func adaptPlans() []plan.Node {
 }
 
 // TestAdaptSwapMatchesStatic is the correctness pin of the build/probe
-// swap: with SwapFactor forcing a swap, every engine — serial,
-// parallel at 1/2/4 workers, vectorized, instrumented — produces the
-// same multiset the static plan does, for every join kind.
+// swap: with SwapFactor forcing a swap, the production entry point
+// produces the same multiset the static plan does, for every join kind,
+// and the transition is counted (a nil registry lands the exec.adapt.*
+// counters on obs.Default()) and annotated.
 func TestAdaptSwapMatchesStatic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db := skewDB(rng, 40, 4000, 50)
@@ -57,71 +58,41 @@ func TestAdaptSwapMatchesStatic(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := obs.Default().Snapshot().Counters["exec.adapt.swaps"]
-		got, err := RunAdaptive(p, db, nil, a)
+		got, ann, err := RunInstrumentedAdaptive(p, db, nil, nil, a)
 		if err != nil {
 			t.Fatalf("plan %d: %v", pi, err)
 		}
 		if !got.EqualAsMultisets(want) {
-			t.Fatalf("plan %d: adaptive serial != static", pi)
+			t.Fatalf("plan %d: adaptive != static", pi)
 		}
 		if swaps := obs.Default().Snapshot().Counters["exec.adapt.swaps"]; swaps <= base {
 			t.Fatalf("plan %d: swap did not fire (counter %d -> %d)", pi, base, swaps)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			got, err := RunParallelAdaptive(p, db, workers, nil, a)
-			if err != nil {
-				t.Fatalf("plan %d workers %d: %v", pi, workers, err)
-			}
-			if !got.EqualAsMultisets(want) {
-				t.Fatalf("plan %d workers %d: adaptive parallel != static", pi, workers)
-			}
-		}
-		got, err = RunVectorizedAdaptive(p, db, nil, a)
-		if err != nil {
-			t.Fatalf("plan %d vectorized: %v", pi, err)
-		}
-		if !got.EqualAsMultisets(want) {
-			t.Fatalf("plan %d: adaptive vectorized != static", pi)
-		}
-		reg := obs.NewRegistry()
-		got, ann, err := RunInstrumentedAdaptive(p, db, reg, nil, a)
-		if err != nil {
-			t.Fatalf("plan %d instrumented: %v", pi, err)
-		}
-		if !got.EqualAsMultisets(want) {
-			t.Fatalf("plan %d: adaptive instrumented != static", pi)
-		}
 		// The transition must be visible in the join's annotation.
-		swapped := false
-		plan.Walk(p, func(n plan.Node) {
-			if a := ann[n]; a != nil && a.Extra["build_swapped"] > 0 {
-				swapped = true
-			}
-		})
-		if !swapped {
+		if ann[p].Extra["build_swapped"] == 0 {
 			t.Fatalf("plan %d: build_swapped extra missing from annotations", pi)
 		}
 	}
 }
 
 // TestAdaptSwapOffIdentical: a nil Adapt (and a zero SwapFactor) is
-// the static engine — bit-identical output rows in identical order.
+// the static engine — RunGuarded's output rows in identical order.
 func TestAdaptSwapOffIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := skewDB(rng, 40, 4000, 50)
 	for pi, p := range adaptPlans() {
-		want, err := Run(p, db)
+		want, err := RunGuarded(p, db, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunAdaptive(p, db, nil, nil)
+		got, _, err := RunInstrumentedAdaptive(p, db, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.String() != want.String() {
 			t.Fatalf("plan %d: nil adapt changed output", pi)
 		}
-		got, err = RunAdaptive(p, db, nil, &Adapt{})
+		got, _, err = RunInstrumentedAdaptive(p, db, nil, nil, &Adapt{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +125,7 @@ func TestAdaptSpillEscalation(t *testing.T) {
 
 	a := &Adapt{Spill: true, SpillDir: t.TempDir()}
 	base := obs.Default().Snapshot().Counters["exec.adapt.spill_escalations"]
-	got, err := RunAdaptive(p, db, guard.New(context.Background(), limits, nil), a)
+	got, _, err := RunInstrumentedAdaptive(p, db, nil, guard.New(context.Background(), limits, nil), a)
 	if err != nil {
 		t.Fatalf("adaptive join under tight budget: %v", err)
 	}
@@ -168,7 +139,9 @@ func TestAdaptSpillEscalation(t *testing.T) {
 
 // TestAdaptFaultBuildSwap: the executor.buildswap guard point fires on
 // every taken adaptive transition; armed to error or panic it aborts
-// the run with the matching typed error on every engine.
+// the run with the matching typed error — through the production entry
+// point with the default and with a private registry, and on the bare
+// walker at a batch size that puts the swap mid-batch-sweep.
 func TestAdaptFaultBuildSwap(t *testing.T) {
 	defer guard.Clear()
 	rng := rand.New(rand.NewSource(5))
@@ -176,11 +149,11 @@ func TestAdaptFaultBuildSwap(t *testing.T) {
 	p := plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))
 	a := &Adapt{SwapFactor: 4}
 	engines := map[string]func() (*relation.Relation, error){
-		"serial": func() (*relation.Relation, error) { return RunAdaptive(p, db, nil, a) },
-		"parallel": func() (*relation.Relation, error) {
-			return RunParallelAdaptive(p, db, 4, nil, a)
+		"serial": func() (*relation.Relation, error) {
+			out, _, err := RunInstrumentedAdaptive(p, db, nil, nil, a)
+			return out, err
 		},
-		"vectorized": func() (*relation.Relation, error) { return RunVectorizedAdaptive(p, db, nil, a) },
+		"vectorized": func() (*relation.Relation, error) { return runVec(p, db, nil, 3, a) },
 		"instrumented": func() (*relation.Relation, error) {
 			out, _, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, a)
 			return out, err
@@ -210,12 +183,12 @@ func TestAdaptSwapBelowThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := skewDB(rng, 1000, 1200, 50)
 	p := plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))
-	want, err := Run(p, db)
+	want, err := RunGuarded(p, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := obs.Default().Snapshot().Counters["exec.adapt.swaps"]
-	got, err := RunAdaptive(p, db, nil, &Adapt{SwapFactor: 4})
+	got, _, err := RunInstrumentedAdaptive(p, db, nil, nil, &Adapt{SwapFactor: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

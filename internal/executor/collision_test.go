@@ -43,7 +43,7 @@ func TestCollidingValuesPremise(t *testing.T) {
 	}
 }
 
-// TestHashJoinCollisionVerification: a serial hash join over inputs
+// TestHashJoinCollisionVerification: a tuple hash join over inputs
 // where every key shares one hash bucket still matches only truly
 // equal keys, and reports the rejected bucket hits as collisions.
 func TestHashJoinCollisionVerification(t *testing.T) {
@@ -51,7 +51,7 @@ func TestHashJoinCollisionVerification(t *testing.T) {
 	r := collideRel("r", 4, 2)
 	before := obs.Default().Counter("exec.hash.collisions").Value()
 	st := &joinProbe{}
-	out, err := joinExecProbe(plan.InnerJoin, expr.EqCols("l", "x", "r", "x"), l, r, st, nil, nil)
+	out, err := joinExecProbe(plan.InnerJoin, expr.EqCols("l", "x", "r", "x"), l, r, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,26 +65,6 @@ func TestHashJoinCollisionVerification(t *testing.T) {
 	}
 	if got := obs.Default().Counter("exec.hash.collisions").Value() - before; got == 0 {
 		t.Error("exec.hash.collisions not incremented")
-	}
-}
-
-// TestPartitionedJoinCollisions: all colliding keys land in one
-// partition; the partitioned join must still verify and agree with
-// the serial join.
-func TestPartitionedJoinCollisions(t *testing.T) {
-	l := collideRel("l", 400, 3)
-	r := collideRel("r", 400, 3)
-	pred := expr.EqCols("l", "x", "r", "x")
-	want, err := JoinExec(plan.FullJoin, pred, l, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := JoinExecParallel(plan.FullJoin, pred, l, r, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.EqualAsMultisets(want) {
-		t.Fatal("partitioned join differs from serial under forced collisions")
 	}
 }
 
@@ -149,12 +129,14 @@ func TestGenSelMGOJCollisions(t *testing.T) {
 			t.Fatalf("plan %d: executor differs from reference under collisions\ngot:\n%s\nwant:\n%s",
 				pi, got.Format(true), want.Format(true))
 		}
-		par, err := RunParallel(p, db, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !par.EqualAsSets(want) {
-			t.Fatalf("plan %d: RunParallel differs from reference under collisions", pi)
+		for _, e := range servingEngines() {
+			col, err := e.run(p, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !col.EqualAsSets(want) {
+				t.Fatalf("plan %d: %s differs from reference under collisions", pi, e.name)
+			}
 		}
 	}
 }

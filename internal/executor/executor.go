@@ -27,12 +27,53 @@ import (
 // response latency to a trip is bounded by one batch.
 const execBatchRows = 1024
 
-// Run executes the plan against db on the row-at-a-time engine. It is
-// the reference the columnar engine is checked against (the property
-// suites, the benchmark's oracle), so it deliberately shares no walker
-// with the production entry points below.
+// Run executes the plan against db on the row-at-a-time engine,
+// unbudgeted and uninstrumented. It is the reference the columnar
+// engine is checked against (the property suites, the benchmark's
+// oracle), so it shares no walker and no state with the production
+// entry points below — only the tuple operators themselves.
 func Run(n plan.Node, db plan.Database) (*relation.Relation, error) {
-	return run(n, db, nil, nil)
+	ch := n.Children()
+	in := make([]*relation.Relation, len(ch))
+	for i, c := range ch {
+		r, err := Run(c, db)
+		if err != nil {
+			return nil, err
+		}
+		in[i] = r
+	}
+	switch m := n.(type) {
+	case *plan.Scan:
+		return m.Eval(db)
+	case *plan.Select:
+		return algebra.Select(m.Pred, in[0]), nil
+	case *plan.Project:
+		return in[0].Project(m.Attrs, m.Distinct), nil
+	case *plan.GroupBy:
+		return algebra.GroupProject(m.Keys, m.Aggs, in[0]), nil
+	case *plan.Sort:
+		return plan.SortRows(in[0], m.Keys, m.Limit)
+	case *plan.GenSel:
+		specs := make([]map[string]bool, len(m.Preserved))
+		for i, s := range m.Preserved {
+			specs[i] = s.Set()
+		}
+		return algebra.GenSelect(m.Pred, specs, in[0])
+	case *plan.Join:
+		return JoinExec(m.Kind, m.Pred, in[0], in[1])
+	case *plan.MGOJNode:
+		join, err := JoinExec(plan.InnerJoin, m.Pred, in[0], in[1])
+		if err != nil {
+			return nil, err
+		}
+		return mgojCompensate(m, join, in[0], in[1], nil, nil)
+	case *plan.MergeJoin:
+		return MergeJoinExec(m, in[0], in[1])
+	case *plan.StreamAgg:
+		return StreamAggExec(m, in[0])
+	default:
+		return nil, fmt.Errorf("executor: unsupported node %T", n)
+	}
 }
 
 // RunGuarded is the production execution entry point: the plan runs on
@@ -50,116 +91,6 @@ func RunGuarded(n plan.Node, db plan.Database, b *guard.Budget) (out *relation.R
 	defer guard.RecoverAs(&err, &phase, plan.Key(n), nil)
 	e := &vecEngine{db: db, b: b, batch: execBatchRows, reg: b.Registry()}
 	return e.run(n)
-}
-
-// run is the guarded recursion of the row engine (Run, RunAdaptive and
-// the vectorized engine's per-operator fallbacks). Each
-// operator checks the budget on entry (one pointer comparison when
-// unbudgeted); joins charge their output incrementally inside the
-// probe loops, every other materializing operator charges its full
-// output here once computed.
-func run(n plan.Node, db plan.Database, b *guard.Budget, a *Adapt) (*relation.Relation, error) {
-	if err := b.Err(); err != nil {
-		return nil, err
-	}
-	out, err := runNode(n, db, b, a)
-	if err != nil {
-		return nil, err
-	}
-	if err := guard.Hit(guard.PointExecOperator); err != nil {
-		return nil, err
-	}
-	switch n.(type) {
-	case *plan.Scan, *materialized, *plan.Join, *plan.MGOJNode, *plan.MergeJoin, *plan.StreamAgg:
-		// Base inputs are not intermediate state; joins and the
-		// order-consuming operators have already charged per batch.
-	default:
-		if err := b.ChargeOut(out.Len(), out.Schema().Len()); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func runNode(n plan.Node, db plan.Database, b *guard.Budget, a *Adapt) (*relation.Relation, error) {
-	switch m := n.(type) {
-	case *plan.Scan:
-		return m.Eval(db)
-	case *materialized:
-		return m.rel, nil
-	case *plan.Select:
-		in, err := run(m.Input, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Select(m.Pred, in), nil
-	case *plan.Project:
-		in, err := run(m.Input, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		return in.Project(m.Attrs, m.Distinct), nil
-	case *plan.GroupBy:
-		in, err := run(m.Input, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.GroupProject(m.Keys, m.Aggs, in), nil
-	case *plan.Sort:
-		in, err := run(m.Input, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		return plan.SortRows(in, m.Keys, m.Limit)
-	case *plan.GenSel:
-		in, err := run(m.Input, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		specs := make([]map[string]bool, len(m.Preserved))
-		for i, s := range m.Preserved {
-			specs[i] = s.Set()
-		}
-		return algebra.GenSelect(m.Pred, specs, in)
-	case *plan.Join:
-		l, err := run(m.L, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run(m.R, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		return joinExecProbe(m.Kind, m.Pred, l, r, nil, b, a)
-	case *plan.MGOJNode:
-		l, err := run(m.L, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run(m.R, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		return mgojExecProbe(m, l, r, nil, b)
-	case *plan.MergeJoin:
-		l, err := run(m.L, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run(m.R, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		return mergeJoinProbe(m, l, r, nil, b)
-	case *plan.StreamAgg:
-		in, err := run(m.Input, db, b, a)
-		if err != nil {
-			return nil, err
-		}
-		return streamAggProbe(m, in, b)
-	default:
-		return nil, fmt.Errorf("executor: unsupported node %T", n)
-	}
 }
 
 // equiKey is one hashable equality conjunct l.col = r.col.
@@ -201,11 +132,10 @@ func splitEqui(pred expr.Pred, ls, rs *schema.Schema) (keys []equiKey, residual 
 
 // fastKey hashes the values at the given positions, or ok=false (no
 // match possible) when any is NULL — predicates are null in-tolerant.
-// It is the shared allocation-free key helper of every hashing path
-// (serial join, partitioned join, iterator join, instrumented runs):
-// a thin named wrapper over relation.Tuple.HashOn so all of them
-// measurably execute the same code. Bucket hits MUST be confirmed
-// with Tuple.EqualOn — hashes collide.
+// It is the shared allocation-free key helper of the tuple hash join
+// and the spill partitioner: a thin named wrapper over
+// relation.Tuple.HashOn so both measurably execute the same code.
+// Bucket hits MUST be confirmed with Tuple.EqualOn — hashes collide.
 func fastKey(t relation.Tuple, idx []int) (uint64, bool) {
 	return t.HashOn(idx)
 }
@@ -254,7 +184,6 @@ type joinProbe struct {
 	ResidualEvals int  // residual/loop predicate evaluations
 	NullPadded    int  // NULL-padded rows emitted for outer kinds
 	Collisions    int  // bucket hits rejected by key verification
-	Partitions    int  // grace partitions (0 = unpartitioned)
 	ArenaChunks   int  // output arena slabs allocated
 	NestedLoop    bool // true when no equi conjunct was hashable
 
@@ -290,7 +219,7 @@ func (st *joinProbe) flushArenas(reg *obs.Registry, arenas ...*tupleArena) {
 // predicate, using a hash join when an equality conjunct exists and a
 // nested loop otherwise.
 func JoinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*relation.Relation, error) {
-	return joinExecProbe(kind, pred, l, r, nil, nil, nil)
+	return joinExecProbe(kind, pred, l, r, nil, nil)
 }
 
 // chargeSince charges the growth of out since *charged against the
@@ -303,7 +232,7 @@ func chargeSince(b *guard.Budget, out *relation.Relation, charged *int, width in
 	return b.ChargeOut(d, width)
 }
 
-func joinExecProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, st *joinProbe, b *guard.Budget, a *Adapt) (*relation.Relation, error) {
+func joinExecProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, st *joinProbe, b *guard.Budget) (*relation.Relation, error) {
 	ls, rs := l.Schema(), r.Schema()
 	out := relation.New(ls.Concat(rs))
 	keys, residual := splitEqui(pred, ls, rs)
@@ -322,13 +251,6 @@ func joinExecProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, 
 	ri := make([]int, len(keys))
 	for i, k := range keys {
 		li[i], ri[i] = k.li, k.ri
-	}
-	// Mid-query adaptivity, decided before anything is built or
-	// probed: swap build/probe sides when the planned build side
-	// outgrew its estimate, or escalate to the grace/spill join when
-	// the effective build side cannot fit the byte budget's headroom.
-	if out, handled, err := adaptJoin(a, kind, pred, residual, li, ri, l, r, st, b); handled {
-		return out, err
 	}
 	// Reserve the build side's modeled resident footprint before
 	// materializing the hash table: under a MaxBytes budget an
@@ -510,26 +432,9 @@ func nestedLoop(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, out
 	return out, nil
 }
 
-// mgojExec executes MGOJ as a hash/nested-loop join followed by
-// preserved-projection padding, mirroring algebra.MGOJ.
-func mgojExec(m *plan.MGOJNode, l, r *relation.Relation) (*relation.Relation, error) {
-	return mgojExecProbe(m, l, r, nil, nil)
-}
-
-// mgojExecProbe runs MGOJ's inner join non-adaptively: the
-// compensation pass re-reads both inputs, so a build/probe swap
-// would buy nothing.
-func mgojExecProbe(m *plan.MGOJNode, l, r *relation.Relation, st *joinProbe, b *guard.Budget) (*relation.Relation, error) {
-	join, err := joinExecProbe(plan.InnerJoin, m.Pred, l, r, st, b, nil)
-	if err != nil {
-		return nil, err
-	}
-	return mgojCompensate(m, join, l, r, st, b)
-}
-
 // mgojCompensate appends MGOJ's preserved-projection padding to an
-// already-computed inner join of l and r; shared between the serial
-// and the partitioned MGOJ paths. Only the padding rows are charged —
+// already-computed inner join of l and r; shared between the row
+// reference and the columnar walker. Only the padding rows are charged —
 // the join rows were charged as the probe emitted them.
 func mgojCompensate(m *plan.MGOJNode, join, l, r *relation.Relation, st *joinProbe, b *guard.Budget) (*relation.Relation, error) {
 	if err := b.Err(); err != nil {

@@ -34,6 +34,30 @@ func randDB(rng *rand.Rand, maxRows, domain int, rels ...string) plan.Database {
 	return db
 }
 
+// bigDB builds relations of rows/2..rows tuples over x and y, each
+// value NULL one time in ten — large enough for batch boundaries, the
+// spill partitioner and byte budgets to engage.
+func bigDB(rng *rand.Rand, rows, domain int, rels ...string) plan.Database {
+	db := make(plan.Database, len(rels))
+	for _, name := range rels {
+		b := relation.NewBuilder(name, "x", "y")
+		n := rows/2 + rng.Intn(rows/2+1)
+		for i := 0; i < n; i++ {
+			vals := make([]value.Value, 2)
+			for j := range vals {
+				if rng.Intn(10) == 0 {
+					vals[j] = value.Null
+				} else {
+					vals[j] = value.NewInt(int64(rng.Intn(domain)))
+				}
+			}
+			b.Row(vals...)
+		}
+		db[name] = b.Relation()
+	}
+	return db
+}
+
 func eqX(a, b string) expr.Pred { return expr.EqCols(a, "x", b, "x") }
 func eqY(a, b string) expr.Pred { return expr.EqCols(a, "y", b, "y") }
 
@@ -161,45 +185,5 @@ func TestHashJoinScale(t *testing.T) {
 	}
 	if out.Len() != n {
 		t.Fatalf("got %d rows, want %d", out.Len(), n)
-	}
-}
-
-// TestRunParallelMatches cross-checks the goroutine-partitioned
-// executor against Run across operator kinds and the race detector.
-func TestRunParallelMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	lt := func(a, b string) expr.Pred {
-		return expr.Cmp{Op: value.LT, L: expr.Column(a, "y"), R: expr.Column(b, "y")}
-	}
-	plans := []plan.Node{
-		plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2")),
-		plan.NewJoin(plan.LeftJoin, expr.And(eqX("r1", "r2"), lt("r1", "r2")),
-			plan.NewScan("r1"), plan.NewScan("r2")),
-		plan.NewJoin(plan.FullJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2")),
-		plan.NewJoin(plan.RightJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2")),
-		plan.NewSelect(lt("r1", "r1"),
-			plan.NewJoin(plan.LeftJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))),
-		plan.NewGenSel(eqY("r1", "r3"), []plan.PreservedSpec{plan.NewPreserved("r1", "r2")},
-			plan.NewJoin(plan.LeftJoin, eqX("r2", "r3"),
-				plan.NewJoin(plan.LeftJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2")),
-				plan.NewScan("r3"))),
-	}
-	for pi, p := range plans {
-		for trial := 0; trial < 10; trial++ {
-			db := randDB(rng, 40, 5, "r1", "r2", "r3")
-			want, err := Run(p, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 3, 0} {
-				got, err := RunParallel(p, db, workers)
-				if err != nil {
-					t.Fatalf("plan %d workers %d: %v", pi, workers, err)
-				}
-				if !got.EqualAsMultisets(want) {
-					t.Fatalf("plan %d workers %d trial %d: parallel differs", pi, workers, trial)
-				}
-			}
-		}
 	}
 }

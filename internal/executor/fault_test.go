@@ -1,72 +1,111 @@
-// Fault-injection and leak suite for the guarded executor: injected
-// failures and panics at the operator, batch and partition points must
-// come back as typed guard errors, budget trips must abort with
-// ErrBudget, and a cancellation that lands mid-partitioned-join must
-// drain every worker goroutine. Runs under -race via make faults.
+// Fault-injection suite for the guarded executor: injected failures
+// and panics at the operator, batch, build-swap and spill points must
+// come back as typed guard errors, and budget trips must abort with
+// ErrBudget. Runs under -race via make faults.
 package executor
 
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/guard"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/schema"
 )
 
-// faultDB builds two relations big enough that the grace-partitioned
-// join engages (combined size ≥ minPartitionRows).
+// faultDB builds the matrix's inputs: r1 and r2 join many-to-many on a
+// narrow domain; r0 is at most a fifth of r2, so r0 ⋈ r2 is past the
+// build/probe swap threshold; w1 and w2 are large on a wide domain, so
+// their build side outgrows adaptSpillBytes while the join output fits.
 func faultDB(seed int64) plan.Database {
-	return bigDB(rand.New(rand.NewSource(seed)), 600, 23, "r1", "r2")
+	rng := rand.New(rand.NewSource(seed))
+	db := bigDB(rng, 600, 23, "r1", "r2")
+	db["r0"] = bigDB(rng, 60, 23, "r0")["r0"]
+	for name, rel := range bigDB(rng, 3000, 20000, "w1", "w2") {
+		db[name] = rel
+	}
+	return db
 }
 
-func faultJoin() plan.Node {
-	return plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))
+// adaptSpillBytes cannot hold w2's hash table (≥1500 rows × 2 columns
+// × 32 B, twice over) but holds any spilled partition pair of w1 ⋈ w2
+// and its output.
+const adaptSpillBytes = 120_000
+
+func faultJoin() plan.Node { return joinOnX("r1", "r2") }
+
+func joinOnX(l, r string) plan.Node {
+	return plan.NewJoin(plan.InnerJoin, eqX(l, r), plan.NewScan(l), plan.NewScan(r))
 }
 
 // execEntry is one guarded entry point of the executor, wrapped so the
-// matrix can drive RunGuarded, RunParallelGuarded and the partitioned
-// join uniformly.
+// matrix can drive the production walker's entry points and the
+// operator-level joins uniformly.
 type execEntry struct {
 	name string
 	run  func(db plan.Database, b *guard.Budget) (*relation.Relation, error)
 	// ref is the plan whose unguarded Run output the entry's guarded
 	// output must reproduce (the untripped-budget determinism gate).
 	ref plan.Node
+	// maxBytes, when set, caps the byte limit of every budget the entry
+	// runs under: a test may set a tighter one, never a looser one.
+	maxBytes int64
+	// arms are the points the entry is in the matrix to cross; a clean
+	// run that misses one fails the recording.
+	arms []guard.Point
+}
+
+// budget builds the budget a test hands the entry.
+func (e execEntry) budget(l guard.Limits) *guard.Budget {
+	if e.maxBytes != 0 && (l.MaxBytes == 0 || l.MaxBytes > e.maxBytes) {
+		l.MaxBytes = e.maxBytes
+	}
+	return guard.New(context.Background(), l, nil)
+}
+
+// runAdaptive is the service's feedback-mode execution: instrumented,
+// swapping and spilling.
+func runAdaptive(p plan.Node) func(plan.Database, *guard.Budget) (*relation.Relation, error) {
+	return func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
+		out, _, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), b, &Adapt{SwapFactor: 4, Spill: true})
+		return out, err
+	}
 }
 
 func execEntries() []execEntry {
 	return []execEntry{
-		{"serial", func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
+		{name: "serial", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
 			return RunGuarded(faultJoin(), db, b)
-		}, faultJoin()},
-		{"parallel", func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
-			return RunParallelGuarded(faultJoin(), db, 3, b)
-		}, faultJoin()},
-		{"joinpar", func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
-			return JoinExecParallelGuarded(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], 3, b)
-		}, faultJoin()},
+		}, ref: faultJoin()},
+		// The production entry with adaptivity on, over a build side past
+		// the swap threshold: arms executor.buildswap on the swap.
+		{name: "adaptswap", run: runAdaptive(joinOnX("r0", "r2")), ref: joinOnX("r0", "r2"),
+			arms: []guard.Point{guard.PointExecBuildSwap}},
+		// The same entry under a byte cap its build side cannot fit: the
+		// join escalates to the grace join, arming executor.buildswap on
+		// the escalation and the spill write/read points behind it.
+		{name: "adaptspill", run: runAdaptive(joinOnX("w1", "w2")), ref: joinOnX("w1", "w2"), maxBytes: adaptSpillBytes,
+			arms: []guard.Point{guard.PointExecBuildSwap, guard.PointSpillWrite, guard.PointSpillRead}},
 		// The spilling grace join always writes and reads partition
 		// files (even unbudgeted), so the matrix arms the spill
 		// write/read fault points through this entry.
-		{"spill", func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
+		{name: "spill", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
 			return JoinExecSpill(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], b, SpillOptions{})
-		}, faultJoin()},
+		}, ref: faultJoin()},
 		// The order-consuming operators: enforcer sorts establish the
 		// input orders, so these entries cross the executor.mergejoin
 		// and executor.streamagg points at their batch boundaries.
-		{"merge", func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
+		{name: "merge", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
 			return RunGuarded(faultMergeJoin(), db, b)
-		}, faultMergeJoin()},
-		{"streamagg", func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
+		}, ref: faultMergeJoin()},
+		{name: "streamagg", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
 			return RunGuarded(faultStreamAgg(), db, b)
-		}, faultStreamAgg()},
+		}, ref: faultStreamAgg()},
 	}
 }
 
@@ -105,7 +144,7 @@ func execFired(t *testing.T, e execEntry, db plan.Database) []guard.Point {
 		guard.Inject(p, func(guard.Point) error { c.Add(1); return nil })
 	}
 	defer guard.Clear()
-	if _, err := e.run(db, guard.New(context.Background(), guard.Limits{}, nil)); err != nil {
+	if _, err := e.run(db, e.budget(guard.Limits{})); err != nil {
 		t.Fatalf("recording run failed: %v", err)
 	}
 	var fired []guard.Point
@@ -116,6 +155,11 @@ func execFired(t *testing.T, e execEntry, db plan.Database) []guard.Point {
 	}
 	if len(fired) == 0 {
 		t.Fatal("no guard points fired during a guarded execution")
+	}
+	for _, p := range e.arms {
+		if counts[p].Load() == 0 {
+			t.Fatalf("entry never crossed %s", p)
+		}
 	}
 	return fired
 }
@@ -132,7 +176,7 @@ func TestExecutorFaultMatrix(t *testing.T) {
 				t.Run(string(p)+"/error", func(t *testing.T) {
 					guard.InjectError(p)
 					defer guard.Clear()
-					_, err := e.run(db, guard.New(context.Background(), guard.Limits{}, nil))
+					_, err := e.run(db, e.budget(guard.Limits{}))
 					if !guard.IsInjected(err) {
 						t.Fatalf("err = %v, want injected fault", err)
 					}
@@ -140,7 +184,7 @@ func TestExecutorFaultMatrix(t *testing.T) {
 				t.Run(string(p)+"/panic", func(t *testing.T) {
 					guard.InjectPanic(p)
 					defer guard.Clear()
-					_, err := e.run(db, guard.New(context.Background(), guard.Limits{}, nil))
+					_, err := e.run(db, e.budget(guard.Limits{}))
 					if !guard.IsPanic(err) {
 						t.Fatalf("err = %v, want *guard.PanicError", err)
 					}
@@ -164,68 +208,12 @@ func TestExecutorBudgetTrips(t *testing.T) {
 	for _, e := range execEntries() {
 		for _, lc := range limits {
 			t.Run(e.name+"/"+lc.name, func(t *testing.T) {
-				_, err := e.run(db, guard.New(context.Background(), lc.l, nil))
+				_, err := e.run(db, e.budget(lc.l))
 				if !guard.IsBudget(err) {
 					t.Fatalf("err = %v, want guard.ErrBudget", err)
 				}
 			})
 		}
-	}
-}
-
-// TestExecutorCancellationDrainsWorkers: a cancellation that becomes
-// visible after the first partition is claimed must abort the
-// partitioned join with ErrCancelled and leave no worker goroutine
-// behind — eachPartition's workers re-check the budget before every
-// claim and the WaitGroup joins them all.
-func TestExecutorCancellationDrainsWorkers(t *testing.T) {
-	defer guard.Clear()
-	db := faultDB(33)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Cancel from inside the first partition hit: the worker that fired
-	// it finishes its partition, then every later claim (P = 4 > 3
-	// workers guarantees one) sees the cancelled budget.
-	guard.Inject(guard.PointExecPartition, func(guard.Point) error {
-		cancel()
-		return nil
-	})
-	before := runtime.NumGoroutine()
-	_, err := JoinExecParallelGuarded(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], 3,
-		guard.New(ctx, guard.Limits{}, nil))
-	guard.Clear()
-	if !guard.IsCancelled(err) {
-		t.Fatalf("err = %v, want guard.ErrCancelled", err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestExecutorPanicLeavesNoWorkers: a panic injected into the
-// partition workers is contained per work item and the pool still
-// joins cleanly.
-func TestExecutorPanicLeavesNoWorkers(t *testing.T) {
-	defer guard.Clear()
-	db := faultDB(34)
-	guard.InjectPanic(guard.PointExecPartition)
-	before := runtime.NumGoroutine()
-	_, err := JoinExecParallelGuarded(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], 3,
-		guard.New(context.Background(), guard.Limits{}, nil))
-	guard.Clear()
-	if !guard.IsPanic(err) {
-		t.Fatalf("err = %v, want *guard.PanicError", err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -240,7 +228,7 @@ func TestExecutorUntrippedBudgetDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.run(db, guard.New(context.Background(), huge, nil))
+			got, err := e.run(db, e.budget(huge))
 			if err != nil {
 				t.Fatal(err)
 			}

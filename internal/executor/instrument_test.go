@@ -21,7 +21,7 @@ func TestInstrumentedSupplierRowCounts(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
 	reg := obs.NewRegistry()
-	got, ann, err := RunInstrumented(q, db, reg)
+	got, ann, err := RunInstrumentedAdaptive(q, db, reg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestNestedLoopFallbackLogged(t *testing.T) {
 func TestInstrumentedNullPadding(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
-	_, ann, err := RunInstrumented(q, db, nil)
+	_, ann, err := RunInstrumentedAdaptive(q, db, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func spillJoinProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation,
 	}
 	if len(keys) == 0 {
 		reg.Counter("exec.spill.fallback.nonequi").Inc()
-		return joinExecProbe(kind, pred, l, r, st, b, nil)
+		return joinExecProbe(kind, pred, l, r, st, b)
 	}
 	li := make([]int, len(keys))
 	ri := make([]int, len(keys))
@@ -260,7 +260,7 @@ func (sp *spiller) joinPair(lf, rf spillFile, level int, force bool) (*relation.
 		return nil, err
 	}
 	defer sp.b.ReleaseBytes(loaded)
-	return joinExecProbe(sp.kind, sp.pred, lrel, rrel, sp.st, sp.b, nil)
+	return joinExecProbe(sp.kind, sp.pred, lrel, rrel, sp.st, sp.b)
 }
 
 // recurse re-partitions one oversized pair on the next 4 hash bits

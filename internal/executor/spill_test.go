@@ -135,16 +135,6 @@ func TestExecutorSpillCompletesWhereInMemoryTrips(t *testing.T) {
 	if !got.EqualAsMultisets(want) {
 		t.Fatal("spilled result differs from unbudgeted join")
 	}
-	// The parallel engine auto-routes to the spilling join on the same
-	// budget and must also complete.
-	gotPar, err := JoinExecParallelGuarded(plan.InnerJoin, pred, l, r, 4,
-		guard.New(context.Background(), limits, nil))
-	if err != nil {
-		t.Fatalf("partitioned join did not auto-spill: %v", err)
-	}
-	if !gotPar.EqualAsMultisets(want) {
-		t.Fatal("auto-spilled parallel result differs from unbudgeted join")
-	}
 }
 
 // TestExecutorSpillFaultPoints: errors injected at the spill write and

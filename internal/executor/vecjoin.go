@@ -20,14 +20,15 @@ import (
 // to hash; either way the output columns come out in (l, r) order.
 // Non-equi predicates cannot be hashed and fall back to the tuple
 // engine's nested loop; a build side that cannot fit the byte budget's
-// headroom routes through the spilling grace join when the caller
-// allows it (spillAllowed). Both escapes are counted.
+// headroom routes through the spilling grace join when Adapt.Spill
+// allows it, and is RunGuarded's typed guard.ErrBudget otherwise. Both
+// escapes are counted.
 func (e *vecEngine) vecJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, st *joinProbe) (*batch.Rel, error) {
 	ls, rs := l.Schema, r.Schema
 	keys, residual := splitEqui(pred, ls, rs)
 	if len(keys) == 0 {
 		e.reg.Counter("exec.vector.fallback.join-nonequi").Inc()
-		out, err := joinExecProbe(kind, pred, l.ToRelation(), r.ToRelation(), st, e.b, e.adapt)
+		out, err := joinExecProbe(kind, pred, l.ToRelation(), r.ToRelation(), st, e.b)
 		if err != nil {
 			return nil, err
 		}
@@ -38,17 +39,16 @@ func (e *vecEngine) vecJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel,
 	for i, k := range keys {
 		li[i], ri[i] = k.li, k.ri
 	}
-	// Mid-query adaptivity, decided before anything is built: the same
-	// cascade as the row engine's adaptJoin. Escalation is checked on
-	// the effective (post-swap) build side, so a swap that also cannot
-	// fit memory goes straight to the grace join.
+	// Mid-query adaptivity, decided before anything is built.
+	// Escalation is checked on the effective (post-swap) build side, so
+	// a swap that also cannot fit memory goes straight to the grace join.
 	swap := e.adapt.swapWanted(l.N, r.N)
 	build := r
 	if swap {
 		build = l
 	}
 	buildRes := estBytes(build.N, build.Schema.Len())
-	if free, limited := e.b.BytesFree(); limited && e.spillAllowed() && 2*buildRes > free {
+	if free, limited := e.b.BytesFree(); limited && e.adapt.spillWanted() && 2*buildRes > free {
 		return e.spillJoin(kind, pred, l, r, st)
 	}
 	if err := e.b.ReserveBytes(buildRes); err != nil {
@@ -96,32 +96,17 @@ func mirrorKind(k plan.JoinKind) plan.JoinKind {
 	return k
 }
 
-// spillAllowed reports whether a join whose build side outgrows the
-// byte budget's headroom may go to disk: the RunVectorized* callers
-// opt in wholesale, everyone else through Adapt.Spill. Without it the
-// overrun is RunGuarded's typed guard.ErrBudget.
-func (e *vecEngine) spillAllowed() bool {
-	return e.autoSpill || e.adapt.spillWanted()
-}
-
-// spillJoin hands one join to the grace/spill join over the row-major
-// seam, counted as an adaptive escalation when Adapt asked for it and
-// on exec.vector.spill otherwise.
+// spillJoin escalates one join to the grace/spill join over the
+// row-major seam.
 func (e *vecEngine) spillJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, st *joinProbe) (*batch.Rel, error) {
-	opts := SpillOptions{}
-	if e.adapt.spillWanted() {
-		if err := guard.Hit(guard.PointExecBuildSwap); err != nil {
-			return nil, err
-		}
-		e.reg.Counter("exec.adapt.spill_escalations").Inc()
-		if st != nil {
-			st.SpillEscalated = true
-		}
-		opts.Dir = e.adapt.SpillDir
-	} else {
-		e.reg.Counter("exec.vector.spill").Inc()
+	if err := guard.Hit(guard.PointExecBuildSwap); err != nil {
+		return nil, err
 	}
-	out, err := spillJoinProbe(kind, pred, l.ToRelation(), r.ToRelation(), st, e.b, e.reg, opts)
+	e.reg.Counter("exec.adapt.spill_escalations").Inc()
+	if st != nil {
+		st.SpillEscalated = true
+	}
+	out, err := spillJoinProbe(kind, pred, l.ToRelation(), r.ToRelation(), st, e.b, e.reg, SpillOptions{Dir: e.adapt.SpillDir})
 	if err != nil {
 		return nil, err
 	}

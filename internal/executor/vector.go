@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/algebra"
@@ -13,17 +14,16 @@ import (
 	"repro/internal/schema"
 )
 
-// This file is the vectorized engine's plan walker — the engine every
-// production entry point runs on (RunGuarded, RunInstrumentedAdaptive
-// and the RunVectorized* family; Run stays on the row walker as the
-// independent reference). Data flows between operators as columnar
-// batch.Rel relations; the hot operators — scan, selection, equi-join
-// build/probe, GROUP BY and (distinct) projection — run as
-// batch-at-a-time kernels (vecjoin.go, vecagg.go), and every operator
-// the columnar engine has not ported falls back per operator to the
-// tuple engine: children are materialized row-major, the tuple
-// operator runs through run()'s charging protocol, and the result is
-// re-shaped columnar. Fallbacks are counted on
+// This file is the vectorized engine's plan walker — the engine both
+// production entry points run on (RunGuarded, RunInstrumentedAdaptive;
+// Run stays on the row walker as the independent reference). Data
+// flows between operators as columnar batch.Rel relations; the hot
+// operators — scan, selection, equi-join build/probe, GROUP BY and
+// (distinct) projection — run as batch-at-a-time kernels (vecjoin.go,
+// vecagg.go), and every operator the columnar engine has not ported
+// falls back per operator to its tuple operator: children are
+// materialized row-major, the operator runs under the engine's budget,
+// and the result is re-shaped columnar. Fallbacks are counted on
 // exec.vector.fallback.<op>, so a plan that silently executes mostly
 // row-at-a-time is visible in -stats output.
 //
@@ -44,43 +44,6 @@ import (
 // projection preserve input order, and sorts and merge joins run on
 // the tuple engine's order-aware operators.
 
-// VecOptions tune RunVectorizedOpts.
-type VecOptions struct {
-	// BatchSize is the probe/selection kernel granularity in rows:
-	// guard checks, fault points and incremental output charges happen
-	// once per batch. 0 means execBatchRows (1024). The equivalence
-	// property tests sweep {1, 3, 1024} to pin batch-boundary
-	// handling.
-	BatchSize int
-}
-
-// RunVectorized executes the plan on the columnar engine. Results are
-// multiset-equal to Run; output order may differ on fallback seams.
-func RunVectorized(n plan.Node, db plan.Database) (*relation.Relation, error) {
-	return RunVectorizedOpts(n, db, nil, VecOptions{})
-}
-
-// RunVectorizedGuarded is RunGuarded with one difference: joins whose
-// build side cannot fit the byte budget's headroom automatically route
-// through the spilling grace join instead of tripping the budget.
-func RunVectorizedGuarded(n plan.Node, db plan.Database, b *guard.Budget) (*relation.Relation, error) {
-	return RunVectorizedOpts(n, db, b, VecOptions{})
-}
-
-// RunVectorizedOpts is the fully parameterized entry point.
-func RunVectorizedOpts(n plan.Node, db plan.Database, b *guard.Budget, o VecOptions) (out *relation.Relation, err error) {
-	phase := "execute"
-	defer guard.RecoverAs(&err, &phase, plan.Key(n), nil)
-	e := &vecEngine{db: db, b: b, batch: o.BatchSize, reg: b.Registry(), autoSpill: true}
-	if e.batch <= 0 {
-		e.batch = execBatchRows
-	}
-	obs.WithPhase(b.Context(), "executor", "execute", func() {
-		out, err = e.run(n)
-	})
-	return out, err
-}
-
 // vecEngine carries one vectorized execution's configuration.
 type vecEngine struct {
 	db    plan.Database
@@ -89,10 +52,6 @@ type vecEngine struct {
 	reg   *obs.Registry
 	ann   plan.Annotations // nil outside instrumented runs
 	adapt *Adapt           // nil = static plan, no mid-query adaptivity
-	// autoSpill sends a join whose build side outgrows the byte
-	// budget's headroom to the grace/spill join even without
-	// Adapt.Spill — the RunVectorized* contract, not RunGuarded's.
-	autoSpill bool
 }
 
 // run executes the plan and boxes the root's output row-major.
@@ -136,7 +95,7 @@ func (e *vecEngine) exec(n plan.Node) (*batch.Rel, error) {
 		a.Elapsed = time.Since(start)
 		if st != nil {
 			switch n.(type) {
-			case *plan.Join, *plan.MGOJNode:
+			case *plan.Join, *plan.MGOJNode, *plan.MergeJoin:
 				recordJoinProbe(a, st, e.reg)
 			}
 		}
@@ -151,8 +110,8 @@ func (e *vecEngine) exec(n plan.Node) (*batch.Rel, error) {
 }
 
 // execNode dispatches one operator. It reports whether the operator
-// already charged its output (scans and materialized inputs are
-// exempt; joins charge per batch; fallbacks charge inside run()).
+// already charged its output (scans are exempt; joins and the
+// order-consuming operators charge per batch).
 func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, error) {
 	switch m := n.(type) {
 	case *plan.Scan:
@@ -165,8 +124,6 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 			img = img.As(s) // aliased: same columns, renamed schema
 		}
 		return img, true, nil
-	case *materialized:
-		return batch.FromRelation(m.rel), true, nil
 	case *plan.Select:
 		in, err := e.exec(m.Input)
 		if err != nil {
@@ -244,33 +201,44 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 		}
 		return batch.FromRelation(out), false, nil
 	default:
-		return e.fallback(n)
+		return e.fallback(n, st)
 	}
 }
 
-// fallback materializes the children columnar-side, runs the tuple
-// operator through run()'s charging protocol, and re-shapes the
-// result. Counted per operator on exec.vector.fallback.<op>.
-func (e *vecEngine) fallback(n plan.Node) (*batch.Rel, bool, error) {
+// fallback runs the three tuple operators the columnar engine has not
+// ported — sort, merge join, streaming aggregation — over its
+// children's output boxed row-major, under the engine's budget, and
+// re-shapes the result. Counted per operator on
+// exec.vector.fallback.<op>.
+func (e *vecEngine) fallback(n plan.Node, st *joinProbe) (*batch.Rel, bool, error) {
 	e.reg.Counter("exec.vector.fallback." + OpName(n)).Inc()
 	ch := n.Children()
-	newCh := make([]plan.Node, len(ch))
+	in := make([]*relation.Relation, len(ch))
 	for i, c := range ch {
 		col, err := e.exec(c)
 		if err != nil {
 			return nil, false, err
 		}
-		newCh[i] = &materialized{rel: col.ToRelation()}
+		in[i] = col.ToRelation()
 	}
-	node := n
-	if len(ch) > 0 {
-		node = n.WithChildren(newCh)
+	var out *relation.Relation
+	var err error
+	charged := true // the order-consuming operators charge per batch
+	switch m := n.(type) {
+	case *plan.Sort:
+		out, err = plan.SortRows(in[0], m.Keys, m.Limit)
+		charged = false
+	case *plan.MergeJoin:
+		out, err = mergeJoinProbe(m, in[0], in[1], st, e.b)
+	case *plan.StreamAgg:
+		out, err = streamAggProbe(m, in[0], e.b)
+	default:
+		err = fmt.Errorf("executor: unsupported node %T", n)
 	}
-	out, err := run(node, e.db, e.b, e.adapt)
 	if err != nil {
 		return nil, false, err
 	}
-	return batch.FromRelation(out), true, nil
+	return batch.FromRelation(out), charged, nil
 }
 
 // JoinExecVec is the columnar hash join over pre-shaped columnar
@@ -278,13 +246,10 @@ func (e *vecEngine) fallback(n plan.Node) (*batch.Rel, bool, error) {
 // (batch.FromRelation once, join many times, as a columnar engine
 // holds data between operators). The output's columns are pending
 // until read. Guarded and panic-contained like JoinExec.
-func JoinExecVec(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, b *guard.Budget, o VecOptions) (out *batch.Rel, err error) {
+func JoinExecVec(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, b *guard.Budget) (out *batch.Rel, err error) {
 	phase := "execute"
 	defer guard.RecoverAs(&err, &phase, "joinvec", nil)
-	e := &vecEngine{b: b, batch: o.BatchSize, reg: b.Registry(), autoSpill: true}
-	if e.batch <= 0 {
-		e.batch = execBatchRows
-	}
+	e := &vecEngine{b: b, batch: execBatchRows, reg: b.Registry()}
 	return e.vecJoin(kind, pred, l, r, nil)
 }
 

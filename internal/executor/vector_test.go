@@ -1,7 +1,7 @@
-// Equivalence suite for the vectorized engine: RunVectorized and the
-// two production entry points that run on it (RunGuarded,
-// RunInstrumentedAdaptive) must be multiset-identical to Run (and
-// RunParallel) on every plan shape the tuple engine accepts — all join
+// Equivalence suite for the vectorized engine: the columnar walker and
+// the two production entry points that run on it (RunGuarded,
+// RunInstrumentedAdaptive) must be multiset-identical to Run on every
+// plan shape the tuple engine accepts — all join
 // kinds with NULL keys, MGOJ, GenSel, grouping with every aggregate
 // form — across batch sizes {1, 3, 1024}, and must agree bit-for-bit
 // on aggregate float arithmetic. It also pins what the serving path
@@ -53,6 +53,17 @@ func servingEngines() []servingEngine {
 			return out, err
 		}},
 	}
+}
+
+// runVec runs p on the columnar walker at batch size bs — the
+// in-package handle on what no entry point exports: the batch-size
+// sweep, and adaptivity without instrumentation. Panics are contained
+// as at the entry points.
+func runVec(p plan.Node, db plan.Database, b *guard.Budget, bs int, a *Adapt) (out *relation.Relation, err error) {
+	phase := "execute"
+	defer guard.RecoverAs(&err, &phase, plan.Key(p), nil)
+	e := &vecEngine{db: db, b: b, batch: bs, reg: b.Registry(), adapt: a}
+	return e.run(p)
 }
 
 // mixedDB builds relations with an int key x, an int y, a float f and
@@ -159,9 +170,10 @@ func vecPlans() []plan.Node {
 	}
 }
 
-// TestVectorizedMatchesRun is the three-engine equivalence property:
-// Run ≡ RunParallel ≡ RunVectorized as multisets on randomized
-// mixed-kind relations with NULL keys, across batch sizes.
+// TestVectorizedMatchesRun is the engine equivalence property: the
+// columnar walker at every batch size and both serving entry points
+// return Run's multiset on randomized mixed-kind relations with NULL
+// keys.
 func TestVectorizedMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	plans := vecPlans()
@@ -172,20 +184,13 @@ func TestVectorizedMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := RunParallel(p, db, 3)
-			if err != nil {
-				t.Fatalf("plan %d: RunParallel: %v", pi, err)
-			}
-			if !par.EqualAsMultisets(want) {
-				t.Fatalf("plan %d trial %d: RunParallel differs from Run", pi, trial)
-			}
 			for _, bs := range vecBatchSizes {
-				got, err := RunVectorizedOpts(p, db, nil, VecOptions{BatchSize: bs})
+				got, err := runVec(p, db, nil, bs, nil)
 				if err != nil {
 					t.Fatalf("plan %d batch %d: %v", pi, bs, err)
 				}
 				if !got.EqualAsMultisets(want) {
-					t.Fatalf("plan %d batch %d trial %d: RunVectorized differs from Run", pi, bs, trial)
+					t.Fatalf("plan %d batch %d trial %d: columnar walker differs from Run", pi, bs, trial)
 				}
 			}
 			for _, e := range servingEngines() {
@@ -216,7 +221,7 @@ func TestVectorizedSelectPreservesOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bs := range vecBatchSizes {
-		got, err := RunVectorizedOpts(p, db, nil, VecOptions{BatchSize: bs})
+		got, err := runVec(p, db, nil, bs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +260,7 @@ func TestVectorizedEmptyInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, bs := range vecBatchSizes {
-			got, err := RunVectorizedOpts(p, db, nil, VecOptions{BatchSize: bs})
+			got, err := runVec(p, db, nil, bs, nil)
 			if err != nil {
 				t.Fatalf("plan %d: %v", pi, err)
 			}
@@ -267,8 +272,9 @@ func TestVectorizedEmptyInputs(t *testing.T) {
 }
 
 // TestVectorizedSpills: under a byte budget the in-memory build cannot
-// reserve, the vectorized join must route through the spilling grace
-// join and still match the unbudgeted run.
+// reserve, the join escalates to the spilling grace join when
+// Adapt.Spill allows it and still matches the unbudgeted run; with a
+// nil Adapt the same budget is the typed error, never a spill.
 func TestVectorizedSpills(t *testing.T) {
 	rng := rand.New(rand.NewSource(213))
 	db := bigDB(rng, 4000, 100000, "r1", "r2")
@@ -277,30 +283,44 @@ func TestVectorizedSpills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := obs.Default().Counter("exec.vector.spill").Value()
-	got, err := RunVectorizedGuarded(p, db,
-		guard.New(context.Background(), guard.Limits{MaxBytes: 100_000}, nil))
+	limits := guard.Limits{MaxBytes: 100_000}
+	reg := obs.NewRegistry()
+	got, _, err := RunInstrumentedAdaptive(p, db, reg, guard.New(context.Background(), limits, reg),
+		&Adapt{Spill: true, SpillDir: t.TempDir()})
 	if err != nil {
-		t.Fatalf("vectorized join did not spill under budget: %v", err)
+		t.Fatalf("join did not spill under budget: %v", err)
 	}
 	if !got.EqualAsMultisets(want) {
-		t.Fatal("spilled vectorized result differs from unbudgeted Run")
+		t.Fatal("spilled result differs from unbudgeted Run")
 	}
-	if obs.Default().Counter("exec.vector.spill").Value() == before {
-		t.Error("exec.vector.spill not incremented")
+	snap := reg.Snapshot().Counters
+	if snap["exec.adapt.spill_escalations"] != 1 || snap["exec.spill.partitions"] == 0 {
+		t.Errorf("spill not counted: escalations %d, partitions %d",
+			snap["exec.adapt.spill_escalations"], snap["exec.spill.partitions"])
+	}
+	reg = obs.NewRegistry()
+	_, _, err = RunInstrumentedAdaptive(p, db, reg, guard.New(context.Background(), limits, reg), nil)
+	if !guard.IsBudget(err) {
+		t.Fatalf("nil Adapt under the same budget: err = %v, want guard.ErrBudget", err)
+	}
+	if n := reg.Snapshot().Counters["exec.spill.joins"]; n != 0 {
+		t.Errorf("nil Adapt spilled %d joins", n)
 	}
 }
 
-// TestVectorizedBudgetTrips: the vectorized engine honours the same
-// budget protocol — a tight row cap trips with the typed budget error.
+// TestVectorizedBudgetTrips: a tight row cap trips with the typed
+// budget error whether or not Adapt.Spill is set — spilling answers
+// byte pressure only.
 func TestVectorizedBudgetTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(214))
 	db := mixedDB(rng, 400, 7, "r1", "r2")
 	p := plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))
-	_, err := RunVectorizedGuarded(p, db,
-		guard.New(context.Background(), guard.Limits{MaxRows: 50}, nil))
-	if !guard.IsBudget(err) {
-		t.Fatalf("err = %v, want guard.ErrBudget", err)
+	for _, a := range []*Adapt{nil, {Spill: true}} {
+		_, _, err := RunInstrumentedAdaptive(p, db, nil,
+			guard.New(context.Background(), guard.Limits{MaxRows: 50}, nil), a)
+		if !guard.IsBudget(err) {
+			t.Fatalf("adapt %+v: err = %v, want guard.ErrBudget", a, err)
+		}
 	}
 }
 
@@ -315,7 +335,7 @@ func TestVectorizedFallbackCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunVectorized(p, db)
+	got, err := RunGuarded(p, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +347,9 @@ func TestVectorizedFallbackCounted(t *testing.T) {
 	}
 }
 
-// TestVectorizedInstrumented: the -vec EXPLAIN ANALYZE path annotates
-// every node with rows and the join with its probe extras.
+// TestVectorizedInstrumented: the EXPLAIN ANALYZE path annotates every
+// node with rows and every join — hash or merge — with its probe
+// extras.
 func TestVectorizedInstrumented(t *testing.T) {
 	rng := rand.New(rand.NewSource(216))
 	db := mixedDB(rng, 300, 13, "r1", "r2")
@@ -359,6 +380,24 @@ func TestVectorizedInstrumented(t *testing.T) {
 	}
 	if reg.Counter("executor.op.join.LOJ").Value() == 0 {
 		t.Error("per-operator counter not recorded")
+	}
+
+	// A merge join runs on the tuple operator behind the fallback seam;
+	// its probe figures must reach the annotation all the same.
+	sorted := plan.Database{
+		"r1": sortedOn(t, db["r1"], ascKey("r1", "x")),
+		"r2": sortedOn(t, db["r2"], ascKey("r2", "x")),
+	}
+	lt := expr.Cmp{Op: value.LT, L: expr.Column("r1", "y"), R: expr.Column("r2", "y")}
+	mj := mergeOn(plan.LeftJoin, expr.And(eqX("r1", "r2"), lt), "r1", "r2", false)
+	_, ann, err = RunInstrumentedAdaptive(mj, sorted, obs.NewRegistry(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range []string{"residual_evals", "null_padded", "arena_chunks"} {
+		if ann.For(mj).Extra[extra] == 0 {
+			t.Errorf("merge join annotation missing %s: %v", extra, ann.For(mj).Extra)
+		}
 	}
 }
 
@@ -396,8 +435,7 @@ func TestVectorizedSharedImage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines := append(servingEngines(), servingEngine{"RunVectorized", RunVectorized})
-		for _, e := range engines {
+		for _, e := range servingEngines() {
 			got, err := e.run(p, db)
 			if err != nil {
 				t.Fatalf("plan %d: %s: %v", pi, e.name, err)

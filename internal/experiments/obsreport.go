@@ -40,7 +40,7 @@ func E15() string {
 		return err.Error()
 	}
 	span := tracer.Start("execute")
-	out, ann, err := executor.RunInstrumented(res.Best.Plan, db, reg)
+	out, ann, err := executor.RunInstrumentedAdaptive(res.Best.Plan, db, reg, nil, nil)
 	span.End()
 	if err != nil {
 		return err.Error()

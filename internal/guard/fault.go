@@ -40,9 +40,6 @@ const (
 	// PointExecBatch fires at the executor's per-batch boundaries
 	// inside join probe loops.
 	PointExecBatch Point = "exec.join.batch"
-	// PointExecPartition fires as each partition of the grace-
-	// partitioned parallel join is claimed by a worker.
-	PointExecPartition Point = "exec.join.partition"
 	// PointExecMergeJoin fires at the sort-merge join's per-batch
 	// output boundaries.
 	PointExecMergeJoin Point = "executor.mergejoin"
@@ -97,7 +94,6 @@ func Points() []Point {
 		PointMemoExtract,
 		PointExecOperator,
 		PointExecBatch,
-		PointExecPartition,
 		PointExecMergeJoin,
 		PointExecStreamAgg,
 		PointDatagenBatch,

@@ -213,7 +213,7 @@ func (b *Budget) Cancelled() error {
 // budget kind. A tripped Exprs budget is deliberately not reported —
 // it is the optimizer's degradable condition, and the same budget
 // legitimately flows into executing the degraded plan afterwards
-// (ExplainAnalyzeBudget optimizes and executes under one envelope).
+// (ExplainAnalyze optimizes and executes under one envelope).
 func (b *Budget) Err() error {
 	if b == nil {
 		return nil

@@ -8,7 +8,8 @@ import (
 )
 
 // RecoverAs is the package-boundary panic container: deferred at the
-// top of optimizer.Optimize and executor.Run*, it converts a panic
+// top of optimizer.Optimize and the executor's production entry
+// points (RunGuarded, RunInstrumentedAdaptive), it converts a panic
 // into a *PanicError stored in *errp, carrying the phase the pipeline
 // was in (read through phase at recovery time, so the boundary
 // reports the innermost stage reached) and the fingerprint of the

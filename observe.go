@@ -8,7 +8,6 @@
 package reorder
 
 import (
-	"context"
 	"net/http"
 	"strings"
 	"time"
@@ -46,26 +45,6 @@ func (ob *Observer) Handler() http.Handler {
 		return obs.Handler(nil, nil)
 	}
 	return obs.Handler(ob.Registry, ob.Flight)
-}
-
-// ExplainAnalyzeObserved is ExplainAnalyzeBudget with the run folded
-// into an observer: the run still meters against a private registry
-// (the report's Metrics snapshot is this run only), and afterwards the
-// registry merges into ob.Registry and one flight record — phase
-// timings, memo/guard counters, degradation and budget-trip flags,
-// and per-operator estimated-vs-actual rows with q-errors — is
-// deposited in ob.Flight. Failed runs are recorded too, with the
-// terminal error. ob may be nil (plain ExplainAnalyzeBudget).
-func ExplainAnalyzeObserved(ctx context.Context, q Node, db Database, workers int, l Limits, ob *Observer) (*AnalyzeReport, error) {
-	return ExplainAnalyzeObservedEngine(ctx, q, db, workers, l, ob, false)
-}
-
-// ExplainAnalyzeObservedEngine is ExplainAnalyzeObserved with an
-// engine selector: vectorized=true executes the chosen plan on the
-// columnar engine (cmd/reorder's -vec flag).
-func ExplainAnalyzeObservedEngine(ctx context.Context, q Node, db Database, workers int, l Limits, ob *Observer, vectorized bool) (*AnalyzeReport, error) {
-	reg := obs.NewRegistry()
-	return explainAnalyze(q, db, workers, guard.New(ctx, l, reg), reg, ob, vectorized)
 }
 
 // record deposits one run into the observer: merge the run's private

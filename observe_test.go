@@ -18,7 +18,7 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
 	ob := NewObserver(8)
-	rep, err := ExplainAnalyzeObserved(context.Background(), q, db, 1, Limits{}, ob)
+	rep, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Workers: 1, Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 
 	// The report's own registry stays private: a second observed run
 	// doubles the aggregate but not the report snapshot.
-	rep2, err := ExplainAnalyzeObserved(context.Background(), q, db, 1, Limits{}, ob)
+	rep2, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Workers: 1, Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 
 func TestExplainAnalyzeObservedNilObserver(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
-	if _, err := ExplainAnalyzeObserved(context.Background(), datagen.SupplierQuery(), db, 1, Limits{}, nil); err != nil {
+	if _, err := ExplainAnalyze(context.Background(), datagen.SupplierQuery(), db, AnalyzeOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -132,7 +132,7 @@ func TestObserverRecordsFailedRuns(t *testing.T) {
 	q := datagen.SupplierQuery()
 	ob := NewObserver(4)
 	// A one-row execution budget aborts the instrumented run.
-	_, err := ExplainAnalyzeObserved(context.Background(), q, db, 1, Limits{MaxRows: 1}, ob)
+	_, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Workers: 1, Limits: Limits{MaxRows: 1}, Observer: ob})
 	if err == nil {
 		t.Fatal("expected a budget error")
 	}
@@ -171,7 +171,7 @@ func TestObserverScrapeWhileExecuting(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := ExplainAnalyzeObserved(context.Background(), q, db, 1, Limits{}, ob); err != nil {
+				if _, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Workers: 1, Observer: ob}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -222,7 +222,7 @@ func TestObserverScrapeWhileExecuting(t *testing.T) {
 // buckets and the span tree, and all of them survive a round trip.
 func TestAnalyzeJSONQuantilesAndSpans(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
-	rep, err := ExplainAnalyze(datagen.SupplierQuery(), db)
+	rep, err := ExplainAnalyze(context.Background(), datagen.SupplierQuery(), db, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
