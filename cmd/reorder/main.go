@@ -15,7 +15,7 @@
 // optimizer phase wall times and rule firing counters. -trace prints
 // the span tree of the run, and -statsjson dumps the whole report as
 // machine-readable JSON.
-// -workers spreads plan enumeration and costing over N goroutines
+// -workers spreads the optimizer's memo exploration over N goroutines
 // (default GOMAXPROCS); the chosen plan is identical for any value.
 //
 // The tool is deliberately self-contained: the workload is generated
@@ -129,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.statsJSON, "statsjson", false, "dump the EXPLAIN ANALYZE report as JSON")
 	fs.BoolVar(&o.feedback, "feedback", false, "one-shot cardinality feedback: EXPLAIN ANALYZE, record actuals, and re-plan + re-execute when the worst subtree q-error reaches -replan-qerror")
 	fs.Float64Var(&o.replanQ, "replan-qerror", 10, "q-error threshold for the -feedback re-plan")
-	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "goroutines for plan enumeration and costing (1 = serial; the result is identical for any value)")
+	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "goroutines for memo exploration (1 = serial; the result is identical for any value)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock budget for the whole run (0 = unlimited); exceeding it exits 3")
 	fs.Int64Var(&o.maxExprs, "max-exprs", 0, "cap on enumerated plan expressions (0 = unlimited); tripping it degrades to a best-effort plan, exit 0")
 	fs.Int64Var(&o.maxRows, "max-rows", 0, "cap on intermediate rows during execution (0 = unlimited); tripping it exits 3")

@@ -7,7 +7,7 @@
 //
 // Endpoints: POST /query, GET /metrics, /debug/queries, /debug/cache.
 // With -addr :0 the bound address is printed to stderr, which is how
-// the smoke tests and benchserve discover the port.
+// the smoke tests discover the port.
 package main
 
 import (
@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-request deadline ceiling")
 		maxRows     = fs.Int64("max-rows", 0, "per-request intermediate-row budget (0 = unlimited)")
 		maxBytes    = fs.Int64("max-bytes", 0, "per-request intermediate-byte budget (0 = unlimited)")
-		workers     = fs.Int("workers", 0, "optimizer worker count (0 = serial)")
+		workers     = fs.Int("workers", 0, "memo exploration goroutines (0 = serial)")
 		maxPlans    = fs.Int("max-plans", 0, "optimizer enumeration cap (0 = default)")
 		flightCap   = fs.Int("flight", 0, "flight recorder capacity (0 = default)")
 		drain       = fs.Duration("drain", 5*time.Second, "graceful shutdown drain window")
@@ -143,9 +143,9 @@ func stopChan(stop <-chan struct{}) <-chan struct{} {
 }
 
 // demoDB builds the benchmark database served by -demo: seven
-// relations r1..r7 of 50 rows with int columns x (0..8) and y (0..5) —
-// the same shape cmd/benchopt measures the optimizer on, so the demo
-// service exercises ms-scale optimizations against sub-ms executions.
+// relations r1..r7 of 50 rows with int columns x (0..8) and y (0..5),
+// small enough that the demo service exercises ms-scale optimizations
+// against sub-ms executions.
 func demoDB() reorder.Database {
 	db := reorder.Database{}
 	for i := 1; i <= 7; i++ {

@@ -67,9 +67,9 @@ type AnalyzeReport struct {
 // AnalyzeOptions configure ExplainAnalyze. The zero value is a serial,
 // unbudgeted, unobserved, single-pass run.
 type AnalyzeOptions struct {
-	// Workers spreads the optimizer's saturate and cost phases over
-	// this many goroutines (0 or 1 serial, < 0 GOMAXPROCS). The report
-	// is identical for any worker count; only phase wall times change.
+	// Workers spreads the optimizer's memo exploration over this many
+	// goroutines (0 or 1 serial, < 0 GOMAXPROCS). The report is
+	// identical for any worker count; only phase wall times change.
 	Workers int
 	// Limits bound the run together with ctx: the optimization degrades
 	// gracefully on an exprs trip (see AnalyzeReport.Degraded), the

@@ -18,8 +18,8 @@ type Rule struct {
 	// the declared depth (anything deeper is an arbitrary member of
 	// the corresponding equivalence group). The zero value,
 	// ScopeUnknown, keeps undeclared rules sound: the memo cannot
-	// bind them and the optimizer falls back to whole-tree
-	// saturation.
+	// bind them, so the default optimizer rejects them and only the
+	// saturation reference (optimizer.MemoOff) applies them.
 	Scope RuleScope
 }
 
@@ -31,9 +31,8 @@ type RuleScope uint8
 
 const (
 	// ScopeUnknown is the zero value: the rule has not declared a
-	// group-local form. Saturation applies it as always; the memo
-	// explorer refuses and reports the rule so Optimize can fall
-	// back.
+	// group-local form. Saturation applies it as always; memo.New
+	// refuses it with an error naming the rule.
 	ScopeUnknown RuleScope = iota
 	// ScopeNode rules inspect only the root operator (kind,
 	// predicate) and reuse the children as opaque subtrees —

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/guard"
 	"repro/internal/obs"
@@ -24,32 +20,12 @@ type SaturateOptions struct {
 	// the expression budget — tripping it stops enumeration
 	// gracefully with the plans found so far.
 	Budget *guard.Budget
-	// Workers sets the number of goroutines expanding the frontier.
-	// 0 and 1 run the serial loop; < 0 means runtime.GOMAXPROCS(0).
-	// Any value returns the identical plan sequence and derivation
-	// trace: the parallel engine expands breadth-first waves
-	// concurrently but admits candidates in the serial order.
-	Workers int
 	// Obs, when non-nil, receives enumeration counters:
 	// optimizer.rule_applied.<rule> (every identity firing),
 	// optimizer.rule_admitted.<rule> (firings yielding a new plan),
 	// optimizer.dedup_hits (firings deduplicated away),
-	// optimizer.plans_admitted and optimizer.enumeration_capped,
-	// plus, for parallel runs, optimizer.saturate.waves and the
-	// optimizer.saturate.worker_busy_ns utilization histogram.
+	// optimizer.plans_admitted and optimizer.enumeration_capped.
 	Obs *obs.Registry
-}
-
-// workers resolves the option to a concrete goroutine count.
-func (o SaturateOptions) workers() int {
-	switch {
-	case o.Workers < 0:
-		return runtime.GOMAXPROCS(0)
-	case o.Workers == 0:
-		return 1
-	default:
-		return o.Workers
-	}
 }
 
 // Derivation records how a plan entered the closure: the canonical
@@ -82,13 +58,6 @@ const StoppedBudget = "budget:exprs"
 // Walking the map back to the root yields the identity chain that
 // justifies a plan — EXPLAIN-style provenance for the paper's
 // rewrites.
-//
-// With Workers > 1 the expansion runs as a level-synchronized worker
-// pool: each breadth-first wave's rule applications and fingerprint
-// computations fan out across goroutines, and a single-threaded merge
-// admits the results in frontier order, so the output plan sequence,
-// the trace and the best-plan choice are identical to the serial run
-// regardless of scheduling.
 func SaturateTraced(root plan.Node, opts SaturateOptions) ([]plan.Node, map[string]Derivation) {
 	plans, trace, _, _ := SaturateGuarded(root, opts)
 	return plans, trace
@@ -100,9 +69,9 @@ func SaturateTraced(root plan.Node, opts SaturateOptions) ([]plan.Node, map[stri
 // found so far (always at least the root). Cancellation, injected
 // faults and contained rule-application panics return a typed error
 // plus whatever prefix of the closure was admitted before the abort.
-// Checks sit at wave boundaries and admissions only, so a guarded run
-// whose budget never trips produces the same plans and trace as
-// SaturateTraced for any worker count.
+// Checks sit at dequeues and admissions only, so a guarded run whose
+// budget never trips produces the same plans and trace as
+// SaturateTraced.
 func SaturateGuarded(root plan.Node, opts SaturateOptions) (plans []plan.Node, trace map[string]Derivation, stopped string, err error) {
 	rules := opts.Rules
 	if rules == nil {
@@ -111,9 +80,6 @@ func SaturateGuarded(root plan.Node, opts SaturateOptions) (plans []plan.Node, t
 	maxPlans := opts.MaxPlans
 	if maxPlans <= 0 {
 		maxPlans = 100000
-	}
-	if w := opts.workers(); w > 1 {
-		return saturateParallel(root, rules, maxPlans, w, opts.Budget, opts.Obs)
 	}
 	return saturateSerial(root, rules, maxPlans, opts.Budget, opts.Obs)
 }
@@ -186,127 +152,6 @@ func saturateSerial(root plan.Node, rules []Rule, maxPlans int, b *guard.Budget,
 				break
 			}
 		}
-	}
-	return out, trace, "", nil
-}
-
-// saturateParallel expands the closure wave by wave: all plans
-// admitted in wave i form the frontier of wave i+1, workers apply the
-// rule set to frontier items concurrently (pre-filtering against the
-// seen-set of completed waves, which is read-only while workers run),
-// and the merge admits survivors in frontier order. Because serial
-// breadth-first admission also processes the queue in exactly that
-// order, the plan sequence and trace are bit-identical to
-// saturateSerial's.
-func saturateParallel(root plan.Node, rules []Rule, maxPlans, workers int, b *guard.Budget, reg *obs.Registry) ([]plan.Node, map[string]Derivation, string, error) {
-	rootKey := plan.Key(root)
-	seen := map[string]bool{rootKey: true}
-	trace := make(map[string]Derivation)
-	out := []plan.Node{root}
-	frontier := []plan.Node{root}
-	if reg != nil {
-		reg.Gauge("optimizer.saturate.workers").Set(int64(workers))
-	}
-	for len(frontier) > 0 && len(out) < maxPlans {
-		if err := b.Cancelled(); err != nil {
-			return out, trace, "", err
-		}
-		if err := guard.Hit(guard.PointSaturateWave); err != nil {
-			return out, trace, "", err
-		}
-		results := make([][]altPlan, len(frontier))
-		// Per-item error slots: a boundary defer cannot see a worker
-		// goroutine's panic, so each item runs under guard.Safely and
-		// the lowest-index failure wins — deterministic for any
-		// scheduling.
-		errs := make([]error, len(frontier))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		nw := workers
-		if nw > len(frontier) {
-			nw = len(frontier)
-		}
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				start := time.Now()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(frontier) {
-						break
-					}
-					errs[i] = guard.Safely("saturate", plan.Key(frontier[i]), reg, func() error {
-						if e := guard.Hit(guard.PointRuleApply); e != nil {
-							return e
-						}
-						alts := appendAlternatives(nil, frontier[i], rules)
-						// Force fingerprints while parallel (cached for the
-						// merge) and drop candidates already admitted by a
-						// previous wave; within-wave duplicates are caught
-						// in the ordered merge below.
-						kept := alts[:0]
-						for _, a := range alts {
-							if reg != nil {
-								reg.Counter("optimizer.rule_applied." + a.rule).Inc()
-							}
-							if seen[plan.Key(a.plan)] {
-								if reg != nil {
-									reg.Counter("optimizer.dedup_hits").Inc()
-								}
-								continue
-							}
-							kept = append(kept, a)
-						}
-						results[i] = kept
-						return nil
-					})
-				}
-				if reg != nil {
-					reg.Histogram("optimizer.saturate.worker_busy_ns").ObserveDuration(time.Since(start))
-				}
-			}()
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return out, trace, "", e
-			}
-		}
-		if reg != nil {
-			reg.Counter("optimizer.saturate.waves").Inc()
-		}
-		waveStart := len(out)
-	merge:
-		for i, alts := range results {
-			curKey := plan.Key(frontier[i])
-			for _, alt := range alts {
-				key := plan.Key(alt.plan)
-				if seen[key] {
-					if reg != nil {
-						reg.Counter("optimizer.dedup_hits").Inc()
-					}
-					continue
-				}
-				seen[key] = true
-				trace[key] = Derivation{Parent: curKey, Rule: alt.rule}
-				out = append(out, alt.plan)
-				if reg != nil {
-					reg.Counter("optimizer.rule_admitted." + alt.rule).Inc()
-					reg.Counter("optimizer.plans_admitted").Inc()
-				}
-				if b.ChargeExprs(1) != nil {
-					return out, trace, StoppedBudget, nil
-				}
-				if len(out) >= maxPlans {
-					if reg != nil {
-						reg.Counter("optimizer.enumeration_capped").Inc()
-					}
-					break merge
-				}
-			}
-		}
-		frontier = out[waveStart:]
 	}
 	return out, trace, "", nil
 }

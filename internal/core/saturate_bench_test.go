@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/expr"
@@ -27,23 +26,15 @@ func chainQ(n int) plan.Node {
 }
 
 func benchSaturate(b *testing.B, q plan.Node, maxPlans int) {
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Saturate(q, SaturateOptions{MaxPlans: maxPlans, Workers: 1})
-		}
-	})
-	b.Run(fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Saturate(q, SaturateOptions{MaxPlans: maxPlans, Workers: -1})
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Saturate(q, SaturateOptions{MaxPlans: maxPlans})
+	}
 }
 
 // BenchmarkSaturateQ5 enumerates Q5's full closure (2752 plans) under
 // a 10000-plan cap; the seed implementation took 204.7ms and 1.49M
-// allocations per run (BENCH_optimizer.json records the history).
+// allocations per run.
 func BenchmarkSaturateQ5(b *testing.B) {
 	benchSaturate(b, q5(), 10000)
 }

@@ -36,10 +36,10 @@ type SkewConfig struct {
 	Seed       int64
 }
 
-// DefaultSkewConfig is the benchserve feedback-gate instance: the
-// static plan's estimate for the filtered fact table is off by more
-// than an order of magnitude, so the first execution's q-error trips
-// the drift detector.
+// DefaultSkewConfig is the misestimated instance the feedback loop is
+// measured on: the static plan's estimate for the filtered fact table
+// is off by more than an order of magnitude, so the first execution's
+// q-error trips the drift detector.
 var DefaultSkewConfig = SkewConfig{
 	FactRows:   20000,
 	DimRows:    64000,

@@ -6,12 +6,10 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/batch"
-	"repro/internal/expr"
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/relation"
-	"repro/internal/schema"
 )
 
 // This file is the vectorized engine's plan walker — the engine both
@@ -239,26 +237,4 @@ func (e *vecEngine) fallback(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 		return nil, false, err
 	}
 	return batch.FromRelation(out), charged, nil
-}
-
-// JoinExecVec is the columnar hash join over pre-shaped columnar
-// inputs — the kernel-level entry the benchmark harness measures
-// (batch.FromRelation once, join many times, as a columnar engine
-// holds data between operators). The output's columns are pending
-// until read. Guarded and panic-contained like JoinExec.
-func JoinExecVec(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, b *guard.Budget) (out *batch.Rel, err error) {
-	phase := "execute"
-	defer guard.RecoverAs(&err, &phase, "joinvec", nil)
-	e := &vecEngine{b: b, batch: execBatchRows, reg: b.Registry()}
-	return e.vecJoin(kind, pred, l, r, nil)
-}
-
-// GroupByExecVec is the columnar generalized projection over a
-// pre-shaped columnar input, the kernel-level sibling of
-// algebra.GroupProject.
-func GroupByExecVec(keys []schema.Attribute, aggs []algebra.Aggregate, in *batch.Rel, b *guard.Budget) (out *batch.Rel, err error) {
-	phase := "execute"
-	defer guard.RecoverAs(&err, &phase, "groupbyvec", nil)
-	e := &vecEngine{b: b, batch: execBatchRows, reg: b.Registry()}
-	return e.vecGroupBy(keys, aggs, in)
 }

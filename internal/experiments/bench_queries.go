@@ -12,8 +12,8 @@ import (
 //	Q5 = (r1 ↔(p12∧p13) (r2 →p23 r3)) →p24 (r4 →(p45∧p46) (r5 ⋈p56 r6))
 //
 // Its closure under the full rule set has 2752 members, which makes it
-// the standard saturation workload for the benchmarks (see
-// cmd/benchopt and BENCH_optimizer.json).
+// the standard saturation workload (BenchmarkSaturateQ5 in
+// internal/core).
 func Q5() plan.Node {
 	eqX := func(a, c string) expr.Pred { return expr.EqCols(a, "x", c, "x") }
 	eqY := func(a, c string) expr.Pred { return expr.EqCols(a, "y", c, "y") }

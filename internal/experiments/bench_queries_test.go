@@ -6,9 +6,9 @@ import (
 	"repro/internal/core"
 )
 
-// TestBenchQueryClosureSizes pins the workload sizes the benchmark
-// harness (cmd/benchopt) and BENCH_optimizer.json rely on: Q5's
-// closure is exhausted below the cap, ChainQuery(7)'s exceeds it.
+// TestBenchQueryClosureSizes pins the workload sizes the saturation
+// benchmarks rely on: Q5's closure is exhausted below the cap,
+// ChainQuery(7)'s exceeds it.
 func TestBenchQueryClosureSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("closure enumeration is slow")

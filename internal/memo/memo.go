@@ -135,7 +135,7 @@ type pureTree struct {
 // Options configure a memo.
 type Options struct {
 	// Rules is the identity rule set; every rule must declare a
-	// RuleScope other than ScopeUnknown (see Supports).
+	// RuleScope other than ScopeUnknown (New rejects one that does not).
 	Rules []core.Rule
 	// MaxExprs caps the admitted expressions (0 means 100000) — the
 	// memo analog of SaturateOptions.MaxPlans. Expressions are all the
@@ -213,18 +213,6 @@ type Memo struct {
 type membership struct {
 	g GroupID
 	s shape
-}
-
-// Supports reports whether every rule declares a group-local scope,
-// and the names of those that do not. Optimizer callers use it to
-// decide between the memo and whole-tree saturation.
-func Supports(rules []core.Rule) (ok bool, unsupported []string) {
-	for _, r := range rules {
-		if r.Scope == core.ScopeUnknown {
-			unsupported = append(unsupported, r.Name)
-		}
-	}
-	return len(unsupported) == 0, unsupported
 }
 
 // New builds an empty memo. It fails when a rule lacks a declared

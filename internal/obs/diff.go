@@ -3,9 +3,8 @@ package obs
 import "math"
 
 // Diff returns the movement from base to s — what happened between
-// two snapshots of the same registry. The benchmark harnesses use it
-// to report per-workload counter deltas instead of process-lifetime
-// absolutes.
+// two snapshots of the same registry: a window report instead of
+// process-lifetime absolutes.
 //
 //   - Counters: s − base, zero deltas dropped (a counter that did not
 //     move during the window is noise in a delta report).

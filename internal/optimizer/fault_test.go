@@ -102,7 +102,9 @@ func firedPoints(t *testing.T, fr faultRun, q plan.Node, db plan.Database) []gua
 }
 
 // TestOptimizerFaultMatrix: for every seed query, engine and worker
-// count, discover which guard points the run crosses, then arm each
+// count (Workers drives memo exploration only; on the saturation
+// reference it is accepted and has no effect), discover which guard
+// points the run crosses, then arm each
 // one to (a) fail with a typed error and (b) panic, and assert the
 // outcome is always classified: an injected error surfaces as
 // guard.ErrInjected, a panic as *guard.PanicError, and a nil error

@@ -4,9 +4,11 @@
 package optimizer_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -227,6 +229,19 @@ func TestMemoDerivationReplays(t *testing.T) {
 		if !known[step] {
 			t.Errorf("derivation step %q is not a known rule", step)
 		}
+	}
+}
+
+// TestMemoRejectsUnscopedRule: under the default mode a rule that
+// declares no group-local scope is an error naming the rule, not a
+// silent switch to the saturation engine.
+func TestMemoRejectsUnscopedRule(t *testing.T) {
+	db := memoTestDB(3)
+	o := optimizer.New(stats.NewEstimator(stats.FromDatabase(db)))
+	o.Opts.Obs = obs.NewRegistry()
+	o.Opts.Rules = []core.Rule{{Name: "unscoped-commute", Apply: core.RuleCommute.Apply}}
+	if _, err := o.Optimize(memoQuery2(), db); err == nil || !strings.Contains(err.Error(), `"unscoped-commute"`) {
+		t.Fatalf("Optimize err = %v, want an error naming the unscoped rule", err)
 	}
 }
 

@@ -12,16 +12,12 @@ package optimizer
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/guard"
-	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/simplify"
@@ -38,10 +34,10 @@ type Options struct {
 	// PushUpAggregates also seeds the enumeration with
 	// aggregation-pull-up variants of the query (Example 3.1).
 	PushUpAggregates bool
-	// Workers parallelizes the saturate and cost phases across
-	// goroutines. 0 and 1 run serially; < 0 means
-	// runtime.GOMAXPROCS(0). Any value yields the identical result:
-	// the same plan set, ranking and best plan as the serial run.
+	// Workers parallelizes memo exploration across goroutines. 0 and 1
+	// run serially; < 0 means runtime.GOMAXPROCS(0). Any value yields
+	// the identical memo and best plan as the serial run. The
+	// saturation reference (MemoOff) always runs serially.
 	Workers int
 	// Obs receives the run's metrics (rule firings, dedup hits, plans
 	// enumerated, per-phase wall time); obs.Default() when nil.
@@ -65,13 +61,13 @@ type Options struct {
 	Feedback *feedback.Store
 	// UseMemo selects the enumeration engine. The default, MemoAuto,
 	// explores through the internal/memo group table — equivalence
-	// groups with branch-and-bound extraction — whenever every rule
-	// declares a group-local scope, and falls back to whole-tree
-	// saturation otherwise (optimizer.memo_fallback counts the
-	// fallbacks). MemoOff forces saturation. On the memo path,
-	// Result.Considered counts admitted memo expressions and
-	// Result.Plans holds only the winner — the full ranked list is a
-	// saturation-path artifact (the memo never materializes the class).
+	// groups with branch-and-bound extraction; a rule that declares no
+	// group-local scope is rejected with an error naming it. MemoOff
+	// runs whole-tree saturation, the reference the memo is tested
+	// against. On the memo path, Result.Considered counts admitted
+	// memo expressions and Result.Plans holds only the winner — the
+	// full ranked list is a saturation-path artifact (the memo never
+	// materializes the class).
 	UseMemo MemoMode
 }
 
@@ -79,8 +75,7 @@ type Options struct {
 type MemoMode uint8
 
 const (
-	// MemoAuto (the default) uses the memo when the rule set supports
-	// it, saturation otherwise.
+	// MemoAuto (the default) uses the memo.
 	MemoAuto MemoMode = iota
 	// MemoOff always uses whole-tree saturation.
 	MemoOff
@@ -225,10 +220,7 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 		return nil, err
 	}
 	if o.Opts.UseMemo == MemoAuto {
-		if ok, _ := memo.Supports(rules); ok {
-			return o.optimizeMemo(q, rules, maxPlans, reg, phase, &phases)
-		}
-		reg.Counter("optimizer.memo_fallback").Inc()
+		return o.optimizeMemo(q, rules, maxPlans, reg, phase, &phases)
 	}
 	type seed struct {
 		node   plan.Node
@@ -251,13 +243,12 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	firings := make(map[string]int)
 	var satErr error
 	// The pprof labels make CPU profiles attribute samples to the
-	// enumeration phase; the saturation worker pool inherits them.
+	// enumeration phase.
 	obs.WithPhase(b.Context(), "saturation", "saturate", func() {
 		for _, sd := range seeds {
 			plans, trace, stopped, serr := core.SaturateGuarded(sd.node, core.SaturateOptions{
 				Rules:    rules,
 				MaxPlans: maxPlans - len(all),
-				Workers:  o.Opts.Workers,
 				Budget:   b,
 				Obs:      reg,
 			})
@@ -313,7 +304,7 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	endCost := phase("cost")
 	var ranked []Ranked
 	obs.WithPhase(b.Context(), "saturation", "cost", func() {
-		ranked, err = o.costAll(sess, all, chains, reg)
+		ranked, err = costAll(sess, all, chains, reg)
 	})
 	if err != nil {
 		return nil, err
@@ -334,64 +325,26 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 
 // costAll estimates cost and cardinality for every enumerated plan
 // through one stats.Session, so shared subtrees across the closure are
-// costed once. With Options.Workers > 1 the plans fan out across
-// goroutines; results land in their plan's slot, so the ranking input
-// is index-deterministic and the sort (stable) agrees with the serial
-// run. On error the first failing index wins, matching the serial
-// loop's first-error semantics; each item runs under guard.Safely so
-// a costing panic in a worker goroutine surfaces as a typed error.
-func (o *Optimizer) costAll(sess *stats.Session, all []plan.Node, chains [][]string, reg *obs.Registry) ([]Ranked, error) {
+// costed once. Each plan is costed under guard.Safely so a costing
+// panic surfaces as a typed error; the first failure stops the loop.
+func costAll(sess *stats.Session, all []plan.Node, chains [][]string, reg *obs.Registry) ([]Ranked, error) {
 	ranked := make([]Ranked, len(all))
-	costOne := func(i int) error {
-		return guard.Safely("cost", plan.Key(all[i]), reg, func() error {
+	for i, p := range all {
+		err := guard.Safely("cost", plan.Key(p), reg, func() error {
 			if e := guard.Hit(guard.PointCost); e != nil {
 				return e
 			}
-			cost, err := sess.PlanCost(all[i])
+			cost, err := sess.PlanCost(p)
 			if err != nil {
-				return fmt.Errorf("optimizer: costing %s: %w", all[i], err)
+				return fmt.Errorf("optimizer: costing %s: %w", p, err)
 			}
-			rows, err := sess.Rows(all[i])
+			rows, err := sess.Rows(p)
 			if err != nil {
 				return err
 			}
-			ranked[i] = Ranked{Plan: all[i], Cost: cost, Rows: rows, Derivation: chains[i]}
+			ranked[i] = Ranked{Plan: p, Cost: cost, Rows: rows, Derivation: chains[i]}
 			return nil
 		})
-	}
-	workers := o.Opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || len(all) < 2 {
-		for i := range all {
-			if err := costOne(i); err != nil {
-				return nil, err
-			}
-		}
-		return ranked, nil
-	}
-	if workers > len(all) {
-		workers = len(all)
-	}
-	errs := make([]error, len(all))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(all) {
-					return
-				}
-				errs[i] = costOne(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}

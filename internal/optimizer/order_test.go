@@ -1,12 +1,16 @@
 // End-to-end pins for the order-aware memo: a root ORDER BY over
-// sorted base tables must be satisfied by a merge join with zero
-// enforcer sorts, while unsorted inputs get exactly one enforcer at
-// the root. Lives in the external package alongside memo_test.go.
+// sorted base tables must be satisfied by a merge join or a streaming
+// aggregation with zero enforcer sorts, while unsorted inputs get
+// exactly one enforcer at the root. Lives in the external package
+// alongside memo_test.go.
 package optimizer_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/executor"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -159,8 +163,78 @@ func TestOrderEliminatedBySortedMerge(t *testing.T) {
 	// The stream must actually be sorted on l.k.
 	ki := got.Schema().IndexOf(schema.Attr("l", "k"))
 	for i := 1; i < got.Len(); i++ {
-		if plan.CompareForSort(got.Tuple(i-1)[ki], got.Tuple(i)[ki]) > 0 {
+		if plan.CompareForSort(got.Tuple(i - 1)[ki], got.Tuple(i)[ki]) > 0 {
 			t.Fatalf("output not sorted on l.k at row %d", i)
+		}
+	}
+	if !strings.Contains(optimizer.Explain(res), "(eliminated)") {
+		t.Errorf("EXPLAIN lacks the eliminated provenance:\n%s", optimizer.Explain(res))
+	}
+}
+
+// TestOrderEliminatedByStreamAgg: GROUP BY k ORDER BY k over a
+// relation physically sorted on a string key must be satisfied by one
+// streaming aggregation and no sort anywhere in the plan; the output
+// must match the reference evaluation and be ordered on k.
+func TestOrderEliminatedByStreamAgg(t *testing.T) {
+	b := relation.NewBuilder("s", "k", "v")
+	for i := 0; i < 200; i++ {
+		b.Row(value.NewString(fmt.Sprintf("key-%08d", i)), value.NewInt(int64((i*2654435761)%1000)))
+	}
+	db := plan.Database{"s": b.Relation()}
+	k := schema.Attr("s", "k")
+	g := plan.NewGroupBy([]schema.Attribute{k},
+		[]algebra.Aggregate{
+			{Func: algebra.CountStar, Out: schema.Attr("q", "n")},
+			{Func: algebra.Sum, Arg: expr.Column("s", "v"), Out: schema.Attr("q", "s"), NullIfEmpty: true},
+		},
+		plan.NewScan("s"))
+	q := plan.NewSortOrigin([]plan.SortKey{{Attr: k}}, -1, g, plan.SortOriginQuery)
+	res, counters := optimizeOrdered(t, q, db)
+
+	if res.Order == nil {
+		t.Fatal("Result.Order is nil: root ORDER BY was not pushed into the memo")
+	}
+	enf, qry, other := countSorts(res.Best.Plan)
+	if enf != 0 || qry != 0 || other != 0 {
+		t.Fatalf("expected a sort-free plan, got enforcer=%d query=%d other=%d:\n%s",
+			enf, qry, other, plan.Indent(res.Best.Plan))
+	}
+	var streams int
+	plan.Walk(res.Best.Plan, func(m plan.Node) {
+		if _, ok := m.(*plan.StreamAgg); ok {
+			streams++
+		}
+	})
+	if streams != 1 {
+		t.Fatalf("expected exactly one streaming aggregation, got %d:\n%s", streams, plan.Indent(res.Best.Plan))
+	}
+	if counters["memo.order.eliminated"] != 1 || counters["memo.order.enforced"] != 0 {
+		t.Errorf("order counters: eliminated=%d enforced=%d, want 1/0",
+			counters["memo.order.eliminated"], counters["memo.order.enforced"])
+	}
+	if !strings.Contains(optimizer.Explain(res), "(eliminated)") {
+		t.Errorf("EXPLAIN lacks the eliminated provenance:\n%s", optimizer.Explain(res))
+	}
+	if err := plan.Validate(res.Best.Plan, db); err != nil {
+		t.Fatalf("winner fails validation: %v\n%s", err, plan.Indent(res.Best.Plan))
+	}
+
+	got, err := executor.Run(res.Best.Plan, db)
+	if err != nil {
+		t.Fatalf("executing winner: %v", err)
+	}
+	want, err := q.Eval(db)
+	if err != nil {
+		t.Fatalf("reference eval: %v", err)
+	}
+	if !got.EqualAsMultisets(want) {
+		t.Fatal("winner output differs from reference as a multiset")
+	}
+	ki := got.Schema().IndexOf(k)
+	for i := 1; i < got.Len(); i++ {
+		if plan.CompareForSort(got.Tuple(i - 1)[ki], got.Tuple(i)[ki]) > 0 {
+			t.Fatalf("output not sorted on s.k at row %d", i)
 		}
 	}
 }

@@ -28,15 +28,15 @@ func TestOrderSatisfiesAndKey(t *testing.T) {
 		o, req Order
 		want   bool
 	}{
-		{ab, nil, true},            // every stream satisfies empty
-		{nil, nil, true},           // no order satisfies empty
-		{ab, justA, true},          // prefix
-		{justA, ab, false},         // requirement longer than delivery
-		{ab, ab, true},             // exact
-		{descA, justA, false},      // direction mismatch
-		{justA, descA, false},      // direction mismatch, other way
+		{ab, nil, true},               // every stream satisfies empty
+		{nil, nil, true},              // no order satisfies empty
+		{ab, justA, true},             // prefix
+		{justA, ab, false},            // requirement longer than delivery
+		{ab, ab, true},                // exact
+		{descA, justA, false},         // direction mismatch
+		{justA, descA, false},         // direction mismatch, other way
 		{OrderBy(b, a), justA, false}, // wrong leading attr
-		{nil, justA, false},        // nothing delivered
+		{nil, justA, false},           // nothing delivered
 	}
 	for i, c := range cases {
 		if got := c.o.Satisfies(c.req); got != c.want {

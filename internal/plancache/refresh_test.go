@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/guard"
 	"repro/internal/obs"
@@ -110,12 +111,10 @@ func TestRefreshSingleflight(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	vals := make([]any, n)
-	started := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started <- struct{}{}
 			e, err := c.Refresh(ctx, "k", 3, build)
 			errs[i] = err
 			if e != nil {
@@ -123,8 +122,17 @@ func TestRefreshSingleflight(t *testing.T) {
 			}
 		}(i)
 	}
-	for i := 0; i < n; i++ {
-		<-started
+	// Release the build only once every other refresher has joined its
+	// flight: one arriving after the flight finished would rightly
+	// start a second build.
+	deadline := time.After(5 * time.Second)
+	for c.Stats().Waits < n-1 {
+		select {
+		case <-deadline:
+			t.Fatalf("only %d refreshers joined the flight", c.Stats().Waits)
+		default:
+			time.Sleep(time.Millisecond)
+		}
 	}
 	close(release)
 	wg.Wait()

@@ -59,7 +59,8 @@ type ServiceConfig struct {
 	DefaultLimits Limits
 	// Tenants maps tenant names to their per-request budgets.
 	Tenants map[string]Limits
-	// Workers is the optimizer's worker count (0 = serial).
+	// Workers spreads the optimizer's memo exploration over this many
+	// goroutines (0 = serial).
 	Workers int
 	// MaxPlans caps optimizer enumeration (0 = optimizer default).
 	MaxPlans int
@@ -241,7 +242,8 @@ type Request struct {
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 	// Cache selects cache behavior: "" serves through the plan cache,
 	// "bypass" optimizes from scratch without touching the cache
-	// (benchserve uses this to measure the miss path).
+	// (the benchmark's cold_plan workload uses it to measure the miss
+	// path).
 	Cache string `json:"cache,omitempty"`
 }
 

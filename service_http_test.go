@@ -2,11 +2,16 @@ package reorder
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plancache"
 )
@@ -145,5 +150,103 @@ func TestHandlerObservability(t *testing.T) {
 	}
 	if st.Entries != 1 || st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("/debug/cache = %+v", st)
+	}
+}
+
+// TestHandlerBurstShedsTyped: more simultaneous POSTs than the
+// admission bound holds come back as typed 429 envelopes, never as
+// transport errors; every admitted request completes with 200 once the
+// slots free; and closing the server returns the goroutine count to
+// its baseline.
+func TestHandlerBurstShedsTyped(t *testing.T) {
+	defer guard.Clear()
+	base := runtime.NumGoroutine()
+	svc := newTestService(t, ServiceConfig{MaxConcurrent: 2, MaxQueue: 2})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	// Hold both slots inside execution until release; the deferred
+	// release runs before srv.Close, which waits for every handler.
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	guard.Inject(guard.PointExecOperator, func(guard.Point) error {
+		<-release
+		return nil
+	})
+
+	type reply struct {
+		status int
+		code   string
+		err    error
+	}
+	const n, admitted = 16, 4 // admitted = MaxConcurrent + MaxQueue
+	client := &http.Client{Transport: &http.Transport{}}
+	replies := make(chan reply, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, err := client.Post(srv.URL+"/query", "application/json",
+				strings.NewReader(`{"sql": "select b from t where a = 1"}`))
+			if err != nil {
+				replies <- reply{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			var envelope struct {
+				Error struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			}
+			if resp.StatusCode == http.StatusOK {
+				_, err = io.Copy(io.Discard, resp.Body)
+			} else {
+				err = json.NewDecoder(resp.Body).Decode(&envelope)
+			}
+			replies <- reply{status: resp.StatusCode, code: envelope.Error.Code, err: err}
+		}()
+	}
+
+	ok, shed := 0, 0
+	receive := func() {
+		t.Helper()
+		var r reply
+		select {
+		case r = <-replies:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("burst request wedged (%d ok, %d shed)", ok, shed)
+		}
+		switch {
+		case r.err != nil:
+			t.Fatalf("transport error: %v", r.err)
+		case r.status == http.StatusTooManyRequests && r.code == "overloaded":
+			shed++
+		case r.status == http.StatusOK:
+			ok++
+		default:
+			t.Fatalf("got %d %q, want 200 or 429 overloaded", r.status, r.code)
+		}
+	}
+	// Nothing admitted can finish before release, so every arrival
+	// beyond the admission bound must come back first.
+	for i := 0; i < n-admitted; i++ {
+		receive()
+	}
+	unblock()
+	for i := n - admitted; i < n; i++ {
+		receive()
+	}
+	if shed == 0 || ok != n-shed {
+		t.Fatalf("%d ok, %d shed of %d: want at least one shed and every admitted request ok", ok, shed, n)
+	}
+
+	client.CloseIdleConnections()
+	srv.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base+8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d did not drain to baseline %d+8", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
