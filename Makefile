@@ -31,10 +31,10 @@ race:
 	$(GO) test -race ./...
 
 # Focused race run for the parallel optimizer paths: the fingerprint
-# cache, the shared cost session, the memo engine's saturation-equality
-# and worker-determinism property suite, and the memo package's own
-# tests (identical memo at any worker count, capped or not; closure
-# membership).
+# cache, the shared cost session, the memo's equality with the
+# saturate-and-rank test oracle, its worker-determinism property suite,
+# and the memo package's own tests (identical memo at any worker count,
+# capped or not; closure membership).
 race-par:
 	$(GO) test -race -run 'TestFingerprintConcurrent|TestSessionConcurrent|TestOptimizeWorkers|TestMemo|TestWorkersIdenticalMemo|TestShapeIdentity|TestSplitTable|TestRulePanicLabelled|TestHandlerConcurrentScrape|TestRecorderConcurrent|TestObserverScrapeWhileExecuting' \
 		./internal/plan/ ./internal/stats/ ./internal/optimizer/ ./internal/memo/ ./internal/obs/ ./internal/obs/flight/ .
@@ -61,8 +61,8 @@ race-vec:
 # streaming-aggregation equivalence suites (vs their hash twins,
 # across Run and the serving entry points), the order-detection/
 # propagation pins, the top-K sort, and the optimizer's order property
-# suite — including the order-free memo-vs-saturation
-# identical-best-cost pin at any worker count.
+# suite — including the pin that order-free queries leave the order
+# machinery silent.
 race-order:
 	$(GO) test -race -run 'TestMergeJoin|TestStreamAgg|TestOrder|TestSortRowsTopK|TestDeliveredOrder|TestDetectOrder|TestRequalifyOrder' \
 		./internal/executor/ ./internal/plan/ ./internal/optimizer/
@@ -88,7 +88,8 @@ spill-smoke:
 
 # Resource-governance and fault-injection suite under the race
 # detector: every registered guard point armed to error and to panic
-# across optimizer engines, executor entry points and datagen;
+# across optimizer arms (plain memo, root ORDER BY, feedback store),
+# executor entry points and datagen;
 # cancellation and budget-trip properties; the untripped-budget
 # determinism gates; and the cmd/reorder exit-code contract.
 faults:

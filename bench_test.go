@@ -349,8 +349,8 @@ func BenchmarkExplainAnalyzeReport(b *testing.B) {
 	b.ReportMetric(float64(rep.Considered), "plans")
 	b.ReportMetric(float64(rep.Metrics.Counters["executor.residual_evals"]), "residual_evals")
 	for _, p := range rep.Phases {
-		if p.Name == "saturate" {
-			b.ReportMetric(float64(p.Ns), "saturate_ns")
+		if p.Name == "explore" {
+			b.ReportMetric(float64(p.Ns), "explore_ns")
 		}
 	}
 }

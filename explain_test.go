@@ -51,8 +51,6 @@ func TestExplainAnalyzeSupplier(t *testing.T) {
 		t.Errorf("root annotation %d rows, RowsOut %d", ann[node].Rows, rep.RowsOut)
 	}
 
-	// The default memo engine reports simplify/explore/cost (the
-	// saturation path would report simplify/saturate/cost/rank).
 	if len(rep.Phases) != 3 {
 		t.Errorf("phases = %v, want simplify/explore/cost", rep.Phases)
 	}

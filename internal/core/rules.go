@@ -18,8 +18,8 @@ type Rule struct {
 	// the declared depth (anything deeper is an arbitrary member of
 	// the corresponding equivalence group). The zero value,
 	// ScopeUnknown, keeps undeclared rules sound: the memo cannot
-	// bind them, so the default optimizer rejects them and only the
-	// saturation reference (optimizer.MemoOff) applies them.
+	// bind them, so the optimizer rejects them and only Saturate
+	// applies them.
 	Scope RuleScope
 }
 

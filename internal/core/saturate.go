@@ -3,8 +3,6 @@ package core
 import (
 	"sort"
 
-	"repro/internal/guard"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -14,18 +12,6 @@ type SaturateOptions struct {
 	Rules []Rule
 	// MaxPlans caps the equivalence class size (0 means 100000).
 	MaxPlans int
-	// Budget, when non-nil, governs the run: cancellation is checked
-	// at every wave boundary (SaturateGuarded returns
-	// guard.ErrCancelled), and every admitted plan is charged against
-	// the expression budget — tripping it stops enumeration
-	// gracefully with the plans found so far.
-	Budget *guard.Budget
-	// Obs, when non-nil, receives enumeration counters:
-	// optimizer.rule_applied.<rule> (every identity firing),
-	// optimizer.rule_admitted.<rule> (firings yielding a new plan),
-	// optimizer.dedup_hits (firings deduplicated away),
-	// optimizer.plans_admitted and optimizer.enumeration_capped.
-	Obs *obs.Registry
 }
 
 // Derivation records how a plan entered the closure: the canonical
@@ -48,31 +34,18 @@ func Saturate(root plan.Node, opts SaturateOptions) []plan.Node {
 	return plans
 }
 
-// StoppedBudget is the SaturateGuarded stop reason for an expression
-// budget trip; optimizer degradation tags reuse it verbatim.
-const StoppedBudget = "budget:exprs"
-
 // SaturateTraced is Saturate plus a derivation map (keyed by plan
 // fingerprint, i.e. the canonical plan string) recording, for every
 // plan except the root, which rule produced it from which parent.
 // Walking the map back to the root yields the identity chain that
 // justifies a plan — EXPLAIN-style provenance for the paper's
 // rewrites.
+//
+// The closure is breadth-first on one goroutine. The queue is consumed
+// through a head index with periodic compaction instead of
+// queue = queue[1:], so the backing array of a long run is released as
+// it drains rather than pinned in full.
 func SaturateTraced(root plan.Node, opts SaturateOptions) ([]plan.Node, map[string]Derivation) {
-	plans, trace, _, _ := SaturateGuarded(root, opts)
-	return plans, trace
-}
-
-// SaturateGuarded is SaturateTraced under resource governance. A
-// tripped expression budget is not an error: enumeration stops
-// gracefully and stopped reports StoppedBudget alongside the plans
-// found so far (always at least the root). Cancellation, injected
-// faults and contained rule-application panics return a typed error
-// plus whatever prefix of the closure was admitted before the abort.
-// Checks sit at dequeues and admissions only, so a guarded run whose
-// budget never trips produces the same plans and trace as
-// SaturateTraced.
-func SaturateGuarded(root plan.Node, opts SaturateOptions) (plans []plan.Node, trace map[string]Derivation, stopped string, err error) {
 	rules := opts.Rules
 	if rules == nil {
 		rules = DefaultRules()
@@ -81,14 +54,6 @@ func SaturateGuarded(root plan.Node, opts SaturateOptions) (plans []plan.Node, t
 	if maxPlans <= 0 {
 		maxPlans = 100000
 	}
-	return saturateSerial(root, rules, maxPlans, opts.Budget, opts.Obs)
-}
-
-// saturateSerial is the single-goroutine breadth-first closure. The
-// queue is consumed through a head index with periodic compaction
-// instead of queue = queue[1:], so the backing array of a long run is
-// released as it drains rather than pinned in full.
-func saturateSerial(root plan.Node, rules []Rule, maxPlans int, b *guard.Budget, reg *obs.Registry) ([]plan.Node, map[string]Derivation, string, error) {
 	rootKey := plan.Key(root)
 	seen := map[string]bool{rootKey: true}
 	trace := make(map[string]Derivation)
@@ -97,14 +62,6 @@ func saturateSerial(root plan.Node, rules []Rule, maxPlans int, b *guard.Budget,
 	head := 0
 	var scratch []altPlan // reused across dequeues: alternatives are consumed immediately
 	for head < len(queue) && len(out) < maxPlans {
-		// The serial engine's dequeue is its wave boundary: one
-		// cancellation check and fault point per expanded plan.
-		if err := b.Cancelled(); err != nil {
-			return out, trace, "", err
-		}
-		if err := guard.Hit(guard.PointSaturateWave); err != nil {
-			return out, trace, "", err
-		}
 		cur := queue[head]
 		queue[head] = nil
 		head++
@@ -113,47 +70,22 @@ func saturateSerial(root plan.Node, rules []Rule, maxPlans int, b *guard.Budget,
 			head = 0
 		}
 		curKey := plan.Key(cur) // cached: computed once per plan, ever
-		err := guard.Safely("saturate", curKey, reg, func() error {
-			if e := guard.Hit(guard.PointRuleApply); e != nil {
-				return e
-			}
-			scratch = appendAlternatives(scratch[:0], cur, rules)
-			return nil
-		})
-		if err != nil {
-			return out, trace, "", err
-		}
+		scratch = appendAlternatives(scratch[:0], cur, rules)
 		for _, alt := range scratch {
-			if reg != nil {
-				reg.Counter("optimizer.rule_applied." + alt.rule).Inc()
-			}
 			key := plan.Key(alt.plan)
 			if seen[key] {
-				if reg != nil {
-					reg.Counter("optimizer.dedup_hits").Inc()
-				}
 				continue
 			}
 			seen[key] = true
 			trace[key] = Derivation{Parent: curKey, Rule: alt.rule}
 			out = append(out, alt.plan)
 			queue = append(queue, alt.plan)
-			if reg != nil {
-				reg.Counter("optimizer.rule_admitted." + alt.rule).Inc()
-				reg.Counter("optimizer.plans_admitted").Inc()
-			}
-			if b.ChargeExprs(1) != nil {
-				return out, trace, StoppedBudget, nil
-			}
 			if len(out) >= maxPlans {
-				if reg != nil {
-					reg.Counter("optimizer.enumeration_capped").Inc()
-				}
 				break
 			}
 		}
 	}
-	return out, trace, "", nil
+	return out, trace
 }
 
 // DerivationChain reconstructs the rule applications leading from the

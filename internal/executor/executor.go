@@ -237,11 +237,11 @@ func joinExecProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, 
 	out := relation.New(ls.Concat(rs))
 	keys, residual := splitEqui(pred, ls, rs)
 	if len(keys) == 0 {
-		// No hashable equi conjunct: record which predicate forced the
-		// quadratic fallback so misclassified equi joins are visible.
-		reg := obs.Default()
-		reg.Counter("executor.nested_loop_fallback").Inc()
-		reg.Counter("executor.nested_loop_fallback[" + pred.String() + "]").Inc()
+		// No hashable equi conjunct: count the quadratic fallback on the
+		// run's registry. EXPLAIN ANALYZE names the join through its
+		// nested_loop extra; a per-predicate metric name would mint one
+		// permanent counter per bound literal.
+		b.Registry().Counter("executor.nested_loop_fallback").Inc()
 		if st != nil {
 			st.NestedLoop = true
 		}

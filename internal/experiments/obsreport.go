@@ -99,7 +99,7 @@ func E15() string {
 	keys := make([]string, 0, len(snap.Counters))
 	for k := range snap.Counters {
 		if strings.HasPrefix(k, "optimizer.rule_admitted.") ||
-			k == "optimizer.dedup_hits" || k == "optimizer.plans_enumerated" ||
+			k == "memo.dedup_hits" || k == "optimizer.plans_enumerated" ||
 			strings.HasPrefix(k, "executor.") {
 			keys = append(keys, k)
 		}

@@ -20,15 +20,10 @@ type Point string
 const (
 	// PointSimplify fires before the optimizer's simplification seed.
 	PointSimplify Point = "optimizer.simplify"
-	// PointSaturateWave fires at every saturation wave boundary
-	// (serial dequeue batch or parallel frontier wave).
-	PointSaturateWave Point = "optimizer.saturate.wave"
 	// PointRuleApply fires inside each rule application work item —
-	// in the worker goroutines when saturation or the memo runs
-	// parallel, exercising worker-level containment.
+	// in the worker goroutines when memo exploration runs parallel,
+	// exercising worker-level containment.
 	PointRuleApply Point = "optimizer.rule.apply"
-	// PointCost fires inside each plan-costing work item.
-	PointCost Point = "optimizer.cost"
 	// PointMemoWave fires at every memo exploration wave boundary.
 	PointMemoWave Point = "memo.explore.wave"
 	// PointMemoExtract fires on each group entry during branch-and-
@@ -87,9 +82,7 @@ const (
 func Points() []Point {
 	pts := []Point{
 		PointSimplify,
-		PointSaturateWave,
 		PointRuleApply,
-		PointCost,
 		PointMemoWave,
 		PointMemoExtract,
 		PointExecOperator,

@@ -6,9 +6,8 @@
 // into a diagnostic error, and a deterministic fault-injection
 // harness the robustness test suites drive.
 //
-// Budgets are checked at cheap, deterministic points — saturation
-// wave boundaries, memo explore/extract loops, executor batch and
-// partition boundaries — so a guarded run that never trips a limit
+// Budgets are checked at cheap, deterministic points — memo
+// explore/extract loops, executor batch and partition boundaries — so a guarded run that never trips a limit
 // produces bit-identical results to an unguarded one. All methods are
 // nil-safe: a nil *Budget never cancels, never trips, and costs one
 // pointer comparison per check, which keeps the guarded paths within
@@ -35,9 +34,8 @@ type Kind uint8
 
 // The budgeted resource kinds.
 const (
-	// Exprs counts optimizer enumeration work: saturation plans
-	// admitted and memo expressions (plus join-tree
-	// materializations) admitted.
+	// Exprs counts optimizer enumeration work: memo expressions
+	// admitted.
 	Exprs Kind = iota
 	// Rows counts intermediate tuples materialized by the executor.
 	Rows
@@ -78,7 +76,7 @@ func (e *ErrBudget) Error() string {
 // PanicError is a contained panic: a rule application, estimator or
 // physical operator panicked and the package-boundary recovery
 // converted it into this diagnostic error instead of taking the
-// process down. Phase names the pipeline stage ("saturate", "explore",
+// process down. Phase names the pipeline stage ("simplify", "explore",
 // "cost", "execute", …) and PlanKey is the fingerprint (plan.Key) of
 // the plan being processed, so the failure is reproducible.
 type PanicError struct {
@@ -118,9 +116,9 @@ func IsGuard(err error) bool {
 
 // Limits bound one run. Zero values mean unlimited.
 type Limits struct {
-	// MaxExprs caps enumeration expressions (saturation plans, memo
-	// expressions and join-tree materializations). Tripping it
-	// degrades the optimizer gracefully instead of erroring.
+	// MaxExprs caps enumeration expressions (memo expressions
+	// admitted). Tripping it degrades the optimizer gracefully instead
+	// of erroring.
 	MaxExprs int64
 	// MaxRows caps the executor's cumulative intermediate rows.
 	MaxRows int64

@@ -159,7 +159,7 @@ func TestInjectError(t *testing.T) {
 		t.Fatalf("error does not name the point: %v", err)
 	}
 	// Other points stay clean.
-	if err := Hit(PointCost); err != nil {
+	if err := Hit(PointMemoWave); err != nil {
 		t.Fatalf("unrelated point: %v", err)
 	}
 	Clear()

@@ -232,8 +232,8 @@ func (h *Histogram) merge(src *Histogram) {
 
 // Registry holds named metrics. Lookups get-or-create, so callers
 // never register up front; names are free-form dotted paths
-// ("optimizer.phase.saturate_ns") with an optional bracketed label
-// ("executor.nested_loop_fallback[pred]").
+// ("optimizer.phase.explore_ns"). Labeled metrics come from the
+// vectors of labels.go.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter

@@ -7,8 +7,7 @@ import (
 
 // WithPhase runs f with pprof labels engine=<engine>, phase=<phase>
 // attached to the calling goroutine. Goroutines started inside f —
-// the saturation, memo-apply, costing and partitioned-join worker
-// pools all spawn within their phase — inherit the labels, so a CPU
+// the memo-apply worker pool spawns within its phase — inherit the labels, so a CPU
 // profile of the process attributes samples to optimizer/executor
 // phases instead of one undifferentiated call tree. The previous
 // label set is restored when f returns; nesting composes (the inner

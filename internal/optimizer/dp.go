@@ -15,8 +15,8 @@ import (
 // Definition 3.2's broken-edge connectivity), keeping the cheapest
 // plan per relation subset — the System-R approach the paper says its
 // checks slot into. It applies to pure inner-join queries (run
-// Simplify first; outer joins need the operator-assignment machinery
-// of the saturation path).
+// Simplify first; outer joins need the rule-based Optimize or the
+// operator assignment of OptimizeTrees).
 //
 // dpMaskLimit is the widest relation set the DP's uint64 subset masks
 // can represent. Two bits are held back so the full-set mask and the

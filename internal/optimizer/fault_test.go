@@ -16,10 +16,11 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/stats"
+	"repro/internal/stats/feedback"
 )
 
 // faultMaxPlans bounds each enumeration so the full
-// point × mode × engine × worker matrix stays fast.
+// point × mode × arm × worker matrix stays fast.
 const faultMaxPlans = 1500
 
 // faultSeeds is the injection matrix's query set: the Section 1.1/2
@@ -43,12 +44,38 @@ func faultSeeds() []struct {
 	}
 }
 
+// faultArms are the optimizer paths the fault suites cover: the plain
+// memo run; "ordered", a root ORDER BY, so extraction runs its order
+// contexts; and "feedback", a feedback store attached, so
+// feedback.lookup fires inside extraction.
+var faultArms = []string{"memo", "ordered", "feedback"}
+
 // faultRun is one guarded optimization configuration.
 type faultRun struct {
-	mode    optimizer.MemoMode
+	arm     string // one of faultArms
 	workers int
 	ctx     context.Context // nil means context.Background()
 	limits  *guard.Limits   // nil means no budget threaded at all
+}
+
+// query is q as the arm optimizes it: on the ordered arm, sorted on
+// its first non-virtual column.
+func (fr faultRun) query(t *testing.T, q plan.Node, db plan.Database) plan.Node {
+	t.Helper()
+	if fr.arm != "ordered" {
+		return q
+	}
+	s, err := q.Schema(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range s.Attrs() {
+		if !a.Virtual {
+			return plan.NewSortOrigin([]plan.SortKey{{Attr: a}}, -1, q, plan.SortOriginQuery)
+		}
+	}
+	t.Fatalf("no sortable column in %s", q)
+	return nil
 }
 
 // optimize runs q under the configuration on a fresh registry and
@@ -59,8 +86,10 @@ func (fr faultRun) optimize(q plan.Node, db plan.Database) (*optimizer.Result, m
 	reg := obs.NewRegistry()
 	est := stats.NewEstimator(stats.FromDatabase(db))
 	o := optimizer.New(est)
-	o.Opts.UseMemo = fr.mode
 	o.Opts.Workers = fr.workers
+	if fr.arm == "feedback" {
+		o.Opts.Feedback = feedback.New(feedback.Options{Obs: reg})
+	}
 	o.Opts.Obs = reg
 	o.Opts.MaxPlans = faultMaxPlans
 	if fr.limits != nil {
@@ -76,7 +105,7 @@ func (fr faultRun) optimize(q plan.Node, db plan.Database) (*optimizer.Result, m
 
 // firedPoints runs one clean optimization with counting hooks armed at
 // every registered point and returns the points that actually fired
-// for this (query, engine, workers) combination.
+// for this (query, arm, workers) combination.
 func firedPoints(t *testing.T, fr faultRun, q plan.Node, db plan.Database) []guard.Point {
 	t.Helper()
 	counts := map[guard.Point]*atomic.Int64{}
@@ -101,10 +130,8 @@ func firedPoints(t *testing.T, fr faultRun, q plan.Node, db plan.Database) []gua
 	return fired
 }
 
-// TestOptimizerFaultMatrix: for every seed query, engine and worker
-// count (Workers drives memo exploration only; on the saturation
-// reference it is accepted and has no effect), discover which guard
-// points the run crosses, then arm each
+// TestOptimizerFaultMatrix: for every seed query, arm and worker
+// count, discover which guard points the run crosses, then arm each
 // one to (a) fail with a typed error and (b) panic, and assert the
 // outcome is always classified: an injected error surfaces as
 // guard.ErrInjected, a panic as *guard.PanicError, and a nil error
@@ -113,23 +140,24 @@ func TestOptimizerFaultMatrix(t *testing.T) {
 	defer guard.Clear()
 	lim := &guard.Limits{}
 	for _, tc := range faultSeeds() {
-		for _, mode := range []optimizer.MemoMode{optimizer.MemoOff, optimizer.MemoAuto} {
+		for _, arm := range faultArms {
 			for _, workers := range []int{1, 4} {
-				fr := faultRun{mode: mode, workers: workers, limits: lim}
-				name := tc.name + "/" + modeName(mode) + "/w" + string(rune('0'+workers))
+				fr := faultRun{arm: arm, workers: workers, limits: lim}
+				name := tc.name + "/" + arm + "/w" + string(rune('0'+workers))
 				t.Run(name, func(t *testing.T) {
 					db := memoTestDB(tc.rels)
-					for _, p := range firedPoints(t, fr, tc.q, db) {
+					q := fr.query(t, tc.q, db)
+					for _, p := range firedPoints(t, fr, q, db) {
 						t.Run(string(p)+"/error", func(t *testing.T) {
 							guard.InjectError(p)
 							defer guard.Clear()
-							res, _, err := fr.optimize(tc.q, db)
+							res, _, err := fr.optimize(q, db)
 							assertFaultOutcome(t, res, err, db, guard.IsInjected, "injected error")
 						})
 						t.Run(string(p)+"/panic", func(t *testing.T) {
 							guard.InjectPanic(p)
 							defer guard.Clear()
-							res, _, err := fr.optimize(tc.q, db)
+							res, _, err := fr.optimize(q, db)
 							assertFaultOutcome(t, res, err, db, guard.IsPanic, "contained panic")
 						})
 					}
@@ -158,24 +186,17 @@ func assertFaultOutcome(t *testing.T, res *optimizer.Result, err error, db plan.
 	}
 }
 
-func modeName(m optimizer.MemoMode) string {
-	if m == optimizer.MemoOff {
-		return "saturate"
-	}
-	return "memo"
-}
-
 // TestOptimizerCancelledContext: a context cancelled before the run
-// starts aborts both engines with guard.ErrCancelled at the first wave
-// boundary, and the registry records the cancellation.
+// starts aborts every arm with guard.ErrCancelled before exploration,
+// and the registry records the cancellation.
 func TestOptimizerCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	db := memoTestDB(6)
-	for _, mode := range []optimizer.MemoMode{optimizer.MemoOff, optimizer.MemoAuto} {
-		t.Run(modeName(mode), func(t *testing.T) {
-			fr := faultRun{mode: mode, workers: 1, ctx: ctx, limits: &guard.Limits{}}
-			_, counters, err := fr.optimize(experiments.Q5(), db)
+	for _, arm := range faultArms {
+		t.Run(arm, func(t *testing.T) {
+			fr := faultRun{arm: arm, workers: 1, ctx: ctx, limits: &guard.Limits{}}
+			_, counters, err := fr.optimize(fr.query(t, experiments.Q5(), db), db)
 			if !guard.IsCancelled(err) {
 				t.Fatalf("err = %v, want guard.ErrCancelled", err)
 			}
@@ -192,11 +213,12 @@ func TestOptimizerCancelledContext(t *testing.T) {
 // the degradation visible in the counters.
 func TestOptimizerBudgetDegrades(t *testing.T) {
 	for _, tc := range faultSeeds() {
-		for _, mode := range []optimizer.MemoMode{optimizer.MemoOff, optimizer.MemoAuto} {
-			t.Run(tc.name+"/"+modeName(mode), func(t *testing.T) {
+		for _, arm := range faultArms {
+			t.Run(tc.name+"/"+arm, func(t *testing.T) {
 				db := memoTestDB(tc.rels)
-				fr := faultRun{mode: mode, workers: 1, limits: &guard.Limits{MaxExprs: 3}}
-				res, counters, err := fr.optimize(tc.q, db)
+				fr := faultRun{arm: arm, workers: 1, limits: &guard.Limits{MaxExprs: 3}}
+				q := fr.query(t, tc.q, db)
+				res, counters, err := fr.optimize(q, db)
 				if err != nil {
 					t.Fatalf("budget trip must degrade, not fail: %v", err)
 				}
@@ -212,7 +234,7 @@ func TestOptimizerBudgetDegrades(t *testing.T) {
 				if verr := plan.Validate(res.Best.Plan, db); verr != nil {
 					t.Fatalf("degraded plan fails validation: %v\n%s", verr, plan.Indent(res.Best.Plan))
 				}
-				ok, eqErr := plan.Equivalent(tc.q, res.Best.Plan, db)
+				ok, eqErr := plan.Equivalent(q, res.Best.Plan, db)
 				if eqErr != nil {
 					t.Fatal(eqErr)
 				}
@@ -231,17 +253,18 @@ func TestOptimizerBudgetDegrades(t *testing.T) {
 func TestOptimizerBudgetUntrippedDeterministic(t *testing.T) {
 	huge := &guard.Limits{MaxExprs: 1 << 40}
 	for _, tc := range faultSeeds() {
-		for _, mode := range []optimizer.MemoMode{optimizer.MemoOff, optimizer.MemoAuto} {
-			t.Run(tc.name+"/"+modeName(mode), func(t *testing.T) {
+		for _, arm := range faultArms {
+			t.Run(tc.name+"/"+arm, func(t *testing.T) {
 				db := memoTestDB(tc.rels)
-				bare := faultRun{mode: mode, workers: 1}
-				base, _, err := bare.optimize(tc.q, db)
+				bare := faultRun{arm: arm, workers: 1}
+				q := bare.query(t, tc.q, db)
+				base, _, err := bare.optimize(q, db)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 4} {
-					fr := faultRun{mode: mode, workers: workers, limits: huge}
-					res, counters, err := fr.optimize(tc.q, db)
+					fr := faultRun{arm: arm, workers: workers, limits: huge}
+					res, counters, err := fr.optimize(q, db)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -19,8 +19,8 @@ const HeuristicRule = "heuristic-left-deep"
 // relation minimizing the estimated rows of the next join, with every
 // join conjunct placed at the first step both its sides are available
 // (the same placement freedom the DP uses). It is the degradation
-// fallback when the enumeration budget trips before saturation or the
-// memo finishes — Selinger's greedy escape hatch rather than a search.
+// fallback when the enumeration budget trips before memo exploration
+// finishes — Selinger's greedy escape hatch rather than a search.
 //
 // The query may carry a spine of unary operators (Project, GroupBy,
 // Select, …) above a pure inner-join core; the spine is re-applied

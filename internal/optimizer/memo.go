@@ -2,27 +2,83 @@ package optimizer
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/guard"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/simplify"
 )
 
-// optimizeMemo is the memo-based enumeration path (Options.UseMemo):
-// the query and its simplified variant seed a group table, a fixpoint
-// exploration saturates the groups under the rule set, and the best
-// plan is extracted bottom-up with branch-and-bound pruning instead
-// of costing every materialized member of the class.
+// Optimize enumerates the equivalence class of q and returns the
+// cheapest plan. The database is needed only for schema resolution of
+// aggregation push-up seeds; pass nil when PushUpAggregates is off.
 //
-// The Result contract is preserved with memo semantics: Considered
-// counts admitted expressions (matched by the
+// The query and its simplified variant seed a memo group table, a
+// fixpoint exploration saturates the groups under the rule set (a rule
+// that declares no group-local scope is an error naming it), and the
+// best plan is extracted bottom-up with branch-and-bound pruning
+// instead of costing every materialized member of the class.
+// Considered counts admitted expressions (matched by the
 // optimizer.plans_enumerated counter), RuleFirings credits the rule
 // that admitted each expression, Best carries the derivation chain
 // reconstructed from the memo's provenance records, and Plans holds
 // the winner only.
-func (o *Optimizer) optimizeMemo(q plan.Node, rules []core.Rule, maxPlans int, reg *obs.Registry, phase func(string) func(), phases *[]PhaseTiming) (*Result, error) {
+//
+// Under a budget (Options.Budget) the run is interruptible and
+// bounded: cancellation and contained panics surface as typed guard
+// errors, and an exhausted expression budget degrades to the best
+// plan found so far (Result.Degraded). The package boundary converts
+// any internal panic into a *guard.PanicError carrying the phase
+// reached and the query fingerprint.
+func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err error) {
+	reg := o.Opts.Obs
+	if reg == nil {
+		reg = obs.Default()
+	}
+	curPhase := "init"
+	defer guard.RecoverAs(&err, &curPhase, plan.Key(q), reg)
+	reg.Counter("optimizer.runs").Inc()
+	root := o.Opts.Tracer.Start("optimize")
+	defer root.End()
+	var phases []PhaseTiming
+	phase := func(name string) func() {
+		curPhase = name
+		sp := root.Child(name)
+		start := time.Now()
+		return func() {
+			d := time.Since(start)
+			sp.End()
+			phases = append(phases, PhaseTiming{Name: name, Elapsed: d})
+			reg.Histogram("optimizer.phase." + name + "_ns").ObserveDuration(d)
+		}
+	}
+
+	maxPlans := o.Opts.MaxPlans
+	if maxPlans <= 0 {
+		maxPlans = 20000
+	}
+	rules := o.Opts.Rules
+	if rules == nil {
+		rules = core.DefaultRules()
+	}
+	if o.Opts.PushUpAggregates {
+		// Aggregation pull-up participates in the closure itself, so
+		// it composes with reorderings (Query 1's join must move next
+		// to the aggregation before the pull-up applies).
+		rules = append(append([]core.Rule(nil), rules...), core.PushUpRule(db))
+	}
+	// Number the query's base relations once; every predicate scoping
+	// check is then a bit test.
+	plan.IndexRelations(q)
+	if err := o.Opts.Budget.Cancelled(); err != nil {
+		return nil, err
+	}
+	if err := guard.Hit(guard.PointSimplify); err != nil {
+		return nil, err
+	}
 	reg.Counter("optimizer.memo_runs").Inc()
 	// A root ORDER BY (a Sort without LIMIT) is not a logical operator
 	// to enumerate around — it is a physical property requirement on
@@ -131,13 +187,13 @@ func (o *Optimizer) optimizeMemo(q plan.Node, rules []core.Rule, maxPlans int, r
 	reg.Counter("optimizer.plans_costed").Inc()
 
 	bestRanked := Ranked{Plan: bestPlan, Cost: bestCost, Rows: bestRows, Derivation: derivation}
-	res := &Result{
+	res = &Result{
 		Best:                bestRanked,
 		Original:            Ranked{Plan: q, Cost: origCost, Rows: origRows},
 		Considered:          m.Exprs(),
 		Plans:               []Ranked{bestRanked},
 		RuleFirings:         m.RuleFirings(),
-		Phases:              *phases,
+		Phases:              phases,
 		Degraded:            degraded,
 		FeedbackCorrections: int(sess.FeedbackHits()),
 	}

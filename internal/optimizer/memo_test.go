@@ -94,36 +94,34 @@ func memoSeeds() []struct {
 	}
 }
 
-// optimizeWith runs one optimization with the given engine mode and
-// worker count on a fresh registry, returning the result and the
-// registry snapshot.
-func optimizeWith(t *testing.T, q plan.Node, db plan.Database, mode optimizer.MemoMode, workers int) (*optimizer.Result, map[string]int64) {
+// optimizeWith runs one optimization with the given worker count on a
+// fresh registry, returning the result and the registry snapshot.
+func optimizeWith(t *testing.T, q plan.Node, db plan.Database, workers int) (*optimizer.Result, map[string]int64) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	est := stats.NewEstimator(stats.FromDatabase(db))
 	o := optimizer.New(est)
-	o.Opts.UseMemo = mode
 	o.Opts.Workers = workers
 	o.Opts.Obs = reg
 	res, err := o.Optimize(q, db)
 	if err != nil {
-		t.Fatalf("optimize (mode=%d workers=%d): %v", mode, workers, err)
+		t.Fatalf("optimize (workers=%d): %v", workers, err)
 	}
 	return res, reg.Snapshot().Counters
 }
 
 // TestMemoMatchesSaturate is the correctness pin for the memo engine:
 // for every seed query, extraction from the memo returns the same
-// best cost as the exhaustive saturate-and-cost-everything path, and
-// the same best plan (modulo cost ties, where the memo's winner must
-// be one of the saturation plans sharing the minimal cost). Run under
-// -race by make race-par.
+// best cost as the exhaustive saturate-and-rank oracle
+// (saturationRanking), and the same best plan (modulo cost ties, where
+// the memo's winner must be one of the oracle's plans sharing the
+// minimal cost). Run under -race by make race-par.
 func TestMemoMatchesSaturate(t *testing.T) {
 	for _, tc := range memoSeeds() {
 		t.Run(tc.name, func(t *testing.T) {
 			db := memoTestDB(tc.rels)
-			sat, _ := optimizeWith(t, tc.q, db, optimizer.MemoOff, 1)
-			mem, counters := optimizeWith(t, tc.q, db, optimizer.MemoAuto, 1)
+			mem, counters := optimizeWith(t, tc.q, db, 1)
+			sat := saturationRanking(t, tc.q, db, 20000)
 			if counters["optimizer.memo_runs"] != 1 {
 				t.Fatalf("memo engine did not run (counters %v)", counters)
 			}
@@ -175,9 +173,9 @@ func TestMemoWorkersDeterministic(t *testing.T) {
 	for _, tc := range memoSeeds() {
 		t.Run(tc.name, func(t *testing.T) {
 			db := memoTestDB(tc.rels)
-			serial, _ := optimizeWith(t, tc.q, db, optimizer.MemoAuto, 1)
+			serial, _ := optimizeWith(t, tc.q, db, 1)
 			for _, w := range []int{2, 4, -1} {
-				par, _ := optimizeWith(t, tc.q, db, optimizer.MemoAuto, w)
+				par, _ := optimizeWith(t, tc.q, db, w)
 				if par.Considered != serial.Considered {
 					t.Fatalf("workers=%d considered %d exprs, serial %d", w, par.Considered, serial.Considered)
 				}
@@ -199,7 +197,7 @@ func TestMemoWorkersDeterministic(t *testing.T) {
 // a workload with a non-trivial group structure.
 func TestMemoPrunes(t *testing.T) {
 	db := memoTestDB(6)
-	_, counters := optimizeWith(t, experiments.Q5(), db, optimizer.MemoAuto, 1)
+	_, counters := optimizeWith(t, experiments.Q5(), db, 1)
 	if counters["memo.pruned"] == 0 {
 		t.Error("extraction reported no branch-and-bound prunes on Q5")
 	}
@@ -217,7 +215,7 @@ func TestMemoPrunes(t *testing.T) {
 func TestMemoDerivationReplays(t *testing.T) {
 	db := memoTestDB(6)
 	q := experiments.Q5()
-	res, _ := optimizeWith(t, q, db, optimizer.MemoAuto, 1)
+	res, _ := optimizeWith(t, q, db, 1)
 	if plan.Key(res.Best.Plan) != plan.Key(q) && len(res.Best.Derivation) == 0 {
 		t.Fatal("winner differs from the query but has an empty derivation chain")
 	}
@@ -232,9 +230,9 @@ func TestMemoDerivationReplays(t *testing.T) {
 	}
 }
 
-// TestMemoRejectsUnscopedRule: under the default mode a rule that
-// declares no group-local scope is an error naming the rule, not a
-// silent switch to the saturation engine.
+// TestMemoRejectsUnscopedRule: a rule that declares no group-local
+// scope is an error naming the rule, not a silent switch to another
+// engine.
 func TestMemoRejectsUnscopedRule(t *testing.T) {
 	db := memoTestDB(3)
 	o := optimizer.New(stats.NewEstimator(stats.FromDatabase(db)))

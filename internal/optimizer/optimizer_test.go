@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/relation"
@@ -179,20 +180,13 @@ func TestPushUpSeeding(t *testing.T) {
 		"r1": buildRel("r1", 30, func(i int) (int64, int64) { return int64(i % 10), int64(i % 4) }),
 		"r2": buildRel("r2", 50, func(i int) (int64, int64) { return int64(i % 10), int64(i % 6) }),
 	}
-	est := stats.NewEstimator(stats.FromDatabase(db))
-	o := New(est)
-	// This test inspects the full ranked plan list, which only the
-	// saturation path materializes (the memo keeps the class implicit).
-	o.Opts.UseMemo = MemoOff
-	res, err := o.Optimize(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The plan space must include a pulled-up variant (a GroupBy
-	// above the join).
+	// above the join). The memo keeps the class implicit, so read the
+	// closure under the optimizer's rules directly.
+	closure := core.Saturate(q, core.SaturateOptions{Rules: append(core.DefaultRules(), core.PushUpRule(db))})
 	foundPulled := false
-	for _, r := range res.Plans {
-		if gs, ok := r.Plan.(*plan.GenSel); ok {
+	for _, p := range closure {
+		if gs, ok := p.(*plan.GenSel); ok {
 			if _, ok := gs.Input.(*plan.GroupBy); ok {
 				foundPulled = true
 				break
@@ -200,7 +194,11 @@ func TestPushUpSeeding(t *testing.T) {
 		}
 	}
 	if !foundPulled {
-		t.Errorf("no pulled-up aggregation variant among %d plans", len(res.Plans))
+		t.Errorf("no pulled-up aggregation variant among %d plans", len(closure))
+	}
+	res, err := New(stats.NewEstimator(stats.FromDatabase(db))).Optimize(q, db)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ok, err := plan.Equivalent(q, res.Best.Plan, db)
 	if err != nil {
@@ -211,32 +209,23 @@ func TestPushUpSeeding(t *testing.T) {
 	}
 }
 
-// TestBaselineRulesSubset ensures the baseline truly is a subset: its
-// plan space never exceeds the full optimizer's.
+// TestBaselineRulesSubset ensures the baseline truly is a subset: the
+// closure of Query 2 under the baseline rules lies strictly inside its
+// closure under the full rule set.
 func TestBaselineRulesSubset(t *testing.T) {
-	db := plan.Database{
-		"r1": buildRel("r1", 5, func(i int) (int64, int64) { return int64(i), int64(i) }),
-		"r2": buildRel("r2", 5, func(i int) (int64, int64) { return int64(i), int64(i) }),
-		"r3": buildRel("r3", 5, func(i int) (int64, int64) { return int64(i), int64(i) }),
-	}
-	est := stats.NewEstimator(stats.FromDatabase(db))
 	q := query2()
-	full, err := New(est).Optimize(q, db)
-	if err != nil {
-		t.Fatal(err)
+	full := map[string]bool{}
+	for _, p := range core.Saturate(q, core.SaturateOptions{Rules: core.DefaultRules()}) {
+		full[plan.Key(p)] = true
 	}
-	base, err := NewBaseline(est).Optimize(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullSet := map[string]bool{}
-	for _, r := range full.Plans {
-		fullSet[r.Plan.String()] = true
-	}
-	for _, r := range base.Plans {
-		if !fullSet[r.Plan.String()] {
-			t.Errorf("baseline plan missing from full space: %s", r.Plan)
+	base := core.Saturate(q, core.SaturateOptions{Rules: core.BaselineRules()})
+	for _, p := range base {
+		if !full[plan.Key(p)] {
+			t.Errorf("baseline plan missing from full space: %s", p)
 		}
+	}
+	if len(base) >= len(full) {
+		t.Errorf("baseline closure has %d plans, full %d: break-up should widen it", len(base), len(full))
 	}
 }
 

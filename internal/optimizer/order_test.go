@@ -70,7 +70,6 @@ func optimizeOrdered(t *testing.T, q plan.Node, db plan.Database) (*optimizer.Re
 	reg := obs.NewRegistry()
 	est := stats.NewEstimator(stats.FromDatabase(db))
 	o := optimizer.New(est)
-	o.Opts.UseMemo = optimizer.MemoAuto
 	o.Opts.Obs = reg
 	res, err := o.Optimize(q, db)
 	if err != nil {
@@ -358,8 +357,8 @@ func TestOrderTopKKeepsRootSort(t *testing.T) {
 }
 
 // TestOrderFreeQueriesUnchanged: queries without a root ORDER BY must
-// be untouched by the order machinery — no contexts, no Order info,
-// identical best cost to the legacy path (covered in depth by
+// be untouched by the order machinery — no contexts, no Order info
+// (their best cost is pinned against the saturate-and-rank oracle by
 // TestMemoMatchesSaturate; this pins the counters stay silent).
 func TestOrderFreeQueriesUnchanged(t *testing.T) {
 	db := memoTestDB(3)

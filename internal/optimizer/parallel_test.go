@@ -19,8 +19,8 @@ func parTestDB() plan.Database {
 }
 
 // TestOptimizeWorkersDeterministic: a parallel optimization run is
-// observationally identical to the serial run — same plan set in the
-// same ranked order, same costs, same best plan, same rule firings.
+// observationally identical to the serial run — same expression count,
+// same best plan and cost, same rule firings.
 func TestOptimizeWorkersDeterministic(t *testing.T) {
 	db := parTestDB()
 	q := query2()

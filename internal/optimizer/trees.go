@@ -19,8 +19,8 @@ import (
 // predicate (the separation precondition) are skipped; they are not
 // valid reorderings.
 //
-// Unlike Optimize (which saturates rewrite rules), this path scales
-// with the number of association trees and produces exactly one
+// Unlike Optimize (which explores rewrite rules in a memo), this path
+// scales with the number of association trees and produces exactly one
 // expression tree per join order.
 func (o *Optimizer) OptimizeTrees(q plan.Node, db plan.Database) (*Result, error) {
 	// Operator assignment assumes a simple query (see

@@ -40,15 +40,15 @@ func TestOptimizeTreesQuery2(t *testing.T) {
 			t.Fatalf("tree-assigned plan not equivalent:\n%s", plan.Indent(r.Plan))
 		}
 	}
-	// The saturation optimizer must not find anything cheaper than
-	// the tree enumeration's best (the tree path has one canonical
-	// plan per order; saturation explores the same orders).
-	sat, err := New(est).Optimize(q, db)
+	// The tree enumeration's best must come close to the rule-based
+	// optimizer's (the tree path has one canonical plan per order; the
+	// memo explores the same orders).
+	mem, err := New(est).Optimize(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best.Cost > sat.Best.Cost*1.05 {
-		t.Errorf("tree best %.1f much worse than saturation best %.1f", res.Best.Cost, sat.Best.Cost)
+	if res.Best.Cost > mem.Best.Cost*1.05 {
+		t.Errorf("tree best %.1f much worse than memo best %.1f", res.Best.Cost, mem.Best.Cost)
 	}
 }
 

@@ -200,7 +200,7 @@ func Equivalent(a, b Node, db Database) (bool, error) {
 func Simplify(q Node) Node { return simplify.Simplify(q) }
 
 // OptimizeTrees runs the paper's own Section 4 pipeline instead of
-// rule saturation: enumerate the association trees of the query
+// rule-based memo exploration: enumerate the association trees of the query
 // hypergraph (Definition 3.2), assign operators and σ* compensations
 // to each (core.AssignOperators), and return the cheapest.
 func OptimizeTrees(q Node, db Database) (*Result, error) {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/guard"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
@@ -151,6 +152,50 @@ func TestServiceTenantBudget(t *testing.T) {
 	}
 	if _, err := svc.Query(ctx, Request{SQL: q}); err != nil {
 		t.Fatalf("default tenant must succeed: %v", err)
+	}
+}
+
+// TestServiceNestedLoopFallbackNoLeak: a non-equi join falls back to
+// the nested loop on every request. The fallback is counted on the
+// request's registry, which the service folds into its observer; it
+// must never mint a process-global metric per bound literal, or a
+// long-running server grows obs.Default() without limit.
+func TestServiceNestedLoopFallbackNoLeak(t *testing.T) {
+	svc := newTestService(t, ServiceConfig{})
+	ctx := context.Background()
+	query := func(k int) {
+		t.Helper()
+		if _, err := svc.Query(ctx, Request{SQL: fmt.Sprintf("select t.b, s.c from t, s where t.a < s.a + %d", k)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := func() map[string]bool {
+		snap := obs.Default().Snapshot()
+		out := map[string]bool{}
+		for n := range snap.Counters {
+			out[n] = true
+		}
+		for n := range snap.Gauges {
+			out[n] = true
+		}
+		for n := range snap.Histograms {
+			out[n] = true
+		}
+		return out
+	}
+	fallbacks := svc.Observer().Registry.Counter("executor.nested_loop_fallback")
+	query(0) // warm: plan cache entry, base-table images
+	before, base := names(), fallbacks.Value()
+	for k := 1; k <= 50; k++ {
+		query(k)
+	}
+	for n := range names() {
+		if !before[n] {
+			t.Errorf("request minted a global metric %q", n)
+		}
+	}
+	if got := fallbacks.Value() - base; got != 50 {
+		t.Errorf("observer counted %d nested-loop fallbacks over 50 requests, want 50", got)
 	}
 }
 
