@@ -122,8 +122,11 @@ bench:
 # Query-service smoke under the race detector: the plan cache
 # (singleflight, eviction, fault containment), the serving layer
 # (one optimization per template, typed shed/deadline/budget errors,
-# admission faults), the HTTP surface (typed 429s under a burst,
-# goroutine drain, /metrics scrape) and the daemon boot/drain cycle.
+# admission faults), the HTTP surface — every TestHandler… case: typed
+# 429s under a burst, goroutine drain, /metrics scrape, the column
+# encoder's bytes against encoding/json's, the typed 500 for a result
+# JSON cannot represent, and the per-request allocation ceiling of the
+# hit_scan shapes — and the daemon boot/drain cycle.
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/plancache/ ./cmd/reorderd/
 	$(GO) test -race -count=1 -run 'TestService|TestHandler' .

@@ -213,11 +213,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, plan.DOT(res.Best.Plan))
 	}
 	if o.rows {
-		out, err := executor.RunGuarded(res.Best.Plan, db, guard.New(ctx, o.limits(), nil))
+		col, _, err := executor.Exec(res.Best.Plan, db, executor.Options{Budget: guard.New(ctx, o.limits(), nil)})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return exitFor(err)
 		}
+		out := col.ToRelation()
 		out.SortForDisplay()
 		fmt.Fprintln(stdout, out)
 	}

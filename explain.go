@@ -160,14 +160,14 @@ func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, 
 	if fb != nil {
 		adapt.SwapFactor = 4
 	}
-	out, ann, err := executor.RunInstrumentedAdaptive(res.Best.Plan, db, reg, b, adapt)
+	out, ann, err := executor.Exec(res.Best.Plan, db, executor.Options{Budget: b, Obs: reg, Adapt: adapt})
 	execNs := time.Since(execStart).Nanoseconds()
 	execSpan.End()
 	if err != nil {
 		ob.record(q, res.Best.Plan, res, reg, b, start, execNs, err, 0, nil)
 		return nil, err
 	}
-	execSpan.Annotate("rows=%d", out.Len())
+	execSpan.Annotate("rows=%d", out.N)
 
 	// Attach the optimizer's estimates so every operator line shows
 	// actual vs estimated cardinality, and fold each operator's
@@ -229,7 +229,7 @@ func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, 
 		Considered:   res.Considered,
 		OriginalCost: res.Original.Cost,
 		BestCost:     res.Best.Cost,
-		RowsOut:      out.Len(),
+		RowsOut:      out.N,
 		Engine:       "vector",
 		Degraded:     res.Degraded,
 		RuleFirings:  res.RuleFirings,
@@ -259,7 +259,7 @@ func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, 
 	for _, p := range res.Phases {
 		r.Phases = append(r.Phases, PhaseNs{Name: p.Name, Ns: p.Elapsed.Nanoseconds()})
 	}
-	ob.record(q, res.Best.Plan, res, reg, b, start, execNs, nil, out.Len(), ops)
+	ob.record(q, res.Best.Plan, res, reg, b, start, execNs, nil, out.N, ops)
 	return r, nil
 }
 

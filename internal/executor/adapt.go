@@ -32,30 +32,17 @@ type Adapt struct {
 	SpillDir string
 }
 
-// RunInstrumentedAdaptive is the instrumented, adaptive execution on
-// the columnar engine — the query service's entry point when feedback
-// is enabled, and EXPLAIN ANALYZE's. Every node of the plan gets an
-// annotation with its output rows and inclusive time; joins add their
-// probe figures, and adaptive transitions land
-// in the annotations (build_swapped, spill_escalated extras) and the
-// exec.adapt.* counters. reg receives the per-operator and
-// exec.vector.* counters (nil means the budget's registry). a may be
-// nil: a static plan, where a byte-budget overrun is a typed
-// guard.ErrBudget as in RunGuarded.
-func RunInstrumentedAdaptive(n plan.Node, db plan.Database, reg *obs.Registry, b *guard.Budget, a *Adapt) (out *relation.Relation, ann plan.Annotations, err error) {
+// RunInstrumentedAdaptive is Exec instrumented into reg (nil means the
+// budget's registry) with the result boxed row-major.
+func RunInstrumentedAdaptive(n plan.Node, db plan.Database, reg *obs.Registry, b *guard.Budget, a *Adapt) (*relation.Relation, plan.Annotations, error) {
 	if reg == nil {
 		reg = b.Registry()
 	}
-	phase := "execute"
-	defer guard.RecoverAs(&err, &phase, plan.Key(n), reg)
-	e := &vecEngine{db: db, b: b, batch: execBatchRows, reg: reg, ann: plan.Annotations{}, adapt: a}
-	obs.WithPhase(b.Context(), "executor", "execute", func() {
-		out, err = e.run(n)
-	})
+	out, ann, err := Exec(n, db, Options{Budget: b, Obs: reg, Adapt: a})
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, e.ann, nil
+	return out.ToRelation(), ann, nil
 }
 
 // swapWanted is the deterministic pre-probe swap decision: the

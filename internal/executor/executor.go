@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
+	"repro/internal/batch"
 	"repro/internal/expr"
 	"repro/internal/guard"
 	"repro/internal/obs"
@@ -76,21 +77,62 @@ func Run(n plan.Node, db plan.Database) (*relation.Relation, error) {
 	}
 }
 
-// RunGuarded is the production execution entry point: the plan runs on
-// the columnar engine (vector.go) under resource governance. The
-// budget's cancellation and row/byte limits are checked at
-// per-operator and per-batch boundaries (surfacing guard.ErrCancelled
-// / ErrBudget — a MaxBytes overrun is the typed error, never a silent
-// spill), executor counters land in the budget's registry, and a panic
-// anywhere in the execution converts to a *guard.PanicError carrying
-// the plan fingerprint instead of unwinding into the caller. The
-// result is multiset-equal to Run's, in the plan's delivered order
-// where it delivers one.
-func RunGuarded(n plan.Node, db plan.Database, b *guard.Budget) (out *relation.Relation, err error) {
+// Options configures one Exec. The zero value runs the plan as planned,
+// unbudgeted and uninstrumented.
+type Options struct {
+	// Budget governs the run: cancellation and row/byte limits are
+	// checked at per-operator and per-batch boundaries (surfacing
+	// guard.ErrCancelled / ErrBudget — a MaxBytes overrun is the typed
+	// error unless Adapt.Spill escalates the join), and executor
+	// counters land in its registry. nil never trips.
+	Budget *guard.Budget
+	// Obs instruments the run: every node of the plan gets an
+	// annotation with its output rows and inclusive time, joins add
+	// their probe figures, and the per-operator and exec.vector.*
+	// counters land here instead of in the budget's registry. nil runs
+	// uninstrumented and returns no annotations.
+	Obs *obs.Registry
+	// Adapt enables mid-query adaptivity (build/probe swap, spill
+	// escalation); nil is the static plan.
+	Adapt *Adapt
+}
+
+// Exec is the production execution entry point: the plan runs on the
+// columnar engine (vector.go) and its result comes back columnar, for a
+// caller that reads the typed vectors directly (the query service
+// encodes them onto the wire). A panic anywhere in the execution
+// converts to a *guard.PanicError carrying the plan fingerprint
+// instead of unwinding into the caller. The result is multiset-equal
+// to Run's, in the plan's delivered order where it delivers one; it
+// may share columns with a base table's image, so callers treat it as
+// read-only. Adaptive transitions land in the annotations
+// (build_swapped, spill_escalated extras) and the exec.adapt.*
+// counters.
+func Exec(n plan.Node, db plan.Database, o Options) (out *batch.Rel, ann plan.Annotations, err error) {
 	phase := "execute"
-	defer guard.RecoverAs(&err, &phase, plan.Key(n), nil)
-	e := &vecEngine{db: db, b: b, batch: execBatchRows, reg: b.Registry()}
-	return e.run(n)
+	defer guard.RecoverAs(&err, &phase, n, o.Obs)
+	e := &vecEngine{db: db, b: o.Budget, batch: execBatchRows, reg: o.Budget.Registry(), adapt: o.Adapt}
+	if o.Obs == nil {
+		out, err = e.exec(n)
+		return out, nil, err
+	}
+	e.reg, e.ann = o.Obs, plan.Annotations{}
+	obs.WithPhase(o.Budget.Context(), "executor", "execute", func() {
+		out, err = e.exec(n)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, e.ann, nil
+}
+
+// RunGuarded is Exec under a budget with the result boxed row-major.
+func RunGuarded(n plan.Node, db plan.Database, b *guard.Budget) (*relation.Relation, error) {
+	out, _, err := Exec(n, db, Options{Budget: b})
+	if err != nil {
+		return nil, err
+	}
+	return out.ToRelation(), nil
 }
 
 // equiKey is one hashable equality conjunct l.col = r.col.

@@ -6,6 +6,7 @@ package executor
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -191,6 +192,20 @@ func TestExecutorFaultMatrix(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestExecutorPanicLabel: a panic contained at Exec's boundary names
+// the phase and the executed plan by its fingerprint, the label built
+// only on the way out.
+func TestExecutorPanicLabel(t *testing.T) {
+	guard.InjectPanic(guard.PointExecOperator)
+	defer guard.Clear()
+	p := faultJoin()
+	_, _, err := Exec(p, faultDB(31), Options{})
+	var pe *guard.PanicError
+	if !errors.As(err, &pe) || pe.Phase != "execute" || pe.PlanKey != plan.Key(p) {
+		t.Fatalf("err = %v, want a *guard.PanicError in execute labelled %s", err, plan.Key(p))
 	}
 }
 

@@ -93,7 +93,7 @@ type SpillOptions struct {
 // recorded on exec.spill.fallback.nonequi.
 func JoinExecSpill(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, b *guard.Budget, opts SpillOptions) (out *relation.Relation, err error) {
 	phase := "execute"
-	defer guard.RecoverAs(&err, &phase, "", nil)
+	defer guard.RecoverAs(&err, &phase, nil, nil)
 	return spillJoinProbe(kind, pred, l, r, nil, b, nil, opts)
 }
 

@@ -12,9 +12,9 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the vectorized engine's plan walker — the engine both
-// production entry points run on (RunGuarded, RunInstrumentedAdaptive;
-// Run stays on the row walker as the independent reference). Data
+// This file is the vectorized engine's plan walker — the engine the
+// production entry point Exec runs on (Run stays on the row walker as
+// the independent reference). Data
 // flows between operators as columnar batch.Rel relations; the hot
 // operators — scan, selection, equi-join build/probe, GROUP BY and
 // (distinct) projection — run as batch-at-a-time kernels (vecjoin.go,
@@ -52,16 +52,7 @@ type vecEngine struct {
 	adapt *Adapt           // nil = static plan, no mid-query adaptivity
 }
 
-// run executes the plan and boxes the root's output row-major.
-func (e *vecEngine) run(n plan.Node) (*relation.Relation, error) {
-	col, err := e.exec(n)
-	if err != nil {
-		return nil, err
-	}
-	return col.ToRelation(), nil
-}
-
-// exec is the columnar analogue of run: budget check on entry, an
+// exec runs the subtree at n: budget check on entry, an
 // operator fault point as each node completes, joins charged
 // incrementally inside the probe kernels, every other materializing
 // operator charged on its full output — the exact protocol the tuple

@@ -61,9 +61,18 @@ func servingEngines() []servingEngine {
 // as at the entry points.
 func runVec(p plan.Node, db plan.Database, b *guard.Budget, bs int, a *Adapt) (out *relation.Relation, err error) {
 	phase := "execute"
-	defer guard.RecoverAs(&err, &phase, plan.Key(p), nil)
+	defer guard.RecoverAs(&err, &phase, p, nil)
 	e := &vecEngine{db: db, b: b, batch: bs, reg: b.Registry(), adapt: a}
 	return e.run(p)
+}
+
+// run executes the plan and boxes the root's output row-major.
+func (e *vecEngine) run(n plan.Node) (*relation.Relation, error) {
+	col, err := e.exec(n)
+	if err != nil {
+		return nil, err
+	}
+	return col.ToRelation(), nil
 }
 
 // mixedDB builds relations with an int key x, an int y, a float f and

@@ -40,7 +40,7 @@ func E15() string {
 		return err.Error()
 	}
 	span := tracer.Start("execute")
-	out, ann, err := executor.RunInstrumentedAdaptive(res.Best.Plan, db, reg, nil, nil)
+	out, ann, err := executor.Exec(res.Best.Plan, db, executor.Options{Obs: reg})
 	span.End()
 	if err != nil {
 		return err.Error()
@@ -53,7 +53,7 @@ func E15() string {
 		}
 	})
 
-	fmt.Fprintf(&b, "rows returned: %d   plans considered: %d\n\n", out.Len(), res.Considered)
+	fmt.Fprintf(&b, "rows returned: %d   plans considered: %d\n\n", out.N, res.Considered)
 	b.WriteString("annotated plan (actual vs estimated rows):\n")
 	b.WriteString(plan.IndentAnnotated(res.Best.Plan, ann))
 	b.WriteString("\nspan trace:\n")

@@ -188,11 +188,15 @@ func TestInjectHookCounting(t *testing.T) {
 	}
 }
 
+// TestRecoverAs: the boundary container reports the phase reached and
+// the plan's rendering, and renders the plan only when something
+// panicked — a run that does not panic never pays for its label.
 func TestRecoverAs(t *testing.T) {
 	reg := obs.NewRegistry()
 	phase := "seed"
+	calls := 0
 	run := func() (err error) {
-		defer RecoverAs(&err, &phase, "plankey123", reg)
+		defer RecoverAs(&err, &phase, lazyLabel{&calls}, reg)
 		phase = "explore"
 		panic("boom")
 	}
@@ -202,8 +206,8 @@ func TestRecoverAs(t *testing.T) {
 	}
 	var pe *PanicError
 	errors.As(err, &pe)
-	if pe.Phase != "explore" || pe.PlanKey != "plankey123" || pe.Value != "boom" {
-		t.Fatalf("bad PanicError: phase=%q key=%q val=%v", pe.Phase, pe.PlanKey, pe.Value)
+	if pe.Phase != "explore" || pe.PlanKey != "k42" || pe.Value != "boom" || calls != 1 {
+		t.Fatalf("bad PanicError: phase=%q key=%q val=%v (label rendered %d times)", pe.Phase, pe.PlanKey, pe.Value, calls)
 	}
 	if len(pe.Stack) == 0 {
 		t.Fatal("no stack captured")
@@ -211,13 +215,25 @@ func TestRecoverAs(t *testing.T) {
 	if got := reg.Snapshot().Counters["guard.recovered_panics"]; got != 1 {
 		t.Fatalf("guard.recovered_panics = %d, want 1", got)
 	}
-	// No panic: err stays nil, counter untouched.
+	// No panic: err stays nil, counter untouched, label never rendered.
+	calls = 0
 	clean := func() (err error) {
-		defer RecoverAs(&err, &phase, "k", reg)
+		defer RecoverAs(&err, &phase, lazyLabel{&calls}, reg)
 		return nil
 	}
-	if err := clean(); err != nil {
-		t.Fatalf("clean run: %v", err)
+	if err := clean(); err != nil || calls != 0 {
+		t.Fatalf("clean run: err %v, label rendered %d times", err, calls)
+	}
+	if got := reg.Snapshot().Counters["guard.recovered_panics"]; got != 1 {
+		t.Fatalf("guard.recovered_panics = %d after a clean run, want 1", got)
+	}
+	// No label: the panic is still contained, with an empty PlanKey.
+	unlabelled := func() (err error) {
+		defer RecoverAs(&err, &phase, nil, reg)
+		panic("boom")
+	}
+	if err := unlabelled(); !errors.As(err, &pe) || pe.PlanKey != "" {
+		t.Fatalf("unlabelled panic: %v", err)
 	}
 }
 

@@ -8,27 +8,32 @@ import (
 )
 
 // RecoverAs is the package-boundary panic container: deferred at the
-// top of optimizer.Optimize and the executor's production entry
-// points (RunGuarded, RunInstrumentedAdaptive), it converts a panic
-// into a *PanicError stored in *errp, carrying the phase the pipeline
-// was in (read through phase at recovery time, so the boundary
-// reports the innermost stage reached) and the fingerprint of the
-// plan being processed. Recovered panics bump guard.recovered_panics.
+// top of optimizer.Optimize and the executor's entry point (Exec), it
+// converts a panic into a *PanicError stored in *errp, carrying the
+// phase the pipeline was in (read through phase at recovery time, so
+// the boundary reports the innermost stage reached) and the rendering
+// of plan, the plan being processed (a plan.Node renders as its
+// fingerprint; nil leaves PlanKey empty). Like RecoverItem's label,
+// the rendering is built only on a panic. Recovered panics bump
+// guard.recovered_panics.
 //
 // Deliberate nil-map/nil-pointer crashes in worker goroutines are NOT
 // visible to a boundary defer — worker pools additionally wrap each
 // work item with Safely.
-func RecoverAs(errp *error, phase *string, planKey string, reg *obs.Registry) {
+func RecoverAs(errp *error, phase *string, plan fmt.Stringer, reg *obs.Registry) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	ph := ""
+	ph, key := "", ""
 	if phase != nil {
 		ph = *phase
 	}
+	if plan != nil {
+		key = plan.String()
+	}
 	reg.Counter("guard.recovered_panics").Inc()
-	*errp = &PanicError{Phase: ph, PlanKey: planKey, Value: r, Stack: debug.Stack()}
+	*errp = &PanicError{Phase: ph, PlanKey: key, Value: r, Stack: debug.Stack()}
 }
 
 // Safely runs one work item with panic containment, for worker pools

@@ -39,7 +39,7 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 		reg = obs.Default()
 	}
 	curPhase := "init"
-	defer guard.RecoverAs(&err, &curPhase, plan.Key(q), reg)
+	defer guard.RecoverAs(&err, &curPhase, q, reg)
 	reg.Counter("optimizer.runs").Inc()
 	root := o.Opts.Tracer.Start("optimize")
 	defer root.End()

@@ -119,7 +119,11 @@ func OptimizeBudget(ctx context.Context, q Node, db Database, l Limits) (*Result
 // operator and batch boundaries, and panics inside the executor come
 // back as *guard.PanicError instead of unwinding.
 func ExecuteBudget(ctx context.Context, q Node, db Database, l Limits) (*Relation, error) {
-	return executor.RunGuarded(q, db, guard.New(ctx, l, nil))
+	out, _, err := executor.Exec(q, db, executor.Options{Budget: guard.New(ctx, l, nil)})
+	if err != nil {
+		return nil, err
+	}
+	return out.ToRelation(), nil
 }
 
 // OptimizeSQL is Parse followed by Optimize.

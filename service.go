@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/executor"
 	"repro/internal/guard"
 	"repro/internal/obs"
@@ -23,7 +24,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/plancache"
-	"repro/internal/relation"
 	"repro/internal/sql"
 	"repro/internal/stats"
 	"repro/internal/stats/feedback"
@@ -276,6 +276,11 @@ type Response struct {
 	FeedbackCorrections int     `json:"feedback_corrections,omitempty"`
 	ReplanGen           int64   `json:"replan_gen,omitempty"`
 	Replanned           bool    `json:"replanned,omitempty"`
+
+	// rel is the result as the executor returned it, columnar. Query
+	// boxes it into Rows; the HTTP handler encodes it onto the wire
+	// directly (wire.go) and never fills Rows.
+	rel *batch.Rel
 }
 
 // ServeError is a classified request failure. Code is stable and
@@ -345,18 +350,32 @@ func planBytes(key string, planKey string) int64 {
 // execution. Errors are always *ServeError.
 func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 	resp, err := s.query(ctx, req)
-	if err != nil {
-		se := &ServeError{}
-		if !errors.As(err, &se) {
-			se = classify(err, false)
-		}
-		s.requests.With(se.Code).Inc()
+	if se := s.settle(err); se != nil {
 		return nil, se
 	}
-	s.requests.With("ok").Inc()
+	resp.Rows = boxRows(resp.rel)
+	resp.rel = nil
 	return resp, nil
 }
 
+// settle classifies a request's failure and counts its outcome on
+// serve.requests; it returns nil for a success.
+func (s *Service) settle(err error) *ServeError {
+	if err == nil {
+		s.requests.With("ok").Inc()
+		return nil
+	}
+	se := &ServeError{}
+	if !errors.As(err, &se) {
+		se = classify(err, false)
+	}
+	s.requests.With(se.Code).Inc()
+	return se
+}
+
+// query is the request path Query and the HTTP handler share. It
+// leaves the result columnar in Response.rel and the outcome for the
+// caller to settle.
 func (s *Service) query(ctx context.Context, req Request) (*Response, error) {
 	// Fault point first: an injected admission fault must reject
 	// before any queue accounting, so it can never leak a slot. Safely
@@ -487,13 +506,11 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 	// instrumented (per-subtree actuals feed the store) and adaptive
 	// (mid-query build/probe swap and spill escalation).
 	execStart := time.Now()
-	var rel *relation.Relation
-	var ann plan.Annotations
+	opts := executor.Options{Budget: b}
 	if s.fb != nil {
-		rel, ann, err = executor.RunInstrumentedAdaptive(bound, s.db, reg, b, s.adapt)
-	} else {
-		rel, err = executor.RunGuarded(bound, s.db, b)
+		opts.Obs, opts.Adapt = reg, s.adapt
 	}
+	rel, ann, err := executor.Exec(bound, s.db, opts)
 	execNs := time.Since(execStart).Nanoseconds()
 	if err != nil {
 		return nil, planKey, key, classify(err, false)
@@ -507,6 +524,7 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 		OptimizeNs:  optimizeNs,
 		BindNs:      bindNs,
 		ExecNs:      execNs,
+		rel:         rel,
 	}
 	if s.fb != nil {
 		replan := req.Cache != "bypass" // bypass has no cache entry to rebuild
@@ -514,24 +532,31 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 			return nil, planKey, key, classify(err, false)
 		}
 	}
-	attrs := rel.Schema().Attrs()
+	attrs := rel.Schema.Attrs()
 	resp.Columns = make([]string, len(attrs))
 	for i, a := range attrs {
 		resp.Columns[i] = a.String()
 	}
-	// Rows are carved from one flat arena (rows×width values), like
-	// batch.Rel.ToRelation carves tuples, not allocated one by one.
-	w := len(attrs)
-	arena := make([]any, rel.Len()*w)
-	resp.Rows = make([][]any, rel.Len())
-	for i, t := range rel.Tuples() {
-		row := arena[i*w : (i+1)*w : (i+1)*w]
-		for j, v := range t {
-			row[j] = jsonValue(v)
-		}
-		resp.Rows[i] = row
-	}
 	return resp, planKey, key, nil
+}
+
+// boxRows converts a columnar result to the rows of the Go API's
+// Response, cell by cell from the typed vectors. Rows are carved from
+// one flat arena (rows×width cells), not allocated one by one.
+func boxRows(rel *batch.Rel) [][]any {
+	w := rel.Width()
+	arena := make([]any, rel.N*w)
+	for c := 0; c < w; c++ {
+		col := rel.Col(c)
+		for i := 0; i < rel.N; i++ {
+			arena[i*w+c] = jsonValue(col.At(i))
+		}
+	}
+	rows := make([][]any, rel.N)
+	for i := range rows {
+		rows[i] = arena[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
 }
 
 // optimizeTemplate runs the full optimizer on the parameterized
@@ -706,7 +731,7 @@ func (s *Service) record(req Request, resp *Response, planKey, templateKey strin
 		rec.Phases = append(rec.Phases, flight.Phase{Name: "queued", Ns: q.Nanoseconds()})
 	}
 	if resp != nil {
-		rec.RowsOut = len(resp.Rows)
+		rec.RowsOut = resp.rel.N
 		rec.Degraded = resp.Degraded
 		if resp.OptimizeNs > 0 {
 			rec.Phases = append(rec.Phases, flight.Phase{Name: "optimize", Ns: resp.OptimizeNs})

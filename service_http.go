@@ -2,8 +2,9 @@ package reorder
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
+	"strconv"
+	"sync"
 )
 
 // Handler serves the query API over HTTP:
@@ -38,20 +39,36 @@ func (s *Service) Handler() http.Handler {
 			writeAPIError(w, http.StatusBadRequest, "bad_request", "missing \"sql\"")
 			return
 		}
-		resp, err := s.Query(r.Context(), req)
-		if err != nil {
-			se := &ServeError{}
-			if errors.As(err, &se) {
-				writeAPIError(w, se.HTTPStatus, se.Code, se.Err.Error())
-				return
-			}
-			writeAPIError(w, http.StatusInternalServerError, "internal", err.Error())
+		resp, err := s.query(r.Context(), req)
+		buf := wireBufs.Get().(*[]byte)
+		defer putWireBuf(buf)
+		if err == nil {
+			*buf, err = appendResponse((*buf)[:0], resp)
+		}
+		if se := s.settle(err); se != nil {
+			writeAPIError(w, se.HTTPStatus, se.Code, se.Err.Error())
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(*buf)))
+		w.Write(*buf) // a failed write means the client is gone; there is no one left to tell
 	})
 	return mux
+}
+
+// wireBufs recycles /query response buffers, so a steady stream of
+// results is encoded without growing a buffer per request.
+var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledWireBuf bounds the buffers wireBufs keeps: one outsized
+// result must not pin its buffer for the life of the process.
+const maxPooledWireBuf = 4 << 20
+
+func putWireBuf(b *[]byte) {
+	if cap(*b) <= maxPooledWireBuf {
+		wireBufs.Put(b)
+	}
 }
 
 // apiError is the JSON error envelope.
