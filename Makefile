@@ -7,10 +7,11 @@ all: vet build test
 # The full pre-merge gauntlet: formatting and static checks, build,
 # the tier-1 test suite, the fault-injection suite under the race
 # detector, the observability smoke, the low-budget spill smoke, the
-# query-service smoke, the order-property suite, the adaptive/feedback
-# suite, the columnar serving-engine suite, and the bench module's
-# smoke run (every workload played once; a wrong answer fails it).
-check: fmt vet build test faults obs spill-smoke serve-smoke race-order race-adapt race-vec bench-smoke
+# query-service smoke, the parallel-optimizer suite, the order-property
+# suite, the adaptive/feedback suite, the columnar serving-engine suite,
+# and the bench module's smoke run (every workload played once; a wrong
+# answer fails it).
+check: fmt vet build test faults obs spill-smoke serve-smoke race-par race-order race-adapt race-vec bench-smoke
 
 fmt:
 	test -z "$$(gofmt -l .)"
@@ -34,7 +35,11 @@ race:
 # cache, the shared cost session, the memo's equality with the
 # saturate-and-rank test oracle, its worker-determinism property suite,
 # and the memo package's own tests (identical memo at any worker count,
-# capped or not; closure membership).
+# capped or not; shape identity; closure membership; the soundness of
+# the ScopeChild rules' operator-kind patterns and the pinned cold_plan
+# memos). Part of make check. The optimizer's allocation ceilings
+# (TestExploreColdAllocCeiling) stay out of it: the race detector
+# changes allocation counts.
 race-par:
 	$(GO) test -race -run 'TestFingerprintConcurrent|TestSessionConcurrent|TestOptimizeWorkers|TestMemo|TestWorkersIdenticalMemo|TestShapeIdentity|TestSplitTable|TestRulePanicLabelled|TestHandlerConcurrentScrape|TestRecorderConcurrent|TestObserverScrapeWhileExecuting' \
 		./internal/plan/ ./internal/stats/ ./internal/optimizer/ ./internal/memo/ ./internal/obs/ ./internal/obs/flight/ .

@@ -172,15 +172,17 @@ func PushUpGroupBy(j *plan.Join, db plan.Database) (plan.Node, error) {
 // schema for the widened grouping key.
 func PushUpRule(db plan.Database) Rule {
 	return Rule{
-		Name:  "push-up-aggregation",
-		Scope: ScopeChild,
+		Name:     "push-up-aggregation",
+		Scope:    ScopeChild,
+		Patterns: []ChildPattern{{KindAnyJoin, KindGroupBy, KindAny}, {KindAnyJoin, KindAny, KindGroupBy}},
 		Apply: func(n plan.Node) []plan.Node {
 			j, ok := n.(*plan.Join)
 			if !ok {
 				return nil
 			}
-			// Nearly every binding has no aggregation to pull; say so
-			// before PushUpGroupBy formats an error about it.
+			// Saturation binds every tree, and nearly none has an
+			// aggregation to pull; say so before PushUpGroupBy formats an
+			// error about it.
 			_, gpL := j.L.(*plan.GroupBy)
 			_, gpR := j.R.(*plan.GroupBy)
 			if !gpL && !gpR {

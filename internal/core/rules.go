@@ -21,6 +21,83 @@ type Rule struct {
 	// bind them, so the optimizer rejects them and only Saturate
 	// applies them.
 	Scope RuleScope
+	// Patterns, which a ScopeChild rule must declare, lists the
+	// (root, left input, right input) operator kinds Apply opens with.
+	// The memo binds the rule only where one of them matches, so Apply
+	// must return nothing on any tree none of them matches.
+	Patterns []ChildPattern
+}
+
+// OpKind classifies a node's root operator for ScopeChild patterns.
+type OpKind uint8
+
+const (
+	// KindOther is every operator no pattern names (scans, generalized
+	// selections, MGOJ, projections, sorts) and an absent input.
+	KindOther OpKind = iota
+	KindSelect
+	KindGroupBy
+	KindInner
+	KindLeft
+	KindRight
+	KindFull
+	// KindAny and KindAnyJoin are pattern wildcards, never a node's
+	// kind: any kind at all, and any of the four join kinds.
+	KindAny
+	KindAnyJoin
+)
+
+// NumKinds counts the kinds KindOf returns.
+const NumKinds = int(KindAny)
+
+// KindOf returns the kind of n's root operator (KindOther for nil).
+func KindOf(n plan.Node) OpKind {
+	switch x := n.(type) {
+	case *plan.Select:
+		return KindSelect
+	case *plan.GroupBy:
+		return KindGroupBy
+	case *plan.Join:
+		switch x.Kind {
+		case plan.InnerJoin:
+			return KindInner
+		case plan.LeftJoin:
+			return KindLeft
+		case plan.RightJoin:
+			return KindRight
+		case plan.FullJoin:
+			return KindFull
+		}
+	}
+	return KindOther
+}
+
+// covers reports whether the pattern kind p admits the node kind k.
+func (p OpKind) covers(k OpKind) bool {
+	switch p {
+	case KindAny:
+		return true
+	case KindAnyJoin:
+		return k >= KindInner && k <= KindFull
+	}
+	return p == k
+}
+
+// ChildPattern is one combination of operator kinds a ScopeChild
+// rule matches: the root's, its left input's and its right input's.
+type ChildPattern struct {
+	Root, L, R OpKind
+}
+
+// Matches reports whether r declares a pattern admitting a root of
+// kind root over inputs of kinds left and right.
+func (r Rule) Matches(root, left, right OpKind) bool {
+	for _, p := range r.Patterns {
+		if p.Root.covers(root) && p.L.covers(left) && p.R.covers(right) {
+			return true
+		}
+	}
+	return false
 }
 
 // RuleScope classifies the structural depth a rule's Apply matches
@@ -41,7 +118,9 @@ const (
 	// ScopeChild rules additionally match on the operator of one
 	// direct child (associativities, pushdown, merge, MGOJ
 	// introduction, aggregation pull-up). The memo binds them once
-	// per (expression, child slot, child expression).
+	// per (expression, child slot, child expression) whose operator
+	// kinds one of the rule's Patterns matches, and memo.New refuses
+	// one that declares none.
 	ScopeChild
 	// ScopeGroup rules read the whole subtree but only match pure
 	// join-over-scan trees, and what they derive from one depends only
@@ -105,8 +184,9 @@ var RuleCommute = Rule{
 // (A ⋈p B) ⋈q C = A ⋈p (B ⋈q C) when q references only B ∪ C (and
 // still both operands on each side), in both directions.
 var RuleAssocInner = Rule{
-	Name:  "assoc-inner",
-	Scope: ScopeChild,
+	Name:     "assoc-inner",
+	Scope:    ScopeChild,
+	Patterns: []ChildPattern{{KindInner, KindInner, KindAny}, {KindInner, KindAny, KindInner}},
 	Apply: func(n plan.Node) []plan.Node {
 		var out []plan.Node
 		if top, ok := asJoin(n, plan.InnerJoin); ok {
@@ -141,8 +221,9 @@ var RuleAssocInner = Rule{
 // in both directions (right-to-left requires p to reference only
 // A ∪ B).
 var RuleAssocLeft = Rule{
-	Name:  "assoc-left",
-	Scope: ScopeChild,
+	Name:     "assoc-left",
+	Scope:    ScopeChild,
+	Patterns: []ChildPattern{{KindLeft, KindLeft, KindAny}, {KindLeft, KindAny, KindLeft}},
 	Apply: func(n plan.Node) []plan.Node {
 		var out []plan.Node
 		if top, ok := asJoin(n, plan.LeftJoin); ok {
@@ -180,6 +261,9 @@ var RuleAssocLeft = Rule{
 var RuleJoinLOJ = Rule{
 	Name:  "join-loj",
 	Scope: ScopeChild,
+	Patterns: []ChildPattern{
+		{KindInner, KindLeft, KindAny}, {KindLeft, KindInner, KindAny}, {KindInner, KindAny, KindLeft},
+	},
 	Apply: func(n plan.Node) []plan.Node {
 		var out []plan.Node
 		if top, ok := asJoin(n, plan.InnerJoin); ok {
@@ -225,8 +309,9 @@ var RuleJoinLOJ = Rule{
 // both reference B (null in-tolerance then guarantees padded tuples
 // never spuriously join) — [GALI92a].
 var RuleAssocFull = Rule{
-	Name:  "assoc-full",
-	Scope: ScopeChild,
+	Name:     "assoc-full",
+	Scope:    ScopeChild,
+	Patterns: []ChildPattern{{KindFull, KindFull, KindAny}, {KindFull, KindAny, KindFull}},
 	Apply: func(n plan.Node) []plan.Node {
 		var out []plan.Node
 		if top, ok := asJoin(n, plan.FullJoin); ok {
@@ -257,8 +342,9 @@ var RuleAssocFull = Rule{
 // null-supplying side stay put — removing padded rows is
 // simplification's job, not pushdown's.
 var RuleSelectPushdown = Rule{
-	Name:  "select-pushdown",
-	Scope: ScopeChild,
+	Name:     "select-pushdown",
+	Scope:    ScopeChild,
+	Patterns: []ChildPattern{{KindSelect, KindAnyJoin, KindAny}},
 	Apply: func(n plan.Node) []plan.Node {
 		sel, ok := n.(*plan.Select)
 		if !ok {
@@ -306,8 +392,9 @@ var RuleSelectPushdown = Rule{
 // RuleSelectMerge collapses stacked selections; canonical form for
 // the dedup key and a prerequisite for further pushdown.
 var RuleSelectMerge = Rule{
-	Name:  "select-merge",
-	Scope: ScopeChild,
+	Name:     "select-merge",
+	Scope:    ScopeChild,
+	Patterns: []ChildPattern{{KindSelect, KindSelect, KindAny}},
 	Apply: func(n plan.Node) []plan.Node {
 		outer, ok := n.(*plan.Select)
 		if !ok {
@@ -332,8 +419,9 @@ var RuleSelectMerge = Rule{
 // — join the outer-join result with the remaining input while
 // re-preserving A's tuples that lose their match.
 var RuleMGOJIntro = Rule{
-	Name:  "mgoj-intro",
-	Scope: ScopeChild,
+	Name:     "mgoj-intro",
+	Scope:    ScopeChild,
+	Patterns: []ChildPattern{{KindLeft, KindAny, KindInner}},
 	Apply: func(n plan.Node) []plan.Node {
 		top, ok := asJoin(n, plan.LeftJoin)
 		if !ok {

@@ -12,16 +12,17 @@ import (
 	"repro/internal/plan"
 )
 
-// task is one binding to apply the rules of one scope to: the
-// canonical expression (ScopeNode), a one-slot binding (ScopeChild) or
-// a pure join tree of the group (ScopeGroup). Tasks are generated in a
+// task is one binding and the rules to apply to it: the canonical
+// expression and the ScopeNode rules, a one-slot binding and the
+// ScopeChild rules its operator kinds can match, or a pure join tree of
+// the group and the ScopeGroup rules. Tasks are generated in a
 // deterministic order against the pre-wave memo state, so the merge —
 // which ingests results in task order — produces the same memo for
 // any worker count.
 type task struct {
 	group   GroupID
 	from    exprID
-	scope   core.RuleScope
+	rules   []*boundRule
 	binding plan.Node
 }
 
@@ -70,6 +71,10 @@ func (m *Memo) explore() error {
 	if m.charged < 0 {
 		m.charged = len(m.exprs)
 	}
+	// The task list and the result slots are reused from wave to wave.
+	var tasks []task
+	var results [][]altResult
+	var errs []error
 	for !m.capped {
 		if err := b.Cancelled(); err != nil {
 			return err
@@ -77,15 +82,15 @@ func (m *Memo) explore() error {
 		if err := guard.Hit(guard.PointMemoWave); err != nil {
 			return err
 		}
-		tasks := m.collectTasks()
+		tasks = m.collectTasks(tasks[:0])
 		if len(tasks) == 0 {
 			break
 		}
 		if reg != nil {
 			reg.Counter("memo.waves").Inc()
 		}
-		results, err := m.apply(tasks)
-		if err != nil {
+		results, errs = resize(results, len(tasks)), resize(errs, len(tasks))
+		if err := m.apply(tasks, results, errs); err != nil {
 			return err
 		}
 		for i, t := range tasks {
@@ -113,18 +118,19 @@ func (m *Memo) explore() error {
 }
 
 // collectTasks advances every expression's binding cursors and
-// returns the new wave's bindings: expressions created since the last
-// wave contribute their canonical ScopeNode binding, every expression
-// contributes one ScopeChild binding per (slot, newly admitted child
-// expression), and every new pure join tree of a group is bound to the
+// appends the new wave's bindings to tasks: expressions created since
+// the last wave contribute their canonical ScopeNode binding, every
+// expression contributes one ScopeChild binding per (slot, newly
+// admitted child expression) whose operator kinds some rule's patterns
+// match, and every new pure join tree of a group is bound to the
 // ScopeGroup rules.
-func (m *Memo) collectTasks() []task {
-	var tasks []task
+func (m *Memo) collectTasks(tasks []task) []task {
+	child := 0
 	for _, e := range m.exprs {
 		if !e.nodeDone {
 			e.nodeDone = true
-			if len(m.rules[core.ScopeNode]) > 0 {
-				tasks = append(tasks, task{group: e.group, from: e.id, scope: core.ScopeNode, binding: e.node})
+			if rules := m.rules[core.ScopeNode]; len(rules) > 0 {
+				tasks = append(tasks, task{group: e.group, from: e.id, rules: rules, binding: e.node})
 			}
 		}
 		if len(m.rules[core.ScopeChild]) == 0 {
@@ -141,18 +147,31 @@ func (m *Memo) collectTasks() []task {
 				start = 1
 			}
 			var in [2]plan.Node
+			var kinds [2]core.OpKind
 			for i, c := range e.children {
-				in[i] = m.groups[c].repr
+				// A group's first expression is its representative.
+				repr := m.exprs[m.groups[c].exprs[0]]
+				in[i], kinds[i] = repr.node, repr.kind
 			}
 			for j := start; j < len(cg.exprs); j++ {
-				in[s] = m.exprs[cg.exprs[j]].node
-				tasks = append(tasks, task{group: e.group, from: e.id, scope: core.ScopeChild, binding: rebuild(e.node, in[0], in[1])})
+				ce := m.exprs[cg.exprs[j]]
+				kinds[s] = ce.kind
+				rules := m.childRulesFor(e.kind, kinds)
+				if len(rules) == 0 {
+					continue
+				}
+				in[s] = ce.node
+				tasks = append(tasks, task{group: e.group, from: e.id, rules: rules, binding: rebuild(e.node, in[0], in[1])})
+				child++
 			}
 			e.consumed[s] = len(cg.exprs)
 		}
 	}
-	if len(m.rules[core.ScopeGroup]) > 0 {
-		tasks = m.growPures(tasks)
+	if m.cChild != nil {
+		m.cChild.Add(int64(child))
+	}
+	if rules := m.rules[core.ScopeGroup]; len(rules) > 0 {
+		tasks = m.growPures(tasks, rules)
 	}
 	return tasks
 }
@@ -168,7 +187,7 @@ func (m *Memo) collectTasks() []task {
 // deferred conjunct into another join's predicate, so a group has one
 // or two where it has hundreds of join orders. One call carries the
 // growth to a fixpoint.
-func (m *Memo) growPures(tasks []task) []task {
+func (m *Memo) growPures(tasks []task, rules []*boundRule) []task {
 	for changed := true; changed; {
 		changed = false
 		for _, e := range m.exprs {
@@ -203,7 +222,7 @@ func (m *Memo) growPures(tasks []task) []task {
 						if _, ok := m.byNode[t]; !ok {
 							m.byNode[t] = g.id
 						}
-						tasks = append(tasks, task{group: g.id, from: e.id, scope: core.ScopeGroup, binding: t})
+						tasks = append(tasks, task{group: g.id, from: e.id, rules: rules, binding: t})
 						changed = true
 					}
 				}
@@ -238,7 +257,7 @@ func (m *Memo) place(edge uint16, a, b string) []byte {
 func (m *Memo) edgeID(j *plan.Join) uint16 {
 	k, _ := m.operator(j)
 	if j.Kind == plan.RightJoin && k.op != 0 {
-		k.op = opJoin + uint8(plan.LeftJoin)
+		k.op = opJoin + uint32(plan.LeftJoin)
 	}
 	id, ok := m.edges[k]
 	if !ok {
@@ -261,22 +280,30 @@ func (m *Memo) markCapped(reason string) {
 	}
 }
 
-// apply runs the wave's rule applications, fanning out across workers
-// when configured. Each task is independent and reads only pre-wave
-// memo state, so results land in per-task slots and the caller's
-// in-order merge is deterministic. Each task contains its own panics
-// (a boundary defer cannot see a worker goroutine's); the lowest-index
-// failure wins, so the surfaced error is the same for any scheduling.
-func (m *Memo) apply(tasks []task) ([][]altResult, error) {
-	results := make([][]altResult, len(tasks))
-	errs := make([]error, len(tasks))
+// resize returns s with length n, keeping its storage — and, for the
+// result slots, the buffers earlier waves left in them — where it can.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// apply runs the wave's rule applications into the per-task slots of
+// results and errs, fanning out across workers when configured. Each
+// task is independent and reads only pre-wave memo state, so the
+// caller's in-order merge is deterministic. Each task contains its own
+// panics (a boundary defer cannot see a worker goroutine's); the
+// lowest-index failure wins, so the surfaced error is the same for any
+// scheduling.
+func (m *Memo) apply(tasks []task, results [][]altResult, errs []error) error {
 	workers := m.opts.workers()
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
 	if workers <= 1 {
 		for i, t := range tasks {
-			results[i], errs[i] = m.applyOne(t)
+			results[i], errs[i] = m.applyOne(t, results[i][:0])
 		}
 	} else {
 		var next atomic.Int64
@@ -290,7 +317,7 @@ func (m *Memo) apply(tasks []task) ([][]altResult, error) {
 					if i >= len(tasks) {
 						return
 					}
-					results[i], errs[i] = m.applyOne(tasks[i])
+					results[i], errs[i] = m.applyOne(tasks[i], results[i][:0])
 				}
 			}()
 		}
@@ -298,21 +325,21 @@ func (m *Memo) apply(tasks []task) ([][]altResult, error) {
 	}
 	for _, e := range errs {
 		if e != nil {
-			return results, e
+			return e
 		}
 	}
-	return results, nil
+	return nil
 }
 
-func (m *Memo) applyOne(t task) (out []altResult, err error) {
+// applyOne appends the results of t's rules on its binding to out.
+func (m *Memo) applyOne(t task, out []altResult) (_ []altResult, err error) {
 	// The binding's fingerprint labels a panic; it is rendered only
 	// when one is being reported.
 	defer guard.RecoverItem(&err, "explore", t.binding, m.obs())
 	if err := guard.Hit(guard.PointRuleApply); err != nil {
 		return nil, err
 	}
-	for i := range m.rules[t.scope] {
-		r := &m.rules[t.scope][i]
+	for _, r := range t.rules {
 		for _, alt := range r.Apply(t.binding) {
 			if r.applied != nil {
 				r.applied.Inc()

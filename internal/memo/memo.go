@@ -22,9 +22,11 @@
 // Exploration saturates the groups under a core.Rule set using the
 // rules' declared RuleScope to build group-local *bindings*: a
 // ScopeNode rule sees each expression once, a ScopeChild rule sees
-// each (expression, child slot, child-group expression) combination,
-// and a ScopeGroup rule (predicate break-up) sees one pure
-// join-over-scan tree per group that has one. Because every binding is
+// each (expression, child slot, child-group expression) combination
+// whose operator kinds its declared patterns match — a combination
+// no rule's patterns match is never built — and a ScopeGroup rule
+// (predicate break-up) sees one pure join-over-scan tree per group
+// that has one. Because every binding is
 // itself a member tree, every rule result is equivalent to the group
 // by construction; results are ingested back as new expressions (of
 // the same group) with per-group dedup. Groups are never merged: when a
@@ -53,16 +55,17 @@ type GroupID int
 // is what makes serial and parallel runs produce identical memos.
 type exprID int
 
-// shape is an expression's identity.
+// shape is an expression's identity. Its fields leave no padding, so
+// the maps keyed by it hash 32 bytes of plain memory.
 type shape struct {
-	// op is opSelect, opGenSel, opMGOJ, opJoin plus the join kind, or
-	// 0 for any other operator.
-	op uint8
 	// pred is the operator's predicate as the multiset of its conjunct
 	// atoms, one bit per atom; the memo numbers atoms as it meets them
 	// (rules move, merge and split conjuncts but never invent one, so
 	// a query has a handful).
 	pred uint64
+	// op is opSelect, opGenSel, opMGOJ, opJoin plus the join kind, or
+	// 0 for any other operator.
+	op uint32
 	// aux interns the preserved-relation list of a GS or MGOJ. For an
 	// operator without a predicate (grouping, projection, a scan), and
 	// for one whose atoms outnumber a word's bits, op and pred are zero
@@ -85,8 +88,10 @@ type expr struct {
 	id    exprID
 	group GroupID
 	// node is the expression materialized over the child groups'
-	// representative trees — a real member tree of the group.
+	// representative trees — a real member tree of the group — and
+	// kind is its root operator's kind.
 	node plan.Node
+	kind core.OpKind
 	// children are the groups the node's child subtrees belong to
 	// (a slice of kids).
 	children []GroupID
@@ -135,7 +140,8 @@ type pureTree struct {
 // Options configure a memo.
 type Options struct {
 	// Rules is the identity rule set; every rule must declare a
-	// RuleScope other than ScopeUnknown (New rejects one that does not).
+	// RuleScope other than ScopeUnknown, and a ScopeChild rule its
+	// Patterns (New rejects one that does not).
 	Rules []core.Rule
 	// MaxExprs caps the admitted expressions (0 means 100000) — the
 	// memo analog of SaturateOptions.MaxPlans. Expressions are all the
@@ -149,7 +155,8 @@ type Options struct {
 	// order.
 	Workers int
 	// Obs, when non-nil, receives memo.groups, memo.exprs,
-	// memo.dedup_hits, memo.waves, memo.capped and the per-rule
+	// memo.dedup_hits, memo.waves, memo.child_bindings (ScopeChild
+	// bindings built), memo.capped and the per-rule
 	// optimizer.rule_applied.<rule> / optimizer.rule_admitted.<rule>
 	// counters. Extraction adds memo.pruned and memo.extract_ns.
 	Obs *obs.Registry
@@ -172,8 +179,13 @@ type boundRule struct {
 // Memo is the group table.
 type Memo struct {
 	opts Options
-	// rules are indexed by scope.
-	rules [core.ScopeGroup + 1][]boundRule
+	// rules are indexed by scope. child files the ScopeChild rules by
+	// the (root, left, right) kinds of a binding, each triple the first
+	// time a binding has it: the rules whose patterns match it are
+	// childRules[lo:hi] of its span.
+	rules      [core.ScopeGroup + 1][]*boundRule
+	child      [core.NumKinds][core.NumKinds][core.NumKinds]span
+	childRules []*boundRule
 
 	groups []*group
 	exprs  []*expr
@@ -185,10 +197,11 @@ type Memo struct {
 	// several groups.
 	owner map[shape]GroupID
 	also  map[membership]struct{}
-	// atoms numbers comparison atoms by value and others any other
-	// conjunct by rendering; repeats maps an atom to the number standing
-	// for its next repetition within one predicate. One numbering.
-	atoms   map[xpr.Cmp]int
+	// atoms numbers comparison atoms by value (see addAtoms) and others
+	// any other conjunct by rendering; repeats maps an atom to the
+	// number standing for its next repetition within one predicate. One
+	// numbering.
+	atoms   []atom
 	others  map[string]int
 	repeats map[int]int
 	aux     map[string]int32
@@ -207,7 +220,7 @@ type Memo struct {
 	// charged.
 	charged int
 
-	cExprs, cDedup *obs.Counter
+	cExprs, cDedup, cChild *obs.Counter
 }
 
 type membership struct {
@@ -215,8 +228,21 @@ type membership struct {
 	s shape
 }
 
+// atom is a numbered comparison atom.
+type atom struct {
+	cmp xpr.Cmp
+	id  int
+}
+
+// span is a range of Memo.childRules, once filed.
+type span struct {
+	lo, hi int32
+	filed  bool
+}
+
 // New builds an empty memo. It fails when a rule lacks a declared
-// scope, since such a rule cannot be bound group-locally.
+// scope, or a ScopeChild rule its declared patterns, since such a rule
+// cannot be bound group-locally.
 func New(opts Options) (*Memo, error) {
 	if opts.Rules == nil {
 		opts.Rules = core.DefaultRules()
@@ -229,7 +255,6 @@ func New(opts Options) (*Memo, error) {
 		byNode:  make(map[plan.Node]GroupID),
 		owner:   make(map[shape]GroupID),
 		also:    make(map[membership]struct{}),
-		atoms:   make(map[xpr.Cmp]int),
 		others:  make(map[string]int),
 		repeats: make(map[int]int),
 		aux:     make(map[string]int32),
@@ -239,9 +264,12 @@ func New(opts Options) (*Memo, error) {
 	reg := opts.Obs
 	if reg != nil {
 		m.cExprs, m.cDedup = reg.Counter("memo.exprs"), reg.Counter("memo.dedup_hits")
+		m.cChild = reg.Counter("memo.child_bindings")
 	}
-	for _, r := range opts.Rules {
-		br := boundRule{Rule: r}
+	bound := make([]boundRule, len(opts.Rules))
+	for i, r := range opts.Rules {
+		br := &bound[i]
+		br.Rule = r
 		if reg != nil {
 			br.applied = reg.Counter("optimizer.rule_applied." + r.Name)
 			br.admitted = reg.Counter("optimizer.rule_admitted." + r.Name)
@@ -249,9 +277,31 @@ func New(opts Options) (*Memo, error) {
 		if r.Scope == core.ScopeUnknown || int(r.Scope) >= len(m.rules) {
 			return nil, fmt.Errorf("memo: rule %q has no group-local scope", r.Name)
 		}
+		if r.Scope == core.ScopeChild && len(r.Patterns) == 0 {
+			return nil, fmt.Errorf("memo: ScopeChild rule %q declares no child patterns", r.Name)
+		}
 		m.rules[r.Scope] = append(m.rules[r.Scope], br)
 	}
 	return m, nil
+}
+
+// childRulesFor returns the ScopeChild rules a binding of a root of
+// kind root over inputs of kinds in can match, filing them on the
+// triple's first use: a query meets a few dozen of the NumKinds³
+// triples, and filing all of them in New cost every memo ~40 µs, more
+// than a small query's whole exploration saved.
+func (m *Memo) childRulesFor(root core.OpKind, in [2]core.OpKind) []*boundRule {
+	s := &m.child[root][in[0]][in[1]]
+	if !s.filed {
+		s.lo, s.filed = int32(len(m.childRules)), true
+		for _, br := range m.rules[core.ScopeChild] {
+			if br.Matches(root, in[0], in[1]) {
+				m.childRules = append(m.childRules, br)
+			}
+		}
+		s.hi = int32(len(m.childRules))
+	}
+	return m.childRules[s.lo:s.hi:s.hi]
 }
 
 // Groups returns the number of equivalence groups.
@@ -327,7 +377,7 @@ func (m *Memo) operator(n plan.Node) (s shape, in [2]plan.Node) {
 	var ok bool
 	switch x := n.(type) {
 	case *plan.Join:
-		s.op, in = opJoin+uint8(x.Kind), [2]plan.Node{x.L, x.R}
+		s.op, in = opJoin+uint32(x.Kind), [2]plan.Node{x.L, x.R}
 		s.pred, ok = m.addAtoms(0, x.Pred)
 	case *plan.Select:
 		s.op, in[0] = opSelect, x.Input
@@ -384,7 +434,11 @@ func (m *Memo) internSpecs(specs []plan.PreservedSpec) int32 {
 }
 
 // addAtoms adds p's conjunct atoms to set, numbering unseen ones; ok
-// is false when one falls outside the word.
+// is false when one falls outside the word. A comparison is looked up
+// by an equality scan over the ones numbered so far: a word holds at
+// most 64 of them, and comparing a few is cheaper than hashing one
+// through its interface fields. The scan's == is the one a map key
+// would use, so the numbering is the same.
 func (m *Memo) addAtoms(set uint64, p xpr.Pred) (_ uint64, ok bool) {
 	var id int
 	var seen bool
@@ -399,9 +453,15 @@ func (m *Memo) addAtoms(set uint64, p xpr.Pred) (_ uint64, ok bool) {
 		}
 		return set, true
 	case xpr.Cmp:
-		if id, seen = m.atoms[q]; !seen {
+		for _, a := range m.atoms {
+			if a.cmp == q {
+				id, seen = a.id, true
+				break
+			}
+		}
+		if !seen {
 			id = m.natoms()
-			m.atoms[q] = id
+			m.atoms = append(m.atoms, atom{q, id})
 		}
 	default:
 		k := p.String()
@@ -463,6 +523,7 @@ func (m *Memo) admit(g *group, n plan.Node, s shape, rule *boundRule, from exprI
 		}
 	}
 	e.node = rebuild(n, in[0], in[1])
+	e.kind = core.KindOf(e.node)
 	m.exprs = append(m.exprs, e)
 	g.exprs = append(g.exprs, e.id)
 	if _, ok := m.owner[s]; !ok {

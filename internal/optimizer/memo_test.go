@@ -243,6 +243,19 @@ func TestMemoRejectsUnscopedRule(t *testing.T) {
 	}
 }
 
+// TestMemoRejectsUnpatternedChildRule: a ScopeChild rule that declares
+// no operator-kind patterns is an error naming the rule, not a rule
+// bound to every child binding.
+func TestMemoRejectsUnpatternedChildRule(t *testing.T) {
+	db := memoTestDB(3)
+	o := optimizer.New(stats.NewEstimator(stats.FromDatabase(db)))
+	o.Opts.Obs = obs.NewRegistry()
+	o.Opts.Rules = []core.Rule{{Name: "unpatterned-assoc", Scope: core.ScopeChild, Apply: core.RuleAssocLeft.Apply}}
+	if _, err := o.Optimize(memoQuery2(), db); err == nil || !strings.Contains(err.Error(), `"unpatterned-assoc"`) {
+		t.Fatalf("Optimize err = %v, want an error naming the rule without patterns", err)
+	}
+}
+
 func coreDefaultRuleNames() []string {
 	return []string{"commute", "assoc-inner", "assoc-left", "join-loj", "assoc-full",
 		"select-pushdown", "select-merge", "mgoj-intro", "split"}

@@ -18,10 +18,22 @@ import (
 // a walk over the predicate's columns with one bit test each.
 
 // RelIndex numbers the base relations of one query: bit i of a relSet
-// stands for the i-th distinct relation scanned. It is immutable once
-// built and shared by every node of the query's plans.
+// stands for names[i], the i-th distinct relation scanned. It is
+// immutable once built and shared by every node of the query's plans.
+// A name is found by comparing it with each in turn: a query scans a
+// dozen relations at most, and that beats hashing the string.
 type RelIndex struct {
-	byName map[string]int
+	names []string
+}
+
+// index returns the number of relation rel.
+func (ix *RelIndex) index(rel string) (int, bool) {
+	for i, name := range ix.names {
+		if name == rel {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // relSet is a set of base relations as a bitset over a RelIndex. The
@@ -115,15 +127,15 @@ func IndexRelations(root Node) *RelIndex {
 	if marked > 0 {
 		return nil
 	}
-	ix := &RelIndex{byName: make(map[string]int, len(scans))}
+	ix := &RelIndex{}
 	for _, s := range scans {
-		name := s.Name()
-		if _, ok := ix.byName[name]; !ok {
-			ix.byName[name] = len(ix.byName)
+		if _, ok := ix.index(s.Name()); !ok {
+			ix.names = append(ix.names, s.Name())
 		}
 	}
 	for _, s := range scans {
-		v := &relsVal{ix: ix, set: singleRel(ix.byName[s.Name()])}
+		i, _ := ix.index(s.Name())
+		v := &relsVal{ix: ix, set: singleRel(i)}
 		if !s.rels.CompareAndSwap(nil, v) && s.rels.Load().ix != ix {
 			return nil // a concurrent indexer won some scans; walk instead
 		}
@@ -219,7 +231,7 @@ func (sc scope) has(rel string) bool {
 	if sc.ix == nil {
 		return sc.names[rel]
 	}
-	i, ok := sc.ix.byName[rel]
+	i, ok := sc.ix.index(rel)
 	return ok && sc.set.has(i)
 }
 

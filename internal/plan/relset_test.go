@@ -33,7 +33,7 @@ func TestRefsIndexedMatchesWalking(t *testing.T) {
 	for _, n := range []int{5, 70} {
 		indexed, scans := chainOf(n)
 		plain, plainScans := chainOf(n)
-		if ix := IndexRelations(indexed); ix == nil || len(ix.byName) != n {
+		if ix := IndexRelations(indexed); ix == nil || len(ix.names) != n {
 			t.Fatalf("n=%d: index %v", n, ix)
 		}
 		// Every prefix of the chain, and every scan, as operands.
