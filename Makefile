@@ -54,12 +54,17 @@ race-par:
 # joins, swapped and spilled variants), the order-independence of the
 # serving shapes, native build/probe swap, delivered-order and
 # every-node-annotated pins, the columnar batch kernels, the grace spill
-# equivalence / determinism / recursion tests, and the same properties
-# observed through Service.Query.
+# equivalence / determinism / recursion tests, the same properties
+# observed through Service.Query, and statistics read from the image
+# (the typed pass equal to the tuple walk; each table analyzed on first
+# use, once under concurrency, never by NewService). The analysis
+# allocation ceiling (TestAnalyzeAllocCeiling) stays out of it: the race
+# detector changes allocation counts.
 race-vec:
 	$(GO) test -race -run 'TestVectorized|TestExecutorSpill|TestBatch|TestVec|TestRunMatchesReference|TestOrderOperatorsAcrossEngines|TestAdapt|TestLateMaterialization|TestExecServingOrderIndependent|TestColliding|TestHashJoinCollision|TestGroupByCollisions|TestDistinctAggCollisions|TestGenSelMGOJCollisions' \
 		./internal/executor/ ./internal/batch/
 	$(GO) test -race -run 'TestImage' ./internal/relation/
+	$(GO) test -race -run 'TestAnalyzeMatchesTupleWalk|TestAnalyzeOnFirstUse' ./internal/stats/
 	$(GO) test -race -run 'TestServiceColumnar|TestJoinIndex' .
 
 # Focused race run for the order-aware layer: the merge-join and

@@ -186,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	ctx, cancel := o.context()
 	defer cancel()
-	est := stats.NewEstimator(stats.FromDatabase(db))
+	est := stats.ForDatabase(db)
 	opt := optimizer.New(est)
 	opt.Opts.Workers = o.workers
 	opt.Opts.Budget = guard.New(ctx, o.limits(), nil)

@@ -139,7 +139,7 @@ func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, 
 	ob := o.Observer
 	start := time.Now()
 	tracer := obs.NewTracer()
-	est := stats.NewEstimator(stats.FromDatabase(db))
+	est := stats.ForDatabase(db)
 	opt := optimizer.New(est)
 	opt.Opts.Obs = reg
 	opt.Opts.Tracer = tracer

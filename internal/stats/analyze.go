@@ -1,0 +1,112 @@
+package stats
+
+import (
+	"math"
+
+	"repro/internal/batch"
+	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/relation"
+	"repro/internal/value"
+)
+
+// maxTopValues is the largest number of distinct values a column may
+// have and still carry a most-common-values list.
+const maxTopValues = 64
+
+// FromDatabase computes exact statistics for every table of db — the
+// eager "ANALYZE" of this engine. Each table is analyzed from its
+// columnar image, which this builds when no scan has built it yet. The
+// service does not call it: its estimator (ForDatabase) analyzes a
+// table the first time a plan reads it.
+func FromDatabase(db plan.Database) Catalog {
+	cat := make(Catalog, len(db))
+	for name, rel := range db {
+		cat[name] = analyzeTable(rel)
+	}
+	return cat
+}
+
+// analyzeTable computes one table's exact statistics with one typed
+// pass over each column of its columnar image (batch.Of), counting
+// values by the identity classes value.Key draws: typed columns count
+// their payloads directly and only a mixed-kind column pays for a key
+// string per row. stats.analyze.tables on obs.Default() counts the
+// calls, so a table analyzed more than once shows.
+func analyzeTable(rel *relation.Relation) TableStats {
+	obs.Default().Counter("stats.analyze.tables").Inc()
+	img := batch.Of(rel)
+	ts := TableStats{Rows: float64(img.N), Columns: make(map[string]ColumnStats)}
+	s := rel.Schema()
+	for i := 0; i < s.Len(); i++ {
+		if a := s.At(i); !a.Virtual {
+			ts.Columns[a.Col] = columnStats(img.Col(i), img.N)
+		}
+	}
+	ts.Sorted = plan.DetectOrder(rel)
+	return ts
+}
+
+// columnStats summarises one column of rows rows.
+func columnStats(v *batch.Vec, rows int) ColumnStats {
+	switch v.Phys {
+	case batch.PhysInt:
+		freq, nulls := classCounts(v, v.Ints, func(x int64) int64 { return x })
+		return summarize(rows, nulls, freq, func(x int64) string { return value.NewInt(x).Key() })
+	case batch.PhysFloat:
+		freq, nulls := classCounts(v, v.Floats, floatClass)
+		return summarize(rows, nulls, freq, func(c uint64) string { return value.NewFloat(math.Float64frombits(c)).Key() })
+	case batch.PhysStr:
+		freq, nulls := classCounts(v, v.Strs, func(x string) string { return x })
+		return summarize(rows, nulls, freq, func(x string) string { return value.NewString(x).Key() })
+	case batch.PhysBool:
+		freq, nulls := classCounts(v, v.Bools, func(x bool) bool { return x })
+		return summarize(rows, nulls, freq, func(x bool) string { return value.NewBool(x).Key() })
+	default: // mixed kinds, INT beside FLOAT included: Key draws the classes
+		freq, nulls := classCounts(v, v.Any, value.Value.Key)
+		return summarize(rows, nulls, freq, func(k string) string { return k })
+	}
+}
+
+// floatClass maps a float to its identity class under value.Key: −0
+// joins +0 and every NaN is one value; every other float is its bits.
+func floatClass(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
+
+// classCounts counts the non-NULL rows of a typed payload by class,
+// and the NULL rows.
+func classCounts[T any, K comparable](v *batch.Vec, vals []T, class func(T) K) (freq map[K]int, nulls int) {
+	freq = make(map[K]int)
+	for i, x := range vals {
+		if v.IsNull(i) {
+			nulls++
+		} else {
+			freq[class(x)]++
+		}
+	}
+	return freq, nulls
+}
+
+// summarize turns a column's class counts into its ColumnStats; key
+// renders a class as the value.Key string the MCV list is looked up by.
+func summarize[K comparable](rows, nulls int, freq map[K]int, key func(K) string) ColumnStats {
+	cs := ColumnStats{Distinct: float64(len(freq))}
+	if rows == 0 {
+		return cs
+	}
+	cs.NullFrac = float64(nulls) / float64(rows)
+	if len(freq) > 0 && len(freq) <= maxTopValues {
+		cs.TopValues = make(map[string]float64, len(freq))
+		for k, n := range freq {
+			cs.TopValues[key(k)] = float64(n) / float64(rows)
+		}
+	}
+	return cs
+}

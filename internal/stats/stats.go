@@ -49,58 +49,6 @@ type TableStats struct {
 // Catalog maps base relation names to statistics.
 type Catalog map[string]TableStats
 
-// FromDatabase computes exact statistics from the extensions of db —
-// the "ANALYZE" of this engine.
-func FromDatabase(db plan.Database) Catalog {
-	cat := make(Catalog, len(db))
-	for name, rel := range db {
-		ts := TableStats{Rows: float64(rel.Len()), Columns: make(map[string]ColumnStats)}
-		s := rel.Schema()
-		for i := 0; i < s.Len(); i++ {
-			a := s.At(i)
-			if a.Virtual {
-				continue
-			}
-			freq := make(map[string]int)
-			nulls := 0
-			for _, t := range rel.Tuples() {
-				v := t[i]
-				if v.IsNull() {
-					nulls++
-					continue
-				}
-				freq[v.Key()]++
-			}
-			cs := ColumnStats{Distinct: float64(len(freq))}
-			if rel.Len() > 0 {
-				cs.NullFrac = float64(nulls) / float64(rel.Len())
-			}
-			if len(freq) > 0 && len(freq) <= 64 && rel.Len() > 0 {
-				cs.TopValues = make(map[string]float64, len(freq))
-				for k, n := range freq {
-					cs.TopValues[k] = float64(n) / float64(rel.Len())
-				}
-			}
-			ts.Columns[a.Col] = cs
-		}
-		ts.Sorted = plan.DetectOrder(rel)
-		cat[name] = ts
-	}
-	return cat
-}
-
-// column returns stats for an attribute, with a permissive default
-// for generated columns (aggregates) whose distribution is unknown.
-func (c Catalog) column(a schema.Attribute) ColumnStats {
-	if ts, ok := c[a.Rel]; ok {
-		if cs, ok := ts.Columns[a.Col]; ok {
-			return cs
-		}
-		return ColumnStats{Distinct: math.Max(1, ts.Rows/10)}
-	}
-	return ColumnStats{Distinct: 10}
-}
-
 // CostModel weights the abstract operations.
 type CostModel struct {
 	Tuple      float64 // producing one output tuple
@@ -118,14 +66,59 @@ var DefaultCost = CostModel{Tuple: 1.0, Pred: 0.2, Hash: 0.5, IndexProbe: 2.0}
 
 // Estimator derives cardinalities and costs for logical plans.
 type Estimator struct {
-	Cat  Catalog
 	Cost CostModel
+	// tables maps each base relation to its statistics; the map is
+	// fixed at construction and every entry is computed at most once.
+	tables map[string]func() *TableStats
 }
 
-// NewEstimator builds an estimator over the catalog with the default
-// cost model.
+// NewEstimator builds an estimator over an already analyzed catalog
+// with the default cost model.
 func NewEstimator(cat Catalog) *Estimator {
-	return &Estimator{Cat: cat, Cost: DefaultCost}
+	e := &Estimator{Cost: DefaultCost, tables: make(map[string]func() *TableStats, len(cat))}
+	for name, ts := range cat {
+		e.tables[name] = func() *TableStats { return &ts }
+	}
+	return e
+}
+
+// ForDatabase builds an estimator over db with the default cost model
+// that analyzes each table the first time an estimate reads it (its
+// row count, a column's statistics or its scan order), once, from the
+// table's columnar image. Construction reads no table, so tables no
+// plan reads are never analyzed. A table's statistics are a snapshot
+// of its rows at that first read: rows appended later are not seen.
+func ForDatabase(db plan.Database) *Estimator {
+	e := &Estimator{Cost: DefaultCost, tables: make(map[string]func() *TableStats, len(db))}
+	for name, rel := range db {
+		e.tables[name] = sync.OnceValue(func() *TableStats {
+			ts := analyzeTable(rel)
+			return &ts
+		})
+	}
+	return e
+}
+
+// table returns the statistics of the named base relation, analyzing
+// it on first use.
+func (e *Estimator) table(name string) (*TableStats, bool) {
+	get, ok := e.tables[name]
+	if !ok {
+		return nil, false
+	}
+	return get(), true
+}
+
+// column returns stats for an attribute, with a permissive default
+// for generated columns (aggregates) whose distribution is unknown.
+func (e *Estimator) column(a schema.Attribute) ColumnStats {
+	if ts, ok := e.table(a.Rel); ok {
+		if cs, ok := ts.Columns[a.Col]; ok {
+			return cs
+		}
+		return ColumnStats{Distinct: math.Max(1, ts.Rows/10)}
+	}
+	return ColumnStats{Distinct: 10}
 }
 
 // Selectivity estimates the fraction of candidate tuples satisfying
@@ -149,8 +142,8 @@ func (e *Estimator) atomSelectivity(p expr.Pred) float64 {
 	case value.EQ:
 		switch {
 		case lIsCol && rIsCol:
-			d1 := math.Max(1, e.Cat.column(lCol.Attr).Distinct)
-			d2 := math.Max(1, e.Cat.column(rCol.Attr).Distinct)
+			d1 := math.Max(1, e.column(lCol.Attr).Distinct)
+			d2 := math.Max(1, e.column(rCol.Attr).Distinct)
 			return 1 / math.Max(d1, d2)
 		case lIsCol:
 			return e.eqConstSelectivity(lCol, cmp.R)
@@ -169,7 +162,7 @@ func (e *Estimator) atomSelectivity(p expr.Pred) float64 {
 // eqConstSelectivity estimates column = constant, consulting the
 // most-common-values list when the constant is a literal.
 func (e *Estimator) eqConstSelectivity(col expr.Col, other expr.Scalar) float64 {
-	cs := e.Cat.column(col.Attr)
+	cs := e.column(col.Attr)
 	if c, ok := other.(expr.Const); ok && cs.TopValues != nil {
 		if frac, ok := cs.TopValues[c.Val.Key()]; ok {
 			return frac
@@ -225,7 +218,7 @@ func (e *Estimator) rows(n plan.Node, s *Session) (float64, error) {
 func (e *Estimator) rowsSwitch(n plan.Node, s *Session) (float64, error) {
 	switch m := n.(type) {
 	case *plan.Scan:
-		ts, ok := e.Cat[m.Rel]
+		ts, ok := e.table(m.Rel)
 		if !ok {
 			return 0, fmt.Errorf("stats: no statistics for %q", m.Rel)
 		}
@@ -331,7 +324,7 @@ func (e *Estimator) groupRows(keys []schema.Attribute, input plan.Node, s *Sessi
 			// A row identifier makes groups nearly per-row.
 			groups *= math.Max(1, in)
 		} else {
-			groups *= math.Max(1, e.Cat.column(k).Distinct)
+			groups *= math.Max(1, e.column(k).Distinct)
 		}
 		if groups >= in {
 			break
@@ -577,11 +570,11 @@ func (s *Session) PlanCost(n plan.Node) (float64, error) {
 func (s *Session) Estimator() *Estimator { return s.e }
 
 // ScanOrder reports the physical sort order the scan delivers, from
-// the catalog's ANALYZE-time detection, requalified to the scan's
+// the table's ANALYZE-time detection, requalified to the scan's
 // alias. It makes Session an order-aware coster: the memo's ordered
 // extractor consults it to know which leaves are born sorted.
 func (s *Session) ScanOrder(sc *plan.Scan) plan.Order {
-	ts, ok := s.e.Cat[sc.Rel]
+	ts, ok := s.e.table(sc.Rel)
 	if !ok {
 		return nil
 	}
@@ -611,22 +604,4 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-// Summarize renders the catalog compactly for EXPLAIN output.
-func (c Catalog) Summarize() string {
-	out := ""
-	for name, ts := range c {
-		out += fmt.Sprintf("%s: %.0f rows, %d columns\n", name, ts.Rows, len(ts.Columns))
-	}
-	return out
-}
-
-// RowsOf is a convenience to fetch actual row counts from a database.
-func RowsOf(db plan.Database) map[string]int {
-	out := make(map[string]int, len(db))
-	for k, v := range db {
-		out[k] = v.Len()
-	}
-	return out
 }

@@ -176,18 +176,6 @@ func TestIndexNestedLoopBeatsHashForTinyOuter(t *testing.T) {
 	}
 }
 
-func TestSummarizeAndRowsOf(t *testing.T) {
-	db := testDB()
-	cat := FromDatabase(db)
-	if s := cat.Summarize(); len(s) == 0 {
-		t.Error("empty summary")
-	}
-	rows := RowsOf(db)
-	if rows["r1"] != 100 || rows["r2"] != 50 {
-		t.Errorf("RowsOf = %v", rows)
-	}
-}
-
 // TestEstimatesCoverAllNodes pushes cardinality and cost estimation
 // through every operator, including the paper's σ* and MGOJ.
 func TestEstimatesCoverAllNodes(t *testing.T) {

@@ -148,7 +148,7 @@ func TestPlanStability(t *testing.T) {
 	dbs := stabilityDBs()
 	ests := make(map[string]*stats.Estimator, len(dbs))
 	for name, db := range dbs {
-		ests[name] = stats.NewEstimator(stats.FromDatabase(db))
+		ests[name] = stats.ForDatabase(db)
 	}
 	got := make(map[string]planGolden, len(stabilityCases))
 	for _, tc := range stabilityCases {

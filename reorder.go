@@ -76,7 +76,7 @@ func Parse(query string, db Database) (Node, error) {
 // every plan against statistics computed from db, and returns the
 // cheapest.
 func Optimize(q Node, db Database) (*Result, error) {
-	est := stats.NewEstimator(stats.FromDatabase(db))
+	est := stats.ForDatabase(db)
 	return optimizer.New(est).Optimize(q, db)
 }
 
@@ -85,7 +85,7 @@ func Optimize(q Node, db Database) (*Result, error) {
 // push-up. Comparing with Optimize reproduces the paper's headline
 // claims.
 func OptimizeBaseline(q Node, db Database) (*Result, error) {
-	est := stats.NewEstimator(stats.FromDatabase(db))
+	est := stats.ForDatabase(db)
 	return optimizer.NewBaseline(est).Optimize(q, db)
 }
 
@@ -108,7 +108,7 @@ var ErrCancelled = guard.ErrCancelled
 // degrades to a best-effort plan tagged in Result.Degraded instead of
 // enumerating the full class.
 func OptimizeBudget(ctx context.Context, q Node, db Database, l Limits) (*Result, error) {
-	est := stats.NewEstimator(stats.FromDatabase(db))
+	est := stats.ForDatabase(db)
 	o := optimizer.New(est)
 	o.Opts.Budget = guard.New(ctx, l, nil)
 	return o.Optimize(q, db)
@@ -208,7 +208,7 @@ func Simplify(q Node) Node { return simplify.Simplify(q) }
 // hypergraph (Definition 3.2), assign operators and σ* compensations
 // to each (core.AssignOperators), and return the cheapest.
 func OptimizeTrees(q Node, db Database) (*Result, error) {
-	est := stats.NewEstimator(stats.FromDatabase(db))
+	est := stats.ForDatabase(db)
 	return optimizer.New(est).OptimizeTrees(q, db)
 }
 
@@ -216,7 +216,7 @@ func OptimizeTrees(q Node, db Database) (*Result, error) {
 // pure inner-join queries (run Simplify first for queries whose outer
 // joins are all removable).
 func OptimizeDP(q Node, db Database) (*Result, error) {
-	est := stats.NewEstimator(stats.FromDatabase(db))
+	est := stats.ForDatabase(db)
 	return optimizer.New(est).OptimizeDP(q, db)
 }
 

@@ -131,9 +131,11 @@ func (s *Service) statsFor(key string) *tplStats {
 	return v.(*tplStats)
 }
 
-// NewService builds a serving facade over cfg.DB. Statistics are
-// computed once up front (the catalog is exact, so this is the
-// service's ANALYZE step) and shared by every optimization.
+// NewService builds a serving facade over cfg.DB. It reads no table:
+// a table's statistics (exact, this engine's ANALYZE) are computed
+// from its columnar image the first time a plan reads the table, once,
+// and shared by every later optimization. They are a snapshot of the
+// table at that first read; rows appended afterwards are not seen.
 func NewService(cfg ServiceConfig) (*Service, error) {
 	if len(cfg.DB) == 0 {
 		return nil, fmt.Errorf("reorder: ServiceConfig.DB is required")
@@ -154,7 +156,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	s := &Service{
 		cfg:        cfg,
 		db:         cfg.DB,
-		est:        stats.NewEstimator(stats.FromDatabase(cfg.DB)),
+		est:        stats.ForDatabase(cfg.DB),
 		cache:      plancache.New(cfg.CacheBytes, ob.Registry),
 		ob:         ob,
 		sem:        make(chan struct{}, cfg.MaxConcurrent),

@@ -8,9 +8,11 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/obs"
+	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/sql"
+	"repro/internal/stats"
 	"repro/internal/value"
 )
 
@@ -77,15 +79,19 @@ func TestServiceColumnarCountersReachObserver(t *testing.T) {
 
 // TestServiceColumnarSharedImage: concurrent requests over the same
 // tables build each table's columnar image once, and later requests
-// build none; a table no query scans gets no image at all.
+// build none; a table no query scans gets no image and no statistics.
 func TestServiceColumnarSharedImage(t *testing.T) {
 	db := serveDB()
 	db["ballast"] = relation.NewBuilder("ballast", "x").Row(value.NewInt(1)).Relation()
 	builds := obs.Default().Counter("exec.image.builds")
-	before := builds.Value()
+	analyzed := obs.Default().Counter("stats.analyze.tables")
+	before, analyzedBefore := builds.Value(), analyzed.Value()
 	svc := newTestService(t, ServiceConfig{DB: db, MaxConcurrent: 8, MaxQueue: 64})
 	if got := builds.Value() - before; got != 0 {
 		t.Fatalf("NewService built %d images; they are built on first scan", got)
+	}
+	if got := analyzed.Value() - analyzedBefore; got != 0 {
+		t.Fatalf("NewService analyzed %d tables; they are analyzed on first use", got)
 	}
 	ctx := context.Background()
 	query := func() {
@@ -108,6 +114,74 @@ func TestServiceColumnarSharedImage(t *testing.T) {
 	query()
 	if got := builds.Value() - before; got != 2 {
 		t.Fatalf("a later request re-shaped a base table (%d builds)", got)
+	}
+	if got := analyzed.Value() - analyzedBefore; got != 2 {
+		t.Fatalf("requests over t and s analyzed %d tables, want 2 (ballast is never read)", got)
+	}
+}
+
+// TestServiceColumnarAnalyzeOnce: sixteen concurrent first requests —
+// optimized side by side, bypassing the plan cache — analyze each table
+// they read exactly once and no other table, and every request gets the
+// plan an optimizer over the eagerly analyzed catalog picks.
+func TestServiceColumnarAnalyzeOnce(t *testing.T) {
+	db := serveDB()
+	u := relation.NewBuilder("u", "c", "d")
+	for i := 0; i < 12; i++ {
+		u.Row(value.NewInt(int64(100+i%4)), value.NewInt(int64(i)))
+	}
+	db["u"] = u.Relation()
+	db["ballast"] = relation.NewBuilder("ballast", "x").Row(value.NewInt(1)).Relation()
+	queries := []string{
+		"select t.a, s.c from t, s where t.a = s.a and t.b >= 3",
+		"select s.a, u.d from s, u where s.c = u.c and u.d < 5",
+		"select t.b from t where t.a = 2",
+		"select t.a, u.d from t, s, u where t.a = s.a and s.c = u.c",
+	}
+	eager := optimizer.New(stats.NewEstimator(stats.FromDatabase(db)))
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmpl, params := sql.Parameterize(stmt)
+		node, err := sql.Lower(tmpl, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eager.Optimize(node, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := plan.BindParams(res.Best.Plan, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = plan.Key(bound)
+	}
+
+	analyzed := obs.Default().Counter("stats.analyze.tables")
+	before := analyzed.Value()
+	svc := newTestService(t, ServiceConfig{DB: db, MaxConcurrent: 16, MaxQueue: 64})
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := svc.Query(context.Background(), Request{SQL: queries[i], Cache: "bypass"})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if resp.PlanKey != want[i] {
+				t.Errorf("%s: plan %s, eager catalog picks %s", queries[i], resp.PlanKey, want[i])
+			}
+		}(g % len(queries))
+	}
+	wg.Wait()
+	if got := analyzed.Value() - before; got != 3 {
+		t.Fatalf("16 concurrent first requests over t, s and u analyzed %d tables, want 3", got)
 	}
 }
 
