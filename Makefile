@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt build vet test race race-par race-vec race-order race-adapt spill-smoke faults smoke obs serve-smoke bench-smoke bench bench-all check clean
+.PHONY: all fmt build vet test race race-par race-vec race-order race-adapt spill-smoke faults smoke obs serve-smoke fuzz-smoke bench-smoke bench bench-all check clean
 
 all: vet build test
 
@@ -9,9 +9,9 @@ all: vet build test
 # detector, the observability smoke, the low-budget spill smoke, the
 # query-service smoke, the parallel-optimizer suite, the order-property
 # suite, the adaptive/feedback suite, the columnar serving-engine suite,
-# and the bench module's smoke run (every workload played once; a wrong
-# answer fails it).
-check: fmt vet build test faults obs spill-smoke serve-smoke race-par race-order race-adapt race-vec bench-smoke
+# ten seconds of fuzzing the SQL front end, and the bench module's smoke
+# run (every workload played once; a wrong answer fails it).
+check: fmt vet build test faults obs spill-smoke serve-smoke fuzz-smoke race-par race-order race-adapt race-vec bench-smoke
 
 fmt:
 	test -z "$$(gofmt -l .)"
@@ -140,6 +140,14 @@ bench:
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/plancache/ ./cmd/reorderd/
 	$(GO) test -race -count=1 -run 'TestService|TestHandler' .
+
+# Ten seconds of coverage-guided fuzzing of the SQL front end
+# (FuzzParse): no panics, parameterization commutes with lowering, and
+# the token shape the service memoizes templates by is sound — swapping
+# a masked literal keeps the shape, the template and the slot map, and
+# the slot map reads Parameterize's parameters off the tokens.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
 
 # The bench module (bench/, its own go.mod) is outside ./..., so a
 # signature change that breaks it passes go build ./... and go test

@@ -68,8 +68,13 @@ func (c ColRef) String() string {
 	return c.Qualifier + "." + c.Column
 }
 
-// Lit is a literal.
-type Lit struct{ Val value.Value }
+// Lit is a literal. Tok is one more than the index of the token the
+// parser read it from (Tokens.Params reads it back through
+// ParameterizeSlots' slot map); 0 marks a literal built in code.
+type Lit struct {
+	Val value.Value
+	Tok int
+}
 
 // String implements Expr.
 func (l Lit) String() string { return l.Val.GoString() }

@@ -41,17 +41,36 @@ func itoa(n int) string {
 // original statement, because lowering decides structure from
 // attribute references alone. The fuzz suite asserts this.
 func Parameterize(stmt *SelectStmt) (*SelectStmt, []value.Value) {
-	p := &paramizer{}
+	out, params, _ := ParameterizeSlots(stmt)
+	return out, params
+}
+
+// ParameterizeSlots is Parameterize that also returns the template's
+// slot map: slots[i] is the index of the token the literal binding
+// $i+1 was parsed from, so Tokens.Params(slots) of any statement with
+// the same shape yields that statement's parameters. A literal read
+// once may bind several slots (BETWEEN's left operand is compared
+// twice, IN's once per alternative); each slot names the same token.
+// slots is nil when some literal was not parsed from text (Lit.Tok 0).
+func ParameterizeSlots(stmt *SelectStmt) (*SelectStmt, []value.Value, []int) {
+	p := &paramizer{slots: []int{}}
 	out := p.stmt(stmt)
-	return out, p.params
+	for _, at := range p.slots {
+		if at < 0 {
+			return out, p.params, nil
+		}
+	}
+	return out, p.params, p.slots
 }
 
 type paramizer struct {
 	params []value.Value
+	slots  []int
 }
 
-func (p *paramizer) slot(v value.Value) Param {
-	p.params = append(p.params, v)
+func (p *paramizer) slot(l Lit) Param {
+	p.params = append(p.params, l.Val)
+	p.slots = append(p.slots, l.Tok-1)
 	return Param{Idx: len(p.params)}
 }
 
@@ -88,7 +107,7 @@ func (p *paramizer) stmt(s *SelectStmt) *SelectStmt {
 func (p *paramizer) expr(e Expr) Expr {
 	switch x := e.(type) {
 	case Lit:
-		return p.slot(x.Val)
+		return p.slot(x)
 	case BinExpr:
 		return BinExpr{Op: x.Op, L: p.expr(x.L), R: p.expr(x.R)}
 	case UnaryExpr:

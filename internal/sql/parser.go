@@ -3,17 +3,21 @@ package sql
 import (
 	"fmt"
 	"strconv"
-
-	"repro/internal/value"
 )
 
 // Parse parses one SELECT statement.
 func Parse(input string) (*SelectStmt, error) {
-	toks, err := lex(input)
+	toks, err := Lex(input)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return toks.Parse()
+}
+
+// Parse parses the tokens as one SELECT statement; Parse(input) is
+// Lex(input) followed by this.
+func (t Tokens) Parse() (*SelectStmt, error) {
+	p := &parser{toks: t.toks}
 	stmt, err := p.parseSelect()
 	if err != nil {
 		return nil, err
@@ -456,19 +460,14 @@ var aggFuncs = map[string]bool{"count": true, "sum": true, "min": true, "max": t
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch {
-	case t.kind == tokNumber:
+	case t.kind == tokNumber || t.kind == tokString:
+		at := p.i
 		p.next()
-		if i, err := strconv.ParseInt(t.text, 10, 64); err == nil {
-			return Lit{Val: value.NewInt(i)}, nil
-		}
-		f, err := strconv.ParseFloat(t.text, 64)
+		v, err := litValue(t)
 		if err != nil {
-			return nil, fmt.Errorf("sql: bad number %q", t.text)
+			return nil, err
 		}
-		return Lit{Val: value.NewFloat(f)}, nil
-	case t.kind == tokString:
-		p.next()
-		return Lit{Val: value.NewString(t.text)}, nil
+		return Lit{Val: v, Tok: at + 1}, nil
 	case t.kind == tokSymbol && t.text == "(":
 		p.next()
 		if p.atKeyword("select") {

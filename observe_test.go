@@ -12,6 +12,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/sql"
 )
 
 func TestExplainAnalyzeObserved(t *testing.T) {
@@ -146,6 +147,39 @@ func TestObserverRecordsFailedRuns(t *testing.T) {
 	trips := strings.Join(rec.BudgetTrips, ",")
 	if !strings.Contains(trips, "rows") {
 		t.Errorf("budget trips = %q, want rows", trips)
+	}
+}
+
+// TestObserverServiceRecordHash: a served request's flight record
+// carries its template's plan.Fingerprint, on the full front end (the
+// first request of a shape) and on a shape-memo hit alike; a request
+// that fails before it has a template carries none.
+func TestObserverServiceRecordHash(t *testing.T) {
+	svc := newTestService(t, ServiceConfig{})
+	stmt, err := sql.Parse("select b from t where a = 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, _ := sql.Parameterize(stmt)
+	node, err := sql.Lower(tmpl, svc.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"select b from t where a = 1", "select b from t where a = 2", "select b from nosuch"} {
+		_, _ = svc.Query(context.Background(), Request{SQL: q})
+	}
+	recs := svc.Observer().Flight.Snapshot()
+	if len(recs) != 3 {
+		t.Fatalf("%d flight records, want 3", len(recs))
+	}
+	for _, rec := range recs {
+		want := plan.Fingerprint(node)
+		if rec.Error != "" {
+			want = 0
+		}
+		if rec.Hash != want {
+			t.Errorf("%q: record hash %d, want %d", rec.Query, rec.Hash, want)
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/plancache"
-	"repro/internal/sql"
 	"repro/internal/stats"
 	"repro/internal/stats/feedback"
 	"repro/internal/value"
@@ -105,6 +104,9 @@ type Service struct {
 	queueDepth *obs.Gauge
 	shed       *obs.Counter
 	requests   *obs.CounterVec
+
+	// shapes memoizes the front end per literal-masked token shape.
+	shapes shapeMemo
 
 	// Feedback mode (nil fb = off, the static serving path).
 	fb    *feedback.Store
@@ -191,12 +193,17 @@ func (s *Service) Observer() *Observer { return s.ob }
 // CacheStats snapshots the plan cache.
 func (s *Service) CacheStats() plancache.Stats { return s.cache.Stats() }
 
-// CacheDebug is the /debug/cache payload: aggregate cache counters
-// plus one row per cached template with its feedback state — last
-// observed max q-error, corrections recorded, replan generation.
+// CacheDebug is the /debug/cache payload: aggregate cache counters,
+// the front end's shape memo (memoized shapes, requests served through
+// it, and requests that took the full front end; bypass requests touch
+// neither), plus one row per cached template with its feedback state —
+// last observed max q-error, corrections recorded, replan generation.
 type CacheDebug struct {
 	plancache.Stats
-	Plans []CachePlanDebug `json:"plans"`
+	ShapeEntries int              `json:"shape_entries"`
+	ShapeHits    int64            `json:"shape_hits"`
+	ShapeMisses  int64            `json:"shape_misses"`
+	Plans        []CachePlanDebug `json:"plans"`
 }
 
 // CachePlanDebug describes one cached template.
@@ -213,7 +220,12 @@ type CachePlanDebug struct {
 
 // CacheDebug snapshots the cache and its per-template feedback state.
 func (s *Service) CacheDebug() CacheDebug {
-	d := CacheDebug{Stats: s.cache.Stats()}
+	d := CacheDebug{
+		Stats:        s.cache.Stats(),
+		ShapeEntries: s.shapes.len(),
+		ShapeHits:    s.shapes.hits.Load(),
+		ShapeMisses:  s.shapes.misses.Load(),
+	}
 	for _, e := range s.cache.Entries() {
 		row := CachePlanDebug{Key: e.Key, Bytes: e.Bytes}
 		if cp, ok := e.Value.(*cachedPlan); ok {
@@ -243,9 +255,9 @@ type Request struct {
 	// (the client cannot opt out of the server's ceiling).
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 	// Cache selects cache behavior: "" serves through the plan cache,
-	// "bypass" optimizes from scratch without touching the cache
-	// (the benchmark's cold_plan workload uses it to measure the miss
-	// path).
+	// "bypass" runs the whole SQL front end and optimizes from scratch
+	// without touching the plan cache or the shape memo (the
+	// benchmark's cold_plan workload uses it to measure the miss path).
 	Cache string `json:"cache,omitempty"`
 }
 
@@ -324,7 +336,10 @@ func classify(err error, parseStage bool) *ServeError {
 // cachedPlan is the plan cache's value: the optimized parameterized
 // template plus binding metadata. Immutable after insertion.
 type cachedPlan struct {
-	plan     plan.Node
+	plan plan.Node
+	// keySkel renders plan.Key of a binding of plan by splicing (nil
+	// when the key cannot be split; Key of the bound tree then).
+	keySkel  *plan.KeySkeleton
 	nparams  int
 	degraded string
 	// fbCorrections is how many estimates this plan's optimization
@@ -432,8 +447,8 @@ func (s *Service) query(ctx context.Context, req Request) (*Response, error) {
 	b.AddQueueWait(queued)
 
 	start := time.Now()
-	resp, planKey, templateKey, runErr := s.serve(ctx, req, b, reg)
-	s.record(req, resp, planKey, templateKey, reg, b, start, runErr)
+	resp, planKey, hash, runErr := s.serve(ctx, req, b, reg)
+	s.record(req, resp, planKey, hash, reg, b, start, runErr)
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -441,20 +456,15 @@ func (s *Service) query(ctx context.Context, req Request) (*Response, error) {
 	return resp, nil
 }
 
-// serve runs the post-admission pipeline.
-func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *obs.Registry) (*Response, string, string, error) {
-	// Parse and parameterize: literals out, slots in.
-	stmt, err := sql.Parse(req.SQL)
+// serve runs the post-admission pipeline. It returns the template's
+// hash (0 when the front end failed) for the flight record.
+func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *obs.Registry) (*Response, string, uint64, error) {
+	// The lowered template and this request's literals.
+	tpl, params, err := s.frontEnd(req)
 	if err != nil {
-		return nil, "", "", classify(err, true)
+		return nil, "", 0, err
 	}
-	tmpl, params := sql.Parameterize(stmt)
-	node, err := sql.Lower(tmpl, s.db)
-	if err != nil {
-		return nil, "", "", classify(err, true)
-	}
-	key := plan.Key(node)
-	hash := plan.Fingerprint(node)
+	key, hash, node := tpl.key, tpl.hash, tpl.node
 
 	// Resolve the optimized template: cache, or direct optimization
 	// when bypassed.
@@ -466,20 +476,14 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 		cp, err := s.optimizeTemplate(node, b, reg)
 		optimizeNs = time.Since(optStart).Nanoseconds()
 		if err != nil {
-			return nil, "", key, classify(err, false)
+			return nil, "", hash, classify(err, false)
 		}
 		cached = cp
 	} else {
 		optStart := time.Now()
-		entry, st, err := s.cache.Do(ctx, key, hash, func() (any, int64, error) {
-			cp, err := s.optimizeTemplate(node, b, reg)
-			if err != nil {
-				return nil, 0, err
-			}
-			return cp, planBytes(key, plan.Key(cp.plan)), nil
-		})
+		entry, st, err := s.cache.Do(ctx, key, hash, s.fillCache(key, node, b, reg))
 		if err != nil {
-			return nil, "", key, classify(err, false)
+			return nil, "", hash, classify(err, false)
 		}
 		status = st.String()
 		if st != plancache.Hit {
@@ -488,21 +492,26 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 		var ok bool
 		cached, ok = entry.Value.(*cachedPlan)
 		if !ok {
-			return nil, "", key, classify(fmt.Errorf("reorder: foreign cache entry for %q", key), false)
+			return nil, "", hash, classify(fmt.Errorf("reorder: foreign cache entry for %q", key), false)
 		}
 	}
 	if cached.nparams != len(params) {
-		return nil, "", key, classify(fmt.Errorf("reorder: template %q expects %d params, got %d", key, cached.nparams, len(params)), false)
+		return nil, "", hash, classify(fmt.Errorf("reorder: template %q expects %d params, got %d", key, cached.nparams, len(params)), false)
 	}
 
 	// Bind this request's constants into the shared template.
 	bindStart := time.Now()
 	bound, err := plan.BindParams(cached.plan, params)
 	if err != nil {
-		return nil, "", key, classify(err, false)
+		return nil, "", hash, classify(err, false)
 	}
 	bindNs := time.Since(bindStart).Nanoseconds()
-	planKey := plan.Key(bound)
+	var planKey string
+	if cached.keySkel != nil {
+		planKey = cached.keySkel.Splice(params)
+	} else {
+		planKey = plan.Key(bound)
+	}
 
 	// Execute under the request budget. Feedback mode runs
 	// instrumented (per-subtree actuals feed the store) and adaptive
@@ -515,7 +524,7 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 	rel, ann, err := executor.Exec(bound, s.db, opts)
 	execNs := time.Since(execStart).Nanoseconds()
 	if err != nil {
-		return nil, planKey, key, classify(err, false)
+		return nil, planKey, hash, classify(err, false)
 	}
 
 	resp := &Response{
@@ -531,7 +540,7 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 	if s.fb != nil {
 		replan := req.Cache != "bypass" // bypass has no cache entry to rebuild
 		if err := s.observeExecution(ctx, key, hash, node, cached, bound, ann, replan, b, reg, resp); err != nil {
-			return nil, planKey, key, classify(err, false)
+			return nil, planKey, hash, classify(err, false)
 		}
 	}
 	attrs := rel.Schema.Attrs()
@@ -539,7 +548,7 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 	for i, a := range attrs {
 		resp.Columns[i] = a.String()
 	}
-	return resp, planKey, key, nil
+	return resp, planKey, hash, nil
 }
 
 // boxRows converts a columnar result to the rows of the Go API's
@@ -705,29 +714,34 @@ func (s *Service) observeExecution(ctx context.Context, key string, hash uint64,
 // template collapse into one build (singleflight), and the old entry
 // serves until the new one lands.
 func (s *Service) replanTemplate(ctx context.Context, key string, hash uint64, node plan.Node, b *guard.Budget, reg *obs.Registry) error {
-	_, err := s.cache.Refresh(ctx, key, hash, func() (any, int64, error) {
+	_, err := s.cache.Refresh(ctx, key, hash, s.fillCache(key, node, b, reg))
+	return err
+}
+
+// fillCache builds key's plan-cache entry: the optimized template plus
+// the skeleton that splices each binding's plan key.
+func (s *Service) fillCache(key string, node plan.Node, b *guard.Budget, reg *obs.Registry) func() (any, int64, error) {
+	return func() (any, int64, error) {
 		cp, err := s.optimizeTemplate(node, b, reg)
 		if err != nil {
 			return nil, 0, err
 		}
+		cp.keySkel = plan.NewKeySkeleton(cp.plan)
 		return cp, planBytes(key, plan.Key(cp.plan)), nil
-	})
-	return err
+	}
 }
 
 // record deposits the request into the flight recorder and folds the
 // run's private registry into the aggregate.
-func (s *Service) record(req Request, resp *Response, planKey, templateKey string, reg *obs.Registry, b *guard.Budget, start time.Time, runErr error) {
+func (s *Service) record(req Request, resp *Response, planKey string, hash uint64, reg *obs.Registry, b *guard.Budget, start time.Time, runErr error) {
 	rec := flight.Record{
 		Start:       start,
 		Query:       req.SQL,
+		Hash:        hash,
 		DurNs:       time.Since(start).Nanoseconds(),
 		PlanKey:     planKey,
 		BudgetTrips: b.Trips(),
 		Counters:    flightCounters(reg),
-	}
-	if templateKey != "" {
-		rec.Hash = fnv64(templateKey)
 	}
 	if q := b.QueueWait(); q > 0 {
 		rec.Phases = append(rec.Phases, flight.Phase{Name: "queued", Ns: q.Nanoseconds()})
@@ -747,18 +761,6 @@ func (s *Service) record(req Request, resp *Response, planKey, templateKey strin
 	}
 	s.ob.Registry.Merge(reg)
 	s.ob.Flight.Add(rec)
-}
-
-// fnv64 is FNV-1a over the template key — the flight record's query
-// hash, grouping records of the same template.
-func fnv64(s string) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }
 
 // jsonValue converts a value to its natural JSON representation.

@@ -271,23 +271,47 @@ func servingDB() Database {
 }
 
 // TestHandlerAllocCeiling fails when a cache-hit /query request for a
-// hit_scan shape, served through Handler() end to end (request decode,
-// SQL front end, bind, execution, encoding), allocates more than its
-// ceiling. Encoding from the typed vectors, the five shapes take
-// 566/409/318/260/354 allocations at this scale; boxing the result into
-// tuples and [][]any for encoding/json took 569/413/1047/3867/661 (the
-// supplier and skew shapes return a handful of rows). The ceilings
-// leave ~30% headroom over the former.
+// hit_scan or hit_point shape, served through Handler() end to end
+// (request decode, SQL front end, bind, execution, encoding), allocates
+// more than its ceiling. With the shape memo (the front end reduced to
+// lexing) and the spliced plan key, the hit_scan shapes take
+// 326/210/201/161/198 allocations at this scale and the hit_point
+// shapes on their 50-row chains 237/250/214/162/187; through Parse,
+// Parameterize, Lower and plan.Key on every request they took
+// 567/409/316/261/353 and 457/393/345/292/302. The ceilings leave ~30%
+// headroom.
 func TestHandlerAllocCeiling(t *testing.T) {
 	ceilings := map[string]float64{
-		"supplier":       740,
-		"skew_groupby":   530,
-		"loj3_groupby":   415,
-		"mix3_wide":      340,
-		"inner3_groupby": 460,
+		"supplier":       425,
+		"skew_groupby":   275,
+		"loj3_groupby":   265,
+		"mix3_wide":      210,
+		"inner3_groupby": 260,
+		"inner5":         310,
+		"loj5_complex":   325,
+		"mix4_groupby":   280,
+		"corr_count":     210,
+		"point_loj3":     245,
 	}
-	h := newTestService(t, ServiceConfig{DB: servingDB()}).Handler()
+	scanH := newTestService(t, ServiceConfig{DB: servingDB()}).Handler()
+	pointH := newTestService(t, ServiceConfig{DB: shapeMemoDB()}).Handler()
+	type shape struct {
+		name, sql string
+		h         http.Handler
+	}
+	var shapes []shape
 	for _, sh := range servingShapes {
+		shapes = append(shapes, shape{sh.name, sh.sql, scanH})
+	}
+	for _, sh := range hitPointShapes {
+		name := sh.name
+		if name == "loj3_groupby" {
+			name = "point_loj3" // the hit_scan shape of the same text runs on other data
+		}
+		shapes = append(shapes, shape{name, fmt.Sprintf(sh.text, 7), pointH})
+	}
+	for _, sh := range shapes {
+		h := sh.h
 		body, err := json.Marshal(Request{SQL: sh.sql})
 		if err != nil {
 			t.Fatal(err)
