@@ -49,8 +49,9 @@ race-par:
 # RunInstrumentedAdaptive ≡ bare-walker property suites across batch
 # sizes, the forced-collision suite, the shared per-relation image
 # (built once, dropped on Append, never written through) and its join
-# indexes (built once per key set under concurrency, shared by aliases,
-# dropped with the image), late materialization against plan.Eval (stacked outer
+# indexes, hashed and dense (built once per key set under concurrency,
+# shared by aliases, dropped with the image), the dense lookups against
+# the hashed ones (identical selection vectors and group order), late materialization against plan.Eval (stacked outer
 # joins, swapped and spilled variants), the order-independence of the
 # serving shapes, native build/probe swap, delivered-order and
 # every-node-annotated pins, the columnar batch kernels, the grace spill
@@ -61,7 +62,7 @@ race-par:
 # allocation ceiling (TestAnalyzeAllocCeiling) stays out of it: the race
 # detector changes allocation counts.
 race-vec:
-	$(GO) test -race -run 'TestVectorized|TestExecutorSpill|TestBatch|TestVec|TestRunMatchesReference|TestOrderOperatorsAcrossEngines|TestAdapt|TestLateMaterialization|TestExecServingOrderIndependent|TestColliding|TestHashJoinCollision|TestGroupByCollisions|TestDistinctAggCollisions|TestGenSelMGOJCollisions' \
+	$(GO) test -race -run 'TestVectorized|TestExecutorSpill|TestBatch|TestVec|TestDense|TestRunMatchesReference|TestOrderOperatorsAcrossEngines|TestAdapt|TestLateMaterialization|TestExecServingOrderIndependent|TestColliding|TestHashJoinCollision|TestGroupByCollisions|TestDistinctAggCollisions|TestGenSelMGOJCollisions' \
 		./internal/executor/ ./internal/batch/
 	$(GO) test -race -run 'TestImage' ./internal/relation/
 	$(GO) test -race -run 'TestAnalyzeMatchesTupleWalk|TestAnalyzeOnFirstUse' ./internal/stats/
@@ -145,9 +146,13 @@ serve-smoke:
 # (FuzzParse): no panics, parameterization commutes with lowering, and
 # the token shape the service memoizes templates by is sound — swapping
 # a masked literal keeps the shape, the template and the slot map, and
-# the slot map reads Parameterize's parameters off the tokens.
+# the slot map reads Parameterize's parameters off the tokens. Then ten
+# seconds of the dense join index (FuzzDenseIndex): over any int64
+# column and NULL mask the dense decision neither panics nor overflows,
+# and every key's run is the ascending list of the rows holding it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
+	$(GO) test -run '^$$' -fuzz FuzzDenseIndex -fuzztime 10s ./internal/batch
 
 # The bench module (bench/, its own go.mod) is outside ./..., so a
 # signature change that breaks it passes go build ./... and go test

@@ -327,10 +327,13 @@ func (r *AnalyzeReport) String() string {
 	return b.String()
 }
 
-// buildField spells a columnar hash join's build_index annotation the
-// way it reads: build=index when the table was the build side's shared
-// join index, build=hash when it was hashed for this request.
-var buildField = strings.NewReplacer(" build_index=1", " build=index", " build_index=0", " build=hash")
+// buildField spells a columnar join's build_index and dense_lookup
+// annotations the way they read: build=index when the table was the
+// build side's shared join index, build=hash when it was built for this
+// request; lookup=dense when probe rows found their build rows by key −
+// min, lookup=hash when through key hashes.
+var buildField = strings.NewReplacer(" build_index=1", " build=index", " build_index=0", " build=hash",
+	" dense_lookup=1", " lookup=dense", " dense_lookup=0", " lookup=hash")
 
 // Trace renders the span tree of the run (optimizer phases plus
 // execution), the -trace output.

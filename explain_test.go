@@ -78,9 +78,11 @@ func TestExplainAnalyzeSupplier(t *testing.T) {
 }
 
 // TestExplainAnalyzeVectorizedBuildField: on the columnar engine every
-// hash join line says where its table came from — the supplier plan
-// builds on detail95's shared index and hashes the four BANKRUPT
-// suppliers per request — and a decoded report renders the same.
+// hash join line says where its table came from and how probe rows
+// looked it up — the supplier plan builds on detail95's shared index
+// and hashes its two-column key, and indexes the four BANKRUPT
+// suppliers' dense supkeys per request — and a decoded report renders
+// the same.
 func TestExplainAnalyzeVectorizedBuildField(t *testing.T) {
 	rep, err := ExplainAnalyze(context.Background(), datagen.SupplierQuery(), datagen.Supplier(datagen.DefaultSupplierConfig), AnalyzeOptions{})
 	if err != nil {
@@ -98,17 +100,17 @@ func TestExplainAnalyzeVectorizedBuildField(t *testing.T) {
 		for _, line := range strings.Split(text, "\n") {
 			switch {
 			case strings.Contains(line, "LOJ on "):
-				if !strings.Contains(line, " build=index hash_build_rows=20000") {
+				if !strings.Contains(line, " build=index lookup=hash hash_build_rows=20000") {
 					t.Errorf("outer join over detail95 does not report its shared index: %s", line)
 				}
 			case strings.Contains(line, "JOIN on "):
-				if !strings.Contains(line, " build=hash hash_build_rows=4") {
+				if !strings.Contains(line, " build=hash lookup=dense hash_build_rows=4") {
 					t.Errorf("join over the filtered suppliers does not report a per-request build: %s", line)
 				}
 			}
 		}
-		if strings.Contains(text, "build_index") {
-			t.Error("raw build_index annotation leaked into the rendering")
+		if strings.Contains(text, "build_index") || strings.Contains(text, "dense_lookup") {
+			t.Error("raw build_index or dense_lookup annotation leaked into the rendering")
 		}
 	}
 }

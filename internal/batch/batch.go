@@ -652,10 +652,12 @@ type JoinIndex struct {
 }
 
 // indexes are the join indexes a shared image owns, one per key-column
-// set, built on first use under mu and dropped with the image.
+// set (and a dense decision per column), built on first use under mu
+// and dropped with the image.
 type indexes struct {
 	mu    sync.Mutex
 	list  []*JoinIndex
+	dense []denseEntry
 	bytes int64
 }
 

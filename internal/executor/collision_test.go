@@ -140,3 +140,47 @@ func TestGenSelMGOJCollisions(t *testing.T) {
 		}
 	}
 }
+
+// TestCollidingKeysExec holds the columnar engine to the same contract
+// through Exec. The colliding keys 2^53+i are a dense range, so the
+// join looks them up by key − min — no hash, nothing to collide — and
+// must still be exact. One outlier key widens the build side's span
+// past the dense rule: that join hashes, meets the collisions, and
+// must verify them away, counting them on exec.hash.collisions.
+func TestCollidingKeysExec(t *testing.T) {
+	outlier := collideRel("r2", 6, 3)
+	outlier.Append(relation.Tuple{value.NewInt(0), value.NewInt(6), value.NewInt(6)})
+	for _, c := range []struct {
+		name   string
+		r2     *relation.Relation
+		lookup int64 // dense_lookup: 1 dense, 0 hashed
+	}{
+		{"dense", collideRel("r2", 6, 3), 1},
+		{"outlier", outlier, 0},
+	} {
+		db := plan.Database{"r1": collideRel("r1", 8, 4), "r2": c.r2}
+		for _, kind := range []plan.JoinKind{plan.InnerJoin, plan.LeftJoin, plan.FullJoin} {
+			p := plan.NewJoin(kind, expr.EqCols("r1", "x", "r2", "x"), plan.NewScan("r1"), plan.NewScan("r2"))
+			want, err := p.Eval(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			out, ann, err := Exec(p, db, Options{Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.ToRelation(); !got.EqualAsMultisets(want) {
+				t.Fatalf("%s %s: Exec differs from reference under collisions\ngot:\n%s\nwant:\n%s",
+					c.name, kind, got.Format(true), want.Format(true))
+			}
+			if got := ann.For(p).Extra["dense_lookup"]; got != c.lookup {
+				t.Fatalf("%s %s: dense_lookup=%d, want %d", c.name, kind, got, c.lookup)
+			}
+			collisions := reg.Counter("exec.hash.collisions").Value()
+			if (collisions > 0) != (c.lookup == 0) {
+				t.Fatalf("%s %s: %d hash collisions counted; a dense lookup has none, a hashed one must verify some", c.name, kind, collisions)
+			}
+		}
+	}
+}

@@ -240,6 +240,9 @@ type joinProbe struct {
 	// (the build image's shared join index) or "hash" (built for this
 	// request); empty for every other join.
 	Build string
+	// Lookup says how such a join found a probe row's build rows:
+	// "dense" (by key − min, batch.DenseIndex) or "hash".
+	Lookup string
 }
 
 // flushArenas folds arena totals into the probe and the run's

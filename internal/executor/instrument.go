@@ -41,6 +41,12 @@ func recordJoinProbe(a *plan.Annotation, st *joinProbe, reg *obs.Registry) {
 	case "hash":
 		a.AddExtra("build_index", 0)
 	}
+	switch st.Lookup { // rendered lookup=dense|hash
+	case "dense":
+		a.AddExtra("dense_lookup", 1)
+	case "hash":
+		a.AddExtra("dense_lookup", 0)
+	}
 	reg.Counter("executor.hash_build_rows").Add(int64(st.BuildRows))
 	reg.Counter("executor.residual_evals").Add(int64(st.ResidualEvals))
 	reg.Counter("executor.null_padded").Add(int64(st.NullPadded))

@@ -304,9 +304,9 @@ func (e *vecEngine) checkBatch(i int) error {
 }
 
 // vecGroupBy is the columnar generalized projection. Pass one
-// assigns every row a dense group id via the grouping keys' hashes
-// (NULL identical to NULL, groups in first-seen order — exactly
-// algebra.GroupProject's bucketing). Pass two accumulates each
+// assigns every row a dense group id (groupIDs: NULL identical to NULL,
+// groups in first-seen order — exactly algebra.GroupProject's
+// bucketing, whichever way the keys are looked up). Pass two accumulates each
 // aggregate with a per-aggregate loop over the typed column payloads:
 // COUNT(*), and COUNT/SUM/AVG/MIN/MAX over a monomorphic int or float
 // column, never box a value. Distinct aggregates, non-column
@@ -329,15 +329,96 @@ func (e *vecEngine) vecGroupBy(keys []schema.Attribute, aggs []algebra.Aggregate
 	}
 	outSchema := schema.New(outAttrs...)
 
-	// Pass 1: dense group ids, first-seen order. The group table is
-	// open-addressed over the key hashes (cached per group, so probes
-	// compare a uint64 before Keys.Equal verifies) — no per-row map
-	// traffic — and doubles as groups fill it, so it is sized by the
-	// number of groups, not of input rows.
+	// Pass 1: dense group ids, first-seen order.
+	groupOf, firstRow, err := e.groupIDs(in, keyIdx)
+	if err != nil {
+		return nil, err
+	}
+	ngroups := len(firstRow)
+
+	// SQL: aggregation over an empty input with no GROUP BY columns
+	// produces a single row of "empty" aggregates.
+	if ngroups == 0 {
+		out := relation.New(outSchema)
+		if len(keys) == 0 && len(aggs) > 0 {
+			row := make(relation.Tuple, 0, len(aggs))
+			for _, a := range aggs {
+				row = append(row, algebra.NewAggState(a.Func).Result(a.Func, a.NullIfEmpty))
+			}
+			out.Append(row)
+		}
+		return batch.FromRelation(out), nil
+	}
+
+	// Pass 2: one accumulation loop per aggregate.
+	cols := make([]batch.Vec, 0, len(keys)+len(aggs))
+	for _, c := range keyIdx {
+		cols = append(cols, in.Col(c).Gather(firstRow))
+	}
+	for _, a := range aggs {
+		res, typed := vecAggTyped(a, in, groupOf, ngroups)
+		if !typed {
+			e.reg.Counter("exec.vector.agg.generic").Inc()
+			res = vecAggGeneric(a, in, groupOf, ngroups)
+		}
+		cols = append(cols, res)
+	}
+	return batch.NewRel(outSchema, cols, ngroups), nil
+}
+
+// groupIDs assigns every row of in a group id over the key columns at
+// keyIdx (NULL identical to NULL), ids numbered in first-seen order,
+// and returns each group's first row. One int64 key whose values are
+// dense (batch.DenseRange) indexes a slot array by key − min, plus one
+// slot for NULL; any other key goes through the hashed table.
+func (e *vecEngine) groupIDs(in *batch.Rel, keyIdx []int) (groupOf, firstRow []int32, err error) {
+	if len(keyIdx) == 1 {
+		v := in.Col(keyIdx[0])
+		if lo, hi, ok := batch.DenseRange(v); ok {
+			return e.groupIDsDense(v, lo, hi)
+		}
+	}
+	return e.groupIDsHashed(in, keyIdx)
+}
+
+// groupIDsDense is groupIDs over one dense int64 column with values in
+// [lo, hi].
+func (e *vecEngine) groupIDsDense(v *batch.Vec, lo, hi int64) (groupOf, firstRow []int32, err error) {
+	n := v.Len()
+	groupOf = make([]int32, n)
+	slots := make([]int32, int(hi-lo)+2) // the last one is NULL's
+	for s := range slots {
+		slots[s] = -1
+	}
+	null := len(slots) - 1
+	for i, x := range v.Ints {
+		if err := e.checkBatch(i); err != nil {
+			return nil, nil, err
+		}
+		s := null
+		if !v.IsNull(i) {
+			s = int(x - lo)
+		}
+		g := slots[s]
+		if g < 0 {
+			g = int32(len(firstRow))
+			firstRow = append(firstRow, int32(i))
+			slots[s] = g
+		}
+		groupOf[i] = g
+	}
+	return groupOf, firstRow, nil
+}
+
+// groupIDsHashed is groupIDs through an open-addressed table over the
+// key hashes (cached per group, so probes compare a uint64 before
+// Keys.Equal verifies) — no per-row map traffic. The table doubles as
+// groups fill it, so it is sized by the number of groups, not of input
+// rows.
+func (e *vecEngine) groupIDsHashed(in *batch.Rel, keyIdx []int) (groupOf, firstRow []int32, err error) {
 	hs, _ := in.KeyHashes(keyIdx, true)
 	ks := in.Keys(keyIdx)
-	groupOf := make([]int32, in.N)
-	var firstRow []int32
+	groupOf = make([]int32, in.N)
 	var ghash []uint64
 	slots := make([]int32, 64)
 	mask := uint64(len(slots) - 1)
@@ -346,7 +427,7 @@ func (e *vecEngine) vecGroupBy(keys []schema.Attribute, aggs []algebra.Aggregate
 	}
 	for i := 0; i < in.N; i++ {
 		if err := e.checkBatch(i); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		h := hs[i]
 		s := h & mask
@@ -381,36 +462,7 @@ func (e *vecEngine) vecGroupBy(keys []schema.Attribute, aggs []algebra.Aggregate
 			}
 		}
 	}
-	ngroups := len(firstRow)
-
-	// SQL: aggregation over an empty input with no GROUP BY columns
-	// produces a single row of "empty" aggregates.
-	if ngroups == 0 {
-		out := relation.New(outSchema)
-		if len(keys) == 0 && len(aggs) > 0 {
-			row := make(relation.Tuple, 0, len(aggs))
-			for _, a := range aggs {
-				row = append(row, algebra.NewAggState(a.Func).Result(a.Func, a.NullIfEmpty))
-			}
-			out.Append(row)
-		}
-		return batch.FromRelation(out), nil
-	}
-
-	// Pass 2: one accumulation loop per aggregate.
-	cols := make([]batch.Vec, 0, len(keys)+len(aggs))
-	for _, k := range ks {
-		cols = append(cols, k.Gather(firstRow))
-	}
-	for _, a := range aggs {
-		res, typed := vecAggTyped(a, in, groupOf, ngroups)
-		if !typed {
-			e.reg.Counter("exec.vector.agg.generic").Inc()
-			res = vecAggGeneric(a, in, groupOf, ngroups)
-		}
-		cols = append(cols, res)
-	}
-	return batch.NewRel(outSchema, cols, ngroups), nil
+	return groupOf, firstRow, nil
 }
 
 // vecAggTyped accumulates one aggregate with unboxed loops when the

@@ -11,8 +11,9 @@ import (
 	"repro/internal/schema"
 )
 
-// vecJoin is the columnar hash join: take or build an array-chained
-// hash table over the build side's key hashes, probe the other side
+// vecJoin is the columnar equi-join: take or build the build side's
+// lookup — a dense index over one int64 key, an array-chained hash
+// table over the key hashes otherwise — probe the other side
 // batch-at-a-time accumulating (left,right) row-index pairs, and hand
 // the pairs on as the output's pending columns — NULL padding for outer
 // kinds is index -1 in the same selection vectors. The build side is the right
@@ -113,37 +114,119 @@ func (e *vecEngine) spillJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Re
 	return batch.FromRelation(out), nil
 }
 
-// hashJoin is the build/probe kernel: it hashes build on columns bi,
-// probes with probe's columns pi, and returns the matched row-index
-// pairs (probe rows in psel, build rows in bsel), -1 marking the
-// NULL-padded side of an outer row. kind is read with probe as the
+// hashJoin is the build/probe kernel: it looks up build rows by
+// columns bi for each probe row's columns pi, and returns the matched
+// row-index pairs (probe rows in psel, build rows in bsel), -1 marking
+// the NULL-padded side of an outer row. kind is read with probe as the
 // left input and build as the right. The residual is evaluated over
 // env-schema tuples laid out probe columns then build columns, or —
 // buildFirst, a mirrored call — the other way round, so it always sees
-// the plan's (l, r) layout.
+// the plan's (l, r) layout. A single int64 key whose build values are
+// dense is looked up by key − min (batch.DenseIndex); every other key
+// is hashed. Both lookups list a probe row's matches in ascending
+// build-row order, so the two produce identical selection vectors.
 func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *schema.Schema, probe, build *batch.Rel, pi, bi []int, buildFirst bool, st *joinProbe) (psel, bsel []int32, err error) {
-	// The table chains build rows with equal hash slots through two flat
-	// int32 arrays — head per slot, next per row — instead of a
-	// map[uint64][]int, each chain in ascending row order: per probe
-	// row, matches emerge in the same order the tuple engine's
-	// insertion-ordered buckets produce them, which keeps float
-	// aggregates over join output accumulating in the same order
-	// (bit-identical sums) on both engines. A build side that is a base
-	// table's shared image brings its table with it (batch.JoinIndex);
-	// anything else is hashed and chained here, for this request.
-	bx, indexed := build.JoinIndex(bi, true)
-	px, _ := probe.JoinIndex(pi, false)
-	bh, head, next, mask := bx.Hashes, bx.Head, bx.Next, bx.Mask
-	ph, pok := px.Hashes, px.OK
-	pk, bk := probe.Keys(pi), build.Keys(bi)
+	lk, indexed := denseLookup(probe, build, pi, bi)
+	if lk == nil {
+		lk, indexed = hashLookup(probe, build, pi, bi)
+	}
 	if st != nil {
-		st.BuildRows += bx.Rows
-		st.Build = "hash"
+		st.BuildRows += lk.rows
+		st.Build, st.Lookup = "hash", "hash"
 		if indexed {
 			st.Build = "index"
 		}
+		if lk.dense != nil {
+			st.Lookup = "dense"
+		}
 	}
+	return e.probeJoin(kind, residual, envSchema, probe, build, lk, buildFirst, st)
+}
 
+// joinLookup finds the build rows a probe row's key matches, in
+// ascending build-row order — through a dense index's run of the key,
+// or by walking an array-chained hash table and verifying each hash
+// hit with Keys.Equal.
+type joinLookup struct {
+	rows int // build rows the lookup holds (those with no NULL key)
+
+	dense *batch.DenseIndex
+	pv    *batch.Vec // the probe key column, PhysInt, of a dense lookup
+
+	ph, bh     []uint64
+	pok        []bool
+	head, next []int32
+	mask       uint64
+	pk, bk     batch.Keys
+	buf        []int32 // the verified matches of the last hashed lookup
+	collisions int     // hash hits Keys.Equal rejected
+}
+
+// denseLookup is the lookup through build's dense index over its one
+// key column, or nil when the key is not one int64 column on both
+// sides or its build values are not dense. An int key probed with a
+// float (or mixed) one stays hashed: value.Equal's INT/FLOAT identity
+// needs the hash.
+func denseLookup(probe, build *batch.Rel, pi, bi []int) (*joinLookup, bool) {
+	if len(bi) != 1 || probe.Col(pi[0]).Phys != batch.PhysInt || build.Col(bi[0]).Phys != batch.PhysInt {
+		return nil, false
+	}
+	dx, shared := build.DenseIndex(bi[0])
+	if dx == nil {
+		return nil, false
+	}
+	return &joinLookup{rows: len(dx.Rows), dense: dx, pv: probe.Col(pi[0])}, shared
+}
+
+// hashLookup is the lookup through build's key-hash table. A build side
+// that is a base table's shared image brings its table with it
+// (batch.JoinIndex); anything else is hashed and chained here, for this
+// request. Each chain lists its rows in ascending order: per probe row,
+// matches emerge in the same order the tuple engine's insertion-ordered
+// buckets produce them, which keeps float aggregates over join output
+// accumulating in the same order (bit-identical sums) on both engines.
+func hashLookup(probe, build *batch.Rel, pi, bi []int) (*joinLookup, bool) {
+	bx, indexed := build.JoinIndex(bi, true)
+	px, _ := probe.JoinIndex(pi, false)
+	return &joinLookup{
+		rows: bx.Rows,
+		ph:   px.Hashes, pok: px.OK,
+		bh: bx.Hashes, head: bx.Head, next: bx.Next, mask: bx.Mask,
+		pk: probe.Keys(pi), bk: build.Keys(bi),
+	}, indexed
+}
+
+// matches returns probe row i's build rows. The slice is the index's
+// own (dense) or reused by the next call (hashed): read it before
+// looking up again, and never write to it.
+func (lk *joinLookup) matches(i int) []int32 {
+	if lk.dense != nil {
+		if lk.pv.IsNull(i) {
+			return nil
+		}
+		return lk.dense.Run(lk.pv.Ints[i])
+	}
+	if !lk.pok[i] {
+		return nil
+	}
+	buf := lk.buf[:0]
+	h := lk.ph[i]
+	for j := lk.head[h&lk.mask]; j >= 0; j = lk.next[j] {
+		if lk.bh[j] != h {
+			continue // slot shared by a different hash
+		}
+		if !lk.pk.Equal(i, lk.bk, int(j)) {
+			lk.collisions++
+			continue
+		}
+		buf = append(buf, j)
+	}
+	lk.buf = buf
+	return buf
+}
+
+// probeJoin probes build through lk for every probe row; see hashJoin.
+func (e *vecEngine) probeJoin(kind plan.JoinKind, residual expr.Pred, envSchema *schema.Schema, probe, build *batch.Rel, lk *joinLookup, buildFirst bool, st *joinProbe) (psel, bsel []int32, err error) {
 	np, nb := probe.Schema.Len(), build.Schema.Len()
 	pOff, bOff := 0, np
 	if buildFirst {
@@ -162,6 +245,9 @@ func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *
 	if buildOuter {
 		buildMatched = make([]bool, build.N)
 	}
+	// With no residual to filter and no build row to mark, every
+	// candidate is a match: a probe row's run goes out in one append.
+	bulk := residualTrue && !buildOuter
 
 	// Probe batch-at-a-time: guard checks, fault points and
 	// incremental output charges once per batch, like the tuple
@@ -169,7 +255,7 @@ func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *
 	// and grow by the fan-out seen so far.
 	psel = make([]int32, 0, min(probe.N, e.batch))
 	bsel = make([]int32, 0, min(probe.N, e.batch))
-	collisions, residualEvals, padded := 0, 0, 0
+	residualEvals, padded := 0, 0
 	charged := 0
 	for lo := 0; lo < probe.N; lo += e.batch {
 		if err := guard.Hit(guard.PointExecBatch); err != nil {
@@ -194,17 +280,19 @@ func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *
 				}
 				psel, bsel = slices.Grow(psel, rest+selSlack), slices.Grow(bsel, rest+selSlack)
 			}
+			run := lk.matches(i)
 			matched := false
-			if pok[i] {
-				h := ph[i]
-				for j := head[h&mask]; j >= 0; j = next[j] {
-					if bh[j] != h {
-						continue // slot shared by a different hash
+			if bulk {
+				if matched = len(run) > 0; matched {
+					n := len(psel)
+					psel = slices.Grow(psel, len(run))[:n+len(run)]
+					for k := n; k < len(psel); k++ {
+						psel[k] = int32(i)
 					}
-					if !pk.Equal(i, bk, int(j)) {
-						collisions++
-						continue
-					}
+					bsel = append(bsel, run...)
+				}
+			} else {
+				for _, j := range run {
 					if !residualTrue {
 						probe.ReadTuple(i, scratch[pOff:pOff+np])
 						build.ReadTuple(int(j), scratch[bOff:bOff+nb])
@@ -240,12 +328,12 @@ func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *
 		}
 	}
 	if st != nil {
-		st.Collisions += collisions
+		st.Collisions += lk.collisions
 		st.ResidualEvals += residualEvals
 		st.NullPadded += padded
 	}
-	if collisions > 0 {
-		e.reg.Counter("exec.hash.collisions").Add(int64(collisions))
+	if lk.collisions > 0 {
+		e.reg.Counter("exec.hash.collisions").Add(int64(lk.collisions))
 	}
 	e.reg.Counter("exec.vector.join.batches").Add(int64((probe.N + e.batch - 1) / e.batch))
 	if err := e.b.ChargeOut(len(psel)-charged, np+nb); err != nil {
