@@ -173,7 +173,7 @@ func BenchmarkE9AsWritten(b *testing.B) {
 func BenchmarkE9Reordered(b *testing.B) {
 	db := e9DB()
 	q := experiments.Query2()
-	res, err := Optimize(q, db)
+	res, err := Optimize(context.Background(), q, db, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

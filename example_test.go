@@ -1,6 +1,7 @@
 package reorder_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,13 +23,22 @@ func exampleDB() reorder.Database {
 	return reorder.Database{"emp": emp, "dept": dept}
 }
 
-// ExampleExecuteSQL parses, optimizes and runs a query in one call.
-func ExampleExecuteSQL() {
+// ExampleExecute parses, optimizes and runs a query.
+func ExampleExecute() {
 	db := exampleDB()
-	rows, err := reorder.ExecuteSQL(
+	ctx := context.Background()
+	q, err := reorder.Parse(
 		`select emp.name, dept.dname
 		 from emp left outer join dept on emp.dept = dept.id
 		 order by name`, db)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := reorder.Optimize(ctx, q, db, reorder.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows, err := reorder.Execute(ctx, res.Best.Plan, db, reorder.Limits{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +62,7 @@ func ExampleOptimize() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := reorder.Optimize(q, db)
+	res, err := reorder.Optimize(context.Background(), q, db, reorder.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,13 +7,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 
 	reorder "repro"
-	"repro/internal/plan"
 )
 
 func main() {
@@ -55,13 +55,22 @@ func main() {
 		`select id from orders
 		 where customer in ('ada', 'grace') and not (amount between 100 and 250)`,
 	}
+	ctx := context.Background()
+	var first reorder.Node
 	for i, q := range queries {
 		fmt.Printf("--- query %d\n%s\n", i+1, q)
-		res, err := reorder.OptimizeSQL(q, db)
+		node, err := reorder.Parse(q, db)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rows, err := reorder.Execute(res.Best.Plan, db)
+		res, err := reorder.Optimize(ctx, node, db, reorder.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if i == 0 {
+			first = res.Best.Plan
+		}
+		rows, err := reorder.Execute(ctx, res.Best.Plan, db, reorder.Limits{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -73,10 +82,6 @@ func main() {
 	}
 
 	// The chosen plan of the first query, as Graphviz DOT.
-	res, err := reorder.OptimizeSQL(queries[0], db)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("plan of query 1 as DOT (pipe into `dot -Tsvg`):")
-	fmt.Println(plan.DOT(res.Best.Plan))
+	fmt.Println(reorder.PlanDOT(first))
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -54,18 +55,23 @@ func main() {
 	  group by dept.name
 	  having count(member.id) <= 30
 	  order by dept`
-	node, err := reorder.Parse(query, db)
-	if err != nil {
-		log.Fatal(err)
+	ctx := context.Background()
+	run := func(query string) (*reorder.Relation, *reorder.Result) {
+		node, err := reorder.Parse(query, db)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := reorder.Optimize(ctx, node, db, reorder.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		rows, err := reorder.Execute(ctx, res.Best.Plan, db, reorder.Limits{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rows, res
 	}
-	res, err := reorder.Optimize(node, db)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rows, err := reorder.Execute(res.Best.Plan, db)
-	if err != nil {
-		log.Fatal(err)
-	}
+	rows, res := run(query)
 	fmt.Println(rows)
 	fmt.Printf("(%d plans considered; teamless departments report 0 heads — the outer joins preserve them)\n\n",
 		res.Considered)
@@ -78,9 +84,6 @@ func main() {
 	  group by team.name
 	  having count(member.id) = 0
 	  order by team`
-	rows2, err := reorder.ExecuteSQL(query2, db)
-	if err != nil {
-		log.Fatal(err)
-	}
+	rows2, _ := run(query2)
 	fmt.Printf("empty teams (%d):\n%s", rows2.Len(), rows2)
 }

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,13 +39,14 @@ func main() {
 	fmt.Println("plan as written:")
 	fmt.Println(reorder.ExplainPlan(node))
 
-	res, err := reorder.Optimize(node, db)
+	ctx := context.Background()
+	res, err := reorder.Optimize(ctx, node, db, reorder.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(reorder.Explain(res))
 
-	rows, err := reorder.Execute(res.Best.Plan, db)
+	rows, err := reorder.Execute(ctx, res.Best.Plan, db, reorder.Limits{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,13 +11,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
 	reorder "repro"
 	"repro/internal/datagen"
-	"repro/internal/executor"
 )
 
 func main() {
@@ -32,13 +32,14 @@ func main() {
 	fmt.Println("query as written (aggregate detail95 first):")
 	fmt.Println(reorder.ExplainPlan(asWritten))
 
-	res, err := reorder.Optimize(asWritten, db)
+	ctx := context.Background()
+	res, err := reorder.Optimize(ctx, asWritten, db, reorder.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(reorder.Explain(res))
 
-	base, err := reorder.OptimizeBaseline(asWritten, db)
+	base, err := reorder.Optimize(ctx, asWritten, db, reorder.Options{Baseline: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func main() {
 
 	run := func(name string, p reorder.Node) {
 		start := time.Now()
-		out, err := executor.Run(p, db)
+		out, err := reorder.Execute(ctx, p, db, reorder.Limits{})
 		if err != nil {
 			log.Fatal(err)
 		}

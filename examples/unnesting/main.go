@@ -13,16 +13,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
 	reorder "repro"
-	"repro/internal/executor"
 	"repro/internal/experiments"
 )
 
 func main() {
+	ctx := context.Background()
 	q := experiments.E8Query()
 	fmt.Println("sweeping |r1| (inner relations scale with it):")
 	fmt.Printf("%-8s %14s %14s %9s\n", "|r1|", "TIS", "unnested", "speedup")
@@ -41,7 +42,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start = time.Now()
-		got, err := executor.Run(unnested, db)
+		got, err := reorder.Execute(ctx, unnested, db, reorder.Limits{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := reorder.Execute(node, db)
+	got, err := reorder.Execute(ctx, node, db, reorder.Limits{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/executor"
 	"repro/internal/plan"
 )
 
@@ -20,7 +21,7 @@ func TestExplainAnalyzeSupplier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Execute(q, db)
+	want, err := executor.Run(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestExplainAnalyzeBudgetDegradedStillExecutes(t *testing.T) {
 	if rep.Degraded == "" {
 		t.Fatal("MaxExprs=5 run did not report degradation")
 	}
-	want, err := Execute(q, db)
+	want, err := executor.Run(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package assoctree enumerates the association trees of a query
 // hypergraph (Definition 3.2). An association tree fixes the order in
-// which relations are combined, without yet assigning operators; the
-// optimizer assigns operators and generalized-selection compensations
-// afterwards.
+// which relations are combined, without assigning operators. The memo
+// optimizer reaches the same join orders through rewrite rules; this
+// enumeration counts the space and is the reference the optimizer's
+// plan space is tested against.
 //
 // Two enumeration modes are provided. Strict mode is the baseline
 // definition of [BHAR95a]: a hyperedge may only be used when both of

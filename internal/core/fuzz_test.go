@@ -4,9 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/assoctree"
-	"repro/internal/hypergraph"
-
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/simplify"
@@ -93,60 +90,3 @@ func TestSaturationFuzz(t *testing.T) {
 }
 
 var relNames = []string{"r1", "r2", "r3", "r4", "r5"}
-
-// TestAssignOperatorsFuzz does the same for the association-tree
-// path: for random queries, every assignable tree must yield an
-// equivalent expression tree (trees rejected by the separation
-// precondition are skipped).
-func TestAssignOperatorsFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(5071996))
-	queries := 25
-	if testing.Short() {
-		queries = 5
-	}
-	checked := 0
-	for qi := 0; qi < queries; qi++ {
-		n := 3 + rng.Intn(2)
-		rels := make([]string, n)
-		for i := range rels {
-			rels[i] = relNames[i]
-		}
-		q := simplify.Simplify(randomQuery(rng, rels))
-		h, err := hypergraphOf(q)
-		if err != nil {
-			continue
-		}
-		enum, err := enumeratorOf(h)
-		if err != nil {
-			continue
-		}
-		for _, tr := range enum.Trees(40) {
-			node, err := AssignOperators(h, tr)
-			if err != nil {
-				continue // separation precondition or unsupported shape
-			}
-			checked++
-			for trial := 0; trial < 2; trial++ {
-				db := randDB(rng, 4, 3, relNames...)
-				ok, err := plan.Equivalent(q, node, db)
-				if err != nil {
-					t.Fatalf("query %d tree %s: %v", qi, tr, err)
-				}
-				if !ok {
-					t.Fatalf("UNSOUND ASSIGNMENT\nquery %d: %s\ntree: %s\nplan:\n%s",
-						qi, q, tr, plan.Indent(node))
-				}
-			}
-		}
-	}
-	if checked < 50 {
-		t.Errorf("only %d tree assignments checked; generator too restrictive", checked)
-	}
-}
-
-// helpers keeping the fuzz file self-contained.
-func hypergraphOf(q plan.Node) (*hypergraph.Hypergraph, error) { return hypergraph.FromPlan(q) }
-
-func enumeratorOf(h *hypergraph.Hypergraph) (*assoctree.Enumerator, error) {
-	return assoctree.NewEnumerator(h, hypergraph.Broken)
-}

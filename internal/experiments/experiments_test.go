@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/assoctree"
+	"repro/internal/core"
+	"repro/internal/hypergraph"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/stats"
@@ -89,4 +93,104 @@ func TestE14OptimizerFindsJoinFirst(t *testing.T) {
 	if !ok {
 		t.Error("chosen plan not equivalent")
 	}
+}
+
+// foldTree renders an association tree with each node's operands in
+// lexical order, the commutation folding core.JoinOrders applies to
+// plans, so the two spaces compare as sets of strings.
+func foldTree(t *assoctree.Tree) string {
+	if t.IsLeaf() {
+		return t.Leaf
+	}
+	l, r := foldTree(t.L), foldTree(t.R)
+	if l > r {
+		l, r = r, l
+	}
+	return "(" + l + "." + r + ")"
+}
+
+// TestPlanSpaceMatchesAssociationTrees ties Definition 3.2 to the
+// optimizer's rule sets: the join orders of the closure core.Saturate
+// reaches under DefaultRules are exactly the association trees of the
+// broken hypergraph, and under BaselineRules a subset of the strict
+// ([BHAR95a]) trees whose misses are pinned by name. The memo holds
+// that closure (TestMemoHoldsSaturationClosure in internal/memo), so
+// the production optimizer covers the paper's plan space. The counts
+// are the figures EXPERIMENTS.md cites: E3's 7 and 25 trees of Q4,
+// and E9's one join order of Query 2 without GS and three with it.
+func TestPlanSpaceMatchesAssociationTrees(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		q      plan.Node
+		rules  []core.Rule
+		mode   hypergraph.ConnectMode
+		trees  int
+		orders int
+		// missed lists the trees the closure does not reach.
+		missed []string
+	}{
+		{"Q4/default", Q4(), core.DefaultRules(), hypergraph.Broken, 25, 25, nil},
+		{"Query2/default", Query2(), core.DefaultRules(), hypergraph.Broken, 3, 3, nil},
+		// Each missed tree joins r3 after r2's left outer join has
+		// combined r2 with r4.r5. Q4 holds r2 →p (r45 ⋈p35 r3), and
+		// A →p (B ⋈q C) has no plain reassociation that pulls C out
+		// while keeping A's rows preserved: it becomes
+		// (A →p B) MGOJ_q[A] C, [BHAR95a]'s MGOJ, which BaselineRules
+		// leaves out. The last subtest adds MGOJ introduction back and
+		// reaches all seven.
+		{"Q4/baseline", Q4(), core.BaselineRules(), hypergraph.Strict, 7, 4, []string{
+			"((((r4.r5).r2).r1).r3)",
+			"((((r4.r5).r2).r3).r1)",
+			"(((r1.r2).(r4.r5)).r3)",
+		}},
+		{"Query2/baseline", Query2(), core.BaselineRules(), hypergraph.Strict, 1, 1, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, err := hypergraph.FromPlan(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := assoctree.NewEnumerator(h, tc.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Count(); got != uint64(tc.trees) {
+				t.Fatalf("%d association trees, want %d", got, tc.trees)
+			}
+			trees := map[string]bool{}
+			for _, tr := range e.Trees(0) {
+				trees[foldTree(tr)] = true
+			}
+			if len(trees) != tc.trees {
+				t.Fatalf("%d trees after commutation folding, want %d", len(trees), tc.trees)
+			}
+			orders := core.JoinOrders(core.Saturate(tc.q, core.SaturateOptions{Rules: tc.rules}))
+			if len(orders) != tc.orders {
+				t.Errorf("closure reaches %d join orders, want %d: %v", len(orders), tc.orders, orders)
+			}
+			reached := map[string]bool{}
+			for _, o := range orders {
+				if !trees[o] {
+					t.Errorf("closure reaches %s, which is no association tree", o)
+				}
+				reached[o] = true
+			}
+			var missed []string
+			for tr := range trees {
+				if !reached[tr] {
+					missed = append(missed, tr)
+				}
+			}
+			slices.Sort(missed)
+			if !slices.Equal(missed, tc.missed) {
+				t.Errorf("closure misses %v, want %v", missed, tc.missed)
+			}
+		})
+	}
+	t.Run("Q4/baseline+MGOJ", func(t *testing.T) {
+		rules := append(core.BaselineRules(), core.RuleMGOJIntro)
+		if n := len(core.JoinOrders(core.Saturate(Q4(), core.SaturateOptions{Rules: rules}))); n != 7 {
+			t.Errorf("BaselineRules plus MGOJ introduction reach %d join orders of Q4, want all 7 strict trees", n)
+		}
+	})
 }

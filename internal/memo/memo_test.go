@@ -63,6 +63,17 @@ func fojChain() plan.Node {
 		plan.NewJoin(plan.FullJoin, eqX("r2", "r3"), scan("r2"), scan("r3")))
 }
 
+// q4 is Example 3.2's Figure 1 query (experiments.Q4):
+// r1 →p12 (r2 →(p24∧p25) ((r4 ⋈p45 r5) ⋈p35 r3)).
+func q4() plan.Node {
+	inner := plan.NewJoin(plan.InnerJoin, xpr.EqCols("r3", "d", "r5", "d"),
+		plan.NewJoin(plan.InnerJoin, xpr.EqCols("r4", "c", "r5", "c"), scan("r4"), scan("r5")),
+		scan("r3"))
+	mid := plan.NewJoin(plan.LeftJoin, xpr.And(xpr.EqCols("r2", "a", "r4", "a"), xpr.EqCols("r2", "b", "r5", "b")),
+		scan("r2"), inner)
+	return plan.NewJoin(plan.LeftJoin, xpr.EqCols("r1", "x", "r2", "x"), scan("r1"), mid)
+}
+
 func explored(t *testing.T, q plan.Node, opts Options) (*Memo, GroupID) {
 	t.Helper()
 	plan.IndexRelations(q)
@@ -362,7 +373,7 @@ func TestMemoHoldsSaturationClosure(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		q    plan.Node
-	}{{"query2", query2()}, {"Q6", q6()}, {"Q6-simple", q6Simple()}, {"full-outer", fojChain()}} {
+	}{{"query2", query2()}, {"Q4", q4()}, {"Q6", q6()}, {"Q6-simple", q6Simple()}, {"full-outer", fojChain()}} {
 		t.Run(tc.name, func(t *testing.T) {
 			if !check(t, tc.q) {
 				t.Fatal("closure capped")

@@ -62,7 +62,7 @@ func TestRandomMemoVsSaturation(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			q, n := datagen.RandomJoinQuery(rng)
 			db := datagen.RandomJoinDB(rng, n)
-			sat := saturationRanking(t, q, db, maxPlans)
+			sat, _ := saturationRanking(t, q, db, maxPlans)
 			if sat.Considered >= maxPlans {
 				t.Skipf("saturation hit its plan cap on %s", q)
 			}

@@ -15,8 +15,7 @@ import (
 // Definition 3.2's broken-edge connectivity), keeping the cheapest
 // plan per relation subset — the System-R approach the paper says its
 // checks slot into. It applies to pure inner-join queries (run
-// Simplify first; outer joins need the rule-based Optimize or the
-// operator assignment of OptimizeTrees).
+// Simplify first; outer joins need the rule-based Optimize).
 //
 // dpMaskLimit is the widest relation set the DP's uint64 subset masks
 // can represent. Two bits are held back so the full-set mask and the
@@ -164,6 +163,5 @@ func (o *Optimizer) OptimizeDP(q plan.Node, db plan.Database) (*Result, error) {
 		Best:       Ranked{Plan: top.node, Cost: top.cost, Rows: rows},
 		Original:   Ranked{Plan: q, Cost: origCost, Rows: origRows},
 		Considered: considered,
-		Plans:      []Ranked{{Plan: top.node, Cost: top.cost, Rows: rows}},
 	}, nil
 }

@@ -23,9 +23,8 @@ import (
 // instead of costing every materialized member of the class.
 // Considered counts admitted expressions (matched by the
 // optimizer.plans_enumerated counter), RuleFirings credits the rule
-// that admitted each expression, Best carries the derivation chain
-// reconstructed from the memo's provenance records, and Plans holds
-// the winner only.
+// that admitted each expression, and Best carries the derivation chain
+// reconstructed from the memo's provenance records.
 //
 // Under a budget (Options.Budget) the run is interruptible and
 // bounded: cancellation and contained panics surface as typed guard
@@ -186,12 +185,10 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	endCost()
 	reg.Counter("optimizer.plans_costed").Inc()
 
-	bestRanked := Ranked{Plan: bestPlan, Cost: bestCost, Rows: bestRows, Derivation: derivation}
 	res = &Result{
-		Best:                bestRanked,
+		Best:                Ranked{Plan: bestPlan, Cost: bestCost, Rows: bestRows, Derivation: derivation},
 		Original:            Ranked{Plan: q, Cost: origCost, Rows: origRows},
 		Considered:          m.Exprs(),
-		Plans:               []Ranked{bestRanked},
 		RuleFirings:         m.RuleFirings(),
 		Phases:              phases,
 		Degraded:            degraded,

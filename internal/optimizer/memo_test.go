@@ -121,7 +121,7 @@ func TestMemoMatchesSaturate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			db := memoTestDB(tc.rels)
 			mem, counters := optimizeWith(t, tc.q, db, 1)
-			sat := saturationRanking(t, tc.q, db, 20000)
+			sat, ranked := saturationRanking(t, tc.q, db, 20000)
 			if counters["optimizer.memo_runs"] != 1 {
 				t.Fatalf("memo engine did not run (counters %v)", counters)
 			}
@@ -134,7 +134,7 @@ func TestMemoMatchesSaturate(t *testing.T) {
 				// plan, but it must be one saturation also found at
 				// exactly the best cost.
 				tied := map[string]bool{}
-				for _, r := range sat.Plans {
+				for _, r := range ranked {
 					if r.Cost == sat.Best.Cost {
 						tied[plan.Key(r.Plan)] = true
 					}

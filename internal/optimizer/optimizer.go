@@ -81,10 +81,6 @@ type Result struct {
 	Best       Ranked
 	Original   Ranked
 	Considered int
-	// Plans holds the costed plans the strategy materialized: the
-	// winner alone for Optimize and OptimizeDP (the memo never
-	// materializes the class), every assigned tree for OptimizeTrees.
-	Plans []Ranked
 	// Phases reports per-phase wall time in execution order
 	// (simplify, explore, cost).
 	Phases []PhaseTiming

@@ -18,10 +18,11 @@ import (
 // rules plus aggregation push-up, up to maxPlans distinct plans,
 // deduplicated by plan key across the seeds; costs every plan through
 // one stats.Session; and ranks them cheapest first, ties in
-// enumeration order. Original is the query as written, Considered the
-// number of distinct plans, Plans the whole ranking. Derivations and
-// rule firings are not reconstructed.
-func saturationRanking(t *testing.T, q plan.Node, db plan.Database, maxPlans int) *optimizer.Result {
+// enumeration order. The Result's Original is the query as written,
+// Considered the number of distinct plans and Best the head of the
+// ranking, which is returned whole beside it. Derivations and rule
+// firings are not reconstructed.
+func saturationRanking(t *testing.T, q plan.Node, db plan.Database, maxPlans int) (*optimizer.Result, []optimizer.Ranked) {
 	t.Helper()
 	plan.IndexRelations(q)
 	seeds := []plan.Node{q}
@@ -57,6 +58,6 @@ func saturationRanking(t *testing.T, q plan.Node, db plan.Database, maxPlans int
 	}
 	res := &optimizer.Result{Original: ranked[0], Considered: len(ranked)}
 	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Cost < ranked[j].Cost })
-	res.Plans, res.Best = ranked, ranked[0]
-	return res
+	res.Best = ranked[0]
+	return res, ranked
 }

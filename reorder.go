@@ -24,8 +24,9 @@
 // Quick start:
 //
 //	db := reorder.Database{"t": ..., "s": ...}
-//	res, err := reorder.OptimizeSQL("select ... from t ...", db)
-//	rows, err := reorder.Execute(res.Best.Plan, db)
+//	q, err := reorder.Parse("select ... from t ...", db)
+//	res, err := reorder.Optimize(ctx, q, db, reorder.Options{})
+//	rows, err := reorder.Execute(ctx, res.Best.Plan, db, reorder.Limits{})
 package reorder
 
 import (
@@ -57,8 +58,9 @@ type Relation = relation.Relation
 // Node is a logical query plan.
 type Node = plan.Node
 
-// Result is an optimization report: best plan, original plan, and the
-// whole costed equivalence class.
+// Result is an optimization report: the best plan, the query as
+// written, and how the run went (plans considered, phase timings,
+// rule firings, degradation).
 type Result = optimizer.Result
 
 // Parse parses a SQL query of the supported subset and lowers it to a
@@ -70,25 +72,6 @@ func Parse(query string, db Database) (Node, error) {
 	return sql.ParseAndLower(query, db)
 }
 
-// Optimize enumerates the equivalence class of q under the paper's
-// identities (predicate break-up with Theorem 1 compensation, outer
-// join reassociation, MGOJ introduction, aggregation push-up), costs
-// every plan against statistics computed from db, and returns the
-// cheapest.
-func Optimize(q Node, db Database) (*Result, error) {
-	est := stats.ForDatabase(db)
-	return optimizer.New(est).Optimize(q, db)
-}
-
-// OptimizeBaseline is Optimize restricted to the pre-paper rule set:
-// no generalized selection, no predicate break-up, no aggregation
-// push-up. Comparing with Optimize reproduces the paper's headline
-// claims.
-func OptimizeBaseline(q Node, db Database) (*Result, error) {
-	est := stats.ForDatabase(db)
-	return optimizer.NewBaseline(est).Optimize(q, db)
-}
-
 // Limits caps an optimization or execution: MaxExprs bounds the
 // number of plan expressions the enumerator may admit (tripping it
 // degrades gracefully to the best plan found, see Result.Degraded),
@@ -97,56 +80,52 @@ func OptimizeBaseline(q Node, db Database) (*Result, error) {
 // The zero value is unlimited.
 type Limits = guard.Limits
 
-// ErrCancelled is returned (wrapped) by the budgeted entry points
-// when ctx is cancelled or its deadline expires. Test with
-// guard.IsCancelled or errors.Is.
+// ErrCancelled is returned (wrapped) by Optimize and Execute when ctx
+// is cancelled or its deadline expires. Test with guard.IsCancelled
+// or errors.Is.
 var ErrCancelled = guard.ErrCancelled
 
-// OptimizeBudget is Optimize under resource governance: ctx
-// cancellation and deadline are observed at the optimizer's wave
-// boundaries (returning ErrCancelled), and tripping l.MaxExprs
-// degrades to a best-effort plan tagged in Result.Degraded instead of
-// enumerating the full class.
-func OptimizeBudget(ctx context.Context, q Node, db Database, l Limits) (*Result, error) {
+// Options configure Optimize. The zero value is the paper's full rule
+// set with no limits.
+type Options struct {
+	// Limits governs the run together with ctx: cancellation is
+	// observed at the optimizer's wave boundaries (returning
+	// ErrCancelled), and tripping MaxExprs degrades to a best-effort
+	// plan tagged in Result.Degraded instead of enumerating the full
+	// class.
+	Limits Limits
+	// Baseline restricts the optimizer to the pre-paper rule set: no
+	// generalized selection, no predicate break-up, no MGOJ, no
+	// aggregation push-up. Comparing with the full rule set reproduces
+	// the paper's headline claims.
+	Baseline bool
+}
+
+// Optimize enumerates the equivalence class of q under the paper's
+// identities (predicate break-up with Theorem 1 compensation, outer
+// join reassociation, MGOJ introduction, aggregation push-up), costs
+// it against statistics computed from db, and returns the cheapest
+// plan. A SQL query goes through Parse first.
+func Optimize(ctx context.Context, q Node, db Database, opts Options) (*Result, error) {
 	est := stats.ForDatabase(db)
 	o := optimizer.New(est)
-	o.Opts.Budget = guard.New(ctx, l, nil)
+	if opts.Baseline {
+		o = optimizer.NewBaseline(est)
+	}
+	o.Opts.Budget = guard.New(ctx, opts.Limits, nil)
 	return o.Optimize(q, db)
 }
 
-// ExecuteBudget is Execute under resource governance: cancellation
-// and the MaxRows/MaxBytes intermediate-result limits are checked at
-// operator and batch boundaries, and panics inside the executor come
-// back as *guard.PanicError instead of unwinding.
-func ExecuteBudget(ctx context.Context, q Node, db Database, l Limits) (*Relation, error) {
+// Execute runs a plan on the columnar engine the query service uses.
+// Cancellation and the MaxRows/MaxBytes intermediate-result limits
+// are checked at operator and batch boundaries, and panics inside the
+// executor come back as *guard.PanicError instead of unwinding.
+func Execute(ctx context.Context, q Node, db Database, l Limits) (*Relation, error) {
 	out, _, err := executor.Exec(q, db, executor.Options{Budget: guard.New(ctx, l, nil)})
 	if err != nil {
 		return nil, err
 	}
 	return out.ToRelation(), nil
-}
-
-// OptimizeSQL is Parse followed by Optimize.
-func OptimizeSQL(query string, db Database) (*Result, error) {
-	q, err := Parse(query, db)
-	if err != nil {
-		return nil, err
-	}
-	return Optimize(q, db)
-}
-
-// Execute runs a plan with the hash-based physical executor.
-func Execute(q Node, db Database) (*Relation, error) {
-	return executor.Run(q, db)
-}
-
-// ExecuteSQL parses, optimizes and executes a query.
-func ExecuteSQL(query string, db Database) (*Relation, error) {
-	res, err := OptimizeSQL(query, db)
-	if err != nil {
-		return nil, err
-	}
-	return Execute(res.Best.Plan, db)
 }
 
 // Explain renders an optimization result.
@@ -202,23 +181,6 @@ func Equivalent(a, b Node, db Database) (bool, error) {
 // inner), which both shrinks intermediate results and widens the
 // reordering space. Optimize applies it automatically.
 func Simplify(q Node) Node { return simplify.Simplify(q) }
-
-// OptimizeTrees runs the paper's own Section 4 pipeline instead of
-// rule-based memo exploration: enumerate the association trees of the query
-// hypergraph (Definition 3.2), assign operators and σ* compensations
-// to each (core.AssignOperators), and return the cheapest.
-func OptimizeTrees(q Node, db Database) (*Result, error) {
-	est := stats.ForDatabase(db)
-	return optimizer.New(est).OptimizeTrees(q, db)
-}
-
-// OptimizeDP runs a System-R dynamic program over the hypergraph for
-// pure inner-join queries (run Simplify first for queries whose outer
-// joins are all removable).
-func OptimizeDP(q Node, db Database) (*Result, error) {
-	est := stats.ForDatabase(db)
-	return optimizer.New(est).OptimizeDP(q, db)
-}
 
 // LoadCSVDir loads every *.csv file in dir as a base relation named
 // after the file (without extension). See relation.FromCSV for the

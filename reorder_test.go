@@ -1,6 +1,8 @@
 package reorder
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +10,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/experiments"
+	"repro/internal/guard"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
@@ -23,6 +26,20 @@ func tinyDB() Database {
 	return Database{"t": t1, "s": s1}
 }
 
+// runSQL is Parse, Optimize and Execute with no limits.
+func runSQL(query string, db Database) (*Relation, error) {
+	q, err := Parse(query, db)
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	res, err := Optimize(ctx, q, db, Options{})
+	if err != nil {
+		return nil, err
+	}
+	return Execute(ctx, res.Best.Plan, db, Limits{})
+}
+
 func TestFacadeEndToEnd(t *testing.T) {
 	db := tinyDB()
 	query := "select t.a, s.c from t left outer join s on t.a = s.a"
@@ -30,14 +47,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(node, db)
+	ctx := context.Background()
+	res, err := Optimize(ctx, node, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Best.Cost > res.Original.Cost {
 		t.Error("optimizer must not regress")
 	}
-	rows, err := Execute(res.Best.Plan, db)
+	rows, err := Execute(ctx, res.Best.Plan, db, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,16 +70,16 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadeExecuteSQL(t *testing.T) {
+func TestFacadeSQL(t *testing.T) {
 	db := tinyDB()
-	rows, err := ExecuteSQL("select t.a from t where t.b >= 20", db)
+	rows, err := runSQL("select t.a from t where t.b >= 20", db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows.Len() != 1 {
 		t.Errorf("rows = %d", rows.Len())
 	}
-	if _, err := ExecuteSQL("select nope from t", db); err == nil {
+	if _, err := runSQL("select nope from t", db); err == nil {
 		t.Error("bad SQL must fail")
 	}
 }
@@ -117,11 +135,12 @@ func TestFacadeSupplierOptimization(t *testing.T) {
 	cfg.DetailRows = 2000
 	db := datagen.Supplier(cfg)
 	q := datagen.SupplierQuery()
-	full, err := Optimize(q, db)
+	ctx := context.Background()
+	full, err := Optimize(ctx, q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := OptimizeBaseline(q, db)
+	base, err := Optimize(ctx, q, db, Options{Baseline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,24 +168,29 @@ func TestFacadeSimplify(t *testing.T) {
 	}
 }
 
-func TestFacadeOptimizeTreesAndDP(t *testing.T) {
-	db := tinyDB()
-	join, err := Parse("select t.a from t join s on t.a = s.a", db)
+// TestFacadeLimits: Optimize degrades on an exprs trip and stops on a
+// cancelled context; Execute aborts with a typed error on a rows trip.
+func TestFacadeLimits(t *testing.T) {
+	q := experiments.Query2()
+	db := Database{}
+	for i, name := range []string{"r1", "r2", "r3"} {
+		db[name] = datagen.Uniform(newRand(int64(i)), name, datagen.UniformConfig{Rows: 20, Domain: 5})
+	}
+	ctx := context.Background()
+	res, err := Optimize(ctx, q, db, Options{Limits: Limits{MaxExprs: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strip the projection for the pure join-tree enumerators.
-	inner := join.Children()[0]
-	trees, err := OptimizeTrees(inner, db)
-	if err != nil {
-		t.Fatal(err)
+	if res.Degraded == "" {
+		t.Error("MaxExprs 1 should degrade the optimization")
 	}
-	dp, err := OptimizeDP(inner, db)
-	if err != nil {
-		t.Fatal(err)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := Optimize(cancelled, q, db, Options{}); !errors.Is(err, ErrCancelled) {
+		t.Errorf("cancelled Optimize: err = %v, want ErrCancelled", err)
 	}
-	if trees.Best.Cost != dp.Best.Cost {
-		t.Errorf("tree best %.1f != DP best %.1f", trees.Best.Cost, dp.Best.Cost)
+	if _, err := Execute(ctx, q, db, Limits{MaxRows: 1}); !guard.IsBudget(err) {
+		t.Errorf("MaxRows 1 Execute: err = %v, want a budget error", err)
 	}
 }
 
@@ -185,7 +209,7 @@ func TestFacadeLoadCSVDir(t *testing.T) {
 	if len(db) != 1 || db["x"].Len() != 2 {
 		t.Fatalf("loaded %v", db)
 	}
-	rows, err := ExecuteSQL("select a from x where b = 2", db)
+	rows, err := runSQL("select a from x where b = 2", db)
 	if err != nil {
 		t.Fatal(err)
 	}
