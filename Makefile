@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: all fmt build vet test race race-par race-vec race-order race-adapt spill-smoke faults smoke obs serve-smoke fuzz-smoke bench-smoke bench bench-all check clean
+.PHONY: all fmt build vet test race race-par race-vec race-adapt spill-smoke faults smoke obs serve-smoke fuzz-smoke bench-smoke bench bench-all check clean
 
 all: vet build test
 
 # The full pre-merge gauntlet: formatting and static checks, build,
 # the tier-1 test suite, the fault-injection suite under the race
 # detector, the observability smoke, the low-budget spill smoke, the
-# query-service smoke, the parallel-optimizer suite, the order-property
-# suite, the adaptive/feedback suite, the columnar serving-engine suite,
+# query-service smoke, the parallel-optimizer suite, the
+# adaptive/feedback suite, the columnar serving-engine suite,
 # ten seconds of fuzzing the SQL front end, and the bench module's smoke
 # run (every workload played once; a wrong answer fails it).
-check: fmt vet build test faults obs spill-smoke serve-smoke fuzz-smoke race-par race-order race-adapt race-vec bench-smoke
+check: fmt vet build test faults obs spill-smoke serve-smoke fuzz-smoke race-par race-adapt race-vec bench-smoke
 
 fmt:
 	test -z "$$(gofmt -l .)"
@@ -53,8 +53,10 @@ race-par:
 # shared by aliases, dropped with the image), the dense lookups against
 # the hashed ones (identical selection vectors and group order), late materialization against plan.Eval (stacked outer
 # joins, swapped and spilled variants), the order-independence of the
-# serving shapes, native build/probe swap, delivered-order and
-# every-node-annotated pins, the columnar batch kernels, the grace spill
+# serving shapes, native build/probe swap, sort-order and
+# every-node-annotated pins, the presorted check against plan.SortRows,
+# the top-K sort and the root ORDER BY rule (one enforcer sort over the
+# order-free winner), the columnar batch kernels, the grace spill
 # equivalence / determinism / recursion tests, the same properties
 # observed through Service.Query, and statistics read from the image
 # (the typed pass equal to the tuple walk; each table analyzed on first
@@ -62,21 +64,13 @@ race-par:
 # allocation ceiling (TestAnalyzeAllocCeiling) stays out of it: the race
 # detector changes allocation counts.
 race-vec:
-	$(GO) test -race -run 'TestVectorized|TestExecutorSpill|TestBatch|TestVec|TestDense|TestRunMatchesReference|TestOrderOperatorsAcrossEngines|TestAdapt|TestLateMaterialization|TestExecServingOrderIndependent|TestColliding|TestHashJoinCollision|TestGroupByCollisions|TestDistinctAggCollisions|TestGenSelMGOJCollisions' \
+	$(GO) test -race -run 'TestVectorized|TestExecutorSpill|TestBatch|TestVec|TestDense|TestRunMatchesReference|TestPresorted|TestAdapt|TestLateMaterialization|TestExecServingOrderIndependent|TestColliding|TestHashJoinCollision|TestGroupByCollisions|TestDistinctAggCollisions|TestGenSelMGOJCollisions' \
 		./internal/executor/ ./internal/batch/
 	$(GO) test -race -run 'TestImage' ./internal/relation/
+	$(GO) test -race -run 'TestSortRowsTopK' ./internal/plan/
+	$(GO) test -race -run 'TestOrder' ./internal/optimizer/
 	$(GO) test -race -run 'TestAnalyzeMatchesTupleWalk|TestAnalyzeOnFirstUse' ./internal/stats/
 	$(GO) test -race -run 'TestServiceColumnar|TestJoinIndex' .
-
-# Focused race run for the order-aware layer: the merge-join and
-# streaming-aggregation equivalence suites (vs their hash twins,
-# across Run and the serving entry points), the order-detection/
-# propagation pins, the top-K sort, and the optimizer's order property
-# suite — including the pin that order-free queries leave the order
-# machinery silent.
-race-order:
-	$(GO) test -race -run 'TestMergeJoin|TestStreamAgg|TestOrder|TestSortRowsTopK|TestDeliveredOrder|TestDetectOrder|TestRequalifyOrder' \
-		./internal/executor/ ./internal/plan/ ./internal/optimizer/
 
 # Focused race run for the feedback/adaptive layer: the feedback
 # store's decay/clamp/bounds properties and concurrent hammering, the
@@ -99,13 +93,13 @@ spill-smoke:
 
 # Resource-governance and fault-injection suite under the race
 # detector: every registered guard point armed to error and to panic
-# across optimizer arms (plain memo, root ORDER BY, feedback store),
-# executor entry points and datagen;
+# across optimizer arms (plain memo, root ORDER BY, feedback store) and
+# executor entry points;
 # cancellation and budget-trip properties; the untripped-budget
 # determinism gates; and the cmd/reorder exit-code contract.
 faults:
-	$(GO) test -race -run 'TestOptimizerFault|TestOptimizerCancelled|TestOptimizerBudget|TestExecutor|TestGuarded|TestGuard|TestBudget|TestSafely|TestRecover|TestFault|TestValidate|TestRun|TestAdaptFault' \
-		./internal/guard/ ./internal/optimizer/ ./internal/executor/ ./internal/datagen/ ./internal/plan/ ./cmd/reorder/
+	$(GO) test -race -run 'TestOptimizerFault|TestOptimizerCancelled|TestOptimizerBudget|TestExecutor|TestBudget|TestSafely|TestRecover|TestValidate|TestRun|TestAdaptFault' \
+		./internal/guard/ ./internal/optimizer/ ./internal/executor/ ./internal/plan/ ./cmd/reorder/
 	$(GO) test -race -run 'TestFault|TestBuildPanicContained|TestBuildErrorNotCached|TestServiceFault|TestRefreshFault|TestFeedbackFaults|TestServiceFeedbackFault' \
 		./internal/plancache/ ./internal/stats/feedback/ .
 

@@ -47,18 +47,15 @@ type AnalyzeReport struct {
 	FeedbackCorrections int     `json:"feedbackCorrections,omitempty"`
 	MaxQError           float64 `json:"maxQError,omitempty"`
 	Replanned           bool    `json:"replanned,omitempty"`
-	// Order provenance (memo path, root ORDER BY only): the required
-	// order, the best plan's delivered order, and how many enforcer
-	// sorts satisfy the gap (0 = the requirement was eliminated).
-	RequiredOrder   string             `json:"requiredOrder,omitempty"`
-	DeliveredOrder  string             `json:"deliveredOrder,omitempty"`
-	OrderEnforced   int                `json:"orderEnforced,omitempty"`
-	OrderEliminated bool               `json:"orderEliminated,omitempty"`
-	Phases          []PhaseNs          `json:"phases,omitempty"`
-	RuleFirings     map[string]int     `json:"ruleFirings,omitempty"`
-	Metrics         obs.Snapshot       `json:"metrics"`
-	Spans           []obs.SpanSnapshot `json:"spans,omitempty"`
-	PlanTree        json.RawMessage    `json:"planTree"` // annotated plan (plan.EncodeJSONAnnotated)
+	// Order provenance (root ORDER BY only): the required order and
+	// the enforcer sorts the plan carries for it.
+	RequiredOrder string             `json:"requiredOrder,omitempty"`
+	OrderEnforced int                `json:"orderEnforced,omitempty"`
+	Phases        []PhaseNs          `json:"phases,omitempty"`
+	RuleFirings   map[string]int     `json:"ruleFirings,omitempty"`
+	Metrics       obs.Snapshot       `json:"metrics"`
+	Spans         []obs.SpanSnapshot `json:"spans,omitempty"`
+	PlanTree      json.RawMessage    `json:"planTree"` // annotated plan (plan.EncodeJSONAnnotated)
 
 	node plan.Node
 	ann  plan.Annotations
@@ -245,9 +242,7 @@ func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, 
 	}
 	if res.Order != nil {
 		r.RequiredOrder = res.Order.Required.String()
-		r.DeliveredOrder = res.Order.Delivered.String()
 		r.OrderEnforced = res.Order.Enforced
-		r.OrderEliminated = res.Order.Eliminated()
 	}
 	// Queue wait, when a serving layer admitted this run, leads the
 	// phase list: it is wall time the client experienced before any
@@ -307,11 +302,7 @@ func (r *AnalyzeReport) String() string {
 		b.WriteString("\n")
 	}
 	if r.RequiredOrder != "" {
-		prov := fmt.Sprintf("enforced %d", r.OrderEnforced)
-		if r.OrderEliminated {
-			prov = "eliminated"
-		}
-		fmt.Fprintf(&b, "order:            required %s delivered %s (%s)\n", r.RequiredOrder, r.DeliveredOrder, prov)
+		fmt.Fprintf(&b, "order:            required %s (enforced %d)\n", r.RequiredOrder, r.OrderEnforced)
 	}
 	if len(r.Phases) > 0 {
 		parts := make([]string, len(r.Phases))

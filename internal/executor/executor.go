@@ -68,10 +68,6 @@ func Run(n plan.Node, db plan.Database) (*relation.Relation, error) {
 			return nil, err
 		}
 		return mgojCompensate(m, join, in[0], in[1], nil, nil)
-	case *plan.MergeJoin:
-		return MergeJoinExec(m, in[0], in[1])
-	case *plan.StreamAgg:
-		return StreamAggExec(m, in[0])
 	default:
 		return nil, fmt.Errorf("executor: unsupported node %T", n)
 	}
@@ -103,7 +99,7 @@ type Options struct {
 // encodes them onto the wire). A panic anywhere in the execution
 // converts to a *guard.PanicError carrying the plan fingerprint
 // instead of unwinding into the caller. The result is multiset-equal
-// to Run's, in the plan's delivered order where it delivers one; it
+// to Run's, and row-identical to it under a root Sort; it
 // may share columns with a base table's image, so callers treat it as
 // read-only. Adaptive transitions land in the annotations
 // (build_swapped, spill_escalated extras) and the exec.adapt.*

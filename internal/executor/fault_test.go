@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -98,39 +97,18 @@ func execEntries() []execEntry {
 		{name: "spill", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
 			return JoinExecSpill(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], b, SpillOptions{})
 		}, ref: faultJoin()},
-		// The order-consuming operators: enforcer sorts establish the
-		// input orders, so these entries cross the executor.mergejoin
-		// and executor.streamagg points at their batch boundaries.
-		{name: "merge", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
-			return RunGuarded(faultMergeJoin(), db, b)
-		}, ref: faultMergeJoin()},
-		{name: "streamagg", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
-			return RunGuarded(faultStreamAgg(), db, b)
-		}, ref: faultStreamAgg()},
+		// A root ORDER BY over the join: the sort runs behind the
+		// columnar engine's fallback seam after its presorted check.
+		{name: "sort", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
+			return RunGuarded(faultSort(), db, b)
+		}, ref: faultSort()},
 	}
 }
 
-// faultMergeJoin is faultJoin's merge spelling: sort both inputs on x
-// and merge them, so the run crosses PointExecMergeJoin.
-func faultMergeJoin() plan.Node {
-	sortX := func(rel string) plan.Node {
-		return plan.NewSortOrigin([]plan.SortKey{{Attr: schema.Attr(rel, "x")}}, -1,
-			plan.NewScan(rel), plan.SortOriginEnforcer)
-	}
-	return plan.NewMergeJoin(plan.InnerJoin, eqX("r1", "r2"),
-		[]schema.Attribute{schema.Attr("r1", "x")},
-		[]schema.Attribute{schema.Attr("r2", "x")},
-		[]bool{false}, sortX("r1"), sortX("r2"))
-}
-
-// faultStreamAgg aggregates the merge join's output streamed in key
-// order, crossing PointExecStreamAgg.
-func faultStreamAgg() plan.Node {
-	return plan.NewStreamAgg(
-		[]schema.Attribute{schema.Attr("r1", "x")},
-		[]algebra.Aggregate{{Func: algebra.CountStar, Out: schema.Attr("q", "n")}},
-		plan.OrderBy(schema.Attr("r1", "x")),
-		faultMergeJoin())
+// faultSort orders faultJoin's output on r1.x descending.
+func faultSort() plan.Node {
+	return plan.NewSortOrigin([]plan.SortKey{{Attr: schema.Attr("r1", "x"), Desc: true}}, -1,
+		faultJoin(), plan.SortOriginEnforcer)
 }
 
 // execFired records which guard points one clean run of the entry

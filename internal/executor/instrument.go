@@ -74,10 +74,6 @@ func OpName(n plan.Node) string {
 		return "join." + m.Kind.String()
 	case *plan.MGOJNode:
 		return "mgoj"
-	case *plan.MergeJoin:
-		return "mergejoin." + m.Kind.String()
-	case *plan.StreamAgg:
-		return "streamagg"
 	default:
 		return fmt.Sprintf("%T", n)
 	}

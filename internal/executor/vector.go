@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/algebra"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 // This file is the vectorized engine's plan walker — the engine the
@@ -38,9 +39,9 @@ import (
 // tuple engine accepts, including NULL-padded outer joins, and
 // bit-identical aggregate values (float sums accumulate in input
 // order through the same algebra.AggState arithmetic). Row order is
-// kept wherever the plan delivers one: selection and non-distinct
-// projection preserve input order, and sorts and merge joins run on
-// the tuple engine's order-aware operators.
+// kept where the plan asks for one: a sort runs on the tuple engine's
+// stable sort, or passes its input through when the input is already
+// in order.
 
 // vecEngine carries one vectorized execution's configuration.
 type vecEngine struct {
@@ -84,7 +85,7 @@ func (e *vecEngine) exec(n plan.Node) (*batch.Rel, error) {
 		a.Elapsed = time.Since(start)
 		if st != nil {
 			switch n.(type) {
-			case *plan.Join, *plan.MGOJNode, *plan.MergeJoin:
+			case *plan.Join, *plan.MGOJNode:
 				recordJoinProbe(a, st, e.reg)
 			}
 		}
@@ -99,8 +100,8 @@ func (e *vecEngine) exec(n plan.Node) (*batch.Rel, error) {
 }
 
 // execNode dispatches one operator. It reports whether the operator
-// already charged its output (scans are exempt; joins and the
-// order-consuming operators charge per batch).
+// already charged its output (scans are exempt; joins charge per
+// batch).
 func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, error) {
 	switch m := n.(type) {
 	case *plan.Scan:
@@ -189,43 +190,144 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 			return nil, false, err
 		}
 		return batch.FromRelation(out), false, nil
+	case *plan.Sort:
+		out, err := e.sort(m)
+		return out, false, err
 	default:
-		return e.fallback(n, st)
+		return nil, false, fmt.Errorf("executor: unsupported node %T", n)
 	}
 }
 
-// fallback runs the three tuple operators the columnar engine has not
-// ported — sort, merge join, streaming aggregation — over its
-// children's output boxed row-major, under the engine's budget, and
-// re-shapes the result. Counted per operator on
-// exec.vector.fallback.<op>.
-func (e *vecEngine) fallback(n plan.Node, st *joinProbe) (*batch.Rel, bool, error) {
-	e.reg.Counter("exec.vector.fallback." + OpName(n)).Inc()
-	ch := n.Children()
-	in := make([]*relation.Relation, len(ch))
-	for i, c := range ch {
-		col, err := e.exec(c)
-		if err != nil {
-			return nil, false, err
-		}
-		in[i] = col.ToRelation()
-	}
-	var out *relation.Relation
-	var err error
-	charged := true // the order-consuming operators charge per batch
-	switch m := n.(type) {
-	case *plan.Sort:
-		out, err = plan.SortRows(in[0], m.Keys, m.Limit)
-		charged = false
-	case *plan.MergeJoin:
-		out, err = mergeJoinProbe(m, in[0], in[1], st, e.b)
-	case *plan.StreamAgg:
-		out, err = streamAggProbe(m, in[0], e.b)
-	default:
-		err = fmt.Errorf("executor: unsupported node %T", n)
-	}
+// sort runs the one tuple operator the columnar engine has not ported
+// over its input boxed row-major, and re-shapes the result; counted on
+// exec.vector.fallback.sort. A full sort (no LIMIT) first checks its
+// input in one pass and returns it unchanged when it is already in key
+// order: the stable sort of sorted input is that input.
+func (e *vecEngine) sort(m *plan.Sort) (*batch.Rel, error) {
+	e.reg.Counter("exec.vector.fallback.sort").Inc()
+	in, err := e.exec(m.Input)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return batch.FromRelation(out), charged, nil
+	if m.Limit < 0 && presorted(in, m.Keys) {
+		return in, nil
+	}
+	out, err := plan.SortRows(in.ToRelation(), m.Keys, m.Limit)
+	if err != nil {
+		return nil, err
+	}
+	return batch.FromRelation(out), nil
 }
+
+// presorted reports whether r's rows already stand in the order keys
+// ask for under plan.SortRows's comparator. It makes one pass per key,
+// over the adjacent row pairs still tied on the keys before it: a
+// NULL-free int, float or string column compares its typed payloads,
+// any other column compares values with plan.CompareForSort. A NaN,
+// which the comparator does not order consistently, or a key missing
+// from the schema answers false and leaves the case to SortRows.
+func presorted(r *batch.Rel, keys []plan.SortKey) bool {
+	cols := make([]int, len(keys))
+	for ki, k := range keys {
+		if cols[ki] = r.Schema.IndexOf(k.Attr); cols[ki] < 0 {
+			return false
+		}
+	}
+	// tied lists the rows i whose pair (i-1, i) ties on the keys so
+	// far; nil before the first key means every pair.
+	var tied []int32
+	for ki, k := range keys {
+		if ki > 0 && len(tied) == 0 {
+			return true
+		}
+		all, last := ki == 0, ki == len(keys)-1
+		var ok bool
+		switch v := r.Col(cols[ki]); {
+		case v.Nulls == nil && v.Phys == batch.PhysInt:
+			tied, ok = typedPairs(v.Ints, tied, all, last, k.Desc)
+		case v.Nulls == nil && v.Phys == batch.PhysFloat:
+			tied, ok = typedPairs(v.Floats, tied, all, last, k.Desc)
+		case v.Nulls == nil && v.Phys == batch.PhysStr:
+			tied, ok = typedPairs(v.Strs, tied, all, last, k.Desc)
+		default:
+			tied, ok = valuePairs(v, r.N, tied, all, last, k.Desc)
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// typedPairs checks the pairs (i-1, i) of a NULL-free typed column —
+// every pair when all is set, else those ending at the rows of tied —
+// in the key's direction, and returns the rows whose pair ties (none
+// on the last key, where ties no longer matter). It answers false at
+// the first pair out of order or holding a NaN (x != x).
+func typedPairs[T int64 | float64 | string](xs []T, tied []int32, all, last, desc bool) ([]int32, bool) {
+	var next []int32
+	if all {
+		for i := 1; i < len(xs); i++ {
+			a, b := xs[i-1], xs[i]
+			if desc {
+				a, b = b, a
+			}
+			if a > b || a != a || b != b {
+				return nil, false
+			}
+			if a == b && !last {
+				next = append(next, int32(i))
+			}
+		}
+		return next, true
+	}
+	for _, i := range tied {
+		a, b := xs[i-1], xs[i]
+		if desc {
+			a, b = b, a
+		}
+		if a > b || a != a || b != b {
+			return nil, false
+		}
+		if a == b && !last {
+			next = append(next, i)
+		}
+	}
+	return next, true
+}
+
+// valuePairs is typedPairs over any column, comparing with
+// plan.CompareForSort.
+func valuePairs(v *batch.Vec, n int, tied []int32, all, last, desc bool) ([]int32, bool) {
+	var next []int32
+	check := func(i int32) bool {
+		a, b := v.At(int(i)-1), v.At(int(i))
+		if isNaN(a) || isNaN(b) {
+			return false
+		}
+		c := plan.CompareForSort(a, b)
+		if desc {
+			c = -c
+		}
+		if c == 0 && !last {
+			next = append(next, i)
+		}
+		return c <= 0
+	}
+	if all {
+		for i := 1; i < n; i++ {
+			if !check(int32(i)) {
+				return nil, false
+			}
+		}
+		return next, true
+	}
+	for _, i := range tied {
+		if !check(i) {
+			return nil, false
+		}
+	}
+	return next, true
+}
+
+func isNaN(v value.Value) bool { return v.Kind() == value.KindFloat && math.IsNaN(v.Float()) }

@@ -6,7 +6,7 @@
 // form — across batch sizes {1, 3, 1024}, and must agree bit-for-bit
 // on aggregate float arithmetic. It also pins what the serving path
 // relies on beyond multiset equality: one shared image per base
-// relation, native build/probe swap, delivered row order, and an
+// relation, native build/probe swap, a sort's row order, and an
 // annotation on every node. make race-vec runs this file under the
 // race detector.
 package executor
@@ -357,8 +357,7 @@ func TestVectorizedFallbackCounted(t *testing.T) {
 }
 
 // TestVectorizedInstrumented: the EXPLAIN ANALYZE path annotates every
-// node with rows and every join — hash or merge — with its probe
-// extras.
+// node with rows and every join with its probe extras.
 func TestVectorizedInstrumented(t *testing.T) {
 	rng := rand.New(rand.NewSource(216))
 	db := mixedDB(rng, 300, 13, "r1", "r2")
@@ -391,23 +390,6 @@ func TestVectorizedInstrumented(t *testing.T) {
 		t.Error("per-operator counter not recorded")
 	}
 
-	// A merge join runs on the tuple operator behind the fallback seam;
-	// its probe figures must reach the annotation all the same.
-	sorted := plan.Database{
-		"r1": sortedOn(t, db["r1"], ascKey("r1", "x")),
-		"r2": sortedOn(t, db["r2"], ascKey("r2", "x")),
-	}
-	lt := expr.Cmp{Op: value.LT, L: expr.Column("r1", "y"), R: expr.Column("r2", "y")}
-	mj := mergeOn(plan.LeftJoin, expr.And(eqX("r1", "r2"), lt), "r1", "r2", false)
-	_, ann, err = RunInstrumentedAdaptive(mj, sorted, obs.NewRegistry(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, extra := range []string{"residual_evals", "null_padded", "arena_chunks"} {
-		if ann.For(mj).Extra[extra] == 0 {
-			t.Errorf("merge join annotation missing %s: %v", extra, ann.For(mj).Extra)
-		}
-	}
 }
 
 // sameColumns reports whether two columnar relations hold the same
@@ -538,28 +520,34 @@ func TestVecNativeSwapMatchesStatic(t *testing.T) {
 	}
 }
 
-// TestVectorizedKeepsDeliveredOrder: where a plan delivers an order the
-// columnar entry points return it row for row — a merge join's output
-// survives the selection and the non-distinct projection above it, and
-// a root sort comes back sorted.
-func TestVectorizedKeepsDeliveredOrder(t *testing.T) {
+// sortedOn returns a copy of rel sorted by the keys (full sort, no
+// limit).
+func sortedOn(t *testing.T, rel *relation.Relation, keys ...plan.SortKey) *relation.Relation {
+	t.Helper()
+	out, err := plan.SortRows(rel, keys, -1)
+	if err != nil {
+		t.Fatalf("sorting input: %v", err)
+	}
+	return out
+}
+
+// TestVectorizedSortMatchesRun: a sort comes back from the
+// columnar entry points row for row as Run returns it — whether its
+// input arrives already in key order (a sorted table under a selection
+// and a non-distinct projection, which the presorted check passes
+// through) or not (a join's output, which it sorts).
+func TestVectorizedSortMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(220))
 	raw := mixedDB(rng, 300, 23, "r1", "r2")
-	db := plan.Database{
-		"r1": sortedOn(t, raw["r1"], ascKey("r1", "x")),
-		"r2": sortedOn(t, raw["r2"], ascKey("r2", "x")),
-	}
-	mj := plan.NewMergeJoin(plan.LeftJoin, eqX("r1", "r2"),
-		[]schema.Attribute{schema.Attr("r1", "x")},
-		[]schema.Attribute{schema.Attr("r2", "x")},
-		[]bool{false}, plan.NewScan("r1"), plan.NewScan("r2"))
-	merged := plan.NewProject(
-		[]schema.Attribute{schema.Attr("r1", "x"), schema.Attr("r2", "y"), schema.Attr("r1", "s")}, false,
-		plan.NewSelect(expr.Cmp{Op: value.GE, L: expr.Column("r1", "y"), R: expr.Int(4)}, mj))
-	sorted := plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "f"), Desc: true}}, -1,
+	x, y := plan.SortKey{Attr: schema.Attr("r1", "x")}, plan.SortKey{Attr: schema.Attr("r1", "y"), Desc: true}
+	db := plan.Database{"r1": sortedOn(t, raw["r1"], x, y), "r2": raw["r2"]}
+	inOrder := plan.NewSort([]plan.SortKey{x, y}, -1,
+		plan.NewProject([]schema.Attribute{schema.Attr("r1", "x"), schema.Attr("r1", "y"), schema.Attr("r1", "s")}, false,
+			plan.NewSelect(expr.Cmp{Op: value.GE, L: expr.Column("r1", "f"), R: expr.Int(4)}, plan.NewScan("r1"))))
+	joined := plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "f"), Desc: true}}, -1,
 		plan.NewProject([]schema.Attribute{schema.Attr("r1", "f"), schema.Attr("r2", "x")}, false,
 			plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))))
-	for pi, p := range []plan.Node{merged, sorted} {
+	for pi, p := range []plan.Node{inOrder, joined} {
 		want, err := Run(p, db)
 		if err != nil {
 			t.Fatal(err)
@@ -575,15 +563,9 @@ func TestVectorizedKeepsDeliveredOrder(t *testing.T) {
 			if got.Len() != want.Len() {
 				t.Fatalf("plan %d: %s returned %d rows, want %d", pi, e.name, got.Len(), want.Len())
 			}
-			// The sort key may tie, so the sorted plan is compared on its
-			// key column; the merge plan row for row.
 			for i := 0; i < got.Len(); i++ {
-				if pi == 1 {
-					if plan.CompareForSort(got.Tuple(i)[0], want.Tuple(i)[0]) != 0 {
-						t.Fatalf("plan %d: %s row %d out of order", pi, e.name, i)
-					}
-				} else if !got.Tuple(i).EqualTuple(want.Tuple(i)) {
-					t.Fatalf("plan %d: %s row %d differs: delivered order lost", pi, e.name, i)
+				if !got.Tuple(i).EqualTuple(want.Tuple(i)) {
+					t.Fatalf("plan %d: %s row %d differs: %v, want %v", pi, e.name, i, got.Tuple(i), want.Tuple(i))
 				}
 			}
 		}
@@ -598,20 +580,10 @@ func TestVectorizedKeepsDeliveredOrder(t *testing.T) {
 func TestVectorizedAnnotatesEveryNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(221))
 	raw := mixedDB(rng, 200, 13, "r1", "r2", "r3")
-	db := plan.Database{
-		"r1": sortedOn(t, raw["r1"], ascKey("r1", "x")),
-		"r2": sortedOn(t, raw["r2"], ascKey("r2", "x")),
-		"r3": raw["r3"],
-	}
-	mj := plan.NewMergeJoin(plan.InnerJoin, eqX("r1", "r2"),
-		[]schema.Attribute{schema.Attr("r1", "x")},
-		[]schema.Attribute{schema.Attr("r2", "x")},
-		[]bool{false}, plan.NewScan("r1"), plan.NewScan("r2"))
-	plans := append(vecPlans(),
-		plan.NewStreamAgg(
-			[]schema.Attribute{schema.Attr("r1", "x")},
-			[]algebra.Aggregate{{Func: algebra.CountStar, Out: schema.Attr("q", "n")}},
-			plan.OrderBy(schema.Attr("r1", "x")), mj))
+	x := plan.SortKey{Attr: schema.Attr("r1", "x")}
+	db := plan.Database{"r1": sortedOn(t, raw["r1"], x), "r2": raw["r2"], "r3": raw["r3"]}
+	// A sort whose input is already in order returns that input.
+	plans := append(vecPlans(), plan.NewSort([]plan.SortKey{x}, -1, plan.NewScan("r1")))
 	for pi, p := range plans {
 		_, ann, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, &Adapt{SwapFactor: 4})
 		if err != nil {

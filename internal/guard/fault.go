@@ -35,14 +35,6 @@ const (
 	// PointExecBatch fires at the executor's per-batch boundaries
 	// inside join probe loops.
 	PointExecBatch Point = "exec.join.batch"
-	// PointExecMergeJoin fires at the sort-merge join's per-batch
-	// output boundaries.
-	PointExecMergeJoin Point = "executor.mergejoin"
-	// PointExecStreamAgg fires at the streaming aggregation's
-	// per-batch input boundaries.
-	PointExecStreamAgg Point = "executor.streamagg"
-	// PointDatagenBatch fires at datagen's per-batch boundaries.
-	PointDatagenBatch Point = "datagen.batch"
 	// PointSpillWrite fires as each spill partition file is flushed
 	// during the out-of-core grace join's partitioning phase.
 	PointSpillWrite Point = "exec.spill.write"
@@ -87,9 +79,6 @@ func Points() []Point {
 		PointMemoExtract,
 		PointExecOperator,
 		PointExecBatch,
-		PointExecMergeJoin,
-		PointExecStreamAgg,
-		PointDatagenBatch,
 		PointSpillWrite,
 		PointSpillRead,
 		PointServeAdmit,

@@ -214,7 +214,7 @@ func TestMemoChildPatternsSound(t *testing.T) {
 					t.Errorf("RuleFirings[%s] = %d, admitted counter %d", rule, n, counters["optimizer.rule_admitted."+rule])
 				}
 			}
-			best, err := m.ExtractOrdered(roots, stats.NewEstimator(stats.FromDatabase(cold)).NewSession(nil), nil)
+			best, err := m.Extract(roots, stats.NewEstimator(stats.FromDatabase(cold)).NewSession(nil))
 			if err != nil {
 				t.Fatal(err)
 			}

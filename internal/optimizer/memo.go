@@ -80,12 +80,9 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	}
 	reg.Counter("optimizer.memo_runs").Inc()
 	// A root ORDER BY (a Sort without LIMIT) is not a logical operator
-	// to enumerate around — it is a physical property requirement on
-	// the root group. Strip it and carry it into extraction, which may
-	// satisfy it with a merge join's delivered order (eliminating the
-	// sort entirely), re-inject it as an enforcer, or anything between.
-	// Top-K sorts keep their node: the limit is part of the output, not
-	// a property.
+	// to enumerate around: strip it, extract the order-free winner, and
+	// put it back as one enforcer Sort over that winner. Top-K sorts
+	// keep their node: the limit is part of the output.
 	var required plan.Order
 	inner := q
 	if s, ok := q.(*plan.Sort); ok && s.Limit < 0 && len(s.Keys) > 0 {
@@ -150,20 +147,22 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	// plan among everything admitted (seeds are never charged, so a
 	// materializable plan always exists): degradation returns the
 	// best-so-far rather than an error.
-	best, err := m.ExtractOrdered(roots, sess, required)
+	best, err := m.Extract(roots, sess)
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: extracting %s: %w", q, err)
 	}
-	bestPlan, bestCost := best.Plan, best.Cost
+	bestPlan, bestCost := sorted(best.Plan, required), best.Cost
+	if len(required) > 0 {
+		if bestCost, err = sess.PlanCost(bestPlan); err != nil {
+			return nil, fmt.Errorf("optimizer: costing %s: %w", bestPlan, err)
+		}
+	}
 	derivation := append(append([]string(nil), prefixes[best.Root]...), m.Derivation(best.Group)...)
 	if degraded != "" {
 		// A truncated memo may hold only expensive orders; offer the
-		// greedy left-deep fallback (wrapped in an enforcer sort when
-		// the root requires an order) and keep whichever is cheaper.
+		// greedy left-deep fallback and keep whichever is cheaper.
 		if hp, ok := heuristicLeftDeep(inner, sess); ok {
-			if len(required) > 0 {
-				hp = plan.NewSortOrigin(append([]plan.SortKey(nil), required...), -1, hp, plan.SortOriginEnforcer)
-			}
+			hp = sorted(hp, required)
 			if hc, herr := sess.PlanCost(hp); herr == nil && hc < bestCost {
 				bestPlan, bestCost = hp, hc
 				derivation = []string{HeuristicRule}
@@ -195,21 +194,18 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 		FeedbackCorrections: int(sess.FeedbackHits()),
 	}
 	if len(required) > 0 {
-		enforced := 0
-		plan.Walk(bestPlan, func(n plan.Node) {
-			if s, ok := n.(*plan.Sort); ok && s.Origin == plan.SortOriginEnforcer {
-				enforced++
-			}
-		})
-		res.Order = &OrderInfo{
-			Required:  required,
-			Delivered: plan.DeliveredOrder(bestPlan, sess.ScanOrder),
-			Enforced:  enforced,
-		}
-		reg.Counter("memo.order.enforced").Add(int64(enforced))
-		if enforced == 0 {
-			reg.Counter("memo.order.eliminated").Inc()
-		}
+		res.Order = &OrderInfo{Required: required, Enforced: 1}
+		reg.Counter("memo.order.enforced").Inc()
 	}
 	return res, nil
+}
+
+// sorted puts a root ORDER BY back over an order-free plan: one
+// enforcer Sort on the required keys, or p itself when none are
+// required.
+func sorted(p plan.Node, required plan.Order) plan.Node {
+	if len(required) == 0 {
+		return p
+	}
+	return plan.NewSortOrigin(append([]plan.SortKey(nil), required...), -1, p, plan.SortOriginEnforcer)
 }

@@ -96,27 +96,20 @@ type Result struct {
 	// from feedback corrections instead of the static model (0 when
 	// Options.Feedback is nil or no correction matched).
 	FeedbackCorrections int
-	// Order reports how a root ORDER BY was satisfied as a physical
-	// property: the required order, what the chosen plan delivers, and
-	// how many enforcer sorts were injected (zero means the requirement
-	// was eliminated — some operator's natural output order covered
-	// it). Nil when the query required no order.
+	// Order reports how a root ORDER BY was satisfied: the required
+	// order and the enforcer sorts the best plan carries for it. Nil
+	// when the query required no order.
 	Order *OrderInfo
 }
 
 // OrderInfo is Result.Order: the provenance of a root sort
 // requirement.
 type OrderInfo struct {
-	Required  plan.Order
-	Delivered plan.Order
-	// Enforced counts the explicit enforcer Sort nodes in the best
-	// plan; Eliminated reports the zero-enforcer case.
+	Required plan.Order
+	// Enforced counts the enforcer Sort nodes in the best plan: the
+	// one root sort over the order-free winner.
 	Enforced int
 }
-
-// Eliminated reports whether the requirement was met without any
-// enforcer sort.
-func (oi *OrderInfo) Eliminated() bool { return oi.Enforced == 0 }
 
 // Optimizer ranks the equivalence class of a query by estimated cost.
 type Optimizer struct {
@@ -156,11 +149,7 @@ func Explain(res *Result) string {
 		out += fmt.Sprintf("feedback:        corrected %d estimates\n", res.FeedbackCorrections)
 	}
 	if res.Order != nil {
-		prov := fmt.Sprintf("enforced %d", res.Order.Enforced)
-		if res.Order.Eliminated() {
-			prov = "eliminated"
-		}
-		out += fmt.Sprintf("order:           required %s delivered %s (%s)\n", res.Order.Required, res.Order.Delivered, prov)
+		out += fmt.Sprintf("order:           required %s (enforced %d)\n", res.Order.Required, res.Order.Enforced)
 	}
 	if len(res.Phases) > 0 {
 		parts := make([]string, len(res.Phases))

@@ -1,8 +1,7 @@
-// End-to-end pins for the order-aware memo: a root ORDER BY over
-// sorted base tables must be satisfied by a merge join or a streaming
-// aggregation with zero enforcer sorts, while unsorted inputs get
-// exactly one enforcer at the root. Lives in the external package
-// alongside memo_test.go.
+// End-to-end pins for a root ORDER BY: whatever the physical order of
+// the base tables, the winner is exactly one enforcer sort at the root
+// over the order-free winner. Lives in the external package alongside
+// memo_test.go.
 package optimizer_test
 
 import (
@@ -56,9 +55,8 @@ func shuffledRel(name string, keys, fanout int) *relation.Relation {
 }
 
 // orderedJoinQuery is SELECT * FROM l JOIN r ON l.k = r.k ORDER BY
-// l.k — the redundant-sort shape: a merge join on k delivers the
-// required order for free.
-func orderedJoinQuery() plan.Node {
+// l.k.
+func orderedJoinQuery() *plan.Sort {
 	j := plan.NewJoin(plan.InnerJoin, expr.EqCols("l", "k", "r", "k"),
 		plan.NewScan("l"), plan.NewScan("r"))
 	keys := []plan.SortKey{{Attr: schema.Attr("l", "k")}}
@@ -95,195 +93,118 @@ func countSorts(n plan.Node) (enforcer, query, other int) {
 	return
 }
 
-// TestOrderEliminatedBySortedMerge: with both inputs physically
-// sorted on the join key, the optimizer must satisfy ORDER BY l.k
-// with a merge join and no sort anywhere in the plan, and the
-// executed output must match the reference evaluation and be
-// physically ordered.
-func TestOrderEliminatedBySortedMerge(t *testing.T) {
-	db := plan.Database{
-		"l": orderedRel("l", 40, 2),
-		"r": orderedRel("r", 40, 3),
-	}
-	q := orderedJoinQuery()
+// checkRootSort pins the one rule: res's winner is an enforcer sort on
+// q's keys at the root, no other sort anywhere, over exactly the plan
+// the optimizer picks for q without its ORDER BY; Result.Order, the
+// counters and EXPLAIN report the one enforcer; and the winner returns
+// q's rows, in order, on the row engine and the columnar engine alike.
+func checkRootSort(t *testing.T, q *plan.Sort, db plan.Database) {
+	t.Helper()
 	res, counters := optimizeOrdered(t, q, db)
-
-	if res.Order == nil {
-		t.Fatal("Result.Order is nil: root ORDER BY was not pushed into the memo")
+	root, ok := res.Best.Plan.(*plan.Sort)
+	if !ok || root.Origin != plan.SortOriginEnforcer || root.Limit >= 0 {
+		t.Fatalf("winner root is not an enforcer sort:\n%s", plan.Indent(res.Best.Plan))
 	}
-	if !res.Order.Eliminated() {
-		t.Fatalf("order requirement not eliminated (enforced=%d):\n%s",
-			res.Order.Enforced, plan.Indent(res.Best.Plan))
-	}
-	if !res.Order.Delivered.Satisfies(res.Order.Required) {
-		t.Fatalf("delivered %s does not satisfy required %s",
-			res.Order.Delivered, res.Order.Required)
-	}
-	enf, qry, other := countSorts(res.Best.Plan)
-	if enf != 0 || qry != 0 || other != 0 {
-		t.Fatalf("expected a sort-free plan, got enforcer=%d query=%d other=%d:\n%s",
+	if enf, qry, other := countSorts(res.Best.Plan); enf != 1 || qry != 0 || other != 0 {
+		t.Fatalf("want one sort in the plan, got enforcer=%d query=%d other=%d:\n%s",
 			enf, qry, other, plan.Indent(res.Best.Plan))
 	}
-	var merges int
-	plan.Walk(res.Best.Plan, func(m plan.Node) {
-		if _, ok := m.(*plan.MergeJoin); ok {
-			merges++
-		}
-	})
-	if merges != 1 {
-		t.Fatalf("expected exactly one merge join, got %d:\n%s", merges, plan.Indent(res.Best.Plan))
+	free, _ := optimizeOrdered(t, q.Input, db)
+	if plan.Key(root.Input) != plan.Key(free.Best.Plan) {
+		t.Fatalf("sorted plan is not the order-free winner:\n%s\nwant under the sort:\n%s",
+			plan.Indent(root.Input), plan.Indent(free.Best.Plan))
 	}
-	if counters["memo.order.required"] != 1 {
-		t.Errorf("memo.order.required = %d, want 1", counters["memo.order.required"])
+	if res.Order == nil || res.Order.Enforced != 1 || fmt.Sprint(res.Order.Required) != fmt.Sprint(plan.Order(q.Keys)) {
+		t.Fatalf("Result.Order = %+v, want required %v enforced 1", res.Order, q.Keys)
 	}
-	if counters["memo.order.eliminated"] != 1 || counters["memo.order.enforced"] != 0 {
-		t.Errorf("order counters: eliminated=%d enforced=%d, want 1/0",
-			counters["memo.order.eliminated"], counters["memo.order.enforced"])
+	if counters["memo.order.required"] != 1 || counters["memo.order.enforced"] != 1 {
+		t.Errorf("order counters: required=%d enforced=%d, want 1/1",
+			counters["memo.order.required"], counters["memo.order.enforced"])
+	}
+	if !strings.Contains(optimizer.Explain(res), "(enforced 1)") {
+		t.Errorf("EXPLAIN lacks the enforcer provenance:\n%s", optimizer.Explain(res))
 	}
 	if err := plan.Validate(res.Best.Plan, db); err != nil {
 		t.Fatalf("winner fails validation: %v\n%s", err, plan.Indent(res.Best.Plan))
-	}
-
-	// Execute and pin against the reference evaluation of the query.
-	got, err := executor.Run(res.Best.Plan, db)
-	if err != nil {
-		t.Fatalf("executing winner: %v", err)
 	}
 	want, err := q.Eval(db)
 	if err != nil {
 		t.Fatalf("reference eval: %v", err)
 	}
-	if got.Len() != want.Len() {
-		t.Fatalf("winner returned %d rows, reference %d", got.Len(), want.Len())
+	ran, err := executor.Run(res.Best.Plan, db)
+	if err != nil {
+		t.Fatalf("executing winner: %v", err)
 	}
-	if !got.EqualAsMultisets(want) {
-		t.Fatal("winner output differs from reference as a multiset")
+	col, _, err := executor.Exec(res.Best.Plan, db, executor.Options{})
+	if err != nil {
+		t.Fatalf("executing winner columnar: %v", err)
 	}
-	// The stream must actually be sorted on l.k.
-	ki := got.Schema().IndexOf(schema.Attr("l", "k"))
-	for i := 1; i < got.Len(); i++ {
-		if plan.CompareForSort(got.Tuple(i - 1)[ki], got.Tuple(i)[ki]) > 0 {
-			t.Fatalf("output not sorted on l.k at row %d", i)
+	for engine, got := range map[string]*relation.Relation{"Run": ran, "Exec": col.ToRelation()} {
+		if !got.EqualAsMultisets(want) {
+			t.Fatalf("%s: winner output differs from reference as a multiset", engine)
 		}
-	}
-	if !strings.Contains(optimizer.Explain(res), "(eliminated)") {
-		t.Errorf("EXPLAIN lacks the eliminated provenance:\n%s", optimizer.Explain(res))
+		for i := 1; i < got.Len(); i++ {
+			for _, k := range q.Keys {
+				ki := got.Schema().IndexOf(k.Attr)
+				c := plan.CompareForSort(got.Tuple(i - 1)[ki], got.Tuple(i)[ki])
+				if k.Desc {
+					c = -c
+				}
+				if c > 0 {
+					t.Fatalf("%s: output not sorted on %s at row %d", engine, k, i)
+				}
+				if c < 0 {
+					break
+				}
+			}
+		}
 	}
 }
 
-// TestOrderEliminatedByStreamAgg: GROUP BY k ORDER BY k over a
-// relation physically sorted on a string key must be satisfied by one
-// streaming aggregation and no sort anywhere in the plan; the output
-// must match the reference evaluation and be ordered on k.
-func TestOrderEliminatedByStreamAgg(t *testing.T) {
-	b := relation.NewBuilder("s", "k", "v")
-	for i := 0; i < 200; i++ {
-		b.Row(value.NewString(fmt.Sprintf("key-%08d", i)), value.NewInt(int64((i*2654435761)%1000)))
-	}
-	db := plan.Database{"s": b.Relation()}
-	k := schema.Attr("s", "k")
-	g := plan.NewGroupBy([]schema.Attribute{k},
-		[]algebra.Aggregate{
-			{Func: algebra.CountStar, Out: schema.Attr("q", "n")},
-			{Func: algebra.Sum, Arg: expr.Column("s", "v"), Out: schema.Attr("q", "s"), NullIfEmpty: true},
-		},
-		plan.NewScan("s"))
-	q := plan.NewSortOrigin([]plan.SortKey{{Attr: k}}, -1, g, plan.SortOriginQuery)
-	res, counters := optimizeOrdered(t, q, db)
-
-	if res.Order == nil {
-		t.Fatal("Result.Order is nil: root ORDER BY was not pushed into the memo")
-	}
-	enf, qry, other := countSorts(res.Best.Plan)
-	if enf != 0 || qry != 0 || other != 0 {
-		t.Fatalf("expected a sort-free plan, got enforcer=%d query=%d other=%d:\n%s",
-			enf, qry, other, plan.Indent(res.Best.Plan))
-	}
-	var streams int
-	plan.Walk(res.Best.Plan, func(m plan.Node) {
-		if _, ok := m.(*plan.StreamAgg); ok {
-			streams++
+// TestOrderBySortedInputsIsOneRootSort: over tables already sorted on
+// the key — where merge join and streaming aggregation would deliver
+// the order for free — the winner is still one root sort over the
+// order-free winner; the columnar engine's presorted check is what
+// makes that sort cheap when its input arrives in order.
+func TestOrderBySortedInputsIsOneRootSort(t *testing.T) {
+	t.Run("join", func(t *testing.T) {
+		db := plan.Database{
+			"l": orderedRel("l", 40, 2),
+			"r": orderedRel("r", 40, 3),
 		}
+		checkRootSort(t, orderedJoinQuery(), db)
 	})
-	if streams != 1 {
-		t.Fatalf("expected exactly one streaming aggregation, got %d:\n%s", streams, plan.Indent(res.Best.Plan))
-	}
-	if counters["memo.order.eliminated"] != 1 || counters["memo.order.enforced"] != 0 {
-		t.Errorf("order counters: eliminated=%d enforced=%d, want 1/0",
-			counters["memo.order.eliminated"], counters["memo.order.enforced"])
-	}
-	if !strings.Contains(optimizer.Explain(res), "(eliminated)") {
-		t.Errorf("EXPLAIN lacks the eliminated provenance:\n%s", optimizer.Explain(res))
-	}
-	if err := plan.Validate(res.Best.Plan, db); err != nil {
-		t.Fatalf("winner fails validation: %v\n%s", err, plan.Indent(res.Best.Plan))
-	}
-
-	got, err := executor.Run(res.Best.Plan, db)
-	if err != nil {
-		t.Fatalf("executing winner: %v", err)
-	}
-	want, err := q.Eval(db)
-	if err != nil {
-		t.Fatalf("reference eval: %v", err)
-	}
-	if !got.EqualAsMultisets(want) {
-		t.Fatal("winner output differs from reference as a multiset")
-	}
-	ki := got.Schema().IndexOf(k)
-	for i := 1; i < got.Len(); i++ {
-		if plan.CompareForSort(got.Tuple(i - 1)[ki], got.Tuple(i)[ki]) > 0 {
-			t.Fatalf("output not sorted on s.k at row %d", i)
+	t.Run("groupby", func(t *testing.T) {
+		b := relation.NewBuilder("s", "k", "v")
+		for i := 0; i < 200; i++ {
+			b.Row(value.NewString(fmt.Sprintf("key-%08d", i)), value.NewInt(int64((i*2654435761)%1000)))
 		}
-	}
+		db := plan.Database{"s": b.Relation()}
+		k := schema.Attr("s", "k")
+		g := plan.NewGroupBy([]schema.Attribute{k},
+			[]algebra.Aggregate{
+				{Func: algebra.CountStar, Out: schema.Attr("q", "n")},
+				{Func: algebra.Sum, Arg: expr.Column("s", "v"), Out: schema.Attr("q", "s"), NullIfEmpty: true},
+			},
+			plan.NewScan("s"))
+		checkRootSort(t, plan.NewSortOrigin([]plan.SortKey{{Attr: k}}, -1, g, plan.SortOriginQuery), db)
+	})
 }
 
 // TestOrderEnforcedOnUnsortedInputs: with unsorted base tables the
-// requirement cannot be eliminated — the winner carries at least one
-// enforcer sort (either a root enforcer over a hash join or
-// sort-both-inputs feeding a merge join, whichever costs less) and
-// Result.Order reports the exact count the plan carries.
+// winner is the same shape — one root enforcer over the order-free
+// winner — and its rows come back in order.
 func TestOrderEnforcedOnUnsortedInputs(t *testing.T) {
 	db := plan.Database{
 		"l": shuffledRel("l", 40, 2),
 		"r": shuffledRel("r", 40, 3),
 	}
-	q := orderedJoinQuery()
-	res, counters := optimizeOrdered(t, q, db)
-
-	if res.Order == nil {
-		t.Fatal("Result.Order is nil")
-	}
-	if res.Order.Eliminated() {
-		t.Fatalf("requirement reported eliminated on unsorted inputs:\n%s", plan.Indent(res.Best.Plan))
-	}
-	enf, _, _ := countSorts(res.Best.Plan)
-	if enf < 1 || res.Order.Enforced != enf {
-		t.Fatalf("expected >=1 enforcer sort with an exact report, got walk=%d reported=%d:\n%s",
-			enf, res.Order.Enforced, plan.Indent(res.Best.Plan))
-	}
-	if counters["memo.order.enforced"] != int64(enf) {
-		t.Errorf("memo.order.enforced = %d, want %d (one per enforcer sort)", counters["memo.order.enforced"], enf)
-	}
-	if err := plan.Validate(res.Best.Plan, db); err != nil {
-		t.Fatalf("winner fails validation: %v\n%s", err, plan.Indent(res.Best.Plan))
-	}
-	got, err := executor.Run(res.Best.Plan, db)
-	if err != nil {
-		t.Fatalf("executing winner: %v", err)
-	}
-	want, err := q.Eval(db)
-	if err != nil {
-		t.Fatalf("reference eval: %v", err)
-	}
-	if !got.EqualAsMultisets(want) {
-		t.Fatal("winner output differs from reference as a multiset")
-	}
+	checkRootSort(t, orderedJoinQuery(), db)
 }
 
-// TestOrderEnforcerAtRootForThetaJoin: a non-equi join has no merge
-// implementation, so the only way to meet the requirement is a single
-// enforcer sort over the join — pinning exact enforcer placement.
+// TestOrderEnforcerAtRootForThetaJoin: a non-equi join, sorted
+// descending on one key and ascending on the next, gets the same one
+// root enforcer.
 func TestOrderEnforcerAtRootForThetaJoin(t *testing.T) {
 	db := plan.Database{
 		"l": shuffledRel("l", 10, 2),
@@ -291,33 +212,8 @@ func TestOrderEnforcerAtRootForThetaJoin(t *testing.T) {
 	}
 	pred := expr.Cmp{Op: value.LT, L: expr.Column("l", "k"), R: expr.Column("r", "k")}
 	j := plan.NewJoin(plan.InnerJoin, pred, plan.NewScan("l"), plan.NewScan("r"))
-	keys := []plan.SortKey{{Attr: schema.Attr("l", "k")}}
-	q := plan.NewSortOrigin(keys, -1, j, plan.SortOriginQuery)
-	res, _ := optimizeOrdered(t, q, db)
-
-	if res.Order == nil || res.Order.Eliminated() {
-		t.Fatalf("theta join cannot deliver order for free: %+v", res.Order)
-	}
-	enf, _, _ := countSorts(res.Best.Plan)
-	if enf != 1 || res.Order.Enforced != 1 {
-		t.Fatalf("expected exactly one enforcer sort, got walk=%d reported=%d:\n%s",
-			enf, res.Order.Enforced, plan.Indent(res.Best.Plan))
-	}
-	root, ok := res.Best.Plan.(*plan.Sort)
-	if !ok || root.Origin != plan.SortOriginEnforcer {
-		t.Fatalf("enforcer must sit at the root, got %T:\n%s", res.Best.Plan, plan.Indent(res.Best.Plan))
-	}
-	got, err := executor.Run(res.Best.Plan, db)
-	if err != nil {
-		t.Fatalf("executing winner: %v", err)
-	}
-	want, err := q.Eval(db)
-	if err != nil {
-		t.Fatalf("reference eval: %v", err)
-	}
-	if !got.EqualAsMultisets(want) {
-		t.Fatal("winner output differs from reference as a multiset")
-	}
+	keys := []plan.SortKey{{Attr: schema.Attr("l", "k"), Desc: true}, {Attr: schema.Attr("r", "v")}}
+	checkRootSort(t, plan.NewSortOrigin(keys, -1, j, plan.SortOriginQuery), db)
 }
 
 // TestOrderTopKKeepsRootSort: ORDER BY ... LIMIT k is not stripped
@@ -357,8 +253,8 @@ func TestOrderTopKKeepsRootSort(t *testing.T) {
 }
 
 // TestOrderFreeQueriesUnchanged: queries without a root ORDER BY must
-// be untouched by the order machinery — no contexts, no Order info
-// (their best cost is pinned against the saturate-and-rank oracle by
+// be untouched by the order rule — no Order info (their best cost is
+// pinned against the saturate-and-rank oracle by
 // TestMemoMatchesSaturate; this pins the counters stay silent).
 func TestOrderFreeQueriesUnchanged(t *testing.T) {
 	db := memoTestDB(3)
@@ -366,7 +262,7 @@ func TestOrderFreeQueriesUnchanged(t *testing.T) {
 	if res.Order != nil {
 		t.Fatalf("order-free query set Result.Order: %+v", res.Order)
 	}
-	for _, c := range []string{"memo.order.required", "memo.order.contexts", "memo.order.enforced", "memo.order.eliminated"} {
+	for _, c := range []string{"memo.order.required", "memo.order.enforced"} {
 		if counters[c] != 0 {
 			t.Errorf("%s = %d, want 0 on an order-free query", c, counters[c])
 		}

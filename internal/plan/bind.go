@@ -108,21 +108,6 @@ func bindNode(n Node, leaf func(expr.Scalar) expr.Scalar) (Node, bool) {
 			return x, false
 		}
 		return NewSortOrigin(x.Keys, x.Limit, in, x.Origin), true
-	case *MergeJoin:
-		p, pc := expr.RewritePred(x.Pred, leaf)
-		l, lc := bindNode(x.L, leaf)
-		r, rc := bindNode(x.R, leaf)
-		if !pc && !lc && !rc {
-			return x, false
-		}
-		return NewMergeJoin(x.Kind, p, x.LKeys, x.RKeys, x.Desc, l, r), true
-	case *StreamAgg:
-		aggs, ac := bindAggs(x.Aggs, leaf)
-		in, ic := bindNode(x.Input, leaf)
-		if !ac && !ic {
-			return x, false
-		}
-		return NewStreamAgg(x.Keys, aggs, x.InOrder, in), true
 	default:
 		// Unknown node kinds pass through children generically.
 		ch := n.Children()
@@ -172,15 +157,7 @@ func walkNodeScalars(n Node, f func(expr.Scalar)) {
 		expr.WalkScalars(x.Pred, f)
 	case *MGOJNode:
 		expr.WalkScalars(x.Pred, f)
-	case *MergeJoin:
-		expr.WalkScalars(x.Pred, f)
 	case *GroupBy:
-		for _, a := range x.Aggs {
-			if a.Arg != nil {
-				expr.WalkScalarLeaves(a.Arg, f)
-			}
-		}
-	case *StreamAgg:
 		for _, a := range x.Aggs {
 			if a.Arg != nil {
 				expr.WalkScalarLeaves(a.Arg, f)

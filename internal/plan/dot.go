@@ -68,14 +68,6 @@ func describe(n Node) (label, shape string) {
 			return "sort (" + m.Origin + ")", "invtriangle"
 		}
 		return "sort", "invtriangle"
-	case *MergeJoin:
-		return fmt.Sprintf("merge %s\n%s", m.Kind, m.Pred), "ellipse"
-	case *StreamAgg:
-		keys := make([]string, len(m.Keys))
-		for i, k := range m.Keys {
-			keys[i] = k.String()
-		}
-		return fmt.Sprintf("stream π %s\nsorted %s", strings.Join(keys, ","), m.InOrder), "trapezium"
 	default:
 		return n.String(), "plaintext"
 	}

@@ -31,10 +31,6 @@ type jsonNode struct {
 	SortKeys  []jsonSortKey   `json:"sortKeys,omitempty"`
 	Limit     *int            `json:"limit,omitempty"`
 	Origin    string          `json:"origin,omitempty"`
-	LKeys     []jsonAttr      `json:"lkeys,omitempty"`
-	RKeys     []jsonAttr      `json:"rkeys,omitempty"`
-	Desc      []bool          `json:"desc,omitempty"`
-	InOrder   []jsonSortKey   `json:"inOrder,omitempty"`
 	Actual    *jsonActual     `json:"actual,omitempty"`
 }
 
@@ -190,52 +186,12 @@ func buildJSONNode(n Node, ann Annotations) (jsonNode, error) {
 		}
 		limit := m.Limit
 		return jsonNode{Op: "sort", Input: in, SortKeys: keys, Limit: &limit, Origin: m.Origin}, nil
-	case *MergeJoin:
-		pred, err := expr.EncodePred(m.Pred)
-		if err != nil {
-			return jsonNode{}, err
-		}
-		l, err := encodeJSON(m.L, ann)
-		if err != nil {
-			return jsonNode{}, err
-		}
-		r, err := encodeJSON(m.R, ann)
-		if err != nil {
-			return jsonNode{}, err
-		}
-		lk := make([]jsonAttr, len(m.LKeys))
-		rk := make([]jsonAttr, len(m.RKeys))
-		for i := range m.LKeys {
-			lk[i] = attrToJSON(m.LKeys[i])
-			rk[i] = attrToJSON(m.RKeys[i])
-		}
-		return jsonNode{Op: "mergejoin", Kind: m.Kind.String(), Pred: pred, Left: l, Right: r,
-			LKeys: lk, RKeys: rk, Desc: append([]bool(nil), m.Desc...)}, nil
-	case *StreamAgg:
-		in, err := encodeJSON(m.Input, ann)
-		if err != nil {
-			return jsonNode{}, err
-		}
-		keys := make([]jsonAttr, len(m.Keys))
-		for i, k := range m.Keys {
-			keys[i] = attrToJSON(k)
-		}
-		aggs, err := aggsToJSON(m.Aggs)
-		if err != nil {
-			return jsonNode{}, err
-		}
-		ord := make([]jsonSortKey, len(m.InOrder))
-		for i, k := range m.InOrder {
-			ord[i] = jsonSortKey{Attr: attrToJSON(k.Attr), Desc: k.Desc}
-		}
-		return jsonNode{Op: "streamagg", Input: in, Keys: keys, Aggs: aggs, InOrder: ord}, nil
 	default:
 		return jsonNode{}, fmt.Errorf("plan: cannot encode %T", n)
 	}
 }
 
-// aggsToJSON / aggsFromJSON convert aggregate lists, shared by the
-// groupby and streamagg encodings.
+// aggsToJSON / aggsFromJSON convert aggregate lists.
 func aggsToJSON(aggs []algebra.Aggregate) ([]jsonAgg, error) {
 	out := make([]jsonAgg, len(aggs))
 	for i, a := range aggs {
@@ -386,51 +342,6 @@ func nodeFromJSON(j jsonNode, ann Annotations) (Node, error) {
 			limit = *j.Limit
 		}
 		return NewSortOrigin(keys, limit, in, j.Origin), nil
-	case "mergejoin":
-		pred, err := expr.DecodePred(j.Pred)
-		if err != nil {
-			return nil, err
-		}
-		l, err := decodeJSON(j.Left, ann)
-		if err != nil {
-			return nil, err
-		}
-		r, err := decodeJSON(j.Right, ann)
-		if err != nil {
-			return nil, err
-		}
-		kind, err := joinKindOf(j.Kind)
-		if err != nil {
-			return nil, err
-		}
-		if len(j.LKeys) == 0 || len(j.LKeys) != len(j.RKeys) || len(j.LKeys) != len(j.Desc) {
-			return nil, fmt.Errorf("plan: mergejoin with mismatched key lists")
-		}
-		lk := make([]schema.Attribute, len(j.LKeys))
-		rk := make([]schema.Attribute, len(j.RKeys))
-		for i := range j.LKeys {
-			lk[i] = attrFromJSON(j.LKeys[i])
-			rk[i] = attrFromJSON(j.RKeys[i])
-		}
-		return NewMergeJoin(kind, pred, lk, rk, append([]bool(nil), j.Desc...), l, r), nil
-	case "streamagg":
-		in, err := decodeJSON(j.Input, ann)
-		if err != nil {
-			return nil, err
-		}
-		keys := make([]schema.Attribute, len(j.Keys))
-		for i, k := range j.Keys {
-			keys[i] = attrFromJSON(k)
-		}
-		aggs, err := aggsFromJSON(j.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		ord := make(Order, len(j.InOrder))
-		for i, k := range j.InOrder {
-			ord[i] = SortKey{Attr: attrFromJSON(k.Attr), Desc: k.Desc}
-		}
-		return NewStreamAgg(keys, aggs, ord, in), nil
 	default:
 		return nil, fmt.Errorf("plan: unknown operator %q", j.Op)
 	}

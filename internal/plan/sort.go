@@ -25,22 +25,36 @@ func (k SortKey) String() string {
 	return k.Attr.String()
 }
 
+// Order is a sort requirement: lexicographic by the keys, NULLs last
+// ascending (first descending) — exactly the comparator SortRows
+// applies.
+type Order []SortKey
+
+// String renders e.g. "[t.a, t.b desc]".
+func (o Order) String() string {
+	parts := make([]string, len(o))
+	for i, k := range o {
+		parts[i] = k.String()
+	}
+	return "[" + strings.Join(parts, ", ") + "]"
+}
+
 // Sort origins, carried for EXPLAIN provenance: who asked for this
 // sort. The zero value ("") renders as nothing, keeping plans that
-// never met the order-aware optimizer unchanged.
+// never met the optimizer unchanged.
 const (
 	// SortOriginQuery marks a sort the query text required (ORDER BY).
 	SortOriginQuery = "query"
-	// SortOriginEnforcer marks a sort the optimizer injected to
-	// establish a required order no child delivered for free.
+	// SortOriginEnforcer marks the root sort the optimizer places over
+	// the order-free winner to establish a root ORDER BY.
 	SortOriginEnforcer = "enforcer"
 )
 
 // Sort orders its input by the keys and optionally keeps only the
 // first Limit rows (Limit < 0 means no limit). Lowering places it at
 // the root for ORDER BY/LIMIT and the reordering rules pass over it
-// untouched; the order-aware memo additionally injects it as an
-// enforcer wherever a required order must be established.
+// untouched; the optimizer strips a root ORDER BY before enumeration
+// and re-injects it as an enforcer over the order-free winner.
 type Sort struct {
 	Keys  []SortKey
 	Limit int
@@ -207,6 +221,11 @@ func sortRowsTopK(in *relation.Relation, keys []SortKey, idx []int, limit int) *
 	}
 	return out
 }
+
+// CompareForSort is SortRows's value comparator: NULLs order after
+// every non-NULL value ascending, and incomparable kinds order by
+// rendered text for determinism.
+func CompareForSort(a, b value.Value) int { return compareForSort(a, b) }
 
 // compareForSort orders values with NULLs after every non-NULL value.
 func compareForSort(a, b value.Value) int {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -219,5 +220,91 @@ func TestNodeStringsAndEvalCoverage(t *testing.T) {
 		if _, err := n.Eval(db); err == nil {
 			t.Errorf("eval error not propagated for %T", n)
 		}
+	}
+}
+
+// topKInput builds n rows with heavy duplication in the key column
+// (forcing tie-breaks), interspersed NULLs, and a payload column that
+// distinguishes physically distinct rows with equal keys.
+func topKInput(n int) *relation.Relation {
+	b := relation.NewBuilder("t", "k", "p")
+	for i := 0; i < n; i++ {
+		var k value.Value
+		switch {
+		case i%11 == 3:
+			k = value.Null
+		default:
+			k = value.NewInt(int64((i * 37) % 10)) // many duplicates
+		}
+		b.Row(k, value.NewInt(int64(i)))
+	}
+	return b.Relation()
+}
+
+// TestSortRowsTopKPinnedToFullSort is the satellite pin: for every
+// limit, the bounded-heap top-K selection must return row-for-row the
+// same output as the full stable sort truncated — including stable
+// tie order among equal keys and NULL placement.
+func TestSortRowsTopKPinnedToFullSort(t *testing.T) {
+	in := topKInput(100)
+	keySets := [][]SortKey{
+		{{Attr: schema.Attr("t", "k")}},
+		{{Attr: schema.Attr("t", "k"), Desc: true}},
+		{{Attr: schema.Attr("t", "k")}, {Attr: schema.Attr("t", "p"), Desc: true}},
+	}
+	for ki, keys := range keySets {
+		idx := []int{0}
+		if len(keys) == 2 {
+			idx = []int{0, 1}
+		}
+		for _, limit := range []int{0, 1, 2, 7, 50, 99} {
+			want := sortRowsAll(in, keys, idx, limit)
+			got := sortRowsTopK(in, keys, idx, limit)
+			if got.Len() != want.Len() {
+				t.Fatalf("keys=%d limit=%d: topK %d rows, full %d", ki, limit, got.Len(), want.Len())
+			}
+			for i := 0; i < got.Len(); i++ {
+				for j := range got.Tuple(i) {
+					if !value.Equal(got.Tuple(i)[j], want.Tuple(i)[j]) {
+						t.Fatalf("keys=%d limit=%d row %d differs:\ntopK: %v\nfull: %v",
+							ki, limit, i, got.Tuple(i), want.Tuple(i))
+					}
+				}
+			}
+		}
+	}
+	// The dispatch in SortRows: limit >= Len takes the full path,
+	// limit < Len the heap; both must agree at the boundary.
+	keys := keySets[0]
+	atLen, _ := SortRows(in, keys, in.Len())
+	under, _ := SortRows(in, keys, in.Len()-1)
+	if atLen.Len() != in.Len() || under.Len() != in.Len()-1 {
+		t.Fatalf("boundary limits wrong: %d, %d", atLen.Len(), under.Len())
+	}
+	for i := 0; i < under.Len(); i++ {
+		if !value.Equal(atLen.Tuple(i)[1], under.Tuple(i)[1]) {
+			t.Fatalf("boundary row %d differs", i)
+		}
+	}
+}
+
+// BenchmarkSortRows contrasts the full sort against the bounded heap
+// at small k — the top-K path should not allocate or compare
+// proportionally to n log n.
+func BenchmarkSortRows(b *testing.B) {
+	in := topKInput(10000)
+	keys := []SortKey{{Attr: schema.Attr("t", "k")}, {Attr: schema.Attr("t", "p")}}
+	for _, limit := range []int{-1, 10, 100} {
+		name := "full"
+		if limit >= 0 {
+			name = fmt.Sprintf("top%d", limit)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := SortRows(in, keys, limit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

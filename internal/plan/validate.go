@@ -29,20 +29,20 @@ import (
 // before returning them: a plan that optimizes "successfully" but
 // violates these invariants is a bug worth failing loudly on.
 func Validate(n Node, db Database) error {
-	_, err := validate(n, db, OrderSourceFromDB(db))
+	_, err := validate(n, db)
 	return err
 }
 
-func validate(n Node, db Database, src OrderSource) (*schema.Schema, error) {
+func validate(n Node, db Database) (*schema.Schema, error) {
 	switch m := n.(type) {
 	case *Scan:
 		return m.Schema(db)
 	case *Join:
-		ls, err := validate(m.L, db, src)
+		ls, err := validate(m.L, db)
 		if err != nil {
 			return nil, err
 		}
-		rs, err := validate(m.R, db, src)
+		rs, err := validate(m.R, db)
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +55,7 @@ func validate(n Node, db Database, src OrderSource) (*schema.Schema, error) {
 		}
 		return out, nil
 	case *Select:
-		in, err := validate(m.Input, db, src)
+		in, err := validate(m.Input, db)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +64,7 @@ func validate(n Node, db Database, src OrderSource) (*schema.Schema, error) {
 		}
 		return in, nil
 	case *GenSel:
-		in, err := validate(m.Input, db, src)
+		in, err := validate(m.Input, db)
 		if err != nil {
 			return nil, err
 		}
@@ -76,11 +76,11 @@ func validate(n Node, db Database, src OrderSource) (*schema.Schema, error) {
 		}
 		return in, nil
 	case *MGOJNode:
-		ls, err := validate(m.L, db, src)
+		ls, err := validate(m.L, db)
 		if err != nil {
 			return nil, err
 		}
-		rs, err := validate(m.R, db, src)
+		rs, err := validate(m.R, db)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +100,7 @@ func validate(n Node, db Database, src OrderSource) (*schema.Schema, error) {
 		}
 		return out, nil
 	case *GroupBy:
-		in, err := validate(m.Input, db, src)
+		in, err := validate(m.Input, db)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +122,7 @@ func validate(n Node, db Database, src OrderSource) (*schema.Schema, error) {
 		}
 		return schema.New(attrs...), nil
 	case *Project:
-		in, err := validate(m.Input, db, src)
+		in, err := validate(m.Input, db)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +133,7 @@ func validate(n Node, db Database, src OrderSource) (*schema.Schema, error) {
 		}
 		return schema.New(m.Attrs...), nil
 	case *Sort:
-		in, err := validate(m.Input, db, src)
+		in, err := validate(m.Input, db)
 		if err != nil {
 			return nil, err
 		}
@@ -143,83 +143,6 @@ func validate(n Node, db Database, src OrderSource) (*schema.Schema, error) {
 			}
 		}
 		return in, nil
-	case *MergeJoin:
-		ls, err := validate(m.L, db, src)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := validate(m.R, db, src)
-		if err != nil {
-			return nil, err
-		}
-		if !ls.Disjoint(rs) {
-			return nil, fmt.Errorf("plan: merge join inputs share attributes in %s", m)
-		}
-		out := ls.Concat(rs)
-		if err := predIn(m.Pred, out, m); err != nil {
-			return nil, err
-		}
-		if len(m.LKeys) == 0 || len(m.LKeys) != len(m.RKeys) || len(m.LKeys) != len(m.Desc) {
-			return nil, fmt.Errorf("plan: merge join key lists mismatched in %s", m)
-		}
-		for i := range m.LKeys {
-			if !ls.Contains(m.LKeys[i]) {
-				return nil, fmt.Errorf("plan: merge key %s not in left input of %s", m.LKeys[i], m)
-			}
-			if !rs.Contains(m.RKeys[i]) {
-				return nil, fmt.Errorf("plan: merge key %s not in right input of %s", m.RKeys[i], m)
-			}
-		}
-		// The delivered-order claims must hold statically: each input's
-		// computed order (enforcer sorts, sorted scans, order-preserving
-		// operators in between) must imply the merge key order.
-		if got := DeliveredOrder(m.L, src); !got.Satisfies(m.LeftOrder()) {
-			return nil, fmt.Errorf("plan: left input of %s delivers %s, merge needs %s", m, got, m.LeftOrder())
-		}
-		if got := DeliveredOrder(m.R, src); !got.Satisfies(m.RightOrder()) {
-			return nil, fmt.Errorf("plan: right input of %s delivers %s, merge needs %s", m, got, m.RightOrder())
-		}
-		return out, nil
-	case *StreamAgg:
-		in, err := validate(m.Input, db, src)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range m.Keys {
-			if !in.Contains(k) {
-				return nil, fmt.Errorf("plan: group key %s not in input of %s", k, m)
-			}
-		}
-		attrs := append([]schema.Attribute(nil), m.Keys...)
-		for _, a := range m.Aggs {
-			if a.Arg != nil {
-				for _, ref := range a.Arg.Attrs(nil) {
-					if !in.Contains(ref) {
-						return nil, fmt.Errorf("plan: aggregate input %s not in input of %s", ref, m)
-					}
-				}
-			}
-			attrs = append(attrs, a.Out)
-		}
-		// InOrder must cover exactly the grouping keys: consecutive
-		// equality on the order keys must coincide with group identity.
-		if len(m.InOrder) != len(m.Keys) {
-			return nil, fmt.Errorf("plan: stream agg order %s does not cover keys of %s", m.InOrder, m)
-		}
-		keySet := make(map[schema.Attribute]bool, len(m.Keys))
-		for _, k := range m.Keys {
-			keySet[k] = true
-		}
-		for _, k := range m.InOrder {
-			if !keySet[k.Attr] {
-				return nil, fmt.Errorf("plan: stream agg order key %s is not a group key of %s", k.Attr, m)
-			}
-			delete(keySet, k.Attr)
-		}
-		if got := DeliveredOrder(m.Input, src); !got.Satisfies(m.InOrder) {
-			return nil, fmt.Errorf("plan: input of %s delivers %s, streaming needs %s", m, got, m.InOrder)
-		}
-		return schema.New(attrs...), nil
 	default:
 		return nil, fmt.Errorf("plan: Validate: unknown node type %T", n)
 	}

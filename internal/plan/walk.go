@@ -140,26 +140,6 @@ func Indent(n Node) string {
 			} else {
 				fmt.Fprintf(&b, "%sSort [%s]%s\n", pad, strings.Join(keys, ", "), origin)
 			}
-		case *MergeJoin:
-			keys := make([]string, len(m.LKeys))
-			for i := range m.LKeys {
-				d := ""
-				if m.Desc[i] {
-					d = " desc"
-				}
-				keys[i] = m.LKeys[i].String() + "=" + m.RKeys[i].String() + d
-			}
-			fmt.Fprintf(&b, "%sMergeJoin %s on %s keys [%s]\n", pad, m.Kind, m.Pred, strings.Join(keys, ", "))
-		case *StreamAgg:
-			keys := make([]string, len(m.Keys))
-			for i, k := range m.Keys {
-				keys[i] = k.String()
-			}
-			aggs := make([]string, len(m.Aggs))
-			for i, a := range m.Aggs {
-				aggs[i] = a.String()
-			}
-			fmt.Fprintf(&b, "%sStreamAgg [%s] aggs [%s] sorted %s\n", pad, strings.Join(keys, ", "), strings.Join(aggs, ", "), m.InOrder)
 		default:
 			fmt.Fprintf(&b, "%s%s\n", pad, n)
 		}

@@ -43,7 +43,6 @@ func analyzeTable(rel *relation.Relation) TableStats {
 			ts.Columns[a.Col] = columnStats(img.Col(i), img.N)
 		}
 	}
-	ts.Sorted = plan.DetectOrder(rel)
 	return ts
 }
 

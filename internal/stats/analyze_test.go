@@ -52,7 +52,6 @@ func tupleWalk(db plan.Database) Catalog {
 			}
 			ts.Columns[a.Col] = cs
 		}
-		ts.Sorted = plan.DetectOrder(rel)
 		cat[name] = ts
 	}
 	return cat
@@ -121,7 +120,7 @@ func checkAnalyze(t *testing.T, label string, db plan.Database) {
 
 // TestAnalyzeMatchesTupleWalk: the typed pass over the columnar image
 // and the tuple walk agree on every statistic, MCV keys and fractions
-// and the detected sort order included.
+// included.
 func TestAnalyzeMatchesTupleWalk(t *testing.T) {
 	checkAnalyze(t, "chain", datagen.Chain(4, datagen.UniformConfig{Rows: 400, Domain: 50, NullFrac: 0.15}, 7))
 	checkAnalyze(t, "skewed", datagen.Skewed(datagen.DefaultSkewConfig))
@@ -210,7 +209,6 @@ func TestAnalyzeOnFirstUse(t *testing.T) {
 			if _, err := sess.PlanCost(join); err != nil {
 				t.Error(err)
 			}
-			sess.ScanOrder(plan.NewScan("r1"))
 		}()
 	}
 	wg.Wait()

@@ -40,10 +40,6 @@ type ColumnStats struct {
 type TableStats struct {
 	Rows    float64
 	Columns map[string]ColumnStats // keyed by column name
-	// Sorted is the physical sort order the stored extension delivers
-	// when scanned (nil when unsorted) — the property the order-aware
-	// extractor consults to skip enforcer sorts over pre-sorted input.
-	Sorted plan.Order
 }
 
 // Catalog maps base relation names to statistics.
@@ -231,9 +227,6 @@ func (e *Estimator) rowsSwitch(n plan.Node, s *Session) (float64, error) {
 		return in * e.Selectivity(m.Pred), nil
 	case *plan.Join:
 		return e.joinRows(m.Kind, m.Pred, m.L, m.R, s)
-	case *plan.MergeJoin:
-		// Same logical output as the hash join of the same kind.
-		return e.joinRows(m.Kind, m.Pred, m.L, m.R, s)
 	case *plan.GenSel:
 		in, err := e.rows(m.Input, s)
 		if err != nil {
@@ -260,9 +253,6 @@ func (e *Estimator) rowsSwitch(n plan.Node, s *Session) (float64, error) {
 		return match + float64(len(m.Preserved))*math.Max(l, r)*0.5, nil
 	case *plan.GroupBy:
 		return e.groupRows(m.Keys, m.Input, s)
-	case *plan.StreamAgg:
-		// Same logical output as hash grouping on the same keys.
-		return e.groupRows(m.Keys, m.Input, s)
 	case *plan.Project:
 		in, err := e.rows(m.Input, s)
 		if err != nil {
@@ -286,9 +276,7 @@ func (e *Estimator) rowsSwitch(n plan.Node, s *Session) (float64, error) {
 	}
 }
 
-// joinRows estimates the output of a join of the given kind — shared
-// by the hash and merge physical forms, which produce the same
-// multiset.
+// joinRows estimates the output of a join of the given kind.
 func (e *Estimator) joinRows(kind plan.JoinKind, p expr.Pred, ln, rn plan.Node, s *Session) (float64, error) {
 	l, err := e.rows(ln, s)
 	if err != nil {
@@ -311,8 +299,7 @@ func (e *Estimator) joinRows(kind plan.JoinKind, p expr.Pred, ln, rn plan.Node, 
 	}
 }
 
-// groupRows estimates the number of groups over keys — shared by the
-// hash and streaming physical forms.
+// groupRows estimates the number of groups over keys.
 func (e *Estimator) groupRows(keys []schema.Attribute, input plan.Node, s *Session) (float64, error) {
 	in, err := e.rows(input, s)
 	if err != nil {
@@ -427,30 +414,6 @@ func (e *Estimator) costSwitch(n plan.Node, s *Session, rec func(plan.Node) (flo
 			}
 			opCost += float64(preserved) * (lr + rr) * e.Cost.Hash
 			return rows, lc + rc + opCost, nil
-		case *plan.MergeJoin:
-			lr, lc, err := rec(m.L)
-			if err != nil {
-				return 0, 0, err
-			}
-			rr, rc, err := rec(m.R)
-			if err != nil {
-				return 0, 0, err
-			}
-			// One interleaved pass over both sorted inputs — a
-			// comparison per advance, no hash table — plus the output.
-			// The savings relative to a hash join are real only when
-			// the inputs arrive sorted; when they do not, the explicit
-			// enforcer Sort nodes beneath carry the n log n charge.
-			op := (lr+rr)*e.Cost.Pred + rows*e.Cost.Tuple
-			return rows, lc + rc + op, nil
-		case *plan.StreamAgg:
-			in, c, err := rec(m.Input)
-			if err != nil {
-				return 0, 0, err
-			}
-			// A boundary comparison per input tuple replaces the hash
-			// probe; sorted arrival is paid for by enforcers below.
-			return rows, c + in*e.Cost.Pred + rows*e.Cost.Tuple, nil
 		case *plan.GenSel:
 			in, c, err := rec(m.Input)
 			if err != nil {
@@ -568,18 +531,6 @@ func (s *Session) PlanCost(n plan.Node) (float64, error) {
 // Estimator returns the underlying estimator (catalog and cost
 // model).
 func (s *Session) Estimator() *Estimator { return s.e }
-
-// ScanOrder reports the physical sort order the scan delivers, from
-// the table's ANALYZE-time detection, requalified to the scan's
-// alias. It makes Session an order-aware coster: the memo's ordered
-// extractor consults it to know which leaves are born sorted.
-func (s *Session) ScanOrder(sc *plan.Scan) plan.Order {
-	ts, ok := s.e.table(sc.Rel)
-	if !ok {
-		return nil
-	}
-	return plan.RequalifyOrder(ts.Sorted, sc.Rel, sc.Name())
-}
 
 // hasEquiConjunct reports whether p contains a column = column
 // conjunct usable by a hash join.
