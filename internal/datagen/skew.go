@@ -22,9 +22,10 @@ type SkewConfig struct {
 	DimRows  int // rows in d1(j, a)
 	TagRows  int // rows in d2(a, tag)
 	// Keys is the fact key domain; zipfian with exponent ZipfS, so
-	// key 0 is the heavy hitter. Chosen > 64 by default so the
-	// ANALYZE step keeps no most-common-values list and the estimator
-	// falls back to uniformity.
+	// key 0 is the heavy hitter. Chosen > 64 by default, so ANALYZE
+	// lists only the heavy hitters (keys 0 and 1 on the default
+	// instance) and estimates every other key at the mean share of the
+	// unlisted keys, below the real share of the next few.
 	Keys  int
 	ZipfS float64 // zipf exponent (>1; default 1.2)
 	// CorrMod makes fact.v = fact.k mod CorrMod — the correlated

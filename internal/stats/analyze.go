@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/batch"
 	"repro/internal/obs"
@@ -10,9 +11,18 @@ import (
 	"repro/internal/value"
 )
 
-// maxTopValues is the largest number of distinct values a column may
-// have and still carry a most-common-values list.
-const maxTopValues = 64
+// completeTop is the largest number of distinct values a column may
+// have and still carry a complete most-common-values list: every value
+// with its fraction.
+const completeTop = 64
+
+// A column with more distinct values keeps only its heavy hitters: each
+// value whose count is at least heavyFactor times the column's mean
+// count per distinct value, at most maxHeavy of them.
+const (
+	heavyFactor = 10
+	maxHeavy    = 64
+)
 
 // FromDatabase computes exact statistics for every table of db — the
 // eager "ANALYZE" of this engine. Each table is analyzed from its
@@ -95,17 +105,52 @@ func classCounts[T any, K comparable](v *batch.Vec, vals []T, class func(T) K) (
 
 // summarize turns a column's class counts into its ColumnStats; key
 // renders a class as the value.Key string the MCV list is looked up by.
+// A column with at most completeTop distinct values lists them all. A
+// larger one lists its heavy hitters — count ≥ heavyFactor × the mean
+// count per distinct value — and records the per-value share of the
+// rest, (1 − NullFrac − Σtop) / (Distinct − |top|). When more than
+// maxHeavy values qualify, the cut rises above the count of the
+// (maxHeavy+1)-th largest, so ties never decide which values stay.
 func summarize[K comparable](rows, nulls int, freq map[K]int, key func(K) string) ColumnStats {
-	cs := ColumnStats{Distinct: float64(len(freq))}
+	d := len(freq)
+	cs := ColumnStats{Distinct: float64(d)}
 	if rows == 0 {
 		return cs
 	}
 	cs.NullFrac = float64(nulls) / float64(rows)
-	if len(freq) > 0 && len(freq) <= maxTopValues {
-		cs.TopValues = make(map[string]float64, len(freq))
+	if d == 0 {
+		return cs
+	}
+	if d <= completeTop {
+		cs.TopValues = make(map[string]float64, d)
 		for k, n := range freq {
 			cs.TopValues[key(k)] = float64(n) / float64(rows)
 		}
+		return cs
 	}
+	nonNull := rows - nulls
+	minCount := (heavyFactor*nonNull + d - 1) / d // n·d ≥ heavyFactor·nonNull
+	var heavy []int
+	for _, n := range freq {
+		if n >= minCount {
+			heavy = append(heavy, n)
+		}
+	}
+	if len(heavy) == 0 {
+		return cs
+	}
+	if len(heavy) > maxHeavy {
+		sort.Sort(sort.Reverse(sort.IntSlice(heavy)))
+		minCount = heavy[maxHeavy] + 1
+	}
+	cs.TopValues = make(map[string]float64, min(len(heavy), maxHeavy))
+	listed := 0
+	for k, n := range freq {
+		if n >= minCount {
+			cs.TopValues[key(k)] = float64(n) / float64(rows)
+			listed += n
+		}
+	}
+	cs.Rest = float64(nonNull-listed) / float64(rows) / float64(d-len(cs.TopValues))
 	return cs
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -44,10 +45,43 @@ func tupleWalk(db plan.Database) Catalog {
 			if rel.Len() > 0 {
 				cs.NullFrac = float64(nulls) / float64(rel.Len())
 			}
+			// The list: every class of a column with at most 64, else
+			// the classes holding ≥ 10× the mean count per class — the
+			// 64 largest, less any tied at the 65th count.
+			listed := map[string]bool{}
 			if len(freq) > 0 && len(freq) <= 64 && rel.Len() > 0 {
-				cs.TopValues = make(map[string]float64, len(freq))
+				for k := range freq {
+					listed[k] = true
+				}
+			} else if len(freq) > 64 {
+				nonNull := rel.Len() - nulls
+				var heavy []int
 				for k, n := range freq {
-					cs.TopValues[k] = float64(n) / float64(rel.Len())
+					if n*len(freq) >= 10*nonNull {
+						listed[k] = true
+						heavy = append(heavy, n)
+					}
+				}
+				if len(heavy) > 64 {
+					sort.Sort(sort.Reverse(sort.IntSlice(heavy)))
+					for k := range listed {
+						if freq[k] <= heavy[64] {
+							delete(listed, k)
+						}
+					}
+				}
+				if len(listed) > 0 {
+					rest := nonNull
+					for k := range listed {
+						rest -= freq[k]
+					}
+					cs.Rest = float64(rest) / float64(rel.Len()) / float64(len(freq)-len(listed))
+				}
+			}
+			if len(listed) > 0 {
+				cs.TopValues = make(map[string]float64, len(listed))
+				for k := range listed {
+					cs.TopValues[k] = float64(freq[k]) / float64(rel.Len())
 				}
 			}
 			ts.Columns[a.Col] = cs
@@ -98,12 +132,60 @@ func edgeDB() plan.Database {
 		"top64":    oneColumn("top64", distinctInts(64)...),
 		"top65":    oneColumn("top65", distinctInts(65)...),
 	}
+	// Heavy hitters of high-cardinality columns: see heavyDB.
+	for name, rel := range heavyDB() {
+		db[name] = rel
+	}
 	sorted := relation.NewBuilder("sorted", "k", "v")
 	for k := 0; k < 40; k++ {
 		sorted.Row(i(int64(k/2)), f(float64(k)/3))
 	}
 	db["sorted"] = sorted.Relation()
 	return db
+}
+
+// heavyDB holds high-cardinality columns around the heavy-hitter rule:
+//
+//   - cutoff: 100 classes over 200 rows (mean 2, cut 20): 64 and 20
+//     are listed, 19 — one under the cut — is not;
+//   - nullheavy: 900 NULLs and 100 values over 70 classes (cut ⌈1000/70⌉
+//     = 15): only the 31-row value is listed;
+//   - anyheavy: a mixed-kind column of 80 classes over 168 rows (cut
+//     21): INT 0 with FLOAT 0 and −0 (one class, 50 rows) and 'a' (40).
+func heavyDB() plan.Database {
+	i, f, s := value.NewInt, value.NewFloat, value.NewString
+	rep := func(v value.Value, n int) []value.Value {
+		out := make([]value.Value, n)
+		for j := range out {
+			out[j] = v
+		}
+		return out
+	}
+	var cutoff []value.Value
+	cutoff = append(cutoff, rep(i(1000), 64)...)
+	cutoff = append(cutoff, rep(i(2000), 20)...)
+	cutoff = append(cutoff, rep(i(3000), 19)...)
+	for j := 0; j < 97; j++ {
+		cutoff = append(cutoff, i(int64(j)))
+	}
+	nullheavy := rep(value.Null, 900)
+	nullheavy = append(nullheavy, rep(s("heavy"), 31)...)
+	for j := 0; j < 69; j++ {
+		nullheavy = append(nullheavy, s(fmt.Sprint("v", j)))
+	}
+	var anyheavy []value.Value
+	anyheavy = append(anyheavy, rep(i(0), 30)...)
+	anyheavy = append(anyheavy, rep(f(0), 10)...)
+	anyheavy = append(anyheavy, rep(f(math.Copysign(0, -1)), 10)...)
+	anyheavy = append(anyheavy, rep(s("a"), 40)...)
+	for j := 0; j < 78; j++ {
+		anyheavy = append(anyheavy, s(fmt.Sprint("x", j)))
+	}
+	return plan.Database{
+		"cutoff":    oneColumn("cutoff", cutoff...),
+		"nullheavy": oneColumn("nullheavy", nullheavy...),
+		"anyheavy":  oneColumn("anyheavy", anyheavy...),
+	}
 }
 
 // checkAnalyze compares analyzeTable against the tuple walk on every
@@ -161,7 +243,44 @@ func TestAnalyzeMatchesTupleWalk(t *testing.T) {
 	if got := cat["allnull"].Columns["a"]; got.Distinct != 0 || got.NullFrac != 1 || got.TopValues != nil {
 		t.Errorf("all-NULL column: %+v", got)
 	}
-	for name, want := range map[string]batch.Phys{"mixed": batch.PhysAny, "intfloat": batch.PhysAny, "nan": batch.PhysFloat, "bools": batch.PhysBool, "strs": batch.PhysStr} {
+	// share is the rest's per-class share: rest rows over the table's
+	// rows, over the unlisted classes.
+	share := func(rest, rows, classes int) float64 { return float64(rest) / float64(rows) / float64(classes) }
+	for _, c := range []struct {
+		table     string
+		distinct  float64
+		listed    []value.Value
+		notListed []value.Value
+		nullFrac  float64
+		rest      float64
+	}{
+		{"cutoff", 100, []value.Value{value.NewInt(1000), value.NewInt(2000)}, []value.Value{value.NewInt(3000), value.NewInt(5)}, 0, share(116, 200, 98)},
+		{"nullheavy", 70, []value.Value{value.NewString("heavy")}, []value.Value{value.NewString("v0"), value.Null}, 0.9, share(69, 1000, 69)},
+		{"anyheavy", 80, []value.Value{value.NewInt(0), value.NewFloat(math.Copysign(0, -1)), value.NewString("a")}, []value.Value{value.NewString("x0"), value.NewString("0")}, 0, share(78, 168, 78)},
+	} {
+		cs := cat[c.table].Columns["c"]
+		if cs.Distinct != c.distinct || cs.NullFrac != c.nullFrac || cs.Rest != c.rest || cs.TopValues == nil {
+			t.Errorf("%s: %+v; want distinct %v, null fraction %v, rest %v and a list", c.table, cs, c.distinct, c.nullFrac, c.rest)
+			continue
+		}
+		for _, v := range c.listed {
+			if _, ok := cs.TopValues[v.Key()]; !ok {
+				t.Errorf("%s: %v is not listed", c.table, v)
+			}
+		}
+		for _, v := range c.notListed {
+			if frac, ok := cs.TopValues[v.Key()]; ok {
+				t.Errorf("%s: %v is listed at %v", c.table, v, frac)
+			}
+			if got := cs.eqSelectivity(v); got != c.rest {
+				t.Errorf("%s: selectivity of unlisted %v is %v, want the rest's share %v", c.table, v, got, c.rest)
+			}
+		}
+	}
+	if got := cat["anyheavy"].Columns["c"].TopValues[value.NewFloat(0).Key()]; got != 50.0/168 {
+		t.Errorf("anyheavy: INT 0, FLOAT 0 and −0 listed at %v, want one class at 50/168", got)
+	}
+	for name, want := range map[string]batch.Phys{"mixed": batch.PhysAny, "intfloat": batch.PhysAny, "nan": batch.PhysFloat, "bools": batch.PhysBool, "strs": batch.PhysStr, "anyheavy": batch.PhysAny, "nullheavy": batch.PhysStr} {
 		if got := batch.Of(db[name]).Col(0).Phys; got != want {
 			t.Errorf("premise: %s is %s, want %s", name, got, want)
 		}

@@ -30,10 +30,31 @@ import (
 type ColumnStats struct {
 	Distinct float64 // number of distinct non-NULL values
 	NullFrac float64 // fraction of NULLs
-	// TopValues maps frequent value keys to their fraction of the
-	// rows (a most-common-values list), used for column = constant
-	// selectivity. Populated when the column has few distinct values.
+	// TopValues maps value keys to their fraction of the rows (a
+	// most-common-values list), used for column = value selectivity:
+	// every value of a column with few distinct values, the heavy
+	// hitters of any other (nil when it has none).
 	TopValues map[string]float64
+	// Rest is the fraction of the rows each value absent from a partial
+	// TopValues holds on average; 0 when TopValues lists every value.
+	Rest float64
+}
+
+// eqSelectivity estimates the fraction of rows whose value equals v:
+// the listed fraction, the rest's share for a value a partial list
+// omits, 0.001 for one a complete list omits (a rare value), and
+// 1/Distinct for a column without a list.
+func (cs ColumnStats) eqSelectivity(v value.Value) float64 {
+	if cs.TopValues == nil {
+		return 1 / math.Max(1, cs.Distinct)
+	}
+	if frac, ok := cs.TopValues[v.Key()]; ok {
+		return frac
+	}
+	if cs.Rest > 0 {
+		return cs.Rest
+	}
+	return 0.001
 }
 
 // TableStats summarises one base relation.
@@ -66,6 +87,9 @@ type Estimator struct {
 	// tables maps each base relation to its statistics; the map is
 	// fixed at construction and every entry is computed at most once.
 	tables map[string]func() *TableStats
+	// params are the values bound to $1, $2, … for a WithParams view
+	// (nil: a parameter's value is unknown).
+	params []value.Value
 }
 
 // NewEstimator builds an estimator over an already analyzed catalog
@@ -155,15 +179,36 @@ func (e *Estimator) atomSelectivity(p expr.Pred) float64 {
 	}
 }
 
-// eqConstSelectivity estimates column = constant, consulting the
-// most-common-values list when the constant is a literal.
+// WithParams returns a view of e that estimates a `col = $n` conjunct
+// with the value params[n-1] binds, as it would the literal. The view
+// shares e's tables, so a table either analyzes is analyzed once for
+// both.
+func (e *Estimator) WithParams(params []value.Value) *Estimator {
+	v := *e
+	v.params = params
+	return &v
+}
+
+// param returns the value bound to p, if the estimator has one.
+func (e *Estimator) param(p expr.Param) (value.Value, bool) {
+	if p.Idx < 1 || p.Idx > len(e.params) {
+		return value.Value{}, false
+	}
+	return e.params[p.Idx-1], true
+}
+
+// eqConstSelectivity estimates column = constant. A literal, or a
+// parameter the estimator has a bound value for, is looked up in the
+// column's list; any other scalar gets 1/Distinct.
 func (e *Estimator) eqConstSelectivity(col expr.Col, other expr.Scalar) float64 {
 	cs := e.column(col.Attr)
-	if c, ok := other.(expr.Const); ok && cs.TopValues != nil {
-		if frac, ok := cs.TopValues[c.Val.Key()]; ok {
-			return frac
+	switch x := other.(type) {
+	case expr.Const:
+		return cs.eqSelectivity(x.Val)
+	case expr.Param:
+		if v, ok := e.param(x); ok {
+			return cs.eqSelectivity(v)
 		}
-		return 0.001 // literal absent from the MCV list: rare value
 	}
 	return 1 / math.Max(1, cs.Distinct)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -231,5 +232,31 @@ func TestEstimatesCoverAllNodes(t *testing.T) {
 		if _, err := est.PlanCost(n); err == nil {
 			t.Errorf("PlanCost(%T) should fail", n)
 		}
+	}
+}
+
+// TestWithParamsReadsBoundValue: a WithParams view estimates
+// `col = $n` exactly as the literal it binds, the base estimator keeps
+// 1/Distinct for it, and both share one analysis per table.
+func TestWithParamsReadsBoundValue(t *testing.T) {
+	analyzed := obs.Default().Counter("stats.analyze.tables")
+	before := analyzed.Value()
+	est := ForDatabase(testDB())
+	eqParam := expr.Cmp{Op: value.EQ, L: expr.Column("r2", "s"), R: expr.Param{Idx: 2}}
+	view := est.WithParams([]value.Value{value.NewInt(1), value.NewString("BANKRUPT")})
+	if got := view.Selectivity(eqParam); got != 0.1 {
+		t.Errorf("bound $2 = 'BANKRUPT': selectivity %v, want its fraction 0.1", got)
+	}
+	if got, want := view.Selectivity(eqParam), est.Selectivity(expr.Cmp{Op: value.EQ, L: expr.Column("r2", "s"), R: expr.Str("BANKRUPT")}); got != want {
+		t.Errorf("bound parameter %v, literal %v", got, want)
+	}
+	if got := est.Selectivity(eqParam); got != 0.5 {
+		t.Errorf("unbound $2: selectivity %v, want 1/Distinct = 0.5", got)
+	}
+	if got := est.WithParams(nil).Selectivity(eqParam); got != 0.5 {
+		t.Errorf("$2 past the bound values: selectivity %v, want 1/Distinct", got)
+	}
+	if got := analyzed.Value() - before; got != 1 {
+		t.Errorf("estimator and view analyzed r2 %d times, want once", got)
 	}
 }

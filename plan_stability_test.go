@@ -1,10 +1,10 @@
 // Plan-stability golden test: the benchmark's template shapes,
-// optimized exactly as Service.serve does (parse, parameterize, lower,
-// optimizer.New(est).Optimize), must keep the winners recorded in
-// testdata/plan_stability.json. The SQL is copied from
+// optimized exactly as Service.serve does on a cache miss (parse,
+// parameterize, lower, optimizer.New(est.WithParams(params)).Optimize,
+// so the estimator sees the literals), must keep the winners recorded
+// in testdata/plan_stability.json. The SQL is copied from
 // bench/workloads.go as literals so this file neither imports nor
-// edits bench/; a constant stands in for each %d (parameterization
-// strips it before the optimizer sees the query).
+// edits bench/; a constant stands in for each %d.
 //
 // Regenerate with `go test -run TestPlanStability -update-plan-golden .`
 // only when a plan change is intended, and say why in CHANGES.md.
@@ -56,11 +56,15 @@ func stabilitySupplier() Database {
 	return datagen.Supplier(cfg)
 }
 
-func stabilitySkew() Database {
+func stabilitySkew() Database { return skewScaled(4) }
+
+// skewScaled is datagen.DefaultSkewConfig with every table divided by
+// denom, scaled as the benchmark scales it (denom 4 is its data).
+func skewScaled(denom int) Database {
 	cfg := datagen.DefaultSkewConfig
-	cfg.FactRows /= 4
-	cfg.DimRows /= 4
-	cfg.TagRows /= 4
+	cfg.FactRows /= denom
+	cfg.DimRows /= denom
+	cfg.TagRows /= denom
 	cfg.JoinDomain = cfg.DimRows / 40
 	cfg.ADomain = cfg.DimRows / 40
 	cfg.Seed = stabilitySeed
@@ -156,12 +160,12 @@ func TestPlanStability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", tc.name, err)
 		}
-		tmpl, _ := sql.Parameterize(stmt)
+		tmpl, params := sql.Parameterize(stmt)
 		node, err := sql.Lower(tmpl, dbs[tc.db])
 		if err != nil {
 			t.Fatalf("%s: lower: %v", tc.name, err)
 		}
-		res, err := optimizer.New(ests[tc.db]).Optimize(node, dbs[tc.db])
+		res, err := optimizer.New(ests[tc.db].WithParams(params)).Optimize(node, dbs[tc.db])
 		if err != nil {
 			t.Fatalf("%s: optimize: %v", tc.name, err)
 		}

@@ -4,8 +4,9 @@
 // optimization is the expensive step worth doing well once, so the
 // service parameterizes every incoming query (literals become $n
 // slots), optimizes the parameterized template exactly once per
-// distinct shape, and serves every later request with the same shape
-// by binding its constants into the cached winner.
+// distinct shape — with the values of the request that missed visible
+// to the estimator — and serves every later request with the same
+// shape by binding its constants into the cached winner.
 package reorder
 
 import (
@@ -473,7 +474,7 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 	var optimizeNs int64
 	if req.Cache == "bypass" {
 		optStart := time.Now()
-		cp, err := s.optimizeTemplate(node, b, reg)
+		cp, err := s.optimizeTemplate(node, params, b, reg)
 		optimizeNs = time.Since(optStart).Nanoseconds()
 		if err != nil {
 			return nil, "", hash, classify(err, false)
@@ -481,7 +482,7 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 		cached = cp
 	} else {
 		optStart := time.Now()
-		entry, st, err := s.cache.Do(ctx, key, hash, s.fillCache(key, node, b, reg))
+		entry, st, err := s.cache.Do(ctx, key, hash, s.fillCache(key, node, params, b, reg))
 		if err != nil {
 			return nil, "", hash, classify(err, false)
 		}
@@ -539,7 +540,7 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 	}
 	if s.fb != nil {
 		replan := req.Cache != "bypass" // bypass has no cache entry to rebuild
-		if err := s.observeExecution(ctx, key, hash, node, cached, bound, ann, replan, b, reg, resp); err != nil {
+		if err := s.observeExecution(ctx, key, hash, node, params, cached, bound, ann, replan, b, reg, resp); err != nil {
 			return nil, planKey, hash, classify(err, false)
 		}
 	}
@@ -571,11 +572,13 @@ func boxRows(rel *batch.Rel) [][]any {
 }
 
 // optimizeTemplate runs the full optimizer on the parameterized
-// template under the request's budget. In feedback mode the feedback
-// store rides along, so re-optimizations rank plans with corrected
+// template under the request's budget, estimating each `col = $n`
+// with the value params binds. In feedback mode the feedback store
+// rides along, so re-optimizations rank plans with corrected
 // cardinalities (a cold store changes nothing).
-func (s *Service) optimizeTemplate(node plan.Node, b *guard.Budget, reg *obs.Registry) (*cachedPlan, error) {
-	o := optimizer.New(s.est)
+func (s *Service) optimizeTemplate(node plan.Node, params []value.Value, b *guard.Budget, reg *obs.Registry) (*cachedPlan, error) {
+	est := s.est.WithParams(params)
+	o := optimizer.New(est)
 	o.Opts.Workers = s.cfg.Workers
 	if s.cfg.MaxPlans > 0 {
 		o.Opts.MaxPlans = s.cfg.MaxPlans
@@ -597,7 +600,7 @@ func (s *Service) optimizeTemplate(node plan.Node, b *guard.Budget, reg *obs.Reg
 		// Snapshot what the optimizer believed, subtree by subtree —
 		// the baseline later executions measure drift against. The
 		// session memoizes, so this is one pass over distinct subtrees.
-		sess := s.est.NewSession(reg)
+		sess := est.NewSession(reg)
 		sess.SetBudget(b)
 		sess.SetFeedback(s.fb)
 		cp.estRows = make(map[string]float64)
@@ -625,8 +628,9 @@ func (s *Service) optimizeTemplate(node plan.Node, b *guard.Budget, reg *obs.Reg
 // the (feedback-corrected) estimates the optimizer would see today,
 // folded into the store keyed by TEMPLATE subtree fingerprint (so the
 // learning transfers across parameter bindings), and a template that
-// keeps drifting past the q-error threshold is re-planned in place.
-func (s *Service) observeExecution(ctx context.Context, key string, hash uint64, node plan.Node, cached *cachedPlan, bound plan.Node, ann plan.Annotations, replan bool, b *guard.Budget, reg *obs.Registry, resp *Response) error {
+// keeps drifting past the q-error threshold is re-planned in place
+// with this request's values.
+func (s *Service) observeExecution(ctx context.Context, key string, hash uint64, node plan.Node, params []value.Value, cached *cachedPlan, bound plan.Node, ann plan.Annotations, replan bool, b *guard.Budget, reg *obs.Registry, resp *Response) error {
 	// Drift is measured against the estimates the cached plan was
 	// optimized with (cached.estRows), not a freshly corrected
 	// session: corrections recorded by earlier runs would otherwise
@@ -696,7 +700,7 @@ func (s *Service) observeExecution(ctx context.Context, key string, hash uint64,
 		return nil
 	}
 	reg.Counter("feedback.drift_trips").Inc()
-	if err := s.replanTemplate(ctx, key, hash, node, b, reg); err != nil {
+	if err := s.replanTemplate(ctx, key, hash, node, params, b, reg); err != nil {
 		// A failed re-plan never fails the request (its results are
 		// already in hand) and never costs the cache its old entry —
 		// Refresh keeps the previous plan serving on error.
@@ -710,19 +714,20 @@ func (s *Service) observeExecution(ctx context.Context, key string, hash uint64,
 }
 
 // replanTemplate atomically rebuilds key's cache entry from a fresh
-// feedback-corrected optimization. Concurrent replans of the same
-// template collapse into one build (singleflight), and the old entry
-// serves until the new one lands.
-func (s *Service) replanTemplate(ctx context.Context, key string, hash uint64, node plan.Node, b *guard.Budget, reg *obs.Registry) error {
-	_, err := s.cache.Refresh(ctx, key, hash, s.fillCache(key, node, b, reg))
+// feedback-corrected optimization with params' values. Concurrent
+// replans of the same template collapse into one build (singleflight),
+// and the old entry serves until the new one lands.
+func (s *Service) replanTemplate(ctx context.Context, key string, hash uint64, node plan.Node, params []value.Value, b *guard.Budget, reg *obs.Registry) error {
+	_, err := s.cache.Refresh(ctx, key, hash, s.fillCache(key, node, params, b, reg))
 	return err
 }
 
-// fillCache builds key's plan-cache entry: the optimized template plus
-// the skeleton that splices each binding's plan key.
-func (s *Service) fillCache(key string, node plan.Node, b *guard.Budget, reg *obs.Registry) func() (any, int64, error) {
+// fillCache builds key's plan-cache entry: the template optimized with
+// params' values, plus the skeleton that splices each binding's plan
+// key.
+func (s *Service) fillCache(key string, node plan.Node, params []value.Value, b *guard.Budget, reg *obs.Registry) func() (any, int64, error) {
 	return func() (any, int64, error) {
-		cp, err := s.optimizeTemplate(node, b, reg)
+		cp, err := s.optimizeTemplate(node, params, b, reg)
 		if err != nil {
 			return nil, 0, err
 		}

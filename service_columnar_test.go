@@ -235,6 +235,12 @@ func checkOrdered(t *testing.T, name, query string, db Database, resp *Response,
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameRows(t, name, want, resp)
+}
+
+// sameRows fails unless resp's rows equal want's as a multiset.
+func sameRows(t *testing.T, name string, want *relation.Relation, resp *Response) {
+	t.Helper()
 	count := map[string]int{}
 	for _, row := range boxRows(batch.FromRelation(want)) {
 		count[fmt.Sprint(row)]++
@@ -358,12 +364,12 @@ func TestServiceColumnarFeedbackCorrections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl, _ := sql.Parameterize(stmt)
+	tmpl, params := sql.Parameterize(stmt)
 	node, err := sql.Lower(tmpl, svc.db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := svc.optimizeTemplate(node, nil, obs.NewRegistry())
+	cp, err := svc.optimizeTemplate(node, params, nil, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,15 @@ import (
 )
 
 // skewQuery is the workload whose static estimate is catastrophically
-// wrong: fact.k is zipfian (uniformity broken) and fact.v is a pure
-// function of fact.k (independence broken), so σ(fact) is estimated
-// ~two orders of magnitude low and the static optimizer picks the
-// wrong join order.
+// wrong, so the static optimizer picks the wrong join order. fact.k is
+// zipfian and k = 2 is not one of its heavy hitters: the statistics
+// estimate it at the mean share of the values their list omits, well
+// below its real share. fact.v is a pure function of fact.k, so the
+// product of the two conjuncts' selectivities is wrong again. The query
+// binds k = 2 rather than the heavy hitter k = 0, whose exact fraction
+// the list holds and the estimator reads.
 const skewQuery = "select fact.k, count(*) as n from fact, d1, d2 " +
-	"where fact.j = d1.j and d1.a = d2.a and fact.k = 0 and fact.v = 0 and d2.tag = 0 group by fact.k"
+	"where fact.j = d1.j and d1.a = d2.a and fact.k = 2 and fact.v = 2 and d2.tag = 0 group by fact.k"
 
 // testSkewConfig is a scaled-down DefaultSkewConfig for unit-test
 // runtimes; it preserves the q-error (zipf share vs uniform share is

@@ -302,7 +302,7 @@ func TestHandlerAllocCeiling(t *testing.T) {
 	}
 	byteCeilings := map[string]float64{
 		"supplier":       81_000,
-		"skew_groupby":   219_000,
+		"skew_groupby":   100_000,
 		"loj3_groupby":   271_000,
 		"mix3_wide":      240_000,
 		"inner3_groupby": 182_000,
