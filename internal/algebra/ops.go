@@ -219,8 +219,8 @@ func GenSelect(p expr.Pred, preserved []map[string]bool, r *relation.Relation) (
 
 // GenSelectWith is GenSelect over a precomputed sel = σ_p(r): it
 // appends the preserved-projection compensation to sel's tuples. The
-// executor's parallel path computes σ_p(r) with partitioned workers
-// and reuses the compensation logic through this entry point.
+// executor's columnar walker computes σ_p(r) with its own selection
+// kernel and pads through this entry point.
 func GenSelectWith(sel *relation.Relation, preserved []map[string]bool, r *relation.Relation) (*relation.Relation, error) {
 	out := relation.New(r.Schema())
 	for _, t := range sel.Tuples() {
@@ -274,7 +274,14 @@ func MustGenSelect(p expr.Pred, preserved []map[string]bool, r *relation.Relatio
 // joins MGOJ generalizes). A specification spanning both inputs falls
 // back to projecting the product.
 func MGOJ(p expr.Pred, preserved []map[string]bool, r1, r2 *relation.Relation) (*relation.Relation, error) {
-	join := Join(p, r1, r2)
+	return MGOJWith(Join(p, r1, r2), preserved, r1, r2)
+}
+
+// MGOJWith is MGOJ over a precomputed inner join of r1 and r2: it
+// appends the preserved-projection compensation to join's tuples, as
+// GenSelectWith does for generalized selection. The executor joins
+// with its own kernels and compensates through this entry point.
+func MGOJWith(join *relation.Relation, preserved []map[string]bool, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	s := join.Schema()
 	out := relation.New(s)
 	for _, t := range join.Tuples() {

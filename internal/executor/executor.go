@@ -1,11 +1,14 @@
-// Package executor evaluates logical plans with physical operators:
-// hash joins for equi-predicates (with residual evaluation and
-// preserved-side padding for outer joins), hash-based generalized
-// selection and aggregation, and nested loops as the general
-// fallback. Results are bit-identical (as sets) to the reference
-// semantics of plan.Node.Eval, which the package tests verify; the
-// benchmarks use this executor so that measured plan-cost shapes
-// reflect realistic engines rather than O(n·m) reference loops.
+// Package executor evaluates logical plans with physical operators.
+// Exec, the production entry point, runs a plan on the columnar engine
+// (vector.go): hash joins over equality conjuncts and nested loops
+// over the rest share one probe kernel (vecjoin.go) that evaluates
+// residuals and NULL-pads either side for outer joins, a join whose
+// build side outgrows the byte budget spills to a grace hash join
+// (spill.go), and selection, projection and grouping run as batch
+// kernels (vecagg.go). Run evaluates the same plans row-at-a-time with
+// tuple operators that share no kernel with Exec; the package tests
+// hold the two to each other and to the reference semantics of
+// plan.Node.Eval.
 package executor
 
 import (
@@ -55,11 +58,7 @@ func Run(n plan.Node, db plan.Database) (*relation.Relation, error) {
 	case *plan.Sort:
 		return plan.SortRows(in[0], m.Keys, m.Limit)
 	case *plan.GenSel:
-		specs := make([]map[string]bool, len(m.Preserved))
-		for i, s := range m.Preserved {
-			specs[i] = s.Set()
-		}
-		return algebra.GenSelect(m.Pred, specs, in[0])
+		return algebra.GenSelect(m.Pred, specSets(m.Preserved), in[0])
 	case *plan.Join:
 		return JoinExec(m.Kind, m.Pred, in[0], in[1])
 	case *plan.MGOJNode:
@@ -67,7 +66,7 @@ func Run(n plan.Node, db plan.Database) (*relation.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		return mgojCompensate(m, join, in[0], in[1], nil, nil)
+		return algebra.MGOJWith(join, specSets(m.Preserved), in[0], in[1])
 	default:
 		return nil, fmt.Errorf("executor: unsupported node %T", n)
 	}
@@ -168,373 +167,94 @@ func splitEqui(pred expr.Pred, ls, rs *schema.Schema) (keys []equiKey, residual 
 	return keys, expr.And(rest...)
 }
 
-// fastKey hashes the values at the given positions, or ok=false (no
-// match possible) when any is NULL — predicates are null in-tolerant.
-// It is the shared allocation-free key helper of the tuple hash join
-// and the spill partitioner: a thin named wrapper over
-// relation.Tuple.HashOn so both measurably execute the same code.
-// Bucket hits MUST be confirmed with Tuple.EqualOn — hashes collide.
-func fastKey(t relation.Tuple, idx []int) (uint64, bool) {
-	return t.HashOn(idx)
-}
-
-// Arena slabs start at arenaMinTuples output tuples and double up to
-// arenaChunkTuples: a join that emits a handful of rows (a point query)
-// allocates a handful, one that emits thousands amortizes row
-// allocation to one make per 512.
-const (
-	arenaMinTuples   = 16
-	arenaChunkTuples = 512
-)
-
-// tupleArena hands out fixed-width tuples carved from chunked slabs.
-// Rows from one arena stay reachable as long as the output relation
-// does, which is the same lifetime the per-row make had.
-type tupleArena struct {
-	width  int
-	slab   []value.Value
-	grow   int // tuples in the most recent slab
-	chunks int
-	tuples int
-}
-
-func newTupleArena(width int) *tupleArena { return &tupleArena{width: width} }
-
-// next returns an uninitialized tuple of the arena's width, with
-// capacity clipped so appends never bleed into neighbouring rows.
-func (a *tupleArena) next() relation.Tuple {
-	if len(a.slab) < a.width {
-		a.grow = min(max(2*a.grow, arenaMinTuples), arenaChunkTuples)
-		a.slab = make([]value.Value, a.grow*a.width)
-		a.chunks++
+// specSets is the preserved specifications as the relation-name sets
+// the algebra takes.
+func specSets(ps []plan.PreservedSpec) []map[string]bool {
+	specs := make([]map[string]bool, len(ps))
+	for i, s := range ps {
+		specs[i] = s.Set()
 	}
-	t := relation.Tuple(a.slab[:a.width:a.width])
-	a.slab = a.slab[a.width:]
-	a.tuples++
-	return t
-}
-
-// joinProbe collects the physical counters of one join execution for
-// EXPLAIN ANALYZE; a nil probe disables collection (the registry
-// fallback accounting always runs).
-type joinProbe struct {
-	BuildRows     int  // tuples hashed on the build (right) side
-	ResidualEvals int  // residual/loop predicate evaluations
-	NullPadded    int  // NULL-padded rows emitted for outer kinds
-	Collisions    int  // bucket hits rejected by key verification
-	ArenaChunks   int  // output arena slabs allocated
-	NestedLoop    bool // true when no equi conjunct was hashable
-
-	SpillParts      int   // partition files written to disk
-	SpillBytes      int64 // bytes written to spill files
-	SpillRecursions int   // recursive re-partitionings
-
-	BuildSwapped   bool // adaptive build/probe swap fired pre-probe
-	SpillEscalated bool // adaptive escalation to the grace/spill join
-
-	// Build says where a columnar hash join's table came from: "index"
-	// (the build image's shared join index) or "hash" (built for this
-	// request); empty for every other join.
-	Build string
-	// Lookup says how such a join found a probe row's build rows:
-	// "dense" (by key − min, batch.DenseIndex) or "hash".
-	Lookup string
-}
-
-// flushArenas folds arena totals into the probe and the run's
-// registry.
-func (st *joinProbe) flushArenas(reg *obs.Registry, arenas ...*tupleArena) {
-	chunks, tuples := 0, 0
-	for _, a := range arenas {
-		chunks += a.chunks
-		tuples += a.tuples
-	}
-	if st != nil {
-		st.ArenaChunks += chunks
-	}
-	reg.Counter("exec.arena.chunks").Add(int64(chunks))
-	reg.Counter("exec.arena.tuples").Add(int64(tuples))
+	return specs
 }
 
 // JoinExec joins two materialized relations with the given kind and
-// predicate, using a hash join when an equality conjunct exists and a
-// nested loop otherwise.
+// predicate: a hash join over the equality conjuncts, a nested loop
+// over every right row when there are none. It is Run's tuple join —
+// unbudgeted, uninstrumented, and sharing no kernel with the columnar
+// join Exec runs, so each checks the other.
 func JoinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*relation.Relation, error) {
-	return joinExecProbe(kind, pred, l, r, nil, nil)
-}
-
-// chargeSince charges the growth of out since *charged against the
-// budget's row/byte limits and advances the cursor; the join probe
-// calls it at batch boundaries and once at the end, so output is
-// charged exactly once.
-func chargeSince(b *guard.Budget, out *relation.Relation, charged *int, width int) error {
-	d := out.Len() - *charged
-	*charged = out.Len()
-	return b.ChargeOut(d, width)
-}
-
-func joinExecProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, st *joinProbe, b *guard.Budget) (*relation.Relation, error) {
 	ls, rs := l.Schema(), r.Schema()
 	out := relation.New(ls.Concat(rs))
 	keys, residual := splitEqui(pred, ls, rs)
-	if len(keys) == 0 {
-		// No hashable equi conjunct: count the quadratic fallback on the
-		// run's registry. EXPLAIN ANALYZE names the join through its
-		// nested_loop extra; a per-predicate metric name would mint one
-		// permanent counter per bound literal.
-		b.Registry().Counter("executor.nested_loop_fallback").Inc()
-		if st != nil {
-			st.NestedLoop = true
-		}
-		return nestedLoop(kind, pred, l, r, out, st, b)
-	}
 	li := make([]int, len(keys))
 	ri := make([]int, len(keys))
 	for i, k := range keys {
 		li[i], ri[i] = k.li, k.ri
 	}
-	// Reserve the build side's modeled resident footprint before
-	// materializing the hash table: under a MaxBytes budget an
-	// oversized build trips typed here, which is exactly the abort the
-	// spilling grace join (spill.go) exists to avoid — it reserves
-	// per-partition footprints that fit instead.
-	buildRes := estBytes(r.Len(), rs.Len())
-	if err := b.ReserveBytes(buildRes); err != nil {
-		return nil, err
-	}
-	defer b.ReleaseBytes(buildRes)
-	// Build on the right input, bucketed by 64-bit key hash.
-	build := make(map[uint64][]int, r.Len())
-	for j, t := range r.Tuples() {
-		if h, ok := fastKey(t, ri); ok {
-			build[h] = append(build[h], j)
-			if st != nil {
-				st.BuildRows++
+	// every is the nested loop's candidate list; build buckets the
+	// right rows by key hash otherwise. A NULL key matches nothing.
+	var every []int
+	var build map[uint64][]int
+	if len(keys) == 0 {
+		every = make([]int, r.Len())
+		for j := range every {
+			every[j] = j
+		}
+	} else {
+		build = make(map[uint64][]int, r.Len())
+		for j, t := range r.Tuples() {
+			if h, ok := t.HashOn(ri); ok {
+				build[h] = append(build[h], j)
 			}
 		}
 	}
-	rightMatched := make([]bool, r.Len())
 	nl, nr := ls.Len(), rs.Len()
-	env := expr.TupleEnv{Schema: out.Schema()}
-	scratch := make(relation.Tuple, nl+nr)
-	arena := newTupleArena(nl + nr)
-	collisions := 0
-	charged := 0
-	for i, lt := range l.Tuples() {
-		if i%execBatchRows == 0 {
-			if err := guard.Hit(guard.PointExecBatch); err != nil {
-				return nil, err
-			}
-			if err := b.Err(); err != nil {
-				return nil, err
-			}
-			if err := chargeSince(b, out, &charged, nl+nr); err != nil {
-				return nil, err
-			}
-		}
-		matched := false
-		if h, ok := fastKey(lt, li); ok {
-			for _, j := range build[h] {
-				rt := r.Tuple(j)
-				if !lt.EqualOn(rt, li, ri) {
-					collisions++
-					continue
-				}
-				copy(scratch, lt)
-				copy(scratch[nl:], rt)
-				env.Tuple = scratch
-				if st != nil {
-					st.ResidualEvals++
-				}
-				if residual.Eval(env).Holds() {
-					matched = true
-					rightMatched[j] = true
-					row := arena.next()
-					copy(row, scratch)
-					out.Append(row)
-				}
-			}
-		}
-		if !matched && (kind == plan.LeftJoin || kind == plan.FullJoin) {
-			row := arena.next()
-			copy(row, lt)
-			for i := nl; i < nl+nr; i++ {
-				row[i] = value.Null
-			}
-			if st != nil {
-				st.NullPadded++
-			}
-			out.Append(row)
-		}
-	}
-	if kind == plan.RightJoin || kind == plan.FullJoin {
-		for j, rt := range r.Tuples() {
-			if j%execBatchRows == 0 {
-				if err := b.Err(); err != nil {
-					return nil, err
-				}
-				if err := chargeSince(b, out, &charged, nl+nr); err != nil {
-					return nil, err
-				}
-			}
-			if rightMatched[j] {
-				continue
-			}
-			row := arena.next()
-			for i := 0; i < nl; i++ {
-				row[i] = value.Null
-			}
-			copy(row[nl:], rt)
-			if st != nil {
-				st.NullPadded++
-			}
-			out.Append(row)
-		}
-	}
-	if st != nil {
-		st.Collisions += collisions
-	}
-	if collisions > 0 {
-		b.Registry().Counter("exec.hash.collisions").Add(int64(collisions))
-	}
-	st.flushArenas(b.Registry(), arena)
-	if err := chargeSince(b, out, &charged, nl+nr); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// nestedLoop is the fallback join for non-equi predicates.
-func nestedLoop(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, out *relation.Relation, st *joinProbe, b *guard.Budget) (*relation.Relation, error) {
-	nl, nr := l.Schema().Len(), r.Schema().Len()
-	env := expr.TupleEnv{Schema: out.Schema()}
-	scratch := make(relation.Tuple, nl+nr)
+	env := expr.TupleEnv{Schema: out.Schema(), Tuple: make(relation.Tuple, nl+nr)}
 	rightMatched := make([]bool, r.Len())
-	charged := 0
-	for i, lt := range l.Tuples() {
-		if i%execBatchRows == 0 {
-			if err := guard.Hit(guard.PointExecBatch); err != nil {
-				return nil, err
-			}
-			if err := b.Err(); err != nil {
-				return nil, err
-			}
-			if err := chargeSince(b, out, &charged, nl+nr); err != nil {
-				return nil, err
+	for _, lt := range l.Tuples() {
+		cands := every
+		if len(keys) > 0 {
+			h, ok := lt.HashOn(li)
+			if cands = nil; ok {
+				cands = build[h]
 			}
 		}
 		matched := false
-		copy(scratch, lt)
-		for j, rt := range r.Tuples() {
-			copy(scratch[nl:], rt)
-			env.Tuple = scratch
-			if st != nil {
-				st.ResidualEvals++
+		copy(env.Tuple, lt)
+		for _, j := range cands {
+			rt := r.Tuple(j)
+			if len(keys) > 0 && !lt.EqualOn(rt, li, ri) {
+				continue // a hash collision
 			}
-			if pred.Eval(env).Holds() {
-				matched = true
-				rightMatched[j] = true
-				row := make(relation.Tuple, nl+nr)
-				copy(row, scratch)
-				out.Append(row)
+			copy(env.Tuple[nl:], rt)
+			if !residual.Eval(&env).Holds() {
+				continue
 			}
+			matched = true
+			rightMatched[j] = true
+			out.Append(append(relation.Tuple(nil), env.Tuple...))
 		}
 		if !matched && (kind == plan.LeftJoin || kind == plan.FullJoin) {
-			row := make(relation.Tuple, nl+nr)
-			copy(row, lt)
-			for i := nl; i < nl+nr; i++ {
-				row[i] = value.Null
-			}
-			if st != nil {
-				st.NullPadded++
-			}
-			out.Append(row)
+			out.Append(padded(lt, nil, nl, nr))
 		}
 	}
 	if kind == plan.RightJoin || kind == plan.FullJoin {
 		for j, rt := range r.Tuples() {
-			if rightMatched[j] {
-				continue
+			if !rightMatched[j] {
+				out.Append(padded(nil, rt, nl, nr))
 			}
-			row := make(relation.Tuple, nl+nr)
-			for i := 0; i < nl; i++ {
-				row[i] = value.Null
-			}
-			copy(row[nl:], rt)
-			if st != nil {
-				st.NullPadded++
-			}
-			out.Append(row)
 		}
-	}
-	if err := chargeSince(b, out, &charged, nl+nr); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
 
-// mgojCompensate appends MGOJ's preserved-projection padding to an
-// already-computed inner join of l and r; shared between the row
-// reference and the columnar walker. Only the padding rows are charged —
-// the join rows were charged as the probe emitted them.
-func mgojCompensate(m *plan.MGOJNode, join, l, r *relation.Relation, st *joinProbe, b *guard.Budget) (*relation.Relation, error) {
-	if err := b.Err(); err != nil {
-		return nil, err
+// padded is the outer-join row of lt and rt, NULL where either is nil.
+func padded(lt, rt relation.Tuple, nl, nr int) relation.Tuple {
+	row := make(relation.Tuple, nl+nr)
+	for i := range row {
+		row[i] = value.Null
 	}
-	s := join.Schema()
-	out := relation.New(s)
-	for _, t := range join.Tuples() {
-		out.Append(t)
-	}
-	pads := 0
-	for _, spec := range m.Preserved {
-		attrs := s.AttrsOfRels(spec.Set())
-		if len(attrs) == 0 {
-			return nil, fmt.Errorf("executor: preserved spec %s resolves to nothing", spec)
-		}
-		var source *relation.Relation
-		switch {
-		case containsAll(l.Schema(), attrs):
-			source = l
-		case containsAll(r.Schema(), attrs):
-			source = r
-		default:
-			// A specification spanning both inputs needs the
-			// cross-product's projections, as in Definition 2.1.
-			source = algebra.Product(l, r)
-		}
-		all := source.Project(attrs, true)
-		kept := join.Project(attrs, true)
-		for _, t := range all.Minus(kept).PadTo(s).Tuples() {
-			if !allNull(t) {
-				if st != nil {
-					st.NullPadded++
-				}
-				pads++
-				out.Append(t)
-			}
-		}
-	}
-	if err := b.ChargeOut(pads, s.Len()); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func containsAll(s *schema.Schema, attrs []schema.Attribute) bool {
-	for _, a := range attrs {
-		if !s.Contains(a) {
-			return false
-		}
-	}
-	return true
-}
-
-func allNull(t relation.Tuple) bool {
-	for _, v := range t {
-		if !v.IsNull() {
-			return false
-		}
-	}
-	return true
+	copy(row, lt)
+	copy(row[nl:], rt)
+	return row
 }

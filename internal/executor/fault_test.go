@@ -1,7 +1,7 @@
 // Fault-injection suite for the guarded executor: injected failures
 // and panics at the operator, batch, build-swap and spill points must
 // come back as typed guard errors, and budget trips must abort with
-// ErrBudget. Runs under -race via make faults.
+// ErrBudget. Runs under -race via make race.
 package executor
 
 import (
@@ -95,7 +95,7 @@ func execEntries() []execEntry {
 		// files (even unbudgeted), so the matrix arms the spill
 		// write/read fault points through this entry.
 		{name: "spill", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
-			return JoinExecSpill(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], b, SpillOptions{})
+			return joinSpilled(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], b, spillOptions{})
 		}, ref: faultJoin()},
 		// A root ORDER BY over the join: the sort runs behind the
 		// columnar engine's fallback seam after its presorted check.

@@ -7,6 +7,31 @@ import (
 	"repro/internal/plan"
 )
 
+// joinProbe collects the physical counters of one join execution for
+// EXPLAIN ANALYZE; a nil probe disables collection.
+type joinProbe struct {
+	BuildRows     int  // build rows a hash join's lookup holds
+	ResidualEvals int  // residual/loop predicate evaluations
+	NullPadded    int  // NULL-padded rows emitted for outer kinds
+	Collisions    int  // bucket hits rejected by key verification
+	NestedLoop    bool // true when no equi conjunct was hashable
+
+	SpillParts      int   // partition files written to disk
+	SpillBytes      int64 // bytes written to spill files
+	SpillRecursions int   // recursive re-partitionings
+
+	BuildSwapped   bool // adaptive build/probe swap fired pre-probe
+	SpillEscalated bool // adaptive escalation to the grace/spill join
+
+	// Build says where a hash join's table came from: "index" (the
+	// build image's shared join index) or "hash" (built for this
+	// request); empty for a nested loop.
+	Build string
+	// Lookup says how such a join found a probe row's build rows:
+	// "dense" (by key − min, batch.DenseIndex) or "hash".
+	Lookup string
+}
+
 // recordJoinProbe copies one join's physical counters into the node
 // annotation and the aggregate registry.
 func recordJoinProbe(a *plan.Annotation, st *joinProbe, reg *obs.Registry) {
@@ -15,9 +40,6 @@ func recordJoinProbe(a *plan.Annotation, st *joinProbe, reg *obs.Registry) {
 	a.AddExtra("null_padded", int64(st.NullPadded))
 	if st.Collisions > 0 {
 		a.AddExtra("hash_collisions", int64(st.Collisions))
-	}
-	if st.ArenaChunks > 0 {
-		a.AddExtra("arena_chunks", int64(st.ArenaChunks))
 	}
 	if st.NestedLoop {
 		a.AddExtra("nested_loop", 1)

@@ -91,14 +91,14 @@ func TestInstrumentedSupplierRowCounts(t *testing.T) {
 
 // TestNestedLoopFallbackLogged: a join whose predicate has no
 // hashable equi conjunct must count the fallback — in the default
-// registry on the plain Run path, which has no budget to name another.
+// registry on an Exec with no budget to name another.
 func TestNestedLoopFallbackLogged(t *testing.T) {
 	obs.Default().Reset()
 	defer obs.Default().Reset()
 	db := randDB(rand.New(rand.NewSource(1)), 5, 3, "r1", "r2")
 	pred := expr.Cmp{Op: value.LT, L: expr.Column("r1", "x"), R: expr.Column("r2", "x")}
 	q := plan.NewJoin(plan.InnerJoin, pred, plan.NewScan("r1"), plan.NewScan("r2"))
-	if _, err := Run(q, db); err != nil {
+	if _, _, err := Exec(q, db, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	snap := obs.Default().Snapshot()

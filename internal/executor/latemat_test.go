@@ -5,7 +5,7 @@
 // through several selection-vector compositions, NULL padding carried
 // through the views, residual predicates that read whole tuples, a
 // column nothing ever reads, and the swapped and spilled join
-// variants. make race-vec runs this file under the race detector.
+// variants. make race runs this file under the race detector.
 package executor
 
 import (

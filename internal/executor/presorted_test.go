@@ -1,7 +1,7 @@
 // Differential suite for the columnar sort's presorted check: on every
 // input, presorted(in, keys) must be true exactly when plan.SortRows
 // returns in unchanged, and a Sort on the columnar engine must return
-// SortRows's rows whichever way the check answers. make race-vec runs
+// SortRows's rows whichever way the check answers. make race runs
 // this file under the race detector.
 package executor
 

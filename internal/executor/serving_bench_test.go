@@ -7,12 +7,14 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/executor"
+	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/sql"
 	"repro/internal/stats"
+	"repro/internal/value"
 )
 
 // servingShapes are the five hit_scan template shapes of the serving
@@ -97,6 +99,36 @@ func BenchmarkExecServing(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := executor.RunGuarded(p, db, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExecNonEqui times a join with no equi conjunct, r1.y < r2.y
+// over 2 000 × 300 rows, inner and full outer, through Exec: the nested
+// loop that probes every build row as a candidate.
+func BenchmarkExecNonEqui(b *testing.B) {
+	rng := rand.New(rand.NewSource(1996))
+	db := plan.Database{}
+	for _, r := range []struct {
+		name string
+		rows int
+	}{{"r1", 2000}, {"r2", 300}} {
+		rb := relation.NewBuilder(r.name, "x", "y")
+		for i := 0; i < r.rows; i++ {
+			rb.Row(value.NewInt(int64(i)), value.NewInt(int64(rng.Intn(1000))))
+		}
+		db[r.name] = rb.Relation()
+	}
+	pred := expr.Cmp{Op: value.LT, L: expr.Column("r1", "y"), R: expr.Column("r2", "y")}
+	for _, kind := range []plan.JoinKind{plan.InnerJoin, plan.FullJoin} {
+		p := plan.NewJoin(kind, pred, plan.NewScan("r1"), plan.NewScan("r2"))
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := executor.Exec(p, db, executor.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

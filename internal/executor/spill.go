@@ -8,9 +8,9 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/batch"
 	"repro/internal/expr"
 	"repro/internal/guard"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -32,12 +32,14 @@ import (
 // order, so spilled execution is deterministic and multiset-equal to
 // the in-memory join.
 //
-// Budget accounting is exactly-once, in two currencies that never
-// overlap: join output rows/bytes are charged cumulatively by the
-// per-partition joinExecProbe calls (each output row is emitted by
-// exactly one partition), while transient resident state — a loaded
-// partition pair, plus the build table joinExecProbe reserves itself
-// — is reserved via ReserveBytes and released when the partition is
+// Each partition pair is joined by vecJoin on an engine with no
+// Adapt — the in-memory join's own kernel, which neither swaps nor
+// spills again. Budget accounting is therefore exactly-once, in two
+// currencies that never overlap: join output rows/bytes are charged
+// cumulatively by the per-partition probes (each output row is emitted
+// by exactly one partition), while transient resident state — a loaded
+// partition pair, plus the build table vecJoin reserves itself — is
+// reserved via ReserveBytes and released when the partition is
 // dropped. Spilled file bytes are deliberately not charged against
 // MaxBytes (they are on disk, which is the point); they are surfaced
 // on the exec.spill.bytes counter instead.
@@ -71,8 +73,8 @@ func estBytes(rows, width int) int64 {
 	return int64(rows) * int64(width) * spillValueWidth
 }
 
-// SpillOptions configure JoinExecSpill.
-type SpillOptions struct {
+// spillOptions configure one grace join.
+type spillOptions struct {
 	// Dir is where partition files are created (a fresh directory
 	// under os.TempDir() when empty). The directory's spill files are
 	// removed as they are consumed and the run's subdirectory is
@@ -86,30 +88,15 @@ type SpillOptions struct {
 	MaxResidentBytes int64
 }
 
-// JoinExecSpill joins two materialized relations with the spilling
-// grace hash join. The result is multiset-equal to JoinExec for every
-// join kind. Joins with no hashable equi conjunct cannot be
-// hash-partitioned and fall back to the in-memory nested loop,
-// recorded on exec.spill.fallback.nonequi.
-func JoinExecSpill(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, b *guard.Budget, opts SpillOptions) (out *relation.Relation, err error) {
-	phase := "execute"
-	defer guard.RecoverAs(&err, &phase, nil, nil)
-	return spillJoinProbe(kind, pred, l, r, nil, b, nil, opts)
-}
-
-// spillJoinProbe meters against reg (the budget's registry when nil)
-// so the instrumented engines can land exec.spill.* in their run's
-// private registry.
-func spillJoinProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, st *joinProbe, b *guard.Budget, reg *obs.Registry, opts SpillOptions) (*relation.Relation, error) {
+// graceJoin joins two materialized relations with the spilling grace
+// hash join, metering exec.spill.* into e.reg. The result is
+// multiset-equal to the in-memory join for every join kind. vecJoin
+// escalates only joins with an equi conjunct; a predicate without one
+// would hash every row to the same partition, which joins in memory
+// once re-partitioning fails to split it.
+func (e *vecEngine) graceJoin(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, st *joinProbe, opts spillOptions) (*relation.Relation, error) {
 	ls, rs := l.Schema(), r.Schema()
 	keys, _ := splitEqui(pred, ls, rs)
-	if reg == nil {
-		reg = b.Registry()
-	}
-	if len(keys) == 0 {
-		reg.Counter("exec.spill.fallback.nonequi").Inc()
-		return joinExecProbe(kind, pred, l, r, st, b)
-	}
 	li := make([]int, len(keys))
 	ri := make([]int, len(keys))
 	for i, k := range keys {
@@ -120,13 +107,15 @@ func spillJoinProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation,
 		return nil, fmt.Errorf("executor: spill dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	reg.Counter("exec.spill.joins").Inc()
+	e.reg.Counter("exec.spill.joins").Inc()
 
+	b := e.b
 	sp := &spiller{
 		kind: kind, pred: pred,
 		li: li, ri: ri,
 		lschema: ls, rschema: rs,
-		dir: dir, b: b, st: st, reg: reg,
+		dir: dir, st: st,
+		eng:         &vecEngine{b: b, batch: e.batch, reg: e.reg},
 		maxResident: opts.MaxResidentBytes,
 	}
 
@@ -161,23 +150,13 @@ func spillJoinProbe(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation,
 	pads := 0
 	if kind == plan.LeftJoin || kind == plan.FullJoin {
 		for _, i := range lnull {
-			row := make(relation.Tuple, nl+nr)
-			copy(row, l.Tuple(i))
-			for x := nl; x < nl+nr; x++ {
-				row[x] = value.Null
-			}
-			out.Append(row)
+			out.Append(padded(l.Tuple(i), nil, nl, nr))
 			pads++
 		}
 	}
 	if kind == plan.RightJoin || kind == plan.FullJoin {
 		for _, j := range rnull {
-			row := make(relation.Tuple, nl+nr)
-			for x := 0; x < nl; x++ {
-				row[x] = value.Null
-			}
-			copy(row[nl:], r.Tuple(j))
-			out.Append(row)
+			out.Append(padded(nil, r.Tuple(j), nl, nr))
 			pads++
 		}
 	}
@@ -198,9 +177,8 @@ type spiller struct {
 	lschema     *schema.Schema
 	rschema     *schema.Schema
 	dir         string
-	b           *guard.Budget
 	st          *joinProbe
-	reg         *obs.Registry
+	eng         *vecEngine // joins a partition pair: no Adapt, no annotations
 	maxResident int64
 	nfile       int
 }
@@ -235,11 +213,10 @@ func (sp *spiller) joinPair(lf, rf spillFile, level int, force bool) (*relation.
 	// in-memory join produces from tiny inputs, so fall through.
 	nl, nr := sp.lschema.Len(), sp.rschema.Len()
 	// Resident model for the in-memory attempt: both loaded partitions
-	// plus the build table joinExecProbe will reserve over the right
-	// side.
+	// plus the build table vecJoin will reserve over the right side.
 	resident := estBytes(lf.rows, nl) + 2*estBytes(rf.rows, nr)
 	fits := true
-	if free, limited := sp.b.BytesFree(); limited {
+	if free, limited := sp.eng.b.BytesFree(); limited {
 		fits = resident <= free/2 // keep half the headroom for the output
 	} else if sp.maxResident > 0 {
 		fits = resident <= sp.maxResident
@@ -256,11 +233,15 @@ func (sp *spiller) joinPair(lf, rf spillFile, level int, force bool) (*relation.
 		return nil, err
 	}
 	loaded := estBytes(lf.rows, nl) + estBytes(rf.rows, nr)
-	if err := sp.b.ReserveBytes(loaded); err != nil {
+	if err := sp.eng.b.ReserveBytes(loaded); err != nil {
 		return nil, err
 	}
-	defer sp.b.ReleaseBytes(loaded)
-	return joinExecProbe(sp.kind, sp.pred, lrel, rrel, sp.st, sp.b)
+	defer sp.eng.b.ReleaseBytes(loaded)
+	out, err := sp.eng.vecJoin(sp.kind, sp.pred, batch.FromRelation(lrel), batch.FromRelation(rrel), sp.st)
+	if err != nil {
+		return nil, err
+	}
+	return out.ToRelation(), nil
 }
 
 // recurse re-partitions one oversized pair on the next 4 hash bits
@@ -268,7 +249,7 @@ func (sp *spiller) joinPair(lf, rf spillFile, level int, force bool) (*relation.
 // shrink (every row shares the parent's hash bits at this level —
 // one dominant key) is forced in memory: more levels cannot split it.
 func (sp *spiller) recurse(lf, rf spillFile, level int) (*relation.Relation, error) {
-	sp.reg.Counter("exec.spill.recursions").Inc()
+	sp.eng.reg.Counter("exec.spill.recursions").Inc()
 	if sp.st != nil {
 		sp.st.SpillRecursions++
 	}
@@ -282,7 +263,7 @@ func (sp *spiller) recurse(lf, rf spillFile, level int) (*relation.Relation, err
 	}
 	out := relation.New(sp.lschema.Concat(sp.rschema))
 	for p := 0; p < spillFanout; p++ {
-		if err := sp.b.Err(); err != nil {
+		if err := sp.eng.b.Err(); err != nil {
 			return nil, err
 		}
 		force := lparts[p].rows == lf.rows && rparts[p].rows == rf.rows
@@ -352,8 +333,8 @@ func (pw *partWriters) close() ([spillFanout]spillFile, error) {
 		parts++
 		bytes += pw.files[p].bytes
 	}
-	pw.sp.reg.Counter("exec.spill.partitions").Add(parts)
-	pw.sp.reg.Counter("exec.spill.bytes").Add(bytes)
+	pw.sp.eng.reg.Counter("exec.spill.partitions").Add(parts)
+	pw.sp.eng.reg.Counter("exec.spill.bytes").Add(bytes)
 	if pw.sp.st != nil {
 		pw.sp.st.SpillParts += int(parts)
 		pw.sp.st.SpillBytes += bytes
@@ -380,7 +361,7 @@ func (sp *spiller) writeRelation(r *relation.Relation, idx []int, level int) ([s
 	var nullKeys []int
 	shift := uint(spillHashBits * level)
 	for i, t := range r.Tuples() {
-		h, ok := fastKey(t, idx)
+		h, ok := t.HashOn(idx)
 		if !ok {
 			nullKeys = append(nullKeys, i)
 			continue
@@ -417,7 +398,7 @@ func (sp *spiller) repartition(f spillFile, s *schema.Schema, idx []int, level i
 			pw.abort()
 			return pw.files, fmt.Errorf("executor: spill decode %s: %w", f.path, err)
 		}
-		h, ok := fastKey(t, idx)
+		h, ok := t.HashOn(idx)
 		if !ok {
 			// NULL keys were filtered at level 0; a NULL here means the
 			// file is corrupt.
@@ -446,7 +427,7 @@ func (sp *spiller) openFile(f spillFile) (*os.File, error) {
 }
 
 // readFile materializes one spilled partition back into a relation,
-// tuples carved from an arena.
+// its tuples carved from one slab.
 func (sp *spiller) readFile(f spillFile, s *schema.Schema) (*relation.Relation, error) {
 	out := relation.New(s)
 	if f.rows == 0 {
@@ -459,9 +440,9 @@ func (sp *spiller) readFile(f spillFile, s *schema.Schema) (*relation.Relation, 
 	defer src.Close()
 	rd := bufio.NewReaderSize(src, 1<<16)
 	width := s.Len()
-	arena := newTupleArena(width)
+	slab := make([]value.Value, f.rows*width)
 	for n := 0; n < f.rows; n++ {
-		t, err := decodeTupleInto(rd, arena.next())
+		t, err := decodeTupleInto(rd, slab[n*width:(n+1)*width:(n+1)*width])
 		if err != nil {
 			return nil, fmt.Errorf("executor: spill decode %s: %w", f.path, err)
 		}

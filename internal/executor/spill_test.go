@@ -2,7 +2,7 @@
 // grace join: spilled execution must be multiset-identical to the
 // in-memory join for every kind (including recursive re-partitioning),
 // and must complete under a byte budget that trips the in-memory
-// join. Runs under -race via make faults.
+// join. Runs under -race via make race.
 package executor
 
 import (
@@ -12,11 +12,24 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/guard"
+	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/relation"
 	"repro/internal/value"
 )
 
-// TestExecutorSpillMatchesJoinExec: JoinExecSpill ≡ JoinExec as
+// joinSpilled runs the grace join the way vecJoin's escalation does —
+// on an engine with no Adapt, metering into the budget's registry —
+// over two row-major inputs. A panic surfaces as a *guard.PanicError,
+// as it does through Exec.
+func joinSpilled(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, b *guard.Budget, opts spillOptions) (out *relation.Relation, err error) {
+	phase := "execute"
+	defer guard.RecoverAs(&err, &phase, nil, nil)
+	e := &vecEngine{b: b, batch: execBatchRows, reg: b.Registry()}
+	return e.graceJoin(kind, pred, l, r, nil, opts)
+}
+
+// TestExecutorSpillMatchesJoinExec: the grace join ≡ JoinExec as
 // multisets across join kinds, residuals and NULL keys, both with
 // unconstrained partitions and with a resident cap small enough to
 // force recursive re-partitioning.
@@ -42,7 +55,7 @@ func TestExecutorSpillMatchesJoinExec(t *testing.T) {
 			// recurse at least one level before the small-partition
 			// floor engages.
 			for _, cap := range []int64{0, 4096} {
-				got, err := JoinExecSpill(kind, pred, l, r, nil, SpillOptions{MaxResidentBytes: cap})
+				got, err := joinSpilled(kind, pred, l, r, nil, spillOptions{MaxResidentBytes: cap})
 				if err != nil {
 					t.Fatalf("kind %v cap %d: %v", kind, cap, err)
 				}
@@ -60,8 +73,9 @@ func TestExecutorSpillRecursionCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	db := bigDB(rng, 600, 13, "r1", "r2")
 	st := &joinProbe{}
-	if _, err := spillJoinProbe(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], st, nil, nil,
-		SpillOptions{MaxResidentBytes: 2048}); err != nil {
+	e := &vecEngine{batch: execBatchRows, reg: obs.NewRegistry()}
+	if _, err := e.graceJoin(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], st,
+		spillOptions{MaxResidentBytes: 2048}); err != nil {
 		t.Fatal(err)
 	}
 	if st.SpillParts == 0 || st.SpillBytes == 0 {
@@ -79,11 +93,11 @@ func TestExecutorSpillDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	db := bigDB(rng, 400, 11, "r1", "r2")
 	pred := eqX("r1", "r2")
-	a, err := JoinExecSpill(plan.FullJoin, pred, db["r1"], db["r2"], nil, SpillOptions{MaxResidentBytes: 4096})
+	a, err := joinSpilled(plan.FullJoin, pred, db["r1"], db["r2"], nil, spillOptions{MaxResidentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := JoinExecSpill(plan.FullJoin, pred, db["r1"], db["r2"], nil, SpillOptions{MaxResidentBytes: 4096})
+	b, err := joinSpilled(plan.FullJoin, pred, db["r1"], db["r2"], nil, spillOptions{MaxResidentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +141,8 @@ func TestExecutorSpillCompletesWhereInMemoryTrips(t *testing.T) {
 	if !guard.IsBudget(err) {
 		t.Fatalf("in-memory join under budget: err = %v, want guard.ErrBudget", err)
 	}
-	got, err := JoinExecSpill(plan.InnerJoin, pred, l, r,
-		guard.New(context.Background(), limits, nil), SpillOptions{})
+	got, err := joinSpilled(plan.InnerJoin, pred, l, r,
+		guard.New(context.Background(), limits, nil), spillOptions{})
 	if err != nil {
 		t.Fatalf("spilling join under the same budget failed: %v", err)
 	}
@@ -146,7 +160,7 @@ func TestExecutorSpillFaultPoints(t *testing.T) {
 	db := bigDB(rng, 400, 11, "r1", "r2")
 	for _, p := range []guard.Point{guard.PointSpillWrite, guard.PointSpillRead} {
 		guard.InjectError(p)
-		_, err := JoinExecSpill(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], nil, SpillOptions{})
+		_, err := joinSpilled(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], nil, spillOptions{})
 		guard.Clear()
 		if !guard.IsInjected(err) {
 			t.Fatalf("point %s: err = %v, want injected fault", p, err)

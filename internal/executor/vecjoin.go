@@ -11,29 +11,38 @@ import (
 	"repro/internal/schema"
 )
 
-// vecJoin is the columnar equi-join: take or build the build side's
+// vecJoin is the columnar join: take or build the build side's
 // lookup — a dense index over one int64 key, an array-chained hash
 // table over the key hashes otherwise — probe the other side
 // batch-at-a-time accumulating (left,right) row-index pairs, and hand
 // the pairs on as the output's pending columns — NULL padding for outer
 // kinds is index -1 in the same selection vectors. The build side is the right
 // input unless Adapt's swap threshold says the left one is the cheaper
-// to hash; either way the output columns come out in (l, r) order.
-// Non-equi predicates cannot be hashed and fall back to the tuple
-// engine's nested loop; a build side that cannot fit the byte budget's
-// headroom routes through the spilling grace join when Adapt.Spill
-// allows it, and is RunGuarded's typed guard.ErrBudget otherwise. Both
-// escapes are counted.
+// to hash; either way the output columns come out in (l, r) order. A
+// predicate with no hashable equi conjunct runs the same probe as a
+// nested loop (crossLookup). A build side that cannot fit the byte
+// budget's headroom routes through the spilling grace join when
+// Adapt.Spill allows it, and is RunGuarded's typed guard.ErrBudget
+// otherwise.
 func (e *vecEngine) vecJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, st *joinProbe) (*batch.Rel, error) {
 	ls, rs := l.Schema, r.Schema
+	outSchema := ls.Concat(rs)
 	keys, residual := splitEqui(pred, ls, rs)
 	if len(keys) == 0 {
-		e.reg.Counter("exec.vector.fallback.join-nonequi").Inc()
-		out, err := joinExecProbe(kind, pred, l.ToRelation(), r.ToRelation(), st, e.b)
+		// Every build row is a candidate and the whole predicate is the
+		// residual. The loop holds no table, so it reserves nothing and
+		// neither swaps nor spills. EXPLAIN ANALYZE names the join
+		// through its nested_loop extra; a per-predicate metric name
+		// would mint one permanent counter per bound literal.
+		e.reg.Counter("executor.nested_loop_fallback").Inc()
+		if st != nil {
+			st.NestedLoop = true
+		}
+		lsel, rsel, err := e.probeJoin(kind, pred, outSchema, l, r, crossLookup(r.N), false, st)
 		if err != nil {
 			return nil, err
 		}
-		return batch.FromRelation(out), nil
+		return batch.Gather2(outSchema, l, lsel, r, rsel), nil
 	}
 	li := make([]int, len(keys))
 	ri := make([]int, len(keys))
@@ -57,7 +66,6 @@ func (e *vecEngine) vecJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel,
 	}
 	defer e.b.ReleaseBytes(buildRes)
 
-	outSchema := ls.Concat(rs)
 	var lsel, rsel []int32
 	var err error
 	if swap {
@@ -107,7 +115,7 @@ func (e *vecEngine) spillJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Re
 	if st != nil {
 		st.SpillEscalated = true
 	}
-	out, err := spillJoinProbe(kind, pred, l.ToRelation(), r.ToRelation(), st, e.b, e.reg, SpillOptions{Dir: e.adapt.SpillDir})
+	out, err := e.graceJoin(kind, pred, l.ToRelation(), r.ToRelation(), st, spillOptions{Dir: e.adapt.SpillDir})
 	if err != nil {
 		return nil, err
 	}
@@ -146,9 +154,11 @@ func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *
 // joinLookup finds the build rows a probe row's key matches, in
 // ascending build-row order — through a dense index's run of the key,
 // or by walking an array-chained hash table and verifying each hash
-// hit with Keys.Equal.
+// hit with Keys.Equal. A nested loop's lookup lists every build row.
 type joinLookup struct {
-	rows int // build rows the lookup holds (those with no NULL key)
+	rows int // build rows a hashed or dense lookup holds (those with no NULL key)
+
+	every []int32 // a nested loop's candidates: every build row
 
 	dense *batch.DenseIndex
 	pv    *batch.Vec // the probe key column, PhysInt, of a dense lookup
@@ -196,10 +206,22 @@ func hashLookup(probe, build *batch.Rel, pi, bi []int) (*joinLookup, bool) {
 	}, indexed
 }
 
+// crossLookup is a nested loop's lookup over n build rows.
+func crossLookup(n int) *joinLookup {
+	every := make([]int32, n)
+	for j := range every {
+		every[j] = int32(j)
+	}
+	return &joinLookup{every: every}
+}
+
 // matches returns probe row i's build rows. The slice is the index's
 // own (dense) or reused by the next call (hashed): read it before
 // looking up again, and never write to it.
 func (lk *joinLookup) matches(i int) []int32 {
+	if lk.every != nil {
+		return lk.every
+	}
 	if lk.dense != nil {
 		if lk.pv.IsNull(i) {
 			return nil
@@ -226,6 +248,9 @@ func (lk *joinLookup) matches(i int) []int32 {
 }
 
 // probeJoin probes build through lk for every probe row; see hashJoin.
+// It is Definition 2.1's generalized selection over the candidate pairs
+// lk names: the residual filters them, and unmatched rows of an outer
+// side are NULL-padded.
 func (e *vecEngine) probeJoin(kind plan.JoinKind, residual expr.Pred, envSchema *schema.Schema, probe, build *batch.Rel, lk *joinLookup, buildFirst bool, st *joinProbe) (psel, bsel []int32, err error) {
 	np, nb := probe.Schema.Len(), build.Schema.Len()
 	pOff, bOff := 0, np
@@ -250,8 +275,7 @@ func (e *vecEngine) probeJoin(kind plan.JoinKind, residual expr.Pred, envSchema 
 	bulk := residualTrue && !buildOuter
 
 	// Probe batch-at-a-time: guard checks, fault points and
-	// incremental output charges once per batch, like the tuple
-	// engine's per-batch protocol. The match lists start at one batch
+	// incremental output charges once per batch. The match lists start at one batch
 	// and grow by the fan-out seen so far.
 	psel = make([]int32, 0, min(probe.N, e.batch))
 	bsel = make([]int32, 0, min(probe.N, e.batch))
@@ -292,13 +316,15 @@ func (e *vecEngine) probeJoin(kind plan.JoinKind, residual expr.Pred, envSchema 
 					bsel = append(bsel, run...)
 				}
 			} else {
+				if !residualTrue && len(run) > 0 {
+					probe.ReadTuple(i, scratch[pOff:pOff+np])
+				}
 				for _, j := range run {
 					if !residualTrue {
-						probe.ReadTuple(i, scratch[pOff:pOff+np])
 						build.ReadTuple(int(j), scratch[bOff:bOff+nb])
 						env.Tuple = scratch
 						residualEvals++
-						if !residual.Eval(env).Holds() {
+						if !residual.Eval(&env).Holds() {
 							continue
 						}
 					}

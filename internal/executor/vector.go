@@ -15,11 +15,11 @@ import (
 
 // This file is the vectorized engine's plan walker — the engine the
 // production entry point Exec runs on (Run stays on the row walker as
-// the independent reference). Data
-// flows between operators as columnar batch.Rel relations; the hot
-// operators — scan, selection, equi-join build/probe, GROUP BY and
-// (distinct) projection — run as batch-at-a-time kernels (vecjoin.go,
-// vecagg.go), and every operator the columnar engine has not ported
+// the independent reference). Data flows between operators as columnar
+// batch.Rel relations; the hot operators — scan, selection, join
+// build/probe (hashed or nested loop), GROUP BY and (distinct)
+// projection — run as batch-at-a-time kernels (vecjoin.go, vecagg.go),
+// and every operator the columnar engine has not ported
 // falls back per operator to its tuple operator: children are
 // materialized row-major, the operator runs under the engine's budget,
 // and the result is re-shaped columnar. Fallbacks are counted on
@@ -149,8 +149,9 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 	case *plan.MGOJNode:
 		// The inner join runs vectorized; the preserved-projection
 		// compensation is inherently tuple-shaped (distinct projections
-		// and set differences over the padded remainder) and reuses the
-		// tuple engine's mgojCompensate on the materialized seam.
+		// and set differences over the padded remainder) and runs
+		// algebra.MGOJWith on the materialized seam. The probe charged
+		// the join rows; only the padding is charged here.
 		l, err := e.exec(m.L)
 		if err != nil {
 			return nil, false, err
@@ -164,8 +165,15 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 			return nil, false, err
 		}
 		e.reg.Counter("exec.vector.fallback.mgoj-compensate").Inc()
-		out, err := mgojCompensate(m, join.ToRelation(), l.ToRelation(), r.ToRelation(), st, e.b)
+		out, err := algebra.MGOJWith(join.ToRelation(), specSets(m.Preserved), l.ToRelation(), r.ToRelation())
 		if err != nil {
+			return nil, false, err
+		}
+		pads := out.Len() - join.N
+		if st != nil {
+			st.NullPadded += pads
+		}
+		if err := e.b.ChargeOut(pads, out.Schema().Len()); err != nil {
 			return nil, false, err
 		}
 		return batch.FromRelation(out), true, nil
@@ -180,12 +188,8 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 		if err != nil {
 			return nil, false, err
 		}
-		specs := make([]map[string]bool, len(m.Preserved))
-		for i, s := range m.Preserved {
-			specs[i] = s.Set()
-		}
 		e.reg.Counter("exec.vector.fallback.gensel-pad").Inc()
-		out, err := algebra.GenSelectWith(sel.ToRelation(), specs, in.ToRelation())
+		out, err := algebra.GenSelectWith(sel.ToRelation(), specSets(m.Preserved), in.ToRelation())
 		if err != nil {
 			return nil, false, err
 		}

@@ -7,7 +7,7 @@
 // on aggregate float arithmetic. It also pins what the serving path
 // relies on beyond multiset equality: one shared image per base
 // relation, native build/probe swap, a sort's row order, and an
-// annotation on every node. make race-vec runs this file under the
+// annotation on every node. make race runs this file under the
 // race detector.
 package executor
 

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/assoctree"
@@ -13,6 +18,25 @@ import (
 	"repro/internal/stats"
 )
 
+var updateGolden = flag.Bool("update-experiments-golden", false, "rewrite testdata/experiments.golden from this run")
+
+// reports memoizes Run per experiment id, so the smoke test and the
+// golden test run each experiment once between them.
+var reports sync.Map // id → *report
+
+type report struct {
+	once sync.Once
+	out  string
+	err  error
+}
+
+func runReport(id string) (string, error) {
+	v, _ := reports.LoadOrStore(id, &report{})
+	r := v.(*report)
+	r.once.Do(func() { r.out, r.err = Run(id) })
+	return r.out, r.err
+}
+
 // TestAllExperimentsRun smoke-tests every experiment report; each
 // must produce non-trivial output and no embedded error text.
 func TestAllExperimentsRun(t *testing.T) {
@@ -20,7 +44,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		if testing.Short() && (id == "e7" || id == "e8" || id == "e13" || id == "e14") {
 			continue
 		}
-		out, err := Run(id)
+		out, err := runReport(id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -33,6 +57,82 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 	if _, err := Run("nosuch"); err == nil {
 		t.Error("unknown experiment should fail")
+	}
+}
+
+var (
+	// durationRE matches a printed time.Duration ("252µs",
+	// "3.868048864s", "1m2.5s").
+	durationRE = regexp.MustCompile(`\b(?:\d+(?:\.\d+)?(?:ns|µs|us|ms|s|m|h))+\b`)
+	// ratioRE matches a speedup ("5.35x") or a share ("10.8%").
+	ratioRE  = regexp.MustCompile(`\b\d+(?:\.\d+)?(?:x\b|%)`)
+	spacesRE = regexp.MustCompile(` {2,}`)
+)
+
+// maskTimings replaces the run-to-run varying figures of a report:
+// every duration, and on a line that prints one, every ratio (the
+// speedups and phase shares derived from those durations). Past its
+// indentation, a masked line's runs of spaces collapse to one, since
+// column padding follows the width of the figures it masks.
+func maskTimings(report string) string {
+	lines := strings.Split(report, "\n")
+	for i, l := range lines {
+		if !durationRE.MatchString(l) {
+			continue
+		}
+		body := strings.TrimLeft(l, " ")
+		body = durationRE.ReplaceAllString(body, "<dur>")
+		body = ratioRE.ReplaceAllString(body, "<ratio>")
+		lines[i] = l[:len(l)-len(strings.TrimLeft(l, " "))] + spacesRE.ReplaceAllString(body, " ")
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestExperimentsGolden diffs every experiment's report, as
+// cmd/experiments prints them, against testdata/experiments.golden
+// with timings masked: plan counts, costs, cardinalities, plans and
+// counters are deterministic, so any change to them shows here. Run
+// with -update-experiments-golden to rewrite the file after an
+// intended change.
+func TestExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	var b strings.Builder
+	for _, id := range All {
+		out, err := runReport(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		b.WriteString(out + "\n" + strings.Repeat("=", 78) + "\n")
+	}
+	got := maskTimings(b.String())
+	path := filepath.Join("testdata", "experiments.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-experiments-golden to create it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gl), len(wl)); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("experiments.golden differs at line %d:\n got: %q\nwant: %q\n(run with -update-experiments-golden after an intended change)", i+1, g, w)
+		}
 	}
 }
 

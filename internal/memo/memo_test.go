@@ -286,7 +286,7 @@ func summarize(t *testing.T, q plan.Node, db plan.Database, opts Options) memoSu
 // TestWorkersIdenticalMemo: any worker count builds the same memo —
 // expression and group counts, per-rule firings, winner and cost —
 // both run to fixpoint and capped mid-wave by MaxExprs, where the cap
-// must land on the same expression. Run under -race by make race-par.
+// must land on the same expression. Run under -race by make race.
 func TestWorkersIdenticalMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := datagen.RandomJoinDB(rng, 6)

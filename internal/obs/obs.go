@@ -253,8 +253,8 @@ func NewRegistry() *Registry {
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry, the sink for code paths
-// that are not handed an explicit one (e.g. executor.JoinExec's
-// nested-loop fallback accounting).
+// that are not handed an explicit one (e.g. an executor.Exec run with
+// no budget and no Obs registry).
 func Default() *Registry { return defaultRegistry }
 
 // Counter returns the named counter, creating it on first use. Safe

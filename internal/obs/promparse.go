@@ -12,8 +12,8 @@ import (
 
 // Strict validating parser for the Prometheus text exposition format
 // (version 0.0.4), stdlib only. It exists so the engine can check its
-// own /metrics output — the exposition tests and the `make obs` smoke
-// target scrape an endpoint and run every line through it. It is
+// own /metrics output — the exposition tests and the cmd/reorder
+// -metrics-addr test scrape an endpoint and run every line through it. It is
 // deliberately stricter than real scrapers: unknown sample names
 // inside a family, non-cumulative histogram buckets, a missing +Inf
 // bucket, duplicate series or a malformed escape all fail the parse.

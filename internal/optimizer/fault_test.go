@@ -2,7 +2,7 @@
 // guard point that fires during an optimization, when armed to fail or
 // panic, must surface as a typed guard error or a degraded-but-valid
 // plan — never a hang, an uncontained panic, or a silently wrong
-// result. Runs under -race via make faults.
+// result. Runs under -race via make race.
 package optimizer_test
 
 import (

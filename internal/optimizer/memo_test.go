@@ -115,7 +115,7 @@ func optimizeWith(t *testing.T, q plan.Node, db plan.Database, workers int) (*op
 // best cost as the exhaustive saturate-and-rank oracle
 // (saturationRanking), and the same best plan (modulo cost ties, where
 // the memo's winner must be one of the oracle's plans sharing the
-// minimal cost). Run under -race by make race-par.
+// minimal cost). Run under -race by make race.
 func TestMemoMatchesSaturate(t *testing.T) {
 	for _, tc := range memoSeeds() {
 		t.Run(tc.name, func(t *testing.T) {

@@ -80,11 +80,6 @@ type ServiceConfig struct {
 	// ReplanAfter is the number of consecutive drifted runs that
 	// triggers a re-plan (default 3).
 	ReplanAfter int
-	// SwapFactor is the executor's mid-query build/probe swap
-	// threshold in feedback mode: a hash join whose build side
-	// materializes more than SwapFactor× the probe side's rows builds
-	// on the smaller side instead (default 4; negative disables).
-	SwapFactor float64
 	// SpillDir is the adaptive spill-escalation directory in feedback
 	// mode (empty = os.TempDir()).
 	SpillDir string
@@ -174,15 +169,10 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		if s.cfg.ReplanAfter <= 0 {
 			s.cfg.ReplanAfter = 3
 		}
-		swap := s.cfg.SwapFactor
-		switch {
-		case swap == 0:
-			swap = 4
-		case swap < 0:
-			swap = 0 // explicit disable
-		}
 		s.fb = feedback.New(feedback.Options{Obs: ob.Registry})
-		s.adapt = &executor.Adapt{SwapFactor: swap, Spill: true, SpillDir: s.cfg.SpillDir}
+		// A hash join whose build side materializes more than 4× the
+		// probe side's rows builds on the smaller side instead.
+		s.adapt = &executor.Adapt{SwapFactor: 4, Spill: true, SpillDir: s.cfg.SpillDir}
 	}
 	return s, nil
 }
