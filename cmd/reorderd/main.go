@@ -33,6 +33,10 @@ const (
 	exitUsage   = 2
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a slow client cannot hold one open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
 }
@@ -109,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	}
 	fmt.Fprintf(stderr, "reorderd: serving on %s (%d relations)\n", ln.Addr(), len(db))
 
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

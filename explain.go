@@ -82,11 +82,12 @@ type AnalyzeOptions struct {
 	// the terminal error.
 	Observer *Observer
 	// Feedback is the one-shot feedback loop behind cmd/reorder's
-	// -feedback flag: per-subtree actual cardinalities are recorded
-	// into a fresh feedback store, joins may swap build and probe sides
-	// mid-query, and — when the worst subtree q-error reaches
-	// ReplanQError — the query is re-optimized with the corrected
-	// estimates and re-executed, returning the re-planned report
+	// -feedback flag: per-operator actual cardinalities are recorded
+	// into a fresh feedback store under their memo groups' keys, joins
+	// may swap build and probe sides mid-query, and — when the worst
+	// operator q-error reaches ReplanQError — the query is re-optimized
+	// with the corrected estimates and re-executed, returning the
+	// re-planned report
 	// (Replanned set, FeedbackCorrections counting the estimates the
 	// second optimization took from the store). A query whose estimates
 	// hold up returns the first report unchanged.
@@ -125,19 +126,19 @@ func ExplainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions) 
 	return r, nil
 }
 
-// explainAnalyze is one optimize→execute pass. With a feedback store
-// the optimizer consults it for corrected estimates, joins may swap
-// sides, per-operator estimates come from a feedback-aware session, and
-// each composite subtree's actual cardinality is recorded back into the
-// store.
+// explainAnalyze is one optimize→execute pass. Each operator's
+// estimate is the cardinality of the memo group the optimizer
+// extracted it from. With a feedback store the optimizer consults it
+// for corrected group estimates, joins may swap sides, and each
+// composite operator's actual cardinality is recorded back into the
+// store under its group's key.
 func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, fb *feedback.Store) (*AnalyzeReport, error) {
 	reg := obs.NewRegistry()
 	b := guard.New(ctx, o.Limits, reg)
 	ob := o.Observer
 	start := time.Now()
 	tracer := obs.NewTracer()
-	est := stats.ForDatabase(db)
-	opt := optimizer.New(est)
+	opt := optimizer.New(stats.ForDatabase(db))
 	opt.Opts.Obs = reg
 	opt.Opts.Tracer = tracer
 	opt.Opts.Workers = o.Workers
@@ -166,15 +167,12 @@ func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, 
 	}
 	execSpan.Annotate("rows=%d", out.N)
 
-	// Attach the optimizer's estimates so every operator line shows
-	// actual vs estimated cardinality, and fold each operator's
+	// Attach the optimizer's group estimates so every operator line
+	// shows actual vs estimated cardinality, and fold each operator's
 	// q-error into the per-op-type histograms. The flight OpStat rows
-	// key by subtree fingerprint, so estimate accuracy learned here
-	// transfers to any plan containing the same subtree.
+	// key by subtree fingerprint.
 	var ops []flight.OpStat
 	qerr := reg.HistogramVec("executor.qerror_milli", "op")
-	sess := est.NewSession(reg)
-	sess.SetFeedback(fb) // nil-safe: static estimates when no store
 	maxQ := 1.0
 	type obsRow struct {
 		key         string
@@ -186,17 +184,16 @@ func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, 
 		if a == nil {
 			return
 		}
-		if rows, err := sess.Rows(n); err == nil {
-			a.EstRows = rows
-		}
+		est := res.Estimates[n]
+		a.EstRows = est.Rows
 		op := executor.OpName(n)
 		qe := flight.QError(a.EstRows, a.Rows)
 		qerr.With(op).Observe(int64(qe*1000 + 0.5))
-		if fb != nil && len(n.Children()) > 0 {
+		if est.Key != "" {
 			if qe > maxQ {
 				maxQ = qe
 			}
-			corrections = append(corrections, obsRow{key: plan.Key(n), est: a.EstRows, actual: float64(a.Rows)})
+			corrections = append(corrections, obsRow{key: est.Key, est: a.EstRows, actual: float64(a.Rows)})
 		}
 		ops = append(ops, flight.OpStat{
 			Op:      op,

@@ -95,12 +95,3 @@ func RandomJoinDB(rng *rand.Rand, n int) plan.Database {
 	}
 	return db
 }
-
-// KnownExtractionGaps names the RandomJoinQuery seeds (of 1..380) on
-// which the memo's extracted winner costs more than saturation's: the
-// memo holds saturation's winner, but branch-and-bound extraction keeps
-// one cheapest member per group and two equivalent members can be
-// estimated at different cardinalities. internal/optimizer's
-// differential requires equal best costs on every other seed;
-// internal/memo's closure test checks plan-by-plan membership on these.
-var KnownExtractionGaps = map[int64]bool{18: true, 129: true, 131: true, 313: true}

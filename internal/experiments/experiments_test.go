@@ -195,6 +195,31 @@ func TestE14OptimizerFindsJoinFirst(t *testing.T) {
 	}
 }
 
+// TestE14FullNoCostlierThanBaseline: at every |r4| E14 sweeps, the
+// full optimizer's best plan costs no more than the baseline
+// optimizer's. BaselineRules is a subset of DefaultRules
+// (TestBaselineRulesSubset), so the full optimizer's class holds every
+// plan the baseline's does.
+func TestE14FullNoCostlierThanBaseline(t *testing.T) {
+	q := Query1()
+	for _, r4Rows := range e14Sizes {
+		db := Query1DB(r4Rows)
+		est := stats.NewEstimator(stats.FromDatabase(db))
+		full, err := optimizer.New(est).Optimize(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := optimizer.NewBaseline(est).Optimize(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Best.Cost > base.Best.Cost {
+			t.Errorf("|r4|=%d: full optimizer's best costs %.0f, the baseline's %.0f\nfull:     %s\nbaseline: %s",
+				r4Rows, full.Best.Cost, base.Best.Cost, full.Best.Plan, base.Best.Plan)
+		}
+	}
+}
+
 // foldTree renders an association tree with each node's operands in
 // lexical order, the commutation folding core.JoinOrders applies to
 // plans, so the two spaces compare as sets of strings.

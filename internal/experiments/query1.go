@@ -44,6 +44,9 @@ func Query1() plan.Node {
 		loj, plan.NewScan("r4"))
 }
 
+// e14Sizes are the |r4| E14 sweeps.
+var e14Sizes = []int{2, 20, 200}
+
 // E14 reproduces Query 1: the optimizer pushes the aggregation above
 // both joins and reorders the highly filtering r4 join below it, as
 // the paper's introduction promises.
@@ -52,7 +55,7 @@ func E14() string {
 	b.WriteString("E14 — Query 1 (Section 1.1): outer join over an aggregated column\n\n")
 	q := Query1()
 	b.WriteString("as written:\n" + plan.Indent(q) + "\n")
-	for _, r4Rows := range []int{2, 20, 200} {
+	for _, r4Rows := range e14Sizes {
 		db := Query1DB(r4Rows)
 		est := stats.NewEstimator(stats.FromDatabase(db))
 		full, err := optimizer.New(est).Optimize(q, db)

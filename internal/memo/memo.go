@@ -13,11 +13,14 @@
 // ids — so admitting, deduplicating and looking one up never renders a
 // tree. It is also kept concretely, as a real plan.Node whose child
 // subtrees are the *representatives* of the child groups, which keeps
-// every expression a genuine member tree: rules apply to it directly
-// and stats cost it. A rule result's children are nodes the memo
-// already knows — representatives or admitted expression nodes — so
-// they resolve to their groups by pointer; only the operators a rule
-// newly built are shaped.
+// every expression a genuine member tree that rules apply to directly.
+// A rule result's children are nodes the memo already knows —
+// representatives or admitted expression nodes — so they resolve to
+// their groups by pointer; only the operators a rule newly built are
+// shaped. Costing reads no tree: a group has one cardinality,
+// estimated from its representative, and extraction prices each
+// expression's operator from its group's and its input groups'
+// cardinalities (see Extract).
 //
 // Exploration saturates the groups under a core.Rule set using the
 // rules' declared RuleScope to build group-local *bindings*: a
@@ -45,6 +48,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/stats"
 )
 
 // GroupID names one equivalence group.
@@ -85,6 +89,7 @@ const (
 
 // expr is one operator-over-groups shape.
 type expr struct {
+	shape
 	id    exprID
 	group GroupID
 	// node is the expression materialized over the child groups'
@@ -123,6 +128,11 @@ type group struct {
 	// rules are bound to, one per placement of the conjuncts on
 	// operators (see growPures).
 	pures []pureTree
+
+	// est is the group's cardinality, read once by Extract or Price
+	// (estimated set).
+	est       stats.Estimate
+	estimated bool
 
 	// winner is set by Extract: the cheapest materialization of the
 	// group, or nil when every expression was pruned or cyclic.
@@ -514,7 +524,7 @@ func rebuild(n, l, r plan.Node) plan.Node {
 // over the representatives of its input groups. Callers have checked
 // that g does not hold the shape.
 func (m *Memo) admit(g *group, n plan.Node, s shape, rule *boundRule, from exprID) *expr {
-	e := &expr{id: exprID(len(m.exprs)), group: g.id, kids: [2]GroupID{s.l, s.r}, from: from}
+	e := &expr{shape: s, id: exprID(len(m.exprs)), group: g.id, kids: [2]GroupID{s.l, s.r}, from: from}
 	var in [2]plan.Node
 	for i, gid := range e.kids {
 		if gid >= 0 {

@@ -346,9 +346,8 @@ type containsKey struct {
 }
 
 // TestMemoHoldsSaturationClosure is the plan-space pin, stronger than
-// comparing best costs (branch-and-bound extraction can miss the
-// optimum when two members of a group are estimated at different
-// cardinalities; membership cannot): every plan of the whole-tree
+// comparing best costs (it covers every plan, not only the cheapest):
+// every plan of the whole-tree
 // closure core.Saturate computes is a materialization of the memo's
 // root group — for the paper's examples and for generated queries over
 // inner, left and full outer joins with multi-conjunct, complex and
@@ -396,16 +395,17 @@ func TestMemoHoldsSaturationClosure(t *testing.T) {
 	if checked < 50 {
 		t.Errorf("only %d generated closures were small enough to check", checked)
 	}
-	// The seeds on which internal/optimizer's differential tolerates a
-	// costlier memo winner: both of the optimizer's seeds (the query as
-	// written and simplified) must hold their whole closure, saturation's
-	// winner included, so that only extraction can be behind the gap.
-	for seed := range datagen.KnownExtractionGaps {
+	// The seeds on which extraction once missed saturation's optimum
+	// (while members of one group carried different cardinalities):
+	// both of the optimizer's seeds (the query as written and
+	// simplified) must hold their whole closure, saturation's winner
+	// included.
+	for _, seed := range []int64{18, 129, 131, 313} {
 		seed := seed
 		t.Run(fmt.Sprintf("gap-seed=%d", seed), func(t *testing.T) {
 			q, _ := datagen.RandomJoinQuery(rand.New(rand.NewSource(seed)))
 			if !check(t, q) || !check(t, simplify.Simplify(q)) {
-				t.Fatal("closure capped: the pinned gap is not vouched for")
+				t.Fatal("closure capped")
 			}
 		})
 	}

@@ -76,18 +76,21 @@ func BenchmarkExploreCold(b *testing.B) {
 // the operator kinds match their patterns (memo.child_bindings 6 278 →
 // 1 832 on loj6), and numbering atoms and resolving relation names
 // without maps, brought the five shapes from 10 360 / 31 188 / 8 741 /
-// 22 510 / 9 866 to 8 569 / 25 946 / 8 190 / 16 463 / 8 213. Each
-// ceiling sits below the former count; all but star4_complex's also
-// trip when only the binding filter is undone (≈9 900 / 28 600 / 8 270 /
-// 21 410 / 9 170), and TestMemoChildPatternsSound pins the binding
-// counts exactly. Not run under -race, which changes the counts.
+// 22 510 / 9 866 to 8 569 / 25 946 / 8 190 / 16 463 / 8 213.
+// TestMemoChildPatternsSound pins the binding counts exactly.
+// Extraction that prices each expression locally at its groups'
+// cardinalities, materializing only each group's winner, instead of
+// building and costing a tree per candidate through a subtree-keyed
+// cache, brought them to 4 792 / 21 352 / 5 276 / 12 516 / 6 030; each
+// ceiling sits just above its count. Not run under -race, which
+// changes the counts.
 func TestExploreColdAllocCeiling(t *testing.T) {
 	ceilings := map[string]float64{
-		"loj5_complex":  9500,
-		"inner4_loj":    27500,
-		"star4_complex": 8650,
-		"loj6":          20000,
-		"mix5_groupby":  8900,
+		"loj5_complex":  5000,
+		"inner4_loj":    22000,
+		"star4_complex": 5500,
+		"loj6":          13000,
+		"mix5_groupby":  6300,
 	}
 	db := coldDB()
 	est := stats.NewEstimator(stats.FromDatabase(db))

@@ -14,20 +14,24 @@ import (
 // winner was obtained.
 const HeuristicRule = "heuristic-left-deep"
 
+// heuristicMaxRels is the widest join core heuristicLeftDeep orders:
+// its relation sets are one-word bitmasks.
+const heuristicMaxRels = 62
+
 // heuristicLeftDeep builds a greedy left-deep join order for q:
 // smallest base relation first, then repeatedly the connected
 // relation minimizing the estimated rows of the next join, with every
-// join conjunct placed at the first step both its sides are available
-// (the same placement freedom the DP uses). It is the degradation
-// fallback when the enumeration budget trips before memo exploration
-// finishes — Selinger's greedy escape hatch rather than a search.
+// join conjunct placed at the first step both its sides are available.
+// It is the degradation fallback when the enumeration budget trips
+// before memo exploration finishes — Selinger's greedy escape hatch
+// rather than a search.
 //
 // The query may carry a spine of unary operators (Project, GroupBy,
 // Select, …) above a pure inner-join core; the spine is re-applied
 // over the reordered core. Queries outside that shape (outer joins in
 // the core, repeated relations, disconnected graphs) return ok=false
 // and degradation falls back to the best plan enumerated so far.
-func heuristicLeftDeep(q plan.Node, sess *stats.Session) (plan.Node, bool) {
+func heuristicLeftDeep(q plan.Node, est *stats.Estimator) (plan.Node, bool) {
 	// Peel the unary spine down to the join core.
 	var spine []plan.Node
 	core := q
@@ -52,7 +56,7 @@ func heuristicLeftDeep(q plan.Node, sess *stats.Session) (plan.Node, bool) {
 		}
 	}
 	n := len(h.Nodes)
-	if n < 2 || n > dpMaskLimit {
+	if n < 2 || n > heuristicMaxRels {
 		return nil, false
 	}
 	names := append([]string(nil), h.Nodes...)
@@ -83,7 +87,7 @@ func heuristicLeftDeep(q plan.Node, sess *stats.Session) (plan.Node, bool) {
 
 	scanRows := make([]float64, n)
 	for i, name := range names {
-		r, err := sess.Rows(plan.NewScan(name))
+		r, err := est.OpRows(plan.NewScan(name), nil)
 		if err != nil {
 			return nil, false
 		}
@@ -98,6 +102,7 @@ func heuristicLeftDeep(q plan.Node, sess *stats.Session) (plan.Node, bool) {
 		}
 	}
 	cur := plan.Node(plan.NewScan(names[start]))
+	curRows := scanRows[start]
 	set := uint64(1) << uint(start)
 
 	for step := 1; step < n; step++ {
@@ -120,7 +125,7 @@ func heuristicLeftDeep(q plan.Node, sess *stats.Session) (plan.Node, bool) {
 				continue // not connected to the current prefix yet
 			}
 			join := plan.NewJoin(plan.InnerJoin, expr.And(preds...), cur, plan.NewScan(names[i]))
-			rows, err := sess.Rows(join)
+			rows, err := est.OpRows(join, []float64{curRows, scanRows[i]})
 			if err != nil {
 				return nil, false
 			}
@@ -139,7 +144,7 @@ func heuristicLeftDeep(q plan.Node, sess *stats.Session) (plan.Node, bool) {
 				c.used = true
 			}
 		}
-		cur = bestJoin
+		cur, curRows = bestJoin, bestRows
 	}
 	// Every conjunct must have been placed; a dropped one would change
 	// the result, not just the cost. (Single-relation conjuncts inside

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/simplify"
+	"repro/internal/stats"
 )
 
 // Optimize enumerates the equivalence class of q and returns the
@@ -143,6 +144,15 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	sess := o.Est.NewSession(reg)
 	sess.SetBudget(o.Opts.Budget)
 	sess.SetFeedback(o.Opts.Feedback)
+	considered := m.Exprs()
+	if degraded != "" {
+		// A truncated memo may hold only expensive orders: offer the
+		// greedy left-deep order to the query's group, where it is
+		// priced at the same cardinalities as every other member.
+		if hp, ok := heuristicLeftDeep(inner, o.Est); ok {
+			m.Offer(roots[0], hp, HeuristicRule)
+		}
+	}
 	// Extraction over a budget-capped memo still yields the cheapest
 	// plan among everything admitted (seeds are never charged, so a
 	// materializable plan always exists): degradation returns the
@@ -151,47 +161,36 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: extracting %s: %w", q, err)
 	}
-	bestPlan, bestCost := sorted(best.Plan, required), best.Cost
-	if len(required) > 0 {
-		if bestCost, err = sess.PlanCost(bestPlan); err != nil {
-			return nil, fmt.Errorf("optimizer: costing %s: %w", bestPlan, err)
-		}
-	}
-	derivation := append(append([]string(nil), prefixes[best.Root]...), m.Derivation(best.Group)...)
-	if degraded != "" {
-		// A truncated memo may hold only expensive orders; offer the
-		// greedy left-deep fallback and keep whichever is cheaper.
-		if hp, ok := heuristicLeftDeep(inner, sess); ok {
-			hp = sorted(hp, required)
-			if hc, herr := sess.PlanCost(hp); herr == nil && hc < bestCost {
-				bestPlan, bestCost = hp, hc
-				derivation = []string{HeuristicRule}
-			}
-		}
-	}
-	bestRows, err := sess.Rows(bestPlan)
-	if err != nil {
-		return nil, err
-	}
-	origCost, err := sess.PlanCost(q)
+	origCost, ok, err := m.Price(roots[0], inner, sess)
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: costing %s: %w", q, err)
 	}
-	origRows, err := sess.Rows(q)
-	if err != nil {
-		return nil, err
+	if !ok {
+		return nil, fmt.Errorf("optimizer: %s is not a member of its own memo group", q)
 	}
+	estimates := make(map[plan.Node]stats.Estimate)
+	m.Estimates(best.Group, estimates)
+	bestPlan, bestCost := best.Plan, best.Cost
+	bestRows, origRows := m.Estimate(best.Group).Rows, m.Estimate(roots[0]).Rows
+	if len(required) > 0 {
+		bestPlan = sorted(best.Plan, required)
+		bestCost += o.Est.OpCost(bestPlan, bestRows, []float64{bestRows})
+		origCost += o.Est.OpCost(q, origRows, []float64{origRows})
+		estimates[bestPlan] = stats.Estimate{Rows: bestRows}
+	}
+	derivation := append(append([]string(nil), prefixes[best.Root]...), m.Derivation(best.Group)...)
 	endCost()
 	reg.Counter("optimizer.plans_costed").Inc()
 
 	res = &Result{
 		Best:                Ranked{Plan: bestPlan, Cost: bestCost, Rows: bestRows, Derivation: derivation},
 		Original:            Ranked{Plan: q, Cost: origCost, Rows: origRows},
-		Considered:          m.Exprs(),
+		Considered:          considered,
 		RuleFirings:         m.RuleFirings(),
 		Phases:              phases,
 		Degraded:            degraded,
 		FeedbackCorrections: int(sess.FeedbackHits()),
+		Estimates:           estimates,
 	}
 	if len(required) > 0 {
 		res.Order = &OrderInfo{Required: required, Enforced: 1}

@@ -52,11 +52,11 @@ type Options struct {
 	// Result.Degraded naming the reason.
 	Budget *guard.Budget
 	// Feedback, when non-nil, attaches a cardinality feedback store to
-	// the run's estimation session: subtrees with recorded
-	// estimated→actual corrections are costed at the observed
-	// cardinality instead of the static model's. Off (nil) by default —
-	// a nil store leaves plans, costs and traces bit-identical to a
-	// run without feedback.
+	// the run's estimation session: a memo group with a correction
+	// recorded under its key (Result.Estimates) is priced at the
+	// observed cardinality instead of the static model's. Off (nil) by
+	// default — a nil store leaves plans, costs and traces
+	// bit-identical to a run without feedback.
 	Feedback *feedback.Store
 }
 
@@ -92,10 +92,16 @@ type Result struct {
 	// found before the stop — possibly the greedy left-deep fallback
 	// — rather than the optimum over the full equivalence class.
 	Degraded string
-	// FeedbackCorrections counts the distinct subtrees this run costed
+	// FeedbackCorrections counts the memo groups this run estimated
 	// from feedback corrections instead of the static model (0 when
 	// Options.Feedback is nil or no correction matched).
 	FeedbackCorrections int
+	// Estimates maps every node of Best.Plan to the cardinality of the
+	// memo group it was extracted from: the rows the run priced it at,
+	// and the key a feedback correction for the group is recorded
+	// under ("" without Options.Feedback, for a base relation, and for
+	// the root ORDER BY's enforcer Sort).
+	Estimates map[plan.Node]stats.Estimate
 	// Order reports how a root ORDER BY was satisfied: the required
 	// order and the enforcer sorts the best plan carries for it. Nil
 	// when the query required no order.

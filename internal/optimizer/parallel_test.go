@@ -56,24 +56,3 @@ func TestOptimizeWorkersDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestOptimizeCostMemoCounters: the cost phase routes through the
-// shared-subtree session, so a closure with thousands of overlapping
-// plans must report memo hits.
-func TestOptimizeCostMemoCounters(t *testing.T) {
-	db := parTestDB()
-	reg := obs.NewRegistry()
-	est := stats.NewEstimator(stats.FromDatabase(db))
-	o := New(est)
-	o.Opts.Obs = reg
-	if _, err := o.Optimize(query2(), db); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot().Counters
-	if snap["stats.memo.cost_hits"] == 0 {
-		t.Error("optimizer cost phase should hit the subtree cost memo")
-	}
-	if snap["stats.memo.rows_hits"] == 0 {
-		t.Error("optimizer cost phase should hit the subtree rows memo")
-	}
-}

@@ -1,15 +1,19 @@
 // Package feedback closes the loop from execution back to the cost
 // model: a race-safe, bounded store of estimated→actual row
-// corrections keyed by subtree plan.Key. The instrumented executor
-// records what each subtree actually produced; a stats.Session with
-// the store attached prefers the corrected cardinality over the
-// static model, so re-optimization of a drifted plan ranks join
-// orders by observed truth instead of the estimate that misled it.
+// corrections keyed by string. The instrumented executor records what
+// each operator actually produced; a stats.Session with the store
+// attached prefers the corrected cardinality over the static model,
+// so re-optimization of a drifted plan ranks join orders by observed
+// truth instead of the estimate that misled it.
 //
-// Corrections are keyed by the *template* subtree key (parameter
-// slots, not bound constants), so what one execution learns transfers
-// to every plan — and every future parameter binding — containing the
-// same subtree. Observations fold in under exponential decay, so a
+// A key names a memo group: the plan.Key of the group's *template*
+// representative (parameter slots, not bound constants), which
+// optimizer.Result.Estimates reports for every node of a plan. What
+// one execution learns therefore transfers to every member of the
+// group — whichever bracketing wins next — and to every future
+// parameter binding. (stats.Session's whole-tree Rows and PlanCost
+// look a subtree up under its own plan.Key.) Observations fold in
+// under exponential decay, so a
 // workload shift re-learns instead of averaging forever, and an
 // outlier clamp bounds how far a single wild run can drag the
 // correction.
@@ -24,7 +28,7 @@ import (
 
 // Options bound and shape a Store.
 type Options struct {
-	// MaxEntries caps the number of distinct subtree keys retained;
+	// MaxEntries caps the number of distinct keys retained;
 	// beyond it the oldest-inserted key is evicted. 0 means
 	// DefaultMaxEntries.
 	MaxEntries int

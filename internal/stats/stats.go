@@ -214,49 +214,50 @@ func (e *Estimator) eqConstSelectivity(col expr.Col, other expr.Scalar) float64 
 }
 
 // Rows estimates the output cardinality of n.
-func (e *Estimator) Rows(n plan.Node) (float64, error) { return e.rows(n, nil) }
-
-// rows is Rows with an optional memo session: when s is non-nil,
-// estimates are looked up and recorded by subtree fingerprint, so a
-// subtree shared by many plans of an equivalence class is estimated
-// once.
-func (e *Estimator) rows(n plan.Node, s *Session) (float64, error) {
-	memoize := s != nil && len(n.Children()) > 0 // a Scan lookup is cheaper than a memo hit
-	var key string
-	if memoize {
-		key = plan.Key(n)
-		if v, ok := s.rows.Load(key); ok {
-			s.rowsHits.Inc()
-			return v.(float64), nil
-		}
-		s.rowsMiss.Inc()
-		// Learned truth beats the model: a feedback correction for this
-		// subtree (recorded from an instrumented execution) replaces the
-		// static estimate. Cached in the memo like any other estimate so
-		// the store is consulted once per distinct subtree per session.
-		if s.fb != nil {
-			rows, ok, err := s.fb.Lookup(key)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				s.fbHits.Add(1)
-				s.rows.Store(key, rows)
-				return rows, nil
-			}
-		}
-	}
-	v, err := e.rowsSwitch(n, s)
-	if err != nil {
-		return 0, err
-	}
-	if memoize {
-		s.rows.Store(key, v)
-	}
-	return v, nil
+func (e *Estimator) Rows(n plan.Node) (float64, error) {
+	rows, _, err := e.estimate(n, nil)
+	return rows, err
 }
 
-func (e *Estimator) rowsSwitch(n plan.Node, s *Session) (float64, error) {
+// PlanCost estimates the total abstract cost of executing n,
+// including its inputs: every operator's OpCost, summed bottom-up.
+func (e *Estimator) PlanCost(n plan.Node) (float64, error) {
+	_, cost, err := e.estimate(n, nil)
+	return cost, err
+}
+
+// estimate is the one pass over a whole tree, bottom-up and uncached:
+// a node's rows are OpRows over its inputs' rows — or, in a session
+// with a feedback store, the correction recorded under the subtree's
+// plan.Key — and its cost is its inputs' costs plus its OpCost.
+func (e *Estimator) estimate(n plan.Node, s *Session) (rows, cost float64, err error) {
+	ch := n.Children()
+	if len(ch) > 2 {
+		return 0, 0, fmt.Errorf("stats: cannot estimate %T with %d inputs", n, len(ch))
+	}
+	var in [2]float64
+	for i, child := range ch {
+		r, c, err := e.estimate(child, s)
+		if err != nil {
+			return 0, 0, err
+		}
+		in[i] = r
+		cost += c
+	}
+	if rows, err = e.OpRows(n, in[:len(ch)]); err != nil {
+		return 0, 0, err
+	}
+	if s != nil && s.fb != nil && len(ch) > 0 {
+		if rows, err = s.corrected(plan.Key(n), rows); err != nil {
+			return 0, 0, err
+		}
+	}
+	return rows, cost + e.OpCost(n, rows, in[:len(ch)]), nil
+}
+
+// OpRows estimates the output cardinality of n's root operator alone,
+// its inputs estimated at in (one entry per child).
+func (e *Estimator) OpRows(n plan.Node, in []float64) (float64, error) {
 	switch m := n.(type) {
 	case *plan.Scan:
 		ts, ok := e.table(m.Rel)
@@ -265,91 +266,52 @@ func (e *Estimator) rowsSwitch(n plan.Node, s *Session) (float64, error) {
 		}
 		return ts.Rows, nil
 	case *plan.Select:
-		in, err := e.rows(m.Input, s)
-		if err != nil {
-			return 0, err
-		}
-		return in * e.Selectivity(m.Pred), nil
+		return in[0] * e.Selectivity(m.Pred), nil
 	case *plan.Join:
-		return e.joinRows(m.Kind, m.Pred, m.L, m.R, s)
-	case *plan.GenSel:
-		in, err := e.rows(m.Input, s)
-		if err != nil {
-			return 0, err
+		match := in[0] * in[1] * e.Selectivity(m.Pred)
+		switch m.Kind {
+		case plan.InnerJoin:
+			return match, nil
+		case plan.LeftJoin:
+			return math.Max(match, in[0]), nil
+		case plan.RightJoin:
+			return math.Max(match, in[1]), nil
+		default: // FullJoin
+			return math.Max(match, math.Max(in[0], in[1])), nil
 		}
+	case *plan.GenSel:
 		sel := e.Selectivity(m.Pred)
-		out := in * sel
+		out := in[0] * sel
 		// Each preserved relation re-contributes its unmatched
 		// distinct projections, at most the input cardinality.
 		for range m.Preserved {
-			out += in * (1 - sel) * 0.5
+			out += in[0] * (1 - sel) * 0.5
 		}
-		return math.Min(out, in*(1+float64(len(m.Preserved)))), nil
+		return math.Min(out, in[0]*(1+float64(len(m.Preserved)))), nil
 	case *plan.MGOJNode:
-		l, err := e.rows(m.L, s)
-		if err != nil {
-			return 0, err
-		}
-		r, err := e.rows(m.R, s)
-		if err != nil {
-			return 0, err
-		}
+		l, r := in[0], in[1]
 		match := l * r * e.Selectivity(m.Pred)
 		return match + float64(len(m.Preserved))*math.Max(l, r)*0.5, nil
 	case *plan.GroupBy:
-		return e.groupRows(m.Keys, m.Input, s)
+		return e.groupRows(m.Keys, in[0]), nil
 	case *plan.Project:
-		in, err := e.rows(m.Input, s)
-		if err != nil {
-			return 0, err
-		}
 		if m.Distinct {
-			return math.Max(1, in/2), nil
+			return math.Max(1, in[0]/2), nil
 		}
-		return in, nil
+		return in[0], nil
 	case *plan.Sort:
-		in, err := e.rows(m.Input, s)
-		if err != nil {
-			return 0, err
-		}
 		if m.Limit >= 0 {
-			return math.Min(in, float64(m.Limit)), nil
+			return math.Min(in[0], float64(m.Limit)), nil
 		}
-		return in, nil
+		return in[0], nil
 	default:
 		return 0, fmt.Errorf("stats: cannot estimate %T", n)
 	}
 }
 
-// joinRows estimates the output of a join of the given kind.
-func (e *Estimator) joinRows(kind plan.JoinKind, p expr.Pred, ln, rn plan.Node, s *Session) (float64, error) {
-	l, err := e.rows(ln, s)
-	if err != nil {
-		return 0, err
-	}
-	r, err := e.rows(rn, s)
-	if err != nil {
-		return 0, err
-	}
-	match := l * r * e.Selectivity(p)
-	switch kind {
-	case plan.InnerJoin:
-		return match, nil
-	case plan.LeftJoin:
-		return math.Max(match, l), nil
-	case plan.RightJoin:
-		return math.Max(match, r), nil
-	default: // FullJoin
-		return math.Max(match, math.Max(l, r)), nil
-	}
-}
-
-// groupRows estimates the number of groups over keys.
-func (e *Estimator) groupRows(keys []schema.Attribute, input plan.Node, s *Session) (float64, error) {
-	in, err := e.rows(input, s)
-	if err != nil {
-		return 0, err
-	}
+// groupRows estimates the number of groups over keys of an input of
+// in rows.
+func (e *Estimator) groupRows(keys []schema.Attribute, in float64) float64 {
 	groups := 1.0
 	for _, k := range keys {
 		if k.Virtual {
@@ -362,215 +324,154 @@ func (e *Estimator) groupRows(keys []schema.Attribute, input plan.Node, s *Sessi
 			break
 		}
 	}
-	return math.Min(groups, math.Max(1, in)), nil
+	return math.Min(groups, math.Max(1, in))
 }
 
-// PlanCost estimates the total abstract cost of executing n,
-// including its inputs. Joins with at least one equality conjunct
-// cost as hash joins; others as nested loops. Generalized selection
-// costs one pass over its input plus an anti-join pass per preserved
-// relation — the same shape as MGOJ, per Section 4.
-func (e *Estimator) PlanCost(n plan.Node) (float64, error) { return e.planCost(n, nil) }
-
-// planCost is PlanCost with an optional memo session. Costing is
-// where memoization pays twice: the recursion consults the row
-// estimator at every node (itself recursive), and the plans of an
-// equivalence class share almost all subtrees, so both the per-node
-// (rows, cost) pairs and the row estimates are computed once per
-// distinct subtree instead of once per occurrence.
-func (e *Estimator) planCost(n plan.Node, s *Session) (float64, error) {
-	var rec func(n plan.Node) (rows, cost float64, err error)
-	rec = func(n plan.Node) (float64, float64, error) {
-		memoize := s != nil && len(n.Children()) > 0
-		var key string
-		if memoize {
-			key = plan.Key(n)
-			if v, ok := s.cost.Load(key); ok {
-				s.costHits.Inc()
-				ent := v.(memoEntry)
-				return ent.rows, ent.cost, nil
-			}
-			s.costMiss.Inc()
+// OpCost estimates the abstract cost of n's root operator alone: it
+// produces rows from inputs of in rows (one entry per child), the
+// inputs' own costs excluded. Joins with at least one equality
+// conjunct cost as hash joins — or as an index nested loop when one
+// input is a base relation and the other small — others as nested
+// loops. Generalized selection costs one pass over its input plus an
+// anti-join pass per preserved relation — the same shape as MGOJ, per
+// Section 4. n's operator must be one OpRows estimates.
+func (e *Estimator) OpCost(n plan.Node, rows float64, in []float64) float64 {
+	switch m := n.(type) {
+	case *plan.Scan:
+		return rows * e.Cost.Tuple
+	case *plan.Select:
+		return in[0]*e.Cost.Pred + rows*e.Cost.Tuple
+	case *plan.Join, *plan.MGOJNode:
+		var l, r plan.Node
+		var p expr.Pred
+		var preserved int
+		if j, ok := n.(*plan.Join); ok {
+			l, r, p = j.L, j.R, j.Pred
+		} else {
+			mg := n.(*plan.MGOJNode)
+			l, r, p = mg.L, mg.R, mg.Pred
+			preserved = len(mg.Preserved)
 		}
-		rows, cost, err := e.costSwitch(n, s, rec)
-		if err != nil {
-			return 0, 0, err
+		lr, rr := in[0], in[1]
+		var op float64
+		if hasEquiConjunct(p) {
+			op = (lr + rr) * e.Cost.Hash
+			// An index nested loop over a base relation beats the
+			// hash join when the outer input is small — the
+			// Example 1.1 index case.
+			if _, rScan := r.(*plan.Scan); rScan {
+				op = math.Min(op, lr*e.Cost.IndexProbe)
+			}
+			if _, lScan := l.(*plan.Scan); lScan {
+				op = math.Min(op, rr*e.Cost.IndexProbe)
+			}
+			op += rows * e.Cost.Tuple
+		} else {
+			op = lr*rr*e.Cost.Pred + rows*e.Cost.Tuple
 		}
-		if memoize {
-			s.cost.Store(key, memoEntry{rows: rows, cost: cost})
+		return op + float64(preserved)*(lr+rr)*e.Cost.Hash
+	case *plan.GenSel:
+		// Anti-join per preserved relation: hash the selected
+		// projections, probe the input's projections.
+		return in[0]*e.Cost.Pred + float64(len(m.Preserved))*2*in[0]*e.Cost.Hash + rows*e.Cost.Tuple
+	case *plan.GroupBy:
+		return in[0]*e.Cost.Hash + rows*e.Cost.Tuple
+	case *plan.Project:
+		op := in[0] * e.Cost.Tuple
+		if m.Distinct {
+			op += in[0] * e.Cost.Hash
 		}
-		return rows, cost, nil
-	}
-	_, cost, err := rec(n)
-	return cost, err
-}
-
-// costSwitch computes one node's (rows, cost) given rec for the
-// inputs; recursion goes through rec so the memo sees every level.
-func (e *Estimator) costSwitch(n plan.Node, s *Session, rec func(plan.Node) (float64, float64, error)) (float64, float64, error) {
-	{
-		rows, err := e.rows(n, s)
-		if err != nil {
-			return 0, 0, err
-		}
-		switch m := n.(type) {
-		case *plan.Scan:
-			return rows, rows * e.Cost.Tuple, nil
-		case *plan.Select:
-			in, c, err := rec(m.Input)
-			if err != nil {
-				return 0, 0, err
-			}
-			return rows, c + in*e.Cost.Pred + rows*e.Cost.Tuple, nil
-		case *plan.Join, *plan.MGOJNode:
-			var l, r plan.Node
-			var p expr.Pred
-			var preserved int
-			if j, ok := n.(*plan.Join); ok {
-				l, r, p = j.L, j.R, j.Pred
-			} else {
-				mg := n.(*plan.MGOJNode)
-				l, r, p = mg.L, mg.R, mg.Pred
-				preserved = len(mg.Preserved)
-			}
-			lr, lc, err := rec(l)
-			if err != nil {
-				return 0, 0, err
-			}
-			rr, rc, err := rec(r)
-			if err != nil {
-				return 0, 0, err
-			}
-			var opCost float64
-			if hasEquiConjunct(p) {
-				opCost = (lr + rr) * e.Cost.Hash
-				// An index nested loop over a base relation beats the
-				// hash join when the outer input is small — the
-				// Example 1.1 index case.
-				if _, rScan := r.(*plan.Scan); rScan {
-					opCost = math.Min(opCost, lr*e.Cost.IndexProbe)
-				}
-				if _, lScan := l.(*plan.Scan); lScan {
-					opCost = math.Min(opCost, rr*e.Cost.IndexProbe)
-				}
-				opCost += rows * e.Cost.Tuple
-			} else {
-				opCost = lr*rr*e.Cost.Pred + rows*e.Cost.Tuple
-			}
-			opCost += float64(preserved) * (lr + rr) * e.Cost.Hash
-			return rows, lc + rc + opCost, nil
-		case *plan.GenSel:
-			in, c, err := rec(m.Input)
-			if err != nil {
-				return 0, 0, err
-			}
-			op := in * e.Cost.Pred
-			// Anti-join per preserved relation: hash the selected
-			// projections, probe the input's projections.
-			op += float64(len(m.Preserved)) * 2 * in * e.Cost.Hash
-			return rows, c + op + rows*e.Cost.Tuple, nil
-		case *plan.GroupBy:
-			in, c, err := rec(m.Input)
-			if err != nil {
-				return 0, 0, err
-			}
-			return rows, c + in*e.Cost.Hash + rows*e.Cost.Tuple, nil
-		case *plan.Project:
-			in, c, err := rec(m.Input)
-			if err != nil {
-				return 0, 0, err
-			}
-			op := in * e.Cost.Tuple
-			if m.Distinct {
-				op += in * e.Cost.Hash
-			}
-			return rows, c + op, nil
-		case *plan.Sort:
-			in, c, err := rec(m.Input)
-			if err != nil {
-				return 0, 0, err
-			}
-			// n log n comparisons plus the (limited) output.
-			op := in*math.Log2(math.Max(2, in))*e.Cost.Pred + rows*e.Cost.Tuple
-			return rows, c + op, nil
-		default:
-			return 0, 0, fmt.Errorf("stats: cannot cost %T", n)
-		}
+		return op
+	case *plan.Sort:
+		// n log n comparisons plus the (limited) output.
+		return in[0]*math.Log2(math.Max(2, in[0]))*e.Cost.Pred + rows*e.Cost.Tuple
+	default:
+		return 0
 	}
 }
 
-// memoEntry is one memoized (rows, cost) pair.
-type memoEntry struct {
-	rows, cost float64
+// Estimate is one memo group's cardinality: its rows, and the key a
+// feedback correction for the group is recorded under — the plan.Key
+// of the group's representative. Key is "" when no feedback store is
+// attached, and for a base relation, whose count is exact.
+type Estimate struct {
+	Rows float64
+	Key  string
 }
 
-// Session memoizes row and cost estimates by subtree fingerprint
-// (plan.Key) for the duration of one optimizer run. The plans of an
-// equivalence class differ only along a rewrite spine and share
-// almost every subtree, so estimating 20k closure members touches
-// each distinct subtree once instead of once per plan. Sessions are
-// safe for concurrent use — the optimizer's parallel cost phase
-// shares one session across workers; duplicated computation under a
-// race is benign because estimates are pure functions of the subtree.
-//
-// A session must not outlive its catalog: keys are plan fingerprints,
-// so estimates for a re-ANALYZEd database need a fresh session.
+// Session is the estimator an optimizer run prices with: the
+// estimator plus the run's budget and feedback store. It caches
+// nothing — the memo estimates each group once — so it is safe for
+// concurrent use.
 type Session struct {
 	e      *Estimator
-	rows   sync.Map // plan key -> float64
-	cost   sync.Map // plan key -> memoEntry
 	budget *guard.Budget
 	fb     *feedback.Store
 	fbHits atomic.Int64
-
-	rowsHits, rowsMiss, costHits, costMiss *obs.Counter
 }
 
-// NewSession opens a memoized estimation session. Cache hit/miss
-// totals are reported to reg as stats.memo.{rows,cost}_{hits,misses}
-// (the process-wide default registry when reg is nil).
-func (e *Estimator) NewSession(reg *obs.Registry) *Session {
-	return &Session{
-		e:        e,
-		rowsHits: reg.Counter("stats.memo.rows_hits"),
-		rowsMiss: reg.Counter("stats.memo.rows_misses"),
-		costHits: reg.Counter("stats.memo.cost_hits"),
-		costMiss: reg.Counter("stats.memo.cost_misses"),
-	}
-}
+// NewSession opens an estimation session. A session caches nothing
+// and so reports no counters; the registry argument is unused.
+func (e *Estimator) NewSession(*obs.Registry) *Session { return &Session{e: e} }
 
-// SetFeedback attaches a cardinality feedback store: row estimation
-// consults it by subtree fingerprint before the static model, so the
-// session ranks plans with corrected cardinalities where executions
-// have recorded the truth. A nil store (the default) adds one pointer
-// comparison per memo miss.
+// SetFeedback attaches a cardinality feedback store: a correction
+// recorded under a group's (or, for Rows and PlanCost, a subtree's)
+// plan.Key replaces the model's estimate. A nil store (the default)
+// leaves every estimate the model's and renders no key.
 func (s *Session) SetFeedback(fb *feedback.Store) { s.fb = fb }
 
-// FeedbackHits reports how many distinct subtrees this session
-// estimated from feedback corrections rather than the static model.
+// FeedbackHits reports how many estimates this session took from
+// feedback corrections rather than the static model.
 func (s *Session) FeedbackHits() int64 { return s.fbHits.Load() }
 
-// SetBudget attaches a guard budget to the session: every exported
-// estimation entry point checks cancellation before descending, so a
-// long costing or extraction phase sharing the session across workers
-// stays interruptible. A nil budget (the default) adds one pointer
-// comparison per call.
+// SetBudget attaches a guard budget to the session: Rows and PlanCost
+// check cancellation before descending. A nil budget (the default)
+// adds one pointer comparison per call.
 func (s *Session) SetBudget(b *guard.Budget) { s.budget = b }
 
-// Rows is Estimator.Rows through the session's memo.
+// Rows is Estimator.Rows with the session's feedback corrections.
 func (s *Session) Rows(n plan.Node) (float64, error) {
 	if err := s.budget.Cancelled(); err != nil {
 		return 0, err
 	}
-	return s.e.rows(n, s)
+	rows, _, err := s.e.estimate(n, s)
+	return rows, err
 }
 
-// PlanCost is Estimator.PlanCost through the session's memo.
+// PlanCost is Estimator.PlanCost with the session's feedback
+// corrections.
 func (s *Session) PlanCost(n plan.Node) (float64, error) {
 	if err := s.budget.Cancelled(); err != nil {
 		return 0, err
 	}
-	return s.e.planCost(n, s)
+	_, cost, err := s.e.estimate(n, s)
+	return cost, err
+}
+
+// GroupRows estimates a memo group from its representative n, whose
+// inputs' groups are estimated at in: OpRows, or the correction the
+// attached feedback store holds under n's plan.Key. The key is
+// rendered only when a store is attached and n is not a base
+// relation.
+func (s *Session) GroupRows(n plan.Node, in []float64) (Estimate, error) {
+	rows, err := s.e.OpRows(n, in)
+	if err != nil || s.fb == nil || len(in) == 0 {
+		return Estimate{Rows: rows}, err
+	}
+	key := plan.Key(n)
+	rows, err = s.corrected(key, rows)
+	return Estimate{Rows: rows, Key: key}, err
+}
+
+// corrected returns the feedback correction recorded under key, or
+// rows when there is none.
+func (s *Session) corrected(key string, rows float64) (float64, error) {
+	fbRows, ok, err := s.fb.Lookup(key)
+	if err != nil || !ok {
+		return rows, err
+	}
+	s.fbHits.Add(1)
+	return fbRows, nil
 }
 
 // Estimator returns the underlying estimator (catalog and cost

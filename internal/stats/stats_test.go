@@ -8,6 +8,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/schema"
+	"repro/internal/stats/feedback"
 	"repro/internal/value"
 )
 
@@ -258,5 +259,111 @@ func TestWithParamsReadsBoundValue(t *testing.T) {
 	}
 	if got := analyzed.Value() - before; got != 1 {
 		t.Errorf("estimator and view analyzed r2 %d times, want once", got)
+	}
+}
+
+func sessionDB() plan.Database {
+	db := plan.Database{}
+	for _, name := range []string{"r1", "r2", "r3", "r4"} {
+		b := relation.NewBuilder(name, "x", "y")
+		for i := 0; i < 30; i++ {
+			b.Row(value.NewInt(int64(i%7)), value.NewInt(int64(i%5)))
+		}
+		db[name] = b.Relation()
+	}
+	return db
+}
+
+// sessionPlans builds a family of plans over every operator the
+// session estimates, sharing most subtrees.
+func sessionPlans() []plan.Node {
+	r := func(n string) plan.Node { return plan.NewScan(n) }
+	eq := func(a, b string) expr.Pred { return expr.EqCols(a, "x", b, "x") }
+	base := plan.NewJoin(plan.InnerJoin, eq("r1", "r2"), r("r1"), r("r2"))
+	return []plan.Node{
+		base,
+		plan.NewJoin(plan.LeftJoin, eq("r2", "r3"), base, r("r3")),
+		plan.NewJoin(plan.FullJoin, eq("r2", "r3"), base, r("r3")),
+		plan.NewSelect(eq("r1", "r2"), plan.NewJoin(plan.LeftJoin, eq("r2", "r3"), base, r("r3"))),
+		plan.NewGenSel(eq("r1", "r3"), []plan.PreservedSpec{plan.NewPreserved("r1")},
+			plan.NewJoin(plan.LeftJoin, eq("r2", "r3"), base, r("r3"))),
+		plan.NewMGOJ(eq("r3", "r4"), []plan.PreservedSpec{plan.NewPreserved("r1")},
+			plan.NewJoin(plan.LeftJoin, eq("r2", "r3"), base, r("r3")), r("r4")),
+	}
+}
+
+// TestSessionMatchesEstimator: a session without a feedback store
+// estimates exactly as the plain estimator does.
+func TestSessionMatchesEstimator(t *testing.T) {
+	est := NewEstimator(FromDatabase(sessionDB()))
+	sess := est.NewSession(obs.NewRegistry())
+	for _, p := range sessionPlans() {
+		wantCost, err := est.PlanCost(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRows, err := est.Rows(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCost, err := sess.PlanCost(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRows, err := sess.Rows(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotCost != wantCost || gotRows != wantRows {
+			t.Errorf("%s: session (%.4f, %.4f) != estimator (%.4f, %.4f)",
+				p, gotCost, gotRows, wantCost, wantRows)
+		}
+	}
+}
+
+// TestSessionError: estimation errors (unknown relation) surface
+// through the session unchanged.
+func TestSessionError(t *testing.T) {
+	est := NewEstimator(FromDatabase(sessionDB()))
+	sess := est.NewSession(obs.NewRegistry())
+	bad := plan.NewJoin(plan.InnerJoin, expr.EqCols("r1", "x", "zz", "x"),
+		plan.NewScan("r1"), plan.NewScan("zz"))
+	if _, err := sess.PlanCost(bad); err == nil {
+		t.Fatal("expected an error for unknown relation")
+	}
+	if _, err := sess.Rows(bad); err == nil {
+		t.Fatal("expected an error for unknown relation")
+	}
+}
+
+// TestSessionGroupRows: a group's estimate is its representative's
+// operator over the input groups' estimates, or the feedback
+// correction recorded under the representative's plan.Key. The key is
+// rendered only with a store attached, and never for a base relation.
+func TestSessionGroupRows(t *testing.T) {
+	est := NewEstimator(FromDatabase(sessionDB()))
+	join := plan.NewJoin(plan.InnerJoin, expr.EqCols("r1", "x", "r2", "x"), plan.NewScan("r1"), plan.NewScan("r2"))
+	in := []float64{1000, 10} // the input groups' estimates, not the tables'
+	want, err := est.OpRows(join, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := est.NewSession(nil)
+	if got, err := sess.GroupRows(join, in); err != nil || got != (Estimate{Rows: want}) {
+		t.Fatalf("without a store: %+v, %v; want {%v \"\"}", got, err, want)
+	}
+	fb := feedback.New(feedback.Options{})
+	sess.SetFeedback(fb)
+	if got, err := sess.GroupRows(join, in); err != nil || got != (Estimate{Rows: want, Key: plan.Key(join)}) {
+		t.Fatalf("with an empty store: %+v, %v", got, err)
+	}
+	if err := fb.Record(plan.Key(join), want, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sess.GroupRows(join, in); err != nil || got.Rows != 7 || sess.FeedbackHits() != 1 {
+		t.Fatalf("with a correction: %+v, %v, %d hits; want 7 rows, 1 hit", got, err, sess.FeedbackHits())
+	}
+	if got, err := sess.GroupRows(plan.NewScan("r1"), nil); err != nil || got.Key != "" || got.Rows != 30 {
+		t.Fatalf("base relation: %+v, %v; want 30 rows and no key", got, err)
 	}
 }

@@ -67,8 +67,9 @@ type ServiceConfig struct {
 	// FlightCap sizes the flight recorder ring (0 = default).
 	FlightCap int
 	// Feedback enables the cardinality-feedback loop: every execution
-	// runs instrumented, per-subtree actual row counts are folded into
-	// a feedback store keyed by template-subtree fingerprint, and a
+	// runs instrumented, per-operator actual row counts are folded into
+	// a feedback store keyed by the memo group each operator was
+	// extracted from (its template representative's fingerprint), and a
 	// template whose max subtree q-error stays past ReplanQError for
 	// ReplanAfter consecutive runs is re-optimized in place with the
 	// corrected cardinalities. Off by default: the serving path is then
@@ -337,12 +338,13 @@ type cachedPlan struct {
 	// took from the feedback store (0 for a cold or feedback-off
 	// optimization).
 	fbCorrections int
-	// estRows snapshots, per composite subtree fingerprint, the row
-	// estimates the optimizer believed when it chose this plan
-	// (feedback mode only). Drift is actuals measured against THESE —
-	// not against a freshly corrected session, which would absorb the
-	// previous run's corrections and mask a stale cached plan.
-	estRows map[string]float64
+	// est is, per node of plan, the cardinality of the memo group the
+	// optimizer extracted it from and the key the group's feedback is
+	// recorded under (optimizer.Result.Estimates; feedback mode only).
+	// Drift is actuals measured against THESE — not against a freshly
+	// corrected optimization, which would absorb the previous run's
+	// corrections and mask a stale cached plan.
+	est map[plan.Node]stats.Estimate
 }
 
 // planBytes estimates a cached plan's footprint for the cache's byte
@@ -505,7 +507,7 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 	}
 
 	// Execute under the request budget. Feedback mode runs
-	// instrumented (per-subtree actuals feed the store) and adaptive
+	// instrumented (per-operator actuals feed the store) and adaptive
 	// (mid-query build/probe swap and spill escalation).
 	execStart := time.Now()
 	opts := executor.Options{Budget: b}
@@ -567,8 +569,7 @@ func boxRows(rel *batch.Rel) [][]any {
 // rides along, so re-optimizations rank plans with corrected
 // cardinalities (a cold store changes nothing).
 func (s *Service) optimizeTemplate(node plan.Node, params []value.Value, b *guard.Budget, reg *obs.Registry) (*cachedPlan, error) {
-	est := s.est.WithParams(params)
-	o := optimizer.New(est)
+	o := optimizer.New(s.est.WithParams(params))
 	o.Opts.Workers = s.cfg.Workers
 	if s.cfg.MaxPlans > 0 {
 		o.Opts.MaxPlans = s.cfg.MaxPlans
@@ -587,43 +588,23 @@ func (s *Service) optimizeTemplate(node plan.Node, params []value.Value, b *guar
 		fbCorrections: res.FeedbackCorrections,
 	}
 	if s.fb != nil {
-		// Snapshot what the optimizer believed, subtree by subtree —
-		// the baseline later executions measure drift against. The
-		// session memoizes, so this is one pass over distinct subtrees.
-		sess := est.NewSession(reg)
-		sess.SetBudget(b)
-		sess.SetFeedback(s.fb)
-		cp.estRows = make(map[string]float64)
-		var walkErr error
-		plan.Walk(cp.plan, func(n plan.Node) {
-			if walkErr != nil || len(n.Children()) == 0 {
-				return
-			}
-			est, err := sess.Rows(n)
-			if err != nil {
-				walkErr = err
-				return
-			}
-			cp.estRows[plan.Key(n)] = est
-		})
-		if walkErr != nil {
-			return nil, walkErr
-		}
+		cp.est = res.Estimates
 	}
 	return cp, nil
 }
 
 // observeExecution closes the feedback loop after one instrumented
-// execution: per-subtree actual cardinalities are compared against
-// the (feedback-corrected) estimates the optimizer would see today,
-// folded into the store keyed by TEMPLATE subtree fingerprint (so the
-// learning transfers across parameter bindings), and a template that
+// execution: each composite operator's actual cardinality is compared
+// against the estimate of the memo group it was extracted from, folded
+// into the store under that group's key — the plan.Key of the group's
+// TEMPLATE representative, so the learning transfers across parameter
+// bindings and to every member of the group — and a template that
 // keeps drifting past the q-error threshold is re-planned in place
 // with this request's values.
 func (s *Service) observeExecution(ctx context.Context, key string, hash uint64, node plan.Node, params []value.Value, cached *cachedPlan, bound plan.Node, ann plan.Annotations, replan bool, b *guard.Budget, reg *obs.Registry, resp *Response) error {
 	// Drift is measured against the estimates the cached plan was
-	// optimized with (cached.estRows), not a freshly corrected
-	// session: corrections recorded by earlier runs would otherwise
+	// optimized with (cached.est), not a fresh optimization's:
+	// corrections recorded by earlier runs would otherwise
 	// make the estimates look perfect while the cached plan — built
 	// before those corrections — is still the stale one.
 	type obsRow struct {
@@ -651,15 +632,14 @@ func (s *Service) observeExecution(ctx context.Context, key string, hash uint64,
 		if !ok {
 			return
 		}
-		key := plan.Key(t)
-		est, ok := cached.estRows[key]
-		if !ok {
+		est, ok := cached.est[t]
+		if !ok || est.Key == "" {
 			return
 		}
-		if q := flight.QError(est, a.Rows); q > maxQ {
+		if q := flight.QError(est.Rows, a.Rows); q > maxQ {
 			maxQ = q
 		}
-		rows = append(rows, obsRow{key: key, est: est, actual: a.Rows})
+		rows = append(rows, obsRow{key: est.Key, est: est.Rows, actual: a.Rows})
 	}
 	walk(cached.plan, bound)
 	for _, r := range rows {

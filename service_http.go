@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,7 +17,8 @@ import (
 //
 // Errors return {"error":{"code":...,"message":...}} with the status
 // from the serving taxonomy (400 bad_query, 429 overloaded, 504
-// deadline, 422 budget, 500 typed internal).
+// deadline, 422 budget, 500 typed internal), or 413 too_large for a
+// /query body over maxRequestBytes.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", s.ob.Handler())
@@ -31,7 +33,11 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+			if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+				writeAPIError(w, http.StatusRequestEntityTooLarge, "too_large", err.Error())
+				return
+			}
 			writeAPIError(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
 			return
 		}
@@ -56,6 +62,11 @@ func (s *Service) Handler() http.Handler {
 	})
 	return mux
 }
+
+// maxRequestBytes bounds a /query request body: a query is a few
+// hundred bytes of SQL, and the server must not buffer whatever a
+// client sends.
+const maxRequestBytes = 1 << 20
 
 // wireBufs recycles /query response buffers, so a steady stream of
 // results is encoded without growing a buffer per request.

@@ -101,6 +101,44 @@ func TestHandlerErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestHandlerBodyTooLarge: a /query body past maxRequestBytes is
+// refused with 413 too_large instead of being buffered, and the
+// handler goes on serving.
+func TestHandlerBodyTooLarge(t *testing.T) {
+	svc := newTestService(t, ServiceConfig{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	big := `{"sql": "select b from t where a = 1` + strings.Repeat(" ", 2<<20) + `"}`
+	resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var envelope struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&envelope)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || envelope.Error.Code != "too_large" {
+		t.Fatalf("2 MiB body: got %d/%s, want 413/too_large", resp.StatusCode, envelope.Error.Code)
+	}
+
+	resp, err = http.Post(srv.URL+"/query", "application/json",
+		strings.NewReader(`{"sql": "select b from t where a = 1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the refused one: status %d", resp.StatusCode)
+	}
+}
+
 // TestHandlerObservability: /metrics exposes the plancache and serve
 // series and /debug/cache reports the live stats.
 func TestHandlerObservability(t *testing.T) {
