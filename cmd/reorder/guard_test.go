@@ -35,9 +35,10 @@ func TestRunMaxRowsExitsThree(t *testing.T) {
 
 // TestRunMaxBytesSpillsOrTrips: byte pressure has one meaning per mode.
 // EXPLAIN ANALYZE runs the service's adaptive entry point, so a join
-// whose build side cannot fit -max-bytes spills to disk and the run
-// completes; -rows runs the plain one, where the same overrun is the
-// typed budget abort (exit 3), never a spill.
+// whose build side cannot fit -max-bytes is joined partition by
+// partition and the run completes; -rows runs the plain one, where the
+// same overrun is the typed budget abort (exit 3), never a partitioned
+// join.
 func TestRunMaxBytesSpillsOrTrips(t *testing.T) {
 	code, stdout, stderr := runCapture(t, "-demo", "supplier", "-stats", "-max-bytes", "200000")
 	if code != exitOK {

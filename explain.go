@@ -22,7 +22,9 @@ import (
 	"repro/internal/stats/feedback"
 )
 
-// PhaseNs is one optimizer phase's wall time in the JSON report.
+// PhaseNs is one phase's wall time in the JSON report: queued (when a
+// serving layer admitted the run), analyze (first-use ANALYZE of the
+// scanned tables), then the optimizer's phases.
 type PhaseNs struct {
 	Name string `json:"name"`
 	Ns   int64  `json:"ns"`
@@ -71,8 +73,11 @@ type AnalyzeOptions struct {
 	// Limits bound the run together with ctx: the optimization degrades
 	// gracefully on an exprs trip (see AnalyzeReport.Degraded), the
 	// execution aborts with a guard error on a rows trip, and a join
-	// whose build side cannot fit MaxBytes spills to disk instead of
-	// tripping. Guard counters land in the report's private registry.
+	// whose build side cannot fit MaxBytes joins partition by
+	// partition, one partition's build table at a time, instead of
+	// tripping. MaxBytes caps the modelled footprint (32 bytes a value),
+	// not the process's memory. Guard counters land in the report's
+	// private registry.
 	Limits Limits
 	// Observer, when non-nil, receives the run: its private registry
 	// merges into Observer.Registry and one flight record — phase
@@ -138,7 +143,20 @@ func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, 
 	ob := o.Observer
 	start := time.Now()
 	tracer := obs.NewTracer()
-	opt := optimizer.New(stats.ForDatabase(db))
+	// ANALYZE every scanned table before optimizing, so its first-use
+	// cost shows as its own phase instead of inside whichever optimizer
+	// phase reads a table first.
+	est := stats.ForDatabase(db)
+	analyzeSpan := tracer.Start("analyze")
+	analyzeStart := time.Now()
+	plan.Walk(q, func(n plan.Node) {
+		if s, ok := n.(*plan.Scan); ok {
+			_, _ = est.Rows(s) // a relation missing from db fails Optimize below
+		}
+	})
+	analyzeNs := time.Since(analyzeStart).Nanoseconds()
+	analyzeSpan.End()
+	opt := optimizer.New(est)
 	opt.Opts.Obs = reg
 	opt.Opts.Tracer = tracer
 	opt.Opts.Workers = o.Workers
@@ -152,7 +170,7 @@ func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, 
 
 	execSpan := tracer.Start("execute")
 	execStart := time.Now()
-	// The plan runs as planned, but MaxBytes pressure spills a join
+	// The plan runs as planned, but MaxBytes pressure partitions a join
 	// instead of tripping; under feedback a join may also swap sides.
 	adapt := &executor.Adapt{Spill: true}
 	if fb != nil {
@@ -248,6 +266,7 @@ func explainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions, 
 	if qw := b.QueueWait(); qw > 0 {
 		r.Phases = append(r.Phases, PhaseNs{Name: "queued", Ns: qw.Nanoseconds()})
 	}
+	r.Phases = append(r.Phases, PhaseNs{Name: "analyze", Ns: analyzeNs})
 	for _, p := range res.Phases {
 		r.Phases = append(r.Phases, PhaseNs{Name: p.Name, Ns: p.Elapsed.Nanoseconds()})
 	}

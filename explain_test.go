@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/executor"
+	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -52,8 +53,8 @@ func TestExplainAnalyzeSupplier(t *testing.T) {
 		t.Errorf("root annotation %d rows, RowsOut %d", ann[node].Rows, rep.RowsOut)
 	}
 
-	if len(rep.Phases) != 3 {
-		t.Errorf("phases = %v, want simplify/explore/cost", rep.Phases)
+	if len(rep.Phases) != 4 {
+		t.Errorf("phases = %v, want analyze/simplify/explore/cost", rep.Phases)
 	}
 	if len(rep.RuleFirings) == 0 {
 		t.Error("supplier query enumerates alternatives but no rule firings recorded")
@@ -75,6 +76,31 @@ func TestExplainAnalyzeSupplier(t *testing.T) {
 	}
 	if tr := rep.Trace(); !strings.Contains(tr, "optimize") || !strings.Contains(tr, "execute") {
 		t.Errorf("trace missing spans:\n%s", tr)
+	}
+}
+
+// TestExplainAnalyzeBooksAnalyze: EXPLAIN ANALYZE over tables no
+// estimator has read yet analyzes every scanned table in its own
+// analyze phase, ahead of the optimizer's, so first-use ANALYZE is
+// not booked as optimizer cost.
+func TestExplainAnalyzeBooksAnalyze(t *testing.T) {
+	db := datagen.Supplier(datagen.DefaultSupplierConfig)
+	q := datagen.SupplierQuery()
+	analyzed := obs.Default().Counter("stats.analyze.tables")
+	before := analyzed.Value()
+	rep, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, p := range rep.Phases {
+		names = append(names, p.Name)
+	}
+	if got := strings.Join(names, "/"); got != "analyze/simplify/explore/cost" {
+		t.Errorf("phases = %s, want analyze/simplify/explore/cost", got)
+	}
+	if n, want := analyzed.Value()-before, int64(len(plan.BaseRels(q))); n != want {
+		t.Errorf("%d tables analyzed, want the %d the query scans", n, want)
 	}
 }
 

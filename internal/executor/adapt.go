@@ -23,13 +23,11 @@ type Adapt struct {
 	// cardinality estimate that execution just disproved. 0 disables
 	// swapping.
 	SwapFactor float64
-	// Spill escalates an in-memory hash join whose build side cannot
-	// fit the byte budget's remaining headroom to the grace/spill join
-	// instead of dying on the MaxBytes trip.
+	// Spill escalates a hash join whose build side cannot fit the byte
+	// budget's remaining headroom to the partitioned join (spill.go),
+	// which reserves one partition's build table at a time, instead of
+	// dying on the MaxBytes trip.
 	Spill bool
-	// SpillDir is the spill-file directory when Spill is set (empty =
-	// os.TempDir()).
-	SpillDir string
 }
 
 // RunInstrumentedAdaptive is Exec instrumented into reg (nil means the
@@ -53,6 +51,6 @@ func (a *Adapt) swapWanted(probeRows, buildRows int) bool {
 		float64(buildRows) > a.SwapFactor*float64(probeRows)
 }
 
-// spillWanted reports whether a join may escalate to the grace/spill
+// spillWanted reports whether a join may escalate to the partitioned
 // join; nil-safe like swapWanted.
 func (a *Adapt) spillWanted() bool { return a != nil && a.Spill }

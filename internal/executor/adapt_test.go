@@ -103,7 +103,7 @@ func TestAdaptSwapOffIdentical(t *testing.T) {
 }
 
 // TestAdaptSpillEscalation: under a byte budget the static hash join
-// cannot fit, the adaptive join escalates to the grace/spill join and
+// cannot fit, the adaptive join escalates to the partitioned join and
 // completes with the right multiset instead of dying on the trip.
 func TestAdaptSpillEscalation(t *testing.T) {
 	// Wide key domain: the join output stays small enough to charge
@@ -123,7 +123,7 @@ func TestAdaptSpillEscalation(t *testing.T) {
 		t.Fatalf("static join under tight budget = %v, want budget trip", err)
 	}
 
-	a := &Adapt{Spill: true, SpillDir: t.TempDir()}
+	a := &Adapt{Spill: true}
 	base := obs.Default().Snapshot().Counters["exec.adapt.spill_escalations"]
 	got, _, err := RunInstrumentedAdaptive(p, db, nil, guard.New(context.Background(), limits, nil), a)
 	if err != nil {

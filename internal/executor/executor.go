@@ -3,7 +3,7 @@
 // (vector.go): hash joins over equality conjuncts and nested loops
 // over the rest share one probe kernel (vecjoin.go) that evaluates
 // residuals and NULL-pads either side for outer joins, a join whose
-// build side outgrows the byte budget spills to a grace hash join
+// build side outgrows the byte budget joins partition by partition
 // (spill.go), and selection, projection and grouping run as batch
 // kernels (vecagg.go). Run evaluates the same plans row-at-a-time with
 // tuple operators that share no kernel with Exec; the package tests
@@ -130,14 +130,10 @@ func RunGuarded(n plan.Node, db plan.Database, b *guard.Budget) (*relation.Relat
 	return out.ToRelation(), nil
 }
 
-// equiKey is one hashable equality conjunct l.col = r.col.
-type equiKey struct {
-	li, ri int // column positions in the left/right schemas
-}
-
-// splitEqui partitions pred into hashable equality conjuncts and a
-// residual predicate.
-func splitEqui(pred expr.Pred, ls, rs *schema.Schema) (keys []equiKey, residual expr.Pred) {
+// splitEqui partitions pred into hashable equality conjuncts l.col =
+// r.col — their column positions in the left and right schemas, li[k]
+// paired with ri[k] — and a residual predicate.
+func splitEqui(pred expr.Pred, ls, rs *schema.Schema) (li, ri []int, residual expr.Pred) {
 	var rest []expr.Pred
 	for _, c := range expr.Conjuncts(pred) {
 		cmp, ok := c.(expr.Cmp)
@@ -151,20 +147,18 @@ func splitEqui(pred expr.Pred, ls, rs *schema.Schema) (keys []equiKey, residual 
 			rest = append(rest, c)
 			continue
 		}
-		li, ri := ls.IndexOf(lc.Attr), rs.IndexOf(rc.Attr)
-		if li >= 0 && ri >= 0 {
-			keys = append(keys, equiKey{li, ri})
-			continue
+		l, r := ls.IndexOf(lc.Attr), rs.IndexOf(rc.Attr)
+		if l < 0 || r < 0 {
+			// Try the mirrored orientation.
+			l, r = ls.IndexOf(rc.Attr), rs.IndexOf(lc.Attr)
 		}
-		// Try the mirrored orientation.
-		li, ri = ls.IndexOf(rc.Attr), rs.IndexOf(lc.Attr)
-		if li >= 0 && ri >= 0 {
-			keys = append(keys, equiKey{li, ri})
+		if l >= 0 && r >= 0 {
+			li, ri = append(li, l), append(ri, r)
 			continue
 		}
 		rest = append(rest, c)
 	}
-	return keys, expr.And(rest...)
+	return li, ri, expr.And(rest...)
 }
 
 // specSets is the preserved specifications as the relation-name sets
@@ -185,17 +179,12 @@ func specSets(ps []plan.PreservedSpec) []map[string]bool {
 func JoinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*relation.Relation, error) {
 	ls, rs := l.Schema(), r.Schema()
 	out := relation.New(ls.Concat(rs))
-	keys, residual := splitEqui(pred, ls, rs)
-	li := make([]int, len(keys))
-	ri := make([]int, len(keys))
-	for i, k := range keys {
-		li[i], ri[i] = k.li, k.ri
-	}
+	li, ri, residual := splitEqui(pred, ls, rs)
 	// every is the nested loop's candidate list; build buckets the
 	// right rows by key hash otherwise. A NULL key matches nothing.
 	var every []int
 	var build map[uint64][]int
-	if len(keys) == 0 {
+	if len(li) == 0 {
 		every = make([]int, r.Len())
 		for j := range every {
 			every[j] = j
@@ -213,7 +202,7 @@ func JoinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*rel
 	rightMatched := make([]bool, r.Len())
 	for _, lt := range l.Tuples() {
 		cands := every
-		if len(keys) > 0 {
+		if len(li) > 0 {
 			h, ok := lt.HashOn(li)
 			if cands = nil; ok {
 				cands = build[h]
@@ -223,7 +212,7 @@ func JoinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*rel
 		copy(env.Tuple, lt)
 		for _, j := range cands {
 			rt := r.Tuple(j)
-			if len(keys) > 0 && !lt.EqualOn(rt, li, ri) {
+			if len(li) > 0 && !lt.EqualOn(rt, li, ri) {
 				continue // a hash collision
 			}
 			copy(env.Tuple[nl:], rt)

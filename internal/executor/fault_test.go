@@ -1,5 +1,5 @@
 // Fault-injection suite for the guarded executor: injected failures
-// and panics at the operator, batch, build-swap and spill points must
+// and panics at the operator, batch and build-swap points must
 // come back as typed guard errors, and budget trips must abort with
 // ErrBudget. Runs under -race via make race.
 package executor
@@ -33,8 +33,8 @@ func faultDB(seed int64) plan.Database {
 }
 
 // adaptSpillBytes cannot hold w2's hash table (≥1500 rows × 2 columns
-// × 32 B, twice over) but holds any spilled partition pair of w1 ⋈ w2
-// and its output.
+// × 32 B, twice over) but holds any level-0 partition's table of
+// w1 ⋈ w2 and the join's output.
 const adaptSpillBytes = 120_000
 
 func faultJoin() plan.Node { return joinOnX("r1", "r2") }
@@ -87,16 +87,15 @@ func execEntries() []execEntry {
 		{name: "adaptswap", run: runAdaptive(joinOnX("r0", "r2")), ref: joinOnX("r0", "r2"),
 			arms: []guard.Point{guard.PointExecBuildSwap}},
 		// The same entry under a byte cap its build side cannot fit: the
-		// join escalates to the grace join, arming executor.buildswap on
-		// the escalation and the spill write/read points behind it.
+		// join escalates to the partitioned join, arming
+		// executor.buildswap on the escalation.
 		{name: "adaptspill", run: runAdaptive(joinOnX("w1", "w2")), ref: joinOnX("w1", "w2"), maxBytes: adaptSpillBytes,
-			arms: []guard.Point{guard.PointExecBuildSwap, guard.PointSpillWrite, guard.PointSpillRead}},
-		// The spilling grace join always writes and reads partition
-		// files (even unbudgeted), so the matrix arms the spill
-		// write/read fault points through this entry.
+			arms: []guard.Point{guard.PointExecBuildSwap}},
+		// The partitioned join itself, which partitions even unbudgeted:
+		// its per-partition probes cross the batch point.
 		{name: "spill", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
-			return joinSpilled(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], b, spillOptions{})
-		}, ref: faultJoin()},
+			return joinSpilled(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], b, nil)
+		}, ref: faultJoin(), arms: []guard.Point{guard.PointExecBatch}},
 		// A root ORDER BY over the join: the sort runs behind the
 		// columnar engine's fallback seam after its presorted check.
 		{name: "sort", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {

@@ -16,12 +16,11 @@ type joinProbe struct {
 	Collisions    int  // bucket hits rejected by key verification
 	NestedLoop    bool // true when no equi conjunct was hashable
 
-	SpillParts      int   // partition files written to disk
-	SpillBytes      int64 // bytes written to spill files
-	SpillRecursions int   // recursive re-partitionings
+	SpillParts      int // non-empty partitions of a partitioned join
+	SpillRecursions int // partitions split again on the next hash bits
 
 	BuildSwapped   bool // adaptive build/probe swap fired pre-probe
-	SpillEscalated bool // adaptive escalation to the grace/spill join
+	SpillEscalated bool // adaptive escalation to the partitioned join
 
 	// Build says where a hash join's table came from: "index" (the
 	// build image's shared join index) or "hash" (built for this
@@ -46,7 +45,6 @@ func recordJoinProbe(a *plan.Annotation, st *joinProbe, reg *obs.Registry) {
 	}
 	if st.SpillParts > 0 {
 		a.AddExtra("spill_partitions", int64(st.SpillParts))
-		a.AddExtra("spill_bytes", st.SpillBytes)
 	}
 	if st.SpillRecursions > 0 {
 		a.AddExtra("spill_recursions", int64(st.SpillRecursions))

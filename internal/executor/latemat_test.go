@@ -172,9 +172,9 @@ func TestLateMaterializationMatchesEval(t *testing.T) {
 
 // TestLateMaterializationOverSpilledJoin: the bottom join's build side
 // (r2, twenty times the other relations) cannot fit the byte budget and
-// goes through the grace/spill join on the row-major seam; the joins
-// above it compose their views over that fallback's output. Same
-// answer as plan.Eval, bit for bit.
+// is joined partition by partition; the joins above it compose their
+// views over that join's Gather2 output. Same answer as plan.Eval, bit
+// for bit.
 func TestLateMaterializationOverSpilledJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(2203))
 	db := lateDB(rng, 80, 1500, "r1", "r3", "r4")
@@ -187,7 +187,7 @@ func TestLateMaterializationOverSpilledJoin(t *testing.T) {
 		for _, bs := range vecBatchSizes {
 			reg := obs.NewRegistry()
 			b := guard.New(context.Background(), guard.Limits{MaxBytes: 400_000}, reg)
-			e := &vecEngine{db: db, b: b, batch: bs, reg: reg, adapt: &Adapt{Spill: true, SpillDir: t.TempDir()}}
+			e := &vecEngine{db: db, b: b, batch: bs, reg: reg, adapt: &Adapt{Spill: true}}
 			got, err := e.run(p)
 			if err != nil {
 				t.Fatalf("plan %d batch %d: %v", pi, bs, err)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/datagen"
 	"repro/internal/executor"
 	"repro/internal/expr"
@@ -63,8 +64,8 @@ func servingDB() plan.Database {
 }
 
 // servingPlan is the plan the service would execute for one shape:
-// parse, parameterize, lower, optimize the template, bind the
-// constants back.
+// parse, parameterize, lower, optimize the template with its constants
+// visible to the estimator (as a cache miss does), bind them back.
 func servingPlan(tb testing.TB, text string, db plan.Database) plan.Node {
 	tb.Helper()
 	stmt, err := sql.Parse(text)
@@ -76,7 +77,7 @@ func servingPlan(tb testing.TB, text string, db plan.Database) plan.Node {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := optimizer.New(stats.NewEstimator(stats.FromDatabase(db))).Optimize(node, db)
+	res, err := optimizer.New(stats.NewEstimator(stats.FromDatabase(db)).WithParams(params)).Optimize(node, db)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -87,10 +88,24 @@ func servingPlan(tb testing.TB, text string, db plan.Database) plan.Node {
 	return bound
 }
 
-// BenchmarkExecServing times one RunGuarded execution per hit_scan
-// shape over warm images — what a cache-hit request spends in the
-// executor; B/op and allocs/op are what the serving benchmark reports
-// as go.alloc_kb_per_req / go.allocs_per_req net of the serving path.
+// execServing runs p as the service does on a cache hit — Exec, the
+// result left columnar — and reads every result column, as the
+// service's wire encoder does.
+func execServing(tb testing.TB, p plan.Node, db plan.Database) *batch.Rel {
+	out, _, err := executor.Exec(p, db, executor.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for c := range out.Width() {
+		out.Col(c)
+	}
+	return out
+}
+
+// BenchmarkExecServing times one execution per hit_scan shape over
+// warm images — what a cache-hit request spends in the executor; B/op
+// and allocs/op are what the serving benchmark reports as
+// go.alloc_kb_per_req / go.allocs_per_req net of the serving path.
 func BenchmarkExecServing(b *testing.B) {
 	db := servingDB()
 	for _, sh := range servingShapes {
@@ -98,9 +113,7 @@ func BenchmarkExecServing(b *testing.B) {
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := executor.RunGuarded(p, db, nil); err != nil {
-					b.Fatal(err)
-				}
+				execServing(b, p, db)
 			}
 		})
 	}
@@ -143,25 +156,26 @@ func BenchmarkExecNonEqui(b *testing.B) {
 // scale; on shared join indexes and pending columns they take
 // 46.0/174/23.4/23.2/20.0 KB in 210/114/102/81/98 (thirty-row chain
 // relations leave little to save; at benchmark scale the same shapes
-// went from 26.7 MB to 9.0 MB together). The ceilings leave ~30%
-// headroom, so a structural regression — a build side re-hashed per
-// request, every column gathered through every join — trips them.
+// went from 26.7 MB to 9.0 MB together). Planned with their constants
+// visible, as a cache miss plans them, and run through Exec with every
+// result column read (no row-major boxing), they take
+// 45.2/63.2/20.2/17.7/18.4 KB in 206/104/85/70/82 allocations; the
+// ceilings, lowered from 60000/230000/30500/30500/26000 B and
+// 275/150/133/105/128 allocations, leave ~30% headroom over those, so
+// a structural regression — a build side re-hashed per request, every
+// column gathered through every join — trips them.
 func TestExecServingAllocCeiling(t *testing.T) {
 	ceilings := map[string]struct{ bytes, allocs float64 }{
-		"supplier":       {60000, 275},
-		"skew_groupby":   {230000, 150},
-		"loj3_groupby":   {30500, 133},
-		"mix3_wide":      {30500, 105},
-		"inner3_groupby": {26000, 128},
+		"supplier":       {58800, 268},
+		"skew_groupby":   {82200, 135},
+		"loj3_groupby":   {26200, 111},
+		"mix3_wide":      {23000, 91},
+		"inner3_groupby": {23900, 107},
 	}
 	db := servingDB()
 	for _, sh := range servingShapes {
 		p := servingPlan(t, sh.sql, db)
-		run := func() {
-			if _, err := executor.RunGuarded(p, db, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
+		run := func() { execServing(t, p, db) }
 		run() // builds the images and indexes
 		const runs = 20
 		var before, after runtime.MemStats
@@ -185,17 +199,17 @@ func TestExecServingAllocCeiling(t *testing.T) {
 // relation's physical row order, and no answer may depend on it.
 // Permuting every base relation's tuples — new relations, so every
 // image and index is rebuilt over the new order — leaves each shape's
-// result multiset unchanged.
+// result multiset unchanged. Not every shape builds on a base table's
+// index (skew_groupby, planned with its constants, builds on
+// selections), so the premise is that the shapes together do.
 func TestExecServingOrderIndependent(t *testing.T) {
 	db := servingDB()
 	rng := rand.New(rand.NewSource(2202))
 	builds := obs.Default().Counter("exec.index.builds")
+	indexed := map[string]bool{}
 	for _, sh := range servingShapes {
 		p := servingPlan(t, sh.sql, db)
-		want, err := executor.RunGuarded(p, db, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := execServing(t, p, db).ToRelation()
 		for round := 0; round < 3; round++ {
 			shuffled := plan.Database{}
 			for name, rel := range db {
@@ -205,16 +219,16 @@ func TestExecServingOrderIndependent(t *testing.T) {
 				shuffled[name].AppendAll(tuples)
 			}
 			before := builds.Value()
-			got, err := executor.RunGuarded(p, shuffled, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := execServing(t, p, shuffled).ToRelation()
 			if !got.EqualAsMultisets(want) {
 				t.Fatalf("%s round %d: the answer depends on the base relations' row order", sh.name, round)
 			}
-			if builds.Value() == before {
-				t.Fatalf("%s: test premise: the permuted relations built no join index", sh.name)
+			if builds.Value() > before {
+				indexed[sh.name] = true
 			}
 		}
+	}
+	if len(indexed) < len(servingShapes)-1 {
+		t.Fatalf("test premise: the permuted relations built join indexes for %d shapes (%v), want all but one", len(indexed), indexed)
 	}
 }

@@ -21,14 +21,14 @@ import (
 // to hash; either way the output columns come out in (l, r) order. A
 // predicate with no hashable equi conjunct runs the same probe as a
 // nested loop (crossLookup). A build side that cannot fit the byte
-// budget's headroom routes through the spilling grace join when
-// Adapt.Spill allows it, and is RunGuarded's typed guard.ErrBudget
-// otherwise.
+// budget's headroom is joined partition by partition (partitionJoin)
+// when Adapt.Spill allows it, and trips the budget with the typed
+// guard.ErrBudget otherwise.
 func (e *vecEngine) vecJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, st *joinProbe) (*batch.Rel, error) {
 	ls, rs := l.Schema, r.Schema
 	outSchema := ls.Concat(rs)
-	keys, residual := splitEqui(pred, ls, rs)
-	if len(keys) == 0 {
+	li, ri, residual := splitEqui(pred, ls, rs)
+	if len(li) == 0 {
 		// Every build row is a candidate and the whole predicate is the
 		// residual. The loop holds no table, so it reserves nothing and
 		// neither swaps nor spills. EXPLAIN ANALYZE names the join
@@ -44,22 +44,25 @@ func (e *vecEngine) vecJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel,
 		}
 		return batch.Gather2(outSchema, l, lsel, r, rsel), nil
 	}
-	li := make([]int, len(keys))
-	ri := make([]int, len(keys))
-	for i, k := range keys {
-		li[i], ri[i] = k.li, k.ri
-	}
 	// Mid-query adaptivity, decided before anything is built.
 	// Escalation is checked on the effective (post-swap) build side, so
-	// a swap that also cannot fit memory goes straight to the grace join.
+	// a swap that also cannot fit memory goes straight to the
+	// partitioned join.
 	swap := e.adapt.swapWanted(l.N, r.N)
 	build := r
 	if swap {
 		build = l
 	}
 	buildRes := estBytes(build.N, build.Schema.Len())
-	if free, limited := e.b.BytesFree(); limited && e.adapt.spillWanted() && 2*buildRes > free {
-		return e.spillJoin(kind, pred, l, r, st)
+	if e.adapt.spillWanted() && !e.fits(buildRes) {
+		if err := guard.Hit(guard.PointExecBuildSwap); err != nil {
+			return nil, err
+		}
+		e.reg.Counter("exec.adapt.spill_escalations").Inc()
+		if st != nil {
+			st.SpillEscalated = true
+		}
+		return e.partitionJoin(kind, residual, outSchema, l, r, li, ri, st)
 	}
 	if err := e.b.ReserveBytes(buildRes); err != nil {
 		return nil, err
@@ -103,23 +106,6 @@ func mirrorKind(k plan.JoinKind) plan.JoinKind {
 		return plan.LeftJoin
 	}
 	return k
-}
-
-// spillJoin escalates one join to the grace/spill join over the
-// row-major seam.
-func (e *vecEngine) spillJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, st *joinProbe) (*batch.Rel, error) {
-	if err := guard.Hit(guard.PointExecBuildSwap); err != nil {
-		return nil, err
-	}
-	e.reg.Counter("exec.adapt.spill_escalations").Inc()
-	if st != nil {
-		st.SpillEscalated = true
-	}
-	out, err := e.graceJoin(kind, pred, l.ToRelation(), r.ToRelation(), st, spillOptions{Dir: e.adapt.SpillDir})
-	if err != nil {
-		return nil, err
-	}
-	return batch.FromRelation(out), nil
 }
 
 // hashJoin is the build/probe kernel: it looks up build rows by

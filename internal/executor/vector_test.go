@@ -281,9 +281,9 @@ func TestVectorizedEmptyInputs(t *testing.T) {
 }
 
 // TestVectorizedSpills: under a byte budget the in-memory build cannot
-// reserve, the join escalates to the spilling grace join when
-// Adapt.Spill allows it and still matches the unbudgeted run; with a
-// nil Adapt the same budget is the typed error, never a spill.
+// reserve, the join escalates to the partitioned join when Adapt.Spill
+// allows it and still matches the unbudgeted run; with a nil Adapt the
+// same budget is the typed error, never a partitioned join.
 func TestVectorizedSpills(t *testing.T) {
 	rng := rand.New(rand.NewSource(213))
 	db := bigDB(rng, 4000, 100000, "r1", "r2")
@@ -295,7 +295,7 @@ func TestVectorizedSpills(t *testing.T) {
 	limits := guard.Limits{MaxBytes: 100_000}
 	reg := obs.NewRegistry()
 	got, _, err := RunInstrumentedAdaptive(p, db, reg, guard.New(context.Background(), limits, reg),
-		&Adapt{Spill: true, SpillDir: t.TempDir()})
+		&Adapt{Spill: true})
 	if err != nil {
 		t.Fatalf("join did not spill under budget: %v", err)
 	}

@@ -35,12 +35,6 @@ const (
 	// PointExecBatch fires at the executor's per-batch boundaries
 	// inside join probe loops.
 	PointExecBatch Point = "exec.join.batch"
-	// PointSpillWrite fires as each spill partition file is flushed
-	// during the out-of-core grace join's partitioning phase.
-	PointSpillWrite Point = "exec.spill.write"
-	// PointSpillRead fires as each spilled partition is read back for
-	// joining (or recursive re-partitioning).
-	PointSpillRead Point = "exec.spill.read"
 	// PointServeAdmit fires as the query service admits a request,
 	// before it is queued for a concurrency slot. An injected fault
 	// here must surface as a typed client error without consuming a
@@ -65,7 +59,7 @@ const (
 	// never a wedged or poisoned slot.
 	PointCacheReplan Point = "plancache.replan"
 	// PointExecBuildSwap fires as an adaptive hash join commits to a
-	// build/probe swap or a spill escalation — before the first probe,
+	// build/probe swap or a partitioned-join escalation — before the first probe,
 	// so forcing a fault here exercises the transition boundary.
 	PointExecBuildSwap Point = "executor.buildswap"
 )
@@ -79,8 +73,6 @@ func Points() []Point {
 		PointMemoExtract,
 		PointExecOperator,
 		PointExecBatch,
-		PointSpillWrite,
-		PointSpillRead,
 		PointServeAdmit,
 		PointCacheLookup,
 		PointCacheInsert,

@@ -81,9 +81,6 @@ type ServiceConfig struct {
 	// ReplanAfter is the number of consecutive drifted runs that
 	// triggers a re-plan (default 3).
 	ReplanAfter int
-	// SpillDir is the adaptive spill-escalation directory in feedback
-	// mode (empty = os.TempDir()).
-	SpillDir string
 }
 
 // Service serves parameterized SQL over an in-memory database with a
@@ -173,7 +170,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		s.fb = feedback.New(feedback.Options{Obs: ob.Registry})
 		// A hash join whose build side materializes more than 4× the
 		// probe side's rows builds on the smaller side instead.
-		s.adapt = &executor.Adapt{SwapFactor: 4, Spill: true, SpillDir: s.cfg.SpillDir}
+		s.adapt = &executor.Adapt{SwapFactor: 4, Spill: true}
 	}
 	return s, nil
 }

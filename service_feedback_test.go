@@ -37,7 +37,6 @@ func feedbackService(t *testing.T, feedback bool, replanAfter int) *Service {
 		ReplanQError:   10,
 		ReplanAfter:    replanAfter,
 		DefaultTimeout: 30 * time.Second,
-		SpillDir:       t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
