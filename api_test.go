@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -42,5 +43,32 @@ func TestRootAPI(t *testing.T) {
 	slices.Sort(got)
 	if !slices.Equal(got, want) {
 		t.Errorf("reorder.go exports %v,\nwant %v", got, want)
+	}
+}
+
+// TestOptionSurface pins the exported fields of the option structs
+// callers set, in declaration order, so that a new knob — or one left
+// behind by the code it configured — is a change to this list, made
+// on purpose.
+func TestOptionSurface(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeOf(AnalyzeOptions{}), []string{"Workers", "Limits", "Observer"}},
+		{reflect.TypeOf(ServiceConfig{}), []string{
+			"DB", "CacheBytes", "MaxConcurrent", "MaxQueue", "DefaultTimeout", "DefaultLimits",
+			"Tenants", "Workers", "FlightCap", "Feedback", "ReplanQError", "ReplanAfter",
+		}},
+	} {
+		var got []string
+		for i := 0; i < c.typ.NumField(); i++ {
+			if f := c.typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s fields %v,\nwant %v", c.typ.Name(), got, c.want)
+		}
 	}
 }

@@ -44,7 +44,7 @@ func TestRunMaxBytesSpillsOrTrips(t *testing.T) {
 	if code != exitOK {
 		t.Fatalf("-stats: exit code = %d, want %d (stderr: %s)", code, exitOK, stderr)
 	}
-	for _, want := range []string{"engine:           vector", "exec.spill.partitions", "spill_escalated=1"} {
+	for _, want := range []string{"exec.spill.partitions", "spill_escalated=1"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("-stats stdout missing %q", want)
 		}

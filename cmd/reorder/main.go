@@ -12,9 +12,9 @@
 // -stats executes the chosen plan instrumented on the columnar engine
 // (the one -rows and the query service run on) and prints an EXPLAIN
 // ANALYZE report: per-operator actual vs estimated rows and timings,
-// optimizer phase wall times and rule firing counters. -trace prints
-// the span tree of the run, and -statsjson dumps the whole report as
-// machine-readable JSON.
+// the wall time of each phase (analyze, simplify, explore, cost,
+// execute) and rule firing counters; -statsjson dumps the whole report
+// as machine-readable JSON.
 // -workers spreads the optimizer's memo exploration over N goroutines
 // (default GOMAXPROCS); the chosen plan is identical for any value.
 //
@@ -60,10 +60,7 @@ type options struct {
 	rows          bool
 	dot           bool
 	stats         bool
-	trace         bool
 	statsJSON     bool
-	feedback      bool
-	replanQ       float64
 	workers       int
 	timeout       time.Duration
 	maxExprs      int64
@@ -81,7 +78,7 @@ type options struct {
 // wantAnalyze: -metrics-addr implies an instrumented run — the
 // aggregate registry and flight recorder are only populated by one.
 func (o options) wantAnalyze() bool {
-	return o.stats || o.trace || o.statsJSON || o.feedback || o.metricsAddr != ""
+	return o.stats || o.statsJSON || o.metricsAddr != ""
 }
 
 func (o options) limits() reorder.Limits {
@@ -125,15 +122,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.rows, "rows", false, "execute the chosen plan and print its result")
 	fs.BoolVar(&o.dot, "dot", false, "emit the chosen plan as Graphviz DOT instead of text")
 	fs.BoolVar(&o.stats, "stats", false, "execute instrumented and print an EXPLAIN ANALYZE report")
-	fs.BoolVar(&o.trace, "trace", false, "print the optimizer/executor span trace")
 	fs.BoolVar(&o.statsJSON, "statsjson", false, "dump the EXPLAIN ANALYZE report as JSON")
-	fs.BoolVar(&o.feedback, "feedback", false, "one-shot cardinality feedback: EXPLAIN ANALYZE, record actuals, and re-plan + re-execute when the worst subtree q-error reaches -replan-qerror")
-	fs.Float64Var(&o.replanQ, "replan-qerror", 10, "q-error threshold for the -feedback re-plan")
 	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "goroutines for memo exploration (1 = serial; the result is identical for any value)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock budget for the whole run (0 = unlimited); exceeding it exits 3")
 	fs.Int64Var(&o.maxExprs, "max-exprs", 0, "cap on enumerated plan expressions (0 = unlimited); tripping it degrades to a best-effort plan, exit 0")
 	fs.Int64Var(&o.maxRows, "max-rows", 0, "cap on intermediate rows during execution (0 = unlimited); tripping it exits 3")
-	fs.Int64Var(&o.maxBytes, "max-bytes", 0, "cap on modeled intermediate bytes during execution (0 = unlimited); under -stats/-feedback a join whose build side does not fit is partitioned in memory, under -rows tripping it exits 3")
+	fs.Int64Var(&o.maxBytes, "max-bytes", 0, "cap on modeled intermediate bytes during execution (0 = unlimited); under EXPLAIN ANALYZE (-stats, -statsjson, -metrics-addr) a join whose build side does not fit is partitioned in memory; under -rows tripping it exits 3")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics (Prometheus text) and /debug/queries (flight JSON) on this address during the run; implies an instrumented run")
 	fs.DurationVar(&o.metricsLinger, "metrics-linger", 0, "keep the metrics server up this long after the run finishes (0 = close immediately)")
 	fs.DurationVar(&o.slowQuery, "slow-query", 100*time.Millisecond, "flight-recorder slow-query threshold (0 disables slow stamping)")
@@ -253,7 +247,7 @@ func runDemo(o options, db reorder.Database, stdout, stderr io.Writer) int {
 	}
 	if o.wantAnalyze() {
 		if node == nil {
-			fmt.Fprintf(stderr, "reorder: demo %q has no executable database; -stats/-trace/-statsjson need supplier or query2\n", o.demo)
+			fmt.Fprintf(stderr, "reorder: demo %q has no executable database; -stats/-statsjson need supplier or query2\n", o.demo)
 			return exitUsage
 		}
 		ctx, cancel := o.context()
@@ -317,17 +311,13 @@ func query2DB() reorder.Database {
 func analyze(ctx context.Context, node reorder.Node, db reorder.Database, o options, stdout, stderr io.Writer) int {
 	rep, err := reorder.ExplainAnalyze(ctx, node, db, reorder.AnalyzeOptions{
 		Workers: o.workers, Limits: o.limits(), Observer: o.obs,
-		Feedback: o.feedback, ReplanQError: o.replanQ,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitFor(err)
 	}
-	if o.stats || (o.feedback && !o.statsJSON) {
+	if o.stats {
 		fmt.Fprintln(stdout, rep.String())
-	}
-	if o.trace {
-		fmt.Fprintln(stdout, rep.Trace())
 	}
 	if o.statsJSON {
 		data, err := rep.JSON()

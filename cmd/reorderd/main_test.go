@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -123,5 +124,12 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"-nosuchflag"}, &out, &errBuf, nil); code != exitUsage {
 		t.Fatalf("bad flag: exit %d, want %d", code, exitUsage)
+	}
+	// -max-plans went: Limits.MaxExprs bounds each tenant's enumeration.
+	// (A missing -data directory keeps a run that accepted the flag
+	// from serving: it exits 1 instead.)
+	missing := filepath.Join(t.TempDir(), "missing")
+	if code := run([]string{"-data", missing, "-max-plans", "100"}, &out, &errBuf, nil); code != exitUsage {
+		t.Fatalf("-max-plans: exit %d, want %d", code, exitUsage)
 	}
 }

@@ -102,20 +102,6 @@ func (e *Enumerator) mask(rels []string) uint64 {
 	return m
 }
 
-// MaskOf converts a relation set to the enumerator's bitmask.
-func (e *Enumerator) MaskOf(rels []string) uint64 { return e.mask(rels) }
-
-// NamesOf converts a bitmask back to sorted relation names.
-func (e *Enumerator) NamesOf(m uint64) []string {
-	var out []string
-	for i := 0; i < len(e.names); i++ {
-		if m&(1<<uint(i)) != 0 {
-			out = append(out, e.names[i])
-		}
-	}
-	return out
-}
-
 // connects reports whether hyperedge i can be used to combine subtree
 // masks a and b under the enumerator's mode.
 func (e *Enumerator) connects(i int, a, b uint64) bool {
@@ -138,19 +124,6 @@ func (e *Enumerator) CanCombine(a, b uint64) bool {
 		}
 	}
 	return false
-}
-
-// CrossEdges returns the hyperedges usable when combining a and b
-// under the mode (the E_{T_s} of Definition 3.2, including broken-up
-// pieces in Broken mode).
-func (e *Enumerator) CrossEdges(a, b uint64) []*hypergraph.Hyperedge {
-	var out []*hypergraph.Hyperedge
-	for i, edge := range e.H.Edges {
-		if e.connects(i, a, b) {
-			out = append(out, edge)
-		}
-	}
-	return out
 }
 
 // Count returns the number of distinct association trees over the

@@ -14,15 +14,15 @@ import (
 	"repro/internal/stats"
 )
 
-// --- E15: observability — metrics, phase trace, EXPLAIN ANALYZE ----
+// --- E15: observability — metrics, phase timings, EXPLAIN ANALYZE --
 
 // E15 runs the Example 1.1 supplier query with a private metrics
-// registry and tracer threaded through the optimizer and the
-// instrumented executor, then prints the three views the
-// observability layer offers: the annotated plan (actual vs estimated
-// rows and per-operator timings), the span trace of the run, and the
-// aggregate counter snapshot. It is the write-up behind the CLI's
-// -stats/-trace flags.
+// registry threaded through the optimizer and the instrumented
+// executor, then prints the views the observability layer offers: the
+// annotated plan (actual rows against the cardinality of the memo
+// group each operator was extracted from, and per-operator timings),
+// the optimizer's phase shares, and the aggregate counter snapshot.
+// It is the write-up behind the CLI's -stats flag.
 func E15() string {
 	var b strings.Builder
 	b.WriteString("E15 — observability: phase trace and EXPLAIN ANALYZE of the supplier query\n\n")
@@ -30,34 +30,25 @@ func E15() string {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer()
-	est := stats.NewEstimator(stats.FromDatabase(db))
-	opt := optimizer.New(est)
+	opt := optimizer.New(stats.NewEstimator(stats.FromDatabase(db)))
 	opt.Opts.Obs = reg
-	opt.Opts.Tracer = tracer
 	res, err := opt.Optimize(q, db)
 	if err != nil {
 		return err.Error()
 	}
-	span := tracer.Start("execute")
 	out, ann, err := executor.Exec(res.Best.Plan, db, executor.Options{Obs: reg})
-	span.End()
 	if err != nil {
 		return err.Error()
 	}
 	plan.Walk(res.Best.Plan, func(n plan.Node) {
 		if a := ann[n]; a != nil {
-			if rows, err := est.Rows(n); err == nil {
-				a.EstRows = rows
-			}
+			a.EstRows = res.Estimates[n].Rows
 		}
 	})
 
 	fmt.Fprintf(&b, "rows returned: %d   plans considered: %d\n\n", out.N, res.Considered)
 	b.WriteString("annotated plan (actual vs estimated rows):\n")
 	b.WriteString(plan.IndentAnnotated(res.Best.Plan, ann))
-	b.WriteString("\nspan trace:\n")
-	b.WriteString(tracer.String())
 
 	// Where did the optimizer's time go, and how well did its
 	// estimates hold up?

@@ -324,8 +324,8 @@ func (b *Budget) BytesFree() (free int64, limited bool) {
 // AddQueueWait records time this run spent admitted-but-queued by a
 // serving layer's admission controller, before any optimizer or
 // executor work started. The wait is surfaced three ways so shed
-// decisions are observable: QueueWait (EXPLAIN ANALYZE's "queued"
-// phase), the guard.queue_wait_milli histogram on the budget's
+// decisions are observable: QueueWait (the service flight record's
+// "queued" phase), the guard.queue_wait_milli histogram on the budget's
 // registry, and whatever queue-depth gauges the admitting layer keeps.
 func (b *Budget) AddQueueWait(d time.Duration) {
 	if b == nil || d <= 0 {

@@ -1,13 +1,13 @@
 // Package flight is the engine's query flight recorder: a bounded,
-// race-safe ring of recent query records. Every instrumented
-// execution deposits one Record — query and plan fingerprints, phase
-// timings, memo/guard counters, degradation and budget-trip flags,
-// and the per-operator estimated-vs-actual rows with their q-errors
-// keyed by subtree fingerprint. The ring holds the last N queries in
-// O(N) memory forever: a long-lived service keeps a recent-history
-// window for /debug/queries without unbounded growth, and the
-// per-subtree q-error rows are the data feed the cardinality-feedback
-// loop consumes.
+// race-safe ring of recent query records. Every observed run deposits
+// one Record — query and plan fingerprints, phase timings, memo/guard
+// counters, degradation and budget-trip flags, and, for an EXPLAIN
+// ANALYZE run, the per-operator estimated-vs-actual rows with their
+// q-errors. The ring holds the last N queries in O(N) memory forever:
+// a long-lived service keeps a recent-history window for
+// /debug/queries without unbounded growth. Nothing reads a record
+// back into the engine: cardinality feedback records actuals under
+// memo-group keys taken from optimizer.Result.Estimates.
 package flight
 
 import (
@@ -27,11 +27,12 @@ type Phase struct {
 }
 
 // OpStat is one operator's estimate-accuracy row. Key is the subtree
-// fingerprint (plan.Key of the operator's subtree), which is what
-// makes the row actionable: the same subtree appearing under a
-// different parent — or in a different query — has the same key, so
-// feedback learned from one execution transfers to every plan that
-// contains the subtree.
+// fingerprint (plan.Key of the operator's subtree), so a reader can
+// match the row to its operator in the record's plan and compare the
+// same subtree across records. Cardinality feedback keys differently:
+// by the memo group the operator was extracted from
+// (optimizer.Result.Estimates), which covers every equivalent
+// expression of the subtree.
 type OpStat struct {
 	Op      string  `json:"op"`
 	Key     string  `json:"key"`

@@ -1,7 +1,6 @@
 // Package obs is the engine's zero-dependency observability layer: a
-// lightweight metrics registry (counters, gauges, histograms, all
-// safe for concurrent update via atomics) and a span-based tracer for
-// phase timing. The optimizer records rule firings, dedup hit rates
+// lightweight metrics registry of counters, gauges and histograms,
+// all safe for concurrent update via atomics. The optimizer records rule firings, dedup hit rates
 // and per-phase wall time into it; the executor records per-operator
 // row counts, hash-build sizes and nested-loop fallbacks. Snapshots
 // serialize to JSON, which is how EXPLAIN ANALYZE output reaches

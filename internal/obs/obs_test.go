@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestObsConcurrentCounters hammers one counter and one gauge from
@@ -165,65 +164,6 @@ func TestObsSnapshotString(t *testing.T) {
 	}
 	if strings.Index(out, "a.first") > strings.Index(out, "z.last") {
 		t.Errorf("output not sorted:\n%s", out)
-	}
-}
-
-// TestObsTracerSpans exercises nesting, notes, rendering and the
-// nil-safety contract.
-func TestObsTracerSpans(t *testing.T) {
-	tr := NewTracer()
-	root := tr.Start("optimize")
-	child := root.Child("saturate")
-	child.Annotate("plans=%d", 42)
-	child.End()
-	root.End()
-	spans := tr.Snapshot()
-	if len(spans) != 1 || spans[0].Name != "optimize" {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if len(spans[0].Children) != 1 || spans[0].Children[0].Name != "saturate" {
-		t.Fatalf("children = %+v", spans[0].Children)
-	}
-	if spans[0].Children[0].Notes[0] != "plans=42" {
-		t.Errorf("notes = %v", spans[0].Children[0].Notes)
-	}
-	if spans[0].DurNs < spans[0].Children[0].DurNs {
-		t.Errorf("parent (%d ns) shorter than child (%d ns)", spans[0].DurNs, spans[0].Children[0].DurNs)
-	}
-	if out := tr.String(); !strings.Contains(out, "saturate") || !strings.Contains(out, "plans=42") {
-		t.Errorf("render missing content:\n%s", out)
-	}
-
-	// Nil tracer and spans swallow everything.
-	var nilTr *Tracer
-	s := nilTr.Start("x")
-	s.Child("y").Annotate("z")
-	s.End()
-	if nilTr.String() != "" || nilTr.Snapshot() != nil || s.Elapsed() != 0 {
-		t.Error("nil tracer leaked state")
-	}
-}
-
-// TestObsConcurrentTracer builds spans from many goroutines under one
-// parent — the -race gate for the tracer's locking.
-func TestObsConcurrentTracer(t *testing.T) {
-	tr := NewTracer()
-	root := tr.Start("parallel")
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := root.Child("worker")
-			s.Annotate("w=%d", w)
-			time.Sleep(time.Microsecond)
-			s.End()
-		}(w)
-	}
-	wg.Wait()
-	root.End()
-	if got := len(tr.Snapshot()[0].Children); got != 16 {
-		t.Errorf("children = %d, want 16", got)
 	}
 }
 

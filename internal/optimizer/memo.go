@@ -41,16 +41,12 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	curPhase := "init"
 	defer guard.RecoverAs(&err, &curPhase, q, reg)
 	reg.Counter("optimizer.runs").Inc()
-	root := o.Opts.Tracer.Start("optimize")
-	defer root.End()
 	var phases []PhaseTiming
 	phase := func(name string) func() {
 		curPhase = name
-		sp := root.Child(name)
 		start := time.Now()
 		return func() {
 			d := time.Since(start)
-			sp.End()
 			phases = append(phases, PhaseTiming{Name: name, Elapsed: d})
 			reg.Histogram("optimizer.phase." + name + "_ns").ObserveDuration(d)
 		}

@@ -41,9 +41,6 @@ type Options struct {
 	// Obs receives the run's metrics (rule firings, dedup hits, plans
 	// enumerated, per-phase wall time); obs.Default() when nil.
 	Obs *obs.Registry
-	// Tracer, when non-nil, collects a span tree of the optimization
-	// phases (simplify, explore, cost) for -trace output.
-	Tracer *obs.Tracer
 	// Budget, when non-nil, governs the run: cancellation (checked at
 	// exploration wave boundaries and inside extraction) aborts with
 	// guard.ErrCancelled, while a tripped expression budget degrades
@@ -55,8 +52,8 @@ type Options struct {
 	// the run's estimation session: a memo group with a correction
 	// recorded under its key (Result.Estimates) is priced at the
 	// observed cardinality instead of the static model's. Off (nil) by
-	// default — a nil store leaves plans, costs and traces
-	// bit-identical to a run without feedback.
+	// default — a nil store leaves plans and costs bit-identical to a
+	// run without feedback.
 	Feedback *feedback.Store
 }
 

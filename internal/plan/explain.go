@@ -100,33 +100,3 @@ func IndentAnnotated(n Node, ann Annotations) string {
 	}
 	return b.String()
 }
-
-// DOTAnnotated renders the plan as DOT does, with actual-vs-estimated
-// row counts and timings appended to each node label.
-func DOTAnnotated(n Node, ann Annotations) string {
-	var b strings.Builder
-	b.WriteString("digraph plan {\n  node [fontname=\"Helvetica\"];\n  rankdir=BT;\n")
-	id := 0
-	var rec func(n Node) int
-	rec = func(n Node) int {
-		my := id
-		id++
-		label, shape := describe(n)
-		if an := ann[n]; an != nil {
-			label += fmt.Sprintf("\nactual %d rows", an.Rows)
-			if an.EstRows > 0 {
-				label += fmt.Sprintf(" (est %.0f)", an.EstRows)
-			}
-			label += fmt.Sprintf("\n%s", an.Elapsed.Round(time.Microsecond))
-		}
-		fmt.Fprintf(&b, "  n%d [label=%q, shape=%s];\n", my, label, shape)
-		for _, c := range n.Children() {
-			ci := rec(c)
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", ci, my)
-		}
-		return my
-	}
-	rec(n)
-	b.WriteString("}\n")
-	return b.String()
-}

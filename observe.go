@@ -15,8 +15,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/optimizer"
-	"repro/internal/plan"
 )
 
 // Observer aggregates observed runs. The zero value is unusable; use
@@ -47,40 +45,19 @@ func (ob *Observer) Handler() http.Handler {
 	return obs.Handler(ob.Registry, ob.Flight)
 }
 
-// record deposits one run into the observer: merge the run's private
-// registry into the aggregate, then add the flight record. Nil-safe.
-func (ob *Observer) record(q, chosen plan.Node, res *optimizer.Result, reg *obs.Registry, b *guard.Budget, start time.Time, execNs int64, runErr error, rowsOut int, ops []flight.OpStat) {
-	if ob == nil {
-		return
-	}
-	rec := flight.Record{
-		Start:       start,
-		Query:       plan.Key(q),
-		Hash:        plan.Fingerprint(q),
-		DurNs:       time.Since(start).Nanoseconds(),
-		RowsOut:     rowsOut,
-		BudgetTrips: b.Trips(),
-		Counters:    flightCounters(reg),
-		Ops:         ops,
-	}
-	if res != nil {
-		rec.PlanKey = plan.Key(res.Best.Plan)
-		rec.Degraded = res.Degraded
-		for _, p := range res.Phases {
-			rec.Phases = append(rec.Phases, flight.Phase{Name: p.Name, Ns: p.Elapsed.Nanoseconds()})
-		}
-	} else if chosen != nil {
-		rec.PlanKey = plan.Key(chosen)
-	}
-	if execNs > 0 {
-		rec.Phases = append(rec.Phases, flight.Phase{Name: "execute", Ns: execNs})
-	}
+// record deposits one run into ob, for the service and
+// ExplainAnalyze alike: the run's private registry merges into the
+// aggregate, and rec — filled in by the caller — is completed with the
+// run's duration, budget trips, counter subset and terminal error and
+// added to the flight ring.
+func (ob *Observer) record(rec flight.Record, reg *obs.Registry, b *guard.Budget, runErr error) {
+	rec.DurNs = time.Since(rec.Start).Nanoseconds()
+	rec.BudgetTrips = b.Trips()
+	rec.Counters = flightCounters(reg)
 	if runErr != nil {
 		rec.Error = runErr.Error()
 	}
-	if ob.Registry != nil {
-		ob.Registry.Merge(reg)
-	}
+	ob.Registry.Merge(reg)
 	ob.Flight.Add(rec)
 }
 

@@ -62,8 +62,6 @@ type ServiceConfig struct {
 	// Workers spreads the optimizer's memo exploration over this many
 	// goroutines (0 = serial).
 	Workers int
-	// MaxPlans caps optimizer enumeration (0 = optimizer default).
-	MaxPlans int
 	// FlightCap sizes the flight recorder ring (0 = default).
 	FlightCap int
 	// Feedback enables the cardinality-feedback loop: every execution
@@ -438,7 +436,21 @@ func (s *Service) query(ctx context.Context, req Request) (*Response, error) {
 
 	start := time.Now()
 	resp, planKey, hash, runErr := s.serve(ctx, req, b, reg)
-	s.record(req, resp, planKey, hash, reg, b, start, runErr)
+	rec := flight.Record{Start: start, Query: req.SQL, Hash: hash, PlanKey: planKey}
+	if q := b.QueueWait(); q > 0 {
+		rec.Phases = append(rec.Phases, flight.Phase{Name: "queued", Ns: q.Nanoseconds()})
+	}
+	if resp != nil {
+		rec.RowsOut = resp.rel.N
+		rec.Degraded = resp.Degraded
+		if resp.OptimizeNs > 0 {
+			rec.Phases = append(rec.Phases, flight.Phase{Name: "optimize", Ns: resp.OptimizeNs})
+		}
+		rec.Phases = append(rec.Phases,
+			flight.Phase{Name: "bind", Ns: resp.BindNs},
+			flight.Phase{Name: "execute", Ns: resp.ExecNs})
+	}
+	s.ob.record(rec, reg, b, runErr)
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -568,9 +580,6 @@ func boxRows(rel *batch.Rel) [][]any {
 func (s *Service) optimizeTemplate(node plan.Node, params []value.Value, b *guard.Budget, reg *obs.Registry) (*cachedPlan, error) {
 	o := optimizer.New(s.est.WithParams(params))
 	o.Opts.Workers = s.cfg.Workers
-	if s.cfg.MaxPlans > 0 {
-		o.Opts.MaxPlans = s.cfg.MaxPlans
-	}
 	o.Opts.Budget = b
 	o.Opts.Obs = reg
 	o.Opts.Feedback = s.fb
@@ -701,38 +710,6 @@ func (s *Service) fillCache(key string, node plan.Node, params []value.Value, b 
 		cp.keySkel = plan.NewKeySkeleton(cp.plan)
 		return cp, planBytes(key, plan.Key(cp.plan)), nil
 	}
-}
-
-// record deposits the request into the flight recorder and folds the
-// run's private registry into the aggregate.
-func (s *Service) record(req Request, resp *Response, planKey string, hash uint64, reg *obs.Registry, b *guard.Budget, start time.Time, runErr error) {
-	rec := flight.Record{
-		Start:       start,
-		Query:       req.SQL,
-		Hash:        hash,
-		DurNs:       time.Since(start).Nanoseconds(),
-		PlanKey:     planKey,
-		BudgetTrips: b.Trips(),
-		Counters:    flightCounters(reg),
-	}
-	if q := b.QueueWait(); q > 0 {
-		rec.Phases = append(rec.Phases, flight.Phase{Name: "queued", Ns: q.Nanoseconds()})
-	}
-	if resp != nil {
-		rec.RowsOut = resp.rel.N
-		rec.Degraded = resp.Degraded
-		if resp.OptimizeNs > 0 {
-			rec.Phases = append(rec.Phases, flight.Phase{Name: "optimize", Ns: resp.OptimizeNs})
-		}
-		rec.Phases = append(rec.Phases,
-			flight.Phase{Name: "bind", Ns: resp.BindNs},
-			flight.Phase{Name: "execute", Ns: resp.ExecNs})
-	}
-	if runErr != nil {
-		rec.Error = runErr.Error()
-	}
-	s.ob.Registry.Merge(reg)
-	s.ob.Flight.Add(rec)
 }
 
 // jsonValue converts a value to its natural JSON representation.
