@@ -1,8 +1,8 @@
 // EXPLAIN ANALYZE: optimize a query, execute the chosen plan through
 // the instrumented executor, and bundle the annotated plan, optimizer
-// counters and phase timings into one report that renders as text and
-// round-trips through JSON (the machine-readable dump cmd/reorder
-// -statsjson emits and the benchmarks consume).
+// counters and phase timings into one report that renders as text or
+// serializes as JSON (the machine-readable dump cmd/reorder -statsjson
+// emits; an output format, read back with json.Unmarshal).
 package reorder
 
 import (
@@ -41,10 +41,10 @@ type AnalyzeReport struct {
 	// ANALYZE of the scanned tables), the optimizer's simplify,
 	// explore and cost, then execute. The flight record of an observed
 	// run carries the same list.
-	Phases      []flight.Phase  `json:"phases,omitempty"`
-	RuleFirings map[string]int  `json:"ruleFirings,omitempty"`
-	Metrics     obs.Snapshot    `json:"metrics"`
-	PlanTree    json.RawMessage `json:"planTree"` // annotated plan (plan.EncodeJSONAnnotated)
+	Phases      []flight.Phase `json:"phases,omitempty"`
+	RuleFirings map[string]int `json:"ruleFirings,omitempty"`
+	Metrics     obs.Snapshot   `json:"metrics"`
+	PlanTree    *plan.TreeNode `json:"planTree"` // annotated plan (plan.Tree)
 
 	node plan.Node
 	ann  plan.Annotations
@@ -159,10 +159,6 @@ func explainAnalyze(q Node, db Database, workers int, b *guard.Budget, reg *obs.
 		})
 	})
 
-	tree, err := plan.EncodeJSONAnnotated(res.Best.Plan, ann)
-	if err != nil {
-		return nil, err
-	}
 	r := &AnalyzeReport{
 		Query:        q.String(),
 		BestPlan:     res.Best.Plan.String(),
@@ -174,7 +170,7 @@ func explainAnalyze(q Node, db Database, workers int, b *guard.Budget, reg *obs.
 		Phases:       rec.Phases,
 		RuleFirings:  res.RuleFirings,
 		Metrics:      reg.Snapshot(),
-		PlanTree:     tree,
+		PlanTree:     plan.Tree(res.Best.Plan, ann),
 		node:         res.Best.Plan,
 		ann:          ann,
 	}
@@ -185,29 +181,16 @@ func explainAnalyze(q Node, db Database, workers int, b *guard.Budget, reg *obs.
 	return r, nil
 }
 
-// JSON serializes the report; DecodeAnalyzeReport inverts it.
+// JSON serializes the report.
 func (r *AnalyzeReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
-// DecodeAnalyzeReport deserializes a report produced by JSON,
-// reconstructing the annotated plan tree for rendering.
-func DecodeAnalyzeReport(data []byte) (*AnalyzeReport, error) {
-	var r AnalyzeReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	node, ann, err := plan.DecodeJSONAnnotated(r.PlanTree)
-	if err != nil {
-		return nil, fmt.Errorf("reorder: decoding annotated plan: %w", err)
-	}
-	r.node, r.ann = node, ann
-	return &r, nil
-}
-
-// Plan returns the chosen plan and its per-operator annotations.
+// Plan returns the chosen plan and its per-operator annotations. A
+// report read back from JSON has neither: its plan is PlanTree.
 func (r *AnalyzeReport) Plan() (Node, plan.Annotations) { return r.node, r.ann }
 
-// String renders the report in the EXPLAIN ANALYZE style: header,
-// annotated operator tree, phase timings and the run's counters.
+// String renders the report ExplainAnalyze built in the EXPLAIN
+// ANALYZE style: header, annotated operator tree, phase timings and the
+// run's counters.
 func (r *AnalyzeReport) String() string {
 	var b strings.Builder
 	b.WriteString("EXPLAIN ANALYZE\n")
@@ -229,7 +212,9 @@ func (r *AnalyzeReport) String() string {
 		fmt.Fprintf(&b, "phases:           %s\n", strings.Join(parts, ", "))
 	}
 	b.WriteString("\n")
-	b.WriteString(buildField.Replace(plan.IndentAnnotated(r.node, r.ann)))
+	if r.node != nil {
+		b.WriteString(buildField.Replace(plan.IndentAnnotated(r.node, r.ann)))
+	}
 	b.WriteString("\ncounters:\n")
 	b.WriteString(r.Metrics.String())
 	return b.String()

@@ -2,6 +2,9 @@ package reorder
 
 import (
 	"context"
+	"encoding/json"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -105,89 +108,105 @@ func TestExplainAnalyzeBooksAnalyze(t *testing.T) {
 // hash join line says where its table came from and how probe rows
 // looked it up — the supplier plan builds on detail95's shared index
 // and hashes its two-column key, and indexes the four BANKRUPT
-// suppliers' dense supkeys per request — and a decoded report renders
-// the same.
+// suppliers' dense supkeys per request.
 func TestExplainAnalyzeVectorizedBuildField(t *testing.T) {
 	rep, err := ExplainAnalyze(context.Background(), datagen.SupplierQuery(), datagen.Supplier(datagen.DefaultSupplierConfig), AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeAnalyzeReport(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, text := range []string{rep.String(), decoded.String()} {
-		for _, line := range strings.Split(text, "\n") {
-			switch {
-			case strings.Contains(line, "LOJ on "):
-				if !strings.Contains(line, " build=index lookup=hash hash_build_rows=20000") {
-					t.Errorf("outer join over detail95 does not report its shared index: %s", line)
-				}
-			case strings.Contains(line, "JOIN on "):
-				if !strings.Contains(line, " build=hash lookup=dense hash_build_rows=4") {
-					t.Errorf("join over the filtered suppliers does not report a per-request build: %s", line)
-				}
+	text := rep.String()
+	for _, line := range strings.Split(text, "\n") {
+		switch {
+		case strings.Contains(line, "LOJ on "):
+			if !strings.Contains(line, " build=index lookup=hash hash_build_rows=20000") {
+				t.Errorf("outer join over detail95 does not report its shared index: %s", line)
+			}
+		case strings.Contains(line, "JOIN on "):
+			if !strings.Contains(line, " build=hash lookup=dense hash_build_rows=4") {
+				t.Errorf("join over the filtered suppliers does not report a per-request build: %s", line)
 			}
 		}
-		if strings.Contains(text, "build_index") || strings.Contains(text, "dense_lookup") {
-			t.Error("raw build_index or dense_lookup annotation leaked into the rendering")
-		}
+	}
+	if strings.Contains(text, "build_index") || strings.Contains(text, "dense_lookup") {
+		t.Error("raw build_index or dense_lookup annotation leaked into the rendering")
 	}
 }
 
-// TestExplainAnalyzeJSONRoundTrip: the machine-readable dump must
-// reconstruct the same annotated plan — same operators, same actual
-// and estimated rows, same counters — and render identically.
-func TestExplainAnalyzeJSONRoundTrip(t *testing.T) {
-	db := datagen.Supplier(datagen.DefaultSupplierConfig)
-	rep, err := ExplainAnalyze(context.Background(), datagen.SupplierQuery(), db, AnalyzeOptions{})
+// TestExplainAnalyzeViewsAgree: every plan view is built from
+// plan.Label, so on the supplier report the JSON plan tree's operators
+// (pre-order, read back from the report's JSON), the operator lines of
+// the text report (indentation and annotation stripped) and the node
+// labels of the DOT rendering are one list, and each JSON node carries
+// the rows of the annotation the text prints.
+func TestExplainAnalyzeViewsAgree(t *testing.T) {
+	rep, err := ExplainAnalyze(context.Background(), datagen.SupplierQuery(), datagen.Supplier(datagen.DefaultSupplierConfig), AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	node, ann := rep.Plan()
+	var nodes []plan.Node
+	plan.Walk(node, func(n plan.Node) { nodes = append(nodes, n) })
+
 	data, err := rep.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeAnalyzeReport(data)
-	if err != nil {
+	var back AnalyzeReport
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	n1, a1 := rep.Plan()
-	n2, a2 := back.Plan()
-	if n1.String() != n2.String() {
-		t.Fatalf("plan changed across round trip:\n%s\n%s", n1, n2)
-	}
-	// Pair the trees node by node (same pre-order walk) and compare
-	// annotations.
-	var nodes1, nodes2 []plan.Node
-	plan.Walk(n1, func(n plan.Node) { nodes1 = append(nodes1, n) })
-	plan.Walk(n2, func(n plan.Node) { nodes2 = append(nodes2, n) })
-	if len(nodes1) != len(nodes2) {
-		t.Fatalf("node counts differ: %d vs %d", len(nodes1), len(nodes2))
-	}
-	for i := range nodes1 {
-		x, y := a1[nodes1[i]], a2[nodes2[i]]
-		if x == nil || y == nil {
-			t.Fatalf("node %d lost its annotation (%v vs %v)", i, x, y)
+	var fromJSON []string
+	var walk func(tn *plan.TreeNode)
+	walk = func(tn *plan.TreeNode) {
+		i := len(fromJSON)
+		fromJSON = append(fromJSON, tn.Op)
+		if tn.Actual == nil {
+			t.Errorf("plan tree node %q has no actual figures", tn.Op)
+		} else if i < len(nodes) && tn.Actual.Rows != ann[nodes[i]].Rows {
+			t.Errorf("plan tree node %q: actual.rows %d, annotation %d", tn.Op, tn.Actual.Rows, ann[nodes[i]].Rows)
 		}
-		if x.Rows != y.Rows || x.EstRows != y.EstRows || x.Elapsed != y.Elapsed {
-			t.Errorf("node %d annotation changed: %+v vs %+v", i, x, y)
-		}
-		for k, v := range x.Extra {
-			if y.Extra[k] != v {
-				t.Errorf("node %d extra %q: %d vs %d", i, k, v, y.Extra[k])
-			}
+		for _, c := range tn.Inputs {
+			walk(c)
 		}
 	}
-	if back.String() != rep.String() {
-		t.Error("rendered report differs after round trip")
+	walk(back.PlanTree)
+
+	// The plan section sits between the first blank line and
+	// "counters:".
+	text := rep.String()
+	section := text[strings.Index(text, "\n\n")+2 : strings.Index(text, "\ncounters:")]
+	var fromText []string
+	for _, line := range strings.Split(strings.TrimRight(section, "\n"), "\n") {
+		line = strings.TrimLeft(line, " ")
+		if i := strings.LastIndex(line, "  (actual rows="); i >= 0 {
+			line = line[:i]
+		}
+		fromText = append(fromText, line)
 	}
-	if back.Metrics.Counters["executor.rows_out"] != rep.Metrics.Counters["executor.rows_out"] {
-		t.Error("counters lost in round trip")
+
+	var fromDOT []string
+	for _, line := range strings.Split(plan.DOT(node), "\n") {
+		const prefix = " [label="
+		i := strings.Index(line, prefix)
+		j := strings.LastIndex(line, ", shape=")
+		if i < 0 || j < i {
+			continue
+		}
+		label, err := strconv.Unquote(line[i+len(prefix) : j])
+		if err != nil {
+			t.Fatalf("DOT label %s: %v", line, err)
+		}
+		fromDOT = append(fromDOT, label)
+	}
+
+	if len(fromJSON) != len(nodes) {
+		t.Fatalf("plan tree has %d operators, plan %d", len(fromJSON), len(nodes))
+	}
+	if !slices.Equal(fromJSON, fromText) {
+		t.Errorf("JSON operators %q,\ntext lines %q", fromJSON, fromText)
+	}
+	if !slices.Equal(fromJSON, fromDOT) {
+		t.Errorf("JSON operators %q,\nDOT labels %q", fromJSON, fromDOT)
 	}
 }
 

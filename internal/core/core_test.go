@@ -298,36 +298,6 @@ func TestQ4SaturationWidens(t *testing.T) {
 	}
 }
 
-// TestDerivationChain reconstructs the rule path from the trace.
-func TestDerivationChain(t *testing.T) {
-	q := query2()
-	plans, trace := SaturateTraced(q, SaturateOptions{})
-	if len(plans) < 3 {
-		t.Fatal("closure too small")
-	}
-	// The root has an empty chain.
-	if got := DerivationChain(trace, q.String()); len(got) != 0 {
-		t.Errorf("root chain = %v", got)
-	}
-	// Every non-root plan has a non-empty chain ending at the root.
-	withSplit := 0
-	for _, p := range plans[1:] {
-		chain := DerivationChain(trace, p.String())
-		if len(chain) == 0 {
-			t.Errorf("plan %s has no derivation", p)
-		}
-		for _, step := range chain {
-			if step == "split" {
-				withSplit++
-				break
-			}
-		}
-	}
-	if withSplit == 0 {
-		t.Error("no plan derived through the split rule")
-	}
-}
-
 // TestSplitOptionsEdgeCases: single-conjunct edges offer no splits;
 // complex predicates offer one option per deferrable conjunct.
 func TestSplitOptionsEdgeCases(t *testing.T) {

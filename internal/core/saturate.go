@@ -88,25 +88,6 @@ func SaturateTraced(root plan.Node, opts SaturateOptions) ([]plan.Node, map[stri
 	return out, trace
 }
 
-// DerivationChain reconstructs the rule applications leading from the
-// root to the plan with the given canonical string, oldest first.
-func DerivationChain(trace map[string]Derivation, planKey string) []string {
-	var chain []string
-	for {
-		d, ok := trace[planKey]
-		if !ok {
-			break
-		}
-		chain = append(chain, d.Rule)
-		planKey = d.Parent
-	}
-	// Reverse to oldest-first.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain
-}
-
 type altPlan struct {
 	plan plan.Node
 	rule string

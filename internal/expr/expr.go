@@ -347,39 +347,11 @@ func RelSet(p Pred) map[string]bool {
 	return set
 }
 
-// IsSimple reports whether p references exactly two relations
-// (Section 1.2's simple predicate).
-func IsSimple(p Pred) bool { return len(Rels(p)) == 2 }
-
-// IsComplex reports whether p references more than two relations.
-func IsComplex(p Pred) bool { return len(Rels(p)) > 2 }
-
-// ReferencesOnly reports whether every attribute of p belongs to a
-// relation in rels.
-func ReferencesOnly(p Pred, rels map[string]bool) bool {
-	for _, a := range p.Attrs(nil) {
-		if !rels[a.Rel] {
-			return false
-		}
-	}
-	return true
-}
-
 // References reports whether p references any attribute of a relation
 // in rels.
 func References(p Pred, rels map[string]bool) bool {
 	for _, a := range p.Attrs(nil) {
 		if rels[a.Rel] {
-			return true
-		}
-	}
-	return false
-}
-
-// ReferencesAttr reports whether p references attribute a.
-func ReferencesAttr(p Pred, a schema.Attribute) bool {
-	for _, x := range p.Attrs(nil) {
-		if x == a {
 			return true
 		}
 	}

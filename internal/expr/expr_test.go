@@ -120,28 +120,11 @@ func TestAndFlattening(t *testing.T) {
 func TestRelsAndClassification(t *testing.T) {
 	simple := Eq(Column("r1", "x"), Column("r2", "x"))
 	complexPred := And(simple, Eq(Column("r1", "y"), Column("r3", "y")))
-	oneRel := Eq(Column("r1", "x"), Int(3))
-	if !IsSimple(simple) || IsComplex(simple) {
-		t.Error("two-relation predicate is simple")
-	}
-	if !IsComplex(complexPred) || IsSimple(complexPred) {
-		t.Error("three-relation predicate is complex")
-	}
-	if IsSimple(oneRel) || IsComplex(oneRel) {
-		t.Error("one-relation predicate is neither")
-	}
 	if got := Rels(complexPred); len(got) != 3 || got[0] != "r1" {
 		t.Errorf("rels = %v", got)
 	}
-	set := map[string]bool{"r1": true, "r2": true}
-	if !ReferencesOnly(simple, set) || ReferencesOnly(complexPred, set) {
-		t.Error("ReferencesOnly wrong")
-	}
 	if !References(complexPred, map[string]bool{"r3": true}) {
 		t.Error("References wrong")
-	}
-	if !ReferencesAttr(simple, schema.Attr("r2", "x")) || ReferencesAttr(simple, schema.Attr("r2", "y")) {
-		t.Error("ReferencesAttr wrong")
 	}
 }
 
@@ -242,85 +225,5 @@ func TestPredHelpers(t *testing.T) {
 	}
 	if (Conj{}).String() != "true" {
 		t.Error("empty Conj string")
-	}
-}
-
-// TestJSONRoundTrip covers the expression serialization directly.
-func TestJSONRoundTrip(t *testing.T) {
-	scalars := []Scalar{
-		Column("r1", "x"),
-		Col{Attr: schema.RID("r1")},
-		Int(42),
-		Float(2.5),
-		Str("hello"),
-		Const{Val: value.Null},
-		Const{Val: value.NewBool(true)},
-		Arith{Op: Mul, L: Int(2), R: Arith{Op: Add, L: Column("r", "a"), R: Float(0.5)}},
-	}
-	for _, s := range scalars {
-		data, err := EncodeScalar(s)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		back, err := DecodeScalar(data)
-		if err != nil {
-			t.Fatalf("%s: %v (%s)", s, err, data)
-		}
-		if back.String() != s.String() {
-			t.Errorf("scalar round trip %q -> %q", s, back)
-		}
-	}
-	preds := []Pred{
-		True{},
-		Cmp{Op: value.LE, L: Column("r1", "x"), R: Int(3)},
-		And(EqCols("r1", "x", "r2", "x"), EqCols("r1", "y", "r2", "y")),
-		Or(EqCols("r1", "x", "r2", "x"), Not{P: True{}}),
-	}
-	for _, p := range preds {
-		data, err := EncodePred(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		back, err := DecodePred(data)
-		if err != nil {
-			t.Fatalf("%s: %v (%s)", p, err, data)
-		}
-		if back.String() != p.String() {
-			t.Errorf("pred round trip %q -> %q", p, back)
-		}
-	}
-}
-
-func TestJSONDecodeErrors(t *testing.T) {
-	for _, bad := range []string{
-		``, `{"kind":"wat"}`, `{"kind":"const","type":"WAT","value":"1"}`,
-		`{"kind":"const","type":"INT","value":"x"}`,
-		`{"kind":"const","type":"FLOAT","value":"x"}`,
-		`{"kind":"arith","op":"%","l":{"kind":"const","type":"INT","value":"1"},"r":{"kind":"const","type":"INT","value":"1"}}`,
-	} {
-		if _, err := DecodeScalar([]byte(bad)); err == nil {
-			t.Errorf("DecodeScalar(%q) should fail", bad)
-		}
-	}
-	for _, bad := range []string{
-		``, `{"kind":"wat"}`,
-		`{"kind":"cmp","op":"~","l":{"kind":"const","type":"INT","value":"1"},"r":{"kind":"const","type":"INT","value":"1"}}`,
-		`{"kind":"and","preds":[{"kind":"wat"}]}`,
-		`{"kind":"not","pred":{"kind":"wat"}}`,
-	} {
-		if _, err := DecodePred([]byte(bad)); err == nil {
-			t.Errorf("DecodePred(%q) should fail", bad)
-		}
-	}
-	// All comparison and arithmetic operators decode.
-	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
-		if _, err := cmpOpOf(op); err != nil {
-			t.Errorf("cmpOpOf(%q): %v", op, err)
-		}
-	}
-	for _, op := range []string{"+", "-", "*", "/"} {
-		if _, err := arithOpOf(op); err != nil {
-			t.Errorf("arithOpOf(%q): %v", op, err)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package hypergraph
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -276,18 +275,5 @@ func TestCyclicHypergraph(t *testing.T) {
 	}
 	if h2.IsAcyclic() {
 		t.Errorf("triangle should be cyclic")
-	}
-}
-
-func TestDOT(t *testing.T) {
-	h, err := FromPlan(q4())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := h.DOT()
-	for _, want := range []string{"digraph", "square", "r1", "dir=forward"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -69,8 +69,11 @@ type Record struct {
 	// stamps it.
 	Seq   int64     `json:"seq"`
 	Start time.Time `json:"start"`
-	// Query is the query fingerprint (plan.Key of the plan as
-	// written); Hash is its 64-bit form for compact indexing.
+	// Query and Hash identify the query; what they hold depends on the
+	// writer. The query service stores the request's SQL text and
+	// plan.Fingerprint of the lowered template (0 when the front end
+	// failed); ExplainAnalyze stores plan.Key and plan.Fingerprint of
+	// the query as written.
 	Query string `json:"query"`
 	Hash  uint64 `json:"hash,omitempty"`
 	// PlanKey is the chosen plan's fingerprint.

@@ -81,22 +81,35 @@ func annotationSuffix(an *Annotation) string {
 // operator line carrying its measured annotation — the textual
 // EXPLAIN ANALYZE output.
 func IndentAnnotated(n Node, ann Annotations) string {
-	plain := Indent(n)
-	lines := strings.Split(strings.TrimRight(plain, "\n"), "\n")
-	// Indent emits exactly one line per node in pre-order, so a
-	// parallel pre-order walk pairs lines with nodes.
-	var nodes []Node
-	Walk(n, func(m Node) { nodes = append(nodes, m) })
-	if len(nodes) != len(lines) {
-		return plain // defensive: never mangle output on mismatch
-	}
 	var b strings.Builder
-	for i, line := range lines {
-		b.WriteString(line)
-		if an := ann[nodes[i]]; an != nil {
-			b.WriteString(annotationSuffix(an))
+	var rec func(n Node, depth int)
+	rec = func(n Node, depth int) {
+		b.WriteString(strings.Repeat("  ", depth))
+		b.WriteString(Label(n))
+		b.WriteString(annotationSuffix(ann[n]))
+		b.WriteByte('\n')
+		for _, c := range n.Children() {
+			rec(c, depth+1)
 		}
-		b.WriteString("\n")
 	}
+	rec(n, 0)
 	return b.String()
+}
+
+// TreeNode is one operator of a plan's JSON view: its Label, its
+// annotation when it has one, and its inputs.
+type TreeNode struct {
+	Op     string      `json:"op"`
+	Actual *Annotation `json:"actual,omitempty"`
+	Inputs []*TreeNode `json:"inputs,omitempty"`
+}
+
+// Tree builds the JSON view of the plan rooted at n, each operator
+// carrying its annotation from ann (which may be nil).
+func Tree(n Node, ann Annotations) *TreeNode {
+	t := &TreeNode{Op: Label(n), Actual: ann[n]}
+	for _, c := range n.Children() {
+		t.Inputs = append(t.Inputs, Tree(c, ann))
+	}
+	return t
 }

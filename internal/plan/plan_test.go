@@ -224,6 +224,34 @@ func TestStringCanonical(t *testing.T) {
 	}
 }
 
+// TestLabel pins the operator line of every kind, the text all plan
+// views share.
+func TestLabel(t *testing.T) {
+	p := expr.EqCols("r1", "x", "r2", "x")
+	x := schema.Attr("r1", "x")
+	sum := algebra.Aggregate{Func: algebra.Sum, Arg: expr.Column("r1", "y"), Out: schema.Attr("q", "s")}
+	key := []SortKey{{Attr: x, Desc: true}, {Attr: schema.Attr("r1", "y")}}
+	r1, r2 := NewScan("r1"), NewScan("r2")
+	for _, c := range []struct {
+		n    Node
+		want string
+	}{
+		{NewScanAs("r1", "a"), "Scan r1"},
+		{NewJoin(LeftJoin, p, r1, r2), "LOJ on r1.x = r2.x"},
+		{NewSelect(p, r1), "Select r1.x = r2.x"},
+		{NewGenSel(p, []PreservedSpec{NewPreserved("r1"), NewPreserved("r1", "r2")}, r1), "GenSel r1.x = r2.x preserving [r1, r1r2]"},
+		{NewMGOJ(p, []PreservedSpec{NewPreserved("r2")}, r1, r2), "MGOJ r1.x = r2.x preserving [r2]"},
+		{NewGroupBy([]schema.Attribute{x}, []algebra.Aggregate{sum}, r1), "GroupBy [r1.x] aggs [" + sum.String() + "]"},
+		{NewProject([]schema.Attribute{x}, true, r1), "Project [r1.x] distinct=true"},
+		{NewSort(key, -1, r1), "Sort [" + key[0].String() + ", " + key[1].String() + "]"},
+		{NewSortOrigin(key[1:], 5, r1, "enforcer"), "Sort [" + key[1].String() + "] limit 5 (enforcer)"},
+	} {
+		if got := Label(c.n); got != c.want {
+			t.Errorf("Label = %q, want %q", got, c.want)
+		}
+	}
+}
+
 func TestDOT(t *testing.T) {
 	p := expr.EqCols("r1", "x", "r2", "x")
 	n := NewGenSel(p, []PreservedSpec{NewPreserved("r1")},

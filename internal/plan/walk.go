@@ -88,65 +88,48 @@ func Equivalent(a, b Node, db Database) (bool, error) {
 	return ra.EqualAsSets(rb), nil
 }
 
+// Label renders n's operator line as EXPLAIN prints it, without
+// indentation or newline. It is the one per-operator description every
+// plan view is built from: Indent, IndentAnnotated, DOT and Tree.
+func Label(n Node) string {
+	switch m := n.(type) {
+	case *Scan:
+		return "Scan " + m.Rel
+	case *Join:
+		return fmt.Sprintf("%s on %s", m.Kind, m.Pred)
+	case *Select:
+		return fmt.Sprintf("Select %s", m.Pred)
+	case *GenSel:
+		return fmt.Sprintf("GenSel %s preserving [%s]", m.Pred, list(m.Preserved))
+	case *MGOJNode:
+		return fmt.Sprintf("MGOJ %s preserving [%s]", m.Pred, list(m.Preserved))
+	case *GroupBy:
+		return fmt.Sprintf("GroupBy [%s] aggs [%s]", list(m.Keys), list(m.Aggs))
+	case *Project:
+		return fmt.Sprintf("Project %v distinct=%v", m.Attrs, m.Distinct)
+	case *Sort:
+		s := "Sort [" + list(m.Keys) + "]"
+		if m.Limit >= 0 {
+			s += fmt.Sprintf(" limit %d", m.Limit)
+		}
+		if m.Origin != "" {
+			s += " (" + m.Origin + ")"
+		}
+		return s
+	default:
+		return n.String()
+	}
+}
+
+// list joins the items' strings with ", ".
+func list[T fmt.Stringer](items []T) string {
+	parts := make([]string, len(items))
+	for i, it := range items {
+		parts[i] = it.String()
+	}
+	return strings.Join(parts, ", ")
+}
+
 // Indent renders the plan as an indented tree, one operator per line,
 // for EXPLAIN-style output.
-func Indent(n Node) string {
-	var b strings.Builder
-	var rec func(n Node, depth int)
-	rec = func(n Node, depth int) {
-		pad := strings.Repeat("  ", depth)
-		switch m := n.(type) {
-		case *Scan:
-			fmt.Fprintf(&b, "%sScan %s\n", pad, m.Rel)
-		case *Join:
-			fmt.Fprintf(&b, "%s%s on %s\n", pad, m.Kind, m.Pred)
-		case *Select:
-			fmt.Fprintf(&b, "%sSelect %s\n", pad, m.Pred)
-		case *GenSel:
-			parts := make([]string, len(m.Preserved))
-			for i, s := range m.Preserved {
-				parts[i] = s.String()
-			}
-			fmt.Fprintf(&b, "%sGenSel %s preserving [%s]\n", pad, m.Pred, strings.Join(parts, ", "))
-		case *MGOJNode:
-			parts := make([]string, len(m.Preserved))
-			for i, s := range m.Preserved {
-				parts[i] = s.String()
-			}
-			fmt.Fprintf(&b, "%sMGOJ %s preserving [%s]\n", pad, m.Pred, strings.Join(parts, ", "))
-		case *GroupBy:
-			keys := make([]string, len(m.Keys))
-			for i, k := range m.Keys {
-				keys[i] = k.String()
-			}
-			aggs := make([]string, len(m.Aggs))
-			for i, a := range m.Aggs {
-				aggs[i] = a.String()
-			}
-			fmt.Fprintf(&b, "%sGroupBy [%s] aggs [%s]\n", pad, strings.Join(keys, ", "), strings.Join(aggs, ", "))
-		case *Project:
-			fmt.Fprintf(&b, "%sProject %v distinct=%v\n", pad, m.Attrs, m.Distinct)
-		case *Sort:
-			keys := make([]string, len(m.Keys))
-			for i, k := range m.Keys {
-				keys[i] = k.String()
-			}
-			origin := ""
-			if m.Origin != "" {
-				origin = " (" + m.Origin + ")"
-			}
-			if m.Limit >= 0 {
-				fmt.Fprintf(&b, "%sSort [%s] limit %d%s\n", pad, strings.Join(keys, ", "), m.Limit, origin)
-			} else {
-				fmt.Fprintf(&b, "%sSort [%s]%s\n", pad, strings.Join(keys, ", "), origin)
-			}
-		default:
-			fmt.Fprintf(&b, "%s%s\n", pad, n)
-		}
-		for _, c := range n.Children() {
-			rec(c, depth+1)
-		}
-	}
-	rec(n, 0)
-	return b.String()
-}
+func Indent(n Node) string { return IndentAnnotated(n, nil) }

@@ -88,37 +88,3 @@ func FromCSV(name string, r io.Reader) (*Relation, error) {
 	}
 	return b.Relation(), nil
 }
-
-// WriteCSV writes the relation's real columns (virtual row ids are
-// omitted) as CSV with a header row; NULLs become empty cells.
-func (r *Relation) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	var cols []int
-	var header []string
-	for i := 0; i < r.schema.Len(); i++ {
-		a := r.schema.At(i)
-		if a.Virtual {
-			continue
-		}
-		cols = append(cols, i)
-		header = append(header, a.Col)
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, t := range r.tuples {
-		rec := make([]string, len(cols))
-		for k, i := range cols {
-			if t[i].IsNull() {
-				rec[k] = ""
-			} else {
-				rec[k] = t[i].String()
-			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

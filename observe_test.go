@@ -154,9 +154,11 @@ func TestObserverRecordsFailedRuns(t *testing.T) {
 }
 
 // TestObserverServiceRecordHash: a served request's flight record
-// carries its template's plan.Fingerprint, on the full front end (the
-// first request of a shape) and on a shape-memo hit alike; a request
-// that fails before it has a template carries none.
+// carries the request's SQL text as Query and its template's
+// plan.Fingerprint as Hash, on the full front end (the first request
+// of a shape) and on a shape-memo hit alike; a request that fails
+// before it has a template — unknown relation or unparsable SQL —
+// carries its text and no hash.
 func TestObserverServiceRecordHash(t *testing.T) {
 	svc := newTestService(t, ServiceConfig{})
 	stmt, err := sql.Parse("select b from t where a = 0")
@@ -168,14 +170,18 @@ func TestObserverServiceRecordHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{"select b from t where a = 1", "select b from t where a = 2", "select b from nosuch"} {
+	queries := []string{"select b from t where a = 1", "select b from t where a = 2", "select b from nosuch", "selec b from t"}
+	for _, q := range queries {
 		_, _ = svc.Query(context.Background(), Request{SQL: q})
 	}
 	recs := svc.Observer().Flight.Snapshot()
-	if len(recs) != 3 {
-		t.Fatalf("%d flight records, want 3", len(recs))
+	if len(recs) != len(queries) {
+		t.Fatalf("%d flight records, want %d", len(recs), len(queries))
 	}
 	for _, rec := range recs {
+		if !slices.Contains(queries, rec.Query) {
+			t.Errorf("record Query %q is not a request's SQL text", rec.Query)
+		}
 		want := plan.Fingerprint(node)
 		if rec.Error != "" {
 			want = 0
@@ -278,8 +284,8 @@ func TestAnalyzeJSONQuantiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeAnalyzeReport(data)
-	if err != nil {
+	var back AnalyzeReport
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	h2 := back.Metrics.Histograms["executor.op_ns"]

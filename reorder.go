@@ -213,12 +213,5 @@ func LoadCSVDir(dir string) (Database, error) {
 	return db, nil
 }
 
-// EncodePlan serializes a plan to JSON for caching or external
-// tooling; DecodePlan inverts it.
-func EncodePlan(q Node) ([]byte, error) { return plan.EncodeJSON(q) }
-
-// DecodePlan deserializes a plan encoded by EncodePlan.
-func DecodePlan(data []byte) (Node, error) { return plan.DecodeJSON(data) }
-
 // PlanDOT renders a plan as Graphviz DOT.
 func PlanDOT(q Node) string { return plan.DOT(q) }

@@ -100,10 +100,14 @@ type Service struct {
 	// shapes memoizes the front end per literal-masked token shape.
 	shapes shapeMemo
 
-	// Feedback mode (nil fb = off, the static serving path).
-	fb    *feedback.Store
-	adapt *executor.Adapt
-	tpl   sync.Map // template key -> *tplStats
+	// Feedback mode (nil fb = off, the static serving path). qerror
+	// takes each observed operator's q-error straight into the
+	// observer's registry, as requests does its outcomes: the run
+	// registry would allocate and merge a histogram per request.
+	fb     *feedback.Store
+	adapt  *executor.Adapt
+	qerror *obs.HistogramVec
+	tpl    sync.Map // template key -> *tplStats
 }
 
 // tplStats is one template's drift bookkeeping: the consecutive-drift
@@ -166,6 +170,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			s.cfg.ReplanAfter = 3
 		}
 		s.fb = feedback.New(feedback.Options{Obs: ob.Registry})
+		s.qerror = ob.Registry.HistogramVec("executor.qerror_milli", "op")
 		// A hash join whose build side materializes more than 4× the
 		// probe side's rows builds on the smaller side instead.
 		s.adapt = &executor.Adapt{SwapFactor: 4, Spill: true}
@@ -601,8 +606,9 @@ func (s *Service) optimizeTemplate(node plan.Node, params []value.Value, b *guar
 
 // observeExecution closes the feedback loop after one instrumented
 // execution: each composite operator's actual cardinality is compared
-// against the estimate of the memo group it was extracted from, folded
-// into the store under that group's key — the plan.Key of the group's
+// against the estimate of the memo group it was extracted from, its
+// q-error observed into executor.qerror_milli{op}, folded into the
+// store under that group's key — the plan.Key of the group's
 // TEMPLATE representative, so the learning transfers across parameter
 // bindings and to every member of the group — and a template that
 // keeps drifting past the q-error threshold is re-planned in place
@@ -642,7 +648,9 @@ func (s *Service) observeExecution(ctx context.Context, key string, hash uint64,
 		if !ok || est.Key == "" {
 			return
 		}
-		if q := flight.QError(est.Rows, a.Rows); q > maxQ {
+		q := flight.QError(est.Rows, a.Rows)
+		s.qerror.With(executor.OpName(bnd)).Observe(int64(q*1000 + 0.5))
+		if q > maxQ {
 			maxQ = q
 		}
 		rows = append(rows, obsRow{key: est.Key, est: est.Rows, actual: a.Rows})

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,6 +109,25 @@ func TestServiceFeedbackConvergence(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no flight record carries feedback.replans")
+	}
+}
+
+// TestServiceFeedbackQErrorHistogram: a feedback-mode request observes
+// each composite operator's q-error into executor.qerror_milli{op}, so
+// the service's /metrics carries the histogram after one query.
+func TestServiceFeedbackQErrorHistogram(t *testing.T) {
+	svc := feedbackService(t, true, 100)
+	if _, err := svc.Query(context.Background(), Request{SQL: skewQuery}); err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for name, h := range svc.Observer().Registry.Snapshot().Histograms {
+		if strings.HasPrefix(name, "executor.qerror_milli{op=") {
+			n += h.Count
+		}
+	}
+	if n == 0 {
+		t.Fatal("no executor.qerror_milli observation after a feedback-mode query")
 	}
 }
 
