@@ -7,9 +7,10 @@ all: vet build test
 # The full pre-merge gauntlet: formatting and static checks, build,
 # the test suite, the same suite under the race detector (which covers
 # the fault-injection, partitioned-join, serving, adaptive,
-# parallel-optimizer and observability tests), ten seconds of fuzzing the SQL front end and the
-# dense join index, and the bench module's smoke run (every workload
-# played once; a wrong answer fails it).
+# parallel-optimizer and observability tests), ten seconds each of
+# fuzzing the SQL front end, the dense join index and the columnar
+# sort, and the bench module's smoke run (every workload played once;
+# a wrong answer fails it).
 check: fmt vet build test race fuzz-smoke bench-smoke
 
 fmt:
@@ -48,9 +49,13 @@ bench:
 # seconds of the dense join index (FuzzDenseIndex): over any int64
 # column and NULL mask the dense decision neither panics nor overflows,
 # and every key's run is the ascending list of the rows holding it.
+# Then ten seconds of the columnar sort (FuzzColumnarSort): over any
+# column kinds, NULLs, NaNs, keys, directions and limit it returns
+# plan.SortRows's rows in SortRows's order.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzDenseIndex -fuzztime 10s ./internal/batch
+	$(GO) test -run '^$$' -fuzz FuzzColumnarSort -fuzztime 10s ./internal/executor
 
 # The bench module (bench/, its own go.mod) is outside ./..., so a
 # signature change that breaks it passes go build ./... and go test

@@ -68,7 +68,7 @@ func TestOptionSurface(t *testing.T) {
 		typ  reflect.Type
 		want []string
 	}{
-		{reflect.TypeOf(AnalyzeOptions{}), []string{"Workers", "Limits", "Observer"}},
+		{reflect.TypeOf(AnalyzeOptions{}), []string{"Limits", "Observer"}},
 		{reflect.TypeOf(ServiceConfig{}), []string{
 			"DB", "CacheBytes", "MaxConcurrent", "MaxQueue", "DefaultTimeout", "DefaultLimits",
 			"Tenants", "Workers", "FlightCap", "Feedback", "ReplanQError", "ReplanAfter",

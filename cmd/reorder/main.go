@@ -15,8 +15,6 @@
 // the wall time of each phase (analyze, simplify, explore, cost,
 // execute) and rule firing counters; -statsjson dumps the whole report
 // as machine-readable JSON.
-// -workers spreads the optimizer's memo exploration over N goroutines
-// (default GOMAXPROCS); the chosen plan is identical for any value.
 //
 // The tool is deliberately self-contained: the workload is generated
 // in memory, so every invocation is reproducible.
@@ -31,7 +29,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"time"
 
 	reorder "repro"
@@ -61,7 +58,6 @@ type options struct {
 	dot           bool
 	stats         bool
 	statsJSON     bool
-	workers       int
 	timeout       time.Duration
 	maxExprs      int64
 	maxRows       int64
@@ -123,7 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.dot, "dot", false, "emit the chosen plan as Graphviz DOT instead of text")
 	fs.BoolVar(&o.stats, "stats", false, "execute instrumented and print an EXPLAIN ANALYZE report")
 	fs.BoolVar(&o.statsJSON, "statsjson", false, "dump the EXPLAIN ANALYZE report as JSON")
-	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "goroutines for memo exploration (1 = serial; the result is identical for any value)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock budget for the whole run (0 = unlimited); exceeding it exits 3")
 	fs.Int64Var(&o.maxExprs, "max-exprs", 0, "cap on enumerated plan expressions (0 = unlimited); tripping it degrades to a best-effort plan, exit 0")
 	fs.Int64Var(&o.maxRows, "max-rows", 0, "cap on intermediate rows during execution (0 = unlimited); tripping it exits 3")
@@ -182,7 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer cancel()
 	est := stats.ForDatabase(db)
 	opt := optimizer.New(est)
-	opt.Opts.Workers = o.workers
 	opt.Opts.Budget = guard.New(ctx, o.limits(), nil)
 	res, err := opt.Optimize(node, db)
 	if err != nil {
@@ -193,7 +187,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if o.baseline {
 		bopt := optimizer.NewBaseline(est)
-		bopt.Opts.Workers = o.workers
 		bopt.Opts.Budget = guard.New(ctx, o.limits(), nil)
 		base, err := bopt.Optimize(node, db)
 		if err != nil {
@@ -310,7 +303,7 @@ func query2DB() reorder.Database {
 // budget and prints the requested views of the report.
 func analyze(ctx context.Context, node reorder.Node, db reorder.Database, o options, stdout, stderr io.Writer) int {
 	rep, err := reorder.ExplainAnalyze(ctx, node, db, reorder.AnalyzeOptions{
-		Workers: o.workers, Limits: o.limits(), Observer: o.obs,
+		Limits: o.limits(), Observer: o.obs,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -45,8 +45,9 @@ func TestRunUnknownDemo(t *testing.T) {
 
 // TestRunBadFlag: an unknown flag is a usage error — including -vec,
 // the engine selector that went when every mode moved to one engine,
-// and -trace, -feedback and -replan-qerror, which went when EXPLAIN
-// ANALYZE became one pass timed by its phase list.
+// -trace, -feedback and -replan-qerror, which went when EXPLAIN
+// ANALYZE became one pass timed by its phase list, and -workers:
+// exploration is serial, which was faster on every cold shape.
 func TestRunBadFlag(t *testing.T) {
 	for _, args := range [][]string{
 		{"-definitely-not-a-flag"},
@@ -54,6 +55,7 @@ func TestRunBadFlag(t *testing.T) {
 		{"-demo", "supplier", "-trace"},
 		{"-demo", "supplier", "-feedback"},
 		{"-demo", "supplier", "-stats", "-replan-qerror", "10"},
+		{"-demo", "supplier", "-workers", "2"},
 	} {
 		if code, _, _ := runCapture(t, args...); code != 2 {
 			t.Fatalf("%v: exit code = %d, want 2", args, code)

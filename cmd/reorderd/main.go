@@ -56,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-request deadline ceiling")
 		maxRows     = fs.Int64("max-rows", 0, "per-request intermediate-row budget (0 = unlimited)")
 		maxBytes    = fs.Int64("max-bytes", 0, "per-request intermediate-byte budget (0 = unlimited)")
-		workers     = fs.Int("workers", 0, "memo exploration goroutines (0 = serial)")
 		flightCap   = fs.Int("flight", 0, "flight recorder capacity (0 = default)")
 		drain       = fs.Duration("drain", 5*time.Second, "graceful shutdown drain window")
 		feedback    = fs.Bool("feedback", false, "enable cardinality feedback: instrumented execution, drift-triggered re-planning, adaptive joins")
@@ -93,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		MaxQueue:       *queue,
 		DefaultTimeout: *timeout,
 		DefaultLimits:  reorder.Limits{MaxRows: *maxRows, MaxBytes: *maxBytes},
-		Workers:        *workers,
 		FlightCap:      *flightCap,
 		Feedback:       *feedback,
 		ReplanQError:   *replanQ,

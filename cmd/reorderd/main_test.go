@@ -132,4 +132,8 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"-data", missing, "-max-plans", "100"}, &out, &errBuf, nil); code != exitUsage {
 		t.Fatalf("-max-plans: exit %d, want %d", code, exitUsage)
 	}
+	// -workers went: the service explores its memos serially.
+	if code := run([]string{"-data", missing, "-workers", "2"}, &out, &errBuf, nil); code != exitUsage {
+		t.Fatalf("-workers: exit %d, want %d", code, exitUsage)
+	}
 }

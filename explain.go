@@ -32,7 +32,7 @@ type AnalyzeReport struct {
 	OriginalCost float64 `json:"originalCost"`
 	BestCost     float64 `json:"bestCost"`
 	RowsOut      int     `json:"rowsOut"`
-	Degraded     string  `json:"degraded,omitempty"` // non-empty when a budget trip truncated enumeration
+	Degraded     string  `json:"degraded,omitempty"` // non-empty when a cap truncated enumeration
 	// Order provenance (root ORDER BY only): the required order and
 	// the enforcer sorts the plan carries for it.
 	RequiredOrder string `json:"requiredOrder,omitempty"`
@@ -53,10 +53,6 @@ type AnalyzeReport struct {
 // AnalyzeOptions configure ExplainAnalyze. The zero value is a serial,
 // unbudgeted, unobserved run.
 type AnalyzeOptions struct {
-	// Workers spreads the optimizer's memo exploration over this many
-	// goroutines (0 or 1 serial, < 0 GOMAXPROCS). The report is
-	// identical for any worker count; only phase wall times change.
-	Workers int
 	// Limits bound the run together with ctx: the optimization degrades
 	// gracefully on an exprs trip (see AnalyzeReport.Degraded), the
 	// execution aborts with a guard error on a rows trip, and a join
@@ -86,7 +82,7 @@ func ExplainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions) 
 	reg := obs.NewRegistry()
 	b := guard.New(ctx, o.Limits, reg)
 	rec := flight.Record{Start: time.Now()}
-	r, err := explainAnalyze(q, db, o.Workers, b, reg, &rec)
+	r, err := explainAnalyze(q, db, b, reg, &rec)
 	if o.Observer != nil {
 		rec.Query, rec.Hash = plan.Key(q), plan.Fingerprint(q)
 		o.Observer.record(rec, reg, b, err)
@@ -97,7 +93,7 @@ func ExplainAnalyze(ctx context.Context, q Node, db Database, o AnalyzeOptions) 
 // explainAnalyze is ExplainAnalyze's one optimize→execute pass. It
 // fills rec's plan, phase, row and operator fields as the run reaches
 // them, so the record of a failed run shows how far it got.
-func explainAnalyze(q Node, db Database, workers int, b *guard.Budget, reg *obs.Registry, rec *flight.Record) (*AnalyzeReport, error) {
+func explainAnalyze(q Node, db Database, b *guard.Budget, reg *obs.Registry, rec *flight.Record) (*AnalyzeReport, error) {
 	phase := func(name string, start time.Time) {
 		rec.Phases = append(rec.Phases, flight.Phase{Name: name, Ns: time.Since(start).Nanoseconds()})
 	}
@@ -114,7 +110,6 @@ func explainAnalyze(q Node, db Database, workers int, b *guard.Budget, reg *obs.
 	phase("analyze", start)
 	opt := optimizer.New(est)
 	opt.Opts.Obs = reg
-	opt.Opts.Workers = workers
 	opt.Opts.Budget = b
 	res, err := opt.Optimize(q, db)
 	if err != nil {

@@ -250,7 +250,7 @@ func TestExplainAnalyzeIsolation(t *testing.T) {
 func TestExplainAnalyzeBudgetDegradedStillExecutes(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
-	rep, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Workers: 1, Limits: Limits{MaxExprs: 5}})
+	rep, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Limits: Limits{MaxExprs: 5}})
 	if err != nil {
 		t.Fatalf("degraded run must execute, not fail: %v", err)
 	}

@@ -30,8 +30,7 @@ type Derivation struct {
 // rule is an identity, so every returned plan evaluates to the same
 // relation as root.
 func Saturate(root plan.Node, opts SaturateOptions) []plan.Node {
-	plans, _ := SaturateTraced(root, opts)
-	return plans
+	return saturate(root, opts, nil)
 }
 
 // SaturateTraced is Saturate plus a derivation map (keyed by plan
@@ -46,6 +45,13 @@ func Saturate(root plan.Node, opts SaturateOptions) []plan.Node {
 // queue = queue[1:], so the backing array of a long run is released as
 // it drains rather than pinned in full.
 func SaturateTraced(root plan.Node, opts SaturateOptions) ([]plan.Node, map[string]Derivation) {
+	trace := make(map[string]Derivation)
+	return saturate(root, opts, trace), trace
+}
+
+// saturate runs the closure, recording each admitted plan's
+// derivation in trace unless trace is nil.
+func saturate(root plan.Node, opts SaturateOptions, trace map[string]Derivation) []plan.Node {
 	rules := opts.Rules
 	if rules == nil {
 		rules = DefaultRules()
@@ -54,9 +60,7 @@ func SaturateTraced(root plan.Node, opts SaturateOptions) ([]plan.Node, map[stri
 	if maxPlans <= 0 {
 		maxPlans = 100000
 	}
-	rootKey := plan.Key(root)
-	seen := map[string]bool{rootKey: true}
-	trace := make(map[string]Derivation)
+	seen := map[string]bool{plan.Key(root): true}
 	out := []plan.Node{root}
 	queue := []plan.Node{root}
 	head := 0
@@ -77,7 +81,9 @@ func SaturateTraced(root plan.Node, opts SaturateOptions) ([]plan.Node, map[stri
 				continue
 			}
 			seen[key] = true
-			trace[key] = Derivation{Parent: curKey, Rule: alt.rule}
+			if trace != nil {
+				trace[key] = Derivation{Parent: curKey, Rule: alt.rule}
+			}
 			out = append(out, alt.plan)
 			queue = append(queue, alt.plan)
 			if len(out) >= maxPlans {
@@ -85,7 +91,7 @@ func SaturateTraced(root plan.Node, opts SaturateOptions) ([]plan.Node, map[stri
 			}
 		}
 	}
-	return out, trace
+	return out
 }
 
 type altPlan struct {

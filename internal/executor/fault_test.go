@@ -96,8 +96,8 @@ func execEntries() []execEntry {
 		{name: "spill", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
 			return joinSpilled(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"], b, nil)
 		}, ref: faultJoin(), arms: []guard.Point{guard.PointExecBatch}},
-		// A root ORDER BY over the join: the sort runs behind the
-		// columnar engine's fallback seam after its presorted check.
+		// A root ORDER BY over the join: the columnar sort kernel
+		// crosses the operator point and charges its output.
 		{name: "sort", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
 			return RunGuarded(faultSort(), db, b)
 		}, ref: faultSort()},

@@ -1,8 +1,9 @@
 package executor
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"strings"
 	"time"
 
 	"repro/internal/algebra"
@@ -10,19 +11,18 @@ import (
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/value"
 )
 
 // This file is the vectorized engine's plan walker — the engine the
 // production entry point Exec runs on (Run stays on the row walker as
 // the independent reference). Data flows between operators as columnar
 // batch.Rel relations; the hot operators — scan, selection, join
-// build/probe (hashed or nested loop), GROUP BY and (distinct)
-// projection — run as batch-at-a-time kernels (vecjoin.go, vecagg.go),
-// and every operator the columnar engine has not ported
-// falls back per operator to its tuple operator: children are
-// materialized row-major, the operator runs under the engine's budget,
-// and the result is re-shaped columnar. Fallbacks are counted on
+// build/probe (hashed or nested loop), GROUP BY, (distinct) projection
+// and sort — run as kernels over the columns (vecjoin.go, vecagg.go).
+// The preserved-side compensation of MGOJ and generalized selection
+// falls back to its tuple operator: its inputs are materialized
+// row-major, the operator runs under the engine's budget, and the
+// result is re-shaped columnar. Fallbacks are counted on
 // exec.vector.fallback.<op>, so a plan that silently executes mostly
 // row-at-a-time is visible in -stats output.
 //
@@ -31,17 +31,16 @@ import (
 // kept on the relation until it is appended to, and a join that builds
 // on a bare scan takes the image's join index the same way. Kernels
 // therefore treat a shared image as read-only. What they derive from it
-// is materialized late: selections, joins and projections hand on
-// (source column, selection vector) views, and a column is gathered by
-// the first kernel that reads it through Rel.Col — or never.
+// is materialized late: selections, joins, projections and sorts hand
+// on (source column, selection vector) views, and a column is gathered
+// by the first kernel that reads it through Rel.Col — or never.
 //
 // The contract is vecEngine ≡ Run as multisets on every plan the
 // tuple engine accepts, including NULL-padded outer joins, and
 // bit-identical aggregate values (float sums accumulate in input
-// order through the same algebra.AggState arithmetic). Row order is
-// kept where the plan asks for one: a sort runs on the tuple engine's
-// stable sort, or passes its input through when the input is already
-// in order.
+// order through the same algebra.AggState arithmetic). A sort returns
+// Run's rows in Run's order: both order row positions with
+// plan.SortIndex under plan.CompareForSort.
 
 // vecEngine carries one vectorized execution's configuration.
 type vecEngine struct {
@@ -202,136 +201,41 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 	}
 }
 
-// sort runs the one tuple operator the columnar engine has not ported
-// over its input boxed row-major, and re-shapes the result; counted on
-// exec.vector.fallback.sort. A full sort (no LIMIT) first checks its
-// input in one pass and returns it unchanged when it is already in key
-// order: the stable sort of sorted input is that input.
+// sort orders its input with plan.SortIndex under one comparator per
+// key column: typed over a NULL-free int, float or string column,
+// plan.CompareForSort over any other. Input already in order is handed
+// on as it is; otherwise the result is a view of the chosen rows, so
+// late materialization gathers only the columns a later operator
+// reads.
 func (e *vecEngine) sort(m *plan.Sort) (*batch.Rel, error) {
-	e.reg.Counter("exec.vector.fallback.sort").Inc()
 	in, err := e.exec(m.Input)
 	if err != nil {
 		return nil, err
 	}
-	if m.Limit < 0 && presorted(in, m.Keys) {
-		return in, nil
-	}
-	out, err := plan.SortRows(in.ToRelation(), m.Keys, m.Limit)
+	order, err := plan.KeyCompare(in.Schema, m.Keys, func(c int) func(i, j int32) int {
+		return columnCompare(in.Col(c))
+	})
 	if err != nil {
 		return nil, err
 	}
-	return batch.FromRelation(out), nil
+	if idx := plan.SortIndex(in.N, m.Limit, order); idx != nil {
+		return in.Select(idx), nil
+	}
+	return in, nil
 }
 
-// presorted reports whether r's rows already stand in the order keys
-// ask for under plan.SortRows's comparator. It makes one pass per key,
-// over the adjacent row pairs still tied on the keys before it: a
-// NULL-free int, float or string column compares its typed payloads,
-// any other column compares values with plan.CompareForSort. A NaN,
-// which the comparator does not order consistently, or a key missing
-// from the schema answers false and leaves the case to SortRows.
-func presorted(r *batch.Rel, keys []plan.SortKey) bool {
-	cols := make([]int, len(keys))
-	for ki, k := range keys {
-		if cols[ki] = r.Schema.IndexOf(k.Attr); cols[ki] < 0 {
-			return false
-		}
+// columnCompare is plan.CompareForSort over two rows of v.
+func columnCompare(v *batch.Vec) func(i, j int32) int {
+	switch {
+	case v.Nulls == nil && v.Phys == batch.PhysInt:
+		xs := v.Ints
+		return func(i, j int32) int { return cmp.Compare(xs[i], xs[j]) }
+	case v.Nulls == nil && v.Phys == batch.PhysFloat:
+		xs := v.Floats
+		return func(i, j int32) int { return plan.CompareFloat(xs[i], xs[j]) }
+	case v.Nulls == nil && v.Phys == batch.PhysStr:
+		xs := v.Strs
+		return func(i, j int32) int { return strings.Compare(xs[i], xs[j]) }
 	}
-	// tied lists the rows i whose pair (i-1, i) ties on the keys so
-	// far; nil before the first key means every pair.
-	var tied []int32
-	for ki, k := range keys {
-		if ki > 0 && len(tied) == 0 {
-			return true
-		}
-		all, last := ki == 0, ki == len(keys)-1
-		var ok bool
-		switch v := r.Col(cols[ki]); {
-		case v.Nulls == nil && v.Phys == batch.PhysInt:
-			tied, ok = typedPairs(v.Ints, tied, all, last, k.Desc)
-		case v.Nulls == nil && v.Phys == batch.PhysFloat:
-			tied, ok = typedPairs(v.Floats, tied, all, last, k.Desc)
-		case v.Nulls == nil && v.Phys == batch.PhysStr:
-			tied, ok = typedPairs(v.Strs, tied, all, last, k.Desc)
-		default:
-			tied, ok = valuePairs(v, r.N, tied, all, last, k.Desc)
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return func(i, j int32) int { return plan.CompareForSort(v.At(int(i)), v.At(int(j))) }
 }
-
-// typedPairs checks the pairs (i-1, i) of a NULL-free typed column —
-// every pair when all is set, else those ending at the rows of tied —
-// in the key's direction, and returns the rows whose pair ties (none
-// on the last key, where ties no longer matter). It answers false at
-// the first pair out of order or holding a NaN (x != x).
-func typedPairs[T int64 | float64 | string](xs []T, tied []int32, all, last, desc bool) ([]int32, bool) {
-	var next []int32
-	if all {
-		for i := 1; i < len(xs); i++ {
-			a, b := xs[i-1], xs[i]
-			if desc {
-				a, b = b, a
-			}
-			if a > b || a != a || b != b {
-				return nil, false
-			}
-			if a == b && !last {
-				next = append(next, int32(i))
-			}
-		}
-		return next, true
-	}
-	for _, i := range tied {
-		a, b := xs[i-1], xs[i]
-		if desc {
-			a, b = b, a
-		}
-		if a > b || a != a || b != b {
-			return nil, false
-		}
-		if a == b && !last {
-			next = append(next, i)
-		}
-	}
-	return next, true
-}
-
-// valuePairs is typedPairs over any column, comparing with
-// plan.CompareForSort.
-func valuePairs(v *batch.Vec, n int, tied []int32, all, last, desc bool) ([]int32, bool) {
-	var next []int32
-	check := func(i int32) bool {
-		a, b := v.At(int(i)-1), v.At(int(i))
-		if isNaN(a) || isNaN(b) {
-			return false
-		}
-		c := plan.CompareForSort(a, b)
-		if desc {
-			c = -c
-		}
-		if c == 0 && !last {
-			next = append(next, i)
-		}
-		return c <= 0
-	}
-	if all {
-		for i := 1; i < n; i++ {
-			if !check(int32(i)) {
-				return nil, false
-			}
-		}
-		return next, true
-	}
-	for _, i := range tied {
-		if !check(i) {
-			return nil, false
-		}
-	}
-	return next, true
-}
-
-func isNaN(v value.Value) bool { return v.Kind() == value.KindFloat && math.IsNaN(v.Float()) }

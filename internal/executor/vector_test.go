@@ -108,7 +108,7 @@ func mixedDB(rng *rand.Rand, rows, domain int, rels ...string) plan.Database {
 }
 
 // vecPlans is the plan zoo: every ported operator plus the fallback
-// seams (sort, MGOJ compensation, GenSel padding).
+// seams (MGOJ compensation, GenSel padding).
 func vecPlans() []plan.Node {
 	lt := func(a, b string) expr.Pred {
 		return expr.Cmp{Op: value.LT, L: expr.Column(a, "y"), R: expr.Column(b, "y")}
@@ -172,7 +172,7 @@ func vecPlans() []plan.Node {
 			},
 			plan.NewSelect(expr.Cmp{Op: value.LT, L: expr.Column("r1", "x"), R: expr.Int(2)},
 				plan.NewScan("r1"))),
-		// Sort: not ported, exercises the per-operator fallback.
+		// Sort over a selection's view.
 		plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, -1,
 			plan.NewSelect(expr.Cmp{Op: value.GE, L: expr.Column("r1", "y"), R: expr.Int(3)},
 				plan.NewScan("r1"))),
@@ -333,13 +333,15 @@ func TestVectorizedBudgetTrips(t *testing.T) {
 	}
 }
 
-// TestVectorizedFallbackCounted: an unported operator increments its
-// exec.vector.fallback.<op> counter and still computes correctly.
+// TestVectorizedFallbackCounted: an operator that falls back to the
+// tuple algebra increments its exec.vector.fallback.<op> counter and
+// still computes correctly.
 func TestVectorizedFallbackCounted(t *testing.T) {
 	rng := rand.New(rand.NewSource(215))
-	db := mixedDB(rng, 200, 11, "r1")
-	p := plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, -1, plan.NewScan("r1"))
-	before := obs.Default().Counter("exec.vector.fallback.sort").Value()
+	db := mixedDB(rng, 200, 11, "r1", "r2")
+	p := plan.NewGenSel(eqY("r1", "r2"), []plan.PreservedSpec{plan.NewPreserved("r1")},
+		plan.NewJoin(plan.LeftJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2")))
+	before := obs.Default().Counter("exec.vector.fallback.gensel-pad").Value()
 	want, err := Run(p, db)
 	if err != nil {
 		t.Fatal(err)
@@ -351,8 +353,8 @@ func TestVectorizedFallbackCounted(t *testing.T) {
 	if !got.EqualAsMultisets(want) {
 		t.Fatal("fallback result differs from Run")
 	}
-	if obs.Default().Counter("exec.vector.fallback.sort").Value() == before {
-		t.Error("exec.vector.fallback.sort not incremented")
+	if obs.Default().Counter("exec.vector.fallback.gensel-pad").Value() == before {
+		t.Error("exec.vector.fallback.gensel-pad not incremented")
 	}
 }
 
@@ -534,8 +536,8 @@ func sortedOn(t *testing.T, rel *relation.Relation, keys ...plan.SortKey) *relat
 // TestVectorizedSortMatchesRun: a sort comes back from the
 // columnar entry points row for row as Run returns it — whether its
 // input arrives already in key order (a sorted table under a selection
-// and a non-distinct projection, which the presorted check passes
-// through) or not (a join's output, which it sorts).
+// and a non-distinct projection, which the sort hands on unchanged)
+// or not (a join's output, which it sorts).
 func TestVectorizedSortMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(220))
 	raw := mixedDB(rng, 300, 23, "r1", "r2")

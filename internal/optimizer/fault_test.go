@@ -268,8 +268,9 @@ func TestOptimizerBudgetUntrippedDeterministic(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if res.Degraded != "" {
-						t.Fatalf("untripped budget degraded: %s", res.Degraded)
+					// chain7 stops at MaxPlans with or without a budget.
+					if res.Degraded != base.Degraded {
+						t.Fatalf("untripped budget degraded: %q, unbudgeted %q", res.Degraded, base.Degraded)
 					}
 					if counters["guard.budget_trips.exprs"] != 0 {
 						t.Fatalf("untripped budget recorded a trip: %v", counters)

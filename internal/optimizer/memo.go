@@ -29,8 +29,9 @@ import (
 //
 // Under a budget (Options.Budget) the run is interruptible and
 // bounded: cancellation and contained panics surface as typed guard
-// errors, and an exhausted expression budget degrades to the best
-// plan found so far (Result.Degraded). The package boundary converts
+// errors, and an exhausted expression budget — like a search stopped
+// at MaxPlans — degrades to the best plan found so far
+// (Result.Degraded). The package boundary converts
 // any internal panic into a *guard.PanicError carrying the phase
 // reached and the query fingerprint.
 func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err error) {
@@ -130,9 +131,10 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	endExplore()
 	reg.Counter("optimizer.plans_enumerated").Add(int64(m.Exprs()))
 	reg.Gauge("optimizer.last_considered").Set(int64(m.Exprs()))
-	degraded := ""
-	if m.CappedReason() == memo.CappedBudget {
-		degraded = memo.CappedBudget
+	// Any cap — the guard's expression budget or MaxPlans — leaves the
+	// search incomplete, and the result says so.
+	degraded := m.CappedReason()
+	if degraded != "" {
 		reg.Counter("guard.degraded").Inc()
 	}
 

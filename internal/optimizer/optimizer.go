@@ -84,8 +84,9 @@ type Result struct {
 	// RuleFirings counts, per identity rule, the memo expressions it
 	// admitted.
 	RuleFirings map[string]int
-	// Degraded is non-empty when resource governance stopped
-	// enumeration early ("budget:exprs"): Best is the cheapest plan
+	// Degraded is non-empty when enumeration stopped early, naming the
+	// cap that stopped it ("budget:exprs" for the guard's expression
+	// budget, "max-exprs" for MaxPlans): Best is the cheapest plan
 	// found before the stop — possibly the greedy left-deep fallback
 	// — rather than the optimum over the full equivalence class.
 	Degraded string

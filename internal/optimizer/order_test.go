@@ -164,8 +164,9 @@ func checkRootSort(t *testing.T, q *plan.Sort, db plan.Database) {
 // TestOrderBySortedInputsIsOneRootSort: over tables already sorted on
 // the key — where merge join and streaming aggregation would deliver
 // the order for free — the winner is still one root sort over the
-// order-free winner; the columnar engine's presorted check is what
-// makes that sort cheap when its input arrives in order.
+// order-free winner; the columnar sort hands input that arrives in
+// order on unchanged after one pass of comparisons, which is what
+// makes that sort cheap.
 func TestOrderBySortedInputsIsOneRootSort(t *testing.T) {
 	t.Run("join", func(t *testing.T) {
 		db := plan.Database{

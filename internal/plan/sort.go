@@ -1,8 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/relation"
@@ -101,134 +102,111 @@ func (s *Sort) Eval(db Database) (*relation.Relation, error) {
 	return SortRows(in, s.Keys, s.Limit)
 }
 
-// SortRows applies the ordering and limit to a materialized relation.
-// With a limit below the input size it selects the top K rows with a
-// bounded heap — O(n log k) instead of sorting everything — and is
-// pinned row-identical to the full sort-then-truncate: ties break by
-// original row position, which is exactly what the stable sort did.
+// SortRows applies the ordering and limit to a materialized relation:
+// the rows SortIndex picks under the keys' comparator, in its order.
 func SortRows(in *relation.Relation, keys []SortKey, limit int) (*relation.Relation, error) {
-	idx := make([]int, len(keys))
-	for i, k := range keys {
-		idx[i] = in.Schema().IndexOf(k.Attr)
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("plan: sort key %s not in %s", k.Attr, in.Schema())
-		}
-	}
-	if limit >= 0 && limit < in.Len() {
-		return sortRowsTopK(in, keys, idx, limit), nil
-	}
-	return sortRowsAll(in, keys, idx, limit), nil
-}
-
-// sortRowsAll is the full stable sort (and the reference the top-K
-// selection is pinned against in the tests).
-func sortRowsAll(in *relation.Relation, keys []SortKey, idx []int, limit int) *relation.Relation {
-	rows := append([]relation.Tuple(nil), in.Tuples()...)
-	sort.SliceStable(rows, func(a, b int) bool {
-		for i, j := range idx {
-			va, vb := rows[a][j], rows[b][j]
-			c := compareForSort(va, vb)
-			if c == 0 {
-				continue
-			}
-			if keys[i].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	if limit >= 0 && limit < len(rows) {
-		rows = rows[:limit]
-	}
-	out := relation.New(in.Schema())
-	for _, t := range rows {
-		out.Append(t)
-	}
-	return out
-}
-
-// sortRowsTopK selects the first limit rows of the sorted order with
-// a bounded max-heap of row indexes: a row enters only when it beats
-// the current k-th row, so n-k rows cost one comparison each. The
-// (keys, original position) comparator is a total order, which makes
-// the selection — and the final in-heap sort — reproduce the stable
-// full sort's output exactly.
-func sortRowsTopK(in *relation.Relation, keys []SortKey, idx []int, limit int) *relation.Relation {
-	out := relation.New(in.Schema())
-	if limit == 0 {
-		return out
-	}
 	tuples := in.Tuples()
-	// less orders by the sort keys, then by original position —
-	// stable-tie semantics as a strict weak... in fact total order.
-	less := func(a, b int) bool {
-		for i, j := range idx {
-			c := compareForSort(tuples[a][j], tuples[b][j])
-			if c == 0 {
-				continue
-			}
-			if keys[i].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return a < b
+	order, err := KeyCompare(in.Schema(), keys, func(c int) func(i, j int32) int {
+		return func(i, j int32) int { return CompareForSort(tuples[i][c], tuples[j][c]) }
+	})
+	if err != nil {
+		return nil, err
 	}
-	// heap[0] is the WORST of the kept rows (max-heap under less).
-	heap := make([]int, 0, limit)
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			big := i
-			if l < len(heap) && less(heap[big], heap[l]) {
-				big = l
-			}
-			if r < len(heap) && less(heap[big], heap[r]) {
-				big = r
-			}
-			if big == i {
-				return
-			}
-			heap[i], heap[big] = heap[big], heap[i]
-			i = big
-		}
+	out := relation.New(in.Schema())
+	idx := SortIndex(len(tuples), limit, order)
+	if idx == nil {
+		out.AppendAll(tuples)
 	}
-	siftUp := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(heap[p], heap[i]) {
-				return
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
-		}
-	}
-	for i := range tuples {
-		if len(heap) < limit {
-			heap = append(heap, i)
-			siftUp(len(heap) - 1)
-			continue
-		}
-		if less(i, heap[0]) {
-			heap[0] = i
-			siftDown(0)
-		}
-	}
-	sort.Slice(heap, func(a, b int) bool { return less(heap[a], heap[b]) })
-	for _, i := range heap {
+	for _, i := range idx {
 		out.Append(tuples[i])
 	}
-	return out
+	return out, nil
 }
 
-// CompareForSort is SortRows's value comparator: NULLs order after
-// every non-NULL value ascending, and incomparable kinds order by
-// rendered text for determinism.
-func CompareForSort(a, b value.Value) int { return compareForSort(a, b) }
+// KeyCompare composes the row comparator of keys over schema s: the
+// keys in turn, a descending one reversed, each compared by col(c),
+// the ascending comparator of column c. It fails on a key s does not
+// hold.
+func KeyCompare(s *schema.Schema, keys []SortKey, col func(c int) func(i, j int32) int) (func(i, j int32) int, error) {
+	cmps := make([]func(i, j int32) int, len(keys))
+	for ki, k := range keys {
+		c := s.IndexOf(k.Attr)
+		if c < 0 {
+			return nil, fmt.Errorf("plan: sort key %s not in %s", k.Attr, s)
+		}
+		cmps[ki] = col(c)
+		if asc := cmps[ki]; k.Desc {
+			cmps[ki] = func(i, j int32) int { return asc(j, i) }
+		}
+	}
+	if len(cmps) == 1 {
+		return cmps[0], nil
+	}
+	return func(i, j int32) int {
+		for _, byKey := range cmps {
+			if c := byKey(i, j); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}, nil
+}
 
-// compareForSort orders values with NULLs after every non-NULL value.
-func compareForSort(a, b value.Value) int {
+// SortIndex orders the rows 0..n-1 by compare, a total preorder on row
+// positions, breaking ties by position, and returns the positions of
+// the first min(limit, n) rows of that order (all n when limit < 0).
+// The tie-break makes the order total, so any correct algorithm
+// returns the stable sort's rows. Without a limit below n, rows
+// already in order cost one pass of n-1 comparisons and SortIndex
+// returns nil: the answer is the rows as they stand.
+func SortIndex(n, limit int, compare func(i, j int32) int) []int32 {
+	k := n
+	if limit >= 0 && limit < n {
+		k = limit
+	}
+	if k == n {
+		i := 1
+		for i < n && compare(int32(i-1), int32(i)) <= 0 {
+			i++
+		}
+		if i >= n {
+			return nil
+		}
+	}
+	if k == 0 {
+		return []int32{}
+	}
+	total := func(i, j int32) int {
+		if c := compare(i, j); c != 0 {
+			return c
+		}
+		return int(i) - int(j)
+	}
+	// idx holds every row that may still be among the first k. When it
+	// fills past k it is sorted and cut back to k, and its k-th row is
+	// the one a later row must beat: O(n log k) under a limit, one sort
+	// of every position without.
+	idx := make([]int32, 0, min(2*k, n))
+	cut := false
+	for i := int32(0); int(i) < n; i++ {
+		if cut && total(i, idx[k-1]) > 0 {
+			continue
+		}
+		idx = append(idx, i)
+		if len(idx) == cap(idx) && len(idx) > k {
+			slices.SortFunc(idx, total)
+			idx, cut = idx[:k], true
+		}
+	}
+	slices.SortFunc(idx, total)
+	return idx[:k]
+}
+
+// CompareForSort is SortRows's value comparator, a total preorder:
+// NULLs order after every non-NULL value ascending, numbers compare
+// by value with NaN after every other number (CompareFloat), and
+// incomparable kinds order by Key() for determinism.
+func CompareForSort(a, b value.Value) int {
 	switch {
 	case a.IsNull() && b.IsNull():
 		return 0
@@ -237,18 +215,22 @@ func compareForSort(a, b value.Value) int {
 	case b.IsNull():
 		return -1
 	}
+	if a.IsNumeric() && b.IsNumeric() && (a.Kind() == value.KindFloat || b.Kind() == value.KindFloat) {
+		return CompareFloat(a.Float(), b.Float())
+	}
 	if c, ok := value.Compare(a, b); ok {
 		return c
 	}
-	// Incomparable kinds: order by rendered text for determinism.
-	as, bs := a.Key(), b.Key()
-	switch {
-	case as < bs:
-		return -1
-	case as > bs:
-		return 1
+	return strings.Compare(a.Key(), b.Key())
+}
+
+// CompareFloat is CompareForSort's order on floats: by value, −0 equal
+// to +0, and NaN after +Inf and equal to NaN.
+func CompareFloat(a, b float64) int {
+	if a != a || b != b {
+		return -cmp.Compare(a, b) // cmp.Compare puts NaN first
 	}
-	return 0
+	return cmp.Compare(a, b)
 }
 
 func (s *Sort) fingerprint() *fpVal {

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,10 +242,11 @@ func topKInput(n int) *relation.Relation {
 	return b.Relation()
 }
 
-// TestSortRowsTopKPinnedToFullSort is the satellite pin: for every
-// limit, the bounded-heap top-K selection must return row-for-row the
-// same output as the full stable sort truncated — including stable
-// tie order among equal keys and NULL placement.
+// TestSortRowsTopKPinnedToFullSort: for every limit, on either side
+// of the input size, SortRows returns row-for-row the stable sort of
+// the input truncated — including stable tie order among equal keys
+// and NULL placement — whether SortIndex selects with its heap or
+// sorts every position.
 func TestSortRowsTopKPinnedToFullSort(t *testing.T) {
 	in := topKInput(100)
 	keySets := [][]SortKey{
@@ -253,37 +255,71 @@ func TestSortRowsTopKPinnedToFullSort(t *testing.T) {
 		{{Attr: schema.Attr("t", "k")}, {Attr: schema.Attr("t", "p"), Desc: true}},
 	}
 	for ki, keys := range keySets {
-		idx := []int{0}
-		if len(keys) == 2 {
-			idx = []int{0, 1}
-		}
-		for _, limit := range []int{0, 1, 2, 7, 50, 99} {
-			want := sortRowsAll(in, keys, idx, limit)
-			got := sortRowsTopK(in, keys, idx, limit)
-			if got.Len() != want.Len() {
-				t.Fatalf("keys=%d limit=%d: topK %d rows, full %d", ki, limit, got.Len(), want.Len())
+		stable := slices.Clone(in.Tuples())
+		slices.SortStableFunc(stable, func(x, y relation.Tuple) int {
+			for _, k := range keys {
+				col := in.Schema().IndexOf(k.Attr)
+				c := CompareForSort(x[col], y[col])
+				if k.Desc {
+					c = -c
+				}
+				if c != 0 {
+					return c
+				}
 			}
-			for i := 0; i < got.Len(); i++ {
-				for j := range got.Tuple(i) {
-					if !value.Equal(got.Tuple(i)[j], want.Tuple(i)[j]) {
-						t.Fatalf("keys=%d limit=%d row %d differs:\ntopK: %v\nfull: %v",
-							ki, limit, i, got.Tuple(i), want.Tuple(i))
-					}
+			return 0
+		})
+		for _, limit := range []int{-1, 0, 1, 2, 7, 50, 99, 100, 101} {
+			want := stable
+			if limit >= 0 && limit < len(want) {
+				want = want[:limit]
+			}
+			got, err := SortRows(in, keys, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != len(want) {
+				t.Fatalf("keys=%d limit=%d: %d rows, stable sort %d", ki, limit, got.Len(), len(want))
+			}
+			for i, w := range want {
+				if !got.Tuple(i).EqualTuple(w) {
+					t.Fatalf("keys=%d limit=%d row %d differs:\nSortRows: %v\nstable:   %v", ki, limit, i, got.Tuple(i), w)
 				}
 			}
 		}
 	}
-	// The dispatch in SortRows: limit >= Len takes the full path,
-	// limit < Len the heap; both must agree at the boundary.
-	keys := keySets[0]
-	atLen, _ := SortRows(in, keys, in.Len())
-	under, _ := SortRows(in, keys, in.Len()-1)
-	if atLen.Len() != in.Len() || under.Len() != in.Len()-1 {
-		t.Fatalf("boundary limits wrong: %d, %d", atLen.Len(), under.Len())
+}
+
+// TestSortIndex pins SortIndex's answers: nil for rows already in
+// order with no limit below n, the leading positions for them under a
+// limit, an empty (not nil) selection for limit 0, and otherwise the
+// sorted positions, ties by position.
+func TestSortIndex(t *testing.T) {
+	keys := []int{3, 1, 2, 1}
+	byKey := func(xs []int) func(i, j int32) int {
+		return func(i, j int32) int { return xs[i] - xs[j] }
 	}
-	for i := 0; i < under.Len(); i++ {
-		if !value.Equal(atLen.Tuple(i)[1], under.Tuple(i)[1]) {
-			t.Fatalf("boundary row %d differs", i)
+	sorted := []int{1, 1, 2, 3}
+	for _, c := range []struct {
+		xs    []int
+		limit int
+		want  []int32
+	}{
+		{sorted, -1, nil},
+		{sorted, 4, nil},
+		{sorted, 9, nil},
+		{sorted, 2, []int32{0, 1}},
+		{sorted, 0, []int32{}},
+		{nil, -1, nil},
+		{keys, 0, []int32{}},
+		{keys, -1, []int32{1, 3, 2, 0}},
+		{keys, 4, []int32{1, 3, 2, 0}},
+		{keys, 3, []int32{1, 3, 2}},
+		{keys, 1, []int32{1}},
+	} {
+		got := SortIndex(len(c.xs), c.limit, byKey(c.xs))
+		if !slices.Equal(got, c.want) || (got == nil) != (c.want == nil) {
+			t.Errorf("SortIndex(%v, limit %d) = %#v, want %#v", c.xs, c.limit, got, c.want)
 		}
 	}
 }

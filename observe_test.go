@@ -20,7 +20,7 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
 	ob := NewObserver(8)
-	rep, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Workers: 1, Observer: ob})
+	rep, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 
 	// The report's own registry stays private: a second observed run
 	// doubles the aggregate but not the report snapshot.
-	rep2, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Workers: 1, Observer: ob})
+	rep2, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 
 func TestExplainAnalyzeObservedNilObserver(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
-	if _, err := ExplainAnalyze(context.Background(), datagen.SupplierQuery(), db, AnalyzeOptions{Workers: 1}); err != nil {
+	if _, err := ExplainAnalyze(context.Background(), datagen.SupplierQuery(), db, AnalyzeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,7 +136,7 @@ func TestObserverRecordsFailedRuns(t *testing.T) {
 	q := datagen.SupplierQuery()
 	ob := NewObserver(4)
 	// A one-row execution budget aborts the instrumented run.
-	_, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Workers: 1, Limits: Limits{MaxRows: 1}, Observer: ob})
+	_, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Limits: Limits{MaxRows: 1}, Observer: ob})
 	if err == nil {
 		t.Fatal("expected a budget error")
 	}
@@ -214,7 +214,7 @@ func TestObserverScrapeWhileExecuting(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Workers: 1, Observer: ob}); err != nil {
+				if _, err := ExplainAnalyze(context.Background(), q, db, AnalyzeOptions{Observer: ob}); err != nil {
 					t.Error(err)
 					return
 				}

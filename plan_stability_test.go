@@ -12,6 +12,7 @@ package reorder
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -20,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/memo"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -211,5 +213,42 @@ func TestPlanStability(t *testing.T) {
 			}
 			t.Errorf("%s: winner changed at equal cost %.9g\n got  %s\n want %s", tc.name, g.Cost, g.Key, w.Key)
 		}
+	}
+}
+
+// TestChain6ProbeReportsCap: the chain6 probe stops at the default
+// MaxPlans cap, and both the optimizer result and a bypass service
+// request say so.
+func TestChain6ProbeReportsCap(t *testing.T) {
+	var probe stabilityCase
+	for _, tc := range stabilityCases {
+		if tc.name == "cold_plan/chain6_probe" {
+			probe = tc
+		}
+	}
+	db := stabilityDBs()[probe.db]
+	stmt, err := sql.Parse(probe.sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, params := sql.Parameterize(stmt)
+	node, err := sql.Lower(tmpl, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := optimizer.New(stats.ForDatabase(db).WithParams(params)).Optimize(node, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded != memo.CappedMaxExprs {
+		t.Errorf("Optimize: Degraded = %q after %d expressions, want %q", res.Degraded, res.Considered, memo.CappedMaxExprs)
+	}
+	svc := newTestService(t, ServiceConfig{DB: db})
+	resp, err := svc.Query(context.Background(), Request{SQL: probe.sql, Cache: "bypass"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Degraded != memo.CappedMaxExprs {
+		t.Errorf("Service.Query: Degraded = %q, want %q", resp.Degraded, memo.CappedMaxExprs)
 	}
 }

@@ -265,7 +265,7 @@ type Response struct {
 	// Params is the number of literals normalized into slots.
 	Params int `json:"params"`
 	// Degraded carries the optimizer's degradation reason when the
-	// cached plan came from a budget-degraded optimization.
+	// cached plan came from an optimization stopped at a cap.
 	Degraded string `json:"degraded,omitempty"`
 	// Phase timings in nanoseconds.
 	QueuedNs   int64 `json:"queued_ns"`
