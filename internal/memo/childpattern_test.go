@@ -36,49 +36,53 @@ var coldShapes = []struct{ name, sql string }{
 }
 
 // coldPin is what exploring a cold shape must reproduce. all is the
-// number of ScopeChild bindings there are, the number built when every
-// one was bound; bindings is the number built now, those some rule's
-// patterns match. counters holds the nonzero memo.exprs, memo.groups,
-// memo.dedup_hits and per-rule applied/admitted counters. Everything
-// but bindings was captured before bindings were filtered by operator
-// kind: the filter changes how much work exploration does, not one
-// group, expression, firing or winner.
+// number of ScopeChild bindings there are over the explored memo's
+// live expressions, and bindings the number of those some rule's
+// patterns match; built is memo.child_bindings, the number exploration
+// built, more than bindings because a slot a merge re-points is bound
+// again over its new group. counters holds the nonzero memo.exprs,
+// memo.groups, memo.dedup_hits and per-rule applied/admitted counters.
+// Winners and costs are those the memo found before it merged
+// equivalent groups (and before it filtered bindings by operator
+// kind); both changed how much work exploration does, not what it
+// finds. Merging took the expressions from 345/833/309/693/308 and the
+// groups from 56/52/44/52/36.
 type coldPin struct {
-	all, bindings int
-	counters      string
-	winner        string
-	cost          float64
+	all, bindings, built int
+	counters             string
+	winner               string
+	cost                 float64
 }
 
 var coldPins = map[string]coldPin{
-	"loj5_complex": {1508, 405,
-		"memo.dedup_hits=477 memo.exprs=345 memo.groups=56 " +
-			"optimizer.rule_admitted.assoc-left=111 optimizer.rule_admitted.commute=156 optimizer.rule_admitted.select-pushdown=10 optimizer.rule_admitted.split=12 " +
-			"optimizer.rule_applied.assoc-left=422 optimizer.rule_applied.commute=322 optimizer.rule_applied.select-pushdown=10 optimizer.rule_applied.split=12",
+	"loj5_complex": {646, 172, 183,
+		"memo.dedup_hits=228 memo.exprs=188 memo.groups=41 " +
+			"optimizer.rule_admitted.assoc-left=43 optimizer.rule_admitted.commute=69 optimizer.rule_admitted.select-pushdown=10 optimizer.rule_admitted.split=12 " +
+			"optimizer.rule_applied.assoc-left=185 optimizer.rule_applied.commute=155 optimizer.rule_applied.select-pushdown=10 optimizer.rule_applied.split=12",
 		"PROJ[r1.x,r5.y](((((SEL[r1.y = $1](r1) LOJ[r1.x = r2.x] r2) LOJ[r2.y = r3.y and r3.x >= r1.y] r3) LOJ[r3.x = r4.x] r4) LOJ[r4.y = r5.y and r5.x >= r1.y] r5))",
 		1657.3063778326937},
-	"inner4_loj": {6902, 4502,
-		"memo.dedup_hits=3732 memo.exprs=833 memo.groups=52 " +
-			"optimizer.rule_admitted.assoc-inner=106 optimizer.rule_admitted.commute=291 optimizer.rule_admitted.join-loj=302 optimizer.rule_admitted.select-pushdown=82 " +
-			"optimizer.rule_applied.assoc-inner=1071 optimizer.rule_applied.commute=822 optimizer.rule_applied.join-loj=2538 optimizer.rule_applied.select-pushdown=82",
+	"inner4_loj": {238, 182, 188,
+		"memo.dedup_hits=171 memo.exprs=81 memo.groups=21 " +
+			"optimizer.rule_admitted.assoc-inner=13 optimizer.rule_admitted.commute=7 optimizer.rule_admitted.join-loj=7 optimizer.rule_admitted.select-pushdown=22 " +
+			"optimizer.rule_applied.assoc-inner=77 optimizer.rule_applied.commute=62 optimizer.rule_applied.join-loj=59 optimizer.rule_applied.select-pushdown=22",
 		"PROJ[r1.y,r5.x](((((SEL[r1.x = $1](r1) JOIN[r1.x = r2.x] r2) JOIN[r2.y = r3.y] r3) JOIN[r3.x = r4.x] r4) LOJ[r4.y = r5.y] r5))",
 		1815.9312379249839},
-	"star4_complex": {1222, 1086,
-		"memo.dedup_hits=425 memo.exprs=309 memo.groups=44 " +
-			"optimizer.rule_admitted.assoc-inner=62 optimizer.rule_admitted.commute=85 optimizer.rule_admitted.select-merge=4 optimizer.rule_admitted.select-pushdown=110 optimizer.rule_admitted.split=4 " +
-			"optimizer.rule_applied.assoc-inner=258 optimizer.rule_applied.commute=280 optimizer.rule_applied.select-merge=4 optimizer.rule_applied.select-pushdown=142 optimizer.rule_applied.split=6",
+	"star4_complex": {238, 196, 198,
+		"memo.dedup_hits=102 memo.exprs=89 memo.groups=24 " +
+			"optimizer.rule_admitted.assoc-inner=15 optimizer.rule_admitted.commute=7 optimizer.rule_admitted.select-merge=4 optimizer.rule_admitted.select-pushdown=24 optimizer.rule_admitted.split=4 " +
+			"optimizer.rule_applied.assoc-inner=38 optimizer.rule_applied.commute=60 optimizer.rule_applied.select-merge=4 optimizer.rule_applied.select-pushdown=48 optimizer.rule_applied.split=6",
 		"PROJ[r1.x,r4.y]((r3 JOIN[r1.y = r3.y and r2.y < (r3.x + r4.y)] ((SEL[r1.y = $1](r1) JOIN[r1.x = r2.x] r2) JOIN[r1.x = r4.x] r4)))",
 		1335.5529037642216},
-	"loj6": {6278, 1832,
-		"memo.dedup_hits=2053 memo.exprs=693 memo.groups=52 " +
-			"optimizer.rule_admitted.assoc-left=262 optimizer.rule_admitted.commute=301 optimizer.rule_admitted.select-pushdown=78 " +
-			"optimizer.rule_applied.assoc-left=1936 optimizer.rule_applied.commute=680 optimizer.rule_applied.select-pushdown=78",
+	"loj6": {482, 170, 189,
+		"memo.dedup_hits=236 memo.exprs=134 memo.groups=28 " +
+			"optimizer.rule_admitted.assoc-left=23 optimizer.rule_admitted.commute=35 optimizer.rule_admitted.select-pushdown=35 " +
+			"optimizer.rule_applied.assoc-left=187 optimizer.rule_applied.commute=106 optimizer.rule_applied.select-pushdown=36",
 		"PROJ[r1.x,r6.y]((((((SEL[r1.y = $1](r1) LOJ[r1.x = r2.x] r2) LOJ[r2.y = r3.y] r3) LOJ[r3.x = r4.x] r4) LOJ[r4.y = r5.y] r5) LOJ[r5.x = r6.x] r6))",
 		2467.5948598850487},
-	"mix5_groupby": {1841, 960,
-		"memo.dedup_hits=937 memo.exprs=308 memo.groups=36 " +
-			"optimizer.rule_admitted.assoc-inner=8 optimizer.rule_admitted.assoc-left=29 optimizer.rule_admitted.commute=95 optimizer.rule_admitted.join-loj=92 optimizer.rule_admitted.select-pushdown=48 " +
-			"optimizer.rule_applied.assoc-inner=127 optimizer.rule_applied.assoc-left=139 optimizer.rule_applied.commute=296 optimizer.rule_applied.join-loj=599 optimizer.rule_applied.select-pushdown=48",
+	"mix5_groupby": {239, 138, 147,
+		"memo.dedup_hits=159 memo.exprs=83 memo.groups=22 " +
+			"optimizer.rule_admitted.assoc-inner=6 optimizer.rule_admitted.assoc-left=1 optimizer.rule_admitted.commute=12 optimizer.rule_admitted.join-loj=12 optimizer.rule_admitted.select-pushdown=22 " +
+			"optimizer.rule_applied.assoc-inner=31 optimizer.rule_applied.assoc-left=16 optimizer.rule_applied.commute=63 optimizer.rule_applied.join-loj=79 optimizer.rule_applied.select-pushdown=23",
 		"PROJ[r1.y,q1.n](GP[r1.y; q1.n=count(*)](((((SEL[r1.x = $1](r1) JOIN[r1.x = r2.x] r2) JOIN[r2.y = r3.y] r3) LOJ[r3.x = r4.x] r4) LOJ[r4.y = r5.y] r5)))",
 		1906.2078167951202},
 }
@@ -109,25 +113,32 @@ func optimizeMemo(t *testing.T, q plan.Node, db plan.Database, maxExprs int) (*M
 
 var kindNames = [core.NumKinds]string{"other", "select", "group-by", "inner", "left", "right", "full"}
 
-// checkChildPatterns regenerates every (expression, slot, child
-// expression) binding of an explored memo — all of them, as exploration
-// built them before it filtered by operator kind — and fails the test
+// checkChildPatterns regenerates every (live expression, slot, live
+// child expression) binding of an explored memo — all of them, as
+// exploration built them before it filtered by operator kind — and
+// fails the test
 // when a ScopeChild rule returns anything on a binding its patterns
 // reject. It returns how many bindings there are and how many some
 // rule's patterns match.
 func checkChildPatterns(t *testing.T, m *Memo) (all, matched int) {
 	t.Helper()
 	for _, e := range m.exprs {
+		if e.dead {
+			continue
+		}
 		for s, cgid := range e.children {
 			var in [2]plan.Node
 			for i, c := range e.children {
-				in[i] = m.groups[c].repr
+				in[i] = m.exprs[m.groups[c].repr].node
 			}
 			start := 0
 			if s > 0 {
 				start = 1
 			}
 			for _, cid := range m.groups[cgid].exprs[start:] {
+				if m.exprs[cid].dead {
+					continue
+				}
 				in[s] = m.exprs[cid].node
 				b := rebuild(e.node, in[0], in[1])
 				root, l, r := core.KindOf(b), core.KindOf(in[0]), core.KindOf(in[1])
@@ -180,8 +191,7 @@ func pushUpShape() plan.Node {
 // examples, the aggregation push-up shape and generated queries, a
 // rule whose patterns reject the binding returns nothing — so binding
 // only what the patterns match leaves the memo as it was. For the cold
-// shapes the memo is pinned to the values it had before the filter,
-// with the number of bindings now built.
+// shapes the memo's counts, winner and cost are pinned (see coldPin).
 func TestMemoChildPatternsSound(t *testing.T) {
 	cold := datagen.Chain(7, datagen.UniformConfig{Rows: 300, Domain: 150, NullFrac: 0.05}, 1996)
 	for _, sh := range coldShapes {
@@ -199,9 +209,9 @@ func TestMemoChildPatternsSound(t *testing.T) {
 			pin := coldPins[sh.name]
 			all, matched := checkChildPatterns(t, m)
 			counters := reg.Snapshot().Counters
-			if all != pin.all || matched != pin.bindings || counters["memo.child_bindings"] != int64(pin.bindings) {
+			if all != pin.all || matched != pin.bindings || counters["memo.child_bindings"] != int64(pin.built) {
 				t.Errorf("%d bindings, %d matched, %d built; want %d, %d, %d",
-					all, matched, counters["memo.child_bindings"], pin.all, pin.bindings, pin.bindings)
+					all, matched, counters["memo.child_bindings"], pin.all, pin.bindings, pin.built)
 			}
 			if got := pinnedCounters(counters); got != pin.counters {
 				t.Errorf("counters\n got  %s\n want %s", got, pin.counters)

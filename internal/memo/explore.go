@@ -62,6 +62,9 @@ func (m *Memo) Explore() (err error) {
 	obs.WithPhase(m.opts.Budget.Context(), "memo", "explore", func() {
 		err = m.explore()
 	})
+	if reg := m.obs(); reg != nil {
+		reg.Counter("memo.groups").Add(int64(m.live))
+	}
 	return err
 }
 
@@ -94,9 +97,8 @@ func (m *Memo) explore() error {
 			return err
 		}
 		for i, t := range tasks {
-			g := m.groups[t.group]
 			for _, alt := range results[i] {
-				m.addResult(g, alt.node, alt.rule, t.from)
+				m.addResult(t.group, alt.node, alt.rule, t.from)
 				// One result can admit several expressions (the
 				// operators it newly built get groups of their own),
 				// so the charge is the growth, not one per call.
@@ -117,7 +119,7 @@ func (m *Memo) explore() error {
 	return nil
 }
 
-// collectTasks advances every expression's binding cursors and
+// collectTasks advances every live expression's binding cursors and
 // appends the new wave's bindings to tasks: expressions created since
 // the last wave contribute their canonical ScopeNode binding, every
 // expression contributes one ScopeChild binding per (slot, newly
@@ -127,6 +129,9 @@ func (m *Memo) explore() error {
 func (m *Memo) collectTasks(tasks []task) []task {
 	child := 0
 	for _, e := range m.exprs {
+		if e.dead {
+			continue
+		}
 		if !e.nodeDone {
 			e.nodeDone = true
 			if rules := m.rules[core.ScopeNode]; len(rules) > 0 {
@@ -138,23 +143,17 @@ func (m *Memo) collectTasks(tasks []task) []task {
 		}
 		for s, cgid := range e.children {
 			cg := m.groups[cgid]
-			start := e.consumed[s]
-			// Slot 0's first binding is e.node itself (the child's
-			// first expression IS the representative); the same tree
-			// would reappear at every later slot's first binding, so
-			// those start at 1.
-			if s > 0 && start == 0 {
-				start = 1
-			}
 			var in [2]plan.Node
 			var kinds [2]core.OpKind
 			for i, c := range e.children {
-				// A group's first expression is its representative.
-				repr := m.exprs[m.groups[c].exprs[0]]
+				repr := m.exprs[m.groups[c].repr]
 				in[i], kinds[i] = repr.node, repr.kind
 			}
-			for j := start; j < len(cg.exprs); j++ {
+			for j := e.consumed[s]; j < len(cg.exprs); j++ {
 				ce := m.exprs[cg.exprs[j]]
+				if ce.dead {
+					continue
+				}
 				kinds[s] = ce.kind
 				rules := m.childRulesFor(e.kind, kinds)
 				if len(rules) == 0 {
@@ -191,6 +190,9 @@ func (m *Memo) growPures(tasks []task, rules []*boundRule) []task {
 	for changed := true; changed; {
 		changed = false
 		for _, e := range m.exprs {
+			if e.dead {
+				continue
+			}
 			g := m.groups[e.group]
 			switch x := e.node.(type) {
 			case *plan.Scan:

@@ -18,7 +18,8 @@ type Best struct {
 	Cost  float64
 	Group GroupID
 	// Root indexes the roots slice passed to Extract, identifying
-	// which seed's group won.
+	// which seed's group won — when merged roots share the winning
+	// group, the one whose seed the winner was derived from.
 	Root int
 }
 
@@ -59,28 +60,35 @@ func (m *Memo) extract(roots []GroupID, s *stats.Session) (Best, error) {
 	onPath := make([]bool, len(m.groups))
 	best := Best{Cost: math.Inf(1), Root: -1}
 	for i, gid := range roots {
-		g := m.groups[gid]
+		g := m.groups[m.find(gid)]
 		if err := m.extractGroup(g, s, onPath); err != nil {
 			return Best{}, err
 		}
 		if g.winner != nil && g.winnerCost < best.Cost {
-			best = Best{Plan: g.winner, Cost: g.winnerCost, Group: gid, Root: i}
+			best = Best{Plan: g.winner, Cost: g.winnerCost, Group: g.id, Root: i}
 		}
 	}
 	if best.Plan == nil {
 		return Best{}, fmt.Errorf("memo: no extractable plan among %d root groups", len(roots))
+	}
+	seed := m.seedOf(m.exprs[m.groups[best.Group].winnerExpr])
+	for i, gid := range roots {
+		if m.find(gid) == best.Group && m.groups[gid].repr == seed {
+			best.Root = i
+			break
+		}
 	}
 	return best, nil
 }
 
 // Estimate returns a group's cardinality, once Extract or Price has
 // read it.
-func (m *Memo) Estimate(gid GroupID) stats.Estimate { return m.groups[gid].est }
+func (m *Memo) Estimate(gid GroupID) stats.Estimate { return m.groups[m.find(gid)].est }
 
 // Estimates maps every node of gid's winner to the cardinality of the
 // group it was extracted from.
 func (m *Memo) Estimates(gid GroupID, into map[plan.Node]stats.Estimate) {
-	g := m.groups[gid]
+	g := m.groups[m.find(gid)]
 	if g.winner == nil {
 		return
 	}
@@ -90,23 +98,26 @@ func (m *Memo) Estimates(gid GroupID, into map[plan.Node]stats.Estimate) {
 	}
 }
 
-// estimate reads g's cardinality once: its representative (its first
-// expression, whose input groups were all created before it) over its
-// input groups' cardinalities.
+// estimate reads g's cardinality once: its representative over its
+// input groups' cardinalities. The recursion descends: the
+// representative's input groups were created before g, and a merge
+// keeps the lower id, so they resolve to groups older than g — never
+// to g itself, even when a merge made another of g's expressions
+// reference g.
 func (m *Memo) estimate(g *group, s *stats.Session) error {
 	if g.estimated {
 		return nil
 	}
-	e := m.exprs[g.exprs[0]]
+	e := m.exprs[g.repr]
 	var in [2]float64
 	for i, cg := range e.children {
-		sub := m.groups[cg]
+		sub := m.groups[m.find(cg)]
 		if err := m.estimate(sub, s); err != nil {
 			return err
 		}
 		in[i] = sub.est.Rows
 	}
-	est, err := s.GroupRows(g.repr, in[:len(e.children)])
+	est, err := s.GroupRows(e.node, in[:len(e.children)])
 	if err != nil {
 		return err
 	}
@@ -147,6 +158,9 @@ func (m *Memo) extractGroup(g *group, s *stats.Session, onPath []bool) error {
 	winner := exprID(-1)
 	for _, eid := range g.exprs {
 		e := m.exprs[eid]
+		if e.dead {
+			continue
+		}
 		lb := 0.0
 		usable := true
 		for _, cgid := range e.children {
@@ -203,7 +217,7 @@ func (m *Memo) extractGroup(g *group, s *stats.Session, onPath []bool) error {
 // cardinality. A tree that several expressions spell is priced along
 // the cheapest. ok is false when n is no materialization of gid.
 func (m *Memo) Price(gid GroupID, n plan.Node, s *stats.Session) (cost float64, ok bool, err error) {
-	return m.price(gid, n, s, make(map[priceKey]float64))
+	return m.price(m.find(gid), n, s, make(map[priceKey]float64))
 }
 
 type priceKey struct {
@@ -225,7 +239,7 @@ func (m *Memo) price(gid GroupID, n plan.Node, s *stats.Session, seen map[priceK
 	best := math.Inf(1)
 	for _, eid := range g.exprs {
 		e := m.exprs[eid]
-		if e.op != op.op || e.pred != op.pred || e.aux != op.aux {
+		if e.dead || e.op != op.op || e.pred != op.pred || e.aux != op.aux {
 			continue
 		}
 		sum, held := 0.0, true
@@ -253,7 +267,7 @@ func (m *Memo) price(gid GroupID, n plan.Node, s *stats.Session, seen map[priceK
 // other member. Its input subtrees are ingested as Add ingests them.
 // Offer must precede Extract.
 func (m *Memo) Offer(gid GroupID, n plan.Node, rule string) {
-	m.addResult(m.groups[gid], n, &boundRule{Rule: core.Rule{Name: rule}}, -1)
+	m.addResult(gid, n, &boundRule{Rule: core.Rule{Name: rule}}, -1)
 }
 
 // Derivation reconstructs the identity-rule chain justifying a
@@ -282,7 +296,16 @@ func (m *Memo) Derivation(gid GroupID) []string {
 		}
 		return append(out, m.provChain(e)...)
 	}
-	return walk(gid)
+	return walk(m.find(gid))
+}
+
+// seedOf walks an expression's provenance back to the seed
+// expression it was derived from, or to the offered one.
+func (m *Memo) seedOf(e *expr) exprID {
+	for e.rule != "" && e.from >= 0 {
+		e = m.exprs[e.from]
+	}
+	return e.id
 }
 
 // provChain walks an expression's provenance back to its group's seed

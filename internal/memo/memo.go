@@ -32,11 +32,18 @@
 // that has one. Because every binding is
 // itself a member tree, every rule result is equivalent to the group
 // by construction; results are ingested back as new expressions (of
-// the same group) with per-group dedup. Groups are never merged: when a
-// result's shape already lives in another group, the shape is simply
-// added to both — sound, and it keeps the reachable set exactly the
-// positional-rewrite closure that Saturate computes rather than a
-// congruence-closure superset of it.
+// the same group) with per-group dedup.
+//
+// A shape lives in exactly one group. When a result's shape already
+// lives in another group, the two groups hold a common member and are
+// one equivalence class (bag equivalence is transitive), so they
+// merge — the Cascades group merge. The lower id wins and absorbs the
+// loser's expressions and pure trees; every id of the loser resolves
+// to the winner from then on. The expressions over the loser are
+// re-keyed onto the winner, and one whose new shape is already held
+// is a duplicate: it is dropped, and when another group holds the
+// shape that group merges too. Without the merge both groups explored
+// the same closure in full.
 package memo
 
 import (
@@ -110,19 +117,31 @@ type expr struct {
 
 	// Exploration bookkeeping (owned by the single-threaded merge):
 	// nodeDone marks the one ScopeNode binding as generated,
-	// consumed counts per child slot how many of the child group's
-	// expressions have been bound, and pureDone how many of its pure
-	// trees have been combined.
+	// consumed is per child slot the index of the child group's next
+	// expression to bind, and pureDone how many of its pure trees have
+	// been combined. A slot re-pointed by a merge restarts both.
 	nodeDone bool
 	consumed [2]int
 	pureDone [2]int
+	// dead marks an expression a merge re-keyed onto a shape another
+	// expression holds, of its own group or of one it then merges
+	// with: nothing binds, prices or re-keys it again.
+	dead bool
 }
 
 // group is one equivalence class.
 type group struct {
-	id    GroupID
-	repr  plan.Node
+	id GroupID
+	// to is the group this one merged into, or id while it is live.
+	to GroupID
+	// repr is the representative, the group's first expression; exprs
+	// lists its expressions in admission order, only ever appended to
+	// (a merge appends the loser's).
+	repr  exprID
 	exprs []exprID
+	// parents are the expressions over the group, which a merge that
+	// the group loses re-keys.
+	parents []exprID
 
 	// pures are the pure join-over-scan materializations ScopeGroup
 	// rules are bound to, one per placement of the conjuncts on
@@ -164,9 +183,10 @@ type Options struct {
 	// pre-wave state and results are merged single-threaded in task
 	// order.
 	Workers int
-	// Obs, when non-nil, receives memo.groups, memo.exprs,
-	// memo.dedup_hits, memo.waves, memo.child_bindings (ScopeChild
-	// bindings built), memo.capped and the per-rule
+	// Obs, when non-nil, receives memo.groups (the live groups when
+	// exploration ends), memo.exprs, memo.dedup_hits, memo.merges,
+	// memo.waves, memo.child_bindings (ScopeChild bindings built),
+	// memo.capped and the per-rule
 	// optimizer.rule_applied.<rule> / optimizer.rule_admitted.<rule>
 	// counters. Extraction adds memo.pruned and memo.extract_ns.
 	Obs *obs.Registry
@@ -197,16 +217,19 @@ type Memo struct {
 	child      [core.NumKinds][core.NumKinds][core.NumKinds]span
 	childRules []*boundRule
 
+	// groups is indexed by GroupID, merged groups included; live
+	// counts the unmerged ones.
 	groups []*group
+	live   int
 	exprs  []*expr
 	// byNode resolves a node the memo has seen — a representative, an
-	// admitted expression node, a pure join tree — to its group.
+	// admitted expression node, a pure join tree — to its group, and
+	// owner each shape to the group holding it, both through find.
 	byNode map[plan.Node]GroupID
-	// owner is the first group each shape was admitted to; also holds
-	// the further (group, shape) memberships of shapes that live in
-	// several groups.
-	owner map[shape]GroupID
-	also  map[membership]struct{}
+	owner  map[shape]GroupID
+	// pending are the group pairs re-keying proved equal and merge has
+	// yet to unite.
+	pending [][2]GroupID
 	// atoms numbers comparison atoms by value (see addAtoms) and others
 	// any other conjunct by rendering; repeats maps an atom to the
 	// number standing for its next repetition within one predicate. One
@@ -230,12 +253,7 @@ type Memo struct {
 	// charged.
 	charged int
 
-	cExprs, cDedup, cChild *obs.Counter
-}
-
-type membership struct {
-	g GroupID
-	s shape
+	cExprs, cDedup, cChild, cMerges *obs.Counter
 }
 
 // atom is a numbered comparison atom.
@@ -264,7 +282,6 @@ func New(opts Options) (*Memo, error) {
 		opts:    opts,
 		byNode:  make(map[plan.Node]GroupID),
 		owner:   make(map[shape]GroupID),
-		also:    make(map[membership]struct{}),
 		others:  make(map[string]int),
 		repeats: make(map[int]int),
 		aux:     make(map[string]int32),
@@ -274,7 +291,7 @@ func New(opts Options) (*Memo, error) {
 	reg := opts.Obs
 	if reg != nil {
 		m.cExprs, m.cDedup = reg.Counter("memo.exprs"), reg.Counter("memo.dedup_hits")
-		m.cChild = reg.Counter("memo.child_bindings")
+		m.cChild, m.cMerges = reg.Counter("memo.child_bindings"), reg.Counter("memo.merges")
 	}
 	bound := make([]boundRule, len(opts.Rules))
 	for i, r := range opts.Rules {
@@ -314,11 +331,27 @@ func (m *Memo) childRulesFor(root core.OpKind, in [2]core.OpKind) []*boundRule {
 	return m.childRules[s.lo:s.hi:s.hi]
 }
 
-// Groups returns the number of equivalence groups.
-func (m *Memo) Groups() int { return len(m.groups) }
+// Groups returns the number of equivalence groups: merged groups
+// count once.
+func (m *Memo) Groups() int { return m.live }
 
-// Exprs returns the total number of admitted expressions.
+// Exprs returns the total number of admitted expressions, those a
+// merge dropped as duplicates included.
 func (m *Memo) Exprs() int { return len(m.exprs) }
+
+// find resolves a group id, possibly of a merged group, to the live
+// group it belongs to, halving the path as it goes.
+func (m *Memo) find(gid GroupID) GroupID {
+	for {
+		g := m.groups[gid]
+		if g.to == gid {
+			return gid
+		}
+		next := m.groups[g.to].to
+		g.to = next
+		gid = next
+	}
+}
 
 // Cap reasons reported by CappedReason.
 const (
@@ -350,21 +383,20 @@ func (m *Memo) RuleFirings() map[string]int {
 // Add ingests a (sub)tree and returns its group, creating groups for
 // it and every novel descendant subtree. A node seen before — and a
 // tree whose expression shape is already known — lands in its existing
-// group.
+// group. Add never merges groups.
 func (m *Memo) Add(n plan.Node) GroupID {
 	if gid, ok := m.byNode[n]; ok {
-		return gid
+		return m.find(gid)
 	}
 	s := m.shapeOf(n)
 	if gid, ok := m.owner[s]; ok {
-		return gid
+		return m.find(gid)
 	}
-	g := &group{id: GroupID(len(m.groups)), winnerExpr: -1}
+	id := GroupID(len(m.groups))
+	g := &group{id: id, to: id, winnerExpr: -1}
 	m.groups = append(m.groups, g)
-	if reg := m.obs(); reg != nil {
-		reg.Counter("memo.groups").Inc()
-	}
-	g.repr = m.admit(g, n, s, nil, -1).node
+	m.live++
+	g.repr = m.admit(g, n, s, nil, -1).id
 	return g.id
 }
 
@@ -522,25 +554,31 @@ func rebuild(n, l, r plan.Node) plan.Node {
 
 // admit appends an expression of shape s to g, materialized from n
 // over the representatives of its input groups. Callers have checked
-// that g does not hold the shape.
+// that no group holds the shape.
 func (m *Memo) admit(g *group, n plan.Node, s shape, rule *boundRule, from exprID) *expr {
 	e := &expr{shape: s, id: exprID(len(m.exprs)), group: g.id, kids: [2]GroupID{s.l, s.r}, from: from}
 	var in [2]plan.Node
 	for i, gid := range e.kids {
 		if gid >= 0 {
-			in[i] = m.groups[gid].repr
+			cg := m.groups[gid]
+			in[i] = m.exprs[cg.repr].node
 			e.children = e.kids[:i+1]
+			if i == 0 || gid != e.kids[0] {
+				cg.parents = append(cg.parents, e.id)
+			}
 		}
+	}
+	// Slot 0's first binding is e.node itself (a child group's first
+	// expression IS its representative); the same tree would be every
+	// later slot's first binding, so those start at 1.
+	if len(e.children) == 2 {
+		e.consumed[1] = 1
 	}
 	e.node = rebuild(n, in[0], in[1])
 	e.kind = core.KindOf(e.node)
 	m.exprs = append(m.exprs, e)
 	g.exprs = append(g.exprs, e.id)
-	if _, ok := m.owner[s]; !ok {
-		m.owner[s] = g.id
-	} else {
-		m.also[membership{g.id, s}] = struct{}{}
-	}
+	m.owner[s] = g.id
 	if _, ok := m.byNode[e.node]; !ok {
 		m.byNode[e.node] = g.id
 	}
@@ -556,23 +594,97 @@ func (m *Memo) admit(g *group, n plan.Node, s shape, rule *boundRule, from exprI
 	return e
 }
 
-// addResult ingests one rule result tree as an expression of group g
-// (the result is equivalent to g because the rule fired on one of g's
-// member trees). Reports whether the expression was new.
-func (m *Memo) addResult(g *group, n plan.Node, rule *boundRule, from exprID) bool {
+// addResult ingests one rule result tree as an expression of group
+// gid (the result is equivalent to the group because the rule fired on
+// one of its member trees). A shape another group holds merges the
+// two. Reports whether the expression was new.
+func (m *Memo) addResult(gid GroupID, n plan.Node, rule *boundRule, from exprID) bool {
 	s := m.shapeOf(n)
-	first, held := m.owner[s]
-	if held && first != g.id {
-		_, held = m.also[membership{g.id, s}]
-	}
-	if held {
+	gid = m.find(gid)
+	if owner, held := m.owner[s]; held {
 		if m.cDedup != nil {
 			m.cDedup.Inc()
 		}
+		m.merge(gid, owner)
 		return false
 	}
-	m.admit(g, n, s, rule, from)
+	m.admit(m.groups[gid], n, s, rule, from)
 	return true
+}
+
+// merge unites the groups a and b — a no-op when they are one — and
+// then every further pair the re-keying proves equal.
+func (m *Memo) merge(a, b GroupID) {
+	m.pending = append(m.pending[:0], [2]GroupID{a, b})
+	for i := 0; i < len(m.pending); i++ {
+		w, l := m.find(m.pending[i][0]), m.find(m.pending[i][1])
+		if w == l {
+			continue
+		}
+		if l < w {
+			w, l = l, w
+		}
+		m.union(m.groups[w], m.groups[l])
+	}
+}
+
+// union merges the group l into w, the lower id, which keeps its
+// representative and appends l's live expressions and the pure trees
+// of placements it lacks. The expressions over l are re-keyed onto w;
+// w's list is only appended to, so the cursors of expressions over w
+// stay valid.
+func (m *Memo) union(w, l *group) {
+	l.to = w.id
+	m.live--
+	if m.cMerges != nil {
+		m.cMerges.Inc()
+	}
+	for _, eid := range l.exprs {
+		if e := m.exprs[eid]; !e.dead {
+			e.group = w.id
+			w.exprs = append(w.exprs, eid)
+		}
+	}
+	for _, p := range l.pures {
+		if !slices.ContainsFunc(w.pures, func(q pureTree) bool { return q.placement == p.placement }) {
+			w.pures = append(w.pures, p)
+		}
+	}
+	parents := l.parents
+	l.exprs, l.pures, l.parents = nil, nil, nil
+	for _, pid := range parents {
+		if p := m.exprs[pid]; !p.dead {
+			m.rekey(p)
+			if !p.dead {
+				w.parents = append(w.parents, pid)
+			}
+		}
+	}
+}
+
+// rekey points e's child slots at the live groups. A re-pointed slot
+// restarts its binding cursors; a new shape its group already holds
+// makes e a duplicate, dropped, and one another group holds queues
+// that group's merge with e's.
+func (m *Memo) rekey(e *expr) {
+	old := e.shape
+	for i, c := range e.children {
+		if r := m.find(c); r != c {
+			e.kids[i], e.consumed[i], e.pureDone[i] = r, 0, 0
+		}
+	}
+	e.l, e.r = e.kids[0], e.kids[1]
+	if e.shape == old {
+		return
+	}
+	delete(m.owner, old)
+	g := m.find(e.group)
+	if owner, held := m.owner[e.shape]; held {
+		e.dead = true
+		m.pending = append(m.pending, [2]GroupID{g, owner})
+		return
+	}
+	m.owner[e.shape] = g
 }
 
 func (m *Memo) obs() *obs.Registry { return m.opts.Obs }

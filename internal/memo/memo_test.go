@@ -100,7 +100,7 @@ func TestShapeIdentity(t *testing.T) {
 	}
 	r1, r2 := scan("r1"), scan("r2")
 	p, q := eqX("r1", "r2"), eqY("r1", "r2")
-	g := m.groups[m.Add(plan.NewJoin(plan.InnerJoin, xpr.And(p, q), r1, r2))]
+	g := m.Add(plan.NewJoin(plan.InnerJoin, xpr.And(p, q), r1, r2))
 	if got := m.Exprs(); got != 3 {
 		t.Fatalf("seed admitted %d expressions, want 3", got)
 	}
@@ -127,9 +127,9 @@ func TestShapeIdentity(t *testing.T) {
 	}
 	// Children resolve by pointer: a result built over a known
 	// expression node lands on that node's group without shaping it.
-	top := plan.NewSelect(eqX("r1", "r2"), m.exprs[g.exprs[1]].node)
-	if s := m.shapeOf(top); s.l != g.id {
-		t.Errorf("selection over an admitted node resolved to group %d, want %d", s.l, g.id)
+	top := plan.NewSelect(eqX("r1", "r2"), m.exprs[m.groups[g].exprs[1]].node)
+	if s := m.shapeOf(top); s.l != g {
+		t.Errorf("selection over an admitted node resolved to group %d, want %d", s.l, g)
 	}
 }
 
@@ -165,8 +165,8 @@ func TestRulePanicLabelled(t *testing.T) {
 // root group, sorted.
 func splitKeys(m *Memo, root GroupID) []string {
 	var keys []string
-	for _, eid := range m.groups[root].exprs {
-		if e := m.exprs[eid]; e.rule == core.RuleSplit.Name {
+	for _, eid := range m.groups[m.find(root)].exprs {
+		if e := m.exprs[eid]; !e.dead && e.rule == core.RuleSplit.Name {
 			keys = append(keys, plan.Key(e.node))
 		}
 	}
@@ -323,9 +323,9 @@ func (m *Memo) contains(gid GroupID, n plan.Node, seen map[containsKey]bool) boo
 	}
 	seen[key] = false // a cyclic spelling does not justify itself
 	op, in := m.operator(n)
-	for _, eid := range m.groups[gid].exprs {
+	for _, eid := range m.groups[m.find(gid)].exprs {
 		e := m.exprs[eid]
-		if eop, _ := m.operator(e.node); eop != op {
+		if eop, _ := m.operator(e.node); e.dead || eop != op {
 			continue
 		}
 		ok := true

@@ -26,6 +26,17 @@ var coldShapes = []struct{ name, sql string }{
 		"left join r4 on r3.x = r4.x left join r5 on r4.y = r5.y where r1.x = 7 group by r1.y"},
 }
 
+// probeShapes are the shapes ROADMAP item 4 gates cold planning time
+// on: the inner 5-chain, the traced pass's chain6 probe
+// (bench/traced.go) and the inner 7-chain with one selection.
+var probeShapes = []struct{ name, sql string }{
+	{"inner5", "select r1.x from r1, r2, r3, r4, r5 where r1.x = r2.x and r2.y = r3.y and r3.x = r4.x and r4.y = r5.y"},
+	{"chain6_probe", "select r1.x from r1, r2, r3, r4, r5, r6 " +
+		"where r1.x = r2.x and r2.x = r3.x and r3.y = r4.y and r4.x = r5.x and r5.y = r6.y and r1.y = 3 and r6.x = 4"},
+	{"inner7_sel", "select r1.x from r1, r2, r3, r4, r5, r6, r7 where r1.x = r2.x and r2.y = r3.y and r3.x = r4.x " +
+		"and r4.y = r5.y and r5.x = r6.x and r6.y = r7.y and r1.y < 50"},
+}
+
 // coldDB is the cold_plan database: a 7-relation chain, 300 rows each.
 func coldDB() plan.Database {
 	return datagen.Chain(7, datagen.UniformConfig{Rows: 300, Domain: 150, NullFrac: 0.05}, 1996)
@@ -48,12 +59,13 @@ func coldTemplate(tb testing.TB, text string, db plan.Database) plan.Node {
 }
 
 // BenchmarkExploreCold times one cold optimization (explore, extract,
-// cost) per cold_plan shape; allocs/op is the figure the serving
-// benchmark reports as go.allocs_per_req on that workload.
+// cost) per cold_plan shape, and per probe shape; allocs/op on the
+// cold shapes is the figure the serving benchmark reports as
+// go.allocs_per_req on that workload.
 func BenchmarkExploreCold(b *testing.B) {
 	db := coldDB()
 	est := stats.NewEstimator(stats.FromDatabase(db))
-	for _, sh := range coldShapes {
+	for _, sh := range append(coldShapes[:len(coldShapes):len(coldShapes)], probeShapes...) {
 		node := coldTemplate(b, sh.sql, db)
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -81,16 +93,19 @@ func BenchmarkExploreCold(b *testing.B) {
 // Extraction that prices each expression locally at its groups'
 // cardinalities, materializing only each group's winner, instead of
 // building and costing a tree per candidate through a subtree-keyed
-// cache, brought them to 4 792 / 21 352 / 5 276 / 12 516 / 6 030; each
-// ceiling sits just above its count. Not run under -race, which
-// changes the counts.
+// cache, brought them to 4 792 / 21 352 / 5 276 / 12 516 / 6 030.
+// Merging groups that hold a common member, so that each equivalence
+// class is explored once (memo expressions 345 / 833 / 309 / 693 / 308
+// → 188 / 81 / 89 / 134 / 83), brought them to 3 181 / 1 615 / 1 928 /
+// 2 223 / 1 573; each ceiling sits just above its count. Not run under
+// -race, which changes the counts.
 func TestExploreColdAllocCeiling(t *testing.T) {
 	ceilings := map[string]float64{
-		"loj5_complex":  5000,
-		"inner4_loj":    22000,
-		"star4_complex": 5500,
-		"loj6":          13000,
-		"mix5_groupby":  6300,
+		"loj5_complex":  3300,
+		"inner4_loj":    1700,
+		"star4_complex": 2000,
+		"loj6":          2300,
+		"mix5_groupby":  1650,
 	}
 	db := coldDB()
 	est := stats.NewEstimator(stats.FromDatabase(db))

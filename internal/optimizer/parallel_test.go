@@ -3,8 +3,10 @@ package optimizer
 import (
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/stats"
 )
 
@@ -18,12 +20,39 @@ func parTestDB() plan.Database {
 	}
 }
 
+// inner4Loj is the cold_plan template inner4_loj lowered over its
+// 7-relation chain, a shape whose exploration merges groups.
+func inner4Loj(t *testing.T) (plan.Node, plan.Database) {
+	t.Helper()
+	db := datagen.Chain(7, datagen.UniformConfig{Rows: 300, Domain: 150, NullFrac: 0.05}, 1996)
+	stmt, err := sql.Parse("select r1.y, r5.x from r1 join r2 on r1.x = r2.x join r3 on r2.y = r3.y join r4 on r3.x = r4.x " +
+		"left join r5 on r4.y = r5.y where r1.x = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sql.Lower(stmt, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q, db
+}
+
 // TestOptimizeWorkersDeterministic: a parallel optimization run is
 // observationally identical to the serial run — same expression count,
-// same best plan and cost, same rule firings.
+// same best plan and cost, same rule firings — on query2 and on a shape
+// whose groups merge (inner4_loj), where merges happen mid-wave.
 func TestOptimizeWorkersDeterministic(t *testing.T) {
-	db := parTestDB()
-	q := query2()
+	q4l, db4l := inner4Loj(t)
+	for _, tc := range []struct {
+		name string
+		q    plan.Node
+		db   plan.Database
+	}{{"query2", query2(), parTestDB()}, {"inner4_loj", q4l, db4l}} {
+		t.Run(tc.name, func(t *testing.T) { checkWorkersDeterministic(t, tc.q, tc.db, tc.name == "inner4_loj") })
+	}
+}
+
+func checkWorkersDeterministic(t *testing.T, q plan.Node, db plan.Database, merges bool) {
 	run := func(workers int) *Result {
 		est := stats.NewEstimator(stats.FromDatabase(db))
 		o := New(est)
@@ -32,6 +61,9 @@ func TestOptimizeWorkersDeterministic(t *testing.T) {
 		res, err := o.Optimize(q, db)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := o.Opts.Obs.Counter("memo.merges").Value(); merges && n == 0 {
+			t.Fatal("no groups merged")
 		}
 		return res
 	}

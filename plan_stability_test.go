@@ -216,10 +216,13 @@ func TestPlanStability(t *testing.T) {
 	}
 }
 
-// TestChain6ProbeReportsCap: the chain6 probe stops at the default
-// MaxPlans cap, and both the optimizer result and a bypass service
-// request say so.
-func TestChain6ProbeReportsCap(t *testing.T) {
+// TestChain6ProbeCompletes: the chain6 probe explores to fixpoint
+// well inside the default MaxPlans cap (it stopped at the cap while
+// equivalent groups were not merged: 20 000 expressions, now 189), and
+// a cap that does stop it still says so, in the optimizer result under
+// a tight MaxPlans and in a bypass service request under a tight
+// expression budget.
+func TestChain6ProbeCompletes(t *testing.T) {
 	var probe stabilityCase
 	for _, tc := range stabilityCases {
 		if tc.name == "cold_plan/chain6_probe" {
@@ -236,19 +239,36 @@ func TestChain6ProbeReportsCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := optimizer.New(stats.ForDatabase(db).WithParams(params)).Optimize(node, db)
+	o := optimizer.New(stats.ForDatabase(db).WithParams(params))
+	res, err := o.Optimize(node, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded != memo.CappedMaxExprs {
-		t.Errorf("Optimize: Degraded = %q after %d expressions, want %q", res.Degraded, res.Considered, memo.CappedMaxExprs)
+	if res.Degraded != "" || res.Considered > 250 {
+		t.Errorf("Optimize: Degraded = %q after %d expressions, want a complete search within 250", res.Degraded, res.Considered)
 	}
+	o.Opts.MaxPlans = res.Considered / 2
+	if capped, err := o.Optimize(node, db); err != nil {
+		t.Fatal(err)
+	} else if capped.Degraded != memo.CappedMaxExprs {
+		t.Errorf("Optimize with MaxPlans %d: Degraded = %q after %d expressions, want %q",
+			o.Opts.MaxPlans, capped.Degraded, capped.Considered, memo.CappedMaxExprs)
+	}
+
 	svc := newTestService(t, ServiceConfig{DB: db})
 	resp, err := svc.Query(context.Background(), Request{SQL: probe.sql, Cache: "bypass"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Degraded != memo.CappedMaxExprs {
-		t.Errorf("Service.Query: Degraded = %q, want %q", resp.Degraded, memo.CappedMaxExprs)
+	if resp.Degraded != "" {
+		t.Errorf("Service.Query: Degraded = %q, want a complete search", resp.Degraded)
+	}
+	tight := newTestService(t, ServiceConfig{DB: db, DefaultLimits: Limits{MaxExprs: int64(res.Considered / 2)}})
+	resp, err = tight.Query(context.Background(), Request{SQL: probe.sql, Cache: "bypass"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Degraded != memo.CappedBudget {
+		t.Errorf("Service.Query with MaxExprs %d: Degraded = %q, want %q", res.Considered/2, resp.Degraded, memo.CappedBudget)
 	}
 }
