@@ -8,9 +8,9 @@ all: vet build test
 # the test suite, the same suite under the race detector (which covers
 # the fault-injection, partitioned-join, serving, adaptive,
 # parallel-optimizer and observability tests), ten seconds each of
-# fuzzing the SQL front end, the dense join index and the columnar
-# sort, and the bench module's smoke run (every workload played once;
-# a wrong answer fails it).
+# fuzzing the SQL front end, the dense join index, the columnar sort
+# and the columnar kernels' value semantics, and the bench module's
+# smoke run (every workload played once; a wrong answer fails it).
 check: fmt vet build test race fuzz-smoke bench-smoke
 
 fmt:
@@ -51,11 +51,16 @@ bench:
 # and every key's run is the ascending list of the rows holding it.
 # Then ten seconds of the columnar sort (FuzzColumnarSort): over any
 # column kinds, NULLs, NaNs, keys, directions and limit it returns
-# plan.SortRows's rows in SortRows's order.
+# plan.SortRows's rows in SortRows's order. Then ten seconds of the
+# kernels' value semantics (FuzzKernelSemantics): over any column
+# kinds, NULLs, NaNs, ±0 and ints beyond 2^53, every θ and constant,
+# the columnar selections, joins (each lookup), grouping, DISTINCT,
+# MIN/MAX and sorts answer as plan.Eval does.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzDenseIndex -fuzztime 10s ./internal/batch
 	$(GO) test -run '^$$' -fuzz FuzzColumnarSort -fuzztime 10s ./internal/executor
+	$(GO) test -run '^$$' -fuzz FuzzKernelSemantics -fuzztime 10s ./internal/executor
 
 # The bench module (bench/, its own go.mod) is outside ./..., so a
 # signature change that breaks it passes go build ./... and go test

@@ -234,10 +234,7 @@ func (v *Vec) HashInto(hs []uint64, ok []bool, nullMatches bool) {
 }
 
 // EqualRows reports value.Equal between this column's row i and o's
-// row j (NULL identical to NULL) — the collision-verification step
-// after a hash bucket hit. Matching typed columns compare without
-// boxing; mismatched or PhysAny columns go through value.Equal, which
-// also handles the INT/FLOAT identity merge.
+// row j — the collision-verification step after a hash bucket hit.
 func (v *Vec) EqualRows(i int, o *Vec, j int) bool {
 	ln, rn := v.IsNull(i), o.IsNull(j)
 	if ln || rn {
@@ -247,8 +244,6 @@ func (v *Vec) EqualRows(i int, o *Vec, j int) bool {
 		switch v.Phys {
 		case PhysInt:
 			return v.Ints[i] == o.Ints[j]
-		case PhysFloat:
-			return v.Floats[i] == o.Floats[j]
 		case PhysStr:
 			return v.Strs[i] == o.Strs[j]
 		case PhysBool:

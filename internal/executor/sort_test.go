@@ -135,9 +135,7 @@ func sortVec(rel *relation.Relation, keys []plan.SortKey, limit, bs int) (*batch
 	return e.exec(plan.NewSort(keys, limit, plan.NewScan("t")))
 }
 
-// rowIDs lists the id column of rows, in order. Rows are compared by
-// id: NaN keys are not value.Equal to themselves, and ±0 are equal
-// keys on distinct rows.
+// rowIDs lists the id column of rows, in order.
 func rowIDs(r *relation.Relation) []int64 {
 	c := r.Schema().IndexOf(schema.Attr("t", "id"))
 	ids := make([]int64, r.Len())

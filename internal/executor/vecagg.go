@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/algebra"
@@ -63,8 +64,9 @@ func (e *vecEngine) vecSelect(pred expr.Pred, in *batch.Rel) (*batch.Rel, error)
 	return in.Select(sel), nil
 }
 
-// keepCmp applies a comparison operator to an already-ordered pair.
-func keepCmp[T int64 | float64 | string](op value.CmpOp, a, b T) bool {
+// keepCmp applies a comparison operator to an int or string pair, whose
+// Go order is value.Compare's.
+func keepCmp[T int64 | string](op value.CmpOp, a, b T) bool {
 	switch op {
 	case value.EQ:
 		return a == b
@@ -168,7 +170,7 @@ func (e *vecEngine) colConstKernel(op value.CmpOp, v *batch.Vec, cv value.Value)
 		return func(sel []int32) []int32 {
 			out := sel[:0]
 			for _, s := range sel {
-				if !v.IsNull(int(s)) && keepCmp(op, v.Floats[s], k) {
+				if !v.IsNull(int(s)) && op.Accepts(value.CompareFloat(v.Floats[s], k)) {
 					out = append(out, s)
 				}
 			}
@@ -216,7 +218,7 @@ func (e *vecEngine) colColKernel(op value.CmpOp, a, b *batch.Vec) func([]int32) 
 			return func(sel []int32) []int32 {
 				out := sel[:0]
 				for _, s := range sel {
-					if !a.IsNull(int(s)) && !b.IsNull(int(s)) && keepCmp(op, a.Floats[s], b.Floats[s]) {
+					if !a.IsNull(int(s)) && !b.IsNull(int(s)) && op.Accepts(value.CompareFloat(a.Floats[s], b.Floats[s])) {
 						out = append(out, s)
 					}
 				}
@@ -514,10 +516,10 @@ func vecAggTyped(a algebra.Aggregate, in *batch.Rel, groupOf []int32, ngroups in
 		}
 	case v.Phys == batch.PhysInt:
 		out = batch.Vec{Phys: batch.PhysInt, Ints: make([]int64, ngroups)}
-		accumulate(a.Func, v, v.Ints, groupOf, n, out.Ints)
+		accumulate(a.Func, v, v.Ints, groupOf, n, out.Ints, cmp.Compare[int64])
 	default:
 		out = batch.Vec{Phys: batch.PhysFloat, Floats: make([]float64, ngroups)}
-		accumulate(a.Func, v, v.Floats, groupOf, n, out.Floats)
+		accumulate(a.Func, v, v.Floats, groupOf, n, out.Floats, value.CompareFloat)
 	}
 	for g, c := range n {
 		if c == 0 {
@@ -531,8 +533,8 @@ func vecAggTyped(a algebra.Aggregate, in *batch.Rel, groupOf []int32, ngroups in
 
 // accumulate folds the non-NULL rows of xs (v's payload) into their
 // groups' accumulators, in input order: a running sum for SUM and AVG,
-// the extreme so far for MIN and MAX.
-func accumulate[T int64 | float64](f algebra.AggFunc, v *batch.Vec, xs []T, groupOf []int32, n []int64, acc []T) {
+// the extreme so far under compare for MIN and MAX.
+func accumulate[T int64 | float64](f algebra.AggFunc, v *batch.Vec, xs []T, groupOf []int32, n []int64, acc []T, compare func(a, b T) int) {
 	for i, x := range xs {
 		if v.IsNull(i) {
 			continue
@@ -541,7 +543,7 @@ func accumulate[T int64 | float64](f algebra.AggFunc, v *batch.Vec, xs []T, grou
 		switch {
 		case f == algebra.Sum || f == algebra.Avg:
 			acc[g] += x
-		case f == algebra.Min && (n[g] == 0 || x < acc[g]), f == algebra.Max && (n[g] == 0 || x > acc[g]):
+		case f == algebra.Min && (n[g] == 0 || compare(x, acc[g]) < 0), f == algebra.Max && (n[g] == 0 || compare(x, acc[g]) > 0):
 			acc[g] = x
 		}
 		n[g]++

@@ -160,9 +160,7 @@ type joinLookup struct {
 
 // denseLookup is the lookup through build's dense index over its one
 // key column, or nil when the key is not one int64 column on both
-// sides or its build values are not dense. An int key probed with a
-// float (or mixed) one stays hashed: value.Equal's INT/FLOAT identity
-// needs the hash.
+// sides or its build values are not dense.
 func denseLookup(probe, build *batch.Rel, pi, bi []int) (*joinLookup, bool) {
 	if len(bi) != 1 || probe.Col(pi[0]).Phys != batch.PhysInt || build.Col(bi[0]).Phys != batch.PhysInt {
 		return nil, false

@@ -11,6 +11,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/value"
 )
 
 // This file is the vectorized engine's plan walker — the engine the
@@ -232,7 +233,7 @@ func columnCompare(v *batch.Vec) func(i, j int32) int {
 		return func(i, j int32) int { return cmp.Compare(xs[i], xs[j]) }
 	case v.Nulls == nil && v.Phys == batch.PhysFloat:
 		xs := v.Floats
-		return func(i, j int32) int { return plan.CompareFloat(xs[i], xs[j]) }
+		return func(i, j int32) int { return value.CompareFloat(xs[i], xs[j]) }
 	case v.Nulls == nil && v.Phys == batch.PhysStr:
 		xs := v.Strs
 		return func(i, j int32) int { return strings.Compare(xs[i], xs[j]) }

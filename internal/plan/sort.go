@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -203,9 +202,8 @@ func SortIndex(n, limit int, compare func(i, j int32) int) []int32 {
 }
 
 // CompareForSort is SortRows's value comparator, a total preorder:
-// NULLs order after every non-NULL value ascending, numbers compare
-// by value with NaN after every other number (CompareFloat), and
-// incomparable kinds order by Key() for determinism.
+// NULLs order after every non-NULL value ascending, comparable values
+// by value.Compare, and incomparable kinds by Key() for determinism.
 func CompareForSort(a, b value.Value) int {
 	switch {
 	case a.IsNull() && b.IsNull():
@@ -215,22 +213,10 @@ func CompareForSort(a, b value.Value) int {
 	case b.IsNull():
 		return -1
 	}
-	if a.IsNumeric() && b.IsNumeric() && (a.Kind() == value.KindFloat || b.Kind() == value.KindFloat) {
-		return CompareFloat(a.Float(), b.Float())
-	}
 	if c, ok := value.Compare(a, b); ok {
 		return c
 	}
 	return strings.Compare(a.Key(), b.Key())
-}
-
-// CompareFloat is CompareForSort's order on floats: by value, −0 equal
-// to +0, and NaN after +Inf and equal to NaN.
-func CompareFloat(a, b float64) int {
-	if a != a || b != b {
-		return -cmp.Compare(a, b) // cmp.Compare puts NaN first
-	}
-	return cmp.Compare(a, b)
 }
 
 func (s *Sort) fingerprint() *fpVal {

@@ -40,9 +40,10 @@ func FromDatabase(db plan.Database) Catalog {
 // analyzeTable computes one table's exact statistics with one typed
 // pass over each column of its columnar image (batch.Of), counting
 // values by the identity classes value.Key draws: typed columns count
-// their payloads directly and only a mixed-kind column pays for a key
-// string per row. stats.analyze.tables on obs.Default() counts the
-// calls, so a table analyzed more than once shows.
+// their payloads directly (a FLOAT column its value.CanonicalFloat
+// bits) and only a mixed-kind column pays for a key string per row.
+// stats.analyze.tables on obs.Default() counts the calls, so a table
+// analyzed more than once shows.
 func analyzeTable(rel *relation.Relation) TableStats {
 	obs.Default().Counter("stats.analyze.tables").Inc()
 	img := batch.Of(rel)
@@ -63,7 +64,7 @@ func columnStats(v *batch.Vec, rows int) ColumnStats {
 		freq, nulls := classCounts(v, v.Ints, func(x int64) int64 { return x })
 		return summarize(rows, nulls, freq, func(x int64) string { return value.NewInt(x).Key() })
 	case batch.PhysFloat:
-		freq, nulls := classCounts(v, v.Floats, floatClass)
+		freq, nulls := classCounts(v, v.Floats, func(x float64) uint64 { return math.Float64bits(value.CanonicalFloat(x)) })
 		return summarize(rows, nulls, freq, func(c uint64) string { return value.NewFloat(math.Float64frombits(c)).Key() })
 	case batch.PhysStr:
 		freq, nulls := classCounts(v, v.Strs, func(x string) string { return x })
@@ -75,18 +76,6 @@ func columnStats(v *batch.Vec, rows int) ColumnStats {
 		freq, nulls := classCounts(v, v.Any, value.Value.Key)
 		return summarize(rows, nulls, freq, func(k string) string { return k })
 	}
-}
-
-// floatClass maps a float to its identity class under value.Key: −0
-// joins +0 and every NaN is one value; every other float is its bits.
-func floatClass(f float64) uint64 {
-	switch {
-	case f == 0:
-		return 0
-	case f != f:
-		return math.Float64bits(math.NaN())
-	}
-	return math.Float64bits(f)
 }
 
 // classCounts counts the non-NULL rows of a typed payload by class,

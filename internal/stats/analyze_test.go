@@ -226,7 +226,8 @@ func TestAnalyzeMatchesTupleWalk(t *testing.T) {
 		top      bool
 	}{
 		{"empty", 0, false}, {"one", 1, true}, {"mixed", 3, true}, {"intfloat", 1, true},
-		{"zeros", 1, true}, {"nan", 4, true}, {"top64", 64, true}, {"top65", 65, false},
+		{"zeros", 1, true}, {"nan", 4, true}, {"huge", 6, true}, {"mixhuge", 3, true},
+		{"top64", 64, true}, {"top65", 65, false},
 	} {
 		col := "c"
 		if c.table == "empty" || c.table == "one" {
@@ -239,6 +240,14 @@ func TestAnalyzeMatchesTupleWalk(t *testing.T) {
 	}
 	if got := cat["intfloat"].Columns["c"].TopValues; len(got) != 1 || got["i1"] != 0.75 {
 		t.Errorf("INT 1 beside FLOAT 1.0: MCV list %v, want one class i1 at 0.75", got)
+	}
+	// An integral FLOAT is the INT it converts to exactly, at any
+	// magnitude: INT and FLOAT 1e16 are one class.
+	if got := cat["mixhuge"].Columns["c"].TopValues[value.NewInt(1e16).Key()]; got != 0.5 {
+		t.Errorf("INT 1e16 beside FLOAT 1e16: listed at %v, want one class at 0.5", got)
+	}
+	if got := cat["huge"].Columns["c"].TopValues[value.NewInt(1e16).Key()]; got != 2.0/7 {
+		t.Errorf("FLOAT 1e16 twice: listed under INT 1e16's key at %v, want 2/7", got)
 	}
 	if got := cat["allnull"].Columns["a"]; got.Distinct != 0 || got.NullFrac != 1 || got.TopValues != nil {
 		t.Errorf("all-NULL column: %+v", got)

@@ -8,12 +8,18 @@
 // kinds compare by value (an INT compares with a FLOAT), and
 // cross-kind comparisons between non-numeric kinds are an error at
 // plan-build time, surfaced here as Unknown.
+//
+// The package owns the one value order (Compare) that every predicate,
+// join, grouping, hash and sort decides by; Equal, Key and Hash64 are
+// its equality classes.
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind enumerates the runtime type of a Value.
@@ -215,63 +221,65 @@ func (t Tristate) Not() Tristate {
 // Holds reports whether the tristate is True; Unknown filters out.
 func (t Tristate) Holds() bool { return t == True }
 
-// Compare orders two non-NULL values. It returns (-1|0|+1, true) when
-// the values are comparable and (0, false) otherwise (either side
-// NULL, or incompatible kinds). INT and FLOAT are mutually
-// comparable; STRING compares lexicographically; BOOL orders false <
+// Compare orders two values under the one value order every equality,
+// grouping, hashing and sorting decision uses. It returns (-1|0|+1,
+// true) when the values are comparable and (0, false) otherwise
+// (either side NULL, or incompatible kinds). Numbers compare by exact
+// value: −0 equals +0, NaN equals NaN and sorts above +Inf, and an INT
+// equals a FLOAT only when the float is integral and converts to that
+// int exactly. STRING compares lexicographically; BOOL orders false <
 // true.
 func Compare(a, b Value) (int, bool) {
-	if a.kind == KindNull || b.kind == KindNull {
+	switch {
+	case a.kind == KindNull || b.kind == KindNull:
 		return 0, false
-	}
-	if a.IsNumeric() && b.IsNumeric() {
-		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
-				return -1, true
-			case a.i > b.i:
-				return 1, true
-			}
-			return 0, true
-		}
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		}
-		return 0, true
-	}
-	if a.kind != b.kind {
+	case a.kind == KindInt && b.kind == KindInt:
+		return cmp.Compare(a.i, b.i), true
+	case a.kind == KindFloat && b.kind == KindFloat:
+		return CompareFloat(a.f, b.f), true
+	case a.kind == KindInt && b.kind == KindFloat:
+		return compareIntFloat(a.i, b.f), true
+	case a.kind == KindFloat && b.kind == KindInt:
+		return -compareIntFloat(b.i, a.f), true
+	case a.kind != b.kind:
 		return 0, false
-	}
-	switch a.kind {
-	case KindString:
-		switch {
-		case a.s < b.s:
-			return -1, true
-		case a.s > b.s:
-			return 1, true
-		}
-		return 0, true
-	case KindBool:
-		av, bv := 0, 0
-		if a.b {
-			av = 1
-		}
-		if b.b {
-			bv = 1
-		}
-		switch {
-		case av < bv:
-			return -1, true
-		case av > bv:
-			return 1, true
-		}
-		return 0, true
+	case a.kind == KindString:
+		return strings.Compare(a.s, b.s), true
+	case a.kind == KindBool:
+		return cmp.Compare(boolRank(a.b), boolRank(b.b)), true
 	}
 	return 0, false
+}
+
+// CompareFloat is Compare's order on two FLOATs: by value, −0 equal to
+// +0, NaN equal to NaN and above +Inf.
+func CompareFloat(a, b float64) int {
+	if a != a || b != b {
+		return -cmp.Compare(a, b) // cmp.Compare puts NaN first
+	}
+	return cmp.Compare(a, b)
+}
+
+// compareIntFloat is Compare's order on an INT against a FLOAT.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f || f >= 1<<63:
+		return -1
+	case f < -1<<63:
+		return 1
+	}
+	t := math.Trunc(f) // within int64's range, so int64(t) is exact
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f)
+}
+
+func boolRank(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // CmpOp is a comparison operator θ ∈ {=, ≠, <, ≤, >, ≥} as used in
@@ -325,6 +333,26 @@ func (op CmpOp) Flip() CmpOp {
 	}
 }
 
+// Accepts reports whether a θ b holds, given c, the three-way Compare
+// of a and b.
+func (op CmpOp) Accepts(c int) bool {
+	switch op {
+	case EQ:
+		return c == 0
+	case NE:
+		return c != 0
+	case LT:
+		return c < 0
+	case LE:
+		return c <= 0
+	case GT:
+		return c > 0
+	case GE:
+		return c >= 0
+	}
+	return false
+}
+
 // Apply evaluates a θ b under three-valued logic. Any NULL operand or
 // kind mismatch yields Unknown, which makes every predicate built on
 // Apply null in-tolerant in the paper's sense (footnote 2).
@@ -333,49 +361,19 @@ func Apply(op CmpOp, a, b Value) Tristate {
 	if !ok {
 		return Unknown
 	}
-	switch op {
-	case EQ:
-		return FromBool(c == 0)
-	case NE:
-		return FromBool(c != 0)
-	case LT:
-		return FromBool(c < 0)
-	case LE:
-		return FromBool(c <= 0)
-	case GT:
-		return FromBool(c > 0)
-	case GE:
-		return FromBool(c >= 0)
-	}
-	return Unknown
+	return FromBool(op.Accepts(c))
 }
 
-// Equal reports strict equality of two values, with NULL equal to
-// NULL. This is *identity* equality used for grouping, duplicate
-// elimination and set difference (where SQL treats NULLs as
-// identical), not the three-valued `=` predicate.
+// Equal reports identity equality: Compare gives 0, or both values are
+// NULL. It is the equality of grouping, duplicate elimination, set
+// difference and hash-bucket verification, where SQL treats NULLs as
+// identical — not the three-valued `=` predicate.
 func Equal(a, b Value) bool {
-	if a.kind != b.kind {
-		// INT/FLOAT with the same numeric value are still distinct
-		// identities only if their numeric values differ.
-		if a.IsNumeric() && b.IsNumeric() {
-			return a.Float() == b.Float()
-		}
-		return false
+	if a.kind == KindNull || b.kind == KindNull {
+		return a.kind == b.kind
 	}
-	switch a.kind {
-	case KindNull:
-		return true
-	case KindInt:
-		return a.i == b.i
-	case KindFloat:
-		return a.f == b.f
-	case KindString:
-		return a.s == b.s
-	case KindBool:
-		return a.b == b.b
-	}
-	return false
+	c, ok := Compare(a, b)
+	return ok && c == 0
 }
 
 // Per-kind hash seeds; arbitrary odd 64-bit constants. Numeric kinds
@@ -405,12 +403,9 @@ func mix64(x uint64) uint64 {
 }
 
 // Hash64 returns an allocation-free 64-bit hash consistent with Equal:
-// Equal(a, b) implies a.Hash64() == b.Hash64(). Numeric values hash
-// through their float64 image (with -0 collapsed onto +0) so that INT 3
-// and FLOAT 3.0 land in the same bucket, exactly as Equal merges them.
-// Distinct huge ints that share a float64 image therefore collide;
-// consumers must confirm bucket hits with Equal (collision
-// verification), never treat hash equality as identity.
+// Equal(a, b) implies a.Hash64() == b.Hash64(). Numbers hash through
+// their float64 image, so unequal ints beyond 2^53 may collide, and
+// consumers confirm bucket hits with Equal.
 func (v Value) Hash64() uint64 {
 	switch v.kind {
 	case KindNull:
@@ -428,10 +423,20 @@ func (v Value) Hash64() uint64 {
 }
 
 func hashFloat64(f float64) uint64 {
-	if f == 0 {
-		f = 0 // collapse -0 onto +0: Equal treats them as identical
+	return mix64(hashSeedNumeric ^ math.Float64bits(CanonicalFloat(f)))
+}
+
+// CanonicalFloat is the one float of f's class under CompareFloat: +0
+// for ±0, one NaN for every NaN payload, f itself otherwise. Floats
+// are Equal exactly when their canonical bits are equal.
+func CanonicalFloat(f float64) float64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return math.NaN()
 	}
-	return mix64(hashSeedNumeric ^ math.Float64bits(f))
+	return f
 }
 
 // HashInt64 is NewInt(v).Hash64() without constructing the Value: the
@@ -482,13 +487,10 @@ func (v Value) Key() string {
 	case KindInt:
 		return "i" + strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		f := v.f
-		if f >= -1e15 && f <= 1e15 && f == float64(int64(f)) {
-			// Keep INT and FLOAT with the same numeric value in the
-			// same group, matching Equal.
+		if f := v.f; f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 {
 			return "i" + strconv.FormatInt(int64(f), 10)
 		}
-		return "f" + strconv.FormatFloat(f, 'g', -1, 64)
+		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
 	case KindString:
 		return "s" + v.s
 	case KindBool:

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -260,5 +261,104 @@ func TestGoString(t *testing.T) {
 	}
 	if NewInt(3).GoString() != "3" {
 		t.Errorf("GoString = %q", NewInt(3).GoString())
+	}
+}
+
+// orderDomain holds the values at the edges of the value order: NULL,
+// NaN with two payloads, ±0, ±Inf, and 1, 1.5, 2^53, 2^53+1, MinInt64
+// and MaxInt64 as every kind that holds them (the float nearest
+// MaxInt64 is 2^63), a string and a bool.
+func orderDomain() []Value {
+	f, i := NewFloat, NewInt
+	return []Value{
+		Null,
+		f(math.NaN()), f(math.Float64frombits(0xfff8000000000001)),
+		f(negZero()), f(0), i(0),
+		f(math.Inf(1)), f(math.Inf(-1)),
+		i(1), f(1), f(1.5),
+		i(1 << 53), f(1 << 53), i(1<<53 + 1),
+		i(math.MinInt64), f(math.MinInt64), i(math.MaxInt64), f(math.MaxInt64),
+		NewString("a"), NewBool(true),
+	}
+}
+
+// TestValueOrderProperties: over orderDomain, Equal is an equivalence,
+// Key draws exactly its classes, Hash64 is constant on them, two floats
+// are Equal exactly when their CanonicalFloat bits are, and
+// Compare is a total preorder on each comparable kind (numbers,
+// strings, bools) whose ties are exactly Equal's.
+func TestValueOrderProperties(t *testing.T) {
+	dom := orderDomain()
+	for _, a := range dom {
+		if !Equal(a, a) {
+			t.Errorf("Equal(%v, %v) is false", a, a)
+		}
+		for _, b := range dom {
+			eq := Equal(a, b)
+			if eq != Equal(b, a) {
+				t.Errorf("Equal(%v, %v) = %v but not symmetric", a, b, eq)
+			}
+			if eq != (a.Key() == b.Key()) {
+				t.Errorf("Equal(%v, %v) = %v, keys %q and %q", a, b, eq, a.Key(), b.Key())
+			}
+			if eq && a.Hash64() != b.Hash64() {
+				t.Errorf("Equal(%v, %v) but hashes differ", a, b)
+			}
+			if a.Kind() == KindFloat && b.Kind() == KindFloat &&
+				eq != (math.Float64bits(CanonicalFloat(a.f)) == math.Float64bits(CanonicalFloat(b.f))) {
+				t.Errorf("Equal(%v, %v) = %v, but not on canonical bits", a, b, eq)
+			}
+			ab, ok := Compare(a, b)
+			comparable := !a.IsNull() && !b.IsNull() && (a.Kind() == b.Kind() || a.IsNumeric() && b.IsNumeric())
+			if ok != comparable {
+				t.Errorf("Compare(%v, %v) comparable = %v, want %v", a, b, ok, comparable)
+			}
+			if !ok {
+				if eq && !a.IsNull() {
+					t.Errorf("Equal(%v, %v) on incomparable values", a, b)
+				}
+				continue
+			}
+			if eq != (ab == 0) {
+				t.Errorf("Compare(%v, %v) = %d but Equal = %v", a, b, ab, eq)
+			}
+			if ba, _ := Compare(b, a); ba != -ab {
+				t.Errorf("Compare(%v, %v) = %d, Compare(%v, %v) = %d", a, b, ab, b, a, ba)
+			}
+			for _, c := range dom {
+				bc, ok := Compare(b, c)
+				if !ok {
+					continue
+				}
+				if eq && Equal(b, c) && !Equal(a, c) {
+					t.Errorf("Equal not transitive over %v, %v, %v", a, b, c)
+				}
+				if ac, _ := Compare(a, c); ab <= 0 && bc <= 0 && ac > 0 {
+					t.Errorf("Compare not transitive: %v ≤ %v ≤ %v but %v > %v", a, b, c, a, c)
+				}
+			}
+		}
+	}
+}
+
+// TestValueOrderPins: NaN sorts above +Inf, and INT/FLOAT compare by
+// exact value where the float64 image of the int would tie.
+func TestValueOrderPins(t *testing.T) {
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{NewFloat(math.NaN()), NewFloat(math.Inf(1)), 1},
+		{NewFloat(math.NaN()), NewInt(math.MaxInt64), 1},
+		{NewInt(1<<53 + 1), NewFloat(1 << 53), 1},
+		{NewInt(math.MaxInt64), NewFloat(math.MaxInt64), -1},
+		{NewInt(math.MinInt64), NewFloat(math.MinInt64), 0},
+		{NewInt(1), NewFloat(1.5), -1},
+		{NewInt(-1), NewFloat(-1.5), 1},
+		{NewInt(0), NewFloat(negZero()), 0},
+	} {
+		if got, ok := Compare(c.a, c.b); !ok || got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d", c.a, c.b, got, ok, c.want)
+		}
 	}
 }
