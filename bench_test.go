@@ -5,9 +5,12 @@
 package reorder
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/core"
@@ -419,5 +422,43 @@ func BenchmarkServiceOrderBy(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkHandlerHit serves the hit_point templates through Handler()
+// on their 50-row chains, round-robin over the five shapes with the
+// literal swept over 4..15: every request is a cache hit that binds,
+// executes and encodes — the in-process figure of the hit_point
+// workload's serving path.
+func BenchmarkHandlerHit(b *testing.B) {
+	svc, err := NewService(ServiceConfig{DB: shapeMemoDB()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := svc.Handler()
+	var bodies [][]byte
+	for _, sh := range hitPointShapes {
+		for lit := 4; lit <= 15; lit++ {
+			body, err := json.Marshal(Request{SQL: fmt.Sprintf(sh.text, lit)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	serve := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/query", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for _, body := range bodies {
+		serve(body) // plans each template, builds the images and indexes
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(bodies[i%len(bodies)])
 	}
 }

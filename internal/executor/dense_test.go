@@ -153,8 +153,9 @@ func TestDenseGroupByMatchesHashed(t *testing.T) {
 			if !slices.Equal(dg, hg) || !slices.Equal(df, hf) {
 				t.Fatalf("%s: group ids differ\n dense  %v %v\n hashed %v %v", name, dg, df, hg, hf)
 			}
-			out, err := e.vecGroupBy([]schema.Attribute{in.Schema.At(0)},
-				[]algebra.Aggregate{{Func: algebra.CountStar, Out: schema.Attr("q", "n")}}, in)
+			gb := plan.NewGroupBy([]schema.Attribute{in.Schema.At(0)},
+				[]algebra.Aggregate{{Func: algebra.CountStar, Out: schema.Attr("q", "n")}}, nil)
+			out, err := e.vecGroupBy(groupShape(gb, in.Schema), gb.Aggs, in)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -159,18 +159,22 @@ func BenchmarkExecNonEqui(b *testing.B) {
 // went from 26.7 MB to 9.0 MB together). Planned with their constants
 // visible, as a cache miss plans them, and run through Exec with every
 // result column read (no row-major boxing), they take
-// 45.2/63.2/20.2/17.7/18.4 KB in 206/104/85/70/82 allocations; the
-// ceilings, lowered from 60000/230000/30500/30500/26000 B and
-// 275/150/133/105/128 allocations, leave ~30% headroom over those, so
+// 45.2/63.2/20.2/17.7/18.4 KB in 206/104/85/70/82 allocations. With
+// each node's output schema, key split and column positions derived on
+// its first execution and read afterwards (plan/shape.go) they take
+// 38.2/59.0/16.1/14.2/14.2 KB in 171/73/55/47/52 allocations; the
+// ceilings, lowered from 58800/82200/26200/23000/23900 B and
+// 268/135/111/91/107 allocations, leave ~30% headroom over those, so
 // a structural regression — a build side re-hashed per request, every
-// column gathered through every join — trips them.
+// column gathered through every join, a schema built per execution —
+// trips them.
 func TestExecServingAllocCeiling(t *testing.T) {
 	ceilings := map[string]struct{ bytes, allocs float64 }{
-		"supplier":       {58800, 268},
-		"skew_groupby":   {82200, 135},
-		"loj3_groupby":   {26200, 111},
-		"mix3_wide":      {23000, 91},
-		"inner3_groupby": {23900, 107},
+		"supplier":       {49700, 222},
+		"skew_groupby":   {76700, 95},
+		"loj3_groupby":   {20900, 72},
+		"mix3_wide":      {18500, 61},
+		"inner3_groupby": {18500, 68},
 	}
 	db := servingDB()
 	for _, sh := range servingShapes {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/expr"
 	"repro/internal/guard"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -247,24 +248,18 @@ func (e *vecEngine) colColKernel(op value.CmpOp, a, b *batch.Vec) func([]int32) 
 	}
 }
 
-// vecProject projects to attrs. The non-distinct case is zero-copy:
-// the output relation shares the input's column vectors and pending
-// views. DISTINCT dedupes on the projected columns' key hashes (NULL
-// identical to NULL, like relation.Project's tuple set) keeping first
-// occurrences in input order.
-func (e *vecEngine) vecProject(attrs []schema.Attribute, distinct bool, in *batch.Rel) (*batch.Rel, error) {
-	idx := make([]int, len(attrs))
-	for i, a := range attrs {
-		idx[i] = in.Schema.IndexOf(a)
-		if idx[i] < 0 {
-			panic(fmt.Sprintf("executor: project on missing attribute %s", a))
-		}
-	}
-	proj := in.Project(schema.New(attrs...), idx)
+// vecProject projects to sh.Out, the columns at sh.Cols (projectShape).
+// The non-distinct case is zero-copy: the output relation shares the
+// input's column vectors and pending views. DISTINCT dedupes on the
+// projected columns' key hashes (NULL identical to NULL, like
+// relation.Project's tuple set) keeping first occurrences in input
+// order.
+func (e *vecEngine) vecProject(sh *plan.Shape, distinct bool, in *batch.Rel) (*batch.Rel, error) {
+	proj := in.Project(sh.Out, sh.Cols)
 	if !distinct {
 		return proj, nil
 	}
-	all := make([]int, len(attrs))
+	all := make([]int, len(sh.Cols))
 	for i := range all {
 		all[i] = i
 	}
@@ -293,6 +288,42 @@ func (e *vecEngine) vecProject(attrs []schema.Attribute, distinct bool, in *batc
 	return proj.Select(sel), nil
 }
 
+// projectShape is projection m's shape over input schema in: the one m
+// holds when it was derived from in, else derived here and offered to
+// m.
+func projectShape(m *plan.Project, in *schema.Schema) *plan.Shape {
+	if sh := plan.CachedShape(m, in, nil); sh != nil {
+		return sh
+	}
+	return plan.OfferShape(m, &plan.Shape{In: [2]*schema.Schema{in}, Out: schema.New(m.Attrs...), Cols: positions(in, m.Attrs)})
+}
+
+// groupShape is grouping m's shape over input schema in, as
+// projectShape: its keys then its aggregates' outputs as the output
+// schema, the keys' input positions as Cols.
+func groupShape(m *plan.GroupBy, in *schema.Schema) *plan.Shape {
+	if sh := plan.CachedShape(m, in, nil); sh != nil {
+		return sh
+	}
+	out := append([]schema.Attribute(nil), m.Keys...)
+	for _, a := range m.Aggs {
+		out = append(out, a.Out)
+	}
+	return plan.OfferShape(m, &plan.Shape{In: [2]*schema.Schema{in}, Out: schema.New(out...), Cols: positions(in, m.Keys)})
+}
+
+// positions is the position of each of attrs in s; a missing attribute
+// is a plan the validator should have refused.
+func positions(s *schema.Schema, attrs []schema.Attribute) []int {
+	idx := make([]int, len(attrs))
+	for i, a := range attrs {
+		if idx[i] = s.IndexOf(a); idx[i] < 0 {
+			panic(fmt.Sprintf("executor: attribute %s not in %s", a, s))
+		}
+	}
+	return idx
+}
+
 // checkBatch fires the per-batch guard protocol every e.batch rows of
 // a row-indexed kernel loop.
 func (e *vecEngine) checkBatch(i int) error {
@@ -316,20 +347,10 @@ func (e *vecEngine) checkBatch(i int) error {
 // algebra.AggState, so results are bit-identical to the tuple engine
 // (float sums fold in input order in both passes). The output is
 // columnar from the start: each key column is one gather of the
-// groups' first rows, each aggregate a column of its own.
-func (e *vecEngine) vecGroupBy(keys []schema.Attribute, aggs []algebra.Aggregate, in *batch.Rel) (*batch.Rel, error) {
-	keyIdx := make([]int, len(keys))
-	for i, a := range keys {
-		keyIdx[i] = in.Schema.IndexOf(a)
-		if keyIdx[i] < 0 {
-			panic(fmt.Sprintf("executor: group-by attribute %s not in %s", a, in.Schema))
-		}
-	}
-	outAttrs := append([]schema.Attribute(nil), keys...)
-	for _, a := range aggs {
-		outAttrs = append(outAttrs, a.Out)
-	}
-	outSchema := schema.New(outAttrs...)
+// groups' first rows, each aggregate a column of its own. The output
+// schema and the key columns' positions come from sh (groupShape).
+func (e *vecEngine) vecGroupBy(sh *plan.Shape, aggs []algebra.Aggregate, in *batch.Rel) (*batch.Rel, error) {
+	keyIdx, outSchema := sh.Cols, sh.Out
 
 	// Pass 1: dense group ids, first-seen order.
 	groupOf, firstRow, err := e.groupIDs(in, keyIdx)
@@ -342,7 +363,7 @@ func (e *vecEngine) vecGroupBy(keys []schema.Attribute, aggs []algebra.Aggregate
 	// produces a single row of "empty" aggregates.
 	if ngroups == 0 {
 		out := relation.New(outSchema)
-		if len(keys) == 0 && len(aggs) > 0 {
+		if len(keyIdx) == 0 && len(aggs) > 0 {
 			row := make(relation.Tuple, 0, len(aggs))
 			for _, a := range aggs {
 				row = append(row, algebra.NewAggState(a.Func).Result(a.Func, a.NullIfEmpty))
@@ -353,7 +374,7 @@ func (e *vecEngine) vecGroupBy(keys []schema.Attribute, aggs []algebra.Aggregate
 	}
 
 	// Pass 2: one accumulation loop per aggregate.
-	cols := make([]batch.Vec, 0, len(keys)+len(aggs))
+	cols := make([]batch.Vec, 0, len(keyIdx)+len(aggs))
 	for _, c := range keyIdx {
 		cols = append(cols, in.Col(c).Gather(firstRow))
 	}

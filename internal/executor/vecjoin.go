@@ -23,11 +23,10 @@ import (
 // nested loop (crossLookup). A build side that cannot fit the byte
 // budget's headroom is joined partition by partition (partitionJoin)
 // when Adapt.Spill allows it, and trips the budget with the typed
-// guard.ErrBudget otherwise.
-func (e *vecEngine) vecJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel, st *joinProbe) (*batch.Rel, error) {
-	ls, rs := l.Schema, r.Schema
-	outSchema := ls.Concat(rs)
-	li, ri, residual := splitEqui(pred, ls, rs)
+// guard.ErrBudget otherwise. The output schema and the key split come
+// from sh, the join node's shape over l's and r's schemas (joinShape).
+func (e *vecEngine) vecJoin(kind plan.JoinKind, sh *plan.Shape, l, r *batch.Rel, st *joinProbe) (*batch.Rel, error) {
+	outSchema, li, ri, residual := sh.Out, sh.LI, sh.RI, sh.Residual
 	if len(li) == 0 {
 		// Every build row is a candidate and the whole predicate is the
 		// residual. The loop holds no table, so it reserves nothing and
@@ -38,7 +37,7 @@ func (e *vecEngine) vecJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel,
 		if st != nil {
 			st.NestedLoop = true
 		}
-		lsel, rsel, err := e.probeJoin(kind, pred, outSchema, l, r, crossLookup(r.N), false, st)
+		lsel, rsel, err := e.probeJoin(kind, residual, outSchema, l, r, crossLookup(r.N), false, st)
 		if err != nil {
 			return nil, err
 		}
@@ -90,6 +89,18 @@ func (e *vecEngine) vecJoin(kind plan.JoinKind, pred expr.Pred, l, r *batch.Rel,
 		return nil, err
 	}
 	return batch.Gather2(outSchema, l, lsel, r, rsel), nil
+}
+
+// joinShape is the shape of join node n (a Join or MGOJ) with
+// predicate pred over input schemas ls and rs: the one n holds when it
+// was derived from these very schemas, else derived here and offered to
+// n.
+func joinShape(n plan.Node, pred expr.Pred, ls, rs *schema.Schema) *plan.Shape {
+	if sh := plan.CachedShape(n, ls, rs); sh != nil {
+		return sh
+	}
+	li, ri, residual := splitEqui(pred, ls, rs)
+	return plan.OfferShape(n, &plan.Shape{In: [2]*schema.Schema{ls, rs}, Out: ls.Concat(rs), LI: li, RI: ri, Residual: residual})
 }
 
 // selSlack is both the free room below which hashJoin re-sizes its

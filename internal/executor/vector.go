@@ -126,14 +126,14 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 		if err != nil {
 			return nil, false, err
 		}
-		out, err := e.vecProject(m.Attrs, m.Distinct, in)
+		out, err := e.vecProject(projectShape(m, in.Schema), m.Distinct, in)
 		return out, false, err
 	case *plan.GroupBy:
 		in, err := e.exec(m.Input)
 		if err != nil {
 			return nil, false, err
 		}
-		out, err := e.vecGroupBy(m.Keys, m.Aggs, in)
+		out, err := e.vecGroupBy(groupShape(m, in.Schema), m.Aggs, in)
 		return out, false, err
 	case *plan.Join:
 		l, err := e.exec(m.L)
@@ -144,7 +144,7 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 		if err != nil {
 			return nil, false, err
 		}
-		out, err := e.vecJoin(m.Kind, m.Pred, l, r, st)
+		out, err := e.vecJoin(m.Kind, joinShape(m, m.Pred, l.Schema, r.Schema), l, r, st)
 		return out, true, err
 	case *plan.MGOJNode:
 		// The inner join runs vectorized; the preserved-projection
@@ -160,7 +160,7 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 		if err != nil {
 			return nil, false, err
 		}
-		join, err := e.vecJoin(plan.InnerJoin, m.Pred, l, r, st)
+		join, err := e.vecJoin(plan.InnerJoin, joinShape(m, m.Pred, l.Schema, r.Schema), l, r, st)
 		if err != nil {
 			return nil, false, err
 		}

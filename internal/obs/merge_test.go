@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -56,5 +58,56 @@ func TestMergePreservesBucketQuantiles(t *testing.T) {
 	}
 	if h.P99 != 1 {
 		t.Fatalf("p99 = %d, want 1 (99 of 100 observations are 1)", h.P99)
+	}
+}
+
+// TestMergeBothWays merges two registries into each other at once while
+// a third goroutine keeps creating metrics on both (so writers queue on
+// both locks): Merge never holds two registries' locks, so this ends,
+// and each side ends up with the counter it started with plus what the
+// other held at some point.
+func TestMergeBothWays(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Counter("a").Add(1)
+	b.Counter("b").Add(1)
+	var wg sync.WaitGroup
+	for _, pair := range [][2]*Registry{{a, b}, {b, a}} {
+		wg.Add(1)
+		go func(dst, src *Registry) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				dst.Merge(src)
+			}
+		}(pair[0], pair[1])
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			a.Counter(fmt.Sprint("new.a", i)).Inc()
+			b.Histogram(fmt.Sprint("new.b", i)).Observe(1)
+		}
+	}()
+	wg.Wait()
+	if a.Counter("b").Value() == 0 || b.Counter("a").Value() == 0 {
+		t.Fatalf("after merging both ways: a has b=%d, b has a=%d", a.Counter("b").Value(), b.Counter("a").Value())
+	}
+}
+
+func TestCountersWithPrefix(t *testing.T) {
+	r := NewRegistry()
+	if got := r.CountersWithPrefix("memo."); got != nil {
+		t.Fatalf("empty registry: %v, want nil", got)
+	}
+	r.Counter("memo.waves").Add(3)
+	r.Counter("guard.trips").Add(1)
+	r.Counter("executor.ops").Add(9)
+	r.Histogram("memo.ns").Observe(5)
+	got := r.CountersWithPrefix("memo.", "guard.")
+	if len(got) != 2 || got["memo.waves"] != 3 || got["guard.trips"] != 1 {
+		t.Fatalf("CountersWithPrefix = %v, want memo.waves=3 guard.trips=1", got)
+	}
+	if got := r.CountersWithPrefix("optimizer."); got != nil {
+		t.Fatalf("no match: %v, want nil", got)
 	}
 }

@@ -330,29 +330,65 @@ func (r *Registry) Merge(src *Registry) {
 	if r == nil {
 		r = defaultRegistry
 	}
+	// One pass over src under its read lock lists the metrics; they
+	// fold into r after the lock is released. No goroutine ever holds
+	// two registries' locks, so merging A into B while B merges into A
+	// cannot deadlock.
 	src.mu.RLock()
-	counters := make(map[string]*Counter, len(src.counters))
+	items := make([]mergeItem, 0, len(src.counters)+len(src.gauges)+len(src.histograms))
 	for name, c := range src.counters {
-		counters[name] = c
+		items = append(items, mergeItem{name: name, c: c})
 	}
-	gauges := make(map[string]*Gauge, len(src.gauges))
 	for name, g := range src.gauges {
-		gauges[name] = g
+		items = append(items, mergeItem{name: name, g: g})
 	}
-	histograms := make(map[string]*Histogram, len(src.histograms))
 	for name, h := range src.histograms {
-		histograms[name] = h
+		items = append(items, mergeItem{name: name, h: h})
 	}
 	src.mu.RUnlock()
-	for name, c := range counters {
-		r.Counter(name).Add(c.Value())
+	for _, it := range items {
+		switch {
+		case it.c != nil:
+			r.Counter(it.name).Add(it.c.Value())
+		case it.g != nil:
+			r.Gauge(it.name).Set(it.g.Value())
+		default:
+			r.Histogram(it.name).merge(it.h)
+		}
 	}
-	for name, g := range gauges {
-		r.Gauge(name).Set(g.Value())
+}
+
+// mergeItem is one named metric of a registry being merged; exactly
+// one of c, g and h is set.
+type mergeItem struct {
+	name string
+	c    *Counter
+	g    *Gauge
+	h    *Histogram
+}
+
+// CountersWithPrefix returns the current value of every counter whose
+// name starts with one of prefixes, or nil when none does: a read of
+// the counters without Snapshot's copies of every gauge and histogram.
+func (r *Registry) CountersWithPrefix(prefixes ...string) map[string]int64 {
+	if r == nil {
+		r = defaultRegistry
 	}
-	for name, h := range histograms {
-		r.Histogram(name).merge(h)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var out map[string]int64
+	for name, c := range r.counters {
+		for _, p := range prefixes {
+			if strings.HasPrefix(name, p) {
+				if out == nil {
+					out = make(map[string]int64)
+				}
+				out[name] = c.Value()
+				break
+			}
+		}
 	}
+	return out
 }
 
 // Reset drops every metric; meant for tests and between CLI runs.

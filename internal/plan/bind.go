@@ -14,7 +14,11 @@ import (
 // template and each request rebinds its own constants into the cached
 // winner. Only the spine above a changed predicate is rebuilt —
 // untouched subtrees (and their cached fingerprints) are shared with
-// the template.
+// the template. A rebuilt node shares its template node's shape cell
+// (shape.go): binding changes no schema, so the output schemas, key
+// splits and column names derived for the template hold for every
+// binding — except for a join whose own predicate changed, whose
+// residual holds this request's constants.
 //
 // A slot index outside 1..len(params) is an error: executing a plan
 // with an unbound parameter would silently compare against NULL.
@@ -66,21 +70,29 @@ func bindNode(n Node, leaf func(expr.Scalar) expr.Scalar) (Node, bool) {
 		if !pc && !lc && !rc {
 			return x, false
 		}
-		return NewJoin(x.Kind, p, l, r), true
+		out := NewJoin(x.Kind, p, l, r)
+		if !pc {
+			out.shareShape(&x.fpCache)
+		}
+		return out, true
 	case *Select:
 		p, pc := expr.RewritePred(x.Pred, leaf)
 		in, ic := bindNode(x.Input, leaf)
 		if !pc && !ic {
 			return x, false
 		}
-		return NewSelect(p, in), true
+		out := NewSelect(p, in)
+		out.shareShape(&x.fpCache)
+		return out, true
 	case *GenSel:
 		p, pc := expr.RewritePred(x.Pred, leaf)
 		in, ic := bindNode(x.Input, leaf)
 		if !pc && !ic {
 			return x, false
 		}
-		return &GenSel{Pred: p, Preserved: x.Preserved, Input: in}, true
+		out := &GenSel{Pred: p, Preserved: x.Preserved, Input: in}
+		out.shareShape(&x.fpCache)
+		return out, true
 	case *MGOJNode:
 		p, pc := expr.RewritePred(x.Pred, leaf)
 		l, lc := bindNode(x.L, leaf)
@@ -88,26 +100,36 @@ func bindNode(n Node, leaf func(expr.Scalar) expr.Scalar) (Node, bool) {
 		if !pc && !lc && !rc {
 			return x, false
 		}
-		return &MGOJNode{Pred: p, Preserved: x.Preserved, L: l, R: r}, true
+		out := &MGOJNode{Pred: p, Preserved: x.Preserved, L: l, R: r}
+		if !pc {
+			out.shareShape(&x.fpCache)
+		}
+		return out, true
 	case *GroupBy:
 		aggs, ac := bindAggs(x.Aggs, leaf)
 		in, ic := bindNode(x.Input, leaf)
 		if !ac && !ic {
 			return x, false
 		}
-		return NewGroupBy(x.Keys, aggs, in), true
+		out := NewGroupBy(x.Keys, aggs, in)
+		out.shareShape(&x.fpCache)
+		return out, true
 	case *Project:
 		in, ic := bindNode(x.Input, leaf)
 		if !ic {
 			return x, false
 		}
-		return NewProject(x.Attrs, x.Distinct, in), true
+		out := NewProject(x.Attrs, x.Distinct, in)
+		out.shareShape(&x.fpCache)
+		return out, true
 	case *Sort:
 		in, ic := bindNode(x.Input, leaf)
 		if !ic {
 			return x, false
 		}
-		return NewSortOrigin(x.Keys, x.Limit, in, x.Origin), true
+		out := NewSortOrigin(x.Keys, x.Limit, in, x.Origin)
+		out.shareShape(&x.fpCache)
+		return out, true
 	default:
 		// Unknown node kinds pass through children generically.
 		ch := n.Children()

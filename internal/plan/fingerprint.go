@@ -31,10 +31,13 @@ type fpVal struct {
 // CompareAndSwap stores the same value the losers computed.
 //
 // The same slot carries the node's relation set (see relset.go), the
-// other per-node fact the enumerator asks for over and over.
+// other per-node fact the enumerator asks for over and over, and the
+// node's execution shape (see shape.go), the per-node facts the
+// executor derives from its input schemas.
 type fpCache struct {
-	v    atomic.Pointer[fpVal]
-	rels atomic.Pointer[relsVal]
+	v     atomic.Pointer[fpVal]
+	rels  atomic.Pointer[relsVal]
+	shape shapeRef
 }
 
 // val returns the cached fingerprint, building it with build on first

@@ -114,7 +114,7 @@ func (s *Scan) Schema(db Database) (*schema.Schema, error) {
 	if s.As == "" || s.As == s.Rel {
 		return r.Schema(), nil
 	}
-	return renameSchema(r.Schema(), s.Rel, s.As), nil
+	return s.renamed(r.Schema()), nil
 }
 
 // Eval implements Node.
@@ -126,7 +126,7 @@ func (s *Scan) Eval(db Database) (*relation.Relation, error) {
 	if s.As == "" || s.As == s.Rel {
 		return r, nil
 	}
-	renamed := relation.New(renameSchema(r.Schema(), s.Rel, s.As))
+	renamed := relation.New(s.renamed(r.Schema()))
 	renamed.AppendAll(r.Tuples())
 	return renamed, nil
 }

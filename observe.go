@@ -9,7 +9,6 @@ package reorder
 
 import (
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/guard"
@@ -69,16 +68,5 @@ func flightCounters(reg *obs.Registry) map[string]int64 {
 	if reg == nil {
 		return nil
 	}
-	snap := reg.Snapshot()
-	var out map[string]int64
-	for name, v := range snap.Counters {
-		if strings.HasPrefix(name, "memo.") || strings.HasPrefix(name, "guard.") ||
-			strings.HasPrefix(name, "optimizer.") || strings.HasPrefix(name, "feedback.") {
-			if out == nil {
-				out = make(map[string]int64)
-			}
-			out[name] = v
-		}
-	}
-	return out
+	return reg.CountersWithPrefix("memo.", "guard.", "optimizer.", "feedback.")
 }

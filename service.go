@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -365,6 +366,9 @@ func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 	}
 	resp.Rows = boxRows(resp.rel)
 	resp.rel = nil
+	// The column names are shared with the plan (plan.Columns); the
+	// caller gets a copy it may write to.
+	resp.Columns = slices.Clone(resp.Columns)
 	return resp, nil
 }
 
@@ -550,11 +554,7 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 			return nil, planKey, hash, classify(err, false)
 		}
 	}
-	attrs := rel.Schema.Attrs()
-	resp.Columns = make([]string, len(attrs))
-	for i, a := range attrs {
-		resp.Columns[i] = a.String()
-	}
+	resp.Columns = plan.Columns(bound, rel.Schema)
 	return resp, planKey, hash, nil
 }
 

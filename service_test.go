@@ -425,6 +425,50 @@ func TestServiceConcurrent(t *testing.T) {
 	}
 }
 
+// TestServiceShapeCacheConcurrent starts 8 goroutines at once on one
+// cold hit_point template, under -race: the first executions fill the
+// template's shape cells concurrently (plan/shape.go) and every request
+// still gets the columns and rows that a plan optimized for it alone
+// (a bypass request, whose nodes share no cell) returns.
+func TestServiceShapeCacheConcurrent(t *testing.T) {
+	ref := newTestService(t, ServiceConfig{DB: shapeMemoDB()})
+	svc := newTestService(t, ServiceConfig{DB: shapeMemoDB(), MaxConcurrent: 8, MaxQueue: 64})
+	ctx := context.Background()
+	text := hitPointShapes[1].text // loj5_complex: four joins, one with a residual
+	want := map[int]served{}
+	for lit := 4; lit <= 15; lit++ {
+		resp, err := ref.Query(ctx, Request{SQL: fmt.Sprintf(text, lit), Cache: "bypass"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[lit] = servedOf(&Response{}, resp.Columns, resp.Rows, nil)
+	}
+	const goroutines = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for r := 0; r < 12; r++ {
+				lit := 4 + (g+r)%12
+				resp, err := svc.Query(ctx, Request{SQL: fmt.Sprintf(text, lit)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := servedOf(&Response{}, resp.Columns, resp.Rows, nil); got != want[lit] {
+					t.Errorf("literal %d: got %+v, want %+v", lit, got, want[lit])
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+}
+
 // TestServiceBypass: cache bypass optimizes from scratch and leaves
 // the cache untouched.
 func TestServiceBypass(t *testing.T) {
