@@ -64,7 +64,6 @@ type options struct {
 	maxBytes      int64
 	metricsAddr   string
 	metricsLinger time.Duration
-	slowQuery     time.Duration
 
 	// obs is the run's observer, non-nil when -metrics-addr is set;
 	// analyze folds its run into it.
@@ -125,7 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&o.maxBytes, "max-bytes", 0, "cap on modeled intermediate bytes during execution (0 = unlimited); under EXPLAIN ANALYZE (-stats, -statsjson, -metrics-addr) a join whose build side does not fit is partitioned in memory; under -rows tripping it exits 3")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics (Prometheus text) and /debug/queries (flight JSON) on this address during the run; implies an instrumented run")
 	fs.DurationVar(&o.metricsLinger, "metrics-linger", 0, "keep the metrics server up this long after the run finishes (0 = close immediately)")
-	fs.DurationVar(&o.slowQuery, "slow-query", 100*time.Millisecond, "flight-recorder slow-query threshold (0 disables slow stamping)")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: reorder -query <sql> | -demo <supplier|q4|query2> [flags]")
 		fs.PrintDefaults()
@@ -136,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if o.metricsAddr != "" {
 		o.obs = reorder.NewObserver(0)
-		o.obs.Flight.SetSlowThreshold(o.slowQuery)
 		srv, err := serveObs(o.metricsAddr, o.obs)
 		if err != nil {
 			fmt.Fprintln(stderr, err)

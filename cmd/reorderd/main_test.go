@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -135,5 +136,26 @@ func TestUsageErrors(t *testing.T) {
 	// -workers went: the service explores its memos serially.
 	if code := run([]string{"-data", missing, "-workers", "2"}, &out, &errBuf, nil); code != exitUsage {
 		t.Fatalf("-workers: exit %d, want %d", code, exitUsage)
+	}
+}
+
+// TestFlagSurface pins the flag names `reorderd -h` prints, in the
+// order it prints them, so that a new flag — or one left behind by the
+// code it configured — is a change to this list, made on purpose.
+func TestFlagSurface(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errBuf, nil); code != exitUsage {
+		t.Fatalf("-h: exit %d, want %d", code, exitUsage)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(errBuf.String(), -1) {
+		got = append(got, m[1])
+	}
+	want := []string{
+		"addr", "cache-bytes", "concurrency", "data", "demo", "drain", "feedback", "flight",
+		"max-bytes", "max-rows", "queue", "replan-after", "replan-qerror", "timeout",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("flags %v,\nwant %v", got, want)
 	}
 }

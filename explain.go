@@ -142,8 +142,7 @@ func explainAnalyze(q Node, db Database, b *guard.Budget, reg *obs.Registry, rec
 		}
 		a.EstRows = res.Estimates[n].Rows
 		op := executor.OpName(n)
-		qe := flight.QError(a.EstRows, a.Rows)
-		qerr.With(op).Observe(int64(qe*1000 + 0.5))
+		qe := observeQError(qerr, op, a.EstRows, a.Rows)
 		rec.Ops = append(rec.Ops, flight.OpStat{
 			Op:      op,
 			Key:     plan.Key(n),

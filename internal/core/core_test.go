@@ -317,65 +317,3 @@ func TestSplitOptionsEdgeCases(t *testing.T) {
 		t.Errorf("simple 2-conjunct edge offers %d splits, want 2", len(got))
 	}
 }
-
-// TestSaturateTraceReplays is the provenance soundness check: from
-// any admitted plan, walking the trace's parent links terminates at
-// the root within closure-size steps (no cycles, no dangling
-// parents), and replaying each recorded rule against its parent
-// actually reproduces the child's fingerprint — so every derivation
-// the optimizer reports is a chain of real rule firings.
-func TestSaturateTraceReplays(t *testing.T) {
-	q := query2()
-	plans, trace := SaturateTraced(q, SaturateOptions{})
-	rootKey := plan.Key(q)
-	byKey := make(map[string]plan.Node, len(plans))
-	for _, p := range plans {
-		byKey[plan.Key(p)] = p
-	}
-	byName := make(map[string]Rule)
-	for _, r := range DefaultRules() {
-		byName[r.Name] = r
-	}
-	type step struct {
-		child string
-		d     Derivation
-	}
-	for _, p := range plans {
-		key := plan.Key(p)
-		var chain []step
-		for key != rootKey {
-			d, ok := trace[key]
-			if !ok {
-				t.Fatalf("plan %s is not the root but has no derivation", key)
-			}
-			chain = append(chain, step{child: key, d: d})
-			key = d.Parent
-			if len(chain) > len(plans) {
-				t.Fatalf("derivation walk from %s exceeds the closure size: cycle in the trace", plan.Key(p))
-			}
-		}
-		// Replay oldest-first: each recorded rule, applied at every
-		// position of the recorded parent, must reach the child.
-		for i := len(chain) - 1; i >= 0; i-- {
-			st := chain[i]
-			parent, ok := byKey[st.d.Parent]
-			if !ok {
-				t.Fatalf("derivation parent %s was never admitted", st.d.Parent)
-			}
-			r, ok := byName[st.d.Rule]
-			if !ok {
-				t.Fatalf("derivation names unknown rule %q", st.d.Rule)
-			}
-			found := false
-			for _, alt := range appendAlternatives(nil, parent, []Rule{r}) {
-				if plan.Key(alt.plan) == st.child {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("rule %q on %s does not reproduce %s", st.d.Rule, st.d.Parent, st.child)
-			}
-		}
-	}
-}

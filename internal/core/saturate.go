@@ -14,14 +14,6 @@ type SaturateOptions struct {
 	MaxPlans int
 }
 
-// Derivation records how a plan entered the closure: the canonical
-// string of its parent plan and the rule that produced it. The root
-// has no derivation.
-type Derivation struct {
-	Parent string
-	Rule   string
-}
-
 // Saturate computes the closure of root under the rule set: the set
 // of equivalent plans reachable by applying rules at any subtree
 // position, deduplicated by canonical plan fingerprint. The input
@@ -29,29 +21,12 @@ type Derivation struct {
 // (Section 4) realised as a transformation-based optimizer: every
 // rule is an identity, so every returned plan evaluates to the same
 // relation as root.
-func Saturate(root plan.Node, opts SaturateOptions) []plan.Node {
-	return saturate(root, opts, nil)
-}
-
-// SaturateTraced is Saturate plus a derivation map (keyed by plan
-// fingerprint, i.e. the canonical plan string) recording, for every
-// plan except the root, which rule produced it from which parent.
-// Walking the map back to the root yields the identity chain that
-// justifies a plan — EXPLAIN-style provenance for the paper's
-// rewrites.
 //
 // The closure is breadth-first on one goroutine. The queue is consumed
 // through a head index with periodic compaction instead of
 // queue = queue[1:], so the backing array of a long run is released as
 // it drains rather than pinned in full.
-func SaturateTraced(root plan.Node, opts SaturateOptions) ([]plan.Node, map[string]Derivation) {
-	trace := make(map[string]Derivation)
-	return saturate(root, opts, trace), trace
-}
-
-// saturate runs the closure, recording each admitted plan's
-// derivation in trace unless trace is nil.
-func saturate(root plan.Node, opts SaturateOptions, trace map[string]Derivation) []plan.Node {
+func Saturate(root plan.Node, opts SaturateOptions) []plan.Node {
 	rules := opts.Rules
 	if rules == nil {
 		rules = DefaultRules()
@@ -64,7 +39,7 @@ func saturate(root plan.Node, opts SaturateOptions, trace map[string]Derivation)
 	out := []plan.Node{root}
 	queue := []plan.Node{root}
 	head := 0
-	var scratch []altPlan // reused across dequeues: alternatives are consumed immediately
+	var scratch []plan.Node // reused across dequeues: alternatives are consumed immediately
 	for head < len(queue) && len(out) < maxPlans {
 		cur := queue[head]
 		queue[head] = nil
@@ -73,19 +48,15 @@ func saturate(root plan.Node, opts SaturateOptions, trace map[string]Derivation)
 			queue = queue[:copy(queue, queue[head:])]
 			head = 0
 		}
-		curKey := plan.Key(cur) // cached: computed once per plan, ever
-		scratch = appendAlternatives(scratch[:0], cur, rules)
+		scratch = appendAlternatives(scratch[:0], cur, rules, nil)
 		for _, alt := range scratch {
-			key := plan.Key(alt.plan)
+			key := plan.Key(alt)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			if trace != nil {
-				trace[key] = Derivation{Parent: curKey, Rule: alt.rule}
-			}
-			out = append(out, alt.plan)
-			queue = append(queue, alt.plan)
+			out = append(out, alt)
+			queue = append(queue, alt)
 			if len(out) >= maxPlans {
 				break
 			}
@@ -94,31 +65,19 @@ func saturate(root plan.Node, opts SaturateOptions, trace map[string]Derivation)
 	return out
 }
 
-type altPlan struct {
-	plan plan.Node
-	rule string
-}
-
 // appendAlternatives applies every rule at every subtree position of
-// cur and appends the resulting full plans (with the producing rule)
-// to out, reusing its capacity. The traversal rebuilds the spine on
-// the way out of the recursion, so no path slices are materialized
-// and unchanged siblings are shared with cur.
-func appendAlternatives(out []altPlan, cur plan.Node, rules []Rule) []altPlan {
-	return appendAlts(out, cur, rules, nil)
-}
-
-// appendAlts recurses pre-order; wrap rebuilds the ancestors of n
-// around a replacement subtree (nil at the root). The visit order
-// matches the collectPaths order the serial engine always used, so
-// admission order — and with it the derivation trace — is preserved.
-func appendAlts(out []altPlan, n plan.Node, rules []Rule, wrap func(plan.Node) plan.Node) []altPlan {
+// n and appends the resulting full plans to out, reusing its capacity.
+// It recurses pre-order; wrap rebuilds the ancestors of n around a
+// replacement subtree (nil at the root), so no path slices are
+// materialized and unchanged siblings are shared with the input. The
+// visit order fixes the closure's admission order.
+func appendAlternatives(out []plan.Node, n plan.Node, rules []Rule, wrap func(plan.Node) plan.Node) []plan.Node {
 	for _, r := range rules {
 		for _, alt := range r.Apply(n) {
 			if wrap != nil {
 				alt = wrap(alt)
 			}
-			out = append(out, altPlan{plan: alt, rule: r.Name})
+			out = append(out, alt)
 		}
 	}
 	ch := n.Children()
@@ -133,7 +92,7 @@ func appendAlts(out []altPlan, n plan.Node, rules []Rule, wrap func(plan.Node) p
 			}
 			return rebuilt
 		}
-		out = appendAlts(out, c, rules, childWrap)
+		out = appendAlternatives(out, c, rules, childWrap)
 	}
 	return out
 }

@@ -84,9 +84,6 @@ type Record struct {
 	Degraded string `json:"degraded,omitempty"`
 	// BudgetTrips names the budget kinds that tripped during the run.
 	BudgetTrips []string `json:"budgetTrips,omitempty"`
-	// Slow is stamped by Add when DurNs meets the recorder's
-	// slow-query threshold.
-	Slow bool `json:"slow,omitempty"`
 	// Error is the terminal error of a failed execution; successful
 	// runs leave it empty.
 	Error  string  `json:"error,omitempty"`
@@ -101,13 +98,11 @@ type Record struct {
 // matching the rest of the obs layer's "no is-it-on branches"
 // contract.
 type Recorder struct {
-	mu     sync.Mutex
-	ring   []Record
-	next   int // ring slot the next Add writes
-	n      int // occupied slots, <= len(ring)
-	seq    int64
-	slowNs int64
-	slow   int64 // records stamped Slow
+	mu   sync.Mutex
+	ring []Record
+	next int // ring slot the next Add writes
+	n    int // occupied slots, <= len(ring)
+	seq  int64
 }
 
 // New returns a recorder holding the last capacity records
@@ -119,30 +114,9 @@ func New(capacity int) *Recorder {
 	return &Recorder{ring: make([]Record, capacity)}
 }
 
-// SetSlowThreshold sets the duration at or above which Add stamps
-// records Slow. Zero (the default) disables stamping.
-func (r *Recorder) SetSlowThreshold(d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.slowNs = d.Nanoseconds()
-	r.mu.Unlock()
-}
-
-// SlowThreshold returns the current slow-query threshold.
-func (r *Recorder) SlowThreshold() time.Duration {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return time.Duration(r.slowNs)
-}
-
-// Add deposits one record, stamping Seq and Slow, and returns the
-// stamped record. The oldest record is overwritten once the ring is
-// full — the bound never grows.
+// Add deposits one record, stamping Seq, and returns the stamped
+// record. The oldest record is overwritten once the ring is full —
+// the bound never grows.
 func (r *Recorder) Add(rec Record) Record {
 	if r == nil {
 		return rec
@@ -150,10 +124,6 @@ func (r *Recorder) Add(rec Record) Record {
 	r.mu.Lock()
 	r.seq++
 	rec.Seq = r.seq
-	if r.slowNs > 0 && rec.DurNs >= r.slowNs {
-		rec.Slow = true
-		r.slow++
-	}
 	r.ring[r.next] = rec
 	r.next = (r.next + 1) % len(r.ring)
 	if r.n < len(r.ring) {
@@ -209,17 +179,15 @@ func (r *Recorder) Snapshot() []Record {
 
 // dump is the /debug/queries JSON schema.
 type dump struct {
-	Capacity        int      `json:"capacity"`
-	Len             int      `json:"len"`
-	Total           int64    `json:"total"`
-	Dropped         int64    `json:"dropped"`
-	SlowThresholdNs int64    `json:"slowThresholdNs,omitempty"`
-	SlowCount       int64    `json:"slowCount,omitempty"`
-	Records         []Record `json:"records"`
+	Capacity int      `json:"capacity"`
+	Len      int      `json:"len"`
+	Total    int64    `json:"total"`
+	Dropped  int64    `json:"dropped"`
+	Records  []Record `json:"records"`
 }
 
-// WriteJSON dumps the recorder — capacity, totals, slow-query stats
-// and the held records newest first — as one JSON document; it is the
+// WriteJSON dumps the recorder — capacity, totals and the held
+// records newest first — as one JSON document; it is the
 // /debug/queries endpoint body. A nil recorder writes an empty dump.
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	d := dump{Records: []Record{}}
@@ -230,8 +198,6 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 		d.Len = r.n
 		d.Total = r.seq
 		d.Dropped = r.seq - int64(r.n)
-		d.SlowThresholdNs = r.slowNs
-		d.SlowCount = r.slow
 		r.mu.Unlock()
 		d.Records = records
 	}

@@ -67,25 +67,8 @@ func TestRecorderDefaultCapacity(t *testing.T) {
 	}
 }
 
-func TestRecorderSlowStamping(t *testing.T) {
-	r := New(8)
-	r.SetSlowThreshold(100 * time.Millisecond)
-	fast := r.Add(Record{DurNs: int64(10 * time.Millisecond)})
-	slow := r.Add(Record{DurNs: int64(250 * time.Millisecond)})
-	if fast.Slow {
-		t.Fatal("fast query stamped slow")
-	}
-	if !slow.Slow {
-		t.Fatal("slow query not stamped")
-	}
-	if r.SlowThreshold() != 100*time.Millisecond {
-		t.Fatalf("threshold = %v", r.SlowThreshold())
-	}
-}
-
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
-	r.SetSlowThreshold(time.Second)
 	r.Add(Record{Query: "q"})
 	if r.Len() != 0 || r.Cap() != 0 || r.Total() != 0 || r.Snapshot() != nil {
 		t.Fatal("nil recorder not inert")
@@ -105,7 +88,6 @@ func TestRecorderNilSafe(t *testing.T) {
 
 func TestRecorderWriteJSONSchema(t *testing.T) {
 	r := New(2)
-	r.SetSlowThreshold(time.Millisecond)
 	r.Add(Record{
 		Query:   "q1",
 		PlanKey: "p1",
@@ -127,22 +109,17 @@ func TestRecorderWriteJSONSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	var d struct {
-		Capacity        int      `json:"capacity"`
-		Len             int      `json:"len"`
-		Total           int64    `json:"total"`
-		Dropped         int64    `json:"dropped"`
-		SlowThresholdNs int64    `json:"slowThresholdNs"`
-		SlowCount       int64    `json:"slowCount"`
-		Records         []Record `json:"records"`
+		Capacity int      `json:"capacity"`
+		Len      int      `json:"len"`
+		Total    int64    `json:"total"`
+		Dropped  int64    `json:"dropped"`
+		Records  []Record `json:"records"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
 		t.Fatal(err)
 	}
 	if d.Capacity != 2 || d.Len != 2 || d.Total != 3 || d.Dropped != 1 {
 		t.Fatalf("dump header = %+v", d)
-	}
-	if d.SlowThresholdNs != time.Millisecond.Nanoseconds() || d.SlowCount != 1 {
-		t.Fatalf("slow stats = %d/%d", d.SlowThresholdNs, d.SlowCount)
 	}
 	if len(d.Records) != 2 || d.Records[0].Query != "q3" || d.Records[1].Query != "q2" {
 		t.Fatalf("records = %+v", d.Records)
@@ -154,7 +131,6 @@ func TestRecorderWriteJSONSchema(t *testing.T) {
 // throughout.
 func TestRecorderConcurrent(t *testing.T) {
 	r := New(16)
-	r.SetSlowThreshold(time.Nanosecond)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -1,5 +1,5 @@
-// Package plancache is a sharded, byte-bounded, concurrent cache of
-// optimized plans keyed by the canonical fingerprint (plan.Key) of a
+// Package plancache is a byte-bounded, concurrent LRU cache of
+// optimized plans keyed by the canonical key (plan.Key) of a
 // parameterized query template. It is the serving layer's amortizer:
 // the optimizer runs once per distinct template, and every later
 // request with the same shape binds its constants into the cached
@@ -8,20 +8,19 @@
 // Keying is deliberately syntactic. Two queries share an entry exactly
 // when their parameterized lowered trees render to the same canonical
 // key; semantic equivalence (same answers, different syntax) is
-// undecidable in general and is not attempted. The full key string is
-// compared on lookup — the 64-bit fingerprint hash only picks the
-// shard — so hash collisions cannot alias plans.
+// undecidable in general and is not attempted. The full key string
+// addresses the entry, so hash collisions cannot alias plans.
 //
-// Concurrency: each shard is an independent mutex-protected LRU, and a
-// per-shard singleflight table collapses concurrent misses on the same
-// key into one optimizer run. The build function runs outside the
-// shard lock, so a slow optimization never blocks hits on other keys
-// in the same shard, and its completion signal is delivered via a
-// deferred channel close — an injected error or panic in the build
-// path releases all waiters rather than wedging them.
+// Concurrency: one mutex guards the LRU and a singleflight table that
+// collapses concurrent builds of a key into one optimizer run. The
+// build runs outside the lock, so a slow optimization never blocks
+// hits on other keys, and its completion is delivered via a deferred
+// channel close — an injected error or panic in the build path
+// releases all waiters rather than wedging them.
 package plancache
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"sort"
@@ -66,8 +65,6 @@ type Entry struct {
 	// Key is the full canonical template key (plan.Key of the
 	// parameterized tree).
 	Key string
-	// Hash is the template fingerprint used for shard selection.
-	Hash uint64
 	// Value is the cached artifact — for the query service, the
 	// optimized parameterized plan plus binding metadata.
 	Value any
@@ -76,68 +73,23 @@ type Entry struct {
 	Bytes int64
 }
 
-// Cache is the sharded plan cache. The zero value is not usable; call
-// New.
+// Cache is the plan cache. The zero value is not usable; call New.
 type Cache struct {
-	shards [numShards]shard
-	reg    *obs.Registry
-
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evicts    *obs.Counter
-	waits     *obs.Counter
-	refreshes *obs.Counter
-	bytes     *obs.Gauge
-	entries   *obs.Gauge
-}
-
-const numShards = 16
-
-// New builds a cache bounded to roughly maxBytes across all shards
-// (each shard holds at most maxBytes/16, and always retains its most
-// recent entry even when that entry alone exceeds the shard budget, so
-// an oversized plan still serves instead of thrashing). reg receives
-// the plancache.* series and may be nil (obs.Default()).
-func New(maxBytes int64, reg *obs.Registry) *Cache {
-	if reg == nil {
-		reg = obs.Default()
-	}
-	c := &Cache{
-		reg:       reg,
-		hits:      reg.Counter("plancache.hits"),
-		misses:    reg.Counter("plancache.misses"),
-		evicts:    reg.Counter("plancache.evictions"),
-		waits:     reg.Counter("plancache.singleflight_waits"),
-		refreshes: reg.Counter("plancache.refreshes"),
-		bytes:     reg.Gauge("plancache.bytes"),
-		entries:   reg.Gauge("plancache.entries"),
-	}
-	perShard := maxBytes / numShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	for i := range c.shards {
-		c.shards[i].init(perShard)
-	}
-	return c
-}
-
-// shard is one lock domain: an LRU list of entries plus the in-flight
-// build table.
-type shard struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
-	entries  map[string]*lruNode
-	head     *lruNode // most recently used
-	tail     *lruNode // least recently used
+	entries  map[string]*list.Element // Value is *Entry
+	lru      *list.List               // front is the most recently used
 	flights  map[string]*flight
-}
 
-// lruNode is an intrusive doubly-linked LRU element.
-type lruNode struct {
-	entry      *Entry
-	prev, next *lruNode
+	reg          *obs.Registry
+	hits         *obs.Counter
+	misses       *obs.Counter
+	evicts       *obs.Counter
+	waits        *obs.Counter
+	refreshes    *obs.Counter
+	bytesGauge   *obs.Gauge
+	entriesGauge *obs.Gauge
 }
 
 // flight is one in-progress build. done is closed (exactly once, via
@@ -148,10 +100,29 @@ type flight struct {
 	err   error
 }
 
-func (s *shard) init(maxBytes int64) {
-	s.maxBytes = maxBytes
-	s.entries = make(map[string]*lruNode)
-	s.flights = make(map[string]*flight)
+// New builds a cache holding at most maxBytes of entries, except that
+// it always retains its most recent entry even when that entry alone
+// exceeds the budget, so an oversized plan still serves instead of
+// thrashing. reg receives the plancache.* series and may be nil
+// (obs.Default()).
+func New(maxBytes int64, reg *obs.Registry) *Cache {
+	if reg == nil {
+		reg = obs.Default()
+	}
+	return &Cache{
+		maxBytes:     maxBytes,
+		entries:      make(map[string]*list.Element),
+		lru:          list.New(),
+		flights:      make(map[string]*flight),
+		reg:          reg,
+		hits:         reg.Counter("plancache.hits"),
+		misses:       reg.Counter("plancache.misses"),
+		evicts:       reg.Counter("plancache.evictions"),
+		waits:        reg.Counter("plancache.singleflight_waits"),
+		refreshes:    reg.Counter("plancache.refreshes"),
+		bytesGauge:   reg.Gauge("plancache.bytes"),
+		entriesGauge: reg.Gauge("plancache.entries"),
+	}
 }
 
 // Do returns the entry for key, building it at most once across
@@ -160,8 +131,9 @@ func (s *shard) init(maxBytes int64) {
 // result; concurrent callers for the same key block until the build
 // finishes (or their ctx expires) and share its outcome — including
 // its error, which is returned to every waiter but never cached, so
-// the next request retries.
-func (c *Cache) Do(ctx context.Context, key string, hash uint64, build func() (any, int64, error)) (*Entry, Status, error) {
+// the next request retries. The hash argument is unused: the key alone
+// addresses the entry.
+func (c *Cache) Do(ctx context.Context, key string, _ uint64, build func() (any, int64, error)) (*Entry, Status, error) {
 	// Safely contains an injected panic at the lookup point into a
 	// typed error — the fault matrix requires every cache fault to
 	// surface as a classified client error, never a crash.
@@ -170,112 +142,76 @@ func (c *Cache) Do(ctx context.Context, key string, hash uint64, build func() (a
 	}); err != nil {
 		return nil, Miss, err
 	}
-	s := &c.shards[hash%numShards]
-
-	s.mu.Lock()
-	if n, ok := s.entries[key]; ok {
-		s.moveToFront(n)
-		s.mu.Unlock()
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
+		c.mu.Unlock()
 		c.hits.Inc()
-		return n.entry, Hit, nil
+		return el.Value.(*Entry), Hit, nil
 	}
-	if f, ok := s.flights[key]; ok {
-		s.mu.Unlock()
-		c.waits.Inc()
-		select {
-		case <-f.done:
-			if f.err != nil {
-				return nil, Shared, f.err
-			}
-			c.hits.Inc()
-			return f.entry, Shared, nil
-		case <-ctx.Done():
-			return nil, Shared, fmt.Errorf("%w: %v", guard.ErrCancelled, ctx.Err())
-		}
+	entry, shared, err := c.fly(ctx, key, c.misses, build)
+	if !shared {
+		return entry, Miss, err
 	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
-
-	c.misses.Inc()
-	var entry *Entry
-	var err error
-	// Resolve the flight no matter how the build ends: the deferred
-	// close runs even if this frame unwinds, so waiters are never
-	// wedged by a failing or panicking build.
-	func() {
-		defer func() {
-			f.entry, f.err = entry, err
-			close(f.done)
-			s.mu.Lock()
-			delete(s.flights, key)
-			s.mu.Unlock()
-		}()
-		entry, err = c.runBuild(s, key, hash, build)
-	}()
-	if err != nil {
-		return nil, Miss, err
+	if err == nil {
+		c.hits.Inc()
 	}
-	return entry, Miss, nil
+	return entry, Shared, err
 }
 
 // Refresh rebuilds the entry for key in place — the drift-triggered
 // re-planning path. Unlike Do it never returns a stale cached value:
-// it runs build (under the same per-shard singleflight, so concurrent
-// refreshes and misses of the key collapse into one optimizer run)
-// and replaces the entry on success. The old entry keeps serving Do
-// callers throughout the rebuild and survives a build error or panic
+// it runs build (under the same singleflight, so concurrent refreshes
+// and misses of the key collapse into one optimizer run) and replaces
+// the entry on success. The old entry keeps serving Do callers
+// throughout the rebuild and survives a build error or panic
 // untouched — a failed refresh can wedge neither the slot nor the
-// waiters, and never leaves a poisoned entry behind.
-func (c *Cache) Refresh(ctx context.Context, key string, hash uint64, build func() (any, int64, error)) (*Entry, error) {
+// waiters, and never leaves a poisoned entry behind. The hash argument
+// is unused, as in Do.
+func (c *Cache) Refresh(ctx context.Context, key string, _ uint64, build func() (any, int64, error)) (*Entry, error) {
 	if err := guard.Safely("plancache.replan", key, c.reg, func() error {
 		return guard.Hit(guard.PointCacheReplan)
 	}); err != nil {
 		return nil, err
 	}
-	s := &c.shards[hash%numShards]
-
-	s.mu.Lock()
-	if f, ok := s.flights[key]; ok {
-		// Someone is already building this key (a racing refresh, or a
-		// miss after an eviction). Share its outcome instead of
-		// stacking a second optimizer run.
-		s.mu.Unlock()
-		c.waits.Inc()
-		select {
-		case <-f.done:
-			return f.entry, f.err
-		case <-ctx.Done():
-			return nil, fmt.Errorf("%w: %v", guard.ErrCancelled, ctx.Err())
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
-
-	c.refreshes.Inc()
-	var entry *Entry
-	var err error
-	func() {
-		defer func() {
-			f.entry, f.err = entry, err
-			close(f.done)
-			s.mu.Lock()
-			delete(s.flights, key)
-			s.mu.Unlock()
-		}()
-		entry, err = c.runBuild(s, key, hash, build)
-	}()
+	c.mu.Lock()
+	entry, _, err := c.fly(ctx, key, c.refreshes, build)
 	return entry, err
 }
 
-// runBuild executes the build outside the shard lock and inserts the
-// result. A panic inside build is contained into a typed error
-// (guard.PanicError via Safely) so the flight always resolves with a
-// classified outcome.
-func (c *Cache) runBuild(s *shard, key string, hash uint64, build func() (any, int64, error)) (*Entry, error) {
-	var entry *Entry
-	err := guard.Safely("plancache.build", key, c.reg, func() error {
+// fly runs build for key at most once across concurrent callers. If a
+// build of key is already in flight it waits for that one (or for ctx)
+// and returns its outcome with shared set. Otherwise it counts the
+// build on started, runs it outside the lock, and resolves the flight
+// in a deferred close, so a failing build never wedges its waiters.
+// c.mu must be held on entry; fly releases it.
+func (c *Cache) fly(ctx context.Context, key string, started *obs.Counter, build func() (any, int64, error)) (entry *Entry, shared bool, err error) {
+	if f, ok := c.flights[key]; ok {
+		c.mu.Unlock()
+		c.waits.Inc()
+		select {
+		case <-f.done:
+			return f.entry, true, f.err
+		case <-ctx.Done():
+			return nil, true, fmt.Errorf("%w: %v", guard.ErrCancelled, ctx.Err())
+		}
+	}
+	f := &flight{done: make(chan struct{})}
+	c.flights[key] = f
+	c.mu.Unlock()
+
+	started.Inc()
+	defer func() {
+		f.entry, f.err = entry, err
+		close(f.done)
+		c.mu.Lock()
+		delete(c.flights, key)
+		c.mu.Unlock()
+	}()
+	// A panic inside build is contained into a typed error
+	// (guard.PanicError), so the flight always resolves with a
+	// classified outcome.
+	err = guard.Safely("plancache.build", key, c.reg, func() error {
 		value, bytes, err := build()
 		if err != nil {
 			return err
@@ -283,155 +219,75 @@ func (c *Cache) runBuild(s *shard, key string, hash uint64, build func() (any, i
 		if err := guard.Hit(guard.PointCacheInsert); err != nil {
 			return err
 		}
-		entry = &Entry{Key: key, Hash: hash, Value: value, Bytes: bytes}
-		c.insert(s, entry)
+		entry = &Entry{Key: key, Value: value, Bytes: bytes}
+		c.insert(entry)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return entry, nil
+	return entry, false, err
 }
 
-// insert adds the entry at the LRU front and evicts from the tail
-// until the shard fits its byte budget (always keeping the newest
-// entry).
-func (c *Cache) insert(s *shard, e *Entry) {
-	s.mu.Lock()
-	if old, ok := s.entries[e.Key]; ok {
-		// A racing build of the same key already inserted (possible
-		// when a build errors, the flight retires, and two fresh
-		// requests race). Replace, keeping byte accounting straight.
-		s.bytes -= old.entry.Bytes
-		old.entry = e
-		s.bytes += e.Bytes
-		s.moveToFront(old)
-		s.settleLocked(old)
-		s.mu.Unlock()
-		c.publishSize()
-		return
+// insert puts e at the LRU front, replacing any entry under its key,
+// and evicts from the back until the cache fits its byte budget. The
+// new entry itself is never evicted.
+func (c *Cache) insert(e *Entry) {
+	c.mu.Lock()
+	if el, ok := c.entries[e.Key]; ok {
+		c.bytes -= el.Value.(*Entry).Bytes
+		el.Value = e
+		c.lru.MoveToFront(el)
+	} else {
+		c.entries[e.Key] = c.lru.PushFront(e)
 	}
-	n := &lruNode{entry: e}
-	s.entries[e.Key] = n
-	s.pushFront(n)
-	s.bytes += e.Bytes
-	evicted := s.settleLocked(n)
-	s.mu.Unlock()
-	c.evicts.Add(int64(evicted))
-	c.publishSize()
-}
-
-// settleLocked evicts least-recently-used entries until the shard is
-// within budget, never evicting keep. Returns the eviction count.
-func (s *shard) settleLocked(keep *lruNode) int {
+	c.bytes += e.Bytes
 	evicted := 0
-	for s.bytes > s.maxBytes && s.tail != nil && s.tail != keep {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.entries, victim.entry.Key)
-		s.bytes -= victim.entry.Bytes
+	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
+		victim := c.lru.Remove(c.lru.Back()).(*Entry)
+		delete(c.entries, victim.Key)
+		c.bytes -= victim.Bytes
 		evicted++
 	}
-	return evicted
-}
-
-func (s *shard) pushFront(n *lruNode) {
-	n.prev = nil
-	n.next = s.head
-	if s.head != nil {
-		s.head.prev = n
-	}
-	s.head = n
-	if s.tail == nil {
-		s.tail = n
-	}
-}
-
-func (s *shard) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		s.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		s.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (s *shard) moveToFront(n *lruNode) {
-	if s.head == n {
-		return
-	}
-	s.unlink(n)
-	s.pushFront(n)
-}
-
-// publishSize refreshes the size gauges from all shards.
-func (c *Cache) publishSize() {
-	var bytes, entries int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		bytes += s.bytes
-		entries += int64(len(s.entries))
-		s.mu.Unlock()
-	}
-	c.bytes.Set(bytes)
-	c.entries.Set(entries)
+	bytes, n := c.bytes, len(c.entries)
+	c.mu.Unlock()
+	c.evicts.Add(int64(evicted))
+	c.bytesGauge.Set(bytes)
+	c.entriesGauge.Set(int64(n))
 }
 
 // Lookup returns the cached entry without building on a miss.
-func (c *Cache) Lookup(key string, hash uint64) (*Entry, bool) {
-	s := &c.shards[hash%numShards]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n, ok := s.entries[key]; ok {
-		s.moveToFront(n)
-		return n.entry, true
+func (c *Cache) Lookup(key string) (*Entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
+		return el.Value.(*Entry), true
 	}
 	return nil, false
 }
 
-// Len returns the number of cached entries across all shards.
+// Len returns the number of cached entries.
 func (c *Cache) Len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += len(s.entries)
-		s.mu.Unlock()
-	}
-	return total
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // Bytes returns the cache's current charged footprint.
 func (c *Cache) Bytes() int64 {
-	var total int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += s.bytes
-		s.mu.Unlock()
-	}
-	return total
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }
 
-// Entries snapshots every cached entry across all shards, sorted by
-// key — the /debug/cache detail listing. The returned slice is fresh
-// but the *Entry values are the live (immutable) cache entries.
+// Entries snapshots every cached entry, sorted by key — the
+// /debug/cache detail listing. The returned slice is fresh but the
+// *Entry values are the live (immutable) cache entries.
 func (c *Cache) Entries() []*Entry {
-	var out []*Entry
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for _, n := range s.entries {
-			out = append(out, n.entry)
-		}
-		s.mu.Unlock()
+	c.mu.Lock()
+	out := make([]*Entry, 0, len(c.entries))
+	for _, el := range c.entries {
+		out = append(out, el.Value.(*Entry))
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
@@ -449,9 +305,12 @@ type Stats struct {
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
+	c.mu.Lock()
+	entries, bytes := len(c.entries), c.bytes
+	c.mu.Unlock()
 	return Stats{
-		Entries:   c.Len(),
-		Bytes:     c.Bytes(),
+		Entries:   entries,
+		Bytes:     bytes,
 		Hits:      c.hits.Value(),
 		Misses:    c.misses.Value(),
 		Evicted:   c.evicts.Value(),

@@ -13,10 +13,6 @@ import (
 	"repro/internal/obs"
 )
 
-// hashFor keeps every test key in one shard so LRU order is
-// observable; distinct h values exercise cross-shard independence.
-func hashFor(shard uint64) uint64 { return shard }
-
 func build(v string, bytes int64) func() (any, int64, error) {
 	return func() (any, int64, error) { return v, bytes, nil }
 }
@@ -25,11 +21,11 @@ func TestDoHitMiss(t *testing.T) {
 	c := New(1<<20, obs.NewRegistry())
 	ctx := context.Background()
 
-	e, st, err := c.Do(ctx, "k1", hashFor(0), build("plan1", 100))
+	e, st, err := c.Do(ctx, "k1", 0, build("plan1", 100))
 	if err != nil || st != Miss || e.Value.(string) != "plan1" {
 		t.Fatalf("first access: entry=%v status=%v err=%v", e, st, err)
 	}
-	e, st, err = c.Do(ctx, "k1", hashFor(0), func() (any, int64, error) {
+	e, st, err = c.Do(ctx, "k1", 0, func() (any, int64, error) {
 		t.Fatal("build must not run on a hit")
 		return nil, 0, nil
 	})
@@ -41,34 +37,33 @@ func TestDoHitMiss(t *testing.T) {
 	if stats.Hits != 1 || stats.Misses != 1 || stats.Entries != 1 || stats.Bytes != 100 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if _, ok := c.Lookup("k1", hashFor(0)); !ok {
+	if _, ok := c.Lookup("k1"); !ok {
 		t.Fatal("Lookup missed a cached key")
 	}
-	if _, ok := c.Lookup("k2", hashFor(0)); ok {
+	if _, ok := c.Lookup("k2"); ok {
 		t.Fatal("Lookup invented an entry")
 	}
 }
 
-// TestEvictionLRU: shard budget is maxBytes/16; exceeding it evicts
-// from the LRU tail, and a recently touched entry survives over a
-// stale one.
+// TestEvictionLRU: exceeding the byte budget evicts from the LRU
+// tail, and a recently touched entry survives over a stale one.
 func TestEvictionLRU(t *testing.T) {
-	// 1600 total → 100 bytes per shard; 40-byte entries → 2 fit.
-	c := New(1600, obs.NewRegistry())
+	// 100 bytes; 40-byte entries → 2 fit.
+	c := New(100, obs.NewRegistry())
 	ctx := context.Background()
 
-	c.Do(ctx, "a", hashFor(0), build("A", 40))
-	c.Do(ctx, "b", hashFor(0), build("B", 40))
-	c.Do(ctx, "a", hashFor(0), build("", 0)) // touch a: now b is LRU
-	c.Do(ctx, "c", hashFor(0), build("C", 40))
+	c.Do(ctx, "a", 0, build("A", 40))
+	c.Do(ctx, "b", 0, build("B", 40))
+	c.Do(ctx, "a", 0, build("", 0)) // touch a: now b is LRU
+	c.Do(ctx, "c", 0, build("C", 40))
 
-	if _, ok := c.Lookup("b", hashFor(0)); ok {
+	if _, ok := c.Lookup("b"); ok {
 		t.Fatal("b was LRU and should have been evicted")
 	}
-	if _, ok := c.Lookup("a", hashFor(0)); !ok {
+	if _, ok := c.Lookup("a"); !ok {
 		t.Fatal("a was touched and must survive")
 	}
-	if _, ok := c.Lookup("c", hashFor(0)); !ok {
+	if _, ok := c.Lookup("c"); !ok {
 		t.Fatal("c is newest and must survive")
 	}
 	st := c.Stats()
@@ -77,18 +72,40 @@ func TestEvictionLRU(t *testing.T) {
 	}
 }
 
-// TestOversizedEntryStillServes: an entry larger than its whole shard
-// budget evicts everything else but is itself retained — one giant
-// plan degrades capacity, never availability.
-func TestOversizedEntryStillServes(t *testing.T) {
-	c := New(1600, obs.NewRegistry()) // 100 bytes/shard
+// TestBudgetIsWholeCache: the byte budget bounds the cache as a whole,
+// whatever the keys' hashes. Three 40-byte entries under distinct
+// hashes do not fit in 100 bytes, so the least recently used one goes.
+func TestBudgetIsWholeCache(t *testing.T) {
+	c := New(100, obs.NewRegistry())
 	ctx := context.Background()
-	c.Do(ctx, "small", hashFor(0), build("s", 40))
-	c.Do(ctx, "huge", hashFor(0), build("h", 500))
-	if _, ok := c.Lookup("huge", hashFor(0)); !ok {
+	for i, k := range []string{"a", "b", "c"} {
+		if _, _, err := c.Do(ctx, k, uint64(i), build(k, 40)); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Bytes(); got > 100 {
+			t.Fatalf("after %q: Bytes = %d, over the 100-byte budget", k, got)
+		}
+	}
+	if _, ok := c.Lookup("a"); ok {
+		t.Fatal("a was least recently used and should have been evicted")
+	}
+	if st := c.Stats(); st.Evicted != 1 || st.Entries != 2 || st.Bytes != 80 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestOversizedEntryStillServes: an entry larger than the whole budget
+// evicts everything else but is itself retained — one giant plan
+// degrades capacity, never availability.
+func TestOversizedEntryStillServes(t *testing.T) {
+	c := New(100, obs.NewRegistry())
+	ctx := context.Background()
+	c.Do(ctx, "small", 0, build("s", 40))
+	c.Do(ctx, "huge", 0, build("h", 500))
+	if _, ok := c.Lookup("huge"); !ok {
 		t.Fatal("oversized newest entry must be kept")
 	}
-	if _, ok := c.Lookup("small", hashFor(0)); ok {
+	if _, ok := c.Lookup("small"); ok {
 		t.Fatal("small entry should have been evicted to make room")
 	}
 	if got := c.Bytes(); got != 500 {
@@ -119,7 +136,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, st, err := c.Do(ctx, "k", hashFor(3), slow)
+			e, st, err := c.Do(ctx, "k", 0, slow)
 			statuses[i], errs[i] = st, err
 			if e != nil {
 				vals[i] = e.Value
@@ -170,7 +187,7 @@ func TestSingleflight(t *testing.T) {
 func TestSingleflightWaiterCancel(t *testing.T) {
 	c := New(1<<20, obs.NewRegistry())
 	release := make(chan struct{})
-	go c.Do(context.Background(), "k", hashFor(0), func() (any, int64, error) {
+	go c.Do(context.Background(), "k", 0, func() (any, int64, error) {
 		<-release
 		return "v", 8, nil
 	})
@@ -180,7 +197,7 @@ func TestSingleflightWaiterCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, st, err := c.Do(ctx, "k", hashFor(0), build("other", 8))
+	_, st, err := c.Do(ctx, "k", 0, build("other", 8))
 	if st != Shared || !guard.IsCancelled(err) {
 		t.Fatalf("cancelled waiter: status=%v err=%v", st, err)
 	}
@@ -190,7 +207,7 @@ func TestSingleflightWaiterCancel(t *testing.T) {
 	for c.Len() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if e, st, err := c.Do(context.Background(), "k", hashFor(0), build("x", 8)); err != nil || st != Hit || e.Value != "v" {
+	if e, st, err := c.Do(context.Background(), "k", 0, build("x", 8)); err != nil || st != Hit || e.Value != "v" {
 		t.Fatalf("after cancel: entry=%v status=%v err=%v", e, st, err)
 	}
 }
@@ -203,7 +220,7 @@ func TestBuildErrorNotCached(t *testing.T) {
 	ctx := context.Background()
 	boom := errors.New("optimizer exploded")
 
-	if _, st, err := c.Do(ctx, "k", hashFor(0), func() (any, int64, error) {
+	if _, st, err := c.Do(ctx, "k", 0, func() (any, int64, error) {
 		return nil, 0, boom
 	}); st != Miss || !errors.Is(err, boom) {
 		t.Fatalf("status=%v err=%v", st, err)
@@ -211,7 +228,7 @@ func TestBuildErrorNotCached(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("error outcome must not be cached")
 	}
-	if e, st, err := c.Do(ctx, "k", hashFor(0), build("ok", 8)); err != nil || st != Miss || e.Value != "ok" {
+	if e, st, err := c.Do(ctx, "k", 0, build("ok", 8)); err != nil || st != Miss || e.Value != "ok" {
 		t.Fatalf("retry: entry=%v status=%v err=%v", e, st, err)
 	}
 }
@@ -226,7 +243,7 @@ func TestBuildPanicContained(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(ctx, "k", hashFor(0), func() (any, int64, error) {
+		_, _, err := c.Do(ctx, "k", 0, func() (any, int64, error) {
 			<-release
 			panic("plan construction bug")
 		})
@@ -237,7 +254,7 @@ func TestBuildPanicContained(t *testing.T) {
 	}
 	waiter := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(ctx, "k", hashFor(0), build("x", 8))
+		_, _, err := c.Do(ctx, "k", 0, build("x", 8))
 		waiter <- err
 	}()
 	for c.Stats().Waits == 0 {
@@ -255,7 +272,7 @@ func TestBuildPanicContained(t *testing.T) {
 			t.Fatalf("outcome %d: wedged after build panic", i)
 		}
 	}
-	if e, st, err := c.Do(ctx, "k", hashFor(0), build("ok", 8)); err != nil || st != Miss || e.Value != "ok" {
+	if e, st, err := c.Do(ctx, "k", 0, build("ok", 8)); err != nil || st != Miss || e.Value != "ok" {
 		t.Fatalf("after panic: entry=%v status=%v err=%v", e, st, err)
 	}
 }
@@ -269,11 +286,11 @@ func TestFaultLookup(t *testing.T) {
 	ctx := context.Background()
 
 	guard.InjectError(guard.PointCacheLookup)
-	if _, _, err := c.Do(ctx, "k", hashFor(0), build("v", 8)); !guard.IsInjected(err) {
+	if _, _, err := c.Do(ctx, "k", 0, build("v", 8)); !guard.IsInjected(err) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 	guard.Clear()
-	if _, st, err := c.Do(ctx, "k", hashFor(0), build("v", 8)); err != nil || st != Miss {
+	if _, st, err := c.Do(ctx, "k", 0, build("v", 8)); err != nil || st != Miss {
 		t.Fatalf("after fault cleared: status=%v err=%v", st, err)
 	}
 }
@@ -284,7 +301,7 @@ func TestFaultInsert(t *testing.T) {
 	ctx := context.Background()
 
 	guard.InjectError(guard.PointCacheInsert)
-	if _, _, err := c.Do(ctx, "k", hashFor(0), build("v", 8)); !guard.IsInjected(err) {
+	if _, _, err := c.Do(ctx, "k", 0, build("v", 8)); !guard.IsInjected(err) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 	if c.Len() != 0 {
@@ -292,12 +309,12 @@ func TestFaultInsert(t *testing.T) {
 	}
 
 	guard.InjectPanic(guard.PointCacheInsert)
-	if _, _, err := c.Do(ctx, "k", hashFor(0), build("v", 8)); !guard.IsPanic(err) {
+	if _, _, err := c.Do(ctx, "k", 0, build("v", 8)); !guard.IsPanic(err) {
 		t.Fatalf("want contained panic, got %v", err)
 	}
 
 	guard.Clear()
-	if e, st, err := c.Do(ctx, "k", hashFor(0), build("v", 8)); err != nil || st != Miss || e.Value != "v" {
+	if e, st, err := c.Do(ctx, "k", 0, build("v", 8)); err != nil || st != Miss || e.Value != "v" {
 		t.Fatalf("recovery after faults: entry=%v status=%v err=%v", e, st, err)
 	}
 }
@@ -306,7 +323,7 @@ func TestFaultInsert(t *testing.T) {
 // under -race: counters stay consistent and every successful access
 // yields the value its key's build produced.
 func TestConcurrentMixedKeys(t *testing.T) {
-	c := New(1600, obs.NewRegistry()) // tiny: evictions happen constantly
+	c := New(100, obs.NewRegistry()) // three of the seven keys fit: evictions happen constantly
 	ctx := context.Background()
 	const goroutines = 12
 	const rounds = 200
@@ -319,7 +336,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				k := fmt.Sprintf("key-%d", (g+r)%7)
 				want := "plan:" + k
-				e, _, err := c.Do(ctx, k, hashFor(uint64((g+r)%7)), build(want, 30))
+				e, _, err := c.Do(ctx, k, 0, build(want, 30))
 				if err != nil {
 					t.Error(err)
 					return
@@ -337,7 +354,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("no accesses recorded")
 	}
-	if got := c.Bytes(); got > 1600 {
+	if got := c.Bytes(); got > 100 {
 		t.Fatalf("byte accounting drifted above budget: %d", got)
 	}
 }

@@ -82,7 +82,7 @@ func TestRefreshPanicContained(t *testing.T) {
 	if !guard.IsPanic(err) {
 		t.Fatalf("Refresh err = %v, want contained panic", err)
 	}
-	if e, ok := c.Lookup("k", 3); !ok || e.Value != "good" {
+	if e, ok := c.Lookup("k"); !ok || e.Value != "good" {
 		t.Fatalf("old entry lost after panicking refresh: %v %v", e, ok)
 	}
 	// The flight must be retired: the next refresh runs.
@@ -169,7 +169,7 @@ func TestRefreshFault(t *testing.T) {
 		t.Fatalf("err = %v, want contained panic", err)
 	}
 	guard.Clear()
-	if e, ok := c.Lookup("k", 3); !ok || e.Value != "good" {
+	if e, ok := c.Lookup("k"); !ok || e.Value != "good" {
 		t.Fatalf("entry lost under replan faults: %v %v", e, ok)
 	}
 }

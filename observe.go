@@ -70,3 +70,12 @@ func flightCounters(reg *obs.Registry) map[string]int64 {
 	}
 	return reg.CountersWithPrefix("memo.", "guard.", "optimizer.", "feedback.")
 }
+
+// observeQError computes the q-error of est against actual, observes
+// it in thousandths into h's series for op (executor.qerror_milli),
+// and returns it.
+func observeQError(h *obs.HistogramVec, op string, est float64, actual int) float64 {
+	q := flight.QError(est, actual)
+	h.With(op).Observe(int64(q*1000 + 0.5))
+	return q
+}

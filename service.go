@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -108,26 +107,18 @@ type Service struct {
 	fb     *feedback.Store
 	adapt  *executor.Adapt
 	qerror *obs.HistogramVec
-	tpl    sync.Map // template key -> *tplStats
 }
 
 // tplStats is one template's drift bookkeeping: the consecutive-drift
 // streak, the last observed max subtree q-error (stored ×1000 to stay
-// atomic), total corrections recorded, and the replan generation.
+// atomic), total corrections recorded, and the replan generation. It
+// lives on the template's cachedPlan, is handed on to the plan a
+// re-plan builds, and is evicted with the cache entry.
 type tplStats struct {
 	drift       atomic.Int64
 	lastQMilli  atomic.Int64
 	corrections atomic.Int64
 	gen         atomic.Int64
-}
-
-// statsFor returns (creating on first use) key's drift bookkeeping.
-func (s *Service) statsFor(key string) *tplStats {
-	if v, ok := s.tpl.Load(key); ok {
-		return v.(*tplStats)
-	}
-	v, _ := s.tpl.LoadOrStore(key, &tplStats{})
-	return v.(*tplStats)
 }
 
 // NewService builds a serving facade over cfg.DB. It reads no table:
@@ -224,13 +215,10 @@ func (s *Service) CacheDebug() CacheDebug {
 		if cp, ok := e.Value.(*cachedPlan); ok {
 			row.PlanKey = plan.Key(cp.plan)
 			row.Degraded = cp.degraded
-		}
-		if v, ok := s.tpl.Load(e.Key); ok {
-			ts := v.(*tplStats)
-			row.LastQError = float64(ts.lastQMilli.Load()) / 1000
-			row.Corrections = ts.corrections.Load()
-			row.ReplanGen = ts.gen.Load()
-			row.DriftRuns = ts.drift.Load()
+			row.LastQError = float64(cp.stats.lastQMilli.Load()) / 1000
+			row.Corrections = cp.stats.corrections.Load()
+			row.ReplanGen = cp.stats.gen.Load()
+			row.DriftRuns = cp.stats.drift.Load()
 		}
 		d.Plans = append(d.Plans, row)
 	}
@@ -327,7 +315,8 @@ func classify(err error, parseStage bool) *ServeError {
 }
 
 // cachedPlan is the plan cache's value: the optimized parameterized
-// template plus binding metadata. Immutable after insertion.
+// template plus binding metadata. Immutable after insertion, except
+// for the atomic counters stats points to.
 type cachedPlan struct {
 	plan plan.Node
 	// keySkel renders plan.Key of a binding of plan by splicing (nil
@@ -346,6 +335,10 @@ type cachedPlan struct {
 	// corrected optimization, which would absorb the previous run's
 	// corrections and mask a stale cached plan.
 	est map[plan.Node]stats.Estimate
+	// stats is the template's drift bookkeeping, read and written in
+	// feedback mode. A bypass request's plan has its own, which dies
+	// with it.
+	stats *tplStats
 }
 
 // planBytes estimates a cached plan's footprint for the cache's byte
@@ -492,7 +485,7 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 		cached = cp
 	} else {
 		optStart := time.Now()
-		entry, st, err := s.cache.Do(ctx, key, hash, s.fillCache(key, node, params, b, reg))
+		entry, st, err := s.cache.Do(ctx, key, hash, s.fillCache(key, node, params, nil, b, reg))
 		if err != nil {
 			return nil, "", hash, classify(err, false)
 		}
@@ -597,6 +590,7 @@ func (s *Service) optimizeTemplate(node plan.Node, params []value.Value, b *guar
 		nparams:       plan.ParamCount(node),
 		degraded:      res.Degraded,
 		fbCorrections: res.FeedbackCorrections,
+		stats:         &tplStats{},
 	}
 	if s.fb != nil {
 		cp.est = res.Estimates
@@ -648,8 +642,7 @@ func (s *Service) observeExecution(ctx context.Context, key string, hash uint64,
 		if !ok || est.Key == "" {
 			return
 		}
-		q := flight.QError(est.Rows, a.Rows)
-		s.qerror.With(executor.OpName(bnd)).Observe(int64(q*1000 + 0.5))
+		q := observeQError(s.qerror, executor.OpName(bnd), est.Rows, a.Rows)
 		if q > maxQ {
 			maxQ = q
 		}
@@ -663,7 +656,7 @@ func (s *Service) observeExecution(ctx context.Context, key string, hash uint64,
 	}
 	reg.Counter("feedback.corrections").Add(int64(len(rows)))
 
-	ts := s.statsFor(key)
+	ts := cached.stats
 	ts.corrections.Add(int64(len(rows)))
 	ts.lastQMilli.Store(int64(maxQ * 1000))
 	resp.MaxQError = maxQ
@@ -684,7 +677,7 @@ func (s *Service) observeExecution(ctx context.Context, key string, hash uint64,
 		return nil
 	}
 	reg.Counter("feedback.drift_trips").Inc()
-	if err := s.replanTemplate(ctx, key, hash, node, params, b, reg); err != nil {
+	if err := s.replanTemplate(ctx, key, hash, node, params, ts, b, reg); err != nil {
 		// A failed re-plan never fails the request (its results are
 		// already in hand) and never costs the cache its old entry —
 		// Refresh keeps the previous plan serving on error.
@@ -698,22 +691,27 @@ func (s *Service) observeExecution(ctx context.Context, key string, hash uint64,
 }
 
 // replanTemplate atomically rebuilds key's cache entry from a fresh
-// feedback-corrected optimization with params' values. Concurrent
-// replans of the same template collapse into one build (singleflight),
-// and the old entry serves until the new one lands.
-func (s *Service) replanTemplate(ctx context.Context, key string, hash uint64, node plan.Node, params []value.Value, b *guard.Budget, reg *obs.Registry) error {
-	_, err := s.cache.Refresh(ctx, key, hash, s.fillCache(key, node, params, b, reg))
+// feedback-corrected optimization with params' values; the new plan
+// keeps the template's drift bookkeeping ts. Concurrent replans of the
+// same template collapse into one build (singleflight), and the old
+// entry serves until the new one lands.
+func (s *Service) replanTemplate(ctx context.Context, key string, hash uint64, node plan.Node, params []value.Value, ts *tplStats, b *guard.Budget, reg *obs.Registry) error {
+	_, err := s.cache.Refresh(ctx, key, hash, s.fillCache(key, node, params, ts, b, reg))
 	return err
 }
 
 // fillCache builds key's plan-cache entry: the template optimized with
 // params' values, plus the skeleton that splices each binding's plan
-// key.
-func (s *Service) fillCache(key string, node plan.Node, params []value.Value, b *guard.Budget, reg *obs.Registry) func() (any, int64, error) {
+// key. A non-nil ts carries a re-planned template's drift bookkeeping
+// over to its new plan.
+func (s *Service) fillCache(key string, node plan.Node, params []value.Value, ts *tplStats, b *guard.Budget, reg *obs.Registry) func() (any, int64, error) {
 	return func() (any, int64, error) {
 		cp, err := s.optimizeTemplate(node, params, b, reg)
 		if err != nil {
 			return nil, 0, err
+		}
+		if ts != nil {
+			cp.stats = ts
 		}
 		cp.keySkel = plan.NewKeySkeleton(cp.plan)
 		return cp, planBytes(key, plan.Key(cp.plan)), nil

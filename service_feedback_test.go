@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/guard"
+	"repro/internal/plan"
 )
 
 // skewQuery is the workload whose static estimate is catastrophically
@@ -262,6 +263,57 @@ func TestServiceCacheDebug(t *testing.T) {
 	}
 	if d.Stats.Refreshes == 0 {
 		t.Fatal("Stats.Refreshes = 0, want > 0")
+	}
+}
+
+// TestServiceFeedbackStateEvictedWithPlan: a template's drift
+// bookkeeping lives on its cache entry. With room for one template,
+// two served alternately evict each other on every request; the cache
+// then holds only the template just served, and its feedback state is
+// that one run's — the evicted lineage left nothing behind for the next
+// miss to resume (no accumulated corrections, no carried drift streak,
+// no re-plan).
+func TestServiceFeedbackStateEvictedWithPlan(t *testing.T) {
+	svc, err := NewService(ServiceConfig{
+		DB:             datagen.Skewed(testSkewConfig),
+		CacheBytes:     1, // the newest entry only
+		Feedback:       true,
+		ReplanQError:   10,
+		ReplanAfter:    2,
+		DefaultTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := "select fact.k, count(*) as n from fact, d1 where fact.j = d1.j and fact.k = 3 group by fact.k"
+	ctx := context.Background()
+	for i := 0; i < 6; i++ {
+		q := []string{skewQuery, other}[i%2]
+		resp, err := svc.Query(ctx, Request{SQL: q})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if resp.CacheStatus != "miss" || resp.Replanned || resp.ReplanGen != 0 {
+			t.Fatalf("run %d: cache=%s replanned=%v gen=%d, want a fresh miss", i, resp.CacheStatus, resp.Replanned, resp.ReplanGen)
+		}
+		d := svc.CacheDebug()
+		if len(d.Plans) != 1 {
+			t.Fatalf("run %d: CacheDebug lists %d plans, want 1", i, len(d.Plans))
+		}
+		row := d.Plans[0]
+		cp := svc.cache.Entries()[0].Value.(*cachedPlan)
+		composites := 0
+		plan.Walk(cp.plan, func(n plan.Node) {
+			if len(n.Children()) > 0 {
+				composites++
+			}
+		})
+		if row.PlanKey != plan.Key(cp.plan) || row.Corrections == 0 || row.Corrections > int64(composites) {
+			t.Fatalf("run %d: %+v; want one run's corrections (1..%d)", i, row, composites)
+		}
+		if row.ReplanGen != 0 || row.DriftRuns > 1 {
+			t.Fatalf("run %d: %+v carries an evicted lineage's drift state", i, row)
+		}
 	}
 }
 

@@ -211,7 +211,7 @@ func viaFrontEnd(svc *Service, q string) served {
 	key := plan.Key(node)
 	reg := obs.NewRegistry()
 	b := guard.New(context.Background(), Limits{}, reg)
-	entry, _, err := svc.cache.Do(context.Background(), key, plan.Fingerprint(node), svc.fillCache(key, node, params, b, reg))
+	entry, _, err := svc.cache.Do(context.Background(), key, plan.Fingerprint(node), svc.fillCache(key, node, params, nil, b, reg))
 	if err != nil {
 		return fail(err, false)
 	}
