@@ -352,7 +352,18 @@ func BenchmarkExplainAnalyzeReport(b *testing.B) {
 	}
 	b.ReportMetric(float64(rep.RowsOut), "rows_out")
 	b.ReportMetric(float64(rep.Considered), "plans")
-	b.ReportMetric(float64(rep.Metrics.Counters["executor.residual_evals"]), "residual_evals")
+	var residualEvals int64
+	var walk func(t *plan.TreeNode)
+	walk = func(t *plan.TreeNode) {
+		if t.Actual != nil {
+			residualEvals += t.Actual.Extra["residual_evals"]
+		}
+		for _, in := range t.Inputs {
+			walk(in)
+		}
+	}
+	walk(rep.PlanTree)
+	b.ReportMetric(float64(residualEvals), "residual_evals")
 	for _, p := range rep.Phases {
 		if p.Name == "explore" {
 			b.ReportMetric(float64(p.Ns), "explore_ns")
@@ -431,7 +442,18 @@ func BenchmarkServiceOrderBy(b *testing.B) {
 // executes and encodes — the in-process figure of the hit_point
 // workload's serving path.
 func BenchmarkHandlerHit(b *testing.B) {
-	svc, err := NewService(ServiceConfig{DB: shapeMemoDB()})
+	benchHandlerHit(b, ServiceConfig{DB: shapeMemoDB()})
+}
+
+// BenchmarkHandlerHitFeedback is BenchmarkHandlerHit in feedback mode:
+// every hit also runs instrumented and adaptive and folds its actuals
+// into the feedback store.
+func BenchmarkHandlerHitFeedback(b *testing.B) {
+	benchHandlerHit(b, ServiceConfig{DB: shapeMemoDB(), Feedback: true})
+}
+
+func benchHandlerHit(b *testing.B, cfg ServiceConfig) {
+	svc, err := NewService(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

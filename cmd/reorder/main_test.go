@@ -82,7 +82,7 @@ func TestRunSupplierStats(t *testing.T) {
 		"phases:",
 		"explore",
 		"optimizer.rule_applied",
-		"executor.op.scan",
+		"memo.exprs",
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q", want)
@@ -253,8 +253,8 @@ func TestRunMetricsAddr(t *testing.T) {
 	if perr != nil {
 		t.Fatalf("strict exposition parse: %v", perr)
 	}
-	if fams["optimizer_plans_enumerated_total"] == nil {
-		t.Error("metrics missing optimizer_plans_enumerated_total")
+	if fams["memo_exprs_total"] == nil {
+		t.Error("metrics missing memo_exprs_total")
 	}
 	var qerrSeen bool
 	for name, fam := range fams {

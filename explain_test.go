@@ -62,17 +62,16 @@ func TestExplainAnalyzeSupplier(t *testing.T) {
 	if len(rep.RuleFirings) == 0 {
 		t.Error("supplier query enumerates alternatives but no rule firings recorded")
 	}
-	if rep.Metrics.Counters["optimizer.plans_enumerated"] != int64(rep.Considered) {
-		t.Errorf("plans_enumerated counter %d, Considered %d",
-			rep.Metrics.Counters["optimizer.plans_enumerated"], rep.Considered)
+	if rep.Metrics.Counters["memo.exprs"] != int64(rep.Considered) {
+		t.Errorf("memo.exprs counter %d, Considered %d",
+			rep.Metrics.Counters["memo.exprs"], rep.Considered)
 	}
-	if rep.Metrics.Counters["executor.ops"] != int64(plan.CountNodes(node)) {
-		t.Errorf("executor.ops = %d, plan has %d nodes",
-			rep.Metrics.Counters["executor.ops"], plan.CountNodes(node))
+	if len(ann) != plan.CountNodes(node) {
+		t.Errorf("%d annotations, plan has %d nodes", len(ann), plan.CountNodes(node))
 	}
 
 	out := rep.String()
-	for _, want := range []string{"EXPLAIN ANALYZE", "actual rows=", "phases:", "explore", "counters:", "executor.op.scan"} {
+	for _, want := range []string{"EXPLAIN ANALYZE", "actual rows=", "phases:", "explore", "counters:", "memo.exprs"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered report missing %q:\n%s", want, out)
 		}
@@ -211,8 +210,8 @@ func TestExplainAnalyzeViewsAgree(t *testing.T) {
 }
 
 // TestExplainAnalyzeIsolation: two concurrent ExplainAnalyze calls use
-// private registries, so their executor.ops counters reflect only
-// their own plan.
+// private registries, so each report's optimizer.runs counts only its
+// own run and its memo.exprs only its own expressions.
 func TestExplainAnalyzeIsolation(t *testing.T) {
 	db := tinyDB()
 	q, err := Parse("select t.a, s.c from t left outer join s on t.a = s.a", db)
@@ -236,9 +235,11 @@ func TestExplainAnalyzeIsolation(t *testing.T) {
 		if rep == nil {
 			continue
 		}
-		node, _ := rep.Plan()
-		if got, want := rep.Metrics.Counters["executor.ops"], int64(plan.CountNodes(node)); got != want {
-			t.Errorf("executor.ops = %d, want %d (registry leaked across runs)", got, want)
+		if got := rep.Metrics.Counters["optimizer.runs"]; got != 1 {
+			t.Errorf("optimizer.runs = %d, want 1 (registry leaked across runs)", got)
+		}
+		if got, want := rep.Metrics.Counters["memo.exprs"], int64(rep.Considered); got != want {
+			t.Errorf("memo.exprs = %d, want %d (registry leaked across runs)", got, want)
 		}
 	}
 }

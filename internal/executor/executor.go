@@ -82,10 +82,12 @@ type Options struct {
 	// counters land in its registry. nil never trips.
 	Budget *guard.Budget
 	// Obs instruments the run: every node of the plan gets an
-	// annotation with its output rows and inclusive time, joins add
-	// their probe figures, and the per-operator and exec.vector.*
-	// counters land here instead of in the budget's registry. nil runs
-	// uninstrumented and returns no annotations.
+	// annotation with its output rows and inclusive time, and joins add
+	// their probe figures. The annotations are the run's one record of
+	// those facts; the executor's event counters (fallbacks, spills,
+	// adaptive switches, hash collisions) land in Obs instead of in the
+	// budget's registry. nil runs uninstrumented and returns no
+	// annotations.
 	Obs *obs.Registry
 	// Adapt enables mid-query adaptivity (build/probe swap, spill
 	// escalation); nil is the static plan.

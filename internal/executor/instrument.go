@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -32,8 +31,8 @@ type joinProbe struct {
 }
 
 // recordJoinProbe copies one join's physical counters into the node
-// annotation and the aggregate registry.
-func recordJoinProbe(a *plan.Annotation, st *joinProbe, reg *obs.Registry) {
+// annotation.
+func recordJoinProbe(a *plan.Annotation, st *joinProbe) {
 	a.AddExtra("hash_build_rows", int64(st.BuildRows))
 	a.AddExtra("residual_evals", int64(st.ResidualEvals))
 	a.AddExtra("null_padded", int64(st.NullPadded))
@@ -67,15 +66,11 @@ func recordJoinProbe(a *plan.Annotation, st *joinProbe, reg *obs.Registry) {
 	case "hash":
 		a.AddExtra("dense_lookup", 0)
 	}
-	reg.Counter("executor.hash_build_rows").Add(int64(st.BuildRows))
-	reg.Counter("executor.residual_evals").Add(int64(st.ResidualEvals))
-	reg.Counter("executor.null_padded").Add(int64(st.NullPadded))
-	reg.Counter("executor.hash_collisions").Add(int64(st.Collisions))
 }
 
 // OpName returns the stable metric label of a plan operator — the
-// label the per-operator counters, the q-error histograms and the
-// flight recorder's OpStat rows all key by.
+// label the q-error histograms and the flight recorder's OpStat rows
+// key by.
 func OpName(n plan.Node) string {
 	switch m := n.(type) {
 	case *plan.Scan:

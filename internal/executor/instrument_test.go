@@ -76,16 +76,25 @@ func TestInstrumentedSupplierRowCounts(t *testing.T) {
 		t.Error("join with a residual (qty < 2*aggqty95) recorded no residual evaluations")
 	}
 
-	// Aggregate registry figures match the annotations.
-	snap := reg.Snapshot()
-	if snap.Counters["executor.ops"] != int64(plan.CountNodes(q)) {
-		t.Errorf("executor.ops = %d, want %d", snap.Counters["executor.ops"], plan.CountNodes(q))
+	// One annotation per operator, each holding the reference engine's
+	// output size of its subtree, so TotalRows is the volume the
+	// operators produced.
+	if len(ann) != plan.CountNodes(q) {
+		t.Errorf("%d annotations, want %d", len(ann), plan.CountNodes(q))
 	}
-	if snap.Counters["executor.rows_out"] != ann.TotalRows() {
-		t.Errorf("executor.rows_out = %d, want %d", snap.Counters["executor.rows_out"], ann.TotalRows())
-	}
-	if snap.Counters["executor.op.scan"] != 3 {
-		t.Errorf("executor.op.scan = %d, want 3", snap.Counters["executor.op.scan"])
+	var rows int64
+	plan.Walk(q, func(n plan.Node) {
+		ref, err := Run(n, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := ann[n]; a != nil && a.Rows != ref.Len() {
+			t.Errorf("%s: annotation %d rows, Run gives %d", OpName(n), a.Rows, ref.Len())
+		}
+		rows += int64(ref.Len())
+	})
+	if ann.TotalRows() != rows {
+		t.Errorf("TotalRows = %d, want %d", ann.TotalRows(), rows)
 	}
 }
 

@@ -167,7 +167,10 @@ func BenchmarkExecNonEqui(b *testing.B) {
 // 268/135/111/91/107 allocations, leave ~30% headroom over those, so
 // a structural regression — a build side re-hashed per request, every
 // column gathered through every join, a schema built per execution —
-// trips them.
+// trips them. Deleting the per-operator registry copies and the
+// probe-batch counter left the counts at 171/73/55/47/52 (an
+// uninstrumented Exec wrote only the batch counter, to a registry that
+// already held it), so the ceilings stay.
 func TestExecServingAllocCeiling(t *testing.T) {
 	ceilings := map[string]struct{ bytes, allocs float64 }{
 		"supplier":       {49700, 222},

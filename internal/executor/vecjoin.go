@@ -356,7 +356,6 @@ func (e *vecEngine) probeJoin(kind plan.JoinKind, residual expr.Pred, envSchema 
 	if lk.collisions > 0 {
 		e.reg.Counter("exec.hash.collisions").Add(int64(lk.collisions))
 	}
-	e.reg.Counter("exec.vector.join.batches").Add(int64((probe.N + e.batch - 1) / e.batch))
 	if err := e.b.ChargeOut(len(psel)-charged, np+nb); err != nil {
 		return nil, nil, err
 	}

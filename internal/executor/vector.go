@@ -86,15 +86,9 @@ func (e *vecEngine) exec(n plan.Node) (*batch.Rel, error) {
 		if st != nil {
 			switch n.(type) {
 			case *plan.Join, *plan.MGOJNode:
-				recordJoinProbe(a, st, e.reg)
+				recordJoinProbe(a, st)
 			}
 		}
-		op := OpName(n)
-		e.reg.Counter("executor.ops").Inc()
-		e.reg.Counter("executor.op." + op).Inc()
-		e.reg.Counter("executor.rows_out").Add(int64(out.N))
-		e.reg.Histogram("executor.op_ns").ObserveDuration(a.Elapsed)
-		e.reg.Histogram("executor.rows_out." + op).Observe(int64(out.N))
 	}
 	return out, nil
 }

@@ -90,7 +90,7 @@ func E15() string {
 	keys := make([]string, 0, len(snap.Counters))
 	for k := range snap.Counters {
 		if strings.HasPrefix(k, "optimizer.rule_admitted.") ||
-			k == "memo.dedup_hits" || k == "optimizer.plans_enumerated" ||
+			k == "memo.dedup_hits" || k == "memo.exprs" ||
 			strings.HasPrefix(k, "executor.") {
 			keys = append(keys, k)
 		}

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -141,14 +140,12 @@ func (l Limits) limit(k Kind) int64 {
 
 // Budget is one run's resource envelope: a cancellation context plus
 // cumulative charge counters against Limits. Charges and checks are
-// safe for concurrent use (executor workers charge the same budget),
-// and every method is nil-safe, so unbudgeted callers pass nil and
-// pay a pointer comparison.
+// safe for concurrent use, and every method is nil-safe, so
+// unbudgeted callers pass nil and pay a pointer comparison.
 //
 // Trips are sticky: once a kind crosses its limit every later Charge
-// and Err call keeps failing, which is what lets worker pools drain
-// deterministically — each worker observes the same tripped state at
-// its next boundary check.
+// and Err call keeps failing, so every boundary check after the trip
+// observes the same tripped state.
 type Budget struct {
 	ctx    context.Context
 	limits Limits
@@ -157,7 +154,6 @@ type Budget struct {
 	used      [numKinds]atomic.Int64
 	tripped   [numKinds]atomic.Bool
 	cancelled atomic.Bool
-	queuedNs  atomic.Int64
 }
 
 // New builds a budget. ctx may be nil (never cancelled); reg receives
@@ -319,29 +315,6 @@ func (b *Budget) BytesFree() (free int64, limited bool) {
 		free = 0
 	}
 	return free, true
-}
-
-// AddQueueWait records time this run spent admitted-but-queued by a
-// serving layer's admission controller, before any optimizer or
-// executor work started. The wait is surfaced three ways so shed
-// decisions are observable: QueueWait (the service flight record's
-// "queued" phase), the guard.queue_wait_milli histogram on the budget's
-// registry, and whatever queue-depth gauges the admitting layer keeps.
-func (b *Budget) AddQueueWait(d time.Duration) {
-	if b == nil || d <= 0 {
-		return
-	}
-	b.queuedNs.Add(int64(d))
-	b.reg.Histogram("guard.queue_wait_milli").Observe(d.Milliseconds())
-}
-
-// QueueWait returns the cumulative admission-queue wait recorded for
-// this run (zero for a nil budget).
-func (b *Budget) QueueWait() time.Duration {
-	if b == nil {
-		return 0
-	}
-	return time.Duration(b.queuedNs.Load())
 }
 
 // ChargeOut charges one operator's materialized output — rows tuples

@@ -111,3 +111,43 @@ func TestCountersWithPrefix(t *testing.T) {
 		t.Fatalf("no match: %v, want nil", got)
 	}
 }
+
+// TestMergeMidObserveSource merges a source histogram caught inside
+// Observe: its count is added but its min and max still hold the empty
+// sentinels. The sentinels widen nothing, so the destination's min and
+// max stay at the one value it held.
+func TestMergeMidObserveSource(t *testing.T) {
+	h := NewHistogram()
+	h.Observe(5)
+	src := NewHistogram()
+	src.count.Store(1)
+	h.merge(src)
+	if lo, hi := h.min.Load(), h.max.Load(); lo != 5 || hi != 5 {
+		t.Fatalf("min/max after merging a mid-Observe source = %d/%d, want 5/5", lo, hi)
+	}
+}
+
+// TestZeroRegistry: the zero Registry is an empty registry that makes
+// its maps on first write, and an unwritten one allocates nothing to
+// read, merge or reset.
+func TestZeroRegistry(t *testing.T) {
+	var r Registry
+	if allocs := testing.AllocsPerRun(10, func() {
+		_ = r.CountersWithPrefix("memo.")
+		NewRegistry().Merge(&r)
+		r.Reset()
+	}); allocs > 1 {
+		t.Errorf("reading an unwritten registry allocated %.0f times, want at most the merge target", allocs)
+	}
+	r.Counter("c").Inc()
+	r.Gauge("g").Set(2)
+	r.Histogram("h").Observe(3)
+	s := r.Snapshot()
+	if s.Counters["c"] != 1 || s.Gauges["g"] != 2 || s.Histograms["h"].Count != 1 {
+		t.Fatalf("zero registry after writes = %+v", s)
+	}
+	r.Reset()
+	if s := r.Snapshot(); s.Counters != nil || s.Gauges != nil || s.Histograms != nil {
+		t.Fatalf("after Reset = %+v, want empty", s)
+	}
+}

@@ -1,10 +1,13 @@
 // Package obs is the engine's zero-dependency observability layer: a
 // lightweight metrics registry of counters, gauges and histograms,
-// all safe for concurrent update via atomics. The optimizer records rule firings, dedup hit rates
-// and per-phase wall time into it; the executor records per-operator
-// row counts, hash-build sizes and nested-loop fallbacks. Snapshots
-// serialize to JSON, which is how EXPLAIN ANALYZE output reaches
-// external tooling and the benchmarks.
+// all safe for concurrent update via atomics. The optimizer records
+// runs, rule firings, memo sizes and per-phase wall time into it; the
+// executor records the events a plan annotation does not carry
+// (fallbacks, spills, adaptive switches, hash collisions), while each
+// operator's rows, time and join figures stay on its annotation. Each
+// fact is metered once, where it is known. Snapshots serialize to
+// JSON, which is how EXPLAIN ANALYZE output reaches external tooling
+// and the benchmarks.
 package obs
 
 import (
@@ -78,19 +81,29 @@ func NewHistogram() *Histogram {
 func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 	h.sum.Add(v)
-	for {
-		old := h.min.Load()
-		if v >= old || h.min.CompareAndSwap(old, v) {
-			break
-		}
-	}
-	for {
-		old := h.max.Load()
-		if v <= old || h.max.CompareAndSwap(old, v) {
-			break
-		}
-	}
+	lower(&h.min, v)
+	raise(&h.max, v)
 	h.buckets[bucketOf(v)].Add(1)
+}
+
+// lower sets a to v when v is smaller.
+func lower(a *atomic.Int64, v int64) {
+	for {
+		old := a.Load()
+		if v >= old || a.CompareAndSwap(old, v) {
+			return
+		}
+	}
+}
+
+// raise sets a to v when v is larger.
+func raise(a *atomic.Int64, v int64) {
+	for {
+		old := a.Load()
+		if v <= old || a.CompareAndSwap(old, v) {
+			return
+		}
+	}
 }
 
 // ObserveDuration records a wall-time measurement in nanoseconds.
@@ -200,7 +213,9 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 }
 
 // merge folds src's observations into h: counts, sums and buckets add,
-// min/max widen. Safe against concurrent observation of either side.
+// min widens from src's min and max from src's max. Safe against
+// concurrent observation of either side: a src caught mid-Observe
+// still holds its sentinels, which widen nothing.
 func (h *Histogram) merge(src *Histogram) {
 	n := src.count.Load()
 	if n == 0 {
@@ -213,26 +228,16 @@ func (h *Histogram) merge(src *Histogram) {
 			h.buckets[i].Add(b)
 		}
 	}
-	for _, v := range []int64{src.min.Load(), src.max.Load()} {
-		for {
-			old := h.min.Load()
-			if v >= old || h.min.CompareAndSwap(old, v) {
-				break
-			}
-		}
-		for {
-			old := h.max.Load()
-			if v <= old || h.max.CompareAndSwap(old, v) {
-				break
-			}
-		}
-	}
+	lower(&h.min, src.min.Load())
+	raise(&h.max, src.max.Load())
 }
 
 // Registry holds named metrics. Lookups get-or-create, so callers
 // never register up front; names are free-form dotted paths
 // ("optimizer.phase.explore_ns"). Labeled metrics come from the
-// vectors of labels.go.
+// vectors of labels.go. The zero value is an empty registry: each map
+// is made on its first write, so a run that meters nothing allocates
+// nothing beyond the struct.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
@@ -241,13 +246,7 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 var defaultRegistry = NewRegistry()
 
@@ -271,6 +270,9 @@ func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.counters[name]; c == nil {
+		if r.counters == nil {
+			r.counters = make(map[string]*Counter)
+		}
 		c = &Counter{}
 		r.counters[name] = c
 	}
@@ -291,6 +293,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g = r.gauges[name]; g == nil {
+		if r.gauges == nil {
+			r.gauges = make(map[string]*Gauge)
+		}
 		g = &Gauge{}
 		r.gauges[name] = g
 	}
@@ -311,6 +316,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.histograms[name]; h == nil {
+		if r.histograms == nil {
+			r.histograms = make(map[string]*Histogram)
+		}
 		h = NewHistogram()
 		r.histograms[name] = h
 	}
@@ -398,9 +406,7 @@ func (r *Registry) Reset() {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters = make(map[string]*Counter)
-	r.gauges = make(map[string]*Gauge)
-	r.histograms = make(map[string]*Histogram)
+	r.counters, r.gauges, r.histograms = nil, nil, nil
 }
 
 // Snapshot is a point-in-time copy of a registry, JSON-serializable

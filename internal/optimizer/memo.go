@@ -22,10 +22,11 @@ import (
 // that declares no group-local scope is an error naming it), and the
 // best plan is extracted bottom-up with branch-and-bound pruning
 // instead of costing every materialized member of the class.
-// Considered counts admitted expressions (matched by the
-// optimizer.plans_enumerated counter), RuleFirings credits the rule
-// that admitted each expression, and Best carries the derivation chain
-// reconstructed from the memo's provenance records.
+// Considered counts the expressions exploration admitted (the
+// memo.exprs counter, which also counts a degraded run's heuristic
+// offer), RuleFirings credits the rule that admitted each expression,
+// and Best carries the derivation chain reconstructed from the memo's
+// provenance records.
 //
 // Under a budget (Options.Budget) the run is interruptible and
 // bounded: cancellation and contained panics surface as typed guard
@@ -76,7 +77,6 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	if err := guard.Hit(guard.PointSimplify); err != nil {
 		return nil, err
 	}
-	reg.Counter("optimizer.memo_runs").Inc()
 	// A root ORDER BY (a Sort without LIMIT) is not a logical operator
 	// to enumerate around: strip it, extract the order-free winner, and
 	// put it back as one enforcer Sort over that winner. Top-K sorts
@@ -86,7 +86,6 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	if s, ok := q.(*plan.Sort); ok && s.Limit < 0 && len(s.Keys) > 0 {
 		required = plan.Order(s.Keys)
 		inner = s.Input
-		reg.Counter("memo.order.required").Inc()
 	}
 	type seed struct {
 		node   plan.Node
@@ -129,8 +128,6 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 		return nil, err
 	}
 	endExplore()
-	reg.Counter("optimizer.plans_enumerated").Add(int64(m.Exprs()))
-	reg.Gauge("optimizer.last_considered").Set(int64(m.Exprs()))
 	// Any cap — the guard's expression budget or MaxPlans — leaves the
 	// search incomplete, and the result says so.
 	degraded := m.CappedReason()
@@ -178,7 +175,6 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	}
 	derivation := append(append([]string(nil), prefixes[best.Root]...), m.Derivation(best.Group)...)
 	endCost()
-	reg.Counter("optimizer.plans_costed").Inc()
 
 	res = &Result{
 		Best:                Ranked{Plan: bestPlan, Cost: bestCost, Rows: bestRows, Derivation: derivation},

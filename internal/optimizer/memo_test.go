@@ -122,7 +122,7 @@ func TestMemoMatchesSaturate(t *testing.T) {
 			db := memoTestDB(tc.rels)
 			mem, counters := optimizeWith(t, tc.q, db, 1)
 			sat, ranked := saturationRanking(t, tc.q, db, 20000)
-			if counters["optimizer.memo_runs"] != 1 {
+			if counters["optimizer.runs"] != 1 {
 				t.Fatalf("memo engine did not run (counters %v)", counters)
 			}
 			if mem.Best.Cost != sat.Best.Cost {
@@ -159,8 +159,8 @@ func TestMemoMatchesSaturate(t *testing.T) {
 			if len(mem.RuleFirings) == 0 {
 				t.Error("memo path reported no rule firings")
 			}
-			if counters["optimizer.plans_enumerated"] != int64(mem.Considered) {
-				t.Errorf("plans_enumerated %d != Considered %d", counters["optimizer.plans_enumerated"], mem.Considered)
+			if counters["memo.exprs"] != int64(mem.Considered) {
+				t.Errorf("memo.exprs %d != Considered %d", counters["memo.exprs"], mem.Considered)
 			}
 		})
 	}

@@ -117,9 +117,8 @@ func checkRootSort(t *testing.T, q *plan.Sort, db plan.Database) {
 	if res.Order == nil || res.Order.Enforced != 1 || fmt.Sprint(res.Order.Required) != fmt.Sprint(plan.Order(q.Keys)) {
 		t.Fatalf("Result.Order = %+v, want required %v enforced 1", res.Order, q.Keys)
 	}
-	if counters["memo.order.required"] != 1 || counters["memo.order.enforced"] != 1 {
-		t.Errorf("order counters: required=%d enforced=%d, want 1/1",
-			counters["memo.order.required"], counters["memo.order.enforced"])
+	if counters["memo.order.enforced"] != 1 {
+		t.Errorf("memo.order.enforced = %d, want 1", counters["memo.order.enforced"])
 	}
 	if !strings.Contains(optimizer.Explain(res), "(enforced 1)") {
 		t.Errorf("EXPLAIN lacks the enforcer provenance:\n%s", optimizer.Explain(res))
@@ -234,8 +233,8 @@ func TestOrderTopKKeepsRootSort(t *testing.T) {
 	if res.Order != nil {
 		t.Fatalf("top-K query should not set Result.Order, got %+v", res.Order)
 	}
-	if counters["memo.order.required"] != 0 {
-		t.Errorf("memo.order.required = %d, want 0", counters["memo.order.required"])
+	if counters["memo.order.enforced"] != 0 {
+		t.Errorf("memo.order.enforced = %d, want 0", counters["memo.order.enforced"])
 	}
 	root, ok := res.Best.Plan.(*plan.Sort)
 	if !ok {
@@ -263,9 +262,7 @@ func TestOrderFreeQueriesUnchanged(t *testing.T) {
 	if res.Order != nil {
 		t.Fatalf("order-free query set Result.Order: %+v", res.Order)
 	}
-	for _, c := range []string{"memo.order.required", "memo.order.enforced"} {
-		if counters[c] != 0 {
-			t.Errorf("%s = %d, want 0 on an order-free query", c, counters[c])
-		}
+	if c := counters["memo.order.enforced"]; c != 0 {
+		t.Errorf("memo.order.enforced = %d, want 0 on an order-free query", c)
 	}
 }

@@ -2,10 +2,7 @@ package plan
 
 import (
 	"strings"
-	"sync"
 	"sync/atomic"
-
-	"repro/internal/expr"
 )
 
 // Plans are immutable and rewrites share unchanged subtrees, so the
@@ -81,39 +78,6 @@ func Fingerprint(n Node) uint64 {
 		return f.fingerprint().hash
 	}
 	return fnv64(n.String())
-}
-
-// predStrings memoizes rendered comparison atoms. A query has a
-// handful of distinct predicates but the enumerator renders them once
-// per candidate plan (millions of times per saturation), and rewrites
-// share the very same predicate values, so the cache hits almost
-// always. Keyed by the expr.Cmp value itself — all its current Scalar
-// implementations (Col, Const, Arith) are comparable structs.
-var predStrings sync.Map
-
-// predKey renders a predicate canonically — identical text to
-// p.String() — with comparison atoms memoized.
-func predKey(p expr.Pred) string {
-	switch q := p.(type) {
-	case expr.Cmp:
-		if s, ok := predStrings.Load(q); ok {
-			return s.(string)
-		}
-		s := q.String()
-		predStrings.Store(q, s)
-		return s
-	case expr.Conj:
-		if len(q.Preds) == 0 {
-			return "true"
-		}
-		parts := make([]string, len(q.Preds))
-		for i, sub := range q.Preds {
-			parts[i] = predKey(sub)
-		}
-		return strings.Join(parts, " and ")
-	default:
-		return p.String()
-	}
 }
 
 // specsKey renders a preserved-spec list as "r1r2,r3" — identical to

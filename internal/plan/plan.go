@@ -219,7 +219,7 @@ func (j *Join) fingerprint() *fpVal {
 		// Built by concatenation, not fmt: this runs once per candidate
 		// plan the enumerator generates and fmt's reflection dominated
 		// its profile.
-		return "(" + Key(j.L) + " " + j.Kind.String() + "[" + predKey(j.Pred) + "] " + Key(j.R) + ")"
+		return "(" + Key(j.L) + " " + j.Kind.String() + "[" + j.Pred.String() + "] " + Key(j.R) + ")"
 	})
 }
 
@@ -262,7 +262,7 @@ func (s *Select) Eval(db Database) (*relation.Relation, error) {
 
 func (s *Select) fingerprint() *fpVal {
 	return s.fpCache.val(func() string {
-		return "SEL[" + predKey(s.Pred) + "](" + Key(s.Input) + ")"
+		return "SEL[" + s.Pred.String() + "](" + Key(s.Input) + ")"
 	})
 }
 
@@ -339,7 +339,7 @@ func (g *GenSel) Eval(db Database) (*relation.Relation, error) {
 
 func (g *GenSel) fingerprint() *fpVal {
 	return g.fpCache.val(func() string {
-		return "GS[" + predKey(g.Pred) + "; " + specsKey(g.Preserved) + "](" + Key(g.Input) + ")"
+		return "GS[" + g.Pred.String() + "; " + specsKey(g.Preserved) + "](" + Key(g.Input) + ")"
 	})
 }
 
@@ -406,7 +406,7 @@ func (m *MGOJNode) Eval(db Database) (*relation.Relation, error) {
 
 func (m *MGOJNode) fingerprint() *fpVal {
 	return m.fpCache.val(func() string {
-		return "(" + Key(m.L) + " MGOJ[" + predKey(m.Pred) + "; " + specsKey(m.Preserved) + "] " + Key(m.R) + ")"
+		return "(" + Key(m.L) + " MGOJ[" + m.Pred.String() + "; " + specsKey(m.Preserved) + "] " + Key(m.R) + ")"
 	})
 }
 

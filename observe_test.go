@@ -72,8 +72,8 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 		t.Errorf("record phases = %s, want analyze/simplify/explore/cost/execute", got)
 	}
 	// The counter subset carries optimizer provenance, not executor noise.
-	if rec.Counters["optimizer.plans_enumerated"] == 0 {
-		t.Errorf("record counters missing optimizer.plans_enumerated: %v", rec.Counters)
+	if rec.Counters["memo.exprs"] == 0 {
+		t.Errorf("record counters missing memo.exprs: %v", rec.Counters)
 	}
 	for name := range rec.Counters {
 		if strings.HasPrefix(name, "executor.") {
@@ -84,9 +84,9 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 	// The aggregate registry got the merged run, including per-op-type
 	// q-error histograms.
 	agg := ob.Registry.Snapshot()
-	if agg.Counters["optimizer.plans_enumerated"] != int64(rep.Considered) {
-		t.Errorf("aggregate plans_enumerated = %d, want %d",
-			agg.Counters["optimizer.plans_enumerated"], rep.Considered)
+	if agg.Counters["memo.exprs"] != int64(rep.Considered) {
+		t.Errorf("aggregate memo.exprs = %d, want %d",
+			agg.Counters["memo.exprs"], rep.Considered)
 	}
 	qerrSeen := 0
 	for name, h := range agg.Histograms {
@@ -116,10 +116,10 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 	if ob.Flight.Len() != 2 {
 		t.Fatalf("flight records after second run = %d", ob.Flight.Len())
 	}
-	if got := ob.Registry.Snapshot().Counters["optimizer.plans_enumerated"]; got != int64(rep.Considered+rep2.Considered) {
+	if got := ob.Registry.Snapshot().Counters["memo.exprs"]; got != int64(rep.Considered+rep2.Considered) {
 		t.Errorf("aggregate after two runs = %d, want %d", got, rep.Considered+rep2.Considered)
 	}
-	if rep2.Metrics.Counters["optimizer.plans_enumerated"] != int64(rep2.Considered) {
+	if rep2.Metrics.Counters["memo.exprs"] != int64(rep2.Considered) {
 		t.Error("second report's private metrics polluted by the aggregate")
 	}
 }
@@ -269,9 +269,9 @@ func TestAnalyzeJSONQuantiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, ok := rep.Metrics.Histograms["executor.op_ns"]
+	h, ok := rep.Metrics.Histograms["optimizer.phase.explore_ns"]
 	if !ok {
-		t.Fatal("report missing executor.op_ns histogram")
+		t.Fatal("report missing optimizer.phase.explore_ns histogram")
 	}
 	if h.P50 <= 0 || h.P95 < h.P50 || h.P99 < h.P95 {
 		t.Fatalf("quantiles not ordered: p50=%d p95=%d p99=%d", h.P50, h.P95, h.P99)
@@ -288,7 +288,7 @@ func TestAnalyzeJSONQuantiles(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	h2 := back.Metrics.Histograms["executor.op_ns"]
+	h2 := back.Metrics.Histograms["optimizer.phase.explore_ns"]
 	if h2.P50 != h.P50 || h2.P95 != h.P95 || h2.P99 != h.P99 {
 		t.Errorf("quantiles changed across round trip: %+v vs %+v", h, h2)
 	}

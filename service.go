@@ -94,6 +94,7 @@ type Service struct {
 	inflight atomic.Int64  // waiting + running, bounded by slots+queue
 
 	queueDepth *obs.Gauge
+	queueWait  *obs.Histogram // guard.queue_wait_milli
 	shed       *obs.Counter
 	requests   *obs.CounterVec
 
@@ -151,6 +152,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		ob:         ob,
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
 		queueDepth: ob.Registry.Gauge("serve.queue_depth"),
+		queueWait:  ob.Registry.Histogram("guard.queue_wait_milli"),
 		shed:       ob.Registry.Counter("serve.shed"),
 		requests:   ob.Registry.CounterVec("serve.requests", "outcome"),
 	}
@@ -425,6 +427,7 @@ func (s *Service) query(ctx context.Context, req Request) (*Response, error) {
 	defer func() { <-s.sem }()
 	queued := time.Since(queueStart)
 	s.queueDepth.Set(s.inflight.Load())
+	s.queueWait.Observe(queued.Milliseconds())
 
 	// Per-run budget and registry (merged into the aggregate at the
 	// end, preserving the observer's per-run isolation contract).
@@ -434,13 +437,12 @@ func (s *Service) query(ctx context.Context, req Request) (*Response, error) {
 	}
 	reg := obs.NewRegistry()
 	b := guard.New(ctx, limits, reg)
-	b.AddQueueWait(queued)
 
 	start := time.Now()
 	resp, planKey, hash, runErr := s.serve(ctx, req, b, reg)
 	rec := flight.Record{Start: start, Query: req.SQL, Hash: hash, PlanKey: planKey}
-	if q := b.QueueWait(); q > 0 {
-		rec.Phases = append(rec.Phases, flight.Phase{Name: "queued", Ns: q.Nanoseconds()})
+	if queued > 0 {
+		rec.Phases = append(rec.Phases, flight.Phase{Name: "queued", Ns: queued.Nanoseconds()})
 	}
 	if resp != nil {
 		rec.RowsOut = resp.rel.N
