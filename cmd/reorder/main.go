@@ -34,13 +34,8 @@ import (
 	reorder "repro"
 
 	"repro/internal/datagen"
-	"repro/internal/executor"
 	"repro/internal/experiments"
 	"repro/internal/guard"
-	"repro/internal/optimizer"
-	"repro/internal/plan"
-	"repro/internal/sql"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -162,30 +157,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	node, err := sql.ParseAndLower(o.query, db)
+	node, err := reorder.Parse(o.query, db)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitUsage
 	}
 	fmt.Fprintln(stdout, "query plan as written:")
-	fmt.Fprintln(stdout, plan.Indent(node))
+	fmt.Fprintln(stdout, reorder.ExplainPlan(node))
 
 	ctx, cancel := o.context()
 	defer cancel()
-	est := stats.ForDatabase(db)
-	opt := optimizer.New(est)
-	opt.Opts.Budget = guard.New(ctx, o.limits(), nil)
-	res, err := opt.Optimize(node, db)
+	res, err := reorder.Optimize(ctx, node, db, reorder.Options{Limits: o.limits()})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitFor(err)
 	}
-	fmt.Fprintln(stdout, optimizer.Explain(res))
+	fmt.Fprintln(stdout, reorder.Explain(res))
 
 	if o.baseline {
-		bopt := optimizer.NewBaseline(est)
-		bopt.Opts.Budget = guard.New(ctx, o.limits(), nil)
-		base, err := bopt.Optimize(node, db)
+		base, err := reorder.Optimize(ctx, node, db, reorder.Options{Limits: o.limits(), Baseline: true})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return exitFor(err)
@@ -194,15 +184,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			base.Considered, base.Best.Cost)
 	}
 	if o.dot {
-		fmt.Fprintln(stdout, plan.DOT(res.Best.Plan))
+		fmt.Fprintln(stdout, reorder.PlanDOT(res.Best.Plan))
 	}
 	if o.rows {
-		col, _, err := executor.Exec(res.Best.Plan, db, executor.Options{Budget: guard.New(ctx, o.limits(), nil)})
+		out, err := reorder.Execute(ctx, res.Best.Plan, db, o.limits())
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return exitFor(err)
 		}
-		out := col.ToRelation()
 		out.SortForDisplay()
 		fmt.Fprintln(stdout, out)
 	}

@@ -66,8 +66,8 @@ func TestExplainAnalyzeSupplier(t *testing.T) {
 		t.Errorf("memo.exprs counter %d, Considered %d",
 			rep.Metrics.Counters["memo.exprs"], rep.Considered)
 	}
-	if len(ann) != plan.CountNodes(node) {
-		t.Errorf("%d annotations, plan has %d nodes", len(ann), plan.CountNodes(node))
+	if len(ann) != countNodes(node) {
+		t.Errorf("%d annotations, plan has %d nodes", len(ann), countNodes(node))
 	}
 
 	out := rep.String()

@@ -55,10 +55,10 @@ func (f AggFunc) String() string {
 	}
 }
 
-// DuplicateInsensitive reports whether the function ignores
+// duplicateInsensitive reports whether the function ignores
 // duplicates of its argument, which is what lets a GP be pulled
 // above duplicate-generating joins without count adjustments.
-func (f AggFunc) DuplicateInsensitive() bool {
+func (f AggFunc) duplicateInsensitive() bool {
 	switch f {
 	case CountDistinct, SumDistinct, Min, Max, AvgDistinct:
 		return true
@@ -144,7 +144,7 @@ type AggState struct {
 // NewAggState returns an empty accumulator for the function.
 func NewAggState(f AggFunc) *AggState {
 	s := &AggState{min: value.Null, max: value.Null}
-	if f.DuplicateInsensitive() && f != Min && f != Max {
+	if f.duplicateInsensitive() && f != Min && f != Max {
 		s.seen = &valueSet{buckets: make(map[uint64][]value.Value)}
 	}
 	return s

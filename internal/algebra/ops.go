@@ -66,28 +66,6 @@ func Join(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
 	return out
 }
 
-// AntiJoin returns r1 ▷_p r2: the tuples of r1 with no p-match in r2.
-func AntiJoin(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
-	s := r1.Schema().Concat(r2.Schema())
-	out := relation.New(r1.Schema())
-	scratch := make(relation.Tuple, s.Len())
-	for _, t1 := range r1.Tuples() {
-		matched := false
-		copy(scratch, t1)
-		for _, t2 := range r2.Tuples() {
-			copy(scratch[len(t1):], t2)
-			if p.Eval(expr.TupleEnv{Schema: s, Tuple: scratch}).Holds() {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			out.Append(t1.Clone())
-		}
-	}
-	return out
-}
-
 // LeftOuter returns r1 →_p r2: the union of r1 ⋈_p r2 and r1 ▷_p r2,
 // with unmatched r1 tuples NULL-padded on sch(r2). r1 is the
 // preserved relation, r2 the null-supplying relation.
@@ -166,12 +144,6 @@ func FullOuter(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
 		out.Append(t)
 	}
 	return out
-}
-
-// Project returns π over the given attributes; distinct selects set
-// semantics (SELECT DISTINCT / the projections of Definition 2.1).
-func Project(attrs []schema.Attribute, distinct bool, r *relation.Relation) *relation.Relation {
-	return r.Project(attrs, distinct)
 }
 
 // resolvePreserved maps a preserved-relation specification (a set of

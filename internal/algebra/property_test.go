@@ -96,8 +96,8 @@ func TestPropFOJDecomposition(t *testing.T) {
 	f := func(p relPair) bool {
 		full := FullOuter(propPred, p.r1, p.r2)
 		join := Join(propPred, p.r1, p.r2)
-		a1 := AntiJoin(propPred, p.r1, p.r2)
-		a2 := AntiJoin(propPred, p.r2, p.r1)
+		a1 := antiJoin(propPred, p.r1, p.r2)
+		a2 := antiJoin(propPred, p.r2, p.r1)
 		return full.Len() == join.Len()+a1.Len()+a2.Len()
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {

@@ -153,7 +153,7 @@ func (v *Vec) Hash(i int) uint64 {
 	}
 }
 
-// HashInto folds each row's value hash into the running per-row key
+// hashInto folds each row's value hash into the running per-row key
 // hashes hs (seeded with value.HashSeed by the caller), the columnar
 // equivalent of one column's contribution to Tuple.HashOn. When
 // nullMatches is false (join keys under null in-tolerant predicates) a
@@ -162,7 +162,7 @@ func (v *Vec) Hash(i int) uint64 {
 // NULL is identical to NULL) NULL contributes value.HashNull and ok is
 // untouched. The typed loops hoist the kind switch out of the per-row
 // path; only PhysAny pays the per-row dispatch.
-func (v *Vec) HashInto(hs []uint64, ok []bool, nullMatches bool) {
+func (v *Vec) hashInto(hs []uint64, ok []bool, nullMatches bool) {
 	n := len(hs)
 	markNull := func(i int) {
 		if nullMatches {
@@ -233,9 +233,9 @@ func (v *Vec) HashInto(hs []uint64, ok []bool, nullMatches bool) {
 	}
 }
 
-// EqualRows reports value.Equal between this column's row i and o's
+// equalRows reports value.Equal between this column's row i and o's
 // row j — the collision-verification step after a hash bucket hit.
-func (v *Vec) EqualRows(i int, o *Vec, j int) bool {
+func (v *Vec) equalRows(i int, o *Vec, j int) bool {
 	ln, rn := v.IsNull(i), o.IsNull(j)
 	if ln || rn {
 		return ln && rn
@@ -585,7 +585,7 @@ func (r *Rel) KeyHashes(idx []int, nullMatches bool) (hs []uint64, ok []bool) {
 		}
 	}
 	for _, c := range idx {
-		r.Col(c).HashInto(hs, ok, nullMatches)
+		r.Col(c).hashInto(hs, ok, nullMatches)
 	}
 	return hs, ok
 }
@@ -608,7 +608,7 @@ func (r *Rel) Keys(idx []int) Keys {
 // key-hash bucket hits.
 func (ks Keys) Equal(i int, o Keys, j int) bool {
 	for k, v := range ks {
-		if !v.EqualRows(i, o[k], j) {
+		if !v.equalRows(i, o[k], j) {
 			return false
 		}
 	}

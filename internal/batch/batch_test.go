@@ -140,10 +140,10 @@ func TestBatchEqualRows(t *testing.T) {
 	// equal across physical kinds, exactly as value.Equal merges them.
 	iv := Vec{Phys: PhysInt, Ints: []int64{3, 7}}
 	fv := Vec{Phys: PhysFloat, Floats: []float64{3, 8}}
-	if !iv.EqualRows(0, &fv, 0) {
+	if !iv.equalRows(0, &fv, 0) {
 		t.Fatal("INT 3 != FLOAT 3.0 across physical kinds")
 	}
-	if iv.EqualRows(1, &fv, 1) {
+	if iv.equalRows(1, &fv, 1) {
 		t.Fatal("7 == 8?")
 	}
 	nv := Vec{Phys: PhysInt, Ints: []int64{0, 5}}
@@ -151,12 +151,12 @@ func TestBatchEqualRows(t *testing.T) {
 	if !nv.IsNull(0) || nv.IsNull(1) {
 		t.Fatal("null bitmap wrong")
 	}
-	if nv.EqualRows(0, &iv, 0) {
+	if nv.equalRows(0, &iv, 0) {
 		t.Fatal("NULL == 3?")
 	}
 	nv2 := Vec{Phys: PhysStr, Strs: []string{""}}
 	nv2.SetNull(0, 1)
-	if !nv.EqualRows(0, &nv2, 0) {
+	if !nv.equalRows(0, &nv2, 0) {
 		t.Fatal("NULL must be identical to NULL for grouping equality")
 	}
 }

@@ -43,9 +43,9 @@ func DenseRange(v *Vec) (lo, hi int64, ok bool) {
 	return lo, hi, uint64(hi)-uint64(lo) <= uint64(2*len(v.Ints)+1)
 }
 
-// NewDenseIndex builds v's dense index — one min/max pass and a counting
+// newDenseIndex builds v's dense index — one min/max pass and a counting
 // sort — or returns nil when v is not dense (DenseRange).
-func NewDenseIndex(v *Vec) *DenseIndex {
+func newDenseIndex(v *Vec) *DenseIndex {
 	lo, hi, ok := DenseRange(v)
 	if !ok {
 		return nil
@@ -103,7 +103,7 @@ type denseEntry struct {
 // builds one for this call.
 func (r *Rel) DenseIndex(col int) (ix *DenseIndex, shared bool) {
 	if r.idx == nil {
-		return NewDenseIndex(r.Col(col)), false
+		return newDenseIndex(r.Col(col)), false
 	}
 	r.idx.mu.Lock()
 	defer r.idx.mu.Unlock()
@@ -112,7 +112,7 @@ func (r *Rel) DenseIndex(col int) (ix *DenseIndex, shared bool) {
 			return have.ix, true
 		}
 	}
-	ix = NewDenseIndex(r.Col(col))
+	ix = newDenseIndex(r.Col(col))
 	r.idx.dense = append(r.idx.dense, denseEntry{col, ix})
 	if ix != nil {
 		obs.Default().Counter("exec.index.builds").Inc()

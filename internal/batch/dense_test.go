@@ -47,7 +47,7 @@ func checkDense(t *testing.T, v *Vec) {
 		span := new(big.Int).Sub(big.NewInt(hi), big.NewInt(lo))
 		dense = span.Cmp(big.NewInt(int64(2*len(v.Ints)+1))) <= 0
 	}
-	d := NewDenseIndex(v)
+	d := newDenseIndex(v)
 	if _, _, ok := DenseRange(v); ok != dense || (d != nil) != dense {
 		t.Fatalf("dense decision %v, index %v; want %v (%d rows, %d keys)", ok, d != nil, dense, len(v.Ints), len(want))
 	}
@@ -132,7 +132,7 @@ func TestBatchDenseRangeBound(t *testing.T) {
 		checkDense(t, v)
 	}
 	allNull := intVec([]int64{5, 6, 7}, func(int) bool { return true })
-	if d := NewDenseIndex(allNull); d == nil || len(d.Rows) != 0 || len(d.Run(0)) != 0 {
+	if d := newDenseIndex(allNull); d == nil || len(d.Rows) != 0 || len(d.Run(0)) != 0 {
 		t.Fatal("an all-NULL column must index no row")
 	}
 	if _, _, ok := DenseRange(&Vec{Phys: PhysFloat, Floats: []float64{1}}); ok {

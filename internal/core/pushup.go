@@ -174,7 +174,7 @@ func PushUpRule(db plan.Database) Rule {
 	return Rule{
 		Name:     "push-up-aggregation",
 		Scope:    ScopeChild,
-		Patterns: []ChildPattern{{KindAnyJoin, KindGroupBy, KindAny}, {KindAnyJoin, KindAny, KindGroupBy}},
+		Patterns: []ChildPattern{{kindAnyJoin, kindGroupBy, kindAny}, {kindAnyJoin, kindAny, kindGroupBy}},
 		Apply: func(n plan.Node) []plan.Node {
 			j, ok := n.(*plan.Join)
 			if !ok {

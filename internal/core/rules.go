@@ -32,53 +32,53 @@ type Rule struct {
 type OpKind uint8
 
 const (
-	// KindOther is every operator no pattern names (scans, generalized
+	// kindOther is every operator no pattern names (scans, generalized
 	// selections, MGOJ, projections, sorts) and an absent input.
-	KindOther OpKind = iota
-	KindSelect
-	KindGroupBy
-	KindInner
-	KindLeft
-	KindRight
-	KindFull
-	// KindAny and KindAnyJoin are pattern wildcards, never a node's
+	kindOther OpKind = iota
+	kindSelect
+	kindGroupBy
+	kindInner
+	kindLeft
+	kindRight
+	kindFull
+	// kindAny and kindAnyJoin are pattern wildcards, never a node's
 	// kind: any kind at all, and any of the four join kinds.
-	KindAny
-	KindAnyJoin
+	kindAny
+	kindAnyJoin
 )
 
 // NumKinds counts the kinds KindOf returns.
-const NumKinds = int(KindAny)
+const NumKinds = int(kindAny)
 
-// KindOf returns the kind of n's root operator (KindOther for nil).
+// KindOf returns the kind of n's root operator (kindOther for nil).
 func KindOf(n plan.Node) OpKind {
 	switch x := n.(type) {
 	case *plan.Select:
-		return KindSelect
+		return kindSelect
 	case *plan.GroupBy:
-		return KindGroupBy
+		return kindGroupBy
 	case *plan.Join:
 		switch x.Kind {
 		case plan.InnerJoin:
-			return KindInner
+			return kindInner
 		case plan.LeftJoin:
-			return KindLeft
+			return kindLeft
 		case plan.RightJoin:
-			return KindRight
+			return kindRight
 		case plan.FullJoin:
-			return KindFull
+			return kindFull
 		}
 	}
-	return KindOther
+	return kindOther
 }
 
 // covers reports whether the pattern kind p admits the node kind k.
 func (p OpKind) covers(k OpKind) bool {
 	switch p {
-	case KindAny:
+	case kindAny:
 		return true
-	case KindAnyJoin:
-		return k >= KindInner && k <= KindFull
+	case kindAnyJoin:
+		return k >= kindInner && k <= kindFull
 	}
 	return p == k
 }
@@ -157,10 +157,10 @@ func asJoin(n plan.Node, kinds ...plan.JoinKind) (*plan.Join, bool) {
 	return nil, false
 }
 
-// RuleCommute swaps the operands of commutative operators:
+// ruleCommute swaps the operands of commutative operators:
 // A ⋈p B = B ⋈p A and A ↔p B = B ↔p A; a one-sided outer join
 // commutes into its mirror: A →p B = B ←p A.
-var RuleCommute = Rule{
+var ruleCommute = Rule{
 	Name:  "commute",
 	Scope: ScopeNode,
 	Apply: func(n plan.Node) []plan.Node {
@@ -180,13 +180,13 @@ var RuleCommute = Rule{
 	},
 }
 
-// RuleAssocInner is inner join associativity:
+// ruleAssocInner is inner join associativity:
 // (A ⋈p B) ⋈q C = A ⋈p (B ⋈q C) when q references only B ∪ C (and
 // still both operands on each side), in both directions.
-var RuleAssocInner = Rule{
+var ruleAssocInner = Rule{
 	Name:     "assoc-inner",
 	Scope:    ScopeChild,
-	Patterns: []ChildPattern{{KindInner, KindInner, KindAny}, {KindInner, KindAny, KindInner}},
+	Patterns: []ChildPattern{{kindInner, kindInner, kindAny}, {kindInner, kindAny, kindInner}},
 	Apply: func(n plan.Node) []plan.Node {
 		var out []plan.Node
 		if top, ok := asJoin(n, plan.InnerJoin); ok {
@@ -211,7 +211,7 @@ var RuleAssocInner = Rule{
 	},
 }
 
-// RuleAssocLeft is one-sided outer join associativity
+// ruleAssocLeft is one-sided outer join associativity
 // ([GALI92a]/[BHAR95a]; valid because predicates are null
 // in-tolerant):
 //
@@ -220,10 +220,10 @@ var RuleAssocInner = Rule{
 //
 // in both directions (right-to-left requires p to reference only
 // A ∪ B).
-var RuleAssocLeft = Rule{
+var ruleAssocLeft = Rule{
 	Name:     "assoc-left",
 	Scope:    ScopeChild,
-	Patterns: []ChildPattern{{KindLeft, KindLeft, KindAny}, {KindLeft, KindAny, KindLeft}},
+	Patterns: []ChildPattern{{kindLeft, kindLeft, kindAny}, {kindLeft, kindAny, kindLeft}},
 	Apply: func(n plan.Node) []plan.Node {
 		var out []plan.Node
 		if top, ok := asJoin(n, plan.LeftJoin); ok {
@@ -251,18 +251,18 @@ var RuleAssocLeft = Rule{
 	},
 }
 
-// RuleJoinLOJ exchanges an inner join with a left outer join that
+// ruleJoinLOJ exchanges an inner join with a left outer join that
 // preserves a common side:
 //
 //	(A →p B) ⋈q C = (A ⋈q C) →p B   when q references only A ∪ C
 //
 // in both directions. The inner join filters only A tuples, which
 // commutes with padding unmatched A tuples on sch(B).
-var RuleJoinLOJ = Rule{
+var ruleJoinLOJ = Rule{
 	Name:  "join-loj",
 	Scope: ScopeChild,
 	Patterns: []ChildPattern{
-		{KindInner, KindLeft, KindAny}, {KindLeft, KindInner, KindAny}, {KindInner, KindAny, KindLeft},
+		{kindInner, kindLeft, kindAny}, {kindLeft, kindInner, kindAny}, {kindInner, kindAny, kindLeft},
 	},
 	Apply: func(n plan.Node) []plan.Node {
 		var out []plan.Node
@@ -301,17 +301,17 @@ var RuleJoinLOJ = Rule{
 	},
 }
 
-// RuleAssocFull is full outer join associativity
+// ruleAssocFull is full outer join associativity
 //
 //	(A ↔p B) ↔q C = A ↔p (B ↔q C)
 //
 // valid when p references only A ∪ B, q references only B ∪ C, and
 // both reference B (null in-tolerance then guarantees padded tuples
 // never spuriously join) — [GALI92a].
-var RuleAssocFull = Rule{
+var ruleAssocFull = Rule{
 	Name:     "assoc-full",
 	Scope:    ScopeChild,
-	Patterns: []ChildPattern{{KindFull, KindFull, KindAny}, {KindFull, KindAny, KindFull}},
+	Patterns: []ChildPattern{{kindFull, kindFull, kindAny}, {kindFull, kindAny, kindFull}},
 	Apply: func(n plan.Node) []plan.Node {
 		var out []plan.Node
 		if top, ok := asJoin(n, plan.FullJoin); ok {
@@ -334,17 +334,17 @@ var RuleAssocFull = Rule{
 	},
 }
 
-// RuleSelectPushdown moves selection conjuncts toward the relations
+// ruleSelectPushdown moves selection conjuncts toward the relations
 // they reference: into the inner join's predicate when they span both
 // operands, below the operator when they reference only an operand
 // that the operator does not NULL-pad (either side of an inner join,
 // the preserved side of an outer join). Conjuncts over a
 // null-supplying side stay put — removing padded rows is
 // simplification's job, not pushdown's.
-var RuleSelectPushdown = Rule{
+var ruleSelectPushdown = Rule{
 	Name:     "select-pushdown",
 	Scope:    ScopeChild,
-	Patterns: []ChildPattern{{KindSelect, KindAnyJoin, KindAny}},
+	Patterns: []ChildPattern{{kindSelect, kindAnyJoin, kindAny}},
 	Apply: func(n plan.Node) []plan.Node {
 		sel, ok := n.(*plan.Select)
 		if !ok {
@@ -389,12 +389,12 @@ var RuleSelectPushdown = Rule{
 	},
 }
 
-// RuleSelectMerge collapses stacked selections; canonical form for
+// ruleSelectMerge collapses stacked selections; canonical form for
 // the dedup key and a prerequisite for further pushdown.
-var RuleSelectMerge = Rule{
+var ruleSelectMerge = Rule{
 	Name:     "select-merge",
 	Scope:    ScopeChild,
-	Patterns: []ChildPattern{{KindSelect, KindSelect, KindAny}},
+	Patterns: []ChildPattern{{kindSelect, kindSelect, kindAny}},
 	Apply: func(n plan.Node) []plan.Node {
 		outer, ok := n.(*plan.Select)
 		if !ok {
@@ -408,7 +408,7 @@ var RuleSelectMerge = Rule{
 	},
 }
 
-// RuleMGOJIntro introduces the modified generalized outer join of
+// ruleMGOJIntro introduces the modified generalized outer join of
 // [BHAR95a], which the paper's Q4' reordering relies on: a one-sided
 // outer join over an inner join has no plain reassociation that keeps
 // the preserved side intact, but
@@ -418,10 +418,10 @@ var RuleSelectMerge = Rule{
 //
 // — join the outer-join result with the remaining input while
 // re-preserving A's tuples that lose their match.
-var RuleMGOJIntro = Rule{
+var ruleMGOJIntro = Rule{
 	Name:     "mgoj-intro",
 	Scope:    ScopeChild,
-	Patterns: []ChildPattern{{KindLeft, KindAny, KindInner}},
+	Patterns: []ChildPattern{{kindLeft, kindAny, kindInner}},
 	Apply: func(n plan.Node) []plan.Node {
 		top, ok := asJoin(n, plan.LeftJoin)
 		if !ok {
@@ -445,10 +445,10 @@ var RuleMGOJIntro = Rule{
 	},
 }
 
-// RuleSplit implements the paper's predicate break-up: every entry of
+// ruleSplit implements the paper's predicate break-up: every entry of
 // a pure join subtree's split table defers one conjunct to a
 // compensating generalized selection per Theorem 1.
-var RuleSplit = Rule{
+var ruleSplit = Rule{
 	Name:  "split",
 	Scope: ScopeGroup,
 	Apply: func(n plan.Node) []plan.Node {
@@ -465,15 +465,15 @@ var RuleSplit = Rule{
 // identities the paper builds on.
 func DefaultRules() []Rule {
 	return []Rule{
-		RuleSelectPushdown,
-		RuleSelectMerge,
-		RuleCommute,
-		RuleAssocInner,
-		RuleAssocLeft,
-		RuleJoinLOJ,
-		RuleAssocFull,
-		RuleMGOJIntro,
-		RuleSplit,
+		ruleSelectPushdown,
+		ruleSelectMerge,
+		ruleCommute,
+		ruleAssocInner,
+		ruleAssocLeft,
+		ruleJoinLOJ,
+		ruleAssocFull,
+		ruleMGOJIntro,
+		ruleSplit,
 	}
 }
 
@@ -482,12 +482,12 @@ func DefaultRules() []Rule {
 // generalized selection). Used by the baseline optimizer.
 func BaselineRules() []Rule {
 	return []Rule{
-		RuleSelectPushdown,
-		RuleSelectMerge,
-		RuleCommute,
-		RuleAssocInner,
-		RuleAssocLeft,
-		RuleJoinLOJ,
-		RuleAssocFull,
+		ruleSelectPushdown,
+		ruleSelectMerge,
+		ruleCommute,
+		ruleAssocInner,
+		ruleAssocLeft,
+		ruleJoinLOJ,
+		ruleAssocFull,
 	}
 }

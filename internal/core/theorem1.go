@@ -230,11 +230,11 @@ func pureJoinTree(n plan.Node) bool {
 	return false
 }
 
-// SplitOptions lists every valid single-conjunct deferral of a pure
-// join tree: for each join node whose predicate has at least two
-// conjuncts, each conjunct whose removal keeps the operator
-// two-sided. The options drive both the saturation engine and the
-// recursive Q5/Q6 splitting procedure.
+// A SplitOption is one valid single-conjunct deferral of a pure join
+// tree: a join node whose predicate has at least two conjuncts, and a
+// conjunct whose removal keeps the operator two-sided. The options
+// drive both the saturation engine and the recursive Q5/Q6 splitting
+// procedure.
 type SplitOption struct {
 	Target   *plan.Join
 	Conjunct int

@@ -50,7 +50,7 @@ func TestCollidingValuesPremise(t *testing.T) {
 func TestHashJoinCollisionVerification(t *testing.T) {
 	l := collideRel("l", 4, 2) // x: big, big+1, big, big+1
 	r := collideRel("r", 4, 2)
-	out, err := JoinExec(plan.InnerJoin, expr.EqCols("l", "x", "r", "x"), l, r)
+	out, err := joinExec(plan.InnerJoin, expr.EqCols("l", "x", "r", "x"), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}

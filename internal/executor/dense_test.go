@@ -167,7 +167,7 @@ func TestDenseGroupByMatchesHashed(t *testing.T) {
 				t.Fatalf("%s: %d groups, want %d", name, out.N, len(hf))
 			}
 			for g, first := range hf {
-				if !out.Col(0).EqualRows(g, in.Col(0), int(first)) || out.Col(1).Ints[g] != counts[g] {
+				if !value.Equal(out.Col(0).At(g), in.Col(0).At(int(first))) || out.Col(1).Ints[g] != counts[g] {
 					t.Fatalf("%s: group %d is %v×%d, want %v×%d", name, g, out.Col(0).At(g), out.Col(1).Ints[g], in.Col(0).At(int(first)), counts[g])
 				}
 			}

@@ -60,9 +60,9 @@ func Run(n plan.Node, db plan.Database) (*relation.Relation, error) {
 	case *plan.GenSel:
 		return algebra.GenSelect(m.Pred, specSets(m.Preserved), in[0])
 	case *plan.Join:
-		return JoinExec(m.Kind, m.Pred, in[0], in[1])
+		return joinExec(m.Kind, m.Pred, in[0], in[1])
 	case *plan.MGOJNode:
-		join, err := JoinExec(plan.InnerJoin, m.Pred, in[0], in[1])
+		join, err := joinExec(plan.InnerJoin, m.Pred, in[0], in[1])
 		if err != nil {
 			return nil, err
 		}
@@ -173,12 +173,12 @@ func specSets(ps []plan.PreservedSpec) []map[string]bool {
 	return specs
 }
 
-// JoinExec joins two materialized relations with the given kind and
+// joinExec joins two materialized relations with the given kind and
 // predicate: a hash join over the equality conjuncts, a nested loop
 // over every right row when there are none. It is Run's tuple join —
 // unbudgeted, uninstrumented, and sharing no kernel with the columnar
 // join Exec runs, so each checks the other.
-func JoinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*relation.Relation, error) {
+func joinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*relation.Relation, error) {
 	ls, rs := l.Schema(), r.Schema()
 	out := relation.New(ls.Concat(rs))
 	li, ri, residual := splitEqui(pred, ls, rs)

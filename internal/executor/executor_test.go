@@ -156,7 +156,7 @@ func TestRunSaturatedPlansAgree(t *testing.T) {
 func TestHashJoinNullKeys(t *testing.T) {
 	l := relation.NewBuilder("l", "x").Row(value.Null).Row(value.NewInt(1)).Relation()
 	r := relation.NewBuilder("r", "x").Row(value.Null).Row(value.NewInt(1)).Relation()
-	out, err := JoinExec(plan.FullJoin, expr.EqCols("l", "x", "r", "x"), l, r)
+	out, err := joinExec(plan.FullJoin, expr.EqCols("l", "x", "r", "x"), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestHashJoinScale(t *testing.T) {
 		b1.Row(value.NewInt(int64(i)))
 		b2.Row(value.NewInt(int64(i)))
 	}
-	out, err := JoinExec(plan.InnerJoin, expr.EqCols("l", "x", "r", "x"), b1.Relation(), b2.Relation())
+	out, err := joinExec(plan.InnerJoin, expr.EqCols("l", "x", "r", "x"), b1.Relation(), b2.Relation())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Equivalence, determinism and byte-budget suite for the partitioned
-// join: partitioned execution must be multiset-identical to JoinExec
+// join: partitioned execution must be multiset-identical to joinExec
 // for every kind, including partitions that a byte budget forces to
 // split again, and must complete under a byte budget that trips the
 // in-memory join. Runs under -race via make race.
@@ -89,7 +89,7 @@ func tightBudget(want, r *relation.Relation, reg *obs.Registry) *guard.Budget {
 
 var joinKinds = []plan.JoinKind{plan.InnerJoin, plan.LeftJoin, plan.RightJoin, plan.FullJoin}
 
-// TestExecutorSpillMatchesJoinExec: the partitioned join ≡ JoinExec as
+// TestExecutorSpillMatchesJoinExec: the partitioned join ≡ joinExec as
 // multisets across join kinds, residuals and NULL keys — unbudgeted,
 // where every level-0 partition joins in memory, and under
 // tightBudget, which on partDB's inputs forces the last partitions to
@@ -106,7 +106,7 @@ func TestExecutorSpillMatchesJoinExec(t *testing.T) {
 		l, r := db["r1"], db["r2"]
 		for _, pred := range preds {
 			for _, kind := range joinKinds {
-				want, err := JoinExec(kind, pred, l, r)
+				want, err := joinExec(kind, pred, l, r)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func TestExecutorSpillMatchesJoinExec(t *testing.T) {
 func TestExecutorSpillRecursionCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	db := partDB(rng, 4000)
-	want, err := JoinExec(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"])
+	want, err := joinExec(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestExecutorSpillDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	db := partDB(rng, 4000)
 	pred := eqX("r1", "r2")
-	want, err := JoinExec(plan.FullJoin, pred, db["r1"], db["r2"])
+	want, err := joinExec(plan.FullJoin, pred, db["r1"], db["r2"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestExecutorSpillCompletesWhereInMemoryTrips(t *testing.T) {
 	db := spillDB(rng, 4000, 100000)
 	l, r := db["r1"], db["r2"]
 	pred := eqX("r1", "r2")
-	want, err := JoinExec(plan.InnerJoin, pred, l, r)
+	want, err := joinExec(plan.InnerJoin, pred, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,14 +230,14 @@ func TestExecutorSpillCompletesWhereInMemoryTrips(t *testing.T) {
 // the same partition at every level — INT 1 against FLOAT 1.0, equal
 // strings — and NULL keys reach none. The join escalates through
 // Adapt.Spill under tightBudget, which splits partitions again, and
-// every kind must match JoinExec; each predicate's answer holds matched
+// every kind must match joinExec; each predicate's answer holds matched
 // rows, so a key routed apart from its match would show.
 func TestExecutorSpillEqualKeysMeet(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	db := partDB(rng, 4000)
 	l, r := db["r1"], db["r2"]
 	for _, pred := range []expr.Pred{eqX("r1", "r2"), eqY("r1", "r2"), expr.And(eqX("r1", "r2"), eqY("r1", "r2"))} {
-		inner, err := JoinExec(plan.InnerJoin, pred, l, r)
+		inner, err := joinExec(plan.InnerJoin, pred, l, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestExecutorSpillEqualKeysMeet(t *testing.T) {
 			t.Fatalf("pred %s: no matched rows to route", pred)
 		}
 		for _, kind := range joinKinds {
-			want, err := JoinExec(kind, pred, l, r)
+			want, err := joinExec(kind, pred, l, r)
 			if err != nil {
 				t.Fatal(err)
 			}

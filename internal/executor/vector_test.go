@@ -123,7 +123,7 @@ func vecPlans() []plan.Node {
 			expr.Cmp{Op: value.EQ, L: expr.Column("r1", "s"), R: expr.Str("cat")}),
 			plan.NewScan("r1")),
 		plan.NewSelect(expr.Or(
-			expr.Cmp{Op: value.LT, L: expr.Column("r1", "f"), R: expr.Float(3)},
+			expr.Cmp{Op: value.LT, L: expr.Column("r1", "f"), R: expr.Const{Val: value.NewFloat(3)}},
 			expr.Cmp{Op: value.EQ, L: expr.Column("r1", "x"), R: expr.Int(1)}),
 			plan.NewScan("r1")),
 		// Projection, plain and distinct.
@@ -173,9 +173,9 @@ func vecPlans() []plan.Node {
 			plan.NewSelect(expr.Cmp{Op: value.LT, L: expr.Column("r1", "x"), R: expr.Int(2)},
 				plan.NewScan("r1"))),
 		// Sort over a selection's view.
-		plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, -1,
+		plan.NewSortOrigin([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, -1,
 			plan.NewSelect(expr.Cmp{Op: value.GE, L: expr.Column("r1", "y"), R: expr.Int(3)},
-				plan.NewScan("r1"))),
+				plan.NewScan("r1")), ""),
 	}
 }
 
@@ -223,7 +223,7 @@ func TestVectorizedSelectPreservesOrder(t *testing.T) {
 	db := mixedDB(rng, 400, 17, "r1")
 	p := plan.NewSelect(expr.And(
 		expr.Cmp{Op: value.GE, L: expr.Column("r1", "x"), R: expr.Int(3)},
-		expr.Cmp{Op: value.LT, L: expr.Column("r1", "f"), R: expr.Float(12)}),
+		expr.Cmp{Op: value.LT, L: expr.Column("r1", "f"), R: expr.Const{Val: value.NewFloat(12)}}),
 		plan.NewScan("r1"))
 	want, err := Run(p, db)
 	if err != nil {
@@ -388,8 +388,8 @@ func TestVectorizedInstrumented(t *testing.T) {
 	if _, ok := ja.Extra["hash_build_rows"]; !ok {
 		t.Error("join annotation missing hash_build_rows")
 	}
-	if len(ann) != plan.CountNodes(p) {
-		t.Errorf("%d annotations, plan has %d operators", len(ann), plan.CountNodes(p))
+	if len(ann) != countNodes(p) {
+		t.Errorf("%d annotations, plan has %d operators", len(ann), countNodes(p))
 	}
 
 }
@@ -543,12 +543,12 @@ func TestVectorizedSortMatchesRun(t *testing.T) {
 	raw := mixedDB(rng, 300, 23, "r1", "r2")
 	x, y := plan.SortKey{Attr: schema.Attr("r1", "x")}, plan.SortKey{Attr: schema.Attr("r1", "y"), Desc: true}
 	db := plan.Database{"r1": sortedOn(t, raw["r1"], x, y), "r2": raw["r2"]}
-	inOrder := plan.NewSort([]plan.SortKey{x, y}, -1,
+	inOrder := plan.NewSortOrigin([]plan.SortKey{x, y}, -1,
 		plan.NewProject([]schema.Attribute{schema.Attr("r1", "x"), schema.Attr("r1", "y"), schema.Attr("r1", "s")}, false,
-			plan.NewSelect(expr.Cmp{Op: value.GE, L: expr.Column("r1", "f"), R: expr.Int(4)}, plan.NewScan("r1"))))
-	joined := plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "f"), Desc: true}}, -1,
+			plan.NewSelect(expr.Cmp{Op: value.GE, L: expr.Column("r1", "f"), R: expr.Int(4)}, plan.NewScan("r1"))), "")
+	joined := plan.NewSortOrigin([]plan.SortKey{{Attr: schema.Attr("r1", "f"), Desc: true}}, -1,
 		plan.NewProject([]schema.Attribute{schema.Attr("r1", "f"), schema.Attr("r2", "x")}, false,
-			plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))))
+			plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))), "")
 	for pi, p := range []plan.Node{inOrder, joined} {
 		want, err := Run(p, db)
 		if err != nil {
@@ -585,7 +585,7 @@ func TestVectorizedAnnotatesEveryNode(t *testing.T) {
 	x := plan.SortKey{Attr: schema.Attr("r1", "x")}
 	db := plan.Database{"r1": sortedOn(t, raw["r1"], x), "r2": raw["r2"], "r3": raw["r3"]}
 	// A sort whose input is already in order returns that input.
-	plans := append(vecPlans(), plan.NewSort([]plan.SortKey{x}, -1, plan.NewScan("r1")))
+	plans := append(vecPlans(), plan.NewSortOrigin([]plan.SortKey{x}, -1, plan.NewScan("r1"), ""))
 	for pi, p := range plans {
 		_, ann, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, &Adapt{SwapFactor: 4})
 		if err != nil {

@@ -12,13 +12,13 @@ import (
 	"repro/internal/stats"
 )
 
-// E13 is the ablation study DESIGN.md calls for: remove one rule
+// e13 is the ablation study DESIGN.md calls for: remove one rule
 // family at a time from the optimizer and measure how the plan space
 // and the best plan's estimated cost change, on the three main
 // workloads. It quantifies which of the paper's mechanisms does the
 // work: predicate break-up (σ*), MGOJ introduction, the outer-join
 // associativities, and aggregation push-up.
-func E13() string {
+func e13() string {
 	type config struct {
 		name   string
 		rules  []core.Rule

@@ -34,35 +34,35 @@ var All = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", 
 func Run(id string) (string, error) {
 	switch strings.ToLower(id) {
 	case "e1":
-		return E1(), nil
+		return e1(), nil
 	case "e2":
-		return E2(), nil
+		return e2(), nil
 	case "e3":
-		return E3(), nil
+		return e3(), nil
 	case "e4":
-		return E4(), nil
+		return e4(), nil
 	case "e5":
-		return E5(), nil
+		return e5(), nil
 	case "e6":
-		return E6(), nil
+		return e6(), nil
 	case "e7":
-		return E7(DefaultE7Config()), nil
+		return e7(defaultE7Config()), nil
 	case "e8":
-		return E8(DefaultE8Config()), nil
+		return e8(DefaultE8Config()), nil
 	case "e9":
-		return E9(), nil
+		return e9(), nil
 	case "e10":
-		return E10(), nil
+		return e10(), nil
 	case "e11":
-		return E11(), nil
+		return e11(), nil
 	case "e12":
-		return E12(), nil
+		return e12(), nil
 	case "e13":
-		return E13(), nil
+		return e13(), nil
 	case "e14":
-		return E14(), nil
+		return e14(), nil
 	case "e15":
-		return E15(), nil
+		return e15(), nil
 	default:
 		return "", fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(All, ", "))
 	}
@@ -70,10 +70,10 @@ func Run(id string) (string, error) {
 
 // --- E1: Example 2.1 — tables T1, T2 and the GS compensation -------
 
-// Example21Plans returns the three plans of Example 2.1: T1 (the
+// example21Plans returns the three plans of Example 2.1: T1 (the
 // query as written), T2 (complex predicate broken off) and the
 // GS-compensated T2.
-func Example21Plans() (t1, t2, compensated plan.Node) {
+func example21Plans() (t1, t2, compensated plan.Node) {
 	p12 := expr.EqCols("r1", "c", "r2", "c")
 	p13 := expr.EqCols("r1", "f", "r3", "f")
 	p23 := expr.EqCols("r2", "e", "r3", "e")
@@ -84,11 +84,11 @@ func Example21Plans() (t1, t2, compensated plan.Node) {
 	return
 }
 
-// E1 prints Example 2.1's input relations, T1, T2, and verifies
+// e1 prints Example 2.1's input relations, T1, T2, and verifies
 // σ*_{p13}[r1r2](T2) = T1.
-func E1() string {
+func e1() string {
 	db := datagen.Example21()
-	t1p, t2p, comp := Example21Plans()
+	t1p, t2p, comp := example21Plans()
 	var b strings.Builder
 	b.WriteString("E1 — Example 2.1: generalized selection compensates a broken-up complex predicate\n\n")
 	for _, name := range []string{"r1", "r2", "r3"} {
@@ -123,8 +123,8 @@ func Q4() plan.Node {
 	return plan.NewJoin(plan.LeftJoin, p12, plan.NewScan("r1"), mid)
 }
 
-// E2 prints Figure 1's hypergraph with preserved and conflict sets.
-func E2() string {
+// e2 prints Figure 1's hypergraph with preserved and conflict sets.
+func e2() string {
 	h, err := hypergraph.FromPlan(Q4())
 	if err != nil {
 		return err.Error()
@@ -158,9 +158,9 @@ func edgeIDs(edges []*hypergraph.Hyperedge) string {
 
 // --- E3: association-tree counts under Definition 3.2 --------------
 
-// E3 compares the association-tree space of Q4 with and without
+// e3 compares the association-tree space of Q4 with and without
 // hyperedge break-up and lists the paper's example trees.
-func E3() string {
+func e3() string {
 	h, err := hypergraph.FromPlan(Q4())
 	if err != nil {
 		return err.Error()
@@ -194,8 +194,8 @@ func E3() string {
 
 // --- E4: identities (1)–(8) on randomized databases ----------------
 
-// E4 verifies each association identity by execution.
-func E4() string {
+// e4 verifies each association identity by execution.
+func e4() string {
 	rng := rand.New(rand.NewSource(4))
 	scan := plan.NewScan
 	eqX := func(a, c string) expr.Pred { return expr.EqCols(a, "x", c, "x") }
@@ -276,8 +276,8 @@ func randDB(rng *rand.Rand, maxRows, domain int, rels ...string) plan.Database {
 
 // --- E5: Theorem 1 compensation specs -------------------------------
 
-// E5 prints the Theorem 1 preserved lists for representative edges.
-func E5() string {
+// e5 prints the Theorem 1 preserved lists for representative edges.
+func e5() string {
 	var b strings.Builder
 	b.WriteString("E5 — Theorem 1: generalized-selection compensation per edge kind\n\n")
 	show := func(desc string, q plan.Node, pick func(h *hypergraph.Hypergraph) *hypergraph.Hyperedge) {
@@ -340,9 +340,9 @@ func E5() string {
 
 // --- E6: Q5 / Q6 recursive splitting --------------------------------
 
-// E6 prints the recursive double-splits of Q5 and Q6 and their
+// e6 prints the recursive double-splits of Q5 and Q6 and their
 // execution-verified equivalence.
-func E6() string {
+func e6() string {
 	var b strings.Builder
 	b.WriteString("E6 — recursive splitting of multiple complex predicates (Q5, Q6)\n\n")
 	rng := rand.New(rand.NewSource(6))
@@ -409,15 +409,15 @@ func E6() string {
 
 // --- E7: Example 1.1 — supplier audit cost crossover ----------------
 
-// E7Config parameterizes the supplier experiment.
-type E7Config struct {
+// e7Config parameterizes the supplier experiment.
+type e7Config struct {
 	Base          datagen.SupplierConfig
 	BankruptSweep []float64
 }
 
-// DefaultE7Config sweeps the BANKRUPT selectivity.
-func DefaultE7Config() E7Config {
-	return E7Config{
+// defaultE7Config sweeps the BANKRUPT selectivity.
+func defaultE7Config() e7Config {
+	return e7Config{
 		Base:          datagen.DefaultSupplierConfig,
 		BankruptSweep: []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1.0},
 	}
@@ -431,13 +431,13 @@ func E7Plans(db plan.Database) (asWritten, reordered plan.Node, err error) {
 	return
 }
 
-// E7 sweeps the fraction of BANKRUPT suppliers and reports, for each
+// e7 sweeps the fraction of BANKRUPT suppliers and reports, for each
 // point, the estimated cost and measured execution time of the plan
 // as written (aggregate 95DETAIL first) and of the reordered plan
 // (join first, aggregate last). The paper's claim: with few bankrupt
 // suppliers the reordering wins; as the filter admits everything the
 // advantage shrinks.
-func E7(cfg E7Config) string {
+func e7(cfg e7Config) string {
 	var b strings.Builder
 	b.WriteString("E7 — Example 1.1: supplier audit, aggregate-first vs join-first\n\n")
 	fmt.Fprintf(&b, "%-10s %12s %12s %12s %12s %8s\n",
@@ -551,11 +551,11 @@ func E8DB(n int, cfg E8Config) plan.Database {
 	return db
 }
 
-// E8 compares tuple iteration semantics with the unnested outer-join
+// e8 compares tuple iteration semantics with the unnested outer-join
 // plan as |r1| grows: TIS degrades superlinearly while the unnested
 // plan stays near-linear — the [GANS87]/[MURA92] motivation the paper
 // builds on.
-func E8(cfg E8Config) string {
+func e8(cfg E8Config) string {
 	var b strings.Builder
 	b.WriteString("E8 — join-aggregate queries: TIS vs unnested outer-join plan\n\n")
 	fmt.Fprintf(&b, "%-8s %12s %12s %9s %7s\n", "|r1|", "TIS", "unnested", "speedup", "equal")
@@ -597,10 +597,10 @@ func Query2() plan.Node {
 		plan.NewScan("r3"))
 }
 
-// E9 reports the join orders reachable for Query 2 with and without
+// e9 reports the join orders reachable for Query 2 with and without
 // generalized selection, and the cost-based choice on a skewed
 // database.
-func E9() string {
+func e9() string {
 	var b strings.Builder
 	b.WriteString("E9 — Query 2 (Section 1.1): partial reordering through generalized selection\n\n")
 	q := Query2()
@@ -632,10 +632,10 @@ func E9() string {
 
 // --- E10: plan-space growth and enumeration time --------------------
 
-// E10 measures equivalence-class size and enumeration time as the
+// e10 measures equivalence-class size and enumeration time as the
 // number of relations grows, for chains of outer joins whose top
 // predicate is complex.
-func E10() string {
+func e10() string {
 	var b strings.Builder
 	b.WriteString("E10 — enumeration scaling: chain queries with one complex predicate\n\n")
 	fmt.Fprintf(&b, "%-6s %10s %10s %12s %14s %12s\n", "rels", "baseline", "with GS", "enum time", "assoc(strict)", "assoc(broken)")
@@ -675,8 +675,8 @@ func complexChain(n int) plan.Node {
 
 // --- E11: GS subsumes the binary operators ---------------------------
 
-// E11 verifies the Section 2 equations on random inputs.
-func E11() string {
+// e11 verifies the Section 2 equations on random inputs.
+func e11() string {
 	rng := rand.New(rand.NewSource(11))
 	trials := 300
 	failJoin, failLOJ, failFOJ := 0, 0, 0
@@ -727,8 +727,8 @@ func E12Plans(db plan.Database) (original, rewritten plan.Node, err error) {
 	return
 }
 
-// E12 demonstrates the push-up of Example 3.1 and verifies it.
-func E12() string {
+// e12 demonstrates the push-up of Example 3.1 and verifies it.
+func e12() string {
 	rng := rand.New(rand.NewSource(12))
 	var b strings.Builder
 	b.WriteString("E12 — Example 3.1: aggregation push-up with deferred predicate on the aggregated column\n\n")

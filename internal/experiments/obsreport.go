@@ -16,14 +16,14 @@ import (
 
 // --- E15: observability — metrics, phase timings, EXPLAIN ANALYZE --
 
-// E15 runs the Example 1.1 supplier query with a private metrics
+// e15 runs the Example 1.1 supplier query with a private metrics
 // registry threaded through the optimizer and the instrumented
 // executor, then prints the views the observability layer offers: the
 // annotated plan (actual rows against the cardinality of the memo
 // group each operator was extracted from, and per-operator timings),
 // the optimizer's phase shares, and the aggregate counter snapshot.
 // It is the write-up behind the CLI's -stats flag.
-func E15() string {
+func e15() string {
 	var b strings.Builder
 	b.WriteString("E15 — observability: phase trace and EXPLAIN ANALYZE of the supplier query\n\n")
 

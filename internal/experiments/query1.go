@@ -15,10 +15,10 @@ import (
 	"repro/internal/value"
 )
 
-// V1Count is view V_1's generated column c (a count).
-var V1Count = schema.Attr("v1", "c")
+// v1Count is view V_1's generated column c (a count).
+var v1Count = schema.Attr("v1", "c")
 
-// Query1 builds the paper's very first example (Section 1.1):
+// query1 builds the paper's very first example (Section 1.1):
 //
 //	View V1: Select r1.c as a, r2.d as b, c = count(r1)
 //	         From r1, r2 Where r1.b θ1 r2.b Groupby r1.c, r2.d
@@ -30,14 +30,14 @@ var V1Count = schema.Attr("v1", "c")
 // is why no prior algorithm could reorder the query: "if predicate
 // r4.b = V1.b is highly filtering then it may be beneficial to
 // perform this join first, before performing the aggregation".
-func Query1() plan.Node {
+func query1() plan.Node {
 	v1 := plan.NewGroupBy(
 		[]schema.Attribute{schema.Attr("r1", "c"), schema.Attr("r2", "d")},
-		[]algebra.Aggregate{algebra.CountRel("r1", V1Count)},
+		[]algebra.Aggregate{algebra.CountRel("r1", v1Count)},
 		plan.NewJoin(plan.InnerJoin, expr.EqCols("r1", "b", "r2", "b"),
 			plan.NewScan("r1"), plan.NewScan("r2")))
 	loj := plan.NewJoin(plan.LeftJoin,
-		expr.Cmp{Op: value.GE, L: expr.Column("r3", "b"), R: expr.Col{Attr: V1Count}},
+		expr.Cmp{Op: value.GE, L: expr.Column("r3", "b"), R: expr.Col{Attr: v1Count}},
 		v1, plan.NewScan("r3"))
 	return plan.NewJoin(plan.InnerJoin,
 		expr.EqCols("r4", "b", "r2", "d"), // r4.b = V1.b, resolved through the view
@@ -47,16 +47,16 @@ func Query1() plan.Node {
 // e14Sizes are the |r4| E14 sweeps.
 var e14Sizes = []int{2, 20, 200}
 
-// E14 reproduces Query 1: the optimizer pushes the aggregation above
+// e14 reproduces Query 1: the optimizer pushes the aggregation above
 // both joins and reorders the highly filtering r4 join below it, as
 // the paper's introduction promises.
-func E14() string {
+func e14() string {
 	var b strings.Builder
 	b.WriteString("E14 — Query 1 (Section 1.1): outer join over an aggregated column\n\n")
-	q := Query1()
+	q := query1()
 	b.WriteString("as written:\n" + plan.Indent(q) + "\n")
 	for _, r4Rows := range e14Sizes {
-		db := Query1DB(r4Rows)
+		db := query1DB(r4Rows)
 		est := stats.NewEstimator(stats.FromDatabase(db))
 		full, err := optimizer.New(est).Optimize(q, db)
 		if err != nil {
@@ -80,7 +80,7 @@ func E14() string {
 		fmt.Fprintf(&b, "|r4|=%-4d plans %4d (baseline %d)  cost %8.0f -> %8.0f  time %10s -> %10s  equal=%v\n",
 			r4Rows, full.Considered, base.Considered, base.Best.Cost, full.Best.Cost, tAsIs, tBest, equal)
 	}
-	db := Query1DB(2)
+	db := query1DB(2)
 	est := stats.NewEstimator(stats.FromDatabase(db))
 	full, err := optimizer.New(est).Optimize(q, db)
 	if err != nil {
@@ -94,9 +94,9 @@ func E14() string {
 	return b.String()
 }
 
-// Query1DB generates the Query 1 workload; r4Rows controls how
+// query1DB generates the Query 1 workload; r4Rows controls how
 // filtering the r4 join is.
-func Query1DB(r4Rows int) plan.Database {
+func query1DB(r4Rows int) plan.Database {
 	rng := newSeeded(141)
 	db := plan.Database{}
 	mk := func(name string, cols []string, rows, domain int) {

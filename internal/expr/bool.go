@@ -7,15 +7,15 @@ import (
 	"repro/internal/value"
 )
 
-// Disj is the disjunction p1 ∨ … ∨ pn under three-valued logic. The
+// disj is the disjunction p1 ∨ … ∨ pn under three-valued logic. The
 // paper's binary operators take conjunctive predicates only; a
 // disjunction therefore behaves as a single atomic conjunct — it is
 // never broken up by the association identities, but it is perfectly
 // legal inside selections and as one conjunct of a join predicate.
-type Disj struct{ Preds []Pred }
+type disj struct{ Preds []Pred }
 
 // Eval implements Pred.
-func (d Disj) Eval(env Env) value.Tristate {
+func (d disj) Eval(env Env) value.Tristate {
 	out := value.False
 	for _, p := range d.Preds {
 		out = out.Or(p.Eval(env))
@@ -27,7 +27,7 @@ func (d Disj) Eval(env Env) value.Tristate {
 }
 
 // Attrs implements Pred.
-func (d Disj) Attrs(dst []schema.Attribute) []schema.Attribute {
+func (d disj) Attrs(dst []schema.Attribute) []schema.Attribute {
 	for _, p := range d.Preds {
 		dst = p.Attrs(dst)
 	}
@@ -35,7 +35,7 @@ func (d Disj) Attrs(dst []schema.Attribute) []schema.Attribute {
 }
 
 // String implements Pred.
-func (d Disj) String() string {
+func (d disj) String() string {
 	parts := make([]string, len(d.Preds))
 	for i, p := range d.Preds {
 		parts[i] = p.String()
@@ -51,7 +51,7 @@ func Or(preds ...Pred) Pred {
 	walk = func(p Pred) {
 		switch q := p.(type) {
 		case nil:
-		case Disj:
+		case disj:
 			for _, sub := range q.Preds {
 				walk(sub)
 			}
@@ -65,7 +65,7 @@ func Or(preds ...Pred) Pred {
 	if len(flat) == 1 {
 		return flat[0]
 	}
-	return Disj{Preds: flat}
+	return disj{Preds: flat}
 }
 
 // Not is three-valued negation; NOT over Unknown stays Unknown, so

@@ -95,9 +95,6 @@ func Int(v int64) Const { return Const{Val: value.NewInt(v)} }
 // Str is shorthand for a string literal.
 func Str(v string) Const { return Const{Val: value.NewString(v)} }
 
-// Float is shorthand for a float literal.
-func Float(v float64) Const { return Const{Val: value.NewFloat(v)} }
-
 // Eval implements Scalar.
 func (c Const) Eval(Env) value.Value { return c.Val }
 

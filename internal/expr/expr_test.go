@@ -28,7 +28,7 @@ func TestColAndConst(t *testing.T) {
 	if got := Int(3).Eval(e); got.Int() != 3 {
 		t.Errorf("const = %v", got)
 	}
-	if Str("x").Eval(e).Str() != "x" || Float(1.5).Eval(e).Float() != 1.5 {
+	if Str("x").Eval(e).Str() != "x" || (Const{Val: value.NewFloat(1.5)}).Eval(e).Float() != 1.5 {
 		t.Error("literal constructors wrong")
 	}
 }
@@ -58,7 +58,7 @@ func TestArith(t *testing.T) {
 		t.Errorf("non-numeric arithmetic must be NULL: %v", got)
 	}
 	// Float contagion.
-	if got := (Arith{Op: Mul, L: Float(0.5), R: Int(4)}).Eval(e); got.Float() != 2 {
+	if got := (Arith{Op: Mul, L: Const{Val: value.NewFloat(0.5)}, R: Int(4)}).Eval(e); got.Float() != 2 {
 		t.Errorf("0.5*4 = %v", got)
 	}
 }
@@ -187,7 +187,7 @@ func TestDisjAndNot(t *testing.T) {
 		t.Error("singleton Or must unwrap")
 	}
 	nested := Or(Or(fa, fa), tr)
-	if len(nested.(Disj).Preds) != 3 {
+	if len(nested.(disj).Preds) != 3 {
 		t.Errorf("Or must flatten, got %s", nested)
 	}
 	if got := Or(fa, tr).String(); got != "(r.a = 2 or r.a = 1)" {

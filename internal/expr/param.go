@@ -65,8 +65,8 @@ func RewritePred(p Pred, f func(Scalar) Scalar) (Pred, bool) {
 		return Cmp{Op: x.Op, L: l, R: r}, true
 	case Conj:
 		return rewritePreds(x.Preds, f, func(ps []Pred) Pred { return Conj{Preds: ps} }, x)
-	case Disj:
-		return rewritePreds(x.Preds, f, func(ps []Pred) Pred { return Disj{Preds: ps} }, x)
+	case disj:
+		return rewritePreds(x.Preds, f, func(ps []Pred) Pred { return disj{Preds: ps} }, x)
 	case Not:
 		inner, c := RewritePred(x.P, f)
 		if !c {
@@ -106,7 +106,7 @@ func WalkScalars(p Pred, f func(Scalar)) {
 		for _, sub := range x.Preds {
 			WalkScalars(sub, f)
 		}
-	case Disj:
+	case disj:
 		for _, sub := range x.Preds {
 			WalkScalars(sub, f)
 		}

@@ -28,31 +28,31 @@ import (
 // errors.Is or IsCancelled.
 var ErrCancelled = errors.New("guard: cancelled")
 
-// Kind names one budgeted resource.
-type Kind uint8
+// kind names one budgeted resource.
+type kind uint8
 
 // The budgeted resource kinds.
 const (
-	// Exprs counts optimizer enumeration work: memo expressions
+	// kindExprs counts optimizer enumeration work: memo expressions
 	// admitted.
-	Exprs Kind = iota
-	// Rows counts intermediate tuples materialized by the executor.
-	Rows
-	// Bytes counts the executor's estimated intermediate bytes
+	kindExprs kind = iota
+	// kindRows counts intermediate tuples materialized by the executor.
+	kindRows
+	// kindBytes counts the executor's estimated intermediate bytes
 	// (rows × columns × an assumed per-value width).
-	Bytes
+	kindBytes
 
 	numKinds
 )
 
 // String returns the kind's counter label.
-func (k Kind) String() string {
+func (k kind) String() string {
 	switch k {
-	case Exprs:
+	case kindExprs:
 		return "exprs"
-	case Rows:
+	case kindRows:
 		return "rows"
-	case Bytes:
+	case kindBytes:
 		return "bytes"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
@@ -62,7 +62,7 @@ func (k Kind) String() string {
 // ErrBudget reports a tripped budget: which resource, its limit, and
 // the charge that crossed it. Match with IsBudget (or errors.As).
 type ErrBudget struct {
-	Kind  Kind
+	Kind  kind
 	Limit int64
 	Used  int64
 }
@@ -106,13 +106,6 @@ func IsPanic(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// IsGuard reports whether err is any of the guard layer's typed
-// failures: cancellation, budget trip, contained panic, or an
-// injected test fault.
-func IsGuard(err error) bool {
-	return IsCancelled(err) || IsBudget(err) || IsPanic(err) || IsInjected(err)
-}
-
 // Limits bound one run. Zero values mean unlimited.
 type Limits struct {
 	// MaxExprs caps enumeration expressions (memo expressions
@@ -126,13 +119,13 @@ type Limits struct {
 }
 
 // limit returns the configured cap for a kind (0 = unlimited).
-func (l Limits) limit(k Kind) int64 {
+func (l Limits) limit(k kind) int64 {
 	switch k {
-	case Exprs:
+	case kindExprs:
 		return l.MaxExprs
-	case Rows:
+	case kindRows:
 		return l.MaxRows
-	case Bytes:
+	case kindBytes:
 		return l.MaxBytes
 	}
 	return 0
@@ -215,16 +208,13 @@ func (b *Budget) Err() error {
 	if err := b.Cancelled(); err != nil {
 		return err
 	}
-	for k := Rows; k < numKinds; k++ {
+	for k := kindRows; k < numKinds; k++ {
 		if b.tripped[k].Load() {
 			return &ErrBudget{Kind: k, Limit: b.limits.limit(k), Used: b.used[k].Load()}
 		}
 	}
 	return nil
 }
-
-// Tripped reports whether the kind's budget has been exceeded.
-func (b *Budget) Tripped(k Kind) bool { return b != nil && b.tripped[k].Load() }
 
 // Trips returns the names of every budget kind that has tripped, in
 // kind order — the flight recorder stamps them onto query records.
@@ -234,7 +224,7 @@ func (b *Budget) Trips() []string {
 		return nil
 	}
 	var out []string
-	for k := Exprs; k < numKinds; k++ {
+	for k := kindExprs; k < numKinds; k++ {
 		if b.tripped[k].Load() {
 			out = append(out, k.String())
 		}
@@ -242,18 +232,10 @@ func (b *Budget) Trips() []string {
 	return out
 }
 
-// Used returns the cumulative charge against a kind.
-func (b *Budget) Used(k Kind) int64 {
-	if b == nil {
-		return 0
-	}
-	return b.used[k].Load()
-}
-
 // charge adds n to the kind's usage and trips when it crosses the
 // configured limit. The first trip of each kind bumps
 // guard.budget_trips.<kind>.
-func (b *Budget) charge(k Kind, n int64) error {
+func (b *Budget) charge(k kind, n int64) error {
 	if b == nil || n <= 0 {
 		return nil
 	}
@@ -272,13 +254,7 @@ func (b *Budget) charge(k Kind, n int64) error {
 }
 
 // ChargeExprs charges n enumeration expressions.
-func (b *Budget) ChargeExprs(n int64) error { return b.charge(Exprs, n) }
-
-// ChargeRows charges n intermediate rows.
-func (b *Budget) ChargeRows(n int64) error { return b.charge(Rows, n) }
-
-// ChargeBytes charges n estimated intermediate bytes.
-func (b *Budget) ChargeBytes(n int64) error { return b.charge(Bytes, n) }
+func (b *Budget) ChargeExprs(n int64) error { return b.charge(kindExprs, n) }
 
 // ReserveBytes charges n estimated bytes for a transient resident
 // structure — a join's build-side hash table, a spill partition read
@@ -287,8 +263,8 @@ func (b *Budget) ChargeBytes(n int64) error { return b.charge(Bytes, n) }
 // reservation is paired with ReleaseBytes when the structure is
 // dropped, so out-of-core execution is accounted by its resident peak
 // rather than its cumulative traffic. Reserving past MaxBytes trips
-// the byte budget exactly like ChargeBytes.
-func (b *Budget) ReserveBytes(n int64) error { return b.charge(Bytes, n) }
+// the byte budget exactly like ChargeOut.
+func (b *Budget) ReserveBytes(n int64) error { return b.charge(kindBytes, n) }
 
 // ReleaseBytes returns n previously reserved bytes to the byte
 // budget. Each reservation must be released exactly once; releases
@@ -299,7 +275,7 @@ func (b *Budget) ReleaseBytes(n int64) {
 	if b == nil || n <= 0 || b.limits.MaxBytes <= 0 {
 		return
 	}
-	b.used[Bytes].Add(-n)
+	b.used[kindBytes].Add(-n)
 }
 
 // BytesFree reports the byte budget's remaining headroom. limited is
@@ -310,7 +286,7 @@ func (b *Budget) BytesFree() (free int64, limited bool) {
 	if b == nil || b.limits.MaxBytes <= 0 {
 		return 0, false
 	}
-	free = b.limits.MaxBytes - b.used[Bytes].Load()
+	free = b.limits.MaxBytes - b.used[kindBytes].Load()
 	if free < 0 {
 		free = 0
 	}
@@ -324,10 +300,10 @@ func (b *Budget) ChargeOut(rows, width int) error {
 	if b == nil {
 		return nil
 	}
-	if err := b.ChargeRows(int64(rows)); err != nil {
+	if err := b.charge(kindRows, int64(rows)); err != nil {
 		return err
 	}
-	return b.ChargeBytes(int64(rows) * int64(width) * valueWidthEstimate)
+	return b.charge(kindBytes, int64(rows)*int64(width)*valueWidthEstimate)
 }
 
 // valueWidthEstimate is the assumed in-memory footprint of one value

@@ -25,8 +25,8 @@ func TestNilBudgetIsInert(t *testing.T) {
 	if err := b.ChargeOut(1<<30, 100); err != nil {
 		t.Fatalf("nil budget ChargeOut: %v", err)
 	}
-	if b.Tripped(Rows) {
-		t.Fatal("nil budget reports tripped")
+	if b.Trips() != nil {
+		t.Fatal("nil budget reports trips")
 	}
 	if b.Context() == nil {
 		t.Fatal("nil budget Context is nil")
@@ -69,31 +69,31 @@ func TestDeadline(t *testing.T) {
 func TestBudgetTripSticky(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := New(context.Background(), Limits{MaxRows: 100}, reg)
-	if err := b.ChargeRows(100); err != nil {
+	if err := b.charge(kindRows, 100); err != nil {
 		t.Fatalf("at limit: %v", err)
 	}
-	err := b.ChargeRows(1)
+	err := b.charge(kindRows, 1)
 	if !IsBudget(err) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}
 	var be *ErrBudget
-	if !errors.As(err, &be) || be.Kind != Rows || be.Limit != 100 {
+	if !errors.As(err, &be) || be.Kind != kindRows || be.Limit != 100 {
 		t.Fatalf("bad trip detail: %+v", be)
 	}
-	if !b.Tripped(Rows) {
+	if !b.tripped[kindRows].Load() {
 		t.Fatal("trip not sticky")
 	}
 	if !IsBudget(b.Err()) {
 		t.Fatalf("Err after trip: %v", b.Err())
 	}
 	// Further charges keep failing; the counter latches once.
-	b.ChargeRows(1)
-	b.ChargeRows(1)
+	b.charge(kindRows, 1)
+	b.charge(kindRows, 1)
 	if got := reg.Snapshot().Counters["guard.budget_trips.rows"]; got != 1 {
 		t.Fatalf("guard.budget_trips.rows = %d, want 1", got)
 	}
 	// Other kinds are unaffected.
-	if b.Tripped(Exprs) || b.Tripped(Bytes) {
+	if b.tripped[kindExprs].Load() || b.tripped[kindBytes].Load() {
 		t.Fatal("unrelated kinds tripped")
 	}
 	if err := b.ChargeExprs(5); err != nil {
@@ -103,7 +103,7 @@ func TestBudgetTripSticky(t *testing.T) {
 
 func TestZeroLimitUnlimited(t *testing.T) {
 	b := New(context.Background(), Limits{}, nil)
-	if err := b.ChargeRows(1 << 50); err != nil {
+	if err := b.charge(kindRows, 1<<50); err != nil {
 		t.Fatalf("unlimited budget tripped: %v", err)
 	}
 }
@@ -116,7 +116,7 @@ func TestChargeOutBytes(t *testing.T) {
 		t.Fatalf("want bytes trip, got %v", err)
 	}
 	var be *ErrBudget
-	if !errors.As(err, &be) || be.Kind != Bytes {
+	if !errors.As(err, &be) || be.Kind != kindBytes {
 		t.Fatalf("want Bytes kind, got %+v", be)
 	}
 }
@@ -129,12 +129,12 @@ func TestConcurrentCharges(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				b.ChargeRows(1)
+				b.charge(kindRows, 1)
 			}
 		}()
 	}
 	wg.Wait()
-	if !b.Tripped(Rows) {
+	if !b.tripped[kindRows].Load() {
 		t.Fatal("concurrent charges did not trip")
 	}
 }
@@ -256,25 +256,6 @@ func TestSafely(t *testing.T) {
 	}
 }
 
-func TestIsGuard(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{ErrCancelled, true},
-		{&ErrBudget{Kind: Rows, Limit: 1, Used: 2}, true},
-		{&PanicError{Phase: "x"}, true},
-		{ErrInjected, true},
-		{errors.New("other"), false},
-		{nil, false},
-	}
-	for _, c := range cases {
-		if got := IsGuard(c.err); got != c.want {
-			t.Fatalf("IsGuard(%v) = %v, want %v", c.err, got, c.want)
-		}
-	}
-}
-
 // TestErrIgnoresExprsTrip: a tripped exprs budget is the optimizer's
 // degradable condition — Err (the executor's boundary check) must not
 // report it, so a degraded optimization's plan can still execute
@@ -284,14 +265,14 @@ func TestErrIgnoresExprsTrip(t *testing.T) {
 	if err := b.ChargeExprs(5); !IsBudget(err) {
 		t.Fatalf("ChargeExprs over limit = %v, want budget error", err)
 	}
-	if !b.Tripped(Exprs) {
+	if !b.tripped[kindExprs].Load() {
 		t.Fatal("exprs budget not tripped")
 	}
 	if err := b.Err(); err != nil {
 		t.Fatalf("Err after exprs trip = %v, want nil (exprs is degradable)", err)
 	}
-	if err := b.ChargeRows(20); !IsBudget(err) {
-		t.Fatalf("ChargeRows over limit = %v, want budget error", err)
+	if err := b.charge(kindRows, 20); !IsBudget(err) {
+		t.Fatalf("charging rows over the limit = %v, want budget error", err)
 	}
 	if err := b.Err(); !IsBudget(err) {
 		t.Fatalf("Err after rows trip = %v, want budget error", err)

@@ -68,10 +68,6 @@ func (e *Hyperedge) Nodes() []string {
 	return out
 }
 
-// IsEdge reports whether both hypernodes have cardinality one (a
-// simple edge in the paper's terminology).
-func (e *Hyperedge) IsEdge() bool { return len(e.From) == 1 && len(e.To) == 1 }
-
 // Complex reports whether the edge's predicate references more than
 // two relations.
 func (e *Hyperedge) Complex() bool { return len(e.From)+len(e.To) > 2 }
@@ -205,16 +201,6 @@ func FromPlan(n plan.Node) (*Hypergraph, error) {
 	}
 	sort.Strings(h.Nodes)
 	return h, nil
-}
-
-// Edge returns the hyperedge with the given ID, or nil.
-func (h *Hypergraph) Edge(id int) *Hyperedge {
-	for _, e := range h.Edges {
-		if e.ID == id {
-			return e
-		}
-	}
-	return nil
 }
 
 // ConnectMode selects how induced sub-hypergraph connectivity treats

@@ -216,8 +216,8 @@ func TestMemoChildPatternsSound(t *testing.T) {
 			if got := pinnedCounters(counters); got != pin.counters {
 				t.Errorf("counters\n got  %s\n want %s", got, pin.counters)
 			}
-			if counters["memo.exprs"] != int64(m.Exprs()) || counters["memo.groups"] != int64(m.Groups()) {
-				t.Errorf("Exprs %d, Groups %d disagree with the counters", m.Exprs(), m.Groups())
+			if counters["memo.exprs"] != int64(m.Exprs()) || counters["memo.groups"] != int64(m.live) {
+				t.Errorf("Exprs %d, Groups %d disagree with the counters", m.Exprs(), m.live)
 			}
 			for rule, n := range m.RuleFirings() {
 				if counters["optimizer.rule_admitted."+rule] != int64(n) {

@@ -105,12 +105,12 @@ func (m *Memo) explore() error {
 				if d := len(m.exprs) - m.charged; d > 0 {
 					m.charged = len(m.exprs)
 					if b.ChargeExprs(int64(d)) != nil {
-						m.markCapped(CappedBudget)
+						m.markCapped(cappedBudget)
 						return nil
 					}
 				}
 				if len(m.exprs) >= m.opts.MaxExprs {
-					m.markCapped(CappedMaxExprs)
+					m.markCapped(cappedMaxExprs)
 					return nil
 				}
 			}

@@ -194,7 +194,7 @@ type Options struct {
 	// cancellation is checked at wave boundaries and per extracted
 	// group (surfacing guard.ErrCancelled), and expressions admitted
 	// past the seeds are charged against the expression budget —
-	// tripping it caps the memo (CappedReason reports CappedBudget)
+	// tripping it caps the memo (CappedReason reports "budget:exprs")
 	// exactly like MaxExprs, so extraction still runs over everything
 	// admitted.
 	Budget *guard.Budget
@@ -331,10 +331,6 @@ func (m *Memo) childRulesFor(root core.OpKind, in [2]core.OpKind) []*boundRule {
 	return m.childRules[s.lo:s.hi:s.hi]
 }
 
-// Groups returns the number of equivalence groups: merged groups
-// count once.
-func (m *Memo) Groups() int { return m.live }
-
 // Exprs returns the total number of admitted expressions, those a
 // merge dropped as duplicates included.
 func (m *Memo) Exprs() int { return len(m.exprs) }
@@ -355,15 +351,11 @@ func (m *Memo) find(gid GroupID) GroupID {
 
 // Cap reasons reported by CappedReason.
 const (
-	// CappedMaxExprs: exploration stopped at Options.MaxExprs.
-	CappedMaxExprs = "max-exprs"
-	// CappedBudget: the guard expression budget tripped.
-	CappedBudget = "budget:exprs"
+	// cappedMaxExprs: exploration stopped at Options.MaxExprs.
+	cappedMaxExprs = "max-exprs"
+	// cappedBudget: the guard expression budget tripped.
+	cappedBudget = "budget:exprs"
 )
-
-// Capped reports whether exploration stopped early: MaxExprs
-// expressions were admitted, or the expression budget tripped.
-func (m *Memo) Capped() bool { return m.capped }
 
 // CappedReason reports why exploration stopped early ("" when it ran
 // to fixpoint).

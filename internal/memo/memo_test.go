@@ -94,7 +94,7 @@ func explored(t *testing.T, q plan.Node, opts Options) (*Memo, GroupID) {
 // another.
 func TestShapeIdentity(t *testing.T) {
 	reg := obs.NewRegistry()
-	m, err := New(Options{Rules: []core.Rule{core.RuleCommute}, Obs: reg})
+	m, err := New(Options{Rules: []core.Rule{defaultRule("commute")}, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestShapeIdentity(t *testing.T) {
 	if got := m.Exprs(); got != 5 {
 		t.Errorf("%d expressions, want 5", got)
 	}
-	if got := m.Groups(); got != 3 {
+	if got := m.live; got != 3 {
 		t.Errorf("%d groups, want 3 (r1, r2, the join)", got)
 	}
 	// Children resolve by pointer: a result built over a known
@@ -161,12 +161,22 @@ func TestRulePanicLabelled(t *testing.T) {
 	}
 }
 
+// defaultRule returns the rule of core.DefaultRules with the name.
+func defaultRule(name string) core.Rule {
+	for _, r := range core.DefaultRules() {
+		if r.Name == name {
+			return r
+		}
+	}
+	panic("no default rule " + name)
+}
+
 // splitKeys renders the break-up alternatives the memo admitted to the
 // root group, sorted.
 func splitKeys(m *Memo, root GroupID) []string {
 	var keys []string
 	for _, eid := range m.groups[m.find(root)].exprs {
-		if e := m.exprs[eid]; !e.dead && e.rule == core.RuleSplit.Name {
+		if e := m.exprs[eid]; !e.dead && e.rule == "split" {
 			keys = append(keys, plan.Key(e.node))
 		}
 	}
@@ -280,7 +290,7 @@ func summarize(t *testing.T, q plan.Node, db plan.Database, opts Options) memoSu
 	if err != nil {
 		t.Fatal(err)
 	}
-	return memoSummary{m.Exprs(), m.Groups(), m.CappedReason(), m.RuleFirings(), plan.Key(best.Plan), best.Cost}
+	return memoSummary{m.Exprs(), m.live, m.CappedReason(), m.RuleFirings(), plan.Key(best.Plan), best.Cost}
 }
 
 // TestWorkersIdenticalMemo: any worker count builds the same memo —
@@ -300,7 +310,7 @@ func TestWorkersIdenticalMemo(t *testing.T) {
 				serial := summarize(t, tc.q, db, Options{Workers: 1, MaxExprs: maxExprs})
 				// One result may admit the few operators it newly built
 				// together, so a capped memo holds at least MaxExprs.
-				if maxExprs > 0 && (serial.capped != CappedMaxExprs || serial.exprs < maxExprs || serial.exprs >= full.exprs) {
+				if maxExprs > 0 && (serial.capped != cappedMaxExprs || serial.exprs < maxExprs || serial.exprs >= full.exprs) {
 					t.Fatalf("MaxExprs=%d: capped %q at %d of %d expressions", maxExprs, serial.capped, serial.exprs, full.exprs)
 				}
 				for _, w := range []int{2, 4, -1} {

@@ -60,12 +60,12 @@ func TestMergeBoundsInnerChains(t *testing.T) {
 				t.Fatal(err)
 			}
 			m, _, _ := optimizeMemo(t, q, db, 20000)
-			t.Logf("%s: %d expressions, %d groups", tc.name, m.Exprs(), m.Groups())
-			if m.Capped() {
+			t.Logf("%s: %d expressions, %d groups", tc.name, m.Exprs(), m.live)
+			if m.CappedReason() != "" {
 				t.Fatalf("capped (%s) at %d expressions", m.CappedReason(), m.Exprs())
 			}
-			if m.Exprs() > tc.maxExprs || m.Groups() > tc.maxGrps {
-				t.Errorf("%d expressions in %d groups, want at most %d in %d", m.Exprs(), m.Groups(), tc.maxExprs, tc.maxGrps)
+			if m.Exprs() > tc.maxExprs || m.live > tc.maxGrps {
+				t.Errorf("%d expressions in %d groups, want at most %d in %d", m.Exprs(), m.live, tc.maxExprs, tc.maxGrps)
 			}
 		})
 	}
@@ -94,8 +94,8 @@ func TestMergeCascadesAndDrops(t *testing.T) {
 	j12 := m.Add(q.(*plan.Join).L)
 	other := m.Add(top(j(scan("r2"), scan("r1")), scan("r3")))
 	j21 := m.Add(j(scan("r2"), scan("r1")))
-	if m.Groups() != 7 || j12 == j21 || root == other {
-		t.Fatalf("seeded %d groups (r1⋈r2 %d, r2⋈r1 %d, roots %d, %d), want 7 distinct", m.Groups(), j12, j21, root, other)
+	if m.live != 7 || j12 == j21 || root == other {
+		t.Fatalf("seeded %d groups (r1⋈r2 %d, r2⋈r1 %d, roots %d, %d), want 7 distinct", m.live, j12, j21, root, other)
 	}
 	for _, n := range []plan.Node{top(scan("r3"), j(scan("r1"), scan("r2"))), top(scan("r3"), j(scan("r2"), scan("r1")))} {
 		if !m.addResult(root, n, nil, -1) {
@@ -112,8 +112,8 @@ func TestMergeCascadesAndDrops(t *testing.T) {
 	if m.find(j21) != j12 || m.find(other) != root {
 		t.Errorf("r2⋈r1 resolves to %d, want %d; the second root to %d, want %d", m.find(j21), j12, m.find(other), root)
 	}
-	if m.Groups() != 5 || reg.Counter("memo.merges").Value() != 2 {
-		t.Errorf("%d groups after %d merges, want 5 after 2", m.Groups(), reg.Counter("memo.merges").Value())
+	if m.live != 5 || reg.Counter("memo.merges").Value() != 2 {
+		t.Errorf("%d groups after %d merges, want 5 after 2", m.live, reg.Counter("memo.merges").Value())
 	}
 	live := func(gid GroupID) (n int) {
 		seen := map[shape]bool{}

@@ -17,8 +17,8 @@ import (
 	"time"
 )
 
-// DefaultCapacity is the ring size New uses for capacity <= 0.
-const DefaultCapacity = 128
+// defaultCapacity is the ring size New uses for capacity <= 0.
+const defaultCapacity = 128
 
 // Phase is one optimizer/executor phase's wall time.
 type Phase struct {
@@ -106,10 +106,10 @@ type Recorder struct {
 }
 
 // New returns a recorder holding the last capacity records
-// (DefaultCapacity for capacity <= 0).
+// (128 for capacity <= 0).
 func New(capacity int) *Recorder {
 	if capacity <= 0 {
-		capacity = DefaultCapacity
+		capacity = defaultCapacity
 	}
 	return &Recorder{ring: make([]Record, capacity)}
 }
@@ -141,24 +141,6 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.n
-}
-
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.ring)
-}
-
-// Total returns the number of records ever added (Seq of the newest).
-func (r *Recorder) Total() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
 }
 
 // Snapshot copies the held records, newest first.

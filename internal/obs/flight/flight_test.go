@@ -38,11 +38,11 @@ func TestRecorderBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Add(Record{Query: fmt.Sprintf("q%d", i)})
 	}
-	if r.Len() != 4 || r.Cap() != 4 {
-		t.Fatalf("len/cap = %d/%d", r.Len(), r.Cap())
+	if r.Len() != 4 || len(r.ring) != 4 {
+		t.Fatalf("len/cap = %d/%d", r.Len(), len(r.ring))
 	}
-	if r.Total() != 10 {
-		t.Fatalf("total = %d", r.Total())
+	if r.seq != 10 {
+		t.Fatalf("total = %d", r.seq)
 	}
 	snap := r.Snapshot()
 	if len(snap) != 4 {
@@ -62,15 +62,15 @@ func TestRecorderBounded(t *testing.T) {
 }
 
 func TestRecorderDefaultCapacity(t *testing.T) {
-	if got := New(0).Cap(); got != DefaultCapacity {
-		t.Fatalf("default capacity = %d, want %d", got, DefaultCapacity)
+	if got := len(New(0).ring); got != defaultCapacity {
+		t.Fatalf("default capacity = %d, want %d", got, defaultCapacity)
 	}
 }
 
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Add(Record{Query: "q"})
-	if r.Len() != 0 || r.Cap() != 0 || r.Total() != 0 || r.Snapshot() != nil {
+	if r.Len() != 0 || r.Snapshot() != nil {
 		t.Fatal("nil recorder not inert")
 	}
 	var buf bytes.Buffer
@@ -159,7 +159,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Total() != 2000 || r.Len() != 16 {
-		t.Fatalf("total/len = %d/%d", r.Total(), r.Len())
+	if r.seq != 2000 || r.Len() != 16 {
+		t.Fatalf("total/len = %d/%d", r.seq, r.Len())
 	}
 }

@@ -24,7 +24,7 @@ func Handler(r *Registry, queries QueryLog) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := r.WriteProm(w); err != nil {
+		if err := r.writeProm(w); err != nil {
 			// Headers are gone; all we can do is drop the connection.
 			panic(http.ErrAbortHandler)
 		}

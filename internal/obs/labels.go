@@ -81,7 +81,7 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if c != nil {
 		return c
 	}
-	c = v.r.Counter(EncodeLabels(v.base, v.names, values))
+	c = v.r.Counter(encodeLabels(v.base, v.names, values))
 	v.mu.Lock()
 	if v.children == nil {
 		v.children = make(map[string]*Counter)
@@ -103,7 +103,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	if h != nil {
 		return h
 	}
-	h = v.r.Histogram(EncodeLabels(v.base, v.names, values))
+	h = v.r.Histogram(encodeLabels(v.base, v.names, values))
 	v.mu.Lock()
 	if v.children == nil {
 		v.children = make(map[string]*Histogram)
@@ -113,10 +113,10 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return h
 }
 
-// EncodeLabels builds the canonical registry name of a labeled metric:
+// encodeLabels builds the canonical registry name of a labeled metric:
 // base{k1="v1",k2="v2"}, pairs sorted by label name, values escaped
 // per the exposition format. With no labels it returns base unchanged.
-func EncodeLabels(base string, names, values []string) string {
+func encodeLabels(base string, names, values []string) string {
 	if len(names) == 0 {
 		return base
 	}
@@ -142,10 +142,10 @@ func EncodeLabels(base string, names, values []string) string {
 	return b.String()
 }
 
-// SplitLabels inverts EncodeLabels far enough for renderers: it
+// splitLabels inverts encodeLabels far enough for renderers: it
 // returns the base name and the raw (already escaped) label body, or
 // ("", "") body when the name carries no labels.
-func SplitLabels(name string) (base, labels string) {
+func splitLabels(name string) (base, labels string) {
 	i := strings.IndexByte(name, '{')
 	if i < 0 || !strings.HasSuffix(name, "}") {
 		return name, ""

@@ -23,7 +23,7 @@ func TestLabelsEncode(t *testing.T) {
 		{"m", nil, nil, "m"},
 	}
 	for _, c := range cases {
-		got := EncodeLabels(c.base, c.names, c.values)
+		got := encodeLabels(c.base, c.names, c.values)
 		if got != c.want {
 			t.Errorf("EncodeLabels(%q,%v,%v) = %q, want %q", c.base, c.names, c.values, got, c.want)
 		}
@@ -31,16 +31,16 @@ func TestLabelsEncode(t *testing.T) {
 }
 
 func TestLabelsSplit(t *testing.T) {
-	base, labels := SplitLabels(`m{a="1"}`)
+	base, labels := splitLabels(`m{a="1"}`)
 	if base != "m" || labels != `a="1"` {
 		t.Fatalf("SplitLabels = %q, %q", base, labels)
 	}
-	base, labels = SplitLabels("plain.name")
+	base, labels = splitLabels("plain.name")
 	if base != "plain.name" || labels != "" {
 		t.Fatalf("SplitLabels(plain) = %q, %q", base, labels)
 	}
 	// A brace without the closing suffix is not a label body.
-	base, labels = SplitLabels("odd{name")
+	base, labels = splitLabels("odd{name")
 	if base != "odd{name" || labels != "" {
 		t.Fatalf("SplitLabels(odd) = %q, %q", base, labels)
 	}

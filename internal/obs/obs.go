@@ -59,7 +59,7 @@ const histBuckets = 65
 // Histogram accumulates an int64 distribution in power-of-two
 // buckets, safe for concurrent use. It is sized for nanosecond
 // timings and row counts alike; quantiles are approximate (bucket
-// upper bound). Obtain instances from NewHistogram or a Registry —
+// upper bound). Obtain instances from newHistogram or a Registry —
 // the zero value has uninitialized min/max sentinels.
 type Histogram struct {
 	count   atomic.Int64
@@ -69,8 +69,8 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 }
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
+// newHistogram returns an empty histogram.
+func newHistogram() *Histogram {
 	h := &Histogram{}
 	h.min.Store(math.MaxInt64)
 	h.max.Store(math.MinInt64)
@@ -122,8 +122,8 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Mean returns the average observation, or 0 when empty.
-func (h *Histogram) Mean() float64 {
+// mean returns the average observation, or 0 when empty.
+func (h *Histogram) mean() float64 {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
@@ -131,9 +131,9 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Quantile returns an upper bound for the q-quantile (q in [0,1])
+// quantile returns an upper bound for the q-quantile (q in [0,1])
 // from the bucket boundaries, or 0 when empty.
-func (h *Histogram) Quantile(q float64) int64 {
+func (h *Histogram) quantile(q float64) int64 {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
@@ -196,10 +196,10 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Count: h.count.Load(),
 		Sum:   h.sum.Load(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
+		Mean:  h.mean(),
+		P50:   h.quantile(0.50),
+		P95:   h.quantile(0.95),
+		P99:   h.quantile(0.99),
 	}
 	if s.Count > 0 {
 		s.Min, s.Max = h.min.Load(), h.max.Load()
@@ -319,7 +319,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 		if r.histograms == nil {
 			r.histograms = make(map[string]*Histogram)
 		}
-		h = NewHistogram()
+		h = newHistogram()
 		r.histograms[name] = h
 	}
 	return h
@@ -397,16 +397,6 @@ func (r *Registry) CountersWithPrefix(prefixes ...string) map[string]int64 {
 		}
 	}
 	return out
-}
-
-// Reset drops every metric; meant for tests and between CLI runs.
-func (r *Registry) Reset() {
-	if r == nil {
-		r = defaultRegistry
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters, r.gauges, r.histograms = nil, nil, nil
 }
 
 // Snapshot is a point-in-time copy of a registry, JSON-serializable

@@ -74,22 +74,22 @@ func TestObsConcurrentHistogram(t *testing.T) {
 // TestObsHistogramBuckets pins the power-of-two bucketing and
 // quantile bounds on a deterministic distribution.
 func TestObsHistogramBuckets(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	for _, v := range []int64{0, 1, 1, 2, 3, 900} {
 		h.Observe(v)
 	}
-	if got := h.Quantile(0); got != 0 {
+	if got := h.quantile(0); got != 0 {
 		t.Errorf("q0 = %d, want 0", got)
 	}
 	// rank ceil(0.5*6)=3 lands in the two 1s + the 0 → bucket 1, bound 1.
-	if got := h.Quantile(0.5); got != 1 {
+	if got := h.quantile(0.5); got != 1 {
 		t.Errorf("q0.5 = %d, want 1", got)
 	}
-	if got := h.Quantile(1); got != 1023 {
+	if got := h.quantile(1); got != 1023 {
 		t.Errorf("q1 = %d, want 1023 (900 is in [512,1024))", got)
 	}
-	if h.Mean() != (1+1+2+3+900)/6.0 {
-		t.Errorf("mean = %f", h.Mean())
+	if h.mean() != (1+1+2+3+900)/6.0 {
+		t.Errorf("mean = %f", h.mean())
 	}
 }
 
@@ -102,7 +102,7 @@ func TestObsEmptyHistogramSnapshot(t *testing.T) {
 	if snap.Min != 0 || snap.Max != 0 || snap.Count != 0 {
 		t.Errorf("empty snapshot = %+v, want zeros", snap)
 	}
-	if got := r.Histogram("test.empty").Quantile(0.9); got != 0 {
+	if got := r.Histogram("test.empty").quantile(0.9); got != 0 {
 		t.Errorf("empty quantile = %d, want 0", got)
 	}
 }
@@ -169,25 +169,24 @@ func TestObsSnapshotString(t *testing.T) {
 
 // TestObsDefaultRegistry: nil receivers route to the shared default.
 func TestObsDefaultRegistry(t *testing.T) {
-	Default().Reset()
-	defer Default().Reset()
+	before := Default().Counter("via.nil").Value()
 	var nilReg *Registry
 	nilReg.Counter("via.nil").Inc()
-	if got := Default().Counter("via.nil").Value(); got != 1 {
-		t.Errorf("default counter = %d, want 1", got)
+	if got := Default().Counter("via.nil").Value(); got != before+1 {
+		t.Errorf("default counter = %d, want %d", got, before+1)
 	}
 }
 
 // TestObsHistogramExtremes: observations at the int64 edges must not
 // panic or mis-bucket.
 func TestObsHistogramExtremes(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	h.Observe(math.MaxInt64)
 	h.Observe(math.MinInt64)
 	if h.Count() != 2 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if got := h.Quantile(1); got != math.MaxInt64 {
+	if got := h.quantile(1); got != math.MaxInt64 {
 		t.Errorf("q1 = %d, want MaxInt64", got)
 	}
 }

@@ -14,13 +14,13 @@ import (
 // convention, and histograms expand into the cumulative
 // _bucket{le=…}/_sum/_count series the power-of-two buckets already
 // hold. Labeled metrics (CounterVec/HistogramVec children) carry their
-// canonical label body straight into the sample line — EncodeLabels
+// canonical label body straight into the sample line — encodeLabels
 // already escaped the values exposition-style.
 
-// WriteProm renders the snapshot in the Prometheus text format.
+// writeProm renders the snapshot in the Prometheus text format.
 // Output is deterministic: families sorted by exposition name,
 // samples sorted by the registry name that produced them.
-func (s Snapshot) WriteProm(w io.Writer) error {
+func (s Snapshot) writeProm(w io.Writer) error {
 	type sample struct {
 		suffix string // "", "_total", "_bucket", "_sum", "_count"
 		labels string // raw label body without braces, "" for none
@@ -34,8 +34,8 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	families := make(map[string]*family)
 	var order []string
 	add := func(name, typ string, mk func(labels string) []sample) error {
-		base, labels := SplitLabels(name)
-		fam := PromName(base)
+		base, labels := splitLabels(name)
+		fam := promName(base)
 		if typ == "counter" {
 			fam += "_total"
 		}
@@ -122,9 +122,9 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	return nil
 }
 
-// WriteProm renders a point-in-time snapshot of the registry in the
+// writeProm renders a point-in-time snapshot of the registry in the
 // Prometheus text format; the /metrics handler serves it.
-func (r *Registry) WriteProm(w io.Writer) error { return r.Snapshot().WriteProm(w) }
+func (r *Registry) writeProm(w io.Writer) error { return r.Snapshot().writeProm(w) }
 
 // spliceLe appends the le label to a (possibly empty) label body.
 func spliceLe(labels, le string) string {
@@ -134,10 +134,10 @@ func spliceLe(labels, le string) string {
 	return labels + `,le="` + le + `"`
 }
 
-// PromName maps a registry name onto the exposition metric-name
+// promName maps a registry name onto the exposition metric-name
 // charset [a-zA-Z_:][a-zA-Z0-9_:]*: invalid bytes become '_', and a
 // leading digit is prefixed.
-func PromName(name string) string {
+func promName(name string) string {
 	if name == "" {
 		return "_"
 	}

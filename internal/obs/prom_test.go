@@ -29,7 +29,7 @@ func promRegistry() *Registry {
 
 func TestWritePromParsesStrict(t *testing.T) {
 	var buf bytes.Buffer
-	if err := promRegistry().WriteProm(&buf); err != nil {
+	if err := promRegistry().writeProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -100,7 +100,7 @@ func TestWritePromParsesStrict(t *testing.T) {
 // charset — no raw dotted registry names leak through.
 func TestWritePromEveryLineValid(t *testing.T) {
 	var buf bytes.Buffer
-	if err := promRegistry().WriteProm(&buf); err != nil {
+	if err := promRegistry().writeProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
@@ -125,10 +125,10 @@ func TestWritePromEveryLineValid(t *testing.T) {
 func TestWritePromDeterministic(t *testing.T) {
 	r := promRegistry()
 	var a, b bytes.Buffer
-	if err := r.WriteProm(&a); err != nil {
+	if err := r.writeProm(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteProm(&b); err != nil {
+	if err := r.writeProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -142,7 +142,7 @@ func TestWritePromTypeCollision(t *testing.T) {
 	r.Gauge("x").Set(1)
 	r.Histogram("x").Observe(1)
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err == nil {
+	if err := r.writeProm(&buf); err == nil {
 		t.Fatal("expected a collision error for gauge and histogram sharing a name")
 	}
 }
@@ -155,7 +155,7 @@ func TestPromNameSanitization(t *testing.T) {
 		"":                            "_",
 	}
 	for in, want := range cases {
-		if got := PromName(in); got != want {
+		if got := promName(in); got != want {
 			t.Errorf("PromName(%q) = %q, want %q", in, got, want)
 		}
 	}

@@ -9,10 +9,10 @@ import (
 	"repro/internal/stats"
 )
 
-// HeuristicRule names the derivation step tagged on plans produced by
+// heuristicRule names the derivation step tagged on plans produced by
 // the left-deep fallback, so EXPLAIN output shows how a degraded
 // winner was obtained.
-const HeuristicRule = "heuristic-left-deep"
+const heuristicRule = "heuristic-left-deep"
 
 // heuristicMaxRels is the widest join core heuristicLeftDeep orders:
 // its relation sets are one-word bitmasks.

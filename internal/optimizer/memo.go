@@ -145,7 +145,7 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 		// greedy left-deep order to the query's group, where it is
 		// priced at the same cardinalities as every other member.
 		if hp, ok := heuristicLeftDeep(inner, o.Est); ok {
-			m.Offer(roots[0], hp, HeuristicRule)
+			m.Offer(roots[0], hp, heuristicRule)
 		}
 	}
 	// Extraction over a budget-capped memo still yields the cheapest

@@ -22,6 +22,16 @@ import (
 
 // memoBuildRel creates a relation with columns x, y filled from the
 // given generator (the external-package twin of buildRel).
+// defaultRule returns the rule of core.DefaultRules with the name.
+func defaultRule(name string) core.Rule {
+	for _, r := range core.DefaultRules() {
+		if r.Name == name {
+			return r
+		}
+	}
+	panic("no default rule " + name)
+}
+
 func memoBuildRel(name string, rows int, gen func(i int) (int64, int64)) *relation.Relation {
 	b := relation.NewBuilder(name, "x", "y")
 	for i := 0; i < rows; i++ {
@@ -237,7 +247,7 @@ func TestMemoRejectsUnscopedRule(t *testing.T) {
 	db := memoTestDB(3)
 	o := optimizer.New(stats.NewEstimator(stats.FromDatabase(db)))
 	o.Opts.Obs = obs.NewRegistry()
-	o.Opts.Rules = []core.Rule{{Name: "unscoped-commute", Apply: core.RuleCommute.Apply}}
+	o.Opts.Rules = []core.Rule{{Name: "unscoped-commute", Apply: defaultRule("commute").Apply}}
 	if _, err := o.Optimize(memoQuery2(), db); err == nil || !strings.Contains(err.Error(), `"unscoped-commute"`) {
 		t.Fatalf("Optimize err = %v, want an error naming the unscoped rule", err)
 	}
@@ -250,7 +260,7 @@ func TestMemoRejectsUnpatternedChildRule(t *testing.T) {
 	db := memoTestDB(3)
 	o := optimizer.New(stats.NewEstimator(stats.FromDatabase(db)))
 	o.Opts.Obs = obs.NewRegistry()
-	o.Opts.Rules = []core.Rule{{Name: "unpatterned-assoc", Scope: core.ScopeChild, Apply: core.RuleAssocLeft.Apply}}
+	o.Opts.Rules = []core.Rule{{Name: "unpatterned-assoc", Scope: core.ScopeChild, Apply: defaultRule("assoc-left").Apply}}
 	if _, err := o.Optimize(memoQuery2(), db); err == nil || !strings.Contains(err.Error(), `"unpatterned-assoc"`) {
 		t.Fatalf("Optimize err = %v, want an error naming the rule without patterns", err)
 	}

@@ -68,7 +68,7 @@ func saturationRanking(t *testing.T, q plan.Node, db plan.Database, maxPlans int
 	if err := m.Explore(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Capped() {
+	if m.CappedReason() != "" {
 		t.Skipf("oracle: the memo of %s capped at %d expressions", q, m.Exprs())
 	}
 	sess := stats.NewEstimator(stats.FromDatabase(db)).NewSession(nil)

@@ -18,7 +18,7 @@ func DOT(n Node) string {
 	rec = func(n Node) int {
 		my := id
 		id++
-		fmt.Fprintf(&b, "  n%d [label=%q, shape=%s];\n", my, Label(n), shape(n))
+		fmt.Fprintf(&b, "  n%d [label=%q, shape=%s];\n", my, label(n), shape(n))
 		for _, c := range n.Children() {
 			ci := rec(c)
 			fmt.Fprintf(&b, "  n%d -> n%d;\n", ci, my)

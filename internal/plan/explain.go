@@ -43,16 +43,6 @@ func (an *Annotation) AddExtra(key string, n int64) {
 	an.Extra[key] += n
 }
 
-// TotalRows sums actual output cardinalities over the whole tree —
-// the volume figure benchmarks report.
-func (a Annotations) TotalRows() int64 {
-	var total int64
-	for _, an := range a {
-		total += int64(an.Rows)
-	}
-	return total
-}
-
 // annotationSuffix renders one node's annotation in the EXPLAIN
 // ANALYZE style: (actual rows=N est=M time=D [k=v ...]).
 func annotationSuffix(an *Annotation) string {
@@ -85,7 +75,7 @@ func IndentAnnotated(n Node, ann Annotations) string {
 	var rec func(n Node, depth int)
 	rec = func(n Node, depth int) {
 		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(Label(n))
+		b.WriteString(label(n))
 		b.WriteString(annotationSuffix(ann[n]))
 		b.WriteByte('\n')
 		for _, c := range n.Children() {
@@ -107,7 +97,7 @@ type TreeNode struct {
 // Tree builds the JSON view of the plan rooted at n, each operator
 // carrying its annotation from ann (which may be nil).
 func Tree(n Node, ann Annotations) *TreeNode {
-	t := &TreeNode{Op: Label(n), Actual: ann[n]}
+	t := &TreeNode{Op: label(n), Actual: ann[n]}
 	for _, c := range n.Children() {
 		t.Inputs = append(t.Inputs, Tree(c, ann))
 	}

@@ -164,9 +164,6 @@ func TestBaseRels(t *testing.T) {
 	if len(rels) != 2 || rels[0] != "q" || rels[1] != "r1" {
 		t.Errorf("BaseRels = %v (alias names count)", rels)
 	}
-	if CountNodes(j) != 3 {
-		t.Errorf("CountNodes = %d", CountNodes(j))
-	}
 }
 
 func TestIndentCoversAllNodes(t *testing.T) {
@@ -243,10 +240,10 @@ func TestLabel(t *testing.T) {
 		{NewMGOJ(p, []PreservedSpec{NewPreserved("r2")}, r1, r2), "MGOJ r1.x = r2.x preserving [r2]"},
 		{NewGroupBy([]schema.Attribute{x}, []algebra.Aggregate{sum}, r1), "GroupBy [r1.x] aggs [" + sum.String() + "]"},
 		{NewProject([]schema.Attribute{x}, true, r1), "Project [r1.x] distinct=true"},
-		{NewSort(key, -1, r1), "Sort [" + key[0].String() + ", " + key[1].String() + "]"},
+		{NewSortOrigin(key, -1, r1, ""), "Sort [" + key[0].String() + ", " + key[1].String() + "]"},
 		{NewSortOrigin(key[1:], 5, r1, "enforcer"), "Sort [" + key[1].String() + "] limit 5 (enforcer)"},
 	} {
-		if got := Label(c.n); got != c.want {
+		if got := label(c.n); got != c.want {
 			t.Errorf("Label = %q, want %q", got, c.want)
 		}
 	}

@@ -68,12 +68,8 @@ type Sort struct {
 	fpCache
 }
 
-// NewSort builds a sort node; limit < 0 disables the limit.
-func NewSort(keys []SortKey, limit int, in Node) *Sort {
-	return &Sort{Keys: keys, Limit: limit, Input: in}
-}
-
-// NewSortOrigin is NewSort with explicit provenance.
+// NewSortOrigin builds a sort node recording its provenance; limit < 0
+// disables the limit.
 func NewSortOrigin(keys []SortKey, limit int, in Node, origin string) *Sort {
 	return &Sort{Keys: keys, Limit: limit, Origin: origin, Input: in}
 }

@@ -25,7 +25,7 @@ func sortInput() Database {
 
 func TestSortAscNullsLast(t *testing.T) {
 	db := sortInput()
-	s := NewSort([]SortKey{{Attr: schema.Attr("t", "a")}}, -1, NewScan("t"))
+	s := NewSortOrigin([]SortKey{{Attr: schema.Attr("t", "a")}}, -1, NewScan("t"), "")
 	out, err := s.Eval(db)
 	if err != nil {
 		t.Fatal(err)
@@ -41,10 +41,10 @@ func TestSortAscNullsLast(t *testing.T) {
 
 func TestSortDescAndTieBreak(t *testing.T) {
 	db := sortInput()
-	s := NewSort([]SortKey{
+	s := NewSortOrigin([]SortKey{
 		{Attr: schema.Attr("t", "a"), Desc: true},
 		{Attr: schema.Attr("t", "b")},
-	}, -1, NewScan("t"))
+	}, -1, NewScan("t"), "")
 	out, err := s.Eval(db)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestSortDescAndTieBreak(t *testing.T) {
 
 func TestSortLimit(t *testing.T) {
 	db := sortInput()
-	s := NewSort([]SortKey{{Attr: schema.Attr("t", "a")}}, 2, NewScan("t"))
+	s := NewSortOrigin([]SortKey{{Attr: schema.Attr("t", "a")}}, 2, NewScan("t"), "")
 	out, err := s.Eval(db)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestSortLimit(t *testing.T) {
 		t.Errorf("String = %q", s.String())
 	}
 	// Limit larger than input is a no-op.
-	s2 := NewSort(nil, 100, NewScan("t"))
+	s2 := NewSortOrigin(nil, 100, NewScan("t"), "")
 	out2, err := s2.Eval(db)
 	if err != nil {
 		t.Fatal(err)
@@ -88,11 +88,11 @@ func TestSortLimit(t *testing.T) {
 
 func TestSortErrorsAndWithChildren(t *testing.T) {
 	db := sortInput()
-	bad := NewSort([]SortKey{{Attr: schema.Attr("t", "nosuch")}}, -1, NewScan("t"))
+	bad := NewSortOrigin([]SortKey{{Attr: schema.Attr("t", "nosuch")}}, -1, NewScan("t"), "")
 	if _, err := bad.Eval(db); err == nil {
 		t.Error("missing sort key must fail")
 	}
-	s := NewSort([]SortKey{{Attr: schema.Attr("t", "a")}}, -1, NewScan("t"))
+	s := NewSortOrigin([]SortKey{{Attr: schema.Attr("t", "a")}}, -1, NewScan("t"), "")
 	if len(s.Children()) != 1 {
 		t.Error("Children wrong")
 	}
@@ -115,7 +115,7 @@ func TestSortMixedKindsDeterministic(t *testing.T) {
 		Row(value.NewString("a")).
 		Relation()
 	db := Database{"m": r}
-	s := NewSort([]SortKey{{Attr: schema.Attr("m", "v")}}, -1, NewScan("m"))
+	s := NewSortOrigin([]SortKey{{Attr: schema.Attr("m", "v")}}, -1, NewScan("m"), "")
 	out1, err := s.Eval(db)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestNodeStringsAndEvalCoverage(t *testing.T) {
 		t.Errorf("groupby String = %q", gb)
 	}
 
-	sorted := NewSort([]SortKey{{Attr: schema.Attr("r1", "x"), Desc: true}}, 1, NewScan("r1"))
+	sorted := NewSortOrigin([]SortKey{{Attr: schema.Attr("r1", "x"), Desc: true}}, 1, NewScan("r1"), "")
 	text := Indent(sorted)
 	if !strings.Contains(text, "Sort") || !strings.Contains(text, "limit 1") {
 		t.Errorf("Indent(Sort) = %q", text)
@@ -210,7 +210,7 @@ func TestNodeStringsAndEvalCoverage(t *testing.T) {
 		NewProject(nil, false, NewScan("nosuch")),
 		NewGenSel(p, nil, NewScan("nosuch")),
 		NewGroupBy(nil, nil, NewScan("nosuch")),
-		NewSort(nil, -1, NewScan("nosuch")),
+		NewSortOrigin(nil, -1, NewScan("nosuch"), ""),
 		NewMGOJ(p, nil, NewScan("nosuch"), NewScan("r1")),
 		NewMGOJ(p, nil, NewScan("r1"), NewScan("nosuch")),
 		NewJoin(InnerJoin, p, NewScan("nosuch"), NewScan("r1")),

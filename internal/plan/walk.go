@@ -42,13 +42,6 @@ func BaseRelSet(n Node) map[string]bool {
 	return set
 }
 
-// CountNodes returns the number of operators in the tree.
-func CountNodes(n Node) int {
-	count := 0
-	Walk(n, func(Node) { count++ })
-	return count
-}
-
 // Rewrite applies f bottom-up: children are rewritten first, then f
 // is applied to the node with its new children. f returning nil keeps
 // the node.
@@ -88,10 +81,10 @@ func Equivalent(a, b Node, db Database) (bool, error) {
 	return ra.EqualAsSets(rb), nil
 }
 
-// Label renders n's operator line as EXPLAIN prints it, without
+// label renders n's operator line as EXPLAIN prints it, without
 // indentation or newline. It is the one per-operator description every
 // plan view is built from: Indent, IndentAnnotated, DOT and Tree.
-func Label(n Node) string {
+func label(n Node) string {
 	switch m := n.(type) {
 	case *Scan:
 		return "Scan " + m.Rel

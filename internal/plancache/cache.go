@@ -37,11 +37,11 @@ type Status uint8
 const (
 	// Hit: the key was cached; no optimization ran.
 	Hit Status = iota
-	// Miss: this caller ran the build and (on success) inserted.
-	Miss
-	// Shared: another caller was already building the key; this one
+	// statusMiss: this caller ran the build and (on success) inserted.
+	statusMiss
+	// statusShared: another caller was already building the key; this one
 	// waited and shares its result without running the build.
-	Shared
+	statusShared
 )
 
 // String returns the status label used in metrics and logs.
@@ -49,9 +49,9 @@ func (s Status) String() string {
 	switch s {
 	case Hit:
 		return "hit"
-	case Miss:
+	case statusMiss:
 		return "miss"
-	case Shared:
+	case statusShared:
 		return "shared"
 	default:
 		return fmt.Sprintf("status(%d)", uint8(s))
@@ -140,7 +140,7 @@ func (c *Cache) Do(ctx context.Context, key string, _ uint64, build func() (any,
 	if err := guard.Safely("plancache.lookup", key, c.reg, func() error {
 		return guard.Hit(guard.PointCacheLookup)
 	}); err != nil {
-		return nil, Miss, err
+		return nil, statusMiss, err
 	}
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -151,12 +151,12 @@ func (c *Cache) Do(ctx context.Context, key string, _ uint64, build func() (any,
 	}
 	entry, shared, err := c.fly(ctx, key, c.misses, build)
 	if !shared {
-		return entry, Miss, err
+		return entry, statusMiss, err
 	}
 	if err == nil {
 		c.hits.Inc()
 	}
-	return entry, Shared, err
+	return entry, statusShared, err
 }
 
 // Refresh rebuilds the entry for key in place — the drift-triggered

@@ -22,7 +22,7 @@ func TestDoHitMiss(t *testing.T) {
 	ctx := context.Background()
 
 	e, st, err := c.Do(ctx, "k1", 0, build("plan1", 100))
-	if err != nil || st != Miss || e.Value.(string) != "plan1" {
+	if err != nil || st != statusMiss || e.Value.(string) != "plan1" {
 		t.Fatalf("first access: entry=%v status=%v err=%v", e, st, err)
 	}
 	e, st, err = c.Do(ctx, "k1", 0, func() (any, int64, error) {
@@ -168,9 +168,9 @@ func TestSingleflight(t *testing.T) {
 			t.Fatalf("goroutine %d got %v", i, vals[i])
 		}
 		switch statuses[i] {
-		case Miss:
+		case statusMiss:
 			miss++
-		case Shared:
+		case statusShared:
 			shared++
 		default:
 			t.Fatalf("goroutine %d: status %v", i, statuses[i])
@@ -198,7 +198,7 @@ func TestSingleflightWaiterCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, st, err := c.Do(ctx, "k", 0, build("other", 8))
-	if st != Shared || !guard.IsCancelled(err) {
+	if st != statusShared || !guard.IsCancelled(err) {
 		t.Fatalf("cancelled waiter: status=%v err=%v", st, err)
 	}
 	close(release)
@@ -222,13 +222,13 @@ func TestBuildErrorNotCached(t *testing.T) {
 
 	if _, st, err := c.Do(ctx, "k", 0, func() (any, int64, error) {
 		return nil, 0, boom
-	}); st != Miss || !errors.Is(err, boom) {
+	}); st != statusMiss || !errors.Is(err, boom) {
 		t.Fatalf("status=%v err=%v", st, err)
 	}
 	if c.Len() != 0 {
 		t.Fatal("error outcome must not be cached")
 	}
-	if e, st, err := c.Do(ctx, "k", 0, build("ok", 8)); err != nil || st != Miss || e.Value != "ok" {
+	if e, st, err := c.Do(ctx, "k", 0, build("ok", 8)); err != nil || st != statusMiss || e.Value != "ok" {
 		t.Fatalf("retry: entry=%v status=%v err=%v", e, st, err)
 	}
 }
@@ -272,7 +272,7 @@ func TestBuildPanicContained(t *testing.T) {
 			t.Fatalf("outcome %d: wedged after build panic", i)
 		}
 	}
-	if e, st, err := c.Do(ctx, "k", 0, build("ok", 8)); err != nil || st != Miss || e.Value != "ok" {
+	if e, st, err := c.Do(ctx, "k", 0, build("ok", 8)); err != nil || st != statusMiss || e.Value != "ok" {
 		t.Fatalf("after panic: entry=%v status=%v err=%v", e, st, err)
 	}
 }
@@ -290,7 +290,7 @@ func TestFaultLookup(t *testing.T) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 	guard.Clear()
-	if _, st, err := c.Do(ctx, "k", 0, build("v", 8)); err != nil || st != Miss {
+	if _, st, err := c.Do(ctx, "k", 0, build("v", 8)); err != nil || st != statusMiss {
 		t.Fatalf("after fault cleared: status=%v err=%v", st, err)
 	}
 }
@@ -314,7 +314,7 @@ func TestFaultInsert(t *testing.T) {
 	}
 
 	guard.Clear()
-	if e, st, err := c.Do(ctx, "k", 0, build("v", 8)); err != nil || st != Miss || e.Value != "v" {
+	if e, st, err := c.Do(ctx, "k", 0, build("v", 8)); err != nil || st != statusMiss || e.Value != "v" {
 		t.Fatalf("recovery after faults: entry=%v status=%v err=%v", e, st, err)
 	}
 }

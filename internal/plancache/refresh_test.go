@@ -22,7 +22,7 @@ func TestRefreshReplaces(t *testing.T) {
 	ctx := context.Background()
 
 	e, st, err := c.Do(ctx, "k", 7, func() (any, int64, error) { return "v1", 100, nil })
-	if err != nil || st != Miss || e.Value != "v1" {
+	if err != nil || st != statusMiss || e.Value != "v1" {
 		t.Fatalf("seed Do = %v %v %v", e, st, err)
 	}
 	e2, err := c.Refresh(ctx, "k", 7, func() (any, int64, error) { return "v2", 250, nil })

@@ -196,15 +196,3 @@ func filterAttrs(attrs []schema.Attribute, rels map[string]bool) []schema.Attrib
 	}
 	return out
 }
-
-// CountOuterJoins counts one-sided and full outer joins in a plan,
-// the metric simplification reduces.
-func CountOuterJoins(n plan.Node) int {
-	count := 0
-	plan.Walk(n, func(m plan.Node) {
-		if j, ok := m.(*plan.Join); ok && j.Kind != plan.InnerJoin {
-			count++
-		}
-	})
-	return count
-}

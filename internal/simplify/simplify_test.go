@@ -170,7 +170,7 @@ func TestSimplifyEquivalence(t *testing.T) {
 		if s.String() == q.String() {
 			t.Errorf("query %d: no simplification happened:\n%s", qi, plan.Indent(s))
 		}
-		if CountOuterJoins(s) > CountOuterJoins(q) {
+		if countOuterJoins(s) > countOuterJoins(q) {
 			t.Errorf("query %d: simplification added outer joins", qi)
 		}
 		for trial := 0; trial < 40; trial++ {
@@ -193,4 +193,16 @@ func TestSimplifySharing(t *testing.T) {
 	if Simplify(q) != plan.Node(q) {
 		t.Error("a plan with nothing to simplify must be returned unchanged")
 	}
+}
+
+// countOuterJoins counts one-sided and full outer joins in a plan,
+// the metric simplification reduces.
+func countOuterJoins(n plan.Node) int {
+	count := 0
+	plan.Walk(n, func(m plan.Node) {
+		if j, ok := m.(*plan.Join); ok && j.Kind != plan.InnerJoin {
+			count++
+		}
+	})
+	return count
 }

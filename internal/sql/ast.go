@@ -68,30 +68,30 @@ func (c ColRef) String() string {
 	return c.Qualifier + "." + c.Column
 }
 
-// Lit is a literal. Tok is one more than the index of the token the
+// lit is a literal. Tok is one more than the index of the token the
 // parser read it from (Tokens.Params reads it back through
 // ParameterizeSlots' slot map); 0 marks a literal built in code.
-type Lit struct {
+type lit struct {
 	Val value.Value
 	Tok int
 }
 
 // String implements Expr.
-func (l Lit) String() string { return l.Val.GoString() }
+func (l lit) String() string { return l.Val.GoString() }
 
-// BinExpr is a binary operation: comparison, AND, or arithmetic.
-type BinExpr struct {
+// binExpr is a binary operation: comparison, AND, or arithmetic.
+type binExpr struct {
 	Op   string // "and", "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/"
 	L, R Expr
 }
 
 // String implements Expr.
-func (b BinExpr) String() string {
+func (b binExpr) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
 }
 
-// AggCall is an aggregate invocation in a SELECT list or HAVING.
-type AggCall struct {
+// aggCall is an aggregate invocation in a SELECT list or HAVING.
+type aggCall struct {
 	Func     string // "count", "sum", "min", "max", "avg"
 	Star     bool   // count(*)
 	Distinct bool
@@ -99,7 +99,7 @@ type AggCall struct {
 }
 
 // String implements Expr.
-func (a AggCall) String() string {
+func (a aggCall) String() string {
 	arg := "*"
 	if a.Arg != nil {
 		arg = a.Arg.String()
@@ -111,21 +111,21 @@ func (a AggCall) String() string {
 	return fmt.Sprintf("%s(%s%s)", a.Func, d, arg)
 }
 
-// UnaryExpr is a prefix operator, currently only NOT.
-type UnaryExpr struct {
+// unaryExpr is a prefix operator, currently only NOT.
+type unaryExpr struct {
 	Op string
 	E  Expr
 }
 
 // String implements Expr.
-func (u UnaryExpr) String() string { return u.Op + " (" + u.E.String() + ")" }
+func (u unaryExpr) String() string { return u.Op + " (" + u.E.String() + ")" }
 
-// SubqueryExpr is a scalar subquery in an expression position; the
+// subqueryExpr is a scalar subquery in an expression position; the
 // supported form is a (possibly correlated) single-aggregate SELECT.
-type SubqueryExpr struct{ Stmt *SelectStmt }
+type subqueryExpr struct{ Stmt *SelectStmt }
 
 // String implements Expr.
-func (s SubqueryExpr) String() string { return "(" + s.Stmt.String() + ")" }
+func (s subqueryExpr) String() string { return "(" + s.Stmt.String() + ")" }
 
 // String renders the statement approximately as SQL.
 func (s *SelectStmt) String() string {

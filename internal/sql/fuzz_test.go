@@ -69,8 +69,8 @@ func FuzzParse(f *testing.F) {
 		tmpl, params := Parameterize(stmt)
 		_ = tmpl.String()
 		checkShape(t, input, tmpl, params)
-		if rebound := BindLiterals(tmpl, params); rebound.String() != stmt.String() {
-			t.Fatalf("BindLiterals(Parameterize(x)) != x:\n  got  %s\n  want %s",
+		if rebound := bindLiterals(tmpl, params); rebound.String() != stmt.String() {
+			t.Fatalf("bindLiterals(Parameterize(x)) != x:\n  got  %s\n  want %s",
 				rebound, stmt)
 		}
 

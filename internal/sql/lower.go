@@ -254,7 +254,7 @@ func attachCommaJoins(node plan.Node, items []plan.Node, filters []expr.Pred) (p
 func (l *lowerer) finishBlock(stmt *SelectStmt, sc *scope, node plan.Node, top bool) (*lowered, error) {
 	hasAgg := false
 	for _, it := range stmt.Items {
-		if _, ok := it.Expr.(AggCall); ok {
+		if _, ok := it.Expr.(aggCall); ok {
 			hasAgg = true
 		}
 	}
@@ -270,7 +270,7 @@ func (l *lowerer) finishBlock(stmt *SelectStmt, sc *scope, node plan.Node, top b
 			keys = append(keys, a)
 		}
 		var aggs []algebra.Aggregate
-		addAgg := func(call AggCall, name string) (schema.Attribute, error) {
+		addAgg := func(call aggCall, name string) (schema.Attribute, error) {
 			l.aggSeq++
 			outAttr := schema.Attr(fmt.Sprintf("q%d", l.blockID), name)
 			agg := algebra.Aggregate{Out: outAttr}
@@ -312,7 +312,7 @@ func (l *lowerer) finishBlock(stmt *SelectStmt, sc *scope, node plan.Node, top b
 				return nil, fmt.Errorf("sql: SELECT * is not valid with GROUP BY")
 			}
 			switch e := it.Expr.(type) {
-			case AggCall:
+			case aggCall:
 				name := it.As
 				if name == "" {
 					name = fmt.Sprintf("%s_%d", e.Func, l.aggSeq+1)
@@ -468,7 +468,7 @@ func isTrue(p expr.Pred) bool {
 
 // lowerScalar lowers a scalar expression; aggOut, when non-nil, maps
 // aggregate calls encountered in HAVING to generated columns.
-func (l *lowerer) lowerScalar(e Expr, sc *scope, aggOut func(AggCall, string) (schema.Attribute, error)) (expr.Scalar, error) {
+func (l *lowerer) lowerScalar(e Expr, sc *scope, aggOut func(aggCall, string) (schema.Attribute, error)) (expr.Scalar, error) {
 	switch x := e.(type) {
 	case ColRef:
 		a, err := sc.resolve(x)
@@ -476,11 +476,11 @@ func (l *lowerer) lowerScalar(e Expr, sc *scope, aggOut func(AggCall, string) (s
 			return nil, err
 		}
 		return expr.Col{Attr: a}, nil
-	case Lit:
+	case lit:
 		return expr.Const{Val: x.Val}, nil
-	case Param:
+	case param:
 		return expr.Param{Idx: x.Idx}, nil
-	case AggCall:
+	case aggCall:
 		if aggOut == nil {
 			return nil, fmt.Errorf("sql: aggregate %s not allowed here", x)
 		}
@@ -490,7 +490,7 @@ func (l *lowerer) lowerScalar(e Expr, sc *scope, aggOut func(AggCall, string) (s
 			return nil, err
 		}
 		return expr.Col{Attr: a}, nil
-	case BinExpr:
+	case binExpr:
 		var op expr.ArithOp
 		switch x.Op {
 		case "+":
@@ -519,15 +519,15 @@ func (l *lowerer) lowerScalar(e Expr, sc *scope, aggOut func(AggCall, string) (s
 }
 
 // lowerPred lowers a boolean expression into a conjunctive predicate.
-func (l *lowerer) lowerPred(e Expr, sc *scope, aggOut func(AggCall, string) (schema.Attribute, error)) (expr.Pred, error) {
-	if u, ok := e.(UnaryExpr); ok && u.Op == "not" {
+func (l *lowerer) lowerPred(e Expr, sc *scope, aggOut func(aggCall, string) (schema.Attribute, error)) (expr.Pred, error) {
+	if u, ok := e.(unaryExpr); ok && u.Op == "not" {
 		inner, err := l.lowerPred(u.E, sc, aggOut)
 		if err != nil {
 			return nil, err
 		}
 		return expr.Not{P: inner}, nil
 	}
-	b, ok := e.(BinExpr)
+	b, ok := e.(binExpr)
 	if !ok {
 		return nil, fmt.Errorf("sql: expected a predicate, got %s", e)
 	}
@@ -582,7 +582,7 @@ func (l *lowerer) lowerPred(e Expr, sc *scope, aggOut func(AggCall, string) (sch
 }
 
 // lowerPredWithAggs is lowerPred with HAVING aggregate support.
-func (l *lowerer) lowerPredWithAggs(e Expr, sc *scope, aggOut func(AggCall, string) (schema.Attribute, error)) (expr.Pred, error) {
+func (l *lowerer) lowerPredWithAggs(e Expr, sc *scope, aggOut func(aggCall, string) (schema.Attribute, error)) (expr.Pred, error) {
 	return l.lowerPred(e, sc, aggOut)
 }
 
@@ -590,9 +590,9 @@ func containsSubquery(e Expr) bool {
 	switch x := e.(type) {
 	case nil:
 		return false
-	case SubqueryExpr:
+	case subqueryExpr:
 		return true
-	case BinExpr:
+	case binExpr:
 		return containsSubquery(x.L) || containsSubquery(x.R)
 	default:
 		return false

@@ -2,14 +2,14 @@ package sql
 
 import "repro/internal/value"
 
-// Param is a parameter slot "$n" (1-based) in a parameterized AST. It
+// param is a parameter slot "$n" (1-based) in a parameterized AST. It
 // is produced by Parameterize, never by the parser: client SQL always
 // carries inline literals, and the service normalizes them so queries
 // differing only in constants share one plan-cache entry.
-type Param struct{ Idx int }
+type param struct{ Idx int }
 
 // String implements Expr.
-func (p Param) String() string { return "$" + itoa(p.Idx) }
+func (p param) String() string { return "$" + itoa(p.Idx) }
 
 // itoa avoids strconv for this tiny hot path (Idx is small and
 // positive).
@@ -68,10 +68,10 @@ type paramizer struct {
 	slots  []int
 }
 
-func (p *paramizer) slot(l Lit) Param {
+func (p *paramizer) slot(l lit) param {
 	p.params = append(p.params, l.Val)
 	p.slots = append(p.slots, l.Tok-1)
-	return Param{Idx: len(p.params)}
+	return param{Idx: len(p.params)}
 }
 
 func (p *paramizer) stmt(s *SelectStmt) *SelectStmt {
@@ -106,88 +106,22 @@ func (p *paramizer) stmt(s *SelectStmt) *SelectStmt {
 
 func (p *paramizer) expr(e Expr) Expr {
 	switch x := e.(type) {
-	case Lit:
+	case lit:
 		return p.slot(x)
-	case BinExpr:
-		return BinExpr{Op: x.Op, L: p.expr(x.L), R: p.expr(x.R)}
-	case UnaryExpr:
-		return UnaryExpr{Op: x.Op, E: p.expr(x.E)}
-	case AggCall:
+	case binExpr:
+		return binExpr{Op: x.Op, L: p.expr(x.L), R: p.expr(x.R)}
+	case unaryExpr:
+		return unaryExpr{Op: x.Op, E: p.expr(x.E)}
+	case aggCall:
 		out := x
 		if x.Arg != nil {
 			out.Arg = p.expr(x.Arg)
 		}
 		return out
-	case SubqueryExpr:
-		return SubqueryExpr{Stmt: p.stmt(x.Stmt)}
+	case subqueryExpr:
+		return subqueryExpr{Stmt: p.stmt(x.Stmt)}
 	default:
 		// ColRef, Param: no literals underneath.
-		return e
-	}
-}
-
-// BindLiterals is the inverse of Parameterize for testing: it returns
-// a deep copy of stmt with each Param slot replaced by Lit(params[Idx-1]).
-// Slots out of range are left in place.
-func BindLiterals(stmt *SelectStmt, params []value.Value) *SelectStmt {
-	b := &binder{params: params}
-	return b.stmt(stmt)
-}
-
-type binder struct {
-	params []value.Value
-}
-
-func (b *binder) stmt(s *SelectStmt) *SelectStmt {
-	out := *s
-	out.Items = make([]SelectItem, len(s.Items))
-	for i, it := range s.Items {
-		out.Items[i] = it
-		if it.Expr != nil {
-			out.Items[i].Expr = b.expr(it.Expr)
-		}
-	}
-	out.From = make([]FromItem, len(s.From))
-	for i, f := range s.From {
-		out.From[i] = f
-		if f.Sub != nil {
-			out.From[i].Sub = b.stmt(f.Sub)
-		}
-		if f.Join.On != nil {
-			out.From[i].Join.On = b.expr(f.Join.On)
-		}
-	}
-	if s.Where != nil {
-		out.Where = b.expr(s.Where)
-	}
-	out.GroupBy = append([]ColRef(nil), s.GroupBy...)
-	if s.Having != nil {
-		out.Having = b.expr(s.Having)
-	}
-	out.OrderBy = append([]OrderItem(nil), s.OrderBy...)
-	return &out
-}
-
-func (b *binder) expr(e Expr) Expr {
-	switch x := e.(type) {
-	case Param:
-		if x.Idx >= 1 && x.Idx <= len(b.params) {
-			return Lit{Val: b.params[x.Idx-1]}
-		}
-		return e
-	case BinExpr:
-		return BinExpr{Op: x.Op, L: b.expr(x.L), R: b.expr(x.R)}
-	case UnaryExpr:
-		return UnaryExpr{Op: x.Op, E: b.expr(x.E)}
-	case AggCall:
-		out := x
-		if x.Arg != nil {
-			out.Arg = b.expr(x.Arg)
-		}
-		return out
-	case SubqueryExpr:
-		return SubqueryExpr{Stmt: b.stmt(x.Stmt)}
-	default:
 		return e
 	}
 }

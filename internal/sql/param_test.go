@@ -36,7 +36,7 @@ func TestParameterizeExtractsLiterals(t *testing.T) {
 		}
 	}
 	// Rebinding the extracted literals restores the original text.
-	if got, orig := BindLiterals(tmpl, params).String(), stmt.String(); got != orig {
+	if got, orig := bindLiterals(tmpl, params).String(), stmt.String(); got != orig {
 		t.Fatalf("rebind mismatch:\n  got  %s\n  want %s", got, orig)
 	}
 	// The original statement is untouched (deep copy).
@@ -184,5 +184,71 @@ func TestParseAndLowerConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// bindLiterals is the inverse of Parameterize: it returns
+// a deep copy of stmt with each Param slot replaced by Lit(params[Idx-1]).
+// Slots out of range are left in place.
+func bindLiterals(stmt *SelectStmt, params []value.Value) *SelectStmt {
+	b := &binder{params: params}
+	return b.stmt(stmt)
+}
+
+type binder struct {
+	params []value.Value
+}
+
+func (b *binder) stmt(s *SelectStmt) *SelectStmt {
+	out := *s
+	out.Items = make([]SelectItem, len(s.Items))
+	for i, it := range s.Items {
+		out.Items[i] = it
+		if it.Expr != nil {
+			out.Items[i].Expr = b.expr(it.Expr)
+		}
+	}
+	out.From = make([]FromItem, len(s.From))
+	for i, f := range s.From {
+		out.From[i] = f
+		if f.Sub != nil {
+			out.From[i].Sub = b.stmt(f.Sub)
+		}
+		if f.Join.On != nil {
+			out.From[i].Join.On = b.expr(f.Join.On)
+		}
+	}
+	if s.Where != nil {
+		out.Where = b.expr(s.Where)
+	}
+	out.GroupBy = append([]ColRef(nil), s.GroupBy...)
+	if s.Having != nil {
+		out.Having = b.expr(s.Having)
+	}
+	out.OrderBy = append([]OrderItem(nil), s.OrderBy...)
+	return &out
+}
+
+func (b *binder) expr(e Expr) Expr {
+	switch x := e.(type) {
+	case param:
+		if x.Idx >= 1 && x.Idx <= len(b.params) {
+			return lit{Val: b.params[x.Idx-1]}
+		}
+		return e
+	case binExpr:
+		return binExpr{Op: x.Op, L: b.expr(x.L), R: b.expr(x.R)}
+	case unaryExpr:
+		return unaryExpr{Op: x.Op, E: b.expr(x.E)}
+	case aggCall:
+		out := x
+		if x.Arg != nil {
+			out.Arg = b.expr(x.Arg)
+		}
+		return out
+	case subqueryExpr:
+		return subqueryExpr{Stmt: b.stmt(x.Stmt)}
+	default:
+		return e
 	}
 }

@@ -323,7 +323,7 @@ func (p *parser) parseExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = BinExpr{Op: "or", L: l, R: r}
+		l = binExpr{Op: "or", L: l, R: r}
 	}
 	return l, nil
 }
@@ -339,7 +339,7 @@ func (p *parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = BinExpr{Op: "and", L: l, R: r}
+		l = binExpr{Op: "and", L: l, R: r}
 	}
 	return l, nil
 }
@@ -351,7 +351,7 @@ func (p *parser) parseNot() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return UnaryExpr{Op: "not", E: e}, nil
+		return unaryExpr{Op: "not", E: e}, nil
 	}
 	return p.parseComparison()
 }
@@ -374,9 +374,9 @@ func (p *parser) parseComparison() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return BinExpr{Op: "and",
-			L: BinExpr{Op: ">=", L: l, R: lo},
-			R: BinExpr{Op: "<=", L: l, R: hi}}, nil
+		return binExpr{Op: "and",
+			L: binExpr{Op: ">=", L: l, R: lo},
+			R: binExpr{Op: "<=", L: l, R: hi}}, nil
 	}
 	if p.atKeyword("in") {
 		p.next()
@@ -389,11 +389,11 @@ func (p *parser) parseComparison() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			eq := BinExpr{Op: "=", L: l, R: v}
+			eq := binExpr{Op: "=", L: l, R: v}
 			if alts == nil {
 				alts = eq
 			} else {
-				alts = BinExpr{Op: "or", L: alts, R: eq}
+				alts = binExpr{Op: "or", L: alts, R: eq}
 			}
 			if p.at(tokSymbol, ",") {
 				p.next()
@@ -417,7 +417,7 @@ func (p *parser) parseComparison() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return BinExpr{Op: op, L: l, R: r}, nil
+			return binExpr{Op: op, L: l, R: r}, nil
 		}
 	}
 	return l, nil
@@ -434,7 +434,7 @@ func (p *parser) parseAdditive() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = BinExpr{Op: op, L: l, R: r}
+		l = binExpr{Op: op, L: l, R: r}
 	}
 	return l, nil
 }
@@ -450,7 +450,7 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = BinExpr{Op: op, L: l, R: r}
+		l = binExpr{Op: op, L: l, R: r}
 	}
 	return l, nil
 }
@@ -467,7 +467,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Lit{Val: v, Tok: at + 1}, nil
+		return lit{Val: v, Tok: at + 1}, nil
 	case t.kind == tokSymbol && t.text == "(":
 		p.next()
 		if p.atKeyword("select") {
@@ -478,7 +478,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err := p.expectSymbol(")"); err != nil {
 				return nil, err
 			}
-			return SubqueryExpr{Stmt: sub}, nil
+			return subqueryExpr{Stmt: sub}, nil
 		}
 		e, err := p.parseExpr()
 		if err != nil {
@@ -493,7 +493,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
-		call := AggCall{Func: fn}
+		call := aggCall{Func: fn}
 		if p.at(tokSymbol, "*") {
 			p.next()
 			call.Star = true

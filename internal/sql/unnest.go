@@ -81,7 +81,7 @@ func (l *lowerer) splitCountFilters(e Expr, sc *scope) (expr.Pred, []core.CountF
 	var filters []core.CountFilter
 	var walk func(e Expr) error
 	walk = func(e Expr) error {
-		b, ok := e.(BinExpr)
+		b, ok := e.(binExpr)
 		if !ok {
 			return fmt.Errorf("sql: expected predicate, got %s", e)
 		}
@@ -91,8 +91,8 @@ func (l *lowerer) splitCountFilters(e Expr, sc *scope) (expr.Pred, []core.CountF
 			}
 			return walk(b.R)
 		}
-		lSub, lIsSub := b.L.(SubqueryExpr)
-		rSub, rIsSub := b.R.(SubqueryExpr)
+		lSub, lIsSub := b.L.(subqueryExpr)
+		rSub, rIsSub := b.R.(subqueryExpr)
 		switch {
 		case lIsSub && rIsSub:
 			return fmt.Errorf("sql: comparing two subqueries is not supported")
@@ -158,7 +158,7 @@ func (l *lowerer) lowerCountQuery(stmt *SelectStmt, parent *scope) (*core.CountQ
 	if len(stmt.Items) != 1 || stmt.Items[0].Star {
 		return nil, fmt.Errorf("sql: count subquery must select exactly count(*)")
 	}
-	call, ok := stmt.Items[0].Expr.(AggCall)
+	call, ok := stmt.Items[0].Expr.(aggCall)
 	if !ok || call.Func != "count" || !call.Star {
 		return nil, fmt.Errorf("sql: count subquery must select count(*), got %s", stmt.Items[0].Expr)
 	}

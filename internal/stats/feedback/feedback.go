@@ -30,15 +30,15 @@ import (
 type Options struct {
 	// MaxEntries caps the number of distinct keys retained;
 	// beyond it the oldest-inserted key is evicted. 0 means
-	// DefaultMaxEntries.
+	// 4096.
 	MaxEntries int
 	// Decay is the EWMA weight of the newest observation in (0, 1].
 	// 1 keeps only the latest actual; small values average over a
-	// long history. 0 means DefaultDecay.
+	// long history. 0 means 0.5.
 	Decay float64
 	// MaxRatio clamps each observation's actual/estimated ratio into
 	// [1/MaxRatio, MaxRatio] before folding, bounding the damage of a
-	// single outlier run. 0 means DefaultMaxRatio.
+	// single outlier run. 0 means 1e6.
 	MaxRatio float64
 	// Obs, when non-nil, receives the store's counters
 	// (feedback.store.*).
@@ -47,16 +47,10 @@ type Options struct {
 
 // Defaults for the zero Options.
 const (
-	DefaultMaxEntries = 4096
-	DefaultDecay      = 0.5
-	DefaultMaxRatio   = 1e6
+	defaultMaxEntries = 4096
+	defaultDecay      = 0.5
+	defaultMaxRatio   = 1e6
 )
-
-// entry is one subtree's learned cardinality.
-type entry struct {
-	rows float64 // EWMA of clamped actual row counts
-	n    int64   // observations folded in
-}
 
 // Store is the bounded correction map. All methods are safe for
 // concurrent use; Lookup takes a read lock so the hot path (every
@@ -65,10 +59,9 @@ type Store struct {
 	opts Options
 
 	mu      sync.RWMutex
-	entries map[string]*entry
-	order   []string // insertion order, for bounded eviction
+	entries map[string]float64 // key → EWMA of clamped actual row counts
+	order   []string           // insertion order, for bounded eviction
 
-	records   *obs.Counter
 	hits      *obs.Counter
 	evictions *obs.Counter
 	size      *obs.Gauge
@@ -77,23 +70,22 @@ type Store struct {
 // New builds a Store with opts (zero fields take the defaults above).
 func New(opts Options) *Store {
 	if opts.MaxEntries <= 0 {
-		opts.MaxEntries = DefaultMaxEntries
+		opts.MaxEntries = defaultMaxEntries
 	}
 	if opts.Decay <= 0 || opts.Decay > 1 {
-		opts.Decay = DefaultDecay
+		opts.Decay = defaultDecay
 	}
 	if opts.MaxRatio < 1 {
-		opts.MaxRatio = DefaultMaxRatio
+		opts.MaxRatio = defaultMaxRatio
 	}
 	s := &Store{
 		opts:    opts,
-		entries: make(map[string]*entry),
+		entries: make(map[string]float64),
 	}
 	reg := opts.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s.records = reg.Counter("feedback.store.records")
 	s.hits = reg.Counter("feedback.store.lookup_hits")
 	s.evictions = reg.Counter("feedback.store.evictions")
 	s.size = reg.Gauge("feedback.store.entries")
@@ -111,9 +103,8 @@ func (s *Store) Record(key string, est, actual float64) error {
 	obs := clamp(est, actual, s.opts.MaxRatio)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok {
-		e.rows = s.opts.Decay*obs + (1-s.opts.Decay)*e.rows
-		e.n++
+	if rows, ok := s.entries[key]; ok {
+		s.entries[key] = s.opts.Decay*obs + (1-s.opts.Decay)*rows
 	} else {
 		for len(s.entries) >= s.opts.MaxEntries && len(s.order) > 0 {
 			victim := s.order[0]
@@ -123,10 +114,9 @@ func (s *Store) Record(key string, est, actual float64) error {
 				s.evictions.Inc()
 			}
 		}
-		s.entries[key] = &entry{rows: obs, n: 1}
+		s.entries[key] = obs
 		s.order = append(s.order, key)
 	}
-	s.records.Inc()
 	s.size.Set(int64(len(s.entries)))
 	return nil
 }
@@ -138,10 +128,7 @@ func (s *Store) Lookup(key string) (rows float64, ok bool, err error) {
 		return 0, false, err
 	}
 	s.mu.RLock()
-	e, live := s.entries[key]
-	if live {
-		rows = e.rows
-	}
+	rows, live := s.entries[key]
 	s.mu.RUnlock()
 	if !live {
 		return 0, false, nil
@@ -158,17 +145,6 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.entries)
-}
-
-// Observations reports how many observations have been folded into
-// key (0 if the key is unknown) — test and debug surface.
-func (s *Store) Observations(key string) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, ok := s.entries[key]; ok {
-		return e.n
-	}
-	return 0
 }
 
 // clamp bounds actual to within maxRatio of est in either direction.

@@ -26,9 +26,6 @@ func TestFeedbackRecordLookup(t *testing.T) {
 	if rows != 1000 {
 		t.Fatalf("first observation should be taken as-is: got %g, want 1000", rows)
 	}
-	if got := s.Observations("k"); got != 1 {
-		t.Fatalf("observations = %d, want 1", got)
-	}
 }
 
 // TestFeedbackDecayProperty: under repeated identical observations the

@@ -74,12 +74,12 @@ type CostModel struct {
 	IndexProbe float64 // one index lookup into a base relation
 }
 
-// DefaultCost is a reasonable weighting: predicate evaluation is
+// defaultCost is a reasonable weighting: predicate evaluation is
 // cheap, hashing slightly more, materializing output dominates, and
 // an index probe costs a few comparisons. Base relations are assumed
 // to carry indexes on their join columns (Example 1.1's "specially if
 // there is an index in relation 95DETAIL").
-var DefaultCost = CostModel{Tuple: 1.0, Pred: 0.2, Hash: 0.5, IndexProbe: 2.0}
+var defaultCost = CostModel{Tuple: 1.0, Pred: 0.2, Hash: 0.5, IndexProbe: 2.0}
 
 // Estimator derives cardinalities and costs for logical plans.
 type Estimator struct {
@@ -95,7 +95,7 @@ type Estimator struct {
 // NewEstimator builds an estimator over an already analyzed catalog
 // with the default cost model.
 func NewEstimator(cat Catalog) *Estimator {
-	e := &Estimator{Cost: DefaultCost, tables: make(map[string]func() *TableStats, len(cat))}
+	e := &Estimator{Cost: defaultCost, tables: make(map[string]func() *TableStats, len(cat))}
 	for name, ts := range cat {
 		e.tables[name] = func() *TableStats { return &ts }
 	}
@@ -109,7 +109,7 @@ func NewEstimator(cat Catalog) *Estimator {
 // plan reads are never analyzed. A table's statistics are a snapshot
 // of its rows at that first read: rows appended later are not seen.
 func ForDatabase(db plan.Database) *Estimator {
-	e := &Estimator{Cost: DefaultCost, tables: make(map[string]func() *TableStats, len(db))}
+	e := &Estimator{Cost: defaultCost, tables: make(map[string]func() *TableStats, len(db))}
 	for name, rel := range db {
 		e.tables[name] = sync.OnceValue(func() *TableStats {
 			ts := analyzeTable(rel)
@@ -141,9 +141,9 @@ func (e *Estimator) column(a schema.Attribute) ColumnStats {
 	return ColumnStats{Distinct: 10}
 }
 
-// Selectivity estimates the fraction of candidate tuples satisfying
+// selectivity estimates the fraction of candidate tuples satisfying
 // p, assuming independence across conjuncts.
-func (e *Estimator) Selectivity(p expr.Pred) float64 {
+func (e *Estimator) selectivity(p expr.Pred) float64 {
 	sel := 1.0
 	for _, c := range expr.Conjuncts(p) {
 		sel *= e.atomSelectivity(c)
@@ -266,9 +266,9 @@ func (e *Estimator) OpRows(n plan.Node, in []float64) (float64, error) {
 		}
 		return ts.Rows, nil
 	case *plan.Select:
-		return in[0] * e.Selectivity(m.Pred), nil
+		return in[0] * e.selectivity(m.Pred), nil
 	case *plan.Join:
-		match := in[0] * in[1] * e.Selectivity(m.Pred)
+		match := in[0] * in[1] * e.selectivity(m.Pred)
 		switch m.Kind {
 		case plan.InnerJoin:
 			return match, nil
@@ -280,7 +280,7 @@ func (e *Estimator) OpRows(n plan.Node, in []float64) (float64, error) {
 			return math.Max(match, math.Max(in[0], in[1])), nil
 		}
 	case *plan.GenSel:
-		sel := e.Selectivity(m.Pred)
+		sel := e.selectivity(m.Pred)
 		out := in[0] * sel
 		// Each preserved relation re-contributes its unmatched
 		// distinct projections, at most the input cardinality.
@@ -290,7 +290,7 @@ func (e *Estimator) OpRows(n plan.Node, in []float64) (float64, error) {
 		return math.Min(out, in[0]*(1+float64(len(m.Preserved)))), nil
 	case *plan.MGOJNode:
 		l, r := in[0], in[1]
-		match := l * r * e.Selectivity(m.Pred)
+		match := l * r * e.selectivity(m.Pred)
 		return match + float64(len(m.Preserved))*math.Max(l, r)*0.5, nil
 	case *plan.GroupBy:
 		return e.groupRows(m.Keys, in[0]), nil

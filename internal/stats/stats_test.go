@@ -57,27 +57,27 @@ func TestSelectivity(t *testing.T) {
 	est := NewEstimator(FromDatabase(testDB()))
 	eqJoin := expr.EqCols("r1", "x", "r2", "x")
 	// 1/max(10, 50) = 0.02.
-	if got := est.Selectivity(eqJoin); got != 0.02 {
+	if got := est.selectivity(eqJoin); got != 0.02 {
 		t.Errorf("join selectivity = %v", got)
 	}
 	eqConst := expr.Cmp{Op: value.EQ, L: expr.Column("r2", "s"), R: expr.Str("BANKRUPT")}
-	if got := est.Selectivity(eqConst); got != 0.1 {
+	if got := est.selectivity(eqConst); got != 0.1 {
 		t.Errorf("MCV selectivity = %v, want 0.1", got)
 	}
 	rare := expr.Cmp{Op: value.EQ, L: expr.Column("r2", "s"), R: expr.Str("nope")}
-	if got := est.Selectivity(rare); got != 0.001 {
+	if got := est.selectivity(rare); got != 0.001 {
 		t.Errorf("absent-literal selectivity = %v", got)
 	}
 	rng := expr.Cmp{Op: value.LT, L: expr.Column("r1", "y"), R: expr.Int(3)}
-	if got := est.Selectivity(rng); got != 1.0/3 {
+	if got := est.selectivity(rng); got != 1.0/3 {
 		t.Errorf("range selectivity = %v", got)
 	}
 	conj := expr.And(eqJoin, rng)
-	if got, want := est.Selectivity(conj), 0.02*(1.0/3); got < want-1e-12 || got > want+1e-12 {
+	if got, want := est.selectivity(conj), 0.02*(1.0/3); got < want-1e-12 || got > want+1e-12 {
 		t.Errorf("conjunction selectivity = %v, want %v", got, want)
 	}
 	ne := expr.Cmp{Op: value.NE, L: expr.Column("r1", "x"), R: expr.Column("r2", "x")}
-	if got := est.Selectivity(ne); got != 0.98 {
+	if got := est.selectivity(ne); got != 0.98 {
 		t.Errorf("<> selectivity = %v", got)
 	}
 }
@@ -192,8 +192,8 @@ func TestEstimatesCoverAllNodes(t *testing.T) {
 		plan.NewGroupBy([]schema.Attribute{schema.RID("r1")}, nil, plan.NewScan("r1")),
 		plan.NewProject([]schema.Attribute{schema.Attr("r1", "x")}, true, plan.NewScan("r1")),
 		plan.NewProject([]schema.Attribute{schema.Attr("r1", "x")}, false, plan.NewScan("r1")),
-		plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, 5, plan.NewScan("r1")),
-		plan.NewSort(nil, -1, plan.NewScan("r1")),
+		plan.NewSortOrigin([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, 5, plan.NewScan("r1"), ""),
+		plan.NewSortOrigin(nil, -1, plan.NewScan("r1"), ""),
 		plan.NewJoin(plan.RightJoin, p, plan.NewScan("r1"), plan.NewScan("r2")),
 		plan.NewJoin(plan.FullJoin, p, plan.NewScan("r1"), plan.NewScan("r2")),
 	}
@@ -224,7 +224,7 @@ func TestEstimatesCoverAllNodes(t *testing.T) {
 		plan.NewSelect(p, plan.NewScan("nosuch")),
 		plan.NewGenSel(p, nil, plan.NewScan("nosuch")),
 		plan.NewGroupBy(nil, nil, plan.NewScan("nosuch")),
-		plan.NewSort(nil, -1, plan.NewScan("nosuch")),
+		plan.NewSortOrigin(nil, -1, plan.NewScan("nosuch"), ""),
 		plan.NewMGOJ(p, nil, plan.NewScan("nosuch"), plan.NewScan("r1")),
 	} {
 		if _, err := est.Rows(n); err == nil {
@@ -245,16 +245,16 @@ func TestWithParamsReadsBoundValue(t *testing.T) {
 	est := ForDatabase(testDB())
 	eqParam := expr.Cmp{Op: value.EQ, L: expr.Column("r2", "s"), R: expr.Param{Idx: 2}}
 	view := est.WithParams([]value.Value{value.NewInt(1), value.NewString("BANKRUPT")})
-	if got := view.Selectivity(eqParam); got != 0.1 {
+	if got := view.selectivity(eqParam); got != 0.1 {
 		t.Errorf("bound $2 = 'BANKRUPT': selectivity %v, want its fraction 0.1", got)
 	}
-	if got, want := view.Selectivity(eqParam), est.Selectivity(expr.Cmp{Op: value.EQ, L: expr.Column("r2", "s"), R: expr.Str("BANKRUPT")}); got != want {
+	if got, want := view.selectivity(eqParam), est.selectivity(expr.Cmp{Op: value.EQ, L: expr.Column("r2", "s"), R: expr.Str("BANKRUPT")}); got != want {
 		t.Errorf("bound parameter %v, literal %v", got, want)
 	}
-	if got := est.Selectivity(eqParam); got != 0.5 {
+	if got := est.selectivity(eqParam); got != 0.5 {
 		t.Errorf("unbound $2: selectivity %v, want 1/Distinct = 0.5", got)
 	}
-	if got := est.WithParams(nil).Selectivity(eqParam); got != 0.5 {
+	if got := est.WithParams(nil).selectivity(eqParam); got != 0.5 {
 		t.Errorf("$2 past the bound values: selectivity %v, want 1/Distinct", got)
 	}
 	if got := analyzed.Value() - before; got != 1 {

@@ -27,7 +27,7 @@ type Kind uint8
 
 // The supported value kinds.
 const (
-	KindNull Kind = iota
+	kindNull Kind = iota
 	KindInt
 	KindFloat
 	KindString
@@ -37,7 +37,7 @@ const (
 // String returns the SQL-ish name of the kind.
 func (k Kind) String() string {
 	switch k {
-	case KindNull:
+	case kindNull:
 		return "NULL"
 	case KindInt:
 		return "INT"
@@ -80,7 +80,7 @@ func NewBool(v bool) Value { return Value{kind: KindBool, b: v} }
 func (v Value) Kind() Kind { return v.kind }
 
 // IsNull reports whether the value is SQL NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.kind == kindNull }
 
 // Int returns the INT payload; it panics if the kind is not INT.
 func (v Value) Int() int64 {
@@ -125,7 +125,7 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 // as "-" to match the dashes in the paper's example tables.
 func (v Value) String() string {
 	switch v.kind {
-	case KindNull:
+	case kindNull:
 		return "-"
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
@@ -176,8 +176,8 @@ func (t Tristate) String() string {
 	}
 }
 
-// FromBool lifts a Go bool into a Tristate.
-func FromBool(b bool) Tristate {
+// fromBool lifts a Go bool into a Tristate.
+func fromBool(b bool) Tristate {
 	if b {
 		return True
 	}
@@ -231,7 +231,7 @@ func (t Tristate) Holds() bool { return t == True }
 // true.
 func Compare(a, b Value) (int, bool) {
 	switch {
-	case a.kind == KindNull || b.kind == KindNull:
+	case a.kind == kindNull || b.kind == kindNull:
 		return 0, false
 	case a.kind == KindInt && b.kind == KindInt:
 		return cmp.Compare(a.i, b.i), true
@@ -361,7 +361,7 @@ func Apply(op CmpOp, a, b Value) Tristate {
 	if !ok {
 		return Unknown
 	}
-	return FromBool(op.Accepts(c))
+	return fromBool(op.Accepts(c))
 }
 
 // Equal reports identity equality: Compare gives 0, or both values are
@@ -369,7 +369,7 @@ func Apply(op CmpOp, a, b Value) Tristate {
 // difference and hash-bucket verification, where SQL treats NULLs as
 // identical — not the three-valued `=` predicate.
 func Equal(a, b Value) bool {
-	if a.kind == KindNull || b.kind == KindNull {
+	if a.kind == kindNull || b.kind == kindNull {
 		return a.kind == b.kind
 	}
 	c, ok := Compare(a, b)
@@ -408,7 +408,7 @@ func mix64(x uint64) uint64 {
 // consumers confirm bucket hits with Equal.
 func (v Value) Hash64() uint64 {
 	switch v.kind {
-	case KindNull:
+	case kindNull:
 		return hashSeedNull
 	case KindInt:
 		return hashFloat64(float64(v.i))
@@ -482,7 +482,7 @@ const HashSeed = fnvOffset64
 // set operations.
 func (v Value) Key() string {
 	switch v.kind {
-	case KindNull:
+	case kindNull:
 		return "n"
 	case KindInt:
 		return "i" + strconv.FormatInt(v.i, 10)

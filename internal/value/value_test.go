@@ -35,7 +35,7 @@ func TestKinds(t *testing.T) {
 		kind Kind
 		str  string
 	}{
-		{Null, KindNull, "-"},
+		{Null, kindNull, "-"},
 		{NewInt(42), KindInt, "42"},
 		{NewFloat(2.5), KindFloat, "2.5"},
 		{NewString("x"), KindString, "x"},
@@ -165,7 +165,7 @@ func TestTristateLaws(t *testing.T) {
 	if !True.Holds() || False.Holds() || Unknown.Holds() {
 		t.Error("Holds wrong")
 	}
-	if FromBool(true) != True || FromBool(false) != False {
+	if fromBool(true) != True || fromBool(false) != False {
 		t.Error("FromBool wrong")
 	}
 }

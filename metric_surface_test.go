@@ -38,7 +38,6 @@ var metricFamilies = []string{
 	"feedback.store.entries",
 	"feedback.store.evictions",
 	"feedback.store.lookup_hits",
-	"feedback.store.records",
 	"guard.budget_trips.<k>",
 	"guard.degraded",
 	"guard.queue_wait_milli",
@@ -72,7 +71,7 @@ var metricFamilies = []string{
 // dropped and the suffixes that vary per rule, phase, budget kind or
 // operator become placeholders.
 func metricFamily(name string) string {
-	name, _ = obs.SplitLabels(name)
+	name, _, _ = strings.Cut(name, "{")
 	for _, p := range []struct{ prefix, family string }{
 		{"optimizer.rule_applied.", "optimizer.rule_applied.<rule>"},
 		{"optimizer.rule_admitted.", "optimizer.rule_admitted.<rule>"},

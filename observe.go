@@ -29,7 +29,7 @@ type Observer struct {
 }
 
 // NewObserver builds an observer whose flight recorder holds the last
-// flightCap queries (flight.DefaultCapacity for flightCap <= 0).
+// flightCap queries (128 for flightCap <= 0).
 func NewObserver(flightCap int) *Observer {
 	return &Observer{Registry: obs.NewRegistry(), Flight: flight.New(flightCap)}
 }

@@ -43,8 +43,8 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 	if rec.RowsOut != rep.RowsOut {
 		t.Errorf("record rows = %d, report rows = %d", rec.RowsOut, rep.RowsOut)
 	}
-	if len(rec.Ops) != plan.CountNodes(node) {
-		t.Errorf("record has %d op rows, plan has %d nodes", len(rec.Ops), plan.CountNodes(node))
+	if len(rec.Ops) != countNodes(node) {
+		t.Errorf("record has %d op rows, plan has %d nodes", len(rec.Ops), countNodes(node))
 	}
 	opTypes := map[string]bool{}
 	for _, op := range rec.Ops {
@@ -90,7 +90,7 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 	}
 	qerrSeen := 0
 	for name, h := range agg.Histograms {
-		base, labels := obs.SplitLabels(name)
+		base, labels, _ := strings.Cut(name, "{")
 		if base != "executor.qerror_milli" {
 			continue
 		}

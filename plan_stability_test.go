@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/memo"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -250,9 +249,9 @@ func TestChain6ProbeCompletes(t *testing.T) {
 	o.Opts.MaxPlans = res.Considered / 2
 	if capped, err := o.Optimize(node, db); err != nil {
 		t.Fatal(err)
-	} else if capped.Degraded != memo.CappedMaxExprs {
+	} else if capped.Degraded != "max-exprs" {
 		t.Errorf("Optimize with MaxPlans %d: Degraded = %q after %d expressions, want %q",
-			o.Opts.MaxPlans, capped.Degraded, capped.Considered, memo.CappedMaxExprs)
+			o.Opts.MaxPlans, capped.Degraded, capped.Considered, "max-exprs")
 	}
 
 	svc := newTestService(t, ServiceConfig{DB: db})
@@ -268,7 +267,7 @@ func TestChain6ProbeCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Degraded != memo.CappedBudget {
-		t.Errorf("Service.Query with MaxExprs %d: Degraded = %q, want %q", res.Considered/2, resp.Degraded, memo.CappedBudget)
+	if resp.Degraded != "budget:exprs" {
+		t.Errorf("Service.Query with MaxExprs %d: Degraded = %q, want %q", res.Considered/2, resp.Degraded, "budget:exprs")
 	}
 }

@@ -26,3 +26,10 @@ func chainQuery(n int) plan.Node {
 	)
 	return plan.NewJoin(plan.LeftJoin, last, node, plan.NewScan(rel(n)))
 }
+
+// countNodes returns the number of operators in the tree.
+func countNodes(n plan.Node) int {
+	count := 0
+	plan.Walk(n, func(plan.Node) { count++ })
+	return count
+}
