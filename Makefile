@@ -6,8 +6,8 @@ all: vet build test
 
 # The full pre-merge gauntlet: formatting and static checks, build,
 # the test suite, the same suite under the race detector (which covers
-# the fault-injection, partitioned-join, serving, adaptive,
-# parallel-optimizer and observability tests), ten seconds each of
+# the fault-injection, partitioned-join, serving, feedback and
+# observability tests), ten seconds each of
 # fuzzing the SQL front end, the dense join index, the columnar sort
 # and the columnar kernels' value semantics, and the bench module's
 # smoke run (every workload played once; a wrong answer fails it).
@@ -26,8 +26,8 @@ test:
 	$(GO) test ./...
 
 # Full suite under the race detector (requests share base-table images
-# and join indexes, obs is updated concurrently, memo exploration runs a
-# worker pool, and the fault-injection matrix arms every guard point).
+# and join indexes, obs and the feedback store are updated concurrently,
+# and the fault-injection matrix arms every guard point).
 # The allocation-ceiling tests run here too: the race detector adds a
 # few allocations, which their headroom absorbs, and the handler test
 # skips its byte ceilings, which it moves more.

@@ -33,21 +33,30 @@ func TestRunMaxRowsExitsThree(t *testing.T) {
 	}
 }
 
-// TestRunMaxBytesSpillsOrTrips: byte pressure has one meaning per mode.
-// EXPLAIN ANALYZE runs the service's adaptive entry point, so a join
-// whose build side cannot fit -max-bytes is joined partition by
-// partition and the run completes; -rows runs the plain one, where the
-// same overrun is the typed budget abort (exit 3), never a partitioned
-// join.
+// spillTestQuery joins agg94 to detail95 on both keys and keeps a few
+// rows: detail95's build side cannot fit a 200 000-byte budget, but
+// the join's output can.
+const spillTestQuery = "select agg94.supkey, detail95.qty from agg94, detail95 " +
+	"where agg94.supkey = detail95.supkey and agg94.partkey = detail95.partkey and agg94.qty = 1"
+
+// TestRunMaxBytesSpillsOrTrips: byte pressure means the same in every
+// mode. A join whose build side cannot fit -max-bytes is joined
+// partition by partition and the run completes, under EXPLAIN ANALYZE
+// and under -rows alike; an overrun that partitioning cannot avoid (a
+// join output larger than the budget) is the typed budget abort, exit
+// 3.
 func TestRunMaxBytesSpillsOrTrips(t *testing.T) {
 	code, stdout, stderr := runCapture(t, "-demo", "supplier", "-stats", "-max-bytes", "200000")
 	if code != exitOK {
 		t.Fatalf("-stats: exit code = %d, want %d (stderr: %s)", code, exitOK, stderr)
 	}
-	for _, want := range []string{"exec.spill.partitions", "spill_escalated=1"} {
+	for _, want := range []string{"exec.spill.partitions", "spill_partitions="} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("-stats stdout missing %q", want)
 		}
+	}
+	if code, _, stderr = runCapture(t, "-query", spillTestQuery, "-rows", "-max-bytes", "200000"); code != exitOK {
+		t.Fatalf("-rows over a partitionable join: exit code = %d, want %d (stderr: %s)", code, exitOK, stderr)
 	}
 	code, _, stderr = runCapture(t, "-query", guardTestQuery, "-rows", "-max-bytes", "200000")
 	if code != exitGuard {

@@ -116,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock budget for the whole run (0 = unlimited); exceeding it exits 3")
 	fs.Int64Var(&o.maxExprs, "max-exprs", 0, "cap on enumerated plan expressions (0 = unlimited); tripping it degrades to a best-effort plan, exit 0")
 	fs.Int64Var(&o.maxRows, "max-rows", 0, "cap on intermediate rows during execution (0 = unlimited); tripping it exits 3")
-	fs.Int64Var(&o.maxBytes, "max-bytes", 0, "cap on modeled intermediate bytes during execution (0 = unlimited); under EXPLAIN ANALYZE (-stats, -statsjson, -metrics-addr) a join whose build side does not fit is partitioned in memory; under -rows tripping it exits 3")
+	fs.Int64Var(&o.maxBytes, "max-bytes", 0, "cap on modeled intermediate bytes during execution (0 = unlimited); a join whose build side does not fit is partitioned in memory, and an overrun that partitioning cannot avoid exits 3")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics (Prometheus text) and /debug/queries (flight JSON) on this address during the run; implies an instrumented run")
 	fs.DurationVar(&o.metricsLinger, "metrics-linger", 0, "keep the metrics server up this long after the run finishes (0 = close immediately)")
 	fs.Usage = func() {

@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		maxBytes    = fs.Int64("max-bytes", 0, "per-request intermediate-byte budget (0 = unlimited)")
 		flightCap   = fs.Int("flight", 0, "flight recorder capacity (0 = default)")
 		drain       = fs.Duration("drain", 5*time.Second, "graceful shutdown drain window")
-		feedback    = fs.Bool("feedback", false, "enable cardinality feedback: instrumented execution, drift-triggered re-planning, adaptive joins")
+		feedback    = fs.Bool("feedback", false, "enable cardinality feedback: instrumented execution and drift-triggered re-planning")
 		replanQ     = fs.Float64("replan-qerror", 10, "max subtree q-error past which a run counts as drifted (with -feedback)")
 		replanAfter = fs.Int("replan-after", 3, "consecutive drifted runs before re-planning (with -feedback)")
 	)

@@ -121,10 +121,10 @@ func explainAnalyze(q Node, db Database, b *guard.Budget, reg *obs.Registry, rec
 		rec.Phases = append(rec.Phases, flight.Phase{Name: p.Name, Ns: p.Elapsed.Nanoseconds()})
 	}
 
-	// The plan runs as planned, but MaxBytes pressure partitions a join
-	// instead of tripping.
+	// MaxBytes pressure partitions a join instead of tripping, as at
+	// every entry point.
 	start = time.Now()
-	out, ann, err := executor.Exec(res.Best.Plan, db, executor.Options{Budget: b, Obs: reg, Adapt: &executor.Adapt{Spill: true}})
+	out, ann, err := executor.Exec(res.Best.Plan, db, executor.Options{Budget: b, Obs: reg})
 	phase("execute", start)
 	if err != nil {
 		return nil, err

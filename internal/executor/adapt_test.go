@@ -14,7 +14,7 @@ import (
 )
 
 // skewDB builds a database where r2 (the planned build side) is much
-// larger than r1 — the shape that trips the build/probe swap.
+// larger than r1 — the shape a runtime build/probe swap would target.
 func skewDB(rng *rand.Rand, small, large, domain int) plan.Database {
 	db := make(plan.Database, 2)
 	for name, rows := range map[string]int{"r1": small, "r2": large} {
@@ -43,35 +43,43 @@ func adaptPlans() []plan.Node {
 	}
 }
 
-// TestAdaptSwapMatchesStatic is the correctness pin of the build/probe
-// swap: with SwapFactor forcing a swap, the production entry point
-// produces the same multiset the static plan does, for every join kind,
-// and the transition is counted (a nil registry lands the exec.adapt.*
-// counters on obs.Default()) and annotated.
+// checkAsPlanned runs p through RunInstrumentedAdaptive with a and
+// requires RunGuarded's rows in RunGuarded's order, the multiset Run
+// returns, and a join annotation without a build_swapped extra: joins
+// run as planned whatever Adapt says.
+func checkAsPlanned(t *testing.T, p plan.Node, db plan.Database, a *Adapt) {
+	t.Helper()
+	want, err := RunGuarded(p, db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Run(p, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ann, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("adapt %+v changed the output of %s", a, plan.Key(p))
+	}
+	if !got.EqualAsMultisets(ref) {
+		t.Fatalf("adapt %+v: %s differs from Run", a, plan.Key(p))
+	}
+	if _, ok := ann[p].Extra["build_swapped"]; ok {
+		t.Fatalf("adapt %+v: %s annotated as swapped", a, plan.Key(p))
+	}
+}
+
+// TestAdaptSwapMatchesStatic: a SwapFactor that the build side exceeds
+// by a factor of a hundred is ignored — every join kind runs as
+// planned, row for row as the static engine runs it.
 func TestAdaptSwapMatchesStatic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db := skewDB(rng, 40, 4000, 50)
-	a := &Adapt{SwapFactor: 4}
-	for pi, p := range adaptPlans() {
-		want, err := Run(p, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := obs.Default().Snapshot().Counters["exec.adapt.swaps"]
-		got, ann, err := RunInstrumentedAdaptive(p, db, nil, nil, a)
-		if err != nil {
-			t.Fatalf("plan %d: %v", pi, err)
-		}
-		if !got.EqualAsMultisets(want) {
-			t.Fatalf("plan %d: adaptive != static", pi)
-		}
-		if swaps := obs.Default().Snapshot().Counters["exec.adapt.swaps"]; swaps <= base {
-			t.Fatalf("plan %d: swap did not fire (counter %d -> %d)", pi, base, swaps)
-		}
-		// The transition must be visible in the join's annotation.
-		if ann[p].Extra["build_swapped"] == 0 {
-			t.Fatalf("plan %d: build_swapped extra missing from annotations", pi)
-		}
+	for _, p := range adaptPlans() {
+		checkAsPlanned(t, p, db, &Adapt{SwapFactor: 4})
 	}
 }
 
@@ -80,122 +88,99 @@ func TestAdaptSwapMatchesStatic(t *testing.T) {
 func TestAdaptSwapOffIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := skewDB(rng, 40, 4000, 50)
-	for pi, p := range adaptPlans() {
-		want, err := RunGuarded(p, db, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := RunInstrumentedAdaptive(p, db, nil, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Fatalf("plan %d: nil adapt changed output", pi)
-		}
-		got, _, err = RunInstrumentedAdaptive(p, db, nil, nil, &Adapt{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Fatalf("plan %d: zero adapt changed output", pi)
-		}
+	for _, p := range adaptPlans() {
+		checkAsPlanned(t, p, db, nil)
+		checkAsPlanned(t, p, db, &Adapt{})
 	}
 }
 
-// TestAdaptSpillEscalation: under a byte budget the static hash join
-// cannot fit, the adaptive join escalates to the partitioned join and
-// completes with the right multiset instead of dying on the trip.
+// TestAdaptSwapBelowThreshold: sides within the factor leave the join
+// untouched too.
+func TestAdaptSwapBelowThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	db := skewDB(rng, 1000, 1200, 50)
+	checkAsPlanned(t, plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2")),
+		db, &Adapt{SwapFactor: 4})
+}
+
+// wideSkewDB and spillJoin are a join whose output stays small enough to
+// charge under adaptSpillLimits while the build side's resident
+// footprint (estBytes(3000, 2) = 192 KB) cannot fit it.
+func wideSkewDB() plan.Database { return skewDB(rand.New(rand.NewSource(99)), 3000, 3000, 20000) }
+
+func spillJoin() plan.Node {
+	return plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))
+}
+
+var adaptSpillLimits = guard.Limits{MaxBytes: 120_000}
+
+// TestAdaptSpillEscalation: under a byte budget the in-memory hash
+// join cannot fit, the join turns to the partitioned join and completes
+// with the right multiset instead of dying on the trip — on the static
+// entry and on the instrumented one whatever Adapt.Spill says.
 func TestAdaptSpillEscalation(t *testing.T) {
-	// Wide key domain: the join output stays small enough to charge
-	// under the budget, while the build side's resident footprint
-	// (estBytes(3000, 2) = 192 KB) cannot fit the 120 KB limit.
-	rng := rand.New(rand.NewSource(99))
-	db := skewDB(rng, 3000, 3000, 20000)
-	p := plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))
+	db, p := wideSkewDB(), spillJoin()
 	want, err := Run(p, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	limits := guard.Limits{MaxBytes: 120_000}
-
-	// Static plan under the same budget: the build reservation trips.
-	if _, err := RunGuarded(p, db, guard.New(context.Background(), limits, nil)); !guard.IsBudget(err) {
-		t.Fatalf("static join under tight budget = %v, want budget trip", err)
+	runs := map[string]func(*guard.Budget) (*relation.Relation, error){
+		"static": func(b *guard.Budget) (*relation.Relation, error) { return RunGuarded(p, db, b) },
+		"spill off": func(b *guard.Budget) (*relation.Relation, error) {
+			out, _, err := RunInstrumentedAdaptive(p, db, nil, b, nil)
+			return out, err
+		},
+		"spill on": func(b *guard.Budget) (*relation.Relation, error) {
+			out, _, err := RunInstrumentedAdaptive(p, db, nil, b, &Adapt{Spill: true})
+			return out, err
+		},
 	}
-
-	a := &Adapt{Spill: true}
-	base := obs.Default().Snapshot().Counters["exec.adapt.spill_escalations"]
-	got, _, err := RunInstrumentedAdaptive(p, db, nil, guard.New(context.Background(), limits, nil), a)
-	if err != nil {
-		t.Fatalf("adaptive join under tight budget: %v", err)
-	}
-	if !got.EqualAsMultisets(want) {
-		t.Fatal("escalated join != static multiset")
-	}
-	if n := obs.Default().Snapshot().Counters["exec.adapt.spill_escalations"]; n <= base {
-		t.Fatalf("spill escalation did not fire (counter %d -> %d)", base, n)
+	for name, run := range runs {
+		reg := obs.NewRegistry()
+		got, err := run(guard.New(context.Background(), adaptSpillLimits, reg))
+		if err != nil {
+			t.Fatalf("%s: join under tight budget: %v", name, err)
+		}
+		if !got.EqualAsMultisets(want) {
+			t.Fatalf("%s: partitioned join != static multiset", name)
+		}
+		if n := reg.Snapshot().Counters["exec.spill.joins"]; n != 1 {
+			t.Fatalf("%s: exec.spill.joins = %d, want 1", name, n)
+		}
 	}
 }
 
-// TestAdaptFaultBuildSwap: the executor.buildswap guard point fires on
-// every taken adaptive transition; armed to error or panic it aborts
-// the run with the matching typed error — through the production entry
-// point with the default and with a private registry, and on the bare
-// walker at a batch size that puts the swap mid-batch-sweep.
+// TestAdaptFaultBuildSwap: executor.spill guards the one place a join
+// leaves its planned in-memory build, the turn to the partitioned join;
+// armed to error or panic it aborts the run with the matching typed
+// error — through the static entry, the instrumented entry with a
+// private registry, and the bare walker at a small batch size.
 func TestAdaptFaultBuildSwap(t *testing.T) {
 	defer guard.Clear()
-	rng := rand.New(rand.NewSource(5))
-	db := skewDB(rng, 40, 4000, 50)
-	p := plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))
-	a := &Adapt{SwapFactor: 4}
+	db, p := wideSkewDB(), spillJoin()
+	budget := func() *guard.Budget { return guard.New(context.Background(), adaptSpillLimits, nil) }
 	engines := map[string]func() (*relation.Relation, error){
-		"serial": func() (*relation.Relation, error) {
-			out, _, err := RunInstrumentedAdaptive(p, db, nil, nil, a)
-			return out, err
-		},
-		"vectorized": func() (*relation.Relation, error) { return runVec(p, db, nil, 3, a) },
+		"serial":     func() (*relation.Relation, error) { return RunGuarded(p, db, budget()) },
+		"vectorized": func() (*relation.Relation, error) { return runVec(p, db, budget(), 3) },
 		"instrumented": func() (*relation.Relation, error) {
-			out, _, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, a)
+			out, _, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), budget(), &Adapt{SwapFactor: 4, Spill: true})
 			return out, err
 		},
 	}
 	for name, run := range engines {
 		t.Run(name+"/error", func(t *testing.T) {
-			guard.InjectError(guard.PointExecBuildSwap)
+			guard.InjectError(guard.PointExecSpill)
 			defer guard.Clear()
 			if _, err := run(); !guard.IsInjected(err) {
 				t.Fatalf("err = %v, want injected", err)
 			}
 		})
 		t.Run(name+"/panic", func(t *testing.T) {
-			guard.InjectPanic(guard.PointExecBuildSwap)
+			guard.InjectPanic(guard.PointExecSpill)
 			defer guard.Clear()
 			if _, err := run(); !guard.IsPanic(err) {
 				t.Fatalf("err = %v, want contained panic", err)
 			}
 		})
-	}
-}
-
-// TestAdaptSwapBelowThreshold: sides within the factor leave the join
-// untouched — no counter movement, no transition.
-func TestAdaptSwapBelowThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	db := skewDB(rng, 1000, 1200, 50)
-	p := plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))
-	want, err := RunGuarded(p, db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := obs.Default().Snapshot().Counters["exec.adapt.swaps"]
-	got, _, err := RunInstrumentedAdaptive(p, db, nil, nil, &Adapt{SwapFactor: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Fatal("below-threshold adaptive run changed output")
-	}
-	if n := obs.Default().Snapshot().Counters["exec.adapt.swaps"]; n != base {
-		t.Fatalf("swap fired below threshold (counter %d -> %d)", base, n)
 	}
 }

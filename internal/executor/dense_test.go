@@ -81,8 +81,7 @@ func denseCases() []struct {
 }
 
 // TestDenseJoinMatchesHashed: on every case, join kind, with and
-// without a residual, straight and mirrored (buildFirst, as a swapped
-// join calls it), at batch sizes 3 and 1024, the dense lookup's
+// without a residual, at batch sizes 3 and 1024, the dense lookup's
 // selection vectors are the hashed lookup's, element for element — and
 // the dispatching hashJoin takes the dense path exactly when the build
 // side qualifies.
@@ -97,30 +96,25 @@ func TestDenseJoinMatchesHashed(t *testing.T) {
 		}
 		for _, kind := range kinds {
 			for ri, residual := range residuals {
-				for _, buildFirst := range []bool{false, true} {
-					for _, bs := range []int{3, 1024} {
-						name := fmt.Sprintf("%s/%s/residual=%d/buildFirst=%v/batch=%d", c.name, kind, ri, buildFirst, bs)
-						env, k := probe.Schema.Concat(build.Schema), kind
-						if buildFirst {
-							env, k = build.Schema.Concat(probe.Schema), mirrorKind(kind)
-						}
-						e := &vecEngine{batch: bs, reg: obs.NewRegistry()}
-						st := &joinProbe{}
-						psel, bsel, err := e.hashJoin(k, residual, env, probe, build, key, key, buildFirst, st)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want := map[bool]string{true: "dense", false: "hash"}[c.dense]; st.Lookup != want {
-							t.Fatalf("%s: lookup %q, want %q", name, st.Lookup, want)
-						}
-						hl, _ := hashLookup(probe, build, key, key)
-						hp, hb, err := e.probeJoin(k, residual, env, probe, build, hl, buildFirst, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !slices.Equal(psel, hp) || !slices.Equal(bsel, hb) {
-							t.Fatalf("%s: selection vectors differ\n dense  %v\n        %v\n hashed %v\n        %v", name, psel, bsel, hp, hb)
-						}
+				for _, bs := range []int{3, 1024} {
+					name := fmt.Sprintf("%s/%s/residual=%d/batch=%d", c.name, kind, ri, bs)
+					env := probe.Schema.Concat(build.Schema)
+					e := &vecEngine{batch: bs, reg: obs.NewRegistry()}
+					st := &joinProbe{}
+					psel, bsel, err := e.hashJoin(kind, residual, env, probe, build, key, key, st)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := map[bool]string{true: "dense", false: "hash"}[c.dense]; st.Lookup != want {
+						t.Fatalf("%s: lookup %q, want %q", name, st.Lookup, want)
+					}
+					hl, _ := hashLookup(probe, build, key, key)
+					hp, hb, err := e.probeJoin(kind, residual, env, probe, build, hl, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(psel, hp) || !slices.Equal(bsel, hb) {
+						t.Fatalf("%s: selection vectors differ\n dense  %v\n        %v\n hashed %v\n        %v", name, psel, bsel, hp, hb)
 					}
 				}
 			}

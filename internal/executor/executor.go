@@ -72,26 +72,24 @@ func Run(n plan.Node, db plan.Database) (*relation.Relation, error) {
 	}
 }
 
-// Options configures one Exec. The zero value runs the plan as planned,
-// unbudgeted and uninstrumented.
+// Options configures one Exec. The zero value runs the plan
+// unbudgeted and uninstrumented. Neither field changes how a join runs:
+// that follows from its inputs and the budget's byte headroom alone.
 type Options struct {
 	// Budget governs the run: cancellation and row/byte limits are
 	// checked at per-operator and per-batch boundaries (surfacing
-	// guard.ErrCancelled / ErrBudget — a MaxBytes overrun is the typed
-	// error unless Adapt.Spill escalates the join), and executor
-	// counters land in its registry. nil never trips.
+	// guard.ErrCancelled / ErrBudget), and executor counters land in its
+	// registry. A hash join whose build side cannot fit the MaxBytes
+	// headroom joins partition by partition (spill.go) instead of
+	// tripping. nil never trips.
 	Budget *guard.Budget
 	// Obs instruments the run: every node of the plan gets an
 	// annotation with its output rows and inclusive time, and joins add
 	// their probe figures. The annotations are the run's one record of
 	// those facts; the executor's event counters (fallbacks, spills,
-	// adaptive switches, hash collisions) land in Obs instead of in the
-	// budget's registry. nil runs uninstrumented and returns no
-	// annotations.
+	// hash collisions) land in Obs instead of in the budget's registry.
+	// nil runs uninstrumented and returns no annotations.
 	Obs *obs.Registry
-	// Adapt enables mid-query adaptivity (build/probe swap, spill
-	// escalation); nil is the static plan.
-	Adapt *Adapt
 }
 
 // Exec is the production execution entry point: the plan runs on the
@@ -102,13 +100,11 @@ type Options struct {
 // instead of unwinding into the caller. The result is multiset-equal
 // to Run's, and row-identical to it under a root Sort; it
 // may share columns with a base table's image, so callers treat it as
-// read-only. Adaptive transitions land in the annotations
-// (build_swapped, spill_escalated extras) and the exec.adapt.*
-// counters.
+// read-only.
 func Exec(n plan.Node, db plan.Database, o Options) (out *batch.Rel, ann plan.Annotations, err error) {
 	phase := "execute"
 	defer guard.RecoverAs(&err, &phase, n, o.Obs)
-	e := &vecEngine{db: db, b: o.Budget, batch: execBatchRows, reg: o.Budget.Registry(), adapt: o.Adapt}
+	e := &vecEngine{db: db, b: o.Budget, batch: execBatchRows, reg: o.Budget.Registry()}
 	if o.Obs == nil {
 		out, err = e.exec(n)
 		return out, nil, err
@@ -130,6 +126,30 @@ func RunGuarded(n plan.Node, db plan.Database, b *guard.Budget) (*relation.Relat
 		return nil, err
 	}
 	return out.ToRelation(), nil
+}
+
+// Adapt is kept only for the benchmark module, which still names it;
+// every field is ignored, and it goes when the benchmark stops naming
+// it. A join's strategy is not the caller's to choose: it builds on
+// the planned side and partitions when the budget cannot hold its
+// build table.
+type Adapt struct {
+	SwapFactor float64 // ignored
+	Spill      bool    // ignored
+}
+
+// RunInstrumentedAdaptive is Exec instrumented into reg (nil means the
+// budget's registry) with the result boxed row-major. a is ignored;
+// see Adapt.
+func RunInstrumentedAdaptive(n plan.Node, db plan.Database, reg *obs.Registry, b *guard.Budget, a *Adapt) (*relation.Relation, plan.Annotations, error) {
+	if reg == nil {
+		reg = b.Registry()
+	}
+	out, ann, err := Exec(n, db, Options{Budget: b, Obs: reg})
+	if err != nil {
+		return nil, nil, err
+	}
+	return out.ToRelation(), ann, nil
 }
 
 // splitEqui partitions pred into hashable equality conjuncts l.col =

@@ -1,5 +1,5 @@
 // Fault-injection suite for the guarded executor: injected failures
-// and panics at the operator, batch and build-swap points must
+// and panics at the operator, batch and spill points must
 // come back as typed guard errors, and budget trips must abort with
 // ErrBudget. Runs under -race via make race.
 package executor
@@ -19,9 +19,9 @@ import (
 )
 
 // faultDB builds the matrix's inputs: r1 and r2 join many-to-many on a
-// narrow domain; r0 is at most a fifth of r2, so r0 ⋈ r2 is past the
-// build/probe swap threshold; w1 and w2 are large on a wide domain, so
-// their build side outgrows adaptSpillBytes while the join output fits.
+// narrow domain; r0 is at most a fifth of r2, so r0 ⋈ r2 builds on the
+// far larger side; w1 and w2 are large on a wide domain, so their build
+// side outgrows spillBytes while the join output fits.
 func faultDB(seed int64) plan.Database {
 	rng := rand.New(rand.NewSource(seed))
 	db := bigDB(rng, 600, 23, "r1", "r2")
@@ -32,10 +32,10 @@ func faultDB(seed int64) plan.Database {
 	return db
 }
 
-// adaptSpillBytes cannot hold w2's hash table (≥1500 rows × 2 columns
+// spillBytes cannot hold w2's hash table (≥1500 rows × 2 columns
 // × 32 B, twice over) but holds any level-0 partition's table of
 // w1 ⋈ w2 and the join's output.
-const adaptSpillBytes = 120_000
+const spillBytes = 120_000
 
 func faultJoin() plan.Node { return joinOnX("r1", "r2") }
 
@@ -68,8 +68,9 @@ func (e execEntry) budget(l guard.Limits) *guard.Budget {
 	return guard.New(context.Background(), l, nil)
 }
 
-// runAdaptive is the service's feedback-mode execution: instrumented,
-// swapping and spilling.
+// runAdaptive is the feedback-mode execution the benchmark drives:
+// instrumented, through RunInstrumentedAdaptive with an Adapt it
+// ignores.
 func runAdaptive(p plan.Node) func(plan.Database, *guard.Budget) (*relation.Relation, error) {
 	return func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
 		out, _, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), b, &Adapt{SwapFactor: 4, Spill: true})
@@ -82,15 +83,13 @@ func execEntries() []execEntry {
 		{name: "serial", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
 			return RunGuarded(faultJoin(), db, b)
 		}, ref: faultJoin()},
-		// The production entry with adaptivity on, over a build side past
-		// the swap threshold: arms executor.buildswap on the swap.
-		{name: "adaptswap", run: runAdaptive(joinOnX("r0", "r2")), ref: joinOnX("r0", "r2"),
-			arms: []guard.Point{guard.PointExecBuildSwap}},
+		// The feedback-mode entry over a build side five times its probe
+		// side: the join builds where the plan puts it.
+		{name: "adaptswap", run: runAdaptive(joinOnX("r0", "r2")), ref: joinOnX("r0", "r2")},
 		// The same entry under a byte cap its build side cannot fit: the
-		// join escalates to the partitioned join, arming
-		// executor.buildswap on the escalation.
-		{name: "adaptspill", run: runAdaptive(joinOnX("w1", "w2")), ref: joinOnX("w1", "w2"), maxBytes: adaptSpillBytes,
-			arms: []guard.Point{guard.PointExecBuildSwap}},
+		// join turns to the partitioned join, arming executor.spill.
+		{name: "adaptspill", run: runAdaptive(joinOnX("w1", "w2")), ref: joinOnX("w1", "w2"), maxBytes: spillBytes,
+			arms: []guard.Point{guard.PointExecSpill}},
 		// The partitioned join itself, which partitions even unbudgeted:
 		// its per-partition probes cross the batch point.
 		{name: "spill", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {

@@ -18,9 +18,6 @@ type joinProbe struct {
 	SpillParts      int // non-empty partitions of a partitioned join
 	SpillRecursions int // partitions split again on the next hash bits
 
-	BuildSwapped   bool // adaptive build/probe swap fired pre-probe
-	SpillEscalated bool // adaptive escalation to the partitioned join
-
 	// Build says where a hash join's table came from: "index" (the
 	// build image's shared join index) or "hash" (built for this
 	// request); empty for a nested loop.
@@ -47,12 +44,6 @@ func recordJoinProbe(a *plan.Annotation, st *joinProbe) {
 	}
 	if st.SpillRecursions > 0 {
 		a.AddExtra("spill_recursions", int64(st.SpillRecursions))
-	}
-	if st.BuildSwapped {
-		a.AddExtra("build_swapped", 1)
-	}
-	if st.SpillEscalated {
-		a.AddExtra("spill_escalated", 1)
 	}
 	switch st.Build { // EXPLAIN ANALYZE renders it build=index|hash
 	case "index":

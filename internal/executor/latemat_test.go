@@ -4,8 +4,7 @@
 // engine: stacked outer joins whose output columns stay pending
 // through several selection-vector compositions, NULL padding carried
 // through the views, residual predicates that read whole tuples, a
-// column nothing ever reads, and the swapped and spilled join
-// variants. make race runs this file under the race detector.
+// column nothing ever reads, and the spilled join. make race runs this file under the race detector.
 package executor
 
 import (
@@ -129,10 +128,7 @@ func latePlans() []plan.Node {
 }
 
 // TestLateMaterializationMatchesEval: every plan, at every batch size,
-// equals plan.Eval as a multiset down to the bits of its floats; the
-// swapped variant of the un-aggregated plans (its row order differs, so
-// float sums may legitimately round differently) equals it the same
-// way.
+// equals plan.Eval as a multiset down to the bits of its floats.
 func TestLateMaterializationMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(2201))
 	for trial := 0; trial < 2; trial++ {
@@ -151,20 +147,6 @@ func TestLateMaterializationMatchesEval(t *testing.T) {
 				if !sameBits(got, want) {
 					t.Fatalf("trial %d plan %d batch %d: differs from plan.Eval", trial, pi, bs)
 				}
-				if _, grouped := p.(*plan.GroupBy); grouped {
-					continue
-				}
-				reg := obs.NewRegistry()
-				e = &vecEngine{db: db, batch: bs, reg: reg, adapt: &Adapt{SwapFactor: 0.01}}
-				if got, err = e.run(p); err != nil {
-					t.Fatalf("plan %d batch %d swapped: %v", pi, bs, err)
-				}
-				if !sameBits(got, want) {
-					t.Fatalf("trial %d plan %d batch %d: swapped variant differs from plan.Eval", trial, pi, bs)
-				}
-				if reg.Counter("exec.adapt.swaps").Value() != 3 {
-					t.Fatalf("plan %d: %d of 3 joins swapped", pi, reg.Counter("exec.adapt.swaps").Value())
-				}
 			}
 		}
 	}
@@ -179,7 +161,7 @@ func TestLateMaterializationOverSpilledJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(2203))
 	db := lateDB(rng, 80, 1500, "r1", "r3", "r4")
 	db["r2"] = lateDB(rng, 3000, 1500, "r2")["r2"]
-	for pi, p := range latePlans()[:2] { // row order changes under spill; see above
+	for pi, p := range latePlans()[:2] { // row order changes under spill, so float sums may round differently
 		want, err := p.Eval(db)
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +169,7 @@ func TestLateMaterializationOverSpilledJoin(t *testing.T) {
 		for _, bs := range vecBatchSizes {
 			reg := obs.NewRegistry()
 			b := guard.New(context.Background(), guard.Limits{MaxBytes: 400_000}, reg)
-			e := &vecEngine{db: db, b: b, batch: bs, reg: reg, adapt: &Adapt{Spill: true}}
+			e := &vecEngine{db: db, b: b, batch: bs, reg: reg}
 			got, err := e.run(p)
 			if err != nil {
 				t.Fatalf("plan %d batch %d: %v", pi, bs, err)
@@ -195,7 +177,7 @@ func TestLateMaterializationOverSpilledJoin(t *testing.T) {
 			if !sameBits(got, want) {
 				t.Fatalf("plan %d batch %d: differs from plan.Eval", pi, bs)
 			}
-			if n := reg.Counter("exec.adapt.spill_escalations").Value(); n != 1 {
+			if n := reg.Counter("exec.spill.joins").Value(); n != 1 {
 				t.Fatalf("plan %d batch %d: %d joins spilled, want the bottom one only", pi, bs, n)
 			}
 		}

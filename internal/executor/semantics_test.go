@@ -18,7 +18,7 @@ import (
 
 // The kernel-semantics differential: every columnar kernel that
 // compares values — the typed and boxed select kernels, the dense,
-// hashed, partitioned and mirrored join lookups, grouping, DISTINCT,
+// hashed and partitioned join lookups, grouping, DISTINCT,
 // MIN/MAX and sort — decides equality and order as plan.Eval does, on
 // the values at the edges of the value order.
 
@@ -147,7 +147,7 @@ func checkPlan(t *testing.T, p plan.Node, db plan.Database) {
 	}
 	_, sorted := p.(*plan.Sort)
 	for _, bs := range vecBatchSizes {
-		got, err := runVec(p, db, nil, bs, nil)
+		got, err := runVec(p, db, nil, bs)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -163,15 +163,14 @@ func checkPlan(t *testing.T, p plan.Node, db plan.Database) {
 
 // equiJoinPaths joins l and r on l.k = r.k through every lookup the
 // columnar join takes: the dense index (when r's key qualifies), the
-// hash table, the partitioned join, and the mirrored join an adaptive
-// swap runs, r probing l.
+// hash table and the partitioned join.
 func equiJoinPaths(t *testing.T, kind plan.JoinKind, l, r *batch.Rel) map[string]*relation.Relation {
 	t.Helper()
 	e := &vecEngine{batch: execBatchRows, reg: obs.NewRegistry()}
 	env, key := l.Schema.Concat(r.Schema), []int{0}
 	out := map[string]*relation.Relation{}
 	probe := func(path string, lk *joinLookup) {
-		lsel, rsel, err := e.probeJoin(kind, expr.True{}, env, l, r, lk, false, nil)
+		lsel, rsel, err := e.probeJoin(kind, expr.True{}, env, l, r, lk, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,11 +186,6 @@ func equiJoinPaths(t *testing.T, kind plan.JoinKind, l, r *batch.Rel) map[string
 		t.Fatal(err)
 	}
 	out["partitioned"] = part.ToRelation()
-	rsel, lsel, err := e.hashJoin(mirrorKind(kind), expr.True{}, env, r, l, key, key, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["mirrored"] = batch.Gather2(env, l, lsel, r, rsel).ToRelation()
 	return out
 }
 

@@ -200,7 +200,7 @@ func (pj *partJoin) join(lrows, rrows []int32, level int, force bool) error {
 		return err
 	}
 	defer e.b.ReleaseBytes(res)
-	psel, bsel, err := e.hashJoin(pj.kind, pj.residual, pj.schema, pj.l.Select(lrows), pj.r.Select(rrows), pj.li, pj.ri, false, pj.st)
+	psel, bsel, err := e.hashJoin(pj.kind, pj.residual, pj.schema, pj.l.Select(lrows), pj.r.Select(rrows), pj.li, pj.ri, pj.st)
 	if err != nil {
 		return err
 	}

@@ -20,8 +20,8 @@ import (
 	"repro/internal/value"
 )
 
-// joinSpilled runs the partitioned join the way vecJoin's escalation
-// does — metering into the budget's registry, with no Adapt — over two
+// joinSpilled runs the partitioned join the way vecJoin does under
+// byte pressure — metering into the budget's registry — over two
 // row-major inputs, and boxes the result. A panic surfaces as a
 // *guard.PanicError, as it does through Exec.
 func joinSpilled(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, b *guard.Budget, st *joinProbe) (out *relation.Relation, err error) {
@@ -194,9 +194,10 @@ func spillDB(rng *rand.Rand, rows, domain int) plan.Database {
 }
 
 // TestExecutorSpillCompletesWhereInMemoryTrips is the byte-budget
-// contract: under a MaxBytes budget the in-memory hash join trips on
-// its build-side reservation, while the partitioned join completes and
-// matches the unbudgeted serial join as a multiset.
+// contract: under a MaxBytes budget that the in-memory hash join's
+// build-side reservation trips, the guarded entry point partitions the
+// join instead, and it and the partitioned join alone both match the
+// unbudgeted serial join as a multiset.
 func TestExecutorSpillCompletesWhereInMemoryTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	db := spillDB(rng, 4000, 100000)
@@ -210,13 +211,21 @@ func TestExecutorSpillCompletesWhereInMemoryTrips(t *testing.T) {
 	// cannot hold it, but can hold any level-0 partition's table plus
 	// the (small, wide-domain) join output.
 	limits := guard.Limits{MaxBytes: 100_000}
-	_, err = RunGuarded(
-		plan.NewJoin(plan.InnerJoin, pred, plan.NewScan("r1"), plan.NewScan("r2")),
-		db, guard.New(context.Background(), limits, nil))
-	if !guard.IsBudget(err) {
-		t.Fatalf("in-memory join under budget: err = %v, want guard.ErrBudget", err)
+	if err := guard.New(context.Background(), limits, nil).ReserveBytes(estBytes(r.Len(), r.Schema().Len())); !guard.IsBudget(err) {
+		t.Fatalf("in-memory build reservation under budget: err = %v, want guard.ErrBudget", err)
 	}
-	got, err := joinSpilled(plan.InnerJoin, pred, l, r,
+	reg := obs.NewRegistry()
+	got, err := RunGuarded(
+		plan.NewJoin(plan.InnerJoin, pred, plan.NewScan("r1"), plan.NewScan("r2")),
+		db, guard.New(context.Background(), limits, reg))
+	if err != nil {
+		t.Fatalf("guarded join under budget: %v", err)
+	}
+	if !got.EqualAsMultisets(want) || reg.Counter("exec.spill.joins").Value() != 1 {
+		t.Fatalf("guarded join under budget: multiset equal %v, spilled joins %d, want true and 1",
+			got.EqualAsMultisets(want), reg.Counter("exec.spill.joins").Value())
+	}
+	got, err = joinSpilled(plan.InnerJoin, pred, l, r,
 		guard.New(context.Background(), limits, nil), nil)
 	if err != nil {
 		t.Fatalf("partitioned join under the same budget failed: %v", err)
@@ -228,8 +237,8 @@ func TestExecutorSpillCompletesWhereInMemoryTrips(t *testing.T) {
 
 // TestExecutorSpillEqualKeysMeet: keys equal under value.Equal reach
 // the same partition at every level — INT 1 against FLOAT 1.0, equal
-// strings — and NULL keys reach none. The join escalates through
-// Adapt.Spill under tightBudget, which splits partitions again, and
+// strings — and NULL keys reach none. The join partitions under
+// tightBudget, which splits partitions again, and
 // every kind must match joinExec; each predicate's answer holds matched
 // rows, so a key routed apart from its match would show.
 func TestExecutorSpillEqualKeysMeet(t *testing.T) {
@@ -251,23 +260,23 @@ func TestExecutorSpillEqualKeysMeet(t *testing.T) {
 			}
 			reg := obs.NewRegistry()
 			got, _, err := RunInstrumentedAdaptive(plan.NewJoin(kind, pred, plan.NewScan("r1"), plan.NewScan("r2")),
-				db, reg, tightBudget(want, r, reg), &Adapt{Spill: true})
+				db, reg, tightBudget(want, r, reg), nil)
 			if err != nil {
 				t.Fatalf("kind %v pred %s: %v", kind, pred, err)
 			}
 			if !got.EqualAsMultisets(want) {
-				t.Fatalf("kind %v pred %s: escalated join differs from JoinExec", kind, pred)
+				t.Fatalf("kind %v pred %s: partitioned join differs from joinExec", kind, pred)
 			}
 			snap := reg.Snapshot().Counters
-			if snap["exec.adapt.spill_escalations"] != 1 || snap["exec.spill.recursions"] == 0 {
-				t.Fatalf("kind %v pred %s: escalations %d, recursions %d, want 1 and some", kind, pred,
-					snap["exec.adapt.spill_escalations"], snap["exec.spill.recursions"])
+			if snap["exec.spill.joins"] != 1 || snap["exec.spill.recursions"] == 0 {
+				t.Fatalf("kind %v pred %s: spilled joins %d, recursions %d, want 1 and some", kind, pred,
+					snap["exec.spill.joins"], snap["exec.spill.recursions"])
 			}
 		}
 	}
 }
 
-// BenchmarkExecSpill times TestVectorizedSpills's escalated join — 4 000
+// BenchmarkExecSpill times TestVectorizedSpills's partitioned join — 4 000
 // rows a side on a wide key domain under MaxBytes 100 000 — through
 // Exec, result left columnar.
 func BenchmarkExecSpill(b *testing.B) {
@@ -278,7 +287,7 @@ func BenchmarkExecSpill(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		reg := obs.NewRegistry()
-		if _, _, err := Exec(p, db, Options{Budget: guard.New(context.Background(), limits, reg), Obs: reg, Adapt: &Adapt{Spill: true}}); err != nil {
+		if _, _, err := Exec(p, db, Options{Budget: guard.New(context.Background(), limits, reg), Obs: reg}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,50 +16,35 @@ import (
 // table over the key hashes otherwise — probe the other side
 // batch-at-a-time accumulating (left,right) row-index pairs, and hand
 // the pairs on as the output's pending columns — NULL padding for outer
-// kinds is index -1 in the same selection vectors. The build side is the right
-// input unless Adapt's swap threshold says the left one is the cheaper
-// to hash; either way the output columns come out in (l, r) order. A
-// predicate with no hashable equi conjunct runs the same probe as a
-// nested loop (crossLookup). A build side that cannot fit the byte
-// budget's headroom is joined partition by partition (partitionJoin)
-// when Adapt.Spill allows it, and trips the budget with the typed
-// guard.ErrBudget otherwise. The output schema and the key split come
-// from sh, the join node's shape over l's and r's schemas (joinShape).
+// kinds is index -1 in the same selection vectors. The build side is the
+// right input, as planned. A predicate with no hashable equi conjunct
+// runs the same probe as a nested loop (crossLookup). A build side that
+// cannot fit the byte budget's headroom is joined partition by
+// partition (partitionJoin), whatever the entry point. The output schema
+// and the key split come from sh, the join node's shape over l's and r's
+// schemas (joinShape).
 func (e *vecEngine) vecJoin(kind plan.JoinKind, sh *plan.Shape, l, r *batch.Rel, st *joinProbe) (*batch.Rel, error) {
 	outSchema, li, ri, residual := sh.Out, sh.LI, sh.RI, sh.Residual
 	if len(li) == 0 {
 		// Every build row is a candidate and the whole predicate is the
 		// residual. The loop holds no table, so it reserves nothing and
-		// neither swaps nor spills. EXPLAIN ANALYZE names the join
-		// through its nested_loop extra; a per-predicate metric name
-		// would mint one permanent counter per bound literal.
+		// never partitions. EXPLAIN ANALYZE names the join through its
+		// nested_loop extra; a per-predicate metric name would mint one
+		// permanent counter per bound literal.
 		e.reg.Counter("executor.nested_loop_fallback").Inc()
 		if st != nil {
 			st.NestedLoop = true
 		}
-		lsel, rsel, err := e.probeJoin(kind, residual, outSchema, l, r, crossLookup(r.N), false, st)
+		lsel, rsel, err := e.probeJoin(kind, residual, outSchema, l, r, crossLookup(r.N), st)
 		if err != nil {
 			return nil, err
 		}
 		return batch.Gather2(outSchema, l, lsel, r, rsel), nil
 	}
-	// Mid-query adaptivity, decided before anything is built.
-	// Escalation is checked on the effective (post-swap) build side, so
-	// a swap that also cannot fit memory goes straight to the
-	// partitioned join.
-	swap := e.adapt.swapWanted(l.N, r.N)
-	build := r
-	if swap {
-		build = l
-	}
-	buildRes := estBytes(build.N, build.Schema.Len())
-	if e.adapt.spillWanted() && !e.fits(buildRes) {
-		if err := guard.Hit(guard.PointExecBuildSwap); err != nil {
+	buildRes := estBytes(r.N, r.Schema.Len())
+	if !e.fits(buildRes) {
+		if err := guard.Hit(guard.PointExecSpill); err != nil {
 			return nil, err
-		}
-		e.reg.Counter("exec.adapt.spill_escalations").Inc()
-		if st != nil {
-			st.SpillEscalated = true
 		}
 		return e.partitionJoin(kind, residual, outSchema, l, r, li, ri, st)
 	}
@@ -67,24 +52,7 @@ func (e *vecEngine) vecJoin(kind plan.JoinKind, sh *plan.Shape, l, r *batch.Rel,
 		return nil, err
 	}
 	defer e.b.ReleaseBytes(buildRes)
-
-	var lsel, rsel []int32
-	var err error
-	if swap {
-		if err := guard.Hit(guard.PointExecBuildSwap); err != nil {
-			return nil, err
-		}
-		e.reg.Counter("exec.adapt.swaps").Inc()
-		if st != nil {
-			st.BuildSwapped = true
-		}
-		// The mirrored join: r probes a table built on l, and r's outer
-		// side is the mirror of l's. Rows stream out in r's order, then
-		// l's unmatched — a different order, the same multiset.
-		rsel, lsel, err = e.hashJoin(mirrorKind(kind), residual, outSchema, r, l, ri, li, true, st)
-	} else {
-		lsel, rsel, err = e.hashJoin(kind, residual, outSchema, l, r, li, ri, false, st)
-	}
+	lsel, rsel, err := e.hashJoin(kind, residual, outSchema, l, r, li, ri, st)
 	if err != nil {
 		return nil, err
 	}
@@ -108,29 +76,16 @@ func joinShape(n plan.Node, pred expr.Pred, ls, rs *schema.Schema) *plan.Shape {
 // extrapolates their fan-out.
 const selSlack = 64
 
-// mirrorKind is the join kind with its inputs exchanged.
-func mirrorKind(k plan.JoinKind) plan.JoinKind {
-	switch k {
-	case plan.LeftJoin:
-		return plan.RightJoin
-	case plan.RightJoin:
-		return plan.LeftJoin
-	}
-	return k
-}
-
 // hashJoin is the build/probe kernel: it looks up build rows by
 // columns bi for each probe row's columns pi, and returns the matched
 // row-index pairs (probe rows in psel, build rows in bsel), -1 marking
 // the NULL-padded side of an outer row. kind is read with probe as the
 // left input and build as the right. The residual is evaluated over
-// env-schema tuples laid out probe columns then build columns, or —
-// buildFirst, a mirrored call — the other way round, so it always sees
-// the plan's (l, r) layout. A single int64 key whose build values are
-// dense is looked up by key − min (batch.DenseIndex); every other key
-// is hashed. Both lookups list a probe row's matches in ascending
+// env-schema tuples laid out probe columns then build columns. A
+// single int64 key whose build values are dense is looked up by
+// key − min (batch.DenseIndex); every other key is hashed. Both lookups list a probe row's matches in ascending
 // build-row order, so the two produce identical selection vectors.
-func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *schema.Schema, probe, build *batch.Rel, pi, bi []int, buildFirst bool, st *joinProbe) (psel, bsel []int32, err error) {
+func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *schema.Schema, probe, build *batch.Rel, pi, bi []int, st *joinProbe) (psel, bsel []int32, err error) {
 	lk, indexed := denseLookup(probe, build, pi, bi)
 	if lk == nil {
 		lk, indexed = hashLookup(probe, build, pi, bi)
@@ -145,7 +100,7 @@ func (e *vecEngine) hashJoin(kind plan.JoinKind, residual expr.Pred, envSchema *
 			st.Lookup = "dense"
 		}
 	}
-	return e.probeJoin(kind, residual, envSchema, probe, build, lk, buildFirst, st)
+	return e.probeJoin(kind, residual, envSchema, probe, build, lk, st)
 }
 
 // joinLookup finds the build rows a probe row's key matches, in
@@ -246,12 +201,8 @@ func (lk *joinLookup) matches(i int) []int32 {
 // It is Definition 2.1's generalized selection over the candidate pairs
 // lk names: the residual filters them, and unmatched rows of an outer
 // side are NULL-padded.
-func (e *vecEngine) probeJoin(kind plan.JoinKind, residual expr.Pred, envSchema *schema.Schema, probe, build *batch.Rel, lk *joinLookup, buildFirst bool, st *joinProbe) (psel, bsel []int32, err error) {
+func (e *vecEngine) probeJoin(kind plan.JoinKind, residual expr.Pred, envSchema *schema.Schema, probe, build *batch.Rel, lk *joinLookup, st *joinProbe) (psel, bsel []int32, err error) {
 	np, nb := probe.Schema.Len(), build.Schema.Len()
-	pOff, bOff := 0, np
-	if buildFirst {
-		pOff, bOff = nb, 0
-	}
 	_, residualTrue := residual.(expr.True)
 	var env expr.TupleEnv
 	var scratch relation.Tuple
@@ -312,11 +263,11 @@ func (e *vecEngine) probeJoin(kind plan.JoinKind, residual expr.Pred, envSchema 
 				}
 			} else {
 				if !residualTrue && len(run) > 0 {
-					probe.ReadTuple(i, scratch[pOff:pOff+np])
+					probe.ReadTuple(i, scratch[:np])
 				}
 				for _, j := range run {
 					if !residualTrue {
-						build.ReadTuple(int(j), scratch[bOff:bOff+nb])
+						build.ReadTuple(int(j), scratch[np:])
 						env.Tuple = scratch
 						residualEvals++
 						if !residual.Eval(&env).Holds() {

@@ -50,7 +50,6 @@ type vecEngine struct {
 	batch int
 	reg   *obs.Registry
 	ann   plan.Annotations // nil outside instrumented runs
-	adapt *Adapt           // nil = static plan, no mid-query adaptivity
 }
 
 // exec runs the subtree at n: budget check on entry, an

@@ -6,9 +6,9 @@
 // form — across batch sizes {1, 3, 1024}, and must agree bit-for-bit
 // on aggregate float arithmetic. It also pins what the serving path
 // relies on beyond multiset equality: one shared image per base
-// relation, native build/probe swap, a sort's row order, and an
-// annotation on every node. make race runs this file under the
-// race detector.
+// relation, a lopsided join kept inside the kernel, a sort's row
+// order, and an annotation on every node. make race runs this file
+// under the race detector.
 package executor
 
 import (
@@ -39,17 +39,16 @@ type servingEngine struct {
 }
 
 // servingEngines are the entry points the query service executes
-// through, configured as it configures them: RunGuarded for plain
-// requests, RunInstrumentedAdaptive with build/probe swapping when
-// feedback is on. Both run on the columnar engine; the equivalence
-// suites hold them to Run.
+// through: RunGuarded for plain requests, RunInstrumentedAdaptive
+// (instrumented) when feedback is on. Both run on the columnar engine;
+// the equivalence suites hold them to Run.
 func servingEngines() []servingEngine {
 	return []servingEngine{
 		{"RunGuarded", func(p plan.Node, db plan.Database) (*relation.Relation, error) {
 			return RunGuarded(p, db, nil)
 		}},
 		{"RunInstrumentedAdaptive", func(p plan.Node, db plan.Database) (*relation.Relation, error) {
-			out, _, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, &Adapt{SwapFactor: 4})
+			out, _, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, nil)
 			return out, err
 		}},
 	}
@@ -57,12 +56,11 @@ func servingEngines() []servingEngine {
 
 // runVec runs p on the columnar walker at batch size bs — the
 // in-package handle on what no entry point exports: the batch-size
-// sweep, and adaptivity without instrumentation. Panics are contained
-// as at the entry points.
-func runVec(p plan.Node, db plan.Database, b *guard.Budget, bs int, a *Adapt) (out *relation.Relation, err error) {
+// sweep. Panics are contained as at the entry points.
+func runVec(p plan.Node, db plan.Database, b *guard.Budget, bs int) (out *relation.Relation, err error) {
 	phase := "execute"
 	defer guard.RecoverAs(&err, &phase, p, nil)
-	e := &vecEngine{db: db, b: b, batch: bs, reg: b.Registry(), adapt: a}
+	e := &vecEngine{db: db, b: b, batch: bs, reg: b.Registry()}
 	return e.run(p)
 }
 
@@ -194,7 +192,7 @@ func TestVectorizedMatchesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, bs := range vecBatchSizes {
-				got, err := runVec(p, db, nil, bs, nil)
+				got, err := runVec(p, db, nil, bs)
 				if err != nil {
 					t.Fatalf("plan %d batch %d: %v", pi, bs, err)
 				}
@@ -230,7 +228,7 @@ func TestVectorizedSelectPreservesOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bs := range vecBatchSizes {
-		got, err := runVec(p, db, nil, bs, nil)
+		got, err := runVec(p, db, nil, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +267,7 @@ func TestVectorizedEmptyInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, bs := range vecBatchSizes {
-			got, err := runVec(p, db, nil, bs, nil)
+			got, err := runVec(p, db, nil, bs)
 			if err != nil {
 				t.Fatalf("plan %d: %v", pi, err)
 			}
@@ -281,9 +279,8 @@ func TestVectorizedEmptyInputs(t *testing.T) {
 }
 
 // TestVectorizedSpills: under a byte budget the in-memory build cannot
-// reserve, the join escalates to the partitioned join when Adapt.Spill
-// allows it and still matches the unbudgeted run; with a nil Adapt the
-// same budget is the typed error, never a partitioned join.
+// reserve, the join turns to the partitioned join at every entry point
+// — bare and instrumented — and still matches the unbudgeted run.
 func TestVectorizedSpills(t *testing.T) {
 	rng := rand.New(rand.NewSource(213))
 	db := bigDB(rng, 4000, 100000, "r1", "r2")
@@ -293,43 +290,37 @@ func TestVectorizedSpills(t *testing.T) {
 		t.Fatal(err)
 	}
 	limits := guard.Limits{MaxBytes: 100_000}
-	reg := obs.NewRegistry()
-	got, _, err := RunInstrumentedAdaptive(p, db, reg, guard.New(context.Background(), limits, reg),
-		&Adapt{Spill: true})
-	if err != nil {
-		t.Fatalf("join did not spill under budget: %v", err)
-	}
-	if !got.EqualAsMultisets(want) {
-		t.Fatal("spilled result differs from unbudgeted Run")
-	}
-	snap := reg.Snapshot().Counters
-	if snap["exec.adapt.spill_escalations"] != 1 || snap["exec.spill.partitions"] == 0 {
-		t.Errorf("spill not counted: escalations %d, partitions %d",
-			snap["exec.adapt.spill_escalations"], snap["exec.spill.partitions"])
-	}
-	reg = obs.NewRegistry()
-	_, _, err = RunInstrumentedAdaptive(p, db, reg, guard.New(context.Background(), limits, reg), nil)
-	if !guard.IsBudget(err) {
-		t.Fatalf("nil Adapt under the same budget: err = %v, want guard.ErrBudget", err)
-	}
-	if n := reg.Snapshot().Counters["exec.spill.joins"]; n != 0 {
-		t.Errorf("nil Adapt spilled %d joins", n)
+	for _, instrumented := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		o := Options{Budget: guard.New(context.Background(), limits, reg)}
+		if instrumented {
+			o.Obs = reg
+		}
+		got, _, err := Exec(p, db, o)
+		if err != nil {
+			t.Fatalf("instrumented=%v: join did not spill under budget: %v", instrumented, err)
+		}
+		if !got.ToRelation().EqualAsMultisets(want) {
+			t.Fatalf("instrumented=%v: spilled result differs from unbudgeted Run", instrumented)
+		}
+		snap := reg.Snapshot().Counters
+		if snap["exec.spill.joins"] != 1 || snap["exec.spill.partitions"] == 0 {
+			t.Errorf("instrumented=%v: spill not counted: joins %d, partitions %d",
+				instrumented, snap["exec.spill.joins"], snap["exec.spill.partitions"])
+		}
 	}
 }
 
 // TestVectorizedBudgetTrips: a tight row cap trips with the typed
-// budget error whether or not Adapt.Spill is set — spilling answers
-// byte pressure only.
+// budget error — partitioning answers byte pressure only.
 func TestVectorizedBudgetTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(214))
 	db := mixedDB(rng, 400, 7, "r1", "r2")
 	p := plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))
-	for _, a := range []*Adapt{nil, {Spill: true}} {
-		_, _, err := RunInstrumentedAdaptive(p, db, nil,
-			guard.New(context.Background(), guard.Limits{MaxRows: 50}, nil), a)
-		if !guard.IsBudget(err) {
-			t.Fatalf("adapt %+v: err = %v, want guard.ErrBudget", a, err)
-		}
+	_, _, err := RunInstrumentedAdaptive(p, db, nil,
+		guard.New(context.Background(), guard.Limits{MaxRows: 50}, nil), nil)
+	if !guard.IsBudget(err) {
+		t.Fatalf("err = %v, want guard.ErrBudget", err)
 	}
 }
 
@@ -478,11 +469,12 @@ func TestVectorizedAliasedScan(t *testing.T) {
 	}
 }
 
-// TestVecNativeSwapMatchesStatic: the columnar build/probe swap is
-// multiset-identical to the static plan for all four join kinds, with
-// NULL keys, duplicate keys and a residual conjunct, at every batch
-// size — and it stays inside the kernel: one exec.adapt.swaps per
-// join, no fallback to the row join.
+// TestVecNativeSwapMatchesStatic: a join whose planned build side is
+// fifty times its probe side runs as planned and is multiset-identical
+// to the static plan for all four join kinds, with NULL keys, duplicate
+// keys and a residual conjunct, at every batch size — and it stays
+// inside the kernel: the plan's column order, no fallback to the row
+// join, and no exec.adapt.* counter.
 func TestVecNativeSwapMatchesStatic(t *testing.T) {
 	rng := rand.New(rand.NewSource(219))
 	db := skewDB(rng, 60, 3000, 40) // ~5% NULL keys, ~75 duplicates per key on the build side
@@ -497,24 +489,20 @@ func TestVecNativeSwapMatchesStatic(t *testing.T) {
 			}
 			for _, bs := range vecBatchSizes {
 				reg := obs.NewRegistry()
-				e := &vecEngine{db: db, batch: bs, reg: reg, adapt: &Adapt{SwapFactor: 4}}
+				e := &vecEngine{db: db, batch: bs, reg: reg}
 				got, err := e.run(p)
 				if err != nil {
 					t.Fatalf("%v %s batch %d: %v", kind, pred, bs, err)
 				}
 				if !got.EqualAsMultisets(want) {
-					t.Fatalf("%v %s batch %d: swapped join differs from static", kind, pred, bs)
+					t.Fatalf("%v %s batch %d: join differs from static", kind, pred, bs)
 				}
 				if !got.Schema().Equal(want.Schema()) {
-					t.Fatalf("%v: swapped join changed the column order: %s vs %s", kind, got.Schema(), want.Schema())
+					t.Fatalf("%v: join changed the column order: %s vs %s", kind, got.Schema(), want.Schema())
 				}
-				snap := reg.Snapshot().Counters
-				if snap["exec.adapt.swaps"] != 1 {
-					t.Fatalf("%v batch %d: exec.adapt.swaps = %d, want 1", kind, bs, snap["exec.adapt.swaps"])
-				}
-				for name := range snap {
-					if strings.HasPrefix(name, "exec.vector.fallback.") {
-						t.Fatalf("%v batch %d: swap fell back to the row engine (%s)", kind, bs, name)
+				for name := range reg.Snapshot().Counters {
+					if strings.HasPrefix(name, "exec.vector.fallback.") || strings.HasPrefix(name, "exec.adapt.") {
+						t.Fatalf("%v batch %d: unexpected counter %s", kind, bs, name)
 					}
 				}
 			}
@@ -587,7 +575,7 @@ func TestVectorizedAnnotatesEveryNode(t *testing.T) {
 	// A sort whose input is already in order returns that input.
 	plans := append(vecPlans(), plan.NewSortOrigin([]plan.SortKey{x}, -1, plan.NewScan("r1"), ""))
 	for pi, p := range plans {
-		_, ann, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, &Adapt{SwapFactor: 4})
+		_, ann, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, nil)
 		if err != nil {
 			t.Fatalf("plan %d: %v", pi, err)
 		}

@@ -20,9 +20,8 @@ type Point string
 const (
 	// PointSimplify fires before the optimizer's simplification seed.
 	PointSimplify Point = "optimizer.simplify"
-	// PointRuleApply fires inside each rule application work item —
-	// in the worker goroutines when memo exploration runs parallel,
-	// exercising worker-level containment.
+	// PointRuleApply fires inside each rule application work item,
+	// exercising per-item containment.
 	PointRuleApply Point = "optimizer.rule.apply"
 	// PointMemoWave fires at every memo exploration wave boundary.
 	PointMemoWave Point = "memo.explore.wave"
@@ -58,10 +57,10 @@ const (
 	// cached plan. A fault here must leave the old entry serving —
 	// never a wedged or poisoned slot.
 	PointCacheReplan Point = "plancache.replan"
-	// PointExecBuildSwap fires as an adaptive hash join commits to a
-	// build/probe swap or a partitioned-join escalation — before the first probe,
-	// so forcing a fault here exercises the transition boundary.
-	PointExecBuildSwap Point = "executor.buildswap"
+	// PointExecSpill fires as a hash join whose build side cannot fit
+	// the byte budget turns to the partitioned join — before anything
+	// is built or probed.
+	PointExecSpill Point = "executor.spill"
 )
 
 // Points returns every registered fault point, sorted.
@@ -79,7 +78,7 @@ func Points() []Point {
 		PointFeedbackRecord,
 		PointFeedbackLookup,
 		PointCacheReplan,
-		PointExecBuildSwap,
+		PointExecSpill,
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
 	return pts

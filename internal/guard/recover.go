@@ -50,8 +50,8 @@ func Safely(phase, planKey string, reg *obs.Registry, f func() error) (err error
 	return f()
 }
 
-// RecoverItem is the per-item form of RecoverAs for worker pools whose
-// items are cheap and many: deferred directly by the function that
+// RecoverItem is the per-item form of RecoverAs for work items that
+// are cheap and many: deferred directly by the function that
 // processes one item, it reports a panic as a *PanicError labelled
 // with item's rendering — which is built only then, so an item that
 // does not panic never pays for its label.

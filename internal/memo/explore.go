@@ -1,10 +1,7 @@
 package memo
 
 import (
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/guard"
@@ -16,9 +13,8 @@ import (
 // expression and the ScopeNode rules, a one-slot binding and the
 // ScopeChild rules its operator kinds can match, or a pure join tree of
 // the group and the ScopeGroup rules. Tasks are generated in a
-// deterministic order against the pre-wave memo state, so the merge —
-// which ingests results in task order — produces the same memo for
-// any worker count.
+// deterministic order against the pre-wave memo state, and the merge
+// ingests results in task order.
 type task struct {
 	group   GroupID
 	from    exprID
@@ -32,32 +28,19 @@ type altResult struct {
 	rule *boundRule
 }
 
-// workers resolves Options.Workers to a goroutine count.
-func (o Options) workers() int {
-	switch {
-	case o.Workers < 0:
-		return runtime.GOMAXPROCS(0)
-	case o.Workers == 0:
-		return 1
-	default:
-		return o.Workers
-	}
-}
-
 // Explore saturates the groups under the rule set: waves of bindings
 // are generated incrementally (per-expression consumed counters make
 // each binding appear exactly once across the whole run), rules are
-// applied — serially or across Options.Workers goroutines — and
-// results are merged back single-threaded in task order. The loop
+// applied to the whole wave against the pre-wave state, and results
+// are merged back in task order. The loop
 // reaches a fixpoint when a wave generates no bindings, or stops at
 // MaxExprs or a tripped expression budget (both cap the memo rather
 // than erroring — extraction still covers everything admitted). A
 // non-nil error means the run was aborted: cancellation, an injected
 // fault, or a contained rule-application panic.
 //
-// The run carries pprof labels engine=memo phase=explore, which the
-// rule-application worker goroutines inherit, so CPU profiles split
-// exploration from extraction and execution.
+// The run carries pprof labels engine=memo phase=explore, so CPU
+// profiles split exploration from extraction and execution.
 func (m *Memo) Explore() (err error) {
 	obs.WithPhase(m.opts.Budget.Context(), "memo", "explore", func() {
 		err = m.explore()
@@ -77,7 +60,6 @@ func (m *Memo) explore() error {
 	// The task list and the result slots are reused from wave to wave.
 	var tasks []task
 	var results [][]altResult
-	var errs []error
 	for !m.capped {
 		if err := b.Cancelled(); err != nil {
 			return err
@@ -92,8 +74,8 @@ func (m *Memo) explore() error {
 		if reg != nil {
 			reg.Counter("memo.waves").Inc()
 		}
-		results, errs = resize(results, len(tasks)), resize(errs, len(tasks))
-		if err := m.apply(tasks, results, errs); err != nil {
+		results = resize(results, len(tasks))
+		if err := m.apply(tasks, results); err != nil {
 			return err
 		}
 		for i, t := range tasks {
@@ -292,42 +274,13 @@ func resize[T any](s []T, n int) []T {
 }
 
 // apply runs the wave's rule applications into the per-task slots of
-// results and errs, fanning out across workers when configured. Each
-// task is independent and reads only pre-wave memo state, so the
-// caller's in-order merge is deterministic. Each task contains its own
-// panics (a boundary defer cannot see a worker goroutine's); the
-// lowest-index failure wins, so the surfaced error is the same for any
-// scheduling.
-func (m *Memo) apply(tasks []task, results [][]altResult, errs []error) error {
-	workers := m.opts.workers()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for i, t := range tasks {
-			results[i], errs[i] = m.applyOne(t, results[i][:0])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(tasks) {
-						return
-					}
-					results[i], errs[i] = m.applyOne(tasks[i], results[i][:0])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, e := range errs {
-		if e != nil {
-			return e
+// results, in task order. Each task reads only pre-wave memo state and
+// contains its own panics; the first failure aborts the wave.
+func (m *Memo) apply(tasks []task, results [][]altResult) error {
+	for i, t := range tasks {
+		var err error
+		if results[i], err = m.applyOne(t, results[i][:0]); err != nil {
+			return err
 		}
 	}
 	return nil

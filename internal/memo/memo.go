@@ -176,13 +176,6 @@ type Options struct {
 	// memo analog of SaturateOptions.MaxPlans. Expressions are all the
 	// memo materializes, so they are all that counts.
 	MaxExprs int
-	// Workers sets the number of goroutines applying rules per
-	// exploration wave; 0 and 1 run serially, < 0 means
-	// runtime.GOMAXPROCS(0). Any value produces the identical memo:
-	// bindings are generated as a deterministic task list against the
-	// pre-wave state and results are merged single-threaded in task
-	// order.
-	Workers int
 	// Obs, when non-nil, receives memo.groups (the live groups when
 	// exploration ends), memo.exprs, memo.dedup_hits, memo.merges,
 	// memo.waves, memo.child_bindings (ScopeChild bindings built),

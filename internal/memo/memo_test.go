@@ -135,7 +135,7 @@ func TestShapeIdentity(t *testing.T) {
 
 // TestRulePanicLabelled: a rule that panics aborts exploration with a
 // *guard.PanicError naming the phase and the binding it was applied
-// to — for any worker count, the same (lowest-index) binding.
+// to.
 func TestRulePanicLabelled(t *testing.T) {
 	boom := core.Rule{Name: "boom", Scope: core.ScopeNode, Apply: func(n plan.Node) []plan.Node {
 		if j, ok := n.(*plan.Join); ok && j.Kind == plan.LeftJoin {
@@ -143,21 +143,19 @@ func TestRulePanicLabelled(t *testing.T) {
 		}
 		return nil
 	}}
-	for _, w := range []int{1, 4} {
-		m, err := New(Options{Rules: []core.Rule{boom}, Workers: w, Obs: obs.NewRegistry()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := query2()
-		m.Add(q)
-		var pe *guard.PanicError
-		if err := m.Explore(); !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: error %v, want a PanicError", w, err)
-		}
-		inner := q.(*plan.Join).L
-		if pe.Phase != "explore" || pe.PlanKey != plan.Key(inner) {
-			t.Errorf("workers=%d: panic labelled %q/%q, want explore/%q", w, pe.Phase, pe.PlanKey, plan.Key(inner))
-		}
+	m, err := New(Options{Rules: []core.Rule{boom}, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query2()
+	m.Add(q)
+	var pe *guard.PanicError
+	if err := m.Explore(); !errors.As(err, &pe) {
+		t.Fatalf("error %v, want a PanicError", err)
+	}
+	inner := q.(*plan.Join).L
+	if pe.Phase != "explore" || pe.PlanKey != plan.Key(inner) {
+		t.Errorf("panic labelled %q/%q, want explore/%q", pe.Phase, pe.PlanKey, plan.Key(inner))
 	}
 }
 
@@ -274,7 +272,8 @@ func TestSplitTableMatchesReference(t *testing.T) {
 	}
 }
 
-// memoSummary is what must not depend on the worker count.
+// memoSummary is what must not change from one exploration of a query
+// to the next.
 type memoSummary struct {
 	exprs, groups int
 	capped        string
@@ -293,7 +292,8 @@ func summarize(t *testing.T, q plan.Node, db plan.Database, opts Options) memoSu
 	return memoSummary{m.Exprs(), m.live, m.CappedReason(), m.RuleFirings(), plan.Key(best.Plan), best.Cost}
 }
 
-// TestWorkersIdenticalMemo: any worker count builds the same memo —
+// TestWorkersIdenticalMemo: exploration runs its waves on one
+// goroutine, so every exploration of a query builds the same memo —
 // expression and group counts, per-rule firings, winner and cost —
 // both run to fixpoint and capped mid-wave by MaxExprs, where the cap
 // must land on the same expression. Run under -race by make race.
@@ -304,18 +304,18 @@ func TestWorkersIdenticalMemo(t *testing.T) {
 		name string
 		q    plan.Node
 	}{{"query2", query2()}, {"Q5", q5()}, {"Q6", q6()}} {
-		full := summarize(t, tc.q, db, Options{Workers: 1})
+		full := summarize(t, tc.q, db, Options{})
 		for _, maxExprs := range []int{0, full.exprs / 2} {
 			t.Run(fmt.Sprintf("%s/max=%d", tc.name, maxExprs), func(t *testing.T) {
-				serial := summarize(t, tc.q, db, Options{Workers: 1, MaxExprs: maxExprs})
+				first := summarize(t, tc.q, db, Options{MaxExprs: maxExprs})
 				// One result may admit the few operators it newly built
 				// together, so a capped memo holds at least MaxExprs.
-				if maxExprs > 0 && (serial.capped != cappedMaxExprs || serial.exprs < maxExprs || serial.exprs >= full.exprs) {
-					t.Fatalf("MaxExprs=%d: capped %q at %d of %d expressions", maxExprs, serial.capped, serial.exprs, full.exprs)
+				if maxExprs > 0 && (first.capped != cappedMaxExprs || first.exprs < maxExprs || first.exprs >= full.exprs) {
+					t.Fatalf("MaxExprs=%d: capped %q at %d of %d expressions", maxExprs, first.capped, first.exprs, full.exprs)
 				}
-				for _, w := range []int{2, 4, -1} {
-					if par := summarize(t, tc.q, db, Options{Workers: w, MaxExprs: maxExprs}); !reflect.DeepEqual(par, serial) {
-						t.Errorf("workers=%d:\n got  %+v\n want %+v", w, par, serial)
+				for run := 2; run <= 4; run++ {
+					if again := summarize(t, tc.q, db, Options{MaxExprs: maxExprs}); !reflect.DeepEqual(again, first) {
+						t.Errorf("exploration %d:\n got  %+v\n want %+v", run, again, first)
 					}
 				}
 			})

@@ -3,7 +3,7 @@
 // all safe for concurrent update via atomics. The optimizer records
 // runs, rule firings, memo sizes and per-phase wall time into it; the
 // executor records the events a plan annotation does not carry
-// (fallbacks, spills, adaptive switches, hash collisions), while each
+// (fallbacks, spills, hash collisions), while each
 // operator's rows, time and join figures stay on its annotation. Each
 // fact is metered once, where it is known. Snapshots serialize to
 // JSON, which is how EXPLAIN ANALYZE output reaches external tooling

@@ -131,7 +131,8 @@ func firedPoints(t *testing.T, fr faultRun, q plan.Node, db plan.Database) []gua
 }
 
 // TestOptimizerFaultMatrix: for every seed query, arm and worker
-// count, discover which guard points the run crosses, then arm each
+// count (Options.Workers is ignored, so w4 must behave as w1 does),
+// discover which guard points the run crosses, then arm each
 // one to (a) fail with a typed error and (b) panic, and assert the
 // outcome is always classified: an injected error surfaces as
 // guard.ErrInjected, a panic as *guard.PanicError, and a nil error
@@ -249,7 +250,7 @@ func TestOptimizerBudgetDegrades(t *testing.T) {
 // TestOptimizerBudgetUntrippedDeterministic is the determinism gate:
 // threading a budget that never trips must not change the outcome —
 // same expression count, same winner, same cost as the unbudgeted run,
-// at any worker count.
+// at any value of the ignored Options.Workers.
 func TestOptimizerBudgetUntrippedDeterministic(t *testing.T) {
 	huge := &guard.Limits{MaxExprs: 1 << 40}
 	for _, tc := range faultSeeds() {

@@ -103,7 +103,6 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	m, err := memo.New(memo.Options{
 		Rules:    rules,
 		MaxExprs: maxPlans,
-		Workers:  o.Opts.Workers,
 		Obs:      reg,
 		Budget:   o.Opts.Budget,
 	})

@@ -176,9 +176,9 @@ func TestMemoMatchesSaturate(t *testing.T) {
 	}
 }
 
-// TestMemoWorkersDeterministic: parallel memo exploration produces
-// the identical memo — same expression count, same winner, same cost,
-// same rule firings — for any worker count.
+// TestMemoWorkersDeterministic: exploration is serial, so any value of
+// Options.Workers produces the identical memo — same expression count,
+// same winner, same cost, same rule firings.
 func TestMemoWorkersDeterministic(t *testing.T) {
 	for _, tc := range memoSeeds() {
 		t.Run(tc.name, func(t *testing.T) {

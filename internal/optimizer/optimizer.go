@@ -34,9 +34,8 @@ type Options struct {
 	// PushUpAggregates also seeds the enumeration with
 	// aggregation-pull-up variants of the query (Example 3.1).
 	PushUpAggregates bool
-	// Workers parallelizes memo exploration across goroutines. 0 and 1
-	// run serially; < 0 means runtime.GOMAXPROCS(0). Any value yields
-	// the identical memo and best plan as the serial run.
+	// Workers is ignored: memo exploration is serial. It stays only
+	// because the benchmark module still names it.
 	Workers int
 	// Obs receives the run's metrics (rule firings, dedup hits, plans
 	// enumerated, per-phase wall time); obs.Default() when nil.

@@ -37,10 +37,11 @@ func inner4Loj(t *testing.T) (plan.Node, plan.Database) {
 	return q, db
 }
 
-// TestOptimizeWorkersDeterministic: a parallel optimization run is
-// observationally identical to the serial run — same expression count,
-// same best plan and cost, same rule firings — on query2 and on a shape
-// whose groups merge (inner4_loj), where merges happen mid-wave.
+// TestOptimizeWorkersDeterministic: Options.Workers is ignored, so a
+// run that sets it is observationally identical to one that leaves it
+// at 1 — same expression count, same best plan and cost, same rule
+// firings — on query2 and on a shape whose groups merge (inner4_loj),
+// where merges happen mid-wave.
 func TestOptimizeWorkersDeterministic(t *testing.T) {
 	q4l, db4l := inner4Loj(t)
 	for _, tc := range []struct {

@@ -26,37 +26,36 @@ import (
 	"repro/internal/obs"
 )
 
-// Options bound and shape a Store.
+// Options configure a Store.
 type Options struct {
-	// MaxEntries caps the number of distinct keys retained;
-	// beyond it the oldest-inserted key is evicted. 0 means
-	// 4096.
-	MaxEntries int
-	// Decay is the EWMA weight of the newest observation in (0, 1].
-	// 1 keeps only the latest actual; small values average over a
-	// long history. 0 means 0.5.
-	Decay float64
-	// MaxRatio clamps each observation's actual/estimated ratio into
-	// [1/MaxRatio, MaxRatio] before folding, bounding the damage of a
-	// single outlier run. 0 means 1e6.
-	MaxRatio float64
 	// Obs, when non-nil, receives the store's counters
 	// (feedback.store.*).
 	Obs *obs.Registry
 }
 
-// Defaults for the zero Options.
 const (
-	defaultMaxEntries = 4096
-	defaultDecay      = 0.5
-	defaultMaxRatio   = 1e6
+	// maxEntries caps the number of distinct keys retained; beyond it
+	// the oldest-inserted key is evicted.
+	maxEntries = 4096
+	// decay is the EWMA weight of the newest observation in (0, 1]:
+	// 1 keeps only the latest actual, small values average over a long
+	// history.
+	decay = 0.5
+	// maxRatio clamps each observation's actual/estimated ratio into
+	// [1/maxRatio, maxRatio] before folding, bounding the damage of a
+	// single outlier run.
+	maxRatio = 1e6
 )
 
 // Store is the bounded correction map. All methods are safe for
 // concurrent use; Lookup takes a read lock so the hot path (every
 // costed subtree of every re-optimization) scales across sessions.
 type Store struct {
-	opts Options
+	// maxEntries, decay and maxRatio are the package constants; the
+	// store's tests vary them.
+	maxEntries int
+	decay      float64
+	maxRatio   float64
 
 	mu      sync.RWMutex
 	entries map[string]float64 // key → EWMA of clamped actual row counts
@@ -67,20 +66,13 @@ type Store struct {
 	size      *obs.Gauge
 }
 
-// New builds a Store with opts (zero fields take the defaults above).
+// New builds a Store.
 func New(opts Options) *Store {
-	if opts.MaxEntries <= 0 {
-		opts.MaxEntries = defaultMaxEntries
-	}
-	if opts.Decay <= 0 || opts.Decay > 1 {
-		opts.Decay = defaultDecay
-	}
-	if opts.MaxRatio < 1 {
-		opts.MaxRatio = defaultMaxRatio
-	}
 	s := &Store{
-		opts:    opts,
-		entries: make(map[string]float64),
+		maxEntries: maxEntries,
+		decay:      decay,
+		maxRatio:   maxRatio,
+		entries:    make(map[string]float64),
 	}
 	reg := opts.Obs
 	if reg == nil {
@@ -94,19 +86,19 @@ func New(opts Options) *Store {
 
 // Record folds one observation — the subtree keyed by key was
 // estimated at est rows and actually produced actual — into the
-// store. The observation is clamped to within MaxRatio of the
+// store. The observation is clamped to within maxRatio of the
 // estimate, then EWMA-folded into any prior correction for the key.
 func (s *Store) Record(key string, est, actual float64) error {
 	if err := guard.Hit(guard.PointFeedbackRecord); err != nil {
 		return err
 	}
-	obs := clamp(est, actual, s.opts.MaxRatio)
+	obs := clamp(est, actual, s.maxRatio)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rows, ok := s.entries[key]; ok {
-		s.entries[key] = s.opts.Decay*obs + (1-s.opts.Decay)*rows
+		s.entries[key] = s.decay*obs + (1-s.decay)*rows
 	} else {
-		for len(s.entries) >= s.opts.MaxEntries && len(s.order) > 0 {
+		for len(s.entries) >= s.maxEntries && len(s.order) > 0 {
 			victim := s.order[0]
 			s.order = s.order[1:]
 			if _, live := s.entries[victim]; live {

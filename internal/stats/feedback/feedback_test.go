@@ -34,7 +34,8 @@ func TestFeedbackRecordLookup(t *testing.T) {
 // exactly (1-d).
 func TestFeedbackDecayProperty(t *testing.T) {
 	for _, decay := range []float64{0.25, 0.5, 0.9, 1.0} {
-		s := New(Options{Decay: decay})
+		s := New(Options{})
+		s.decay = decay
 		const est, actual = 100.0, 5000.0
 		if err := s.Record("k", est, actual); err != nil {
 			t.Fatal(err)
@@ -61,7 +62,7 @@ func TestFeedbackDecayProperty(t *testing.T) {
 // the new truth — old history decays away instead of anchoring the
 // average forever.
 func TestFeedbackDecayShift(t *testing.T) {
-	s := New(Options{Decay: 0.5})
+	s := New(Options{})
 	for i := 0; i < 10; i++ {
 		if err := s.Record("k", 100, 10000); err != nil {
 			t.Fatal(err)
@@ -79,10 +80,11 @@ func TestFeedbackDecayShift(t *testing.T) {
 }
 
 // TestFeedbackClampProperty: no single observation can move the
-// correction beyond MaxRatio of the estimate, in either direction,
+// correction beyond maxRatio of the estimate, in either direction,
 // and a negative actual is treated as zero.
 func TestFeedbackClampProperty(t *testing.T) {
-	s := New(Options{Decay: 1, MaxRatio: 100})
+	s := New(Options{})
+	s.decay, s.maxRatio = 1, 100
 	cases := []struct {
 		est, actual, want float64
 	}{
@@ -105,17 +107,18 @@ func TestFeedbackClampProperty(t *testing.T) {
 	}
 }
 
-// TestFeedbackBounded: the store never retains more than MaxEntries
+// TestFeedbackBounded: the store never retains more than maxEntries
 // keys, evicting oldest-inserted first, and counts the evictions.
 func TestFeedbackBounded(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Options{MaxEntries: 8, Obs: reg})
+	s := New(Options{Obs: reg})
+	s.maxEntries = 8
 	for i := 0; i < 50; i++ {
 		if err := s.Record(fmt.Sprintf("k%d", i), 10, float64(i)); err != nil {
 			t.Fatal(err)
 		}
 		if s.Len() > 8 {
-			t.Fatalf("after %d records, Len = %d > MaxEntries 8", i+1, s.Len())
+			t.Fatalf("after %d records, Len = %d > maxEntries 8", i+1, s.Len())
 		}
 	}
 	if s.Len() != 8 {
@@ -147,7 +150,8 @@ func TestFeedbackBounded(t *testing.T) {
 // invariants (bound respected, lookups never see torn values outside
 // the clamp band) hold throughout.
 func TestFeedbackConcurrent(t *testing.T) {
-	s := New(Options{MaxEntries: 64, Decay: 0.5, MaxRatio: 1e3})
+	s := New(Options{})
+	s.maxEntries, s.maxRatio = 64, 1e3
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -20,12 +20,10 @@ import (
 // metricFamilies is every metric family the metric-surface smoke
 // writes to the observer registries, dynamic suffixes folded by
 // metricFamily. The bench reads optimizer.runs, memo.groups,
-// memo.exprs, memo.pruned, memo.order.enforced, exec.adapt.swaps,
+// memo.exprs, memo.pruned, memo.order.enforced,
 // exec.spill.partitions, exec.vector.fallback.<op>, the plancache
 // series and feedback.{drift_trips,replans,corrections}.
 var metricFamilies = []string{
-	"exec.adapt.spill_escalations",
-	"exec.adapt.swaps",
 	"exec.spill.joins",
 	"exec.spill.partitions",
 	"exec.spill.recursions",

@@ -59,8 +59,8 @@ type ServiceConfig struct {
 	DefaultLimits Limits
 	// Tenants maps tenant names to their per-request budgets.
 	Tenants map[string]Limits
-	// Workers spreads the optimizer's memo exploration over this many
-	// goroutines (0 = serial).
+	// Workers is ignored: memo exploration is serial. It stays only
+	// because the benchmark module still names it.
 	Workers int
 	// FlightCap sizes the flight recorder ring (0 = default).
 	FlightCap int
@@ -106,7 +106,6 @@ type Service struct {
 	// observer's registry, as requests does its outcomes: the run
 	// registry would allocate and merge a histogram per request.
 	fb     *feedback.Store
-	adapt  *executor.Adapt
 	qerror *obs.HistogramVec
 }
 
@@ -165,9 +164,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		}
 		s.fb = feedback.New(feedback.Options{Obs: ob.Registry})
 		s.qerror = ob.Registry.HistogramVec("executor.qerror_milli", "op")
-		// A hash join whose build side materializes more than 4× the
-		// probe side's rows builds on the smaller side instead.
-		s.adapt = &executor.Adapt{SwapFactor: 4, Spill: true}
 	}
 	return s, nil
 }
@@ -520,12 +516,11 @@ func (s *Service) serve(ctx context.Context, req Request, b *guard.Budget, reg *
 	}
 
 	// Execute under the request budget. Feedback mode runs
-	// instrumented (per-operator actuals feed the store) and adaptive
-	// (mid-query build/probe swap and spill escalation).
+	// instrumented: per-operator actuals feed the store.
 	execStart := time.Now()
 	opts := executor.Options{Budget: b}
 	if s.fb != nil {
-		opts.Obs, opts.Adapt = reg, s.adapt
+		opts.Obs = reg
 	}
 	rel, ann, err := executor.Exec(bound, s.db, opts)
 	execNs := time.Since(execStart).Nanoseconds()
@@ -579,7 +574,6 @@ func boxRows(rel *batch.Rel) [][]any {
 // cardinalities (a cold store changes nothing).
 func (s *Service) optimizeTemplate(node plan.Node, params []value.Value, b *guard.Budget, reg *obs.Registry) (*cachedPlan, error) {
 	o := optimizer.New(s.est.WithParams(params))
-	o.Opts.Workers = s.cfg.Workers
 	o.Opts.Budget = b
 	o.Opts.Obs = reg
 	o.Opts.Feedback = s.fb

@@ -44,27 +44,12 @@ func execCounters(reg *obs.Registry, prefix string) map[string]int64 {
 }
 
 // TestServiceColumnarCountersReachObserver: what the executor counts
-// during a request is readable from Service.Observer() afterwards — a
-// build/probe swap under feedback, and the row-engine seam a
-// generalized selection's padding runs on. Before, both were written
-// to obs.Default() and the service reported zero whatever happened.
+// during a request is readable from Service.Observer() afterwards —
+// here the row-engine seam a generalized selection's padding runs on
+// (TestMaxBytesPartitionsEverywhere covers the spill counters, in both
+// service modes).
 func TestServiceColumnarCountersReachObserver(t *testing.T) {
 	ctx := context.Background()
-
-	svc := feedbackService(t, true, 2)
-	if _, err := svc.Query(ctx, Request{SQL: skewQuery}); err != nil {
-		t.Fatal(err)
-	}
-	reg := svc.Observer().Registry
-	if n := reg.Snapshot().Counters["exec.adapt.swaps"]; n == 0 {
-		t.Error("exec.adapt.swaps = 0 in the service registry after a swapping query")
-	}
-	// A swap stays inside the columnar kernel; nothing in this plan
-	// needs the row engine.
-	if fb := execCounters(reg, "exec.vector.fallback."); len(fb) != 0 {
-		t.Errorf("swapping query fell back to the row engine: %v", fb)
-	}
-
 	gs := newTestService(t, ServiceConfig{DB: datagen.Supplier(datagen.DefaultSupplierConfig)})
 	resp, err := gs.Query(ctx, Request{SQL: supplierSQL})
 	if err != nil {

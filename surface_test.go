@@ -6,9 +6,11 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -73,6 +75,25 @@ func TestSurface(t *testing.T) {
 	}
 	for _, f := range checkDocs(tr, surfaceDocs) {
 		t.Error(f)
+	}
+}
+
+// TestBenchModuleVets runs go vet in bench/, a module of its own that
+// ./... does not reach. It names internal packages of this one (some
+// kept only for it, see executor.Adapt), so a change that breaks it
+// would otherwise pass go build ./... and go test ./....
+func TestBenchModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the bench module")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		goTool = filepath.Join(runtime.GOROOT(), "bin", "go")
+	}
+	cmd := exec.Command(goTool, "vet", "./...")
+	cmd.Dir = "bench"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in bench/: %v\n%s", err, out)
 	}
 }
 
