@@ -33,10 +33,6 @@ type AnalyzeReport struct {
 	BestCost     float64 `json:"bestCost"`
 	RowsOut      int     `json:"rowsOut"`
 	Degraded     string  `json:"degraded,omitempty"` // non-empty when a cap truncated enumeration
-	// Order provenance (root ORDER BY only): the required order and
-	// the enforcer sorts the plan carries for it.
-	RequiredOrder string `json:"requiredOrder,omitempty"`
-	OrderEnforced int    `json:"orderEnforced,omitempty"`
 	// Phases are the run's wall times in order: analyze (first-use
 	// ANALYZE of the scanned tables), the optimizer's simplify,
 	// explore and cost, then execute. The flight record of an observed
@@ -168,10 +164,6 @@ func explainAnalyze(q Node, db Database, b *guard.Budget, reg *obs.Registry, rec
 		node:         res.Best.Plan,
 		ann:          ann,
 	}
-	if res.Order != nil {
-		r.RequiredOrder = res.Order.Required.String()
-		r.OrderEnforced = res.Order.Enforced
-	}
 	return r, nil
 }
 
@@ -194,9 +186,6 @@ func (r *AnalyzeReport) String() string {
 	fmt.Fprintf(&b, "rows returned:    %d\n", r.RowsOut)
 	if r.Degraded != "" {
 		fmt.Fprintf(&b, "degraded:         %s (best-effort plan, not the full-class optimum)\n", r.Degraded)
-	}
-	if r.RequiredOrder != "" {
-		fmt.Fprintf(&b, "order:            required %s (enforced %d)\n", r.RequiredOrder, r.OrderEnforced)
 	}
 	if len(r.Phases) > 0 {
 		parts := make([]string, len(r.Phases))

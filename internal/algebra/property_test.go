@@ -3,6 +3,7 @@ package algebra
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -75,12 +76,8 @@ func TestPropLOJContainsJoin(t *testing.T) {
 		if loj.Len() < p.r1.Len() || loj.Len() < join.Len() {
 			return false
 		}
-		keys := make(map[string]bool, loj.Len())
-		for _, t := range loj.Tuples() {
-			keys[t.Key()] = true
-		}
 		for _, t := range join.Tuples() {
-			if !keys[t.Key()] {
+			if !slices.ContainsFunc(loj.Tuples(), t.EqualTuple) {
 				return false
 			}
 		}
@@ -165,7 +162,7 @@ func TestPropGroupCountsSumToInput(t *testing.T) {
 			p.r1)
 		var sum int64
 		for _, t := range out.Tuples() {
-			sum += out.Value(t, cnt).Int()
+			sum += t[out.Schema().IndexOf(cnt)].Int()
 		}
 		return sum == int64(p.r1.Len())
 	}

@@ -35,22 +35,6 @@ type Tree struct {
 // IsLeaf reports whether t is a leaf.
 func (t *Tree) IsLeaf() bool { return t.L == nil && t.R == nil }
 
-// Leaves appends the leaf names in left-to-right order.
-func (t *Tree) Leaves() []string {
-	var out []string
-	var rec func(t *Tree)
-	rec = func(t *Tree) {
-		if t.IsLeaf() {
-			out = append(out, t.Leaf)
-			return
-		}
-		rec(t.L)
-		rec(t.R)
-	}
-	rec(t)
-	return out
-}
-
 // String renders the tree in the paper's dot notation, e.g.
 // "((r1.r2).((r4.r5).r3))".
 func (t *Tree) String() string {

@@ -175,10 +175,6 @@ func TestParseTreeErrors(t *testing.T) {
 	if got := tr.String(); got != "((r1.r2).((r4.r5).r3))" {
 		t.Errorf("round trip = %q", got)
 	}
-	leaves := tr.Leaves()
-	if len(leaves) != 5 || leaves[0] != "r1" || leaves[4] != "r3" {
-		t.Errorf("leaves = %v", leaves)
-	}
 }
 
 // TestTreesMatchesCount cross-checks materialization against the DP

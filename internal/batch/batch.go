@@ -133,26 +133,6 @@ func (v *Vec) At(i int) value.Value {
 	}
 }
 
-// Hash returns row i's value hash, identical to At(i).Hash64() (NULL
-// hashes as value.HashNull, as grouping keys require).
-func (v *Vec) Hash(i int) uint64 {
-	if v.IsNull(i) {
-		return value.HashNull()
-	}
-	switch v.Phys {
-	case PhysInt:
-		return value.HashInt64(v.Ints[i])
-	case PhysFloat:
-		return value.HashFloat64(v.Floats[i])
-	case PhysStr:
-		return value.HashStr(v.Strs[i])
-	case PhysBool:
-		return value.HashBoolean(v.Bools[i])
-	default:
-		return v.Any[i].Hash64()
-	}
-}
-
 // hashInto folds each row's value hash into the running per-row key
 // hashes hs (seeded with value.HashSeed by the caller), the columnar
 // equivalent of one column's contribution to Tuple.HashOn. When
@@ -508,13 +488,6 @@ func (r *Rel) ToRelation() *relation.Relation {
 	}
 	out.AppendAll(tuples)
 	return out
-}
-
-// Tuple boxes row i into a freshly allocated tuple.
-func (r *Rel) Tuple(i int) relation.Tuple {
-	t := make(relation.Tuple, len(r.cols))
-	r.ReadTuple(i, t)
-	return t
 }
 
 // ReadTuple fills dst (of schema width) with row i without allocating

@@ -376,3 +376,10 @@ func TestBatchJoinIndex(t *testing.T) {
 		t.Fatal("Append must drop the index with the image")
 	}
 }
+
+// Tuple boxes row i into a freshly allocated tuple.
+func (r *Rel) Tuple(i int) relation.Tuple {
+	t := make(relation.Tuple, len(r.cols))
+	r.ReadTuple(i, t)
+	return t
+}

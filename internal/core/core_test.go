@@ -47,7 +47,7 @@ func mustEquivalent(t *testing.T, a, b plan.Node, db plan.Database, msg string) 
 	if !ok {
 		ra, _ := a.Eval(db)
 		rb, _ := b.Eval(db)
-		t.Fatalf("%s:\nlhs %s\n%s\nrhs %s\n%s", msg, a, ra.Format(true), b, rb.Format(true))
+		t.Fatalf("%s:\nlhs %s\n%s\nrhs %s\n%s", msg, a, ra.String(), b, rb.String())
 	}
 }
 
@@ -252,7 +252,7 @@ func TestSaturationSound(t *testing.T) {
 				}
 				if !got.EqualAsSets(want) {
 					t.Fatalf("%s trial %d: plan not equivalent to query:\nplan: %s\noriginal: %s\ngot:\n%s\nwant:\n%s",
-						name, trial, p, q, got.Format(true), want.Format(true))
+						name, trial, p, q, got.String(), want.String())
 				}
 			}
 		}

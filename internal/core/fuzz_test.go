@@ -82,7 +82,7 @@ func TestSaturationFuzz(t *testing.T) {
 				}
 				if !got.EqualAsSets(want) {
 					t.Fatalf("UNSOUND REWRITE\nquery %d: %s\nplan: %s\ngot:\n%s\nwant:\n%s",
-						qi, q, p, got.Format(true), want.Format(true))
+						qi, q, p, got.String(), want.String())
 				}
 			}
 		}

@@ -151,7 +151,7 @@ func TestQ6PaperOrderCounterexample(t *testing.T) {
 	// p23 (r2.x = r3.x) fails while p24, p34, p12, p14 all hold: the
 	// original query pads r1 and preserves r2 separately.
 	if want.Len() != 2 {
-		t.Fatalf("expected the padded 2-row result, got:\n%s", want.Format(true))
+		t.Fatalf("expected the padded 2-row result, got:\n%s", want.String())
 	}
 	// The outer-first double split is equivalent on this database.
 	for outer := 0; outer < 2; outer++ {

@@ -31,7 +31,7 @@ func TestSupplierShapes(t *testing.T) {
 	bankrupt := 0
 	sup := db["sup_detail"]
 	for _, tu := range sup.Tuples() {
-		if sup.Value(tu, schema.Attr("sup_detail", "suprating")).Str() == "BANKRUPT" {
+		if tu[sup.Schema().IndexOf(schema.Attr("sup_detail", "suprating"))].Str() == "BANKRUPT" {
 			bankrupt++
 		}
 	}
@@ -73,7 +73,7 @@ func TestExample21Database(t *testing.T) {
 	if db["r1"].Len() != 3 || db["r2"].Len() != 1 || db["r3"].Len() != 2 {
 		t.Errorf("unexpected Example 2.1 sizes")
 	}
-	v := db["r1"].Value(db["r1"].Tuple(0), schema.Attr("r1", "a"))
+	v := db["r1"].Tuple(0)[db["r1"].Schema().IndexOf(schema.Attr("r1", "a"))]
 	if v.Kind() != value.KindString || v.Str() != "a1" {
 		t.Errorf("r1[0].a = %v", v)
 	}
@@ -103,7 +103,7 @@ func TestZipfSkew(t *testing.T) {
 	// The most frequent value should dominate: count value 0.
 	zero := 0
 	for _, tu := range r.Tuples() {
-		if r.Value(tu, schema.Attr("z", "x")).Int() == 0 {
+		if tu[r.Schema().IndexOf(schema.Attr("z", "x"))].Int() == 0 {
 			zero++
 		}
 	}

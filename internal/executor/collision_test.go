@@ -57,7 +57,7 @@ func TestHashJoinCollisionVerification(t *testing.T) {
 	// 2 left rows of each key × 2 right rows of the same key = 8 rows;
 	// without verification the single bucket would yield 16.
 	if out.Len() != 8 {
-		t.Fatalf("join produced %d rows, want 8:\n%s", out.Len(), out.Format(true))
+		t.Fatalf("join produced %d rows, want 8:\n%s", out.Len(), out.String())
 	}
 }
 
@@ -73,7 +73,7 @@ func TestGroupByCollisions(t *testing.T) {
 		t.Fatalf("grouping produced %d groups, want 3:\n%s", out.Len(), out)
 	}
 	for _, tu := range out.Tuples() {
-		if n := out.Value(tu, schema.Attr("q", "n")); n.Int() != 30 {
+		if n := tu[out.Schema().IndexOf(schema.Attr("q", "n"))]; n.Int() != 30 {
 			t.Fatalf("group count %d, want 30", n.Int())
 		}
 	}
@@ -89,7 +89,7 @@ func TestDistinctAggCollisions(t *testing.T) {
 	out := algebra.GroupProject(nil,
 		[]algebra.Aggregate{{Func: algebra.CountDistinct, Arg: expr.Column("t", "x"), Out: schema.Attr("q", "n")}},
 		b.Relation())
-	if got := out.Value(out.Tuple(0), schema.Attr("q", "n")).Int(); got != 2 {
+	if got := out.Tuple(0)[out.Schema().IndexOf(schema.Attr("q", "n"))].Int(); got != 2 {
 		t.Fatalf("count(distinct) over colliding values = %d, want 2", got)
 	}
 }
@@ -120,7 +120,7 @@ func TestGenSelMGOJCollisions(t *testing.T) {
 		}
 		if !got.EqualAsSets(want) {
 			t.Fatalf("plan %d: executor differs from reference under collisions\ngot:\n%s\nwant:\n%s",
-				pi, got.Format(true), want.Format(true))
+				pi, got.String(), want.String())
 		}
 		for _, e := range servingEngines() {
 			col, err := e.run(p, db)
@@ -165,7 +165,7 @@ func TestCollidingKeysExec(t *testing.T) {
 			}
 			if got := out.ToRelation(); !got.EqualAsMultisets(want) {
 				t.Fatalf("%s %s: Exec differs from reference under collisions\ngot:\n%s\nwant:\n%s",
-					c.name, kind, got.Format(true), want.Format(true))
+					c.name, kind, got.String(), want.String())
 			}
 			if got := ann.For(p).Extra["dense_lookup"]; got != c.lookup {
 				t.Fatalf("%s %s: dense_lookup=%d, want %d", c.name, kind, got, c.lookup)

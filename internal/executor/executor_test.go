@@ -107,7 +107,7 @@ func TestRunMatchesReference(t *testing.T) {
 			}
 			if !got.EqualAsSets(want) {
 				t.Fatalf("plan %d trial %d: executor differs from reference\nplan: %s\ngot:\n%s\nwant:\n%s",
-					pi, trial, p, got.Format(true), want.Format(true))
+					pi, trial, p, got.String(), want.String())
 			}
 			for _, e := range servingEngines() {
 				col, err := e.run(p, db)
@@ -116,7 +116,7 @@ func TestRunMatchesReference(t *testing.T) {
 				}
 				if !col.EqualAsMultisets(got) {
 					t.Fatalf("plan %d trial %d: %s differs from Run\nplan: %s\ngot:\n%s\nwant:\n%s",
-						pi, trial, e.name, p, col.Format(true), got.Format(true))
+						pi, trial, e.name, p, col.String(), got.String())
 				}
 			}
 		}
@@ -162,7 +162,7 @@ func TestHashJoinNullKeys(t *testing.T) {
 	}
 	// 1=1 matches; both NULL rows pad on their own side: 3 rows.
 	if out.Len() != 3 {
-		t.Fatalf("got %d rows, want 3:\n%s", out.Len(), out.Format(true))
+		t.Fatalf("got %d rows, want 3:\n%s", out.Len(), out.String())
 	}
 }
 

@@ -105,8 +105,7 @@ func execEntries() []execEntry {
 
 // faultSort orders faultJoin's output on r1.x descending.
 func faultSort() plan.Node {
-	return plan.NewSortOrigin([]plan.SortKey{{Attr: schema.Attr("r1", "x"), Desc: true}}, -1,
-		faultJoin(), plan.SortOriginEnforcer)
+	return plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "x"), Desc: true}}, -1, faultJoin())
 }
 
 // execFired records which guard points one clean run of the entry

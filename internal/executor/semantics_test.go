@@ -104,8 +104,8 @@ func checkUnary(t *testing.T, rel *relation.Relation, op value.CmpOp, consts []v
 		plan.NewGroupBy(nil, []algebra.Aggregate{agg(algebra.Min, a, "lo"), agg(algebra.Max, a, "hi")}, scan),
 		plan.NewProject([]schema.Attribute{ta}, true, scan),
 		plan.NewProject([]schema.Attribute{ta, tb}, true, scan),
-		plan.NewSortOrigin([]plan.SortKey{{Attr: ta}, {Attr: tb, Desc: true}}, -1, scan, ""),
-		plan.NewSortOrigin([]plan.SortKey{{Attr: ta, Desc: true}}, 3, scan, ""),
+		plan.NewSort([]plan.SortKey{{Attr: ta}, {Attr: tb, Desc: true}}, -1, scan),
+		plan.NewSort([]plan.SortKey{{Attr: ta, Desc: true}}, 3, scan),
 	)
 	for _, p := range plans {
 		checkPlan(t, p, db)

@@ -132,7 +132,7 @@ func differ(r *relation.Relation, keys []plan.SortKey, x, y relation.Tuple) bool
 // batch size bs and returns the kernel's output unboxed.
 func sortVec(rel *relation.Relation, keys []plan.SortKey, limit, bs int) (*batch.Rel, error) {
 	e := &vecEngine{db: plan.Database{"t": rel}, batch: bs, reg: obs.NewRegistry()}
-	return e.exec(plan.NewSortOrigin(keys, limit, plan.NewScan("t"), ""))
+	return e.exec(plan.NewSort(keys, limit, plan.NewScan("t")))
 }
 
 // rowIDs lists the id column of rows, in order.
@@ -352,7 +352,7 @@ func BenchmarkExecSort(b *testing.B) {
 		{"top10", unsorted, 10},
 	} {
 		db := plan.Database{"t": c.rel}
-		p := plan.NewSortOrigin(keys, c.limit, plan.NewScan("t"), "")
+		p := plan.NewSort(keys, c.limit, plan.NewScan("t"))
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

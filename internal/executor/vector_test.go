@@ -14,6 +14,7 @@ package executor
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -171,9 +172,9 @@ func vecPlans() []plan.Node {
 			plan.NewSelect(expr.Cmp{Op: value.LT, L: expr.Column("r1", "x"), R: expr.Int(2)},
 				plan.NewScan("r1"))),
 		// Sort over a selection's view.
-		plan.NewSortOrigin([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, -1,
+		plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, -1,
 			plan.NewSelect(expr.Cmp{Op: value.GE, L: expr.Column("r1", "y"), R: expr.Int(3)},
-				plan.NewScan("r1")), ""),
+				plan.NewScan("r1"))),
 	}
 }
 
@@ -497,7 +498,7 @@ func TestVecNativeSwapMatchesStatic(t *testing.T) {
 				if !got.EqualAsMultisets(want) {
 					t.Fatalf("%v %s batch %d: join differs from static", kind, pred, bs)
 				}
-				if !got.Schema().Equal(want.Schema()) {
+				if !slices.Equal(got.Schema().Attrs(), want.Schema().Attrs()) {
 					t.Fatalf("%v: join changed the column order: %s vs %s", kind, got.Schema(), want.Schema())
 				}
 				for name := range reg.Snapshot().Counters {
@@ -531,12 +532,12 @@ func TestVectorizedSortMatchesRun(t *testing.T) {
 	raw := mixedDB(rng, 300, 23, "r1", "r2")
 	x, y := plan.SortKey{Attr: schema.Attr("r1", "x")}, plan.SortKey{Attr: schema.Attr("r1", "y"), Desc: true}
 	db := plan.Database{"r1": sortedOn(t, raw["r1"], x, y), "r2": raw["r2"]}
-	inOrder := plan.NewSortOrigin([]plan.SortKey{x, y}, -1,
+	inOrder := plan.NewSort([]plan.SortKey{x, y}, -1,
 		plan.NewProject([]schema.Attribute{schema.Attr("r1", "x"), schema.Attr("r1", "y"), schema.Attr("r1", "s")}, false,
-			plan.NewSelect(expr.Cmp{Op: value.GE, L: expr.Column("r1", "f"), R: expr.Int(4)}, plan.NewScan("r1"))), "")
-	joined := plan.NewSortOrigin([]plan.SortKey{{Attr: schema.Attr("r1", "f"), Desc: true}}, -1,
+			plan.NewSelect(expr.Cmp{Op: value.GE, L: expr.Column("r1", "f"), R: expr.Int(4)}, plan.NewScan("r1"))))
+	joined := plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "f"), Desc: true}}, -1,
 		plan.NewProject([]schema.Attribute{schema.Attr("r1", "f"), schema.Attr("r2", "x")}, false,
-			plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))), "")
+			plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))))
 	for pi, p := range []plan.Node{inOrder, joined} {
 		want, err := Run(p, db)
 		if err != nil {
@@ -573,7 +574,7 @@ func TestVectorizedAnnotatesEveryNode(t *testing.T) {
 	x := plan.SortKey{Attr: schema.Attr("r1", "x")}
 	db := plan.Database{"r1": sortedOn(t, raw["r1"], x), "r2": raw["r2"], "r3": raw["r3"]}
 	// A sort whose input is already in order returns that input.
-	plans := append(vecPlans(), plan.NewSortOrigin([]plan.SortKey{x}, -1, plan.NewScan("r1"), ""))
+	plans := append(vecPlans(), plan.NewSort([]plan.SortKey{x}, -1, plan.NewScan("r1")))
 	for pi, p := range plans {
 		_, ann, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, nil)
 		if err != nil {

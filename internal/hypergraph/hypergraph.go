@@ -61,8 +61,8 @@ type Hyperedge struct {
 	Origin *plan.Join
 }
 
-// Nodes returns From ∪ To.
-func (e *Hyperedge) Nodes() []string {
+// nodes returns From ∪ To.
+func (e *Hyperedge) nodes() []string {
 	out := append(append([]string(nil), e.From...), e.To...)
 	sort.Strings(out)
 	return out
@@ -233,14 +233,14 @@ func (h *Hypergraph) Connected(s map[string]bool, mode ConnectMode) bool {
 		switch mode {
 		case Strict:
 			inside := true
-			for _, n := range e.Nodes() {
+			for _, n := range e.nodes() {
 				if !s[n] {
 					inside = false
 					break
 				}
 			}
 			if inside {
-				nodes := e.Nodes()
+				nodes := e.nodes()
 				for _, n := range nodes[1:] {
 					uf.union(nodes[0], n)
 				}
@@ -394,11 +394,11 @@ func (h *Hypergraph) PresAway(e, away *Hyperedge) []string {
 		panic("hypergraph: PresAway of an undirected edge")
 	}
 	side1 := h.reach(nodeSet(e.From), func(x *Hyperedge) bool { return x != e })
-	if !intersects(away.Nodes(), side1) {
+	if !intersects(away.nodes(), side1) {
 		return sortedKeys(side1)
 	}
 	side2 := h.reach(nodeSet(e.To), func(x *Hyperedge) bool { return x != e })
-	if intersects(away.Nodes(), side2) {
+	if intersects(away.nodes(), side2) {
 		// `away` touches both sides; with the paper's simplicity
 		// assumption this cannot happen, but fall back to the full
 		// preserved union rather than guessing.
@@ -416,7 +416,7 @@ func (h *Hypergraph) CCOJ(h0 *Hyperedge) []*Hyperedge {
 	if h0.Kind != Undirected {
 		return nil
 	}
-	region := nodeSet(h0.Nodes())
+	region := nodeSet(h0.nodes())
 	var found []*Hyperedge
 	for changed := true; changed; {
 		changed = false
@@ -490,7 +490,7 @@ func (h *Hypergraph) Conf(h0 *Hyperedge) []*Hyperedge {
 			sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 			return out
 		}
-		return h.fullOuterFrontier(nodeSet(h0.Nodes()), h0)
+		return h.fullOuterFrontier(nodeSet(h0.nodes()), h0)
 	}
 }
 
@@ -559,7 +559,7 @@ func containsEdge(list []*Hyperedge, e *Hyperedge) bool {
 func (h *Hypergraph) IsAcyclic() bool {
 	edges := make([]map[string]bool, 0, len(h.Edges))
 	for _, e := range h.Edges {
-		edges = append(edges, nodeSet(e.Nodes()))
+		edges = append(edges, nodeSet(e.nodes()))
 	}
 	for changed := true; changed; {
 		changed = false

@@ -28,7 +28,7 @@ func q4() plan.Node {
 func findEdge(t *testing.T, h *Hypergraph, nodes ...string) *Hyperedge {
 	t.Helper()
 	for _, e := range h.Edges {
-		if reflect.DeepEqual(e.Nodes(), nodes) {
+		if reflect.DeepEqual(e.nodes(), nodes) {
 			return e
 		}
 	}

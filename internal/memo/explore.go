@@ -12,9 +12,9 @@ import (
 // task is one binding and the rules to apply to it: the canonical
 // expression and the ScopeNode rules, a one-slot binding and the
 // ScopeChild rules its operator kinds can match, or a pure join tree of
-// the group and the ScopeGroup rules. Tasks are generated in a
-// deterministic order against the pre-wave memo state, and the merge
-// ingests results in task order.
+// the group and the ScopeGroup rules. A wave's tasks are generated in
+// a deterministic order against the memo as the wave starts, and run
+// in that order.
 type task struct {
 	group   GroupID
 	from    exprID
@@ -30,9 +30,9 @@ type altResult struct {
 
 // Explore saturates the groups under the rule set: waves of bindings
 // are generated incrementally (per-expression consumed counters make
-// each binding appear exactly once across the whole run), rules are
-// applied to the whole wave against the pre-wave state, and results
-// are merged back in task order. The loop
+// each binding appear exactly once across the whole run), and each
+// binding's rule results are merged into the memo before the next
+// binding's rules run. The loop
 // reaches a fixpoint when a wave generates no bindings, or stops at
 // MaxExprs or a tripped expression budget (both cap the memo rather
 // than erroring — extraction still covers everything admitted). A
@@ -57,9 +57,9 @@ func (m *Memo) explore() error {
 	if m.charged < 0 {
 		m.charged = len(m.exprs)
 	}
-	// The task list and the result slots are reused from wave to wave.
+	// The task list and the result buffer are reused from wave to wave.
 	var tasks []task
-	var results [][]altResult
+	var results []altResult
 	for !m.capped {
 		if err := b.Cancelled(); err != nil {
 			return err
@@ -74,12 +74,12 @@ func (m *Memo) explore() error {
 		if reg != nil {
 			reg.Counter("memo.waves").Inc()
 		}
-		results = resize(results, len(tasks))
-		if err := m.apply(tasks, results); err != nil {
-			return err
-		}
-		for i, t := range tasks {
-			for _, alt := range results[i] {
+		for _, t := range tasks {
+			var err error
+			if results, err = m.applyOne(t, results[:0]); err != nil {
+				return err
+			}
+			for _, alt := range results {
 				m.addResult(t.group, alt.node, alt.rule, t.from)
 				// One result can admit several expressions (the
 				// operators it newly built get groups of their own),
@@ -262,28 +262,6 @@ func (m *Memo) markCapped(reason string) {
 	if reg := m.obs(); reg != nil {
 		reg.Counter("memo.capped").Inc()
 	}
-}
-
-// resize returns s with length n, keeping its storage — and, for the
-// result slots, the buffers earlier waves left in them — where it can.
-func resize[T any](s []T, n int) []T {
-	if n > cap(s) {
-		s = append(s[:cap(s)], make([]T, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-// apply runs the wave's rule applications into the per-task slots of
-// results, in task order. Each task reads only pre-wave memo state and
-// contains its own panics; the first failure aborts the wave.
-func (m *Memo) apply(tasks []task, results [][]altResult) error {
-	for i, t := range tasks {
-		var err error
-		if results[i], err = m.applyOne(t, results[i][:0]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // applyOne appends the results of t's rules on its binding to out.

@@ -62,8 +62,7 @@ import (
 type GroupID int
 
 // exprID names one expression globally (across groups), in admission
-// order. The exploration loop walks expressions by ascending id, which
-// is what makes serial and parallel runs produce identical memos.
+// order. The exploration loop walks expressions by ascending id.
 type exprID int
 
 // shape is an expression's identity. Its fields leave no padding, so

@@ -133,18 +133,8 @@ func (r *Recorder) Add(rec Record) Record {
 	return rec
 }
 
-// Len returns the number of records currently held.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Snapshot copies the held records, newest first.
-func (r *Recorder) Snapshot() []Record {
+// snapshot copies the held records, newest first.
+func (r *Recorder) snapshot() []Record {
 	if r == nil {
 		return nil
 	}
@@ -174,7 +164,7 @@ type dump struct {
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	d := dump{Records: []Record{}}
 	if r != nil {
-		records := r.Snapshot()
+		records := r.snapshot()
 		r.mu.Lock()
 		d.Capacity = len(r.ring)
 		d.Len = r.n

@@ -38,13 +38,13 @@ func TestRecorderBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Add(Record{Query: fmt.Sprintf("q%d", i)})
 	}
-	if r.Len() != 4 || len(r.ring) != 4 {
-		t.Fatalf("len/cap = %d/%d", r.Len(), len(r.ring))
+	if len(r.snapshot()) != 4 || len(r.ring) != 4 {
+		t.Fatalf("len/cap = %d/%d", len(r.snapshot()), len(r.ring))
 	}
 	if r.seq != 10 {
 		t.Fatalf("total = %d", r.seq)
 	}
-	snap := r.Snapshot()
+	snap := r.snapshot()
 	if len(snap) != 4 {
 		t.Fatalf("snapshot len = %d", len(snap))
 	}
@@ -70,7 +70,7 @@ func TestRecorderDefaultCapacity(t *testing.T) {
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Add(Record{Query: "q"})
-	if r.Len() != 0 || r.Snapshot() != nil {
+	if len(r.snapshot()) != 0 || r.snapshot() != nil {
 		t.Fatal("nil recorder not inert")
 	}
 	var buf bytes.Buffer
@@ -146,7 +146,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if n := len(r.Snapshot()); n > 16 {
+				if n := len(r.snapshot()); n > 16 {
 					t.Errorf("snapshot overflowed the ring: %d", n)
 					return
 				}
@@ -159,7 +159,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.seq != 2000 || r.Len() != 16 {
-		t.Fatalf("total/len = %d/%d", r.seq, r.Len())
+	if r.seq != 2000 || len(r.snapshot()) != 16 {
+		t.Fatalf("total/len = %d/%d", r.seq, len(r.snapshot()))
 	}
 }

@@ -48,8 +48,8 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // Add moves the value by n (either sign).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+// value returns the current value.
+func (g *Gauge) value() int64 { return g.v.Load() }
 
 // histBuckets is the fixed bucket count: bucket i holds values v with
 // 2^(i-1) <= v < 2^i (bucket 0 holds v <= 0 and v == 1 lands in
@@ -115,12 +115,6 @@ func bucketOf(v int64) int {
 	}
 	return bits.Len64(uint64(v))
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // mean returns the average observation, or 0 when empty.
 func (h *Histogram) mean() float64 {
@@ -359,7 +353,7 @@ func (r *Registry) Merge(src *Registry) {
 		case it.c != nil:
 			r.Counter(it.name).Add(it.c.Value())
 		case it.g != nil:
-			r.Gauge(it.name).Set(it.g.Value())
+			r.Gauge(it.name).Set(it.g.value())
 		default:
 			r.Histogram(it.name).merge(it.h)
 		}
@@ -424,7 +418,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if len(r.gauges) > 0 {
 		s.Gauges = make(map[string]int64, len(r.gauges))
 		for name, g := range r.gauges {
-			s.Gauges[name] = g.Value()
+			s.Gauges[name] = g.value()
 		}
 	}
 	if len(r.histograms) > 0 {

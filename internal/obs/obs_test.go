@@ -33,7 +33,7 @@ func TestObsConcurrentCounters(t *testing.T) {
 	if got := r.Counter("test.bulk").Value(); got != 3*workers*perWorker {
 		t.Errorf("bulk = %d, want %d", got, 3*workers*perWorker)
 	}
-	if got := r.Gauge("test.level").Value(); got != workers*perWorker {
+	if got := r.Gauge("test.level").value(); got != workers*perWorker {
 		t.Errorf("level = %d, want %d", got, workers*perWorker)
 	}
 }
@@ -190,3 +190,9 @@ func TestObsHistogramExtremes(t *testing.T) {
 		t.Errorf("q1 = %d, want MaxInt64", got)
 	}
 }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 { return h.count.Load() }
+
+// Sum returns the sum of all observations.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }

@@ -71,7 +71,7 @@ func (fr faultRun) query(t *testing.T, q plan.Node, db plan.Database) plan.Node 
 	}
 	for _, a := range s.Attrs() {
 		if !a.Virtual {
-			return plan.NewSortOrigin([]plan.SortKey{{Attr: a}}, -1, q, plan.SortOriginQuery)
+			return plan.NewSort([]plan.SortKey{{Attr: a}}, -1, q)
 		}
 	}
 	t.Fatalf("no sortable column in %s", q)

@@ -77,23 +77,13 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	if err := guard.Hit(guard.PointSimplify); err != nil {
 		return nil, err
 	}
-	// A root ORDER BY (a Sort without LIMIT) is not a logical operator
-	// to enumerate around: strip it, extract the order-free winner, and
-	// put it back as one enforcer Sort over that winner. Top-K sorts
-	// keep their node: the limit is part of the output.
-	var required plan.Order
-	inner := q
-	if s, ok := q.(*plan.Sort); ok && s.Limit < 0 && len(s.Keys) > 0 {
-		required = plan.Order(s.Keys)
-		inner = s.Input
-	}
 	type seed struct {
 		node   plan.Node
 		prefix []string
 	}
-	seeds := []seed{{node: inner}}
+	seeds := []seed{{node: q}}
 	endSimplify := phase("simplify")
-	if s := simplify.Simplify(inner); plan.Key(s) != plan.Key(inner) {
+	if s := simplify.Simplify(q); plan.Key(s) != plan.Key(q) {
 		seeds = append(seeds, seed{node: s, prefix: []string{"simplify-outer-joins"}})
 		reg.Counter("optimizer.simplified_seeds").Inc()
 	}
@@ -143,7 +133,7 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 		// A truncated memo may hold only expensive orders: offer the
 		// greedy left-deep order to the query's group, where it is
 		// priced at the same cardinalities as every other member.
-		if hp, ok := heuristicLeftDeep(inner, o.Est); ok {
+		if hp, ok := heuristicLeftDeep(q, o.Est); ok {
 			m.Offer(roots[0], hp, heuristicRule)
 		}
 	}
@@ -155,7 +145,7 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: extracting %s: %w", q, err)
 	}
-	origCost, ok, err := m.Price(roots[0], inner, sess)
+	origCost, ok, err := m.Price(roots[0], q, sess)
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: costing %s: %w", q, err)
 	}
@@ -164,20 +154,12 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 	}
 	estimates := make(map[plan.Node]stats.Estimate)
 	m.Estimates(best.Group, estimates)
-	bestPlan, bestCost := best.Plan, best.Cost
-	bestRows, origRows := m.Estimate(best.Group).Rows, m.Estimate(roots[0]).Rows
-	if len(required) > 0 {
-		bestPlan = sorted(best.Plan, required)
-		bestCost += o.Est.OpCost(bestPlan, bestRows, []float64{bestRows})
-		origCost += o.Est.OpCost(q, origRows, []float64{origRows})
-		estimates[bestPlan] = stats.Estimate{Rows: bestRows}
-	}
 	derivation := append(append([]string(nil), prefixes[best.Root]...), m.Derivation(best.Group)...)
 	endCost()
 
 	res = &Result{
-		Best:                Ranked{Plan: bestPlan, Cost: bestCost, Rows: bestRows, Derivation: derivation},
-		Original:            Ranked{Plan: q, Cost: origCost, Rows: origRows},
+		Best:                Ranked{Plan: best.Plan, Cost: best.Cost, Rows: m.Estimate(best.Group).Rows, Derivation: derivation},
+		Original:            Ranked{Plan: q, Cost: origCost, Rows: m.Estimate(roots[0]).Rows},
 		Considered:          considered,
 		RuleFirings:         m.RuleFirings(),
 		Phases:              phases,
@@ -185,19 +167,5 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 		FeedbackCorrections: int(sess.FeedbackHits()),
 		Estimates:           estimates,
 	}
-	if len(required) > 0 {
-		res.Order = &OrderInfo{Required: required, Enforced: 1}
-		reg.Counter("memo.order.enforced").Inc()
-	}
 	return res, nil
-}
-
-// sorted puts a root ORDER BY back over an order-free plan: one
-// enforcer Sort on the required keys, or p itself when none are
-// required.
-func sorted(p plan.Node, required plan.Order) plan.Node {
-	if len(required) == 0 {
-		return p
-	}
-	return plan.NewSortOrigin(append([]plan.SortKey(nil), required...), -1, p, plan.SortOriginEnforcer)
 }

@@ -96,22 +96,8 @@ type Result struct {
 	// Estimates maps every node of Best.Plan to the cardinality of the
 	// memo group it was extracted from: the rows the run priced it at,
 	// and the key a feedback correction for the group is recorded
-	// under ("" without Options.Feedback, for a base relation, and for
-	// the root ORDER BY's enforcer Sort).
+	// under ("" without Options.Feedback and for a base relation).
 	Estimates map[plan.Node]stats.Estimate
-	// Order reports how a root ORDER BY was satisfied: the required
-	// order and the enforcer sorts the best plan carries for it. Nil
-	// when the query required no order.
-	Order *OrderInfo
-}
-
-// OrderInfo is Result.Order: the provenance of a root sort
-// requirement.
-type OrderInfo struct {
-	Required plan.Order
-	// Enforced counts the enforcer Sort nodes in the best plan: the
-	// one root sort over the order-free winner.
-	Enforced int
 }
 
 // Optimizer ranks the equivalence class of a query by estimated cost.
@@ -150,9 +136,6 @@ func Explain(res *Result) string {
 	}
 	if res.FeedbackCorrections > 0 {
 		out += fmt.Sprintf("feedback:        corrected %d estimates\n", res.FeedbackCorrections)
-	}
-	if res.Order != nil {
-		out += fmt.Sprintf("order:           required %s (enforced %d)\n", res.Order.Required, res.Order.Enforced)
 	}
 	if len(res.Phases) > 0 {
 		parts := make([]string, len(res.Phases))

@@ -1,12 +1,11 @@
 // End-to-end pins for a root ORDER BY: whatever the physical order of
-// the base tables, the winner is exactly one enforcer sort at the root
-// over the order-free winner. Lives in the external package alongside
+// the base tables, the winner is exactly one sort at the root over the
+// order-free winner. Lives in the external package alongside
 // memo_test.go.
 package optimizer_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -60,68 +59,47 @@ func orderedJoinQuery() *plan.Sort {
 	j := plan.NewJoin(plan.InnerJoin, expr.EqCols("l", "k", "r", "k"),
 		plan.NewScan("l"), plan.NewScan("r"))
 	keys := []plan.SortKey{{Attr: schema.Attr("l", "k")}}
-	return plan.NewSortOrigin(keys, -1, j, plan.SortOriginQuery)
+	return plan.NewSort(keys, -1, j)
 }
 
-func optimizeOrdered(t *testing.T, q plan.Node, db plan.Database) (*optimizer.Result, map[string]int64) {
+func optimizeOrdered(t *testing.T, q plan.Node, db plan.Database) *optimizer.Result {
 	t.Helper()
-	reg := obs.NewRegistry()
-	est := stats.NewEstimator(stats.FromDatabase(db))
-	o := optimizer.New(est)
-	o.Opts.Obs = reg
+	o := optimizer.New(stats.NewEstimator(stats.FromDatabase(db)))
+	o.Opts.Obs = obs.NewRegistry()
 	res, err := o.Optimize(q, db)
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
-	return res, reg.Snapshot().Counters
+	return res
 }
 
-// countSorts walks a plan counting Sort nodes by origin.
-func countSorts(n plan.Node) (enforcer, query, other int) {
-	plan.Walk(n, func(m plan.Node) {
-		if s, ok := m.(*plan.Sort); ok {
-			switch s.Origin {
-			case plan.SortOriginEnforcer:
-				enforcer++
-			case plan.SortOriginQuery:
-				query++
-			default:
-				other++
-			}
-		}
-	})
-	return
-}
-
-// checkRootSort pins the one rule: res's winner is an enforcer sort on
-// q's keys at the root, no other sort anywhere, over exactly the plan
-// the optimizer picks for q without its ORDER BY; Result.Order, the
-// counters and EXPLAIN report the one enforcer; and the winner returns
-// q's rows, in order, on the row engine and the columnar engine alike.
+// checkRootSort pins the one rule for a root ORDER BY, with or
+// without LIMIT: res's winner is one sort at the root, on q's keys and
+// limit, with no other sort anywhere, over exactly the plan the
+// optimizer picks for q without its sort; and the winner returns q's
+// rows in order on the row engine and the columnar engine alike — the
+// same rows as a multiset without a limit, the same key values row by
+// row with one.
 func checkRootSort(t *testing.T, q *plan.Sort, db plan.Database) {
 	t.Helper()
-	res, counters := optimizeOrdered(t, q, db)
+	res := optimizeOrdered(t, q, db)
 	root, ok := res.Best.Plan.(*plan.Sort)
-	if !ok || root.Origin != plan.SortOriginEnforcer || root.Limit >= 0 {
-		t.Fatalf("winner root is not an enforcer sort:\n%s", plan.Indent(res.Best.Plan))
+	if !ok || fmt.Sprint(root.Keys) != fmt.Sprint(q.Keys) || root.Limit != q.Limit {
+		t.Fatalf("winner root is not the query's sort:\n%s", plan.Indent(res.Best.Plan))
 	}
-	if enf, qry, other := countSorts(res.Best.Plan); enf != 1 || qry != 0 || other != 0 {
-		t.Fatalf("want one sort in the plan, got enforcer=%d query=%d other=%d:\n%s",
-			enf, qry, other, plan.Indent(res.Best.Plan))
+	sorts := 0
+	plan.Walk(res.Best.Plan, func(m plan.Node) {
+		if _, ok := m.(*plan.Sort); ok {
+			sorts++
+		}
+	})
+	if sorts != 1 {
+		t.Fatalf("want one sort in the plan, got %d:\n%s", sorts, plan.Indent(res.Best.Plan))
 	}
-	free, _ := optimizeOrdered(t, q.Input, db)
+	free := optimizeOrdered(t, q.Input, db)
 	if plan.Key(root.Input) != plan.Key(free.Best.Plan) {
 		t.Fatalf("sorted plan is not the order-free winner:\n%s\nwant under the sort:\n%s",
 			plan.Indent(root.Input), plan.Indent(free.Best.Plan))
-	}
-	if res.Order == nil || res.Order.Enforced != 1 || fmt.Sprint(res.Order.Required) != fmt.Sprint(plan.Order(q.Keys)) {
-		t.Fatalf("Result.Order = %+v, want required %v enforced 1", res.Order, q.Keys)
-	}
-	if counters["memo.order.enforced"] != 1 {
-		t.Errorf("memo.order.enforced = %d, want 1", counters["memo.order.enforced"])
-	}
-	if !strings.Contains(optimizer.Explain(res), "(enforced 1)") {
-		t.Errorf("EXPLAIN lacks the enforcer provenance:\n%s", optimizer.Explain(res))
 	}
 	if err := plan.Validate(res.Best.Plan, db); err != nil {
 		t.Fatalf("winner fails validation: %v\n%s", err, plan.Indent(res.Best.Plan))
@@ -139,21 +117,17 @@ func checkRootSort(t *testing.T, q *plan.Sort, db plan.Database) {
 		t.Fatalf("executing winner columnar: %v", err)
 	}
 	for engine, got := range map[string]*relation.Relation{"Run": ran, "Exec": col.ToRelation()} {
-		if !got.EqualAsMultisets(want) {
+		if q.Limit < 0 && !got.EqualAsMultisets(want) {
 			t.Fatalf("%s: winner output differs from reference as a multiset", engine)
 		}
-		for i := 1; i < got.Len(); i++ {
+		if got.Len() != want.Len() {
+			t.Fatalf("%s: winner returned %d rows, want %d", engine, got.Len(), want.Len())
+		}
+		for i := 0; i < got.Len(); i++ {
 			for _, k := range q.Keys {
-				ki := got.Schema().IndexOf(k.Attr)
-				c := plan.CompareForSort(got.Tuple(i - 1)[ki], got.Tuple(i)[ki])
-				if k.Desc {
-					c = -c
-				}
-				if c > 0 {
-					t.Fatalf("%s: output not sorted on %s at row %d", engine, k, i)
-				}
-				if c < 0 {
-					break
+				gi, wi := got.Schema().IndexOf(k.Attr), want.Schema().IndexOf(k.Attr)
+				if plan.CompareForSort(got.Tuple(i)[gi], want.Tuple(i)[wi]) != 0 {
+					t.Fatalf("%s: row %d has %s = %v, want %v", engine, i, k, got.Tuple(i)[gi], want.Tuple(i)[wi])
 				}
 			}
 		}
@@ -187,14 +161,14 @@ func TestOrderBySortedInputsIsOneRootSort(t *testing.T) {
 				{Func: algebra.Sum, Arg: expr.Column("s", "v"), Out: schema.Attr("q", "s"), NullIfEmpty: true},
 			},
 			plan.NewScan("s"))
-		checkRootSort(t, plan.NewSortOrigin([]plan.SortKey{{Attr: k}}, -1, g, plan.SortOriginQuery), db)
+		checkRootSort(t, plan.NewSort([]plan.SortKey{{Attr: k}}, -1, g), db)
 	})
 }
 
-// TestOrderEnforcedOnUnsortedInputs: with unsorted base tables the
-// winner is the same shape — one root enforcer over the order-free
+// TestOrderByUnsortedInputsIsOneRootSort: with unsorted base tables the
+// winner is the same shape — one root sort over the order-free
 // winner — and its rows come back in order.
-func TestOrderEnforcedOnUnsortedInputs(t *testing.T) {
+func TestOrderByUnsortedInputsIsOneRootSort(t *testing.T) {
 	db := plan.Database{
 		"l": shuffledRel("l", 40, 2),
 		"r": shuffledRel("r", 40, 3),
@@ -204,7 +178,7 @@ func TestOrderEnforcedOnUnsortedInputs(t *testing.T) {
 
 // TestOrderEnforcerAtRootForThetaJoin: a non-equi join, sorted
 // descending on one key and ascending on the next, gets the same one
-// root enforcer.
+// root sort.
 func TestOrderEnforcerAtRootForThetaJoin(t *testing.T) {
 	db := plan.Database{
 		"l": shuffledRel("l", 10, 2),
@@ -213,12 +187,11 @@ func TestOrderEnforcerAtRootForThetaJoin(t *testing.T) {
 	pred := expr.Cmp{Op: value.LT, L: expr.Column("l", "k"), R: expr.Column("r", "k")}
 	j := plan.NewJoin(plan.InnerJoin, pred, plan.NewScan("l"), plan.NewScan("r"))
 	keys := []plan.SortKey{{Attr: schema.Attr("l", "k"), Desc: true}, {Attr: schema.Attr("r", "v")}}
-	checkRootSort(t, plan.NewSortOrigin(keys, -1, j, plan.SortOriginQuery), db)
+	checkRootSort(t, plan.NewSort(keys, -1, j), db)
 }
 
-// TestOrderTopKKeepsRootSort: ORDER BY ... LIMIT k is not stripped
-// into a required property — the top-K sort stays at the root and the
-// plan below optimizes order-free.
+// TestOrderTopKKeepsRootSort: ORDER BY ... LIMIT k plans the same way
+// — the top-K sort at the root over the order-free winner.
 func TestOrderTopKKeepsRootSort(t *testing.T) {
 	db := plan.Database{
 		"l": orderedRel("l", 40, 2),
@@ -226,43 +199,17 @@ func TestOrderTopKKeepsRootSort(t *testing.T) {
 	}
 	j := plan.NewJoin(plan.InnerJoin, expr.EqCols("l", "k", "r", "k"),
 		plan.NewScan("l"), plan.NewScan("r"))
-	keys := []plan.SortKey{{Attr: schema.Attr("l", "k")}}
-	q := plan.NewSortOrigin(keys, 5, j, plan.SortOriginQuery)
-	res, counters := optimizeOrdered(t, q, db)
-
-	if res.Order != nil {
-		t.Fatalf("top-K query should not set Result.Order, got %+v", res.Order)
-	}
-	if counters["memo.order.enforced"] != 0 {
-		t.Errorf("memo.order.enforced = %d, want 0", counters["memo.order.enforced"])
-	}
-	root, ok := res.Best.Plan.(*plan.Sort)
-	if !ok {
-		t.Fatalf("top-K winner root is %T, want *plan.Sort:\n%s", res.Best.Plan, plan.Indent(res.Best.Plan))
-	}
-	if root.Limit != 5 {
-		t.Fatalf("root sort limit = %d, want 5", root.Limit)
-	}
-	got, err := executor.Run(res.Best.Plan, db)
-	if err != nil {
-		t.Fatalf("executing winner: %v", err)
-	}
-	if got.Len() != 5 {
-		t.Fatalf("top-K returned %d rows, want 5", got.Len())
-	}
+	checkRootSort(t, plan.NewSort([]plan.SortKey{{Attr: schema.Attr("l", "k")}}, 5, j), db)
 }
 
-// TestOrderFreeQueriesUnchanged: queries without a root ORDER BY must
-// be untouched by the order rule — no Order info (their best cost is
-// pinned against the saturate-and-rank oracle by
-// TestMemoMatchesSaturate; this pins the counters stay silent).
+// TestOrderFreeQueriesUnchanged: a query without a root ORDER BY gets
+// no sort (its best cost is pinned against the saturate-and-rank
+// oracle by TestMemoMatchesSaturate).
 func TestOrderFreeQueriesUnchanged(t *testing.T) {
-	db := memoTestDB(3)
-	res, counters := optimizeOrdered(t, memoQuery2(), db)
-	if res.Order != nil {
-		t.Fatalf("order-free query set Result.Order: %+v", res.Order)
-	}
-	if c := counters["memo.order.enforced"]; c != 0 {
-		t.Errorf("memo.order.enforced = %d, want 0 on an order-free query", c)
-	}
+	res := optimizeOrdered(t, memoQuery2(), memoTestDB(3))
+	plan.Walk(res.Best.Plan, func(m plan.Node) {
+		if _, ok := m.(*plan.Sort); ok {
+			t.Fatalf("order-free query planned a sort:\n%s", plan.Indent(res.Best.Plan))
+		}
+	})
 }

@@ -127,7 +127,7 @@ func bindNode(n Node, leaf func(expr.Scalar) expr.Scalar) (Node, bool) {
 		if !ic {
 			return x, false
 		}
-		out := NewSortOrigin(x.Keys, x.Limit, in, x.Origin)
+		out := NewSort(x.Keys, x.Limit, in)
 		out.shareShape(&x.fpCache)
 		return out, true
 	default:

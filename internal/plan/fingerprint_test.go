@@ -30,7 +30,7 @@ func TestKeyMatchesString(t *testing.T) {
 			t.Errorf("Key(%T) = %q, String = %q", n, Key(n), n.String())
 		}
 	})
-	srt := NewSortOrigin([]SortKey{{Attr: schema.Attr("r1", "x")}}, 3, NewScan("r1"), "")
+	srt := NewSort([]SortKey{{Attr: schema.Attr("r1", "x")}}, 3, NewScan("r1"))
 	if Key(srt) != srt.String() {
 		t.Errorf("Sort Key %q != String %q", Key(srt), srt.String())
 	}

@@ -240,8 +240,8 @@ func TestLabel(t *testing.T) {
 		{NewMGOJ(p, []PreservedSpec{NewPreserved("r2")}, r1, r2), "MGOJ r1.x = r2.x preserving [r2]"},
 		{NewGroupBy([]schema.Attribute{x}, []algebra.Aggregate{sum}, r1), "GroupBy [r1.x] aggs [" + sum.String() + "]"},
 		{NewProject([]schema.Attribute{x}, true, r1), "Project [r1.x] distinct=true"},
-		{NewSortOrigin(key, -1, r1, ""), "Sort [" + key[0].String() + ", " + key[1].String() + "]"},
-		{NewSortOrigin(key[1:], 5, r1, "enforcer"), "Sort [" + key[1].String() + "] limit 5 (enforcer)"},
+		{NewSort(key, -1, r1), "Sort [" + key[0].String() + ", " + key[1].String() + "]"},
+		{NewSort(key[1:], 5, r1), "Sort [" + key[1].String() + "] limit 5"},
 	} {
 		if got := label(c.n); got != c.want {
 			t.Errorf("Label = %q, want %q", got, c.want)

@@ -25,53 +25,22 @@ func (k SortKey) String() string {
 	return k.Attr.String()
 }
 
-// Order is a sort requirement: lexicographic by the keys, NULLs last
-// ascending (first descending) — exactly the comparator SortRows
-// applies.
-type Order []SortKey
-
-// String renders e.g. "[t.a, t.b desc]".
-func (o Order) String() string {
-	parts := make([]string, len(o))
-	for i, k := range o {
-		parts[i] = k.String()
-	}
-	return "[" + strings.Join(parts, ", ") + "]"
-}
-
-// Sort origins, carried for EXPLAIN provenance: who asked for this
-// sort. The zero value ("") renders as nothing, keeping plans that
-// never met the optimizer unchanged.
-const (
-	// SortOriginQuery marks a sort the query text required (ORDER BY).
-	SortOriginQuery = "query"
-	// SortOriginEnforcer marks the root sort the optimizer places over
-	// the order-free winner to establish a root ORDER BY.
-	SortOriginEnforcer = "enforcer"
-)
-
 // Sort orders its input by the keys and optionally keeps only the
 // first Limit rows (Limit < 0 means no limit). Lowering places it at
-// the root for ORDER BY/LIMIT and the reordering rules pass over it
-// untouched; the optimizer strips a root ORDER BY before enumeration
-// and re-injects it as an enforcer over the order-free winner.
+// the root for ORDER BY/LIMIT; the optimizer prices it as one memo
+// expression over the query's group, and the reordering rules pass
+// over it untouched.
 type Sort struct {
 	Keys  []SortKey
 	Limit int
-	// Origin records provenance for EXPLAIN (SortOriginQuery,
-	// SortOriginEnforcer, or ""). It is excluded from the fingerprint:
-	// two sorts with the same keys are the same operator regardless of
-	// who asked for them.
-	Origin string
-	Input  Node
+	Input Node
 
 	fpCache
 }
 
-// NewSortOrigin builds a sort node recording its provenance; limit < 0
-// disables the limit.
-func NewSortOrigin(keys []SortKey, limit int, in Node, origin string) *Sort {
-	return &Sort{Keys: keys, Limit: limit, Origin: origin, Input: in}
+// NewSort builds a sort node; limit < 0 disables the limit.
+func NewSort(keys []SortKey, limit int, in Node) *Sort {
+	return &Sort{Keys: keys, Limit: limit, Input: in}
 }
 
 // Children implements Node.
@@ -82,7 +51,7 @@ func (s *Sort) WithChildren(ch []Node) Node {
 	if len(ch) != 1 {
 		panic("plan: Sort needs one child")
 	}
-	return &Sort{Keys: s.Keys, Limit: s.Limit, Origin: s.Origin, Input: ch[0]}
+	return &Sort{Keys: s.Keys, Limit: s.Limit, Input: ch[0]}
 }
 
 // Schema implements Node.

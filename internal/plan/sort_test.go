@@ -25,46 +25,46 @@ func sortInput() Database {
 
 func TestSortAscNullsLast(t *testing.T) {
 	db := sortInput()
-	s := NewSortOrigin([]SortKey{{Attr: schema.Attr("t", "a")}}, -1, NewScan("t"), "")
+	s := NewSort([]SortKey{{Attr: schema.Attr("t", "a")}}, -1, NewScan("t"))
 	out, err := s.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := schema.Attr("t", "a")
-	if out.Value(out.Tuple(0), a).Int() != 1 || !out.Value(out.Tuple(3), a).IsNull() {
+	if out.Tuple(0)[out.Schema().IndexOf(a)].Int() != 1 || !out.Tuple(3)[out.Schema().IndexOf(a)].IsNull() {
 		t.Errorf("asc nulls-last wrong:\n%s", out)
 	}
-	if sc, _ := s.Schema(db); !sc.Equal(db["t"].Schema()) {
+	if sc, _ := s.Schema(db); !slices.Equal(sc.Attrs(), db["t"].Schema().Attrs()) {
 		t.Error("sort schema must pass through")
 	}
 }
 
 func TestSortDescAndTieBreak(t *testing.T) {
 	db := sortInput()
-	s := NewSortOrigin([]SortKey{
+	s := NewSort([]SortKey{
 		{Attr: schema.Attr("t", "a"), Desc: true},
 		{Attr: schema.Attr("t", "b")},
-	}, -1, NewScan("t"), "")
+	}, -1, NewScan("t"))
 	out, err := s.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := schema.Attr("t", "a"), schema.Attr("t", "b")
 	// Desc: NULL first, then 3, then the two 1s tie-broken by b asc.
-	if !out.Value(out.Tuple(0), a).IsNull() {
+	if !out.Tuple(0)[out.Schema().IndexOf(a)].IsNull() {
 		t.Errorf("desc nulls-first wrong:\n%s", out)
 	}
-	if out.Value(out.Tuple(1), a).Int() != 3 {
+	if out.Tuple(1)[out.Schema().IndexOf(a)].Int() != 3 {
 		t.Errorf("desc order wrong:\n%s", out)
 	}
-	if out.Value(out.Tuple(2), b).Str() != "a" || out.Value(out.Tuple(3), b).Str() != "z" {
+	if out.Tuple(2)[out.Schema().IndexOf(b)].Str() != "a" || out.Tuple(3)[out.Schema().IndexOf(b)].Str() != "z" {
 		t.Errorf("tie break wrong:\n%s", out)
 	}
 }
 
 func TestSortLimit(t *testing.T) {
 	db := sortInput()
-	s := NewSortOrigin([]SortKey{{Attr: schema.Attr("t", "a")}}, 2, NewScan("t"), "")
+	s := NewSort([]SortKey{{Attr: schema.Attr("t", "a")}}, 2, NewScan("t"))
 	out, err := s.Eval(db)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestSortLimit(t *testing.T) {
 		t.Errorf("String = %q", s.String())
 	}
 	// Limit larger than input is a no-op.
-	s2 := NewSortOrigin(nil, 100, NewScan("t"), "")
+	s2 := NewSort(nil, 100, NewScan("t"))
 	out2, err := s2.Eval(db)
 	if err != nil {
 		t.Fatal(err)
@@ -88,11 +88,11 @@ func TestSortLimit(t *testing.T) {
 
 func TestSortErrorsAndWithChildren(t *testing.T) {
 	db := sortInput()
-	bad := NewSortOrigin([]SortKey{{Attr: schema.Attr("t", "nosuch")}}, -1, NewScan("t"), "")
+	bad := NewSort([]SortKey{{Attr: schema.Attr("t", "nosuch")}}, -1, NewScan("t"))
 	if _, err := bad.Eval(db); err == nil {
 		t.Error("missing sort key must fail")
 	}
-	s := NewSortOrigin([]SortKey{{Attr: schema.Attr("t", "a")}}, -1, NewScan("t"), "")
+	s := NewSort([]SortKey{{Attr: schema.Attr("t", "a")}}, -1, NewScan("t"))
 	if len(s.Children()) != 1 {
 		t.Error("Children wrong")
 	}
@@ -115,7 +115,7 @@ func TestSortMixedKindsDeterministic(t *testing.T) {
 		Row(value.NewString("a")).
 		Relation()
 	db := Database{"m": r}
-	s := NewSortOrigin([]SortKey{{Attr: schema.Attr("m", "v")}}, -1, NewScan("m"), "")
+	s := NewSort([]SortKey{{Attr: schema.Attr("m", "v")}}, -1, NewScan("m"))
 	out1, err := s.Eval(db)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestNodeStringsAndEvalCoverage(t *testing.T) {
 		t.Errorf("groupby String = %q", gb)
 	}
 
-	sorted := NewSortOrigin([]SortKey{{Attr: schema.Attr("r1", "x"), Desc: true}}, 1, NewScan("r1"), "")
+	sorted := NewSort([]SortKey{{Attr: schema.Attr("r1", "x"), Desc: true}}, 1, NewScan("r1"))
 	text := Indent(sorted)
 	if !strings.Contains(text, "Sort") || !strings.Contains(text, "limit 1") {
 		t.Errorf("Indent(Sort) = %q", text)
@@ -210,7 +210,7 @@ func TestNodeStringsAndEvalCoverage(t *testing.T) {
 		NewProject(nil, false, NewScan("nosuch")),
 		NewGenSel(p, nil, NewScan("nosuch")),
 		NewGroupBy(nil, nil, NewScan("nosuch")),
-		NewSortOrigin(nil, -1, NewScan("nosuch"), ""),
+		NewSort(nil, -1, NewScan("nosuch")),
 		NewMGOJ(p, nil, NewScan("nosuch"), NewScan("r1")),
 		NewMGOJ(p, nil, NewScan("r1"), NewScan("nosuch")),
 		NewJoin(InnerJoin, p, NewScan("nosuch"), NewScan("r1")),

@@ -21,7 +21,7 @@ func TestValidateAcceptsWellFormed(t *testing.T) {
 			[]PreservedSpec{NewPreserved("r1")}, NewScan("r1"), NewScan("r2")),
 		NewProject([]schema.Attribute{schema.Attr("r1", "x")}, true, join),
 		NewProject([]schema.Attribute{schema.RID("r1")}, false, NewScan("r1")),
-		NewSortOrigin([]SortKey{{Attr: schema.Attr("r1", "y")}}, 1, join, ""),
+		NewSort([]SortKey{{Attr: schema.Attr("r1", "y")}}, 1, join),
 	}
 	for _, p := range plans {
 		if err := Validate(p, db); err != nil {
@@ -59,7 +59,7 @@ func TestValidateRejections(t *testing.T) {
 			NewProject([]schema.Attribute{schema.Attr("r1", "nope")}, false, join),
 			"projected attribute"},
 		{"sort key missing",
-			NewSortOrigin([]SortKey{{Attr: schema.Attr("r2", "nope")}}, -1, join, ""),
+			NewSort([]SortKey{{Attr: schema.Attr("r2", "nope")}}, -1, join),
 			"sort key"},
 		{"group key missing",
 			NewGroupBy([]schema.Attribute{schema.Attr("r1", "nope")}, nil, join),

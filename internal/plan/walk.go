@@ -105,9 +105,6 @@ func label(n Node) string {
 		if m.Limit >= 0 {
 			s += fmt.Sprintf(" limit %d", m.Limit)
 		}
-		if m.Origin != "" {
-			s += " (" + m.Origin + ")"
-		}
 		return s
 	default:
 		return n.String()

@@ -253,31 +253,6 @@ func (c *Cache) insert(e *Entry) {
 	c.entriesGauge.Set(int64(n))
 }
 
-// Lookup returns the cached entry without building on a miss.
-func (c *Cache) Lookup(key string) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*Entry), true
-	}
-	return nil, false
-}
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Bytes returns the cache's current charged footprint.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 // Entries snapshots every cached entry, sorted by key — the
 // /debug/cache detail listing. The returned slice is fresh but the
 // *Entry values are the live (immutable) cache entries.

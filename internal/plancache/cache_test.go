@@ -358,3 +358,28 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		t.Fatalf("byte accounting drifted above budget: %d", got)
 	}
 }
+
+// Lookup returns the cached entry without building on a miss.
+func (c *Cache) Lookup(key string) (*Entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
+		return el.Value.(*Entry), true
+	}
+	return nil, false
+}
+
+// Len returns the number of cached entries.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
+// Bytes returns the cache's current charged footprint.
+func (c *Cache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}

@@ -17,21 +17,21 @@ func TestFromCSVTypes(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("rows = %d", r.Len())
 	}
-	id := r.Value(r.Tuple(0), schema.Attr("t", "id"))
+	id := r.Tuple(0)[r.Schema().IndexOf(schema.Attr("t", "id"))]
 	if id.Kind() != value.KindInt || id.Int() != 1 {
 		t.Errorf("id[0] = %v (%v)", id, id.Kind())
 	}
-	score := r.Value(r.Tuple(0), schema.Attr("t", "score"))
+	score := r.Tuple(0)[r.Schema().IndexOf(schema.Attr("t", "score"))]
 	if score.Kind() != value.KindFloat || score.Float() != 2.5 {
 		t.Errorf("score[0] = %v", score)
 	}
-	if !r.Value(r.Tuple(1), schema.Attr("t", "score")).IsNull() {
+	if !r.Tuple(1)[r.Schema().IndexOf(schema.Attr("t", "score"))].IsNull() {
 		t.Error("empty cell must be NULL")
 	}
-	if !r.Value(r.Tuple(2), schema.Attr("t", "id")).IsNull() {
+	if !r.Tuple(2)[r.Schema().IndexOf(schema.Attr("t", "id"))].IsNull() {
 		t.Error("empty id must be NULL")
 	}
-	name := r.Value(r.Tuple(0), schema.Attr("t", "name"))
+	name := r.Tuple(0)[r.Schema().IndexOf(schema.Attr("t", "name"))]
 	if name.Kind() != value.KindString || name.Str() != "ada" {
 		t.Errorf("name[0] = %v", name)
 	}
@@ -42,7 +42,7 @@ func TestFromCSVMixedBecomesString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Value(r.Tuple(0), schema.Attr("t", "v")); got.Kind() != value.KindString {
+	if got := r.Tuple(0)[r.Schema().IndexOf(schema.Attr("t", "v"))]; got.Kind() != value.KindString {
 		t.Errorf("mixed column must fall back to string, got %v", got.Kind())
 	}
 }

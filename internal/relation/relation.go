@@ -27,18 +27,6 @@ type Tuple []value.Value
 // Clone returns a copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
-// Key returns a string identity key over all values, used for set
-// difference and duplicate elimination. Two tuples have equal keys
-// iff value.Equal holds pointwise (NULL identical to NULL).
-func (t Tuple) Key() string {
-	var b strings.Builder
-	for _, v := range t {
-		k := v.Key()
-		fmt.Fprintf(&b, "%d:%s|", len(k), k)
-	}
-	return b.String()
-}
-
 // Hash64 returns an allocation-free, order-sensitive 64-bit hash of
 // the whole tuple, consistent with EqualTuple: equal tuples hash
 // equal. Unequal tuples may collide (value.Hash64 merges numeric
@@ -69,8 +57,8 @@ func (t Tuple) HashOn(idx []int) (h uint64, ok bool) {
 }
 
 // EqualTuple reports pointwise value.Equal between t and o (NULL
-// identical to NULL) — the identity equality behind Key, used to
-// verify Hash64 bucket hits.
+// identical to NULL) — the tuple identity, used to verify Hash64
+// bucket hits.
 func (t Tuple) EqualTuple(o Tuple) bool {
 	if len(t) != len(o) {
 		return false
@@ -251,16 +239,6 @@ func (r *Relation) AppendAll(ts []Tuple) {
 	}
 	r.tuples = append(r.tuples, ts...)
 	r.dropImage()
-}
-
-// Value returns the value of attribute a in tuple t of this
-// relation's schema; it panics if a is absent.
-func (r *Relation) Value(t Tuple, a schema.Attribute) value.Value {
-	i := r.schema.IndexOf(a)
-	if i < 0 {
-		panic(fmt.Sprintf("relation: attribute %s not in schema %s", a, r.schema))
-	}
-	return t[i]
 }
 
 // Builder assembles a base relation with automatically assigned
@@ -501,10 +479,10 @@ func (r *Relation) SortForDisplay() {
 	})
 }
 
-// Format renders the relation as an aligned text table. When
+// format renders the relation as an aligned text table. When
 // showVirtual is false, virtual (row id) columns are hidden — the
 // paper's example tables show only real attributes.
-func (r *Relation) Format(showVirtual bool) string {
+func (r *Relation) format(showVirtual bool) string {
 	var cols []int
 	for i := 0; i < r.schema.Len(); i++ {
 		if showVirtual || !r.schema.At(i).Virtual {
@@ -549,4 +527,4 @@ func (r *Relation) Format(showVirtual bool) string {
 }
 
 // String renders the relation with virtual columns hidden.
-func (r *Relation) String() string { return r.Format(false) }
+func (r *Relation) String() string { return r.format(false) }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -25,7 +26,7 @@ func TestBuilderAssignsRIDs(t *testing.T) {
 	rid := schema.RID("r")
 	seen := map[int64]bool{}
 	for _, tu := range r.Tuples() {
-		id := r.Value(tu, rid).Int()
+		id := tu[r.Schema().IndexOf(rid)].Int()
 		if seen[id] {
 			t.Fatalf("duplicate rid %d", id)
 		}
@@ -91,10 +92,10 @@ func TestOuterUnionPadsNulls(t *testing.T) {
 	if u.Len() != 2 || u.Schema().Len() != 4 {
 		t.Fatalf("outer union shape: %d rows, schema %s", u.Len(), u.Schema())
 	}
-	if !u.Value(u.Tuple(0), schema.Attr("r2", "b")).IsNull() {
+	if !u.Tuple(0)[u.Schema().IndexOf(schema.Attr("r2", "b"))].IsNull() {
 		t.Error("r1 row must be padded on r2 attributes")
 	}
-	if !u.Value(u.Tuple(1), schema.Attr("r1", "a")).IsNull() {
+	if !u.Tuple(1)[u.Schema().IndexOf(schema.Attr("r1", "a"))].IsNull() {
 		t.Error("r2 row must be padded on r1 attributes")
 	}
 }
@@ -137,11 +138,11 @@ func TestEqualDifferentSchemas(t *testing.T) {
 
 func TestFormatHidesVirtual(t *testing.T) {
 	r := sample()
-	withOut := r.Format(false)
+	withOut := r.format(false)
 	if strings.Contains(withOut, "#rid") {
 		t.Error("Format(false) must hide row ids")
 	}
-	withRid := r.Format(true)
+	withRid := r.format(true)
 	if !strings.Contains(withRid, "#rid") {
 		t.Error("Format(true) must show row ids")
 	}
@@ -185,10 +186,10 @@ func TestPadToProperty(t *testing.T) {
 			return false
 		}
 		for i, tu := range padded.Tuples() {
-			if !padded.Value(tu, schema.Attr("s", "x")).IsNull() {
+			if !tu[padded.Schema().IndexOf(schema.Attr("s", "x"))].IsNull() {
 				return false
 			}
-			if !value.Equal(padded.Value(tu, schema.Attr("r", "a")), r.Value(r.Tuple(i), schema.Attr("r", "a"))) {
+			if !value.Equal(tu[padded.Schema().IndexOf(schema.Attr("r", "a"))], r.Tuple(i)[r.Schema().IndexOf(schema.Attr("r", "a"))]) {
 				return false
 			}
 		}
@@ -316,4 +317,17 @@ func TestImageBuiltOnceAndDropped(t *testing.T) {
 	if got := r.Image(build).(int); got != 4 || builds.Load() != 3 {
 		t.Fatalf("after AppendAll: image %d after %d builds, want 4 after 3", got, builds.Load())
 	}
+}
+
+// Key returns a string identity key over all values: two tuples have
+// equal keys iff value.Equal holds pointwise (NULL identical to NULL).
+// It is the reference the hash and equality identities are checked
+// against.
+func (t Tuple) Key() string {
+	var b strings.Builder
+	for _, v := range t {
+		k := v.Key()
+		fmt.Fprintf(&b, "%d:%s|", len(k), k)
+	}
+	return b.String()
 }

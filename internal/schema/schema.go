@@ -14,7 +14,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -131,17 +130,6 @@ func (s *Schema) Concat(other *Schema) *Schema {
 	return New(attrs...)
 }
 
-// Project returns the sub-schema containing exactly the given
-// attributes, in the given order. It panics if any is absent.
-func (s *Schema) Project(attrs ...Attribute) *Schema {
-	for _, a := range attrs {
-		if !s.Contains(a) {
-			panic(fmt.Sprintf("schema: project on missing attribute %s", a))
-		}
-	}
-	return New(attrs...)
-}
-
 // AttrsOfRels returns, in schema order, all attributes (real and
 // virtual) whose qualifying relation is in rels.
 func (s *Schema) AttrsOfRels(rels map[string]bool) []Attribute {
@@ -152,35 +140,6 @@ func (s *Schema) AttrsOfRels(rels map[string]bool) []Attribute {
 		}
 	}
 	return out
-}
-
-// Rels returns the sorted set of relation names qualifying the
-// schema's attributes.
-func (s *Schema) Rels() []string {
-	set := make(map[string]bool)
-	for _, a := range s.attrs {
-		set[a.Rel] = true
-	}
-	out := make([]string, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Equal reports whether the two schemas list the same attributes in
-// the same order.
-func (s *Schema) Equal(other *Schema) bool {
-	if s.Len() != other.Len() {
-		return false
-	}
-	for i, a := range s.attrs {
-		if other.attrs[i] != a {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the schema as (a, b, …).

@@ -166,6 +166,14 @@ func walk(n plan.Node, reject attrSet) plan.Node {
 			return m
 		}
 		return plan.NewProject(m.Attrs, m.Distinct, in)
+	case *plan.Sort:
+		// A sort neither adds nor removes rows (a limit only drops
+		// some), so a row rejected above it is rejected below it.
+		in := walk(m.Input, reject)
+		if in == m.Input {
+			return m
+		}
+		return plan.NewSort(m.Keys, m.Limit, in)
 	default:
 		return n
 	}

@@ -422,10 +422,7 @@ func (l *lowerer) finishBlock(stmt *SelectStmt, sc *scope, node plan.Node, top b
 			}
 			keys = append(keys, plan.SortKey{Attr: a, Desc: o.Desc})
 		}
-		// Tag the root sort as query-required: the optimizer's memo
-		// path strips a limitless one into a physical order property
-		// and may satisfy it without any sort at all.
-		node = plan.NewSortOrigin(keys, stmt.Limit, node, plan.SortOriginQuery)
+		node = plan.NewSort(keys, stmt.Limit, node)
 	}
 	out.node = node
 	return out, nil

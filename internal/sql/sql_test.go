@@ -78,15 +78,16 @@ func sameRowsPositional(a, b *relation.Relation) bool {
 	if a.Len() != b.Len() || a.Schema().Len() != b.Schema().Len() {
 		return false
 	}
-	counts := make(map[string]int, a.Len())
+	matched := make([]bool, b.Len())
+next:
 	for _, t := range a.Tuples() {
-		counts[t.Key()]++
-	}
-	for _, t := range b.Tuples() {
-		counts[t.Key()]--
-		if counts[t.Key()] < 0 {
-			return false
+		for j, u := range b.Tuples() {
+			if !matched[j] && t.EqualTuple(u) {
+				matched[j] = true
+				continue next
+			}
 		}
+		return false
 	}
 	return true
 }
@@ -153,7 +154,7 @@ func TestLowerGroupByHaving(t *testing.T) {
 		t.Fatalf("rows = %d, want 1:\n%s", out.Len(), out)
 	}
 	tu := out.Tuple(0)
-	if out.Value(tu, schema.Attr("t", "a")).Int() != 2 {
+	if tu[out.Schema().IndexOf(schema.Attr("t", "a"))].Int() != 2 {
 		t.Errorf("group key wrong:\n%s", out)
 	}
 }
@@ -332,12 +333,12 @@ func TestLowerOrderByLimit(t *testing.T) {
 	if out.Len() != 2 {
 		t.Fatalf("limit rows = %d", out.Len())
 	}
-	if out.Value(out.Tuple(0), schema.Attr("t", "b")).Int() != 30 {
+	if out.Tuple(0)[out.Schema().IndexOf(schema.Attr("t", "b"))].Int() != 30 {
 		t.Errorf("desc order wrong:\n%s", out)
 	}
 	// Ordering by an alias works too.
 	out2 := mustRun(t, "select b as bee from t order by bee limit 1", db)
-	if out2.Len() != 1 || out2.Value(out2.Tuple(0), schema.Attr("t", "b")).Int() != 10 {
+	if out2.Len() != 1 || out2.Tuple(0)[out2.Schema().IndexOf(schema.Attr("t", "b"))].Int() != 10 {
 		t.Errorf("alias order wrong:\n%s", out2)
 	}
 	// ORDER BY a column outside the select list fails.

@@ -132,13 +132,6 @@ func (s *Store) Lookup(key string) (rows float64, ok bool, err error) {
 	return rows, true, nil
 }
 
-// Len reports the number of distinct subtree keys currently retained.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.entries)
-}
-
 // clamp bounds actual to within maxRatio of est in either direction.
 // A zero or negative estimate cannot anchor a ratio, so the actual is
 // taken as-is (never negative).

@@ -215,3 +215,10 @@ func TestFeedbackFaults(t *testing.T) {
 		t.Fatalf("store damaged by faults: %g %v %v", rows, ok, err)
 	}
 }
+
+// Len reports the number of distinct subtree keys currently retained.
+func (s *Store) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.entries)
+}

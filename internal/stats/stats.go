@@ -438,16 +438,6 @@ func (s *Session) Rows(n plan.Node) (float64, error) {
 	return rows, err
 }
 
-// PlanCost is Estimator.PlanCost with the session's feedback
-// corrections.
-func (s *Session) PlanCost(n plan.Node) (float64, error) {
-	if err := s.budget.Cancelled(); err != nil {
-		return 0, err
-	}
-	_, cost, err := s.e.estimate(n, s)
-	return cost, err
-}
-
 // GroupRows estimates a memo group from its representative n, whose
 // inputs' groups are estimated at in: OpRows, or the correction the
 // attached feedback store holds under n's plan.Key. The key is

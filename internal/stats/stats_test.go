@@ -192,8 +192,8 @@ func TestEstimatesCoverAllNodes(t *testing.T) {
 		plan.NewGroupBy([]schema.Attribute{schema.RID("r1")}, nil, plan.NewScan("r1")),
 		plan.NewProject([]schema.Attribute{schema.Attr("r1", "x")}, true, plan.NewScan("r1")),
 		plan.NewProject([]schema.Attribute{schema.Attr("r1", "x")}, false, plan.NewScan("r1")),
-		plan.NewSortOrigin([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, 5, plan.NewScan("r1"), ""),
-		plan.NewSortOrigin(nil, -1, plan.NewScan("r1"), ""),
+		plan.NewSort([]plan.SortKey{{Attr: schema.Attr("r1", "x")}}, 5, plan.NewScan("r1")),
+		plan.NewSort(nil, -1, plan.NewScan("r1")),
 		plan.NewJoin(plan.RightJoin, p, plan.NewScan("r1"), plan.NewScan("r2")),
 		plan.NewJoin(plan.FullJoin, p, plan.NewScan("r1"), plan.NewScan("r2")),
 	}
@@ -224,7 +224,7 @@ func TestEstimatesCoverAllNodes(t *testing.T) {
 		plan.NewSelect(p, plan.NewScan("nosuch")),
 		plan.NewGenSel(p, nil, plan.NewScan("nosuch")),
 		plan.NewGroupBy(nil, nil, plan.NewScan("nosuch")),
-		plan.NewSortOrigin(nil, -1, plan.NewScan("nosuch"), ""),
+		plan.NewSort(nil, -1, plan.NewScan("nosuch")),
 		plan.NewMGOJ(p, nil, plan.NewScan("nosuch"), plan.NewScan("r1")),
 	} {
 		if _, err := est.Rows(n); err == nil {
@@ -366,4 +366,14 @@ func TestSessionGroupRows(t *testing.T) {
 	if got, err := sess.GroupRows(plan.NewScan("r1"), nil); err != nil || got.Key != "" || got.Rows != 30 {
 		t.Fatalf("base relation: %+v, %v; want 30 rows and no key", got, err)
 	}
+}
+
+// PlanCost is Estimator.PlanCost with the session's feedback
+// corrections.
+func (s *Session) PlanCost(n plan.Node) (float64, error) {
+	if err := s.budget.Cancelled(); err != nil {
+		return 0, err
+	}
+	_, cost, err := s.e.estimate(n, s)
+	return cost, err
 }

@@ -20,9 +20,9 @@ import (
 // metricFamilies is every metric family the metric-surface smoke
 // writes to the observer registries, dynamic suffixes folded by
 // metricFamily. The bench reads optimizer.runs, memo.groups,
-// memo.exprs, memo.pruned, memo.order.enforced,
-// exec.spill.partitions, exec.vector.fallback.<op>, the plancache
-// series and feedback.{drift_trips,replans,corrections}.
+// memo.exprs, memo.pruned, exec.spill.partitions,
+// exec.vector.fallback.<op>, the plancache series and
+// feedback.{drift_trips,replans,corrections}.
 var metricFamilies = []string{
 	"exec.spill.joins",
 	"exec.spill.partitions",
@@ -46,7 +46,6 @@ var metricFamilies = []string{
 	"memo.extract_ns",
 	"memo.groups",
 	"memo.merges",
-	"memo.order.enforced",
 	"memo.pruned",
 	"memo.waves",
 	"optimizer.phase.<p>_ns",
@@ -183,7 +182,7 @@ func TestMetricSurface(t *testing.T) {
 	if after := metricNames(reg); !slices.Equal(after, before) {
 		t.Errorf("warm hits added metric names:\nbefore %v\nafter  %v", before, after)
 	}
-	for _, rec := range static.Observer().Flight.Snapshot()[:len(hitPointShapes)] { // newest first
+	for _, rec := range flightRecords(t, static.Observer().Flight)[:len(hitPointShapes)] { // newest first
 		if rec.Counters != nil {
 			t.Errorf("warm hit %q: flight record counters %v, want nil", rec.Query, rec.Counters)
 		}

@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -12,9 +13,27 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/plan"
 	"repro/internal/sql"
 )
+
+// flightRecords reads the records rec holds, newest first, from its
+// /debug/queries dump.
+func flightRecords(t *testing.T, rec *flight.Recorder) []flight.Record {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Records []flight.Record `json:"records"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	return dump.Records
+}
 
 func TestExplainAnalyzeObserved(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
@@ -26,10 +45,10 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 	}
 
 	// One flight record, stamped and fully populated.
-	if ob.Flight.Len() != 1 {
-		t.Fatalf("flight records = %d, want 1", ob.Flight.Len())
+	if len(flightRecords(t, ob.Flight)) != 1 {
+		t.Fatalf("flight records = %d, want 1", len(flightRecords(t, ob.Flight)))
 	}
-	rec := ob.Flight.Snapshot()[0]
+	rec := flightRecords(t, ob.Flight)[0]
 	if rec.Query != plan.Key(q) {
 		t.Errorf("record query = %q, want %q", rec.Query, plan.Key(q))
 	}
@@ -113,8 +132,8 @@ func TestExplainAnalyzeObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ob.Flight.Len() != 2 {
-		t.Fatalf("flight records after second run = %d", ob.Flight.Len())
+	if len(flightRecords(t, ob.Flight)) != 2 {
+		t.Fatalf("flight records after second run = %d", len(flightRecords(t, ob.Flight)))
 	}
 	if got := ob.Registry.Snapshot().Counters["memo.exprs"]; got != int64(rep.Considered+rep2.Considered) {
 		t.Errorf("aggregate after two runs = %d, want %d", got, rep.Considered+rep2.Considered)
@@ -140,10 +159,10 @@ func TestObserverRecordsFailedRuns(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected a budget error")
 	}
-	if ob.Flight.Len() != 1 {
-		t.Fatalf("failed run not recorded: len = %d", ob.Flight.Len())
+	if len(flightRecords(t, ob.Flight)) != 1 {
+		t.Fatalf("failed run not recorded: len = %d", len(flightRecords(t, ob.Flight)))
 	}
-	rec := ob.Flight.Snapshot()[0]
+	rec := flightRecords(t, ob.Flight)[0]
 	if rec.Error == "" {
 		t.Fatal("record has no error")
 	}
@@ -174,7 +193,7 @@ func TestObserverServiceRecordHash(t *testing.T) {
 	for _, q := range queries {
 		_, _ = svc.Query(context.Background(), Request{SQL: q})
 	}
-	recs := svc.Observer().Flight.Snapshot()
+	recs := flightRecords(t, svc.Observer().Flight)
 	if len(recs) != len(queries) {
 		t.Fatalf("%d flight records, want %d", len(recs), len(queries))
 	}

@@ -101,7 +101,7 @@ func TestServiceFeedbackConvergence(t *testing.T) {
 		}
 	}
 	// The flight recorder carries the feedback counters per request.
-	recs := svc.Observer().Flight.Snapshot()
+	recs := flightRecords(t, svc.Observer().Flight)
 	found := false
 	for _, rec := range recs {
 		if rec.Counters["feedback.replans"] > 0 {

@@ -120,7 +120,7 @@ func TestServiceMissOptimizesWithRequestValues(t *testing.T) {
 			t.Fatalf("first k=%d: no cache entry serves the template", first)
 		}
 		served[first] = plan.Key(cp.plan)
-		if got := svc.cache.Len(); got != 1 {
+		if got := len(svc.cache.Entries()); got != 1 {
 			t.Errorf("first k=%d: %d cache entries, want 1", first, got)
 		}
 		if got := svc.Observer().Registry.Snapshot().Counters["optimizer.runs"]; got != 1 {

@@ -316,7 +316,7 @@ func TestServiceQueueWaitReported(t *testing.T) {
 	if resp.QueuedNs < (10 * time.Millisecond).Nanoseconds() {
 		t.Fatalf("QueuedNs=%d, want >= 10ms of measured queue wait", resp.QueuedNs)
 	}
-	if c := svc.ob.Registry.Histogram("guard.queue_wait_milli").Count(); c == 0 {
+	if c := svc.ob.Registry.Snapshot().Histograms["guard.queue_wait_milli"].Count; c == 0 {
 		t.Fatal("queue-wait histogram recorded nothing")
 	}
 }

@@ -2,8 +2,10 @@ package reorder
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -52,6 +54,7 @@ var surfaceAllow = map[string]string{
 	// Reference implementations that tests compare against.
 	"core.SplitTable":              "the memo's split-table test checks it against the per-option reference",
 	"core.SplitOptionsOf":          "the per-option reference that test walks",
+	"core.SplitEntry.Apply":        "builds one split-table entry's rewrite; that test checks it against the per-option reference",
 	"plan.Validate":                "schema check the plan and optimizer tests run on every rewrite",
 	"obs.ParseExposition":          "parser the exposition tests read /metrics text back with",
 	"assoctree.*":                  "Definition 3.2 enumerator the plan-space tests compare the memo with",
@@ -65,9 +68,9 @@ var surfaceAllow = map[string]string{
 }
 
 // TestSurface fails on an exported name under internal/ that only
-// tests (or nothing) reference, and on a backticked reference in the
-// docs that names no file, identifier, make target, metric or DESIGN.md
-// section of this module.
+// tests (or nothing) use, resolved with go/types, and on a backticked
+// reference in the docs that names no file, identifier, make target,
+// metric or DESIGN.md section of this module.
 func TestSurface(t *testing.T) {
 	tr := loadTree(t, ".")
 	for _, f := range checkExports(tr, surfaceAllow) {
@@ -118,15 +121,46 @@ type T struct{}
 func (T) M() {}
 
 func init() { T{}.M() }
+
+// V is named from main.
+type V struct{}
+
+// Name is never called on a V: main calls the Name of a type of its
+// own.
+func (V) Name() string { return "" }
+
+// Run is called through main's runner interface.
+func (V) Run() {}
+
+// String implements fmt.Stringer.
+func (V) String() string { return "v" }
 `,
 		"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestA(t *testing.T) { TestOnly() }\n",
-		"main.go":              "package main\n\nimport \"m/internal/a\"\n\nvar _ a.T\n\nfunc main() { a.Used(); println(\"svc.requests\") }\n",
-		"DESIGN.md":            "# D\n\n## 1. One\n\nSee §1, §7 and paper §3.\n",
+		"main.go": `package main
+
+import "m/internal/a"
+
+var _ a.T
+
+type named struct{}
+
+func (named) Name() string { return "" }
+
+type runner interface{ Run() }
+
+func main() {
+	a.Used()
+	var r runner = a.V{}
+	r.Run()
+	println(named{}.Name(), "svc.requests")
+}
+`,
+		"DESIGN.md": "# D\n\n## 1. One\n\nSee §1, §7 and paper §3.\n",
 		"README.md": "`internal/a/a.go:5` `internal/a/a.go:99` `internal/b` `a.Used` `a.Gone` `T.M` " +
 			"`make test` `make nope` `svc.requests` `svc.nope` `r1.x` DESIGN.md §1, DESIGN.md §2\n",
 	}
 	exports := checkExports(tr, map[string]string{"a.Gone": "stale entry"})
-	wantExports := []string{"a.Gone: allow-listed", "a.T.M: exported", "a.TestOnly: exported"}
+	wantExports := []string{"a.Gone: allow-listed", "a.T.M: exported", "a.TestOnly: exported", "a.V.Name: exported"}
 	if len(exports) != len(wantExports) {
 		t.Errorf("export findings %q, want %d", exports, len(wantExports))
 	}
@@ -197,11 +231,10 @@ type goFile struct {
 	ast  *ast.File
 }
 
-// parseGo parses every Go file of tr that the go tool would build,
-// skipping testdata directories; files that fail to parse are skipped
-// too, since the build reports them.
-func parseGo(tr srcTree) []goFile {
-	fset := token.NewFileSet()
+// parseGo parses every Go file of tr that the go tool would build into
+// fset, skipping testdata directories; files that fail to parse are
+// skipped too, since the build reports them.
+func parseGo(fset *token.FileSet, tr srcTree) []goFile {
 	var files []goFile
 	for _, p := range sortedKeys(tr) {
 		if !strings.HasSuffix(p, ".go") || slices.Contains(strings.Split(p, "/"), "testdata") {
@@ -225,9 +258,9 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// modulePath is the module line of tr's root go.mod.
-func modulePath(tr srcTree) string {
-	for _, line := range strings.Split(tr["go.mod"], "\n") {
+// modulePath is the module line of a go.mod file.
+func modulePath(gomod string) string {
+	for _, line := range strings.Split(gomod, "\n") {
 		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
 			return strings.TrimSpace(rest)
 		}
@@ -235,87 +268,233 @@ func modulePath(tr srcTree) string {
 	return ""
 }
 
-// moduleImports maps each import name of f that refers to a package of
-// the module to that package's directory.
-func moduleImports(f *ast.File, module string) map[string]string {
-	m := map[string]string{}
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
+// importPath is the import path of the package in directory dir of tr:
+// the module path of the nearest go.mod at or above dir, then the rest
+// of dir.
+func importPath(tr srcTree, dir string) string {
+	for root := dir; ; root = path.Dir(root) {
+		gomod := "go.mod"
+		if root != "." {
+			gomod = root + "/go.mod"
 		}
-		rel, ok := strings.CutPrefix(p, module+"/")
-		if !ok {
-			continue
+		if src, ok := tr[gomod]; ok {
+			switch {
+			case dir == root:
+				return modulePath(src)
+			case root == ".":
+				return modulePath(src) + "/" + dir
+			default:
+				return modulePath(src) + dir[len(root):]
+			}
 		}
-		name := path.Base(rel)
-		if imp.Name != nil {
-			name = imp.Name.Name
+		if root == "." {
+			return dir
 		}
-		m[name] = rel
 	}
-	return m
 }
 
-// stdMethods are methods that satisfy standard-library interfaces, so a
-// caller can reach them without naming them.
-var stdMethods = map[string]bool{
-	"String": true, "GoString": true, "Format": true, "Error": true,
-	"Unwrap": true, "Is": true, "As": true, "MarshalJSON": true,
-	"UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"ServeHTTP": true, "Read": true, "Write": true, "Close": true,
+// stdInterfaces declares the standard-library interfaces whose methods
+// the standard library itself calls: a method implementing one is
+// reached without any code of the module naming it.
+const stdInterfaces = `package std
+
+import (
+	"container/heap"
+	"encoding"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"sort"
+)
+
+type (
+	stringer        = fmt.Stringer
+	goStringer      = fmt.GoStringer
+	formatter       = fmt.Formatter
+	errorer         = error
+	unwrapper       = interface{ Unwrap() error }
+	iser            = interface{ Is(error) bool }
+	aser            = interface{ As(any) bool }
+	jsonMarshaler   = json.Marshaler
+	jsonUnmarshaler = json.Unmarshaler
+	textMarshaler   = encoding.TextMarshaler
+	textUnmarshaler = encoding.TextUnmarshaler
+	sorter          = sort.Interface
+	heaper          = heap.Interface
+	handler         = http.Handler
+	reader          = io.Reader
+	writer          = io.Writer
+	closer          = io.Closer
+)
+`
+
+// srcImporter type-checks the packages of a srcTree from their parsed
+// non-test files, on first import, into one shared types.Info; it
+// imports every other path (the standard library) from the compiler's
+// export data.
+type srcImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path → non-test files
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	std   types.Importer
 }
 
-// checkExports returns one finding per exported top-level name or
-// exported method of an exported type, declared in a non-test file
-// under internal/, that no non-test file outside its package
-// references. Top-level names match by package-qualified selector;
-// methods match by selector name anywhere outside their package, and
-// a method whose name some interface of the module or the standard
-// library declares counts as used. A type that the signature, exported
-// fields or underlying type of a used export mentions counts as used.
-// allow exempts names (see surfaceAllow); an allow entry that exempts
-// nothing is a finding.
-func checkExports(tr srcTree, allow map[string]string) []string {
-	module := modulePath(tr)
-	files := parseGo(tr)
+func (im *srcImporter) Import(p string) (*types.Package, error) {
+	if pkg, ok := im.pkgs[p]; ok {
+		return pkg, nil
+	}
+	files, ok := im.files[p]
+	if !ok {
+		return im.std.Import(p)
+	}
+	// Type errors are the build's to report: the check goes on past
+	// them and the package is indexed as far as it resolves.
+	conf := types.Config{Importer: im, Error: func(error) {}}
+	pkg, _ := conf.Check(p, im.fset, files, im.info)
+	im.pkgs[p] = pkg
+	return pkg, nil
+}
 
-	type key struct{ dir, name string }
-	used := map[key]bool{}                // package-qualified references
-	selectedFrom := map[string][]string{} // selector name → dirs of the files using it
-	ifaceMethods := map[string]bool{}
+// resolved is what type-checking the non-test code of a srcTree tells
+// the export check.
+type resolved struct {
+	defs map[*ast.Ident]types.Object
+	// used holds every object that a non-test file names outside the
+	// package declaring it; a method or field of a generic type is
+	// held as its generic origin.
+	used map[types.Object]bool
+	// called maps a method name to the interfaces a call reaches it
+	// through: those that non-test code calls the method on, and every
+	// standard-library interface of stdInterfaces that has it.
+	called map[string][]*types.Interface
+}
+
+// resolve type-checks every non-test package of files (all of tr's
+// modules, bench/ included) and records which objects are used from
+// outside their package and which interface methods are called.
+func resolve(fset *token.FileSet, tr srcTree, files []goFile) resolved {
+	im := &srcImporter{
+		fset:  fset,
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		std:   importer.Default(),
+	}
+	paths := map[*ast.File]string{}
 	for _, f := range files {
-		if f.test {
-			continue
+		if !f.test {
+			p := importPath(tr, f.dir)
+			paths[f.ast] = p
+			im.files[p] = append(im.files[p], f.ast)
 		}
-		imports := moduleImports(f.ast, module)
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := imports[id.Name]; ok && dir != f.dir {
-						used[key{dir, n.Sel.Name}] = true
-					}
+	}
+	const stdPath = "surface/std-interfaces"
+	if std, err := parser.ParseFile(fset, "std-interfaces.go", stdInterfaces, 0); err == nil {
+		im.files[stdPath] = []*ast.File{std}
+	}
+	for _, p := range sortedKeys(im.files) {
+		im.Import(p)
+	}
+
+	r := resolved{defs: im.info.Defs, used: map[types.Object]bool{}, called: map[string][]*types.Interface{}}
+	if std := im.pkgs[stdPath]; std != nil {
+		for _, name := range std.Scope().Names() {
+			iface, ok := std.Scope().Lookup(name).Type().Underlying().(*types.Interface)
+			if !ok {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				r.call(iface.Method(i).Name(), iface)
+			}
+		}
+	}
+	for f, p := range paths {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			obj := im.info.Uses[id]
+			if obj == nil || obj.Pkg() == nil {
+				return true
+			}
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+				if iface, ok := recvInterface(o); ok {
+					r.call(o.Name(), iface)
 				}
-				selectedFrom[n.Sel.Name] = append(selectedFrom[n.Sel.Name], f.dir)
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						ifaceMethods[name.Name] = true
-					}
-				}
+			case *types.Var:
+				obj = o.Origin()
+			}
+			if obj.Pkg().Path() != p {
+				r.used[obj] = true
 			}
 			return true
 		})
 	}
-	methodUsed := func(dir, name string) bool {
-		if stdMethods[name] || ifaceMethods[name] {
-			return true
+	return r
+}
+
+// call records that a call of method name reaches it through iface.
+func (r resolved) call(name string, iface *types.Interface) {
+	if !slices.Contains(r.called[name], iface) {
+		r.called[name] = append(r.called[name], iface)
+	}
+}
+
+// recvInterface returns the interface m is a method of, if it is one.
+func recvInterface(m *types.Func) (*types.Interface, bool) {
+	recv := m.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil, false
+	}
+	iface, ok := recv.Type().Underlying().(*types.Interface)
+	return iface, ok
+}
+
+// reached reports whether method m is used from outside its package:
+// named there, or called through an interface its receiver type
+// implements.
+func (r resolved) reached(m *types.Func) bool {
+	if r.used[m] {
+		return true
+	}
+	recv := m.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	return slices.ContainsFunc(r.called[m.Name()], func(iface *types.Interface) bool {
+		return types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)
+	})
+}
+
+// checkExports returns one finding per exported top-level name or
+// exported method of an exported type, declared in a non-test file
+// under internal/, that no non-test code outside its package uses.
+// References resolve with go/types over every module of tr, bench/
+// included: a method is used where code outside its package selects
+// that very method, or calls it through an interface its receiver type
+// implements — one of the module's, or a standard-library interface
+// the standard library calls (stdInterfaces). A type that the
+// signature, exported fields or underlying type of a used export
+// mentions counts as used. allow exempts names (see surfaceAllow); an
+// allow entry that exempts nothing is a finding.
+func checkExports(tr srcTree, allow map[string]string) []string {
+	fset := token.NewFileSet()
+	files := parseGo(fset, tr)
+	r := resolve(fset, tr, files)
+	used := func(id *ast.Ident) bool {
+		obj := r.defs[id]
+		if m, ok := obj.(*types.Func); ok && m.Type().(*types.Signature).Recv() != nil {
+			return r.reached(m)
 		}
-		return slices.ContainsFunc(selectedFrom[name], func(d string) bool { return d != dir })
+		return obj != nil && r.used[obj]
 	}
 
+	type key struct{ dir, name string }
 	// An exported declaration under internal/; mentions are the type
 	// names of its package that its signature, exported fields or
 	// underlying type name.
@@ -338,23 +517,23 @@ func checkExports(tr srcTree, allow map[string]string) []string {
 					continue
 				}
 				if d.Recv == nil {
-					exports = append(exports, &export{dir: f.dir, name: pkg + "." + d.Name.Name, used: used[key{f.dir, d.Name.Name}], mentions: typeNames(d.Type)})
+					exports = append(exports, &export{dir: f.dir, name: pkg + "." + d.Name.Name, used: used(d.Name), mentions: typeNames(d.Type)})
 					continue
 				}
 				if recv := receiverName(d.Recv.List[0].Type); ast.IsExported(recv) {
-					exports = append(exports, &export{dir: f.dir, name: pkg + "." + recv + "." + d.Name.Name, used: methodUsed(f.dir, d.Name.Name), mentions: typeNames(d.Type)})
+					exports = append(exports, &export{dir: f.dir, name: pkg + "." + recv + "." + d.Name.Name, used: used(d.Name), mentions: typeNames(d.Type)})
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						if s.Name.IsExported() {
-							exports = append(exports, &export{dir: f.dir, name: pkg + "." + s.Name.Name, typ: true, used: used[key{f.dir, s.Name.Name}], mentions: typeNames(s.Type)})
+							exports = append(exports, &export{dir: f.dir, name: pkg + "." + s.Name.Name, typ: true, used: used(s.Name), mentions: typeNames(s.Type)})
 						}
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
 							if id.IsExported() {
-								exports = append(exports, &export{dir: f.dir, name: pkg + "." + id.Name, used: used[key{f.dir, id.Name}], mentions: typeNames(s.Type)})
+								exports = append(exports, &export{dir: f.dir, name: pkg + "." + id.Name, used: used(id), mentions: typeNames(s.Type)})
 							}
 						}
 					}
@@ -473,7 +652,7 @@ type symbols struct {
 }
 
 func indexSymbols(tr srcTree) symbols {
-	module := modulePath(tr)
+	module := modulePath(tr["go.mod"])
 	s := symbols{
 		decls: map[string]map[string]bool{}, members: map[string]map[string]bool{}, pkgMembers: map[string]map[string]bool{},
 		std: map[string]bool{}, imports: map[string]bool{}, literals: map[string]bool{}, namespaces: map[string]bool{},
@@ -484,7 +663,7 @@ func indexSymbols(tr srcTree) symbols {
 		}
 		m[k][v] = true
 	}
-	for _, f := range parseGo(tr) {
+	for _, f := range parseGo(token.NewFileSet(), tr) {
 		pkg := strings.TrimSuffix(f.ast.Name.Name, "_test")
 		for _, imp := range f.ast.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
