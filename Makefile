@@ -7,8 +7,8 @@ all: vet build test
 # The full pre-merge gauntlet: formatting and static checks, build,
 # the test suite, the same suite under the race detector (which covers
 # the fault-injection, partitioned-join, serving, feedback and
-# observability tests), ten seconds each of
-# fuzzing the SQL front end, the dense join index, the columnar sort
+# observability tests), ten seconds each of fuzzing the SQL front end,
+# the dense join index, the append-time column kind, the columnar sort
 # and the columnar kernels' value semantics, and the bench module's
 # smoke run (every workload played once; a wrong answer fails it).
 check: fmt vet build test race fuzz-smoke bench-smoke
@@ -25,9 +25,10 @@ vet:
 test:
 	$(GO) test ./...
 
-# Full suite under the race detector (requests share base-table images
-# and join indexes, obs and the feedback store are updated concurrently,
-# and the fault-injection matrix arms every guard point).
+# Full suite under the race detector (requests share base-table columns
+# and join indexes while a table is appended to, obs and the feedback
+# store are updated concurrently, and the fault-injection matrix arms
+# every guard point).
 # The allocation-ceiling tests run here too: the race detector adds a
 # few allocations, which their headroom absorbs, and the handler test
 # skips its byte ceilings, which it moves more.
@@ -49,6 +50,11 @@ bench:
 # seconds of the dense join index (FuzzDenseIndex): over any int64
 # column and NULL mask the dense decision neither panics nor overflows,
 # and every key's run is the ascending list of the rows holding it.
+# Then ten seconds of the append-time column kind (FuzzColumnAppend):
+# over any sequence of NULL, INT, FLOAT (NaN, ±0), STRING and BOOL
+# values, a column built by relation.Builder, AppendAll or FromValues
+# has the physical kind, null bitmap and values of a two-pass sniff, and
+# a snapshot taken half way keeps its rows.
 # Then ten seconds of the columnar sort (FuzzColumnarSort): over any
 # column kinds, NULLs, NaNs, keys, directions and limit it returns
 # plan.SortRows's rows in SortRows's order. Then ten seconds of the
@@ -59,6 +65,7 @@ bench:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzDenseIndex -fuzztime 10s ./internal/batch
+	$(GO) test -run '^$$' -fuzz FuzzColumnAppend -fuzztime 10s ./internal/batch
 	$(GO) test -run '^$$' -fuzz FuzzColumnarSort -fuzztime 10s ./internal/executor
 	$(GO) test -run '^$$' -fuzz FuzzKernelSemantics -fuzztime 10s ./internal/executor
 

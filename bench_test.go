@@ -476,7 +476,7 @@ func benchHandlerHit(b *testing.B, cfg ServiceConfig) {
 		}
 	}
 	for _, body := range bodies {
-		serve(body) // plans each template, builds the images and indexes
+		serve(body) // plans each template, builds the scans and indexes
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

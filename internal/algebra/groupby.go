@@ -250,7 +250,7 @@ func GroupProject(groupBy []schema.Attribute, aggs []Aggregate, r *relation.Rela
 	var order []*group
 	scratch := make(relation.Tuple, len(keyIdx))
 
-	for _, t := range r.Tuples() {
+	r.Each(func(t relation.Tuple) {
 		for i, j := range keyIdx {
 			scratch[i] = t[j]
 		}
@@ -278,7 +278,7 @@ func GroupProject(groupBy []schema.Attribute, aggs []Aggregate, r *relation.Rela
 			}
 			g.states[i].Add(a.Func, v)
 		}
-	}
+	})
 
 	// SQL: aggregation over an empty input with no GROUP BY columns
 	// produces a single row of "empty" aggregates.

@@ -25,11 +25,11 @@ import (
 // True (Unknown filters out, making predicates null in-tolerant).
 func Select(p expr.Pred, r *relation.Relation) *relation.Relation {
 	out := relation.New(r.Schema())
-	for _, t := range r.Tuples() {
+	r.Each(func(t relation.Tuple) {
 		if p.Eval(expr.TupleEnv{Schema: r.Schema(), Tuple: t}).Holds() {
 			out.Append(t)
 		}
-	}
+	})
 	return out
 }
 
@@ -38,14 +38,15 @@ func Select(p expr.Pred, r *relation.Relation) *relation.Relation {
 func Product(r1, r2 *relation.Relation) *relation.Relation {
 	s := r1.Schema().Concat(r2.Schema())
 	out := relation.New(s)
-	for _, t1 := range r1.Tuples() {
-		for _, t2 := range r2.Tuples() {
-			t := make(relation.Tuple, 0, len(t1)+len(t2))
-			t = append(t, t1...)
-			t = append(t, t2...)
+	t2s := r2.Tuples()
+	t := make(relation.Tuple, s.Len())
+	r1.Each(func(t1 relation.Tuple) {
+		n1 := copy(t, t1)
+		for _, t2 := range t2s {
+			copy(t[n1:], t2)
 			out.Append(t)
 		}
-	}
+	})
 	return out
 }
 
@@ -53,16 +54,17 @@ func Product(r1, r2 *relation.Relation) *relation.Relation {
 func Join(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
 	s := r1.Schema().Concat(r2.Schema())
 	out := relation.New(s)
-	for _, t1 := range r1.Tuples() {
-		for _, t2 := range r2.Tuples() {
-			t := make(relation.Tuple, 0, len(t1)+len(t2))
-			t = append(t, t1...)
-			t = append(t, t2...)
+	t2s := r2.Tuples()
+	t := make(relation.Tuple, s.Len())
+	r1.Each(func(t1 relation.Tuple) {
+		n1 := copy(t, t1)
+		for _, t2 := range t2s {
+			copy(t[n1:], t2)
 			if p.Eval(expr.TupleEnv{Schema: s, Tuple: t}).Holds() {
 				out.Append(t)
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -72,27 +74,23 @@ func Join(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
 func LeftOuter(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
 	s := r1.Schema().Concat(r2.Schema())
 	out := relation.New(s)
-	n2 := r2.Schema().Len()
-	for _, t1 := range r1.Tuples() {
+	t2s := r2.Tuples()
+	t := make(relation.Tuple, s.Len())
+	r1.Each(func(t1 relation.Tuple) {
+		n1 := copy(t, t1)
 		matched := false
-		for _, t2 := range r2.Tuples() {
-			t := make(relation.Tuple, 0, len(t1)+len(t2))
-			t = append(t, t1...)
-			t = append(t, t2...)
+		for _, t2 := range t2s {
+			copy(t[n1:], t2)
 			if p.Eval(expr.TupleEnv{Schema: s, Tuple: t}).Holds() {
 				out.Append(t)
 				matched = true
 			}
 		}
 		if !matched {
-			t := make(relation.Tuple, 0, len(t1)+n2)
-			t = append(t, t1...)
-			for i := 0; i < n2; i++ {
-				t = append(t, value.Null)
-			}
+			nullFill(t[n1:])
 			out.Append(t)
 		}
-	}
+	})
 	return out
 }
 
@@ -109,14 +107,15 @@ func RightOuter(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
 func FullOuter(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
 	s := r1.Schema().Concat(r2.Schema())
 	out := relation.New(s)
-	n1, n2 := r1.Schema().Len(), r2.Schema().Len()
-	rightMatched := make([]bool, r2.Len())
-	for _, t1 := range r1.Tuples() {
+	n1 := r1.Schema().Len()
+	t2s := r2.Tuples()
+	rightMatched := make([]bool, len(t2s))
+	t := make(relation.Tuple, s.Len())
+	r1.Each(func(t1 relation.Tuple) {
+		copy(t, t1)
 		matched := false
-		for j, t2 := range r2.Tuples() {
-			t := make(relation.Tuple, 0, n1+n2)
-			t = append(t, t1...)
-			t = append(t, t2...)
+		for j, t2 := range t2s {
+			copy(t[n1:], t2)
 			if p.Eval(expr.TupleEnv{Schema: s, Tuple: t}).Holds() {
 				out.Append(t)
 				matched = true
@@ -124,26 +123,25 @@ func FullOuter(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
 			}
 		}
 		if !matched {
-			t := make(relation.Tuple, 0, n1+n2)
-			t = append(t, t1...)
-			for i := 0; i < n2; i++ {
-				t = append(t, value.Null)
-			}
+			nullFill(t[n1:])
+			out.Append(t)
+		}
+	})
+	nullFill(t[:n1])
+	for j, t2 := range t2s {
+		if !rightMatched[j] {
+			copy(t[n1:], t2)
 			out.Append(t)
 		}
 	}
-	for j, t2 := range r2.Tuples() {
-		if rightMatched[j] {
-			continue
-		}
-		t := make(relation.Tuple, 0, n1+n2)
-		for i := 0; i < n1; i++ {
-			t = append(t, value.Null)
-		}
-		t = append(t, t2...)
-		out.Append(t)
-	}
 	return out
+}
+
+// nullFill sets every value of t to NULL.
+func nullFill(t relation.Tuple) {
+	for i := range t {
+		t[i] = value.Null
+	}
 }
 
 // resolvePreserved maps a preserved-relation specification (a set of
@@ -194,10 +192,7 @@ func GenSelect(p expr.Pred, preserved []map[string]bool, r *relation.Relation) (
 // executor's columnar walker computes σ_p(r) with its own selection
 // kernel and pads through this entry point.
 func GenSelectWith(sel *relation.Relation, preserved []map[string]bool, r *relation.Relation) (*relation.Relation, error) {
-	out := relation.New(r.Schema())
-	for _, t := range sel.Tuples() {
-		out.Append(t)
-	}
+	var pads []relation.Tuple
 	for _, spec := range preserved {
 		attrs, err := resolvePreserved(r.Schema(), spec)
 		if err != nil {
@@ -215,10 +210,19 @@ func GenSelectWith(sel *relation.Relation, preserved []map[string]bool, r *relat
 			if allNull(t) {
 				continue
 			}
-			out.Append(t)
+			pads = append(pads, t)
 		}
 	}
-	return out, nil
+	return withRows(sel, r.Schema(), pads), nil
+}
+
+// withRows returns the rows of r, under schema s (r's attributes in
+// r's order), followed by extra. r's columns are shared, not copied.
+func withRows(r *relation.Relation, s *schema.Schema, extra []relation.Tuple) *relation.Relation {
+	cols, n := r.Columns()
+	out := relation.FromColumns(s, cols, n)
+	out.AppendAll(extra)
+	return out
 }
 
 // MustGenSelect is GenSelect that panics on specification errors; it
@@ -255,10 +259,7 @@ func MGOJ(p expr.Pred, preserved []map[string]bool, r1, r2 *relation.Relation) (
 // with its own kernels and compensates through this entry point.
 func MGOJWith(join *relation.Relation, preserved []map[string]bool, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	s := join.Schema()
-	out := relation.New(s)
-	for _, t := range join.Tuples() {
-		out.Append(t)
-	}
+	var pads []relation.Tuple
 	for _, spec := range preserved {
 		attrs, err := resolvePreserved(s, spec)
 		if err != nil {
@@ -276,13 +277,12 @@ func MGOJWith(join *relation.Relation, preserved []map[string]bool, r1, r2 *rela
 		all := source.Project(attrs, true)
 		kept := join.Project(attrs, true)
 		for _, t := range all.Minus(kept).PadTo(s).Tuples() {
-			if allNull(t) {
-				continue
+			if !allNull(t) {
+				pads = append(pads, t)
 			}
-			out.Append(t)
 		}
 	}
-	return out, nil
+	return withRows(join, s, pads), nil
 }
 
 func containsAllAttrs(s *schema.Schema, attrs []schema.Attribute) bool {

@@ -1,14 +1,9 @@
-// Package batch is the columnar side of the executor: relations
-// re-shaped as per-column typed slices with null bitmaps, plus the
-// branch-light kernels (gather, key hashing, typed row equality) the
-// vectorized operators are built from.
-//
-// A column is a Vec: one physical representation (PhysInt, PhysFloat,
-// PhysStr, PhysBool when the column is monomorphic, PhysAny otherwise)
-// plus a 1-bit-per-row null bitmap. NULLs never degrade a column to
-// PhysAny — they live in the bitmap with a zero payload slot, so a 10%
-// NULL integer column still runs the int64 kernels. A Rel is a schema
-// plus one Vec per attribute, all of the same length.
+// Package batch is the columnar side of the executor: relations read
+// as their per-column typed vectors with null bitmaps (column.Vec, the
+// storage every relation is made of), plus the branch-light kernels
+// (gather, key hashing, typed row equality) the vectorized operators
+// are built from. A Rel is a schema plus one Vec per attribute, all of
+// the same length.
 //
 // Operators communicate row subsets with selection vectors: []int32
 // row indices into a Rel, in ascending order for filters (preserving
@@ -31,107 +26,25 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/column"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
 
-// Phys is a column's physical representation.
-type Phys uint8
+// Vec is one column, the storage relation.Relation is made of; batch
+// kernels read and build the same type.
+type Vec = column.Vec
 
-// The physical column kinds. PhysAny is the escape hatch for columns
-// that mix value kinds (other than NULL): rows are kept as boxed
-// value.Value and the kernels fall back to generic code for that
-// column only.
+// The physical column kinds (column.PhysAny etc.).
 const (
-	PhysAny Phys = iota
-	PhysInt
-	PhysFloat
-	PhysStr
-	PhysBool
+	PhysAny   = column.PhysAny
+	PhysInt   = column.PhysInt
+	PhysFloat = column.PhysFloat
+	PhysStr   = column.PhysStr
+	PhysBool  = column.PhysBool
 )
-
-// String returns the kind's short name.
-func (p Phys) String() string {
-	switch p {
-	case PhysAny:
-		return "any"
-	case PhysInt:
-		return "int"
-	case PhysFloat:
-		return "float"
-	case PhysStr:
-		return "str"
-	case PhysBool:
-		return "bool"
-	default:
-		return fmt.Sprintf("phys(%d)", uint8(p))
-	}
-}
-
-// Vec is one column: a typed payload slice selected by Phys, plus an
-// optional null bitmap (nil when the column has no NULLs). Payload
-// slots of NULL rows hold the zero value and must not be interpreted.
-type Vec struct {
-	Phys   Phys
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Bools  []bool
-	Any    []value.Value
-	Nulls  []uint64
-}
-
-// Len returns the column's row count.
-func (v *Vec) Len() int {
-	switch v.Phys {
-	case PhysInt:
-		return len(v.Ints)
-	case PhysFloat:
-		return len(v.Floats)
-	case PhysStr:
-		return len(v.Strs)
-	case PhysBool:
-		return len(v.Bools)
-	default:
-		return len(v.Any)
-	}
-}
-
-// IsNull reports whether row i is NULL.
-func (v *Vec) IsNull(i int) bool {
-	return v.Nulls != nil && v.Nulls[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// SetNull marks row i NULL, growing the bitmap to cover n rows on
-// first use. It is for kernels filling a column they are building.
-func (v *Vec) SetNull(i, n int) {
-	if v.Nulls == nil {
-		v.Nulls = make([]uint64, (n+63)>>6)
-	}
-	v.Nulls[i>>6] |= 1 << (uint(i) & 63)
-}
-
-// At boxes row i back into a value.Value. It allocates nothing (Value
-// is a small struct); hot kernels still prefer the typed slices.
-func (v *Vec) At(i int) value.Value {
-	if v.IsNull(i) {
-		return value.Null
-	}
-	switch v.Phys {
-	case PhysInt:
-		return value.NewInt(v.Ints[i])
-	case PhysFloat:
-		return value.NewFloat(v.Floats[i])
-	case PhysStr:
-		return value.NewString(v.Strs[i])
-	case PhysBool:
-		return value.NewBool(v.Bools[i])
-	default:
-		return v.Any[i]
-	}
-}
 
 // hashInto folds each row's value hash into the running per-row key
 // hashes hs (seeded with value.HashSeed by the caller), the columnar
@@ -142,7 +55,7 @@ func (v *Vec) At(i int) value.Value {
 // NULL is identical to NULL) NULL contributes value.HashNull and ok is
 // untouched. The typed loops hoist the kind switch out of the per-row
 // path; only PhysAny pays the per-row dispatch.
-func (v *Vec) hashInto(hs []uint64, ok []bool, nullMatches bool) {
+func hashInto(v *Vec, hs []uint64, ok []bool, nullMatches bool) {
 	n := len(hs)
 	markNull := func(i int) {
 		if nullMatches {
@@ -213,9 +126,9 @@ func (v *Vec) hashInto(hs []uint64, ok []bool, nullMatches bool) {
 	}
 }
 
-// equalRows reports value.Equal between this column's row i and o's
-// row j — the collision-verification step after a hash bucket hit.
-func (v *Vec) equalRows(i int, o *Vec, j int) bool {
+// equalRows reports value.Equal between v's row i and o's row j — the
+// collision-verification step after a hash bucket hit.
+func equalRows(v *Vec, i int, o *Vec, j int) bool {
 	ln, rn := v.IsNull(i), o.IsNull(j)
 	if ln || rn {
 		return ln && rn
@@ -233,39 +146,6 @@ func (v *Vec) equalRows(i int, o *Vec, j int) bool {
 	return value.Equal(v.At(i), o.At(j))
 }
 
-// Gather returns a new column holding rows sel[0], sel[1], … of v.
-// Index -1 emits a NULL row — the outer-join padding convention.
-func (v *Vec) Gather(sel []int32) Vec {
-	out := Vec{Phys: v.Phys}
-	switch v.Phys {
-	case PhysInt:
-		out.Ints = gather(v, &out, v.Ints, sel)
-	case PhysFloat:
-		out.Floats = gather(v, &out, v.Floats, sel)
-	case PhysStr:
-		out.Strs = gather(v, &out, v.Strs, sel)
-	case PhysBool:
-		out.Bools = gather(v, &out, v.Bools, sel)
-	default:
-		out.Any = gather(v, &out, v.Any, sel)
-	}
-	return out
-}
-
-// gather copies v's payload slots at sel into a new payload slice,
-// marking padded (-1) and NULL source rows in out's bitmap.
-func gather[T any](v, out *Vec, src []T, sel []int32) []T {
-	dst := make([]T, len(sel))
-	for i, s := range sel {
-		if s < 0 || v.IsNull(int(s)) {
-			out.SetNull(i, len(sel))
-		} else {
-			dst[i] = src[s]
-		}
-	}
-	return dst
-}
-
 // Rel is a columnar relation: a schema and one equal-length column per
 // attribute.
 //
@@ -274,9 +154,9 @@ func gather[T any](v, out *Vec, src []T, sel []int32) []T {
 // kernel reads it, so a column nothing reads is never copied. Views
 // always name a gathered source — Select and Gather2 compose selection
 // vectors instead of stacking views. Gathering writes into the Rel, so
-// a Rel with pending columns belongs to one goroutine; a shared base
-// image (Of) is fully gathered and read-only: kernels derive new Rels
-// from it and never write through its columns.
+// a Rel with pending columns belongs to one goroutine; a base table's
+// scan (Of) is its columns, fully gathered and read-only: kernels
+// derive new Rels from it and never write through its columns.
 type Rel struct {
 	Schema *schema.Schema
 	N      int
@@ -284,12 +164,7 @@ type Rel struct {
 	cols []Vec
 	pend []view // nil when every column is gathered
 
-	// src is the row-major relation these exact rows were shaped from,
-	// in this order, possibly under another schema of the same width;
-	// ToRelation hands it back instead of boxing the columns again. Only
-	// FromRelation and As set it — a Rel a kernel derives has none.
-	src *relation.Relation
-	// idx holds the join indexes of a shared image (set by Of, shared by
+	// idx holds the join indexes of a base table (set by Of, shared by
 	// As aliases, nil on every other Rel).
 	idx *indexes
 }
@@ -324,32 +199,29 @@ func (r *Rel) Col(c int) *Vec {
 	return &r.cols[c]
 }
 
-// Of returns r's shared columnar image: shaped by FromRelation on the
-// first call, cached on the relation itself, and dropped — join indexes
-// included — when the relation is appended to. This is how the
-// vectorized engine scans a base table without re-shaping it per query;
-// exec.image.builds counts the shapings, so a table that keeps being
-// re-shaped shows.
+// Of returns the scan of base table r: a Rel over the table's own
+// column vectors, nothing shaped or copied, carrying the table's join
+// and dense indexes. Every scan until the table is next appended to
+// gets the same Rel; Append drops it, indexes included, and the next
+// scan reads the grown columns.
 func Of(r *relation.Relation) *Rel {
-	return r.Image(func(r *relation.Relation) any {
-		obs.Default().Counter("exec.image.builds").Inc()
-		img := FromRelation(r)
-		img.idx = &indexes{}
-		runtime.SetFinalizer(img.idx, func(ix *indexes) {
+	return r.Derived(func(cols []Vec, n int) any {
+		ix := &indexes{}
+		runtime.SetFinalizer(ix, func(ix *indexes) {
 			obs.Default().Gauge("exec.index.bytes").Add(-ix.bytes)
 		})
-		return img
+		return &Rel{Schema: r.Schema(), cols: cols, N: n, idx: ix}
 	}).(*Rel)
 }
 
 // As returns the same rows under schema s, which must have r's width —
-// an aliased scan. The column vectors (and an image's join indexes) are
-// shared, not copied.
+// an aliased scan. The column vectors (and a base table's join indexes)
+// are shared, not copied.
 func (r *Rel) As(s *schema.Schema) *Rel {
 	if s.Len() != len(r.cols) {
 		panic(fmt.Sprintf("batch: schema %s does not fit %d columns", s, len(r.cols)))
 	}
-	return &Rel{Schema: s, cols: r.cols, pend: r.pend, N: r.N, src: r.src, idx: r.idx}
+	return &Rel{Schema: s, cols: r.cols, pend: r.pend, N: r.N, idx: r.idx}
 }
 
 // Project returns the columns at idx under schema s. Nothing is copied
@@ -368,126 +240,32 @@ func (r *Rel) Project(s *schema.Schema, idx []int) *Rel {
 	return out
 }
 
-// FromRelation re-shapes a row-major relation into columns. Each
-// column's physical kind is sniffed from its non-NULL values: a
-// monomorphic column gets its typed representation, a mixed-kind
-// column (including INT mixed with FLOAT — kept boxed so the exact
-// original values round-trip) degrades to PhysAny.
+// FromRelation returns r's rows as a Rel over r's own column vectors,
+// without the join indexes Of attaches to a base table.
 func FromRelation(r *relation.Relation) *Rel {
-	n, w := r.Len(), r.Schema().Len()
-	out := &Rel{Schema: r.Schema(), cols: make([]Vec, w), N: n, src: r}
-	phys := make([]Phys, w)
-	sniffed := make([]bool, w)
-	for _, t := range r.Tuples() {
-		for c, v := range t {
-			if v.IsNull() || (sniffed[c] && phys[c] == PhysAny) {
-				continue
-			}
-			var p Phys
-			switch v.Kind() {
-			case value.KindInt:
-				p = PhysInt
-			case value.KindFloat:
-				p = PhysFloat
-			case value.KindString:
-				p = PhysStr
-			case value.KindBool:
-				p = PhysBool
-			}
-			if !sniffed[c] {
-				phys[c], sniffed[c] = p, true
-			} else if phys[c] != p {
-				phys[c] = PhysAny
-			}
-		}
-	}
-	for c := 0; c < w; c++ {
-		col := &out.cols[c]
-		col.Phys = phys[c]
-		switch phys[c] {
-		case PhysInt:
-			col.Ints = make([]int64, n)
-		case PhysFloat:
-			col.Floats = make([]float64, n)
-		case PhysStr:
-			col.Strs = make([]string, n)
-		case PhysBool:
-			col.Bools = make([]bool, n)
-		default:
-			col.Any = make([]value.Value, n)
-		}
-		for i, t := range r.Tuples() {
-			v := t[c]
-			if v.IsNull() {
-				col.SetNull(i, n)
-				continue
-			}
-			switch phys[c] {
-			case PhysInt:
-				col.Ints[i] = v.Int()
-			case PhysFloat:
-				col.Floats[i] = v.Float()
-			case PhysStr:
-				col.Strs[i] = v.Str()
-			case PhysBool:
-				col.Bools[i] = v.Bool()
-			default:
-				col.Any[i] = v
-			}
-		}
-	}
-	return out
+	cols, n := r.Columns()
+	return &Rel{Schema: r.Schema(), cols: cols, N: n}
 }
 
-// FromValues shapes one column from boxed values, sniffing its physical
-// kind the way FromRelation does.
+// FromValues builds one column from boxed values, deciding its physical
+// kind as relation.Builder does (column.Vec.Append).
 func FromValues(vals []value.Value) Vec {
-	rows := make([]relation.Tuple, len(vals))
-	for i := range vals {
-		rows[i] = vals[i : i+1 : i+1]
+	var v Vec
+	for _, x := range vals {
+		v.Append(x)
 	}
-	r := relation.New(schema.New(schema.Attribute{}))
-	r.AppendAll(rows)
-	return FromRelation(r).cols[0]
+	return v
 }
 
-// ToRelation returns the rows as a row-major relation. A Rel that still
-// is what FromRelation shaped — a scanned base table, the output of a
-// tuple-engine fallback — returns its source (re-labelled when the
-// schema is an alias) without touching a value. Anything else is
-// gathered and boxed: tuples are carved from one flat arena allocation
-// (n×width values) rather than allocated per row. Callers must treat
-// the result as read-only, as they must any operator input.
+// ToRelation returns the rows as a relation over the same column
+// vectors: pending columns are gathered, nothing is boxed or copied.
+// Callers must treat the result as read-only, as they must any operator
+// input.
 func (r *Rel) ToRelation() *relation.Relation {
-	if r.src != nil {
-		if r.src.Schema() == r.Schema {
-			return r.src
-		}
-		out := relation.New(r.Schema)
-		out.AppendAll(r.src.Tuples())
-		return out
-	}
-	out := relation.New(r.Schema)
-	w := r.Schema.Len()
-	if r.N == 0 || w == 0 {
-		for i := 0; i < r.N; i++ {
-			out.Append(relation.Tuple{})
-		}
-		return out
-	}
-	arena := make([]value.Value, r.N*w)
 	for c := range r.cols {
-		col := r.Col(c)
-		for i := 0; i < r.N; i++ {
-			arena[i*w+c] = col.At(i)
-		}
+		r.Col(c)
 	}
-	tuples := make([]relation.Tuple, r.N)
-	for i := 0; i < r.N; i++ {
-		tuples[i] = relation.Tuple(arena[i*w : (i+1)*w : (i+1)*w])
-	}
-	out.AppendAll(tuples)
-	return out
+	return relation.FromColumns(r.Schema, r.cols, r.N)
 }
 
 // ReadTuple fills dst (of schema width) with row i without allocating
@@ -558,7 +336,7 @@ func (r *Rel) KeyHashes(idx []int, nullMatches bool) (hs []uint64, ok []bool) {
 		}
 	}
 	for _, c := range idx {
-		r.Col(c).hashInto(hs, ok, nullMatches)
+		hashInto(r.Col(c), hs, ok, nullMatches)
 	}
 	return hs, ok
 }
@@ -581,7 +359,7 @@ func (r *Rel) Keys(idx []int) Keys {
 // key-hash bucket hits.
 func (ks Keys) Equal(i int, o Keys, j int) bool {
 	for k, v := range ks {
-		if !v.equalRows(i, o[k], j) {
+		if !equalRows(v, i, o[k], j) {
 			return false
 		}
 	}
@@ -619,9 +397,9 @@ type JoinIndex struct {
 	Rows       int // rows chained (those with no NULL key)
 }
 
-// indexes are the join indexes a shared image owns, one per key-column
+// indexes are the join indexes a base table owns, one per key-column
 // set (and a dense decision per column), built on first use under mu
-// and dropped with the image.
+// and dropped by the table's next Append.
 type indexes struct {
 	mu    sync.Mutex
 	list  []*JoinIndex
@@ -630,12 +408,12 @@ type indexes struct {
 }
 
 // JoinIndex returns r's key hashes over the columns at keys and, when
-// chained is set, the hash table over them. A shared image builds each
-// once — hashes on the first join that probes or builds with those
-// keys, chains on the first that builds (counted on exec.index.builds;
-// exec.index.bytes gauges the memory, which belongs to the image, not
-// to a request) — and reports shared=true; any other Rel computes them
-// for this call.
+// chained is set, the hash table over them. A base table's scan builds
+// each once — hashes on the first join that probes or builds with
+// those keys, chains on the first that builds (counted on
+// exec.index.builds; exec.index.bytes gauges the memory, which belongs
+// to the table, not to a request) — and reports shared=true; any other
+// Rel computes them for this call.
 func (r *Rel) JoinIndex(keys []int, chained bool) (ix *JoinIndex, shared bool) {
 	if r.idx == nil {
 		ix = &JoinIndex{}

@@ -88,19 +88,19 @@ func (d *DenseIndex) Run(x int64) []int32 {
 	return d.Rows[d.Off[k]:d.Off[k+1]]
 }
 
-// denseEntry is an image's dense-index decision for one key column; ix
-// is nil when the column is not dense.
+// denseEntry is a base table's dense-index decision for one key
+// column; ix is nil when the column is not dense.
 type denseEntry struct {
 	col int
 	ix  *DenseIndex
 }
 
 // DenseIndex returns the dense index over column col, or nil when that
-// column is not dense. A shared image decides once per column and
+// column is not dense. A base table's scan decides once per column and
 // builds at most once, under the lock that guards its join indexes
 // (counted on exec.index.builds, its bytes gauged on exec.index.bytes,
-// dropped with the image), and reports shared=true; any other Rel
-// builds one for this call.
+// dropped by the table's next Append), and reports shared=true; any
+// other Rel builds one for this call.
 func (r *Rel) DenseIndex(col int) (ix *DenseIndex, shared bool) {
 	if r.idx == nil {
 		return newDenseIndex(r.Col(col)), false

@@ -140,10 +140,11 @@ func TestBatchDenseRangeBound(t *testing.T) {
 	}
 }
 
-// TestBatchDenseIndex: a shared image decides and builds a column's
-// dense index once however many joins race for it, aliases share it, a
-// column that is not dense is remembered without a build, Append drops
-// it with the image, and any other Rel builds a private one.
+// TestBatchDenseIndex: a base table's scan decides and builds a
+// column's dense index once however many joins race for it, aliases
+// share it, a column that is not dense is remembered without a build,
+// Append drops it with the scan, and any other Rel builds a private
+// one.
 func TestBatchDenseIndex(t *testing.T) {
 	b := relation.NewBuilder("t", "k", "wide")
 	for i := 0; i < 100; i++ {
@@ -161,7 +162,7 @@ func TestBatchDenseIndex(t *testing.T) {
 			defer wg.Done()
 			ix, shared := img.As(img.Schema).DenseIndex(0)
 			if !shared {
-				t.Error("an image's dense index must be shared")
+				t.Error("a table scan's dense index must be shared")
 			}
 			got[g] = ix
 			if ix, _ := img.DenseIndex(1); ix != nil {
@@ -181,10 +182,10 @@ func TestBatchDenseIndex(t *testing.T) {
 	}
 	checkDense(t, img.Col(0))
 	if own, shared := FromRelation(in).DenseIndex(0); shared || own == first || !slices.Equal(own.Rows, first.Rows) {
-		t.Fatal("a non-image Rel must build a private, equal index")
+		t.Fatal("a Rel that is not a table's scan must build a private, equal index")
 	}
 	in.Append(relation.Tuple{value.NewInt(19), value.NewInt(0), value.NewInt(100)})
 	if again, _ := Of(in).DenseIndex(0); again == first || len(again.Rows) != in.Len() || builds.Value()-before != 2 {
-		t.Fatal("Append must drop the dense index with the image")
+		t.Fatal("Append must drop the dense index with the scan")
 	}
 }

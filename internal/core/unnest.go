@@ -51,7 +51,8 @@ type JoinAggregateQuery struct {
 // nested-loops strategy Section 1.1 attributes to the majority of
 // commercial RDBMS: for every outer tuple, each correlated subquery
 // is re-evaluated from scratch. It is the reference semantics the
-// unnested plan must match, and the baseline of experiment E8.
+// unnested plan must match, and the baseline of experiment E8. Each
+// relation is boxed once per call (tisRows) and re-scanned from there.
 func (q *JoinAggregateQuery) TIS(db plan.Database) (*relation.Relation, error) {
 	outer, ok := db[q.Rel]
 	if !ok {
@@ -65,12 +66,13 @@ func (q *JoinAggregateQuery) TIS(db plan.Database) (*relation.Relation, error) {
 			return nil, fmt.Errorf("core: projection %s not in %q", a, q.Rel)
 		}
 	}
+	rows := tisRows{db: db, boxed: map[string][]relation.Tuple{}}
 	for _, t := range outer.Tuples() {
 		env := expr.TupleEnv{Schema: outer.Schema(), Tuple: t}
 		if q.Local != nil && !q.Local.Eval(env).Holds() {
 			continue
 		}
-		ok, err := evalFilters(q.Filters, env, db)
+		ok, err := rows.filters(q.Filters, env)
 		if err != nil {
 			return nil, err
 		}
@@ -86,9 +88,16 @@ func (q *JoinAggregateQuery) TIS(db plan.Database) (*relation.Relation, error) {
 	return out, nil
 }
 
-func evalFilters(filters []CountFilter, env expr.Env, db plan.Database) (bool, error) {
+// tisRows is one TIS evaluation's view of db: each relation's rows,
+// boxed the first time a subquery scans it.
+type tisRows struct {
+	db    plan.Database
+	boxed map[string][]relation.Tuple
+}
+
+func (tr tisRows) filters(filters []CountFilter, env expr.Env) (bool, error) {
 	for _, f := range filters {
-		cnt, err := f.Sub.count(env, db)
+		cnt, err := tr.count(f.Sub, env)
 		if err != nil {
 			return false, err
 		}
@@ -100,13 +109,18 @@ func evalFilters(filters []CountFilter, env expr.Env, db plan.Database) (bool, e
 	return true, nil
 }
 
-func (cq *CountQuery) count(outerEnv expr.Env, db plan.Database) (int64, error) {
-	rel, ok := db[cq.Rel]
+func (tr tisRows) count(cq *CountQuery, outerEnv expr.Env) (int64, error) {
+	rel, ok := tr.db[cq.Rel]
 	if !ok {
 		return 0, fmt.Errorf("core: unknown relation %q", cq.Rel)
 	}
+	ts, ok := tr.boxed[cq.Rel]
+	if !ok {
+		ts = rel.Tuples()
+		tr.boxed[cq.Rel] = ts
+	}
 	var n int64
-	for _, t := range rel.Tuples() {
+	for _, t := range ts {
 		env := expr.ChainEnv{
 			Inner: expr.TupleEnv{Schema: rel.Schema(), Tuple: t},
 			Outer: outerEnv,
@@ -114,7 +128,7 @@ func (cq *CountQuery) count(outerEnv expr.Env, db plan.Database) (int64, error) 
 		if cq.Corr != nil && !cq.Corr.Eval(env).Holds() {
 			continue
 		}
-		ok, err := evalFilters(cq.Filters, env, db)
+		ok, err := tr.filters(cq.Filters, env)
 		if err != nil {
 			return 0, err
 		}

@@ -47,7 +47,7 @@ func Supplier(cfg SupplierConfig) plan.Database {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	db := make(plan.Database, 3)
 
-	sup := relation.NewBuilder("sup_detail", "supkey", "suprating", "supdetail")
+	sup := relation.NewBuilder("sup_detail", "supkey", "suprating", "supdetail").Grow(cfg.Suppliers)
 	bankrupt := int(float64(cfg.Suppliers) * cfg.BankruptFrac)
 	for s := 0; s < cfg.Suppliers; s++ {
 		rating := "OK"
@@ -62,7 +62,7 @@ func Supplier(cfg SupplierConfig) plan.Database {
 	}
 	db["sup_detail"] = sup.Relation()
 
-	agg := relation.NewBuilder("agg94", "supkey", "partkey", "qty")
+	agg := relation.NewBuilder("agg94", "supkey", "partkey", "qty").Grow(cfg.AggRows)
 	for i := 0; i < cfg.AggRows; i++ {
 		agg.Row(
 			value.NewInt(int64(rng.Intn(cfg.Suppliers))),
@@ -72,7 +72,7 @@ func Supplier(cfg SupplierConfig) plan.Database {
 	}
 	db["agg94"] = agg.Relation()
 
-	detail := relation.NewBuilder("detail95", "supkey", "partkey", "date", "qty")
+	detail := relation.NewBuilder("detail95", "supkey", "partkey", "date", "qty").Grow(cfg.DetailRows)
 	for i := 0; i < cfg.DetailRows; i++ {
 		detail.Row(
 			value.NewInt(int64(rng.Intn(cfg.Suppliers))),
@@ -113,7 +113,7 @@ type UniformConfig struct {
 
 // Uniform builds one relation named name with columns x and y.
 func Uniform(rng *rand.Rand, name string, cfg UniformConfig) *relation.Relation {
-	b := relation.NewBuilder(name, "x", "y")
+	b := relation.NewBuilder(name, "x", "y").Grow(cfg.Rows)
 	for i := 0; i < cfg.Rows; i++ {
 		vals := make([]value.Value, 2)
 		for j := range vals {
@@ -146,7 +146,7 @@ func Chain(n int, cfg UniformConfig, seed int64) plan.Database {
 // the fan-out pay off.
 func Zipf(rng *rand.Rand, name string, rows, domain int, s float64) *relation.Relation {
 	z := rand.NewZipf(rng, s, 1, uint64(domain-1))
-	b := relation.NewBuilder(name, "x", "y")
+	b := relation.NewBuilder(name, "x", "y").Grow(rows)
 	for i := 0; i < rows; i++ {
 		b.Row(
 			value.NewInt(int64(z.Uint64())),

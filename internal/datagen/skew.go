@@ -73,7 +73,7 @@ func Skewed(cfg SkewConfig) plan.Database {
 	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Keys-1))
 	db := make(plan.Database, 3)
 
-	fact := relation.NewBuilder("fact", "k", "v", "j")
+	fact := relation.NewBuilder("fact", "k", "v", "j").Grow(cfg.FactRows)
 	for i := 0; i < cfg.FactRows; i++ {
 		k := int64(zipf.Uint64())
 		fact.Row(
@@ -84,7 +84,7 @@ func Skewed(cfg SkewConfig) plan.Database {
 	}
 	db["fact"] = fact.Relation()
 
-	d1 := relation.NewBuilder("d1", "j", "a")
+	d1 := relation.NewBuilder("d1", "j", "a").Grow(cfg.DimRows)
 	for i := 0; i < cfg.DimRows; i++ {
 		d1.Row(
 			value.NewInt(int64(rng.Intn(cfg.JoinDomain))),
@@ -93,7 +93,7 @@ func Skewed(cfg SkewConfig) plan.Database {
 	}
 	db["d1"] = d1.Relation()
 
-	d2 := relation.NewBuilder("d2", "a", "tag")
+	d2 := relation.NewBuilder("d2", "a", "tag").Grow(cfg.TagRows)
 	for i := 0; i < cfg.TagRows; i++ {
 		d2.Row(
 			value.NewInt(int64(rng.Intn(cfg.ADomain))),

@@ -99,7 +99,7 @@ type Options struct {
 // converts to a *guard.PanicError carrying the plan fingerprint
 // instead of unwinding into the caller. The result is multiset-equal
 // to Run's, and row-identical to it under a root Sort; it
-// may share columns with a base table's image, so callers treat it as
+// may share columns with a base table, so callers treat it as
 // read-only.
 func Exec(n plan.Node, db plan.Database, o Options) (out *batch.Rel, ann plan.Annotations, err error) {
 	phase := "execute"
@@ -204,16 +204,17 @@ func joinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*rel
 	li, ri, residual := splitEqui(pred, ls, rs)
 	// every is the nested loop's candidate list; build buckets the
 	// right rows by key hash otherwise. A NULL key matches nothing.
+	rts := r.Tuples()
 	var every []int
 	var build map[uint64][]int
 	if len(li) == 0 {
-		every = make([]int, r.Len())
+		every = make([]int, len(rts))
 		for j := range every {
 			every[j] = j
 		}
 	} else {
-		build = make(map[uint64][]int, r.Len())
-		for j, t := range r.Tuples() {
+		build = make(map[uint64][]int, len(rts))
+		for j, t := range rts {
 			if h, ok := t.HashOn(ri); ok {
 				build[h] = append(build[h], j)
 			}
@@ -221,8 +222,8 @@ func joinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*rel
 	}
 	nl, nr := ls.Len(), rs.Len()
 	env := expr.TupleEnv{Schema: out.Schema(), Tuple: make(relation.Tuple, nl+nr)}
-	rightMatched := make([]bool, r.Len())
-	for _, lt := range l.Tuples() {
+	rightMatched := make([]bool, len(rts))
+	l.Each(func(lt relation.Tuple) {
 		cands := every
 		if len(li) > 0 {
 			h, ok := lt.HashOn(li)
@@ -233,7 +234,7 @@ func joinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*rel
 		matched := false
 		copy(env.Tuple, lt)
 		for _, j := range cands {
-			rt := r.Tuple(j)
+			rt := rts[j]
 			if len(li) > 0 && !lt.EqualOn(rt, li, ri) {
 				continue // a hash collision
 			}
@@ -243,14 +244,14 @@ func joinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*rel
 			}
 			matched = true
 			rightMatched[j] = true
-			out.Append(append(relation.Tuple(nil), env.Tuple...))
+			out.Append(env.Tuple)
 		}
 		if !matched && (kind == plan.LeftJoin || kind == plan.FullJoin) {
 			out.Append(padded(lt, nil, nl, nr))
 		}
-	}
+	})
 	if kind == plan.RightJoin || kind == plan.FullJoin {
-		for j, rt := range r.Tuples() {
+		for j, rt := range rts {
 			if !rightMatched[j] {
 				out.Append(padded(nil, rt, nl, nr))
 			}

@@ -19,7 +19,7 @@ type joinProbe struct {
 	SpillRecursions int // partitions split again on the next hash bits
 
 	// Build says where a hash join's table came from: "index" (the
-	// build image's shared join index) or "hash" (built for this
+	// build table's shared join index) or "hash" (built for this
 	// request); empty for a nested loop.
 	Build string
 	// Lookup says how such a join found a probe row's build rows:

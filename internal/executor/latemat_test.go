@@ -28,7 +28,7 @@ import (
 )
 
 // lateDB is mixedDB plus a column m that mixes ints, floats and
-// strings (PhysAny in the image) and that no test plan reads.
+// strings (a PhysAny column) and that no test plan reads.
 func lateDB(rng *rand.Rand, rows, domain int, rels ...string) plan.Database {
 	db := make(plan.Database, len(rels))
 	for _, name := range rels {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/batch"
+	"repro/internal/column"
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -26,7 +27,7 @@ import (
 // share of the value domain {NaN (two payloads), ±0, ±Inf, 1, 1.5,
 // 2^53, 2^53+1, MinInt64, MaxInt64, "a", true}; NULL joins every kind.
 var semKinds = func() []struct {
-	phys batch.Phys
+	phys column.Phys
 	vals []value.Value
 } {
 	i, f := value.NewInt, value.NewFloat
@@ -38,7 +39,7 @@ var semKinds = func() []struct {
 	strs := []value.Value{value.NewString("a"), value.NewString("b")}
 	anys := slices.Concat([]value.Value{value.NewBool(true)}, ints, floats, strs)
 	return []struct {
-		phys batch.Phys
+		phys column.Phys
 		vals []value.Value
 	}{{batch.PhysInt, ints}, {batch.PhysFloat, floats}, {batch.PhysStr, strs}, {batch.PhysAny, anys}}
 }()

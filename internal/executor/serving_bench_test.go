@@ -103,7 +103,7 @@ func execServing(tb testing.TB, p plan.Node, db plan.Database) *batch.Rel {
 }
 
 // BenchmarkExecServing times one execution per hit_scan shape over
-// warm images — what a cache-hit request spends in the executor; B/op
+// warm scans and join indexes — what a cache-hit request spends in the executor; B/op
 // and allocs/op are what the serving benchmark reports as
 // go.alloc_kb_per_req / go.allocs_per_req net of the serving path.
 func BenchmarkExecServing(b *testing.B) {
@@ -150,7 +150,7 @@ func BenchmarkExecNonEqui(b *testing.B) {
 }
 
 // TestExecServingAllocCeiling fails tier-1 when executing a hit_scan
-// shape over warm images allocates more than its ceiling. With eager
+// shape over warm scans and join indexes allocates more than its ceiling. With eager
 // gathers and a per-request hash build the five shapes took
 // 67.6/420/29.0/22.3/21.4 KB in 218/131/126/82/111 allocations at this
 // scale; on shared join indexes and pending columns they take
@@ -183,7 +183,7 @@ func TestExecServingAllocCeiling(t *testing.T) {
 	for _, sh := range servingShapes {
 		p := servingPlan(t, sh.sql, db)
 		run := func() { execServing(t, p, db) }
-		run() // builds the images and indexes
+		run() // builds the scans and indexes
 		const runs = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -205,7 +205,7 @@ func TestExecServingAllocCeiling(t *testing.T) {
 // state now cached under the operators: a join index is built from a
 // relation's physical row order, and no answer may depend on it.
 // Permuting every base relation's tuples — new relations, so every
-// image and index is rebuilt over the new order — leaves each shape's
+// scan and index is rebuilt over the new order — leaves each shape's
 // result multiset unchanged. Not every shape builds on a base table's
 // index (skew_groupby, planned with its constants, builds on
 // selections), so the premise is that the shapes together do.

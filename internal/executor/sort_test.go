@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/batch"
+	"repro/internal/column"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/relation"
@@ -24,7 +25,7 @@ import (
 // generator mixes in NaN, ±0 and ±Inf; the PhysAny one mixes INT,
 // FLOAT (NaN included) and STRING values.
 var sortKinds = []struct {
-	phys batch.Phys
+	phys column.Phys
 	gen  func(rng *rand.Rand) value.Value
 }{
 	{batch.PhysInt, func(rng *rand.Rand) value.Value { return value.NewInt(int64(rng.Intn(9) - 4)) }},
@@ -208,7 +209,9 @@ func TestColumnarSortMatchesSortRows(t *testing.T) {
 // paths, over a typed NULL-free float column, a float column with a
 // NULL (boxed comparisons) and a mixed-kind column: ascending, −Inf <
 // −0 = +0 < 1 < +Inf < NaN = NaN < NULL, ties in input order;
-// descending, the reverse with ties still in input order.
+// descending, the reverse with ties still in input order. Two typed
+// columns stand in NaN-first order, which the in-order check must not
+// take for sorted.
 func TestSortNaNOrder(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	negZero := math.Copysign(0, -1)
@@ -220,6 +223,12 @@ func TestSortNaNOrder(t *testing.T) {
 	}{
 		{"typed float", []value.Value{f(1), f(nan), f(inf), f(-inf), f(negZero), f(0), f(nan)},
 			[]int64{3, 4, 5, 0, 2, 1, 6}, []int64{1, 6, 2, 0, 4, 5, 3}},
+		// In cmp.Compare's order, which puts NaN first, the first is
+		// ascending and the second descending: neither is in order.
+		{"typed float, NaN first", []value.Value{f(nan), f(-inf), f(0), f(1)},
+			[]int64{1, 2, 3, 0}, []int64{0, 3, 2, 1}},
+		{"typed float, NaN last", []value.Value{f(1), f(0), f(-inf), f(nan)},
+			[]int64{2, 1, 0, 3}, []int64{3, 0, 1, 2}},
 		{"float with NULL", []value.Value{f(nan), value.Null, f(inf), f(0), f(negZero)},
 			[]int64{3, 4, 2, 0, 1}, []int64{1, 0, 2, 3, 4}},
 		{"mixed kinds", []value.Value{value.NewString("x"), f(nan), value.NewInt(2), f(inf), value.Null, value.NewInt(-1)},
@@ -328,7 +337,8 @@ func FuzzColumnarSort(f *testing.F) {
 // BenchmarkExecSort times a Sort over a 100 000-row scan on an int64
 // key with ties and a string key through Exec, every result column
 // read: input already in key order (full sort), unsorted input (full
-// sort), and unsorted input under LIMIT 10.
+// sort), and unsorted input under LIMIT 10; and, as inorder_int, a
+// full sort on one int64 key the input already stands in.
 func BenchmarkExecSort(b *testing.B) {
 	const rows = 100_000
 	rng := rand.New(rand.NewSource(45))
@@ -345,14 +355,16 @@ func BenchmarkExecSort(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		rel   *relation.Relation
+		keys  []plan.SortKey
 		limit int
 	}{
-		{"presorted", presorted, -1},
-		{"unsorted", unsorted, -1},
-		{"top10", unsorted, 10},
+		{"presorted", presorted, keys, -1},
+		{"unsorted", unsorted, keys, -1},
+		{"top10", unsorted, keys, 10},
+		{"inorder_int", unsorted, []plan.SortKey{{Attr: schema.Attr("t", "p")}}, -1},
 	} {
 		db := plan.Database{"t": c.rel}
-		p := plan.NewSort(keys, c.limit, plan.NewScan("t"))
+		p := plan.NewSort(c.keys, c.limit, plan.NewScan("t"))
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

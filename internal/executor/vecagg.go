@@ -267,23 +267,21 @@ func (e *vecEngine) vecProject(sh *plan.Shape, distinct bool, in *batch.Rel) (*b
 	ks := proj.Keys(all)
 	seen := make(map[uint64][]int32)
 	sel := make([]int32, 0, in.N)
-	for i := 0; i < in.N; i++ {
-		if err := e.checkBatch(i); err != nil {
+	for lo := 0; lo < in.N; lo += e.batch {
+		if err := e.checkBatch(); err != nil {
 			return nil, err
 		}
-		h := hs[i]
-		dup := false
-		for _, j := range seen[h] {
-			if ks.Equal(i, ks, int(j)) {
-				dup = true
-				break
+	rows:
+		for i := lo; i < min(lo+e.batch, in.N); i++ {
+			h := hs[i]
+			for _, j := range seen[h] {
+				if ks.Equal(i, ks, int(j)) {
+					continue rows
+				}
 			}
+			seen[h] = append(seen[h], int32(i))
+			sel = append(sel, int32(i))
 		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], int32(i))
-		sel = append(sel, int32(i))
 	}
 	return proj.Select(sel), nil
 }
@@ -324,12 +322,9 @@ func positions(s *schema.Schema, attrs []schema.Attribute) []int {
 	return idx
 }
 
-// checkBatch fires the per-batch guard protocol every e.batch rows of
-// a row-indexed kernel loop.
-func (e *vecEngine) checkBatch(i int) error {
-	if i%e.batch != 0 {
-		return nil
-	}
+// checkBatch fires the per-batch guard protocol; a row-indexed kernel
+// loop calls it before each e.batch rows, at row 0, e.batch, 2·e.batch…
+func (e *vecEngine) checkBatch() error {
 	if err := guard.Hit(guard.PointExecBatch); err != nil {
 		return err
 	}
@@ -414,21 +409,23 @@ func (e *vecEngine) groupIDsDense(v *batch.Vec, lo, hi int64) (groupOf, firstRow
 		slots[s] = -1
 	}
 	null := len(slots) - 1
-	for i, x := range v.Ints {
-		if err := e.checkBatch(i); err != nil {
+	for blo := 0; blo < n; blo += e.batch {
+		if err := e.checkBatch(); err != nil {
 			return nil, nil, err
 		}
-		s := null
-		if !v.IsNull(i) {
-			s = int(x - lo)
+		for i := blo; i < min(blo+e.batch, n); i++ {
+			s := null
+			if !v.IsNull(i) {
+				s = int(v.Ints[i] - lo)
+			}
+			g := slots[s]
+			if g < 0 {
+				g = int32(len(firstRow))
+				firstRow = append(firstRow, int32(i))
+				slots[s] = g
+			}
+			groupOf[i] = g
 		}
-		g := slots[s]
-		if g < 0 {
-			g = int32(len(firstRow))
-			firstRow = append(firstRow, int32(i))
-			slots[s] = g
-		}
-		groupOf[i] = g
 	}
 	return groupOf, firstRow, nil
 }
@@ -448,40 +445,42 @@ func (e *vecEngine) groupIDsHashed(in *batch.Rel, keyIdx []int) (groupOf, firstR
 	for i := range slots {
 		slots[i] = -1
 	}
-	for i := 0; i < in.N; i++ {
-		if err := e.checkBatch(i); err != nil {
+	for lo := 0; lo < in.N; lo += e.batch {
+		if err := e.checkBatch(); err != nil {
 			return nil, nil, err
 		}
-		h := hs[i]
-		s := h & mask
-		var g int32
-		for {
-			g = slots[s]
-			if g < 0 {
-				g = int32(len(firstRow))
-				firstRow = append(firstRow, int32(i))
-				ghash = append(ghash, h)
-				slots[s] = g
-				break
-			}
-			if ghash[g] == h && ks.Equal(i, ks, int(firstRow[g])) {
-				break
-			}
-			s = (s + 1) & mask
-		}
-		groupOf[i] = g
-		if 2*len(firstRow) > len(slots) {
-			slots = make([]int32, 2*len(slots))
-			mask = uint64(len(slots) - 1)
-			for s := range slots {
-				slots[s] = -1
-			}
-			for g, h := range ghash {
-				s := h & mask
-				for slots[s] >= 0 {
-					s = (s + 1) & mask
+		for i := lo; i < min(lo+e.batch, in.N); i++ {
+			h := hs[i]
+			s := h & mask
+			var g int32
+			for {
+				g = slots[s]
+				if g < 0 {
+					g = int32(len(firstRow))
+					firstRow = append(firstRow, int32(i))
+					ghash = append(ghash, h)
+					slots[s] = g
+					break
 				}
-				slots[s] = int32(g)
+				if ghash[g] == h && ks.Equal(i, ks, int(firstRow[g])) {
+					break
+				}
+				s = (s + 1) & mask
+			}
+			groupOf[i] = g
+			if 2*len(firstRow) > len(slots) {
+				slots = make([]int32, 2*len(slots))
+				mask = uint64(len(slots) - 1)
+				for s := range slots {
+					slots[s] = -1
+				}
+				for g, h := range ghash {
+					s := h & mask
+					for slots[s] >= 0 {
+						s = (s + 1) & mask
+					}
+					slots[s] = int32(g)
+				}
 			}
 		}
 	}

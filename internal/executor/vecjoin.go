@@ -139,7 +139,7 @@ func denseLookup(probe, build *batch.Rel, pi, bi []int) (*joinLookup, bool) {
 }
 
 // hashLookup is the lookup through build's key-hash table. A build side
-// that is a base table's shared image brings its table with it
+// that is a base table's scan brings the table's own hash table with it
 // (batch.JoinIndex); anything else is hashed and chained here, for this
 // request. Each chain lists its rows in ascending order: per probe row,
 // matches emerge in the same order the tuple engine's insertion-ordered

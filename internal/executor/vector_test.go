@@ -5,10 +5,10 @@
 // kinds with NULL keys, MGOJ, GenSel, grouping with every aggregate
 // form — across batch sizes {1, 3, 1024}, and must agree bit-for-bit
 // on aggregate float arithmetic. It also pins what the serving path
-// relies on beyond multiset equality: one shared image per base
-// relation, a lopsided join kept inside the kernel, a sort's row
-// order, and an annotation on every node. make race runs this file
-// under the race detector.
+// relies on beyond multiset equality: every scan of a base relation
+// reads the table's own columns, a lopsided join kept inside the
+// kernel, a sort's row order, and an annotation on every node. make
+// race runs this file under the race detector.
 package executor
 
 import (
@@ -386,35 +386,20 @@ func TestVectorizedInstrumented(t *testing.T) {
 
 }
 
-// sameColumns reports whether two columnar relations hold the same
-// physical column kinds and values, row by row.
-func sameColumns(a, b *batch.Rel) bool {
-	if a.N != b.N || a.Width() != b.Width() {
-		return false
-	}
-	for c := 0; c < a.Width(); c++ {
-		if a.Col(c).Phys != b.Col(c).Phys {
-			return false
-		}
-		for i := 0; i < a.N; i++ {
-			if !value.Equal(a.Col(c).At(i), b.Col(c).At(i)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// TestVectorizedSharedImage: every engine scanning one database shares
-// one image per relation — built by the first scan, never re-shaped,
-// never written through by a kernel. After the whole plan zoo has run
-// on every columnar entry point, each relation's cached image still
-// equals a fresh FromRelation, and exactly one was built per relation.
+// TestVectorizedSharedImage: every engine scanning one database reads
+// each relation's own columns through one scan per relation — made by
+// the first scan, never remade, never written through by a kernel.
+// After the whole plan zoo has run on every columnar entry point, each
+// relation holds the rows it started with and Of returns the scan it
+// returned before.
 func TestVectorizedSharedImage(t *testing.T) {
 	rng := rand.New(rand.NewSource(217))
 	db := mixedDB(rng, 300, 19, "r1", "r2", "r3")
-	builds := obs.Default().Counter("exec.image.builds")
-	before := builds.Value()
+	rows := make(map[string][]relation.Tuple, len(db))
+	scans := make(map[string]*batch.Rel, len(db))
+	for name, rel := range db {
+		rows[name], scans[name] = rel.Tuples(), batch.Of(rel)
+	}
 	for pi, p := range vecPlans() {
 		want, err := Run(p, db)
 		if err != nil {
@@ -430,21 +415,20 @@ func TestVectorizedSharedImage(t *testing.T) {
 			}
 		}
 	}
-	if got := builds.Value() - before; got != int64(len(db)) {
-		t.Errorf("%d image builds over %d relations, want one each", got, len(db))
-	}
 	for name, rel := range db {
-		if !sameColumns(batch.Of(rel), batch.FromRelation(rel)) {
-			t.Errorf("%s: cached image no longer equals a fresh FromRelation", name)
+		if batch.Of(rel) != scans[name] {
+			t.Errorf("%s: the scan was remade", name)
 		}
-	}
-	if got := builds.Value() - before; got != int64(len(db)) {
-		t.Errorf("reading the images back built %d more", got-int64(len(db)))
+		for i, tu := range rel.Tuples() {
+			if !tu.EqualTuple(rows[name][i]) {
+				t.Fatalf("%s row %d: %v, was %v — a kernel wrote through a base column", name, i, tu, rows[name][i])
+			}
+		}
 	}
 }
 
-// TestVectorizedAliasedScan: an aliased scan shares the base image's
-// columns under the renamed schema, so a self-join costs one image.
+// TestVectorizedAliasedScan: an aliased scan reads the base table's
+// columns under the renamed schema, so a self-join makes one scan.
 func TestVectorizedAliasedScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(218))
 	db := mixedDB(rng, 200, 11, "r1")
@@ -454,8 +438,7 @@ func TestVectorizedAliasedScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds := obs.Default().Counter("exec.image.builds")
-	before := builds.Value()
+	scan := batch.Of(db["r1"])
 	for _, e := range servingEngines() {
 		got, err := e.run(p, db)
 		if err != nil {
@@ -465,8 +448,8 @@ func TestVectorizedAliasedScan(t *testing.T) {
 			t.Fatalf("%s differs from Run on an aliased self-join", e.name)
 		}
 	}
-	if got := builds.Value() - before; got != 1 {
-		t.Errorf("aliased self-join built %d images, want 1", got)
+	if batch.Of(db["r1"]) != scan {
+		t.Error("the aliased self-join made a second scan of r1")
 	}
 }
 

@@ -126,9 +126,8 @@ func (s *Scan) Eval(db Database) (*relation.Relation, error) {
 	if s.As == "" || s.As == s.Rel {
 		return r, nil
 	}
-	renamed := relation.New(s.renamed(r.Schema()))
-	renamed.AppendAll(r.Tuples())
-	return renamed, nil
+	cols, n := r.Columns()
+	return relation.FromColumns(s.renamed(r.Schema()), cols, n), nil
 }
 
 func renameSchema(s *schema.Schema, old, new string) *schema.Schema {

@@ -68,6 +68,8 @@ func (s *Sort) Eval(db Database) (*relation.Relation, error) {
 
 // SortRows applies the ordering and limit to a materialized relation:
 // the rows SortIndex picks under the keys' comparator, in its order.
+// The result is always a new relation; input already in order is
+// handed back as one over in's columns, copying nothing.
 func SortRows(in *relation.Relation, keys []SortKey, limit int) (*relation.Relation, error) {
 	tuples := in.Tuples()
 	order, err := KeyCompare(in.Schema(), keys, func(c int) func(i, j int32) int {
@@ -76,14 +78,17 @@ func SortRows(in *relation.Relation, keys []SortKey, limit int) (*relation.Relat
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(in.Schema())
 	idx := SortIndex(len(tuples), limit, order)
 	if idx == nil {
-		out.AppendAll(tuples)
+		cols, n := in.Columns()
+		return relation.FromColumns(in.Schema(), cols, n), nil
 	}
-	for _, i := range idx {
-		out.Append(tuples[i])
+	sorted := make([]relation.Tuple, len(idx))
+	for k, i := range idx {
+		sorted[k] = tuples[i]
 	}
+	out := relation.New(in.Schema())
+	out.AppendAll(sorted)
 	return out, nil
 }
 

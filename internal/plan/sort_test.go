@@ -290,6 +290,25 @@ func TestSortRowsTopKPinnedToFullSort(t *testing.T) {
 	}
 }
 
+// TestSortRowsInOrderIsNewRelation: a Sort over a bare scan whose rows
+// already stand in key order returns a relation of its own, so
+// appending to the result leaves the base table as it was.
+func TestSortRowsInOrderIsNewRelation(t *testing.T) {
+	db := Database{"t": topKInput(10)}
+	s := NewSort([]SortKey{{Attr: schema.Attr("t", "p")}}, -1, NewScan("t"))
+	out, err := s.Eval(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out == db["t"] {
+		t.Fatal("Sort over an in-order scan returned the base table itself")
+	}
+	out.Append(out.Tuple(0))
+	if out.Len() != 11 || db["t"].Len() != 10 {
+		t.Fatalf("after appending to the result: result %d rows, base table %d, want 11 and 10", out.Len(), db["t"].Len())
+	}
+}
+
 // TestSortIndex pins SortIndex's answers: nil for rows already in
 // order with no limit below n, the leading positions for them under a
 // limit, an empty (not nil) selection for limit 0, and otherwise the

@@ -61,7 +61,7 @@ func FromCSV(name string, r io.Reader) (*Relation, error) {
 		kinds[col] = kind
 	}
 
-	b := NewBuilder(name, header...)
+	b := NewBuilder(name, header...).Grow(len(rows))
 	for i, rec := range rows {
 		if len(rec) != len(header) {
 			return nil, fmt.Errorf("relation: CSV for %q row %d has %d fields, header has %d",

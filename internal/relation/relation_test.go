@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/column"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -286,22 +287,26 @@ func TestSetOpsUnderForcedCollisions(t *testing.T) {
 	}
 }
 
-// TestImageBuiltOnceAndDropped: the derived-image slot runs its build
-// once however many goroutines ask, and Append/AppendAll empty it.
-func TestImageBuiltOnceAndDropped(t *testing.T) {
+// TestDerivedBuiltOnceAndDropped: the derived slot runs its build once
+// however many goroutines ask, over the rows the relation has then, and
+// Append/AppendAll empty it.
+func TestDerivedBuiltOnceAndDropped(t *testing.T) {
 	r := NewBuilder("r", "x").Row(value.NewInt(1)).Row(value.NewInt(2)).Relation()
 	var builds atomic.Int64
-	build := func(r *Relation) any {
+	build := func(cols []column.Vec, n int) any {
 		builds.Add(1)
-		return r.Len()
+		if len(cols) != 2 || cols[0].Len() != n {
+			t.Errorf("derive got %d columns of %d rows for n=%d", len(cols), cols[0].Len(), n)
+		}
+		return n
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := r.Image(build).(int); got != 2 {
-				t.Errorf("image = %d, want 2", got)
+			if got := r.Derived(build).(int); got != 2 {
+				t.Errorf("derived = %d, want 2", got)
 			}
 		}()
 	}
@@ -310,12 +315,60 @@ func TestImageBuiltOnceAndDropped(t *testing.T) {
 		t.Fatalf("build ran %d times, want 1", builds.Load())
 	}
 	r.Append(Tuple{value.NewInt(3), value.NewInt(2)})
-	if got := r.Image(build).(int); got != 3 || builds.Load() != 2 {
-		t.Fatalf("after Append: image %d after %d builds, want 3 after 2", got, builds.Load())
+	if got := r.Derived(build).(int); got != 3 || builds.Load() != 2 {
+		t.Fatalf("after Append: derived %d after %d builds, want 3 after 2", got, builds.Load())
 	}
 	r.AppendAll([]Tuple{{value.NewInt(4), value.NewInt(3)}})
-	if got := r.Image(build).(int); got != 4 || builds.Load() != 3 {
-		t.Fatalf("after AppendAll: image %d after %d builds, want 4 after 3", got, builds.Load())
+	if got := r.Derived(build).(int); got != 4 || builds.Load() != 3 {
+		t.Fatalf("after AppendAll: derived %d after %d builds, want 4 after 3", got, builds.Load())
+	}
+}
+
+// TestSnapshotSurvivesAppend: a relation over a snapshot's columns and
+// the relation it came from append to their own copies of the null
+// bitmap word they share — neither rewrites the other's rows — and a
+// snapshot reads the rows it was taken with while a goroutine appends
+// NULLs into that word (-race checks that the two never touch the same
+// memory).
+func TestSnapshotSurvivesAppend(t *testing.T) {
+	// Three rows leave room for a fourth, so that r's first append
+	// writes into the arrays the snapshot shares.
+	r := NewBuilder("r", "x").Row(value.NewInt(0)).Row(value.Null).Row(value.NewInt(1)).Relation()
+	snap, n := r.Columns()
+	r.Append(Tuple{value.Null, value.NewInt(3)})
+	r.Append(Tuple{value.NewInt(4), value.NewInt(4)})
+	alias := FromColumns(r.Schema(), snap, n)
+	alias.Append(Tuple{value.NewInt(9), value.NewInt(9)})
+	alias.Append(Tuple{value.Null, value.NewInt(10)})
+	if got := r.Tuple(3)[0]; !got.IsNull() {
+		t.Fatalf("appending to a relation over shared columns rewrote the source: row 3 = %v, want NULL", got)
+	}
+	if got := r.Tuple(4)[0]; !value.Equal(got, value.NewInt(4)) {
+		t.Fatalf("appending to a relation over shared columns rewrote the source: row 4 = %v, want 4", got)
+	}
+	if got := alias.Tuples(); len(got) != 5 || !got[1][0].IsNull() || !value.Equal(got[3][0], value.NewInt(9)) || !got[4][0].IsNull() {
+		t.Fatalf("alias rows = %v", got)
+	}
+
+	// Five rows leave room for three more before the arrays move.
+	snap, n = r.Columns()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 5; i < 199; i += 2 {
+			r.Append(Tuple{value.Null, value.NewInt(int64(i))})
+			r.Append(Tuple{value.NewInt(int64(i + 1)), value.NewInt(int64(i + 1))})
+		}
+	}()
+	for k := 0; k < 100; k++ {
+		if n != 5 || snap[0].Len() != 5 || !snap[0].IsNull(3) || snap[0].IsNull(4) {
+			t.Errorf("snapshot changed under Append: n=%d len=%d", n, snap[0].Len())
+			break
+		}
+	}
+	<-done
+	if r.Len() != 199 || !r.Tuple(197)[0].IsNull() || r.Tuple(198)[0].Int() != 198 {
+		t.Fatalf("after the appends: %d rows, rows 197/198 = %v/%v", r.Len(), r.Tuple(197), r.Tuple(198))
 	}
 }
 
@@ -330,4 +383,40 @@ func (t Tuple) Key() string {
 		fmt.Fprintf(&b, "%d:%s|", len(k), k)
 	}
 	return b.String()
+}
+
+// TestRowsBoxedOnDemand: Tuple(i) boxes one row — one allocation
+// whatever the table's size — Tuples() boxes into one arena per call
+// (two allocations: the values and the row headers), keeping nothing
+// between calls, and Each walks every row in order through one scratch
+// row.
+func TestRowsBoxedOnDemand(t *testing.T) {
+	b := NewBuilder("r", "a", "s")
+	for i := 0; i < 10_000; i++ {
+		b.Row(value.NewInt(int64(i)), value.NewString("x"))
+	}
+	r := b.Relation()
+	if got := testing.AllocsPerRun(100, func() { r.Tuple(5_000) }); got != 1 {
+		t.Errorf("Tuple(i) allocated %v times, want 1", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { r.Tuples() }); got != 2 {
+		t.Errorf("Tuples() allocated %v times, want 2", got)
+	}
+	first, second := r.Tuples(), r.Tuples()
+	if &first[0][0] == &second[0][0] {
+		t.Error("Tuples() handed out the same rows twice: it cached them")
+	}
+	if got := r.Tuple(7_000); got[0].Int() != 7_000 || got[1].Str() != "x" || got[2].Int() != 7_000 {
+		t.Errorf("Tuple(7000) = %v", got)
+	}
+	next := int64(0)
+	walk := func(tu Tuple) {
+		if tu[0].Int() != next || tu[2].Int() != next {
+			t.Fatalf("Each: row %v where row %d was due", tu, next)
+		}
+		next++
+	}
+	if got := testing.AllocsPerRun(10, func() { next = 0; r.Each(walk) }); got != 1 || next != 10_000 {
+		t.Errorf("Each allocated %v times over %d rows, want 1 over 10000", got, next)
+	}
 }

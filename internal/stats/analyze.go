@@ -26,8 +26,7 @@ const (
 
 // FromDatabase computes exact statistics for every table of db — the
 // eager "ANALYZE" of this engine. Each table is analyzed from its
-// columnar image, which this builds when no scan has built it yet. The
-// service does not call it: its estimator (ForDatabase) analyzes a
+// columns. The service does not call it: its estimator (ForDatabase) analyzes a
 // table the first time a plan reads it.
 func FromDatabase(db plan.Database) Catalog {
 	cat := make(Catalog, len(db))
@@ -38,7 +37,7 @@ func FromDatabase(db plan.Database) Catalog {
 }
 
 // analyzeTable computes one table's exact statistics with one typed
-// pass over each column of its columnar image (batch.Of), counting
+// pass over each of its columns (batch.Of), counting
 // values by the identity classes value.Key draws: typed columns count
 // their payloads directly (a FLOAT column its value.CanonicalFloat
 // bits) and only a mixed-kind column pays for a key string per row.

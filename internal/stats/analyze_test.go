@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/batch"
+	"repro/internal/column"
 	"repro/internal/datagen"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -200,7 +201,7 @@ func checkAnalyze(t *testing.T, label string, db plan.Database) {
 	}
 }
 
-// TestAnalyzeMatchesTupleWalk: the typed pass over the columnar image
+// TestAnalyzeMatchesTupleWalk: the typed pass over the table's columns
 // and the tuple walk agree on every statistic, MCV keys and fractions
 // included.
 func TestAnalyzeMatchesTupleWalk(t *testing.T) {
@@ -289,7 +290,7 @@ func TestAnalyzeMatchesTupleWalk(t *testing.T) {
 	if got := cat["anyheavy"].Columns["c"].TopValues[value.NewFloat(0).Key()]; got != 50.0/168 {
 		t.Errorf("anyheavy: INT 0, FLOAT 0 and −0 listed at %v, want one class at 50/168", got)
 	}
-	for name, want := range map[string]batch.Phys{"mixed": batch.PhysAny, "intfloat": batch.PhysAny, "nan": batch.PhysFloat, "bools": batch.PhysBool, "strs": batch.PhysStr, "anyheavy": batch.PhysAny, "nullheavy": batch.PhysStr} {
+	for name, want := range map[string]column.Phys{"mixed": batch.PhysAny, "intfloat": batch.PhysAny, "nan": batch.PhysFloat, "bools": batch.PhysBool, "strs": batch.PhysStr, "anyheavy": batch.PhysAny, "nullheavy": batch.PhysStr} {
 		if got := batch.Of(db[name]).Col(0).Phys; got != want {
 			t.Errorf("premise: %s is %s, want %s", name, got, want)
 		}
@@ -297,7 +298,7 @@ func TestAnalyzeMatchesTupleWalk(t *testing.T) {
 }
 
 // TestAnalyzeAllocCeiling: analyzing the 150k-row detail95 of the
-// hit_scan workload from its already built image allocates a few
+// hit_scan workload from its typed columns allocates a few
 // hundred times at most (the tuple walk allocated 824 839 times: a key
 // string per cell). Not run under -race, which changes the counts.
 func TestAnalyzeAllocCeiling(t *testing.T) {
@@ -321,8 +322,7 @@ func TestAnalyzeOnFirstUse(t *testing.T) {
 	db := testDB()
 	db["unread"] = relation.NewBuilder("unread", "z").Row(value.NewInt(1)).Relation()
 	analyzed := obs.Default().Counter("stats.analyze.tables")
-	images := obs.Default().Counter("exec.image.builds")
-	before, imgBefore := analyzed.Value(), images.Value()
+	before := analyzed.Value()
 	est := ForDatabase(db)
 	if got := analyzed.Value() - before; got != 0 {
 		t.Fatalf("construction analyzed %d tables", got)
@@ -342,9 +342,6 @@ func TestAnalyzeOnFirstUse(t *testing.T) {
 	wg.Wait()
 	if got := analyzed.Value() - before; got != 2 {
 		t.Fatalf("16 concurrent first estimates over r1 and r2 analyzed %d tables, want 2", got)
-	}
-	if got := images.Value() - imgBefore; got != 2 {
-		t.Fatalf("analysis built %d images, want 2", got)
 	}
 	want := tupleWalk(db)
 	for _, name := range []string{"r1", "r2"} {

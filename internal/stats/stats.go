@@ -105,7 +105,7 @@ func NewEstimator(cat Catalog) *Estimator {
 // ForDatabase builds an estimator over db with the default cost model
 // that analyzes each table the first time an estimate reads it (its
 // row count, a column's statistics or its scan order), once, from the
-// table's columnar image. Construction reads no table, so tables no
+// table's columns. Construction reads no table, so tables no
 // plan reads are never analyzed. A table's statistics are a snapshot
 // of its rows at that first read: rows appended later are not seen.
 func ForDatabase(db plan.Database) *Estimator {

@@ -123,7 +123,7 @@ type tplStats struct {
 
 // NewService builds a serving facade over cfg.DB. It reads no table:
 // a table's statistics (exact, this engine's ANALYZE) are computed
-// from its columnar image the first time a plan reads the table, once,
+// from its columns the first time a plan reads the table, once,
 // and shared by every later optimization. They are a snapshot of the
 // table at that first read; rows appended afterwards are not seen.
 func NewService(cfg ServiceConfig) (*Service, error) {

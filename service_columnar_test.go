@@ -20,9 +20,10 @@ import (
 
 // The service executes on the columnar engine. These tests pin what
 // that switch must not lose at the serving boundary: executor counters
-// land in the service's own registry, base tables are shaped once
-// however many requests scan them, ORDER BY answers come back ordered,
-// and the feedback loop still sees every node's cardinality.
+// land in the service's own registry, scans read the base tables'
+// columns in place however many requests run, ORDER BY answers come
+// back ordered, and the feedback loop still sees every node's
+// cardinality.
 
 // supplierSQL is Example 1.1 of the paper; its optimized plan carries a
 // generalized selection.
@@ -64,19 +65,17 @@ func TestServiceColumnarCountersReachObserver(t *testing.T) {
 	}
 }
 
-// TestServiceColumnarSharedImage: concurrent requests over the same
-// tables build each table's columnar image once, and later requests
-// build none; a table no query scans gets no image and no statistics.
+// TestServiceColumnarSharedImage: a scan reads the table's own
+// columns. Concurrent requests over the same tables share one scan per
+// table, taking a warm scan allocates nothing, and a bare projection's
+// result points into the table's column arrays; a table no query scans
+// gets no statistics.
 func TestServiceColumnarSharedImage(t *testing.T) {
 	db := serveDB()
 	db["ballast"] = relation.NewBuilder("ballast", "x").Row(value.NewInt(1)).Relation()
-	builds := obs.Default().Counter("exec.image.builds")
 	analyzed := obs.Default().Counter("stats.analyze.tables")
-	before, analyzedBefore := builds.Value(), analyzed.Value()
+	analyzedBefore := analyzed.Value()
 	svc := newTestService(t, ServiceConfig{DB: db, MaxConcurrent: 8, MaxQueue: 64})
-	if got := builds.Value() - before; got != 0 {
-		t.Fatalf("NewService built %d images; they are built on first scan", got)
-	}
 	if got := analyzed.Value() - analyzedBefore; got != 0 {
 		t.Fatalf("NewService analyzed %d tables; they are analyzed on first use", got)
 	}
@@ -95,12 +94,31 @@ func TestServiceColumnarSharedImage(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := builds.Value() - before; got != 2 {
-		t.Fatalf("16 concurrent requests over t and s built %d images, want 2", got)
-	}
+	scans := map[string]*batch.Rel{"t": batch.Of(db["t"]), "s": batch.Of(db["s"])}
 	query()
-	if got := builds.Value() - before; got != 2 {
-		t.Fatalf("a later request re-shaped a base table (%d builds)", got)
+	for name, scan := range scans {
+		if batch.Of(db[name]) != scan {
+			t.Fatalf("%s: a later request made a new scan of an unchanged table", name)
+		}
+		cols, n := db[name].Columns()
+		for c := range cols {
+			if scan.N != n || &scan.Col(c).Ints[0] != &cols[c].Ints[0] {
+				t.Fatalf("%s column %d: the scan copied the table's column", name, c)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { batch.Of(db["t"]) }); allocs != 0 {
+		t.Fatalf("a warm scan allocated %v times", allocs)
+	}
+	resp, err := svc.query(ctx, Request{SQL: "select t.a, t.b from t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, _ := db["t"].Columns()
+	for c := 0; c < resp.rel.Width(); c++ { // t.a and t.b, the table's first two columns
+		if &resp.rel.Col(c).Ints[0] != &cols[c].Ints[0] {
+			t.Fatalf("column %d of a bare projection's result was copied from the table", c)
+		}
 	}
 	if got := analyzed.Value() - analyzedBefore; got != 2 {
 		t.Fatalf("requests over t and s analyzed %d tables, want 2 (ballast is never read)", got)

@@ -10,10 +10,10 @@ import (
 	"repro/internal/value"
 )
 
-// A base table's join index belongs to its shared image: built by the
-// first join that builds on it with a given key set, once however many
-// requests race for it, shared by every alias of the table, and gone
-// with the image when the table is appended to.
+// A base table's join index belongs to the table's scan (batch.Of):
+// built by the first join that builds on it with a given key set, once
+// however many requests race for it, shared by every alias of the
+// table, and dropped with the scan when the table is appended to.
 
 // indexDB is serveDB plus u(a, b), thirty rows over five keys.
 func indexDB() Database {
@@ -56,7 +56,7 @@ func TestJoinIndexBuiltOnce(t *testing.T) {
 	}
 
 	// Both inputs are bare scans, so whichever side the plan builds on
-	// is an image: one (relation, key set) pair, one build.
+	// is the table's scan: one (relation, key set) pair, one build.
 	const join = "select t.b, s.c from t, s where t.a = s.a"
 	for _, n := range concurrently(t, svc, 16, join) {
 		if n != 180 { // 5 keys × 6 × 6 rows
@@ -73,7 +73,7 @@ func TestJoinIndexBuiltOnce(t *testing.T) {
 
 	// An aliased self-join builds on u under one alias and probes it
 	// under the other: still one index, and a second pair of aliases
-	// finds it through the shared image.
+	// finds it through the table's scan.
 	for _, n := range concurrently(t, svc, 8, "select x.b as xb, y.b as yb from u as x, u as y where x.a = y.a") {
 		if n != 180 {
 			t.Fatalf("self-join returned %d rows, want 180", n)
@@ -113,8 +113,8 @@ func TestJoinIndexDroppedOnAppend(t *testing.T) {
 
 	// One Append racing readers: each answer is the one before it or
 	// the one after it, never a mix, and the first query after it sees
-	// it. (The image slot is what orders the writer against readers;
-	// two racing writers would need a lock this engine does not have.)
+	// it. A scan reads a snapshot of the table's columns, which the
+	// Append copies before it writes, under the relation's mutex.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -184,7 +184,7 @@ func TestServiceNestedLoopFallbackNoLeak(t *testing.T) {
 		return out
 	}
 	fallbacks := svc.Observer().Registry.Counter("executor.nested_loop_fallback")
-	query(0) // warm: plan cache entry, base-table images
+	query(0) // warm: plan cache entry, base-table scans
 	before, base := names(), fallbacks.Value()
 	for k := 1; k <= 50; k++ {
 		query(k)

@@ -59,6 +59,7 @@ var surfaceAllow = map[string]string{
 	"obs.ParseExposition":          "parser the exposition tests read /metrics text back with",
 	"assoctree.*":                  "Definition 3.2 enumerator the plan-space tests compare the memo with",
 	"relation.Relation.OuterUnion": "outer union ⊎ the full-outer-join decomposition tests compare against",
+	"relation.Relation.Tuple":      "boxes one row of a columnar table on demand, the positional reader tests check rows with",
 
 	// Typed errors and enum members callers match.
 	"guard.ErrBudget":  "typed budget error; callers read its Kind, Limit and Used through errors.As",

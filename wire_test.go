@@ -350,7 +350,7 @@ func TestHandlerAllocCeiling(t *testing.T) {
 				t.Fatalf("%s: status %d: %s", sh.name, rec.Code, rec.Body)
 			}
 		}
-		serve() // plans the template, builds the images and indexes
+		serve() // plans the template, builds the scans and indexes
 		serve()
 		const runs = 20
 		var before, after runtime.MemStats
