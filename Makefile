@@ -8,9 +8,10 @@ all: vet build test
 # the test suite, the same suite under the race detector (which covers
 # the fault-injection, partitioned-join, serving, feedback and
 # observability tests), ten seconds each of fuzzing the SQL front end,
-# the dense join index, the append-time column kind, the columnar sort
-# and the columnar kernels' value semantics, and the bench module's
-# smoke run (every workload played once; a wrong answer fails it).
+# the dense join index, the append-time column kind, the columnar sort,
+# the columnar kernels' value semantics and the reference join, and the
+# bench module's smoke run (every workload played once; a wrong answer
+# fails it).
 check: fmt vet build test race fuzz-smoke bench-smoke
 
 fmt:
@@ -61,13 +62,17 @@ bench:
 # kernels' value semantics (FuzzKernelSemantics): over any column
 # kinds, NULLs, NaNs, ±0 and ints beyond 2^53, every θ and constant,
 # the columnar selections, joins (each lookup), grouping, DISTINCT,
-# MIN/MAX and sorts answer as plan.Eval does.
+# MIN/MAX and sorts answer as plan.Eval does. Then ten seconds of the
+# reference join (FuzzTupleJoin): over any two relations of edge values
+# and equality, mixed and non-equality predicates, every join kind of
+# package algebra returns its nested-loop definition's rows in order.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzDenseIndex -fuzztime 10s ./internal/batch
 	$(GO) test -run '^$$' -fuzz FuzzColumnAppend -fuzztime 10s ./internal/batch
 	$(GO) test -run '^$$' -fuzz FuzzColumnarSort -fuzztime 10s ./internal/executor
 	$(GO) test -run '^$$' -fuzz FuzzKernelSemantics -fuzztime 10s ./internal/executor
+	$(GO) test -run '^$$' -fuzz FuzzTupleJoin -fuzztime 10s ./internal/algebra
 
 # The bench module (bench/, its own go.mod) is outside ./..., so a
 # signature change that breaks it passes go build ./... and go test

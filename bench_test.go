@@ -40,7 +40,7 @@ func BenchmarkE1GSCompensation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := executor.Run(split, db); err != nil {
+		if _, err := split.Eval(db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func BenchmarkE7AsWritten(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := executor.Run(q, db); err != nil {
+		if _, err := q.Eval(db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkE7Reordered(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := executor.Run(q, db); err != nil {
+		if _, err := q.Eval(db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func BenchmarkE8Unnested(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := executor.Run(unnested, db); err != nil {
+				if _, err := unnested.Eval(db); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -168,7 +168,7 @@ func BenchmarkE9AsWritten(b *testing.B) {
 	q := experiments.Query2()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := executor.Run(q, db); err != nil {
+		if _, err := q.Eval(db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,7 +183,7 @@ func BenchmarkE9Reordered(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := executor.Run(res.Best.Plan, db); err != nil {
+		if _, err := res.Best.Plan.Eval(db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -229,7 +229,7 @@ func BenchmarkE11GenSelect(b *testing.B) {
 	gs := split.(*plan.GenSel)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := executor.Run(gs, db); err != nil {
+		if _, err := gs.Eval(db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,7 +245,7 @@ func BenchmarkE12PushUpOriginal(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := executor.Run(q, db); err != nil {
+		if _, err := q.Eval(db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,7 +259,7 @@ func BenchmarkE12PushUpRewritten(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := executor.Run(q, db); err != nil {
+		if _, err := q.Eval(db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -275,9 +275,9 @@ func e12DB() Database {
 
 // --- executor-strategy benchmarks ------------------------------------
 
-// BenchmarkExecutorStrategies compares the two engines on the same
-// three-way outer-join query: the row reference and the columnar
-// production walker.
+// BenchmarkExecutorStrategies compares the two evaluators on the same
+// three-way outer-join query: the reference, plan.Node.Eval, and the
+// columnar production engine, Exec.
 func BenchmarkExecutorStrategies(b *testing.B) {
 	db := Database{}
 	for i, name := range []string{"r1", "r2", "r3"} {
@@ -285,16 +285,16 @@ func BenchmarkExecutorStrategies(b *testing.B) {
 			datagen.UniformConfig{Rows: 20000, Domain: 2000})
 	}
 	q := experiments.Query2()
-	b.Run("Run", func(b *testing.B) {
+	b.Run("Eval", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := executor.Run(q, db); err != nil {
+			if _, err := q.Eval(db); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("RunGuarded", func(b *testing.B) {
+	b.Run("Exec", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := executor.RunGuarded(q, db, nil); err != nil {
+			if _, _, err := executor.Exec(q, db, executor.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -304,14 +304,14 @@ func BenchmarkExecutorStrategies(b *testing.B) {
 // --- observability benchmarks ----------------------------------------
 
 // BenchmarkInstrumentationOverhead prices the per-operator probes: the
-// same supplier plan through the two entry points the service chooses
-// between, RunGuarded and RunInstrumentedAdaptive.
+// same supplier plan through Exec plain and instrumented, the two ways
+// the service executes.
 func BenchmarkInstrumentationOverhead(b *testing.B) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := executor.RunGuarded(q, db, nil); err != nil {
+			if _, _, err := executor.Exec(q, db, executor.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -319,7 +319,7 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 	b.Run("instrumented", func(b *testing.B) {
 		reg := obs.NewRegistry()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := executor.RunInstrumentedAdaptive(q, db, reg, nil, nil); err != nil {
+			if _, _, err := executor.Exec(q, db, executor.Options{Obs: reg}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/executor"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -25,7 +24,7 @@ func TestExplainAnalyzeSupplier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := executor.Run(q, db)
+	want, err := q.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +257,7 @@ func TestExplainAnalyzeBudgetDegradedStillExecutes(t *testing.T) {
 	if rep.Degraded == "" {
 		t.Fatal("MaxExprs=5 run did not report degradation")
 	}
-	want, err := executor.Run(q, db)
+	want, err := q.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}

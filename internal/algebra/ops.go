@@ -6,10 +6,12 @@
 // generalized outer join of [BHAR95a] used during partial
 // reorderings.
 //
-// These are *reference* implementations: straightforward nested-loop
-// definitions that mirror the paper's set-theoretic definitions
-// exactly. The executor package provides faster physical operators;
-// its results are cross-checked against this package in tests.
+// These are *reference* implementations that mirror the paper's
+// set-theoretic definitions: plan.Node.Eval runs a plan on them, and
+// the executor's columnar engine is checked against that evaluation.
+// The joins are the nested loop's definition, row for row, with the
+// pairs an equality conjunct rules out skipped by hashing
+// (join_test.go keeps the nested loop and holds them to it).
 package algebra
 
 import (
@@ -36,62 +38,19 @@ func Select(p expr.Pred, r *relation.Relation) *relation.Relation {
 // Product returns the cartesian product r1 × r2. The schemas must be
 // disjoint (relations renamed apart, footnote 5).
 func Product(r1, r2 *relation.Relation) *relation.Relation {
-	s := r1.Schema().Concat(r2.Schema())
-	out := relation.New(s)
-	t2s := r2.Tuples()
-	t := make(relation.Tuple, s.Len())
-	r1.Each(func(t1 relation.Tuple) {
-		n1 := copy(t, t1)
-		for _, t2 := range t2s {
-			copy(t[n1:], t2)
-			out.Append(t)
-		}
-	})
-	return out
+	return join(expr.True{}, r1, r2, false, false)
 }
 
 // Join returns the inner join r1 ⋈_p r2.
 func Join(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
-	s := r1.Schema().Concat(r2.Schema())
-	out := relation.New(s)
-	t2s := r2.Tuples()
-	t := make(relation.Tuple, s.Len())
-	r1.Each(func(t1 relation.Tuple) {
-		n1 := copy(t, t1)
-		for _, t2 := range t2s {
-			copy(t[n1:], t2)
-			if p.Eval(expr.TupleEnv{Schema: s, Tuple: t}).Holds() {
-				out.Append(t)
-			}
-		}
-	})
-	return out
+	return join(p, r1, r2, false, false)
 }
 
 // LeftOuter returns r1 →_p r2: the union of r1 ⋈_p r2 and r1 ▷_p r2,
 // with unmatched r1 tuples NULL-padded on sch(r2). r1 is the
 // preserved relation, r2 the null-supplying relation.
 func LeftOuter(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
-	s := r1.Schema().Concat(r2.Schema())
-	out := relation.New(s)
-	t2s := r2.Tuples()
-	t := make(relation.Tuple, s.Len())
-	r1.Each(func(t1 relation.Tuple) {
-		n1 := copy(t, t1)
-		matched := false
-		for _, t2 := range t2s {
-			copy(t[n1:], t2)
-			if p.Eval(expr.TupleEnv{Schema: s, Tuple: t}).Holds() {
-				out.Append(t)
-				matched = true
-			}
-		}
-		if !matched {
-			nullFill(t[n1:])
-			out.Append(t)
-		}
-	})
-	return out
+	return join(p, r1, r2, true, false)
 }
 
 // RightOuter returns r1 ←_p r2, preserving r2.
@@ -105,36 +64,104 @@ func RightOuter(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
 // FullOuter returns r1 ↔_p r2: matched pairs plus both sides'
 // unmatched tuples, NULL-padded.
 func FullOuter(p expr.Pred, r1, r2 *relation.Relation) *relation.Relation {
+	return join(p, r1, r2, true, true)
+}
+
+// join is the one loop behind the joins above. It emits, for each r1
+// tuple in order, its concatenation with every r2 tuple on which p
+// holds, in r2's order — the nested loop's output, row for row. With
+// padLeft an r1 tuple that matched nothing follows as itself NULL-padded
+// on sch(r2); with padRight the r2 tuples no r1 tuple matched follow
+// last, in order, NULL-padded on sch(r1).
+//
+// Only the pairs it tries differ from the nested loop's. When p has
+// conjuncts r1.a = r2.b, r2's tuples are bucketed by the hash of those
+// columns and an r1 tuple tries only its own bucket: a pair outside it
+// fails one of the conjuncts (value.Equal values hash alike), and so
+// fails p, as does a tuple with a NULL key, which goes in no bucket.
+// p itself is evaluated on every pair tried.
+func join(p expr.Pred, r1, r2 *relation.Relation, padLeft, padRight bool) *relation.Relation {
 	s := r1.Schema().Concat(r2.Schema())
 	out := relation.New(s)
 	n1 := r1.Schema().Len()
 	t2s := r2.Tuples()
-	rightMatched := make([]bool, len(t2s))
-	t := make(relation.Tuple, s.Len())
-	r1.Each(func(t1 relation.Tuple) {
-		copy(t, t1)
-		matched := false
+	k1, k2 := equiKeys(p, s, n1)
+	var every []int
+	var buckets map[uint64][]int
+	if len(k1) == 0 {
+		every = make([]int, len(t2s))
+		for j := range every {
+			every[j] = j
+		}
+	} else {
+		buckets = make(map[uint64][]int, len(t2s))
 		for j, t2 := range t2s {
-			copy(t[n1:], t2)
-			if p.Eval(expr.TupleEnv{Schema: s, Tuple: t}).Holds() {
-				out.Append(t)
-				matched = true
-				rightMatched[j] = true
+			if h, ok := t2.HashOn(k2); ok {
+				buckets[h] = append(buckets[h], j)
 			}
 		}
-		if !matched {
+	}
+	matched2 := make([]bool, len(t2s))
+	t := make(relation.Tuple, s.Len())
+	env := expr.TupleEnv{Schema: s, Tuple: t}
+	r1.Each(func(t1 relation.Tuple) {
+		cands := every
+		if len(k1) > 0 {
+			h, ok := t1.HashOn(k1)
+			if cands = nil; ok {
+				cands = buckets[h]
+			}
+		}
+		copy(t, t1)
+		matched := false
+		for _, j := range cands {
+			copy(t[n1:], t2s[j])
+			if p.Eval(&env).Holds() {
+				out.Append(t)
+				matched, matched2[j] = true, true
+			}
+		}
+		if padLeft && !matched {
 			nullFill(t[n1:])
 			out.Append(t)
 		}
 	})
-	nullFill(t[:n1])
-	for j, t2 := range t2s {
-		if !rightMatched[j] {
-			copy(t[n1:], t2)
-			out.Append(t)
+	if padRight {
+		nullFill(t[:n1])
+		for j, t2 := range t2s {
+			if !matched2[j] {
+				copy(t[n1:], t2)
+				out.Append(t)
+			}
 		}
 	}
 	return out
+}
+
+// equiKeys returns the columns of p's conjuncts r1.a = r2.b as
+// positions in r1's tuples (k1) and in r2's (k2), k1[i] paired with
+// k2[i]. Columns resolve in s, the joined schema whose first n1
+// attributes are r1's, exactly as p's evaluation resolves them.
+func equiKeys(p expr.Pred, s *schema.Schema, n1 int) (k1, k2 []int) {
+	for _, c := range expr.Conjuncts(p) {
+		eq, ok := c.(expr.Cmp)
+		if !ok || eq.Op != value.EQ {
+			continue
+		}
+		l, lok := eq.L.(expr.Col)
+		r, rok := eq.R.(expr.Col)
+		if !lok || !rok {
+			continue
+		}
+		i, j := s.IndexOf(l.Attr), s.IndexOf(r.Attr)
+		if j < i {
+			i, j = j, i
+		}
+		if i >= 0 && i < n1 && j >= n1 {
+			k1, k2 = append(k1, i), append(k2, j-n1)
+		}
+	}
+	return k1, k2
 }
 
 // nullFill sets every value of t to NULL.

@@ -355,8 +355,7 @@ func (r *Rel) Keys(idx []int) Keys {
 }
 
 // Equal reports pointwise value.Equal between row i of these key
-// columns and row j of o's — the columnar Tuple.EqualOn, used to verify
-// key-hash bucket hits.
+// columns and row j of o's, used to verify key-hash bucket hits.
 func (ks Keys) Equal(i int, o Keys, j int) bool {
 	for k, v := range ks {
 		if !equalRows(v, i, o[k], j) {

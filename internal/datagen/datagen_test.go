@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/executor"
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -52,11 +51,11 @@ func TestSupplierQueryPushUpEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := executor.Run(q, db)
+	want, err := q.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := executor.Run(pushed, db)
+	got, err := pushed.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}

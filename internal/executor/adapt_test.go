@@ -43,64 +43,62 @@ func adaptPlans() []plan.Node {
 	}
 }
 
-// checkAsPlanned runs p through RunInstrumentedAdaptive with a and
-// requires RunGuarded's rows in RunGuarded's order, the multiset Run
-// returns, and a join annotation without a build_swapped extra: joins
-// run as planned whatever Adapt says.
-func checkAsPlanned(t *testing.T, p plan.Node, db plan.Database, a *Adapt) {
+// checkAsPlanned runs p through Exec instrumented and requires plain
+// Exec's rows in plain Exec's order, plan.Node.Eval's multiset, and a
+// join annotation without a build_swapped extra: joins run as planned,
+// however lopsided their inputs.
+func checkAsPlanned(t *testing.T, p plan.Node, db plan.Database) {
 	t.Helper()
-	want, err := RunGuarded(p, db, nil)
+	want, _, err := execRows(p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Run(p, db)
+	ref, err := p.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ann, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, a)
+	got, ann, err := execRows(p, db, Options{Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
-		t.Fatalf("adapt %+v changed the output of %s", a, plan.Key(p))
+		t.Fatalf("instrumenting changed the output of %s", plan.Key(p))
 	}
 	if !got.EqualAsMultisets(ref) {
-		t.Fatalf("adapt %+v: %s differs from Run", a, plan.Key(p))
+		t.Fatalf("%s differs from plan.Node.Eval", plan.Key(p))
 	}
 	if _, ok := ann[p].Extra["build_swapped"]; ok {
-		t.Fatalf("adapt %+v: %s annotated as swapped", a, plan.Key(p))
+		t.Fatalf("%s annotated as swapped", plan.Key(p))
 	}
 }
 
-// TestAdaptSwapMatchesStatic: a SwapFactor that the build side exceeds
-// by a factor of a hundred is ignored — every join kind runs as
-// planned, row for row as the static engine runs it.
+// TestAdaptSwapMatchesStatic: a build side a hundred times its probe
+// side stays the build side — every join kind runs as planned, row for
+// row as the plain engine runs it.
 func TestAdaptSwapMatchesStatic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db := skewDB(rng, 40, 4000, 50)
 	for _, p := range adaptPlans() {
-		checkAsPlanned(t, p, db, &Adapt{SwapFactor: 4})
+		checkAsPlanned(t, p, db)
 	}
 }
 
-// TestAdaptSwapOffIdentical: a nil Adapt (and a zero SwapFactor) is
-// the static engine — RunGuarded's output rows in identical order.
+// TestAdaptSwapOffIdentical: the same on a second skewed database —
+// instrumented Exec returns plain Exec's rows in identical order.
 func TestAdaptSwapOffIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := skewDB(rng, 40, 4000, 50)
 	for _, p := range adaptPlans() {
-		checkAsPlanned(t, p, db, nil)
-		checkAsPlanned(t, p, db, &Adapt{})
+		checkAsPlanned(t, p, db)
 	}
 }
 
-// TestAdaptSwapBelowThreshold: sides within the factor leave the join
-// untouched too.
+// TestAdaptSwapBelowThreshold: sides of nearly equal size leave the
+// join untouched too.
 func TestAdaptSwapBelowThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := skewDB(rng, 1000, 1200, 50)
-	checkAsPlanned(t, plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2")),
-		db, &Adapt{SwapFactor: 4})
+	checkAsPlanned(t, plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2")), db)
 }
 
 // wideSkewDB and spillJoin are a join whose output stays small enough to
@@ -116,22 +114,21 @@ var adaptSpillLimits = guard.Limits{MaxBytes: 120_000}
 
 // TestAdaptSpillEscalation: under a byte budget the in-memory hash
 // join cannot fit, the join turns to the partitioned join and completes
-// with the right multiset instead of dying on the trip — on the static
-// entry and on the instrumented one whatever Adapt.Spill says.
+// with the right multiset instead of dying on the trip — plain and
+// instrumented alike.
 func TestAdaptSpillEscalation(t *testing.T) {
 	db, p := wideSkewDB(), spillJoin()
-	want, err := Run(p, db)
+	want, err := p.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runs := map[string]func(*guard.Budget) (*relation.Relation, error){
-		"static": func(b *guard.Budget) (*relation.Relation, error) { return RunGuarded(p, db, b) },
-		"spill off": func(b *guard.Budget) (*relation.Relation, error) {
-			out, _, err := RunInstrumentedAdaptive(p, db, nil, b, nil)
+		"static": func(b *guard.Budget) (*relation.Relation, error) {
+			out, _, err := execRows(p, db, Options{Budget: b})
 			return out, err
 		},
-		"spill on": func(b *guard.Budget) (*relation.Relation, error) {
-			out, _, err := RunInstrumentedAdaptive(p, db, nil, b, &Adapt{Spill: true})
+		"instrumented": func(b *guard.Budget) (*relation.Relation, error) {
+			out, _, err := execRows(p, db, Options{Budget: b, Obs: b.Registry()})
 			return out, err
 		},
 	}
@@ -160,10 +157,13 @@ func TestAdaptFaultBuildSwap(t *testing.T) {
 	db, p := wideSkewDB(), spillJoin()
 	budget := func() *guard.Budget { return guard.New(context.Background(), adaptSpillLimits, nil) }
 	engines := map[string]func() (*relation.Relation, error){
-		"serial":     func() (*relation.Relation, error) { return RunGuarded(p, db, budget()) },
+		"serial": func() (*relation.Relation, error) {
+			out, _, err := execRows(p, db, Options{Budget: budget()})
+			return out, err
+		},
 		"vectorized": func() (*relation.Relation, error) { return runVec(p, db, budget(), 3) },
 		"instrumented": func() (*relation.Relation, error) {
-			out, _, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), budget(), &Adapt{SwapFactor: 4, Spill: true})
+			out, _, err := execRows(p, db, Options{Budget: budget(), Obs: obs.NewRegistry()})
 			return out, err
 		},
 	}

@@ -5,16 +5,13 @@
 // residuals and NULL-pads either side for outer joins, a join whose
 // build side outgrows the byte budget joins partition by partition
 // (spill.go), and selection, projection and grouping run as batch
-// kernels (vecagg.go). Run evaluates the same plans row-at-a-time with
-// tuple operators that share no kernel with Exec; the package tests
-// hold the two to each other and to the reference semantics of
-// plan.Node.Eval.
+// kernels (vecagg.go). Its contract is plan.Node.Eval, the one
+// reference evaluator, which runs the same plans on package algebra's
+// tuple operators and shares no kernel with Exec: the package tests
+// hold every Exec result to Eval's multiset.
 package executor
 
 import (
-	"fmt"
-
-	"repro/internal/algebra"
 	"repro/internal/batch"
 	"repro/internal/expr"
 	"repro/internal/guard"
@@ -31,45 +28,11 @@ import (
 // response latency to a trip is bounded by one batch.
 const execBatchRows = 1024
 
-// Run executes the plan against db on the row-at-a-time engine,
-// unbudgeted and uninstrumented. It is the reference the columnar
-// engine is checked against (the property suites, the benchmark's
-// oracle), so it shares no walker and no state with the production
-// entry points below — only the tuple operators themselves.
+// Run is n.Eval(db), kept only because the benchmark module's oracle
+// still names it; it goes when the benchmark stops naming it. Tests
+// and experiments call plan.Node.Eval, the one reference evaluator.
 func Run(n plan.Node, db plan.Database) (*relation.Relation, error) {
-	ch := n.Children()
-	in := make([]*relation.Relation, len(ch))
-	for i, c := range ch {
-		r, err := Run(c, db)
-		if err != nil {
-			return nil, err
-		}
-		in[i] = r
-	}
-	switch m := n.(type) {
-	case *plan.Scan:
-		return m.Eval(db)
-	case *plan.Select:
-		return algebra.Select(m.Pred, in[0]), nil
-	case *plan.Project:
-		return in[0].Project(m.Attrs, m.Distinct), nil
-	case *plan.GroupBy:
-		return algebra.GroupProject(m.Keys, m.Aggs, in[0]), nil
-	case *plan.Sort:
-		return plan.SortRows(in[0], m.Keys, m.Limit)
-	case *plan.GenSel:
-		return algebra.GenSelect(m.Pred, specSets(m.Preserved), in[0])
-	case *plan.Join:
-		return joinExec(m.Kind, m.Pred, in[0], in[1])
-	case *plan.MGOJNode:
-		join, err := joinExec(plan.InnerJoin, m.Pred, in[0], in[1])
-		if err != nil {
-			return nil, err
-		}
-		return algebra.MGOJWith(join, specSets(m.Preserved), in[0], in[1])
-	default:
-		return nil, fmt.Errorf("executor: unsupported node %T", n)
-	}
+	return n.Eval(db)
 }
 
 // Options configures one Exec. The zero value runs the plan
@@ -98,9 +61,9 @@ type Options struct {
 // encodes them onto the wire). A panic anywhere in the execution
 // converts to a *guard.PanicError carrying the plan fingerprint
 // instead of unwinding into the caller. The result is multiset-equal
-// to Run's, and row-identical to it under a root Sort; it
-// may share columns with a base table, so callers treat it as
-// read-only.
+// to plan.Node.Eval's, and under a root Sort it is in that Sort's
+// order; it may share columns with a base table, so callers treat it
+// as read-only.
 func Exec(n plan.Node, db plan.Database, o Options) (out *batch.Rel, ann plan.Annotations, err error) {
 	phase := "execute"
 	defer guard.RecoverAs(&err, &phase, n, o.Obs)
@@ -191,82 +154,4 @@ func specSets(ps []plan.PreservedSpec) []map[string]bool {
 		specs[i] = s.Set()
 	}
 	return specs
-}
-
-// joinExec joins two materialized relations with the given kind and
-// predicate: a hash join over the equality conjuncts, a nested loop
-// over every right row when there are none. It is Run's tuple join —
-// unbudgeted, uninstrumented, and sharing no kernel with the columnar
-// join Exec runs, so each checks the other.
-func joinExec(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation) (*relation.Relation, error) {
-	ls, rs := l.Schema(), r.Schema()
-	out := relation.New(ls.Concat(rs))
-	li, ri, residual := splitEqui(pred, ls, rs)
-	// every is the nested loop's candidate list; build buckets the
-	// right rows by key hash otherwise. A NULL key matches nothing.
-	rts := r.Tuples()
-	var every []int
-	var build map[uint64][]int
-	if len(li) == 0 {
-		every = make([]int, len(rts))
-		for j := range every {
-			every[j] = j
-		}
-	} else {
-		build = make(map[uint64][]int, len(rts))
-		for j, t := range rts {
-			if h, ok := t.HashOn(ri); ok {
-				build[h] = append(build[h], j)
-			}
-		}
-	}
-	nl, nr := ls.Len(), rs.Len()
-	env := expr.TupleEnv{Schema: out.Schema(), Tuple: make(relation.Tuple, nl+nr)}
-	rightMatched := make([]bool, len(rts))
-	l.Each(func(lt relation.Tuple) {
-		cands := every
-		if len(li) > 0 {
-			h, ok := lt.HashOn(li)
-			if cands = nil; ok {
-				cands = build[h]
-			}
-		}
-		matched := false
-		copy(env.Tuple, lt)
-		for _, j := range cands {
-			rt := rts[j]
-			if len(li) > 0 && !lt.EqualOn(rt, li, ri) {
-				continue // a hash collision
-			}
-			copy(env.Tuple[nl:], rt)
-			if !residual.Eval(&env).Holds() {
-				continue
-			}
-			matched = true
-			rightMatched[j] = true
-			out.Append(env.Tuple)
-		}
-		if !matched && (kind == plan.LeftJoin || kind == plan.FullJoin) {
-			out.Append(padded(lt, nil, nl, nr))
-		}
-	})
-	if kind == plan.RightJoin || kind == plan.FullJoin {
-		for j, rt := range rts {
-			if !rightMatched[j] {
-				out.Append(padded(nil, rt, nl, nr))
-			}
-		}
-	}
-	return out, nil
-}
-
-// padded is the outer-join row of lt and rt, NULL where either is nil.
-func padded(lt, rt relation.Tuple, nl, nr int) relation.Tuple {
-	row := make(relation.Tuple, nl+nr)
-	for i := range row {
-		row[i] = value.Null
-	}
-	copy(row, lt)
-	copy(row[nl:], rt)
-	return row
 }

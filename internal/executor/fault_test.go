@@ -49,7 +49,7 @@ func joinOnX(l, r string) plan.Node {
 type execEntry struct {
 	name string
 	run  func(db plan.Database, b *guard.Budget) (*relation.Relation, error)
-	// ref is the plan whose unguarded Run output the entry's guarded
+	// ref is the plan whose plan.Node.Eval output the entry's guarded
 	// output must reproduce (the untripped-budget determinism gate).
 	ref plan.Node
 	// maxBytes, when set, caps the byte limit of every budget the entry
@@ -68,21 +68,25 @@ func (e execEntry) budget(l guard.Limits) *guard.Budget {
 	return guard.New(context.Background(), l, nil)
 }
 
-// runAdaptive is the feedback-mode execution the benchmark drives:
-// instrumented, through RunInstrumentedAdaptive with an Adapt it
-// ignores.
+// runAdaptive is the feedback-mode execution: Exec instrumented.
 func runAdaptive(p plan.Node) func(plan.Database, *guard.Budget) (*relation.Relation, error) {
 	return func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
-		out, _, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), b, &Adapt{SwapFactor: 4, Spill: true})
+		out, _, err := execRows(p, db, Options{Budget: b, Obs: obs.NewRegistry()})
+		return out, err
+	}
+}
+
+// runPlain is the plain execution: Exec under the budget alone.
+func runPlain(p plan.Node) func(plan.Database, *guard.Budget) (*relation.Relation, error) {
+	return func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
+		out, _, err := execRows(p, db, Options{Budget: b})
 		return out, err
 	}
 }
 
 func execEntries() []execEntry {
 	return []execEntry{
-		{name: "serial", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
-			return RunGuarded(faultJoin(), db, b)
-		}, ref: faultJoin()},
+		{name: "serial", run: runPlain(faultJoin()), ref: faultJoin()},
 		// The feedback-mode entry over a build side five times its probe
 		// side: the join builds where the plan puts it.
 		{name: "adaptswap", run: runAdaptive(joinOnX("r0", "r2")), ref: joinOnX("r0", "r2")},
@@ -97,9 +101,7 @@ func execEntries() []execEntry {
 		}, ref: faultJoin(), arms: []guard.Point{guard.PointExecBatch}},
 		// A root ORDER BY over the join: the columnar sort kernel
 		// crosses the operator point and charges its output.
-		{name: "sort", run: func(db plan.Database, b *guard.Budget) (*relation.Relation, error) {
-			return RunGuarded(faultSort(), db, b)
-		}, ref: faultSort()},
+		{name: "sort", run: runPlain(faultSort()), ref: faultSort()},
 	}
 }
 
@@ -214,7 +216,7 @@ func TestExecutorUntrippedBudgetDeterministic(t *testing.T) {
 	huge := guard.Limits{MaxRows: 1 << 40, MaxBytes: 1 << 50}
 	for _, e := range execEntries() {
 		t.Run(e.name, func(t *testing.T) {
-			want, err := Run(e.ref, db)
+			want, err := e.ref.Eval(db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +225,7 @@ func TestExecutorUntrippedBudgetDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !got.EqualAsMultisets(want) {
-				t.Fatal("guarded output differs from unguarded Run")
+				t.Fatal("guarded output differs from plan.Node.Eval")
 			}
 		})
 	}

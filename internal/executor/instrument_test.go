@@ -15,21 +15,21 @@ import (
 // query instrumented and checks every operator's measured cardinality
 // against ground truth: scans must report exactly the base relation
 // sizes, unary operators can only shrink or keep their input, and the
-// instrumented result must equal the plain Run result.
+// instrumented result must equal plan.Node.Eval's.
 func TestInstrumentedSupplierRowCounts(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
 	reg := obs.NewRegistry()
-	got, ann, err := RunInstrumentedAdaptive(q, db, reg, nil, nil)
+	got, ann, err := execRows(q, db, Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(q, db)
+	want, err := q.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.EqualAsSets(want) {
-		t.Fatal("instrumented result differs from Run")
+		t.Fatal("instrumented result differs from plan.Node.Eval")
 	}
 
 	scans := 0
@@ -83,12 +83,12 @@ func TestInstrumentedSupplierRowCounts(t *testing.T) {
 		t.Errorf("%d annotations, want %d", len(ann), countNodes(q))
 	}
 	plan.Walk(q, func(n plan.Node) {
-		ref, err := Run(n, db)
+		ref, err := n.Eval(db)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a := ann[n]; a != nil && a.Rows != ref.Len() {
-			t.Errorf("%s: annotation %d rows, Run gives %d", OpName(n), a.Rows, ref.Len())
+			t.Errorf("%s: annotation %d rows, plan.Node.Eval gives %d", OpName(n), a.Rows, ref.Len())
 		}
 	})
 }
@@ -114,7 +114,7 @@ func TestNestedLoopFallbackLogged(t *testing.T) {
 func TestInstrumentedNullPadding(t *testing.T) {
 	db := datagen.Supplier(datagen.DefaultSupplierConfig)
 	q := datagen.SupplierQuery()
-	_, ann, err := RunInstrumentedAdaptive(q, db, nil, nil, nil)
+	_, ann, err := Exec(q, db, Options{Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

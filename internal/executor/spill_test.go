@@ -1,6 +1,6 @@
 // Equivalence, determinism and byte-budget suite for the partitioned
-// join: partitioned execution must be multiset-identical to joinExec
-// for every kind, including partitions that a byte budget forces to
+// join: partitioned execution must be multiset-identical to the
+// reference join, plan.Node.Eval's, for every kind, including partitions that a byte budget forces to
 // split again, and must complete under a byte budget that trips the
 // in-memory join. Runs under -race via make race.
 package executor
@@ -34,6 +34,12 @@ func joinSpilled(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, b 
 		return nil, err
 	}
 	return res.ToRelation(), nil
+}
+
+// evalJoin is the reference answer to r1 kind-joined to r2 on pred in
+// db: plan.Node.Eval of the join over the two scans.
+func evalJoin(kind plan.JoinKind, pred expr.Pred, db plan.Database) (*relation.Relation, error) {
+	return plan.NewJoin(kind, pred, plan.NewScan("r1"), plan.NewScan("r2")).Eval(db)
 }
 
 // partDB builds r1 and r2 for joins a byte budget can force to split
@@ -89,7 +95,7 @@ func tightBudget(want, r *relation.Relation, reg *obs.Registry) *guard.Budget {
 
 var joinKinds = []plan.JoinKind{plan.InnerJoin, plan.LeftJoin, plan.RightJoin, plan.FullJoin}
 
-// TestExecutorSpillMatchesJoinExec: the partitioned join ≡ joinExec as
+// TestExecutorSpillMatchesJoinExec: the partitioned join ≡ the reference join as
 // multisets across join kinds, residuals and NULL keys — unbudgeted,
 // where every level-0 partition joins in memory, and under
 // tightBudget, which on partDB's inputs forces the last partitions to
@@ -106,7 +112,7 @@ func TestExecutorSpillMatchesJoinExec(t *testing.T) {
 		l, r := db["r1"], db["r2"]
 		for _, pred := range preds {
 			for _, kind := range joinKinds {
-				want, err := joinExec(kind, pred, l, r)
+				want, err := evalJoin(kind, pred, db)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +144,7 @@ func TestExecutorSpillMatchesJoinExec(t *testing.T) {
 func TestExecutorSpillRecursionCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	db := partDB(rng, 4000)
-	want, err := joinExec(plan.InnerJoin, eqX("r1", "r2"), db["r1"], db["r2"])
+	want, err := evalJoin(plan.InnerJoin, eqX("r1", "r2"), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +170,7 @@ func TestExecutorSpillDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	db := partDB(rng, 4000)
 	pred := eqX("r1", "r2")
-	want, err := joinExec(plan.FullJoin, pred, db["r1"], db["r2"])
+	want, err := evalJoin(plan.FullJoin, pred, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +209,7 @@ func TestExecutorSpillCompletesWhereInMemoryTrips(t *testing.T) {
 	db := spillDB(rng, 4000, 100000)
 	l, r := db["r1"], db["r2"]
 	pred := eqX("r1", "r2")
-	want, err := joinExec(plan.InnerJoin, pred, l, r)
+	want, err := evalJoin(plan.InnerJoin, pred, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +221,9 @@ func TestExecutorSpillCompletesWhereInMemoryTrips(t *testing.T) {
 		t.Fatalf("in-memory build reservation under budget: err = %v, want guard.ErrBudget", err)
 	}
 	reg := obs.NewRegistry()
-	got, err := RunGuarded(
+	got, _, err := execRows(
 		plan.NewJoin(plan.InnerJoin, pred, plan.NewScan("r1"), plan.NewScan("r2")),
-		db, guard.New(context.Background(), limits, reg))
+		db, Options{Budget: guard.New(context.Background(), limits, reg)})
 	if err != nil {
 		t.Fatalf("guarded join under budget: %v", err)
 	}
@@ -239,14 +245,14 @@ func TestExecutorSpillCompletesWhereInMemoryTrips(t *testing.T) {
 // the same partition at every level — INT 1 against FLOAT 1.0, equal
 // strings — and NULL keys reach none. The join partitions under
 // tightBudget, which splits partitions again, and
-// every kind must match joinExec; each predicate's answer holds matched
+// every kind must match the reference join; each predicate's answer holds matched
 // rows, so a key routed apart from its match would show.
 func TestExecutorSpillEqualKeysMeet(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	db := partDB(rng, 4000)
-	l, r := db["r1"], db["r2"]
+	r := db["r2"]
 	for _, pred := range []expr.Pred{eqX("r1", "r2"), eqY("r1", "r2"), expr.And(eqX("r1", "r2"), eqY("r1", "r2"))} {
-		inner, err := joinExec(plan.InnerJoin, pred, l, r)
+		inner, err := evalJoin(plan.InnerJoin, pred, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,18 +260,18 @@ func TestExecutorSpillEqualKeysMeet(t *testing.T) {
 			t.Fatalf("pred %s: no matched rows to route", pred)
 		}
 		for _, kind := range joinKinds {
-			want, err := joinExec(kind, pred, l, r)
+			want, err := evalJoin(kind, pred, db)
 			if err != nil {
 				t.Fatal(err)
 			}
 			reg := obs.NewRegistry()
-			got, _, err := RunInstrumentedAdaptive(plan.NewJoin(kind, pred, plan.NewScan("r1"), plan.NewScan("r2")),
-				db, reg, tightBudget(want, r, reg), nil)
+			got, _, err := execRows(plan.NewJoin(kind, pred, plan.NewScan("r1"), plan.NewScan("r2")),
+				db, Options{Budget: tightBudget(want, r, reg), Obs: reg})
 			if err != nil {
 				t.Fatalf("kind %v pred %s: %v", kind, pred, err)
 			}
 			if !got.EqualAsMultisets(want) {
-				t.Fatalf("kind %v pred %s: partitioned join differs from joinExec", kind, pred)
+				t.Fatalf("kind %v pred %s: partitioned join differs from plan.Node.Eval", kind, pred)
 			}
 			snap := reg.Snapshot().Counters
 			if snap["exec.spill.joins"] != 1 || snap["exec.spill.recursions"] == 0 {

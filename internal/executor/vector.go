@@ -15,8 +15,7 @@ import (
 )
 
 // This file is the vectorized engine's plan walker — the engine the
-// production entry point Exec runs on (Run stays on the row walker as
-// the independent reference). Data flows between operators as columnar
+// production entry point Exec runs on. Data flows between operators as columnar
 // batch.Rel relations; the hot operators — scan, selection, join
 // build/probe (hashed or nested loop), GROUP BY, (distinct) projection
 // and sort — run as kernels over the columns (vecjoin.go, vecagg.go).
@@ -34,11 +33,11 @@ import (
 // on (source column, selection vector) views, and a column is gathered
 // by the first kernel that reads it through Rel.Col — or never.
 //
-// The contract is vecEngine ≡ Run as multisets on every plan the
-// tuple engine accepts, including NULL-padded outer joins, and
+// The contract is vecEngine ≡ plan.Node.Eval as multisets on every
+// plan Eval accepts, including NULL-padded outer joins, and
 // bit-identical aggregate values (float sums accumulate in input
-// order through the same algebra.AggState arithmetic). A sort returns
-// Run's rows in Run's order: both order row positions with
+// order through the same algebra.AggState arithmetic). A sort orders
+// rows as Eval's plan.SortRows does: both order row positions with
 // plan.SortIndex under plan.CompareForSort.
 
 // vecEngine carries one vectorized execution's configuration.

@@ -1,7 +1,7 @@
 // Equivalence suite for the vectorized engine: the columnar walker and
-// the two production entry points that run on it (RunGuarded,
-// RunInstrumentedAdaptive) must be multiset-identical to Run on every
-// plan shape the tuple engine accepts — all join
+// the production entry point that runs on it (Exec, plain and
+// instrumented) must be multiset-identical to plan.Node.Eval on every
+// plan shape the reference accepts — all join
 // kinds with NULL keys, MGOJ, GenSel, grouping with every aggregate
 // form — across batch sizes {1, 3, 1024}, and must agree bit-for-bit
 // on aggregate float arithmetic. It also pins what the serving path
@@ -33,23 +33,33 @@ import (
 // batch-boundary handling, 1024 is the production granularity.
 var vecBatchSizes = []int{1, 3, 1024}
 
-// servingEngine is one production execution entry point.
+// execRows runs p through Exec under o and boxes the result row-major,
+// with the run's annotations when o.Obs is set.
+func execRows(p plan.Node, db plan.Database, o Options) (*relation.Relation, plan.Annotations, error) {
+	out, ann, err := Exec(p, db, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out.ToRelation(), ann, nil
+}
+
+// servingEngine is one way the query service executes a plan.
 type servingEngine struct {
 	name string
 	run  func(plan.Node, plan.Database) (*relation.Relation, error)
 }
 
-// servingEngines are the entry points the query service executes
-// through: RunGuarded for plain requests, RunInstrumentedAdaptive
-// (instrumented) when feedback is on. Both run on the columnar engine;
-// the equivalence suites hold them to Run.
+// servingEngines are the ways the query service executes through Exec:
+// plain for ordinary requests, instrumented when feedback is on. The
+// equivalence suites hold both to plan.Node.Eval.
 func servingEngines() []servingEngine {
 	return []servingEngine{
-		{"RunGuarded", func(p plan.Node, db plan.Database) (*relation.Relation, error) {
-			return RunGuarded(p, db, nil)
+		{"Exec", func(p plan.Node, db plan.Database) (*relation.Relation, error) {
+			out, _, err := execRows(p, db, Options{})
+			return out, err
 		}},
-		{"RunInstrumentedAdaptive", func(p plan.Node, db plan.Database) (*relation.Relation, error) {
-			out, _, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, nil)
+		{"Exec instrumented", func(p plan.Node, db plan.Database) (*relation.Relation, error) {
+			out, _, err := execRows(p, db, Options{Obs: obs.NewRegistry()})
 			return out, err
 		}},
 	}
@@ -180,7 +190,7 @@ func vecPlans() []plan.Node {
 
 // TestVectorizedMatchesRun is the engine equivalence property: the
 // columnar walker at every batch size and both serving entry points
-// return Run's multiset on randomized mixed-kind relations with NULL
+// return plan.Node.Eval's multiset on randomized mixed-kind relations with NULL
 // keys.
 func TestVectorizedMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
@@ -188,7 +198,7 @@ func TestVectorizedMatchesRun(t *testing.T) {
 	for pi, p := range plans {
 		for trial := 0; trial < 2; trial++ {
 			db := mixedDB(rng, 300, 19, "r1", "r2", "r3")
-			want, err := Run(p, db)
+			want, err := p.Eval(db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +208,7 @@ func TestVectorizedMatchesRun(t *testing.T) {
 					t.Fatalf("plan %d batch %d: %v", pi, bs, err)
 				}
 				if !got.EqualAsMultisets(want) {
-					t.Fatalf("plan %d batch %d trial %d: columnar walker differs from Run", pi, bs, trial)
+					t.Fatalf("plan %d batch %d trial %d: columnar walker differs from plan.Node.Eval", pi, bs, trial)
 				}
 			}
 			for _, e := range servingEngines() {
@@ -207,7 +217,7 @@ func TestVectorizedMatchesRun(t *testing.T) {
 					t.Fatalf("plan %d: %s: %v", pi, e.name, err)
 				}
 				if !got.EqualAsMultisets(want) {
-					t.Fatalf("plan %d trial %d: %s differs from Run", pi, trial, e.name)
+					t.Fatalf("plan %d trial %d: %s differs from plan.Node.Eval", pi, trial, e.name)
 				}
 			}
 		}
@@ -215,7 +225,7 @@ func TestVectorizedMatchesRun(t *testing.T) {
 }
 
 // TestVectorizedSelectPreservesOrder: filters keep input order, so a
-// pure scan→select plan must match Run row-for-row, not just as a
+// pure scan→select plan must match plan.Node.Eval row-for-row, not just as a
 // multiset.
 func TestVectorizedSelectPreservesOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(212))
@@ -224,7 +234,7 @@ func TestVectorizedSelectPreservesOrder(t *testing.T) {
 		expr.Cmp{Op: value.GE, L: expr.Column("r1", "x"), R: expr.Int(3)},
 		expr.Cmp{Op: value.LT, L: expr.Column("r1", "f"), R: expr.Const{Val: value.NewFloat(12)}}),
 		plan.NewScan("r1"))
-	want, err := Run(p, db)
+	want, err := p.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +273,7 @@ func TestVectorizedEmptyInputs(t *testing.T) {
 			plan.NewScan("r1")),
 	}
 	for pi, p := range plans {
-		want, err := Run(p, db)
+		want, err := p.Eval(db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +296,7 @@ func TestVectorizedSpills(t *testing.T) {
 	rng := rand.New(rand.NewSource(213))
 	db := bigDB(rng, 4000, 100000, "r1", "r2")
 	p := plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))
-	want, err := Run(p, db)
+	want, err := p.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +312,7 @@ func TestVectorizedSpills(t *testing.T) {
 			t.Fatalf("instrumented=%v: join did not spill under budget: %v", instrumented, err)
 		}
 		if !got.ToRelation().EqualAsMultisets(want) {
-			t.Fatalf("instrumented=%v: spilled result differs from unbudgeted Run", instrumented)
+			t.Fatalf("instrumented=%v: spilled result differs from plan.Node.Eval", instrumented)
 		}
 		snap := reg.Snapshot().Counters
 		if snap["exec.spill.joins"] != 1 || snap["exec.spill.partitions"] == 0 {
@@ -318,8 +328,7 @@ func TestVectorizedBudgetTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(214))
 	db := mixedDB(rng, 400, 7, "r1", "r2")
 	p := plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))
-	_, _, err := RunInstrumentedAdaptive(p, db, nil,
-		guard.New(context.Background(), guard.Limits{MaxRows: 50}, nil), nil)
+	_, _, err := Exec(p, db, Options{Budget: guard.New(context.Background(), guard.Limits{MaxRows: 50}, nil), Obs: obs.NewRegistry()})
 	if !guard.IsBudget(err) {
 		t.Fatalf("err = %v, want guard.ErrBudget", err)
 	}
@@ -334,16 +343,16 @@ func TestVectorizedFallbackCounted(t *testing.T) {
 	p := plan.NewGenSel(eqY("r1", "r2"), []plan.PreservedSpec{plan.NewPreserved("r1")},
 		plan.NewJoin(plan.LeftJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2")))
 	before := obs.Default().Counter("exec.vector.fallback.gensel-pad").Value()
-	want, err := Run(p, db)
+	want, err := p.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunGuarded(p, db, nil)
+	got, _, err := execRows(p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.EqualAsMultisets(want) {
-		t.Fatal("fallback result differs from Run")
+		t.Fatal("fallback result differs from plan.Node.Eval")
 	}
 	if obs.Default().Counter("exec.vector.fallback.gensel-pad").Value() == before {
 		t.Error("exec.vector.fallback.gensel-pad not incremented")
@@ -361,16 +370,16 @@ func TestVectorizedInstrumented(t *testing.T) {
 		[]algebra.Aggregate{{Func: algebra.CountStar, Out: schema.Attr("q", "n")}},
 		join)
 	reg := obs.NewRegistry()
-	out, ann, err := RunInstrumentedAdaptive(p, db, reg, nil, nil)
+	out, ann, err := execRows(p, db, Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(p, db)
+	want, err := p.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.EqualAsMultisets(want) {
-		t.Fatal("instrumented vectorized result differs from Run")
+		t.Fatal("instrumented vectorized result differs from plan.Node.Eval")
 	}
 	a := ann.For(p)
 	if a.Rows != out.Len() {
@@ -401,7 +410,7 @@ func TestVectorizedSharedImage(t *testing.T) {
 		rows[name], scans[name] = rel.Tuples(), batch.Of(rel)
 	}
 	for pi, p := range vecPlans() {
-		want, err := Run(p, db)
+		want, err := p.Eval(db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +420,7 @@ func TestVectorizedSharedImage(t *testing.T) {
 				t.Fatalf("plan %d: %s: %v", pi, e.name, err)
 			}
 			if !got.EqualAsMultisets(want) {
-				t.Fatalf("plan %d: %s differs from Run", pi, e.name)
+				t.Fatalf("plan %d: %s differs from plan.Node.Eval", pi, e.name)
 			}
 		}
 	}
@@ -434,7 +443,7 @@ func TestVectorizedAliasedScan(t *testing.T) {
 	db := mixedDB(rng, 200, 11, "r1")
 	p := plan.NewJoin(plan.LeftJoin, eqX("r1", "a"),
 		plan.NewScan("r1"), &plan.Scan{Rel: "r1", As: "a"})
-	want, err := Run(p, db)
+	want, err := p.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +454,7 @@ func TestVectorizedAliasedScan(t *testing.T) {
 			t.Fatalf("%s: %v", e.name, err)
 		}
 		if !got.EqualAsMultisets(want) {
-			t.Fatalf("%s differs from Run on an aliased self-join", e.name)
+			t.Fatalf("%s differs from plan.Node.Eval on an aliased self-join", e.name)
 		}
 	}
 	if batch.Of(db["r1"]) != scan {
@@ -467,7 +476,7 @@ func TestVecNativeSwapMatchesStatic(t *testing.T) {
 	for _, kind := range kinds {
 		for _, pred := range []expr.Pred{eqX("r1", "r2"), expr.And(eqX("r1", "r2"), lt)} {
 			p := plan.NewJoin(kind, pred, plan.NewScan("r1"), plan.NewScan("r2"))
-			want, err := Run(p, db)
+			want, err := p.Eval(db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -506,7 +515,7 @@ func sortedOn(t *testing.T, rel *relation.Relation, keys ...plan.SortKey) *relat
 }
 
 // TestVectorizedSortMatchesRun: a sort comes back from the
-// columnar entry points row for row as Run returns it — whether its
+// columnar entry points row for row as plan.Node.Eval returns it — whether its
 // input arrives already in key order (a sorted table under a selection
 // and a non-distinct projection, which the sort hands on unchanged)
 // or not (a join's output, which it sorts).
@@ -522,7 +531,7 @@ func TestVectorizedSortMatchesRun(t *testing.T) {
 		plan.NewProject([]schema.Attribute{schema.Attr("r1", "f"), schema.Attr("r2", "x")}, false,
 			plan.NewJoin(plan.InnerJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2"))))
 	for pi, p := range []plan.Node{inOrder, joined} {
-		want, err := Run(p, db)
+		want, err := p.Eval(db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,7 +555,7 @@ func TestVectorizedSortMatchesRun(t *testing.T) {
 	}
 }
 
-// TestVectorizedAnnotatesEveryNode: RunInstrumentedAdaptive annotates
+// TestVectorizedAnnotatesEveryNode: instrumented Exec annotates
 // every node of the plan it was given — kernels, fallbacks and the
 // seams under MGOJ and generalized selection alike — with that
 // subtree's true cardinality. The service's feedback loop reads
@@ -559,7 +568,7 @@ func TestVectorizedAnnotatesEveryNode(t *testing.T) {
 	// A sort whose input is already in order returns that input.
 	plans := append(vecPlans(), plan.NewSort([]plan.SortKey{x}, -1, plan.NewScan("r1")))
 	for pi, p := range plans {
-		_, ann, err := RunInstrumentedAdaptive(p, db, obs.NewRegistry(), nil, nil)
+		_, ann, err := Exec(p, db, Options{Obs: obs.NewRegistry()})
 		if err != nil {
 			t.Fatalf("plan %d: %v", pi, err)
 		}
@@ -568,12 +577,12 @@ func TestVectorizedAnnotatesEveryNode(t *testing.T) {
 			if !ok {
 				t.Fatalf("plan %d: no annotation for %s", pi, n)
 			}
-			want, err := Run(n, db)
+			want, err := n.Eval(db)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if a.Rows != want.Len() {
-				t.Fatalf("plan %d: %s annotated %d rows, Run gives %d", pi, n, a.Rows, want.Len())
+				t.Fatalf("plan %d: %s annotated %d rows, plan.Node.Eval gives %d", pi, n, a.Rows, want.Len())
 			}
 		})
 	}

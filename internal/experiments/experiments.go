@@ -15,7 +15,6 @@ import (
 	"repro/internal/assoctree"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/executor"
 	"repro/internal/expr"
 	"repro/internal/hypergraph"
 	"repro/internal/optimizer"
@@ -94,9 +93,9 @@ func e1() string {
 	for _, name := range []string{"r1", "r2", "r3"} {
 		fmt.Fprintf(&b, "%s:\n%s\n", name, db[name])
 	}
-	t1, _ := executor.Run(t1p, db)
-	t2, _ := executor.Run(t2p, db)
-	got, _ := executor.Run(comp, db)
+	t1, _ := t1p.Eval(db)
+	t2, _ := t2p.Eval(db)
+	got, _ := comp.Eval(db)
 	t1.SortForDisplay()
 	t2.SortForDisplay()
 	got.SortForDisplay()
@@ -455,8 +454,8 @@ func e7(cfg e7Config) string {
 		costR, _ := est.PlanCost(reordered)
 		timeA := timeRun(asWritten, db)
 		timeR := timeRun(reordered, db)
-		ra, _ := executor.Run(asWritten, db)
-		rr, _ := executor.Run(reordered, db)
+		ra, _ := asWritten.Eval(db)
+		rr, _ := reordered.Eval(db)
 		if !ra.EqualAsSets(rr) {
 			return "E7: plans disagree — reordering bug"
 		}
@@ -471,7 +470,7 @@ func timeRun(p plan.Node, db plan.Database) time.Duration {
 	best := time.Duration(1<<63 - 1)
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		if _, err := executor.Run(p, db); err != nil {
+		if _, err := p.Eval(db); err != nil {
 			return 0
 		}
 		if d := time.Since(start); d < best {
@@ -573,7 +572,7 @@ func e8(cfg E8Config) string {
 		}
 		tisTime := time.Since(startTIS)
 		startUn := time.Now()
-		got, err := executor.Run(unnested, db)
+		got, err := unnested.Eval(db)
 		if err != nil {
 			return err.Error()
 		}

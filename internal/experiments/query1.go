@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/algebra"
-	"repro/internal/executor"
 	"repro/internal/expr"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
@@ -66,11 +65,11 @@ func e14() string {
 		if err != nil {
 			return err.Error()
 		}
-		want, err := executor.Run(q, db)
+		want, err := q.Eval(db)
 		if err != nil {
 			return err.Error()
 		}
-		got, err := executor.Run(full.Best.Plan, db)
+		got, err := full.Best.Plan.Eval(db)
 		if err != nil {
 			return err.Error()
 		}

@@ -171,7 +171,7 @@ type Options struct {
 	// RuleScope other than ScopeUnknown, and a ScopeChild rule its
 	// Patterns (New rejects one that does not).
 	Rules []core.Rule
-	// MaxExprs caps the admitted expressions (0 means 100000) — the
+	// MaxExprs caps the admitted expressions (0 means 20000) — the
 	// memo analog of SaturateOptions.MaxPlans. Expressions are all the
 	// memo materializes, so they are all that counts.
 	MaxExprs int
@@ -268,7 +268,7 @@ func New(opts Options) (*Memo, error) {
 		opts.Rules = core.DefaultRules()
 	}
 	if opts.MaxExprs <= 0 {
-		opts.MaxExprs = 100000
+		opts.MaxExprs = 20000
 	}
 	m := &Memo{
 		opts:    opts,

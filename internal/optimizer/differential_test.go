@@ -61,7 +61,8 @@ func TestRandomMemoVsSaturation(t *testing.T) {
 			// A closure under the saturation cap can still take the memo
 			// past that many expressions (it holds the simplified seed's
 			// groups too): give the memo room to explore it in full.
-			o.Opts.MaxPlans, o.Opts.Obs = 4*maxPlans, obs.NewRegistry()
+			o.Opts.Obs = obs.NewRegistry()
+			o.Opts.Budget = guard.New(context.Background(), guard.Limits{MaxExprs: 4 * maxPlans}, o.Opts.Obs)
 			mem, err := o.Optimize(q, db)
 			if err != nil {
 				t.Fatal(err)

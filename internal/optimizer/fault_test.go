@@ -7,6 +7,7 @@ package optimizer_test
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -19,9 +20,10 @@ import (
 	"repro/internal/stats/feedback"
 )
 
-// faultMaxPlans bounds each enumeration so the full
-// point × mode × arm × worker matrix stays fast.
-const faultMaxPlans = 1500
+// faultMaxExprs is the expression budget that bounds each enumeration
+// of the injection matrix, so the full point × mode × arm matrix stays
+// fast.
+const faultMaxExprs = 1500
 
 // faultSeeds is the injection matrix's query set: the Section 1.1/2
 // outer-join query, the paper's Q5 and Q6, a seven-relation chain and
@@ -52,10 +54,9 @@ var faultArms = []string{"memo", "ordered", "feedback"}
 
 // faultRun is one guarded optimization configuration.
 type faultRun struct {
-	arm     string // one of faultArms
-	workers int
-	ctx     context.Context // nil means context.Background()
-	limits  *guard.Limits   // nil means no budget threaded at all
+	arm    string          // one of faultArms
+	ctx    context.Context // nil means context.Background()
+	limits *guard.Limits   // nil means no budget threaded at all
 }
 
 // query is q as the arm optimizes it: on the ordered arm, sorted on
@@ -86,12 +87,10 @@ func (fr faultRun) optimize(q plan.Node, db plan.Database) (*optimizer.Result, m
 	reg := obs.NewRegistry()
 	est := stats.NewEstimator(stats.FromDatabase(db))
 	o := optimizer.New(est)
-	o.Opts.Workers = fr.workers
 	if fr.arm == "feedback" {
 		o.Opts.Feedback = feedback.New(feedback.Options{Obs: reg})
 	}
 	o.Opts.Obs = reg
-	o.Opts.MaxPlans = faultMaxPlans
 	if fr.limits != nil {
 		ctx := fr.ctx
 		if ctx == nil {
@@ -105,7 +104,7 @@ func (fr faultRun) optimize(q plan.Node, db plan.Database) (*optimizer.Result, m
 
 // firedPoints runs one clean optimization with counting hooks armed at
 // every registered point and returns the points that actually fired
-// for this (query, arm, workers) combination.
+// for this (query, arm) combination.
 func firedPoints(t *testing.T, fr faultRun, q plan.Node, db plan.Database) []guard.Point {
 	t.Helper()
 	counts := map[guard.Point]*atomic.Int64{}
@@ -130,25 +129,32 @@ func firedPoints(t *testing.T, fr faultRun, q plan.Node, db plan.Database) []gua
 	return fired
 }
 
-// TestOptimizerFaultMatrix: for every seed query, arm and worker
-// count (Options.Workers is ignored, so w4 must behave as w1 does),
-// discover which guard points the run crosses, then arm each
-// one to (a) fail with a typed error and (b) panic, and assert the
-// outcome is always classified: an injected error surfaces as
-// guard.ErrInjected, a panic as *guard.PanicError, and a nil error
-// only ever comes with a structurally valid plan.
+// TestOptimizerFaultMatrix: for every seed query and arm, discover
+// which guard points the run crosses, then arm each one to (a) fail
+// with a typed error and (b) panic, and assert the outcome is always
+// classified: an injected error surfaces as guard.ErrInjected, a panic
+// as *guard.PanicError, and a nil error only ever comes with a
+// structurally valid plan. Each configuration runs in two passes, the
+// subtests' w1 and w4 (labels they carry from when a worker count was
+// a setting); exploration is serial, so the second pass must cross
+// exactly the points the first did.
 func TestOptimizerFaultMatrix(t *testing.T) {
 	defer guard.Clear()
-	lim := &guard.Limits{}
 	for _, tc := range faultSeeds() {
 		for _, arm := range faultArms {
-			for _, workers := range []int{1, 4} {
-				fr := faultRun{arm: arm, workers: workers, limits: lim}
-				name := tc.name + "/" + arm + "/w" + string(rune('0'+workers))
-				t.Run(name, func(t *testing.T) {
+			fr := faultRun{arm: arm, limits: &guard.Limits{MaxExprs: faultMaxExprs}}
+			var first []guard.Point
+			for _, pass := range []string{"w1", "w4"} {
+				t.Run(tc.name+"/"+arm+"/"+pass, func(t *testing.T) {
 					db := memoTestDB(tc.rels)
 					q := fr.query(t, tc.q, db)
-					for _, p := range firedPoints(t, fr, q, db) {
+					fired := firedPoints(t, fr, q, db)
+					if first == nil {
+						first = fired
+					} else if !slices.Equal(fired, first) {
+						t.Fatalf("second pass crossed %v, first %v", fired, first)
+					}
+					for _, p := range fired {
 						t.Run(string(p)+"/error", func(t *testing.T) {
 							guard.InjectError(p)
 							defer guard.Clear()
@@ -196,7 +202,7 @@ func TestOptimizerCancelledContext(t *testing.T) {
 	db := memoTestDB(6)
 	for _, arm := range faultArms {
 		t.Run(arm, func(t *testing.T) {
-			fr := faultRun{arm: arm, workers: 1, ctx: ctx, limits: &guard.Limits{}}
+			fr := faultRun{arm: arm, ctx: ctx, limits: &guard.Limits{}}
 			_, counters, err := fr.optimize(fr.query(t, experiments.Q5(), db), db)
 			if !guard.IsCancelled(err) {
 				t.Fatalf("err = %v, want guard.ErrCancelled", err)
@@ -217,7 +223,7 @@ func TestOptimizerBudgetDegrades(t *testing.T) {
 		for _, arm := range faultArms {
 			t.Run(tc.name+"/"+arm, func(t *testing.T) {
 				db := memoTestDB(tc.rels)
-				fr := faultRun{arm: arm, workers: 1, limits: &guard.Limits{MaxExprs: 3}}
+				fr := faultRun{arm: arm, limits: &guard.Limits{MaxExprs: 3}}
 				q := fr.query(t, tc.q, db)
 				res, counters, err := fr.optimize(q, db)
 				if err != nil {
@@ -249,41 +255,39 @@ func TestOptimizerBudgetDegrades(t *testing.T) {
 
 // TestOptimizerBudgetUntrippedDeterministic is the determinism gate:
 // threading a budget that never trips must not change the outcome —
-// same expression count, same winner, same cost as the unbudgeted run,
-// at any value of the ignored Options.Workers.
+// same expression count, same winner, same cost as the unbudgeted run.
 func TestOptimizerBudgetUntrippedDeterministic(t *testing.T) {
 	huge := &guard.Limits{MaxExprs: 1 << 40}
 	for _, tc := range faultSeeds() {
 		for _, arm := range faultArms {
 			t.Run(tc.name+"/"+arm, func(t *testing.T) {
 				db := memoTestDB(tc.rels)
-				bare := faultRun{arm: arm, workers: 1}
+				bare := faultRun{arm: arm}
 				q := bare.query(t, tc.q, db)
 				base, _, err := bare.optimize(q, db)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{1, 4} {
-					fr := faultRun{arm: arm, workers: workers, limits: huge}
-					res, counters, err := fr.optimize(q, db)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// chain7 stops at MaxPlans with or without a budget.
-					if res.Degraded != base.Degraded {
-						t.Fatalf("untripped budget degraded: %q, unbudgeted %q", res.Degraded, base.Degraded)
-					}
-					if counters["guard.budget_trips.exprs"] != 0 {
-						t.Fatalf("untripped budget recorded a trip: %v", counters)
-					}
-					if res.Considered != base.Considered {
-						t.Errorf("workers=%d considered %d, unbudgeted %d", workers, res.Considered, base.Considered)
-					}
-					if plan.Key(res.Best.Plan) != plan.Key(base.Best.Plan) || res.Best.Cost != base.Best.Cost {
-						t.Errorf("workers=%d best (%s, %.4f) != unbudgeted (%s, %.4f)",
-							workers, plan.Key(res.Best.Plan), res.Best.Cost,
-							plan.Key(base.Best.Plan), base.Best.Cost)
-					}
+				fr := faultRun{arm: arm, limits: huge}
+				res, counters, err := fr.optimize(q, db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A run that stops at the memo's own cap stops there
+				// with or without a budget.
+				if res.Degraded != base.Degraded {
+					t.Fatalf("untripped budget degraded: %q, unbudgeted %q", res.Degraded, base.Degraded)
+				}
+				if counters["guard.budget_trips.exprs"] != 0 {
+					t.Fatalf("untripped budget recorded a trip: %v", counters)
+				}
+				if res.Considered != base.Considered {
+					t.Errorf("considered %d, unbudgeted %d", res.Considered, base.Considered)
+				}
+				if plan.Key(res.Best.Plan) != plan.Key(base.Best.Plan) || res.Best.Cost != base.Best.Cost {
+					t.Errorf("best (%s, %.4f) != unbudgeted (%s, %.4f)",
+						plan.Key(res.Best.Plan), res.Best.Cost,
+						plan.Key(base.Best.Plan), base.Best.Cost)
 				}
 			})
 		}

@@ -31,8 +31,8 @@ import (
 // Under a budget (Options.Budget) the run is interruptible and
 // bounded: cancellation and contained panics surface as typed guard
 // errors, and an exhausted expression budget — like a search stopped
-// at MaxPlans — degrades to the best plan found so far
-// (Result.Degraded). The package boundary converts
+// at the memo's expression cap — degrades to the best plan found so
+// far (Result.Degraded). The package boundary converts
 // any internal panic into a *guard.PanicError carrying the phase
 // reached and the query fingerprint.
 func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err error) {
@@ -54,10 +54,6 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 		}
 	}
 
-	maxPlans := o.Opts.MaxPlans
-	if maxPlans <= 0 {
-		maxPlans = 20000
-	}
 	rules := o.Opts.Rules
 	if rules == nil {
 		rules = core.DefaultRules()
@@ -91,10 +87,9 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 
 	endExplore := phase("explore")
 	m, err := memo.New(memo.Options{
-		Rules:    rules,
-		MaxExprs: maxPlans,
-		Obs:      reg,
-		Budget:   o.Opts.Budget,
+		Rules:  rules,
+		Obs:    reg,
+		Budget: o.Opts.Budget,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: %w", err)
@@ -117,8 +112,8 @@ func (o *Optimizer) Optimize(q plan.Node, db plan.Database) (res *Result, err er
 		return nil, err
 	}
 	endExplore()
-	// Any cap — the guard's expression budget or MaxPlans — leaves the
-	// search incomplete, and the result says so.
+	// Any cap — the guard's expression budget or the memo's own —
+	// leaves the search incomplete, and the result says so.
 	degraded := m.CappedReason()
 	if degraded != "" {
 		reg.Counter("guard.degraded").Inc()

@@ -104,18 +104,17 @@ func memoSeeds() []struct {
 	}
 }
 
-// optimizeWith runs one optimization with the given worker count on a
-// fresh registry, returning the result and the registry snapshot.
-func optimizeWith(t *testing.T, q plan.Node, db plan.Database, workers int) (*optimizer.Result, map[string]int64) {
+// optimizeWith runs one optimization on a fresh registry, returning
+// the result and the registry snapshot.
+func optimizeWith(t *testing.T, q plan.Node, db plan.Database) (*optimizer.Result, map[string]int64) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	est := stats.NewEstimator(stats.FromDatabase(db))
 	o := optimizer.New(est)
-	o.Opts.Workers = workers
 	o.Opts.Obs = reg
 	res, err := o.Optimize(q, db)
 	if err != nil {
-		t.Fatalf("optimize (workers=%d): %v", workers, err)
+		t.Fatalf("optimize: %v", err)
 	}
 	return res, reg.Snapshot().Counters
 }
@@ -130,7 +129,7 @@ func TestMemoMatchesSaturate(t *testing.T) {
 	for _, tc := range memoSeeds() {
 		t.Run(tc.name, func(t *testing.T) {
 			db := memoTestDB(tc.rels)
-			mem, counters := optimizeWith(t, tc.q, db, 1)
+			mem, counters := optimizeWith(t, tc.q, db)
 			sat, ranked := saturationRanking(t, tc.q, db, 20000)
 			if counters["optimizer.runs"] != 1 {
 				t.Fatalf("memo engine did not run (counters %v)", counters)
@@ -176,26 +175,26 @@ func TestMemoMatchesSaturate(t *testing.T) {
 	}
 }
 
-// TestMemoWorkersDeterministic: exploration is serial, so any value of
-// Options.Workers produces the identical memo — same expression count,
-// same winner, same cost, same rule firings.
+// TestMemoWorkersDeterministic: exploration is serial, so every run
+// builds the identical memo — same expression count, same winner, same
+// cost, same rule firings.
 func TestMemoWorkersDeterministic(t *testing.T) {
 	for _, tc := range memoSeeds() {
 		t.Run(tc.name, func(t *testing.T) {
 			db := memoTestDB(tc.rels)
-			serial, _ := optimizeWith(t, tc.q, db, 1)
-			for _, w := range []int{2, 4, -1} {
-				par, _ := optimizeWith(t, tc.q, db, w)
-				if par.Considered != serial.Considered {
-					t.Fatalf("workers=%d considered %d exprs, serial %d", w, par.Considered, serial.Considered)
+			first, _ := optimizeWith(t, tc.q, db)
+			for i := 2; i <= 4; i++ {
+				again, _ := optimizeWith(t, tc.q, db)
+				if again.Considered != first.Considered {
+					t.Fatalf("run %d considered %d exprs, first %d", i, again.Considered, first.Considered)
 				}
-				if plan.Key(par.Best.Plan) != plan.Key(serial.Best.Plan) || par.Best.Cost != serial.Best.Cost {
-					t.Fatalf("workers=%d best (%s, %.4f) != serial (%s, %.4f)",
-						w, plan.Key(par.Best.Plan), par.Best.Cost, plan.Key(serial.Best.Plan), serial.Best.Cost)
+				if plan.Key(again.Best.Plan) != plan.Key(first.Best.Plan) || again.Best.Cost != first.Best.Cost {
+					t.Fatalf("run %d best (%s, %.4f) != first (%s, %.4f)",
+						i, plan.Key(again.Best.Plan), again.Best.Cost, plan.Key(first.Best.Plan), first.Best.Cost)
 				}
-				for r, n := range serial.RuleFirings {
-					if par.RuleFirings[r] != n {
-						t.Fatalf("workers=%d firing count for %s: %d vs serial %d", w, r, par.RuleFirings[r], n)
+				for r, n := range first.RuleFirings {
+					if again.RuleFirings[r] != n {
+						t.Fatalf("run %d firing count for %s: %d vs first %d", i, r, again.RuleFirings[r], n)
 					}
 				}
 			}
@@ -207,7 +206,7 @@ func TestMemoWorkersDeterministic(t *testing.T) {
 // a workload with a non-trivial group structure.
 func TestMemoPrunes(t *testing.T) {
 	db := memoTestDB(6)
-	_, counters := optimizeWith(t, experiments.Q5(), db, 1)
+	_, counters := optimizeWith(t, experiments.Q5(), db)
 	if counters["memo.pruned"] == 0 {
 		t.Error("extraction reported no branch-and-bound prunes on Q5")
 	}
@@ -225,7 +224,7 @@ func TestMemoPrunes(t *testing.T) {
 func TestMemoDerivationReplays(t *testing.T) {
 	db := memoTestDB(6)
 	q := experiments.Q5()
-	res, _ := optimizeWith(t, q, db, 1)
+	res, _ := optimizeWith(t, q, db)
 	if plan.Key(res.Best.Plan) != plan.Key(q) && len(res.Best.Derivation) == 0 {
 		t.Fatal("winner differs from the query but has an empty derivation chain")
 	}

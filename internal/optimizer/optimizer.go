@@ -29,8 +29,6 @@ import (
 type Options struct {
 	// Rules is the identity rule set; core.DefaultRules() if nil.
 	Rules []core.Rule
-	// MaxPlans caps the enumerated equivalence class (default 20000).
-	MaxPlans int
 	// PushUpAggregates also seeds the enumeration with
 	// aggregation-pull-up variants of the query (Example 3.1).
 	PushUpAggregates bool
@@ -85,9 +83,10 @@ type Result struct {
 	RuleFirings map[string]int
 	// Degraded is non-empty when enumeration stopped early, naming the
 	// cap that stopped it ("budget:exprs" for the guard's expression
-	// budget, "max-exprs" for MaxPlans): Best is the cheapest plan
-	// found before the stop — possibly the greedy left-deep fallback
-	// — rather than the optimum over the full equivalence class.
+	// budget, "max-exprs" for the memo's own 20 000-expression cap):
+	// Best is the cheapest plan found before the stop — possibly the
+	// greedy left-deep fallback — rather than the optimum over the
+	// full equivalence class.
 	Degraded string
 	// FeedbackCorrections counts the memo groups this run estimated
 	// from feedback corrections instead of the static model (0 when

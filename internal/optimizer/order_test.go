@@ -77,7 +77,7 @@ func optimizeOrdered(t *testing.T, q plan.Node, db plan.Database) *optimizer.Res
 // without LIMIT: res's winner is one sort at the root, on q's keys and
 // limit, with no other sort anywhere, over exactly the plan the
 // optimizer picks for q without its sort; and the winner returns q's
-// rows in order on the row engine and the columnar engine alike — the
+// rows in order on the reference and the columnar engine alike — the
 // same rows as a multiset without a limit, the same key values row by
 // row with one.
 func checkRootSort(t *testing.T, q *plan.Sort, db plan.Database) {
@@ -108,15 +108,15 @@ func checkRootSort(t *testing.T, q *plan.Sort, db plan.Database) {
 	if err != nil {
 		t.Fatalf("reference eval: %v", err)
 	}
-	ran, err := executor.Run(res.Best.Plan, db)
+	ran, err := res.Best.Plan.Eval(db)
 	if err != nil {
-		t.Fatalf("executing winner: %v", err)
+		t.Fatalf("evaluating winner: %v", err)
 	}
 	col, _, err := executor.Exec(res.Best.Plan, db, executor.Options{})
 	if err != nil {
 		t.Fatalf("executing winner columnar: %v", err)
 	}
-	for engine, got := range map[string]*relation.Relation{"Run": ran, "Exec": col.ToRelation()} {
+	for engine, got := range map[string]*relation.Relation{"Eval": ran, "Exec": col.ToRelation()} {
 		if q.Limit < 0 && !got.EqualAsMultisets(want) {
 			t.Fatalf("%s: winner output differs from reference as a multiset", engine)
 		}

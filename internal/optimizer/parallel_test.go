@@ -37,11 +37,11 @@ func inner4Loj(t *testing.T) (plan.Node, plan.Database) {
 	return q, db
 }
 
-// TestOptimizeWorkersDeterministic: Options.Workers is ignored, so a
-// run that sets it is observationally identical to one that leaves it
-// at 1 — same expression count, same best plan and cost, same rule
-// firings — on query2 and on a shape whose groups merge (inner4_loj),
-// where merges happen mid-wave.
+// TestOptimizeWorkersDeterministic: exploration is serial, so every
+// run is observationally identical to the first — same expression
+// count, same best plan and cost, same rule firings — on query2 and on
+// a shape whose groups merge (inner4_loj), where merges happen
+// mid-wave.
 func TestOptimizeWorkersDeterministic(t *testing.T) {
 	q4l, db4l := inner4Loj(t)
 	for _, tc := range []struct {
@@ -54,10 +54,9 @@ func TestOptimizeWorkersDeterministic(t *testing.T) {
 }
 
 func checkWorkersDeterministic(t *testing.T, q plan.Node, db plan.Database, merges bool) {
-	run := func(workers int) *Result {
+	run := func() *Result {
 		est := stats.NewEstimator(stats.FromDatabase(db))
 		o := New(est)
-		o.Opts.Workers = workers
 		o.Opts.Obs = obs.NewRegistry()
 		res, err := o.Optimize(q, db)
 		if err != nil {
@@ -68,23 +67,23 @@ func checkWorkersDeterministic(t *testing.T, q plan.Node, db plan.Database, merg
 		}
 		return res
 	}
-	serial := run(1)
-	for _, w := range []int{2, 4, -1} {
-		par := run(w)
-		if par.Considered != serial.Considered {
-			t.Fatalf("workers=%d considered %d plans, serial %d", w, par.Considered, serial.Considered)
+	first := run()
+	for i := 2; i <= 4; i++ {
+		again := run()
+		if again.Considered != first.Considered {
+			t.Fatalf("run %d considered %d plans, first %d", i, again.Considered, first.Considered)
 		}
-		pb, sb := par.Best, serial.Best
+		pb, sb := again.Best, first.Best
 		if plan.Key(pb.Plan) != plan.Key(sb.Plan) || pb.Cost != sb.Cost || pb.Rows != sb.Rows {
-			t.Fatalf("workers=%d best (%s, %.4f, %.1f rows) != serial (%s, %.4f, %.1f rows)",
-				w, plan.Key(pb.Plan), pb.Cost, pb.Rows, plan.Key(sb.Plan), sb.Cost, sb.Rows)
+			t.Fatalf("run %d best (%s, %.4f, %.1f rows) != first (%s, %.4f, %.1f rows)",
+				i, plan.Key(pb.Plan), pb.Cost, pb.Rows, plan.Key(sb.Plan), sb.Cost, sb.Rows)
 		}
-		if len(par.RuleFirings) != len(serial.RuleFirings) {
-			t.Fatalf("workers=%d rule firings differ: %v vs %v", w, par.RuleFirings, serial.RuleFirings)
+		if len(again.RuleFirings) != len(first.RuleFirings) {
+			t.Fatalf("run %d rule firings differ: %v vs %v", i, again.RuleFirings, first.RuleFirings)
 		}
-		for r, n := range serial.RuleFirings {
-			if par.RuleFirings[r] != n {
-				t.Fatalf("workers=%d firing count for %s: %d vs serial %d", w, r, par.RuleFirings[r], n)
+		for r, n := range first.RuleFirings {
+			if again.RuleFirings[r] != n {
+				t.Fatalf("run %d firing count for %s: %d vs first %d", i, r, again.RuleFirings[r], n)
 			}
 		}
 	}

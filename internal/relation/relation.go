@@ -74,17 +74,6 @@ func (t Tuple) EqualTuple(o Tuple) bool {
 	return true
 }
 
-// EqualOn reports pointwise value.Equal between t's columns ti and
-// o's columns oi; the slices must have equal length.
-func (t Tuple) EqualOn(o Tuple, ti, oi []int) bool {
-	for k, i := range ti {
-		if !value.Equal(t[i], o[oi[k]]) {
-			return false
-		}
-	}
-	return true
-}
-
 // tupleSet is a hash set of tuples bucketed by Hash64 with EqualTuple
 // verification; it replaces string-keyed maps on the duplicate
 // elimination and set difference paths, where rendering Key for every

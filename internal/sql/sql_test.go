@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/executor"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/relation"
@@ -98,7 +97,7 @@ func mustRun(t *testing.T, query string, db plan.Database) *relation.Relation {
 	if err != nil {
 		t.Fatalf("lower %q: %v", query, err)
 	}
-	out, err := executor.Run(node, db)
+	out, err := node.Eval(db)
 	if err != nil {
 		t.Fatalf("run %q: %v", query, err)
 	}
@@ -185,14 +184,14 @@ func TestLowerSupplierSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := executor.Run(node, db)
+	got, err := node.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The hand-built plan projects nothing and names its count column
 	// v3.aggqty95 while the lowered plan generates its own qualifier;
 	// compare positionally on (supkey, partkey, qty, count).
-	want, err := executor.Run(datagen.SupplierQuery(), db)
+	want, err := datagen.SupplierQuery().Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +244,7 @@ func TestLowerUnnestsCorrelatedCount(t *testing.T) {
 	if !strings.Contains(text, "GenSel") || !strings.Contains(text, "LOJ") {
 		t.Errorf("expected unnested plan with LOJ and GenSel:\n%s", text)
 	}
-	got, err := executor.Run(node, db)
+	got, err := node.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}

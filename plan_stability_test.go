@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/guard"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -216,11 +217,10 @@ func TestPlanStability(t *testing.T) {
 }
 
 // TestChain6ProbeCompletes: the chain6 probe explores to fixpoint
-// well inside the default MaxPlans cap (it stopped at the cap while
-// equivalent groups were not merged: 20 000 expressions, now 189), and
-// a cap that does stop it still says so, in the optimizer result under
-// a tight MaxPlans and in a bypass service request under a tight
-// expression budget.
+// well inside the memo's 20 000-expression cap (it stopped at the cap
+// while equivalent groups were not merged, now at 189), and a cap that
+// does stop it still says so, in the optimizer result and in a bypass
+// service request under a tight expression budget.
 func TestChain6ProbeCompletes(t *testing.T) {
 	var probe stabilityCase
 	for _, tc := range stabilityCases {
@@ -246,12 +246,13 @@ func TestChain6ProbeCompletes(t *testing.T) {
 	if res.Degraded != "" || res.Considered > 250 {
 		t.Errorf("Optimize: Degraded = %q after %d expressions, want a complete search within 250", res.Degraded, res.Considered)
 	}
-	o.Opts.MaxPlans = res.Considered / 2
+	limits := guard.Limits{MaxExprs: int64(res.Considered / 2)}
+	o.Opts.Budget = guard.New(context.Background(), limits, nil)
 	if capped, err := o.Optimize(node, db); err != nil {
 		t.Fatal(err)
-	} else if capped.Degraded != "max-exprs" {
-		t.Errorf("Optimize with MaxPlans %d: Degraded = %q after %d expressions, want %q",
-			o.Opts.MaxPlans, capped.Degraded, capped.Considered, "max-exprs")
+	} else if capped.Degraded != "budget:exprs" {
+		t.Errorf("Optimize with MaxExprs %d: Degraded = %q after %d expressions, want %q",
+			limits.MaxExprs, capped.Degraded, capped.Considered, "budget:exprs")
 	}
 
 	svc := newTestService(t, ServiceConfig{DB: db})

@@ -46,7 +46,7 @@ func execCounters(reg *obs.Registry, prefix string) map[string]int64 {
 
 // TestServiceColumnarCountersReachObserver: what the executor counts
 // during a request is readable from Service.Observer() afterwards —
-// here the row-engine seam a generalized selection's padding runs on
+// here the tuple-operator seam a generalized selection's padding runs on
 // (TestMaxBytesPartitionsEverywhere covers the spill counters, in both
 // service modes).
 func TestServiceColumnarCountersReachObserver(t *testing.T) {
@@ -357,10 +357,9 @@ func TestServiceColumnarOrderByAfterAppend(t *testing.T) {
 	}
 }
 
-// TestServiceColumnarFeedbackCorrections: the annotations the columnar
-// RunInstrumentedAdaptive returns cover every node of the bound plan,
-// so one request records one correction per composite subtree of its
-// plan — what the row engine's annotations gave the loop before.
+// TestServiceColumnarFeedbackCorrections: the annotations instrumented
+// Exec returns cover every node of the bound plan, so one request
+// records one correction per composite subtree of its plan.
 func TestServiceColumnarFeedbackCorrections(t *testing.T) {
 	svc := feedbackService(t, true, 100) // never re-plan: one plan throughout
 	stmt, err := sql.Parse(skewQuery)

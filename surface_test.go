@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -56,6 +57,7 @@ var surfaceAllow = map[string]string{
 	"core.SplitOptionsOf":          "the per-option reference that test walks",
 	"core.SplitEntry.Apply":        "builds one split-table entry's rewrite; that test checks it against the per-option reference",
 	"plan.Validate":                "schema check the plan and optimizer tests run on every rewrite",
+	"plan.SortRows":                "the reference sort plan.Node.Eval runs, which the columnar sort tests compare against",
 	"obs.ParseExposition":          "parser the exposition tests read /metrics text back with",
 	"assoctree.*":                  "Definition 3.2 enumerator the plan-space tests compare the memo with",
 	"relation.Relation.OuterUnion": "outer union ⊎ the full-outer-join decomposition tests compare against",
@@ -80,6 +82,196 @@ func TestSurface(t *testing.T) {
 	for _, f := range checkDocs(tr, surfaceDocs) {
 		t.Error(f)
 	}
+}
+
+// benchOnly lists names that only bench/, the benchmark module, may
+// use: shells and ignored settings kept because bench/ still names
+// them. Any other code naming one — tests included, the declaring
+// package's own non-test files excepted — is a finding, and so is an
+// entry bench/ no longer names: it is then deleted, with its entry.
+var benchOnly = map[string]string{
+	"executor.Run":                     "plan.Node.Eval under the name the benchmark's oracle calls",
+	"executor.RunGuarded":              "Exec boxed row-major, the benchmark replica's plain execution",
+	"executor.RunInstrumentedAdaptive": "Exec instrumented and boxed, the benchmark replica's feedback execution",
+	"executor.Adapt":                   "ignored adaptivity settings the benchmark replica passes",
+	"reorder.ServiceConfig.Workers":    "ignored worker count the benchmark configures the service with",
+	"optimizer.Options.Workers":        "ignored worker count the benchmark replica sets",
+}
+
+// TestBenchOnly fails when code outside bench/ names a benchOnly entry,
+// or bench/ stops naming one.
+func TestBenchOnly(t *testing.T) {
+	for _, f := range checkBenchOnly(loadTree(t, "."), benchOnly) {
+		t.Error(f)
+	}
+}
+
+// TestBenchOnlyCheckFindsDrift runs checkBenchOnly on a small in-memory
+// module with a bench/ module beside it, so that it cannot pass by
+// flagging nothing: a test and another package name pinned entries,
+// bench/ has stopped naming one, and one names nothing.
+func TestBenchOnlyCheckFindsDrift(t *testing.T) {
+	tr := srcTree{
+		"go.mod": "module m\n\ngo 1.22\n",
+		"internal/a/a.go": `package a
+
+type Opts struct{ W, K int }
+
+func Shell() int { return Opts{W: 1}.W }
+
+func Gone() {}
+`,
+		"internal/a/a_test.go": `package a
+
+func use() int { return Shell() }
+`,
+		"internal/a/x_test.go": `package a_test
+
+import "m/internal/a"
+
+var _ = a.Opts{K: 2}.W
+`,
+		"internal/b/b.go": `package b
+
+import "m/internal/a"
+
+func B() int { return a.Opts{K: 1}.K }
+`,
+		"bench/go.mod": "module bench\n\ngo 1.22\n",
+		"bench/main.go": `package main
+
+import "m/internal/a"
+
+func main() { println(a.Shell(), a.Opts{W: 3}.W) }
+`,
+	}
+	got := checkBenchOnly(tr, map[string]string{"a.Shell": "", "a.Opts.W": "", "a.Gone": "", "a.Nope": ""})
+	want := []string{
+		"a.Gone: only bench/ may use it, and bench/ no longer names it",
+		"a.Nope: names nothing",
+		"internal/a/a_test.go:3: names a.Shell",
+		"internal/a/x_test.go:5: names a.Opts.W",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("findings %q, want %d", got, len(want))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(got[i], w) {
+			t.Errorf("finding %d = %q, want prefix %q", i, got[i], w)
+		}
+	}
+}
+
+// checkBenchOnly returns one finding per use of an entry of pinned
+// ("pkg.Name" or "pkg.Type.Field") outside bench/ and outside the
+// non-test files of the entry's own package, one per entry no file
+// under bench/ names, and one per entry that names nothing. Every Go
+// file of tr is type-checked, tests with their package (external
+// tests against it) and bench/ as the module it is.
+func checkBenchOnly(tr srcTree, pinned map[string]string) []string {
+	fset := token.NewFileSet()
+	files := parseGo(fset, tr)
+	im, _ := newSrcImporter(fset, tr, files)
+	tests := map[string][]*ast.File{} // import path → test files
+	for _, f := range files {
+		if f.test {
+			p := importPath(tr, f.dir)
+			tests[p] = append(tests[p], f.ast)
+		}
+	}
+	for _, p := range sortedKeys(im.files) {
+		im.Import(p)
+	}
+	// A test file is checked with its package's files, an external
+	// test file (package x_test) as a package importing that one.
+	uses := []map[*ast.Ident]types.Object{im.info.Uses}
+	for _, p := range sortedKeys(tests) {
+		var internal, external []*ast.File
+		for _, f := range tests[p] {
+			if strings.HasSuffix(f.Name.Name, "_test") {
+				external = append(external, f)
+			} else {
+				internal = append(internal, f)
+			}
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: im, Error: func(error) {}}
+		withTests, _ := conf.Check(p, fset, append(slices.Clone(im.files[p]), internal...), info)
+		conf.Importer = testImporter{im, p, withTests}
+		conf.Check(p+"_test", fset, external, info)
+		uses = append(uses, info.Uses)
+	}
+
+	// An entry is the position of its declaration, which every check
+	// of the declaring package shares.
+	entries := map[token.Pos]string{}
+	home := map[string]string{} // entry → declaring package directory
+	var findings []string
+	for _, entry := range sortedKeys(pinned) {
+		parts := strings.Split(entry, ".")
+		var obj types.Object
+		for _, p := range sortedKeys(im.pkgs) {
+			if pkg := im.pkgs[p]; pkg != nil && pkg.Name() == parts[0] && obj == nil {
+				obj = pkg.Scope().Lookup(parts[1])
+			}
+		}
+		if obj != nil && len(parts) == 3 {
+			st, _ := obj.Type().Underlying().(*types.Struct)
+			obj = nil
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				if st.Field(i).Name() == parts[2] {
+					obj = st.Field(i)
+				}
+			}
+		}
+		if obj == nil || len(parts) > 3 {
+			findings = append(findings, entry+": names nothing; fix or delete the entry")
+			continue
+		}
+		entries[obj.Pos()] = entry
+		home[entry] = path.Dir(fset.Position(obj.Pos()).Filename)
+	}
+	named := map[string]bool{}
+	for _, u := range uses {
+		for id, obj := range u {
+			entry, ok := entries[obj.Pos()]
+			if !ok {
+				continue
+			}
+			at := fset.Position(id.Pos())
+			switch {
+			case strings.HasPrefix(at.Filename, "bench/"):
+				named[entry] = true
+			case path.Dir(at.Filename) == home[entry] && !strings.HasSuffix(at.Filename, "_test.go"):
+			default:
+				findings = append(findings, fmt.Sprintf("%s:%d: names %s, which only bench/ may use", at.Filename, at.Line, entry))
+			}
+		}
+	}
+	for _, entry := range sortedKeys(home) {
+		if !named[entry] {
+			findings = append(findings, entry+": only bench/ may use it, and bench/ no longer names it; delete it and its entry")
+		}
+	}
+	// A package's non-test files are checked twice, alone and with its
+	// tests, so a use in them is found twice.
+	slices.Sort(findings)
+	return slices.Compact(findings)
+}
+
+// testImporter imports path as pkg, the package checked with its
+// in-package tests, and every other path as im does.
+type testImporter struct {
+	im   *srcImporter
+	path string
+	pkg  *types.Package
+}
+
+func (ti testImporter) Import(p string) (*types.Package, error) {
+	if p == ti.path && ti.pkg != nil {
+		return ti.pkg, nil
+	}
+	return ti.im.Import(p)
 }
 
 // TestBenchModuleVets runs go vet in bench/, a module of its own that
@@ -342,6 +534,28 @@ type srcImporter struct {
 	std   types.Importer
 }
 
+// newSrcImporter returns an importer over the non-test files of files,
+// all of tr's modules (bench/ included), with each of those files'
+// import path; it has checked no package yet.
+func newSrcImporter(fset *token.FileSet, tr srcTree, files []goFile) (*srcImporter, map[*ast.File]string) {
+	im := &srcImporter{
+		fset:  fset,
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		std:   importer.Default(),
+	}
+	paths := map[*ast.File]string{}
+	for _, f := range files {
+		if !f.test {
+			p := importPath(tr, f.dir)
+			paths[f.ast] = p
+			im.files[p] = append(im.files[p], f.ast)
+		}
+	}
+	return im, paths
+}
+
 func (im *srcImporter) Import(p string) (*types.Package, error) {
 	if pkg, ok := im.pkgs[p]; ok {
 		return pkg, nil
@@ -376,21 +590,7 @@ type resolved struct {
 // modules, bench/ included) and records which objects are used from
 // outside their package and which interface methods are called.
 func resolve(fset *token.FileSet, tr srcTree, files []goFile) resolved {
-	im := &srcImporter{
-		fset:  fset,
-		files: map[string][]*ast.File{},
-		pkgs:  map[string]*types.Package{},
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-		std:   importer.Default(),
-	}
-	paths := map[*ast.File]string{}
-	for _, f := range files {
-		if !f.test {
-			p := importPath(tr, f.dir)
-			paths[f.ast] = p
-			im.files[p] = append(im.files[p], f.ast)
-		}
-	}
+	im, paths := newSrcImporter(fset, tr, files)
 	const stdPath = "surface/std-interfaces"
 	if std, err := parser.ParseFile(fset, "std-interfaces.go", stdInterfaces, 0); err == nil {
 		im.files[stdPath] = []*ast.File{std}
