@@ -9,8 +9,8 @@ all: vet build test
 # the fault-injection, partitioned-join, serving, feedback and
 # observability tests), ten seconds each of fuzzing the SQL front end,
 # the dense join index, the append-time column kind, the columnar sort,
-# the columnar kernels' value semantics and the reference join, and the
-# bench module's smoke run (every workload played once; a wrong answer
+# the columnar kernels' value semantics, the reference join and the
+# σ*/MGOJ compensation, and the bench module's smoke run (every workload played once; a wrong answer
 # fails it).
 check: fmt vet build test race fuzz-smoke bench-smoke
 
@@ -66,6 +66,11 @@ bench:
 # reference join (FuzzTupleJoin): over any two relations of edge values
 # and equality, mixed and non-equality predicates, every join kind of
 # package algebra returns its nested-loop definition's rows in order.
+# Then ten seconds of the σ*/MGOJ compensation (FuzzCompensation): over
+# any two tables of ints, floats (NaN payloads, ±0), mixed kinds and
+# NULLs, empty ones included, every generalized selection and MGOJ
+# under one, several and both-input preserved specs returns plan.Eval's
+# rows in Eval's order, float bits included.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzDenseIndex -fuzztime 10s ./internal/batch
@@ -73,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzColumnarSort -fuzztime 10s ./internal/executor
 	$(GO) test -run '^$$' -fuzz FuzzKernelSemantics -fuzztime 10s ./internal/executor
 	$(GO) test -run '^$$' -fuzz FuzzTupleJoin -fuzztime 10s ./internal/algebra
+	$(GO) test -run '^$$' -fuzz FuzzCompensation -fuzztime 10s ./internal/executor
 
 # The bench module (bench/, its own go.mod) is outside ./..., so a
 # signature change that breaks it passes go build ./... and go test

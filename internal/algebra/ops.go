@@ -171,17 +171,6 @@ func nullFill(t relation.Tuple) {
 	}
 }
 
-// resolvePreserved maps a preserved-relation specification (a set of
-// base relation names, e.g. the "r1r2" of σ*_{p}[r1r2]) to the
-// attributes of the input schema belonging to those relations.
-func resolvePreserved(s *schema.Schema, spec map[string]bool) ([]schema.Attribute, error) {
-	attrs := s.AttrsOfRels(spec)
-	if len(attrs) == 0 {
-		return nil, fmt.Errorf("algebra: preserved relations %v have no attributes in schema %s", keys(spec), s)
-	}
-	return attrs, nil
-}
-
 func allNull(t relation.Tuple) bool {
 	for _, v := range t {
 		if !v.IsNull() {
@@ -189,14 +178,6 @@ func allNull(t relation.Tuple) bool {
 		}
 	}
 	return true
-}
-
-func keys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	return out
 }
 
 // GenSelect implements generalized selection σ*_p[r_1,…,r_n](r)
@@ -211,45 +192,38 @@ func keys(set map[string]bool) []string {
 // exactly as the paper intends. The preserved tuples are padded with
 // NULLs for the remaining attributes of r.
 func GenSelect(p expr.Pred, preserved []map[string]bool, r *relation.Relation) (*relation.Relation, error) {
-	return GenSelectWith(Select(p, r), preserved, r)
+	return compensate(Select(p, r), preserved, func([]schema.Attribute) *relation.Relation { return r })
 }
 
-// GenSelectWith is GenSelect over a precomputed sel = σ_p(r): it
-// appends the preserved-projection compensation to sel's tuples. The
-// executor's columnar walker computes σ_p(r) with its own selection
-// kernel and pads through this entry point.
-func GenSelectWith(sel *relation.Relation, preserved []map[string]bool, r *relation.Relation) (*relation.Relation, error) {
+// compensate returns kept's rows followed, for each preserved
+// specification, by the distinct projections onto its attributes of
+// the relation source returns for them that kept's projection lacks,
+// NULL-padded on kept's other attributes. kept's columns are shared,
+// not copied.
+func compensate(kept *relation.Relation, preserved []map[string]bool, source func([]schema.Attribute) *relation.Relation) (*relation.Relation, error) {
+	s := kept.Schema()
 	var pads []relation.Tuple
 	for _, spec := range preserved {
-		attrs, err := resolvePreserved(r.Schema(), spec)
-		if err != nil {
-			return nil, err
+		attrs := s.AttrsOfRels(spec)
+		if len(attrs) == 0 {
+			return nil, fmt.Errorf("algebra: preserved relations %v have no attributes in schema %s", spec, s)
 		}
-		all := r.Project(attrs, true)
-		kept := sel.Project(attrs, true)
-		missing := all.Minus(kept)
-		for _, t := range missing.PadTo(r.Schema()).Tuples() {
+		missing := source(attrs).Project(attrs, true).Minus(kept.Project(attrs, true))
+		for _, t := range missing.PadTo(s).Tuples() {
 			// A projection that is entirely NULL (including the
-			// virtual row identifiers) arises only from tuples of r
-			// that were themselves NULL-padded on the preserved
-			// relation's attributes; it represents no actual tuple
-			// of r_i and is not preserved.
-			if allNull(t) {
-				continue
+			// virtual row identifiers) arises only from tuples that
+			// were themselves NULL-padded on the preserved relation's
+			// attributes; it represents no actual tuple of it and is
+			// not preserved.
+			if !allNull(t) {
+				pads = append(pads, t)
 			}
-			pads = append(pads, t)
 		}
 	}
-	return withRows(sel, r.Schema(), pads), nil
-}
-
-// withRows returns the rows of r, under schema s (r's attributes in
-// r's order), followed by extra. r's columns are shared, not copied.
-func withRows(r *relation.Relation, s *schema.Schema, extra []relation.Tuple) *relation.Relation {
-	cols, n := r.Columns()
+	cols, n := kept.Columns()
 	out := relation.FromColumns(s, cols, n)
-	out.AppendAll(extra)
-	return out
+	out.AppendAll(pads)
+	return out, nil
 }
 
 // MustGenSelect is GenSelect that panics on specification errors; it
@@ -274,42 +248,18 @@ func MustGenSelect(p expr.Pred, preserved []map[string]bool, r *relation.Relatio
 // Unlike the literal cartesian-product form, the preserved
 // projections here are drawn from the input that carries them, so an
 // empty opposite side still preserves correctly (matching the outer
-// joins MGOJ generalizes). A specification spanning both inputs falls
-// back to projecting the product.
+// joins MGOJ generalizes). A specification spanning both inputs
+// projects the product.
 func MGOJ(p expr.Pred, preserved []map[string]bool, r1, r2 *relation.Relation) (*relation.Relation, error) {
-	return MGOJWith(Join(p, r1, r2), preserved, r1, r2)
-}
-
-// MGOJWith is MGOJ over a precomputed inner join of r1 and r2: it
-// appends the preserved-projection compensation to join's tuples, as
-// GenSelectWith does for generalized selection. The executor joins
-// with its own kernels and compensates through this entry point.
-func MGOJWith(join *relation.Relation, preserved []map[string]bool, r1, r2 *relation.Relation) (*relation.Relation, error) {
-	s := join.Schema()
-	var pads []relation.Tuple
-	for _, spec := range preserved {
-		attrs, err := resolvePreserved(s, spec)
-		if err != nil {
-			return nil, err
-		}
-		var source *relation.Relation
+	return compensate(Join(p, r1, r2), preserved, func(attrs []schema.Attribute) *relation.Relation {
 		switch {
 		case containsAllAttrs(r1.Schema(), attrs):
-			source = r1
+			return r1
 		case containsAllAttrs(r2.Schema(), attrs):
-			source = r2
-		default:
-			source = Product(r1, r2)
+			return r2
 		}
-		all := source.Project(attrs, true)
-		kept := join.Project(attrs, true)
-		for _, t := range all.Minus(kept).PadTo(s).Tuples() {
-			if !allNull(t) {
-				pads = append(pads, t)
-			}
-		}
-	}
-	return withRows(join, s, pads), nil
+		return Product(r1, r2)
+	})
 }
 
 func containsAllAttrs(s *schema.Schema, attrs []schema.Attribute) bool {

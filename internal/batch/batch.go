@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/column"
 	"repro/internal/obs"
@@ -152,7 +153,7 @@ func equalRows(v *Vec, i int, o *Vec, j int) bool {
 // A column of a derived Rel is either gathered or pending: a view
 // (source Vec, selection vector) that Col gathers the first time a
 // kernel reads it, so a column nothing reads is never copied. Views
-// always name a gathered source — Select and Gather2 compose selection
+// always name a gathered source — Select and Gather compose selection
 // vectors instead of stacking views. Gathering writes into the Rel, so
 // a Rel with pending columns belongs to one goroutine; a base table's
 // scan (Of) is its columns, fully gathered and read-only: kernels
@@ -240,13 +241,6 @@ func (r *Rel) Project(s *schema.Schema, idx []int) *Rel {
 	return out
 }
 
-// FromRelation returns r's rows as a Rel over r's own column vectors,
-// without the join indexes Of attaches to a base table.
-func FromRelation(r *relation.Relation) *Rel {
-	cols, n := r.Columns()
-	return &Rel{Schema: r.Schema(), cols: cols, N: n}
-}
-
 // FromValues builds one column from boxed values, deciding its physical
 // kind as relation.Builder does (column.Vec.Append).
 func FromValues(vals []value.Value) Vec {
@@ -277,21 +271,26 @@ func (r *Rel) ReadTuple(i int, dst relation.Tuple) {
 }
 
 // Select returns the rows named by a selection vector as a new
-// relation of pending columns (sel must not contain -1; use Gather2 for
-// padded join output).
+// relation of pending columns (sel must not contain -1; use Gather for
+// padded output).
 func (r *Rel) Select(sel []int32) *Rel {
 	out := &Rel{Schema: r.Schema, cols: make([]Vec, len(r.cols)), pend: make([]view, len(r.cols)), N: len(sel)}
-	r.viewInto(out.pend, sel)
+	for c := range out.pend {
+		out.pend[c].sel = sel
+	}
+	r.viewInto(out.pend)
 	return out
 }
 
-// viewInto fills dst with views of r's columns at rows sel. A gathered
-// column is viewed directly; a pending one through its own selection
-// composed with sel (-1 stays -1), composed once per distinct upstream
-// selection vector.
-func (r *Rel) viewInto(dst []view, sel []int32) {
-	var memo [][2][]int32 // upstream selection → its composition with sel
+// viewInto turns dst, one view per column of r holding only the rows
+// it selects, into views of r's columns. A gathered column is viewed
+// directly; a pending one through its own selection composed with the
+// rows (-1 stays -1), composed once per distinct pair of selection
+// vectors.
+func (r *Rel) viewInto(dst []view) {
+	var memo []composed
 	for c := range r.cols {
+		sel := dst[c].sel
 		if r.pend == nil || r.pend[c].src == nil {
 			dst[c] = view{&r.cols[c], sel}
 			continue
@@ -299,8 +298,8 @@ func (r *Rel) viewInto(dst []view, sel []int32) {
 		up := r.pend[c].sel
 		var comp []int32
 		for _, m := range memo {
-			if len(up) > 0 && &m[0][0] == &up[0] {
-				comp = m[1]
+			if m.up == unsafe.SliceData(up) && m.sel == unsafe.SliceData(sel) && len(m.comp) == len(sel) {
+				comp = m.comp
 				break
 			}
 		}
@@ -311,12 +310,18 @@ func (r *Rel) viewInto(dst []view, sel []int32) {
 					comp[k] = up[s]
 				}
 			}
-			if len(up) > 0 {
-				memo = append(memo, [2][]int32{up, comp})
-			}
+			memo = append(memo, composed{unsafe.SliceData(up), unsafe.SliceData(sel), comp})
 		}
 		dst[c] = view{r.pend[c].src, comp}
 	}
+}
+
+// composed is a composition viewInto made, known by where its upstream
+// selection and its rows start: vectors that start at one element agree
+// as far as both reach, so the rows' length completes the key.
+type composed struct {
+	up, sel *int32
+	comp    []int32
 }
 
 // KeyHashes computes per-row key hashes over the columns at idx,
@@ -365,20 +370,39 @@ func (ks Keys) Equal(i int, o Keys, j int) bool {
 	return true
 }
 
-// Gather2 returns the joined relation over schema s (left's columns
-// then right's): row k is left row lsel[k] concatenated with right row
-// rsel[k], with -1 NULL-padding either side — inner matches and
-// outer-join padding come out of the same selection vectors. Every
-// output column is pending.
-func Gather2(s *schema.Schema, l *Rel, lsel []int32, rt *Rel, rsel []int32) *Rel {
-	if len(lsel) != len(rsel) {
-		panic("batch: Gather2 selection vectors disagree")
+// Gather returns the relation over schema s whose column c is rows
+// sels[c] of column c of ins' columns laid end to end, -1 NULL-padding
+// the row. Every output column is pending; columns given the same
+// selection vector share its composition with an upstream one.
+func Gather(s *schema.Schema, ins []*Rel, sels [][]int32) *Rel {
+	out := &Rel{Schema: s, cols: make([]Vec, len(sels)), pend: make([]view, len(sels)), N: len(sels[0])}
+	for c, sel := range sels {
+		if len(sel) != out.N {
+			panic("batch: Gather selection vectors disagree")
+		}
+		out.pend[c].sel = sel
 	}
-	w := len(l.cols) + len(rt.cols)
-	out := &Rel{Schema: s, cols: make([]Vec, w), pend: make([]view, w), N: len(lsel)}
-	l.viewInto(out.pend[:len(l.cols)], lsel)
-	rt.viewInto(out.pend[len(l.cols):], rsel)
+	rest := out.pend
+	for _, in := range ins {
+		in.viewInto(rest[:len(in.cols)])
+		rest = rest[len(in.cols):]
+	}
 	return out
+}
+
+// Gather2 is Gather's two-sided case, a join's output: row k is left
+// row lsel[k] concatenated with right row rsel[k] — inner matches and
+// outer-join padding come out of the same selection vectors.
+func Gather2(s *schema.Schema, l *Rel, lsel []int32, rt *Rel, rsel []int32) *Rel {
+	var buf [16][]int32 // the selections of a join up to 16 columns wide stay on the stack
+	sels := buf[:0]
+	for c := 0; c < len(l.cols)+len(rt.cols); c++ {
+		sels = append(sels, lsel)
+		if c >= len(l.cols) {
+			sels[c] = rsel
+		}
+	}
+	return Gather(s, []*Rel{l, rt}, sels)
 }
 
 // JoinIndex is a hash-join build side over one key-column set: per-row

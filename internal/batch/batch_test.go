@@ -47,7 +47,7 @@ func randRel(t *testing.T, rows int, seed int64) *relation.Relation {
 
 func TestBatchRoundTrip(t *testing.T) {
 	in := randRel(t, 300, 1)
-	col := FromRelation(in)
+	col := fromRelation(in)
 	if col.N != in.Len() {
 		t.Fatalf("N = %d, want %d", col.N, in.Len())
 	}
@@ -81,7 +81,7 @@ func TestBatchRoundTrip(t *testing.T) {
 
 func TestBatchKeyHashesMatchTupleHashOn(t *testing.T) {
 	in := randRel(t, 200, 2)
-	col := FromRelation(in)
+	col := fromRelation(in)
 	idx := []int{0, 2, 4} // int, string, mixed — includes NULLs
 	hs, ok := col.KeyHashes(idx, false)
 	for i, tup := range in.Tuples() {
@@ -112,7 +112,7 @@ func TestBatchKeyHashesMatchTupleHashOn(t *testing.T) {
 
 func TestBatchGatherPadsNulls(t *testing.T) {
 	in := randRel(t, 50, 3)
-	col := FromRelation(in)
+	col := fromRelation(in)
 	sel := []int32{4, -1, 0, 49, -1}
 	for c := 0; c < col.Width(); c++ {
 		g := col.Col(c).Gather(sel)
@@ -157,9 +157,9 @@ func TestBatchEqualRows(t *testing.T) {
 }
 
 func TestBatchGather2PadsSides(t *testing.T) {
-	l := FromRelation(relation.NewBuilder("l", "x").
+	l := fromRelation(relation.NewBuilder("l", "x").
 		Row(value.NewInt(1)).Row(value.NewInt(2)).Relation())
-	r := FromRelation(relation.NewBuilder("r", "y").
+	r := fromRelation(relation.NewBuilder("r", "y").
 		Row(value.NewString("a")).Relation())
 	s := l.Schema.Concat(r.Schema)
 	out := Gather2(s, l, []int32{0, 1, -1}, r, []int32{0, -1, 0})
@@ -175,6 +175,13 @@ func TestBatchGather2PadsSides(t *testing.T) {
 	if rel.Tuple(0)[0].Int() != 1 || rel.Tuple(0)[2].Str() != "a" {
 		t.Fatalf("inner row wrong: %v", rel.Tuple(0))
 	}
+}
+
+// fromRelation returns r's rows as a Rel over r's own column vectors,
+// without the join indexes Of attaches to a base table.
+func fromRelation(r *relation.Relation) *Rel {
+	cols, n := r.Columns()
+	return &Rel{Schema: r.Schema(), cols: cols, N: n}
 }
 
 // sameRel reports whether two columnar relations hold the same schema,
@@ -257,7 +264,7 @@ func TestBatchImageSharedAndInvalidated(t *testing.T) {
 	if again == img || again.N != in.Len() || img.N != n {
 		t.Fatalf("Append did not renew the scan (N=%d, rows=%d, old N=%d)", again.N, in.Len(), img.N)
 	}
-	if !sameRel(again, FromRelation(in)) {
+	if !sameRel(again, fromRelation(in)) {
 		t.Fatal("the renewed scan differs from the table's columns")
 	}
 	for c := range first {
@@ -303,7 +310,7 @@ func TestBatchImageAlias(t *testing.T) {
 // gathers that column only.
 func TestBatchPendingColumnsCompose(t *testing.T) {
 	in := randRel(t, 60, 6)
-	img := FromRelation(in)
+	img := fromRelation(in)
 	attrs := in.Schema().Attrs()
 	for i := range attrs {
 		attrs[i].Rel = "u"
@@ -392,7 +399,7 @@ func TestBatchJoinIndex(t *testing.T) {
 		t.Fatalf("chained %d rows, index says %d of %d (NULL keys stay out)", rows, first.Rows, img.N)
 	}
 
-	own, shared := FromRelation(in).JoinIndex(keys, true)
+	own, shared := fromRelation(in).JoinIndex(keys, true)
 	if shared || own == first || own.Rows != first.Rows {
 		t.Fatal("a Rel that is not a table's scan must build a private, equal index")
 	}

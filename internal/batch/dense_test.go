@@ -14,7 +14,7 @@ import (
 )
 
 // intVec is a PhysInt column over vals with the rows null reports NULL
-// (their payload slots zeroed, as FromRelation leaves them).
+// (their payload slots zeroed, as fromRelation leaves them).
 func intVec(vals []int64, null func(i int) bool) *Vec {
 	v := &Vec{Phys: PhysInt, Ints: slices.Clone(vals)}
 	for i := range v.Ints {
@@ -181,7 +181,7 @@ func TestBatchDenseIndex(t *testing.T) {
 		t.Fatalf("dense index built %d times, want 1", n)
 	}
 	checkDense(t, img.Col(0))
-	if own, shared := FromRelation(in).DenseIndex(0); shared || own == first || !slices.Equal(own.Rows, first.Rows) {
+	if own, shared := fromRelation(in).DenseIndex(0); shared || own == first || !slices.Equal(own.Rows, first.Rows) {
 		t.Fatal("a Rel that is not a table's scan must build a private, equal index")
 	}
 	in.Append(relation.Tuple{value.NewInt(19), value.NewInt(0), value.NewInt(100)})

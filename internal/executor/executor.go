@@ -4,11 +4,12 @@
 // over the rest share one probe kernel (vecjoin.go) that evaluates
 // residuals and NULL-pads either side for outer joins, a join whose
 // build side outgrows the byte budget joins partition by partition
-// (spill.go), and selection, projection and grouping run as batch
-// kernels (vecagg.go). Its contract is plan.Node.Eval, the one
-// reference evaluator, which runs the same plans on package algebra's
-// tuple operators and shares no kernel with Exec: the package tests
-// hold every Exec result to Eval's multiset.
+// (spill.go), and selection, projection, grouping and the compensation
+// of σ* and MGOJ run as batch kernels (vecagg.go, vector.go). Its
+// contract is plan.Node.Eval, the one reference evaluator, which runs
+// the same plans on package algebra's tuple operators and shares no
+// kernel with Exec: the package tests hold every Exec result to Eval's
+// multiset, and σ* and MGOJ results to Eval's rows in order.
 package executor
 
 import (
@@ -49,9 +50,9 @@ type Options struct {
 	// Obs instruments the run: every node of the plan gets an
 	// annotation with its output rows and inclusive time, and joins add
 	// their probe figures. The annotations are the run's one record of
-	// those facts; the executor's event counters (fallbacks, spills,
-	// hash collisions) land in Obs instead of in the budget's registry.
-	// nil runs uninstrumented and returns no annotations.
+	// those facts; the executor's event counters (spills, hash
+	// collisions) land in Obs instead of in the budget's registry. nil
+	// runs uninstrumented and returns no annotations.
 	Obs *obs.Registry
 }
 
@@ -144,14 +145,4 @@ func splitEqui(pred expr.Pred, ls, rs *schema.Schema) (li, ri []int, residual ex
 		rest = append(rest, c)
 	}
 	return li, ri, expr.And(rest...)
-}
-
-// specSets is the preserved specifications as the relation-name sets
-// the algebra takes.
-func specSets(ps []plan.PreservedSpec) []map[string]bool {
-	specs := make([]map[string]bool, len(ps))
-	for i, s := range ps {
-		specs[i] = s.Set()
-	}
-	return specs
 }

@@ -52,10 +52,10 @@ func lateDB(rng *rand.Rand, rows, domain int, rels ...string) plan.Database {
 	return db
 }
 
-// bitRows renders a relation's tuples with floats as their IEEE bits,
-// sorted — equal renderings mean equal multisets down to the last bit
-// of every float.
-func bitRows(r *relation.Relation) []string {
+// rowBits renders a relation's tuples in order with floats as their
+// IEEE bits — equal renderings mean equal rows in equal order, down to
+// the last bit of every float.
+func rowBits(r *relation.Relation) []string {
 	rows := make([]string, r.Len())
 	for i, t := range r.Tuples() {
 		var b strings.Builder
@@ -68,6 +68,12 @@ func bitRows(r *relation.Relation) []string {
 		}
 		rows[i] = b.String()
 	}
+	return rows
+}
+
+// bitRows is rowBits sorted: equal renderings mean equal multisets.
+func bitRows(r *relation.Relation) []string {
+	rows := rowBits(r)
 	sort.Strings(rows)
 	return rows
 }

@@ -182,11 +182,11 @@ func equiJoinPaths(t *testing.T, kind plan.JoinKind, l, r *batch.Rel) map[string
 	}
 	lk, _ := hashLookup(l, r, key, key)
 	probe("hashed", lk)
-	part, err := e.partitionJoin(kind, expr.True{}, env, l, r, key, key, nil)
+	lsel, rsel, err := e.partitionJoin(kind, expr.True{}, env, l, r, key, key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["partitioned"] = part.ToRelation()
+	out["partitioned"] = batch.Gather2(env, l, lsel, r, rsel).ToRelation()
 	return out
 }
 

@@ -24,15 +24,15 @@ import (
 // unpartitioned join.
 //
 // Nothing is copied or re-shaped: a partition is a Rel.Select view of
-// the join's inputs (already materialized and charged), each pair's
-// selection vectors are mapped back to input rows, and the output is
-// one batch.Gather2 over the inputs. Budget accounting is exactly-once
-// in two currencies: output rows and bytes are charged cumulatively by
-// the per-partition probes (each output row comes from one partition)
-// and the NULL-key pads once at the end, while a partition's build
-// table is reserved with ReserveBytes for as long as the pair joins.
-// The budget therefore sees one partition's table at a time, not the
-// whole build side.
+// the join's inputs (already materialized and charged), and each
+// pair's selection vectors map back to input rows, which the caller
+// gathers as it gathers an unpartitioned join's. Budget accounting is
+// exactly-once in two currencies: output rows and bytes are charged
+// cumulatively by the per-partition probes (each output row comes from
+// one partition) and the NULL-key pads once at the end, while a
+// partition's build table is reserved with ReserveBytes for as long as
+// the pair joins. The budget therefore sees one partition's table at a
+// time, not the whole build side.
 
 const (
 	// spillFanout is the partition count per level: 2^spillHashBits.
@@ -85,10 +85,10 @@ type partJoin struct {
 }
 
 // partitionJoin joins l and r on the key columns li, ri (plus residual)
-// partition by partition, metering exec.spill.* into e.reg. The build
-// side of every partition is its right input; see hashJoin for the
-// arguments.
-func (e *vecEngine) partitionJoin(kind plan.JoinKind, residual expr.Pred, outSchema *schema.Schema, l, r *batch.Rel, li, ri []int, st *joinProbe) (*batch.Rel, error) {
+// partition by partition, metering exec.spill.* into e.reg, and
+// returns the row pairs as vecJoin does. The build side of every
+// partition is its right input; see hashJoin for the arguments.
+func (e *vecEngine) partitionJoin(kind plan.JoinKind, residual expr.Pred, outSchema *schema.Schema, l, r *batch.Rel, li, ri []int, st *joinProbe) (lsel, rsel []int32, err error) {
 	e.reg.Counter("exec.spill.joins").Inc()
 	pj := &partJoin{e: e, kind: kind, residual: residual, schema: outSchema, l: l, r: r, li: li, ri: ri, st: st}
 	var lok, rok []bool
@@ -97,7 +97,7 @@ func (e *vecEngine) partitionJoin(kind plan.JoinKind, residual expr.Pred, outSch
 	lrows, lnull := keyed(lok)
 	rrows, rnull := keyed(rok)
 	if err := pj.split(lrows, rrows, 0); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// NULL-key padding, once, at the end: these rows are in no
@@ -118,10 +118,7 @@ func (e *vecEngine) partitionJoin(kind plan.JoinKind, residual expr.Pred, outSch
 	if st != nil {
 		st.NullPadded += pads
 	}
-	if err := e.b.ChargeOut(pads, outSchema.Len()); err != nil {
-		return nil, err
-	}
-	return batch.Gather2(outSchema, l, pj.lsel, r, pj.rsel), nil
+	return pj.lsel, pj.rsel, e.b.ChargeOut(pads, outSchema.Len())
 }
 
 // keyed lists the rows whose key has no NULL, and the rest.

@@ -29,11 +29,12 @@ func joinSpilled(kind plan.JoinKind, pred expr.Pred, l, r *relation.Relation, b 
 	defer guard.RecoverAs(&err, &phase, nil, nil)
 	e := &vecEngine{b: b, batch: execBatchRows, reg: b.Registry()}
 	li, ri, residual := splitEqui(pred, l.Schema(), r.Schema())
-	res, err := e.partitionJoin(kind, residual, l.Schema().Concat(r.Schema()), batch.FromRelation(l), batch.FromRelation(r), li, ri, st)
+	s, lc, rc := l.Schema().Concat(r.Schema()), batch.Of(l), batch.Of(r)
+	lsel, rsel, err := e.partitionJoin(kind, residual, s, lc, rc, li, ri, st)
 	if err != nil {
 		return nil, err
 	}
-	return res.ToRelation(), nil
+	return batch.Gather2(s, lc, lsel, rc, rsel).ToRelation(), nil
 }
 
 // evalJoin is the reference answer to r1 kind-joined to r2 on pred in

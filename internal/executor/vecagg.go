@@ -23,9 +23,9 @@ import (
 // the column payloads, boxed value.Apply otherwise), and anything else
 // — disjunctions, arithmetic, unresolved columns — evaluates row-wise
 // through the same TupleEnv the tuple engine uses, so three-valued
-// semantics cannot diverge. Selection vectors stay ascending, so
-// vecSelect preserves input order exactly like algebra.Select.
-func (e *vecEngine) vecSelect(pred expr.Pred, in *batch.Rel) (*batch.Rel, error) {
+// semantics cannot diverge. It returns the qualifying rows in input
+// order, or nil when every row qualifies.
+func (e *vecEngine) vecSelect(pred expr.Pred, in *batch.Rel) ([]int32, error) {
 	conjs := expr.Conjuncts(pred)
 	kernels := make([]func([]int32) []int32, 0, len(conjs))
 	for _, c := range conjs {
@@ -35,15 +35,12 @@ func (e *vecEngine) vecSelect(pred expr.Pred, in *batch.Rel) (*batch.Rel, error)
 		kernels = append(kernels, e.compileConjunct(c, in))
 	}
 	if len(kernels) == 0 {
-		return in, nil
+		return nil, nil
 	}
 	sel := make([]int32, 0, in.N)
 	chunk := make([]int32, 0, e.batch)
 	for lo := 0; lo < in.N; lo += e.batch {
-		if err := guard.Hit(guard.PointExecBatch); err != nil {
-			return nil, err
-		}
-		if err := e.b.Err(); err != nil {
+		if err := e.checkBatch(); err != nil {
 			return nil, err
 		}
 		hi := min(lo+e.batch, in.N)
@@ -60,9 +57,9 @@ func (e *vecEngine) vecSelect(pred expr.Pred, in *batch.Rel) (*batch.Rel, error)
 		sel = append(sel, cand...)
 	}
 	if len(sel) == in.N {
-		return in, nil
+		return nil, nil
 	}
-	return in.Select(sel), nil
+	return sel, nil
 }
 
 // keepCmp applies a comparison operator to an int or string pair, whose
@@ -250,40 +247,20 @@ func (e *vecEngine) colColKernel(op value.CmpOp, a, b *batch.Vec) func([]int32) 
 
 // vecProject projects to sh.Out, the columns at sh.Cols (projectShape).
 // The non-distinct case is zero-copy: the output relation shares the
-// input's column vectors and pending views. DISTINCT dedupes on the
-// projected columns' key hashes (NULL identical to NULL, like
-// relation.Project's tuple set) keeping first occurrences in input
+// input's column vectors and pending views. DISTINCT keeps the first
+// row of each group of groupIDs over the projected columns (NULL
+// identical to NULL, like relation.Project's tuple set), in input
 // order.
 func (e *vecEngine) vecProject(sh *plan.Shape, distinct bool, in *batch.Rel) (*batch.Rel, error) {
 	proj := in.Project(sh.Out, sh.Cols)
 	if !distinct {
 		return proj, nil
 	}
-	all := make([]int, len(sh.Cols))
-	for i := range all {
-		all[i] = i
+	_, first, err := e.groupIDs(in, sh.Cols)
+	if err != nil {
+		return nil, err
 	}
-	hs, _ := proj.KeyHashes(all, true)
-	ks := proj.Keys(all)
-	seen := make(map[uint64][]int32)
-	sel := make([]int32, 0, in.N)
-	for lo := 0; lo < in.N; lo += e.batch {
-		if err := e.checkBatch(); err != nil {
-			return nil, err
-		}
-	rows:
-		for i := lo; i < min(lo+e.batch, in.N); i++ {
-			h := hs[i]
-			for _, j := range seen[h] {
-				if ks.Equal(i, ks, int(j)) {
-					continue rows
-				}
-			}
-			seen[h] = append(seen[h], int32(i))
-			sel = append(sel, int32(i))
-		}
-	}
-	return proj.Select(sel), nil
+	return proj.Select(first), nil
 }
 
 // projectShape is projection m's shape over input schema in: the one m
@@ -353,19 +330,8 @@ func (e *vecEngine) vecGroupBy(sh *plan.Shape, aggs []algebra.Aggregate, in *bat
 		return nil, err
 	}
 	ngroups := len(firstRow)
-
-	// SQL: aggregation over an empty input with no GROUP BY columns
-	// produces a single row of "empty" aggregates.
-	if ngroups == 0 {
-		out := relation.New(outSchema)
-		if len(keyIdx) == 0 && len(aggs) > 0 {
-			row := make(relation.Tuple, 0, len(aggs))
-			for _, a := range aggs {
-				row = append(row, algebra.NewAggState(a.Func).Result(a.Func, a.NullIfEmpty))
-			}
-			out.Append(row)
-		}
-		return batch.FromRelation(out), nil
+	if ngroups == 0 && len(keyIdx) == 0 && len(aggs) > 0 {
+		ngroups = 1 // SQL: one row of "empty" aggregates over an empty input
 	}
 
 	// Pass 2: one accumulation loop per aggregate.

@@ -11,19 +11,17 @@ import (
 	"repro/internal/schema"
 )
 
-// vecJoin is the columnar join: take or build the build side's
-// lookup — a dense index over one int64 key, an array-chained hash
-// table over the key hashes otherwise — probe the other side
-// batch-at-a-time accumulating (left,right) row-index pairs, and hand
-// the pairs on as the output's pending columns — NULL padding for outer
-// kinds is index -1 in the same selection vectors. The build side is the
-// right input, as planned. A predicate with no hashable equi conjunct
-// runs the same probe as a nested loop (crossLookup). A build side that
-// cannot fit the byte budget's headroom is joined partition by
-// partition (partitionJoin), whatever the entry point. The output schema
-// and the key split come from sh, the join node's shape over l's and r's
-// schemas (joinShape).
-func (e *vecEngine) vecJoin(kind plan.JoinKind, sh *plan.Shape, l, r *batch.Rel, st *joinProbe) (*batch.Rel, error) {
+// vecJoin is the columnar join: take or build the build side's lookup
+// — a dense index over one int64 key, an array-chained hash table over
+// the key hashes otherwise — and probe the other side batch-at-a-time.
+// It returns the matched (left, right) row-index pairs for the caller
+// to gather (batch.Gather2); -1 on either side NULL-pads an outer row.
+// The build side is the right input, as planned. A predicate with no
+// hashable equi conjunct runs the same probe as a nested loop
+// (crossLookup); a build side that cannot fit the byte budget's
+// headroom is joined partition by partition (partitionJoin). The
+// output schema and the key split come from sh (joinShape).
+func (e *vecEngine) vecJoin(kind plan.JoinKind, sh *plan.Shape, l, r *batch.Rel, st *joinProbe) (lsel, rsel []int32, err error) {
 	outSchema, li, ri, residual := sh.Out, sh.LI, sh.RI, sh.Residual
 	if len(li) == 0 {
 		// Every build row is a candidate and the whole predicate is the
@@ -35,28 +33,20 @@ func (e *vecEngine) vecJoin(kind plan.JoinKind, sh *plan.Shape, l, r *batch.Rel,
 		if st != nil {
 			st.NestedLoop = true
 		}
-		lsel, rsel, err := e.probeJoin(kind, residual, outSchema, l, r, crossLookup(r.N), st)
-		if err != nil {
-			return nil, err
-		}
-		return batch.Gather2(outSchema, l, lsel, r, rsel), nil
+		return e.probeJoin(kind, residual, outSchema, l, r, crossLookup(r.N), st)
 	}
 	buildRes := estBytes(r.N, r.Schema.Len())
 	if !e.fits(buildRes) {
 		if err := guard.Hit(guard.PointExecSpill); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		return e.partitionJoin(kind, residual, outSchema, l, r, li, ri, st)
 	}
 	if err := e.b.ReserveBytes(buildRes); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer e.b.ReleaseBytes(buildRes)
-	lsel, rsel, err := e.hashJoin(kind, residual, outSchema, l, r, li, ri, st)
-	if err != nil {
-		return nil, err
-	}
-	return batch.Gather2(outSchema, l, lsel, r, rsel), nil
+	return e.hashJoin(kind, residual, outSchema, l, r, li, ri, st)
 }
 
 // joinShape is the shape of join node n (a Join or MGOJ) with
@@ -228,10 +218,7 @@ func (e *vecEngine) probeJoin(kind plan.JoinKind, residual expr.Pred, envSchema 
 	residualEvals, padded := 0, 0
 	charged := 0
 	for lo := 0; lo < probe.N; lo += e.batch {
-		if err := guard.Hit(guard.PointExecBatch); err != nil {
-			return nil, nil, err
-		}
-		if err := e.b.Err(); err != nil {
+		if err := e.checkBatch(); err != nil {
 			return nil, nil, err
 		}
 		if err := e.b.ChargeOut(len(psel)-charged, np+nb); err != nil {

@@ -3,35 +3,33 @@ package executor
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/algebra"
 	"repro/internal/batch"
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
 // This file is the vectorized engine's plan walker — the engine the
 // production entry point Exec runs on. Data flows between operators as columnar
-// batch.Rel relations; the hot operators — scan, selection, join
-// build/probe (hashed or nested loop), GROUP BY, (distinct) projection
-// and sort — run as kernels over the columns (vecjoin.go, vecagg.go).
-// The preserved-side compensation of MGOJ and generalized selection
-// falls back to its tuple operator: its inputs are materialized
-// row-major, the operator runs under the engine's budget, and the
-// result is re-shaped columnar. Fallbacks are counted on
-// exec.vector.fallback.<op>, so a plan that silently executes mostly
-// row-at-a-time is visible in -stats output.
+// batch.Rel relations, and every operator runs as a kernel over the
+// columns: scan, selection, join build/probe (hashed or nested loop),
+// GROUP BY, (distinct) projection (vecjoin.go, vecagg.go), sort, and
+// the preserved-side compensation of generalized selection and MGOJ
+// (compensate).
 //
 // A scan does not shape or copy anything: it reads the base relation's
 // own column vectors (batch.Of), and a join that builds on a bare scan
 // takes the table's join index the same way. Kernels therefore treat a
-// scan as read-only. What they derive from it is materialized late: selections, joins, projections and sorts hand
-// on (source column, selection vector) views, and a column is gathered
-// by the first kernel that reads it through Rel.Col — or never.
+// scan as read-only. What they derive from it is materialized late:
+// selections, joins, compensations, projections and sorts hand on
+// (source column, selection vector) views, and a column is gathered by
+// the first kernel that reads it through Rel.Col — or never.
 //
 // The contract is vecEngine ≡ plan.Node.Eval as multisets on every
 // plan Eval accepts, including NULL-padded outer joins, and
@@ -51,9 +49,9 @@ type vecEngine struct {
 
 // exec runs the subtree at n: budget check on entry, an
 // operator fault point as each node completes, joins charged
-// incrementally inside the probe kernels, every other materializing
-// operator charged on its full output — the exact protocol the tuple
-// engines follow, so a budget trips at the same boundaries.
+// incrementally inside the probe kernels (an MGOJ's padding once
+// more after them), every other operator but a scan charged on its
+// full output.
 func (e *vecEngine) exec(n plan.Node) (*batch.Rel, error) {
 	if err := e.b.Err(); err != nil {
 		return nil, err
@@ -109,8 +107,11 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 		if err != nil {
 			return nil, false, err
 		}
-		out, err := e.vecSelect(m.Pred, in)
-		return out, false, err
+		sel, err := e.vecSelect(m.Pred, in)
+		if err != nil || sel == nil {
+			return in, false, err
+		}
+		return in.Select(sel), false, nil
 	case *plan.Project:
 		in, err := e.exec(m.Input)
 		if err != nil {
@@ -126,64 +127,47 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 		out, err := e.vecGroupBy(groupShape(m, in.Schema), m.Aggs, in)
 		return out, false, err
 	case *plan.Join:
-		l, err := e.exec(m.L)
+		l, r, err := e.inputs(m.L, m.R)
 		if err != nil {
 			return nil, false, err
 		}
-		r, err := e.exec(m.R)
+		sh := joinShape(m, m.Pred, l.Schema, r.Schema)
+		lsel, rsel, err := e.vecJoin(m.Kind, sh, l, r, st)
 		if err != nil {
 			return nil, false, err
 		}
-		out, err := e.vecJoin(m.Kind, joinShape(m, m.Pred, l.Schema, r.Schema), l, r, st)
-		return out, true, err
+		return batch.Gather2(sh.Out, l, lsel, r, rsel), true, nil
 	case *plan.MGOJNode:
-		// The inner join runs vectorized; the preserved-projection
-		// compensation is inherently tuple-shaped (distinct projections
-		// and set differences over the padded remainder) and runs
-		// algebra.MGOJWith on the materialized seam. The probe charged
-		// the join rows; only the padding is charged here.
-		l, err := e.exec(m.L)
+		// σ* over the inner join (the paper's Section 4): the probe
+		// charged the join rows; only the padding is charged here.
+		l, r, err := e.inputs(m.L, m.R)
 		if err != nil {
 			return nil, false, err
 		}
-		r, err := e.exec(m.R)
+		sh := joinShape(m, m.Pred, l.Schema, r.Schema)
+		lsel, rsel, err := e.vecJoin(plan.InnerJoin, sh, l, r, st)
 		if err != nil {
 			return nil, false, err
 		}
-		join, err := e.vecJoin(plan.InnerJoin, joinShape(m, m.Pred, l.Schema, r.Schema), l, r, st)
+		out, pads, err := e.compensate(sh.Out, m.Preserved, []*batch.Rel{l, r}, [][]int32{lsel, rsel})
 		if err != nil {
 			return nil, false, err
 		}
-		e.reg.Counter("exec.vector.fallback.mgoj-compensate").Inc()
-		out, err := algebra.MGOJWith(join.ToRelation(), specSets(m.Preserved), l.ToRelation(), r.ToRelation())
-		if err != nil {
-			return nil, false, err
-		}
-		pads := out.Len() - join.N
 		if st != nil {
 			st.NullPadded += pads
 		}
-		if err := e.b.ChargeOut(pads, out.Schema().Len()); err != nil {
-			return nil, false, err
-		}
-		return batch.FromRelation(out), true, nil
+		return out, true, e.b.ChargeOut(pads, sh.Out.Len())
 	case *plan.GenSel:
-		// σ_p runs vectorized; the preserved-side padding reuses the
-		// tuple algebra on the materialized seam.
 		in, err := e.exec(m.Input)
 		if err != nil {
 			return nil, false, err
 		}
 		sel, err := e.vecSelect(m.Pred, in)
-		if err != nil {
-			return nil, false, err
+		if err != nil || sel == nil {
+			return in, false, err // every row holds: nothing is missing
 		}
-		e.reg.Counter("exec.vector.fallback.gensel-pad").Inc()
-		out, err := algebra.GenSelectWith(sel.ToRelation(), specSets(m.Preserved), in.ToRelation())
-		if err != nil {
-			return nil, false, err
-		}
-		return batch.FromRelation(out), false, nil
+		out, _, err := e.compensate(in.Schema, m.Preserved, []*batch.Rel{in}, [][]int32{sel})
+		return out, false, err
 	case *plan.Sort:
 		out, err := e.sort(m)
 		return out, false, err
@@ -191,6 +175,106 @@ func (e *vecEngine) execNode(n plan.Node, st *joinProbe) (*batch.Rel, bool, erro
 		return nil, false, fmt.Errorf("executor: unsupported node %T", n)
 	}
 }
+
+// inputs runs a binary node's inputs, left first.
+func (e *vecEngine) inputs(ln, rn plan.Node) (l, r *batch.Rel, err error) {
+	if l, err = e.exec(ln); err == nil {
+		r, err = e.exec(rn)
+	}
+	return l, r, err
+}
+
+// compensate completes σ* (Definition 2.1) after its σ_p for a
+// generalized selection (sides: its input) and an MGOJ (sides: the
+// join's inputs; the paper's Section 4). kept[s] are the rows σ_p kept,
+// as positions in sides[s]. The output, of schema out and pending over
+// the sides, is those rows and then, per preserved spec, the first row
+// of each group of groupIDs over the spec's columns that no kept row
+// hit, NULL-padded elsewhere: groups are NULL-identical and in
+// first-seen order, as the reference's distinct projection is, and a
+// spec spanning both sides masks (left, right) group pairs left-major,
+// as its projection of the product. An all-NULL projection stands for
+// no row and is skipped. It also returns the number of padded rows.
+func (e *vecEngine) compensate(out *schema.Schema, specs []plan.PreservedSpec, sides []*batch.Rel, kept [][]int32) (_ *batch.Rel, npads int, err error) {
+	pads := make([][2][]int32, len(specs)) // per spec, the padded rows' positions in each side
+	for i, spec := range specs {
+		var cols [2][]int
+		groupOf, first := [2][]int32{}, [2][]int32{unspanned, unspanned}
+		for s, side := range sides {
+			for c := 0; c < side.Width(); c++ {
+				if slices.Contains(spec, side.Schema.At(c).Rel) {
+					cols[s] = append(cols[s], c)
+				}
+			}
+			if cols[s] != nil {
+				if groupOf[s], first[s], err = e.groupIDs(side, cols[s]); err != nil {
+					return nil, 0, err
+				}
+			}
+		}
+		if cols[0] == nil && cols[1] == nil {
+			return nil, 0, fmt.Errorf("executor: preserved relations %s have no attributes in %s", spec, out)
+		}
+		nr := len(first[1])
+		hit := make([]bool, len(first[0])*nr) // by left group × nr + right group
+		for k := range kept[0] {
+			h := 0
+			for s, g := range groupOf {
+				if h *= len(first[s]); g != nil {
+					h += int(g[kept[s][k]])
+				}
+			}
+			hit[h] = true
+		}
+		allNull := func(s int, row int32) bool {
+			for _, c := range cols[s] {
+				if !sides[s].Col(c).IsNull(int(row)) {
+					return false
+				}
+			}
+			return true
+		}
+		for a, fa := range first[0] {
+			for b, fb := range first[1] {
+				if !hit[a*nr+b] && !(allNull(0, fa) && allNull(1, fb)) {
+					pads[i][0], pads[i][1] = append(pads[i][0], fa), append(pads[i][1], fb)
+					npads++
+				}
+			}
+		}
+	}
+	// Column c's rows: the kept rows, then each spec's pads — the
+	// group's first row where the spec spans c's relation, else -1.
+	nulls := make([]int32, npads)
+	for k := range nulls {
+		nulls[k] = -1
+	}
+	sels := make([][]int32, 0, out.Len())
+	for s, side := range sides {
+		for c := 0; c < side.Width(); c++ {
+			rel, sel := side.Schema.At(c).Rel, kept[s]
+			switch {
+			case npads == 0:
+			case c > 0 && side.Schema.At(c-1).Rel == rel:
+				sel = sels[len(sels)-1]
+			default:
+				sel = append(make([]int32, 0, len(kept[s])+npads), kept[s]...)
+				for i, spec := range specs {
+					if rows := pads[i][s]; slices.Contains(spec, rel) {
+						sel = append(sel, rows...)
+					} else {
+						sel = append(sel, nulls[:len(rows)]...)
+					}
+				}
+			}
+			sels = append(sels, sel)
+		}
+	}
+	return batch.Gather(out, sides, sels), npads, nil
+}
+
+// unspanned is the one all-NULL group of a side a spec does not span.
+var unspanned = []int32{-1}
 
 // sort orders its input with plan.SortIndex under one comparator per
 // key column: typed over a NULL-free int, float or string column,

@@ -334,31 +334,6 @@ func TestVectorizedBudgetTrips(t *testing.T) {
 	}
 }
 
-// TestVectorizedFallbackCounted: an operator that falls back to the
-// tuple algebra increments its exec.vector.fallback.<op> counter and
-// still computes correctly.
-func TestVectorizedFallbackCounted(t *testing.T) {
-	rng := rand.New(rand.NewSource(215))
-	db := mixedDB(rng, 200, 11, "r1", "r2")
-	p := plan.NewGenSel(eqY("r1", "r2"), []plan.PreservedSpec{plan.NewPreserved("r1")},
-		plan.NewJoin(plan.LeftJoin, eqX("r1", "r2"), plan.NewScan("r1"), plan.NewScan("r2")))
-	before := obs.Default().Counter("exec.vector.fallback.gensel-pad").Value()
-	want, err := p.Eval(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := execRows(p, db, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.EqualAsMultisets(want) {
-		t.Fatal("fallback result differs from plan.Node.Eval")
-	}
-	if obs.Default().Counter("exec.vector.fallback.gensel-pad").Value() == before {
-		t.Error("exec.vector.fallback.gensel-pad not incremented")
-	}
-}
-
 // TestVectorizedInstrumented: the EXPLAIN ANALYZE path annotates every
 // node with rows and every join with its probe extras.
 func TestVectorizedInstrumented(t *testing.T) {
@@ -466,8 +441,8 @@ func TestVectorizedAliasedScan(t *testing.T) {
 // fifty times its probe side runs as planned and is multiset-identical
 // to the static plan for all four join kinds, with NULL keys, duplicate
 // keys and a residual conjunct, at every batch size — and it stays
-// inside the kernel: the plan's column order, no fallback to the row
-// join, and no exec.adapt.* counter.
+// inside the kernel: the plan's column order and no exec.adapt.*
+// counter.
 func TestVecNativeSwapMatchesStatic(t *testing.T) {
 	rng := rand.New(rand.NewSource(219))
 	db := skewDB(rng, 60, 3000, 40) // ~5% NULL keys, ~75 duplicates per key on the build side
@@ -494,7 +469,7 @@ func TestVecNativeSwapMatchesStatic(t *testing.T) {
 					t.Fatalf("%v: join changed the column order: %s vs %s", kind, got.Schema(), want.Schema())
 				}
 				for name := range reg.Snapshot().Counters {
-					if strings.HasPrefix(name, "exec.vector.fallback.") || strings.HasPrefix(name, "exec.adapt.") {
+					if strings.HasPrefix(name, "exec.adapt.") {
 						t.Fatalf("%v batch %d: unexpected counter %s", kind, bs, name)
 					}
 				}

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	xpr "repro/internal/expr"
+	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/schema"
@@ -89,13 +91,14 @@ var coldPins = map[string]coldPin{
 
 // optimizeMemo explores q the way optimizer.Optimize does — q and its
 // outer-join simplification seed one memo under DefaultRules plus
-// aggregation push-up, capped at maxExprs expressions (Optimize's cap is
-// 20 000) — and returns the memo, its distinct roots and its registry.
-func optimizeMemo(t *testing.T, q plan.Node, db plan.Database, maxExprs int) (*Memo, []GroupID, *obs.Registry) {
+// aggregation push-up, under budget b (nil: only the memo's own
+// 20 000-expression cap) — and returns the memo, its distinct roots and
+// its registry.
+func optimizeMemo(t *testing.T, q plan.Node, db plan.Database, b *guard.Budget) (*Memo, []GroupID, *obs.Registry) {
 	t.Helper()
 	plan.IndexRelations(q)
 	reg := obs.NewRegistry()
-	m, err := New(Options{Rules: append(core.DefaultRules(), core.PushUpRule(db)), MaxExprs: maxExprs, Obs: reg})
+	m, err := New(Options{Rules: append(core.DefaultRules(), core.PushUpRule(db)), Budget: b, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestMemoChildPatternsSound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, roots, reg := optimizeMemo(t, q, cold, 20000)
+			m, roots, reg := optimizeMemo(t, q, cold, nil)
 			pin := coldPins[sh.name]
 			all, matched := checkChildPatterns(t, m)
 			counters := reg.Snapshot().Counters
@@ -243,7 +246,7 @@ func TestMemoChildPatternsSound(t *testing.T) {
 		{"full-outer", fojChain(), nil}, {"push-up", pushUpShape(), pushDB},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, _, _ := optimizeMemo(t, tc.q, tc.db, 20000)
+			m, _, _ := optimizeMemo(t, tc.q, tc.db, nil)
 			if all, _ := checkChildPatterns(t, m); all == 0 {
 				t.Fatal("no bindings")
 			}
@@ -252,14 +255,14 @@ func TestMemoChildPatternsSound(t *testing.T) {
 			}
 		})
 	}
-	// A quarter of the generated queries reach Optimize's cap; a capped
-	// memo holds bindings enough, and every one is a tree the rules must
-	// get right.
+	// Capped at 2 000 expressions past the seeds, a quarter of the
+	// generated queries stop early; a capped memo holds bindings enough,
+	// and every one is a tree the rules must get right.
 	all, matched := 0, 0
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		q, n := datagen.RandomJoinQuery(rng)
-		m, _, _ := optimizeMemo(t, q, datagen.RandomJoinDB(rng, n), 2000)
+		m, _, _ := optimizeMemo(t, q, datagen.RandomJoinDB(rng, n), guard.New(context.Background(), guard.Limits{MaxExprs: 2000}, nil))
 		a, k := checkChildPatterns(t, m)
 		all, matched = all+a, matched+k
 	}

@@ -34,7 +34,7 @@ type altResult struct {
 // binding's rule results are merged into the memo before the next
 // binding's rules run. The loop
 // reaches a fixpoint when a wave generates no bindings, or stops at
-// MaxExprs or a tripped expression budget (both cap the memo rather
+// maxExprs or a tripped expression budget (both cap the memo rather
 // than erroring — extraction still covers everything admitted). A
 // non-nil error means the run was aborted: cancellation, an injected
 // fault, or a contained rule-application panic.
@@ -91,7 +91,7 @@ func (m *Memo) explore() error {
 						return nil
 					}
 				}
-				if len(m.exprs) >= m.opts.MaxExprs {
+				if len(m.exprs) >= maxExprs {
 					m.markCapped(cappedMaxExprs)
 					return nil
 				}

@@ -171,10 +171,6 @@ type Options struct {
 	// RuleScope other than ScopeUnknown, and a ScopeChild rule its
 	// Patterns (New rejects one that does not).
 	Rules []core.Rule
-	// MaxExprs caps the admitted expressions (0 means 20000) — the
-	// memo analog of SaturateOptions.MaxPlans. Expressions are all the
-	// memo materializes, so they are all that counts.
-	MaxExprs int
 	// Obs, when non-nil, receives memo.groups (the live groups when
 	// exploration ends), memo.exprs, memo.dedup_hits, memo.merges,
 	// memo.waves, memo.child_bindings (ScopeChild bindings built),
@@ -187,7 +183,7 @@ type Options struct {
 	// group (surfacing guard.ErrCancelled), and expressions admitted
 	// past the seeds are charged against the expression budget —
 	// tripping it caps the memo (CappedReason reports "budget:exprs")
-	// exactly like MaxExprs, so extraction still runs over everything
+	// exactly like maxExprs, so extraction still runs over everything
 	// admitted.
 	Budget *guard.Budget
 }
@@ -267,9 +263,6 @@ func New(opts Options) (*Memo, error) {
 	if opts.Rules == nil {
 		opts.Rules = core.DefaultRules()
 	}
-	if opts.MaxExprs <= 0 {
-		opts.MaxExprs = 20000
-	}
 	m := &Memo{
 		opts:    opts,
 		byNode:  make(map[plan.Node]GroupID),
@@ -341,9 +334,14 @@ func (m *Memo) find(gid GroupID) GroupID {
 	}
 }
 
+// maxExprs caps the admitted expressions — the memo analog of
+// SaturateOptions.MaxPlans. Expressions are all the memo materializes,
+// so they are all that counts.
+const maxExprs = 20000
+
 // Cap reasons reported by CappedReason.
 const (
-	// cappedMaxExprs: exploration stopped at Options.MaxExprs.
+	// cappedMaxExprs: exploration stopped at maxExprs.
 	cappedMaxExprs = "max-exprs"
 	// cappedBudget: the guard expression budget tripped.
 	cappedBudget = "budget:exprs"

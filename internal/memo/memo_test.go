@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -295,8 +296,9 @@ func summarize(t *testing.T, q plan.Node, db plan.Database, opts Options) memoSu
 // TestWorkersIdenticalMemo: exploration runs its waves on one
 // goroutine, so every exploration of a query builds the same memo —
 // expression and group counts, per-rule firings, winner and cost —
-// both run to fixpoint and capped mid-wave by MaxExprs, where the cap
-// must land on the same expression. Run under -race by make race.
+// both run to fixpoint and capped mid-wave by an expression budget,
+// where the cap must land on the same expression. Run under -race by
+// make race.
 func TestWorkersIdenticalMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := datagen.RandomJoinDB(rng, 6)
@@ -307,14 +309,25 @@ func TestWorkersIdenticalMemo(t *testing.T) {
 		full := summarize(t, tc.q, db, Options{})
 		for _, maxExprs := range []int{0, full.exprs / 2} {
 			t.Run(fmt.Sprintf("%s/max=%d", tc.name, maxExprs), func(t *testing.T) {
-				first := summarize(t, tc.q, db, Options{MaxExprs: maxExprs})
+				// max=N caps the memo at about N expressions: the budget
+				// counts those admitted past q's own (its seeds), at
+				// least one.
+				seeds := 0
+				plan.Walk(tc.q, func(plan.Node) { seeds++ })
+				opts := func() Options {
+					if maxExprs == 0 {
+						return Options{}
+					}
+					return Options{Budget: guard.New(context.Background(), guard.Limits{MaxExprs: int64(max(1, maxExprs-seeds))}, nil)}
+				}
+				first := summarize(t, tc.q, db, opts())
 				// One result may admit the few operators it newly built
-				// together, so a capped memo holds at least MaxExprs.
-				if maxExprs > 0 && (first.capped != cappedMaxExprs || first.exprs < maxExprs || first.exprs >= full.exprs) {
+				// together, so a capped memo holds at least maxExprs.
+				if maxExprs > 0 && (first.capped != cappedBudget || first.exprs < maxExprs || first.exprs >= full.exprs) {
 					t.Fatalf("MaxExprs=%d: capped %q at %d of %d expressions", maxExprs, first.capped, first.exprs, full.exprs)
 				}
 				for run := 2; run <= 4; run++ {
-					if again := summarize(t, tc.q, db, Options{MaxExprs: maxExprs}); !reflect.DeepEqual(again, first) {
+					if again := summarize(t, tc.q, db, opts()); !reflect.DeepEqual(again, first) {
 						t.Errorf("exploration %d:\n got  %+v\n want %+v", run, again, first)
 					}
 				}

@@ -59,7 +59,7 @@ func TestMergeBoundsInnerChains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, _, _ := optimizeMemo(t, q, db, 20000)
+			m, _, _ := optimizeMemo(t, q, db, nil)
 			t.Logf("%s: %d expressions, %d groups", tc.name, m.Exprs(), m.live)
 			if m.CappedReason() != "" {
 				t.Fatalf("capped (%s) at %d expressions", m.CappedReason(), m.Exprs())

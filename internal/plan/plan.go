@@ -279,13 +279,22 @@ func NewPreserved(rels ...string) PreservedSpec {
 	return s
 }
 
-// Set converts the spec to a set.
-func (p PreservedSpec) Set() map[string]bool {
+// set converts the spec to a set.
+func (p PreservedSpec) set() map[string]bool {
 	set := make(map[string]bool, len(p))
 	for _, r := range p {
 		set[r] = true
 	}
 	return set
+}
+
+// specSets is the specs as the relation-name sets the algebra takes.
+func specSets(ps []PreservedSpec) []map[string]bool {
+	sets := make([]map[string]bool, len(ps))
+	for i, s := range ps {
+		sets[i] = s.set()
+	}
+	return sets
 }
 
 // String renders e.g. "r1r2".
@@ -329,11 +338,7 @@ func (g *GenSel) Eval(db Database) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]map[string]bool, len(g.Preserved))
-	for i, s := range g.Preserved {
-		specs[i] = s.Set()
-	}
-	return algebra.GenSelect(g.Pred, specs, in)
+	return algebra.GenSelect(g.Pred, specSets(g.Preserved), in)
 }
 
 func (g *GenSel) fingerprint() *fpVal {
@@ -396,11 +401,7 @@ func (m *MGOJNode) Eval(db Database) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]map[string]bool, len(m.Preserved))
-	for i, s := range m.Preserved {
-		specs[i] = s.Set()
-	}
-	return algebra.MGOJ(m.Pred, specs, l, r)
+	return algebra.MGOJ(m.Pred, specSets(m.Preserved), l, r)
 }
 
 func (m *MGOJNode) fingerprint() *fpVal {

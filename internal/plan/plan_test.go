@@ -110,7 +110,7 @@ func TestPreservedSpec(t *testing.T) {
 	if s.String() != "r1r2" {
 		t.Errorf("spec string = %q (must be sorted)", s)
 	}
-	set := s.Set()
+	set := s.set()
 	if !set["r1"] || !set["r2"] || len(set) != 2 {
 		t.Errorf("set = %v", set)
 	}

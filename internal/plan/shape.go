@@ -16,9 +16,10 @@ import (
 // A shape is keyed by the *schema.Schema pointers of the inputs it was
 // derived from. Schemas are immutable and a scan hands on its base
 // relation's own schema pointer, so one pointer compare decides
-// whether a shape still fits: a plan run over another Database, or
-// above an operator that builds fresh schemas per run (MGOJ and GenSel
-// compensation), just derives its shape again.
+// whether a shape still fits, and a plan run over another Database
+// just derives its shape again. Every operator hands on its input's
+// schema or its own shape's output schema, so above the scans the
+// pointers are as stable as the scans' own.
 //
 // BindParams rebuilds the spine above a bound parameter on every
 // request. A rebuilt node shares its template node's cell (not a copy

@@ -171,7 +171,7 @@ func specsIn(specs []PreservedSpec, rels map[string]bool, s *schema.Schema, at N
 				return fmt.Errorf("plan: preserved relation %q not an input of %s", r, at)
 			}
 		}
-		if len(s.AttrsOfRels(spec.Set())) == 0 {
+		if len(s.AttrsOfRels(spec.set())) == 0 {
 			return fmt.Errorf("plan: preserved spec %s resolves to no attributes in %s", spec, at)
 		}
 	}

@@ -20,14 +20,12 @@ import (
 // metricFamilies is every metric family the metric-surface smoke
 // writes to the observer registries, dynamic suffixes folded by
 // metricFamily. The bench reads optimizer.runs, memo.groups,
-// memo.exprs, memo.pruned, exec.spill.partitions,
-// exec.vector.fallback.<op>, the plancache series and
-// feedback.{drift_trips,replans,corrections}.
+// memo.exprs, memo.pruned, exec.spill.partitions, the plancache series
+// and feedback.{drift_trips,replans,corrections}.
 var metricFamilies = []string{
 	"exec.spill.joins",
 	"exec.spill.partitions",
 	"exec.spill.recursions",
-	"exec.vector.fallback.<op>",
 	"exec.vector.select.generic",
 	"executor.qerror_milli",
 	"feedback.corrections",
@@ -65,15 +63,14 @@ var metricFamilies = []string{
 }
 
 // metricFamily folds a registry name to its family: the label set is
-// dropped and the suffixes that vary per rule, phase, budget kind or
-// operator become placeholders.
+// dropped and the suffixes that vary per rule, phase or budget kind
+// become placeholders.
 func metricFamily(name string) string {
 	name, _, _ = strings.Cut(name, "{")
 	for _, p := range []struct{ prefix, family string }{
 		{"optimizer.rule_applied.", "optimizer.rule_applied.<rule>"},
 		{"optimizer.rule_admitted.", "optimizer.rule_admitted.<rule>"},
 		{"guard.budget_trips.", "guard.budget_trips.<k>"},
-		{"exec.vector.fallback.", "exec.vector.fallback.<op>"},
 	} {
 		if strings.HasPrefix(name, p.prefix) {
 			return p.family

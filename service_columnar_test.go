@@ -46,9 +46,10 @@ func execCounters(reg *obs.Registry, prefix string) map[string]int64 {
 
 // TestServiceColumnarCountersReachObserver: what the executor counts
 // during a request is readable from Service.Observer() afterwards —
-// here the tuple-operator seam a generalized selection's padding runs on
-// (TestMaxBytesPartitionsEverywhere covers the spill counters, in both
-// service modes).
+// here the one conjunct of the plan that no typed kernel compiles: the
+// generalized selection's v2.qty < 2 * v3.aggqty95, whose arithmetic
+// is evaluated row-wise (TestMaxBytesPartitionsEverywhere covers the
+// spill counters, in both service modes).
 func TestServiceColumnarCountersReachObserver(t *testing.T) {
 	ctx := context.Background()
 	gs := newTestService(t, ServiceConfig{DB: datagen.Supplier(datagen.DefaultSupplierConfig)})
@@ -59,9 +60,9 @@ func TestServiceColumnarCountersReachObserver(t *testing.T) {
 	if !strings.Contains(resp.PlanKey, "GS[") {
 		t.Fatalf("test premise: plan carries no generalized selection: %s", resp.PlanKey)
 	}
-	fb := execCounters(gs.Observer().Registry, "exec.vector.fallback.")
-	if fb["exec.vector.fallback.gensel-pad"] != 1 || len(fb) != 1 {
-		t.Errorf("fallbacks after one GS-compensated query = %v, want exactly one gensel-pad", fb)
+	got := execCounters(gs.Observer().Registry, "exec.vector.")
+	if got["exec.vector.select.generic"] != 1 || len(got) != 1 {
+		t.Errorf("exec.vector counters after one GS-compensated query = %v, want exactly one exec.vector.select.generic", got)
 	}
 }
 
@@ -245,7 +246,7 @@ func checkOrdered(t *testing.T, name, query string, db Database, resp *Response,
 func sameRows(t *testing.T, name string, want *relation.Relation, resp *Response) {
 	t.Helper()
 	count := map[string]int{}
-	for _, row := range boxRows(batch.FromRelation(want)) {
+	for _, row := range boxRows(batch.Of(want)) {
 		count[fmt.Sprint(row)]++
 	}
 	for _, row := range resp.Rows {

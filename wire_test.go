@@ -82,7 +82,7 @@ func randWireRel(rng *rand.Rand) *batch.Rel {
 		}
 		rel.Append(t)
 	}
-	out := batch.FromRelation(rel)
+	out := batch.Of(rel)
 	if rng.Intn(2) == 0 {
 		var sel []int32
 		for i := 0; i < n; i++ {
@@ -190,7 +190,7 @@ func FuzzWireResponse(f *testing.F) {
 		rel := relation.New(schema.New(schema.Attr("t", "s"), schema.Attr("t", "f"), schema.Attr("t", "any")))
 		rel.Append(relation.Tuple{value.NewString(s), value.NewFloat(x), value.NewString(s)})
 		rel.Append(relation.Tuple{value.Null, value.Null, value.NewFloat(x)})
-		resp := &Response{Columns: []string{s, "f", "any"}, CacheStatus: "hit", PlanKey: s, Degraded: s, rel: batch.FromRelation(rel)}
+		resp := &Response{Columns: []string{s, "f", "any"}, CacheStatus: "hit", PlanKey: s, Degraded: s, rel: batch.Of(rel)}
 		want, werr := jsonEncoded(resp)
 		got, gerr := appendResponse(nil, resp)
 		if (werr != nil) != (gerr != nil) {
